@@ -1,4 +1,5 @@
-//! Pins allocations-per-RPC on the steady-state sealed relay loop.
+//! Pins allocations-per-RPC on the steady-state sealed relay loop, and
+//! per private-key operation on the Rabin handshake path.
 //!
 //! Wall-clock perf regressions need a benchmark run to notice;
 //! allocation-count regressions are exact and deterministic, so they can
@@ -30,6 +31,8 @@ const UID: u32 = 1000;
 const GETATTR_ALLOC_CEILING: f64 = 9.0;
 const READ_ALLOC_CEILING: f64 = 13.0;
 const SHARDED_READ_ALLOC_CEILING: f64 = 24.0;
+const RABIN_768_DECRYPT_ALLOC_CEILING: u64 = 90;
+const RABIN_512_SIGN_ALLOC_CEILING: u64 = 84;
 
 #[test]
 fn steady_state_relay_allocations_stay_pinned() {
@@ -208,5 +211,41 @@ fn sharded_windowed_allocations_stay_pinned() {
         per_rpc <= SHARDED_READ_ALLOC_CEILING,
         "sharded windowed 4 KiB READ now costs {per_rpc:.2} allocs/RPC \
          (ceiling {SHARDED_READ_ALLOC_CEILING}); the multi-core hot path has regressed"
+    );
+}
+
+#[test]
+fn rabin_private_operations_stay_allocation_lean() {
+    // The two private-key operations a `connect` pays for. When every
+    // modular product and every extended-Euclid step was a fresh `Nat`
+    // they cost 17 320 allocations per 768-bit decrypt and 8 536 per
+    // 512-bit sign. With the Montgomery kernel and the key-held CRT
+    // context each exponentiation allocates its window table and scratch
+    // once; what remains is reducing the input, the CRT recombinations
+    // and OAEP unpadding of the candidate roots: 74 and 69 measured,
+    // pinned with ~20 % headroom.
+    let mut rng = XorShiftSource::new(0x51F0);
+    let server_key = generate_keypair(768, &mut rng);
+    let user_key = generate_keypair(512, &mut rng);
+    let cipher = server_key
+        .public()
+        .encrypt(b"sixteen-byte-key", &mut rng)
+        .unwrap();
+    assert_eq!(server_key.decrypt(&cipher).unwrap(), b"sixteen-byte-key");
+
+    let (plain, decrypt_allocs) = count_allocs(|| server_key.decrypt(&cipher));
+    assert!(plain.is_ok());
+    assert!(
+        decrypt_allocs <= RABIN_768_DECRYPT_ALLOC_CEILING,
+        "rabin_768 decrypt now costs {decrypt_allocs} allocations \
+         (ceiling {RABIN_768_DECRYPT_ALLOC_CEILING})"
+    );
+
+    let (sig, sign_allocs) = count_allocs(|| user_key.sign(b"AuthMsg to sign"));
+    assert!(user_key.public().verify(b"AuthMsg to sign", &sig));
+    assert!(
+        sign_allocs <= RABIN_512_SIGN_ALLOC_CEILING,
+        "rabin_512 sign now costs {sign_allocs} allocations \
+         (ceiling {RABIN_512_SIGN_ALLOC_CEILING})"
     );
 }

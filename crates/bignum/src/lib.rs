@@ -15,12 +15,13 @@
 
 mod int;
 mod modular;
+mod mont;
 mod nat;
 mod prime;
 mod rand_source;
 
 pub use int::{Int, Sign};
-pub use modular::{crt_pair, invmod, jacobi, modpow, sqrt_mod_3mod4};
+pub use modular::{crt_pair, invmod, jacobi, modpow, BlumPrime, CrtBasis};
 pub use nat::{DivideByZero, Nat};
 pub use prime::{gen_prime, gen_prime_congruent, is_probable_prime, MR_ROUNDS};
 pub use rand_source::{CountingSource, RandomSource, XorShiftSource};

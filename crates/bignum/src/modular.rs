@@ -5,10 +5,17 @@
 //! decryption/signing (square roots via CRT) and SRP (modular
 //! exponentiation) require.
 
-use crate::int::{Int, Sign};
-use crate::nat::Nat;
+use std::cmp::Ordering;
+
+use crate::int::Int;
+use crate::mont::Montgomery;
+use crate::nat::{cmp_limbs, sub_limbs, Nat};
 
 /// Computes `base^exp mod m` by square-and-multiply with a 4-bit window.
+///
+/// An odd modulus (every production caller: Rabin primes, SRP groups,
+/// Miller–Rabin candidates) runs on the Montgomery kernel; an even one
+/// reduces by division after every step. Both give the canonical residue.
 ///
 /// # Panics
 ///
@@ -17,6 +24,9 @@ pub fn modpow(base: &Nat, exp: &Nat, m: &Nat) -> Nat {
     assert!(!m.is_zero(), "modpow with zero modulus");
     if m.is_one() {
         return Nat::zero();
+    }
+    if let Some(mont) = Montgomery::new(m) {
+        return mont.pow(base, exp);
     }
     if exp.is_zero() {
         return Nat::one();
@@ -88,65 +98,148 @@ pub fn invmod(a: &Nat, m: &Nat) -> Option<Nat> {
 
 /// Computes the Jacobi symbol `(a/n)` for odd `n > 0`; returns -1, 0, or 1.
 ///
+/// Binary algorithm on two fixed limb buffers: strip factors of two,
+/// swap by quadratic reciprocity when `a < n`, subtract. No division and
+/// no allocation after the initial reduction of `a`.
+///
 /// # Panics
 ///
 /// Panics if `n` is even or zero.
 pub fn jacobi(a: &Nat, n: &Nat) -> i32 {
-    assert!(
-        n.is_odd() && !n.is_zero(),
-        "Jacobi symbol requires odd n > 0"
-    );
-    let mut a = a.rem_nat(n).unwrap();
-    let mut n = n.clone();
+    assert!(n.is_odd(), "Jacobi symbol requires odd n > 0");
+    let mut len = n.limbs().len();
+    let mut a = a.rem_nat(n).expect("n is odd").limbs().to_vec();
+    a.resize(len, 0);
+    let mut n = n.limbs().to_vec();
     let mut result = 1i32;
-    while !a.is_zero() {
-        let tz = a.trailing_zeros().unwrap();
-        a = a.shr_bits(tz);
-        if tz % 2 == 1 {
-            // (2/n) = -1 when n ≡ 3, 5 (mod 8).
-            let n_mod8 = n.limbs().first().unwrap() % 8;
-            if n_mod8 == 3 || n_mod8 == 5 {
-                result = -result;
-            }
+    loop {
+        // Both values only shrink; track the live width.
+        while len > 0 && a[len - 1] == 0 && n[len - 1] == 0 {
+            len -= 1;
         }
-        // Quadratic reciprocity flip.
-        let a_mod4 = a.limbs().first().unwrap() % 4;
-        let n_mod4 = n.limbs().first().unwrap() % 4;
-        if a_mod4 == 3 && n_mod4 == 3 {
+        let (a_live, n_live) = (&mut a[..len], &mut n[..len]);
+        let Some(tz) = strip_trailing_zeros(a_live) else {
+            break;
+        };
+        // (2/n) = -1 when n ≡ 3, 5 (mod 8).
+        if tz % 2 == 1 && matches!(n_live[0] % 8, 3 | 5) {
             result = -result;
         }
-        std::mem::swap(&mut a, &mut n);
-        a = a.rem_nat(&n).unwrap();
+        if cmp_limbs(a_live, n_live) == Ordering::Less {
+            // Quadratic reciprocity flip.
+            if a_live[0] % 4 == 3 && n_live[0] % 4 == 3 {
+                result = -result;
+            }
+            a_live.swap_with_slice(n_live);
+        }
+        // (a/n) = ((a − n)/n), and the difference of two odd values is even.
+        sub_limbs(a_live, n_live);
     }
-    if n.is_one() {
+    if n[0] == 1 && n[1..].iter().all(|&l| l == 0) {
         result
     } else {
         0
     }
 }
 
-/// Computes a square root of `a` modulo a prime `p ≡ 3 (mod 4)` as
-/// `a^((p+1)/4) mod p`, returning `None` if `a` is not a quadratic residue.
-///
-/// Rabin–Williams only ever takes roots modulo Blum primes, so the general
-/// Tonelli–Shanks algorithm is unnecessary.
-pub fn sqrt_mod_3mod4(a: &Nat, p: &Nat) -> Option<Nat> {
-    debug_assert_eq!(p.limbs().first().unwrap_or(&3) % 4, 3);
-    let a = a.rem_nat(p).unwrap();
-    if a.is_zero() {
-        return Some(Nat::zero());
+/// Shifts `v` right until it is odd, returning the shift; `None` for zero.
+fn strip_trailing_zeros(v: &mut [u64]) -> Option<usize> {
+    let zero_limbs = v.iter().position(|&l| l != 0)?;
+    let bits = v[zero_limbs].trailing_zeros();
+    let len = v.len();
+    v.copy_within(zero_limbs.., 0);
+    v[len - zero_limbs..].fill(0);
+    if bits != 0 {
+        let mut carry = 0u64;
+        for l in v[..len - zero_limbs].iter_mut().rev() {
+            let next = *l << (64 - bits);
+            *l = (*l >> bits) | carry;
+            carry = next;
+        }
     }
-    let e = p.add_nat(&Nat::one()).shr_bits(2);
-    let r = modpow(&a, &e, p);
-    if r.square().rem_nat(p).unwrap() == a {
-        Some(r)
-    } else {
-        None
+    Some(zero_limbs * 64 + bits as usize)
+}
+
+/// A prime `p ≡ 3 (mod 4)` prepared for repeated modular square roots: the
+/// Montgomery constants for `p` and the exponent `(p + 1)/4`, computed once.
+///
+/// Rabin–Williams only ever takes roots modulo such primes, so the root is
+/// one exponentiation and the general Tonelli–Shanks algorithm is
+/// unnecessary.
+#[derive(Clone)]
+pub struct BlumPrime {
+    mont: Montgomery,
+    root_exp: Nat,
+}
+
+impl BlumPrime {
+    /// Prepares `p`; `None` unless `p ≡ 3 (mod 4)`. Primality is the
+    /// caller's claim and is not checked.
+    pub fn new(p: &Nat) -> Option<BlumPrime> {
+        if p.limbs().first()? % 4 != 3 {
+            return None;
+        }
+        Some(BlumPrime {
+            mont: Montgomery::new(p)?,
+            root_exp: p.add_nat(&Nat::one()).shr_bits(2),
+        })
+    }
+
+    /// The prime itself.
+    pub fn modulus(&self) -> &Nat {
+        self.mont.modulus()
+    }
+
+    /// A square root of `a` modulo `p`, as `a^((p+1)/4) mod p`; `None` if
+    /// `a` is not a quadratic residue.
+    pub fn sqrt(&self, a: &Nat) -> Option<Nat> {
+        let p = self.modulus();
+        let a = a.rem_nat(p).expect("p is odd");
+        let r = self.mont.pow(&a, &self.root_exp);
+        (r.square().rem_nat(p).expect("p is odd") == a).then_some(r)
+    }
+}
+
+/// Two coprime moduli with `p⁻¹ mod q` computed once, for repeated
+/// Chinese-remainder recombination.
+#[derive(Clone)]
+pub struct CrtBasis {
+    p: Nat,
+    q: Nat,
+    p_inv: Nat,
+}
+
+impl CrtBasis {
+    /// `None` if `p` and `q` are not coprime (or `q ≤ 1`).
+    pub fn new(p: &Nat, q: &Nat) -> Option<CrtBasis> {
+        Some(CrtBasis {
+            p_inv: invmod(p, q)?,
+            p: p.clone(),
+            q: q.clone(),
+        })
+    }
+
+    /// The unique `x mod p·q` with `x ≡ xp (mod p)` and `x ≡ xq (mod q)`,
+    /// for `xp < p`: `x = xp + p·((xq − xp)·p⁻¹ mod q)`.
+    pub fn combine(&self, xp: &Nat, xq: &Nat) -> Nat {
+        let q = &self.q;
+        let reduce = |v: &Nat| v.rem_nat(q).expect("q > 1");
+        let (xp_q, xq) = (reduce(xp), reduce(xq));
+        let diff = match xq.checked_sub(&xp_q) {
+            Some(d) => d,
+            None => xq.add_nat(q).checked_sub(&xp_q).expect("xp_q < q"),
+        };
+        let h = reduce(&diff.mul_nat(&self.p_inv));
+        xp.add_nat(&self.p.mul_nat(&h))
     }
 }
 
 /// Chinese-remainder recombination for two coprime moduli: finds the unique
 /// `x mod p*q` with `x ≡ xp (mod p)` and `x ≡ xq (mod q)`.
+///
+/// One-shot form that inverts `p` on every call; repeated recombination
+/// under fixed moduli goes through [`CrtBasis`], whose tests use this as
+/// the independent reference.
 ///
 /// # Panics
 ///
@@ -165,12 +258,6 @@ pub fn crt_pair(xp: &Nat, p: &Nat, xq: &Nat, q: &Nat) -> Nat {
 #[cfg(test)]
 pub(crate) fn egcd_for_tests(a: &Nat, b: &Nat) -> (Nat, Int, Int) {
     egcd(a, b)
-}
-
-// `Sign` is pulled in for the `Int` arithmetic above; keep the import honest.
-#[allow(unused)]
-fn _sign_witness(s: Sign) -> Sign {
-    s
 }
 
 #[cfg(test)]
@@ -266,14 +353,20 @@ mod tests {
 
     #[test]
     fn sqrt_mod_blum_prime() {
-        let p = n(23); // 23 ≡ 3 (mod 4)
-        for a in 1u64..23 {
+        let p = BlumPrime::new(&n(23)).unwrap(); // 23 ≡ 3 (mod 4)
+        for a in 0u64..23 {
             let sq = (a * a) % 23;
-            let r = sqrt_mod_3mod4(&n(sq), &p).expect("square must have root");
-            assert_eq!(r.square().rem_nat(&p).unwrap(), n(sq));
+            let r = p.sqrt(&n(sq)).expect("square must have root");
+            assert_eq!(r.square().rem_nat(p.modulus()).unwrap(), n(sq));
         }
-        // 5 is a non-residue mod 23.
-        assert_eq!(sqrt_mod_3mod4(&n(5), &p), None);
+        // 5 is a non-residue mod 23; the argument is reduced first.
+        assert_eq!(p.sqrt(&n(5)), None);
+        assert_eq!(p.sqrt(&n(5 + 23)), None);
+        assert!(p.sqrt(&n(4 + 23)).is_some());
+        // 13 ≡ 1 (mod 4), and even or zero moduli, are refused.
+        for bad in [0u64, 1, 2, 13, 24] {
+            assert!(BlumPrime::new(&n(bad)).is_none(), "{bad}");
+        }
     }
 
     #[test]
@@ -285,5 +378,11 @@ mod tests {
             let xq = n(x % 13);
             assert_eq!(crt_pair(&xp, &p, &xq, &q), n(x % 143));
         }
+        let basis = CrtBasis::new(&p, &q).unwrap();
+        for x in 0u64..143 {
+            assert_eq!(basis.combine(&n(x % 11), &n(x % 13)), n(x));
+        }
+        assert!(CrtBasis::new(&n(6), &n(9)).is_none());
+        assert!(CrtBasis::new(&n(6), &n(1)).is_none());
     }
 }

@@ -296,9 +296,16 @@ impl Nat {
         Nat::from_limbs(out)
     }
 
-    /// `self * self`, slightly cheaper than general multiplication.
+    /// `self * self`. Below the Karatsuba threshold each cross product is
+    /// computed once and doubled, about half the limb multiplications of
+    /// [`Nat::mul_nat`].
     pub fn square(&self) -> Nat {
-        self.mul_nat(self)
+        if self.limbs.len() >= KARATSUBA_THRESHOLD {
+            return self.mul_nat(self);
+        }
+        let mut out = vec![0u64; 2 * self.limbs.len()];
+        square_limbs(&self.limbs, &mut out);
+        Nat::from_limbs(out)
     }
 
     /// `(self / other, self % other)`.
@@ -430,6 +437,57 @@ fn schoolbook(a: &[u64], b: &[u64]) -> Vec<u64> {
     out
 }
 
+/// Squares raw limbs into `out` (`out.len() == 2 * a.len()`): the
+/// off-diagonal products once, doubled, plus the diagonal squares.
+pub(crate) fn square_limbs(a: &[u64], out: &mut [u64]) {
+    let k = a.len();
+    assert_eq!(out.len(), 2 * k);
+    out.fill(0);
+    for (i, &ai) in a.iter().enumerate() {
+        let mut carry = 0u128;
+        for (o, &aj) in out[2 * i + 1..i + k].iter_mut().zip(&a[i + 1..]) {
+            let t = ai as u128 * aj as u128 + *o as u128 + carry;
+            *o = t as u64;
+            carry = t >> 64;
+        }
+        // Row i is the first to reach limb i + k.
+        out[i + k] = carry as u64;
+    }
+    let mut shifted_out = 0u64;
+    let mut carry = 0u128;
+    for (pair, &ai) in out.chunks_exact_mut(2).zip(a) {
+        let sq = ai as u128 * ai as u128;
+        let lo = (pair[0] << 1) | shifted_out;
+        let hi = (pair[1] << 1) | (pair[0] >> 63);
+        shifted_out = pair[1] >> 63;
+        let t = lo as u128 + (sq as u64) as u128 + carry;
+        pair[0] = t as u64;
+        let t = hi as u128 + (sq >> 64) + (t >> 64);
+        pair[1] = t as u64;
+        carry = t >> 64;
+    }
+    debug_assert!(carry == 0 && shifted_out == 0);
+}
+
+/// Compares equal-length little-endian limb slices.
+pub(crate) fn cmp_limbs(a: &[u64], b: &[u64]) -> Ordering {
+    debug_assert_eq!(a.len(), b.len());
+    a.iter().rev().cmp(b.iter().rev())
+}
+
+/// `a -= b` over equal-length limb slices, returning the final borrow.
+pub(crate) fn sub_limbs(a: &mut [u64], b: &[u64]) -> bool {
+    debug_assert_eq!(a.len(), b.len());
+    let mut borrow = false;
+    for (x, &y) in a.iter_mut().zip(b) {
+        let (d, o1) = x.overflowing_sub(y);
+        let (d, o2) = d.overflowing_sub(borrow as u64);
+        *x = d;
+        borrow = o1 | o2;
+    }
+    borrow
+}
+
 /// Karatsuba multiplication for large operands.
 fn karatsuba(a: &Nat, b: &Nat) -> Nat {
     let half = a.limbs.len().min(b.limbs.len()) / 2;
@@ -523,15 +581,7 @@ fn knuth_d(u: &Nat, v: &Nat) -> (Nat, Nat) {
 impl Ord for Nat {
     fn cmp(&self, other: &Self) -> Ordering {
         match self.limbs.len().cmp(&other.limbs.len()) {
-            Ordering::Equal => {
-                for i in (0..self.limbs.len()).rev() {
-                    match self.limbs[i].cmp(&other.limbs[i]) {
-                        Ordering::Equal => continue,
-                        o => return o,
-                    }
-                }
-                Ordering::Equal
-            }
+            Ordering::Equal => cmp_limbs(&self.limbs, &other.limbs),
             o => o,
         }
     }
@@ -837,6 +887,26 @@ mod tests {
         let b = Nat::from_limbs(limbs_b);
         let expected = Nat::from_limbs(schoolbook(a.limbs(), b.limbs()));
         assert_eq!(a.mul_nat(&b), expected);
+    }
+
+    #[test]
+    fn square_matches_mul() {
+        let mut x: u64 = 0x9e3779b97f4a7c15;
+        for len in 0..40 {
+            let limbs: Vec<u64> = (0..len)
+                .map(|i| {
+                    x = x.wrapping_mul(0xbf58476d1ce4e5b9).wrapping_add(1);
+                    // Saturated limbs drive every carry chain.
+                    if i % 3 == 0 {
+                        u64::MAX
+                    } else {
+                        x
+                    }
+                })
+                .collect();
+            let a = Nat::from_limbs(limbs);
+            assert_eq!(a.square(), a.mul_nat(&a), "len={len}");
+        }
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //! crate's own deterministic [`XorShiftSource`] so every run checks
 //! the same randomized sample.
 
-use sfs_bignum::{crt_pair, invmod, jacobi, modpow, Nat, RandomSource, XorShiftSource};
+use sfs_bignum::{
+    crt_pair, gen_prime_congruent, invmod, jacobi, modpow, BlumPrime, CrtBasis, Nat, RandomSource,
+    XorShiftSource,
+};
 
 const CASES: usize = 192;
 
@@ -155,6 +158,174 @@ fn modpow_matches_naive() {
             Nat::from(naive as u64)
         );
     }
+}
+
+/// Plain binary square-and-multiply with a division after every step: the
+/// reference the Montgomery kernel must match bit for bit.
+fn modpow_reference(base: &Nat, exp: &Nat, m: &Nat) -> Nat {
+    let mut acc = Nat::one().rem_nat(m).unwrap();
+    for i in (0..exp.bit_len()).rev() {
+        acc = acc.mul_nat(&acc).rem_nat(m).unwrap();
+        if exp.bit(i) {
+            acc = acc.mul_nat(base).rem_nat(m).unwrap();
+        }
+    }
+    acc
+}
+
+/// `limbs` random limbs with a nonzero top limb.
+fn nat_of_limbs(rng: &mut XorShiftSource, limbs: usize) -> Nat {
+    let mut v: Vec<u64> = (0..limbs).map(|_| rand_u64(rng)).collect();
+    if let Some(top) = v.last_mut() {
+        *top |= 1 << (rand_u64(rng) % 64);
+    }
+    Nat::from_limbs(v)
+}
+
+#[test]
+fn modpow_matches_reference_on_wide_moduli() {
+    let mut rng = XorShiftSource::new(0x304D);
+    let one = Nat::one();
+    let mut moduli = vec![Nat::one(), Nat::from(2u64), Nat::from(3u64)];
+    for limbs in 1..=24 {
+        let odd = &nat_of_limbs(&mut rng, limbs) | &one;
+        moduli.push(odd.add_nat(&one)); // even
+        moduli.push(odd);
+        // Every limb saturated, and one below / above the limb boundary.
+        let boundary = Nat::one().shl_bits(64 * limbs);
+        moduli.push(boundary.checked_sub(&one).unwrap());
+        moduli.push(boundary.add_nat(&one));
+        moduli.push(boundary);
+        // Top limb saturated over random low limbs.
+        let mut v = nat_of_limbs(&mut rng, limbs).limbs().to_vec();
+        v[limbs - 1] = u64::MAX;
+        v[0] |= 1;
+        moduli.push(Nat::from_limbs(v));
+    }
+    for m in &moduli {
+        let limbs = m.limbs().len();
+        let bases = [
+            Nat::zero(),
+            Nat::one(),
+            m.checked_sub(&one).unwrap(),
+            m.clone(),
+            m.add_nat(&one),
+            nat_of_limbs(&mut rng, limbs),
+            nat_of_limbs(&mut rng, 2 * limbs + 1), // base ≥ m
+        ];
+        let exp_limbs = 1 + (rand_u64(&mut rng) % 3) as usize;
+        let exps = [
+            Nat::zero(),
+            Nat::one(),
+            Nat::from(2u64),
+            Nat::from(16u64),
+            Nat::from(rand_u64(&mut rng)),
+            nat_of_limbs(&mut rng, exp_limbs),
+        ];
+        for base in &bases {
+            for exp in &exps {
+                assert_eq!(
+                    modpow(base, exp, m),
+                    modpow_reference(base, exp, m),
+                    "base={base:?} exp={exp:?} m={m:?}"
+                );
+            }
+        }
+    }
+    // Full-width exponents, as Rabin roots and Miller–Rabin use them.
+    for limbs in [1usize, 2, 4, 6, 8, 16, 24] {
+        let m = &nat_of_limbs(&mut rng, limbs) | &one;
+        let base = nat_of_limbs(&mut rng, limbs);
+        let exp = nat_of_limbs(&mut rng, limbs);
+        assert_eq!(
+            modpow(&base, &exp, &m),
+            modpow_reference(&base, &exp, &m),
+            "limbs={limbs}"
+        );
+    }
+}
+
+#[test]
+fn jacobi_matches_euler_criterion_on_primes() {
+    // For an odd prime p, (a/p) ≡ a^((p−1)/2) (mod p).
+    let mut rng = XorShiftSource::new(0x7AC2);
+    let one = Nat::one();
+    for bits in [8usize, 31, 64, 65, 127, 128, 192, 256, 384] {
+        let p = gen_prime_congruent(bits, 1, 2, &mut rng);
+        let p_minus_1 = p.checked_sub(&one).unwrap();
+        let half = p_minus_1.shr_bits(1);
+        let mut samples = vec![Nat::zero(), one.clone(), p_minus_1.clone(), p.clone()];
+        for _ in 0..12 {
+            samples.push(nat_of_limbs(&mut rng, p.limbs().len()));
+            samples.push(nat_of_limbs(&mut rng, 2 * p.limbs().len())); // a ≥ p
+        }
+        for a in &samples {
+            let euler = modpow_reference(a, &half, &p);
+            let want = if euler.is_zero() {
+                0
+            } else if euler.is_one() {
+                1
+            } else {
+                assert_eq!(euler, p_minus_1);
+                -1
+            };
+            assert_eq!(jacobi(a, &p), want, "a={a:?} p={p:?}");
+        }
+    }
+}
+
+#[test]
+fn blum_prime_roots_square_back() {
+    let mut rng = XorShiftSource::new(0xB1C3);
+    for bits in [16usize, 64, 65, 128, 256] {
+        let p = gen_prime_congruent(bits, 3, 4, &mut rng);
+        let ctx = BlumPrime::new(&p).unwrap();
+        assert_eq!(ctx.modulus(), &p);
+        for _ in 0..8 {
+            let a = nat_of_limbs(&mut rng, 2 * p.limbs().len());
+            match ctx.sqrt(&a) {
+                Some(r) => {
+                    assert!(r < p);
+                    assert_eq!(r.square().rem_nat(&p).unwrap(), a.rem_nat(&p).unwrap());
+                    assert_ne!(jacobi(&a, &p), -1);
+                }
+                None => assert_eq!(jacobi(&a, &p), -1),
+            }
+        }
+    }
+}
+
+#[test]
+fn stored_inverse_crt_matches_crt_pair() {
+    let mut rng = XorShiftSource::new(0xC472);
+    for (pbits, qbits) in [
+        (8usize, 8usize),
+        (64, 64),
+        (65, 128),
+        (256, 192),
+        (384, 384),
+    ] {
+        let p = gen_prime_congruent(pbits, 3, 8, &mut rng);
+        let q = gen_prime_congruent(qbits, 7, 8, &mut rng);
+        let basis = CrtBasis::new(&p, &q).unwrap();
+        let edge = |m: &Nat| [Nat::zero(), Nat::one(), m.checked_sub(&Nat::one()).unwrap()];
+        let mut pairs: Vec<(Nat, Nat)> = Vec::new();
+        for xp in edge(&p) {
+            for xq in edge(&q) {
+                pairs.push((xp.clone(), xq));
+            }
+        }
+        for _ in 0..CASES / 8 {
+            pairs.push((rng.random_below(&p), rng.random_below(&q)));
+        }
+        for (xp, xq) in &pairs {
+            let x = basis.combine(xp, xq);
+            assert_eq!(x, crt_pair(xp, &p, xq, &q));
+            assert!(x < p.mul_nat(&q));
+        }
+    }
+    // Shared factor: no basis.
+    assert!(CrtBasis::new(&Nat::from(35u64), &Nat::from(7u64)).is_none());
 }
 
 #[test]

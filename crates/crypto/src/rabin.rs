@@ -17,7 +17,7 @@
 //! `(e, f)`. Verification is a single modular squaring — cheap, which is
 //! what lets SFS read-only servers serve many clients (§2.4).
 
-use sfs_bignum::{crt_pair, gen_prime_congruent, jacobi, sqrt_mod_3mod4, Nat, RandomSource};
+use sfs_bignum::{gen_prime_congruent, jacobi, BlumPrime, CrtBasis, Nat, RandomSource};
 
 use crate::sha1::{mgf1, sha1, sha1_concat, DIGEST_LEN};
 
@@ -55,13 +55,21 @@ pub struct RabinPublicKey {
     k: usize,
 }
 
-/// A Rabin–Williams private key (the factorization of `n`).
+/// A Rabin–Williams private key: the factorization of `n`, held with
+/// everything a root needs that depends only on the key — per-prime
+/// Montgomery constants and root exponents, and `p⁻¹ mod q` for CRT — so
+/// no decryption or signature recomputes it.
 #[derive(Clone)]
 pub struct RabinPrivateKey {
-    p: Nat,
-    q: Nat,
+    p: BlumPrime,
+    q: BlumPrime,
+    crt: CrtBasis,
     public: RabinPublicKey,
 }
+
+/// Bytes of OAEP framing in an encoded message: the leading zero, the
+/// masked seed, the label hash and the `0x01` separator.
+const OAEP_OVERHEAD: usize = 2 * DIGEST_LEN + 2;
 
 /// A Rabin–Williams signature: tweak bits and a square root.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -117,13 +125,8 @@ pub fn generate_keypair<R: RandomSource>(bits: usize, rng: &mut R) -> RabinPriva
         if p == q {
             continue;
         }
-        let n = p.mul_nat(&q);
-        let k = n.to_bytes_be().len();
-        return RabinPrivateKey {
-            p,
-            q,
-            public: RabinPublicKey { n, k },
-        };
+        return RabinPrivateKey::from_primes(&p, &q)
+            .expect("distinct primes in the Rabin-Williams residue classes");
     }
 }
 
@@ -156,8 +159,15 @@ impl RabinPublicKey {
     }
 
     /// Parses a public key serialized by [`Self::to_bytes`].
+    ///
+    /// These bytes arrive from unauthenticated peers (the client's
+    /// ephemeral key in Figure 3), so anything that cannot be a product of
+    /// two odd primes with room for OAEP is refused here: non-minimal
+    /// encodings, even moduli, and moduli too short to hold even an empty
+    /// padded message.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, RabinError> {
-        if bytes.is_empty() || bytes[0] == 0 {
+        let odd = bytes.last().is_some_and(|b| b & 1 == 1);
+        if bytes.len() < OAEP_OVERHEAD || bytes[0] == 0 || !odd {
             return Err(RabinError::BadKeyEncoding);
         }
         Ok(RabinPublicKey::from_modulus(Nat::from_bytes_be(bytes)))
@@ -165,13 +175,15 @@ impl RabinPublicKey {
 
     /// Maximum plaintext length for [`Self::encrypt`].
     pub fn max_plaintext_len(&self) -> usize {
-        self.k.saturating_sub(2 * DIGEST_LEN + 2)
+        self.k.saturating_sub(OAEP_OVERHEAD)
     }
 
     /// OAEP-pads and encrypts `msg` (one modular squaring — "particularly
     /// fast").
     pub fn encrypt<R: RandomSource>(&self, msg: &[u8], rng: &mut R) -> Result<Vec<u8>, RabinError> {
-        if msg.len() > self.max_plaintext_len() {
+        // A modulus below the OAEP overhead holds no message, not even an
+        // empty one ([`Self::from_modulus`] does not check the size).
+        if self.k < OAEP_OVERHEAD || msg.len() > self.max_plaintext_len() {
             return Err(RabinError::MessageTooLong);
         }
         // EM = 0x00 || maskedSeed(20) || maskedDB(k-21)
@@ -249,32 +261,36 @@ impl RabinPrivateKey {
         if cipher.len() != self.public.k {
             return Err(RabinError::BadCiphertextLength);
         }
+        if self.public.k < OAEP_OVERHEAD {
+            // No root of a modulus this short can carry OAEP framing.
+            return Err(RabinError::DecryptionFailed);
+        }
         let c = Nat::from_bytes_be(cipher);
         if c >= self.public.n {
             return Err(RabinError::BadCiphertextLength);
         }
-        let rp = sqrt_mod_3mod4(&c, &self.p).ok_or(RabinError::DecryptionFailed)?;
-        let rq = sqrt_mod_3mod4(&c, &self.q).ok_or(RabinError::DecryptionFailed)?;
-        let roots = self.all_roots(&rp, &rq);
-        for r in roots {
-            if let Some(m) = self.try_unpad(&r) {
-                return Ok(m);
-            }
-        }
-        Err(RabinError::DecryptionFailed)
+        let rp = self.p.sqrt(&c).ok_or(RabinError::DecryptionFailed)?;
+        let rq = self.q.sqrt(&c).ok_or(RabinError::DecryptionFailed)?;
+        self.all_roots(&rp, &rq)
+            .iter()
+            .find_map(|r| self.try_unpad(r))
+            .ok_or(RabinError::DecryptionFailed)
     }
 
     /// Signs `msg` deterministically.
     pub fn sign(&self, msg: &[u8]) -> RabinSignature {
         let n = &self.public.n;
         let mut h = fdh(msg, n, self.public.k);
-        // Degenerate h (shared factor with n) would reveal the
-        // factorization; perturb deterministically. Probability ~ 2^-600.
-        while h.gcd(n) != Nat::one() {
+        let (jp, jq) = loop {
+            let (jp, jq) = (jacobi(&h, self.p.modulus()), jacobi(&h, self.q.modulus()));
+            if jp != 0 && jq != 0 {
+                break (jp, jq);
+            }
+            // A zero symbol means h shares a factor with n, which would
+            // reveal the factorization; perturb deterministically.
+            // Probability ~ 2^-600.
             h = h.add_nat(&Nat::one()).rem_nat(n).unwrap();
-        }
-        let jp = jacobi(&h, &self.p);
-        let jq = jacobi(&h, &self.q);
+        };
         // ×2 flips the symbol mod p (p ≡ 3 mod 8 ⇒ (2/p) = −1) but not mod
         // q (q ≡ 7 mod 8 ⇒ (2/q) = +1); ×(−1) flips both (p, q ≡ 3 mod 4).
         let double = jp != jq;
@@ -282,15 +298,20 @@ impl RabinPrivateKey {
         if double {
             target = target.shl_bits(1).rem_nat(n).unwrap();
         }
-        let negate = jacobi(&target, &self.q) == -1;
+        // Doubling left the symbol mod q alone, so jq is the tweaked one.
+        let negate = jq == -1;
         if negate {
             target = n.checked_sub(&target).unwrap();
         }
-        debug_assert_eq!(jacobi(&target, &self.p), 1);
-        debug_assert_eq!(jacobi(&target, &self.q), 1);
-        let rp = sqrt_mod_3mod4(&target, &self.p).expect("tweaked hash must be a QR mod p");
-        let rq = sqrt_mod_3mod4(&target, &self.q).expect("tweaked hash must be a QR mod q");
-        let s = crt_pair(&rp, &self.p, &rq, &self.q);
+        let rp = self
+            .p
+            .sqrt(&target)
+            .expect("tweaked hash must be a QR mod p");
+        let rq = self
+            .q
+            .sqrt(&target)
+            .expect("tweaked hash must be a QR mod q");
+        let s = self.crt.combine(&rp, &rq);
         // Canonicalize to the smaller of {s, n-s} so signing is a function.
         let s_alt = n.checked_sub(&s).unwrap();
         let root = if s_alt < s { s_alt } else { s };
@@ -301,16 +322,14 @@ impl RabinPrivateKey {
         }
     }
 
-    /// All four CRT combinations of `(±rp, ±rq)`.
+    /// All four CRT combinations of `(±rp, ±rq)`: two recombinations, and
+    /// their negations modulo `n`.
     fn all_roots(&self, rp: &Nat, rq: &Nat) -> [Nat; 4] {
-        let np = self.p.checked_sub(rp).unwrap().rem_nat(&self.p).unwrap();
-        let nq = self.q.checked_sub(rq).unwrap().rem_nat(&self.q).unwrap();
-        [
-            crt_pair(rp, &self.p, rq, &self.q),
-            crt_pair(rp, &self.p, &nq, &self.q),
-            crt_pair(&np, &self.p, rq, &self.q),
-            crt_pair(&np, &self.p, &nq, &self.q),
-        ]
+        let n = &self.public.n;
+        let same = self.crt.combine(rp, rq);
+        let mixed = self.crt.combine(rp, &neg_mod(rq, self.q.modulus()));
+        let (neg_mixed, neg_same) = (neg_mod(&mixed, n), neg_mod(&same, n));
+        [same, mixed, neg_mixed, neg_same]
     }
 
     /// Attempts OAEP unpadding of a candidate root.
@@ -353,8 +372,8 @@ impl RabinPrivateKey {
     /// Users register eksblowfish-encrypted copies of this blob with
     /// authserv so a password can recover the key from anywhere (§2.4).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let p = self.p.to_bytes_be();
-        let q = self.q.to_bytes_be();
+        let p = self.p.modulus().to_bytes_be();
+        let q = self.q.modulus().to_bytes_be();
         let mut out = Vec::with_capacity(p.len() + q.len() + 8);
         out.extend_from_slice(&(p.len() as u32).to_be_bytes());
         out.extend_from_slice(&p);
@@ -384,12 +403,17 @@ impl RabinPrivateKey {
         if p.div_rem_u64(8).1 != 3 || q.div_rem_u64(8).1 != 7 {
             return Err(RabinError::BadKeyEncoding);
         }
-        let n = p.mul_nat(&q);
-        let k = n.to_bytes_be().len();
-        Ok(RabinPrivateKey {
-            p,
-            q,
-            public: RabinPublicKey { n, k },
+        RabinPrivateKey::from_primes(&p, &q).ok_or(RabinError::BadKeyEncoding)
+    }
+
+    /// Builds the key and its precomputed context; `None` unless both
+    /// values are `≡ 3 (mod 4)` and coprime.
+    fn from_primes(p: &Nat, q: &Nat) -> Option<Self> {
+        Some(RabinPrivateKey {
+            crt: CrtBasis::new(p, q)?,
+            p: BlumPrime::new(p)?,
+            q: BlumPrime::new(q)?,
+            public: RabinPublicKey::from_modulus(p.mul_nat(q)),
         })
     }
 }
@@ -398,6 +422,15 @@ impl std::fmt::Debug for RabinPrivateKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // Never print p or q.
         write!(f, "RabinPrivateKey({} bits)", self.public.n.bit_len())
+    }
+}
+
+/// `−x mod m` for `x < m`.
+fn neg_mod(x: &Nat, m: &Nat) -> Nat {
+    if x.is_zero() {
+        Nat::zero()
+    } else {
+        m.checked_sub(x).expect("x < m")
     }
 }
 
@@ -423,9 +456,10 @@ mod tests {
     #[test]
     fn keygen_congruences() {
         let key = test_key();
-        assert_eq!(key.p.div_rem_u64(8).1, 3);
-        assert_eq!(key.q.div_rem_u64(8).1, 7);
-        assert_eq!(key.p.mul_nat(&key.q), *key.public().modulus());
+        let (p, q) = (key.p.modulus(), key.q.modulus());
+        assert_eq!(p.div_rem_u64(8).1, 3);
+        assert_eq!(q.div_rem_u64(8).1, 7);
+        assert_eq!(p.mul_nat(q), *key.public().modulus());
     }
 
     #[test]
@@ -541,6 +575,73 @@ mod tests {
             RabinPublicKey::from_bytes(&[0, 1, 2]),
             Err(RabinError::BadKeyEncoding)
         );
+    }
+
+    #[test]
+    fn hostile_moduli_error_without_panicking() {
+        let key = test_key();
+        let sig = key.sign(b"m");
+        let mut rng = XorShiftSource::new(3);
+        let k = key.public().len();
+        let mut even = key.public().to_bytes();
+        even[k - 1] &= !1;
+        let wire: [(&str, Vec<u8>); 7] = [
+            ("even", even),
+            ("one byte", vec![0x0b]),
+            ("one limb", vec![0xff; 8]),
+            ("one below the OAEP floor", vec![0xff; OAEP_OVERHEAD - 1]),
+            ("power of two", [vec![1], vec![0; k - 1]].concat()),
+            ("zero", vec![0; k]),
+            ("empty", Vec::new()),
+        ];
+        for (what, bytes) in &wire {
+            assert_eq!(
+                RabinPublicKey::from_bytes(bytes),
+                Err(RabinError::BadKeyEncoding),
+                "{what}"
+            );
+            // The unchecked constructor must still fail closed.
+            let raw = RabinPublicKey::from_modulus(Nat::from_bytes_be(bytes));
+            if raw.len() < OAEP_OVERHEAD {
+                assert_eq!(
+                    raw.encrypt(b"", &mut rng),
+                    Err(RabinError::MessageTooLong),
+                    "{what}"
+                );
+            }
+            assert!(!raw.verify(b"m", &sig), "{what}");
+        }
+        // Saturated moduli are odd and well-formed, so they parse: squaring
+        // and reduction must cope with every limb at u64::MAX, at the
+        // smallest accepted size and at a limb boundary.
+        for len in [OAEP_OVERHEAD, 64, k] {
+            let ones = RabinPublicKey::from_bytes(&vec![0xff; len]).unwrap();
+            let c = ones.encrypt(b"", &mut rng).unwrap();
+            assert_eq!(c.len(), len);
+            assert!(!ones.verify(b"m", &sig));
+        }
+    }
+
+    #[test]
+    fn private_key_blobs_with_unusable_factors_are_refused() {
+        let blob = |p: u64, q: u64| {
+            let (p, q) = (Nat::from(p).to_bytes_be(), Nat::from(q).to_bytes_be());
+            let mut out = (p.len() as u32).to_be_bytes().to_vec();
+            out.extend_from_slice(&p);
+            out.extend_from_slice(&(q.len() as u32).to_be_bytes());
+            out.extend_from_slice(&q);
+            out
+        };
+        // 35 ≡ 3 and 7 ≡ 7 (mod 8) pass the residue check but share a
+        // factor, so no CRT basis exists.
+        assert!(matches!(
+            RabinPrivateKey::from_bytes(&blob(35, 7)),
+            Err(RabinError::BadKeyEncoding)
+        ));
+        // A well-formed toy key parses, and fails closed instead of
+        // underflowing on a modulus with no room for OAEP.
+        let toy = RabinPrivateKey::from_bytes(&blob(11, 23)).unwrap();
+        assert_eq!(toy.decrypt(&[1]), Err(RabinError::DecryptionFailed));
     }
 
     #[test]

@@ -22,7 +22,7 @@
 
 use std::sync::OnceLock;
 
-use sfs_bignum::{gen_prime_congruent, invmod, is_probable_prime, modpow, Int, Nat, RandomSource};
+use sfs_bignum::{gen_prime_congruent, is_probable_prime, modpow, Int, Nat, RandomSource};
 
 use crate::sha1::{sha1, sha1_concat, DIGEST_LEN};
 
@@ -324,13 +324,6 @@ impl SrpServer {
         let m2 = evidence_m2(a_pub, &expect_m1, &key);
         Ok(SrpServerSession { key, m2 })
     }
-}
-
-// Silence the unused-import lint path for invmod: it is part of this
-// module's public story via re-export tests in sfs-bignum.
-#[allow(unused)]
-fn _uses(n: &Nat) -> Option<Nat> {
-    invmod(n, n)
 }
 
 #[cfg(test)]

@@ -719,6 +719,56 @@ mod tests {
     }
 
     #[test]
+    fn hostile_client_moduli_are_refused_by_the_server_half() {
+        // Step 3 arrives from an unauthenticated peer: a well-formed
+        // {k_C1, k_C2} ciphertext beside a client "key" chosen to break
+        // the server's arithmetic. Each must come back as an error (or a
+        // harmless reply), never a panic.
+        let skey = server_key();
+        let path = SelfCertifyingPath::for_server("sfs.lcs.mit.edu", skey.public());
+        let mut crng = XorShiftSource::new(61);
+        let mut srng = XorShiftSource::new(62);
+        let client = KeyNegClient::with_suites(path, ephemeral_key(), &[SuiteId::Arc4Sha1]);
+        let offer = client.offer_extensions();
+        let reply = KeyNegServerReply::ServerKey(skey.public().to_bytes());
+        let (_, msg3) = client.on_server_reply(&reply, &mut crng).unwrap();
+        let with_key = |client_key: Vec<u8>| KeyNegClientKeys {
+            client_key,
+            encrypted_halves: msg3.encrypted_halves.clone(),
+        };
+
+        let mut even = msg3.client_key.clone();
+        *even.last_mut().unwrap() &= !1;
+        let refused: [(&str, Vec<u8>); 6] = [
+            ("even", even),
+            ("empty", Vec::new()),
+            ("one byte", vec![0x0b]),
+            ("one limb of ones", vec![0xff; 8]),
+            ("ones just under the OAEP floor", vec![0xff; 41]),
+            ("zero", vec![0; 96]),
+        ];
+        for (what, key) in refused {
+            let err = server_process_client_keys(skey, &with_key(key), &offer, &mut srng)
+                .expect_err(what);
+            assert_eq!(
+                err,
+                KeyNegError::Crypto(RabinError::BadKeyEncoding),
+                "{what}"
+            );
+        }
+        // Too small for the key halves but large enough for OAEP: the
+        // encryption to K_C reports the overflow.
+        let err = server_process_client_keys(skey, &with_key(vec![0xff; 42]), &offer, &mut srng)
+            .unwrap_err();
+        assert_eq!(err, KeyNegError::Crypto(RabinError::MessageTooLong));
+        // A saturated modulus of honest size is just a key nobody holds
+        // the factors of: the server answers, the reply is useless.
+        let (_, _, msg4) =
+            server_process_client_keys(skey, &with_key(vec![0xff; 96]), &offer, &mut srng).unwrap();
+        assert_eq!(msg4.encrypted_halves.len(), 96);
+    }
+
+    #[test]
     fn forged_suite_choice_rejected() {
         // A MITM rewrites the server's choice without being able to fix
         // the confirm MAC (it does not know the session keys).
