@@ -23,9 +23,10 @@ use sfs_bench::alloc_count::{count_allocs, CountingAlloc};
 use sfs_bench::args::Args;
 use sfs_bench::microbench;
 use sfs_bignum::XorShiftSource;
+use sfs_crypto::poly1305::poly1305;
 use sfs_crypto::rabin::generate_keypair;
 use sfs_crypto::srp::SrpGroup;
-use sfs_crypto::SfsPrg;
+use sfs_crypto::{ChaCha20, SfsPrg};
 use sfs_nfs3::proto::{FileHandle, Nfs3Reply, Nfs3Request, StableHow};
 use sfs_proto::channel::{SecureChannelEnd, SuiteId, FRAME_HEADER_LEN};
 use sfs_proto::keyneg::SessionKeys;
@@ -38,6 +39,10 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Payload sizes exercised at every stage (8 B … 8 KiB).
 const PAYLOAD_SIZES: [usize; 5] = [8, 64, 512, 4096, 8192];
+
+/// Message sizes for the bare Poly1305 and ChaCha20 kernel rows: below
+/// one wide step, a few steps, and the bulk NFS transfer size.
+const KERNEL_SIZES: [usize; 3] = [64, 512, 8192];
 
 /// Iterations for allocation counting (exact, so few are enough).
 const ALLOC_ITERS: u64 = 64;
@@ -57,9 +62,18 @@ const RELAY_GETATTR_ALLOC_CEILING: f64 = 8.0;
 const RELAY_READ_ALLOC_CEILING: f64 = 12.0;
 
 /// The negotiated AEAD fast path must beat the paper-baseline
-/// ARC4+SHA-1 channel by at least this factor on the 8 KiB
-/// seal+open round trip.
-const CHACHA_MIN_SPEEDUP: f64 = 3.0;
+/// ARC4+SHA-1 channel by at least this factor on the 8 KiB seal+open
+/// round trip. The floor follows the Poly1305 tier the CPU dispatches
+/// to: with the AVX-512 IFMA vector MAC the round trip measures 7.7x
+/// the baseline (floor = that less 20 %); a host without it runs the
+/// scalar MAC, which measured 4.2x.
+fn chacha_min_speedup() -> f64 {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512ifma") {
+        return 6.0;
+    }
+    3.0
+}
 
 struct Micro {
     name: &'static str,
@@ -282,6 +296,26 @@ fn main() {
         }
     }
 
+    // The AEAD's two halves on their own, so a `chacha_seal_into` row
+    // decomposes into cipher + MAC (plus the frame bookkeeping). Both
+    // go through the public entry points, i.e. whichever tier this CPU
+    // dispatches to.
+    println!("== hotpath: AEAD kernels ==");
+    let kernel_key = [0x42u8; 32];
+    for n in KERNEL_SIZES {
+        let msg = vec![0x55u8; n];
+        micros.push(measure("poly1305", n, smoke, || {
+            std::hint::black_box(poly1305(&kernel_key, std::hint::black_box(&msg)));
+        }));
+    }
+    for n in KERNEL_SIZES {
+        let mut buf = vec![0x66u8; n];
+        micros.push(measure("chacha20", n, smoke, || {
+            ChaCha20::new(&kernel_key, &[7u8; 12], 1).xor_keystream(&mut buf);
+            std::hint::black_box(&mut buf);
+        }));
+    }
+
     println!("== hotpath: sealed NFS3 relay ==");
     let world = build_relay_world();
     micros.push(measure("relay_getattr", 8, smoke, || {
@@ -353,10 +387,11 @@ fn main() {
     };
     let speedup = rt_ns("seal_open_roundtrip") / rt_ns("chacha_seal_open_roundtrip");
     println!("chacha 8KiB seal+open speedup over arc4-sha1: {speedup:.1}x");
-    if speedup < CHACHA_MIN_SPEEDUP {
+    let floor = chacha_min_speedup();
+    if speedup < floor {
         eprintln!(
             "suite regression: chacha20-poly1305 8 KiB roundtrip is only \
-             {speedup:.2}x the arc4-sha1 baseline (floor {CHACHA_MIN_SPEEDUP}x)"
+             {speedup:.2}x the arc4-sha1 baseline (floor {floor}x)"
         );
         std::process::exit(1);
     }

@@ -2103,36 +2103,52 @@ impl SfsClient {
                     continue;
                 }
                 let expected = link.channel.messages_received();
-                match reorder.push(chanseq, xid, bytes[frame].to_vec(), expected) {
+                // A reply that is next in cipher order — every reply on
+                // a fault-free link — is opened below in the wire buffer
+                // it arrived in; one that is early parks, envelope and
+                // all, until the gap before it fills.
+                let mut next = None;
+                match reorder.admit(chanseq, expected) {
                     // A replayed reply we already opened (its retransmit
                     // raced the original): the cipher consumed it once.
-                    SeqPush::Duplicate => {}
+                    SeqPush::Duplicate => pool.put(bytes),
                     SeqPush::Overflow => {
                         return Err(ClientError::Protocol(
                             "channel failure: reply reorder buffer overflow".into(),
                         ))
                     }
+                    SeqPush::Buffered if chanseq == expected => {
+                        next = Some((xid, bytes, frame, reply.arrival.as_nanos()));
+                    }
                     SeqPush::Buffered => {
                         arrivals.insert(chanseq, reply.arrival.as_nanos());
+                        reorder.push(chanseq, xid, bytes, expected);
                     }
                 }
-                pool.put(bytes);
                 // Open every frame that is now in cipher order.
                 loop {
-                    let pos = link.channel.messages_received();
-                    let Some((xid, mut frame)) = reorder.take(pos) else {
-                        break;
+                    let (xid, mut env, frame, arrival) = match next.take() {
+                        Some(ready) => ready,
+                        None => {
+                            let pos = link.channel.messages_received();
+                            let Some((xid, env)) = reorder.take(pos) else {
+                                break;
+                            };
+                            let (_, _, frame) =
+                                seq_reply_envelope(&env).expect("parsed before it was parked");
+                            (xid, env, frame, arrivals.remove(&pos).unwrap_or(0))
+                        }
                     };
-                    let arrival = arrivals.remove(&pos).unwrap_or(0);
                     cpu_free = cpu_free.max(arrival)
                         + self.client_open_cost_ns(link.channel.suite(), frame.len());
-                    let plain = link.channel.open_in_place(&mut frame)?;
+                    let plain = link.channel.open_in_place(&mut env[frame])?;
                     let inner = InnerReply::from_xdr(plain)
                         .map_err(|e| ClientError::Protocol(e.to_string()))?;
                     let slot = results.get_mut(xid as usize).ok_or_else(|| {
                         ClientError::Protocol(format!("unexpected reply: unknown xid {xid}"))
                     })?;
                     *slot = Some(inner);
+                    pool.put(env);
                 }
             }
             if results.iter().any(|r| r.is_none()) {

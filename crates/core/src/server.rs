@@ -944,7 +944,7 @@ impl ServerConn {
             return vec![ReplyMsg::Error("no secure channel".into()).to_xdr()];
         };
         let expected = est.channel.messages_received();
-        match est.seq_buf.push(chanseq, xid, frame.to_vec(), expected) {
+        match est.seq_buf.admit(chanseq, expected) {
             SeqPush::Duplicate if chanseq >= expected => {
                 // Double delivery of a still-buffered frame; the copy
                 // already queued answers once the gap fills.
@@ -963,9 +963,19 @@ impl ServerConn {
                 vec![ReplyMsg::Error("channel failure: pipeline window overflow".into()).to_xdr()]
             }
             SeqPush::Buffered => {
+                // The one copy: out of the caller's wire bytes into the
+                // pooled buffer the frame is opened in — at once when it
+                // is next in line, else when the gap before it fills.
+                let mut fbuf = self.pool.get();
+                fbuf.extend_from_slice(frame);
                 let mut replies = Vec::new();
-                while let Some((xid, frame)) = est.seq_buf.take(est.channel.messages_received()) {
-                    replies.push(self.serve_seq_frame(est, &tel, xid, &frame));
+                if chanseq == expected {
+                    replies.push(self.serve_seq_frame(est, &tel, xid, fbuf));
+                } else {
+                    est.seq_buf.push(chanseq, xid, fbuf, expected);
+                }
+                while let Some((xid, fbuf)) = est.seq_buf.take(est.channel.messages_received()) {
+                    replies.push(self.serve_seq_frame(est, &tel, xid, fbuf));
                 }
                 tel.gauge_set("server", "pipeline.queue_depth", est.seq_buf.len() as u64);
                 replies
@@ -973,19 +983,18 @@ impl ServerConn {
         }
     }
 
-    /// Opens one in-order sequenced frame, dispatches it, and seals the
-    /// sequenced reply, caching it under the request's channel sequence
-    /// number for byte-identical retransmission.
+    /// Opens one in-order sequenced frame in the pooled buffer `fbuf`
+    /// holds it in, dispatches it, and seals the sequenced reply,
+    /// caching it under the request's channel sequence number for
+    /// byte-identical retransmission.
     fn serve_seq_frame(
         &self,
         est: &mut Established,
         tel: &Telemetry,
         xid: u32,
-        frame: &[u8],
+        mut fbuf: Vec<u8>,
     ) -> Vec<u8> {
         let req_seq = est.channel.messages_received();
-        let mut fbuf = self.pool.get();
-        fbuf.extend_from_slice(frame);
         let plaintext = match est.channel.open_in_place(&mut fbuf) {
             Ok(p) => p,
             Err(e) => {

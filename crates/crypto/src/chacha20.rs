@@ -23,6 +23,13 @@
 //! and does the 16- and 8-bit rotations with a single byte shuffle.
 //! [`avx512`] doubles that to eight blocks per step on 512-bit
 //! registers, where every rotation is a native `vprold`.
+//!
+//! Every tier is bound by the latency of its twenty dependent rounds,
+//! so one step costs about the same whether it yields two blocks or
+//! eight. The stream therefore never drops to a narrower tier: what is
+//! left after the whole steps is XORed out of one more step of the same
+//! width, and an AEAD frame's first step ([`FrameHead`]) yields the
+//! Poly1305 key block and the first payload blocks together.
 
 /// Key length in bytes (256-bit keys only; RFC 8439 drops the 128-bit form).
 pub const KEY_LEN: usize = 32;
@@ -30,6 +37,9 @@ pub const KEY_LEN: usize = 32;
 pub const NONCE_LEN: usize = 12;
 /// One keystream block.
 pub const BLOCK_LEN: usize = 64;
+
+/// The widest step any tier takes (eight blocks, [`avx512`]).
+const MAX_STEP: usize = 8 * BLOCK_LEN;
 
 /// "expand 32-byte k", the §2.3 constant words.
 const SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
@@ -154,54 +164,124 @@ impl ChaCha20 {
     /// continues at the next 64-byte block boundary, which is the contract
     /// the AEAD layer relies on (each frame is processed in one call).
     pub fn xor_keystream(&mut self, buf: &mut [u8]) {
-        #[cfg(target_arch = "x86_64")]
-        let buf = if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: feature presence is checked immediately above.
-            let done = unsafe { avx512::xor_keystream8(&mut self.words, buf) };
-            &mut buf[done..]
-        } else if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: feature presence is checked immediately above.
-            let done = unsafe { avx2::xor_keystream4(&mut self.words, buf) };
-            &mut buf[done..]
-        } else {
-            buf
-        };
-        self.xor_keystream_portable(buf);
-    }
-
-    /// The auto-vectorized two-block tier; also finishes whatever tail
-    /// the four-block AVX2 tier leaves behind.
-    fn xor_keystream_portable(&mut self, buf: &mut [u8]) {
-        let mut chunks = buf.chunks_exact_mut(2 * BLOCK_LEN);
-        for chunk in &mut chunks {
-            let ks = permute2(&self.words);
-            // Apply word-at-a-time: one load/XOR/store per state word.
-            for (half, words) in chunk.chunks_exact_mut(BLOCK_LEN).zip(ks.iter()) {
-                for (i, w) in words.iter().enumerate() {
-                    let o = i * 4;
-                    let x = u32::from_le_bytes(half[o..o + 4].try_into().unwrap()) ^ w;
-                    half[o..o + 4].copy_from_slice(&x.to_le_bytes());
-                }
-            }
-            self.words[12] = self.words[12].wrapping_add(2);
-        }
-        let rest = chunks.into_remainder();
-        if rest.is_empty() {
+        let done = self.xor_whole_steps(buf);
+        let tail = &mut buf[done..];
+        if tail.is_empty() {
             return;
         }
-        // Tail: at most two blocks' worth; one more wide step, applied
-        // bytewise over however much remains.
-        let ks = permute2(&self.words);
-        for (i, b) in rest.iter_mut().enumerate() {
-            let w = ks[i / BLOCK_LEN][(i % BLOCK_LEN) / 4];
-            *b ^= w.to_le_bytes()[i % 4];
+        // Less than one step left: take one more step's keystream and
+        // apply as much of it as there is data for.
+        let (ks, _) = self.peek_step();
+        xor_into(tail, &ks);
+        self.words[12] = self.words[12].wrapping_add(tail.len().div_ceil(BLOCK_LEN) as u32);
+    }
+
+    /// XORs keystream over as many whole steps of this CPU's widest tier
+    /// as fit in `buf`, advancing the counter. Returns bytes consumed.
+    fn xor_whole_steps(&mut self, buf: &mut [u8]) -> usize {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: feature presence is checked immediately above.
+            return unsafe { avx512::xor_keystream8(&mut self.words, buf) };
+        } else if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: feature presence is checked immediately above.
+            return unsafe { avx2::xor_keystream4(&mut self.words, buf) };
         }
-        self.words[12] = self.words[12].wrapping_add(rest.len().div_ceil(BLOCK_LEN) as u32);
+        self.xor_whole_steps_portable(buf)
+    }
+
+    /// The auto-vectorized two-block tier.
+    fn xor_whole_steps_portable(&mut self, buf: &mut [u8]) -> usize {
+        let mut chunks = buf.chunks_exact_mut(2 * BLOCK_LEN);
+        let steps = chunks.len();
+        for chunk in &mut chunks {
+            xor_into(chunk, &permute2_bytes(&self.words));
+            self.words[12] = self.words[12].wrapping_add(2);
+        }
+        steps * 2 * BLOCK_LEN
+    }
+
+    /// The raw keystream of one step of this CPU's widest tier at the
+    /// current counter, which stays where it is, and the step's length.
+    fn peek_step(&self) -> ([u8; MAX_STEP], usize) {
+        // Keystream XORed over zeros is the keystream.
+        let mut ks = [0u8; MAX_STEP];
+        #[cfg(target_arch = "x86_64")]
+        {
+            let mut words = self.words;
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: feature presence is checked immediately above.
+                let len = unsafe { avx512::xor_keystream8(&mut words, &mut ks) };
+                return (ks, len);
+            } else if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: feature presence is checked immediately above.
+                let len = unsafe { avx2::xor_keystream4(&mut words, &mut ks[..avx2::STEP]) };
+                return (ks, len);
+            }
+        }
+        ks[..2 * BLOCK_LEN].copy_from_slice(&permute2_bytes(&self.words));
+        (ks, 2 * BLOCK_LEN)
     }
 }
 
-/// Computes one raw keystream block (§2.3): the AEAD layer takes the
-/// first 32 bytes of block 0 as the Poly1305 one-time key (§2.6).
+/// [`permute2`] as the 128 keystream bytes it stands for.
+#[inline(always)]
+fn permute2_bytes(words: &[u32; 16]) -> [u8; 2 * BLOCK_LEN] {
+    let mut out = [0u8; 2 * BLOCK_LEN];
+    for (dst, w) in out
+        .chunks_exact_mut(4)
+        .zip(permute2(words).iter().flatten())
+    {
+        dst.copy_from_slice(&w.to_le_bytes());
+    }
+    out
+}
+
+/// `dst ^= ks` over `dst`'s length. Two plain slices: the compiler turns
+/// this into full-width vector XORs with a short scalar remainder.
+#[inline(always)]
+fn xor_into(dst: &mut [u8], ks: &[u8]) {
+    for (d, k) in dst.iter_mut().zip(ks) {
+        *d ^= k;
+    }
+}
+
+/// The first wide step of an AEAD frame (RFC 8439 §2.6 and the start of
+/// §2.8 in one pass): block 0, whose first half is the Poly1305 one-time
+/// key, and with it the keystream of payload blocks 1… as far as one
+/// step of this CPU's widest tier reaches (one, three or seven blocks).
+pub(crate) struct FrameHead {
+    ks: [u8; MAX_STEP],
+    len: usize,
+    cipher: ChaCha20,
+}
+
+impl FrameHead {
+    pub(crate) fn new(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN]) -> FrameHead {
+        let cipher = ChaCha20::new(key, nonce, 0);
+        let (ks, len) = cipher.peek_step();
+        FrameHead { ks, len, cipher }
+    }
+
+    /// The Poly1305 one-time key for this nonce (§2.6).
+    pub(crate) fn one_time_key(&self) -> [u8; 32] {
+        self.ks[..32]
+            .try_into()
+            .expect("a step is at least two blocks")
+    }
+
+    /// XORs the payload keystream this step produced over the front of
+    /// `buf`. Returns how many bytes that covered and the stream
+    /// positioned at the block after them, for the rest of `buf`.
+    pub(crate) fn xor_front(mut self, buf: &mut [u8]) -> (usize, ChaCha20) {
+        let n = buf.len().min(self.len - BLOCK_LEN);
+        xor_into(&mut buf[..n], &self.ks[BLOCK_LEN..]);
+        self.cipher.words[12] = 1 + n.div_ceil(BLOCK_LEN) as u32;
+        (n, self.cipher)
+    }
+}
+
+/// Computes one raw keystream block (§2.3).
 pub fn keystream_block(
     key: &[u8; KEY_LEN],
     nonce: &[u8; NONCE_LEN],
@@ -225,7 +305,7 @@ mod avx2 {
     use super::BLOCK_LEN;
     use std::arch::x86_64::*;
 
-    const STEP: usize = 4 * BLOCK_LEN;
+    pub(super) const STEP: usize = 4 * BLOCK_LEN;
 
     /// XORs keystream over as many whole 256-byte (four-block) chunks as
     /// fit in `buf`, advancing the counter word. Returns bytes consumed.
@@ -535,32 +615,80 @@ offer you only one tip for the future, sunscreen would be it.";
         assert_eq!(buf, plaintext.to_vec());
     }
 
+    /// The portable tier alone over all of `buf`, counter starting at 1:
+    /// the reference the dispatching paths are held to.
+    fn portable_stream(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], buf: &mut [u8]) {
+        let mut c = ChaCha20::new(key, nonce, 1);
+        let done = c.xor_whole_steps_portable(buf);
+        xor_into(&mut buf[done..], &permute2_bytes(&c.words));
+    }
+
     #[test]
     fn wide_and_tail_paths_agree() {
         // Any block-aligned split of one long message across calls must
-        // equal the one-shot stream, whatever mix of the two-block fast
-        // path and the bytewise tail each call uses.
+        // equal the one-shot stream, whatever mix of whole steps and
+        // partly used steps each call takes.
         let key = test_key();
         let nonce = [7u8; NONCE_LEN];
         let mut whole = vec![0xA5u8; 1024 + 64 + 17];
         ChaCha20::new(&key, &nonce, 1).xor_keystream(&mut whole);
+        let mut reference = vec![0xA5u8; 1024 + 64 + 17];
+        portable_stream(&key, &nonce, &mut reference);
+        assert_eq!(whole, reference);
 
         let mut split = vec![0xA5u8; 1024 + 64 + 17];
         let mut c = ChaCha20::new(&key, &nonce, 1);
-        let (a, rest) = split.split_at_mut(128); // exactly one wide step
+        let (a, rest) = split.split_at_mut(128);
         let (b, rest2) = rest.split_at_mut(64); // single-block tail
-        let (d, tail) = rest2.split_at_mut(1024 - 128); // wide steps
+        let (d, tail) = rest2.split_at_mut(1024 - 128);
         c.xor_keystream(a);
         c.xor_keystream(b);
         c.xor_keystream(d);
-        c.xor_keystream(tail); // 64 + 17: wide step + partial block
+        c.xor_keystream(tail); // 64 + 17: one whole and one partial block
         assert_eq!(split, whole);
+    }
+
+    #[test]
+    fn every_length_matches_the_portable_tier() {
+        // Whole steps plus a tail cut out of one more step, at every
+        // length up to two of the widest steps and a bit.
+        let key = test_key();
+        let nonce = [5u8; NONCE_LEN];
+        for len in 0..=1100usize {
+            let mut fast: Vec<u8> = (0..len).map(|i| (i * 7) as u8).collect();
+            let mut reference = fast.clone();
+            let mut c = ChaCha20::new(&key, &nonce, 1);
+            c.xor_keystream(&mut fast);
+            portable_stream(&key, &nonce, &mut reference);
+            assert_eq!(fast, reference, "len {len}");
+            assert_eq!(c.words[12], 1 + len.div_ceil(BLOCK_LEN) as u32, "len {len}");
+        }
+    }
+
+    #[test]
+    fn frame_head_is_block_zero_plus_the_stream_from_block_one() {
+        let key = test_key();
+        let nonce = [13u8; NONCE_LEN];
+        let block0 = keystream_block(&key, &nonce, 0);
+        for len in [
+            0usize, 1, 63, 64, 65, 127, 128, 191, 192, 193, 447, 448, 449, 512, 1000,
+        ] {
+            let head = FrameHead::new(&key, &nonce);
+            assert_eq!(head.one_time_key(), block0[..32]);
+            let mut fused = vec![0xC3u8; len];
+            let (n, mut rest) = head.xor_front(&mut fused);
+            rest.xor_keystream(&mut fused[n..]);
+            let mut plain = vec![0xC3u8; len];
+            ChaCha20::new(&key, &nonce, 1).xor_keystream(&mut plain);
+            assert_eq!(fused, plain, "len {len}");
+        }
     }
 
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn avx2_tier_matches_portable_tier() {
         if !std::arch::is_x86_feature_detected!("avx2") {
+            println!("skipped: avx2");
             return;
         }
         let key = test_key();
@@ -572,7 +700,7 @@ offer you only one tip for the future, sunscreen would be it.";
             let done = unsafe { avx2::xor_keystream4(&mut words, &mut fast) };
             assert_eq!(done, len);
             let mut portable = vec![0x3Cu8; len];
-            ChaCha20::new(&key, &nonce, 1).xor_keystream_portable(&mut portable);
+            portable_stream(&key, &nonce, &mut portable);
             assert_eq!(fast, portable, "len {len}");
             assert_eq!(words[12], 1 + (len / BLOCK_LEN) as u32);
         }
@@ -582,6 +710,7 @@ offer you only one tip for the future, sunscreen would be it.";
     #[cfg(target_arch = "x86_64")]
     fn avx512_tier_matches_portable_tier() {
         if !std::arch::is_x86_feature_detected!("avx512f") {
+            println!("skipped: avx512f");
             return;
         }
         let key = test_key();
@@ -593,11 +722,12 @@ offer you only one tip for the future, sunscreen would be it.";
             let done = unsafe { avx512::xor_keystream8(&mut words, &mut fast) };
             assert_eq!(done, len);
             let mut portable = vec![0x5Eu8; len];
-            ChaCha20::new(&key, &nonce, 1).xor_keystream_portable(&mut portable);
+            portable_stream(&key, &nonce, &mut portable);
             assert_eq!(fast, portable, "len {len}");
             assert_eq!(words[12], 1 + (len / BLOCK_LEN) as u32);
         }
-        // Sub-step buffers are left for the narrower tiers.
+        // The kernel takes whole steps only; `xor_keystream` cuts the
+        // rest out of one more step.
         let mut words = ChaCha20::new(&key, &nonce, 1).words;
         assert_eq!(
             unsafe { avx512::xor_keystream8(&mut words, &mut [0u8; 511]) },

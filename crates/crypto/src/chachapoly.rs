@@ -10,7 +10,7 @@
 //! channel's per-direction ARC4 streams, an AEAD with an explicit nonce
 //! is safe under one long-lived key across many independent tickets.
 
-use crate::chacha20::{self, ChaCha20};
+use crate::chacha20::FrameHead;
 use crate::poly1305::Poly1305;
 
 /// Key length in bytes.
@@ -21,9 +21,11 @@ pub const NONCE_LEN: usize = 12;
 pub const TAG_LEN: usize = 16;
 
 /// Chunk granularity for the fused encrypt-then-MAC sweep: a multiple of
-/// both the ChaCha wide step (256) and the Poly1305 block (16), small
-/// enough that the chunk is still in L1 when the MAC re-reads it.
-const SWEEP_LEN: usize = 512;
+/// both the widest ChaCha step (512) and the Poly1305 vector step (128),
+/// long enough that the once-per-`update` lane combine of the vector MAC
+/// is spread over sixteen steps, and small enough that the chunk is
+/// still in L1 when the MAC re-reads it.
+const SWEEP_LEN: usize = 2048;
 
 /// Authentication failure. Deliberately carries no detail: a forged tag
 /// and a truncated frame must be indistinguishable to the peer.
@@ -38,15 +40,6 @@ impl std::fmt::Display for AeadError {
 
 impl std::error::Error for AeadError {}
 
-/// Derives the Poly1305 one-time key for this nonce (§2.6): the first 32
-/// bytes of ChaCha20 block 0.
-fn one_time_key(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN]) -> [u8; 32] {
-    let block = chacha20::keystream_block(key, nonce, 0);
-    let mut otk = [0u8; 32];
-    otk.copy_from_slice(&block[..32]);
-    otk
-}
-
 /// Absorbs the §2.8 AEAD trailer: pad16(ciphertext) ‖ len(aad) ‖ len(ct).
 fn absorb_lengths(poly: &mut Poly1305, aad_len: usize, ct_len: usize) {
     let pad = (16 - ct_len % 16) % 16;
@@ -58,18 +51,21 @@ fn absorb_lengths(poly: &mut Poly1305, aad_len: usize, ct_len: usize) {
 }
 
 /// Encrypts `buf` in place and returns the tag over `aad` and the
-/// ciphertext. Payload keystream starts at block 1 (§2.8).
+/// ciphertext. Payload keystream starts at block 1 (§2.8); the first
+/// ChaCha20 step yields it together with the one-time key in block 0.
 pub fn seal_in_place(
     key: &[u8; KEY_LEN],
     nonce: &[u8; NONCE_LEN],
     aad: &[u8],
     buf: &mut [u8],
 ) -> [u8; TAG_LEN] {
-    let mut poly = Poly1305::new(&one_time_key(key, nonce));
+    let head = FrameHead::new(key, nonce);
+    let mut poly = Poly1305::new(&head.one_time_key());
     poly.update_padded(aad);
-    let mut cipher = ChaCha20::new(key, nonce, 1);
+    let (front, mut cipher) = head.xor_front(buf);
+    poly.update(&buf[..front]);
     // Fused sweep: each chunk is encrypted and MACed while hot in cache.
-    for chunk in buf.chunks_mut(SWEEP_LEN) {
+    for chunk in buf[front..].chunks_mut(SWEEP_LEN) {
         cipher.xor_keystream(chunk);
         poly.update(chunk);
     }
@@ -78,7 +74,9 @@ pub fn seal_in_place(
 }
 
 /// Verifies `tag` over `aad` and the ciphertext in `buf`, then decrypts
-/// `buf` in place. On failure `buf` is left as ciphertext, untouched.
+/// `buf` in place. On failure `buf` is left as ciphertext, untouched:
+/// the first step's keystream waits on the stack until the tag has
+/// been checked.
 pub fn open_in_place(
     key: &[u8; KEY_LEN],
     nonce: &[u8; NONCE_LEN],
@@ -86,7 +84,8 @@ pub fn open_in_place(
     buf: &mut [u8],
     tag: &[u8],
 ) -> Result<(), AeadError> {
-    let mut poly = Poly1305::new(&one_time_key(key, nonce));
+    let head = FrameHead::new(key, nonce);
+    let mut poly = Poly1305::new(&head.one_time_key());
     poly.update_padded(aad);
     poly.update(buf);
     absorb_lengths(&mut poly, aad.len(), buf.len());
@@ -102,7 +101,8 @@ pub fn open_in_place(
     if diff != 0 {
         return Err(AeadError);
     }
-    ChaCha20::new(key, nonce, 1).xor_keystream(buf);
+    let (front, mut cipher) = head.xor_front(buf);
+    cipher.xor_keystream(&mut buf[front..]);
     Ok(())
 }
 
@@ -165,7 +165,7 @@ offer you only one tip for the future, sunscreen would be it.";
         // §2.6.2.
         let key: [u8; 32] = core::array::from_fn(|i| 0x80 + i as u8);
         let nonce = [0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7];
-        let otk = one_time_key(&key, &nonce);
+        let otk = FrameHead::new(&key, &nonce).one_time_key();
         let expected = hex("8a d5 a0 8b 90 5f 81 cc 81 50 40 27 4a b2 94 71
              a8 33 b6 37 e3 fd 0d a5 08 db b8 e2 fd d1 a6 46");
         assert_eq!(otk.to_vec(), expected);
@@ -200,30 +200,38 @@ offer you only one tip for the future, sunscreen would be it.";
     #[test]
     fn tampering_anywhere_is_rejected_and_ciphertext_left_intact() {
         let key = rfc_key();
-        let mut buf = RFC_PLAINTEXT.to_vec();
-        let tag = seal_in_place(&key, &RFC_NONCE, &RFC_AAD, &mut buf);
-        let sealed = buf.clone();
-        for flip in [0, buf.len() / 2, buf.len() - 1] {
-            let mut corrupt = sealed.clone();
-            corrupt[flip] ^= 0x01;
-            let before = corrupt.clone();
-            assert_eq!(
-                open_in_place(&key, &RFC_NONCE, &RFC_AAD, &mut corrupt, &tag),
-                Err(AeadError)
-            );
-            // verify-before-decrypt: the buffer must not have been touched
-            assert_eq!(corrupt, before);
+        // The RFC frame (one partly used step), a frame one byte past
+        // the first step's reach, and a bulk frame with a 128-byte tail:
+        // a flip in the first step, in the middle and in the last byte.
+        let long: Vec<u8> = (0..8320).map(|i| (i % 239) as u8).collect();
+        for plaintext in [RFC_PLAINTEXT, &long[..449], &long[..]] {
+            let mut buf = plaintext.to_vec();
+            let tag = seal_in_place(&key, &RFC_NONCE, &RFC_AAD, &mut buf);
+            let sealed = buf.clone();
+            for flip in [0, buf.len() / 2, buf.len() - 1] {
+                let mut corrupt = sealed.clone();
+                corrupt[flip] ^= 0x01;
+                let before = corrupt.clone();
+                assert_eq!(
+                    open_in_place(&key, &RFC_NONCE, &RFC_AAD, &mut corrupt, &tag),
+                    Err(AeadError)
+                );
+                // verify-before-decrypt: the buffer must not have been touched
+                assert_eq!(corrupt, before, "len {} flip {flip}", plaintext.len());
+            }
+            let mut bad_tag = tag;
+            bad_tag[7] ^= 0x80;
+            let mut frame = sealed.clone();
+            assert!(open_in_place(&key, &RFC_NONCE, &RFC_AAD, &mut frame, &bad_tag).is_err());
+            assert_eq!(frame, sealed);
+            let mut wrong_aad = sealed.clone();
+            assert!(open_in_place(&key, &RFC_NONCE, b"other aad", &mut wrong_aad, &tag).is_err());
+            let mut wrong_nonce = sealed.clone();
+            let mut nonce = RFC_NONCE;
+            nonce[0] ^= 1;
+            assert!(open_in_place(&key, &nonce, &RFC_AAD, &mut wrong_nonce, &tag).is_err());
+            assert_eq!(wrong_nonce, sealed);
         }
-        let mut bad_tag = tag;
-        bad_tag[7] ^= 0x80;
-        let mut frame = sealed.clone();
-        assert!(open_in_place(&key, &RFC_NONCE, &RFC_AAD, &mut frame, &bad_tag).is_err());
-        let mut wrong_aad = sealed.clone();
-        assert!(open_in_place(&key, &RFC_NONCE, b"other aad", &mut wrong_aad, &tag).is_err());
-        let mut wrong_nonce = sealed;
-        let mut nonce = RFC_NONCE;
-        nonce[0] ^= 1;
-        assert!(open_in_place(&key, &nonce, &RFC_AAD, &mut wrong_nonce, &tag).is_err());
     }
 
     #[test]

@@ -26,13 +26,15 @@
 //! suite — the paper's separation of key management from the transport
 //! cipher (§3) is exactly what makes the cipher swappable:
 //!
-//! - [`chacha20`]: the ChaCha20 stream cipher (RFC 8439), four blocks at
-//!   a time in an auto-vectorizable lane layout.
+//! - [`chacha20`]: the ChaCha20 stream cipher (RFC 8439): a portable
+//!   two-block tier in an auto-vectorizable lane layout, four- and
+//!   eight-block AVX2 / AVX-512 tiers picked at run time.
 //! - [`poly1305`]: the Poly1305 one-time authenticator, 44-bit limbs on
-//!   `u128` products.
-//! - [`chachapoly`]: the ChaCha20-Poly1305 AEAD composing the two, with
-//!   in-place seal/open for the zero-copy channel path and a detached
-//!   frame form for sealing session-resumption tickets.
+//!   `u128` products, eight blocks per step on AVX-512 IFMA.
+//! - [`chachapoly`]: the ChaCha20-Poly1305 AEAD composing the two — one
+//!   wide cipher step yields the MAC key and the first payload blocks —
+//!   with in-place seal/open for the zero-copy channel path and a
+//!   detached frame form for sealing session-resumption tickets.
 
 pub mod arc4;
 pub mod blowfish;

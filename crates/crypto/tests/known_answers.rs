@@ -1,6 +1,8 @@
 //! Known-answer vectors recorded from the division-based `modpow` and the
 //! per-operation `crt_pair` that preceded the Montgomery kernel and the
-//! key-held CRT context.
+//! key-held CRT context, and AEAD frames recorded from the scalar
+//! Poly1305 and the separately keyed ChaCha20 that preceded the vector
+//! MAC tier and the fused first step.
 //!
 //! Every committed virtual-clock artifact and the 21-plan coherence oracle
 //! depend on keys, signatures and ciphertexts being a pure function of the
@@ -9,7 +11,9 @@
 //! file fails before a benchmark diff has to find it.
 
 use sfs_bignum::{Nat, XorShiftSource};
+use sfs_crypto::chachapoly;
 use sfs_crypto::rabin::{generate_keypair, RabinPrivateKey, RabinSignature};
+use sfs_crypto::sha1::sha1;
 use sfs_crypto::srp::{compute_verifier, SrpClient, SrpGroup, SrpServer};
 
 fn hex(b: &[u8]) -> String {
@@ -150,4 +154,123 @@ fn srp_verifier_in_the_1024_bit_group_is_pinned() {
          b840169c3d1e527261726a78e0cc70b223a781621cf37547726530ce2b3fee92\
          1718e2bbb67b9120178a010c2b4d0d825b095721292d94680edabfec0f90bf48"
     );
+}
+
+/// One sealed frame: SHA-1 of the ciphertext, the tag with no associated
+/// data (the secure channel's use) and the tag under `AEAD_AAD`.
+struct AeadVector {
+    len: usize,
+    ct_sha1: &'static str,
+    tag: &'static str,
+    tag_aad: &'static str,
+}
+
+const AEAD_AAD: &[u8] = b"sfs-kat";
+
+/// Lengths on both sides of the first ChaCha20 step's reach (448 payload
+/// bytes after the key block), of a whole 512-byte step, and bulk frames
+/// with and without a tail.
+const AEAD_VECTORS: [AeadVector; 13] = [
+    AeadVector {
+        len: 0,
+        ct_sha1: "da39a3ee5e6b4b0d3255bfef95601890afd80709",
+        tag: "9c7377ead8641db92eb7f7ab8e924e7b",
+        tag_aad: "5187987606d26e62daa65b0cfe0830f7",
+    },
+    AeadVector {
+        len: 1,
+        ct_sha1: "9034aaf45143996a2b14465c352ab0c6fa26b221",
+        tag: "2aa192dc69e3623b5d305cf9af4d14cb",
+        tag_aad: "8c158b98be07dd8aa03c63c946cd22f6",
+    },
+    AeadVector {
+        len: 63,
+        ct_sha1: "84556cd405fcc5af81072f3a846a56cb2acaab79",
+        tag: "f77279af8465faac7225f1befe82ac03",
+        tag_aad: "26048f0373af766170bd3b18432e8aca",
+    },
+    AeadVector {
+        len: 64,
+        ct_sha1: "79afdb7dec899b3694d0e32c3253f495b3c7be7d",
+        tag: "213853c438a40a0fc29d68021e7f1979",
+        tag_aad: "50c9681827ee86c3bf35b35b622af73f",
+    },
+    AeadVector {
+        len: 65,
+        ct_sha1: "fa212bfab5aa2e4c239adfd10daa3c651175a40c",
+        tag: "59fd99496fafda4606679cffe9069b21",
+        tag_aad: "0ad08c13df67cf1d91072c4c0718bc3c",
+    },
+    AeadVector {
+        len: 447,
+        ct_sha1: "38e6dab80d7cfeee64fd0a48c8469d75257183ba",
+        tag: "5fb64c565e782b332f003b168ef6d248",
+        tag_aad: "e1b41d6166ee9a1b97ffa2ea584e61df",
+    },
+    AeadVector {
+        len: 448,
+        ct_sha1: "88035b9d0478ec65da58867b1c7329902498eae8",
+        tag: "60ad6874deeaaa6d1774021b9a89a532",
+        tag_aad: "e2ab397fe6601a567f736aef64e133c9",
+    },
+    AeadVector {
+        len: 449,
+        ct_sha1: "93b5dc52e362f43f39c33319ac2610f5c6c4b203",
+        tag: "6859328e0a8750f83f583e063f68bb46",
+        tag_aad: "78d777688ef510ce7747fa4a9f85b49f",
+    },
+    AeadVector {
+        len: 511,
+        ct_sha1: "870aec29657341b4408fb3b7ac31f91ec6cf27dc",
+        tag: "97edb8524ff845d8bbb478207770cf10",
+        tag_aad: "1144c3c3068d55c42f130b2148293806",
+    },
+    AeadVector {
+        len: 512,
+        ct_sha1: "18d764ea1f03b23b2104b244ebf69b3264f13399",
+        tag: "a7657c17280f974a63d9dfbc28a0c629",
+        tag_aad: "21bc8688dfa3a636d73772bdf9582f1f",
+    },
+    AeadVector {
+        len: 513,
+        ct_sha1: "d761c249f37ce8d31af66bbe9992c4ff471f76c2",
+        tag: "659d853ae28b2f65405092ea8107adb1",
+        tag_aad: "245a669f5fae7b0d00b5f5f9f92fa98f",
+    },
+    AeadVector {
+        len: 8192,
+        ct_sha1: "714c03db7a4a1f3d29b70ac2067595ea2f271161",
+        tag: "84d61016dd44dbff478945ca42579299",
+        tag_aad: "beac2da7d2b9c49e0cdc89438ed2f549",
+    },
+    AeadVector {
+        len: 8320,
+        ct_sha1: "ecc64a4eb23a5a51e1beb3190706e807ecc4cda1",
+        tag: "64ee983cef687d722e985774979be459",
+        tag_aad: "b3f77dfaa07f2b0c795ad02856e36eea",
+    },
+];
+
+#[test]
+fn aead_frames_are_pinned() {
+    let key: [u8; 32] = core::array::from_fn(|i| (i as u8).wrapping_mul(11).wrapping_add(0x4b));
+    let nonce: [u8; 12] = core::array::from_fn(|i| 0xa0 + i as u8);
+    for v in &AEAD_VECTORS {
+        let plaintext: Vec<u8> = (0..v.len).map(|i| (i * 31 % 253) as u8).collect();
+        let mut ct = plaintext.clone();
+        let tag = chachapoly::seal_in_place(&key, &nonce, &[], &mut ct);
+        assert_eq!(hex(&sha1(&ct)), v.ct_sha1, "ciphertext, len {}", v.len);
+        assert_eq!(hex(&tag), v.tag, "tag, len {}", v.len);
+        let mut with_aad = plaintext.clone();
+        let tag_aad = chachapoly::seal_in_place(&key, &nonce, AEAD_AAD, &mut with_aad);
+        assert_eq!(
+            with_aad, ct,
+            "associated data must not reach the ciphertext"
+        );
+        assert_eq!(hex(&tag_aad), v.tag_aad, "tag with aad, len {}", v.len);
+        // And the recorded frame opens: the receive side runs the same
+        // fused first step in the other order.
+        chachapoly::open_in_place(&key, &nonce, &[], &mut ct, &unhex(v.tag)).expect("authentic");
+        assert_eq!(ct, plaintext, "opened, len {}", v.len);
+    }
 }

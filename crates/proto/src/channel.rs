@@ -476,20 +476,32 @@ impl FrameSequencer {
         }
     }
 
+    /// The answer [`Self::push`] would give a frame at `chanseq`, with
+    /// nothing stored. A caller whose frame already sits in a buffer it
+    /// can open in place asks this first: when the frame is next in line
+    /// (`chanseq == expected`, the only case on a fault-free link) it
+    /// never has to be handed over at all.
+    pub fn admit(&self, chanseq: u64, expected: u64) -> SeqPush {
+        if chanseq < expected || self.slots.contains_key(&chanseq) {
+            SeqPush::Duplicate
+        } else if chanseq >= expected + self.capacity as u64 {
+            SeqPush::Overflow
+        } else {
+            SeqPush::Buffered
+        }
+    }
+
     /// Offers a frame at stream position `chanseq` with request tag
     /// `xid`, where `expected` is the next position the channel will
     /// decrypt (its messages-received count). First frame wins on a
     /// position collision — retransmitted frames are byte-identical, so
     /// which copy survives never matters.
     pub fn push(&mut self, chanseq: u64, xid: u32, frame: Vec<u8>, expected: u64) -> SeqPush {
-        if chanseq < expected || self.slots.contains_key(&chanseq) {
-            return SeqPush::Duplicate;
+        let verdict = self.admit(chanseq, expected);
+        if verdict == SeqPush::Buffered {
+            self.slots.insert(chanseq, (xid, frame));
         }
-        if chanseq >= expected + self.capacity as u64 {
-            return SeqPush::Overflow;
-        }
-        self.slots.insert(chanseq, (xid, frame));
-        SeqPush::Buffered
+        verdict
     }
 
     /// Removes and returns the frame at position `chanseq`, if buffered.
@@ -770,6 +782,13 @@ mod tests {
         // A collision with a buffered frame keeps the first copy.
         assert_eq!(seq.push(5, 15, vec![5], 3), SeqPush::Buffered);
         assert_eq!(seq.push(5, 99, vec![99], 3), SeqPush::Duplicate);
+        // `admit` gives push's answer and stores nothing.
+        assert_eq!(seq.admit(5, 3), SeqPush::Duplicate);
+        assert_eq!(seq.admit(2, 3), SeqPush::Duplicate);
+        assert_eq!(seq.admit(3, 3), SeqPush::Buffered);
+        assert_eq!(seq.admit(11, 3), SeqPush::Overflow);
+        assert_eq!(seq.len(), 1);
+        assert_eq!(seq.take(3), None);
         assert_eq!(seq.take(5), Some((15, vec![5])));
     }
 
