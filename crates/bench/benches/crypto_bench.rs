@@ -9,7 +9,6 @@ use sfs_crypto::arc4::Arc4;
 use sfs_crypto::blowfish::Blowfish;
 use sfs_crypto::eksblowfish::bcrypt_hash;
 use sfs_crypto::mac::SfsMac;
-use sfs_crypto::rabin::generate_keypair;
 use sfs_crypto::sha1::sha1;
 
 fn bench_sha1() {
@@ -62,10 +61,12 @@ fn bench_eksblowfish() {
 }
 
 fn bench_rabin() {
-    let mut rng = XorShiftSource::new(0xBE4C);
-    let key = generate_keypair(768, &mut rng);
+    let key = sfs_bench::keys::rabin(768, 0xBE4C);
     let msg = b"16-byte-session!";
-    let cipher = key.public().encrypt(msg, &mut rng).unwrap();
+    let cipher = key
+        .public()
+        .encrypt(msg, &mut XorShiftSource::new(0xBE4D))
+        .unwrap();
     let sig = key.sign(b"a message to sign");
     // "Like low-exponent RSA, encryption and signature verification are
     // particularly fast in Rabin because they do not require modular

@@ -2,9 +2,10 @@
 //! secure channel (seal/open), HostID computation, the full key
 //! negotiation, and user-authentication signing/validation.
 
+use sfs_bench::keys;
 use sfs_bench::microbench::{bench, bench_throughput};
 use sfs_bignum::XorShiftSource;
-use sfs_crypto::rabin::{generate_keypair, RabinPrivateKey};
+use sfs_crypto::rabin::RabinPrivateKey;
 use sfs_proto::channel::SecureChannelEnd;
 use sfs_proto::keyneg::{server_process_client_keys, KeyNegClient, KeyNegServerReply, SessionKeys};
 use sfs_proto::pathname::{HostId, SelfCertifyingPath};
@@ -13,8 +14,7 @@ use sfs_xdr::rpc::{OpaqueAuth, RpcCall, RpcMessage};
 use sfs_xdr::Xdr;
 
 fn keypair(seed: u64, bits: usize) -> RabinPrivateKey {
-    let mut rng = XorShiftSource::new(seed);
-    generate_keypair(bits, &mut rng)
+    keys::rabin(bits, seed)
 }
 
 fn bench_xdr() {

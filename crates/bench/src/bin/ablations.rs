@@ -10,15 +10,16 @@
 //! - (Figure 8) "without attribute caching SFS performs 1 second worse
 //!   [than NFS 3 on the LFS create phase]."
 
-use sfs_bench::calib::{build_fs_traced, System};
+use sfs_bench::calib::{System, Testbed};
 use sfs_bench::report::secs;
 use sfs_bench::trace::TraceOpt;
 use sfs_bench::workloads::{kernel_build, lfs_small, mab, total, KernelBuildConfig, MabConfig};
+use sfs_bench::world::WorldSpec;
 
 fn mab_total(trace: &TraceOpt, system: System) -> f64 {
     let tel = trace.for_system(&format!("mab/{}", system.label()));
-    let (fs, _clock, prefix, _) = build_fs_traced(system, &tel);
-    secs(total(&mab(fs.as_ref(), &prefix, &MabConfig::default())))
+    let Testbed { fs, prefix, .. } = Testbed::build(system, &WorldSpec::bench().traced(&tel));
+    secs(total(&mab(fs.as_ref(), prefix, &MabConfig::default())))
 }
 
 fn main() {
@@ -44,8 +45,8 @@ fn main() {
     println!("\nLFS small-file create phase (s):");
     for system in [System::NfsUdp, System::Sfs, System::SfsNoCache] {
         let tel = trace.for_system(&format!("lfs/{}", system.label()));
-        let (fs, _clock, prefix, _) = build_fs_traced(system, &tel);
-        let phases = lfs_small(fs.as_ref(), &prefix, 1000);
+        let Testbed { fs, prefix, .. } = Testbed::build(system, &WorldSpec::bench().traced(&tel));
+        let phases = lfs_small(fs.as_ref(), prefix, 1000);
         let create = phases.iter().find(|p| p.name == "create").unwrap();
         println!("  {:26} {:6.2}", system.label(), secs(create.time));
     }
@@ -58,8 +59,8 @@ fn main() {
         (System::SfsNoEncrypt, "(paper: 3 s / 1.5% faster than SFS)"),
     ] {
         let tel = trace.for_system(&format!("kernel/{}", system.label()));
-        let (fs, _clock, prefix, _) = build_fs_traced(system, &tel);
-        let t = kernel_build(fs.as_ref(), &prefix, &cfg);
+        let Testbed { fs, prefix, .. } = Testbed::build(system, &WorldSpec::bench().traced(&tel));
+        let t = kernel_build(fs.as_ref(), prefix, &cfg);
         println!("  {:26} {:6.1} {note}", system.label(), secs(t));
     }
     trace.finish();

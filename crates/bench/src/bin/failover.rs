@@ -41,26 +41,12 @@
 //!
 //! Usage: `cargo run --release -p sfs-bench --bin failover [-- --smoke] [--out PATH] [--faults SPEC]`
 
-use std::sync::Arc;
-
-use sfs::authserver::{AuthServer, UserRecord};
-use sfs::client::{SfsClient, SfsNetwork};
-use sfs::server::{ServerConfig, SfsServer};
 use sfs_bench::args::{Args, FaultOpt};
-use sfs_bignum::XorShiftSource;
-use sfs_crypto::rabin::generate_keypair;
-use sfs_crypto::srp::SrpGroup;
-use sfs_crypto::SfsPrg;
+use sfs_bench::report::{rerun_identical, write_artifact, Obj};
+use sfs_bench::world::{Behind, KeySeeds, World, WorldSpec, UID};
 use sfs_nfs3::proto::{Nfs3Reply, Nfs3Request, StableHow};
-use sfs_relay::{AdmissionControl, ReplGroup};
-use sfs_sim::{
-    ChurnSchedule, DiskParams, FaultPlan, JournalDisk, NetParams, SimClock, SimDisk, SimTime,
-    Transport,
-};
-use sfs_vfs::{Credentials, Vfs};
-
-const LOCATION: &str = "sfs.lcs.mit.edu";
-const ALICE_UID: u32 = 1000;
+use sfs_relay::AdmissionControl;
+use sfs_sim::{ChurnSchedule, FaultPlan, SimTime};
 
 /// Replica-group shape in both phases.
 const MEMBERS: usize = 3;
@@ -111,69 +97,29 @@ struct RecoveryRow {
 
 /// Phase A, end to end on the real stack.
 fn run_recovery(writes: usize, plan: Option<&FaultPlan>) -> RecoveryRow {
-    let clock = SimClock::new();
-    let mut rng = XorShiftSource::new(0xFA11);
-    let key = generate_keypair(768, &mut rng);
-    let user = generate_keypair(512, &mut rng);
-    let ephemeral = generate_keypair(768, &mut rng);
-    let srp = SrpGroup::generate(128, &mut rng);
-
-    let auth = Arc::new(AuthServer::new(srp, 2));
-    auth.register_user(UserRecord {
-        user: "alice".into(),
-        uid: ALICE_UID,
-        gids: vec![100],
-        public_key: user.public().to_bytes(),
+    let world = World::build(&WorldSpec {
+        keys: KeySeeds {
+            servers: &[0xFA11],
+            user: 0xFA12,
+            srp: 0xFA13,
+            ephemeral: Some(0xFA14),
+        },
+        server_entropy: "failover-bench-server-{}",
+        client_entropy: "failover-bench-client",
+        lease_ns: Some(250_000_000),
+        behind: Behind::Replicated {
+            members: MEMBERS,
+            quorum: QUORUM,
+        },
+        ..WorldSpec::test().faulted(plan)
     });
-
-    let member_vfs = || {
-        let vfs = Vfs::new(7, clock.clone());
-        let public = vfs.mkdir_p("/public").unwrap();
-        vfs.setattr(
-            &Credentials::root(),
-            public,
-            sfs_vfs::SetAttr {
-                mode: Some(0o777),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        vfs
-    };
-    let mut servers = Vec::new();
-    for r in 0..MEMBERS {
-        let mut config = ServerConfig::new(LOCATION);
-        config.lease_ns = 250_000_000;
-        servers.push(SfsServer::new(
-            config,
-            key.clone(),
-            member_vfs(),
-            auth.clone(),
-            SfsPrg::from_entropy(format!("failover-bench-server-{r}").as_bytes()),
-        ));
-    }
-    let group = ReplGroup::new(servers[0].path().clone(), clock.clone(), QUORUM);
-    for (r, server) in servers.iter().enumerate() {
-        let disk = SimDisk::new(clock.clone(), DiskParams::ibm_18es());
-        group.add_member(
-            server.clone(),
-            JournalDisk::new(disk, (0x200 + r as u64) << 32),
-        );
-    }
-    let path = group.path().clone();
-
-    let net = SfsNetwork::new(clock.clone(), NetParams::switched_100mbit(Transport::Tcp));
-    if let Some(p) = plan {
-        net.set_fault_plan(p.clone());
-    }
-    net.register_relay(&path.location, group.clone());
-
-    let client = SfsClient::with_ephemeral(net, b"failover-bench-client", ephemeral);
-    client.install_agent_key(ALICE_UID, user);
-    let mount = client.mount(ALICE_UID, &path).unwrap();
+    let (clock, client) = (&world.clock, &world.clients[0]);
+    let group = world.repl.as_ref().expect("replicated world");
+    let path = world.path();
+    let mount = client.mount(UID, path).unwrap();
     let file = format!("{}/public/burst", path.full_path());
-    client.write_file(ALICE_UID, &file, b"").unwrap();
-    let (_, fh, _) = client.resolve(ALICE_UID, &file).unwrap();
+    client.write_file(UID, &file, b"").unwrap();
+    let (_, fh, _) = client.resolve(UID, &file).unwrap();
 
     let mut expected = Vec::new();
     let mut baseline_max_ns = 0u64;
@@ -188,7 +134,7 @@ fn run_recovery(writes: usize, plan: Option<&FaultPlan>) -> RecoveryRow {
         let reply = client
             .call_nfs(
                 &mount,
-                ALICE_UID,
+                UID,
                 &Nfs3Request::Write {
                     fh: fh.clone(),
                     offset: expected.len() as u64,
@@ -209,7 +155,7 @@ fn run_recovery(writes: usize, plan: Option<&FaultPlan>) -> RecoveryRow {
 
     // The acknowledged-commit guarantee, audited byte-for-byte: the
     // promoted backup serves every acked append, in order.
-    let served = client.read_file(ALICE_UID, &file).unwrap();
+    let served = client.read_file(UID, &file).unwrap();
     let lost = expected.len().saturating_sub(
         served
             .iter()
@@ -359,49 +305,6 @@ fn run_storm(m: usize, schedule: &ChurnSchedule, admission: Option<&AdmissionCon
     }
 }
 
-fn write_json(path: &str, mode: &str, capacity: u64, recovery: &RecoveryRow, storms: &[StormRow]) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"sfs-bench/failover/v1\",\n");
-    out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    out.push_str(&format!(
-        "  \"replication\": {{\"members\": {MEMBERS}, \"quorum\": {QUORUM}}},\n"
-    ));
-    out.push_str(&format!(
-        "  \"admission\": {{\"capacity\": {capacity}, \"refill_per_sec\": {ADMIT_REFILL_PER_SEC}, \"retry_tick_ns\": {RETRY_TICK_NS}, \"handshake_work_ns\": {HANDSHAKE_WORK_NS}, \"convoy_pm\": {CONVOY_PM}}},\n"
-    ));
-    out.push_str("  \"unit\": {\"*_ns\": \"nanoseconds of virtual time\"},\n");
-    out.push_str(&format!(
-        "  \"recovery\": {{\"writes\": {}, \"baseline_max_ns\": {}, \"recovery_ns\": {}, \"promotions\": {}, \"commit_lsn\": {}, \"reconnects\": {}, \"lost_acked_writes\": {}, \"total_ns\": {}}},\n",
-        recovery.writes,
-        recovery.baseline_max_ns,
-        recovery.recovery_ns,
-        recovery.promotions,
-        recovery.commit_lsn,
-        recovery.reconnects,
-        recovery.lost_acked_writes,
-        recovery.total_ns,
-    ));
-    out.push_str("  \"storm\": [\n");
-    for (i, s) in storms.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"admission\": {}, \"clients\": {}, \"waves\": {}, \"worst_client_ns\": {}, \"mean_client_ns\": {}, \"throttled\": {}, \"completed\": {}, \"total_ns\": {}}}{}\n",
-            s.admission,
-            s.clients,
-            s.waves,
-            s.worst_client_ns,
-            s.mean_client_ns,
-            s.throttled,
-            s.completed,
-            s.total_ns,
-            if i + 1 == storms.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).expect("write benchmark JSON");
-    println!("wrote {path}");
-}
-
 fn main() {
     let args = Args::from_env();
     args.enforce_known(&["out", "faults"], &["smoke"]);
@@ -427,29 +330,25 @@ fn main() {
     };
 
     println!("== failover: {MEMBERS}-member group, quorum {QUORUM} ==");
-    let recovery = run_recovery(writes, faults.plan());
     // A fault plan is stateful (its RNG advances as it injects), so a
     // faulted rerun legitimately diverges; determinism is only asserted
     // on clean runs.
-    let recovery_again = (!faults.enabled()).then(|| run_recovery(writes, faults.plan()));
+    let recovery = if faults.enabled() {
+        run_recovery(writes, faults.plan())
+    } else {
+        rerun_identical("recovery", || run_recovery(writes, None))
+    };
     println!(
         "  recovery: {} writes, baseline max {} ns/op, crash-to-ack {} ns, {} promotion(s), 0 acked writes lost",
         recovery.writes, recovery.baseline_max_ns, recovery.recovery_ns, recovery.promotions,
     );
 
     let schedule = ChurnSchedule::generate(0x57AB, storm_waves, 300_000_000, 80_000_000);
-    let uncontrolled = run_storm(storm_clients, &schedule, None);
-    let controlled = run_storm(
-        storm_clients,
-        &schedule,
-        Some(&AdmissionControl::new(capacity, ADMIT_REFILL_PER_SEC)),
-    );
-    let uncontrolled_again = run_storm(storm_clients, &schedule, None);
-    let controlled_again = run_storm(
-        storm_clients,
-        &schedule,
-        Some(&AdmissionControl::new(capacity, ADMIT_REFILL_PER_SEC)),
-    );
+    let uncontrolled = rerun_identical("stampede", || run_storm(storm_clients, &schedule, None));
+    let controlled = rerun_identical("admission-controlled storm", || {
+        let bucket = AdmissionControl::new(capacity, ADMIT_REFILL_PER_SEC);
+        run_storm(storm_clients, &schedule, Some(&bucket))
+    });
     for s in [&uncontrolled, &controlled] {
         println!(
             "  storm ({}): {} clients in {} waves, worst {} ns, mean {} ns, {} throttles",
@@ -462,22 +361,55 @@ fn main() {
         );
     }
 
-    write_json(
-        &out_path,
-        if smoke { "smoke" } else { "full" },
-        capacity,
-        &recovery,
-        &[uncontrolled.clone(), controlled.clone()],
-    );
+    let header = Obj::new()
+        .str("schema", "sfs-bench/failover/v1")
+        .str("mode", if smoke { "smoke" } else { "full" })
+        .obj(
+            "replication",
+            Obj::new().num("members", MEMBERS).num("quorum", QUORUM),
+        )
+        .obj(
+            "admission",
+            Obj::new()
+                .num("capacity", capacity)
+                .num("refill_per_sec", ADMIT_REFILL_PER_SEC)
+                .num("retry_tick_ns", RETRY_TICK_NS)
+                .num("handshake_work_ns", HANDSHAKE_WORK_NS)
+                .num("convoy_pm", CONVOY_PM),
+        )
+        .obj(
+            "unit",
+            Obj::new().str("*_ns", "nanoseconds of virtual time"),
+        )
+        .obj(
+            "recovery",
+            Obj::new()
+                .num("writes", recovery.writes)
+                .num("baseline_max_ns", recovery.baseline_max_ns)
+                .num("recovery_ns", recovery.recovery_ns)
+                .num("promotions", recovery.promotions)
+                .num("commit_lsn", recovery.commit_lsn)
+                .num("reconnects", recovery.reconnects)
+                .num("lost_acked_writes", recovery.lost_acked_writes)
+                .num("total_ns", recovery.total_ns),
+        );
+    let storms: Vec<Obj> = [&uncontrolled, &controlled]
+        .iter()
+        .map(|s| {
+            Obj::new()
+                .num("admission", s.admission)
+                .num("clients", s.clients)
+                .num("waves", s.waves)
+                .num("worst_client_ns", s.worst_client_ns)
+                .num("mean_client_ns", s.mean_client_ns)
+                .num("throttled", s.throttled)
+                .num("completed", s.completed)
+                .num("total_ns", s.total_ns)
+        })
+        .collect();
+    write_artifact(&out_path, &header, "storm", &storms);
 
     let mut failed = false;
-    if recovery_again.as_ref().is_some_and(|r| *r != recovery)
-        || uncontrolled != uncontrolled_again
-        || controlled != controlled_again
-    {
-        eprintln!("FAIL: a rerun diverged — the failover bench must be deterministic");
-        failed = true;
-    }
     if recovery.promotions != 1 {
         eprintln!(
             "FAIL: the crash must cause exactly one promotion, saw {}",

@@ -35,8 +35,9 @@ use sfs::client::Router;
 use sfs::roclient::RoMount;
 use sfs::server::RoReplicaServer;
 use sfs_bench::args::{Args, FaultOpt};
-use sfs_bignum::XorShiftSource;
-use sfs_crypto::rabin::{generate_keypair, RabinPrivateKey};
+use sfs_bench::keys;
+use sfs_bench::report::{write_artifact, Obj};
+use sfs_crypto::rabin::RabinPrivateKey;
 use sfs_proto::pathname::SelfCertifyingPath;
 use sfs_proto::readonly::RoDatabase;
 use sfs_relay::ReplicaGroup;
@@ -179,37 +180,6 @@ fn run_replicas(
     }
 }
 
-fn write_json(path: &str, mode: &str, files: usize, file_bytes: usize, rows: &[Row]) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"sfs-bench/fanout/v1\",\n");
-    out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    out.push_str(&format!(
-        "  \"workload\": {{\"kind\": \"verified_tree_read\", \"clients\": {CLIENTS}, \"files\": {files}, \"file_bytes\": {file_bytes}}},\n"
-    ));
-    out.push_str(
-        "  \"unit\": {\"aggregate_mb_per_s\": \"MB/s of virtual time, fleet makespan\", \"virtual_ns\": \"nanoseconds\"},\n",
-    );
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"replicas\": {}, \"clients\": {}, \"virtual_ns\": {}, \"aggregate_mb_per_s\": {:.3}, \"per_client_mb_per_s\": {:.3}, \"total_bytes\": {}, \"round_trips\": {}, \"failovers\": {}}}{}\n",
-            r.replicas,
-            r.clients,
-            r.virtual_ns,
-            r.aggregate_mb_per_s,
-            r.per_client_mb_per_s,
-            r.total_bytes,
-            r.round_trips,
-            r.failovers,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).expect("write benchmark JSON");
-    println!("wrote {path}");
-}
-
 fn main() {
     let args = Args::from_env();
     args.enforce_known(&["out", "faults"], &["smoke"]);
@@ -226,8 +196,7 @@ fn main() {
 
     // The publisher's one offline signing pass; replicas get the bundle
     // and never see the key.
-    let mut rng = XorShiftSource::new(0xFA17);
-    let key = generate_keypair(768, &mut rng);
+    let key = keys::rabin(768, 0xFA17);
     let bundle = published_bundle(&key, files, file_bytes);
     println!(
         "== fanout: {CLIENTS} verifying clients, {files} × {file_bytes} B tree, replica sweep =="
@@ -248,13 +217,34 @@ fn main() {
         );
         rows.push(row);
     }
-    write_json(
-        &out_path,
-        if smoke { "smoke" } else { "full" },
-        files,
-        file_bytes,
-        &rows,
-    );
+    let workload = Obj::new()
+        .str("kind", "verified_tree_read")
+        .num("clients", CLIENTS)
+        .num("files", files)
+        .num("file_bytes", file_bytes);
+    let unit = Obj::new()
+        .str("aggregate_mb_per_s", "MB/s of virtual time, fleet makespan")
+        .str("virtual_ns", "nanoseconds");
+    let header = Obj::new()
+        .str("schema", "sfs-bench/fanout/v1")
+        .str("mode", if smoke { "smoke" } else { "full" })
+        .obj("workload", workload)
+        .obj("unit", unit);
+    let json_rows: Vec<Obj> = rows
+        .iter()
+        .map(|r| {
+            Obj::new()
+                .num("replicas", r.replicas)
+                .num("clients", r.clients)
+                .num("virtual_ns", r.virtual_ns)
+                .float("aggregate_mb_per_s", r.aggregate_mb_per_s, 3)
+                .float("per_client_mb_per_s", r.per_client_mb_per_s, 3)
+                .num("total_bytes", r.total_bytes)
+                .num("round_trips", r.round_trips)
+                .num("failovers", r.failovers)
+        })
+        .collect();
+    write_artifact(&out_path, &header, "rows", &json_rows);
 
     // Under --faults the perf envelope does not apply — drops break
     // monotone scaling and legitimately force failovers — but the fault

@@ -2,10 +2,11 @@
 //! (unauthorized `fchown`, µs) and sequential-read throughput (MB/s).
 
 use sfs_bench::args::{Args, FaultOpt};
-use sfs_bench::calib::{build_fs_chaos, System};
+use sfs_bench::calib::{System, Testbed};
 use sfs_bench::report::{Compared, Table};
 use sfs_bench::trace::TraceOpt;
 use sfs_bench::workloads::{micro_latency, micro_throughput};
+use sfs_bench::world::WorldSpec;
 
 fn main() {
     let trace = TraceOpt::from_args();
@@ -26,20 +27,22 @@ fn main() {
     ];
     let mut final_ns = 0u64;
     for (system, paper_lat, paper_tp) in rows {
-        let tel = trace.for_system(&format!("{}/latency", system.label()));
-        let (fs, clock, prefix, _) = build_fs_chaos(system, &tel, faults.plan());
-        if let Some(w) = window {
-            fs.set_pipeline_window(w);
-        }
-        let lat = micro_latency(fs.as_ref(), &prefix);
-        final_ns = final_ns.max(clock.now().as_nanos());
-        let tel2 = trace.for_system(&format!("{}/throughput", system.label()));
-        let (fs2, clock2, prefix2, _) = build_fs_chaos(system, &tel2, faults.plan());
-        if let Some(w) = window {
-            fs2.set_pipeline_window(w);
-        }
-        let tp = micro_throughput(fs2.as_ref(), &prefix2);
-        final_ns = final_ns.max(clock2.now().as_nanos());
+        // One fresh testbed per micro-benchmark, each with its own trace.
+        let bed = |what: &str| {
+            let tel = trace.for_system(&format!("{}/{what}", system.label()));
+            let spec = WorldSpec::bench().traced(&tel).faulted(faults.plan());
+            let bed = Testbed::build(system, &spec);
+            if let Some(w) = window {
+                bed.fs.set_pipeline_window(w);
+            }
+            bed
+        };
+        let lat_bed = bed("latency");
+        let lat = micro_latency(lat_bed.fs.as_ref(), lat_bed.prefix);
+        final_ns = final_ns.max(lat_bed.clock.now().as_nanos());
+        let tp_bed = bed("throughput");
+        let tp = micro_throughput(tp_bed.fs.as_ref(), tp_bed.prefix);
+        final_ns = final_ns.max(tp_bed.clock.now().as_nanos());
         table.push_row(
             system.label(),
             vec![Compared::new(lat, paper_lat), Compared::new(tp, paper_tp)],

@@ -5,10 +5,11 @@
 //! NFS 3 over UDP."
 
 use sfs_bench::args::{Args, FaultOpt};
-use sfs_bench::calib::{build_fs_chaos, System};
+use sfs_bench::calib::{System, Testbed};
 use sfs_bench::report::{secs, Compared, Table};
 use sfs_bench::trace::TraceOpt;
 use sfs_bench::workloads::{mab, total, MabConfig};
+use sfs_bench::world::WorldSpec;
 
 fn main() {
     let trace = TraceOpt::from_args();
@@ -42,11 +43,14 @@ fn main() {
     let mut final_ns = 0u64;
     for (system, paper) in paper_total {
         let tel = trace.for_system(system.label());
-        let (fs, clock, prefix, _) = build_fs_chaos(system, &tel, faults.plan());
+        let spec = WorldSpec::bench().traced(&tel).faulted(faults.plan());
+        let Testbed {
+            fs, clock, prefix, ..
+        } = Testbed::build(system, &spec);
         if let Some(w) = window {
             fs.set_pipeline_window(w);
         }
-        let phases = mab(fs.as_ref(), &prefix, &cfg);
+        let phases = mab(fs.as_ref(), prefix, &cfg);
         final_ns = final_ns.max(clock.now().as_nanos());
         let mut cells: Vec<Compared> = phases
             .iter()

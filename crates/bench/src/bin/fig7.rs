@@ -4,10 +4,11 @@
 //! SFS 197 s. "SFS performs 16% worse (29 seconds) than NFS 3 over UDP
 //! and 5% better (10 seconds) than NFS 3 over TCP."
 
-use sfs_bench::calib::{build_fs_traced, System};
+use sfs_bench::calib::{System, Testbed};
 use sfs_bench::report::{secs, Compared, Table};
 use sfs_bench::trace::TraceOpt;
 use sfs_bench::workloads::{kernel_build, KernelBuildConfig};
+use sfs_bench::world::WorldSpec;
 
 fn main() {
     let trace = TraceOpt::from_args();
@@ -25,8 +26,8 @@ fn main() {
     ];
     for (system, paper) in rows {
         let tel = trace.for_system(system.label());
-        let (fs, _clock, prefix, _) = build_fs_traced(system, &tel);
-        let t = kernel_build(fs.as_ref(), &prefix, &cfg);
+        let Testbed { fs, prefix, .. } = Testbed::build(system, &WorldSpec::bench().traced(&tel));
+        let t = kernel_build(fs.as_ref(), prefix, &cfg);
         table.push_row(system.label(), vec![Compared::new(secs(t), paper)]);
     }
     println!("{}", table.render());

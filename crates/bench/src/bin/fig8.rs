@@ -7,10 +7,11 @@
 //! synchronous writes to the disk \[so\] all file systems have roughly the
 //! same performance."
 
-use sfs_bench::calib::{build_fs_traced, System};
+use sfs_bench::calib::{System, Testbed};
 use sfs_bench::report::{secs, Compared, Table};
 use sfs_bench::trace::TraceOpt;
 use sfs_bench::workloads::lfs_small;
+use sfs_bench::world::WorldSpec;
 
 fn main() {
     let trace = TraceOpt::from_args();
@@ -22,8 +23,8 @@ fn main() {
     let mut results = Vec::new();
     for system in System::main_four() {
         let tel = trace.for_system(system.label());
-        let (fs, _clock, prefix, _) = build_fs_traced(system, &tel);
-        let phases = lfs_small(fs.as_ref(), &prefix, 1000);
+        let Testbed { fs, prefix, .. } = Testbed::build(system, &WorldSpec::bench().traced(&tel));
+        let phases = lfs_small(fs.as_ref(), prefix, 1000);
         let cells: Vec<Compared> = phases
             .iter()
             .map(|p| Compared::new(secs(p.time), None))

@@ -6,10 +6,11 @@
 //! slower. Without encryption, SFS is only … 17% slower on sequential
 //! writes and … 31% slower on sequential reads."
 
-use sfs_bench::calib::{build_fs_traced, System};
+use sfs_bench::calib::{System, Testbed};
 use sfs_bench::report::{secs, Compared, Table};
 use sfs_bench::trace::TraceOpt;
 use sfs_bench::workloads::lfs_large;
+use sfs_bench::world::WorldSpec;
 
 fn main() {
     let trace = TraceOpt::from_args();
@@ -34,8 +35,8 @@ fn main() {
     ];
     for system in systems {
         let tel = trace.for_system(system.label());
-        let (fs, _clock, prefix, _) = build_fs_traced(system, &tel);
-        let phases = lfs_large(fs.as_ref(), &prefix);
+        let Testbed { fs, prefix, .. } = Testbed::build(system, &WorldSpec::bench().traced(&tel));
+        let phases = lfs_large(fs.as_ref(), prefix);
         let cells: Vec<Compared> = phases
             .iter()
             .map(|p| Compared::new(secs(p.time), None))

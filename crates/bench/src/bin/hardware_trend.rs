@@ -14,16 +14,23 @@
 //! sensitivity; scaling the application CPU too would mix in the
 //! workload's own speedup.
 
-use sfs_bench::calib::{build_fs_traced_cpu, System};
+use sfs_bench::calib::{System, Testbed};
 use sfs_bench::report::secs;
 use sfs_bench::trace::TraceOpt;
 use sfs_bench::workloads::{mab, total, MabConfig};
+use sfs_bench::world::WorldSpec;
 use sfs_sim::CpuCosts;
 
 fn mab_total(trace: &TraceOpt, name: &str, system: System, cpu: CpuCosts) -> f64 {
     let tel = trace.for_system(&format!("{name}/{}", system.label()));
-    let (fs, _clock, prefix, _) = build_fs_traced_cpu(system, cpu, &tel);
-    secs(total(&mab(fs.as_ref(), &prefix, &MabConfig::default())))
+    let Testbed { fs, prefix, .. } = Testbed::build(
+        system,
+        &WorldSpec {
+            cpu: Some(cpu),
+            ..WorldSpec::bench().traced(&tel)
+        },
+    );
+    secs(total(&mab(fs.as_ref(), prefix, &MabConfig::default())))
 }
 
 fn main() {

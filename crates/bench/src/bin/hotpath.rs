@@ -13,25 +13,18 @@
 //!
 //! Usage: `cargo run --release -p sfs-bench --bin hotpath [-- --smoke] [--out PATH]`
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use sfs::authserver::{AuthServer, UserRecord};
-use sfs::client::{SfsClient, SfsNetwork};
-use sfs::server::{ServerConfig, SfsServer};
 use sfs_bench::alloc_count::{count_allocs, CountingAlloc};
 use sfs_bench::args::Args;
-use sfs_bench::microbench;
-use sfs_bignum::XorShiftSource;
+use sfs_bench::calib::BENCH_UID;
+use sfs_bench::microbench::{self, relay_rig};
+use sfs_bench::report::{write_artifact, Obj};
 use sfs_crypto::poly1305::poly1305;
-use sfs_crypto::rabin::generate_keypair;
-use sfs_crypto::srp::SrpGroup;
-use sfs_crypto::{ChaCha20, SfsPrg};
+use sfs_crypto::ChaCha20;
 use sfs_nfs3::proto::{FileHandle, Nfs3Reply, Nfs3Request, StableHow};
 use sfs_proto::channel::{SecureChannelEnd, SuiteId, FRAME_HEADER_LEN};
 use sfs_proto::keyneg::SessionKeys;
-use sfs_sim::{NetParams, SimClock, Transport};
-use sfs_vfs::{Credentials, Vfs};
 use sfs_xdr::XdrEncoder;
 
 #[global_allocator]
@@ -130,99 +123,6 @@ fn channel_pair(suite: SuiteId) -> (SecureChannelEnd, SecureChannelEnd) {
     )
 }
 
-/// The full simulated SFS stack: server with one registered user, one
-/// client with the user's key loaded, one 8 KiB file to read.
-struct RelayWorld {
-    client: Arc<SfsClient>,
-    mount: Arc<sfs::client::Mount>,
-    data_fh: FileHandle,
-}
-
-fn build_relay_world() -> RelayWorld {
-    const UID: u32 = 1000;
-    let clock = SimClock::new();
-    let vfs = Vfs::new(7, clock.clone());
-    let bench_dir = vfs.mkdir_p("/bench").unwrap();
-    vfs.setattr(
-        &Credentials::root(),
-        bench_dir,
-        sfs_vfs::SetAttr {
-            mode: Some(0o777),
-            uid: Some(UID),
-            gid: Some(100),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-
-    let mut rng = XorShiftSource::new(0x407);
-    let srp_group = SrpGroup::generate(128, &mut rng);
-    let auth = Arc::new(AuthServer::new(srp_group, 2));
-    let user_key = generate_keypair(512, &mut rng);
-    auth.register_user(UserRecord {
-        user: "bench".into(),
-        uid: UID,
-        gids: vec![100],
-        public_key: user_key.public().to_bytes(),
-    });
-    let server = SfsServer::new(
-        ServerConfig::new("server.hotpath"),
-        generate_keypair(768, &mut rng),
-        vfs,
-        auth,
-        SfsPrg::from_entropy(b"hotpath-server"),
-    );
-    let net = SfsNetwork::new(clock, NetParams::switched_100mbit(Transport::Tcp));
-    net.register(server.clone());
-    let client = SfsClient::new(net, b"hotpath-client");
-    client.agent(UID).lock().add_key(user_key);
-
-    let path = server.path();
-    let mount = client.mount(UID, path).expect("mount");
-    let data = vec![0xABu8; *PAYLOAD_SIZES.last().unwrap()];
-    client
-        .write_file(UID, &format!("{}/bench/data", path.full_path()), &data)
-        .expect("write data file");
-    let (_, data_fh, _) = client
-        .resolve(UID, &format!("{}/bench/data", path.full_path()))
-        .expect("resolve data file");
-    // Every measured RPC must cross the wire, not the attribute cache.
-    client.set_caching(false);
-    RelayWorld {
-        client,
-        mount,
-        data_fh,
-    }
-}
-
-fn json_escape_free(name: &str) -> &str {
-    debug_assert!(name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'));
-    name
-}
-
-fn write_json(path: &str, mode: &str, micros: &[Micro]) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"sfs-bench/hotpath/v1\",\n");
-    out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    out.push_str("  \"unit\": {\"ns_per_op\": \"nanoseconds\", \"mib_per_s\": \"MiB/s\", \"allocs_per_op\": \"heap allocations\"},\n");
-    out.push_str("  \"benches\": [\n");
-    for (i, m) in micros.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"payload_bytes\": {}, \"ns_per_op\": {}, \"mib_per_s\": {:.2}, \"allocs_per_op\": {:.3}}}{}\n",
-            json_escape_free(m.name),
-            m.payload,
-            m.ns_per_op,
-            m.mib_per_s,
-            m.allocs_per_op,
-            if i + 1 == micros.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).expect("write benchmark JSON");
-    println!("wrote {path}");
-}
-
 fn main() {
     let args = Args::from_env();
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -317,11 +217,11 @@ fn main() {
     }
 
     println!("== hotpath: sealed NFS3 relay ==");
-    let world = build_relay_world();
+    let world = relay_rig(None, *PAYLOAD_SIZES.last().unwrap());
     micros.push(measure("relay_getattr", 8, smoke, || {
         let attr = world
             .client
-            .getattr(&world.mount, 1000, &world.data_fh)
+            .getattr(&world.mount, BENCH_UID, &world.data_fh)
             .expect("getattr");
         std::hint::black_box(attr.size);
     }));
@@ -331,7 +231,7 @@ fn main() {
                 .client
                 .call_nfs(
                     &world.mount,
-                    1000,
+                    BENCH_UID,
                     &Nfs3Request::Read {
                         fh: world.data_fh.clone(),
                         offset: 0,
@@ -346,7 +246,26 @@ fn main() {
         }));
     }
 
-    write_json(&out_path, if smoke { "smoke" } else { "full" }, &micros);
+    let unit = Obj::new()
+        .str("ns_per_op", "nanoseconds")
+        .str("mib_per_s", "MiB/s")
+        .str("allocs_per_op", "heap allocations");
+    let header = Obj::new()
+        .str("schema", "sfs-bench/hotpath/v1")
+        .str("mode", if smoke { "smoke" } else { "full" })
+        .obj("unit", unit);
+    let rows: Vec<Obj> = micros
+        .iter()
+        .map(|m| {
+            Obj::new()
+                .str("name", m.name)
+                .num("payload_bytes", m.payload)
+                .num("ns_per_op", m.ns_per_op)
+                .float("mib_per_s", m.mib_per_s, 2)
+                .float("allocs_per_op", m.allocs_per_op, 3)
+        })
+        .collect();
+    write_artifact(&out_path, &header, "benches", &rows);
 
     // Allocation invariants: exact counts, so they hold in smoke mode too.
     let mut failures = Vec::new();

@@ -15,10 +15,11 @@
 //!   per-shard `server.shard.*` / `server.disk.batch_size` series.
 
 use sfs_bench::args::{Args, FaultOpt};
-use sfs_bench::calib::{build_fs_chaos_cores, System};
+use sfs_bench::calib::{System, Testbed};
 use sfs_bench::report::latency_table;
 use sfs_bench::trace::TraceOpt;
 use sfs_bench::workloads::{mab, MabConfig};
+use sfs_bench::world::WorldSpec;
 use sfs_telemetry::{Telemetry, ZeroClock};
 
 fn main() {
@@ -49,13 +50,17 @@ fn main() {
     let mut final_ns = 0u64;
     for system in System::main_four() {
         let scoped = tel.scoped(system.label());
-        let (fs, clock, prefix, _, engine) =
-            build_fs_chaos_cores(system, &scoped, faults.plan(), cores);
+        let spec = WorldSpec {
+            cores,
+            ..WorldSpec::bench().traced(&scoped).faulted(faults.plan())
+        };
+        let bed = Testbed::build(system, &spec);
+        let (fs, clock, prefix) = (bed.fs, bed.clock, bed.prefix);
         if let Some(w) = window {
             fs.set_pipeline_window(w);
         }
-        let _ = mab(fs.as_ref(), &prefix, &cfg);
-        if let Some(engine) = engine {
+        let _ = mab(fs.as_ref(), prefix, &cfg);
+        if let Some(engine) = bed.shard_engine {
             // The MAB's files are small enough that every RPC degenerates
             // to a single-frame (blocking) exchange, which never consults
             // the shard engine. Stream one large file through the

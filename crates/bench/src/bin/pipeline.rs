@@ -26,7 +26,9 @@
 use std::time::Instant;
 
 use sfs_bench::args::{Args, FaultOpt};
-use sfs_bench::calib::{build_fs_chaos, System};
+use sfs_bench::calib::{System, Testbed};
+use sfs_bench::report::{write_artifact, Obj};
+use sfs_bench::world::WorldSpec;
 use sfs_sim::FaultPlan;
 use sfs_telemetry::{Telemetry, ZeroClock};
 
@@ -56,7 +58,9 @@ struct Row {
 /// One full-stack sequential read of `total` bytes with the given
 /// pipeline window, on a fresh testbed sharing the run's fault plan.
 fn run_window(window: usize, total: usize, tel: &Telemetry, plan: Option<&FaultPlan>) -> Row {
-    let (fs, clock, prefix, _) = build_fs_chaos(System::Sfs, tel, plan);
+    let Testbed {
+        fs, clock, prefix, ..
+    } = Testbed::build(System::Sfs, &WorldSpec::bench().traced(tel).faulted(plan));
     fs.set_pipeline_window(window);
     let path = if prefix.is_empty() {
         "pipefile".to_string()
@@ -98,36 +102,6 @@ fn run_window(window: usize, total: usize, tel: &Telemetry, plan: Option<&FaultP
     }
 }
 
-fn write_json(path: &str, mode: &str, total: usize, rows: &[Row]) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"sfs-bench/pipeline/v1\",\n");
-    out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    out.push_str(&format!(
-        "  \"workload\": {{\"kind\": \"sequential_read\", \"chunk_bytes\": {CHUNK}, \"total_bytes\": {total}}},\n"
-    ));
-    out.push_str(
-        "  \"unit\": {\"virtual_mb_per_s\": \"MB/s of virtual time\", \"virtual_ns_per_read\": \"nanoseconds\", \"wall_ns_per_read\": \"nanoseconds\"},\n",
-    );
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"window\": {}, \"blocking\": {}, \"virtual_ns\": {}, \"virtual_mb_per_s\": {:.3}, \"virtual_ns_per_read\": {}, \"wall_ns_per_read\": {}, \"rpcs\": {}}}{}\n",
-            r.window,
-            r.window == 1,
-            r.virtual_ns,
-            r.virtual_mb_per_s,
-            r.virtual_ns_per_read,
-            r.wall_ns_per_read,
-            r.rpcs,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).expect("write benchmark JSON");
-    println!("wrote {path}");
-}
-
 fn main() {
     let args = Args::from_env();
     args.enforce_known(&["out", "faults"], &["smoke"]);
@@ -155,12 +129,33 @@ fn main() {
         );
         rows.push(row);
     }
-    write_json(
-        &out_path,
-        if smoke { "smoke" } else { "full" },
-        total,
-        &rows,
-    );
+    let workload = Obj::new()
+        .str("kind", "sequential_read")
+        .num("chunk_bytes", CHUNK)
+        .num("total_bytes", total);
+    let unit = Obj::new()
+        .str("virtual_mb_per_s", "MB/s of virtual time")
+        .str("virtual_ns_per_read", "nanoseconds")
+        .str("wall_ns_per_read", "nanoseconds");
+    let header = Obj::new()
+        .str("schema", "sfs-bench/pipeline/v1")
+        .str("mode", if smoke { "smoke" } else { "full" })
+        .obj("workload", workload)
+        .obj("unit", unit);
+    let json_rows: Vec<Obj> = rows
+        .iter()
+        .map(|r| {
+            Obj::new()
+                .num("window", r.window)
+                .num("blocking", r.window == 1)
+                .num("virtual_ns", r.virtual_ns)
+                .float("virtual_mb_per_s", r.virtual_mb_per_s, 3)
+                .num("virtual_ns_per_read", r.virtual_ns_per_read)
+                .num("wall_ns_per_read", r.wall_ns_per_read)
+                .num("rpcs", r.rpcs)
+        })
+        .collect();
+    write_artifact(&out_path, &header, "rows", &json_rows);
 
     // Under --faults the perf envelope does not apply (a dropped or
     // delayed packet can legitimately slow any window), but the fault

@@ -27,112 +27,39 @@
 //! (default 64, smoke 8), `--smoke`, `--out PATH` (default
 //! `BENCH_resume.json`).
 
-use std::sync::{Arc, OnceLock};
-
-use sfs::authserver::{AuthServer, UserRecord};
-use sfs::client::{SfsClient, SfsNetwork};
-use sfs::server::{ServerConfig, SfsServer};
 use sfs_bench::args::Args;
-use sfs_bignum::XorShiftSource;
-use sfs_crypto::rabin::{generate_keypair, RabinPrivateKey};
-use sfs_crypto::srp::SrpGroup;
-use sfs_crypto::SfsPrg;
+use sfs_bench::calib::BENCH_UID;
+use sfs_bench::report::{rerun_identical, write_artifact, Obj};
+use sfs_bench::world::{KeySeeds, World, WorldSpec};
 use sfs_proto::channel::SuiteId;
-use sfs_sim::{CpuCosts, NetParams, SimClock, Transport};
-use sfs_vfs::{Credentials, Vfs};
 
-const BENCH_UID: u32 = 4242;
-
-fn server_key() -> RabinPrivateKey {
-    static KEY: OnceLock<RabinPrivateKey> = OnceLock::new();
-    KEY.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0x7E5);
-        generate_keypair(768, &mut rng)
-    })
-    .clone()
-}
-
-fn user_key() -> RabinPrivateKey {
-    static KEY: OnceLock<RabinPrivateKey> = OnceLock::new();
-    KEY.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0x7E6);
-        generate_keypair(512, &mut rng)
-    })
-    .clone()
-}
-
-fn srp_group() -> SrpGroup {
-    static G: OnceLock<SrpGroup> = OnceLock::new();
-    G.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0x7E7);
-        SrpGroup::generate(128, &mut rng)
-    })
-    .clone()
-}
-
-struct Member {
-    clock: SimClock,
-    client: Arc<SfsClient>,
-    path: String,
-}
-
-/// One server, `clients` fleet members each on an independent clock and
-/// network (a restart storm is many machines reconnecting at once, not
-/// one shared timeline).
-fn build_fleet(clients: usize, suite: SuiteId, resumption: bool) -> (Arc<SfsServer>, Vec<Member>) {
-    let server_clock = SimClock::new();
-    let vfs = Vfs::new(7, server_clock);
-    let root = Credentials::root();
-    let dir = vfs.mkdir_p("/bench").unwrap();
-    vfs.setattr(
-        &root,
-        dir,
-        sfs_vfs::SetAttr {
-            mode: Some(0o777),
-            uid: Some(BENCH_UID),
-            gid: Some(100),
-            ..Default::default()
+/// One memory-backed server, `clients` fleet members each on an
+/// independent clock and network (a restart storm is many machines
+/// reconnecting at once, not one shared timeline).
+fn fleet(clients: usize, suite: SuiteId, resumption: bool) -> World {
+    let world = World::build(&WorldSpec {
+        keys: KeySeeds {
+            servers: &[0x7E5],
+            user: 0x7E6,
+            srp: 0x7E7,
+            ephemeral: None,
         },
-    )
-    .unwrap();
-    let auth = Arc::new(AuthServer::new(srp_group(), 2));
-    auth.register_user(UserRecord {
-        user: "bench".into(),
-        uid: BENCH_UID,
-        gids: vec![100],
-        public_key: user_key().public().to_bytes(),
+        locations: &["resume.bench"],
+        server_entropy: "resume-bench-server",
+        client_entropy: "resume-client-{}",
+        disk: None,
+        clients,
+        own_clocks: true,
+        ..WorldSpec::bench()
     });
-    let server = SfsServer::new(
-        ServerConfig::new("resume.bench"),
-        server_key(),
-        vfs,
-        auth,
-        SfsPrg::from_entropy(b"resume-bench-server"),
-    );
-    let prefix = format!("{}/bench", server.path().full_path());
-    let fleet = (0..clients)
-        .map(|c| {
-            let clock = SimClock::new();
-            let net = SfsNetwork::new(clock.clone(), NetParams::switched_100mbit(Transport::Tcp));
-            net.register(server.clone());
-            let client = SfsClient::with_costs(
-                net,
-                format!("resume-client-{c}").as_bytes(),
-                CpuCosts::pentium_iii_550(),
-            );
-            client.set_suite_offer(&[suite]);
-            client.set_resumption(resumption);
-            client.install_agent_key(BENCH_UID, user_key());
-            Member {
-                clock,
-                client,
-                path: format!("{prefix}/f{c}"),
-            }
-        })
-        .collect();
-    (server, fleet)
+    for client in &world.clients {
+        client.set_suite_offer(&[suite]);
+        client.set_resumption(resumption);
+    }
+    world
 }
 
+#[derive(Debug, PartialEq)]
 struct ArmResult {
     arm: &'static str,
     clients: usize,
@@ -150,40 +77,39 @@ struct ArmResult {
 /// the reconnect storm — measuring each client's latency on its own
 /// clock.
 fn run_arm(arm: &'static str, clients: usize, suite: SuiteId, resumption: bool) -> ArmResult {
-    let (server, fleet) = build_fleet(clients, suite, resumption);
+    let world = fleet(clients, suite, resumption);
+    let fleet = &world.clients;
+    let path = |c: usize| format!("{}/bench/f{c}", world.path().full_path());
     for (c, m) in fleet.iter().enumerate() {
         let body = format!("warm-{c}");
-        m.client
-            .write_file(BENCH_UID, &m.path, body.as_bytes())
-            .unwrap();
+        m.write_file(BENCH_UID, &path(c), body.as_bytes()).unwrap();
     }
     let rts_before: u64 = fleet
         .iter()
-        .map(|m| {
-            let (mount, _, _) = m.client.resolve(BENCH_UID, &m.path).unwrap();
+        .enumerate()
+        .map(|(c, m)| {
+            let (mount, _, _) = m.resolve(BENCH_UID, &path(c)).unwrap();
             mount.round_trips()
         })
         .sum();
 
-    server.crash_restart();
+    world.servers[0].crash_restart();
 
     let mut latencies: Vec<u64> = Vec::with_capacity(clients);
     for (c, m) in fleet.iter().enumerate() {
-        let start = m.clock.now().as_nanos();
+        let start = m.clock().now().as_nanos();
         let body = format!("storm-{c}");
-        m.client
-            .write_file(BENCH_UID, &m.path, body.as_bytes())
-            .unwrap();
-        latencies.push(m.clock.now().as_nanos() - start);
+        m.write_file(BENCH_UID, &path(c), body.as_bytes()).unwrap();
+        latencies.push(m.clock().now().as_nanos() - start);
     }
 
     let (mut hits, mut misses, mut rejected, mut reconnects, mut rts_after) = (0, 0, 0, 0, 0u64);
-    for m in &fleet {
-        let (h, mi, rj) = m.client.resume_stats();
+    for (c, m) in fleet.iter().enumerate() {
+        let (h, mi, rj) = m.resume_stats();
         hits += h;
         misses += mi;
         rejected += rj;
-        let (mount, _, _) = m.client.resolve(BENCH_UID, &m.path).unwrap();
+        let (mount, _, _) = m.resolve(BENCH_UID, &path(c)).unwrap();
         reconnects += mount.reconnects();
         rts_after += mount.round_trips();
     }
@@ -202,24 +128,17 @@ fn run_arm(arm: &'static str, clients: usize, suite: SuiteId, resumption: bool) 
     }
 }
 
-fn encode_rows(rows: &[ArmResult]) -> String {
-    let mut out = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"arm\": \"{}\", \"clients\": {}, \"ticket_hits\": {}, \"ticket_misses\": {}, \"ticket_rejected\": {}, \"reconnects\": {}, \"storm_round_trips\": {}, \"worst_client_ns\": {}, \"mean_client_ns\": {}}}{}\n",
-            r.arm,
-            r.clients,
-            r.hits,
-            r.misses,
-            r.rejected,
-            r.reconnects,
-            r.storm_rts,
-            r.worst_ns,
-            r.mean_ns,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out
+fn row_json(r: &ArmResult) -> Obj {
+    Obj::new()
+        .str("arm", r.arm)
+        .num("clients", r.clients)
+        .num("ticket_hits", r.hits)
+        .num("ticket_misses", r.misses)
+        .num("ticket_rejected", r.rejected)
+        .num("reconnects", r.reconnects)
+        .num("storm_round_trips", r.storm_rts)
+        .num("worst_client_ns", r.worst_ns)
+        .num("mean_client_ns", r.mean_ns)
 }
 
 fn run_experiment(clients: usize, suite: SuiteId) -> Vec<ArmResult> {
@@ -252,16 +171,7 @@ fn main() {
         "== resume: {clients}-client post-restart reconnect storm ({}) ==",
         suite.label()
     );
-    let rows = run_experiment(clients, suite);
-    let encoded = encode_rows(&rows);
-    // Same storm from fresh worlds must reproduce every row
-    // byte-for-byte — virtual time leaves nothing for the host to vary.
-    let again = encode_rows(&run_experiment(clients, suite));
-    if encoded != again {
-        eprintln!("FAIL: reconnect storm is not deterministic across reruns");
-        eprintln!("--- first ---\n{encoded}--- second ---\n{again}");
-        std::process::exit(1);
-    }
+    let rows = rerun_identical("reconnect storm", || run_experiment(clients, suite));
 
     for r in &rows {
         println!(
@@ -320,25 +230,16 @@ fn main() {
         control.worst_ns as f64 / resumed.worst_ns as f64
     );
 
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"sfs-bench/resume/v1\",\n");
-    out.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if smoke { "smoke" } else { "full" }
-    ));
-    out.push_str(&format!("  \"suite\": \"{}\",\n", suite.label()));
-    out.push_str("  \"hit_rate_floor\": 0.90,\n");
-    out.push_str(&format!("  \"hit_rate\": {hit_rate:.4},\n"));
-    out.push_str(
-        "  \"determinism\": \"both arms reran from fresh worlds; every row was byte-identical\",\n",
-    );
-    out.push_str("  \"rows\": [\n");
-    out.push_str(&encoded);
-    out.push_str("  ]\n}\n");
-    std::fs::write(&out_path, out).unwrap_or_else(|e| {
-        eprintln!("resume: write {out_path}: {e}");
-        std::process::exit(2)
-    });
-    println!("wrote {out_path}");
+    let header = Obj::new()
+        .str("schema", "sfs-bench/resume/v1")
+        .str("mode", if smoke { "smoke" } else { "full" })
+        .str("suite", suite.label())
+        .float("hit_rate_floor", 0.90, 2)
+        .float("hit_rate", hit_rate, 4)
+        .str(
+            "determinism",
+            "both arms reran from fresh worlds; every row was byte-identical",
+        );
+    let json_rows: Vec<Obj> = rows.iter().map(row_json).collect();
+    write_artifact(&out_path, &header, "rows", &json_rows);
 }

@@ -9,20 +9,21 @@
 //! `Wire::round_trips` — so the figure binaries, the summary tables, and
 //! this harness can never disagree.
 
-use sfs_bench::calib::{build_fs_traced, System};
+use sfs_bench::calib::{System, Testbed};
 use sfs_bench::workloads::{lfs_small, mab, MabConfig};
+use sfs_bench::world::WorldSpec;
 use sfs_telemetry::Telemetry;
 
 fn counts(system: System) -> (u64, u64) {
     let tel = Telemetry::counters();
-    let (fs, _clock, prefix, _) = build_fs_traced(system, &tel);
-    mab(fs.as_ref(), &prefix, &MabConfig::default());
+    let Testbed { fs, prefix, .. } = Testbed::build(system, &WorldSpec::bench().traced(&tel));
+    mab(fs.as_ref(), prefix, &MabConfig::default());
     let mab_rpcs = tel.counter("wire", "net.round_trips");
     drop(fs);
 
     let tel = Telemetry::counters();
-    let (fs, _clock, prefix, _) = build_fs_traced(system, &tel);
-    lfs_small(fs.as_ref(), &prefix, 1000);
+    let Testbed { fs, prefix, .. } = Testbed::build(system, &WorldSpec::bench().traced(&tel));
+    lfs_small(fs.as_ref(), prefix, 1000);
     (mab_rpcs, tel.counter("wire", "net.round_trips"))
 }
 

@@ -34,22 +34,12 @@
 //!
 //! Usage: `cargo run --release -p sfs-bench --bin scale [-- --smoke] [--out PATH]`
 
-use std::sync::Arc;
-
-use sfs::authserver::{AuthServer, UserRecord};
-use sfs::client::{SfsClient, SfsNetwork};
-use sfs::server::{ServerConfig, SfsServer};
 use sfs_bench::args::Args;
-use sfs_bench::calib::{bench_disk_params, BENCH_UID};
-use sfs_bignum::XorShiftSource;
-use sfs_crypto::rabin::{generate_keypair, RabinPrivateKey};
-use sfs_crypto::srp::SrpGroup;
-use sfs_crypto::SfsPrg;
+use sfs_bench::calib::BENCH_UID;
+use sfs_bench::report::{rerun_identical, write_artifact, Obj};
+use sfs_bench::world::{KeySeeds, World, WorldSpec};
 use sfs_nfs3::proto::{Nfs3Reply, Nfs3Request};
 use sfs_proto::channel::SuiteId;
-use sfs_sim::{CpuCosts, NetParams, SimClock, SimDisk, Transport};
-use sfs_telemetry::{Telemetry, ZeroClock};
-use sfs_vfs::{Credentials, Vfs};
 
 /// Frames kept in flight per client batch.
 const WINDOW: usize = 16;
@@ -87,7 +77,7 @@ impl Workload {
     }
 }
 
-#[derive(Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 struct Row {
     workload: &'static str,
     clients: usize,
@@ -104,99 +94,35 @@ struct Row {
     disk_joined: u64,
 }
 
-fn server_key() -> RabinPrivateKey {
-    let mut rng = XorShiftSource::new(0x5CA1E);
-    generate_keypair(768, &mut rng)
-}
-
-fn user_key() -> RabinPrivateKey {
-    let mut rng = XorShiftSource::new(0x5CA1E + 1);
-    generate_keypair(512, &mut rng)
-}
-
-fn srp_group() -> SrpGroup {
-    let mut rng = XorShiftSource::new(0x5CA1E + 2);
-    SrpGroup::generate(128, &mut rng)
-}
-
 fn body(c: usize, len: usize) -> Vec<u8> {
     (0..len).map(|i| ((c * 137 + i) % 251) as u8).collect()
 }
 
-/// One fleet member: a client on its own virtual clock, dialed into the
-/// shared server through its own network.
-struct Member {
-    clock: SimClock,
-    client: Arc<SfsClient>,
-    path: String,
-}
-
-/// Builds the shared N-core server plus a fleet of `clients` windowed
-/// clients, each on an independent clock. The server's VFS sits on its
-/// own clock with the benchmark disk attached, so measured-phase disk
-/// work flows through the engine's per-shard commit queues.
-fn build_fleet(
-    clients: usize,
-    cores: usize,
-    suite: SuiteId,
-    tel: &Telemetry,
-) -> (Arc<SfsServer>, Vec<Member>) {
-    let server_clock = SimClock::new();
-    let disk = SimDisk::new(server_clock.clone(), bench_disk_params());
-    let vfs = Vfs::new(7, server_clock).with_disk(disk);
-    let root = Credentials::root();
-    let bench_dir = vfs.mkdir_p("/bench").unwrap();
-    vfs.setattr(
-        &root,
-        bench_dir,
-        sfs_vfs::SetAttr {
-            mode: Some(0o777),
-            uid: Some(BENCH_UID),
-            gid: Some(100),
-            ..Default::default()
+/// The shared N-core server on the benchmark disk plus a fleet of
+/// `clients` windowed clients, each on an independent clock, so
+/// measured-phase disk work flows through the engine's per-shard commit
+/// queues.
+fn fleet(clients: usize, cores: usize, suite: SuiteId) -> World {
+    let world = World::build(&WorldSpec {
+        keys: KeySeeds {
+            servers: &[0x5CA1E],
+            user: 0x5CA1E + 1,
+            srp: 0x5CA1E + 2,
+            ephemeral: None,
         },
-    )
-    .unwrap();
-
-    let auth = Arc::new(AuthServer::new(srp_group(), 2));
-    auth.register_user(UserRecord {
-        user: "bench".into(),
-        uid: BENCH_UID,
-        gids: vec![100],
-        public_key: user_key().public().to_bytes(),
+        locations: &["scale.bench"],
+        server_entropy: "scale-server",
+        client_entropy: "scale-client-{}",
+        cores: Some(cores),
+        clients,
+        own_clocks: true,
+        ..WorldSpec::bench()
     });
-    let server = SfsServer::new(
-        ServerConfig::new("scale.bench"),
-        server_key(),
-        vfs,
-        auth,
-        SfsPrg::from_entropy(b"scale-server"),
-    );
-    server.set_cores(cores);
-    server.set_telemetry(tel);
-    let prefix = format!("{}/bench", server.path().full_path());
-
-    let fleet = (0..clients)
-        .map(|c| {
-            let clock = SimClock::new();
-            let net = SfsNetwork::new(clock.clone(), NetParams::switched_100mbit(Transport::Tcp));
-            net.register(server.clone());
-            let client = SfsClient::with_costs(
-                net,
-                format!("scale-client-{c}").as_bytes(),
-                CpuCosts::pentium_iii_550(),
-            );
-            client.set_pipeline_window(WINDOW);
-            client.set_suite_offer(&[suite]);
-            client.agent(BENCH_UID).lock().add_key(user_key());
-            Member {
-                clock,
-                client,
-                path: format!("{prefix}/scale-{c}"),
-            }
-        })
-        .collect();
-    (server, fleet)
+    for client in &world.clients {
+        client.set_pipeline_window(WINDOW);
+        client.set_suite_offer(&[suite]);
+    }
+    world
 }
 
 /// One sweep point: builds a fresh world, warms every client's file and
@@ -209,29 +135,30 @@ fn run_point(
     suite: SuiteId,
     rounds: usize,
 ) -> Row {
-    let tel = Telemetry::recording(ZeroClock);
-    let (server, fleet) = build_fleet(clients, cores, suite, &tel);
+    let world = fleet(clients, cores, suite);
+    let fleet = &world.clients;
+    let path = |c: usize| format!("{}/bench/scale-{c}", world.path().full_path());
 
     // Warm-up (unmeasured): mount + auth handshakes, file creation, and
     // one read so attribute caches and stream detectors are hot.
     for (c, m) in fleet.iter().enumerate() {
-        m.client
-            .write_file(BENCH_UID, &m.path, &body(c, READ_FILE_BYTES))
+        m.write_file(BENCH_UID, &path(c), &body(c, READ_FILE_BYTES))
             .unwrap();
         assert_eq!(
-            m.client.read_file(BENCH_UID, &m.path).unwrap(),
+            m.read_file(BENCH_UID, &path(c)).unwrap(),
             body(c, READ_FILE_BYTES)
         );
     }
 
     let resolved: Vec<_> = fleet
         .iter()
-        .map(|m| {
-            let (mount, fh, _) = m.client.resolve(BENCH_UID, &m.path).unwrap();
+        .enumerate()
+        .map(|(c, m)| {
+            let (mount, fh, _) = m.resolve(BENCH_UID, &path(c)).unwrap();
             (mount, fh)
         })
         .collect();
-    let t0: Vec<u64> = fleet.iter().map(|m| m.clock.now().as_nanos()).collect();
+    let t0: Vec<u64> = fleet.iter().map(|m| m.clock().now().as_nanos()).collect();
 
     let mut total_bytes = 0u64;
     let mut ops = 0u64;
@@ -247,7 +174,7 @@ fn run_point(
                             count: READ_CHUNK as u32,
                         })
                         .collect();
-                    let replies = m.client.call_nfs_window(mount, BENCH_UID, &reqs).unwrap();
+                    let replies = m.call_nfs_window(mount, BENCH_UID, &reqs).unwrap();
                     let want = body(c, READ_FILE_BYTES);
                     for (i, reply) in replies.iter().enumerate() {
                         match reply {
@@ -266,7 +193,7 @@ fn run_point(
                 }
                 Workload::DiskWrites => {
                     let data = body(c + round, WRITE_BYTES);
-                    m.client.write_file(BENCH_UID, &m.path, &data).unwrap();
+                    m.write_file(BENCH_UID, &path(c), &data).unwrap();
                     total_bytes += data.len() as u64;
                     ops += 1;
                 }
@@ -274,8 +201,7 @@ fn run_point(
         }
     }
 
-    let engine = server.shard_engine().expect("engine installed");
-    engine.finish(&tel);
+    let engine = world.servers[0].shard_engine().expect("engine installed");
     assert!(
         engine.frames_scheduled() > 0,
         "the shard engine never scheduled any work"
@@ -283,7 +209,7 @@ fn run_point(
     let elapsed: Vec<u64> = fleet
         .iter()
         .zip(&t0)
-        .map(|(m, t)| m.clock.now().as_nanos() - t)
+        .map(|(m, t)| m.clock().now().as_nanos() - t)
         .collect();
     let makespan = *elapsed.iter().max().unwrap();
     let secs = makespan as f64 / 1e9;
@@ -305,41 +231,21 @@ fn run_point(
     }
 }
 
-fn write_json(path: &str, mode: &str, suite: SuiteId, rows: &[Row]) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"sfs-bench/scale/v1\",\n");
-    out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    out.push_str(&format!("  \"suite\": \"{}\",\n", suite.label()));
-    out.push_str(&format!(
-        "  \"workloads\": {{\"crypto_reads\": {{\"window\": {WINDOW}, \"read_bytes\": {READ_CHUNK}}}, \"disk_writes\": {{\"rewrite_bytes\": {WRITE_BYTES}}}}},\n"
-    ));
-    out.push_str(
-        "  \"unit\": {\"aggregate_mb_per_s\": \"MB/s of virtual time, fleet makespan\", \"virtual_ns\": \"nanoseconds\", \"mean_op_us\": \"microseconds per op, fleet mean\"},\n",
-    );
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"clients\": {}, \"cores\": {}, \"virtual_ns\": {}, \"aggregate_mb_per_s\": {:.3}, \"per_client_mb_per_s\": {:.3}, \"mean_op_us\": {:.1}, \"total_bytes\": {}, \"ops\": {}, \"frames_scheduled\": {}, \"disk_commits\": {}, \"disk_batches\": {}, \"disk_joined\": {}}}{}\n",
-            r.workload,
-            r.clients,
-            r.cores,
-            r.virtual_ns,
-            r.aggregate_mb_per_s,
-            r.per_client_mb_per_s,
-            r.mean_op_us,
-            r.total_bytes,
-            r.ops,
-            r.frames_scheduled,
-            r.disk_commits,
-            r.disk_batches,
-            r.disk_joined,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).expect("write benchmark JSON");
-    println!("wrote {path}");
+fn row_json(r: &Row) -> Obj {
+    Obj::new()
+        .str("workload", r.workload)
+        .num("clients", r.clients)
+        .num("cores", r.cores)
+        .num("virtual_ns", r.virtual_ns)
+        .float("aggregate_mb_per_s", r.aggregate_mb_per_s, 3)
+        .float("per_client_mb_per_s", r.per_client_mb_per_s, 3)
+        .float("mean_op_us", r.mean_op_us, 1)
+        .num("total_bytes", r.total_bytes)
+        .num("ops", r.ops)
+        .num("frames_scheduled", r.frames_scheduled)
+        .num("disk_commits", r.disk_commits)
+        .num("disk_batches", r.disk_batches)
+        .num("disk_joined", r.disk_joined)
 }
 
 fn main() {
@@ -367,15 +273,9 @@ fn main() {
         };
         for &clients in client_sweep {
             for cores in CORES {
-                let row = run_point(workload, clients, cores, suite, rounds);
-                // Virtual time is deterministic: the identical sweep
-                // point must reproduce byte-for-byte.
-                let again = run_point(workload, clients, cores, suite, rounds);
-                assert!(
-                    row == again,
-                    "sweep point diverged across reruns: {} clients={clients} cores={cores}",
-                    workload.label()
-                );
+                let what = format!("{} clients={clients} cores={cores}", workload.label());
+                let row =
+                    rerun_identical(&what, || run_point(workload, clients, cores, suite, rounds));
                 println!(
                     "  {:>12}  clients {:>2}  cores {:>2}  {:>13} ns makespan  {:>8.2} MB/s aggregate  {:>8.1} µs/op  batches {:>4} (joined {:>4})",
                     row.workload,
@@ -391,12 +291,26 @@ fn main() {
             }
         }
     }
-    write_json(
-        &out_path,
-        if smoke { "smoke" } else { "full" },
-        suite,
-        &rows,
-    );
+    let workloads = Obj::new()
+        .obj(
+            "crypto_reads",
+            Obj::new()
+                .num("window", WINDOW)
+                .num("read_bytes", READ_CHUNK),
+        )
+        .obj("disk_writes", Obj::new().num("rewrite_bytes", WRITE_BYTES));
+    let unit = Obj::new()
+        .str("aggregate_mb_per_s", "MB/s of virtual time, fleet makespan")
+        .str("virtual_ns", "nanoseconds")
+        .str("mean_op_us", "microseconds per op, fleet mean");
+    let header = Obj::new()
+        .str("schema", "sfs-bench/scale/v1")
+        .str("mode", if smoke { "smoke" } else { "full" })
+        .str("suite", suite.label())
+        .obj("workloads", workloads)
+        .obj("unit", unit);
+    let json_rows: Vec<Obj> = rows.iter().map(row_json).collect();
+    write_artifact(&out_path, &header, "rows", &json_rows);
 
     // Regression envelope. Virtual time is deterministic, so these are
     // exact checks, not statistical ones.

@@ -33,9 +33,10 @@
 
 use sfs_bench::args::{Args, FaultOpt, ScenarioSpec};
 use sfs_bench::kernel::SfsBench;
+use sfs_bench::report::{rerun_identical, write_artifact, Obj};
 use sfs_bench::scenario::{
-    build_world, builtin_mixes, encode_trace, parse_trace, replay_trace, run_mix, run_storm,
-    scenario_suite, set_scenario_suite, RecordingFs, ScenarioOutcome, TraceSink, STORM_NAMES,
+    builtin_mixes, encode_trace, parse_trace, replay_trace, run_mix, run_storm, scenario_suite,
+    scenario_world, set_scenario_suite, RecordingFs, TraceSink, STORM_NAMES,
 };
 use sfs_proto::channel::SuiteId;
 use sfs_telemetry::sync::Mutex;
@@ -59,17 +60,6 @@ fn fnv64(lines: &[String]) -> u64 {
     h
 }
 
-struct Row {
-    name: String,
-    kind: &'static str,
-    clients: usize,
-    ops: usize,
-    final_ns: u64,
-    oracle_checks: u64,
-    oplog_fnv64: u64,
-    injected_faults: u64,
-}
-
 fn die(msg: String) -> ! {
     eprintln!("scenarios: {msg}");
     std::process::exit(2)
@@ -82,9 +72,18 @@ fn fresh_faults(spec: &Option<String>) -> FaultOpt {
     FaultOpt::with_spec(spec.clone()).unwrap_or_else(|e| die(format!("--faults: {e}")))
 }
 
-/// One scenario execution with its own telemetry and fault plan.
-/// Returns the outcome, the rendered latency table, and the injected-
-/// fault count; asserts the fault envelope before returning.
+/// Every observable byte of one scenario execution.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    op_log: Vec<String>,
+    final_ns: u64,
+    oracle_checks: u64,
+    latency_table: String,
+    injected_faults: u64,
+}
+
+/// One scenario execution with its own telemetry and fault plan;
+/// asserts the fault envelope before returning.
 fn execute(
     name: &str,
     kind: &'static str,
@@ -92,7 +91,7 @@ fn execute(
     smoke: bool,
     spec: Option<&ScenarioSpec>,
     trace: Option<&TraceSink>,
-) -> (ScenarioOutcome, String, u64) {
+) -> Observed {
     let faults = fresh_faults(fault_spec);
     let tel = Telemetry::recording(ZeroClock);
     let outcome = match kind {
@@ -102,52 +101,30 @@ fn execute(
     };
     faults.finish();
     faults.assert_envelope(outcome.final_ns);
-    let injected = faults.plan().map(|p| p.injected() as u64).unwrap_or(0);
-    (outcome, tel.histograms_json(), injected)
+    Observed {
+        op_log: outcome.op_log,
+        final_ns: outcome.final_ns,
+        oracle_checks: outcome.oracle_checks,
+        latency_table: tel.histograms_json(),
+        injected_faults: faults.plan().map(|p| p.injected() as u64).unwrap_or(0),
+    }
 }
 
-/// Runs one scenario twice and verifies the two runs agree on every
-/// observable byte. Returns the first run's row and latency table.
+/// Runs one scenario twice (recording the trace, when asked, on the
+/// first run only) and verifies the two runs agree on every observable
+/// byte. Returns the row and the latency table.
 fn run_twice(
     name: &str,
     kind: &'static str,
     fault_spec: &Option<String>,
     smoke: bool,
     spec: Option<&ScenarioSpec>,
-    trace: Option<&TraceSink>,
-) -> (Row, String) {
+    mut trace: Option<&TraceSink>,
+) -> (Obj, String) {
     println!("== scenario {name} ({kind}) ==");
-    let (a, table_a, injected) = execute(name, kind, fault_spec, smoke, spec, trace);
-    let (b, table_b, _) = execute(name, kind, fault_spec, smoke, spec, None);
-    if a.op_log != b.op_log {
-        let divergence = a
-            .op_log
-            .iter()
-            .zip(b.op_log.iter())
-            .position(|(x, y)| x != y)
-            .map(|i| {
-                format!(
-                    "first divergence at op {i}: {:?} vs {:?}",
-                    a.op_log[i], b.op_log[i]
-                )
-            })
-            .unwrap_or_else(|| {
-                format!("op counts differ: {} vs {}", a.op_log.len(), b.op_log.len())
-            });
-        eprintln!("FAIL: scenario {name} is not deterministic ({divergence})");
-        std::process::exit(1);
-    }
-    if a.final_ns != b.final_ns {
-        eprintln!(
-            "FAIL: scenario {name} final clock differs between runs: {} vs {}",
-            a.final_ns, b.final_ns
-        );
-        std::process::exit(1);
-    }
-    if table_a != table_b {
-        eprintln!("FAIL: scenario {name} latency table differs between identical runs");
-        std::process::exit(1);
-    }
+    let a = rerun_identical(&format!("scenario {name}"), || {
+        execute(name, kind, fault_spec, smoke, spec, trace.take())
+    });
     let (clients, ops) = match spec {
         Some(s) => (s.clients, s.ops),
         None => (0, a.op_log.len()),
@@ -157,56 +134,23 @@ fn run_twice(
         a.op_log.len(),
         a.final_ns,
         a.oracle_checks,
-        if injected > 0 {
-            format!(", {injected} faults injected")
+        if a.injected_faults > 0 {
+            format!(", {} faults injected", a.injected_faults)
         } else {
             String::new()
         }
     );
-    (
-        Row {
-            name: name.to_string(),
-            kind,
-            clients,
-            ops,
-            final_ns: a.final_ns,
-            oracle_checks: a.oracle_checks,
-            oplog_fnv64: fnv64(&a.op_log),
-            injected_faults: injected,
-        },
-        table_a,
-    )
-}
-
-fn write_results(path: &str, mode: &str, fault_spec: &Option<String>, rows: &[Row]) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"sfs-bench/scenarios/v1\",\n");
-    out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    out.push_str(&format!("  \"suite\": \"{}\",\n", scenario_suite().label()));
-    match fault_spec {
-        Some(s) => out.push_str(&format!("  \"faults\": \"{s}\",\n")),
-        None => out.push_str("  \"faults\": null,\n"),
-    }
-    out.push_str("  \"determinism\": \"each scenario ran twice; op log, final clock, and latency table were byte-identical\",\n");
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"kind\": \"{}\", \"clients\": {}, \"ops\": {}, \"final_ns\": {}, \"oracle_checks\": {}, \"oplog_fnv64\": \"{:016x}\", \"injected_faults\": {}, \"deterministic\": true}}{}\n",
-            r.name,
-            r.kind,
-            r.clients,
-            r.ops,
-            r.final_ns,
-            r.oracle_checks,
-            r.oplog_fnv64,
-            r.injected_faults,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).unwrap_or_else(|e| die(format!("write {path}: {e}")));
-    println!("wrote {path}");
+    let row = Obj::new()
+        .str("name", name)
+        .str("kind", kind)
+        .num("clients", clients)
+        .num("ops", ops)
+        .num("final_ns", a.final_ns)
+        .num("oracle_checks", a.oracle_checks)
+        .str("oplog_fnv64", &format!("{:016x}", fnv64(&a.op_log)))
+        .num("injected_faults", a.injected_faults)
+        .num("deterministic", true);
+    (row, a.latency_table)
 }
 
 /// Replays a recorded trace against a fresh single-client world while
@@ -217,8 +161,8 @@ fn replay_file(path: &str) {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| die(format!("read {path}: {e}")));
     let ops = parse_trace(&text).unwrap_or_else(|e| die(format!("{path}: {e}")));
     let tel = Telemetry::recording(ZeroClock);
-    let world = build_world(1, 1, None, &tel, None);
-    let prefix = world.prefix(0);
+    let world = scenario_world(1, 1, None, &tel, None);
+    let prefix = format!("{}/bench", world.path().full_path());
     let bench: Box<dyn FsBench> = Box::new(SfsBench::new(
         "SFS",
         world.clients[0].clone(),
@@ -352,10 +296,17 @@ fn main() {
     std::fs::write(&latency_path, &tables)
         .unwrap_or_else(|e| die(format!("write {latency_path}: {e}")));
     println!("wrote {latency_path}");
-    write_results(
-        &out_path,
-        if smoke { "smoke" } else { "full" },
-        &fault_spec,
-        &rows,
+    let header = Obj::new()
+        .str("schema", "sfs-bench/scenarios/v1")
+        .str("mode", if smoke { "smoke" } else { "full" })
+        .str("suite", scenario_suite().label());
+    let header = match &fault_spec {
+        Some(s) => header.str("faults", s),
+        None => header.null("faults"),
+    }
+    .str(
+        "determinism",
+        "each scenario ran twice; op log, final clock, and latency table were byte-identical",
     );
+    write_artifact(&out_path, &header, "rows", &rows);
 }

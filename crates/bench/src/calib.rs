@@ -12,23 +12,16 @@
 
 use std::sync::Arc;
 
-use sfs::authserver::{AuthServer, UserRecord};
-use sfs::client::{SfsClient, SfsNetwork};
-use sfs::server::{ServerConfig, SfsServer};
 use sfs::ShardEngine;
-use sfs_bignum::XorShiftSource;
-use sfs_crypto::rabin::{generate_keypair, RabinPrivateKey};
-use sfs_crypto::srp::SrpGroup;
-use sfs_crypto::SfsPrg;
 use sfs_nfs3::Nfs3Server;
-use sfs_sim::{CpuCosts, DiskParams, FaultPlan, NetParams, SimClock, SimDisk, Transport, Wire};
-use sfs_telemetry::Telemetry;
-use sfs_vfs::{Credentials, Vfs};
+use sfs_sim::{NetParams, SimClock, Transport, Wire};
+use sfs_vfs::Vfs;
 
 use crate::kernel::{FsBench, KernelNfs, LocalFs, SfsBench};
+use crate::world::{World, WorldSpec};
 
 /// The benchmark user.
-pub const BENCH_UID: u32 = 1000;
+pub const BENCH_UID: u32 = crate::world::UID;
 
 /// The systems compared throughout §4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,25 +59,16 @@ impl System {
     }
 }
 
-/// Disk parameters for the benchmarks: the IBM 18ES with FFS-style
-/// cylinder-group clustering of metadata (an effective ~4.5 ms positioning
-/// cost for the small synchronous metadata writes that dominate the LFS
-/// small-file benchmark).
-pub fn bench_disk_params() -> DiskParams {
-    DiskParams {
-        seek_ns: 4_500_000,
-        bandwidth_bps: 13_000_000,
-        block_size: 8192,
-        write_path_ns_per_byte: 36,
-    }
-}
-
 /// A fully assembled single-system testbed.
 pub struct Testbed {
     /// The virtual clock everything charges.
     pub clock: SimClock,
     /// The file-system stack under test.
     pub fs: Box<dyn FsBench>,
+    /// Path prefix workloads join their names to with `/` ("" = the
+    /// bench directory itself; the local and NFS stacks address the
+    /// bench directory explicitly).
+    pub prefix: &'static str,
     /// The server-side file system (for cache-state control).
     pub server_vfs: Vfs,
     /// The multi-core scheduler, when built with `cores` on an SFS
@@ -93,121 +77,38 @@ pub struct Testbed {
     pub shard_engine: Option<Arc<ShardEngine>>,
 }
 
-fn server_key() -> RabinPrivateKey {
-    // Deterministic testbed key: benchmarks must be reproducible.
-    let mut rng = XorShiftSource::new(0x5F5_BE7C);
-    generate_keypair(768, &mut rng)
-}
-
-fn user_key() -> RabinPrivateKey {
-    let mut rng = XorShiftSource::new(0xBE7C_0001);
-    generate_keypair(512, &mut rng)
-}
-
-fn srp_group() -> SrpGroup {
-    let mut rng = XorShiftSource::new(0x5209);
-    SrpGroup::generate(128, &mut rng)
-}
-
 impl Testbed {
-    /// Builds the testbed for one system. The exported file system starts
-    /// with a world-writable `bench` directory.
-    pub fn build(system: System) -> Testbed {
-        Self::build_with_cpu(system, CpuCosts::pentium_iii_550())
-    }
-
-    /// Builds the testbed for one system with tracing attached to every
-    /// layer (wire, disk, NFS3 engine, SFS server + client).
-    pub fn build_traced(system: System, tel: &Telemetry) -> Testbed {
-        Self::build_full(system, CpuCosts::pentium_iii_550(), Some(tel), None, None)
-    }
-
-    /// Builds the testbed with explicit CPU costs (the §4.5 hardware-
-    /// trend experiment swaps in slower/faster processors).
-    pub fn build_with_cpu(system: System, cpu: CpuCosts) -> Testbed {
-        Self::build_full(system, cpu, None, None, None)
-    }
-
-    /// [`Self::build_traced`] with explicit CPU costs.
-    pub fn build_traced_with_cpu(system: System, cpu: CpuCosts, tel: &Telemetry) -> Testbed {
-        Self::build_full(system, cpu, Some(tel), None, None)
-    }
-
-    /// Builds the testbed with a seeded fault plan threaded through every
-    /// layer it can reach: the wire (drop/duplicate/reorder/corrupt/
-    /// delay/partition), the server (scheduled crash-restarts, SFS only),
-    /// and the disk (transient sync-write failures). The same plan handle
-    /// is shared, so one seed decides the whole run.
-    pub fn build_chaos(
-        system: System,
-        tel: Option<&Telemetry>,
-        plan: Option<&FaultPlan>,
-    ) -> Testbed {
-        Self::build_full(system, CpuCosts::pentium_iii_550(), tel, plan, None)
-    }
-
-    /// [`Self::build_chaos`] with the multi-core `sfs::ShardEngine`
-    /// installed on the SFS server (ignored by the non-SFS systems,
-    /// which have no sharded dispatch to configure).
-    pub fn build_chaos_cores(
-        system: System,
-        tel: Option<&Telemetry>,
-        plan: Option<&FaultPlan>,
-        cores: Option<usize>,
-    ) -> Testbed {
-        Self::build_full(system, CpuCosts::pentium_iii_550(), tel, plan, cores)
-    }
-
-    fn build_full(
-        system: System,
-        cpu: CpuCosts,
-        tel: Option<&Telemetry>,
-        fault: Option<&FaultPlan>,
-        cores: Option<usize>,
-    ) -> Testbed {
-        let clock = SimClock::new();
-        let disk = SimDisk::new(clock.clone(), bench_disk_params());
-        if let Some(tel) = tel {
-            disk.set_telemetry(tel);
-        }
-        if let Some(plan) = fault {
-            if let Some(tel) = tel {
-                plan.set_telemetry(&tel.clone().with_clock(clock.clone()));
+    /// Builds the testbed for one system on the [`WorldSpec::bench`]
+    /// world (`spec` overrides its CPU costs, tracing sink, fault plan
+    /// and core count). The exported file system starts with a
+    /// world-writable `bench` directory. The non-SFS systems take the
+    /// world's disk → `Vfs` stage and its cost model and put the kernel
+    /// stacks on top; cores are ignored there (no sharded dispatch to
+    /// configure).
+    pub fn build(system: System, spec: &WorldSpec) -> Testbed {
+        let transport = match system {
+            System::Local => None,
+            System::NfsUdp => Some(Transport::Udp),
+            System::NfsTcp => Some(Transport::Tcp),
+            System::Sfs | System::SfsNoEncrypt | System::SfsNoCache => {
+                return Self::sfs(system, spec)
             }
-            disk.set_fault_plan(plan.clone());
-        }
-        let vfs = Vfs::new(7, clock.clone()).with_disk(disk);
-        let root_creds = Credentials::root();
-        let bench_dir = vfs.mkdir_p("/bench").unwrap();
-        vfs.setattr(
-            &root_creds,
-            bench_dir,
-            sfs_vfs::SetAttr {
-                mode: Some(0o777),
-                uid: Some(BENCH_UID),
-                gid: Some(100),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-
-        let fs: Box<dyn FsBench> = match system {
-            System::Local => Box::new(LocalFs::new(vfs.clone(), clock.clone())),
-            System::NfsUdp | System::NfsTcp => {
-                let transport = if system == System::NfsUdp {
-                    Transport::Udp
-                } else {
-                    Transport::Tcp
-                };
+        };
+        let clock = spec.clock();
+        let vfs = spec.export(&clock, 0, spec.locations[0]);
+        let fs: Box<dyn FsBench> = match transport {
+            None => Box::new(LocalFs::new(vfs.clone(), clock.clone())),
+            Some(transport) => {
                 let mut wire = Wire::new(clock.clone(), NetParams::switched_100mbit(transport));
                 let server = Nfs3Server::new(vfs.clone());
-                if let Some(tel) = tel {
+                if let Some(tel) = &spec.tel {
                     wire.set_telemetry(tel);
                     server.set_telemetry(tel);
                 }
-                if let Some(plan) = fault {
+                if let Some(plan) = &spec.plan {
                     wire.set_fault_plan(plan.clone());
                 }
+                let cpu = spec.cpu.expect("the kernel NFS stack charges CPU");
                 Box::new(KernelNfs::new(
                     system.label(),
                     clock.clone(),
@@ -216,145 +117,36 @@ impl Testbed {
                     cpu,
                 ))
             }
-            System::Sfs | System::SfsNoEncrypt | System::SfsNoCache => {
-                let auth = Arc::new(AuthServer::new(srp_group(), 2));
-                let ukey = user_key();
-                auth.register_user(UserRecord {
-                    user: "bench".into(),
-                    uid: BENCH_UID,
-                    gids: vec![100],
-                    public_key: ukey.public().to_bytes(),
-                });
-                let server = SfsServer::new(
-                    ServerConfig::new("server.bench"),
-                    server_key(),
-                    vfs.clone(),
-                    auth,
-                    SfsPrg::from_entropy(b"bench-server"),
-                );
-                if let Some(n) = cores {
-                    server.set_cores(n);
-                }
-                let net =
-                    SfsNetwork::new(clock.clone(), NetParams::switched_100mbit(Transport::Tcp));
-                net.register(server.clone());
-                if let Some(plan) = fault {
-                    net.set_fault_plan(plan.clone());
-                    server.set_fault_plan(plan.clone());
-                }
-                let client = SfsClient::with_costs(net, b"bench-client", cpu);
-                if let Some(tel) = tel {
-                    server.set_telemetry(tel);
-                    client.set_telemetry(tel);
-                }
-                client.agent(BENCH_UID).lock().add_key(ukey);
-                match system {
-                    System::SfsNoEncrypt => client.set_charge_crypto(false),
-                    System::SfsNoCache => client.set_caching(false),
-                    _ => {}
-                }
-                let prefix = format!("{}/bench", server.path().full_path());
-                let shard_engine = server.shard_engine();
-                let bench = SfsBench::new(system.label(), client, BENCH_UID, &prefix);
-                return Testbed {
-                    clock,
-                    fs: Box::new(bench),
-                    server_vfs: vfs,
-                    shard_engine,
-                };
-            }
         };
         Testbed {
             clock,
             fs,
+            prefix: "bench",
             server_vfs: vfs,
             shard_engine: None,
         }
     }
 
-    /// Path prefix used by workloads ("" = the bench directory itself).
-    /// Local and NFS stacks address the bench dir explicitly.
-    pub fn root_dir(&self, system: System) -> &'static str {
+    /// The SFS systems: the world itself, one client behind the kernel
+    /// layers.
+    fn sfs(system: System, spec: &WorldSpec) -> Testbed {
+        let world = World::build(spec);
+        let client = world.clients[0].clone();
         match system {
-            System::Sfs | System::SfsNoEncrypt | System::SfsNoCache => "",
-            _ => "bench",
+            System::SfsNoEncrypt => client.set_charge_crypto(false),
+            System::SfsNoCache => client.set_caching(false),
+            _ => {}
+        }
+        let server = &world.servers[0];
+        let prefix = format!("{}/bench", server.path().full_path());
+        Testbed {
+            fs: Box::new(SfsBench::new(system.label(), client, BENCH_UID, &prefix)),
+            prefix: "",
+            server_vfs: server.vfs().clone(),
+            shard_engine: server.shard_engine(),
+            clock: world.clock,
         }
     }
-}
-
-/// Convenience: build a testbed and return (fs, clock) with workload paths
-/// rooted correctly. The returned prefix already contains the trailing
-/// component separator handling — workloads join with `/`.
-pub fn build_fs(system: System) -> (Box<dyn FsBench>, SimClock, String, Vfs) {
-    let tb = Testbed::build(system);
-    let prefix = tb.root_dir(system).to_string();
-    (tb.fs, tb.clock, prefix, tb.server_vfs)
-}
-
-/// [`build_fs`] with explicit CPU costs.
-pub fn build_fs_with_cpu(
-    system: System,
-    cpu: CpuCosts,
-) -> (Box<dyn FsBench>, SimClock, String, Vfs) {
-    let tb = Testbed::build_with_cpu(system, cpu);
-    let prefix = tb.root_dir(system).to_string();
-    (tb.fs, tb.clock, prefix, tb.server_vfs)
-}
-
-/// [`build_fs`] with a tracing sink threaded through every layer. Pass a
-/// disabled [`Telemetry`] to get exactly the [`build_fs`] behaviour.
-pub fn build_fs_traced(
-    system: System,
-    tel: &Telemetry,
-) -> (Box<dyn FsBench>, SimClock, String, Vfs) {
-    let tb = Testbed::build_traced(system, tel);
-    let prefix = tb.root_dir(system).to_string();
-    (tb.fs, tb.clock, prefix, tb.server_vfs)
-}
-
-/// [`build_fs_traced`] with an optional seeded fault plan threaded
-/// through the wire, server, and disk (the `--faults` flag).
-pub fn build_fs_chaos(
-    system: System,
-    tel: &Telemetry,
-    plan: Option<&FaultPlan>,
-) -> (Box<dyn FsBench>, SimClock, String, Vfs) {
-    let tb = Testbed::build_chaos(system, Some(tel), plan);
-    let prefix = tb.root_dir(system).to_string();
-    (tb.fs, tb.clock, prefix, tb.server_vfs)
-}
-
-/// [`build_fs_chaos`] with the multi-core shard engine installed on the
-/// SFS server (no-op for the non-SFS systems). Also returns the engine
-/// handle so the caller can flush its final open commit batches into
-/// telemetry once the workload finishes.
-#[allow(clippy::type_complexity)]
-pub fn build_fs_chaos_cores(
-    system: System,
-    tel: &Telemetry,
-    plan: Option<&FaultPlan>,
-    cores: Option<usize>,
-) -> (
-    Box<dyn FsBench>,
-    SimClock,
-    String,
-    Vfs,
-    Option<Arc<ShardEngine>>,
-) {
-    let tb = Testbed::build_chaos_cores(system, Some(tel), plan, cores);
-    let prefix = tb.root_dir(system).to_string();
-    (tb.fs, tb.clock, prefix, tb.server_vfs, tb.shard_engine)
-}
-
-/// [`build_fs_traced`] with explicit CPU costs.
-pub fn build_fs_traced_cpu(
-    system: System,
-    cpu: CpuCosts,
-    tel: &Telemetry,
-) -> (Box<dyn FsBench>, SimClock, String, Vfs) {
-    let tb = Testbed::build_traced_with_cpu(system, cpu, tel);
-    let prefix = tb.root_dir(system).to_string();
-    (tb.fs, tb.clock, prefix, tb.server_vfs)
 }
 
 #[cfg(test)]
@@ -366,7 +158,9 @@ mod tests {
         // The simulator's core promise: identical runs give identical
         // virtual times, bit for bit.
         let run = || {
-            let (fs, clock, prefix, _) = build_fs(System::Sfs);
+            let Testbed {
+                fs, clock, prefix, ..
+            } = Testbed::build(System::Sfs, &WorldSpec::bench());
             let p = format!("{prefix}/det").trim_start_matches('/').to_string();
             fs.create(&p).unwrap();
             fs.write(&p, 0, b"determinism").unwrap();
@@ -389,7 +183,9 @@ mod tests {
             System::SfsNoEncrypt,
             System::SfsNoCache,
         ] {
-            let (fs, clock, prefix, _) = build_fs(system);
+            let Testbed {
+                fs, clock, prefix, ..
+            } = Testbed::build(system, &WorldSpec::bench());
             let p = |name: &str| {
                 if prefix.is_empty() {
                     name.to_string()
@@ -411,7 +207,9 @@ mod tests {
         // The Figure-5 ordering must hold structurally.
         let mut times = Vec::new();
         for system in [System::NfsUdp, System::NfsTcp, System::Sfs] {
-            let (fs, clock, prefix, _) = build_fs(system);
+            let Testbed {
+                fs, clock, prefix, ..
+            } = Testbed::build(system, &WorldSpec::bench());
             let p = format!("{prefix}/f").trim_start_matches('/').to_string();
             fs.create(&p).unwrap();
             let t0 = clock.now();

@@ -3,7 +3,13 @@
 //! these measure genuine CPU time on the host machine, so they are
 //! reporting tools, not regression tests.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use sfs::client::{Mount, SfsClient};
+use sfs_nfs3::proto::FileHandle;
+
+use crate::world::{World, WorldSpec, UID};
 
 /// Target measurement window per benchmark.
 const WINDOW: Duration = Duration::from_millis(100);
@@ -49,5 +55,45 @@ pub fn bench_throughput<T>(name: &str, bytes: u64, f: impl FnMut() -> T) {
     if per > 0 {
         let mbps = bytes as f64 * 1e9 / per as f64 / (1024.0 * 1024.0);
         println!("{:>44}   {mbps:>10.1} MiB/s", "");
+    }
+}
+
+/// The steady-state sealed relay loop the wall-clock and allocation
+/// numbers are taken on: a memory-backed world with no CPU model, one
+/// mounted client with caching off (every measured RPC must cross the
+/// wire), and one `/bench/data` file of `0xAB` bytes to read.
+pub struct RelayRig {
+    /// The world; `servers[0]` is the server under test.
+    pub world: World,
+    /// The world's one client.
+    pub client: Arc<SfsClient>,
+    /// Its mount of the server.
+    pub mount: Arc<Mount>,
+    /// The data file's handle.
+    pub data_fh: FileHandle,
+}
+
+/// Builds a [`RelayRig`] with a `file_bytes`-byte data file, the server
+/// dispatching on `cores` when given.
+pub fn relay_rig(cores: Option<usize>, file_bytes: usize) -> RelayRig {
+    let world = World::build(&WorldSpec {
+        disk: None,
+        cpu: None,
+        cores,
+        ..WorldSpec::bench()
+    });
+    let client = world.clients[0].clone();
+    let mount = client.mount(UID, world.path()).expect("mount");
+    let file = format!("{}/bench/data", world.path().full_path());
+    client
+        .write_file(UID, &file, &vec![0xAB; file_bytes])
+        .expect("write data file");
+    let (_, data_fh, _) = client.resolve(UID, &file).expect("resolve data file");
+    client.set_caching(false);
+    RelayRig {
+        world,
+        client,
+        mount,
+        data_fh,
     }
 }

@@ -1,6 +1,8 @@
-//! Table formatting and paper-vs-measured reporting.
+//! Table formatting, paper-vs-measured reporting, and the one emitter
+//! and rerun check behind every committed `BENCH_*.json` artifact.
 
 use std::collections::BTreeMap;
+use std::fmt::{Debug, Display, Write};
 
 use sfs_sim::SimTime;
 use sfs_telemetry::Telemetry;
@@ -243,9 +245,174 @@ fn us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
 }
 
+/// An ordered JSON object. Field order is insertion order and every
+/// value is rendered when it is added (floats at a fixed precision), so
+/// equal inputs serialize byte-for-byte equally.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Obj(Vec<(&'static str, String)>);
+
+impl Obj {
+    /// The empty object.
+    pub fn new() -> Obj {
+        Obj::default()
+    }
+
+    fn put(mut self, key: &'static str, rendered: String) -> Obj {
+        self.0.push((key, rendered));
+        self
+    }
+
+    /// A string field (escaped).
+    pub fn str(self, key: &'static str, v: &str) -> Obj {
+        let mut out = String::from('"');
+        for c in v.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).unwrap(),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        self.put(key, out)
+    }
+
+    /// An integer or boolean field, rendered as `Display` prints it.
+    pub fn num(self, key: &'static str, v: impl Display) -> Obj {
+        self.put(key, v.to_string())
+    }
+
+    /// A float field with exactly `decimals` fractional digits.
+    pub fn float(self, key: &'static str, v: f64, decimals: usize) -> Obj {
+        self.put(key, format!("{v:.decimals$}"))
+    }
+
+    /// A nested object field (rendered on one line).
+    pub fn obj(self, key: &'static str, v: Obj) -> Obj {
+        self.put(key, v.line())
+    }
+
+    /// A `null` field.
+    pub fn null(self, key: &'static str) -> Obj {
+        self.put(key, "null".into())
+    }
+
+    /// `{"k": v, …}` on one line.
+    fn line(&self) -> String {
+        let fields: Vec<String> = self
+            .0
+            .iter()
+            .map(|(k, v)| format!("\"{k}\": {v}"))
+            .collect();
+        format!("{{{}}}", fields.join(", "))
+    }
+}
+
+/// Renders a bench artifact: the `header` fields one per line, then the
+/// array `rows_key` with one row per line.
+pub fn artifact_json(header: &Obj, rows_key: &str, rows: &[Obj]) -> String {
+    let mut out = String::from("{\n");
+    for (k, v) in &header.0 {
+        writeln!(out, "  \"{k}\": {v},").unwrap();
+    }
+    writeln!(out, "  \"{rows_key}\": [").unwrap();
+    for (i, row) in rows.iter().enumerate() {
+        let sep = if i + 1 == rows.len() { "" } else { "," };
+        writeln!(out, "    {}{sep}", row.line()).unwrap();
+    }
+    out.push_str("  ]\n}\n");
+    out
+}
+
+/// Writes [`artifact_json`] to `path` (exit 2 when the path is
+/// unwritable) and says so on stdout.
+pub fn write_artifact(path: &str, header: &Obj, rows_key: &str, rows: &[Obj]) {
+    if let Err(e) = std::fs::write(path, artifact_json(header, rows_key, rows)) {
+        eprintln!("write {path}: {e}");
+        std::process::exit(2);
+    }
+    println!("wrote {path}");
+}
+
+/// Runs `run` twice, each from whatever fresh world it builds, and
+/// returns the first outcome. Virtual time leaves the host nothing to
+/// vary, so any difference is a bug: says where the two outcomes'
+/// `{:#?}` renderings first part and exits 1.
+pub fn rerun_identical<T: PartialEq + Debug>(what: &str, mut run: impl FnMut() -> T) -> T {
+    let (first, again) = (run(), run());
+    if first != again {
+        eprintln!("FAIL: {what} is not deterministic across reruns");
+        let (a, b) = (format!("{first:#?}"), format!("{again:#?}"));
+        match a
+            .lines()
+            .zip(b.lines())
+            .enumerate()
+            .find(|(_, (x, y))| x != y)
+        {
+            Some((i, (x, y))) => eprintln!("  line {}: {x:?} vs {y:?}", i + 1),
+            None => eprintln!("  one outcome is a prefix of the other"),
+        }
+        std::process::exit(1);
+    }
+    first
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn artifact_bytes_are_pinned() {
+        let header = Obj::new()
+            .str("schema", "sfs-bench/demo/v1")
+            .str("mode", "smoke")
+            .float("hit_rate_floor", 0.9, 2)
+            .obj(
+                "unit",
+                Obj::new().str("*_ns", "nanoseconds").num("window", 16),
+            )
+            .null("faults");
+        let rows = [
+            Obj::new()
+                .str("name", "say \"hi\"\\\n")
+                .num("clients", 8usize)
+                .num("blocking", true)
+                .float("mb_per_s", 3.23049, 3)
+                .float("mean_op_us", 12.25, 1),
+            Obj::new().num("virtual_ns", u64::MAX).float("x", 2.0, 0),
+        ];
+        assert_eq!(
+            artifact_json(&header, "rows", &rows),
+            concat!(
+                "{\n",
+                "  \"schema\": \"sfs-bench/demo/v1\",\n",
+                "  \"mode\": \"smoke\",\n",
+                "  \"hit_rate_floor\": 0.90,\n",
+                "  \"unit\": {\"*_ns\": \"nanoseconds\", \"window\": 16},\n",
+                "  \"faults\": null,\n",
+                "  \"rows\": [\n",
+                "    {\"name\": \"say \\\"hi\\\"\\\\\\u000a\", \"clients\": 8, \"blocking\": true, ",
+                "\"mb_per_s\": 3.230, \"mean_op_us\": 12.2},\n",
+                "    {\"virtual_ns\": 18446744073709551615, \"x\": 2}\n",
+                "  ]\n",
+                "}\n",
+            )
+        );
+        assert_eq!(
+            artifact_json(&Obj::new(), "rows", &[]),
+            "{\n  \"rows\": [\n  ]\n}\n"
+        );
+    }
+
+    #[test]
+    fn rerun_identical_returns_the_first_of_two_equal_outcomes() {
+        let mut runs = 0;
+        let out = rerun_identical("demo", || {
+            runs += 1;
+            vec![1u64, 2, 3]
+        });
+        assert_eq!((out, runs), (vec![1, 2, 3], 2));
+    }
 
     #[test]
     fn ratio_and_render() {
@@ -292,8 +459,10 @@ mod tests {
         // render the breakdown from the histograms the server recorded.
         let tel = Telemetry::recording(sfs_telemetry::ZeroClock);
         let scoped = tel.scoped("NFS 3 (UDP)");
-        let (fs, _clock, prefix, _) =
-            crate::calib::build_fs_chaos(crate::calib::System::NfsUdp, &scoped, None);
+        let crate::Testbed { fs, prefix, .. } = crate::Testbed::build(
+            crate::System::NfsUdp,
+            &crate::world::WorldSpec::bench().traced(&scoped),
+        );
         let p = format!("{prefix}/smoke");
         fs.create(&p).unwrap();
         fs.write(&p, 0, b"breakdown").unwrap();

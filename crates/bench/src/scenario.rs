@@ -35,28 +35,26 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use sfs::authserver::{sign_key_update, AuthServer, UserRecord};
-use sfs::client::{SfsClient, SfsNetwork};
-use sfs::server::{ServerConfig, SfsServer};
+use sfs::authserver::sign_key_update;
 use sfs_bignum::{RandomSource, XorShiftSource};
-use sfs_crypto::rabin::{generate_keypair, RabinPrivateKey};
-use sfs_crypto::srp::SrpGroup;
-use sfs_crypto::SfsPrg;
+use sfs_crypto::rabin::RabinPrivateKey;
 use sfs_proto::channel::SuiteId;
 use sfs_proto::revoke::RevocationCert;
-use sfs_sim::{ChurnSchedule, FaultPlan, NetParams, SimClock, SimDisk, Transport};
+use sfs_sim::{ChurnSchedule, FaultPlan, SimClock};
 use sfs_telemetry::sync::Mutex;
 use sfs_telemetry::Telemetry;
-use sfs_vfs::{Credentials, SetAttr, Vfs};
+use sfs_vfs::{Credentials, SetAttr};
 
 use crate::args::{ScenarioOp, ScenarioSpec};
-use crate::calib::{bench_disk_params, BENCH_UID};
+use crate::calib::BENCH_UID;
 use crate::kernel::{BenchFsError, FsBench, SfsBench};
+use crate::keys;
+use crate::world::{KeySeeds, World, WorldSpec, USER};
 
 /// Lease duration the mix engine's oracle assumes (the
-/// [`ServerConfig::new`] default; [`build_world`] only overrides it for
+/// [`ServerConfig::new`] default; [`scenario_world`] only overrides it for
 /// the lease storm).
 pub const DEFAULT_LEASE_NS: u64 = 30_000_000_000;
 
@@ -66,189 +64,85 @@ pub const DEFAULT_LEASE_NS: u64 = 30_000_000_000;
 /// arc4-sha1` flips the whole world back to the paper baseline.
 static SCENARIO_SUITE: AtomicU32 = AtomicU32::new(SuiteId::ChaCha20Poly1305.wire_id());
 
-/// Sets the cipher suite [`build_world`] clients offer. Process-global
+/// Sets the cipher suite [`scenario_world`] clients offer. Process-global
 /// by design: a scenario world's suite is part of its determinism
 /// contract, so it is fixed once by the driver, not threaded per run.
 pub fn set_scenario_suite(suite: SuiteId) {
     SCENARIO_SUITE.store(suite.wire_id(), Ordering::Relaxed);
 }
 
-/// The suite [`build_world`] clients currently offer.
+/// The suite [`scenario_world`] clients currently offer.
 pub fn scenario_suite() -> SuiteId {
     SuiteId::from_wire(SCENARIO_SUITE.load(Ordering::Relaxed))
         .expect("scenario suite is always stored from a valid SuiteId")
 }
 
-// ---------------------------------------------------------------- keys
-
-/// Cached scenario server keys (768-bit generation dominates startup).
-fn scenario_server_key(which: usize) -> RabinPrivateKey {
-    static KEYS: OnceLock<Vec<RabinPrivateKey>> = OnceLock::new();
-    KEYS.get_or_init(|| {
-        (0..2u64)
-            .map(|i| {
-                let mut rng = XorShiftSource::new(0x5CE_A000 + 4096 * i);
-                generate_keypair(768, &mut rng)
-            })
-            .collect()
-    })[which]
-        .clone()
-}
-
-/// Cached key for the benchmark user `bench`.
-fn scenario_user_key() -> RabinPrivateKey {
-    static KEY: OnceLock<RabinPrivateKey> = OnceLock::new();
-    KEY.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0x5CE_0001);
-        generate_keypair(512, &mut rng)
-    })
-    .clone()
-}
-
-/// Cached small SRP group.
-fn scenario_srp_group() -> SrpGroup {
-    static G: OnceLock<SrpGroup> = OnceLock::new();
-    G.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0x5CE_5209);
-        SrpGroup::generate(128, &mut rng)
-    })
-    .clone()
-}
+// --------------------------------------------------------------- world
 
 /// The replacement user key rolled in during rollover-storm wave `wave`.
 fn rollover_key(wave: usize) -> RabinPrivateKey {
-    let mut rng = XorShiftSource::new(0x5CE_B000 + wave as u64);
-    generate_keypair(512, &mut rng)
+    keys::rabin(512, 0x5CE_B000 + wave as u64)
 }
 
-// --------------------------------------------------------------- world
+const SCENARIO_KEYS: KeySeeds = KeySeeds {
+    servers: &[0x5CE_A000, 0x5CE_B000],
+    user: 0x5CE_0001,
+    srp: 0x5CE_5209,
+    ephemeral: None,
+};
 
-/// A multi-client, multi-server SFS world on one virtual clock: the
-/// substrate every scenario runs on. Servers share one authserver (one
-/// administrative realm); every client's agent holds the `bench` user
-/// key.
-pub struct ScenarioWorld {
-    /// The shared virtual clock.
-    pub clock: SimClock,
-    /// The shared network fabric.
-    pub net: Arc<SfsNetwork>,
-    /// Servers at `s{k}.scenario`, key slot `k`.
-    pub servers: Vec<Arc<SfsServer>>,
-    /// The realm's authserver (shared by all servers).
-    pub auth: Arc<AuthServer>,
-    /// Clients; all agents hold the `bench` key initially.
-    pub clients: Vec<Arc<SfsClient>>,
+/// `/sfs/Location:HostID/bench` prefix for server `s` of `world`.
+fn prefix(world: &World, s: usize) -> String {
+    format!("{}/bench", world.servers[s].path().full_path())
 }
 
-impl ScenarioWorld {
-    /// `/sfs/Location:HostID/bench` prefix for server `s`.
-    pub fn prefix(&self, s: usize) -> String {
-        format!("{}/bench", self.servers[s].path().full_path())
-    }
-}
-
-/// Builds a world of `clients` clients and `servers` servers (≤ 2).
-/// Each server exports a world-writable `/bench` with a world-readable
-/// `probe` file and a 0600 `secret` readable only by the `bench` user.
-/// `lease_ns` overrides the attribute-lease duration (the lease storm
-/// shrinks it); the fault plan, when given, is threaded through the
-/// wire, every server, and every disk.
-pub fn build_world(
+/// Builds the substrate every scenario runs on: `clients` clients and
+/// `servers` servers (≤ 2, at `s{k}.scenario`) on one virtual clock,
+/// every agent holding the user's key, every client offering
+/// [`scenario_suite`]. Each server exports a world-writable `/bench`
+/// with a world-readable `probe` file and a 0600 `secret` readable only
+/// by the user. `lease_ns` overrides the attribute-lease duration (the
+/// lease storm shrinks it); the fault plan, when given, is threaded
+/// through the wire, every server, and every disk.
+pub fn scenario_world(
     clients: usize,
     servers: usize,
     lease_ns: Option<u64>,
     tel: &Telemetry,
     plan: Option<&FaultPlan>,
-) -> ScenarioWorld {
-    let clock = SimClock::new();
-    let net = SfsNetwork::new(clock.clone(), NetParams::switched_100mbit(Transport::Tcp));
-    let auth = Arc::new(AuthServer::new(scenario_srp_group(), 2));
-    let ukey = scenario_user_key();
-    auth.register_user(UserRecord {
-        user: "bench".into(),
-        uid: BENCH_UID,
-        gids: vec![100],
-        public_key: ukey.public().to_bytes(),
+) -> World {
+    let world = World::build(&WorldSpec {
+        keys: SCENARIO_KEYS,
+        locations: &["s0.scenario", "s1.scenario"][..servers],
+        server_entropy: "scenario-server-{}",
+        client_entropy: "scenario-client-{}",
+        lease_ns,
+        clients,
+        cpu: None,
+        ..WorldSpec::bench().traced(tel).faulted(plan)
     });
-    if let Some(p) = plan {
-        p.set_telemetry(&tel.clone().with_clock(clock.clone()));
-        net.set_fault_plan(p.clone());
-    }
-
-    let mut srvs = Vec::new();
-    for s in 0..servers {
-        let location = format!("s{s}.scenario");
-        let disk = SimDisk::new(clock.clone(), bench_disk_params());
-        if let Some(p) = plan {
-            disk.set_fault_plan(p.clone());
-        }
-        let vfs = Vfs::new(40 + s as u64, clock.clone()).with_disk(disk);
-        let root_creds = Credentials::root();
-        let bench = vfs.mkdir_p("/bench").unwrap();
-        vfs.setattr(
-            &root_creds,
-            bench,
-            SetAttr {
-                mode: Some(0o777),
+    let root = Credentials::root();
+    for server in &world.servers {
+        let vfs = server.vfs();
+        let (bench, _) = vfs.lookup(&root, vfs.root(), "bench").unwrap();
+        for (name, mode, body) in [
+            ("probe", 0o644, format!("probe@{}", server.path().location)),
+            ("secret", 0o600, "rollover-secret".to_string()),
+        ] {
+            let ino = vfs.write_file(&root, bench, name, body.as_bytes()).unwrap();
+            let attr = SetAttr {
+                mode: Some(mode),
                 uid: Some(BENCH_UID),
                 gid: Some(100),
                 ..Default::default()
-            },
-        )
-        .unwrap();
-        for (name, mode, body) in [
-            ("probe", 0o644, format!("probe@{location}")),
-            ("secret", 0o600, "rollover-secret".to_string()),
-        ] {
-            vfs.write_file(&root_creds, bench, name, body.as_bytes())
-                .unwrap();
-            let (ino, _) = vfs.lookup(&root_creds, bench, name).unwrap();
-            vfs.setattr(
-                &root_creds,
-                ino,
-                SetAttr {
-                    mode: Some(mode),
-                    uid: Some(BENCH_UID),
-                    gid: Some(100),
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+            };
+            vfs.setattr(&root, ino, attr).unwrap();
         }
-        let mut cfg = ServerConfig::new(&location);
-        if let Some(l) = lease_ns {
-            cfg.lease_ns = l;
-        }
-        let server = SfsServer::new(
-            cfg,
-            scenario_server_key(s),
-            vfs,
-            auth.clone(),
-            SfsPrg::from_entropy(format!("scenario-server-{s}").as_bytes()),
-        );
-        net.register(server.clone());
-        if let Some(p) = plan {
-            server.set_fault_plan(p.clone());
-        }
-        server.set_telemetry(tel);
-        srvs.push(server);
     }
-
-    let mut cls = Vec::new();
-    for c in 0..clients {
-        let client = SfsClient::new(net.clone(), format!("scenario-client-{c}").as_bytes());
+    for client in &world.clients {
         client.set_suite_offer(&[scenario_suite()]);
-        client.set_telemetry(tel);
-        client.agent(BENCH_UID).lock().add_key(ukey.clone());
-        cls.push(client);
     }
-    ScenarioWorld {
-        clock,
-        net,
-        servers: srvs,
-        auth,
-        clients: cls,
-    }
+    world
 }
 
 // --------------------------------------------------------------- trace
@@ -613,8 +507,8 @@ pub fn run_mix(
     plan: Option<&FaultPlan>,
     trace: Option<&TraceSink>,
 ) -> ScenarioOutcome {
-    let world = build_world(spec.clients, 1, None, tel, plan);
-    let prefix = world.prefix(0);
+    let world = scenario_world(spec.clients, 1, None, tel, plan);
+    let prefix = prefix(&world, 0);
     let fs: Vec<Box<dyn FsBench>> = world
         .clients
         .iter()
@@ -884,9 +778,9 @@ pub fn run_mount_storm(
     tel: &Telemetry,
     plan: Option<&FaultPlan>,
 ) -> ScenarioOutcome {
-    let world = build_world(clients, 1, None, tel, plan);
+    let world = scenario_world(clients, 1, None, tel, plan);
     let path = world.servers[0].path().clone();
-    let probe = format!("{}/probe", world.prefix(0));
+    let probe = format!("{}/probe", prefix(&world, 0));
     let want = b"probe@s0.scenario".to_vec();
     let mut log = Vec::new();
     let mut oracle_checks = 0u64;
@@ -946,9 +840,9 @@ pub fn run_rollover_storm(
     plan: Option<&FaultPlan>,
 ) -> ScenarioOutcome {
     assert!(clients >= 2, "rollover storm needs a laggard plus rollers");
-    let world = build_world(clients, 1, None, tel, plan);
-    let secret = format!("{}/secret", world.prefix(0));
-    let probe = format!("{}/probe", world.prefix(0));
+    let world = scenario_world(clients, 1, None, tel, plan);
+    let secret = format!("{}/secret", prefix(&world, 0));
+    let probe = format!("{}/probe", prefix(&world, 0));
     let laggard = clients - 1;
     let mut log = Vec::new();
     let mut oracle_checks = 0u64;
@@ -963,19 +857,22 @@ pub fn run_rollover_storm(
     log.push(format!("{} all-warm", world.clock.now().as_nanos()));
 
     let schedule = ChurnSchedule::generate(seed, waves, 300_000_000, 60_000_000);
-    let mut current = scenario_user_key();
+    let mut current = world.user_key();
     for (w, wave) in schedule.waves().iter().enumerate() {
         world.clock.advance_to(wave.at);
         let new = rollover_key(w);
         let new_pub = new.public().to_bytes();
-        let sig = sign_key_update(&current, "bench", &new_pub);
-        world
-            .auth
-            .change_public_key("bench", &new_pub, &sig)
+        let sig = sign_key_update(&current, USER, &new_pub);
+        world.servers[0]
+            .authserver()
+            .change_public_key(USER, &new_pub, &sig)
             .unwrap_or_else(|e| panic!("rollover wave {w}: authserver refused update: {e:?}"));
         let old_pub = current.public().to_bytes();
         assert!(
-            world.auth.credentials_for_key(&old_pub).is_none(),
+            world.servers[0]
+                .authserver()
+                .credentials_for_key(&old_pub)
+                .is_none(),
             "rolled-over key must no longer resolve to credentials"
         );
         oracle_checks += 1;
@@ -1054,8 +951,8 @@ pub fn run_lease_storm(
     assert!(clients >= 2, "lease storm needs a writer plus readers");
     const LEASE_NS: u64 = 250_000_000;
     const IO: u64 = 512;
-    let world = build_world(clients, 1, Some(LEASE_NS), tel, plan);
-    let prefix = world.prefix(0);
+    let world = scenario_world(clients, 1, Some(LEASE_NS), tel, plan);
+    let prefix = prefix(&world, 0);
     let fs: Vec<SfsBench> = world
         .clients
         .iter()
@@ -1150,16 +1047,16 @@ pub fn run_revocation_storm(
     tel: &Telemetry,
     plan: Option<&FaultPlan>,
 ) -> ScenarioOutcome {
-    let world = build_world(clients, 2, None, tel, plan);
+    let world = scenario_world(clients, 2, None, tel, plan);
     let bench0: Vec<SfsBench> = world
         .clients
         .iter()
-        .map(|c| SfsBench::new("SFS", c.clone(), BENCH_UID, &world.prefix(0)))
+        .map(|c| SfsBench::new("SFS", c.clone(), BENCH_UID, &prefix(&world, 0)))
         .collect();
     let bench1: Vec<SfsBench> = world
         .clients
         .iter()
-        .map(|c| SfsBench::new("SFS", c.clone(), BENCH_UID, &world.prefix(1)))
+        .map(|c| SfsBench::new("SFS", c.clone(), BENCH_UID, &prefix(&world, 1)))
         .collect();
     let mut log = Vec::new();
     let mut oracle_checks = 0u64;
@@ -1181,7 +1078,7 @@ pub fn run_revocation_storm(
 
     // The broadcast: the owner's self-authenticating certificate is
     // installed at the server and pushed to every agent.
-    let cert = RevocationCert::issue(&scenario_server_key(0), "s0.scenario");
+    let cert = RevocationCert::issue(&keys::rabin(768, SCENARIO_KEYS.servers[0]), "s0.scenario");
     world.servers[0].install_revocation(cert.clone());
     for (c, client) in world.clients.iter().enumerate() {
         assert!(

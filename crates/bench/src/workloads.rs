@@ -438,18 +438,19 @@ pub fn lfs_large(fs: &dyn FsBench, prefix: &str) -> Vec<Phase> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::calib::{build_fs, System};
+    use crate::calib::{System, Testbed};
+    use crate::world::WorldSpec;
 
     #[test]
     fn mab_produces_five_phases_in_order() {
-        let (fs, _clock, prefix, _) = build_fs(System::Local);
+        let Testbed { fs, prefix, .. } = Testbed::build(System::Local, &WorldSpec::bench());
         let cfg = MabConfig {
             files: 8,
             dirs: 4,
             compile_cpu_ns: 1_000_000,
             ..Default::default()
         };
-        let phases = mab(fs.as_ref(), &prefix, &cfg);
+        let phases = mab(fs.as_ref(), prefix, &cfg);
         let names: Vec<&str> = phases.iter().map(|p| p.name.as_str()).collect();
         assert_eq!(
             names,
@@ -460,8 +461,8 @@ mod tests {
 
     #[test]
     fn lfs_small_phases_scale_with_file_count() {
-        let (fs, _clock, prefix, _) = build_fs(System::Local);
-        let a = lfs_small(fs.as_ref(), &prefix, 10);
+        let Testbed { fs, prefix, .. } = Testbed::build(System::Local, &WorldSpec::bench());
+        let a = lfs_small(fs.as_ref(), prefix, 10);
         assert_eq!(a.len(), 3);
         // Create and unlink are disk-bound: 10 files cost something.
         assert!(a[0].time.as_nanos() > 0);
@@ -470,30 +471,38 @@ mod tests {
 
     #[test]
     fn micro_latency_is_positive_and_stable() {
-        let (fs, _clock, prefix, _) = build_fs(System::NfsUdp);
-        let lat = micro_latency(fs.as_ref(), &prefix);
+        let Testbed { fs, prefix, .. } = Testbed::build(System::NfsUdp, &WorldSpec::bench());
+        let lat = micro_latency(fs.as_ref(), prefix);
         assert!(lat > 50.0 && lat < 2_000.0, "latency {lat} µs out of range");
     }
 
     #[test]
     fn nfs_rpc_counts_exceed_local() {
-        let (nfs, _c1, p1, _) = build_fs(System::NfsUdp);
+        let Testbed {
+            fs: nfs,
+            prefix: p1,
+            ..
+        } = Testbed::build(System::NfsUdp, &WorldSpec::bench());
         let cfg = MabConfig {
             files: 6,
             dirs: 3,
             compile_cpu_ns: 1_000_000,
             ..Default::default()
         };
-        mab(nfs.as_ref(), &p1, &cfg);
+        mab(nfs.as_ref(), p1, &cfg);
         assert!(nfs.rpcs() > 20, "NFS must issue wire RPCs");
-        let (local, _c2, p2, _) = build_fs(System::Local);
-        mab(local.as_ref(), &p2, &cfg);
+        let Testbed {
+            fs: local,
+            prefix: p2,
+            ..
+        } = Testbed::build(System::Local, &WorldSpec::bench());
+        mab(local.as_ref(), p2, &cfg);
         assert_eq!(local.rpcs(), 0);
     }
 
     #[test]
     fn sfs_caching_cuts_rpcs_on_repeated_stats() {
-        let (fs, _clock, prefix, _) = build_fs(System::Sfs);
+        let Testbed { fs, prefix, .. } = Testbed::build(System::Sfs, &WorldSpec::bench());
         let p = format!("{prefix}/statme")
             .trim_start_matches('/')
             .to_string();
@@ -507,7 +516,7 @@ mod tests {
             fs.stat(&p).unwrap();
         }
         assert!(fs.rpcs() - before <= 1, "leased stats must stay local");
-        let (fs, _clock, prefix, _) = build_fs(System::SfsNoCache);
+        let Testbed { fs, prefix, .. } = Testbed::build(System::SfsNoCache, &WorldSpec::bench());
         let p = format!("{prefix}/statme")
             .trim_start_matches('/')
             .to_string();

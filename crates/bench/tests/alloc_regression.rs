@@ -10,24 +10,16 @@
 //! cushion absorbs platform differences in collection growth; anything
 //! above it means the pooled buffer flow broke somewhere.
 
-use std::sync::Arc;
-
-use sfs::authserver::{AuthServer, UserRecord};
-use sfs::client::{SfsClient, SfsNetwork};
-use sfs::server::{ServerConfig, SfsServer};
 use sfs_bench::alloc_count::{count_allocs, CountingAlloc};
+use sfs_bench::keys;
+use sfs_bench::microbench::{relay_rig, RelayRig};
+use sfs_bench::world::UID;
 use sfs_bignum::XorShiftSource;
-use sfs_crypto::rabin::generate_keypair;
-use sfs_crypto::srp::SrpGroup;
-use sfs_crypto::SfsPrg;
 use sfs_nfs3::proto::{Nfs3Reply, Nfs3Request};
-use sfs_sim::{NetParams, SimClock, Transport};
-use sfs_vfs::{Credentials, Vfs};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-const UID: u32 = 1000;
 const GETATTR_ALLOC_CEILING: f64 = 9.0;
 const READ_ALLOC_CEILING: f64 = 13.0;
 const SHARDED_READ_ALLOC_CEILING: f64 = 22.0;
@@ -36,49 +28,12 @@ const RABIN_512_SIGN_ALLOC_CEILING: u64 = 84;
 
 #[test]
 fn steady_state_relay_allocations_stay_pinned() {
-    let clock = SimClock::new();
-    let vfs = Vfs::new(7, clock.clone());
-    let dir = vfs.mkdir_p("/bench").unwrap();
-    vfs.setattr(
-        &Credentials::root(),
-        dir,
-        sfs_vfs::SetAttr {
-            mode: Some(0o777),
-            uid: Some(UID),
-            gid: Some(100),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let mut rng = XorShiftSource::new(0x51EE);
-    let auth = Arc::new(AuthServer::new(SrpGroup::generate(128, &mut rng), 2));
-    let user_key = generate_keypair(512, &mut rng);
-    auth.register_user(UserRecord {
-        user: "bench".into(),
-        uid: UID,
-        gids: vec![100],
-        public_key: user_key.public().to_bytes(),
-    });
-    let server = SfsServer::new(
-        ServerConfig::new("server.allocs"),
-        generate_keypair(768, &mut rng),
-        vfs,
-        auth,
-        SfsPrg::from_entropy(b"alloc-regression-server"),
-    );
-    let net = SfsNetwork::new(clock, NetParams::switched_100mbit(Transport::Tcp));
-    net.register(server.clone());
-    let client = SfsClient::new(net, b"alloc-regression-client");
-    client.agent(UID).lock().add_key(user_key);
-
-    let path = server.path();
-    let mount = client.mount(UID, path).expect("mount");
-    let file = format!("{}/bench/data", path.full_path());
-    client
-        .write_file(UID, &file, &vec![0xCDu8; 4096])
-        .expect("write");
-    let (_, fh, _) = client.resolve(UID, &file).expect("resolve");
-    client.set_caching(false); // every measured op must cross the wire
+    let RelayRig {
+        client,
+        mount,
+        data_fh: fh,
+        ..
+    } = relay_rig(None, 4096);
 
     // Warm the pools, the connection, and any lazy collection growth.
     for _ in 0..8 {
@@ -134,50 +89,12 @@ fn sharded_windowed_allocations_stay_pinned() {
     // buffer on both sides; in-order frames are now opened in the
     // pooled buffer they arrive in), so the ceiling pins the whole
     // sharded steady state with a small cushion.
-    let clock = SimClock::new();
-    let vfs = Vfs::new(7, clock.clone());
-    let dir = vfs.mkdir_p("/bench").unwrap();
-    vfs.setattr(
-        &Credentials::root(),
-        dir,
-        sfs_vfs::SetAttr {
-            mode: Some(0o777),
-            uid: Some(UID),
-            gid: Some(100),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let mut rng = XorShiftSource::new(0x51EF);
-    let auth = Arc::new(AuthServer::new(SrpGroup::generate(128, &mut rng), 2));
-    let user_key = generate_keypair(512, &mut rng);
-    auth.register_user(UserRecord {
-        user: "bench".into(),
-        uid: UID,
-        gids: vec![100],
-        public_key: user_key.public().to_bytes(),
-    });
-    let server = SfsServer::new(
-        ServerConfig::new("server.shardallocs"),
-        generate_keypair(768, &mut rng),
-        vfs,
-        auth,
-        SfsPrg::from_entropy(b"alloc-regression-shard-server"),
-    );
-    server.set_cores(4);
-    let net = SfsNetwork::new(clock, NetParams::switched_100mbit(Transport::Tcp));
-    net.register(server.clone());
-    let client = SfsClient::new(net, b"alloc-regression-shard-client");
-    client.agent(UID).lock().add_key(user_key);
-
-    let path = server.path();
-    let mount = client.mount(UID, path).expect("mount");
-    let file = format!("{}/bench/data", path.full_path());
-    client
-        .write_file(UID, &file, &vec![0xCDu8; 8 * 4096])
-        .expect("write");
-    let (_, fh, _) = client.resolve(UID, &file).expect("resolve");
-    client.set_caching(false);
+    let RelayRig {
+        world,
+        client,
+        mount,
+        data_fh: fh,
+    } = relay_rig(Some(4), 8 * 4096);
     client.set_pipeline_window(8);
 
     const BATCH: usize = 8;
@@ -204,7 +121,7 @@ fn sharded_windowed_allocations_stay_pinned() {
             }
         }
     });
-    let engine = server.shard_engine().expect("engine installed");
+    let engine = world.servers[0].shard_engine().expect("engine installed");
     assert!(
         engine.frames_scheduled() > 0,
         "the windowed batches never went through the shard engine"
@@ -228,8 +145,8 @@ fn rabin_private_operations_stay_allocation_lean() {
     // and OAEP unpadding of the candidate roots: 74 and 69 measured,
     // pinned with ~20 % headroom.
     let mut rng = XorShiftSource::new(0x51F0);
-    let server_key = generate_keypair(768, &mut rng);
-    let user_key = generate_keypair(512, &mut rng);
+    let server_key = keys::rabin(768, 0x51F0);
+    let user_key = keys::rabin(512, 0x51F1);
     let cipher = server_key
         .public()
         .encrypt(b"sixteen-byte-key", &mut rng)

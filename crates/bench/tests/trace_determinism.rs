@@ -7,8 +7,9 @@
 //! 2. **Zero perturbation** — tracing never advances the virtual clock,
 //!    so results with tracing on and off are identical.
 
-use sfs_bench::calib::{build_fs, build_fs_traced, System};
+use sfs_bench::calib::{System, Testbed};
 use sfs_bench::workloads::{mab, total, MabConfig};
+use sfs_bench::world::WorldSpec;
 use sfs_telemetry::{Telemetry, ZeroClock};
 
 fn small_mab() -> MabConfig {
@@ -25,8 +26,10 @@ fn small_mab() -> MabConfig {
 /// time and the rendered trace.
 fn traced_run(system: System) -> (u64, String) {
     let tel = Telemetry::recording(ZeroClock);
-    let (fs, clock, prefix, _) = build_fs_traced(system, &tel);
-    mab(fs.as_ref(), &prefix, &small_mab());
+    let Testbed {
+        fs, clock, prefix, ..
+    } = Testbed::build(system, &WorldSpec::bench().traced(&tel));
+    mab(fs.as_ref(), prefix, &small_mab());
     (clock.now().as_nanos(), tel.chrome_trace())
 }
 
@@ -52,14 +55,21 @@ fn identical_runs_give_byte_identical_traces() {
 #[test]
 fn tracing_does_not_perturb_virtual_time() {
     for system in [System::NfsUdp, System::Sfs] {
-        let (fs, clock, prefix, _) = build_fs(system);
-        let untraced = total(&mab(fs.as_ref(), &prefix, &small_mab()));
+        let Testbed {
+            fs, clock, prefix, ..
+        } = Testbed::build(system, &WorldSpec::bench());
+        let untraced = total(&mab(fs.as_ref(), prefix, &small_mab()));
         let _ = (fs, clock);
 
         let (traced_ns, _) = traced_run(system);
         // The traced run's end time includes exactly the same charges.
-        let (fs2, clock2, prefix2, _) = build_fs(system);
-        mab(fs2.as_ref(), &prefix2, &small_mab());
+        let Testbed {
+            fs: fs2,
+            clock: clock2,
+            prefix: prefix2,
+            ..
+        } = Testbed::build(system, &WorldSpec::bench());
+        mab(fs2.as_ref(), prefix2, &small_mab());
         assert_eq!(
             clock2.now().as_nanos(),
             traced_ns,

@@ -1682,8 +1682,8 @@ impl SfsClient {
         };
         // Well-formed sealed replies — the steady state — open in place
         // inside the reply buffer, which then goes back to the pool.
-        // Anything else falls through to the general decoder below so
-        // error classification is unchanged.
+        // Anything else is an error reply or corrupted framing, classified
+        // by the general decoder below.
         if let Some(frame) = sealed_envelope_frame(&reply_bytes) {
             self.charge_user_copy(frame.len());
             self.charge_crypto_cost(link.channel.suite(), frame.len());
@@ -1700,22 +1700,10 @@ impl SfsClient {
         // session death so the retry driver renegotiates.
         let reply = ReplyMsg::from_xdr(&reply_bytes)
             .map_err(|e| ClientError::Protocol(format!("reply framing corrupted: {e}")))?;
-        let ReplyMsg::Sealed(sealed) = reply else {
-            return match reply {
-                ReplyMsg::Error(e) => Err(ClientError::Protocol(e)),
-                other => Err(ClientError::Protocol(format!(
-                    "unexpected reply: {other:?}"
-                ))),
-            };
-        };
-        self.charge_user_copy(sealed.len());
-        self.charge_crypto_cost(link.channel.suite(), sealed.len());
-        let plain = link.channel.open(&sealed)?;
-        drop(guard);
-        let inner =
-            InnerReply::from_xdr(&plain).map_err(|e| ClientError::Protocol(e.to_string()))?;
-        self.apply_invalidations(mount, &inner);
-        Ok(inner)
+        Err(ClientError::Protocol(match reply {
+            ReplyMsg::Error(e) => e,
+            other => format!("unexpected reply: {other:?}"),
+        }))
     }
 
     /// Applies a reply's piggybacked invalidation callbacks to the

@@ -35,7 +35,7 @@ use sfs_proto::keyneg::{
 use sfs_proto::pathname::SelfCertifyingPath;
 use sfs_proto::readonly::{RoDatabase, RoError};
 use sfs_proto::revoke::{ForwardingPointer, RevocationCert};
-use sfs_proto::userauth::{AuthInfo, SeqWindow, AUTHNO_ANONYMOUS};
+use sfs_proto::userauth::{AuthInfo, AuthMsg, SeqWindow, AUTHNO_ANONYMOUS};
 use sfs_sim::{FaultPlan, ServerCost, ServerLoad};
 use sfs_telemetry::sync::Mutex;
 use sfs_telemetry::Telemetry;
@@ -48,8 +48,8 @@ use crate::config::DispatchTable;
 use crate::sealbox;
 use crate::shard::{ShardEngine, ShardedReplyCache};
 use crate::wire::{
-    sealed_env_begin, sealed_env_finish, sealed_envelope_frame, seq_call_envelope, seq_env_begin,
-    seq_env_finish, CallMsg, Dialect, InnerCall, InnerReply, ReplyMsg, Service,
+    inner_nfs_call, sealed_env_begin, sealed_env_finish, sealed_envelope_frame, seq_call_envelope,
+    seq_env_begin, seq_env_finish, CallMsg, Dialect, InnerCall, InnerReply, ReplyMsg, Service,
     SEALED_ENV_FRAME_START, SEALED_SEQ_ENV_FRAME_START,
 };
 
@@ -462,12 +462,6 @@ impl SfsServer {
         db
     }
 
-    /// The current read-only database (for replication onto untrusted
-    /// hosts).
-    pub fn read_only_db(&self) -> Option<Arc<RoDatabase>> {
-        self.ro_db.lock().clone()
-    }
-
     /// Encrypts an NFS handle into its public SFS form.
     pub fn encrypt_handle(&self, fh: FileHandle) -> FileHandle {
         let mut buf = fh.0;
@@ -752,9 +746,7 @@ impl ServerConn {
 
     /// The zero-copy service path for one sealed frame: open in place in
     /// a pooled buffer, dispatch, and build the sealed reply envelope in
-    /// a single pooled buffer. Behaviour (keystream consumption, error
-    /// strings, telemetry) is identical to routing the frame through
-    /// [`Self::handle`]; only the allocations differ.
+    /// a single pooled buffer.
     fn handle_sealed_bytes(&self, frame: &[u8]) -> Vec<u8> {
         let tel = self.server.tel.lock().clone();
         let _span = tel.span("server", "core.server", "sealed");
@@ -794,34 +786,27 @@ impl ServerConn {
     /// inner-reply encoding to `out` (which already holds the caller's
     /// envelope prefix; the caller seals afterwards). The hot NFS3 path
     /// encodes its results straight into `out` without copying the
-    /// argument bytes; rare inner calls (Auth, Mount) fall back to the
-    /// general dispatcher. The channel was already advanced by the open,
-    /// so nothing here may re-open the frame.
+    /// argument bytes; rare inner calls (Auth, Mount) go through the
+    /// general decoder. The channel was already advanced by the open, so
+    /// nothing here may re-open the frame.
     fn service_plaintext_into(
         &self,
         est: &mut Established,
         plaintext: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<(), String> {
-        let mut dec = XdrDecoder::new(plaintext);
-        let nfs = match dec.get_u32() {
-            Ok(1) => {
-                match (
-                    dec.get_u32(),
-                    dec.get_u32(),
-                    dec.get_opaque_ref(),
-                    dec.finish(),
-                ) {
-                    (Ok(authno), Ok(proc), Ok(args), Ok(())) => Some((authno, proc, args)),
-                    _ => None,
-                }
-            }
-            _ => None,
-        };
-        let Some((authno, proc, args)) = nfs else {
-            let call =
-                InnerCall::from_xdr(plaintext).map_err(|e| format!("bad inner call: {e}"))?;
-            let reply = self.handle_inner(est, call);
+        let Some((authno, proc, args)) = inner_nfs_call(plaintext) else {
+            let reply =
+                match InnerCall::from_xdr(plaintext).map_err(|e| format!("bad inner call: {e}"))? {
+                    InnerCall::Auth { seq_no, msg } => self.handle_auth(est, seq_no, &msg),
+                    InnerCall::Mount => InnerReply::MountReply {
+                        root: self.server.root_handle(),
+                    },
+                    // `inner_nfs_call` accepts every plaintext that decodes
+                    // as `Nfs` (wire.rs pins the equivalence), so none gets
+                    // here.
+                    InnerCall::Nfs { .. } => return Err("bad inner call: nfs".into()),
+                };
             out.extend_from_slice(&reply.to_xdr());
             return Ok(());
         };
@@ -876,7 +861,7 @@ impl ServerConn {
     /// one, or several (a frame that fills a gap releases every buffered
     /// successor at once). Non-sequenced messages take the blocking path
     /// and always produce exactly one reply.
-    pub fn handle_frames(&self, bytes: &[u8]) -> Vec<Vec<u8>> {
+    fn handle_frames(&self, bytes: &[u8]) -> Vec<Vec<u8>> {
         match seq_call_envelope(bytes) {
             Some((chanseq, xid, frame)) => self.handle_seq_frame(chanseq, xid, &bytes[frame]),
             None => vec![self.handle_bytes(bytes)],
@@ -1032,6 +1017,11 @@ impl ServerConn {
 
     /// Processes one decoded wire message.
     pub fn handle(&self, msg: CallMsg) -> ReplyMsg {
+        if let CallMsg::Sealed(frame) = &msg {
+            // One sealed service path, whichever entry a frame came in by.
+            return ReplyMsg::from_xdr(&self.handle_sealed_bytes(frame))
+                .expect("the sealed path encodes a well-formed reply");
+        }
         let tel = self.server.tel.lock().clone();
         let name = match &msg {
             CallMsg::Hello { .. } => "hello",
@@ -1171,24 +1161,7 @@ impl ServerConn {
                     ticket: new_ticket,
                 }
             }
-            CallMsg::Sealed(frame) => {
-                let ConnState::Established(est) = &mut *state else {
-                    return ReplyMsg::Error("no secure channel".into());
-                };
-                let plaintext = match est.channel.open(&frame) {
-                    Ok(p) => p,
-                    Err(e) => return ReplyMsg::Error(format!("channel failure: {e}")),
-                };
-                let call = match InnerCall::from_xdr(&plaintext) {
-                    Ok(c) => c,
-                    Err(e) => return ReplyMsg::Error(format!("bad inner call: {e}")),
-                };
-                let reply = self.handle_inner(est, call);
-                match est.channel.seal(&reply.to_xdr()) {
-                    Ok(sealed) => ReplyMsg::Sealed(sealed),
-                    Err(e) => ReplyMsg::Error(format!("channel failure: {e}")),
-                }
-            }
+            CallMsg::Sealed(_) => unreachable!("sealed frames return above"),
             CallMsg::RoGetRoot => {
                 if !matches!(*state, ConnState::ReadOnly) {
                     return ReplyMsg::Error("not a read-only connection".into());
@@ -1267,74 +1240,39 @@ impl ServerConn {
         }
     }
 
-    fn handle_inner(&self, est: &mut Established, call: InnerCall) -> InnerReply {
-        match call {
-            InnerCall::Auth { seq_no, msg } => {
-                // The server recomputes the expected AuthID for *this*
-                // session; a request signed for another session cannot
-                // match.
-                let info = AuthInfo::for_fs(
-                    &self.server.config.location,
-                    self.server.path.host_id,
-                    est.session_id,
-                );
-                let tel = self.server.tel.lock().clone();
-                if !est.seqwin.accept(seq_no) {
-                    // Replay / out-of-window: the gate fires before any
-                    // signature check (§3.1.3's freshness guarantee).
-                    tel.count("server", "seqwin.rejected", 1);
-                    tel.instant("server", "core.server", "seqwin_reject");
-                    return InnerReply::AuthDenied { seq_no };
-                }
-                tel.count("server", "seqwin.accepted", 1);
-                match self.server.auth.validate(&msg, &info.auth_id(), seq_no) {
-                    Ok((user, creds)) => {
-                        let authno = est.next_authno;
-                        est.next_authno += 1;
-                        est.authnos.insert(authno, (user, creds));
-                        InnerReply::AuthGranted { seq_no, authno }
-                    }
-                    Err(_) => InnerReply::AuthDenied { seq_no },
-                }
+    /// Figure 4, step 3: one user-authentication attempt on this session.
+    fn handle_auth(&self, est: &mut Established, seq_no: u32, msg: &AuthMsg) -> InnerReply {
+        // The server recomputes the expected AuthID for *this*
+        // session; a request signed for another session cannot
+        // match.
+        let info = AuthInfo::for_fs(
+            &self.server.config.location,
+            self.server.path.host_id,
+            est.session_id,
+        );
+        let tel = self.server.tel.lock().clone();
+        if !est.seqwin.accept(seq_no) {
+            // Replay / out-of-window: the gate fires before any
+            // signature check (§3.1.3's freshness guarantee).
+            tel.count("server", "seqwin.rejected", 1);
+            tel.instant("server", "core.server", "seqwin_reject");
+            return InnerReply::AuthDenied { seq_no };
+        }
+        tel.count("server", "seqwin.accepted", 1);
+        match self.server.auth.validate(msg, &info.auth_id(), seq_no) {
+            Ok((user, creds)) => {
+                let authno = est.next_authno;
+                est.next_authno += 1;
+                est.authnos.insert(authno, (user, creds));
+                InnerReply::AuthGranted { seq_no, authno }
             }
-            InnerCall::Mount => InnerReply::MountReply {
-                root: self.server.root_handle(),
-            },
-            InnerCall::Nfs { authno, proc, args } => {
-                let creds = if authno == AUTHNO_ANONYMOUS {
-                    Credentials::anonymous()
-                } else {
-                    match est.authnos.get(&authno) {
-                        Some((_, creds)) => creds.clone(),
-                        None => Credentials::anonymous(),
-                    }
-                };
-                let results = self.dispatch_nfs(&creds, proc, &args);
-                // Piggyback this connection's pending invalidation
-                // callbacks, in SFS handle form.
-                let pending: Vec<FileHandle> = self
-                    .pending
-                    .lock()
-                    .drain(..)
-                    .map(|fh| self.server.encrypt_handle(fh))
-                    .collect();
-                InnerReply::Nfs {
-                    results,
-                    invalidations: pending,
-                }
-            }
+            Err(_) => InnerReply::AuthDenied { seq_no },
         }
     }
 
-    fn dispatch_nfs(&self, creds: &Credentials, proc: u32, args: &[u8]) -> Vec<u8> {
-        let mut enc = XdrEncoder::new();
-        self.dispatch_nfs_into(creds, proc, args, &mut enc);
-        enc.into_bytes()
-    }
-
-    /// [`Self::dispatch_nfs`] marshaling the results into a caller-owned
-    /// encoder (the hot path appends them straight into the reply
-    /// envelope).
+    /// Decodes, relays and answers one NFS3 call, marshaling the results
+    /// into a caller-owned encoder (the sealed path appends them straight
+    /// into the reply envelope).
     fn dispatch_nfs_into(&self, creds: &Credentials, proc: u32, args: &[u8], enc: &mut XdrEncoder) {
         let err = |status: Status, enc: &mut XdrEncoder| {
             Nfs3Reply::Error {
@@ -1697,8 +1635,12 @@ mod tests {
     fn sealed_without_channel_rejected() {
         let s = make_server();
         let conn = s.accept();
-        let reply = conn.handle(CallMsg::Sealed(vec![0; 64]));
-        assert!(matches!(reply, ReplyMsg::Error(_)));
+        // Both entry points reach the one sealed path and refuse alike.
+        let msg = CallMsg::Sealed(vec![0; 64]);
+        let via_bytes = ReplyMsg::from_xdr(&conn.handle_bytes(&msg.to_xdr())).unwrap();
+        let reply = conn.handle(msg);
+        assert_eq!(reply, ReplyMsg::Error("no secure channel".into()));
+        assert_eq!(via_bytes, reply);
     }
 
     #[test]

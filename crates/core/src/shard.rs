@@ -136,12 +136,6 @@ impl ShardEngine {
         self.inner.lock().frames
     }
 
-    /// Per-core busy nanoseconds.
-    pub fn core_busy_ns(&self) -> Vec<u64> {
-        let st = self.inner.lock();
-        (0..self.shards).map(|i| st.cores.busy_ns(i)).collect()
-    }
-
     /// Per-shard disk-queue statistics.
     pub fn disk_stats(&self) -> Vec<DiskQueueStats> {
         let st = self.inner.lock();

@@ -331,6 +331,24 @@ pub enum InnerCall {
     },
 }
 
+/// Borrowing parse of the steady-state inner call: `Some((authno, proc,
+/// args))` for exactly the plaintexts [`InnerCall::from_xdr`] decodes as
+/// [`InnerCall::Nfs`] (same field order, same length cap, same pad and
+/// trailing-byte checks), without copying the argument bytes.
+pub fn inner_nfs_call(plaintext: &[u8]) -> Option<(u32, u32, &[u8])> {
+    let mut dec = XdrDecoder::new(plaintext);
+    if dec.get_u32().ok()? != 1 {
+        return None;
+    }
+    let call = (
+        dec.get_u32().ok()?,
+        dec.get_u32().ok()?,
+        dec.get_opaque_ref().ok()?,
+    );
+    dec.finish().ok()?;
+    Some(call)
+}
+
 /// The plaintext of a sealed server frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InnerReply {
@@ -889,6 +907,60 @@ mod tests {
         for r in replies {
             assert_eq!(InnerReply::from_xdr(&r.to_xdr()).unwrap(), r);
         }
+    }
+
+    #[test]
+    fn inner_nfs_parse_accepts_exactly_what_from_xdr_decodes_as_nfs() {
+        // The server dispatches NFS calls only through `inner_nfs_call`
+        // and hands what it declines to the general decoder, which must
+        // then never produce an `Nfs`. Seeded mutations of every variant
+        // check both directions of that equivalence.
+        use sfs_bignum::{RandomSource, XorShiftSource};
+        let mut rng = XorShiftSource::new(0x1CA11);
+        let mut draw = move |n: usize| {
+            let mut b = [0u8; 8];
+            rng.fill(&mut b);
+            (u64::from_le_bytes(b) % n as u64) as usize
+        };
+        let nfs = |n| InnerCall::Nfs {
+            authno: 7,
+            proc: 6,
+            args: vec![0xA5; n],
+        };
+        let auth = InnerCall::Auth {
+            seq_no: 3,
+            msg: AuthMsg {
+                user_key: vec![1; 5],
+                signature: vec![2; 9],
+            },
+        };
+        let seeds = [nfs(0), nfs(1), nfs(3), nfs(97), auth, InnerCall::Mount].map(|c| c.to_xdr());
+        let (mut accepted, mut declined) = (0, 0);
+        for _ in 0..4000 {
+            let mut p = seeds[draw(seeds.len())].clone();
+            match draw(5) {
+                0 => {}
+                1 => {
+                    let i = draw(p.len());
+                    p[i] ^= 1 << draw(8);
+                }
+                2 => p.truncate(draw(p.len() + 1)),
+                3 => p.extend((0..1 + draw(4)).map(|_| draw(2) as u8)),
+                _ => {
+                    let word = draw(p.len() / 4) * 4;
+                    let v = [0u32, 1, 2, 3, MAX_VAR_LEN, MAX_VAR_LEN + 1][draw(6)];
+                    p[word..word + 4].copy_from_slice(&v.to_be_bytes());
+                }
+            }
+            if let Ok(InnerCall::Nfs { authno, proc, args }) = InnerCall::from_xdr(&p) {
+                assert_eq!(inner_nfs_call(&p), Some((authno, proc, &args[..])));
+                accepted += 1;
+            } else {
+                assert_eq!(inner_nfs_call(&p), None, "{p:?}");
+                declined += 1;
+            }
+        }
+        assert!(accepted > 400 && declined > 400, "{accepted} / {declined}");
     }
 
     #[test]

@@ -14,138 +14,20 @@
 //! 3. rerunning a seed reproduces the run bit-for-bit: identical
 //!    virtual-time totals and an identical fault-event log.
 
+use sfs::client::DEFAULT_PIPELINE_WINDOW;
+use sfs_bench::world::{World, WorldSpec, UID as ALICE_UID};
+use sfs_sim::{DiskParams, FaultEvent, FaultKind, FaultPlan};
 use std::collections::BTreeSet;
-use std::sync::Arc;
-use std::sync::OnceLock;
-
-use sfs::authserver::{AuthServer, UserRecord};
-use sfs::client::{SfsClient, SfsNetwork, DEFAULT_PIPELINE_WINDOW};
-use sfs::server::{ServerConfig, SfsServer};
-use sfs_bignum::XorShiftSource;
-use sfs_crypto::rabin::{generate_keypair, RabinPrivateKey};
-use sfs_crypto::srp::SrpGroup;
-use sfs_crypto::SfsPrg;
-use sfs_proto::pathname::SelfCertifyingPath;
-use sfs_sim::{
-    DiskParams, FaultEvent, FaultKind, FaultPlan, NetParams, SimClock, SimDisk, Transport,
-};
-use sfs_vfs::{Credentials, Vfs};
-
-fn server_key() -> RabinPrivateKey {
-    static KEY: OnceLock<RabinPrivateKey> = OnceLock::new();
-    KEY.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0xA5A5);
-        generate_keypair(768, &mut rng)
-    })
-    .clone()
-}
-
-fn user_key() -> RabinPrivateKey {
-    static KEY: OnceLock<RabinPrivateKey> = OnceLock::new();
-    KEY.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0xB6B6);
-        generate_keypair(512, &mut rng)
-    })
-    .clone()
-}
-
-fn client_ephemeral() -> RabinPrivateKey {
-    static KEY: OnceLock<RabinPrivateKey> = OnceLock::new();
-    KEY.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0xE9E9);
-        generate_keypair(768, &mut rng)
-    })
-    .clone()
-}
-
-fn srp_group() -> SrpGroup {
-    static G: OnceLock<SrpGroup> = OnceLock::new();
-    G.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0xC7C7);
-        SrpGroup::generate(128, &mut rng)
-    })
-    .clone()
-}
-
-const ALICE_UID: u32 = 1000;
-
-struct World {
-    clock: SimClock,
-    server: Arc<SfsServer>,
-    client: Arc<SfsClient>,
-    path: SelfCertifyingPath,
-}
 
 /// Builds the e2e world with `plan` wired through every layer: the disk
 /// under the Vfs, the server's crash schedule, and every wire the
 /// network dials.
-fn build_chaos_world(plan: &FaultPlan) -> World {
-    let clock = SimClock::new();
-    let disk = SimDisk::new(clock.clone(), DiskParams::ibm_18es());
-    disk.set_fault_plan(plan.clone());
-    let vfs = Vfs::new(7, clock.clone()).with_disk(disk);
-    let root_creds = Credentials::root();
-    let home = vfs.mkdir_p("/home/alice").unwrap();
-    vfs.setattr(
-        &root_creds,
-        home,
-        sfs_vfs::SetAttr {
-            uid: Some(ALICE_UID),
-            gid: Some(100),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let public = vfs.mkdir_p("/public").unwrap();
-    vfs.setattr(
-        &root_creds,
-        public,
-        sfs_vfs::SetAttr {
-            mode: Some(0o777),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    vfs.write_file(&root_creds, public, "motd", b"welcome to sfs")
-        .unwrap();
-    let (motd, _) = vfs.lookup(&root_creds, public, "motd").unwrap();
-    vfs.setattr(
-        &root_creds,
-        motd,
-        sfs_vfs::SetAttr {
-            mode: Some(0o644),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-
-    let auth = Arc::new(AuthServer::new(srp_group(), 2));
-    auth.register_user(UserRecord {
-        user: "alice".into(),
-        uid: ALICE_UID,
-        gids: vec![100],
-        public_key: user_key().public().to_bytes(),
-    });
-    let server = SfsServer::new(
-        ServerConfig::new("sfs.lcs.mit.edu"),
-        server_key(),
-        vfs,
-        auth,
-        SfsPrg::from_entropy(b"server"),
-    );
-    server.set_fault_plan(plan.clone());
-    let net = SfsNetwork::new(clock.clone(), NetParams::switched_100mbit(Transport::Tcp));
-    net.set_fault_plan(plan.clone());
-    net.register(server.clone());
-    let client = SfsClient::with_ephemeral(net, b"chaos-client", client_ephemeral());
-    client.agent(ALICE_UID).lock().add_key(user_key());
-    let path = server.path().clone();
-    World {
-        clock,
-        server,
-        client,
-        path,
-    }
+fn chaos_world(plan: &FaultPlan) -> World {
+    World::build(&WorldSpec {
+        client_entropy: "chaos-client",
+        disk: Some(DiskParams::ibm_18es()),
+        ..WorldSpec::test().faulted(Some(plan))
+    })
 }
 
 /// Everything one seeded run produced, for reproducibility assertions.
@@ -175,12 +57,12 @@ fn soak_with_window(spec: &str, mid_advance_ns: u64, window: usize) -> Outcome {
 /// the engine accumulated busy time.
 fn soak_with_window_cores(spec: &str, mid_advance_ns: u64, window: usize, cores: usize) -> Outcome {
     let plan = FaultPlan::from_spec(spec).unwrap();
-    let w = build_chaos_world(&plan);
+    let w = chaos_world(&plan);
     if cores > 0 {
-        w.server.set_cores(cores);
+        w.servers[0].set_cores(cores);
     }
-    w.client.set_pipeline_window(window);
-    let home = format!("{}/home/alice", w.path.full_path());
+    w.clients[0].set_pipeline_window(window);
+    let home = format!("{}/home/alice", w.path().full_path());
     let files: Vec<(String, Vec<u8>)> = (0..5)
         .map(|i| {
             (
@@ -190,38 +72,38 @@ fn soak_with_window_cores(spec: &str, mid_advance_ns: u64, window: usize, cores:
         })
         .collect();
     for (i, (path, data)) in files.iter().enumerate() {
-        w.client.write_file(ALICE_UID, path, data).unwrap();
+        w.clients[0].write_file(ALICE_UID, path, data).unwrap();
         if i == 1 && mid_advance_ns > 0 {
             w.clock.advance_ns(mid_advance_ns);
         }
     }
     for (path, data) in &files {
         assert_eq!(
-            &w.client.read_file(ALICE_UID, path).unwrap(),
+            &w.clients[0].read_file(ALICE_UID, path).unwrap(),
             data,
             "a corrupted payload leaked past the MAC in {spec:?}"
         );
     }
-    let motd = format!("{}/public/motd", w.path.full_path());
+    let motd = format!("{}/public/motd", w.path().full_path());
     assert_eq!(
-        w.client.read_file(ALICE_UID, &motd).unwrap(),
-        b"welcome to sfs"
+        w.clients[0].read_file(ALICE_UID, &motd).unwrap(),
+        b"welcome to sfs.lcs.mit.edu"
     );
-    let (mount, _, _) = w.client.resolve(ALICE_UID, &motd).unwrap();
+    let (mount, _, _) = w.clients[0].resolve(ALICE_UID, &motd).unwrap();
     if cores > 0 {
         // The five chaos files are single-WRITE payloads, which the
         // windowed client degenerates to blocking calls — so stream one
         // multi-chunk file too, forcing real windowed batches through
         // the engine, and pin that the engine actually scheduled them.
-        let big = format!("{}/home/alice/chaos-stream", w.path.full_path());
+        let big = format!("{}/home/alice/chaos-stream", w.path().full_path());
         let stream: Vec<u8> = (0..65_536u32).map(|i| (i % 253) as u8).collect();
-        w.client.write_file(ALICE_UID, &big, &stream).unwrap();
+        w.clients[0].write_file(ALICE_UID, &big, &stream).unwrap();
         assert_eq!(
-            w.client.read_file(ALICE_UID, &big).unwrap(),
+            w.clients[0].read_file(ALICE_UID, &big).unwrap(),
             stream,
             "streamed payload corrupted under {spec:?} at cores={cores}"
         );
-        let engine = w.server.shard_engine().expect("engine installed");
+        let engine = w.servers[0].shard_engine().expect("engine installed");
         assert!(
             engine.frames_scheduled() > 0,
             "the shard engine never scheduled any work in {spec:?}"
@@ -430,30 +312,34 @@ fn manual_server_kill_mid_workload_recovers_via_rekey() {
     // its attribute/access caches must not serve pre-crash entries as if
     // nothing happened.
     let plan = FaultPlan::from_spec("seed=200").unwrap();
-    let w = build_chaos_world(&plan);
-    let file = format!("{}/home/alice/journal", w.path.full_path());
-    w.client
+    let w = chaos_world(&plan);
+    let file = format!("{}/home/alice/journal", w.path().full_path());
+    w.clients[0]
         .write_file(ALICE_UID, &file, b"before crash")
         .unwrap();
-    let (mount, _, _) = w.client.resolve(ALICE_UID, &file).unwrap();
+    let (mount, _, _) = w.clients[0].resolve(ALICE_UID, &file).unwrap();
     let session_before = mount.session_id();
     assert_eq!(mount.reconnects(), 0);
     // Warm the attribute cache on a file the post-crash workload will
     // not touch: repeated getattrs stay off the wire.
-    let motd = format!("{}/public/motd", w.path.full_path());
-    let (_, motd_fh, _) = w.client.resolve(ALICE_UID, &motd).unwrap();
-    w.client.getattr(&mount, ALICE_UID, &motd_fh).unwrap();
-    let rpcs = w.client.network_rpcs();
-    w.client.getattr(&mount, ALICE_UID, &motd_fh).unwrap();
-    assert_eq!(w.client.network_rpcs(), rpcs, "getattr should be cached");
+    let motd = format!("{}/public/motd", w.path().full_path());
+    let (_, motd_fh, _) = w.clients[0].resolve(ALICE_UID, &motd).unwrap();
+    w.clients[0].getattr(&mount, ALICE_UID, &motd_fh).unwrap();
+    let rpcs = w.clients[0].network_rpcs();
+    w.clients[0].getattr(&mount, ALICE_UID, &motd_fh).unwrap();
+    assert_eq!(
+        w.clients[0].network_rpcs(),
+        rpcs,
+        "getattr should be cached"
+    );
 
-    w.server.crash_restart();
+    w.servers[0].crash_restart();
 
-    w.client
+    w.clients[0]
         .write_file(ALICE_UID, &file, b"after crash, new session")
         .unwrap();
     assert_eq!(
-        w.client.read_file(ALICE_UID, &file).unwrap(),
+        w.clients[0].read_file(ALICE_UID, &file).unwrap(),
         b"after crash, new session"
     );
     assert!(mount.reconnects() >= 1, "the kill must force a reconnect");
@@ -464,10 +350,10 @@ fn manual_server_kill_mid_workload_recovers_via_rekey() {
     );
     // The reconnect dropped the pre-crash attribute/access caches: the
     // getattr that was a cache hit before now has to go back to the wire.
-    let rpcs = w.client.network_rpcs();
-    w.client.getattr(&mount, ALICE_UID, &motd_fh).unwrap();
+    let rpcs = w.clients[0].network_rpcs();
+    w.clients[0].getattr(&mount, ALICE_UID, &motd_fh).unwrap();
     assert!(
-        w.client.network_rpcs() > rpcs,
+        w.clients[0].network_rpcs() > rpcs,
         "attr cache must be invalidated by the reconnect"
     );
     // The crash is visible in the plan's event log too.
@@ -540,18 +426,20 @@ fn backoff_cap_holds_when_partition_outlives_the_retransmit_schedule() {
 
     let run = || {
         let plan = FaultPlan::from_spec("seed=170,partition=1s+20s").unwrap();
-        let w = build_chaos_world(&plan);
+        let w = chaos_world(&plan);
         let tel = Telemetry::recording(w.clock.clone());
-        w.client.set_telemetry(&tel);
-        w.client.set_retry_policy(RetryPolicy {
+        w.clients[0].set_telemetry(&tel);
+        w.clients[0].set_retry_policy(RetryPolicy {
             max_retransmits: 3,
             max_reconnects: 16,
             base_backoff_ns: 100_000_000,
             max_backoff_ns: CAP_NS,
         });
-        let file = format!("{}/home/alice/longhaul", w.path.full_path());
-        w.client.write_file(ALICE_UID, &file, b"before").unwrap();
-        let (mount, _, _) = w.client.resolve(ALICE_UID, &file).unwrap();
+        let file = format!("{}/home/alice/longhaul", w.path().full_path());
+        w.clients[0]
+            .write_file(ALICE_UID, &file, b"before")
+            .unwrap();
+        let (mount, _, _) = w.clients[0].resolve(ALICE_UID, &file).unwrap();
         let seq_before = mount.seqno();
         assert!(
             w.clock.now().as_nanos() < 1_000_000_000,
@@ -561,7 +449,9 @@ fn backoff_cap_holds_when_partition_outlives_the_retransmit_schedule() {
         // the schedule escalates to reconnect, and the capped reconnect
         // backoff rides out the remaining ~20 seconds.
         w.clock.advance_ns(1_000_000_000);
-        w.client.write_file(ALICE_UID, &file, b"across").unwrap();
+        w.clients[0]
+            .write_file(ALICE_UID, &file, b"across")
+            .unwrap();
         assert!(
             w.clock.now().as_nanos() > 21_000_000_000,
             "the workload cannot have finished inside the partition"
@@ -576,7 +466,7 @@ fn backoff_cap_holds_when_partition_outlives_the_retransmit_schedule() {
             "auth seqnos must move strictly forward across reconnects"
         );
         assert_eq!(
-            w.client.read_file(ALICE_UID, &file).unwrap(),
+            w.clients[0].read_file(ALICE_UID, &file).unwrap(),
             b"across",
             "the straddling write must land exactly once, byte-for-byte"
         );

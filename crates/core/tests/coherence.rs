@@ -1,548 +1,43 @@
-//! Multi-client cache-coherence oracle: 2–4 clients and one server share
-//! a seeded fault plan, and every read is checked against the set of
-//! values *legally observable* given the write history, the server's
-//! lease duration, and piggybacked invalidations.
-//!
-//! The oracle's rules, per ISSUE and paper §3.3 (leases + invalidation
-//! callbacks are the enhanced-caching extension):
-//!
-//! 1. **validity** — an observed file size must be one the write history
-//!    actually produced;
-//! 2. **monotonicity** — one client never observes a file shrink;
-//! 3. **lease bound** — a stale value may be served only while the lease
-//!    granted before the overwriting commit could still be live: a stale
-//!    read later than `t_commit(next) + lease_ns` is a failure;
-//! 4. **invalidation bound** (fault-free plans only, where delivery is
-//!    guaranteed) — once a client completes any round trip after a
-//!    commit, the piggybacked invalidation has arrived, so a subsequent
-//!    stale read from cache is a failure. Under faults a reply carrying
-//!    the invalidation can be legitimately lost and the lease is the
-//!    backstop, so rule 4 is not applied there.
-//!
-//! Versions are file *sizes*, verified by *content hash*: every write
-//! appends exactly one byte (a deterministic function of file and
-//! offset) at the committed size, so duplicated or re-executed writes
-//! (fault-plan duplicates, post-reconnect reissues) are idempotent and
-//! the version sequence stays strictly increasing. Each commit also
-//! records the SHA-1 of the full expected contents, and every scored
-//! read includes a wire READ whose bytes must hash-match the commit of
-//! their length — a size alone can be right while the content is torn
-//! or mixed across versions, and the hash catches exactly that.
-//!
-//! Scheduled client crash-restarts (`ccrash=`) kill a client mid-run:
-//! the incarnation is dropped, a cold one is rebuilt from the journal via
-//! [`SfsClient::recover`], and the oracle keeps scoring its reads —
-//! recovery must come back with cold caches, so a recovered client can
-//! never serve a pre-crash stale value.
+//! The coherence oracle ([`sfs_bench::oracle`]) against one server: the
+//! 21-plan battery, its reruns at cores ∈ {1, 4} and under the
+//! negotiated ChaCha suite, every pipeline window, and the oracle's own
+//! injected-bug self-tests.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
-use std::sync::OnceLock;
 
-use sfs::authserver::{AuthServer, UserRecord};
-use sfs::client::{Mount, SfsClient, SfsNetwork, DEFAULT_PIPELINE_WINDOW};
-use sfs::journal::ClientJournal;
-use sfs::server::{ServerConfig, SfsServer};
-use sfs_bignum::{RandomSource, XorShiftSource};
-use sfs_crypto::rabin::{generate_keypair, RabinPrivateKey};
-use sfs_crypto::sha1::sha1;
-use sfs_crypto::srp::SrpGroup;
-use sfs_crypto::SfsPrg;
-use sfs_nfs3::proto::{FileHandle, Nfs3Reply, Nfs3Request, StableHow};
+use sfs::client::DEFAULT_PIPELINE_WINDOW;
+use sfs_bench::oracle::{self, Oracle, OracleSpec, RunOutcome, BATTERY};
+use sfs_bench::world::{Behind, UID};
 use sfs_proto::channel::SuiteId;
-use sfs_proto::pathname::SelfCertifyingPath;
-use sfs_sim::{
-    DiskParams, FaultEvent, FaultKind, FaultPlan, JournalDisk, NetParams, SimClock, SimDisk,
-    Transport,
-};
-use sfs_vfs::{Credentials, Vfs};
+use sfs_sim::FaultKind;
 
-fn server_key() -> RabinPrivateKey {
-    static KEY: OnceLock<RabinPrivateKey> = OnceLock::new();
-    KEY.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0xA5A5);
-        generate_keypair(768, &mut rng)
-    })
-    .clone()
+fn harness(spec: &str, n_clients: usize) -> Oracle {
+    Oracle::new(&OracleSpec::new(Behind::Servers, spec, n_clients))
 }
 
-fn user_key() -> RabinPrivateKey {
-    static KEY: OnceLock<RabinPrivateKey> = OnceLock::new();
-    KEY.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0xB6B6);
-        generate_keypair(512, &mut rng)
-    })
-    .clone()
-}
-
-fn client_ephemeral() -> RabinPrivateKey {
-    static KEY: OnceLock<RabinPrivateKey> = OnceLock::new();
-    KEY.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0xE9E9);
-        generate_keypair(768, &mut rng)
-    })
-    .clone()
-}
-
-fn srp_group() -> SrpGroup {
-    static G: OnceLock<SrpGroup> = OnceLock::new();
-    G.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0xC7C7);
-        SrpGroup::generate(128, &mut rng)
-    })
-    .clone()
-}
-
-const ALICE_UID: u32 = 1000;
-/// Short lease so expiry is actually exercised inside a few-second run
-/// (the 30s default would make every stale read trivially legal).
-const LEASE_NS: u64 = 250_000_000;
-/// Virtual time between workload operations.
-const OP_GAP_NS: u64 = 60_000_000;
-const FILES: usize = 3;
-const OPS: usize = 36;
-
-/// The byte version `offset + 1` of file `f` appends. A function of
-/// (file, offset) only, so fault-plan duplicates and post-reconnect
-/// reissues rewrite the same byte — idempotent — while the content still
-/// varies along the file, which is what gives the hash oracle teeth.
-fn version_byte(f: usize, offset: u64) -> u8 {
-    b'a' + ((f as u64 + offset) % 26) as u8
-}
-
-/// One committed version of a file: the size it reached, the SHA-1 of
-/// its full expected contents, when it committed, and each client's
-/// completed-round-trip count at commit (rule 4's reference point — any
-/// later completed round trip carried the invalidation).
-struct Commit {
-    size: u64,
-    hash: [u8; 20],
-    t_ns: u64,
-    rt_at_commit: Vec<u64>,
-}
-
-struct Harness {
-    clock: SimClock,
-    net: Arc<SfsNetwork>,
-    plan: FaultPlan,
-    path: SelfCertifyingPath,
-    server: Arc<SfsServer>,
-    journals: Vec<ClientJournal>,
-    clients: Vec<Arc<SfsClient>>,
-    mounts: Vec<Arc<Mount>>,
-    fhs: Vec<FileHandle>,
-    history: Vec<Vec<Commit>>,
-    /// Expected full contents per file, maintained alongside `history`.
-    contents: Vec<Vec<u8>>,
-    last_seen: Vec<Vec<u64>>,
-    crashes_done: usize,
-    violations: Vec<String>,
-    /// Whether rule 4 applies (no wire faults that can eat a reply).
-    guaranteed_delivery: bool,
-    /// Pipeline window applied to every client incarnation.
-    window: usize,
-    /// Cipher suite offered by every client incarnation (None: the
-    /// default paper-baseline offer).
-    suite: Option<SuiteId>,
-}
-
-fn build_harness(spec: &str, n_clients: usize, guaranteed_delivery: bool) -> Harness {
-    build_harness_windowed(
-        spec,
-        n_clients,
-        guaranteed_delivery,
-        DEFAULT_PIPELINE_WINDOW,
-    )
-}
-
-/// [`build_harness`] with an explicit pipeline window applied to every
-/// client incarnation, crash-reborn ones included.
-fn build_harness_windowed(
-    spec: &str,
-    n_clients: usize,
-    guaranteed_delivery: bool,
-    window: usize,
-) -> Harness {
-    build_harness_suited(spec, n_clients, guaranteed_delivery, window, None)
-}
-
-/// [`build_harness_windowed`] with an explicit cipher-suite offer made
-/// by every client incarnation, crash-reborn ones included.
-fn build_harness_suited(
-    spec: &str,
-    n_clients: usize,
-    guaranteed_delivery: bool,
-    window: usize,
-    suite: Option<SuiteId>,
-) -> Harness {
-    let plan = FaultPlan::from_spec(spec).unwrap();
-    let clock = SimClock::new();
-    let vfs = Vfs::new(7, clock.clone());
-    let root_creds = Credentials::root();
-    let public = vfs.mkdir_p("/public").unwrap();
-    vfs.setattr(
-        &root_creds,
-        public,
-        sfs_vfs::SetAttr {
-            mode: Some(0o777),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let auth = Arc::new(AuthServer::new(srp_group(), 2));
-    auth.register_user(UserRecord {
-        user: "alice".into(),
-        uid: ALICE_UID,
-        gids: vec![100],
-        public_key: user_key().public().to_bytes(),
-    });
-    let mut config = ServerConfig::new("sfs.lcs.mit.edu");
-    config.lease_ns = LEASE_NS;
-    let server = SfsServer::new(
-        config,
-        server_key(),
-        vfs,
-        auth,
-        SfsPrg::from_entropy(b"coherence-server"),
-    );
-    server.set_fault_plan(plan.clone());
-    let net = SfsNetwork::new(clock.clone(), NetParams::switched_100mbit(Transport::Tcp));
-    net.set_fault_plan(plan.clone());
-    net.register(server.clone());
-    let path = server.path().clone();
-
-    let mut journals = Vec::new();
-    let mut clients = Vec::new();
-    let mut mounts = Vec::new();
-    for i in 0..n_clients {
-        let disk = SimDisk::new(clock.clone(), DiskParams::ibm_18es());
-        disk.set_fault_plan(plan.clone());
-        let journal = ClientJournal::new(JournalDisk::new(disk, (i as u64) << 32));
-        let client = SfsClient::with_ephemeral(
-            net.clone(),
-            format!("coh-client-{i}-epoch-0").as_bytes(),
-            client_ephemeral(),
-        );
-        client.set_pipeline_window(window);
-        if let Some(s) = suite {
-            client.set_suite_offer(&[s]);
-        }
-        client.attach_journal(journal.clone());
-        client.install_agent_key(ALICE_UID, user_key());
-        let mount = client.mount(ALICE_UID, &path).unwrap();
-        journals.push(journal);
-        clients.push(client);
-        mounts.push(mount);
-    }
-
-    // Client 0 creates the version-counter files (size 0 = version 0).
-    let mut fhs = Vec::new();
-    let mut history = Vec::new();
-    for f in 0..FILES {
-        let p = format!("{}/public/coh-{f}", path.full_path());
-        clients[0].write_file(ALICE_UID, &p, b"").unwrap();
-        let (_, fh, _) = clients[0].resolve(ALICE_UID, &p).unwrap();
-        fhs.push(fh);
-        history.push(vec![Commit {
-            size: 0,
-            hash: sha1(b""),
-            t_ns: clock.now().as_nanos(),
-            rt_at_commit: mounts.iter().map(|m| m.round_trips()).collect(),
-        }]);
-    }
-
-    Harness {
-        clock,
-        net,
-        plan,
-        path,
-        server,
-        journals,
-        clients,
-        mounts,
-        fhs,
-        history,
-        contents: vec![Vec::new(); FILES],
-        last_seen: vec![vec![0; FILES]; n_clients],
-        crashes_done: 0,
-        violations: Vec::new(),
-        guaranteed_delivery,
+fn harness_windowed(spec: &str, n_clients: usize, window: usize) -> Oracle {
+    Oracle::new(&OracleSpec {
         window,
-        suite,
-    }
+        ..OracleSpec::new(Behind::Servers, spec, n_clients)
+    })
 }
 
-impl Harness {
-    /// Honours any scheduled client-crash instants the clock has crossed:
-    /// the victim incarnation is dropped and a cold one recovers from the
-    /// journal.
-    fn honour_client_crashes(&mut self) {
-        while self.crashes_done < self.plan.client_epoch(self.clock.now()) as usize {
-            let victim = self.crashes_done % self.clients.len();
-            self.plan.note_client_crash(self.clock.now());
-            self.crashes_done += 1;
-            let reborn = SfsClient::with_ephemeral(
-                self.net.clone(),
-                format!("coh-client-{victim}-epoch-{}", self.crashes_done).as_bytes(),
-                client_ephemeral(),
-            );
-            reborn.set_pipeline_window(self.window);
-            if let Some(s) = self.suite {
-                reborn.set_suite_offer(&[s]);
-            }
-            reborn.attach_journal(self.journals[victim].clone());
-            let report = reborn.recover(ALICE_UID).unwrap();
-            assert_eq!(
-                report.remounted,
-                vec![self.path.dir_name()],
-                "recovery must re-establish the journaled mount: {report:?}"
-            );
-            self.mounts[victim] = reborn.mount(ALICE_UID, &self.path).unwrap();
-            self.clients[victim] = reborn;
-        }
-    }
-
-    /// Appends one byte to `f` through client `i` and records the commit.
-    fn write(&mut self, i: usize, f: usize) {
-        let offset = self.history[f].last().unwrap().size;
-        let byte = version_byte(f, offset);
-        let reply = self.clients[i]
-            .call_nfs(
-                &self.mounts[i],
-                ALICE_UID,
-                &Nfs3Request::Write {
-                    fh: self.fhs[f].clone(),
-                    offset,
-                    stable: StableHow::FileSync,
-                    data: vec![byte],
-                },
-            )
-            .unwrap();
-        assert!(
-            matches!(reply, Nfs3Reply::Write { count: 1, .. }),
-            "append must write exactly one byte: {reply:?}"
-        );
-        self.contents[f].push(byte);
-        self.history[f].push(Commit {
-            size: offset + 1,
-            hash: sha1(&self.contents[f]),
-            t_ns: self.clock.now().as_nanos(),
-            rt_at_commit: self.mounts.iter().map(|m| m.round_trips()).collect(),
-        });
-    }
-
-    /// Reads `f`'s size through client `i` (cache-aware getattr) and
-    /// scores it against the oracle rules.
-    fn read_and_check(&mut self, i: usize, f: usize) {
-        let rt_before = self.mounts[i].round_trips();
-        let t_read = self.clock.now().as_nanos();
-        let attr = self.clients[i]
-            .getattr(&self.mounts[i], ALICE_UID, &self.fhs[f])
-            .unwrap();
-        let s = attr.size;
-        let latest = self.history[f].last().unwrap().size;
-        // Rule 1: the size must be one the history produced.
-        if self.history[f].iter().all(|c| c.size != s) {
-            self.violations.push(format!(
-                "client {i} file {f}: observed size {s} never committed (latest {latest})"
-            ));
-            return;
-        }
-        // Rule 2: no client ever sees a file shrink.
-        if s < self.last_seen[i][f] {
-            self.violations.push(format!(
-                "client {i} file {f}: size went backwards {} -> {s}",
-                self.last_seen[i][f]
-            ));
-        }
-        self.last_seen[i][f] = s;
-        if s == latest {
-            return;
-        }
-        // The read is stale: the commit that obsoleted `s`.
-        let next = &self.history[f][(s + 1) as usize];
-        // Rule 3: every lease covering `s` was granted before `next`
-        // committed, so none survives past `next.t_ns + lease`.
-        if t_read > next.t_ns + LEASE_NS {
-            self.violations.push(format!(
-                "client {i} file {f}: stale size {s} served {}ns past lease expiry",
-                t_read - (next.t_ns + LEASE_NS)
-            ));
-        }
-        // Rule 4: with guaranteed delivery, a completed round trip after
-        // the commit carried the invalidation.
-        if self.guaranteed_delivery && rt_before > next.rt_at_commit[i] {
-            self.violations.push(format!(
-                "client {i} file {f}: stale size {s} served after a post-commit \
-                 round trip delivered the invalidation"
-            ));
-        }
-    }
-
-    /// Reads `f`'s full contents over the wire through client `i` and
-    /// scores them against the hash oracle: whatever length comes back
-    /// must be a committed version, and the bytes must hash-match that
-    /// commit — a right-sized reply with mixed-version or corrupted
-    /// content is exactly the torn write a size-only oracle cannot see.
-    fn wire_read_and_check(&mut self, i: usize, f: usize) {
-        let t_read = self.clock.now().as_nanos();
-        let reply = self.clients[i]
-            .call_nfs(
-                &self.mounts[i],
-                ALICE_UID,
-                &Nfs3Request::Read {
-                    fh: self.fhs[f].clone(),
-                    offset: 0,
-                    count: 8192,
-                },
-            )
-            .unwrap();
-        let data = match reply {
-            Nfs3Reply::Read { data, .. } => data,
-            other => panic!("unexpected read reply: {other:?}"),
-        };
-        let s = data.len() as u64;
-        let latest = self.history[f].last().unwrap().size;
-        // Rule 1 (strengthened): the length must be a committed version
-        // AND the bytes must be that version's bytes.
-        match self.history[f].iter().find(|c| c.size == s) {
-            None => {
-                self.violations.push(format!(
-                    "client {i} file {f}: wire read returned {s} bytes, a length \
-                     never committed (latest {latest})"
-                ));
-                return;
-            }
-            Some(c) if c.hash != sha1(&data) => {
-                self.violations.push(format!(
-                    "client {i} file {f}: wire read of {s} bytes does not hash-match \
-                     committed version {s} — torn or mixed-version content"
-                ));
-                return;
-            }
-            Some(_) => {}
-        }
-        // Rule 2: the wire observation participates in monotonicity too.
-        if s < self.last_seen[i][f] {
-            self.violations.push(format!(
-                "client {i} file {f}: wire read went backwards {} -> {s}",
-                self.last_seen[i][f]
-            ));
-        }
-        self.last_seen[i][f] = s;
-        // Rule 3: a stale wire read is bounded by the lease like any other.
-        if s < latest {
-            let next = &self.history[f][(s + 1) as usize];
-            if t_read > next.t_ns + LEASE_NS {
-                self.violations.push(format!(
-                    "client {i} file {f}: stale wire read of size {s} served \
-                     {}ns past lease expiry",
-                    t_read - (next.t_ns + LEASE_NS)
-                ));
-            }
-        }
-    }
-
-    /// Drives the seeded workload to completion and returns the oracle's
-    /// verdict plus everything needed for reproducibility comparison.
-    fn run(mut self, seed: u64) -> RunOutcome {
-        let mut rng = XorShiftSource::new(seed | 1);
-        let mut draw = move || {
-            let mut b = [0u8; 8];
-            rng.fill(&mut b);
-            u64::from_le_bytes(b)
-        };
-        for _ in 0..OPS {
-            self.clock.advance_ns(OP_GAP_NS);
-            self.honour_client_crashes();
-            let i = (draw() as usize) % self.clients.len();
-            let f = (draw() as usize) % FILES;
-            if draw() % 10 < 3 {
-                self.write(i, f);
-            } else {
-                self.read_and_check(i, f);
-                self.wire_read_and_check(i, f);
-            }
-        }
-        RunOutcome {
-            violations: self.violations,
-            total_ns: self.clock.now().as_nanos(),
-            events: self.plan.events(),
-            sizes: self
-                .history
-                .iter()
-                .map(|h| h.last().unwrap().size)
-                .collect(),
-            journal_records: self.journals.iter().map(|j| j.len()).collect(),
-            crashes: self.crashes_done,
-        }
-    }
+fn run_spec(spec: &str, seed: u64, n_clients: usize) -> RunOutcome<()> {
+    harness(spec, n_clients).run(seed, |_| ())
 }
 
-#[derive(Debug, PartialEq, Eq)]
-struct RunOutcome {
-    violations: Vec<String>,
-    total_ns: u64,
-    events: Vec<FaultEvent>,
-    sizes: Vec<u64>,
-    journal_records: Vec<usize>,
-    crashes: usize,
+fn run_spec_cores(spec: &str, seed: u64, n_clients: usize, cores: usize) -> RunOutcome<()> {
+    let h = harness(spec, n_clients);
+    h.world.servers[0].set_cores(cores);
+    h.run(seed, |_| ())
 }
-
-fn run_spec(spec: &str, seed: u64, n_clients: usize, guaranteed: bool) -> RunOutcome {
-    build_harness(spec, n_clients, guaranteed).run(seed)
-}
-
-fn run_spec_windowed(
-    spec: &str,
-    seed: u64,
-    n_clients: usize,
-    guaranteed: bool,
-    window: usize,
-) -> RunOutcome {
-    build_harness_windowed(spec, n_clients, guaranteed, window).run(seed)
-}
-
-/// ≥20 seeded plans mixing every fault kind the simulator knows,
-/// including simultaneous client+server crashes. `(spec, n_clients)`.
-const COHERENCE_SPECS: &[(&str, usize)] = &[
-    ("seed=401,drop=20", 2),
-    ("seed=402,dup=25", 3),
-    ("seed=403,reorder=25", 2),
-    ("seed=404,corrupt=15", 2),
-    ("seed=405,delay=150,delay_ns=2ms", 3),
-    ("seed=406,partition=500ms+1s", 2),
-    ("seed=407,crash=900ms", 3),
-    ("seed=408,syncfail=200", 2),
-    ("seed=409,ccrash=800ms", 2),
-    // Simultaneous client and server crash at the same instant.
-    ("seed=410,ccrash=700ms,crash=700ms", 2),
-    ("seed=411,drop=15,dup=10,ccrash=900ms", 3),
-    ("seed=412,corrupt=10,ccrash=600ms,crash=1500ms", 2),
-    ("seed=413,drop=10,reorder=15,delay=80,delay_ns=1ms", 4),
-    // Simultaneous again, later in the run.
-    ("seed=414,crash=1s,ccrash=1s", 3),
-    ("seed=415,drop=10,syncfail=150,ccrash=1200ms", 2),
-    ("seed=416,dup=15,corrupt=10,crash=800ms", 2),
-    ("seed=417,partition=600ms+800ms,ccrash=1600ms", 2),
-    (
-        "seed=418,drop=25,dup=10,reorder=10,corrupt=10,delay=60,delay_ns=1ms",
-        3,
-    ),
-    ("seed=419,ccrash=600ms,ccrash=1500ms,drop=10", 2),
-    ("seed=420,crash=700ms,ccrash=1300ms,dup=10", 3),
-    (
-        "seed=421,drop=15,corrupt=10,crash=1s,ccrash=1s,syncfail=100",
-        2,
-    ),
-];
 
 #[test]
 fn coherence_oracle_passes_over_all_seeded_fault_plans() {
     let mut seen: BTreeSet<&'static str> = BTreeSet::new();
     let mut crashes = 0;
-    for (spec, n) in COHERENCE_SPECS {
-        let out = run_spec(spec, 0x5EED, *n, false);
+    for (spec, n) in BATTERY {
+        let out = run_spec(spec, 0x5EED, *n);
         assert!(
             out.violations.is_empty(),
             "coherence violated under {spec:?}: {:#?}",
@@ -573,12 +68,6 @@ fn coherence_oracle_passes_over_all_seeded_fault_plans() {
     }
 }
 
-fn run_spec_cores(spec: &str, seed: u64, n_clients: usize, cores: usize) -> RunOutcome {
-    let h = build_harness(spec, n_clients, false);
-    h.server.set_cores(cores);
-    h.run(seed)
-}
-
 #[test]
 fn multicore_dispatch_causes_no_semantic_drift_in_the_oracle_battery() {
     // The full 21-plan battery reruns with the shard engine installed at
@@ -588,8 +77,8 @@ fn multicore_dispatch_causes_no_semantic_drift_in_the_oracle_battery() {
     // engine only reschedules windowed traffic and the sharded reply
     // cache is semantically identical to the flat map it replaced (the
     // dup/drop plans replay retransmissions through it at 4 shards).
-    for (spec, n) in COHERENCE_SPECS {
-        let baseline = run_spec(spec, 0x5EED, *n, false);
+    for (spec, n) in BATTERY {
+        let baseline = run_spec(spec, 0x5EED, *n);
         assert!(baseline.violations.is_empty(), "{spec:?}");
         for cores in [1usize, 4] {
             let out = run_spec_cores(spec, 0x5EED, *n, cores);
@@ -611,18 +100,15 @@ fn negotiated_chacha_suite_passes_the_oracle_battery_at_both_core_counts() {
     // (16-byte tag vs 20-byte MAC) so virtual-time totals are not
     // compared — the oracle's coherence rules and per-configuration
     // determinism are the invariants.
-    for (spec, n) in COHERENCE_SPECS {
+    for (spec, n) in BATTERY {
         let mut per_core = Vec::new();
         for cores in [1usize, 4] {
-            let h = build_harness_suited(
-                spec,
-                *n,
-                false,
-                DEFAULT_PIPELINE_WINDOW,
-                Some(SuiteId::ChaCha20Poly1305),
-            );
-            h.server.set_cores(cores);
-            let out = h.run(0x5EED);
+            let h = Oracle::new(&OracleSpec {
+                suite: Some(SuiteId::ChaCha20Poly1305),
+                ..OracleSpec::new(Behind::Servers, spec, *n)
+            });
+            h.world.servers[0].set_cores(cores);
+            let out = h.run(0x5EED, |_| ());
             assert!(
                 out.violations.is_empty(),
                 "coherence violated under {spec:?} with chacha at cores={cores}: {:#?}",
@@ -658,33 +144,29 @@ fn multicore_dispatch_is_deterministic_across_reruns() {
 fn windowed_streams_are_coherent_under_multicore_dispatch() {
     // The engine-exercising variant: streamed write-behind/read-ahead
     // traffic goes through the windowed exchange, so seal/open really is
-    // scheduled across cores here (asserted via core busy time). The
+    // scheduled across cores here (asserted via frames scheduled). The
     // bytes must survive the faulty wire at every core count, and each
     // configuration must reproduce exactly.
     let data: Vec<u8> = (0..200_000u32).map(|i| (i % 251) as u8).collect();
     for cores in [1usize, 4] {
         let mut elapsed = Vec::new();
         for _ in 0..2 {
-            let h = build_harness_windowed(
-                "seed=453,reorder=20,dup=10",
-                2,
-                false,
-                DEFAULT_PIPELINE_WINDOW,
-            );
-            h.server.set_cores(cores);
-            let p = format!("{}/public/stream", h.path.full_path());
-            h.clients[0].write_file(ALICE_UID, &p, &data).unwrap();
+            let h = harness("seed=453,reorder=20,dup=10", 2);
+            let server = &h.world.servers[0];
+            server.set_cores(cores);
+            let p = format!("{}/public/stream", h.world.path().full_path());
+            h.world.clients[0].write_file(UID, &p, &data).unwrap();
             assert_eq!(
-                h.clients[1].read_file(ALICE_UID, &p).unwrap(),
+                h.world.clients[1].read_file(UID, &p).unwrap(),
                 data,
                 "cross-client stream lost bytes at cores={cores}"
             );
-            let engine = h.server.shard_engine().expect("engine installed");
+            let engine = server.shard_engine().expect("engine installed");
             assert!(
                 engine.frames_scheduled() > 0,
                 "the shard engine never scheduled any work"
             );
-            elapsed.push(h.clock.now().as_nanos());
+            elapsed.push(h.world.clock.now().as_nanos());
         }
         assert_eq!(
             elapsed[0], elapsed[1],
@@ -706,116 +188,20 @@ fn coherence_runs_reproduce_byte_for_byte() {
             3,
         ),
     ] {
-        let a = run_spec(spec, 0x5EED, n, false);
-        let b = run_spec(spec, 0x5EED, n, false);
+        let a = run_spec(spec, 0x5EED, n);
+        let b = run_spec(spec, 0x5EED, n);
         assert_eq!(a, b, "coherence run diverged across reruns of {spec:?}");
     }
 }
 
 #[test]
 fn oracle_detects_deliberately_torn_write() {
-    // Self-test for the content-hash rule: corrupt a file's bytes behind
-    // the protocol's back without changing its size. The size oracle is
-    // blind to this by construction; the hash oracle must flag it.
-    let script = |torn: bool| -> Vec<String> {
-        let mut h = build_harness("seed=451", 2, true);
-        h.write(0, 0);
-        h.write(0, 0);
-        if torn {
-            // Reach into the server's VFS as root and flip the first
-            // byte — same size, wrong content, like a torn or misdirected
-            // write on the server's disk.
-            let vfs = h.server.vfs();
-            let root = Credentials::root();
-            let (public, _) = vfs.lookup(&root, vfs.root(), "public").unwrap();
-            let (ino, _) = vfs.lookup(&root, public, "coh-0").unwrap();
-            vfs.write(&root, ino, 0, b"Z", true).unwrap();
-        }
-        h.read_and_check(1, 0);
-        h.wire_read_and_check(1, 0);
-        h.violations
-    };
-
-    let violations = script(true);
-    assert!(
-        violations.iter().any(|v| v.contains("hash-match")),
-        "the oracle failed to flag the torn write: {violations:#?}"
-    );
-    // Control: the identical sequence without corruption is coherent.
-    let violations = script(false);
-    assert!(violations.is_empty(), "{violations:#?}");
+    oracle::detects_torn_write(Behind::Servers);
 }
 
 #[test]
 fn oracle_detects_deliberately_injected_stale_read() {
-    // Self-test: a client that drops invalidation callbacks on the floor
-    // is exactly the stale-read bug the oracle exists to catch. Clean
-    // plan (delivery guaranteed), so rule 4 applies. The same scripted
-    // sequence runs twice — once with the bug, once without — and the
-    // oracle must flag exactly the buggy run.
-    let script = |buggy: bool| -> (u64, Vec<String>) {
-        let h = build_harness("seed=450", 2, true);
-        let (a, b) = (&h.clients[0], &h.clients[1]);
-        let (ma, mb) = (&h.mounts[0], &h.mounts[1]);
-        let fh = &h.fhs[0];
-        let fh_other = &h.fhs[1];
-        let mut violations = Vec::new();
-
-        // B caches file 0 at version 0.
-        let attr = b.getattr(mb, ALICE_UID, fh).unwrap();
-        assert_eq!(attr.size, 0);
-        // A appends: version 1 commits; B's invalidation is queued.
-        let reply = a
-            .call_nfs(
-                ma,
-                ALICE_UID,
-                &Nfs3Request::Write {
-                    fh: fh.clone(),
-                    offset: 0,
-                    stable: StableHow::FileSync,
-                    data: vec![b'x'],
-                },
-            )
-            .unwrap();
-        assert!(matches!(reply, Nfs3Reply::Write { count: 1, .. }));
-        let rt_at_commit = mb.round_trips();
-
-        // The (conditional) bug: B ignores the piggybacked invalidation
-        // its next round trip delivers.
-        b.set_ignore_invalidations(buggy);
-        let _ = b.getattr(mb, ALICE_UID, fh_other).unwrap(); // cache miss → wire
-        assert!(
-            mb.round_trips() > rt_at_commit,
-            "the probe RPC must complete a post-commit round trip"
-        );
-        // B re-reads file 0; rule 4 scores the observation.
-        let rt_before = mb.round_trips();
-        let seen = b.getattr(mb, ALICE_UID, fh).unwrap();
-        if seen.size != 1 && rt_before > rt_at_commit {
-            violations.push(format!(
-                "client 1 file 0: stale size {} served after a post-commit \
-                 round trip delivered the invalidation",
-                seen.size
-            ));
-        }
-        (seen.size, violations)
-    };
-
-    let (stale_size, violations) = script(true);
-    assert_eq!(
-        stale_size, 0,
-        "the injected bug must actually cause a stale read"
-    );
-    assert!(
-        !violations.is_empty(),
-        "the oracle failed to flag the injected stale read"
-    );
-
-    // Control: the identical sequence without the bug is coherent — the
-    // invalidation lands, the cache entry is dropped, the read refetches.
-    let (fresh_size, violations) = script(false);
-    assert_eq!(fresh_size, 1, "with callbacks applied the read is fresh");
-    assert!(violations.is_empty(), "{violations:#?}");
+    oracle::detects_injected_stale_read(Behind::Servers);
 }
 
 #[test]
@@ -831,13 +217,13 @@ fn coherence_oracle_holds_at_every_pipeline_window() {
             ("seed=413,drop=10,reorder=15,delay=80,delay_ns=1ms", 4),
             ("seed=411,drop=15,dup=10,ccrash=900ms", 3),
         ] {
-            let a = run_spec_windowed(spec, 0x5EED, n, false, window);
+            let a = harness_windowed(spec, n, window).run(0x5EED, |_| ());
             assert!(
                 a.violations.is_empty(),
                 "coherence violated under {spec:?} at window {window}: {:#?}",
                 a.violations
             );
-            let b = run_spec_windowed(spec, 0x5EED, n, false, window);
+            let b = harness_windowed(spec, n, window).run(0x5EED, |_| ());
             assert_eq!(
                 a, b,
                 "windowed coherence run diverged across reruns of {spec:?} \
@@ -853,17 +239,12 @@ fn windowed_streams_are_coherent_across_clients() {
     // (flushed by the close barrier); client 1 read-ahead-streams it
     // back. The bytes must survive the faulty wire and the handoff
     // between two independently-mounted clients.
-    let h = build_harness_windowed(
-        "seed=452,reorder=20,dup=10",
-        2,
-        false,
-        DEFAULT_PIPELINE_WINDOW,
-    );
-    let p = format!("{}/public/stream", h.path.full_path());
+    let h = harness("seed=452,reorder=20,dup=10", 2);
+    let p = format!("{}/public/stream", h.world.path().full_path());
     let data: Vec<u8> = (0..200_000u32).map(|i| (i % 251) as u8).collect();
-    h.clients[0].write_file(ALICE_UID, &p, &data).unwrap();
+    h.world.clients[0].write_file(UID, &p, &data).unwrap();
     assert_eq!(
-        h.clients[1].read_file(ALICE_UID, &p).unwrap(),
+        h.world.clients[1].read_file(UID, &p).unwrap(),
         data,
         "cross-client stream lost or reordered bytes"
     );

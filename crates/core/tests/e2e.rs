@@ -2,221 +2,118 @@
 //! complete protocol stack (key negotiation, secure channel, user
 //! authentication, NFS relay, caching).
 
-use std::sync::Arc;
-
 use sfs::agent::Agent;
-use sfs::authserver::{AuthServer, UserRecord};
-use sfs::client::{ClientError, SfsClient, SfsNetwork};
-use sfs::server::{ServerConfig, SfsServer};
+use sfs::client::ClientError;
 use sfs::sfskey;
+use sfs_bench::keys;
+use sfs_bench::world::{KeySeeds, World, WorldSpec, UID as ALICE_UID};
 use sfs_bignum::XorShiftSource;
-use sfs_crypto::rabin::{generate_keypair, RabinPrivateKey};
-use sfs_crypto::srp::SrpGroup;
-use sfs_crypto::SfsPrg;
 use sfs_nfs3::proto::Status;
 use sfs_proto::pathname::SelfCertifyingPath;
-use sfs_sim::{NetParams, SimClock, Transport};
-use sfs_vfs::{Credentials, Vfs};
-use std::sync::OnceLock;
+use sfs_vfs::Credentials;
 
-fn server_key() -> RabinPrivateKey {
-    static KEY: OnceLock<RabinPrivateKey> = OnceLock::new();
-    KEY.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0xA5A5);
-        generate_keypair(768, &mut rng)
-    })
-    .clone()
+/// A full test world: one server (with alice registered), one client
+/// whose agent holds her key.
+fn world() -> World {
+    World::build(&WorldSpec::test())
 }
 
-fn user_key() -> RabinPrivateKey {
-    static KEY: OnceLock<RabinPrivateKey> = OnceLock::new();
-    KEY.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0xB6B6);
-        generate_keypair(512, &mut rng)
-    })
-    .clone()
-}
-
-fn srp_group() -> SrpGroup {
-    static G: OnceLock<SrpGroup> = OnceLock::new();
-    G.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0xC7C7);
-        SrpGroup::generate(128, &mut rng)
-    })
-    .clone()
-}
-
-/// A full test world: one server (with alice registered), one client.
-struct World {
-    clock: SimClock,
-    net: Arc<SfsNetwork>,
-    server: Arc<SfsServer>,
-    client: Arc<SfsClient>,
-    path: SelfCertifyingPath,
-}
-
-const ALICE_UID: u32 = 1000;
-
-fn build_world() -> World {
-    let clock = SimClock::new();
-    let vfs = Vfs::new(7, clock.clone());
-    // Server-side content: /home/alice owned by alice, /public readable.
-    let root_creds = Credentials::root();
-    let home = vfs.mkdir_p("/home/alice").unwrap();
-    vfs.setattr(
-        &root_creds,
-        home,
-        sfs_vfs::SetAttr {
-            uid: Some(ALICE_UID),
-            gid: Some(100),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let public = vfs.mkdir_p("/public").unwrap();
-    vfs.setattr(
-        &root_creds,
-        public,
-        sfs_vfs::SetAttr {
-            mode: Some(0o777),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    vfs.write_file(&root_creds, public, "motd", b"welcome to sfs")
-        .unwrap();
-    let (motd, _) = vfs.lookup(&root_creds, public, "motd").unwrap();
-    vfs.setattr(
-        &root_creds,
-        motd,
-        sfs_vfs::SetAttr {
-            mode: Some(0o644),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-
-    let auth = Arc::new(AuthServer::new(srp_group(), 2));
-    auth.register_user(UserRecord {
-        user: "alice".into(),
-        uid: ALICE_UID,
-        gids: vec![100],
-        public_key: user_key().public().to_bytes(),
-    });
-    let server = SfsServer::new(
-        ServerConfig::new("sfs.lcs.mit.edu"),
-        server_key(),
-        vfs,
-        auth,
-        SfsPrg::from_entropy(b"server"),
-    );
-    let net = SfsNetwork::new(clock.clone(), NetParams::switched_100mbit(Transport::Tcp));
-    net.register(server.clone());
-    let client = SfsClient::new(net.clone(), b"client");
-    // Alice's agent holds her key.
-    client.agent(ALICE_UID).lock().add_key(user_key());
-    let path = server.path().clone();
-    World {
-        clock,
-        net,
-        server,
-        client,
-        path,
-    }
-}
+const MOTD: &[u8] = b"welcome to sfs.lcs.mit.edu";
 
 #[test]
 fn mount_and_read_public_file() {
-    let w = build_world();
-    let file = format!("{}/public/motd", w.path.full_path());
-    let data = w.client.read_file(ALICE_UID, &file).unwrap();
-    assert_eq!(data, b"welcome to sfs");
+    let w = world();
+    let file = format!("{}/public/motd", w.path().full_path());
+    let data = w.clients[0].read_file(ALICE_UID, &file).unwrap();
+    assert_eq!(data, MOTD);
 }
 
 #[test]
 fn authenticated_user_writes_home_directory() {
-    let w = build_world();
-    let file = format!("{}/home/alice/notes.txt", w.path.full_path());
-    w.client
+    let w = world();
+    let file = format!("{}/home/alice/notes.txt", w.path().full_path());
+    w.clients[0]
         .write_file(ALICE_UID, &file, b"meeting at noon")
         .unwrap();
     assert_eq!(
-        w.client.read_file(ALICE_UID, &file).unwrap(),
+        w.clients[0].read_file(ALICE_UID, &file).unwrap(),
         b"meeting at noon"
     );
     // The write really landed on the server's file system.
-    let (ino, _) = w
-        .server
+    let (ino, _) = w.servers[0]
         .vfs()
         .lookup_path(&Credentials::root(), "/home/alice/notes.txt")
         .unwrap();
     assert_eq!(
-        w.server.vfs().read_file(&Credentials::root(), ino).unwrap(),
+        w.servers[0]
+            .vfs()
+            .read_file(&Credentials::root(), ino)
+            .unwrap(),
         b"meeting at noon"
     );
 }
 
 #[test]
 fn unauthenticated_user_is_anonymous() {
-    let w = build_world();
+    let w = world();
     // Bob (uid 2000) has no key in his agent: anonymous access.
-    let file = format!("{}/home/alice/secret.txt", w.path.full_path());
-    let err = w.client.write_file(2000, &file, b"x").unwrap_err();
+    let file = format!("{}/home/alice/secret.txt", w.path().full_path());
+    let err = w.clients[0].write_file(2000, &file, b"x").unwrap_err();
     assert_eq!(err, ClientError::Nfs(Status::Acces));
     // But the world-readable file is available anonymously.
-    let motd = format!("{}/public/motd", w.path.full_path());
-    assert_eq!(w.client.read_file(2000, &motd).unwrap(), b"welcome to sfs");
+    let motd = format!("{}/public/motd", w.path().full_path());
+    assert_eq!(w.clients[0].read_file(2000, &motd).unwrap(), MOTD);
 }
 
 #[test]
 fn wrong_key_for_user_gets_anonymous_permissions() {
-    let w = build_world();
+    let w = world();
     // Carol presents a key the authserver has never seen.
-    let mut rng = XorShiftSource::new(0xDD);
-    let carol_key = generate_keypair(512, &mut rng);
-    w.client.agent(3000).lock().add_key(carol_key);
-    let file = format!("{}/home/alice/secret", w.path.full_path());
+    let carol_key = keys::rabin(512, 0xDD);
+    w.clients[0].agent(3000).lock().add_key(carol_key);
+    let file = format!("{}/home/alice/secret", w.path().full_path());
     assert_eq!(
-        w.client.write_file(3000, &file, b"x").unwrap_err(),
+        w.clients[0].write_file(3000, &file, b"x").unwrap_err(),
         ClientError::Nfs(Status::Acces)
     );
 }
 
 #[test]
 fn attribute_caching_reduces_rpcs() {
-    let w = build_world();
-    let file = format!("{}/public/motd", w.path.full_path());
-    let (mount, fh, _) = w.client.resolve(ALICE_UID, &file).unwrap();
-    let before = w.client.network_rpcs();
+    let w = world();
+    let file = format!("{}/public/motd", w.path().full_path());
+    let (mount, fh, _) = w.clients[0].resolve(ALICE_UID, &file).unwrap();
+    let before = w.clients[0].network_rpcs();
     for _ in 0..50 {
-        w.client.getattr(&mount, ALICE_UID, &fh).unwrap();
+        w.clients[0].getattr(&mount, ALICE_UID, &fh).unwrap();
     }
-    let with_cache = w.client.network_rpcs() - before;
+    let with_cache = w.clients[0].network_rpcs() - before;
     assert!(
         with_cache <= 1,
         "cached getattrs should not hit the wire (got {with_cache})"
     );
 
-    w.client.set_caching(false);
-    let before = w.client.network_rpcs();
+    w.clients[0].set_caching(false);
+    let before = w.clients[0].network_rpcs();
     for _ in 0..50 {
-        w.client.getattr(&mount, ALICE_UID, &fh).unwrap();
+        w.clients[0].getattr(&mount, ALICE_UID, &fh).unwrap();
     }
-    let without_cache = w.client.network_rpcs() - before;
+    let without_cache = w.clients[0].network_rpcs() - before;
     assert_eq!(without_cache, 50);
 }
 
 #[test]
 fn lease_invalidation_on_write() {
-    let w = build_world();
-    let file = format!("{}/home/alice/journal", w.path.full_path());
-    w.client.write_file(ALICE_UID, &file, b"day one").unwrap();
-    let (mount, fh, attr0) = w.client.resolve(ALICE_UID, &file).unwrap();
+    let w = world();
+    let file = format!("{}/home/alice/journal", w.path().full_path());
+    w.clients[0]
+        .write_file(ALICE_UID, &file, b"day one")
+        .unwrap();
+    let (mount, fh, attr0) = w.clients[0].resolve(ALICE_UID, &file).unwrap();
     assert_eq!(attr0.size, 7);
     // A write through the protocol invalidates the cached attributes via
     // the server's lease callback, so the next getattr sees fresh data.
-    let reply = w
-        .client
+    let reply = w.clients[0]
         .call_nfs(
             &mount,
             ALICE_UID,
@@ -229,23 +126,23 @@ fn lease_invalidation_on_write() {
         )
         .unwrap();
     assert_eq!(reply.status(), Status::Ok, "{reply:?}");
-    let attr = w.client.getattr(&mount, ALICE_UID, &fh).unwrap();
+    let attr = w.clients[0].getattr(&mount, ALICE_UID, &fh).unwrap();
     assert_eq!(attr.size, 16, "stale cached size would be 7");
 }
 
 #[test]
 fn symlinks_traversed_server_side_content() {
-    let w = build_world();
+    let w = world();
     // Server root gets a symlink: /latest -> /public/motd.
-    let vfs = w.server.vfs();
+    let vfs = w.servers[0].vfs();
     let root = vfs.root();
     vfs.symlink(&Credentials::root(), root, "latest", "/public/motd")
         .unwrap();
     // NOTE: absolute symlink targets on the server are interpreted
     // relative to the mount by the client when they do not start with
     // /sfs — the client rebuilds them under the mount's own path.
-    let link = format!("{}/latest", w.path.full_path());
-    let target = w.client.readlink(ALICE_UID, &link).unwrap();
+    let link = format!("{}/latest", w.path().full_path());
+    let target = w.clients[0].readlink(ALICE_UID, &link).unwrap();
     assert_eq!(target, "/public/motd");
 }
 
@@ -253,145 +150,109 @@ fn symlinks_traversed_server_side_content() {
 fn cross_server_secure_links() {
     // Two servers; a symlink on server A names server B's self-certifying
     // path (§2.4 "secure links").
-    let w = build_world();
-    let clock = w.clock.clone();
-    let vfs_b = Vfs::new(8, clock.clone());
-    vfs_b
-        .write_file(&Credentials::root(), vfs_b.root(), "data", b"on server B")
-        .unwrap();
-    let mut rng = XorShiftSource::new(0xEE);
-    let key_b = generate_keypair(768, &mut rng);
-    let auth_b = Arc::new(AuthServer::new(srp_group(), 2));
-    let server_b = SfsServer::new(
-        ServerConfig::new("b.example.org"),
-        key_b,
-        vfs_b,
-        auth_b,
-        SfsPrg::from_entropy(b"server-b"),
-    );
-    w.net.register(server_b.clone());
-    // Fix permissions: the file must be world-readable for anonymous
-    // access from the client.
-    let vfs = server_b.vfs();
-    let (ino, _) = vfs.lookup_path(&Credentials::root(), "/data").unwrap();
-    vfs.setattr(
-        &Credentials::root(),
-        ino,
-        sfs_vfs::SetAttr {
-            mode: Some(0o644),
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let mut w = world();
+    let server_b = w.add_server("b.example.org", 0xEE);
 
     // The secure link on server A points at B's full self-certifying
     // pathname.
-    let target = format!("{}/data", server_b.path().full_path());
-    let vfs_a = w.server.vfs();
+    let target = format!("{}/public/motd", server_b.path().full_path());
+    let vfs_a = w.servers[0].vfs();
     let (pub_ino, _) = vfs_a.lookup_path(&Credentials::root(), "/public").unwrap();
     vfs_a
         .symlink(&Credentials::root(), pub_ino, "b-data", &target)
         .unwrap();
 
-    let via_link = format!("{}/public/b-data", w.path.full_path());
+    let via_link = format!("{}/public/b-data", w.path().full_path());
     assert_eq!(
-        w.client.read_file(ALICE_UID, &via_link).unwrap(),
-        b"on server B"
+        w.clients[0].read_file(ALICE_UID, &via_link).unwrap(),
+        b"welcome to b.example.org"
     );
 }
 
 #[test]
 fn agent_links_resolve_human_names() {
-    let w = build_world();
-    w.client
+    let w = world();
+    w.clients[0]
         .agent(ALICE_UID)
         .lock()
-        .create_link("mit", &w.path.full_path());
+        .create_link("mit", &w.path().full_path());
     let via_name = "/sfs/mit/public/motd";
-    assert_eq!(
-        w.client.read_file(ALICE_UID, via_name).unwrap(),
-        b"welcome to sfs"
-    );
+    assert_eq!(w.clients[0].read_file(ALICE_UID, via_name).unwrap(), MOTD);
     // Another user without the link cannot use the name.
-    assert!(w.client.read_file(2000, via_name).is_err());
+    assert!(w.clients[0].read_file(2000, via_name).is_err());
 }
 
 #[test]
 fn sfs_listing_is_per_agent() {
-    let w = build_world();
-    let motd = format!("{}/public/motd", w.path.full_path());
-    w.client.read_file(ALICE_UID, &motd).unwrap();
-    assert!(w.client.list_sfs(ALICE_UID).contains(&w.path.dir_name()));
+    let w = world();
+    let motd = format!("{}/public/motd", w.path().full_path());
+    w.clients[0].read_file(ALICE_UID, &motd).unwrap();
+    assert!(w.clients[0]
+        .list_sfs(ALICE_UID)
+        .contains(&w.path().dir_name()));
     assert!(
-        !w.client.list_sfs(2000).contains(&w.path.dir_name()),
+        !w.clients[0].list_sfs(2000).contains(&w.path().dir_name()),
         "uid 2000 never referenced this pathname"
     );
 }
 
 #[test]
 fn mitm_server_with_different_key_rejected() {
-    let w = build_world();
+    let mut w = world();
     // An attacker at a different location claims alice's HostID… the
     // pathname names the key, so a rogue server at the *same* location
     // with a different key fails certification.
-    let clock = w.clock.clone();
-    let mut rng = XorShiftSource::new(0xBAD);
-    let rogue_key = generate_keypair(768, &mut rng);
-    let rogue = SfsServer::new(
-        ServerConfig::new("rogue.example.org"),
-        rogue_key,
-        Vfs::new(9, clock.clone()),
-        Arc::new(AuthServer::new(srp_group(), 2)),
-        SfsPrg::from_entropy(b"rogue"),
-    );
-    w.net.register(rogue);
+    w.add_server("rogue.example.org", 0xBAD);
     // Build a path claiming the rogue location but the real server's
     // HostID — e.g. a phishing link.
     let forged = SelfCertifyingPath {
         location: "rogue.example.org".into(),
-        host_id: w.path.host_id,
+        host_id: w.path().host_id,
     };
-    let err = w.client.mount(ALICE_UID, &forged).unwrap_err();
+    let err = w.clients[0].mount(ALICE_UID, &forged).unwrap_err();
     assert!(matches!(err, ClientError::KeyMismatch), "{err:?}");
 }
 
 #[test]
 fn sfskey_password_bootstrap_end_to_end() {
-    let w = build_world();
+    let w = world();
     // Alice registers with a password (done at the office).
     let mut rng = XorShiftSource::new(0x51);
     sfskey::register(
-        w.server.authserver(),
+        w.servers[0].authserver(),
         "alice",
         b"correct horse battery staple",
-        &user_key(),
+        &keys::rabin(512, KeySeeds::TEST.user),
         &mut rng,
     );
 
     // Traveling: a fresh agent on some other machine, no keys, no
     // configuration. One password recovers everything.
-    let conn = w.server.accept();
+    let conn = w.servers[0].accept();
     let mut agent = Agent::new();
     let result = sfskey::add(
         &conn,
-        &srp_group(),
+        &keys::srp_group(128, KeySeeds::TEST.srp),
         &mut agent,
         "alice",
         b"correct horse battery staple",
         &mut rng,
     )
     .unwrap();
-    assert_eq!(result.server_path.as_ref().unwrap(), &w.path);
+    assert_eq!(result.server_path.as_ref().unwrap(), w.path());
     let got_key = result.private_key.unwrap();
-    assert_eq!(got_key.public(), user_key().public());
+    assert_eq!(
+        got_key.public(),
+        keys::rabin(512, KeySeeds::TEST.user).public()
+    );
     assert_eq!(agent.key_count(), 1);
 
     // Wrong password: rejected, nothing leaks.
-    let conn = w.server.accept();
+    let conn = w.servers[0].accept();
     let mut agent2 = Agent::new();
     let err = sfskey::add(
         &conn,
-        &srp_group(),
+        &keys::srp_group(128, KeySeeds::TEST.srp),
         &mut agent2,
         "alice",
         b"wrong password",
@@ -404,27 +265,24 @@ fn sfskey_password_bootstrap_end_to_end() {
 
 #[test]
 fn pwd_returns_self_certifying_path() {
-    let w = build_world();
-    let dir = format!("{}/home/alice", w.path.full_path());
-    let (mount, _, _) = w.client.resolve(ALICE_UID, &dir).unwrap();
-    let pwd = w.client.pwd(&mount, "home/alice");
+    let w = world();
+    let dir = format!("{}/home/alice", w.path().full_path());
+    let (mount, _, _) = w.clients[0].resolve(ALICE_UID, &dir).unwrap();
+    let pwd = w.clients[0].pwd(&mount, "home/alice");
     assert_eq!(pwd, dir);
     // Bookmark and return via the Location name.
     let parsed = SelfCertifyingPath::parse_full(&pwd).unwrap().0;
-    w.client.agent(ALICE_UID).lock().add_bookmark(&parsed);
-    let again = format!("/sfs/{}/public/motd", w.path.location);
-    assert_eq!(
-        w.client.read_file(ALICE_UID, &again).unwrap(),
-        b"welcome to sfs"
-    );
+    w.clients[0].agent(ALICE_UID).lock().add_bookmark(&parsed);
+    let again = format!("/sfs/{}/public/motd", w.path().location);
+    assert_eq!(w.clients[0].read_file(ALICE_UID, &again).unwrap(), MOTD);
 }
 
 #[test]
 fn virtual_time_advances_with_work() {
-    let w = build_world();
+    let w = world();
     let before = w.clock.now();
-    let file = format!("{}/public/motd", w.path.full_path());
-    w.client.read_file(ALICE_UID, &file).unwrap();
+    let file = format!("{}/public/motd", w.path().full_path());
+    w.clients[0].read_file(ALICE_UID, &file).unwrap();
     assert!(
         w.clock.now() > before,
         "network transit must consume virtual time"
@@ -436,25 +294,27 @@ fn agent_ipc_is_uid_attested() {
     // §3.2: agents reach the client master over protected Unix-domain
     // sockets; `suidconnect` attests the caller's uid, so one user's
     // agent commands cannot touch another user's namespace view.
-    let w = build_world();
-    let socket = w.client.agent_socket();
+    let w = world();
+    let socket = w.clients[0].agent_socket();
     let mut enc = sfs_xdr::XdrEncoder::new();
     enc.put_u32(0)
         .put_string("mit")
-        .put_string(&w.path.full_path());
+        .put_string(&w.path().full_path());
     // Alice registers the link over IPC.
     let reply = socket.connect_and_call(ALICE_UID, enc.bytes());
     let mut dec = sfs_xdr::XdrDecoder::new(&reply);
     assert_eq!(dec.get_u32().unwrap(), 0);
     // It works for alice…
     assert_eq!(
-        w.client
+        w.clients[0]
             .read_file(ALICE_UID, "/sfs/mit/public/motd")
             .unwrap(),
-        b"welcome to sfs"
+        MOTD
     );
     // …and not for bob, whose (separate) agent never saw the command.
-    assert!(w.client.read_file(2000, "/sfs/mit/public/motd").is_err());
+    assert!(w.clients[0]
+        .read_file(2000, "/sfs/mit/public/motd")
+        .is_err());
     // Listing over IPC shows per-uid views.
     let mut enc = sfs_xdr::XdrEncoder::new();
     enc.put_u32(1);
@@ -480,8 +340,8 @@ fn agent_socket_errors_are_structured() {
     // needs error *codes* it can dispatch on, not prose. Each failure
     // class gets its own status, the offending command is echoed back,
     // and the message is advisory.
-    let w = build_world();
-    let socket = w.client.agent_socket();
+    let w = world();
+    let socket = w.clients[0].agent_socket();
     // Recognised command, malformed arguments.
     let mut enc = sfs_xdr::XdrEncoder::new();
     enc.put_u32(0).put_u32(0xdead_beef); // cmd 0 wants two strings
@@ -512,28 +372,16 @@ fn each_mount_gets_its_own_device_number() {
     // scheme prevents a malicious server from tricking the pwd command
     // into printing an incorrect path", and device+inode uniquely
     // identify files for utilities.
-    let w = build_world();
-    let mut rng = XorShiftSource::new(0xDE5);
-    let key_b = generate_keypair(768, &mut rng);
-    let vfs_b = Vfs::new(99, w.clock.clone());
-    vfs_b
-        .write_file(&Credentials::root(), vfs_b.root(), "f", b"b")
+    let mut w = world();
+    let server_b = w.add_server("b.example.org", 0xDE5);
+    let (_, _, attr_a) = w.clients[0]
+        .resolve(ALICE_UID, &format!("{}/public/motd", w.path().full_path()))
         .unwrap();
-    let server_b = SfsServer::new(
-        ServerConfig::new("b.example.org"),
-        key_b,
-        vfs_b,
-        Arc::new(AuthServer::new(srp_group(), 2)),
-        SfsPrg::from_entropy(b"dev-b"),
-    );
-    w.net.register(server_b.clone());
-    let (_, _, attr_a) = w
-        .client
-        .resolve(ALICE_UID, &format!("{}/public/motd", w.path.full_path()))
-        .unwrap();
-    let (_, _, attr_b) = w
-        .client
-        .resolve(ALICE_UID, &format!("{}/f", server_b.path().full_path()))
+    let (_, _, attr_b) = w.clients[0]
+        .resolve(
+            ALICE_UID,
+            &format!("{}/public/motd", server_b.path().full_path()),
+        )
         .unwrap();
     assert_ne!(
         attr_a.fsid, attr_b.fsid,

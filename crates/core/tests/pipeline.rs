@@ -23,120 +23,36 @@
 //! a reconnect-and-reissue, which is chaos.rs territory). Every spec is
 //! run twice and must reproduce byte for byte.
 
-use std::sync::Arc;
-use std::sync::OnceLock;
-
-use sfs::authserver::{AuthServer, UserRecord};
-use sfs::client::{RetryPolicy, SfsClient, SfsNetwork, DEFAULT_PIPELINE_WINDOW};
-use sfs::server::{ServerConfig, SfsServer};
-use sfs_bignum::XorShiftSource;
-use sfs_crypto::rabin::{generate_keypair, RabinPrivateKey};
-use sfs_crypto::srp::SrpGroup;
-use sfs_crypto::SfsPrg;
+use sfs::client::{RetryPolicy, DEFAULT_PIPELINE_WINDOW};
+use sfs_bench::world::{World, WorldSpec, UID as ALICE_UID};
 use sfs_nfs3::{Nfs3Reply, Nfs3Request, Sattr3, Status};
-use sfs_sim::{FaultEvent, FaultPlan, NetParams, SimClock, Transport};
-use sfs_vfs::{Credentials, Vfs};
-
-fn server_key() -> RabinPrivateKey {
-    static KEY: OnceLock<RabinPrivateKey> = OnceLock::new();
-    KEY.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0xA5A5);
-        generate_keypair(768, &mut rng)
-    })
-    .clone()
-}
-
-fn user_key() -> RabinPrivateKey {
-    static KEY: OnceLock<RabinPrivateKey> = OnceLock::new();
-    KEY.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0xB6B6);
-        generate_keypair(512, &mut rng)
-    })
-    .clone()
-}
-
-fn client_ephemeral() -> RabinPrivateKey {
-    static KEY: OnceLock<RabinPrivateKey> = OnceLock::new();
-    KEY.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0xE9E9);
-        generate_keypair(768, &mut rng)
-    })
-    .clone()
-}
-
-fn srp_group() -> SrpGroup {
-    static G: OnceLock<SrpGroup> = OnceLock::new();
-    G.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0xC7C7);
-        SrpGroup::generate(128, &mut rng)
-    })
-    .clone()
-}
-
-const ALICE_UID: u32 = 1000;
+use sfs_sim::{FaultEvent, FaultPlan};
 
 /// The batch is wider than the window so the engine must run several
 /// exchange rounds and chunk boundaries are exercised.
 const BATCH: usize = 12;
 
-struct World {
-    clock: SimClock,
-    client: Arc<SfsClient>,
-    server: Arc<SfsServer>,
-    home: String,
-}
-
-/// Full client/server stack with `plan` wired through the network (the
-/// only fault site these properties exercise).
-fn build_world(plan: &FaultPlan) -> World {
-    let clock = SimClock::new();
-    let vfs = Vfs::new(7, clock.clone());
-    let root_creds = Credentials::root();
-    let home = vfs.mkdir_p("/home/alice").unwrap();
-    vfs.setattr(
-        &root_creds,
-        home,
-        sfs_vfs::SetAttr {
-            uid: Some(ALICE_UID),
-            gid: Some(100),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let auth = Arc::new(AuthServer::new(srp_group(), 2));
-    auth.register_user(UserRecord {
-        user: "alice".into(),
-        uid: ALICE_UID,
-        gids: vec![100],
-        public_key: user_key().public().to_bytes(),
+/// Full client/server stack with `plan` wired through the network and
+/// the server (these plans carry wire faults only).
+fn world(plan: &FaultPlan) -> World {
+    let w = World::build(&WorldSpec {
+        server_entropy: "pipeline-server",
+        client_entropy: "pipeline-client",
+        ..WorldSpec::test().faulted(Some(plan))
     });
-    let server = SfsServer::new(
-        ServerConfig::new("sfs.lcs.mit.edu"),
-        server_key(),
-        vfs,
-        auth,
-        SfsPrg::from_entropy(b"pipeline-server"),
-    );
-    let net = SfsNetwork::new(clock.clone(), NetParams::switched_100mbit(Transport::Tcp));
-    net.set_fault_plan(plan.clone());
-    net.register(server.clone());
-    let client = SfsClient::with_ephemeral(net, b"pipeline-client", client_ephemeral());
-    client.agent(ALICE_UID).lock().add_key(user_key());
     // These properties assert that *retransmission alone* rides out the
     // wire faults (reconnects == 0 below), so give it enough budget that
     // even a 30% drop rate can't exhaust it before the seeded plan
     // relents.
-    client.set_retry_policy(RetryPolicy {
+    w.clients[0].set_retry_policy(RetryPolicy {
         max_retransmits: 32,
         ..RetryPolicy::default()
     });
-    let home = format!("{}/home/alice", server.path().full_path());
-    World {
-        clock,
-        client,
-        server,
-        home,
-    }
+    w
+}
+
+fn home(w: &World) -> String {
+    format!("{}/home/alice", w.path().full_path())
 }
 
 fn mkdir_batch(dir_fh: &sfs_nfs3::FileHandle, tag: &str) -> Vec<Nfs3Request> {
@@ -163,9 +79,9 @@ struct Outcome {
 /// the run's fingerprint. Panics on any violation.
 fn exactly_once(spec: &str, window: usize) -> Outcome {
     let plan = FaultPlan::from_spec(spec).unwrap();
-    let w = build_world(&plan);
-    w.client.set_pipeline_window(window);
-    let (mount, dir_fh, _) = w.client.resolve(ALICE_UID, &w.home).unwrap();
+    let w = world(&plan);
+    w.clients[0].set_pipeline_window(window);
+    let (mount, dir_fh, _) = w.clients[0].resolve(ALICE_UID, &home(&w)).unwrap();
     // Mount establishment (key negotiation + SRP auth) may legitimately
     // need a reconnect under heavy drops — the handshake has no reply
     // cache to fall back on. The exactly-once property targets the
@@ -176,7 +92,9 @@ fn exactly_once(spec: &str, window: usize) -> Outcome {
     // retransmitted frame re-executed instead of hitting the reply
     // cache — the at-most-once property is broken.
     let reqs = mkdir_batch(&dir_fh, "once");
-    let replies = w.client.call_nfs_window(&mount, ALICE_UID, &reqs).unwrap();
+    let replies = w.clients[0]
+        .call_nfs_window(&mount, ALICE_UID, &reqs)
+        .unwrap();
     assert_eq!(replies.len(), BATCH);
     let mid_batch_reconnects = mount.reconnects() - reconnects_at_mount;
     for (i, reply) in replies.iter().enumerate() {
@@ -204,7 +122,9 @@ fn exactly_once(spec: &str, window: usize) -> Outcome {
     // Second, identical batch: every call must now fail with Exist,
     // proving the first batch's calls all actually executed
     // (at-least-once), and proving these twelve executed too.
-    let replay = w.client.call_nfs_window(&mount, ALICE_UID, &reqs).unwrap();
+    let replay = w.clients[0]
+        .call_nfs_window(&mount, ALICE_UID, &reqs)
+        .unwrap();
     for (i, reply) in replay.iter().enumerate() {
         assert!(
             matches!(
@@ -271,11 +191,11 @@ fn full_reply_cache_evicts_oldest_first_without_breaking_exactly_once() {
     // client could still legitimately retransmit for stay answerable.
     const CALLS: usize = 280; // > REPLY_CACHE_CAPACITY (256)
     let plan = FaultPlan::from_spec("seed=0").unwrap();
-    let w = build_world(&plan);
+    let w = world(&plan);
     let tel = sfs_telemetry::Telemetry::counters();
-    w.server.set_telemetry(&tel);
-    w.client.set_pipeline_window(8);
-    let (mount, dir_fh, _) = w.client.resolve(ALICE_UID, &w.home).unwrap();
+    w.servers[0].set_telemetry(&tel);
+    w.clients[0].set_pipeline_window(8);
+    let (mount, dir_fh, _) = w.clients[0].resolve(ALICE_UID, &home(&w)).unwrap();
     let reqs: Vec<Nfs3Request> = (0..CALLS)
         .map(|i| Nfs3Request::Mkdir {
             dir: dir_fh.clone(),
@@ -283,7 +203,9 @@ fn full_reply_cache_evicts_oldest_first_without_breaking_exactly_once() {
             attrs: Sattr3::default(),
         })
         .collect();
-    let replies = w.client.call_nfs_window(&mount, ALICE_UID, &reqs).unwrap();
+    let replies = w.clients[0]
+        .call_nfs_window(&mount, ALICE_UID, &reqs)
+        .unwrap();
     assert_eq!(replies.len(), CALLS);
     for (i, reply) in replies.iter().enumerate() {
         assert!(
@@ -303,7 +225,9 @@ fn full_reply_cache_evicts_oldest_first_without_breaking_exactly_once() {
     // Re-issue the identical batch: all-Exist proves every original call
     // executed, and the session survived the evictions — the cache only
     // dropped replies too old for any in-window retransmission to want.
-    let replay = w.client.call_nfs_window(&mount, ALICE_UID, &reqs).unwrap();
+    let replay = w.clients[0]
+        .call_nfs_window(&mount, ALICE_UID, &reqs)
+        .unwrap();
     for (i, reply) in replay.iter().enumerate() {
         assert!(
             matches!(
@@ -337,18 +261,20 @@ fn window_one_matches_blocking_replies() {
     // path must produce identical reply streams on a clean wire.
     let plan = FaultPlan::from_spec("seed=0").unwrap();
 
-    let w = build_world(&plan);
-    w.client.set_pipeline_window(1);
-    let (mount, dir_fh, _) = w.client.resolve(ALICE_UID, &w.home).unwrap();
+    let w = world(&plan);
+    w.clients[0].set_pipeline_window(1);
+    let (mount, dir_fh, _) = w.clients[0].resolve(ALICE_UID, &home(&w)).unwrap();
     let reqs = mkdir_batch(&dir_fh, "parity");
-    let windowed = w.client.call_nfs_window(&mount, ALICE_UID, &reqs).unwrap();
+    let windowed = w.clients[0]
+        .call_nfs_window(&mount, ALICE_UID, &reqs)
+        .unwrap();
 
-    let w2 = build_world(&plan);
-    let (mount2, dir_fh2, _) = w2.client.resolve(ALICE_UID, &w2.home).unwrap();
+    let w2 = world(&plan);
+    let (mount2, dir_fh2, _) = w2.clients[0].resolve(ALICE_UID, &home(&w2)).unwrap();
     let reqs2 = mkdir_batch(&dir_fh2, "parity");
     let blocking: Vec<Nfs3Reply> = reqs2
         .iter()
-        .map(|r| w2.client.call_nfs(&mount2, ALICE_UID, r).unwrap())
+        .map(|r| w2.clients[0].call_nfs(&mount2, ALICE_UID, r).unwrap())
         .collect();
 
     let fp = |rs: &[Nfs3Reply]| rs.iter().map(|r| format!("{r:?}")).collect::<Vec<_>>();
@@ -360,13 +286,13 @@ fn write_behind_barrier_roundtrips_under_wire_faults() {
     // Streaming writes ride the write-behind queue; the barrier at
     // read-back must flush them in order even while the wire misbehaves.
     let plan = FaultPlan::from_spec("seed=509,drop=20,reorder=30,delay=60,delay_ns=1ms").unwrap();
-    let w = build_world(&plan);
-    w.client.set_pipeline_window(DEFAULT_PIPELINE_WINDOW);
-    let path = format!("{}/stream", w.home);
+    let w = world(&plan);
+    w.clients[0].set_pipeline_window(DEFAULT_PIPELINE_WINDOW);
+    let path = format!("{}/stream", home(&w));
     let data: Vec<u8> = (0..200_000u32).map(|i| (i % 251) as u8).collect();
-    w.client.write_file(ALICE_UID, &path, &data).unwrap();
+    w.clients[0].write_file(ALICE_UID, &path, &data).unwrap();
     assert_eq!(
-        w.client.read_file(ALICE_UID, &path).unwrap(),
+        w.clients[0].read_file(ALICE_UID, &path).unwrap(),
         data,
         "write-behind + barrier lost or reordered bytes"
     );

@@ -17,169 +17,55 @@
 //! 5. rerunning a seeded crash-recovery scenario reproduces it exactly.
 
 use std::sync::Arc;
-use std::sync::OnceLock;
 
-use sfs::authserver::{AuthServer, UserRecord};
-use sfs::client::{RetryPolicy, SfsClient, SfsNetwork};
+use sfs::client::{RetryPolicy, SfsClient};
 use sfs::journal::ClientJournal;
-use sfs::server::{ServerConfig, SfsServer};
 use sfs::sfskey;
+use sfs_bench::keys;
+use sfs_bench::world::{KeySeeds, World, WorldSpec, UID as ALICE_UID};
 use sfs_bignum::XorShiftSource;
-use sfs_crypto::rabin::{generate_keypair, RabinPrivateKey};
-use sfs_crypto::srp::SrpGroup;
-use sfs_crypto::SfsPrg;
-use sfs_proto::pathname::SelfCertifyingPath;
-use sfs_sim::{DiskParams, FaultPlan, JournalDisk, NetParams, SimClock, SimDisk, Transport};
+use sfs_sim::FaultPlan;
 use sfs_telemetry::Telemetry;
-use sfs_vfs::{Credentials, Vfs};
 
-fn server_key() -> RabinPrivateKey {
-    static KEY: OnceLock<RabinPrivateKey> = OnceLock::new();
-    KEY.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0xA5A5);
-        generate_keypair(768, &mut rng)
-    })
-    .clone()
-}
-
-fn second_server_key() -> RabinPrivateKey {
-    static KEY: OnceLock<RabinPrivateKey> = OnceLock::new();
-    KEY.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0xD4D4);
-        generate_keypair(768, &mut rng)
-    })
-    .clone()
-}
-
-fn swapped_server_key() -> RabinPrivateKey {
-    static KEY: OnceLock<RabinPrivateKey> = OnceLock::new();
-    KEY.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0xBAD0);
-        generate_keypair(768, &mut rng)
-    })
-    .clone()
-}
-
-fn user_key() -> RabinPrivateKey {
-    static KEY: OnceLock<RabinPrivateKey> = OnceLock::new();
-    KEY.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0xB6B6);
-        generate_keypair(512, &mut rng)
-    })
-    .clone()
-}
-
-fn client_ephemeral() -> RabinPrivateKey {
-    static KEY: OnceLock<RabinPrivateKey> = OnceLock::new();
-    KEY.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0xE9E9);
-        generate_keypair(768, &mut rng)
-    })
-    .clone()
-}
-
-fn srp_group() -> SrpGroup {
-    static G: OnceLock<SrpGroup> = OnceLock::new();
-    G.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0xC7C7);
-        SrpGroup::generate(128, &mut rng)
-    })
-    .clone()
-}
-
-const ALICE_UID: u32 = 1000;
-
-fn make_server(location: &str, key: RabinPrivateKey, clock: &SimClock) -> Arc<SfsServer> {
-    let vfs = Vfs::new(7, clock.clone());
-    let root_creds = Credentials::root();
-    let home = vfs.mkdir_p("/home/alice").unwrap();
-    vfs.setattr(
-        &root_creds,
-        home,
-        sfs_vfs::SetAttr {
-            uid: Some(ALICE_UID),
-            gid: Some(100),
-            // Private: anonymous (key-less) access must bounce off it.
-            mode: Some(0o700),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let auth = Arc::new(AuthServer::new(srp_group(), 2));
-    auth.register_user(UserRecord {
-        user: "alice".into(),
-        uid: ALICE_UID,
-        gids: vec![100],
-        public_key: user_key().public().to_bytes(),
-    });
-    SfsServer::new(
-        ServerConfig::new(location),
-        key,
-        vfs,
-        auth,
-        SfsPrg::from_entropy(location.as_bytes()),
-    )
-}
-
-struct World {
-    clock: SimClock,
-    net: Arc<SfsNetwork>,
-    server: Arc<SfsServer>,
-    path: SelfCertifyingPath,
-    journal: ClientJournal,
-}
-
-fn build_world(spec: &str) -> (World, FaultPlan) {
+/// One server under `spec`'s fault plan, no clients yet, and the journal
+/// every client incarnation of the test shares.
+fn world(spec: &str) -> (World, ClientJournal, FaultPlan) {
     let plan = FaultPlan::from_spec(spec).unwrap();
-    let clock = SimClock::new();
-    let server = make_server("sfs.lcs.mit.edu", server_key(), &clock);
-    server.set_fault_plan(plan.clone());
-    let net = SfsNetwork::new(clock.clone(), NetParams::switched_100mbit(Transport::Tcp));
-    net.set_fault_plan(plan.clone());
-    net.register(server.clone());
-    let journal_disk = SimDisk::new(clock.clone(), DiskParams::ibm_18es());
-    journal_disk.set_fault_plan(plan.clone());
-    let journal = ClientJournal::new(JournalDisk::new(journal_disk, 0));
-    let path = server.path().clone();
-    (
-        World {
-            clock,
-            net,
-            server,
-            path,
-            journal,
-        },
-        plan,
-    )
+    let w = World::build(&WorldSpec {
+        clients: 0,
+        ..WorldSpec::test().faulted(Some(&plan))
+    });
+    let journal = w.journal(0);
+    (w, journal, plan)
 }
 
 /// A fresh client incarnation on the shared network, wired to the shared
 /// journal — what a reboot of the client machine produces.
-fn boot_client(w: &World, entropy: &[u8]) -> Arc<SfsClient> {
-    let client = SfsClient::with_ephemeral(w.net.clone(), entropy, client_ephemeral());
-    client.attach_journal(w.journal.clone());
+fn boot_client(w: &World, journal: &ClientJournal, entropy: &[u8]) -> Arc<SfsClient> {
+    let client = w.client(entropy);
+    client.attach_journal(journal.clone());
     client
 }
 
 #[test]
 fn restarted_client_recovers_mounts_keys_and_seqnos_from_journal() {
-    let (w, plan) = build_world("seed=301,drop=10,dup=10");
+    let (w, journal, plan) = world("seed=301,drop=10,dup=10");
     let tel = Telemetry::counters();
 
     // First incarnation: journal attached from boot, key installed
     // through the journaling path, a link created over the agent IPC
     // socket, real authenticated traffic.
-    let client = boot_client(&w, b"recovery-client");
-    client.install_agent_key(ALICE_UID, user_key());
-    client.create_agent_link(ALICE_UID, "mit", &w.path.full_path());
-    let file = format!("{}/home/alice/notes", w.path.full_path());
+    let client = boot_client(&w, &journal, b"recovery-client");
+    client.install_agent_key(ALICE_UID, w.user_key());
+    client.create_agent_link(ALICE_UID, "mit", &w.path().full_path());
+    let file = format!("{}/home/alice/notes", w.path().full_path());
     client
         .write_file(ALICE_UID, &file, b"survives the crash")
         .unwrap();
     let (mount, _, _) = client.resolve(ALICE_UID, &file).unwrap();
     let seq_before = mount.seq_watermark();
     assert!(seq_before > 1, "authentication must have consumed seqnos");
-    let records_before = w.journal.len();
+    let records_before = journal.len();
     assert!(records_before > 0, "journal must have accumulated records");
 
     // The crash: the incarnation vanishes, taking every in-memory table
@@ -189,10 +75,10 @@ fn restarted_client_recovers_mounts_keys_and_seqnos_from_journal() {
     drop(mount);
 
     // Second incarnation, cold: no keys, no mounts, no caches.
-    let reborn = boot_client(&w, b"recovery-client-reborn");
+    let reborn = boot_client(&w, &journal, b"recovery-client-reborn");
     reborn.set_telemetry(&tel);
     let report = reborn.recover(ALICE_UID).unwrap();
-    assert_eq!(report.remounted, vec![w.path.dir_name()], "{report:?}");
+    assert_eq!(report.remounted, vec![w.path().dir_name()], "{report:?}");
     assert!(report.refused.is_empty(), "{report:?}");
     assert_eq!(report.key_mismatch_refusals, 0);
     assert!(report.agent_keys_restored >= 1, "{report:?}");
@@ -243,24 +129,22 @@ fn restarted_client_recovers_mounts_keys_and_seqnos_from_journal() {
 
 #[test]
 fn recovery_refuses_mount_whose_server_key_was_swapped() {
-    let (w, _plan) = build_world("seed=302");
-    let second = make_server("b.example.org", second_server_key(), &w.clock);
-    w.net.register(second.clone());
+    let (mut w, journal, _plan) = world("seed=302");
+    let second = w.add_server("b.example.org", 0xD4D4);
     let second_path = second.path().clone();
 
-    let client = boot_client(&w, b"swap-client");
-    client.install_agent_key(ALICE_UID, user_key());
-    client.mount(ALICE_UID, &w.path).unwrap();
+    let client = boot_client(&w, &journal, b"swap-client");
+    client.install_agent_key(ALICE_UID, w.user_key());
+    client.mount(ALICE_UID, w.path()).unwrap();
     client.mount(ALICE_UID, &second_path).unwrap();
     drop(client);
 
     // While the client is down, `b.example.org` is replaced by a server
     // with a *different* key — the paper's key-swap attack. The HostID in
     // the journal still names the old key.
-    let impostor = make_server("b.example.org", swapped_server_key(), &w.clock);
-    w.net.register(impostor);
+    w.add_server("b.example.org", 0xBAD0);
 
-    let reborn = boot_client(&w, b"swap-client-reborn");
+    let reborn = boot_client(&w, &journal, b"swap-client-reborn");
     let tel = Telemetry::counters();
     reborn.set_telemetry(&tel);
     // A swapped key only surfaces after the retry budget is exhausted
@@ -273,7 +157,7 @@ fn recovery_refuses_mount_whose_server_key_was_swapped() {
     let report = reborn.recover(ALICE_UID).unwrap();
     assert_eq!(
         report.remounted,
-        vec![w.path.dir_name()],
+        vec![w.path().dir_name()],
         "only the honest server comes back: {report:?}"
     );
     assert_eq!(report.key_mismatch_refusals, 1, "{report:?}");
@@ -284,7 +168,7 @@ fn recovery_refuses_mount_whose_server_key_was_swapped() {
         1
     );
     // The honest mount is fully usable…
-    let file = format!("{}/home/alice/ok", w.path.full_path());
+    let file = format!("{}/home/alice/ok", w.path().full_path());
     reborn.write_file(ALICE_UID, &file, b"still here").unwrap();
     // …and the swapped HostID stays unmounted: a fresh access re-fails
     // self-certification rather than silently trusting the impostor.
@@ -298,26 +182,26 @@ fn unjournaled_key_needs_sfskey_srp_reacquisition_after_restart() {
     // what went through the journaling APIs. Getting it back is exactly
     // the paper's §2.4 travel scenario: one SRP password retrieves the
     // key from the authserver, over the same faulty network.
-    let (w, _plan) = build_world("seed=303,drop=15,dup=10");
+    let (w, journal, _plan) = world("seed=303,drop=15,dup=10");
     let mut rng = XorShiftSource::new(0x51);
     sfskey::register(
-        w.server.authserver(),
+        w.servers[0].authserver(),
         "alice",
         b"correct horse battery staple",
-        &user_key(),
+        &w.user_key(),
         &mut rng,
     );
 
-    let client = boot_client(&w, b"srp-client");
+    let client = boot_client(&w, &journal, b"srp-client");
     // Deliberately bypass `install_agent_key`: an ephemeral install.
-    client.agent(ALICE_UID).lock().add_key(user_key());
-    let file = format!("{}/home/alice/diary", w.path.full_path());
+    client.agent(ALICE_UID).lock().add_key(w.user_key());
+    let file = format!("{}/home/alice/diary", w.path().full_path());
     client.write_file(ALICE_UID, &file, b"pre-crash").unwrap();
     drop(client);
 
-    let reborn = boot_client(&w, b"srp-client-reborn");
+    let reborn = boot_client(&w, &journal, b"srp-client-reborn");
     let report = reborn.recover(ALICE_UID).unwrap();
-    assert_eq!(report.remounted, vec![w.path.dir_name()]);
+    assert_eq!(report.remounted, vec![w.path().dir_name()]);
     assert_eq!(
         report.agent_keys_restored, 0,
         "an unjournaled key must not be resurrected: {report:?}"
@@ -327,11 +211,11 @@ fn unjournaled_key_needs_sfskey_srp_reacquisition_after_restart() {
 
     // sfskey SRP retrieval end-to-end: password → mutual auth → sealed
     // key download → journaled install.
-    let conn = w.server.accept();
+    let conn = w.servers[0].accept();
     let mut fresh_agent = sfs::Agent::new();
     let result = sfskey::add(
         &conn,
-        &srp_group(),
+        &keys::srp_group(128, KeySeeds::TEST.srp),
         &mut fresh_agent,
         "alice",
         b"correct horse battery staple",
@@ -339,16 +223,16 @@ fn unjournaled_key_needs_sfskey_srp_reacquisition_after_restart() {
     )
     .unwrap();
     let key = result.private_key.unwrap();
-    assert_eq!(key.public(), user_key().public());
+    assert_eq!(key.public(), w.user_key().public());
     reborn.install_agent_key(ALICE_UID, key);
     // A fresh session picks up the new credentials (the old session
     // already fell back to anonymous for this uid).
-    reborn.remount(ALICE_UID, &w.path).unwrap();
+    reborn.remount(ALICE_UID, w.path()).unwrap();
     assert_eq!(reborn.read_file(ALICE_UID, &file).unwrap(), b"pre-crash");
 
     // And this time the key *was* journaled: a second crash restores it.
     drop(reborn);
-    let third = boot_client(&w, b"srp-client-third");
+    let third = boot_client(&w, &journal, b"srp-client-third");
     let report = third.recover(ALICE_UID).unwrap();
     assert_eq!(report.agent_keys_restored, 1, "{report:?}");
     assert_eq!(third.read_file(ALICE_UID, &file).unwrap(), b"pre-crash");
@@ -359,29 +243,29 @@ fn recovery_replays_across_a_compaction_checkpoint() {
     // Journal GC must be invisible to recovery: fold the live journal
     // into a checkpoint mid-session, keep working, crash, and the reborn
     // client must recover state from both sides of the checkpoint.
-    let (w, plan) = build_world("seed=305");
-    let client = boot_client(&w, b"compact-client");
-    client.install_agent_key(ALICE_UID, user_key());
-    client.create_agent_link(ALICE_UID, "mit", &w.path.full_path());
-    let pre = format!("{}/home/alice/pre", w.path.full_path());
+    let (w, journal, plan) = world("seed=305");
+    let client = boot_client(&w, &journal, b"compact-client");
+    client.install_agent_key(ALICE_UID, w.user_key());
+    client.create_agent_link(ALICE_UID, "mit", &w.path().full_path());
+    let pre = format!("{}/home/alice/pre", w.path().full_path());
     client
         .write_file(ALICE_UID, &pre, b"before checkpoint")
         .unwrap();
 
     // Compaction truncates to one record and preserves the folded state.
-    let records_before = w.journal.len();
+    let records_before = journal.len();
     assert!(records_before > 1);
-    let folded_before = w.journal.replay().unwrap();
-    w.journal.compact().unwrap();
-    assert_eq!(w.journal.len(), 1, "compaction leaves one checkpoint");
-    let folded_after = w.journal.replay().unwrap();
+    let folded_before = journal.replay().unwrap();
+    journal.compact().unwrap();
+    assert_eq!(journal.len(), 1, "compaction leaves one checkpoint");
+    let folded_after = journal.replay().unwrap();
     assert_eq!(folded_after.mounts, folded_before.mounts);
     assert_eq!(folded_after.seq_hwm, folded_before.seq_hwm);
     assert_eq!(folded_after.agent_keys, folded_before.agent_keys);
     assert_eq!(folded_after.agent_links, folded_before.agent_links);
 
     // More journaled activity lands *after* the checkpoint.
-    let post = format!("{}/home/alice/post", w.path.full_path());
+    let post = format!("{}/home/alice/post", w.path().full_path());
     client
         .write_file(ALICE_UID, &post, b"after checkpoint")
         .unwrap();
@@ -392,9 +276,9 @@ fn recovery_replays_across_a_compaction_checkpoint() {
     drop(client);
     drop(mount);
 
-    let reborn = boot_client(&w, b"compact-client-reborn");
+    let reborn = boot_client(&w, &journal, b"compact-client-reborn");
     let report = reborn.recover(ALICE_UID).unwrap();
-    assert_eq!(report.remounted, vec![w.path.dir_name()], "{report:?}");
+    assert_eq!(report.remounted, vec![w.path().dir_name()], "{report:?}");
     assert!(report.agent_keys_restored >= 1, "{report:?}");
     assert!(report.agent_links_restored >= 1, "{report:?}");
     // State journaled before the checkpoint…
@@ -426,10 +310,10 @@ fn seeded_crash_recovery_reruns_identically() {
     // wire faults: identical journal record counts, identical recovery
     // reports, identical virtual-time totals, identical fault logs.
     let run = || {
-        let (w, plan) = build_world("seed=304,drop=15,corrupt=10,ccrash=2s");
-        let client = boot_client(&w, b"det-client");
-        client.install_agent_key(ALICE_UID, user_key());
-        let file = format!("{}/home/alice/det", w.path.full_path());
+        let (w, journal, plan) = world("seed=304,drop=15,corrupt=10,ccrash=2s");
+        let client = boot_client(&w, &journal, b"det-client");
+        client.install_agent_key(ALICE_UID, w.user_key());
+        let file = format!("{}/home/alice/det", w.path().full_path());
         client
             .write_file(ALICE_UID, &file, b"deterministic")
             .unwrap();
@@ -438,11 +322,11 @@ fn seeded_crash_recovery_reruns_identically() {
         assert_eq!(plan.client_epoch(w.clock.now()), 1);
         plan.note_client_crash(w.clock.now());
         drop(client);
-        let reborn = boot_client(&w, b"det-client-reborn");
+        let reborn = boot_client(&w, &journal, b"det-client-reborn");
         let report = reborn.recover(ALICE_UID).unwrap();
         let data = reborn.read_file(ALICE_UID, &file).unwrap();
         (
-            w.journal.len(),
+            journal.len(),
             report.records_replayed,
             report.remounted,
             data,

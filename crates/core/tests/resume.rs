@@ -14,135 +14,47 @@
 //!    full handshake, loudly (counter) but successfully;
 //! 5. resumption composes with the negotiated ChaCha20-Poly1305 suite.
 
-use std::sync::Arc;
-use std::sync::OnceLock;
-
-use sfs::authserver::{AuthServer, UserRecord};
-use sfs::client::{SfsClient, SfsNetwork};
-use sfs::server::{ServerConfig, SfsServer};
-use sfs_bignum::XorShiftSource;
-use sfs_crypto::rabin::{generate_keypair, RabinPrivateKey};
-use sfs_crypto::srp::SrpGroup;
-use sfs_crypto::SfsPrg;
+use sfs_bench::world::{World, WorldSpec, UID as ALICE_UID};
 use sfs_proto::channel::SuiteId;
-use sfs_proto::pathname::SelfCertifyingPath;
-use sfs_sim::{NetParams, SimClock, SimTime, Transport};
+use sfs_sim::SimTime;
 use sfs_telemetry::Telemetry;
-use sfs_vfs::{Credentials, Vfs};
 
-fn server_key() -> RabinPrivateKey {
-    static KEY: OnceLock<RabinPrivateKey> = OnceLock::new();
-    KEY.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0xA5A5);
-        generate_keypair(768, &mut rng)
+fn world(entropy: &'static str) -> World {
+    World::build(&WorldSpec {
+        server_entropy: "resume-server",
+        client_entropy: entropy,
+        ..WorldSpec::test()
     })
-    .clone()
-}
-
-fn user_key() -> RabinPrivateKey {
-    static KEY: OnceLock<RabinPrivateKey> = OnceLock::new();
-    KEY.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0xB6B6);
-        generate_keypair(512, &mut rng)
-    })
-    .clone()
-}
-
-fn client_ephemeral() -> RabinPrivateKey {
-    static KEY: OnceLock<RabinPrivateKey> = OnceLock::new();
-    KEY.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0xE9E9);
-        generate_keypair(768, &mut rng)
-    })
-    .clone()
-}
-
-fn srp_group() -> SrpGroup {
-    static G: OnceLock<SrpGroup> = OnceLock::new();
-    G.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0xC7C7);
-        SrpGroup::generate(128, &mut rng)
-    })
-    .clone()
-}
-
-const ALICE_UID: u32 = 1000;
-
-struct World {
-    clock: SimClock,
-    server: Arc<SfsServer>,
-    client: Arc<SfsClient>,
-    path: SelfCertifyingPath,
-}
-
-fn build_world(entropy: &[u8]) -> World {
-    let clock = SimClock::new();
-    let vfs = Vfs::new(7, clock.clone());
-    let root_creds = Credentials::root();
-    let home = vfs.mkdir_p("/home/alice").unwrap();
-    vfs.setattr(
-        &root_creds,
-        home,
-        sfs_vfs::SetAttr {
-            uid: Some(ALICE_UID),
-            gid: Some(100),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let auth = Arc::new(AuthServer::new(srp_group(), 2));
-    auth.register_user(UserRecord {
-        user: "alice".into(),
-        uid: ALICE_UID,
-        gids: vec![100],
-        public_key: user_key().public().to_bytes(),
-    });
-    let server = SfsServer::new(
-        ServerConfig::new("sfs.lcs.mit.edu"),
-        server_key(),
-        vfs,
-        auth,
-        SfsPrg::from_entropy(b"resume-server"),
-    );
-    let net = SfsNetwork::new(clock.clone(), NetParams::switched_100mbit(Transport::Tcp));
-    net.register(server.clone());
-    let client = SfsClient::with_ephemeral(net, entropy, client_ephemeral());
-    client.install_agent_key(ALICE_UID, user_key());
-    let path = server.path().clone();
-    World {
-        clock,
-        server,
-        client,
-        path,
-    }
 }
 
 /// Mount, restart the server, write through the dead session. Returns
 /// the number of wire round trips the whole sequence took.
 fn restart_and_write(w: &World) -> u64 {
-    let file = format!("{}/home/alice/notes", w.path.full_path());
-    w.client.write_file(ALICE_UID, &file, b"before").unwrap();
-    let (mount, _, _) = w.client.resolve(ALICE_UID, &file).unwrap();
+    let file = format!("{}/home/alice/notes", w.path().full_path());
+    w.clients[0]
+        .write_file(ALICE_UID, &file, b"before")
+        .unwrap();
+    let (mount, _, _) = w.clients[0].resolve(ALICE_UID, &file).unwrap();
     let before = mount.round_trips();
-    w.server.crash_restart();
-    w.client.write_file(ALICE_UID, &file, b"after").unwrap();
-    assert_eq!(w.client.read_file(ALICE_UID, &file).unwrap(), b"after");
+    w.servers[0].crash_restart();
+    w.clients[0].write_file(ALICE_UID, &file, b"after").unwrap();
+    assert_eq!(w.clients[0].read_file(ALICE_UID, &file).unwrap(), b"after");
     assert!(mount.reconnects() >= 1, "restart must force a reconnect");
     mount.round_trips() - before
 }
 
 #[test]
 fn post_restart_reconnect_resumes_with_a_ticket() {
-    let w = build_world(b"resume-basic");
-    let file = format!("{}/home/alice/notes", w.path.full_path());
-    w.client.write_file(ALICE_UID, &file, b"v1").unwrap();
-    let (mount, _, _) = w.client.resolve(ALICE_UID, &file).unwrap();
+    let w = world("resume-basic");
+    let file = format!("{}/home/alice/notes", w.path().full_path());
+    w.clients[0].write_file(ALICE_UID, &file, b"v1").unwrap();
+    let (mount, _, _) = w.clients[0].resolve(ALICE_UID, &file).unwrap();
     let session_before = mount.session_id();
 
-    w.server.crash_restart();
-    w.client.write_file(ALICE_UID, &file, b"v2").unwrap();
+    w.servers[0].crash_restart();
+    w.clients[0].write_file(ALICE_UID, &file, b"v2").unwrap();
 
-    let (hits, misses, rejected) = w.client.resume_stats();
+    let (hits, misses, rejected) = w.clients[0].resume_stats();
     assert_eq!(
         (hits, misses, rejected),
         (1, 0, 0),
@@ -153,7 +65,7 @@ fn post_restart_reconnect_resumes_with_a_ticket() {
         session_before,
         "a resumed session is a fresh session"
     );
-    assert_eq!(w.client.read_file(ALICE_UID, &file).unwrap(), b"v2");
+    assert_eq!(w.clients[0].read_file(ALICE_UID, &file).unwrap(), b"v2");
 }
 
 #[test]
@@ -161,16 +73,16 @@ fn resume_saves_exactly_one_round_trip_over_full_rekey() {
     // Two identical worlds, one workload; the only difference is the
     // resumption switch. Full keyneg spends two round trips (hello +
     // client-keys) where the ticket path spends one.
-    let resumed = build_world(b"rt-accounting");
-    let control = build_world(b"rt-accounting");
-    control.client.set_resumption(false);
+    let resumed = world("rt-accounting");
+    let control = world("rt-accounting");
+    control.clients[0].set_resumption(false);
 
     let rt_resumed = restart_and_write(&resumed);
     let rt_control = restart_and_write(&control);
 
-    assert_eq!(resumed.client.resume_stats().0, 1);
+    assert_eq!(resumed.clients[0].resume_stats().0, 1);
     assert_eq!(
-        control.client.resume_stats(),
+        control.clients[0].resume_stats(),
         (0, 0, 0),
         "the control arm must not touch the ticket machinery"
     );
@@ -183,62 +95,62 @@ fn resume_saves_exactly_one_round_trip_over_full_rekey() {
 
 #[test]
 fn tickets_rotate_across_repeated_restarts() {
-    let w = build_world(b"resume-rotate");
-    let file = format!("{}/home/alice/log", w.path.full_path());
-    w.client.write_file(ALICE_UID, &file, b"r0").unwrap();
-    let (mount, _, _) = w.client.resolve(ALICE_UID, &file).unwrap();
+    let w = world("resume-rotate");
+    let file = format!("{}/home/alice/log", w.path().full_path());
+    w.clients[0].write_file(ALICE_UID, &file, b"r0").unwrap();
+    let (mount, _, _) = w.clients[0].resolve(ALICE_UID, &file).unwrap();
     // Each restart consumes the banked ticket and banks the rotated one
     // from the resume reply — hits keep accumulating without a single
     // full handshake in between.
     for round in 1..=3u64 {
-        w.server.crash_restart();
+        w.servers[0].crash_restart();
         let payload = format!("r{round}");
-        w.client
+        w.clients[0]
             .write_file(ALICE_UID, &file, payload.as_bytes())
             .unwrap();
         assert_eq!(
-            w.client.resume_stats(),
+            w.clients[0].resume_stats(),
             (round, 0, 0),
             "restart {round} must resume off the rotated ticket"
         );
     }
     assert_eq!(mount.reconnects(), 3);
-    assert_eq!(w.client.read_file(ALICE_UID, &file).unwrap(), b"r3");
+    assert_eq!(w.clients[0].read_file(ALICE_UID, &file).unwrap(), b"r3");
 }
 
 #[test]
 fn expired_ticket_falls_back_to_full_handshake() {
-    let w = build_world(b"resume-expiry");
-    let file = format!("{}/home/alice/stale", w.path.full_path());
-    w.client.write_file(ALICE_UID, &file, b"old").unwrap();
+    let w = world("resume-expiry");
+    let file = format!("{}/home/alice/stale", w.path().full_path());
+    w.clients[0].write_file(ALICE_UID, &file, b"old").unwrap();
 
     // Outlive the ticket (1 virtual hour), then kill the session.
     w.clock.advance(SimTime::from_millis(2 * 3_600 * 1_000));
-    w.server.crash_restart();
-    w.client.write_file(ALICE_UID, &file, b"new").unwrap();
+    w.servers[0].crash_restart();
+    w.clients[0].write_file(ALICE_UID, &file, b"new").unwrap();
 
-    let (hits, misses, rejected) = w.client.resume_stats();
+    let (hits, misses, rejected) = w.clients[0].resume_stats();
     assert_eq!(
         (hits, misses, rejected),
         (0, 0, 1),
         "an expired ticket must be rejected, not honored"
     );
-    assert_eq!(w.client.read_file(ALICE_UID, &file).unwrap(), b"new");
+    assert_eq!(w.clients[0].read_file(ALICE_UID, &file).unwrap(), b"new");
 }
 
 #[test]
 fn reconnect_without_a_ticket_counts_a_miss() {
-    let w = build_world(b"resume-miss");
-    w.client.set_resumption(false);
-    let file = format!("{}/home/alice/miss", w.path.full_path());
+    let w = world("resume-miss");
+    w.clients[0].set_resumption(false);
+    let file = format!("{}/home/alice/miss", w.path().full_path());
     // Mount with resumption off: no ticket is banked. Turning it on
     // afterwards leaves the next reconnect empty-handed.
-    w.client.write_file(ALICE_UID, &file, b"one").unwrap();
-    w.client.set_resumption(true);
-    w.server.crash_restart();
-    w.client.write_file(ALICE_UID, &file, b"two").unwrap();
+    w.clients[0].write_file(ALICE_UID, &file, b"one").unwrap();
+    w.clients[0].set_resumption(true);
+    w.servers[0].crash_restart();
+    w.clients[0].write_file(ALICE_UID, &file, b"two").unwrap();
     assert_eq!(
-        w.client.resume_stats(),
+        w.clients[0].resume_stats(),
         (0, 1, 0),
         "no banked ticket must count as a miss"
     );
@@ -246,30 +158,34 @@ fn reconnect_without_a_ticket_counts_a_miss() {
 
 #[test]
 fn resume_preserves_the_negotiated_chacha_suite() {
-    let w = build_world(b"resume-chacha");
-    w.client.set_suite_offer(&[SuiteId::ChaCha20Poly1305]);
-    let file = format!("{}/home/alice/fast", w.path.full_path());
-    w.client.write_file(ALICE_UID, &file, b"aead").unwrap();
-    let (mount, _, _) = w.client.resolve(ALICE_UID, &file).unwrap();
+    let w = world("resume-chacha");
+    w.clients[0].set_suite_offer(&[SuiteId::ChaCha20Poly1305]);
+    let file = format!("{}/home/alice/fast", w.path().full_path());
+    w.clients[0].write_file(ALICE_UID, &file, b"aead").unwrap();
+    let (mount, _, _) = w.clients[0].resolve(ALICE_UID, &file).unwrap();
 
-    w.server.crash_restart();
-    w.client.write_file(ALICE_UID, &file, b"aead2").unwrap();
+    w.servers[0].crash_restart();
+    w.clients[0].write_file(ALICE_UID, &file, b"aead2").unwrap();
 
-    assert_eq!(w.client.resume_stats().0, 1, "resume must hit under chacha");
+    assert_eq!(
+        w.clients[0].resume_stats().0,
+        1,
+        "resume must hit under chacha"
+    );
     assert!(mount.reconnects() >= 1);
-    assert_eq!(w.client.read_file(ALICE_UID, &file).unwrap(), b"aead2");
+    assert_eq!(w.clients[0].read_file(ALICE_UID, &file).unwrap(), b"aead2");
 }
 
 #[test]
 fn resume_telemetry_counters_fire() {
     let tel = Telemetry::counters();
-    let w = build_world(b"resume-counters");
-    w.client.set_telemetry(&tel);
-    w.server.set_telemetry(&tel);
-    let file = format!("{}/home/alice/tel", w.path.full_path());
-    w.client.write_file(ALICE_UID, &file, b"x").unwrap();
-    w.server.crash_restart();
-    w.client.write_file(ALICE_UID, &file, b"y").unwrap();
+    let w = world("resume-counters");
+    w.clients[0].set_telemetry(&tel);
+    w.servers[0].set_telemetry(&tel);
+    let file = format!("{}/home/alice/tel", w.path().full_path());
+    w.clients[0].write_file(ALICE_UID, &file, b"x").unwrap();
+    w.servers[0].crash_restart();
+    w.clients[0].write_file(ALICE_UID, &file, b"y").unwrap();
     let snap = tel.counters_snapshot();
     let get = |proc: &str, name: &str| {
         snap.iter()

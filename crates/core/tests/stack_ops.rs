@@ -4,85 +4,24 @@
 
 use std::sync::Arc;
 
-use sfs::authserver::{AuthServer, UserRecord};
-use sfs::client::{SfsClient, SfsNetwork};
-use sfs::server::{ServerConfig, SfsServer};
-use sfs_bignum::XorShiftSource;
-use sfs_crypto::rabin::{generate_keypair, RabinPrivateKey};
-use sfs_crypto::srp::SrpGroup;
-use sfs_crypto::SfsPrg;
+use sfs::client::SfsClient;
+use sfs::server::SfsServer;
+use sfs_bench::world::{Tree, World, WorldSpec, UID};
 use sfs_nfs3::proto::{Nfs3Reply, Nfs3Request, StableHow};
-use sfs_sim::{NetParams, SimClock, Transport};
-use sfs_vfs::{Credentials, SetAttr, Vfs};
-use std::sync::OnceLock;
 
-const UID: u32 = 1000;
-
-fn server_key() -> RabinPrivateKey {
-    static KEY: OnceLock<RabinPrivateKey> = OnceLock::new();
-    KEY.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0x57AC);
-        generate_keypair(768, &mut rng)
-    })
-    .clone()
-}
-
-fn user_key() -> RabinPrivateKey {
-    static KEY: OnceLock<RabinPrivateKey> = OnceLock::new();
-    KEY.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0x57AD);
-        generate_keypair(512, &mut rng)
-    })
-    .clone()
-}
-
+/// One server exporting a user-owned, world-writable `/bench`.
 fn world() -> (Arc<SfsServer>, Arc<SfsClient>) {
-    let clock = SimClock::new();
-    let vfs = Vfs::new(7, clock.clone());
-    let root_creds = Credentials::root();
-    let work = vfs.mkdir_p("/work").unwrap();
-    vfs.setattr(
-        &root_creds,
-        work,
-        SetAttr {
-            mode: Some(0o777),
-            uid: Some(UID),
-            gid: Some(100),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let auth = Arc::new(AuthServer::new(
-        {
-            let mut rng = XorShiftSource::new(0x57AE);
-            SrpGroup::generate(128, &mut rng)
-        },
-        2,
-    ));
-    auth.register_user(UserRecord {
-        user: "u".into(),
-        uid: UID,
-        gids: vec![100],
-        public_key: user_key().public().to_bytes(),
+    let w = World::build(&WorldSpec {
+        tree: Tree::Bench,
+        ..WorldSpec::test()
     });
-    let server = SfsServer::new(
-        ServerConfig::new("stack.example.org"),
-        server_key(),
-        vfs,
-        auth,
-        SfsPrg::from_entropy(b"stack-server"),
-    );
-    let net = SfsNetwork::new(clock, NetParams::switched_100mbit(Transport::Tcp));
-    net.register(server.clone());
-    let client = SfsClient::new(net, b"stack-client");
-    client.agent(UID).lock().add_key(user_key());
-    (server, client)
+    (w.servers[0].clone(), w.clients[0].clone())
 }
 
 #[test]
 fn rename_through_the_stack() {
     let (server, client) = world();
-    let base = format!("{}/work", server.path().full_path());
+    let base = format!("{}/bench", server.path().full_path());
     client
         .write_file(UID, &format!("{base}/draft"), b"v1")
         .unwrap();
@@ -110,7 +49,7 @@ fn rename_through_the_stack() {
 #[test]
 fn hard_links_through_the_stack() {
     let (server, client) = world();
-    let base = format!("{}/work", server.path().full_path());
+    let base = format!("{}/bench", server.path().full_path());
     client
         .write_file(UID, &format!("{base}/orig"), b"shared bytes")
         .unwrap();
@@ -145,7 +84,7 @@ fn hard_links_through_the_stack() {
 #[test]
 fn readdirplus_returns_handles_and_attrs() {
     let (server, client) = world();
-    let base = format!("{}/work", server.path().full_path());
+    let base = format!("{}/bench", server.path().full_path());
     for i in 0..5 {
         client
             .write_file(UID, &format!("{base}/item{i}"), format!("{i}").as_bytes())
@@ -182,7 +121,7 @@ fn readdirplus_returns_handles_and_attrs() {
 #[test]
 fn multi_megabyte_file_roundtrip() {
     let (server, client) = world();
-    let base = format!("{}/work", server.path().full_path());
+    let base = format!("{}/bench", server.path().full_path());
     let path = format!("{base}/big.bin");
     // 2 MiB of patterned data, written in 64 KiB chunks through the real
     // channel (every byte is ARC4-encrypted and MAC'd twice).
@@ -227,8 +166,7 @@ fn multi_megabyte_file_roundtrip() {
 /// from a seeded SplitMix64 stream (48 deterministic cases).
 #[test]
 fn server_conn_never_panics_on_garbage() {
-    static SERVER: OnceLock<Arc<SfsServer>> = OnceLock::new();
-    let server = SERVER.get_or_init(|| world().0).clone();
+    let server = world().0;
     let mut state = 0x6A4Bu64;
     let mut next = move || {
         state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);

@@ -16,437 +16,41 @@
 //! relay and must land on the surviving replica without the workload
 //! observing anything but a retried call.
 
-use std::sync::Arc;
-use std::sync::OnceLock;
+use sfs_bench::oracle::{self, Oracle, OracleSpec, RunOutcome, BATTERY, FILES, OP_GAP_NS};
+use sfs_bench::world::{Behind, UID};
+use sfs_sim::FaultPlan;
 
-use sfs::authserver::{AuthServer, UserRecord};
-use sfs::client::{Mount, SfsClient, SfsNetwork, DEFAULT_PIPELINE_WINDOW};
-use sfs::journal::ClientJournal;
-use sfs::server::{ServerConfig, SfsServer};
-use sfs_bignum::{RandomSource, XorShiftSource};
-use sfs_crypto::rabin::{generate_keypair, RabinPrivateKey};
-use sfs_crypto::sha1::sha1;
-use sfs_crypto::srp::SrpGroup;
-use sfs_crypto::SfsPrg;
-use sfs_nfs3::proto::{FileHandle, Nfs3Reply, Nfs3Request, StableHow};
-use sfs_proto::pathname::SelfCertifyingPath;
-use sfs_relay::ReplicaGroup;
-use sfs_sim::{
-    DiskParams, FaultEvent, FaultPlan, JournalDisk, NetParams, SimClock, SimDisk, Transport,
-};
-use sfs_vfs::{Credentials, Vfs};
-
-fn server_key() -> RabinPrivateKey {
-    static KEY: OnceLock<RabinPrivateKey> = OnceLock::new();
-    KEY.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0xA5A5);
-        generate_keypair(768, &mut rng)
-    })
-    .clone()
-}
-
-fn user_key() -> RabinPrivateKey {
-    static KEY: OnceLock<RabinPrivateKey> = OnceLock::new();
-    KEY.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0xB6B6);
-        generate_keypair(512, &mut rng)
-    })
-    .clone()
-}
-
-fn client_ephemeral() -> RabinPrivateKey {
-    static KEY: OnceLock<RabinPrivateKey> = OnceLock::new();
-    KEY.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0xE9E9);
-        generate_keypair(768, &mut rng)
-    })
-    .clone()
-}
-
-fn srp_group() -> SrpGroup {
-    static G: OnceLock<SrpGroup> = OnceLock::new();
-    G.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0xC7C7);
-        SrpGroup::generate(128, &mut rng)
-    })
-    .clone()
-}
-
-const ALICE_UID: u32 = 1000;
-const LEASE_NS: u64 = 250_000_000;
-const OP_GAP_NS: u64 = 60_000_000;
-const FILES: usize = 3;
-const OPS: usize = 36;
-/// Read-write replicas behind the relay in every harness.
+/// Read-write replicas behind the relay in every harness. Every replica
+/// shares the VFS, the key and the fault plan, so a `crash=` instant
+/// restarts the whole group — exactly like the single-machine battery —
+/// while routing still round-robins every (re)dial across the frontends.
 const N_RW: usize = 2;
+const BEHIND: Behind = Behind::Relay(N_RW);
 
-fn version_byte(f: usize, offset: u64) -> u8 {
-    b'a' + ((f as u64 + offset) % 26) as u8
+fn relay_harness(spec: &str, n_clients: usize) -> Oracle {
+    Oracle::new(&OracleSpec::new(BEHIND, spec, n_clients))
 }
 
-struct Commit {
-    size: u64,
-    hash: [u8; 20],
-    t_ns: u64,
+/// Runs the seeded workload; health is the relay-observed reboot count.
+fn run(h: Oracle, seed: u64) -> RunOutcome<u64> {
+    h.run(seed, |w| {
+        w.relay.as_ref().unwrap().health_check().reboots_observed
+    })
 }
-
-struct Harness {
-    clock: SimClock,
-    net: Arc<SfsNetwork>,
-    plan: FaultPlan,
-    path: SelfCertifyingPath,
-    group: Arc<ReplicaGroup>,
-    servers: Vec<Arc<SfsServer>>,
-    journals: Vec<ClientJournal>,
-    clients: Vec<Arc<SfsClient>>,
-    mounts: Vec<Arc<Mount>>,
-    fhs: Vec<FileHandle>,
-    history: Vec<Vec<Commit>>,
-    contents: Vec<Vec<u8>>,
-    last_seen: Vec<Vec<u64>>,
-    crashes_done: usize,
-    violations: Vec<String>,
-}
-
-/// Like the core harness, but the Location resolves through a relay
-/// fronting `N_RW` read-write replicas. Every replica shares the VFS,
-/// the key and the fault plan, so a `crash=` instant restarts the whole
-/// group — exactly like the single-machine battery — while routing
-/// still round-robins every (re)dial across the frontends.
-fn build_harness(spec: &str) -> Harness {
-    let plan = FaultPlan::from_spec(spec).unwrap();
-    let clock = SimClock::new();
-    let vfs = Vfs::new(7, clock.clone());
-    let root_creds = Credentials::root();
-    let public = vfs.mkdir_p("/public").unwrap();
-    vfs.setattr(
-        &root_creds,
-        public,
-        sfs_vfs::SetAttr {
-            mode: Some(0o777),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let auth = Arc::new(AuthServer::new(srp_group(), 2));
-    auth.register_user(UserRecord {
-        user: "alice".into(),
-        uid: ALICE_UID,
-        gids: vec![100],
-        public_key: user_key().public().to_bytes(),
-    });
-
-    let mut servers = Vec::new();
-    let mut group = None;
-    for r in 0..N_RW {
-        let mut config = ServerConfig::new("sfs.lcs.mit.edu");
-        config.lease_ns = LEASE_NS;
-        let server = SfsServer::new(
-            config,
-            server_key(),
-            vfs.clone(),
-            auth.clone(),
-            SfsPrg::from_entropy(format!("relay-coh-server-{r}").as_bytes()),
-        );
-        server.set_fault_plan(plan.clone());
-        let g = group.get_or_insert_with(|| ReplicaGroup::new(server.path().clone()));
-        g.add_rw(server.clone());
-        servers.push(server);
-    }
-    let group = group.unwrap();
-    let path = group.path().clone();
-
-    let net = SfsNetwork::new(clock.clone(), NetParams::switched_100mbit(Transport::Tcp));
-    net.set_fault_plan(plan.clone());
-    net.register_relay(&path.location, group.clone());
-
-    Harness {
-        clock,
-        net,
-        plan,
-        path,
-        group,
-        servers,
-        journals: Vec::new(),
-        clients: Vec::new(),
-        mounts: Vec::new(),
-        fhs: Vec::new(),
-        history: Vec::new(),
-        contents: vec![Vec::new(); FILES],
-        last_seen: Vec::new(),
-        crashes_done: 0,
-        violations: Vec::new(),
-    }
-}
-
-fn populate(mut h: Harness, n_clients: usize) -> Harness {
-    for i in 0..n_clients {
-        let disk = SimDisk::new(h.clock.clone(), DiskParams::ibm_18es());
-        disk.set_fault_plan(h.plan.clone());
-        let journal = ClientJournal::new(JournalDisk::new(disk, (i as u64) << 32));
-        let client = SfsClient::with_ephemeral(
-            h.net.clone(),
-            format!("relay-coh-client-{i}-epoch-0").as_bytes(),
-            client_ephemeral(),
-        );
-        client.set_pipeline_window(DEFAULT_PIPELINE_WINDOW);
-        client.attach_journal(journal.clone());
-        client.install_agent_key(ALICE_UID, user_key());
-        let mount = client.mount(ALICE_UID, &h.path).unwrap();
-        h.journals.push(journal);
-        h.clients.push(client);
-        h.mounts.push(mount);
-    }
-    for f in 0..FILES {
-        let p = format!("{}/public/coh-{f}", h.path.full_path());
-        h.clients[0].write_file(ALICE_UID, &p, b"").unwrap();
-        let (_, fh, _) = h.clients[0].resolve(ALICE_UID, &p).unwrap();
-        h.fhs.push(fh);
-        h.history.push(vec![Commit {
-            size: 0,
-            hash: sha1(b""),
-            t_ns: h.clock.now().as_nanos(),
-        }]);
-    }
-    h.last_seen = vec![vec![0; FILES]; n_clients];
-    h
-}
-
-fn relay_harness(spec: &str, n_clients: usize) -> Harness {
-    populate(build_harness(spec), n_clients)
-}
-
-impl Harness {
-    fn honour_client_crashes(&mut self) {
-        while self.crashes_done < self.plan.client_epoch(self.clock.now()) as usize {
-            let victim = self.crashes_done % self.clients.len();
-            self.plan.note_client_crash(self.clock.now());
-            self.crashes_done += 1;
-            let reborn = SfsClient::with_ephemeral(
-                self.net.clone(),
-                format!("relay-coh-client-{victim}-epoch-{}", self.crashes_done).as_bytes(),
-                client_ephemeral(),
-            );
-            reborn.set_pipeline_window(DEFAULT_PIPELINE_WINDOW);
-            reborn.attach_journal(self.journals[victim].clone());
-            let report = reborn.recover(ALICE_UID).unwrap();
-            assert_eq!(
-                report.remounted,
-                vec![self.path.dir_name()],
-                "recovery must re-establish the journaled mount through the relay: {report:?}"
-            );
-            self.mounts[victim] = reborn.mount(ALICE_UID, &self.path).unwrap();
-            self.clients[victim] = reborn;
-        }
-    }
-
-    fn write(&mut self, i: usize, f: usize) {
-        let offset = self.history[f].last().unwrap().size;
-        let byte = version_byte(f, offset);
-        let reply = self.clients[i]
-            .call_nfs(
-                &self.mounts[i],
-                ALICE_UID,
-                &Nfs3Request::Write {
-                    fh: self.fhs[f].clone(),
-                    offset,
-                    stable: StableHow::FileSync,
-                    data: vec![byte],
-                },
-            )
-            .unwrap();
-        assert!(
-            matches!(reply, Nfs3Reply::Write { count: 1, .. }),
-            "append must write exactly one byte: {reply:?}"
-        );
-        self.contents[f].push(byte);
-        self.history[f].push(Commit {
-            size: offset + 1,
-            hash: sha1(&self.contents[f]),
-            t_ns: self.clock.now().as_nanos(),
-        });
-    }
-
-    fn read_and_check(&mut self, i: usize, f: usize) {
-        let t_read = self.clock.now().as_nanos();
-        let attr = self.clients[i]
-            .getattr(&self.mounts[i], ALICE_UID, &self.fhs[f])
-            .unwrap();
-        let s = attr.size;
-        let latest = self.history[f].last().unwrap().size;
-        if self.history[f].iter().all(|c| c.size != s) {
-            self.violations.push(format!(
-                "client {i} file {f}: observed size {s} never committed (latest {latest})"
-            ));
-            return;
-        }
-        if s < self.last_seen[i][f] {
-            self.violations.push(format!(
-                "client {i} file {f}: size went backwards {} -> {s}",
-                self.last_seen[i][f]
-            ));
-        }
-        self.last_seen[i][f] = s;
-        if s == latest {
-            return;
-        }
-        let next = &self.history[f][(s + 1) as usize];
-        if t_read > next.t_ns + LEASE_NS {
-            self.violations.push(format!(
-                "client {i} file {f}: stale size {s} served {}ns past lease expiry",
-                t_read - (next.t_ns + LEASE_NS)
-            ));
-        }
-    }
-
-    fn wire_read_and_check(&mut self, i: usize, f: usize) {
-        let t_read = self.clock.now().as_nanos();
-        let reply = self.clients[i]
-            .call_nfs(
-                &self.mounts[i],
-                ALICE_UID,
-                &Nfs3Request::Read {
-                    fh: self.fhs[f].clone(),
-                    offset: 0,
-                    count: 8192,
-                },
-            )
-            .unwrap();
-        let data = match reply {
-            Nfs3Reply::Read { data, .. } => data,
-            other => panic!("unexpected read reply: {other:?}"),
-        };
-        let s = data.len() as u64;
-        let latest = self.history[f].last().unwrap().size;
-        match self.history[f].iter().find(|c| c.size == s) {
-            None => {
-                self.violations.push(format!(
-                    "client {i} file {f}: wire read returned {s} bytes, a length \
-                     never committed (latest {latest})"
-                ));
-                return;
-            }
-            Some(c) if c.hash != sha1(&data) => {
-                self.violations.push(format!(
-                    "client {i} file {f}: wire read of {s} bytes does not hash-match \
-                     committed version {s} — torn or mixed-version content"
-                ));
-                return;
-            }
-            Some(_) => {}
-        }
-        if s < self.last_seen[i][f] {
-            self.violations.push(format!(
-                "client {i} file {f}: wire read went backwards {} -> {s}",
-                self.last_seen[i][f]
-            ));
-        }
-        self.last_seen[i][f] = s;
-        if s < latest {
-            let next = &self.history[f][(s + 1) as usize];
-            if t_read > next.t_ns + LEASE_NS {
-                self.violations.push(format!(
-                    "client {i} file {f}: stale wire read of size {s} served \
-                     {}ns past lease expiry",
-                    t_read - (next.t_ns + LEASE_NS)
-                ));
-            }
-        }
-    }
-
-    fn run(mut self, seed: u64) -> RunOutcome {
-        let mut rng = XorShiftSource::new(seed | 1);
-        let mut draw = move || {
-            let mut b = [0u8; 8];
-            rng.fill(&mut b);
-            u64::from_le_bytes(b)
-        };
-        for _ in 0..OPS {
-            self.clock.advance_ns(OP_GAP_NS);
-            self.honour_client_crashes();
-            let i = (draw() as usize) % self.clients.len();
-            let f = (draw() as usize) % FILES;
-            if draw() % 10 < 3 {
-                self.write(i, f);
-            } else {
-                self.read_and_check(i, f);
-                self.wire_read_and_check(i, f);
-            }
-        }
-        let health = self.group.health_check();
-        RunOutcome {
-            violations: self.violations,
-            total_ns: self.clock.now().as_nanos(),
-            events: self.plan.events(),
-            sizes: self
-                .history
-                .iter()
-                .map(|h| h.last().unwrap().size)
-                .collect(),
-            journal_records: self.journals.iter().map(|j| j.len()).collect(),
-            crashes: self.crashes_done,
-            reconnects: self.mounts.iter().map(|m| m.reconnects()).sum(),
-            reboots_observed: health.reboots_observed,
-        }
-    }
-}
-
-#[derive(Debug, PartialEq, Eq)]
-struct RunOutcome {
-    violations: Vec<String>,
-    total_ns: u64,
-    events: Vec<FaultEvent>,
-    sizes: Vec<u64>,
-    journal_records: Vec<usize>,
-    crashes: usize,
-    reconnects: u64,
-    reboots_observed: u64,
-}
-
-/// The exact battery from `crates/core/tests/coherence.rs`.
-const COHERENCE_SPECS: &[(&str, usize)] = &[
-    ("seed=401,drop=20", 2),
-    ("seed=402,dup=25", 3),
-    ("seed=403,reorder=25", 2),
-    ("seed=404,corrupt=15", 2),
-    ("seed=405,delay=150,delay_ns=2ms", 3),
-    ("seed=406,partition=500ms+1s", 2),
-    ("seed=407,crash=900ms", 3),
-    ("seed=408,syncfail=200", 2),
-    ("seed=409,ccrash=800ms", 2),
-    ("seed=410,ccrash=700ms,crash=700ms", 2),
-    ("seed=411,drop=15,dup=10,ccrash=900ms", 3),
-    ("seed=412,corrupt=10,ccrash=600ms,crash=1500ms", 2),
-    ("seed=413,drop=10,reorder=15,delay=80,delay_ns=1ms", 4),
-    ("seed=414,crash=1s,ccrash=1s", 3),
-    ("seed=415,drop=10,syncfail=150,ccrash=1200ms", 2),
-    ("seed=416,dup=15,corrupt=10,crash=800ms", 2),
-    ("seed=417,partition=600ms+800ms,ccrash=1600ms", 2),
-    (
-        "seed=418,drop=25,dup=10,reorder=10,corrupt=10,delay=60,delay_ns=1ms",
-        3,
-    ),
-    ("seed=419,ccrash=600ms,ccrash=1500ms,drop=10", 2),
-    ("seed=420,crash=700ms,ccrash=1300ms,dup=10", 3),
-    (
-        "seed=421,drop=15,corrupt=10,crash=1s,ccrash=1s,syncfail=100",
-        2,
-    ),
-];
 
 #[test]
 fn coherence_oracle_passes_with_relay_interposed() {
     let mut crashes = 0;
     let mut reboots = 0;
-    for (spec, n) in COHERENCE_SPECS {
-        let out = relay_harness(spec, *n).run(0x5EED);
+    for (spec, n) in BATTERY {
+        let out = run(relay_harness(spec, *n), 0x5EED);
         assert!(
             out.violations.is_empty(),
             "coherence violated behind the relay under {spec:?}: {:#?}",
             out.violations
         );
         crashes += out.crashes;
-        reboots += out.reboots_observed;
+        reboots += out.health;
     }
     assert!(crashes >= 8, "the battery must exercise client restarts");
     assert!(
@@ -468,8 +72,8 @@ fn relay_coherence_runs_reproduce_byte_for_byte() {
             3,
         ),
     ] {
-        let a = relay_harness(spec, n).run(0x5EED);
-        let b = relay_harness(spec, n).run(0x5EED);
+        let a = run(relay_harness(spec, n), 0x5EED);
+        let b = run(relay_harness(spec, n), 0x5EED);
         assert_eq!(
             a, b,
             "relayed coherence run diverged across reruns of {spec:?}"
@@ -486,61 +90,62 @@ fn routing_skips_dead_epoch_replicas_until_stable() {
     // flag; and if *every* replica is in that state (a whole-group
     // crash), routing absorbs one restart rather than going dark.
     let h = relay_harness("seed=950", 1);
+    let (servers, group) = (&h.world.servers, h.world.relay.as_ref().unwrap());
     let attached = (0..N_RW)
-        .find(|&r| h.servers[r].load().streams() > 0)
+        .find(|&r| servers[r].load().streams() > 0)
         .expect("the mount streams through some replica");
     let survivor = 1 - attached;
 
-    h.servers[attached].crash_restart();
-    let health = h.group.health_check();
+    servers[attached].crash_restart();
+    let health = group.health_check();
     assert!(health.reboots_observed >= 1);
-    let skipped_before = h.group.skipped_dead();
-    let survivor_streams = h.servers[survivor].load().streams();
+    let skipped_before = group.skipped_dead();
+    let survivor_streams = servers[survivor].load().streams();
 
     let fresh = |tag: &str| {
-        let c = SfsClient::with_ephemeral(h.net.clone(), tag.as_bytes(), client_ephemeral());
-        c.install_agent_key(ALICE_UID, user_key());
+        let c = h.world.client(tag.as_bytes());
+        h.world.login(&c);
         c
     };
     // Two consecutive dials: round-robin advances its start slot each
     // time, so at least one of them begins at the stale replica and must
     // skip it. Both land on the survivor either way.
     let c1 = fresh("skip-dead-1");
-    c1.mount(ALICE_UID, &h.path).unwrap();
+    c1.mount(UID, h.world.path()).unwrap();
     let c1b = fresh("skip-dead-1b");
-    c1b.mount(ALICE_UID, &h.path).unwrap();
+    c1b.mount(UID, h.world.path()).unwrap();
     assert!(
-        h.group.skipped_dead() > skipped_before,
+        group.skipped_dead() > skipped_before,
         "a dial starting at the stale-epoch replica must skip it"
     );
     assert_eq!(
-        h.servers[survivor].load().streams(),
+        servers[survivor].load().streams(),
         survivor_streams + 2,
         "both fresh mounts must land on the survivor"
     );
 
     // The epoch held still across another check: back in rotation,
     // no more skips.
-    let _ = h.group.health_check();
-    let skipped_stable = h.group.skipped_dead();
+    let _ = group.health_check();
+    let skipped_stable = group.skipped_dead();
     let c2 = fresh("skip-dead-2");
-    c2.mount(ALICE_UID, &h.path).unwrap();
+    c2.mount(UID, h.world.path()).unwrap();
     assert_eq!(
-        h.group.skipped_dead(),
+        group.skipped_dead(),
         skipped_stable,
         "a stable replica must not be skipped"
     );
 
     // Whole-group crash: every replica looks stale, yet routing must
     // still serve by absorbing one of the restarts.
-    for r in 0..N_RW {
-        h.servers[r].crash_restart();
+    for server in servers {
+        server.crash_restart();
     }
-    let _ = h.group.health_check();
+    let _ = group.health_check();
     let c3 = fresh("skip-dead-3");
-    c3.mount(ALICE_UID, &h.path)
+    c3.mount(UID, h.world.path())
         .expect("an all-stale group must still route");
-    assert!(h.group.skipped_dead() > skipped_stable);
+    assert!(group.skipped_dead() > skipped_stable);
 }
 
 #[test]
@@ -553,32 +158,33 @@ fn crash_during_handoff_lands_on_surviving_replica() {
     // to the survivor; the workload sees nothing but a retried call and
     // the oracle stays green.
     let mut h = relay_harness("seed=930", 1);
+    let (servers, group) = (h.world.servers.clone(), h.world.relay.clone().unwrap());
     // Warm up with scored traffic so the crash interrupts a real stream.
     for k in 0..4 {
-        h.clock.advance_ns(OP_GAP_NS);
+        h.world.clock.advance_ns(OP_GAP_NS);
         h.write(0, k % FILES);
         h.read_and_check(0, k % FILES);
     }
     assert!(
-        h.clock.now().as_nanos() < 500_000_000,
+        h.world.clock.now().as_nanos() < 500_000_000,
         "warm-up overran the scheduled crash instant"
     );
     let attached = (0..N_RW)
-        .find(|&r| h.servers[r].load().streams() > 0)
+        .find(|&r| servers[r].load().streams() > 0)
         .expect("the mount streams through some replica");
     let survivor = 1 - attached;
     assert_eq!(
-        h.servers[survivor].load().streams(),
+        servers[survivor].load().streams(),
         0,
         "a single mount holds a single stream"
     );
     // Schedule the crash on exactly the attached machine and take it out
     // of rotation so the redial cannot land back on it post-restart.
-    h.servers[attached].set_fault_plan(FaultPlan::from_spec("seed=931,crash=500ms").unwrap());
-    h.group.mark_down(attached);
+    servers[attached].set_fault_plan(FaultPlan::from_spec("seed=931,crash=500ms").unwrap());
+    group.mark_down(attached);
 
     for k in 0..12 {
-        h.clock.advance_ns(OP_GAP_NS);
+        h.world.clock.advance_ns(OP_GAP_NS);
         h.write(0, k % FILES);
         h.read_and_check(0, k % FILES);
         h.wire_read_and_check(0, k % FILES);
@@ -590,16 +196,16 @@ fn crash_during_handoff_lands_on_surviving_replica() {
         "the mid-workload crash must force a transparent reconnect"
     );
     assert_eq!(
-        h.servers[survivor].load().streams(),
+        servers[survivor].load().streams(),
         1,
         "the mount must now stream through the surviving replica"
     );
     assert_eq!(
-        h.servers[attached].load().streams(),
+        servers[attached].load().streams(),
         0,
         "the dead replica's stream must be torn down"
     );
-    let health = h.group.health_check();
+    let health = group.health_check();
     assert!(
         health.reboots_observed >= 1,
         "the health check must observe the crashed replica's epoch bump"
@@ -609,11 +215,21 @@ fn crash_during_handoff_lands_on_surviving_replica() {
 
     // Every byte written across the handoff is durable and in order.
     for f in 0..FILES {
-        let p = format!("{}/public/coh-{f}", h.path.full_path());
+        let p = format!("{}/public/coh-{f}", h.world.path().full_path());
         assert_eq!(
-            h.clients[0].read_file(ALICE_UID, &p).unwrap(),
+            h.world.clients[0].read_file(UID, &p).unwrap(),
             h.contents[f],
             "file {f} lost bytes across the handoff"
         );
     }
+}
+
+#[test]
+fn oracle_detects_deliberately_torn_write_behind_the_relay() {
+    oracle::detects_torn_write(BEHIND);
+}
+
+#[test]
+fn oracle_detects_deliberately_injected_stale_read_behind_the_relay() {
+    oracle::detects_injected_stale_read(BEHIND);
 }

@@ -19,407 +19,48 @@
 //! and a rolling read-only republish is version-monotone mid-stream.
 
 use std::sync::Arc;
-use std::sync::OnceLock;
 
-use sfs::authserver::{AuthServer, UserRecord};
-use sfs::client::{Mount, SfsClient, SfsNetwork, DEFAULT_PIPELINE_WINDOW};
-use sfs::journal::ClientJournal;
-use sfs::server::{ServerConfig, SfsServer};
-use sfs_bignum::{RandomSource, XorShiftSource};
-use sfs_crypto::rabin::{generate_keypair, RabinPrivateKey};
-use sfs_crypto::sha1::sha1;
-use sfs_crypto::srp::SrpGroup;
-use sfs_crypto::SfsPrg;
-use sfs_nfs3::proto::{FileHandle, Nfs3Reply, Nfs3Request, StableHow};
-use sfs_proto::pathname::SelfCertifyingPath;
+use sfs_bench::oracle::{self, Oracle, OracleSpec, RunOutcome, BATTERY, FILES, OP_GAP_NS};
+use sfs_bench::world::{Behind, UID};
 use sfs_proto::repl::{ReplOp, ReplRecord};
 use sfs_relay::{AdmissionControl, ReplGroup};
-use sfs_sim::{
-    DiskParams, FaultEvent, FaultPlan, JournalDisk, NetParams, SimClock, SimDisk, Transport,
-};
-use sfs_vfs::{Credentials, Vfs};
 
-fn server_key() -> RabinPrivateKey {
-    static KEY: OnceLock<RabinPrivateKey> = OnceLock::new();
-    KEY.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0xA5A5);
-        generate_keypair(768, &mut rng)
-    })
-    .clone()
-}
-
-fn user_key() -> RabinPrivateKey {
-    static KEY: OnceLock<RabinPrivateKey> = OnceLock::new();
-    KEY.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0xB6B6);
-        generate_keypair(512, &mut rng)
-    })
-    .clone()
-}
-
-fn client_ephemeral() -> RabinPrivateKey {
-    static KEY: OnceLock<RabinPrivateKey> = OnceLock::new();
-    KEY.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0xE9E9);
-        generate_keypair(768, &mut rng)
-    })
-    .clone()
-}
-
-fn srp_group() -> SrpGroup {
-    static G: OnceLock<SrpGroup> = OnceLock::new();
-    G.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0xC7C7);
-        SrpGroup::generate(128, &mut rng)
-    })
-    .clone()
-}
-
-const ALICE_UID: u32 = 1000;
-const LEASE_NS: u64 = 250_000_000;
-const OP_GAP_NS: u64 = 60_000_000;
-const FILES: usize = 3;
-const OPS: usize = 36;
 /// Members of the replicated write group in every harness.
 const N_MEMBERS: usize = 3;
-/// Durable copies (primary's included) a commit requires.
-const QUORUM: usize = 2;
+/// The group: quorum 2 durable copies (primary's included) per commit.
+/// The fault plan's `crash=` instants are attached only to member 0 —
+/// the initial primary — so a server crash is a *primary* crash and the
+/// group must fail over, not merely reconnect.
+const BEHIND: Behind = Behind::Replicated {
+    members: N_MEMBERS,
+    quorum: 2,
+};
 
-fn version_byte(f: usize, offset: u64) -> u8 {
-    b'a' + ((f as u64 + offset) % 26) as u8
+fn failover_harness(spec: &str, n_clients: usize) -> (Oracle, Arc<ReplGroup>) {
+    let h = Oracle::new(&OracleSpec::new(BEHIND, spec, n_clients));
+    let group = h.world.repl.clone().expect("replicated world");
+    (h, group)
 }
 
-struct Commit {
-    size: u64,
-    hash: [u8; 20],
-    t_ns: u64,
+/// The group's health at the end of a run.
+#[derive(Debug, PartialEq, Eq)]
+struct Health {
+    promotions: u64,
+    primary: usize,
+    commit_lsn: u64,
+    quarantined: usize,
 }
 
-struct Harness {
-    clock: SimClock,
-    net: Arc<SfsNetwork>,
-    plan: FaultPlan,
-    path: SelfCertifyingPath,
-    group: Arc<ReplGroup>,
-    journals: Vec<ClientJournal>,
-    clients: Vec<Arc<SfsClient>>,
-    mounts: Vec<Arc<Mount>>,
-    fhs: Vec<FileHandle>,
-    history: Vec<Vec<Commit>>,
-    contents: Vec<Vec<u8>>,
-    last_seen: Vec<Vec<u64>>,
-    crashes_done: usize,
-    violations: Vec<String>,
-}
-
-/// Every member gets its own file system, built identically: the same
-/// base tree from the same virtual instant, so identical op sequences
-/// allocate identical inodes and the shared `fh_cipher` (derived from
-/// the shared private key) yields handles valid on every member.
-fn member_vfs(clock: &SimClock) -> Vfs {
-    let vfs = Vfs::new(7, clock.clone());
-    let root_creds = Credentials::root();
-    let public = vfs.mkdir_p("/public").unwrap();
-    vfs.setattr(
-        &root_creds,
-        public,
-        sfs_vfs::SetAttr {
-            mode: Some(0o777),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    vfs
-}
-
-/// Unlike the shared-VFS `ReplicaGroup` harness, the fault plan's
-/// `crash=` instants are attached only to member 0 — the initial
-/// primary — so a server crash is a *primary* crash and the group must
-/// fail over, not merely reconnect.
-fn build_harness(spec: &str) -> Harness {
-    let plan = FaultPlan::from_spec(spec).unwrap();
-    let clock = SimClock::new();
-    let auth = Arc::new(AuthServer::new(srp_group(), 2));
-    auth.register_user(UserRecord {
-        user: "alice".into(),
-        uid: ALICE_UID,
-        gids: vec![100],
-        public_key: user_key().public().to_bytes(),
-    });
-
-    let mut servers = Vec::new();
-    for r in 0..N_MEMBERS {
-        let mut config = ServerConfig::new("sfs.lcs.mit.edu");
-        config.lease_ns = LEASE_NS;
-        let server = SfsServer::new(
-            config,
-            server_key(),
-            member_vfs(&clock),
-            auth.clone(),
-            SfsPrg::from_entropy(format!("failover-server-{r}").as_bytes()),
-        );
-        servers.push(server);
-    }
-    servers[0].set_fault_plan(plan.clone());
-
-    let group = ReplGroup::new(servers[0].path().clone(), clock.clone(), QUORUM);
-    for (r, server) in servers.iter().enumerate() {
-        let disk = SimDisk::new(clock.clone(), DiskParams::ibm_18es());
-        let log = JournalDisk::new(disk, (0x100 + r as u64) << 32);
-        group.add_member(server.clone(), log);
-    }
-    let path = group.path().clone();
-
-    let net = SfsNetwork::new(clock.clone(), NetParams::switched_100mbit(Transport::Tcp));
-    net.set_fault_plan(plan.clone());
-    net.register_relay(&path.location, group.clone());
-
-    Harness {
-        clock,
-        net,
-        plan,
-        path,
-        group,
-        journals: Vec::new(),
-        clients: Vec::new(),
-        mounts: Vec::new(),
-        fhs: Vec::new(),
-        history: Vec::new(),
-        contents: vec![Vec::new(); FILES],
-        last_seen: Vec::new(),
-        crashes_done: 0,
-        violations: Vec::new(),
-    }
-}
-
-fn populate(mut h: Harness, n_clients: usize) -> Harness {
-    for i in 0..n_clients {
-        let disk = SimDisk::new(h.clock.clone(), DiskParams::ibm_18es());
-        disk.set_fault_plan(h.plan.clone());
-        let journal = ClientJournal::new(JournalDisk::new(disk, (i as u64) << 32));
-        let client = SfsClient::with_ephemeral(
-            h.net.clone(),
-            format!("failover-client-{i}-epoch-0").as_bytes(),
-            client_ephemeral(),
-        );
-        client.set_pipeline_window(DEFAULT_PIPELINE_WINDOW);
-        client.attach_journal(journal.clone());
-        client.install_agent_key(ALICE_UID, user_key());
-        let mount = client.mount(ALICE_UID, &h.path).unwrap();
-        h.journals.push(journal);
-        h.clients.push(client);
-        h.mounts.push(mount);
-    }
-    for f in 0..FILES {
-        let p = format!("{}/public/coh-{f}", h.path.full_path());
-        h.clients[0].write_file(ALICE_UID, &p, b"").unwrap();
-        let (_, fh, _) = h.clients[0].resolve(ALICE_UID, &p).unwrap();
-        h.fhs.push(fh);
-        h.history.push(vec![Commit {
-            size: 0,
-            hash: sha1(b""),
-            t_ns: h.clock.now().as_nanos(),
-        }]);
-    }
-    h.last_seen = vec![vec![0; FILES]; n_clients];
-    h
-}
-
-fn failover_harness(spec: &str, n_clients: usize) -> Harness {
-    populate(build_harness(spec), n_clients)
-}
-
-impl Harness {
-    fn honour_client_crashes(&mut self) {
-        while self.crashes_done < self.plan.client_epoch(self.clock.now()) as usize {
-            let victim = self.crashes_done % self.clients.len();
-            self.plan.note_client_crash(self.clock.now());
-            self.crashes_done += 1;
-            let reborn = SfsClient::with_ephemeral(
-                self.net.clone(),
-                format!("failover-client-{victim}-epoch-{}", self.crashes_done).as_bytes(),
-                client_ephemeral(),
-            );
-            reborn.set_pipeline_window(DEFAULT_PIPELINE_WINDOW);
-            reborn.attach_journal(self.journals[victim].clone());
-            let report = reborn.recover(ALICE_UID).unwrap();
-            assert_eq!(
-                report.remounted,
-                vec![self.path.dir_name()],
-                "recovery must re-establish the journaled mount through the relay: {report:?}"
-            );
-            self.mounts[victim] = reborn.mount(ALICE_UID, &self.path).unwrap();
-            self.clients[victim] = reborn;
-        }
-    }
-
-    fn write(&mut self, i: usize, f: usize) {
-        let offset = self.history[f].last().unwrap().size;
-        let byte = version_byte(f, offset);
-        let reply = self.clients[i]
-            .call_nfs(
-                &self.mounts[i],
-                ALICE_UID,
-                &Nfs3Request::Write {
-                    fh: self.fhs[f].clone(),
-                    offset,
-                    stable: StableHow::FileSync,
-                    data: vec![byte],
-                },
-            )
-            .unwrap();
-        assert!(
-            matches!(reply, Nfs3Reply::Write { count: 1, .. }),
-            "append must write exactly one byte: {reply:?}"
-        );
-        self.contents[f].push(byte);
-        self.history[f].push(Commit {
-            size: offset + 1,
-            hash: sha1(&self.contents[f]),
-            t_ns: self.clock.now().as_nanos(),
-        });
-    }
-
-    fn read_and_check(&mut self, i: usize, f: usize) {
-        let t_read = self.clock.now().as_nanos();
-        let attr = self.clients[i]
-            .getattr(&self.mounts[i], ALICE_UID, &self.fhs[f])
-            .unwrap();
-        let s = attr.size;
-        let latest = self.history[f].last().unwrap().size;
-        if self.history[f].iter().all(|c| c.size != s) {
-            self.violations.push(format!(
-                "client {i} file {f}: observed size {s} never committed (latest {latest})"
-            ));
-            return;
-        }
-        if s < self.last_seen[i][f] {
-            self.violations.push(format!(
-                "client {i} file {f}: size went backwards {} -> {s}",
-                self.last_seen[i][f]
-            ));
-        }
-        self.last_seen[i][f] = s;
-        if s == latest {
-            return;
-        }
-        let next = &self.history[f][(s + 1) as usize];
-        if t_read > next.t_ns + LEASE_NS {
-            self.violations.push(format!(
-                "client {i} file {f}: stale size {s} served {}ns past lease expiry",
-                t_read - (next.t_ns + LEASE_NS)
-            ));
-        }
-    }
-
-    fn wire_read_and_check(&mut self, i: usize, f: usize) {
-        let t_read = self.clock.now().as_nanos();
-        let reply = self.clients[i]
-            .call_nfs(
-                &self.mounts[i],
-                ALICE_UID,
-                &Nfs3Request::Read {
-                    fh: self.fhs[f].clone(),
-                    offset: 0,
-                    count: 8192,
-                },
-            )
-            .unwrap();
-        let data = match reply {
-            Nfs3Reply::Read { data, .. } => data,
-            other => panic!("unexpected read reply: {other:?}"),
-        };
-        let s = data.len() as u64;
-        let latest = self.history[f].last().unwrap().size;
-        match self.history[f].iter().find(|c| c.size == s) {
-            None => {
-                self.violations.push(format!(
-                    "client {i} file {f}: wire read returned {s} bytes, a length \
-                     never committed (latest {latest})"
-                ));
-                return;
-            }
-            Some(c) if c.hash != sha1(&data) => {
-                self.violations.push(format!(
-                    "client {i} file {f}: wire read of {s} bytes does not hash-match \
-                     committed version {s} — torn or mixed-version content"
-                ));
-                return;
-            }
-            Some(_) => {}
-        }
-        if s < self.last_seen[i][f] {
-            self.violations.push(format!(
-                "client {i} file {f}: wire read went backwards {} -> {s}",
-                self.last_seen[i][f]
-            ));
-        }
-        self.last_seen[i][f] = s;
-        if s < latest {
-            let next = &self.history[f][(s + 1) as usize];
-            if t_read > next.t_ns + LEASE_NS {
-                self.violations.push(format!(
-                    "client {i} file {f}: stale wire read of size {s} served \
-                     {}ns past lease expiry",
-                    t_read - (next.t_ns + LEASE_NS)
-                ));
-            }
-        }
-    }
-
-    fn run(mut self, seed: u64) -> RunOutcome {
-        let mut rng = XorShiftSource::new(seed | 1);
-        let mut draw = move || {
-            let mut b = [0u8; 8];
-            rng.fill(&mut b);
-            u64::from_le_bytes(b)
-        };
-        for _ in 0..OPS {
-            self.clock.advance_ns(OP_GAP_NS);
-            self.honour_client_crashes();
-            let i = (draw() as usize) % self.clients.len();
-            let f = (draw() as usize) % FILES;
-            if draw() % 10 < 3 {
-                self.write(i, f);
-            } else {
-                self.read_and_check(i, f);
-                self.wire_read_and_check(i, f);
-            }
-        }
-        let health = self.group.health_check();
-        RunOutcome {
-            violations: self.violations,
-            total_ns: self.clock.now().as_nanos(),
-            events: self.plan.events(),
-            sizes: self
-                .history
-                .iter()
-                .map(|h| h.last().unwrap().size)
-                .collect(),
-            journal_records: self.journals.iter().map(|j| j.len()).collect(),
-            crashes: self.crashes_done,
-            reconnects: self.mounts.iter().map(|m| m.reconnects()).sum(),
+fn run(spec: &str, n_clients: usize) -> RunOutcome<Health> {
+    failover_harness(spec, n_clients).0.run(0x5EED, |w| {
+        let health = w.repl.as_ref().unwrap().health_check();
+        Health {
             promotions: health.promotions,
             primary: health.primary,
             commit_lsn: health.commit_lsn,
             quarantined: health.needs_full_sync,
         }
-    }
-}
-
-#[derive(Debug, PartialEq, Eq)]
-struct RunOutcome {
-    violations: Vec<String>,
-    total_ns: u64,
-    events: Vec<FaultEvent>,
-    sizes: Vec<u64>,
-    journal_records: Vec<usize>,
-    crashes: usize,
-    reconnects: u64,
-    promotions: u64,
-    primary: usize,
-    commit_lsn: u64,
-    quarantined: usize,
+    })
 }
 
 /// The battery from `tests/coherence.rs`; plans without a server-crash
@@ -433,57 +74,27 @@ fn crashing_spec(spec: &str) -> String {
     }
 }
 
-const COHERENCE_SPECS: &[(&str, usize)] = &[
-    ("seed=401,drop=20", 2),
-    ("seed=402,dup=25", 3),
-    ("seed=403,reorder=25", 2),
-    ("seed=404,corrupt=15", 2),
-    ("seed=405,delay=150,delay_ns=2ms", 3),
-    ("seed=406,partition=500ms+1s", 2),
-    ("seed=407,crash=900ms", 3),
-    ("seed=408,syncfail=200", 2),
-    ("seed=409,ccrash=800ms", 2),
-    ("seed=410,ccrash=700ms,crash=700ms", 2),
-    ("seed=411,drop=15,dup=10,ccrash=900ms", 3),
-    ("seed=412,corrupt=10,ccrash=600ms,crash=1500ms", 2),
-    ("seed=413,drop=10,reorder=15,delay=80,delay_ns=1ms", 4),
-    ("seed=414,crash=1s,ccrash=1s", 3),
-    ("seed=415,drop=10,syncfail=150,ccrash=1200ms", 2),
-    ("seed=416,dup=15,corrupt=10,crash=800ms", 2),
-    ("seed=417,partition=600ms+800ms,ccrash=1600ms", 2),
-    (
-        "seed=418,drop=25,dup=10,reorder=10,corrupt=10,delay=60,delay_ns=1ms",
-        3,
-    ),
-    ("seed=419,ccrash=600ms,ccrash=1500ms,drop=10", 2),
-    ("seed=420,crash=700ms,ccrash=1300ms,dup=10", 3),
-    (
-        "seed=421,drop=15,corrupt=10,crash=1s,ccrash=1s,syncfail=100",
-        2,
-    ),
-];
-
 #[test]
 fn coherence_oracle_passes_with_replicated_write_path() {
     let mut crashes = 0;
-    for (spec, n) in COHERENCE_SPECS {
+    for (spec, n) in BATTERY {
         let spec = crashing_spec(spec);
-        let out = failover_harness(&spec, *n).run(0x5EED);
+        let out = run(&spec, *n);
         assert!(
             out.violations.is_empty(),
             "coherence violated on the replicated write path under {spec:?}: {:#?}",
             out.violations
         );
         assert!(
-            out.promotions >= 1,
+            out.health.promotions >= 1,
             "a primary crash under {spec:?} must promote a backup"
         );
         assert_ne!(
-            out.primary, 0,
+            out.health.primary, 0,
             "the crashed initial primary cannot still be serving under {spec:?}"
         );
         assert!(
-            out.quarantined >= 1,
+            out.health.quarantined >= 1,
             "the deposed primary must be quarantined pending resync under {spec:?}"
         );
         crashes += out.crashes;
@@ -505,8 +116,8 @@ fn failover_runs_reproduce_byte_for_byte() {
         ),
     ] {
         let spec = crashing_spec(spec);
-        let a = failover_harness(&spec, n).run(0x5EED);
-        let b = failover_harness(&spec, n).run(0x5EED);
+        let a = run(&spec, n);
+        let b = run(&spec, n);
         assert_eq!(a, b, "failover run diverged across reruns of {spec:?}");
     }
 }
@@ -517,49 +128,49 @@ fn promotion_loses_no_acked_write() {
     // dies between two acked writes of a burst, the most-caught-up
     // backup is promoted, and the promoted member serves exactly the
     // committed history — every acked byte, in order.
-    let mut h = failover_harness("seed=940", 1);
+    let (mut h, group) = failover_harness("seed=940", 1);
     for k in 0..6 {
-        h.clock.advance_ns(OP_GAP_NS);
+        h.world.clock.advance_ns(OP_GAP_NS);
         h.write(0, k % FILES);
     }
-    assert_eq!(h.group.primary_index(), 0);
-    let commit_before = h.group.commit_lsn();
+    assert_eq!(group.primary_index(), 0);
+    let commit_before = group.commit_lsn();
     assert!(commit_before > 0);
 
-    h.group.member_server(0).crash_restart();
+    group.member_server(0).crash_restart();
 
     for k in 0..6 {
-        h.clock.advance_ns(OP_GAP_NS);
+        h.world.clock.advance_ns(OP_GAP_NS);
         h.write(0, k % FILES);
         h.wire_read_and_check(0, k % FILES);
     }
     assert!(h.violations.is_empty(), "{:#?}", h.violations);
     assert_eq!(
-        h.group.promotions(),
+        group.promotions(),
         1,
         "the first post-crash dial must promote exactly once"
     );
     assert_eq!(
-        h.group.primary_index(),
+        group.primary_index(),
         1,
         "ties in durable LSN break to the lowest-index backup"
     );
-    assert!(h.group.commit_lsn() > commit_before);
+    assert!(group.commit_lsn() > commit_before);
     assert!(
         h.mounts[0].reconnects() >= 1,
         "the crash must surface as a transparent reconnect"
     );
     // The deposed primary may hold unacked state; it is quarantined.
-    assert!(h.group.member_stats(0).needs_full_sync);
-    let health = h.group.health_check();
+    assert!(group.member_stats(0).needs_full_sync);
+    let health = group.health_check();
     assert_eq!(health.needs_full_sync, 1);
     assert_eq!(health.primary, 1);
 
     // Byte-for-byte: the promoted backup serves the full acked history.
     for f in 0..FILES {
-        let p = format!("{}/public/coh-{f}", h.path.full_path());
+        let p = format!("{}/public/coh-{f}", h.world.path().full_path());
         assert_eq!(
-            h.clients[0].read_file(ALICE_UID, &p).unwrap(),
+            h.world.clients[0].read_file(UID, &p).unwrap(),
             h.contents[f],
             "file {f} lost acked bytes across the failover"
         );
@@ -568,16 +179,16 @@ fn promotion_loses_no_acked_write() {
 
 #[test]
 fn checkpoints_truncate_every_log_to_the_same_mark() {
-    let mut h = failover_harness("seed=941", 1);
-    h.group.set_checkpoint_every(4);
+    let (mut h, group) = failover_harness("seed=941", 1);
+    group.set_checkpoint_every(4);
     for k in 0..12 {
-        h.clock.advance_ns(OP_GAP_NS);
+        h.world.clock.advance_ns(OP_GAP_NS);
         h.write(0, k % FILES);
     }
-    let commit = h.group.commit_lsn();
+    let commit = group.commit_lsn();
     let mut marks = Vec::new();
     for r in 0..N_MEMBERS {
-        let recs = h.group.member_log(r).records();
+        let recs = group.member_log(r).records();
         let Ok(ReplRecord::Checkpoint { lsn }) = ReplRecord::from_xdr(&recs[0]) else {
             panic!("member {r}'s truncated log must begin with a checkpoint mark");
         };
@@ -594,7 +205,7 @@ fn checkpoints_truncate_every_log_to_the_same_mark() {
                 "member {r} kept a frame at or below its checkpoint mark"
             );
         }
-        let st = h.group.member_stats(r);
+        let st = group.member_stats(r);
         assert!(
             st.applied_lsn >= lsn,
             "member {r} was truncated past what it has applied"
@@ -609,14 +220,14 @@ fn checkpoints_truncate_every_log_to_the_same_mark() {
 
     // A checkpointed backup still promotes cleanly: only the short
     // suffix beyond the mark needs replaying.
-    h.group.member_server(0).crash_restart();
-    h.clock.advance_ns(OP_GAP_NS);
+    group.member_server(0).crash_restart();
+    h.world.clock.advance_ns(OP_GAP_NS);
     h.write(0, 0);
-    assert_eq!(h.group.promotions(), 1);
+    assert_eq!(group.promotions(), 1);
     for f in 0..FILES {
-        let p = format!("{}/public/coh-{f}", h.path.full_path());
+        let p = format!("{}/public/coh-{f}", h.world.path().full_path());
         assert_eq!(
-            h.clients[0].read_file(ALICE_UID, &p).unwrap(),
+            h.world.clients[0].read_file(UID, &p).unwrap(),
             h.contents[f],
             "file {f} diverged on the checkpoint-applied backup"
         );
@@ -626,52 +237,52 @@ fn checkpoints_truncate_every_log_to_the_same_mark() {
 
 #[test]
 fn lagging_backup_catches_up_or_quarantines_past_truncation() {
-    let mut h = failover_harness("seed=942", 1);
-    h.group.set_checkpoint_every(1000); // freeze truncation for now
+    let (mut h, group) = failover_harness("seed=942", 1);
+    group.set_checkpoint_every(1000); // freeze truncation for now
 
     // A short outage: the missed frames still sit in the primary's log,
     // so rejoining replays them and the backup is whole again.
-    h.group.mark_down(2);
+    group.mark_down(2);
     for k in 0..3 {
-        h.clock.advance_ns(OP_GAP_NS);
+        h.world.clock.advance_ns(OP_GAP_NS);
         h.write(0, k % FILES);
     }
-    assert!(h.group.mark_up(2), "an in-window rejoin must catch up");
-    assert_eq!(h.group.member_stats(2).durable_lsn, h.group.commit_lsn());
-    assert!(!h.group.member_stats(2).needs_full_sync);
+    assert!(group.mark_up(2), "an in-window rejoin must catch up");
+    assert_eq!(group.member_stats(2).durable_lsn, group.commit_lsn());
+    assert!(!group.member_stats(2).needs_full_sync);
 
     // A long outage: truncation outruns the backup's durable horizon
     // while it is away, so log shipping can no longer repair it.
-    h.group.mark_down(2);
-    h.group.set_checkpoint_every(2);
+    group.mark_down(2);
+    group.set_checkpoint_every(2);
     for k in 0..4 {
-        h.clock.advance_ns(OP_GAP_NS);
+        h.world.clock.advance_ns(OP_GAP_NS);
         h.write(0, k % FILES);
     }
     assert!(
-        !h.group.mark_up(2),
+        !group.mark_up(2),
         "rejoining past coordinated truncation must fail"
     );
-    assert!(h.group.member_stats(2).needs_full_sync);
-    assert!(h.group.full_syncs_needed() >= 1);
-    let health = h.group.health_check();
+    assert!(group.member_stats(2).needs_full_sync);
+    assert!(group.full_syncs_needed() >= 1);
+    let health = group.health_check();
     assert_eq!(health.needs_full_sync, 1);
     assert_eq!(health.eligible_backups, 1);
 
     // A quarantined member is never promoted, no matter its LSN.
-    h.group.member_server(0).crash_restart();
-    h.clock.advance_ns(OP_GAP_NS);
+    group.member_server(0).crash_restart();
+    h.world.clock.advance_ns(OP_GAP_NS);
     h.write(0, 0);
-    assert_eq!(h.group.promotions(), 1);
+    assert_eq!(group.promotions(), 1);
     assert_eq!(
-        h.group.primary_index(),
+        group.primary_index(),
         1,
         "promotion must pass over the quarantined member"
     );
     for f in 0..FILES {
-        let p = format!("{}/public/coh-{f}", h.path.full_path());
+        let p = format!("{}/public/coh-{f}", h.world.path().full_path());
         assert_eq!(
-            h.clients[0].read_file(ALICE_UID, &p).unwrap(),
+            h.world.clients[0].read_file(UID, &p).unwrap(),
             h.contents[f]
         );
     }
@@ -680,25 +291,25 @@ fn lagging_backup_catches_up_or_quarantines_past_truncation() {
 
 #[test]
 fn degraded_quorum_commits_are_counted() {
-    let mut h = failover_harness("seed=945", 1);
-    h.group.set_checkpoint_every(1000);
-    assert_eq!(h.group.quorum_degraded(), 0);
+    let (mut h, group) = failover_harness("seed=945", 1);
+    group.set_checkpoint_every(1000);
+    assert_eq!(group.quorum_degraded(), 0);
 
     // Both backups away: the group prefers availability, commits on the
     // primary's copy alone, and says so.
-    h.group.mark_down(1);
-    h.group.mark_down(2);
-    h.clock.advance_ns(OP_GAP_NS);
+    group.mark_down(1);
+    group.mark_down(2);
+    h.world.clock.advance_ns(OP_GAP_NS);
     h.write(0, 0);
-    assert!(h.group.quorum_degraded() >= 1);
-    let degraded = h.group.quorum_degraded();
+    assert!(group.quorum_degraded() >= 1);
+    let degraded = group.quorum_degraded();
 
     // One backup back within the window: quorum is met again.
-    assert!(h.group.mark_up(1));
-    assert_eq!(h.group.member_stats(1).durable_lsn, h.group.commit_lsn());
-    h.clock.advance_ns(OP_GAP_NS);
+    assert!(group.mark_up(1));
+    assert_eq!(group.member_stats(1).durable_lsn, group.commit_lsn());
+    h.world.clock.advance_ns(OP_GAP_NS);
     h.write(0, 1);
-    assert_eq!(h.group.quorum_degraded(), degraded);
+    assert_eq!(group.quorum_degraded(), degraded);
     assert!(h.violations.is_empty(), "{:#?}", h.violations);
 }
 
@@ -708,19 +319,15 @@ fn admission_control_meters_a_mount_stampede() {
     // burst token, the second is told `Busy`, backs off on the client's
     // normal schedule, and is admitted once virtual time has minted a
     // token — no dial is ever turned into a hard failure.
-    let h = failover_harness("seed=943", 1);
+    let (h, group) = failover_harness("seed=943", 1);
     let ac = Arc::new(AdmissionControl::new(1, 10));
-    h.group.set_admission(ac.clone());
+    group.set_admission(ac.clone());
 
     let mut late = Vec::new();
     for i in 0..2 {
-        let c = SfsClient::with_ephemeral(
-            h.net.clone(),
-            format!("failover-stampede-{i}").as_bytes(),
-            client_ephemeral(),
-        );
-        c.install_agent_key(ALICE_UID, user_key());
-        let mount = c.mount(ALICE_UID, &h.path).unwrap();
+        let c = h.world.client(format!("failover-stampede-{i}").as_bytes());
+        h.world.login(&c);
+        let mount = c.mount(UID, h.world.path()).unwrap();
         late.push((c, mount));
     }
     let (admitted, throttled) = ac.stats();
@@ -732,10 +339,10 @@ fn admission_control_meters_a_mount_stampede() {
 
     // Throttling never corrupts the session that results: the late
     // mounts read the populated files correctly.
-    h.group.clear_admission();
+    group.clear_admission();
     for (c, _) in &late {
-        let p = format!("{}/public/coh-0", h.path.full_path());
-        assert_eq!(c.read_file(ALICE_UID, &p).unwrap(), h.contents[0]);
+        let p = format!("{}/public/coh-0", h.world.path().full_path());
+        assert_eq!(c.read_file(UID, &p).unwrap(), h.contents[0]);
     }
 }
 
@@ -746,27 +353,27 @@ fn rolling_republish_stays_version_monotone() {
     // when the old root's blocks vanish, but it only ever moves to a
     // *newer* signed root — version bumps are monotone, content is
     // always a consistent snapshot, never a rollback or a torn mix.
-    let mut h = failover_harness("seed=944", 1);
+    let (mut h, group) = failover_harness("seed=944", 1);
     for k in 0..4 {
-        h.clock.advance_ns(OP_GAP_NS);
+        h.world.clock.advance_ns(OP_GAP_NS);
         h.write(0, k % 2); // files 0 and 1
     }
     for r in 0..N_MEMBERS {
-        h.group.member_server(r).publish_read_only(1);
+        group.member_server(r).publish_read_only(1);
     }
     let snapshot1_file0 = h.contents[0].clone();
 
-    let ro = h.clients[0].mount_read_only(&h.path).unwrap();
+    let ro = h.world.clients[0].mount_read_only(h.world.path()).unwrap();
     assert_eq!(ro.version(), 1);
     assert_eq!(ro.read_file("/public/coh-0").unwrap(), snapshot1_file0);
 
     // The tree grows, and the publisher republishes the primary first.
     for k in 0..4 {
-        h.clock.advance_ns(OP_GAP_NS);
+        h.world.clock.advance_ns(OP_GAP_NS);
         h.write(0, k % 2);
     }
-    h.group
-        .member_server(h.group.primary_index())
+    group
+        .member_server(group.primary_index())
         .publish_read_only(2);
 
     // coh-1 was never walked under v1, so this read must fetch — and
@@ -779,8 +386,18 @@ fn rolling_republish_stays_version_monotone() {
     // Finish the roll; the mount stays at v2 and keeps reading the
     // consistent v2 snapshot.
     for r in 0..N_MEMBERS {
-        h.group.member_server(r).publish_read_only(2);
+        group.member_server(r).publish_read_only(2);
     }
     assert_eq!(ro.read_file("/public/coh-0").unwrap(), h.contents[0]);
     assert_eq!(ro.version(), 2);
+}
+
+#[test]
+fn oracle_detects_deliberately_torn_write_on_the_replicated_path() {
+    oracle::detects_torn_write(BEHIND);
+}
+
+#[test]
+fn oracle_detects_deliberately_injected_stale_read_on_the_replicated_path() {
+    oracle::detects_injected_stale_read(BEHIND);
 }

@@ -5,13 +5,12 @@
 //! private key.
 
 use std::sync::Arc;
-use std::sync::OnceLock;
 
 use sfs::client::{SfsClient, SfsNetwork};
 use sfs::roclient::RoMount;
 use sfs::server::RoReplicaServer;
-use sfs_bignum::XorShiftSource;
-use sfs_crypto::rabin::{generate_keypair, RabinPrivateKey};
+use sfs_bench::keys;
+use sfs_crypto::rabin::RabinPrivateKey;
 use sfs_proto::pathname::SelfCertifyingPath;
 use sfs_proto::readonly::RoDatabase;
 use sfs_relay::ReplicaGroup;
@@ -20,21 +19,12 @@ use sfs_vfs::{Credentials, Vfs};
 
 const LOCATION: &str = "ro.lcs.mit.edu";
 
-fn publisher_key() -> &'static RabinPrivateKey {
-    static KEY: OnceLock<RabinPrivateKey> = OnceLock::new();
-    KEY.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0xD1D1);
-        generate_keypair(768, &mut rng)
-    })
+fn publisher_key() -> RabinPrivateKey {
+    keys::rabin(768, 0xD1D1)
 }
 
 fn client_ephemeral() -> RabinPrivateKey {
-    static KEY: OnceLock<RabinPrivateKey> = OnceLock::new();
-    KEY.get_or_init(|| {
-        let mut rng = XorShiftSource::new(0xE9E9);
-        generate_keypair(768, &mut rng)
-    })
-    .clone()
+    keys::rabin(768, 0xE9E9)
 }
 
 /// Publishes a small tree and returns the signed distribution bundle.
@@ -46,7 +36,7 @@ fn published_bundle() -> Vec<u8> {
     let sub = vfs.mkdir_p("/docs").unwrap();
     vfs.write_file(&creds, sub, "paper.txt", &[0x42; 4096])
         .unwrap();
-    RoDatabase::publish(&vfs, publisher_key(), 3).export()
+    RoDatabase::publish(&vfs, &publisher_key(), 3).export()
 }
 
 /// A network with `n` keyless replicas of the bundle behind a relay.
@@ -153,7 +143,7 @@ fn mount_abandons_lying_replica() {
     let sub = vfs.mkdir_p("/docs").unwrap();
     vfs.write_file(&creds, sub, "paper.txt", &[0x42; 4096])
         .unwrap();
-    let mut evil_db = RoDatabase::publish(&vfs, publisher_key(), 3);
+    let mut evil_db = RoDatabase::publish(&vfs, &publisher_key(), 3);
     let root = evil_db.root.root_digest;
     assert!(evil_db.tamper_with_block(&root));
     let client = SfsClient::with_ephemeral(net, b"ro-evil-client", client_ephemeral());

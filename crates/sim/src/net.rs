@@ -214,7 +214,7 @@ pub enum ServerCost {
     Scheduled(u64),
 }
 
-/// A reply frame delivered by [`Wire::exchange`], stamped with its
+/// A reply frame delivered by [`Wire::exchange_on`], stamped with its
 /// logical arrival time at the client.
 #[derive(Debug, Clone)]
 pub struct ExchangeReply {
@@ -265,11 +265,6 @@ impl Wire {
     /// Attaches an adversary.
     pub fn set_interceptor(&mut self, i: Arc<Mutex<dyn Interceptor>>) {
         self.interceptor = Some(i);
-    }
-
-    /// Removes the adversary.
-    pub fn clear_interceptor(&mut self) {
-        self.interceptor = None;
     }
 
     /// Attaches a seeded fault plan; every packet's fate is decided by
@@ -428,10 +423,8 @@ impl Wire {
     /// request frame departs at its `sent` stamp (or when the
     /// client→server link frees up, if later), occupies that link for
     /// its serialization time, then propagates; the server services
-    /// arrivals in arrival order, one at a time — each invocation is
-    /// charged `extra_ns` returned by the closure (analytic CPU cost)
-    /// plus whatever virtual time the closure itself consumed (disk
-    /// I/O); reply frames queue on the server→client link the same way.
+    /// arrivals in arrival order; reply frames queue on the
+    /// server→client link the same way.
     /// The shared clock finally jumps to the last reply's arrival, which
     /// is where the caller resumes — so transmission, server CPU, and
     /// disk genuinely overlap in virtual time.
@@ -441,21 +434,12 @@ impl Wire {
     /// retransmits after [`Wire::timeout_wait`]. Duplicated requests are
     /// serviced twice; duplicated replies are delivered twice; delays
     /// push a frame's arrival without holding the link.
-    pub fn exchange(
-        &self,
-        frames: Vec<(SimTime, Vec<u8>)>,
-        mut server: impl FnMut(&[u8]) -> (Vec<Vec<u8>>, u64),
-    ) -> Vec<ExchangeReply> {
-        self.exchange_on(frames, |_arrival, bytes| {
-            let (replies, extra_ns) = server(bytes);
-            (replies, ServerCost::Serial(extra_ns))
-        })
-    }
-
-    /// Like [`Wire::exchange`], but the server closure sees each frame's
-    /// absolute arrival time and decides how its service time is
-    /// accounted: [`ServerCost::Serial`] keeps the classic single-server
-    /// discipline (one request at a time, scaled by [`ServerLoad`]
+    ///
+    /// The server closure sees each frame's absolute arrival time and
+    /// decides how its service time is accounted: [`ServerCost::Serial`]
+    /// is the classic single-server discipline (one request at a time,
+    /// charged the analytic CPU cost it carries plus whatever virtual
+    /// time the closure itself consumed, scaled by [`ServerLoad`]
     /// sharers), while [`ServerCost::Scheduled`] hands back an absolute
     /// completion instant computed by an external scheduler (a multi-core
     /// [`crate::CoreSet`] + per-shard disk queues) — the wire then treats
@@ -610,10 +594,16 @@ impl std::fmt::Debug for Wire {
 
 #[cfg(test)]
 mod tests {
+    use super::ServerCost::Serial;
     use super::*;
 
     fn wire() -> Wire {
         Wire::new(SimClock::new(), NetParams::switched_100mbit(Transport::Udp))
+    }
+
+    /// A server that answers `len` zero bytes for `cpu` ns of serial CPU.
+    fn zeros(len: usize, cpu: u64) -> (Vec<Vec<u8>>, ServerCost) {
+        (vec![vec![0; len]], Serial(cpu))
     }
 
     #[test]
@@ -790,11 +780,11 @@ mod tests {
 
         let free = wire();
         let sent = free.clock().now();
-        free.exchange(vec![(sent, vec![0; 512])], |_| (vec![vec![0; 4096]], 1000));
+        free.exchange_on(vec![(sent, vec![0; 512])], |_, _| zeros(4096, 1000));
         let mut w = wire();
         w.set_server_load(ServerLoad::new());
         let sent = w.clock().now();
-        w.exchange(vec![(sent, vec![0; 512])], |_| (vec![vec![0; 4096]], 1000));
+        w.exchange_on(vec![(sent, vec![0; 512])], |_, _| zeros(4096, 1000));
         assert_eq!(w.clock().now(), free.clock().now());
     }
 
@@ -803,7 +793,7 @@ mod tests {
         const CPU: u64 = 1_000_000;
         let free = wire();
         let sent = free.clock().now();
-        free.exchange(vec![(sent, vec![0; 64])], |_| (vec![vec![0; 64]], CPU));
+        free.exchange_on(vec![(sent, vec![0; 64])], |_, _| zeros(64, CPU));
 
         let load = ServerLoad::new();
         let mut w = wire();
@@ -811,7 +801,7 @@ mod tests {
         let mut _other = wire();
         _other.set_server_load(load.clone());
         let sent = w.clock().now();
-        w.exchange(vec![(sent, vec![0; 64])], |_| (vec![vec![0; 64]], CPU));
+        w.exchange_on(vec![(sent, vec![0; 64])], |_, _| zeros(64, CPU));
         assert!(
             w.clock().now().as_nanos() >= free.clock().now().as_nanos() + CPU,
             "two sharers double the 1ms service time"
@@ -839,9 +829,9 @@ mod tests {
 
         let w = wire();
         let sent = w.clock().now();
-        let replies = w.exchange(vec![(sent, vec![1; 400])], |req| {
+        let replies = w.exchange_on(vec![(sent, vec![1; 400])], |_, req| {
             assert_eq!(req, &[1u8; 400][..]);
-            (vec![vec![2; 200]], 0)
+            (vec![vec![2; 200]], Serial(0))
         });
         assert_eq!(replies.len(), 1);
         assert_eq!(replies[0].bytes, vec![2; 200]);
@@ -870,7 +860,7 @@ mod tests {
         let w = wire();
         let sent = w.clock().now();
         let frames = (0..N).map(|_| (sent, vec![0; 8192])).collect();
-        let replies = w.exchange(frames, |_| (vec![vec![0; 256]], CPU));
+        let replies = w.exchange_on(frames, |_, _| zeros(256, CPU));
         assert_eq!(replies.len(), N as usize);
         assert_eq!(w.round_trips(), N);
         let pipelined = w.clock().now().as_nanos();
@@ -888,7 +878,7 @@ mod tests {
         let w = wire();
         let sent = w.clock().now();
         let frames = (0..4u8).map(|i| (sent, vec![i; 64])).collect();
-        let replies = w.exchange(frames, |req| (vec![req.to_vec()], 0));
+        let replies = w.exchange_on(frames, |_, req| (vec![req.to_vec()], Serial(0)));
         assert_eq!(replies.len(), 4);
         for pair in replies.windows(2) {
             assert!(pair[0].arrival <= pair[1].arrival);
@@ -909,7 +899,7 @@ mod tests {
             },
         ));
         let before = w.clock().now();
-        let replies = w.exchange(vec![(before, vec![0; 64])], |_| {
+        let replies = w.exchange_on(vec![(before, vec![0; 64])], |_, _| {
             panic!("dropped request must not reach the server")
         });
         assert!(replies.is_empty());
@@ -933,9 +923,9 @@ mod tests {
         ));
         let mut calls = 0u8;
         let sent = w.clock().now();
-        let replies = w.exchange(vec![(sent, vec![9; 32])], |_| {
+        let replies = w.exchange_on(vec![(sent, vec![9; 32])], |_, _| {
             calls += 1;
-            (vec![vec![calls]], 0)
+            (vec![vec![calls]], Serial(0))
         });
         assert_eq!(calls, 2, "server must process both copies");
         // Both invocations replied and the reply leg also duplicates, so
@@ -948,7 +938,7 @@ mod tests {
         use crate::fault::{FaultPlan, FaultSpec};
         let clean = wire();
         let sent = clean.clock().now();
-        clean.exchange(vec![(sent, vec![0; 64])], |_| (vec![vec![0; 64]], 0));
+        clean.exchange_on(vec![(sent, vec![0; 64])], |_, _| zeros(64, 0));
 
         let mut w = wire();
         w.set_fault_plan(FaultPlan::new(
@@ -960,7 +950,7 @@ mod tests {
             },
         ));
         let sent = w.clock().now();
-        w.exchange(vec![(sent, vec![0; 64])], |_| (vec![vec![0; 64]], 0));
+        w.exchange_on(vec![(sent, vec![0; 64])], |_, _| zeros(64, 0));
         assert!(
             w.clock().now().as_nanos() >= clean.clock().now().as_nanos() + 10_000_000,
             "both directions should be delayed 5ms"

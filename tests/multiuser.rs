@@ -1,9 +1,11 @@
 //! Multi-user semantics: the AFS cache conundrum (§5.1), per-agent
 //! namespace views (§2.3), and anonymous access (§3.1.2).
 
-mod common;
+use sfs_bench::keys;
+use sfs_bench::world::{KeySeeds, World, WorldSpec, UID as ALICE_UID};
 
-use common::{World, ALICE_UID, BOB_UID};
+/// A second user without server accounts.
+const BOB_UID: u32 = 2000;
 use sfs::client::ClientError;
 use sfs_nfs3::proto::Status;
 
@@ -15,23 +17,22 @@ fn afs_conundrum_shared_cache_is_safe() {
     // can safely share the cache; they are asking for a server with the
     // same public key. Since neither user knows the corresponding private
     // key, neither can forge messages from the server."
-    let w = World::new();
-    let server = w.add_server(0, "fs.example.org");
-    w.login_alice();
+    let w = World::build(&WorldSpec::realm(&["fs.example.org"]));
+    let (server, client) = (&w.servers[0], &w.clients[0]);
     let path = server.path().clone();
-    let hello = format!("{}/pub/hello", path.full_path());
+    let hello = format!("{}/public/motd", path.full_path());
 
     // Both users access the same pathname: one mount, one cache.
     assert_eq!(
-        w.client.read_file(ALICE_UID, &hello).unwrap(),
-        b"hello from fs.example.org"
+        client.read_file(ALICE_UID, &hello).unwrap(),
+        b"welcome to fs.example.org"
     );
     assert_eq!(
-        w.client.read_file(BOB_UID, &hello).unwrap(),
-        b"hello from fs.example.org"
+        client.read_file(BOB_UID, &hello).unwrap(),
+        b"welcome to fs.example.org"
     );
-    let mount_a = w.client.mount(ALICE_UID, &path).unwrap();
-    let mount_b = w.client.mount(BOB_UID, &path).unwrap();
+    let mount_a = client.mount(ALICE_UID, &path).unwrap();
+    let mount_b = client.mount(BOB_UID, &path).unwrap();
     assert!(
         std::sync::Arc::ptr_eq(&mount_a, &mount_b),
         "same path ⇒ shared mount/cache"
@@ -42,10 +43,10 @@ fn afs_conundrum_shared_cache_is_safe() {
     // to mount since no such server exists.
     let disagreeing = sfs_proto::pathname::SelfCertifyingPath::for_server(
         "fs.example.org",
-        common::server_key(1).public(),
+        keys::rabin(768, KeySeeds::REALM.servers[1]).public(),
     );
     assert_ne!(disagreeing.dir_name(), path.dir_name());
-    assert!(w.client.mount(BOB_UID, &disagreeing).is_err());
+    assert!(client.mount(BOB_UID, &disagreeing).is_err());
 }
 
 #[test]
@@ -53,23 +54,22 @@ fn users_cannot_use_each_others_authno() {
     // Authentication numbers map to per-user credentials on the server;
     // bob's anonymous authno cannot write alice's files even though they
     // share the mount and channel.
-    let w = World::new();
-    let server = w.add_server(0, "fs.example.org");
-    w.login_alice();
+    let w = World::build(&WorldSpec::realm(&["fs.example.org"]));
+    let (server, client) = (&w.servers[0], &w.clients[0]);
     let path = server.path().clone();
     let alice_file = format!("{}/home/alice/diary", path.full_path());
-    w.client
+    client
         .write_file(ALICE_UID, &alice_file, b"dear diary")
         .unwrap();
     assert_eq!(
-        w.client
+        client
             .write_file(BOB_UID, &alice_file, b"bob was here")
             .unwrap_err(),
         ClientError::Nfs(Status::Acces)
     );
     // And bob can still read public data over the same mount.
-    let hello = format!("{}/pub/hello", path.full_path());
-    assert!(w.client.read_file(BOB_UID, &hello).is_ok());
+    let hello = format!("{}/public/motd", path.full_path());
+    assert!(client.read_file(BOB_UID, &hello).is_ok());
 }
 
 #[test]
@@ -78,16 +78,14 @@ fn sfs_listing_hides_unreferenced_hostids_per_agent() {
     // filename completion cannot be tricked by another user into
     // accessing the wrong HostID" — listings only show what *this* agent
     // referenced.
-    let w = World::new();
-    let s1 = w.add_server(0, "one.example.org");
-    let s2 = w.add_server(1, "two.example.org");
-    w.login_alice();
-    let f1 = format!("{}/pub/hello", s1.path().full_path());
-    let f2 = format!("{}/pub/hello", s2.path().full_path());
-    w.client.read_file(ALICE_UID, &f1).unwrap();
-    w.client.read_file(BOB_UID, &f2).unwrap();
-    let alice_view = w.client.list_sfs(ALICE_UID);
-    let bob_view = w.client.list_sfs(BOB_UID);
+    let w = World::build(&WorldSpec::realm(&["one.example.org", "two.example.org"]));
+    let (s1, s2, client) = (&w.servers[0], &w.servers[1], &w.clients[0]);
+    let f1 = format!("{}/public/motd", s1.path().full_path());
+    let f2 = format!("{}/public/motd", s2.path().full_path());
+    client.read_file(ALICE_UID, &f1).unwrap();
+    client.read_file(BOB_UID, &f2).unwrap();
+    let alice_view = client.list_sfs(ALICE_UID);
+    let bob_view = client.list_sfs(BOB_UID);
     assert!(alice_view.contains(&s1.path().dir_name()));
     assert!(!alice_view.contains(&s2.path().dir_name()));
     assert!(bob_view.contains(&s2.path().dir_name()));
@@ -97,24 +95,21 @@ fn sfs_listing_hides_unreferenced_hostids_per_agent() {
 #[test]
 fn agents_are_per_user_and_replaceable() {
     // "Users can replace their agents at will."
-    let w = World::new();
-    let server = w.add_server(0, "fs.example.org");
-    w.login_alice();
+    let w = World::build(&WorldSpec::realm(&["fs.example.org"]));
+    let (server, client) = (&w.servers[0], &w.clients[0]);
     let path = server.path().clone();
     let file = format!("{}/home/alice/x", path.full_path());
-    w.client.write_file(ALICE_UID, &file, b"with key").unwrap();
+    client.write_file(ALICE_UID, &file, b"with key").unwrap();
 
     // Alice replaces her agent with an empty one (e.g. logging out); a
     // fresh connection then authenticates anonymously.
-    w.client.set_agent(
+    client.set_agent(
         ALICE_UID,
         std::sync::Arc::new(sfs_telemetry::sync::Mutex::new(sfs::agent::Agent::new())),
     );
-    w.client.unmount_all();
+    client.unmount_all();
     assert_eq!(
-        w.client
-            .write_file(ALICE_UID, &file, b"no key")
-            .unwrap_err(),
+        client.write_file(ALICE_UID, &file, b"no key").unwrap_err(),
         ClientError::Nfs(Status::Acces)
     );
 }
@@ -123,11 +118,11 @@ fn agents_are_per_user_and_replaceable() {
 fn audit_trail_records_signatures() {
     // §2.5.1: "an SFS agent can keep a full audit trail of every private
     // key operation it performs."
-    let w = World::new();
-    let server = w.add_server(0, "fs.example.org");
-    let agent = w.login_alice();
+    let w = World::build(&WorldSpec::realm(&["fs.example.org"]));
+    let (server, client) = (&w.servers[0], &w.clients[0]);
+    let agent = w.clients[0].agent(ALICE_UID);
     let file = format!("{}/home/alice/y", server.path().full_path());
-    w.client.write_file(ALICE_UID, &file, b"signed in").unwrap();
+    client.write_file(ALICE_UID, &file, b"signed in").unwrap();
     let trail: Vec<_> = agent.lock().audit_trail().to_vec();
     assert!(!trail.is_empty());
     assert_eq!(trail[0].location, "fs.example.org");
@@ -139,13 +134,13 @@ fn anonymous_access_when_agent_declines() {
     // §2.5: after failed attempts "the user will access the file system
     // with anonymous permissions. Depending on the server's configuration,
     // this may permit access to certain parts of the file system."
-    let w = World::new();
-    let server = w.add_server(0, "fs.example.org");
+    let w = World::build(&WorldSpec::realm(&["fs.example.org"]));
+    let (server, client) = (&w.servers[0], &w.clients[0]);
     // No keys at all for bob.
-    let hello = format!("{}/pub/hello", server.path().full_path());
-    assert!(w.client.read_file(BOB_UID, &hello).is_ok());
+    let hello = format!("{}/public/motd", server.path().full_path());
+    assert!(client.read_file(BOB_UID, &hello).is_ok());
     let private = format!("{}/home/alice/z", server.path().full_path());
-    assert!(w.client.write_file(BOB_UID, &private, b"x").is_err());
+    assert!(client.write_file(BOB_UID, &private, b"x").is_err());
 }
 
 #[test]
@@ -153,17 +148,15 @@ fn ephemeral_rotation_does_not_break_existing_mounts() {
     // "Clients discard and regenerate K_C at regular intervals (every
     // hour by default)": old sessions continue, new sessions use the new
     // key.
-    let w = World::new();
-    let s1 = w.add_server(0, "one.example.org");
-    let s2 = w.add_server(1, "two.example.org");
-    w.login_alice();
-    let f1 = format!("{}/pub/hello", s1.path().full_path());
-    assert!(w.client.read_file(ALICE_UID, &f1).is_ok());
-    w.client.rotate_ephemeral();
+    let w = World::build(&WorldSpec::realm(&["one.example.org", "two.example.org"]));
+    let (s1, s2, client) = (&w.servers[0], &w.servers[1], &w.clients[0]);
+    let f1 = format!("{}/public/motd", s1.path().full_path());
+    assert!(client.read_file(ALICE_UID, &f1).is_ok());
+    client.rotate_ephemeral();
     // Existing mount still works (session keys are independent of K_C
     // once derived)…
-    assert!(w.client.read_file(ALICE_UID, &f1).is_ok());
+    assert!(client.read_file(ALICE_UID, &f1).is_ok());
     // …and a fresh mount with the new ephemeral key works too.
-    let f2 = format!("{}/pub/hello", s2.path().full_path());
-    assert!(w.client.read_file(ALICE_UID, &f2).is_ok());
+    let f2 = format!("{}/public/motd", s2.path().full_path());
+    assert!(client.read_file(ALICE_UID, &f2).is_ok());
 }

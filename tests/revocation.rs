@@ -1,9 +1,11 @@
 //! §2.6 end-to-end: key revocation, forwarding pointers, and HostID
 //! blocking through the full client/server stack.
 
-mod common;
+use sfs_bench::keys;
+use sfs_bench::world::{KeySeeds, World, WorldSpec, UID as ALICE_UID};
 
-use common::{World, ALICE_UID, BOB_UID};
+/// A second user without server accounts.
+const BOB_UID: u32 = 2000;
 use sfs::client::ClientError;
 use sfs_proto::pathname::SelfCertifyingPath;
 use sfs_proto::revoke::{RevocationCert, REVOKED_LINK_TARGET};
@@ -13,24 +15,26 @@ use sfs_vfs::Credentials;
 fn server_served_revocation_blocks_mount() {
     // "When SFS first connects to a server, it announces the Location and
     // HostID … The server can respond with a revocation certificate."
-    let w = World::new();
-    let server = w.add_server(0, "fs.example.org");
-    w.login_alice();
+    let w = World::build(&WorldSpec::realm(&["fs.example.org"]));
+    let (server, client) = (&w.servers[0], &w.clients[0]);
     let path = server.path().clone();
     // Healthy at first.
-    let hello = format!("{}/pub/hello", path.full_path());
-    assert!(w.client.read_file(ALICE_UID, &hello).is_ok());
-    w.client.unmount_all();
+    let hello = format!("{}/public/motd", path.full_path());
+    assert!(client.read_file(ALICE_UID, &hello).is_ok());
+    client.unmount_all();
 
     // The owner revokes the pathname.
-    let cert = RevocationCert::issue(&common::server_key(0), "fs.example.org");
+    let cert = RevocationCert::issue(
+        &keys::rabin(768, KeySeeds::REALM.servers[0]),
+        "fs.example.org",
+    );
     server.install_revocation(cert);
-    let err = w.client.mount(ALICE_UID, &path).unwrap_err();
+    let err = client.mount(ALICE_UID, &path).unwrap_err();
     assert_eq!(err, ClientError::Revoked);
     // Once seen, the revocation persists in the agent: even if the server
     // stops serving the certificate, this agent refuses the HostID.
-    assert!(w.client.agent(ALICE_UID).lock().refuses(path.host_id));
-    let err = w.client.read_file(ALICE_UID, &hello).unwrap_err();
+    assert!(client.agent(ALICE_UID).lock().refuses(path.host_id));
+    let err = client.read_file(ALICE_UID, &hello).unwrap_err();
     assert_eq!(err, ClientError::Blocked);
 }
 
@@ -40,14 +44,18 @@ fn revocation_directory_scheme() {
     // /revocations/<HostID> files; agents check it for every new
     // pathname. "Certification authorities need not check the identity of
     // people submitting them" — certificates are self-authenticating.
-    let w = World::new();
-    let verisign = w.add_server(0, "verisign.example.com");
-    let victim = w.add_server(1, "victim.example.org");
-    w.login_alice();
+    let w = World::build(&WorldSpec::realm(&[
+        "verisign.example.com",
+        "victim.example.org",
+    ]));
+    let (verisign, victim, client) = (&w.servers[0], &w.servers[1], &w.clients[0]);
     let victim_path = victim.path().clone();
 
     // Somebody (anyone) submits a revocation for the victim to Verisign.
-    let cert = RevocationCert::issue(&common::server_key(1), "victim.example.org");
+    let cert = RevocationCert::issue(
+        &keys::rabin(768, KeySeeds::REALM.servers[1]),
+        "victim.example.org",
+    );
     let root_creds = Credentials::root();
     let vfs = verisign.vfs();
     let dir = vfs.mkdir_p("/revocations").unwrap();
@@ -61,7 +69,7 @@ fn revocation_directory_scheme() {
     .unwrap();
 
     // Alice's agent is configured to check Verisign's revocation dir.
-    let agent = w.client.agent(ALICE_UID);
+    let agent = client.agent(ALICE_UID);
     agent
         .lock()
         .add_revocation_dir(&format!("{}/revocations", verisign.path().full_path()));
@@ -71,7 +79,7 @@ fn revocation_directory_scheme() {
     let mut found = None;
     for d in dirs {
         let p = format!("{}/{}", d, victim_path.host_id.encoded());
-        if let Ok(bytes) = w.client.read_file(ALICE_UID, &p) {
+        if let Ok(bytes) = client.read_file(ALICE_UID, &p) {
             if let Ok(cert) = RevocationCert::from_xdr(&bytes) {
                 if cert.revokes(&victim_path) {
                     found = Some(cert);
@@ -84,27 +92,31 @@ fn revocation_directory_scheme() {
     assert!(agent.lock().submit_revocation(cert));
     // The victim is now unreachable for alice…
     assert_eq!(
-        w.client.mount(ALICE_UID, &victim_path).unwrap_err(),
+        client.mount(ALICE_UID, &victim_path).unwrap_err(),
         ClientError::Blocked
     );
     // …but other users who have not seen the certificate are unaffected
     // (HostID decisions are per-agent).
-    assert!(w.client.mount(BOB_UID, &victim_path).is_ok());
+    assert!(client.mount(BOB_UID, &victim_path).is_ok());
 }
 
 #[test]
 fn forged_revocation_is_harmless() {
     // An attacker without the private key submits a bogus certificate; it
     // fails self-authentication and the agent ignores it.
-    let w = World::new();
-    let server = w.add_server(0, "fs.example.org");
-    w.login_alice();
-    let mut cert = RevocationCert::issue(&common::server_key(1), "fs.example.org");
+    let w = World::build(&WorldSpec::realm(&["fs.example.org"]));
+    let (server, client) = (&w.servers[0], &w.clients[0]);
+    let mut cert = RevocationCert::issue(
+        &keys::rabin(768, KeySeeds::REALM.servers[1]),
+        "fs.example.org",
+    );
     // Swap in the victim's public key — signature no longer matches.
-    cert.public_key = common::server_key(0).public().to_bytes();
-    assert!(!w.client.agent(ALICE_UID).lock().submit_revocation(cert));
-    let hello = format!("{}/pub/hello", server.path().full_path());
-    assert!(w.client.read_file(ALICE_UID, &hello).is_ok());
+    cert.public_key = keys::rabin(768, KeySeeds::REALM.servers[0])
+        .public()
+        .to_bytes();
+    assert!(!client.agent(ALICE_UID).lock().submit_revocation(cert));
+    let hello = format!("{}/public/motd", server.path().full_path());
+    assert!(client.read_file(ALICE_UID, &hello).is_ok());
 }
 
 #[test]
@@ -112,26 +124,23 @@ fn forwarding_pointer_followed_to_new_home() {
     // "One can replace the root directory of the old file system with a
     // single symbolic link or forwarding pointer to the new
     // self-certifying pathname" (§2.4).
-    let w = World::new();
-    let old = w.add_server(0, "old.example.org");
-    let new = w.add_server(1, "new.example.org");
-    w.login_alice();
+    let w = World::build(&WorldSpec::realm(&["old.example.org", "new.example.org"]));
+    let (old, new, client) = (&w.servers[0], &w.servers[1], &w.clients[0]);
     old.install_forwarding(new.path().clone());
-    let fwd = w
-        .client
+    let fwd = client
         .check_forwarding(ALICE_UID, old.path())
         .unwrap()
         .expect("pointer present");
     assert_eq!(&fwd, new.path());
     // Follow it.
-    let hello = format!("{}/pub/hello", fwd.full_path());
+    let hello = format!("{}/public/motd", fwd.full_path());
     assert_eq!(
-        w.client.read_file(ALICE_UID, &hello).unwrap(),
-        b"hello from new.example.org"
+        client.read_file(ALICE_UID, &hello).unwrap(),
+        b"welcome to new.example.org"
     );
     // A server with no pointer reports none.
     assert_eq!(
-        w.client.check_forwarding(ALICE_UID, new.path()).unwrap(),
+        client.check_forwarding(ALICE_UID, new.path()).unwrap(),
         None
     );
 }
@@ -141,31 +150,31 @@ fn revocation_overrules_forwarding() {
     // "A revocation certificate always overrules a forwarding pointer for
     // the same HostID": if the key was compromised, an attacker could
     // serve a rogue pointer, so the client must check revocation first.
-    let w = World::new();
-    let old = w.add_server(0, "old.example.org");
-    let attacker_dest = w.add_server(1, "evil.example.org");
-    w.login_alice();
+    let w = World::build(&WorldSpec::realm(&["old.example.org", "evil.example.org"]));
+    let (old, attacker_dest, client) = (&w.servers[0], &w.servers[1], &w.clients[0]);
     // The (compromised) old key signs a pointer to the attacker.
     old.install_forwarding(attacker_dest.path().clone());
     // But the owner has revoked the key; the agent learns this.
-    let cert = RevocationCert::issue(&common::server_key(0), "old.example.org");
-    assert!(w.client.agent(ALICE_UID).lock().submit_revocation(cert));
+    let cert = RevocationCert::issue(
+        &keys::rabin(768, KeySeeds::REALM.servers[0]),
+        "old.example.org",
+    );
+    assert!(client.agent(ALICE_UID).lock().submit_revocation(cert));
     // Revocation wins: the client never reads the pointer.
     assert_eq!(
-        w.client
-            .check_forwarding(ALICE_UID, old.path())
-            .unwrap_err(),
+        client.check_forwarding(ALICE_UID, old.path()).unwrap_err(),
         ClientError::Blocked
     );
 }
 
 #[test]
 fn tampered_forwarding_pointer_rejected() {
-    let w = World::new();
-    let old = w.add_server(0, "old.example.org");
-    let new = w.add_server(1, "new.example.org");
-    let evil = w.add_server(2, "evil.example.org");
-    w.login_alice();
+    let w = World::build(&WorldSpec::realm(&[
+        "old.example.org",
+        "new.example.org",
+        "evil.example.org",
+    ]));
+    let (old, new, evil, client) = (&w.servers[0], &w.servers[1], &w.servers[2], &w.clients[0]);
     let mut ptr = old.install_forwarding(new.path().clone());
     // An attacker redirects the pointer to their own server; the
     // signature breaks.
@@ -176,10 +185,7 @@ fn tampered_forwarding_pointer_rejected() {
     let root = vfs.root();
     vfs.write_file(&root_creds, root, ".forward", &ptr.to_xdr())
         .unwrap();
-    let err = w
-        .client
-        .check_forwarding(ALICE_UID, old.path())
-        .unwrap_err();
+    let err = client.check_forwarding(ALICE_UID, old.path()).unwrap_err();
     assert!(matches!(err, ClientError::Protocol(_)), "{err:?}");
 }
 
@@ -190,23 +196,24 @@ fn revoked_link_target_is_visible_marker() {
     // easily notice that the pathname has actually been revoked."
     assert!(REVOKED_LINK_TARGET.starts_with(':'));
     // The agent's dynamic-link mechanism realizes the marker.
-    let w = World::new();
-    let server = w.add_server(0, "fs.example.org");
-    w.login_alice();
-    let agent = w.client.agent(ALICE_UID);
-    let cert = RevocationCert::issue(&common::server_key(0), "fs.example.org");
+    let w = World::build(&WorldSpec::realm(&["fs.example.org"]));
+    let (server, client) = (&w.servers[0], &w.clients[0]);
+    let agent = client.agent(ALICE_UID);
+    let cert = RevocationCert::issue(
+        &keys::rabin(768, KeySeeds::REALM.servers[0]),
+        "fs.example.org",
+    );
     agent.lock().submit_revocation(cert);
     agent
         .lock()
         .create_link(&server.path().dir_name(), REVOKED_LINK_TARGET);
     // The listing shows the link; accessing it fails.
-    let listing = w.client.list_sfs(ALICE_UID);
+    let listing = client.list_sfs(ALICE_UID);
     assert!(listing.contains(&server.path().dir_name()));
-    assert!(w
-        .client
+    assert!(client
         .read_file(
             ALICE_UID,
-            &format!("{}/pub/hello", server.path().full_path())
+            &format!("{}/public/motd", server.path().full_path())
         )
         .is_err());
 }
@@ -216,26 +223,25 @@ fn key_change_via_two_pathnames() {
     // §2.4: "SFS can serve two copies of the same file system under
     // different self-certifying pathnames" during a key transition. Two
     // server instances exporting the same Vfs model this.
-    let w = World::new();
-    let server_a = w.add_server(0, "fs.example.org");
-    w.login_alice();
+    let w = World::build(&WorldSpec::realm(&["fs.example.org"]));
+    let (server_a, client) = (&w.servers[0], &w.clients[0]);
     // Second instance: same location is not possible in the registry, so
     // the operator runs the new key at a second name during transition.
     let vfs = server_a.vfs().clone();
     let auth = server_a.authserver().clone();
     let server_b = sfs::server::SfsServer::new(
         sfs::server::ServerConfig::new("fs2.example.org"),
-        common::server_key(1),
+        keys::rabin(768, KeySeeds::REALM.servers[1]),
         vfs,
         auth,
         sfs_crypto::SfsPrg::from_entropy(b"transition"),
     );
     w.net.register(server_b.clone());
-    let via_old = format!("{}/pub/hello", server_a.path().full_path());
-    let via_new = format!("{}/pub/hello", server_b.path().full_path());
+    let via_old = format!("{}/public/motd", server_a.path().full_path());
+    let via_new = format!("{}/public/motd", server_b.path().full_path());
     assert_eq!(
-        w.client.read_file(ALICE_UID, &via_old).unwrap(),
-        w.client.read_file(ALICE_UID, &via_new).unwrap(),
+        client.read_file(ALICE_UID, &via_old).unwrap(),
+        client.read_file(ALICE_UID, &via_new).unwrap(),
     );
     // They are different pathnames.
     assert_ne!(
@@ -252,36 +258,34 @@ fn mass_revocation_storm_under_faults() {
     // or fresh — must be refused for every client, no unrevoked access
     // may regress, and the seeded fault plan must have actually injected
     // faults into the run.
-    let w = World::new();
     let plan = sfs_sim::FaultPlan::from_spec("seed=77,drop=15,delay=30,delay_ns=500us").unwrap();
-    w.net.set_fault_plan(plan.clone());
-    let revoked = w.add_server(0, "revoked.example.org");
-    let healthy = w.add_server(1, "healthy.example.org");
-    w.login_alice();
-    let mut clients = vec![w.client.clone()];
-    for c in 0..2 {
-        let client = sfs::client::SfsClient::new(w.net.clone(), format!("storm-{c}").as_bytes());
-        client.agent(ALICE_UID).lock().add_key(common::alice_key());
-        clients.push(client);
-    }
-    let via_revoked = format!("{}/pub/hello", revoked.path().full_path());
-    let via_healthy = format!("{}/pub/hello", healthy.path().full_path());
+    let w = World::build(&WorldSpec {
+        clients: 3,
+        ..WorldSpec::realm(&["revoked.example.org", "healthy.example.org"]).faulted(Some(&plan))
+    });
+    let (revoked, healthy) = (&w.servers[0], &w.servers[1]);
+    let clients = &w.clients;
+    let via_revoked = format!("{}/public/motd", revoked.path().full_path());
+    let via_healthy = format!("{}/public/motd", healthy.path().full_path());
 
     // Warm phase: every client holds live mounts on both servers.
-    for client in &clients {
+    for client in clients {
         assert_eq!(
             client.read_file(ALICE_UID, &via_revoked).unwrap(),
-            b"hello from revoked.example.org"
+            b"welcome to revoked.example.org"
         );
         assert_eq!(
             client.read_file(ALICE_UID, &via_healthy).unwrap(),
-            b"hello from healthy.example.org"
+            b"welcome to healthy.example.org"
         );
     }
 
     // The broadcast, mid-workload: the self-authenticating certificate
     // reaches the server and every agent.
-    let cert = RevocationCert::issue(&common::server_key(0), "revoked.example.org");
+    let cert = RevocationCert::issue(
+        &keys::rabin(768, KeySeeds::REALM.servers[0]),
+        "revoked.example.org",
+    );
     revoked.install_revocation(cert.clone());
     for (c, client) in clients.iter().enumerate() {
         assert!(
@@ -310,7 +314,7 @@ fn mass_revocation_storm_under_faults() {
         // The unrevoked server regresses in no way.
         assert_eq!(
             client.read_file(ALICE_UID, &via_healthy).unwrap(),
-            b"hello from healthy.example.org",
+            b"welcome to healthy.example.org",
             "client {c} lost access to the unrevoked server"
         );
     }

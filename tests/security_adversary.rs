@@ -4,12 +4,11 @@
 //! than delay the file system's operation or conceal the existence of
 //! servers."
 
-mod common;
-
 use std::sync::Arc;
 
-use common::{World, ALICE_UID};
 use sfs::client::ClientError;
+use sfs_bench::keys;
+use sfs_bench::world::{KeySeeds, World, WorldSpec, UID as ALICE_UID};
 use sfs_sim::{Direction, Interceptor, PacketLog, Verdict};
 use sfs_telemetry::sync::Mutex;
 
@@ -37,22 +36,21 @@ impl Interceptor for BitFlipper {
 
 #[test]
 fn tampered_traffic_detected_not_accepted() {
-    let w = World::new();
-    let server = w.add_server(0, "fs.example.org");
-    w.login_alice();
+    let w = World::build(&WorldSpec::realm(&["fs.example.org"]));
+    let (server, client) = (&w.servers[0], &w.clients[0]);
     let path = server.path().clone();
     // Establish a healthy mount first.
-    let hello = format!("{}/pub/hello", path.full_path());
-    assert!(w.client.read_file(ALICE_UID, &hello).is_ok());
+    let hello = format!("{}/public/motd", path.full_path());
+    assert!(client.read_file(ALICE_UID, &hello).is_ok());
 
     // Attach a tamperer and force a fresh connection.
-    w.client.unmount_all();
+    client.unmount_all();
     w.net
         .set_interceptor(Arc::new(Mutex::new(BitFlipper { skip: 4, seen: 0 })));
     // The key negotiation messages (first packets) pass; the sealed NFS
     // traffic afterwards is tampered with. The client must observe an
     // error — never silently wrong data.
-    let result = w.client.read_file(ALICE_UID, &hello);
+    let result = client.read_file(ALICE_UID, &hello);
     match result {
         // A flipped bit in a sealed frame kills the session (Channel /
         // Protocol); if the redial's negotiation is also tampered with,
@@ -92,30 +90,29 @@ impl Interceptor for RequestReplayer {
 
 #[test]
 fn replayed_requests_rejected_by_server_channel() {
-    let w = World::new();
-    let server = w.add_server(0, "fs.example.org");
-    w.login_alice();
+    let w = World::build(&WorldSpec::realm(&["fs.example.org"]));
+    let (server, client) = (&w.servers[0], &w.clients[0]);
     let path = server.path().clone();
-    let hello = format!("{}/pub/hello", path.full_path());
+    let hello = format!("{}/public/motd", path.full_path());
     let replayer = Arc::new(Mutex::new(RequestReplayer {
         last: None,
         armed: false,
         fired: false,
     }));
     w.net.set_interceptor(replayer.clone());
-    assert!(w.client.read_file(ALICE_UID, &hello).is_ok());
+    assert!(client.read_file(ALICE_UID, &hello).is_ok());
     // Arm: the next request is replaced by a replay of the previous one.
     // The server's cipher stream is past the replayed frame, so it can
     // never be accepted — the session dies instead, and the client
     // recovers by renegotiating keys and reissuing the original request:
     // "attackers can do no worse than delay the file system's operation."
     replayer.lock().armed = true;
-    let result = w.client.read_file(ALICE_UID, &hello);
+    let result = client.read_file(ALICE_UID, &hello);
     assert_eq!(
         result.expect("client recovers via rekey"),
-        b"hello from fs.example.org".to_vec()
+        b"welcome to fs.example.org".to_vec()
     );
-    let mount = w.client.mount(ALICE_UID, &path).unwrap();
+    let mount = client.mount(ALICE_UID, &path).unwrap();
     assert!(
         mount.reconnects() >= 1,
         "the replay must have forced a full key renegotiation"
@@ -129,15 +126,14 @@ fn recorded_ciphertext_reveals_nothing_recognizable() {
     // the session (the key halves protecting the server→client direction
     // were encrypted to the *ephemeral* client key; see
     // `sfs_proto::keyneg` tests for the direct property).
-    let w = World::new();
-    let server = w.add_server(0, "fs.example.org");
-    w.login_alice();
+    let w = World::build(&WorldSpec::realm(&["fs.example.org"]));
+    let (server, client) = (&w.servers[0], &w.clients[0]);
     let log = PacketLog::new();
     w.net.set_log(log.clone());
     let path = server.path().clone();
     let secret_name = "very-identifiable-filename-xyzzy";
     let file = format!("{}/home/alice/{}", path.full_path(), secret_name);
-    w.client
+    client
         .write_file(ALICE_UID, &file, b"very-identifiable-content-plugh")
         .unwrap();
     assert!(log.len() > 4, "expected recorded traffic");
@@ -164,13 +160,12 @@ fn denial_only_delays_not_corrupts() {
             Verdict::Drop
         }
     }
-    let w = World::new();
-    let server = w.add_server(0, "fs.example.org");
-    w.login_alice();
+    let w = World::build(&WorldSpec::realm(&["fs.example.org"]));
+    let (server, client) = (&w.servers[0], &w.clients[0]);
     w.net.set_interceptor(Arc::new(Mutex::new(DropAll)));
-    let hello = format!("{}/pub/hello", server.path().full_path());
+    let hello = format!("{}/public/motd", server.path().full_path());
     let before = w.clock.now();
-    let err = w.client.read_file(ALICE_UID, &hello).unwrap_err();
+    let err = client.read_file(ALICE_UID, &hello).unwrap_err();
     assert_eq!(err, ClientError::Net(sfs_sim::WireError::Timeout));
     assert!(
         w.clock.now() > before,
@@ -184,16 +179,16 @@ fn server_without_private_key_cannot_complete_mount() {
     // decrypt the client's key halves, so the mount never completes.
     // Simulate by registering a different server object (different key)
     // under the location that alice's pathname expects.
-    let w = World::new();
-    let _real = w.add_server(0, "fs.example.org");
-    let imposter = w.add_server(1, "fs.example.org"); // replaces in registry
-    w.login_alice();
+    let mut w = World::build(&WorldSpec::realm(&["fs.example.org"]));
+    // Replaces the real server in the registry.
+    let imposter = w.add_server("fs.example.org", KeySeeds::REALM.servers[1]);
+    let client = &w.clients[0];
     // alice's pathname embeds server key 0; imposter has key 1.
     let victim_path = sfs_proto::pathname::SelfCertifyingPath::for_server(
         "fs.example.org",
-        common::server_key(0).public(),
+        keys::rabin(768, KeySeeds::REALM.servers[0]).public(),
     );
-    let err = w.client.mount(ALICE_UID, &victim_path).unwrap_err();
+    let err = client.mount(ALICE_UID, &victim_path).unwrap_err();
     // The imposter's key hashes to the wrong HostID: self-certification
     // fails before any key halves are sent.
     assert!(matches!(err, ClientError::KeyMismatch), "{err:?}");
