@@ -48,7 +48,7 @@ pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> u128 {
     }
 }
 
-/// Like [`bench`], also reporting throughput for `bytes` processed per
+/// Like [`bench()`], also reporting throughput for `bytes` processed per
 /// iteration.
 pub fn bench_throughput<T>(name: &str, bytes: u64, f: impl FnMut() -> T) {
     let per = bench(name, f);

@@ -54,7 +54,7 @@ use crate::keys;
 use crate::world::{KeySeeds, World, WorldSpec, USER};
 
 /// Lease duration the mix engine's oracle assumes (the
-/// [`ServerConfig::new`] default; [`scenario_world`] only overrides it for
+/// [`sfs::server::ServerConfig::new`] default; [`scenario_world`] only overrides it for
 /// the lease storm).
 pub const DEFAULT_LEASE_NS: u64 = 30_000_000_000;
 

@@ -19,10 +19,10 @@
 //!   cipher state advances.
 //! - **Disk by handle shard.** Each request's disk work is tallied by
 //!   the [`sfs_sim::SimDisk`] (instead of charged to the shared clock)
-//!   and placed on the owning shard's [`DiskCommitQueue`], chosen by a
-//!   deterministic handle→shard map. Commits that arrive while the
-//!   shard's spindle is busy join the in-progress batch and skip their
-//!   positioning cost — group commit across connections.
+//!   and placed on the owning shard's [`sfs_sim::DiskCommitQueue`],
+//!   chosen by a deterministic handle→shard map. Commits that arrive
+//!   while the shard's spindle is busy join the in-progress batch and
+//!   skip their positioning cost — group commit across connections.
 //!
 //! Everything is deterministic: placement is earliest-start,
 //! lowest-index tie-break, and the engine holds no wall-clock state.

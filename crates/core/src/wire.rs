@@ -10,7 +10,7 @@
 //! self-certifying (signed root, content-addressed blocks), so its calls
 //! stay cleartext.
 
-use sfs_nfs3::proto::FileHandle;
+use sfs_nfs3::proto::{FileHandle, Nfs3Request};
 use sfs_proto::channel::FRAME_HEADER_LEN;
 use sfs_proto::keyneg::{
     KeyNegClientKeys, KeyNegRequest, KeyNegServerHalves, KeyNegServerReply, RESUME_NONCE_LEN,
@@ -329,6 +329,24 @@ pub enum InnerCall {
         /// Marshaled NFS3 arguments.
         args: Vec<u8>,
     },
+}
+
+/// Appends the steady-state inner call to `buf`: byte-equal to
+/// `InnerCall::Nfs { authno, proc, args: req.encode_args() }.to_xdr()`
+/// without building the enum or its argument `Vec`. The arguments are
+/// marshaled in place and the opaque field's length word patched
+/// afterwards; marshaled NFS3 arguments are always 4-aligned, so the
+/// field needs no padding. Both RPC engines send through this; the
+/// server's parse twin is [`inner_nfs_call`] (`server::tests` pins the
+/// pair against the general encoder for every procedure).
+pub fn encode_inner_nfs(buf: &mut Vec<u8>, authno: u32, req: &Nfs3Request) {
+    let mut enc = XdrEncoder::from_vec(std::mem::take(buf));
+    enc.put_u32(1).put_u32(authno).put_u32(req.proc() as u32);
+    let args_start = enc.put_u32(0).len();
+    req.encode_args_into(&mut enc);
+    *buf = enc.into_bytes();
+    let args_len = (buf.len() - args_start) as u32;
+    buf[args_start - 4..args_start].copy_from_slice(&args_len.to_be_bytes());
 }
 
 /// Borrowing parse of the steady-state inner call: `Some((authno, proc,

@@ -440,7 +440,7 @@ fn backoff_cap_holds_when_partition_outlives_the_retransmit_schedule() {
             .write_file(ALICE_UID, &file, b"before")
             .unwrap();
         let (mount, _, _) = w.clients[0].resolve(ALICE_UID, &file).unwrap();
-        let seq_before = mount.seqno();
+        let seq_before = mount.seq_watermark();
         assert!(
             w.clock.now().as_nanos() < 1_000_000_000,
             "setup overran the scheduled partition start"
@@ -460,7 +460,7 @@ fn backoff_cap_holds_when_partition_outlives_the_retransmit_schedule() {
             mount.reconnects() >= 1,
             "outliving the retransmit schedule must escalate to reconnect"
         );
-        let seq_after = mount.seqno();
+        let seq_after = mount.seq_watermark();
         assert!(
             seq_after > seq_before,
             "auth seqnos must move strictly forward across reconnects"

@@ -8,7 +8,7 @@
 //! Performance follows the same two-tier approach as SHA-1 in this
 //! crate. The portable tier is word-at-a-time pure Rust shaped for
 //! auto-vectorization: the 4×4 state is held as four *rows* of four u32
-//! ([`Row`]), so a column round is four identical element-wise ops per
+//! (`Row`), so a column round is four identical element-wise ops per
 //! step — one 128-bit SIMD instruction each on any x86-64 or aarch64 —
 //! and the diagonal round is the same after rotating rows lane-wise
 //! (a register shuffle). Two blocks run interleaved per step: the whole
@@ -17,18 +17,18 @@
 //!
 //! The fast tiers are selected by runtime feature detection and
 //! cross-checked against the portable tier in tests, exactly like the
-//! SHA-NI compression path. [`avx2`] runs four blocks per step with two
+//! SHA-NI compression path. `avx2` runs four blocks per step with two
 //! blocks sharing each 256-bit register (the row layout again, one
 //! block per 128-bit lane, so diagonalization is an in-lane shuffle)
 //! and does the 16- and 8-bit rotations with a single byte shuffle.
-//! [`avx512`] doubles that to eight blocks per step on 512-bit
+//! `avx512` doubles that to eight blocks per step on 512-bit
 //! registers, where every rotation is a native `vprold`.
 //!
 //! Every tier is bound by the latency of its twenty dependent rounds,
 //! so one step costs about the same whether it yields two blocks or
 //! eight. The stream therefore never drops to a narrower tier: what is
 //! left after the whole steps is XORed out of one more step of the same
-//! width, and an AEAD frame's first step ([`FrameHead`]) yields the
+//! width, and an AEAD frame's first step (`FrameHead`) yields the
 //! Poly1305 key block and the first payload blocks together.
 
 /// Key length in bytes (256-bit keys only; RFC 8439 drops the 128-bit form).

@@ -595,6 +595,37 @@ impl Nfs3Request {
         }
     }
 
+    /// Every file handle in the request, in the order
+    /// [`Self::encode_args_into`] writes them — the hook a relay uses to
+    /// translate handles in place. The match names every variant, so a
+    /// new one cannot compile without saying which handles it carries.
+    pub fn handles_mut(&mut self) -> impl Iterator<Item = &mut FileHandle> {
+        let (first, second) = match self {
+            Nfs3Request::Null => (None, None),
+            Nfs3Request::GetAttr { fh }
+            | Nfs3Request::SetAttr { fh, .. }
+            | Nfs3Request::Access { fh, .. }
+            | Nfs3Request::ReadLink { fh }
+            | Nfs3Request::Read { fh, .. }
+            | Nfs3Request::Write { fh, .. }
+            | Nfs3Request::PathConf { fh }
+            | Nfs3Request::Commit { fh, .. } => (Some(fh), None),
+            Nfs3Request::Lookup { dir, .. }
+            | Nfs3Request::Create { dir, .. }
+            | Nfs3Request::Mkdir { dir, .. }
+            | Nfs3Request::Symlink { dir, .. }
+            | Nfs3Request::Remove { dir, .. }
+            | Nfs3Request::Rmdir { dir, .. }
+            | Nfs3Request::ReadDir { dir, .. } => (Some(dir), None),
+            Nfs3Request::FsStat { root } | Nfs3Request::FsInfo { root } => (Some(root), None),
+            Nfs3Request::Rename {
+                from_dir, to_dir, ..
+            } => (Some(from_dir), Some(to_dir)),
+            Nfs3Request::Link { fh, dir, .. } => (Some(fh), Some(dir)),
+        };
+        first.into_iter().chain(second)
+    }
+
     /// Marshals the procedure arguments (the RPC args body).
     pub fn encode_args(&self) -> Vec<u8> {
         let mut enc = XdrEncoder::new();
@@ -884,6 +915,38 @@ impl Nfs3Reply {
             Nfs3Reply::Error { status, .. } => *status,
             _ => Status::Ok,
         }
+    }
+
+    /// Every file handle in the reply, in the order
+    /// [`Self::encode_results_into`] writes them (READDIRPLUS entries in
+    /// listing order). Like the request's, the match is exhaustive.
+    pub fn handles_mut(&mut self) -> impl Iterator<Item = &mut FileHandle> {
+        let (one, entries) = match self {
+            Nfs3Reply::Lookup { fh, .. }
+            | Nfs3Reply::Create { fh, .. }
+            | Nfs3Reply::Mkdir { fh, .. }
+            | Nfs3Reply::Symlink { fh, .. } => (Some(fh), None),
+            Nfs3Reply::ReadDir { entries, .. } => (None, Some(entries)),
+            Nfs3Reply::Null
+            | Nfs3Reply::Error { .. }
+            | Nfs3Reply::GetAttr { .. }
+            | Nfs3Reply::SetAttr { .. }
+            | Nfs3Reply::Access { .. }
+            | Nfs3Reply::ReadLink { .. }
+            | Nfs3Reply::Read { .. }
+            | Nfs3Reply::Write { .. }
+            | Nfs3Reply::Remove { .. }
+            | Nfs3Reply::Rmdir { .. }
+            | Nfs3Reply::Rename { .. }
+            | Nfs3Reply::Link { .. }
+            | Nfs3Reply::FsStat { .. }
+            | Nfs3Reply::FsInfo { .. }
+            | Nfs3Reply::PathConf { .. }
+            | Nfs3Reply::Commit { .. } => (None, None),
+        };
+        let listed = entries.into_iter().flatten();
+        one.into_iter()
+            .chain(listed.filter_map(|e| e.plus.as_mut().map(|(fh, _)| fh)))
     }
 
     /// Marshals the reply (the RPC results body). The leading status word

@@ -79,23 +79,12 @@ impl CpuCosts {
         }
     }
 
-    /// Charges one user-level crossing.
-    pub fn charge_user_crossing(&self, clock: &SimClock) {
-        clock.advance_ns(self.user_crossing_ns);
+    /// Cost of copying `len` bytes through a user-level daemon.
+    pub fn user_copy_ns(&self, len: usize) -> u64 {
+        self.user_copy_per_byte_ns * len as u64
     }
 
-    /// Charges user-level data copy over `len` bytes.
-    pub fn charge_user_copy(&self, clock: &SimClock, len: usize) {
-        clock.advance_ns(self.user_copy_per_byte_ns * len as u64);
-    }
-
-    /// Charges crypto work over `len` bytes at the baseline suite's
-    /// rate.
-    pub fn charge_crypto(&self, clock: &SimClock, len: usize) {
-        self.charge_crypto_scaled(clock, len, 1, 1);
-    }
-
-    /// Charges crypto work over `len` bytes with the per-byte rate
+    /// Crypto cost of one `len`-byte message with the per-byte rate
     /// scaled by `num/den`. The calibrated [`Self::crypto_per_byte_ns`]
     /// models the baseline ARC4+SHA-1 channel; a negotiated suite passes
     /// its relative cost (e.g. 1/4 for the single-pass AEAD, matching
@@ -103,11 +92,18 @@ impl CpuCosts {
     /// time exactly as it does on real silicon. The fixed per-message
     /// cost is unscaled: finalization and key setup don't shrink with
     /// the cipher's byte rate.
-    pub fn charge_crypto_scaled(&self, clock: &SimClock, len: usize, num: u64, den: u64) {
-        clock.advance_ns(
-            self.crypto_per_message_ns + self.crypto_per_byte_ns * len as u64 * num / den,
-        );
+    pub fn crypto_ns(&self, len: usize, num: u64, den: u64) -> u64 {
+        self.crypto_per_message_ns + self.crypto_per_byte_ns * len as u64 * num / den
     }
+
+    /// Cost of the server's NFS data path over `len` bytes.
+    pub fn server_copy_ns(&self, len: usize) -> u64 {
+        self.server_copy_per_byte_ns * len as u64
+    }
+
+    // A caller that overlaps work places these terms on its own
+    // timeline; one that does not adds them to its clock (the two
+    // `charge_*` forms below do that for the in-kernel NFS baseline).
 
     /// Charges generic RPC processing.
     pub fn charge_rpc(&self, clock: &SimClock) {
@@ -116,7 +112,7 @@ impl CpuCosts {
 
     /// Charges the server's per-byte data-path cost.
     pub fn charge_server_copy(&self, clock: &SimClock, len: usize) {
-        clock.advance_ns(self.server_copy_per_byte_ns * len as u64);
+        clock.advance_ns(self.server_copy_ns(len));
     }
 }
 
@@ -126,27 +122,24 @@ mod tests {
 
     #[test]
     fn charges_accumulate() {
-        let clock = SimClock::new();
-        let costs = CpuCosts::pentium_iii_550();
-        costs.charge_user_crossing(&clock);
-        let t1 = clock.now().as_nanos();
-        assert_eq!(t1, costs.user_crossing_ns);
-        costs.charge_crypto(&clock, 1000);
-        let t2 = clock.now().as_nanos();
+        // Each `charge_*` advances the clock by exactly its `*_ns` term,
+        // and the terms are the calibrated products.
+        let (clock, c) = (SimClock::new(), CpuCosts::pentium_iii_550());
+        let took = |charge: &dyn Fn()| clock.measure(charge).1.as_nanos();
+        assert_eq!(took(&|| c.charge_rpc(&clock)), c.rpc_processing_ns);
         assert_eq!(
-            t2 - t1,
-            costs.crypto_per_message_ns + 1000 * costs.crypto_per_byte_ns
+            took(&|| c.charge_server_copy(&clock, 9)),
+            c.server_copy_ns(9)
         );
-        costs.charge_rpc(&clock);
-        assert_eq!(clock.now().as_nanos() - t2, costs.rpc_processing_ns);
+        assert_eq!(c.server_copy_ns(9), 9 * c.server_copy_per_byte_ns);
+        assert_eq!(c.user_copy_ns(999), 999 * c.user_copy_per_byte_ns);
+        let aead = c.crypto_per_message_ns + 1000 * c.crypto_per_byte_ns / 4;
+        assert_eq!(c.crypto_ns(1000, 1, 4), aead);
     }
 
     #[test]
     fn crypto_cost_scales_with_length() {
-        let clock = SimClock::new();
         let costs = CpuCosts::pentium_iii_550();
-        let (_, small) = clock.measure(|| costs.charge_crypto(&clock, 100));
-        let (_, large) = clock.measure(|| costs.charge_crypto(&clock, 100_000));
-        assert!(large.as_nanos() > small.as_nanos() * 100);
+        assert!(costs.crypto_ns(100_000, 1, 1) > costs.crypto_ns(100, 1, 1) * 100);
     }
 }

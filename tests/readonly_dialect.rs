@@ -16,28 +16,37 @@ struct RoClient<'a> {
     conn: &'a sfs::server::ServerConn,
 }
 
+/// One wire round trip: the message goes in as bytes, as the network
+/// delivers it.
+fn call(conn: &sfs::server::ServerConn, msg: CallMsg) -> ReplyMsg {
+    ReplyMsg::from_xdr(&conn.handle_bytes(&msg.to_xdr())).unwrap()
+}
+
 impl<'a> RoClient<'a> {
     fn connect(conn: &'a sfs::server::ServerConn, req: KeyNegRequest) -> Self {
-        let reply = conn.handle(CallMsg::Hello {
-            req,
-            service: Service::File,
-            dialect: Dialect::ReadOnly,
-            version: 1,
-            extensions: String::new(),
-        });
+        let reply = call(
+            conn,
+            CallMsg::Hello {
+                req,
+                service: Service::File,
+                dialect: Dialect::ReadOnly,
+                version: 1,
+                extensions: String::new(),
+            },
+        );
         assert!(matches!(reply, ReplyMsg::ServerReply(_)), "{reply:?}");
         RoClient { conn }
     }
 
     fn root(&self) -> SignedRoot {
-        match self.conn.handle(CallMsg::RoGetRoot) {
+        match call(self.conn, CallMsg::RoGetRoot) {
             ReplyMsg::RoRoot(root) => root,
             other => panic!("{other:?}"),
         }
     }
 
     fn block(&self, digest: [u8; 20]) -> Option<Vec<u8>> {
-        match self.conn.handle(CallMsg::RoGetBlock(digest)) {
+        match call(self.conn, CallMsg::RoGetBlock(digest)) {
             ReplyMsg::RoBlock(b) => Some(b),
             ReplyMsg::Error(_) => None,
             other => panic!("{other:?}"),
@@ -182,7 +191,7 @@ fn read_only_service_needs_dialect_selection() {
     server.publish_read_only(1);
     let conn = server.accept();
     assert!(matches!(
-        conn.handle(CallMsg::RoGetRoot),
+        call(&conn, CallMsg::RoGetRoot),
         ReplyMsg::Error(_)
     ));
 }

@@ -251,6 +251,45 @@ fn key_change_via_two_pathnames() {
 }
 
 #[test]
+fn revocation_met_on_reconnect_reaches_every_user_of_the_mount() {
+    // Two users share one mount when the server's key is revoked and the
+    // server restarts. The next call — whoever makes it — reconnects, is
+    // served the certificate in place of a key, and fails `Revoked`. The
+    // reconnect ran on behalf of the mount, not of that caller, so the
+    // agents of *both* users must hold the revocation afterwards, on
+    // every run rather than on the runs a hash seed favours: each
+    // user's next access is refused before it touches the wire.
+    let w = World::build(&WorldSpec::realm(&["fs.example.org"]));
+    let (server, client) = (&w.servers[0], &w.clients[0]);
+    let path = server.path().clone();
+    let motd = format!("{}/public/motd", path.full_path());
+    for uid in [ALICE_UID, BOB_UID] {
+        assert!(client.read_file(uid, &motd).is_ok());
+    }
+    server.install_revocation(RevocationCert::issue(
+        &keys::rabin(768, KeySeeds::REALM.servers[0]),
+        "fs.example.org",
+    ));
+    server.crash_restart();
+    assert_eq!(
+        client.read_file(BOB_UID, &motd).unwrap_err(),
+        ClientError::Revoked
+    );
+    for uid in [ALICE_UID, BOB_UID] {
+        assert!(
+            client.agent(uid).lock().refuses(path.host_id),
+            "uid {uid}'s agent never learnt of the revocation"
+        );
+        let round_trips = client.network_rpcs();
+        assert_eq!(
+            client.read_file(uid, &motd).unwrap_err(),
+            ClientError::Blocked
+        );
+        assert_eq!(client.network_rpcs(), round_trips);
+    }
+}
+
+#[test]
 fn mass_revocation_storm_under_faults() {
     // The §2.5 "million-user day" slice: a fleet of clients holding live
     // mounts on two servers when a revocation broadcast lands for one of
