@@ -3,12 +3,13 @@
 
 use sfs_bench::args::{Args, FaultOpt};
 use sfs_bench::calib::{System, Testbed};
+use sfs_bench::figures::{record, Cell, Measured};
 use sfs_bench::report::{Compared, Table};
 use sfs_bench::trace::TraceOpt;
 use sfs_bench::workloads::{micro_latency, micro_throughput};
 use sfs_bench::world::WorldSpec;
 
-fn main() {
+pub fn main() {
     let trace = TraceOpt::from_args();
     let faults = FaultOpt::from_args();
     // `--window N` overrides the client pipeline depth (default 8);
@@ -43,6 +44,20 @@ fn main() {
         let tp_bed = bed("throughput");
         let tp = micro_throughput(tp_bed.fs.as_ref(), tp_bed.prefix);
         final_ns = final_ns.max(tp_bed.clock.now().as_nanos());
+        record(Cell::of(
+            "fig5",
+            system.label(),
+            "latency",
+            "µs",
+            Measured::Real(lat),
+        ));
+        record(Cell::of(
+            "fig5",
+            system.label(),
+            "throughput",
+            "MB/s",
+            Measured::Real(tp),
+        ));
         table.push_row(
             system.label(),
             vec![Compared::new(lat, paper_lat), Compared::new(tp, paper_tp)],

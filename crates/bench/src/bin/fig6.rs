@@ -6,12 +6,13 @@
 
 use sfs_bench::args::{Args, FaultOpt};
 use sfs_bench::calib::{System, Testbed};
+use sfs_bench::figures::{record, Cell, Measured, SFS_VS_UDP};
 use sfs_bench::report::{secs, Compared, Table};
 use sfs_bench::trace::TraceOpt;
 use sfs_bench::workloads::{mab, total, MabConfig};
 use sfs_bench::world::WorldSpec;
 
-fn main() {
+pub fn main() {
     let trace = TraceOpt::from_args();
     let faults = FaultOpt::from_args();
     // `--window N` overrides the client pipeline depth (default 8);
@@ -56,6 +57,17 @@ fn main() {
             .iter()
             .map(|p| Compared::new(secs(p.time), None))
             .collect();
+        const COLUMNS: [&str; 5] = ["directories", "copy", "attributes", "search", "compile"];
+        for (column, p) in COLUMNS.into_iter().zip(&phases) {
+            assert_eq!(column, p.name);
+            record(Cell::ns("fig6", system.label(), column, p.time.as_nanos()));
+        }
+        record(Cell::ns(
+            "fig6",
+            system.label(),
+            "total",
+            total(&phases).as_nanos(),
+        ));
         let tot = secs(total(&phases));
         cells.push(Compared::new(tot, paper));
         totals.push((system, tot));
@@ -64,6 +76,16 @@ fn main() {
     println!("{}", table.render());
     let nfs_udp = totals.iter().find(|(s, _)| *s == System::NfsUdp).unwrap().1;
     let sfs = totals.iter().find(|(s, _)| *s == System::Sfs).unwrap().1;
+    record(
+        Cell::of(
+            "fig6",
+            SFS_VS_UDP,
+            "total",
+            "%",
+            Measured::Real((sfs / nfs_udp - 1.0) * 100.0),
+        )
+        .claim(),
+    );
     println!(
         "SFS vs NFS 3 (UDP) total: {:+.1}% (paper: +11%)",
         (sfs / nfs_udp - 1.0) * 100.0

@@ -8,12 +8,13 @@
 //! same performance."
 
 use sfs_bench::calib::{System, Testbed};
+use sfs_bench::figures::{record, Cell, Measured, SFS_VS_UDP};
 use sfs_bench::report::{secs, Compared, Table};
 use sfs_bench::trace::TraceOpt;
 use sfs_bench::workloads::lfs_small;
 use sfs_bench::world::WorldSpec;
 
-fn main() {
+pub fn main() {
     let trace = TraceOpt::from_args();
     let mut table = Table::new(
         "Figure 8: Sprite LFS small-file benchmark (1,000 × 1 KB)",
@@ -29,6 +30,10 @@ fn main() {
             .iter()
             .map(|p| Compared::new(secs(p.time), None))
             .collect();
+        for (column, p) in ["create", "read", "unlink"].into_iter().zip(&phases) {
+            assert_eq!(column, p.name);
+            record(Cell::ns("fig8", system.label(), column, p.time.as_nanos()));
+        }
         results.push((system, phases));
         table.push_row(system.label(), cells);
     }
@@ -45,6 +50,16 @@ fn main() {
             .time
             .as_secs_f64()
     };
+    record(
+        Cell::of(
+            "fig8",
+            SFS_VS_UDP,
+            "read",
+            "x",
+            Measured::Real(read_of(System::Sfs) / read_of(System::NfsUdp)),
+        )
+        .claim(),
+    );
     println!(
         "SFS read phase vs NFS 3 (UDP): {:.1}x (paper: ~3x)",
         read_of(System::Sfs) / read_of(System::NfsUdp)

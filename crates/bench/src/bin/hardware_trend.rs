@@ -15,13 +15,14 @@
 //! workload's own speedup.
 
 use sfs_bench::calib::{System, Testbed};
+use sfs_bench::figures::{record, Cell, Measured, PIII_TO_NEXT, PPRO_TO_PIII};
 use sfs_bench::report::secs;
 use sfs_bench::trace::TraceOpt;
 use sfs_bench::workloads::{mab, total, MabConfig};
 use sfs_bench::world::WorldSpec;
 use sfs_sim::CpuCosts;
 
-fn mab_total(trace: &TraceOpt, name: &str, system: System, cpu: CpuCosts) -> f64 {
+fn mab_total(trace: &TraceOpt, name: &'static str, system: System, cpu: CpuCosts) -> f64 {
     let tel = trace.for_system(&format!("{name}/{}", system.label()));
     let Testbed { fs, prefix, .. } = Testbed::build(
         system,
@@ -30,13 +31,20 @@ fn mab_total(trace: &TraceOpt, name: &str, system: System, cpu: CpuCosts) -> f64
             ..WorldSpec::bench().traced(&tel)
         },
     );
-    secs(total(&mab(fs.as_ref(), prefix, &MabConfig::default())))
+    let t = total(&mab(fs.as_ref(), prefix, &MabConfig::default()));
+    record(Cell::ns(
+        "hardware_trend",
+        name,
+        system.label(),
+        t.as_nanos(),
+    ));
+    secs(t)
 }
 
-fn main() {
+pub fn main() {
     let trace = TraceOpt::from_args();
     println!("== §4.5 hardware trend: MAB penalty of SFS vs NFS 3 (UDP) ==\n");
-    let generations: [(&str, CpuCosts); 3] = [
+    let generations: [(&'static str, CpuCosts); 3] = [
         ("Pentium Pro 200", CpuCosts::pentium_pro_200()),
         ("Pentium III 550", CpuCosts::pentium_iii_550()),
         (
@@ -49,8 +57,30 @@ fn main() {
         let nfs = mab_total(&trace, name, System::NfsUdp, cpu);
         let sfs = mab_total(&trace, name, System::Sfs, cpu);
         let penalty = (sfs / nfs - 1.0) * 100.0;
+        record(Cell::of(
+            "hardware_trend",
+            name,
+            "penalty",
+            "%",
+            Measured::Real(penalty),
+        ));
         penalties.push(penalty);
         println!("  {name:22} NFS/UDP {nfs:6.2}s   SFS {sfs:6.2}s   penalty {penalty:+5.1}%");
+    }
+    for (row, ratio) in [
+        (PPRO_TO_PIII, penalties[0] / penalties[1]),
+        (PIII_TO_NEXT, penalties[1] / penalties[2]),
+    ] {
+        record(
+            Cell::of(
+                "hardware_trend",
+                row,
+                "penalty ratio",
+                "x",
+                Measured::Real(ratio),
+            )
+            .claim(),
+        );
     }
     println!(
         "\nPPro→PIII penalty ratio: {:.2}x (paper: \"shrunk by a factor of two\")",

@@ -10,6 +10,7 @@
 //! this harness can never disagree.
 
 use sfs_bench::calib::{System, Testbed};
+use sfs_bench::figures::{record, Cell, Measured};
 use sfs_bench::workloads::{lfs_small, mab, MabConfig};
 use sfs_bench::world::WorldSpec;
 use sfs_telemetry::Telemetry;
@@ -27,13 +28,22 @@ fn counts(system: System) -> (u64, u64) {
     (mab_rpcs, tel.counter("wire", "net.round_trips"))
 }
 
-fn main() {
+pub fn main() {
     println!("== Wire RPC counts (lower is better) ==\n");
     println!("  {:26} {:>10} {:>12}", "system", "MAB", "LFS small");
     let mut rows = Vec::new();
     for system in [System::NfsUdp, System::Sfs, System::SfsNoCache] {
         let (mab_rpcs, lfs_rpcs) = counts(system);
         println!("  {:26} {mab_rpcs:>10} {lfs_rpcs:>12}", system.label());
+        for (column, rpcs) in [("MAB", mab_rpcs), ("LFS small", lfs_rpcs)] {
+            record(Cell::of(
+                "rpc_counts",
+                system.label(),
+                column,
+                "rpcs",
+                Measured::Int(rpcs),
+            ));
+        }
         rows.push((system, mab_rpcs, lfs_rpcs));
     }
     let nfs = rows[0];

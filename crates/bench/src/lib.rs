@@ -20,6 +20,7 @@
 pub mod alloc_count;
 pub mod args;
 pub mod calib;
+pub mod figures;
 pub mod kernel;
 pub mod keys;
 pub mod microbench;

@@ -334,6 +334,42 @@ pub fn write_artifact(path: &str, header: &Obj, rows_key: &str, rows: &[Obj]) {
     println!("wrote {path}");
 }
 
+/// One envelope assertion as data: what must hold, whether it did, and
+/// the numbers behind the verdict. Experiments return these; the driver
+/// evaluates every one.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Check {
+    /// The property, in words.
+    pub what: String,
+    /// Whether it held.
+    pub holds: bool,
+    /// The measured values that decided it.
+    pub detail: String,
+    /// A performance envelope, which a faulted run legitimately leaves
+    /// (skipped under `--faults`); invariants hold under any fault plan.
+    pub perf: bool,
+}
+
+impl Check {
+    /// A property that must hold on every run, faulted or not.
+    pub fn invariant(what: impl Into<String>, holds: bool, detail: impl Into<String>) -> Check {
+        Check {
+            what: what.into(),
+            holds,
+            detail: detail.into(),
+            perf: false,
+        }
+    }
+
+    /// A performance envelope of the fault-free run.
+    pub fn perf(what: impl Into<String>, holds: bool, detail: impl Into<String>) -> Check {
+        Check {
+            perf: true,
+            ..Check::invariant(what, holds, detail)
+        }
+    }
+}
+
 /// Runs `run` twice, each from whatever fresh world it builds, and
 /// returns the first outcome. Virtual time leaves the host nothing to
 /// vary, so any difference is a bug: says where the two outcomes'
