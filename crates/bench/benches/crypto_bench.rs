@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the real cryptographic primitives — the
 //! quantities §4.2 attributes SFS's costs to (software encryption, MACs,
-//! public-key operations). Unlike the `fig*` binaries (virtual time),
+//! public-key operations). Unlike `sfs-bench figures` (virtual time),
 //! these measure genuine CPU time on the host machine.
 
 use sfs_bench::microbench::{bench, bench_throughput};

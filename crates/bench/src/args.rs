@@ -1,14 +1,13 @@
-//! A tiny shared command-line parser for the `fig*` binaries.
+//! The command-line parser behind `sfs-bench <experiment> [flags]`.
 //!
-//! The figure binaries take a small, stable set of options (`--trace
-//! <path>`, `--faults <spec>`); each previously hand-parsed its own.
-//! [`Args`] centralises the `--flag value` / `--flag=value` handling so
-//! the option types ([`crate::trace::TraceOpt`], [`FaultOpt`]) stay thin
-//! wrappers over it. A binary declares the options it understands via
-//! [`Args::reject_unknown`], which turns a typo (`--fauls=drop=20`) into
-//! a clear error instead of a silently fault-free figure; the fault-spec
-//! *keys* themselves are validated by [`sfs_sim::FaultSpec::parse`],
-//! whose errors [`FaultOpt`] surfaces verbatim.
+//! [`Args`] handles `--flag value` / `--flag=value`; the option types
+//! ([`crate::trace::TraceOpt`], [`FaultOpt`]) are thin wrappers over it.
+//! An experiment declares the options it understands and the driver
+//! checks them with [`Args::reject_unknown`], which turns a typo
+//! (`--fauls=drop=20`) into a clear error instead of a silently
+//! fault-free figure; the fault-spec *keys* themselves are validated by
+//! [`sfs_sim::FaultSpec::parse`], whose errors [`FaultOpt`] surfaces
+//! verbatim.
 
 use std::collections::BTreeMap;
 
@@ -20,18 +19,27 @@ pub struct Args {
 }
 
 impl Args {
-    /// Captures `std::env::args` (minus the program name).
-    pub fn from_env() -> Self {
-        Args {
-            argv: std::env::args().skip(1).collect(),
-        }
-    }
-
-    /// Builds from an explicit vector (tests).
+    /// Builds from an explicit vector.
     pub fn from_vec(argv: Vec<&str>) -> Self {
         Args {
             argv: argv.into_iter().map(String::from).collect(),
         }
+    }
+
+    /// Whether the boolean option `--<name>` was given.
+    pub fn flag(&self, name: &str) -> bool {
+        self.argv.iter().any(|a| a.strip_prefix("--") == Some(name))
+    }
+
+    /// The value of `--<name>` parsed as a number; anything else is a
+    /// usage error naming the option.
+    pub fn number(&self, name: &str) -> Result<Option<usize>, String> {
+        self.opt(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("--{name}: not a non-negative integer: {v:?}"))
+            })
+            .transpose()
     }
 
     /// The value of `--<name> <value>` or `--<name>=<value>`; the last
@@ -51,7 +59,7 @@ impl Args {
         found
     }
 
-    /// Validates that every argument is an option the binary declared:
+    /// Validates that every argument is an option the experiment declared:
     /// `valued` options take a value (either form), `boolean` ones take
     /// none. Anything else — a misspelled flag, a stray positional, a
     /// missing value — is a clear error naming the offender, so a typo'd
@@ -93,16 +101,6 @@ impl Args {
         }
         Ok(())
     }
-
-    /// [`Args::reject_unknown`] for binaries: aborts with exit status 2
-    /// and the error on stderr, the same contract as a malformed
-    /// `--faults` spec.
-    pub fn enforce_known(&self, valued: &[&str], boolean: &[&str]) {
-        if let Err(e) = self.reject_unknown(valued, boolean) {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    }
 }
 
 /// `--faults <spec>` support: a seeded deterministic [`FaultPlan`]
@@ -116,16 +114,8 @@ pub struct FaultOpt {
 }
 
 impl FaultOpt {
-    /// Parses `--faults <spec>` from the process arguments; a malformed
-    /// spec aborts with the parse error.
-    pub fn from_args() -> Self {
-        Self::with_spec(Args::from_env().opt("faults")).unwrap_or_else(|e| {
-            eprintln!("--faults: {e}");
-            std::process::exit(2)
-        })
-    }
-
-    /// Builds from an explicit spec (tests).
+    /// Builds from the value of `--faults`, when given; a malformed spec
+    /// is the parse error.
     pub fn with_spec(spec: Option<String>) -> Result<Self, String> {
         let plan = match &spec {
             Some(s) => Some(FaultPlan::from_spec(s)?),
@@ -144,40 +134,30 @@ impl FaultOpt {
         self.plan.as_ref()
     }
 
-    /// Prints the injected-fault tally after a run (no-op without
-    /// `--faults`), so chaos figures are self-describing.
-    pub fn finish(&self) {
-        let (Some(plan), Some(spec)) = (&self.plan, &self.spec) else {
-            return;
-        };
+    /// The injected-fault tally after a run (`None` without `--faults`),
+    /// so chaos figures are self-describing.
+    pub fn tally(&self) -> Option<String> {
+        let (plan, spec) = (self.plan.as_ref()?, self.spec.as_ref()?);
         let mut by_kind: BTreeMap<&'static str, u64> = BTreeMap::new();
         for ev in plan.events() {
             *by_kind.entry(ev.kind.label()).or_insert(0) += 1;
         }
         let tally: Vec<String> = by_kind.iter().map(|(k, n)| format!("{k}={n}")).collect();
-        println!(
+        Some(format!(
             "faults: spec \"{spec}\" (seed {}) injected {} events [{}]",
             plan.seed(),
             plan.injected(),
             tally.join(", ")
-        );
+        ))
     }
 
     /// Checks the run's injected-fault tally against the envelope its
-    /// spec promises, and aborts the process when a faulted run violated
-    /// it — a figure produced under `--faults` must not silently have run
-    /// fault-free (plan not wired into a layer) or injected faults its
-    /// spec never enabled. `final_ns` is the latest virtual clock any
-    /// testbed in the run reached; scheduled crashes due well before it
-    /// must have fired. No-op without `--faults`.
-    pub fn assert_envelope(&self, final_ns: u64) {
-        if let Err(msg) = self.check_envelope(final_ns) {
-            eprintln!("--faults envelope violated: {msg}");
-            std::process::exit(1);
-        }
-    }
-
-    fn check_envelope(&self, final_ns: u64) -> Result<(), String> {
+    /// spec promises — a figure produced under `--faults` must not
+    /// silently have run fault-free (plan not wired into a layer) or
+    /// injected faults its spec never enabled. `final_ns` is the latest
+    /// virtual clock any testbed in the run reached; scheduled crashes
+    /// due well before it must have fired. `Ok` without `--faults`.
+    pub fn check_envelope(&self, final_ns: u64) -> Result<(), String> {
         let Some(plan) = &self.plan else {
             return Ok(());
         };
@@ -289,7 +269,7 @@ impl ScenarioOp {
 
 /// A declarative workload scenario: op-mix percentages, file-set shape,
 /// client count, and duration, in one comma-separated spec string the
-/// `scenarios` binary and the engine share
+/// `scenarios` experiment and the engine share
 /// (`seed=7,clients=4,dirs=8,files=64,file_bytes=8192,io_bytes=8192,ops=1200,cpu_ns=0,mix=stat:13+read:22+write:15+create:2+unlink:1+open:34`).
 ///
 /// [`ScenarioSpec::encode`] is the canonical form: `parse(encode(s)) ==

@@ -10,6 +10,7 @@
 //! then produced by running the real protocol code over this single model
 //! — no per-figure tuning.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use sfs::ShardEngine;
@@ -77,7 +78,15 @@ pub struct Testbed {
     pub shard_engine: Option<Arc<ShardEngine>>,
 }
 
+/// Testbeds built by this process — what a figure run is charged for.
+static BUILDS: AtomicUsize = AtomicUsize::new(0);
+
 impl Testbed {
+    /// How many testbeds this process has built so far.
+    pub fn builds() -> usize {
+        BUILDS.load(Ordering::Relaxed)
+    }
+
     /// Builds the testbed for one system on the [`WorldSpec::bench`]
     /// world (`spec` overrides its CPU costs, tracing sink, fault plan
     /// and core count). The exported file system starts with a
@@ -86,6 +95,7 @@ impl Testbed {
     /// stacks on top; cores are ignored there (no sharded dispatch to
     /// configure).
     pub fn build(system: System, spec: &WorldSpec) -> Testbed {
+        BUILDS.fetch_add(1, Ordering::Relaxed);
         let transport = match system {
             System::Local => None,
             System::NfsUdp => Some(Transport::Udp),

@@ -11,9 +11,8 @@
 //! reconnect through the relay, which observes the epoch bump, promotes
 //! the most-caught-up backup (replaying its log first), and serves the
 //! retried call. Time-to-recover is that one op's virtual-time cost;
-//! the bench asserts it stays inside a fixed envelope and — the
-//! acknowledged-commit guarantee — that not one acked byte is missing
-//! afterwards.
+//! it must stay inside a fixed envelope and — the acknowledged-commit
+//! guarantee — not one acked byte may be missing afterwards.
 //!
 //! **Phase B — stampede.** When a whole replica set restarts, every
 //! client redials at once and each admission costs the server a
@@ -28,42 +27,34 @@
 //! admitted whole costs more total CPU than the same wave admitted in
 //! file. Run once uncontrolled and once behind the relay's production
 //! [`sfs_relay::AdmissionControl`] token bucket (throttled dials retry
-//! on a fixed tick, exactly like `ClientError::Busy`). The bench
-//! asserts the controlled storm's worst-client latency beats the
-//! uncontrolled stampede, and that both phases reproduce byte-for-byte
-//! when rerun.
+//! on a fixed tick, exactly like `ClientError::Busy`); the controlled
+//! storm's worst-client latency must beat the uncontrolled stampede.
 //!
-//! Results land in `BENCH_failover.json`; `--smoke` shrinks both phases
-//! for CI. `--faults <spec>` threads a fault plan through Phase A's
-//! wire (the recovery envelope and the rerun-determinism check are
-//! skipped — a stateful plan shared across reruns legitimately
-//! diverges — and the fault envelope is asserted instead).
-//!
-//! Usage: `cargo run --release -p sfs-bench --bin failover [-- --smoke] [--out PATH] [--faults SPEC]`
+//! `--smoke` shrinks both phases. `--faults` threads a fault plan
+//! through Phase A's wire: the recovery-time and storm envelopes become
+//! performance checks, while exactly-one-promotion and zero lost acked
+//! writes hold under any plan.
 
-use sfs_bench::args::{Args, FaultOpt};
-use sfs_bench::report::{rerun_identical, write_artifact, Obj};
-use sfs_bench::world::{Behind, KeySeeds, World, WorldSpec, UID};
 use sfs_nfs3::proto::{Nfs3Reply, Nfs3Request, StableHow};
 use sfs_relay::AdmissionControl;
 use sfs_sim::{ChurnSchedule, FaultPlan, SimTime};
+
+use crate::driver::{Ctx, Report};
+use crate::report::{Check, Obj};
+use crate::world::{Behind, KeySeeds, World, WorldSpec, UID};
 
 /// Replica-group shape in both phases.
 const MEMBERS: usize = 3;
 const QUORUM: usize = 2;
 
-/// Phase A: appends in the burst; the primary dies halfway through.
-const WRITES_FULL: usize = 32;
-const WRITES_SMOKE: usize = 12;
+/// Phase A: appends in the burst (the primary dies halfway through);
+/// Phase B: the redialling population, its churn waves, and the token
+/// bucket's capacity — full mode, then smoke.
+const SIZES_FULL: (usize, usize, usize, u64) = (32, 24, 4, 4);
+const SIZES_SMOKE: (usize, usize, usize, u64) = (12, 8, 2, 2);
 
 /// Phase A envelope: promotion + reconnect + replay must fit here.
 const RECOVERY_BOUND_NS: u64 = 1_000_000_000;
-
-/// Phase B: the redialling population and its churn waves.
-const STORM_CLIENTS_FULL: usize = 24;
-const STORM_WAVES_FULL: usize = 4;
-const STORM_CLIENTS_SMOKE: usize = 8;
-const STORM_WAVES_SMOKE: usize = 2;
 
 /// Server-side cost of admitting one cold client onto an idle server:
 /// the private-key (Rabin) decryption in the session-key negotiation,
@@ -78,25 +69,11 @@ const CONVOY_PM: u64 = 500;
 
 /// Token bucket for the controlled runs; throttled dials retry on a
 /// fixed tick (the client's `Busy` backoff, simplified to its floor).
-const ADMIT_CAPACITY_FULL: u64 = 4;
-const ADMIT_CAPACITY_SMOKE: u64 = 2;
 const ADMIT_REFILL_PER_SEC: u64 = 25;
 const RETRY_TICK_NS: u64 = 20_000_000;
 
-#[derive(Debug, Clone, PartialEq)]
-struct RecoveryRow {
-    writes: usize,
-    baseline_max_ns: u64,
-    recovery_ns: u64,
-    promotions: u64,
-    commit_lsn: u64,
-    reconnects: u64,
-    lost_acked_writes: u64,
-    total_ns: u64,
-}
-
 /// Phase A, end to end on the real stack.
-fn run_recovery(writes: usize, plan: Option<&FaultPlan>) -> RecoveryRow {
+fn run_recovery(writes: usize, plan: Option<&FaultPlan>) -> Obj {
     let world = World::build(&WorldSpec {
         keys: KeySeeds {
             servers: &[0xFA11],
@@ -156,39 +133,21 @@ fn run_recovery(writes: usize, plan: Option<&FaultPlan>) -> RecoveryRow {
     // The acknowledged-commit guarantee, audited byte-for-byte: the
     // promoted backup serves every acked append, in order.
     let served = client.read_file(UID, &file).unwrap();
-    let lost = expected.len().saturating_sub(
-        served
-            .iter()
-            .zip(expected.iter())
-            .take_while(|(a, b)| a == b)
-            .count(),
-    ) as u64;
+    let intact = served.iter().zip(&expected).take_while(|(a, b)| a == b);
+    let lost_acked_writes = expected.len().saturating_sub(intact.count()) as u64;
     assert_eq!(
         served, expected,
         "the promoted backup must serve exactly the acked history"
     );
-    RecoveryRow {
-        writes,
-        baseline_max_ns,
-        recovery_ns,
-        promotions: group.promotions(),
-        commit_lsn: group.commit_lsn(),
-        reconnects: mount.reconnects(),
-        lost_acked_writes: lost,
-        total_ns: clock.now().as_nanos(),
-    }
-}
-
-#[derive(Debug, Clone, PartialEq)]
-struct StormRow {
-    admission: bool,
-    clients: usize,
-    waves: usize,
-    worst_client_ns: u64,
-    mean_client_ns: u64,
-    throttled: u64,
-    completed: usize,
-    total_ns: u64,
+    Obj::new()
+        .num("writes", writes)
+        .num("baseline_max_ns", baseline_max_ns)
+        .num("recovery_ns", recovery_ns)
+        .num("promotions", group.promotions())
+        .num("commit_lsn", group.commit_lsn())
+        .num("reconnects", mount.reconnects())
+        .num("lost_acked_writes", lost_acked_writes)
+        .num("total_ns", clock.now().as_nanos())
 }
 
 /// Phase B: a deterministic processor-sharing storm. Every in-flight
@@ -196,7 +155,7 @@ struct StormRow {
 /// admitted onto a busy server is inflated by [`CONVOY_PM`] per rekey
 /// already running; the token bucket trades a short queueing delay for
 /// never forming that convoy.
-fn run_storm(m: usize, schedule: &ChurnSchedule, admission: Option<&AdmissionControl>) -> StormRow {
+fn run_storm(m: usize, schedule: &ChurnSchedule, admission: Option<&AdmissionControl>) -> Obj {
     let waves = schedule.waves();
     let mut arrival: Vec<Option<u64>> = vec![None; m];
     for (w, wave) in waves.iter().enumerate() {
@@ -284,86 +243,78 @@ fn run_storm(m: usize, schedule: &ChurnSchedule, admission: Option<&AdmissionCon
         }
     }
 
-    let latencies: Vec<u64> = done
-        .iter()
-        .zip(arrivals.iter())
-        .map(|(&d, &a)| d.saturating_sub(a))
-        .collect();
     assert!(
         done.iter().all(|&d| d > 0),
         "every redialling client must eventually be admitted and finish"
     );
-    StormRow {
-        admission: admission.is_some(),
-        clients: m,
-        waves: waves.len(),
-        worst_client_ns: latencies.iter().copied().max().unwrap_or(0),
-        mean_client_ns: latencies.iter().sum::<u64>() / m.max(1) as u64,
-        throttled,
-        completed: done.len(),
-        total_ns: now,
-    }
+    let latencies = done
+        .iter()
+        .zip(&arrivals)
+        .map(|(&d, &a)| d.saturating_sub(a));
+    Obj::new()
+        .num("admission", admission.is_some())
+        .num("clients", m)
+        .num("waves", waves.len())
+        .num("worst_client_ns", latencies.clone().max().unwrap_or(0))
+        .num("mean_client_ns", latencies.sum::<u64>() / m.max(1) as u64)
+        .num("throttled", throttled)
+        .num("completed", done.len())
+        .num("total_ns", now)
 }
 
-fn main() {
-    let args = Args::from_env();
-    args.enforce_known(&["out", "faults"], &["smoke"]);
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let faults = FaultOpt::from_args();
-    let out_path = args
-        .opt("out")
-        .unwrap_or_else(|| "BENCH_failover.json".into());
-    let (writes, storm_clients, storm_waves, capacity) = if smoke {
-        (
-            WRITES_SMOKE,
-            STORM_CLIENTS_SMOKE,
-            STORM_WAVES_SMOKE,
-            ADMIT_CAPACITY_SMOKE,
-        )
-    } else {
-        (
-            WRITES_FULL,
-            STORM_CLIENTS_FULL,
-            STORM_WAVES_FULL,
-            ADMIT_CAPACITY_FULL,
-        )
-    };
-
-    println!("== failover: {MEMBERS}-member group, quorum {QUORUM} ==");
-    // A fault plan is stateful (its RNG advances as it injects), so a
-    // faulted rerun legitimately diverges; determinism is only asserted
-    // on clean runs.
-    let recovery = if faults.enabled() {
-        run_recovery(writes, faults.plan())
-    } else {
-        rerun_identical("recovery", || run_recovery(writes, None))
-    };
-    println!(
-        "  recovery: {} writes, baseline max {} ns/op, crash-to-ack {} ns, {} promotion(s), 0 acked writes lost",
-        recovery.writes, recovery.baseline_max_ns, recovery.recovery_ns, recovery.promotions,
-    );
-
+pub fn run(ctx: &Ctx) -> Result<Report, String> {
+    let (writes, storm_clients, storm_waves, capacity) =
+        if ctx.smoke { SIZES_SMOKE } else { SIZES_FULL };
+    let recovery = run_recovery(writes, ctx.faults.plan());
     let schedule = ChurnSchedule::generate(0x57AB, storm_waves, 300_000_000, 80_000_000);
-    let uncontrolled = rerun_identical("stampede", || run_storm(storm_clients, &schedule, None));
-    let controlled = rerun_identical("admission-controlled storm", || {
-        let bucket = AdmissionControl::new(capacity, ADMIT_REFILL_PER_SEC);
-        run_storm(storm_clients, &schedule, Some(&bucket))
-    });
-    for s in [&uncontrolled, &controlled] {
-        println!(
-            "  storm ({}): {} clients in {} waves, worst {} ns, mean {} ns, {} throttles",
-            if s.admission { "admission" } else { "stampede" },
-            s.clients,
-            s.waves,
-            s.worst_client_ns,
-            s.mean_client_ns,
-            s.throttled,
-        );
-    }
+    let uncontrolled = run_storm(storm_clients, &schedule, None);
+    let bucket = AdmissionControl::new(capacity, ADMIT_REFILL_PER_SEC);
+    let controlled = run_storm(storm_clients, &schedule, Some(&bucket));
 
+    let worst_ms = |storm: &Obj| storm.number("worst_client_ns") / 1e6;
+    let checks = vec![
+        Check::invariant(
+            "the crash causes exactly one promotion",
+            recovery.number("promotions") == 1.0,
+            format!("{} promotion(s)", recovery.number("promotions")),
+        ),
+        Check::invariant(
+            "no acked write is missing after failover",
+            recovery.number("lost_acked_writes") == 0.0,
+            format!("{} lost", recovery.number("lost_acked_writes")),
+        ),
+        Check::perf(
+            "crash-to-ack recovery fits its envelope",
+            recovery.number("recovery_ns") <= RECOVERY_BOUND_NS as f64,
+            format!(
+                "{} ns, envelope {RECOVERY_BOUND_NS} ns",
+                recovery.number("recovery_ns")
+            ),
+        ),
+        Check::perf(
+            "the burst reconnected, so the crash was in the measurement",
+            recovery.number("reconnects") > 0.0,
+            format!("{} reconnect(s)", recovery.number("reconnects")),
+        ),
+        Check::perf(
+            "admission control beats the stampede on worst-client latency",
+            worst_ms(&controlled) < worst_ms(&uncontrolled),
+            format!(
+                "{:.1} ms controlled vs {:.1} ms uncontrolled",
+                worst_ms(&controlled),
+                worst_ms(&uncontrolled)
+            ),
+        ),
+        Check::perf(
+            "the controlled storm throttled, so the bucket did something",
+            controlled.number("throttled") > 0.0,
+            format!("{} throttles", controlled.number("throttled")),
+        ),
+    ];
+    let final_ns = recovery.number("total_ns") as u64;
     let header = Obj::new()
         .str("schema", "sfs-bench/failover/v1")
-        .str("mode", if smoke { "smoke" } else { "full" })
+        .str("mode", ctx.mode())
         .obj(
             "replication",
             Obj::new().num("members", MEMBERS).num("quorum", QUORUM),
@@ -381,91 +332,13 @@ fn main() {
             "unit",
             Obj::new().str("*_ns", "nanoseconds of virtual time"),
         )
-        .obj(
-            "recovery",
-            Obj::new()
-                .num("writes", recovery.writes)
-                .num("baseline_max_ns", recovery.baseline_max_ns)
-                .num("recovery_ns", recovery.recovery_ns)
-                .num("promotions", recovery.promotions)
-                .num("commit_lsn", recovery.commit_lsn)
-                .num("reconnects", recovery.reconnects)
-                .num("lost_acked_writes", recovery.lost_acked_writes)
-                .num("total_ns", recovery.total_ns),
-        );
-    let storms: Vec<Obj> = [&uncontrolled, &controlled]
-        .iter()
-        .map(|s| {
-            Obj::new()
-                .num("admission", s.admission)
-                .num("clients", s.clients)
-                .num("waves", s.waves)
-                .num("worst_client_ns", s.worst_client_ns)
-                .num("mean_client_ns", s.mean_client_ns)
-                .num("throttled", s.throttled)
-                .num("completed", s.completed)
-                .num("total_ns", s.total_ns)
-        })
-        .collect();
-    write_artifact(&out_path, &header, "storm", &storms);
-
-    let mut failed = false;
-    if recovery.promotions != 1 {
-        eprintln!(
-            "FAIL: the crash must cause exactly one promotion, saw {}",
-            recovery.promotions
-        );
-        failed = true;
-    }
-    if recovery.lost_acked_writes != 0 {
-        eprintln!(
-            "FAIL: {} acked writes missing after failover",
-            recovery.lost_acked_writes
-        );
-        failed = true;
-    }
-
-    faults.finish();
-    faults.assert_envelope(recovery.total_ns);
-    if faults.enabled() {
-        println!("perf envelope skipped under --faults");
-        if failed {
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    if recovery.recovery_ns > RECOVERY_BOUND_NS {
-        eprintln!(
-            "FAIL: crash-to-ack recovery took {} ns, envelope is {} ns",
-            recovery.recovery_ns, RECOVERY_BOUND_NS
-        );
-        failed = true;
-    }
-    if recovery.reconnects == 0 {
-        eprintln!(
-            "FAIL: the burst never reconnected — the crash was not actually in the measurement"
-        );
-        failed = true;
-    }
-    if controlled.worst_client_ns >= uncontrolled.worst_client_ns {
-        eprintln!(
-            "FAIL: admission control must beat the stampede: worst {} ns (controlled) vs {} ns (uncontrolled)",
-            controlled.worst_client_ns, uncontrolled.worst_client_ns
-        );
-        failed = true;
-    }
-    if controlled.throttled == 0 {
-        eprintln!("FAIL: the controlled storm never throttled — the bucket did nothing");
-        failed = true;
-    }
-    println!(
-        "admission control: worst-client {:.1} ms vs {:.1} ms uncontrolled ({:.2}x better)",
-        controlled.worst_client_ns as f64 / 1e6,
-        uncontrolled.worst_client_ns as f64 / 1e6,
-        uncontrolled.worst_client_ns as f64 / controlled.worst_client_ns.max(1) as f64,
-    );
-    if failed {
-        std::process::exit(1);
-    }
+        .obj("recovery", recovery);
+    Ok(Report {
+        header,
+        rows_key: "storm",
+        rows: vec![uncontrolled, controlled],
+        checks,
+        final_ns,
+        ..Report::default()
+    })
 }

@@ -16,33 +16,26 @@
 //! delivered divided by the *slowest* client's virtual time — the
 //! makespan of the fleet.
 //!
-//! Results land in `BENCH_fanout.json`. The binary asserts its own
-//! envelope and exits nonzero on regression: aggregate MB/s must be
-//! monotone non-decreasing in replica count, and 4 replicas must beat
-//! 1 replica by at least 2×. `--smoke` publishes a smaller tree (CI
-//! runs that mode); the assertions hold there too because virtual time
-//! is deterministic at any scale.
-//!
-//! `--faults <spec>` threads a seeded fault plan through every client's
-//! wire; the perf envelope is skipped (drops legitimately break
-//! monotone scaling and force failovers) but the fault envelope is
-//! asserted instead — a faulted run must actually inject what its spec
-//! promises.
-//!
-//! Usage: `cargo run --release -p sfs-bench --bin fanout [-- --smoke] [--out PATH] [--faults SPEC]`
+//! Envelope: aggregate MB/s is monotone non-decreasing in replica
+//! count, 4 replicas beat 1 by at least 2×, and a healthy fleet never
+//! fails over. `--smoke` publishes a smaller tree. Under `--faults`
+//! drops legitimately break monotone scaling and force failovers, so
+//! the envelope is a performance one; what must never happen, faults or
+//! not, is an unverified byte getting through.
 
 use sfs::client::Router;
 use sfs::roclient::RoMount;
 use sfs::server::RoReplicaServer;
-use sfs_bench::args::{Args, FaultOpt};
-use sfs_bench::keys;
-use sfs_bench::report::{write_artifact, Obj};
 use sfs_crypto::rabin::RabinPrivateKey;
 use sfs_proto::pathname::SelfCertifyingPath;
 use sfs_proto::readonly::RoDatabase;
 use sfs_relay::ReplicaGroup;
 use sfs_sim::{FaultPlan, NetParams, SimClock, Transport, Wire};
 use sfs_vfs::{Credentials, Vfs};
+
+use crate::driver::{Ctx, Report};
+use crate::keys;
+use crate::report::{monotone, Check, Obj};
 
 const LOCATION: &str = "ro.lcs.mit.edu";
 
@@ -52,25 +45,13 @@ const CLIENTS: usize = 8;
 /// Replica counts swept; 1 doubles as the no-fan-out baseline row.
 const REPLICAS: [usize; 4] = [1, 2, 4, 8];
 
-/// Published tree: full mode 48 files × 32 KiB, smoke 12 × 8 KiB.
-const FILES_FULL: usize = 48;
-const FILE_BYTES_FULL: usize = 32 * 1024;
-const FILES_SMOKE: usize = 12;
-const FILE_BYTES_SMOKE: usize = 8 * 1024;
+/// Published tree (files, bytes each): full mode 48 × 32 KiB, smoke
+/// 12 × 8 KiB.
+const TREE_FULL: (usize, usize) = (48, 32 * 1024);
+const TREE_SMOKE: (usize, usize) = (12, 8 * 1024);
 
 /// 4 replicas must beat 1 replica by at least this factor.
 const REQUIRED_SPEEDUP: f64 = 2.0;
-
-struct Row {
-    replicas: usize,
-    clients: usize,
-    virtual_ns: u64,
-    aggregate_mb_per_s: f64,
-    per_client_mb_per_s: f64,
-    total_bytes: u64,
-    round_trips: u64,
-    failovers: u64,
-}
 
 fn file_body(f: usize, len: usize) -> Vec<u8> {
     (0..len).map(|i| ((f * 131 + i) % 251) as u8).collect()
@@ -96,7 +77,7 @@ fn run_replicas(
     bundle: &[u8],
     files: usize,
     plan: Option<&FaultPlan>,
-) -> Row {
+) -> Obj {
     let path = SelfCertifyingPath::for_server(LOCATION, key.public());
     let group = ReplicaGroup::new(path.clone());
     for _ in 0..r {
@@ -168,55 +149,33 @@ fn run_replicas(
         failovers += mount.failovers();
     }
     let secs = makespan_ns as f64 / 1e9;
-    Row {
-        replicas: r,
-        clients: CLIENTS,
-        virtual_ns: makespan_ns,
-        aggregate_mb_per_s: total_bytes as f64 / 1_000_000.0 / secs,
-        per_client_mb_per_s: total_bytes as f64 / CLIENTS as f64 / 1_000_000.0 / secs,
-        total_bytes,
-        round_trips,
-        failovers,
-    }
+    Obj::new()
+        .num("replicas", r)
+        .num("clients", CLIENTS)
+        .num("virtual_ns", makespan_ns)
+        .float(
+            "aggregate_mb_per_s",
+            total_bytes as f64 / 1_000_000.0 / secs,
+            3,
+        )
+        .float(
+            "per_client_mb_per_s",
+            total_bytes as f64 / CLIENTS as f64 / 1_000_000.0 / secs,
+            3,
+        )
+        .num("total_bytes", total_bytes)
+        .num("round_trips", round_trips)
+        .num("failovers", failovers)
 }
 
-fn main() {
-    let args = Args::from_env();
-    args.enforce_known(&["out", "faults"], &["smoke"]);
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let faults = FaultOpt::from_args();
-    let out_path = args
-        .opt("out")
-        .unwrap_or_else(|| "BENCH_fanout.json".into());
-    let (files, file_bytes) = if smoke {
-        (FILES_SMOKE, FILE_BYTES_SMOKE)
-    } else {
-        (FILES_FULL, FILE_BYTES_FULL)
-    };
-
+pub fn run(ctx: &Ctx) -> Result<Report, String> {
+    let (files, file_bytes) = if ctx.smoke { TREE_SMOKE } else { TREE_FULL };
     // The publisher's one offline signing pass; replicas get the bundle
     // and never see the key.
     let key = keys::rabin(768, 0xFA17);
     let bundle = published_bundle(&key, files, file_bytes);
-    println!(
-        "== fanout: {CLIENTS} verifying clients, {files} × {file_bytes} B tree, replica sweep =="
-    );
-    println!("   bundle: {} bytes, no key material", bundle.len());
+    let rows = REPLICAS.map(|r| run_replicas(r, &key, &bundle, files, ctx.faults.plan()));
 
-    let mut rows = Vec::new();
-    for r in REPLICAS {
-        let row = run_replicas(r, &key, &bundle, files, faults.plan());
-        println!(
-            "  replicas {:>2}  {:>12} ns makespan   {:>8.2} MB/s aggregate   {:>6.2} MB/s per client   {} RPCs   {} failovers",
-            row.replicas,
-            row.virtual_ns,
-            row.aggregate_mb_per_s,
-            row.per_client_mb_per_s,
-            row.round_trips,
-            row.failovers,
-        );
-        rows.push(row);
-    }
     let workload = Obj::new()
         .str("kind", "verified_tree_read")
         .num("clients", CLIENTS)
@@ -227,71 +186,33 @@ fn main() {
         .str("virtual_ns", "nanoseconds");
     let header = Obj::new()
         .str("schema", "sfs-bench/fanout/v1")
-        .str("mode", if smoke { "smoke" } else { "full" })
+        .str("mode", ctx.mode())
         .obj("workload", workload)
         .obj("unit", unit);
-    let json_rows: Vec<Obj> = rows
-        .iter()
-        .map(|r| {
-            Obj::new()
-                .num("replicas", r.replicas)
-                .num("clients", r.clients)
-                .num("virtual_ns", r.virtual_ns)
-                .float("aggregate_mb_per_s", r.aggregate_mb_per_s, 3)
-                .float("per_client_mb_per_s", r.per_client_mb_per_s, 3)
-                .num("total_bytes", r.total_bytes)
-                .num("round_trips", r.round_trips)
-                .num("failovers", r.failovers)
-        })
-        .collect();
-    write_artifact(&out_path, &header, "rows", &json_rows);
 
-    // Under --faults the perf envelope does not apply — drops break
-    // monotone scaling and legitimately force failovers — but the fault
-    // envelope must hold: the plan actually injected what it promised.
-    let final_ns = rows.iter().map(|r| r.virtual_ns).max().unwrap_or(0);
-    faults.finish();
-    faults.assert_envelope(final_ns);
-    if faults.enabled() {
-        println!("perf envelope skipped under --faults");
-        return;
-    }
-
-    // Regression envelope. Virtual time is deterministic, so these are
-    // exact checks, not statistical ones.
-    let mut failed = false;
-    for pair in rows.windows(2) {
-        let (a, b) = (&pair[0], &pair[1]);
-        if b.aggregate_mb_per_s < a.aggregate_mb_per_s {
-            eprintln!(
-                "FAIL: aggregate throughput not monotone: {} replicas = {:.3} MB/s < {} replicas = {:.3} MB/s",
-                b.replicas, b.aggregate_mb_per_s, a.replicas, a.aggregate_mb_per_s
-            );
-            failed = true;
-        }
-    }
-    let r1 = rows
-        .iter()
-        .find(|r| r.replicas == 1)
-        .expect("1-replica row");
-    let r4 = rows
-        .iter()
-        .find(|r| r.replicas == 4)
-        .expect("4-replica row");
-    let speedup = r4.aggregate_mb_per_s / r1.aggregate_mb_per_s;
-    println!("4 replicas vs 1: {speedup:.2}x aggregate");
-    if speedup < REQUIRED_SPEEDUP {
-        eprintln!(
-            "FAIL: 4 read-only replicas must deliver at least {REQUIRED_SPEEDUP}x the \
-             single-replica aggregate, got {speedup:.2}x"
-        );
-        failed = true;
-    }
-    if rows.iter().any(|r| r.failovers != 0) {
-        eprintln!("FAIL: a healthy fleet must not fail over");
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    let aggregate = |row: &Obj| row.number("aggregate_mb_per_s");
+    let all: Vec<&Obj> = rows.iter().collect();
+    let mut checks = monotone(&all, "replicas", "aggregate_mb_per_s", 0.0);
+    // REPLICAS[0] = 1 and REPLICAS[2] = 4.
+    let speedup = aggregate(&rows[2]) / aggregate(&rows[0]);
+    checks.push(Check::perf(
+        format!("4 read-only replicas deliver at least {REQUIRED_SPEEDUP}x the single-replica aggregate"),
+        speedup >= REQUIRED_SPEEDUP,
+        format!("{speedup:.2}x"),
+    ));
+    let failovers: f64 = rows.iter().map(|r| r.number("failovers")).sum();
+    checks.push(Check::perf(
+        "a healthy fleet does not fail over",
+        failovers == 0.0,
+        format!("{failovers} failovers"),
+    ));
+    let makespans = rows.iter().map(|r| r.number("virtual_ns") as u64);
+    Ok(Report {
+        header,
+        rows_key: "rows",
+        final_ns: makespans.max().unwrap_or(0),
+        rows: rows.into(),
+        checks,
+        ..Report::default()
+    })
 }

@@ -1,4 +1,4 @@
-//! `latency_table`: the `--trace`-driven per-procedure latency breakdown.
+//! `latency_table`: the per-procedure latency breakdown.
 //!
 //! Runs the Modified Andrew Benchmark on each of the paper's four systems
 //! with the tracing sink attached, then renders the NFS3 servers'
@@ -14,52 +14,39 @@
 //!   server, so the table (and any `--trace` dump) also carries the
 //!   per-shard `server.shard.*` / `server.disk.batch_size` series.
 
-use sfs_bench::args::{Args, FaultOpt};
-use sfs_bench::calib::{System, Testbed};
-use sfs_bench::report::latency_table;
-use sfs_bench::trace::TraceOpt;
-use sfs_bench::workloads::{mab, MabConfig};
-use sfs_bench::world::WorldSpec;
 use sfs_telemetry::{Telemetry, ZeroClock};
 
-fn main() {
-    let args = Args::from_env();
-    args.enforce_known(&["trace", "faults", "window", "cores"], &[]);
-    let trace = TraceOpt::from_args();
-    let faults = FaultOpt::from_args();
-    let window: Option<usize> = args.opt("window").map(|w| {
-        w.parse().unwrap_or_else(|_| {
-            eprintln!("--window: not a positive integer: {w:?}");
-            std::process::exit(2)
-        })
-    });
-    let cores: Option<usize> = args.opt("cores").map(|c| {
-        c.parse().unwrap_or_else(|_| {
-            eprintln!("--cores: not a positive integer: {c:?}");
-            std::process::exit(2)
-        })
-    });
+use crate::calib::{System, Testbed};
+use crate::driver::{Ctx, Report};
+use crate::report::latency_table;
+use crate::workloads::{mab, MabConfig};
+use crate::world::WorldSpec;
+
+pub fn run(ctx: &Ctx) -> Result<Report, String> {
+    let window = ctx.args.number("window")?;
+    let cores = ctx.args.number("cores")?;
     // The table needs histograms whether or not `--trace` asked for the
     // JSON dump, so fall back to a standalone recording sink.
-    let tel = if trace.enabled() {
-        trace.telemetry().clone()
+    let tel = if ctx.trace.enabled() {
+        ctx.trace.telemetry().clone()
     } else {
         Telemetry::recording(ZeroClock)
     };
-    let cfg = MabConfig::default();
     let mut final_ns = 0u64;
     for system in System::main_four() {
         let scoped = tel.scoped(system.label());
         let spec = WorldSpec {
             cores,
-            ..WorldSpec::bench().traced(&scoped).faulted(faults.plan())
+            ..WorldSpec::bench()
+                .traced(&scoped)
+                .faulted(ctx.faults.plan())
         };
         let bed = Testbed::build(system, &spec);
-        let (fs, clock, prefix) = (bed.fs, bed.clock, bed.prefix);
+        let (fs, prefix) = (bed.fs, bed.prefix);
         if let Some(w) = window {
             fs.set_pipeline_window(w);
         }
-        let _ = mab(fs.as_ref(), prefix, &cfg);
+        let _ = mab(fs.as_ref(), prefix, &MabConfig::default());
         if let Some(engine) = bed.shard_engine {
             // The MAB's files are small enough that every RPC degenerates
             // to a single-frame (blocking) exchange, which never consults
@@ -84,12 +71,11 @@ fn main() {
             }
             engine.finish(&scoped);
         }
-        final_ns = final_ns.max(clock.now().as_nanos());
+        final_ns = final_ns.max(bed.clock.now().as_nanos());
     }
-    println!("{}", latency_table(&tel));
-    trace.finish();
-    faults.finish();
-    // A faulted figure that silently ran outside its fault envelope is
-    // worthless as a chaos artefact: fail loudly instead.
-    faults.assert_envelope(final_ns);
+    Ok(Report {
+        text: format!("{}\n", latency_table(&tel)),
+        final_ns,
+        ..Report::default()
+    })
 }

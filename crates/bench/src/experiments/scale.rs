@@ -20,26 +20,22 @@
 //!   flattens exactly where the simulated disk saturates.
 //!
 //! Aggregate throughput is total payload bytes over the fleet makespan
-//! (the slowest client's elapsed virtual time). Every sweep point runs
-//! twice and must reproduce byte-for-byte — the engine's placement is
-//! deterministic (earliest start, lowest core index) and holds no
-//! wall-clock state.
+//! (the slowest client's elapsed virtual time). The engine's placement
+//! is deterministic (earliest start, lowest core index) and holds no
+//! wall-clock state, so the driver's rerun reproduces every point.
 //!
-//! Results land in `BENCH_scale.json`. The binary asserts its own
-//! envelope and exits nonzero on regression: the crypto-bound workload
-//! at the full fleet must scale ≥ 3× from 1 to 4 cores (≥ 1.8× in
-//! `--smoke`, which CI runs), stay monotone in cores, and the
-//! disk-bound workload must actually exercise group commit (joined
-//! commits > 0).
-//!
-//! Usage: `cargo run --release -p sfs-bench --bin scale [-- --smoke] [--out PATH]`
+//! Envelope: the crypto-bound workload at the full fleet scales ≥ 3×
+//! from 1 to 4 cores (≥ 1.8× in `--smoke`) and stays monotone in cores,
+//! and the disk-bound workload actually exercises group commit.
 
-use sfs_bench::args::Args;
-use sfs_bench::calib::BENCH_UID;
-use sfs_bench::report::{rerun_identical, write_artifact, Obj};
-use sfs_bench::world::{KeySeeds, World, WorldSpec};
 use sfs_nfs3::proto::{Nfs3Reply, Nfs3Request};
 use sfs_proto::channel::SuiteId;
+
+use super::suite;
+use crate::calib::BENCH_UID;
+use crate::driver::{Ctx, Report};
+use crate::report::{monotone, Check, Obj};
+use crate::world::{KeySeeds, World, WorldSpec};
 
 /// Frames kept in flight per client batch.
 const WINDOW: usize = 16;
@@ -62,37 +58,9 @@ const CORES: [usize; 4] = [1, 2, 4, 8];
 const REQUIRED_SPEEDUP_FULL: f64 = 3.0;
 const REQUIRED_SPEEDUP_SMOKE: f64 = 1.8;
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Workload {
-    CryptoReads,
-    DiskWrites,
-}
-
-impl Workload {
-    fn label(self) -> &'static str {
-        match self {
-            Workload::CryptoReads => "crypto_reads",
-            Workload::DiskWrites => "disk_writes",
-        }
-    }
-}
-
-#[derive(Debug, Clone, PartialEq)]
-struct Row {
-    workload: &'static str,
-    clients: usize,
-    cores: usize,
-    virtual_ns: u64,
-    total_bytes: u64,
-    ops: u64,
-    aggregate_mb_per_s: f64,
-    per_client_mb_per_s: f64,
-    mean_op_us: f64,
-    frames_scheduled: u64,
-    disk_commits: u64,
-    disk_batches: u64,
-    disk_joined: u64,
-}
+/// The two workloads, by the label their rows carry.
+const CRYPTO_READS: &str = "crypto_reads";
+const DISK_WRITES: &str = "disk_writes";
 
 fn body(c: usize, len: usize) -> Vec<u8> {
     (0..len).map(|i| ((c * 137 + i) % 251) as u8).collect()
@@ -129,12 +97,12 @@ fn fleet(clients: usize, cores: usize, suite: SuiteId) -> World {
 /// caches, then runs `rounds` measured rounds interleaved across the
 /// fleet so their service windows overlap on the engine's calendars.
 fn run_point(
-    workload: Workload,
+    workload: &'static str,
     clients: usize,
     cores: usize,
     suite: SuiteId,
     rounds: usize,
-) -> Row {
+) -> Obj {
     let world = fleet(clients, cores, suite);
     let fleet = &world.clients;
     let path = |c: usize| format!("{}/bench/scale-{c}", world.path().full_path());
@@ -165,7 +133,7 @@ fn run_point(
     for round in 0..rounds {
         for (c, m) in fleet.iter().enumerate() {
             match workload {
-                Workload::CryptoReads => {
+                CRYPTO_READS => {
                     let (mount, fh) = &resolved[c];
                     let reqs: Vec<Nfs3Request> = (0..WINDOW)
                         .map(|i| Nfs3Request::Read {
@@ -191,7 +159,7 @@ fn run_point(
                         ops += 1;
                     }
                 }
-                Workload::DiskWrites => {
+                _ => {
                     let data = body(c + round, WRITE_BYTES);
                     m.write_file(BENCH_UID, &path(c), &data).unwrap();
                     total_bytes += data.len() as u64;
@@ -214,83 +182,57 @@ fn run_point(
     let makespan = *elapsed.iter().max().unwrap();
     let secs = makespan as f64 / 1e9;
     let disk = engine.disk_stats();
-    Row {
-        workload: workload.label(),
-        clients,
-        cores,
-        virtual_ns: makespan,
-        total_bytes,
-        ops,
-        aggregate_mb_per_s: total_bytes as f64 / 1_000_000.0 / secs,
-        per_client_mb_per_s: total_bytes as f64 / clients as f64 / 1_000_000.0 / secs,
-        mean_op_us: elapsed.iter().sum::<u64>() as f64 / 1_000.0 / ops as f64,
-        frames_scheduled: engine.frames_scheduled(),
-        disk_commits: disk.iter().map(|s| s.commits).sum(),
-        disk_batches: disk.iter().map(|s| s.batches).sum(),
-        disk_joined: disk.iter().map(|s| s.joined).sum(),
-    }
-}
-
-fn row_json(r: &Row) -> Obj {
     Obj::new()
-        .str("workload", r.workload)
-        .num("clients", r.clients)
-        .num("cores", r.cores)
-        .num("virtual_ns", r.virtual_ns)
-        .float("aggregate_mb_per_s", r.aggregate_mb_per_s, 3)
-        .float("per_client_mb_per_s", r.per_client_mb_per_s, 3)
-        .float("mean_op_us", r.mean_op_us, 1)
-        .num("total_bytes", r.total_bytes)
-        .num("ops", r.ops)
-        .num("frames_scheduled", r.frames_scheduled)
-        .num("disk_commits", r.disk_commits)
-        .num("disk_batches", r.disk_batches)
-        .num("disk_joined", r.disk_joined)
+        .str("workload", workload)
+        .num("clients", clients)
+        .num("cores", cores)
+        .num("virtual_ns", makespan)
+        .float(
+            "aggregate_mb_per_s",
+            total_bytes as f64 / 1_000_000.0 / secs,
+            3,
+        )
+        .float(
+            "per_client_mb_per_s",
+            total_bytes as f64 / clients as f64 / 1_000_000.0 / secs,
+            3,
+        )
+        .float(
+            "mean_op_us",
+            elapsed.iter().sum::<u64>() as f64 / 1_000.0 / ops as f64,
+            1,
+        )
+        .num("total_bytes", total_bytes)
+        .num("ops", ops)
+        .num("frames_scheduled", engine.frames_scheduled())
+        .num("disk_commits", disk.iter().map(|s| s.commits).sum::<u64>())
+        .num("disk_batches", disk.iter().map(|s| s.batches).sum::<u64>())
+        .num("disk_joined", disk.iter().map(|s| s.joined).sum::<u64>())
 }
 
-fn main() {
-    let args = Args::from_env();
-    args.enforce_known(&["out", "suite"], &["smoke"]);
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let out_path = args.opt("out").unwrap_or_else(|| "BENCH_scale.json".into());
+pub fn run(ctx: &Ctx) -> Result<Report, String> {
     // The sweep runs the negotiated fast suite end-to-end by default;
     // `--suite arc4-sha1` keeps the paper-parity baseline reachable.
-    let suite_label = args
-        .opt("suite")
-        .unwrap_or_else(|| SuiteId::ChaCha20Poly1305.label().into());
-    let suite = SuiteId::parse(&suite_label)
-        .unwrap_or_else(|| panic!("unknown suite {suite_label:?} (arc4-sha1 | chacha20-poly1305)"));
-    let (client_sweep, rounds_read, rounds_write): (&[usize], usize, usize) =
-        if smoke { (&[4], 4, 2) } else { (&[2, 8], 8, 4) };
+    let suite = suite(ctx)?;
+    let (client_sweep, rounds_read, rounds_write): (&[usize], usize, usize) = if ctx.smoke {
+        (&[4], 4, 2)
+    } else {
+        (&[2, 8], 8, 4)
+    };
     let fleet_max = *client_sweep.iter().max().unwrap();
 
-    println!("== scale: clients × cores sweep, windowed fleet against one server ==");
-    let mut rows: Vec<Row> = Vec::new();
-    for &workload in &[Workload::CryptoReads, Workload::DiskWrites] {
-        let rounds = match workload {
-            Workload::CryptoReads => rounds_read,
-            Workload::DiskWrites => rounds_write,
-        };
-        for &clients in client_sweep {
-            for cores in CORES {
-                let what = format!("{} clients={clients} cores={cores}", workload.label());
-                let row =
-                    rerun_identical(&what, || run_point(workload, clients, cores, suite, rounds));
-                println!(
-                    "  {:>12}  clients {:>2}  cores {:>2}  {:>13} ns makespan  {:>8.2} MB/s aggregate  {:>8.1} µs/op  batches {:>4} (joined {:>4})",
-                    row.workload,
-                    row.clients,
-                    row.cores,
-                    row.virtual_ns,
-                    row.aggregate_mb_per_s,
-                    row.mean_op_us,
-                    row.disk_batches,
-                    row.disk_joined,
-                );
-                rows.push(row);
-            }
-        }
-    }
+    let sweep = |workload, rounds| -> Vec<Obj> {
+        let points = client_sweep
+            .iter()
+            .flat_map(|&clients| CORES.map(|cores| (clients, cores)));
+        points
+            .map(|(clients, cores)| run_point(workload, clients, cores, suite, rounds))
+            .collect()
+    };
+    let (reads, writes) = (
+        sweep(CRYPTO_READS, rounds_read),
+        sweep(DISK_WRITES, rounds_write),
+    );
     let workloads = Obj::new()
         .obj(
             "crypto_reads",
@@ -305,72 +247,49 @@ fn main() {
         .str("mean_op_us", "microseconds per op, fleet mean");
     let header = Obj::new()
         .str("schema", "sfs-bench/scale/v1")
-        .str("mode", if smoke { "smoke" } else { "full" })
+        .str("mode", ctx.mode())
         .str("suite", suite.label())
         .obj("workloads", workloads)
         .obj("unit", unit);
-    let json_rows: Vec<Obj> = rows.iter().map(row_json).collect();
-    write_artifact(&out_path, &header, "rows", &json_rows);
 
-    // Regression envelope. Virtual time is deterministic, so these are
-    // exact checks, not statistical ones.
-    let mut failed = false;
-    let read_rows: Vec<&Row> = rows
+    // The envelope reads the crypto-bound curve at the full fleet. Allow
+    // a hair of slack at saturation; below it the curve must rise with
+    // cores.
+    let aggregate = |row: &Obj| row.number("aggregate_mb_per_s");
+    let curve: Vec<&Obj> = reads
         .iter()
-        .filter(|r| r.workload == Workload::CryptoReads.label() && r.clients == fleet_max)
+        .filter(|r| r.number("clients") == fleet_max as f64)
         .collect();
-    for pair in read_rows.windows(2) {
-        let (a, b) = (pair[0], pair[1]);
-        // Allow a hair of slack at saturation; below it the curve must
-        // rise with cores.
-        if b.aggregate_mb_per_s < a.aggregate_mb_per_s * 0.98 {
-            eprintln!(
-                "FAIL: crypto-bound aggregate fell with cores: {} cores = {:.3} MB/s < {} cores = {:.3} MB/s",
-                b.cores, b.aggregate_mb_per_s, a.cores, a.aggregate_mb_per_s
-            );
-            failed = true;
-        }
-    }
-    let c1 = read_rows.iter().find(|r| r.cores == 1).expect("1-core row");
-    let c4 = read_rows.iter().find(|r| r.cores == 4).expect("4-core row");
-    let speedup = c4.aggregate_mb_per_s / c1.aggregate_mb_per_s;
-    let required = if smoke {
+    let mut checks = monotone(&curve, "cores", "aggregate_mb_per_s", 0.02);
+    // CORES[0] = 1 and CORES[2] = 4.
+    let speedup = aggregate(curve[2]) / aggregate(curve[0]);
+    let required = if ctx.smoke {
         REQUIRED_SPEEDUP_SMOKE
     } else {
         REQUIRED_SPEEDUP_FULL
     };
-    println!("crypto-bound, {fleet_max} clients: 4 cores vs 1 = {speedup:.2}x aggregate");
-    if speedup < required {
-        eprintln!(
-            "FAIL: 4 cores must deliver at least {required}x the single-core aggregate \
-             on the crypto-bound workload, got {speedup:.2}x"
-        );
-        failed = true;
-    }
-    for r in rows
-        .iter()
-        .filter(|r| r.workload == Workload::DiskWrites.label())
-    {
+    checks.push(Check::perf(
+        format!("crypto-bound, {fleet_max} clients: 4 cores deliver at least {required}x one core"),
+        speedup >= required,
+        format!("{speedup:.2}x"),
+    ));
+    for p in &writes {
         // With at least as many disk shards as clients, every file can
         // land on its own spindle and there is legitimately nothing to
         // group; below that, commits contend and batching must show up.
-        if r.cores < r.clients && r.disk_joined == 0 {
-            eprintln!(
-                "FAIL: disk-bound point clients={} cores={} never joined a commit batch — \
-                 group commit is not being exercised",
-                r.clients, r.cores
-            );
-            failed = true;
-        }
-        if r.disk_commits == 0 {
-            eprintln!(
-                "FAIL: disk-bound point clients={} cores={} scheduled no disk commits",
-                r.clients, r.cores
-            );
-            failed = true;
-        }
+        let (clients, cores) = (p.number("clients"), p.number("cores"));
+        let (commits, joined) = (p.number("disk_commits"), p.number("disk_joined"));
+        checks.push(Check::perf(
+            format!("disk-bound clients={clients} cores={cores} commits, and groups them when shards contend"),
+            commits > 0.0 && (cores >= clients || joined > 0.0),
+            format!("{commits} commits, {joined} joined"),
+        ));
     }
-    if failed {
-        std::process::exit(1);
-    }
+    Ok(Report {
+        header,
+        rows_key: "rows",
+        rows: reads.into_iter().chain(writes).collect(),
+        checks,
+        ..Report::default()
+    })
 }

@@ -5,28 +5,25 @@
 //! joined. The text tables, the fidelity gate (`tests/fidelity.rs`) and
 //! EXPERIMENTS.md all read these cells; no paper value lives anywhere
 //! else.
+//!
+//! [`Memo`] runs each distinct `(System, Workload, CpuCosts)` world once
+//! — 33 for the full set — and every table, shape claim, ablation delta,
+//! trend row and RPC count is derived from those runs.
 
-use crate::report::{Check, Obj};
+use std::cell::RefCell;
+use std::rc::Rc;
 
-/// What a cell measured: virtual nanoseconds and counts stay integers;
-/// rates, ratios and percentages derived from them are reals.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Measured {
-    /// Virtual nanoseconds or a count.
-    Int(u64),
-    /// A derived quantity.
-    Real(f64),
-}
+use sfs_sim::{CpuCosts, FaultPlan, SimTime};
 
-impl Measured {
-    /// The value as a float, for deviations and rendering.
-    pub fn as_f64(self) -> f64 {
-        match self {
-            Measured::Int(v) => v as f64,
-            Measured::Real(v) => v,
-        }
-    }
-}
+use crate::calib::{System, Testbed};
+use crate::driver::{Ctx, Report};
+use crate::report::{format_val, Check, Obj};
+use crate::trace::TraceOpt;
+use crate::workloads::{
+    kernel_build, lfs_large, lfs_small, mab, micro_latency, micro_throughput, total,
+    KernelBuildConfig, MabConfig, Phase,
+};
+use crate::world::WorldSpec;
 
 /// One measured number of one figure.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,63 +34,26 @@ pub struct Cell {
     pub row: &'static str,
     /// Column label.
     pub column: &'static str,
-    /// Unit of `measured` (and of the paper's value).
+    /// Unit of `measured` and of the paper's value. `"ns"` (virtual
+    /// time) and `"rpcs"` are whole numbers and are written as integers.
     pub unit: &'static str,
     /// The measurement.
-    pub measured: Measured,
+    pub measured: f64,
     /// A shape claim or ablation delta derived from other cells: rendered
     /// as a line under the figure's table rather than inside it.
     pub claim: bool,
 }
 
 impl Cell {
-    /// A table cell holding virtual nanoseconds.
-    pub fn ns(figure: &'static str, row: &'static str, column: &'static str, ns: u64) -> Cell {
-        Cell {
-            figure,
-            row,
-            column,
-            unit: "ns",
-            measured: Measured::Int(ns),
-            claim: false,
-        }
-    }
-
-    /// A table cell holding any other quantity.
-    pub fn of(
-        figure: &'static str,
-        row: &'static str,
-        column: &'static str,
-        unit: &'static str,
-        measured: Measured,
-    ) -> Cell {
-        Cell {
-            figure,
-            row,
-            column,
-            unit,
-            measured,
-            claim: false,
-        }
-    }
-
-    /// This cell as a claim line.
-    pub fn claim(mut self) -> Cell {
-        self.claim = true;
-        self
-    }
-
     /// The paper's value for this cell, when it publishes one.
     pub fn anchor(&self) -> Option<&'static Anchor> {
-        PAPER
-            .iter()
-            .find(|a| (a.figure, a.row, a.column) == (self.figure, self.row, self.column))
+        let at = (self.figure, self.row, self.column);
+        PAPER.iter().find(|a| (a.figure, a.row, a.column) == at)
     }
 
     /// `measured / paper − 1`, when the paper publishes a value.
     pub fn deviation(&self) -> Option<f64> {
-        self.anchor()
-            .map(|a| self.measured.as_f64() / a.paper - 1.0)
+        self.anchor().map(|a| self.measured / a.paper - 1.0)
     }
 
     /// The `BENCH_figures.json` row.
@@ -103,17 +63,17 @@ impl Cell {
             .str("row", self.row)
             .str("column", self.column)
             .str("unit", self.unit);
-        let o = match self.measured {
-            Measured::Int(v) => o.num("measured", v),
-            Measured::Real(v) => o.float("measured", v, 6),
+        let o = match self.unit {
+            "ns" | "rpcs" => o.num("measured", self.measured as u64),
+            _ => o.float("measured", self.measured, 6),
         };
-        match self.anchor() {
-            Some(a) => o
+        match (self.anchor(), self.deviation()) {
+            (Some(a), Some(deviation)) => o
                 .num("paper", a.paper)
-                .float("deviation", self.measured.as_f64() / a.paper - 1.0, 4)
+                .float("deviation", deviation, 4)
                 .float("tolerance", a.tolerance, 2)
                 .str("cause", a.cause),
-            None => o
+            _ => o
                 .null("paper")
                 .null("deviation")
                 .null("tolerance")
@@ -149,7 +109,7 @@ pub fn checks(cells: &[Cell]) -> Vec<Check> {
                 dev.abs() <= a.tolerance,
                 format!(
                     "measured {} {}, paper {}: {:+.1}% (tolerance ±{:.0}%)",
-                    c.measured.as_f64(),
+                    c.obj().number("measured"),
                     c.unit,
                     a.paper,
                     dev * 100.0,
@@ -180,16 +140,7 @@ pub struct Anchor {
     pub cause: &'static str,
 }
 
-const fn within(
-    figure: &'static str,
-    row: &'static str,
-    column: &'static str,
-    paper: f64,
-) -> Anchor {
-    drifted(figure, row, column, paper, TOLERANCE, "")
-}
-
-const fn drifted(
+const fn anchor(
     figure: &'static str,
     row: &'static str,
     column: &'static str,
@@ -240,17 +191,17 @@ const ONE_DIGIT: &str = "a difference of two totals, which the paper quotes to o
 
 /// Every value §4 publishes, in the order the figures list them.
 pub const PAPER: &[Anchor] = &[
-    within("fig5", UDP, "latency", 200.0),
-    within("fig5", UDP, "throughput", 9.3),
-    within("fig5", TCP, "latency", 220.0),
-    within("fig5", TCP, "throughput", 7.6),
-    within("fig5", SFS, "latency", 790.0),
-    drifted("fig5", SFS, "throughput", 4.1, 0.81, WINDOW_8),
-    within("fig5", NOENC, "latency", 770.0),
-    drifted("fig5", NOENC, "throughput", 7.1, 0.17, WINDOW_8_NOENC),
-    within("fig6", UDP, "total", 5.4e9),
-    within("fig6", SFS, "total", 6.0e9),
-    drifted(
+    anchor("fig5", UDP, "latency", 200.0, TOLERANCE, ""),
+    anchor("fig5", UDP, "throughput", 9.3, TOLERANCE, ""),
+    anchor("fig5", TCP, "latency", 220.0, TOLERANCE, ""),
+    anchor("fig5", TCP, "throughput", 7.6, TOLERANCE, ""),
+    anchor("fig5", SFS, "latency", 790.0, TOLERANCE, ""),
+    anchor("fig5", SFS, "throughput", 4.1, 0.81, WINDOW_8),
+    anchor("fig5", NOENC, "latency", 770.0, TOLERANCE, ""),
+    anchor("fig5", NOENC, "throughput", 7.1, 0.17, WINDOW_8_NOENC),
+    anchor("fig6", UDP, "total", 5.4e9, TOLERANCE, ""),
+    anchor("fig6", SFS, "total", 6.0e9, TOLERANCE, ""),
+    anchor(
         "fig6",
         SFS_VS_UDP,
         "total",
@@ -259,9 +210,9 @@ pub const PAPER: &[Anchor] = &[
         "a ratio of two totals each within 4 % of the paper's: SFS reads +3.6 % and NFS +0.7 %, \
          which moves an 11 % gap to 14.3 %",
     ),
-    within("fig7", "Local", "time", 140e9),
-    within("fig7", UDP, "time", 178e9),
-    drifted(
+    anchor("fig7", "Local", "time", 140e9, TOLERANCE, ""),
+    anchor("fig7", UDP, "time", 178e9, TOLERANCE, ""),
+    anchor(
         "fig7",
         TCP,
         "time",
@@ -271,8 +222,8 @@ pub const PAPER: &[Anchor] = &[
          may be suboptimal\", with a kernel panic while writing a large file); the TCP model is \
          fitted to Figure 5's TCP row and does not reproduce that pathology",
     ),
-    within("fig7", SFS, "time", 197e9),
-    drifted(
+    anchor("fig7", SFS, "time", 197e9, TOLERANCE, ""),
+    anchor(
         "fig7",
         SFS_VS_UDP,
         "time",
@@ -281,13 +232,13 @@ pub const PAPER: &[Anchor] = &[
         "the paper's own numbers disagree: its text says 16 % (29 s), its Figure 7 values (197 s \
          vs 178 s, the cells above) differ by 10.7 %; the measured 9.4 % follows the cells",
     ),
-    within("fig8", SFS_VS_UDP, "read", 3.0),
-    drifted("fig9", SFS_VS_UDP, "seq write", 44.0, 0.85, WINDOW_8_LFS),
-    drifted("fig9", SFS_VS_UDP, "seq read", 145.0, 0.86, WINDOW_8_LFS),
-    drifted("fig9", NOENC_VS_UDP, "seq write", 17.0, 1.39, WINDOW_8_LFS),
-    drifted("fig9", NOENC_VS_UDP, "seq read", 31.0, 0.76, WINDOW_8_LFS),
-    within("ablations", NOCACHE, "MAB total", 6.6e9),
-    drifted(
+    anchor("fig8", SFS_VS_UDP, "read", 3.0, TOLERANCE, ""),
+    anchor("fig9", SFS_VS_UDP, "seq write", 44.0, 0.85, WINDOW_8_LFS),
+    anchor("fig9", SFS_VS_UDP, "seq read", 145.0, 0.86, WINDOW_8_LFS),
+    anchor("fig9", NOENC_VS_UDP, "seq write", 17.0, 1.39, WINDOW_8_LFS),
+    anchor("fig9", NOENC_VS_UDP, "seq read", 31.0, 0.76, WINDOW_8_LFS),
+    anchor("ablations", NOCACHE, "MAB total", 6.6e9, TOLERANCE, ""),
+    anchor(
         "ablations",
         NOCACHE_VS_SFS,
         "MAB total",
@@ -295,7 +246,7 @@ pub const PAPER: &[Anchor] = &[
         0.12,
         ONE_DIGIT,
     ),
-    drifted(
+    anchor(
         "ablations",
         SFS_VS_NOENC,
         "MAB total",
@@ -303,7 +254,7 @@ pub const PAPER: &[Anchor] = &[
         0.57,
         ONE_DIGIT,
     ),
-    drifted(
+    anchor(
         "ablations",
         NOCACHE_VS_SFS,
         "LFS create",
@@ -311,7 +262,7 @@ pub const PAPER: &[Anchor] = &[
         0.21,
         ONE_DIGIT,
     ),
-    drifted(
+    anchor(
         "ablations",
         SFS_VS_NOENC,
         "kernel build",
@@ -319,7 +270,7 @@ pub const PAPER: &[Anchor] = &[
         0.49,
         ONE_DIGIT,
     ),
-    drifted(
+    anchor(
         "hardware_trend",
         PPRO_TO_PIII,
         "penalty ratio",
@@ -331,26 +282,471 @@ pub const PAPER: &[Anchor] = &[
     ),
 ];
 
-// Emission on the per-binary structure: each figure binary records the
-// cells it computes; `all_figures` writes what its run collected.
-static COLLECTED: std::sync::Mutex<Vec<Cell>> = std::sync::Mutex::new(Vec::new());
-
-/// Records one cell of the running figure.
-pub fn record(cell: Cell) {
-    COLLECTED.lock().expect("collector").push(cell);
+/// The §4 workloads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Workload {
+    /// §4.2 unauthorized-`fchown` latency.
+    Latency,
+    /// §4.2 sequential-read throughput.
+    Throughput,
+    /// §4.3 Modified Andrew Benchmark.
+    Mab,
+    /// §4.3 FreeBSD kernel build.
+    KernelBuild,
+    /// §4.4 Sprite LFS small-file benchmark.
+    LfsSmall,
+    /// §4.4 Sprite LFS large-file benchmark.
+    LfsLarge,
 }
 
-/// Writes every recorded cell as `BENCH_figures.json`.
-pub fn write_collected(path: &str) {
-    let mut cells = COLLECTED.lock().expect("collector").clone();
-    // Per figure (they were recorded figure by figure): table cells, then claims.
-    let order = |c: &Cell| {
-        PAPER
-            .iter()
-            .position(|a| a.figure == c.figure)
-            .unwrap_or(usize::MAX)
+/// What one world measured.
+#[derive(Debug)]
+pub struct Run {
+    /// The micro-benchmarks' µs per operation / MB/s (0 otherwise).
+    pub rate: f64,
+    /// The timed phases of the other workloads.
+    pub phases: Vec<Phase>,
+    /// Wire RPCs the whole run issued.
+    pub rpcs: u64,
+    /// The world's virtual clock when the run ended.
+    pub final_ns: u64,
+}
+
+impl Run {
+    fn ns(&self, phase: &str) -> u64 {
+        let p = self.phases.iter().find(|p| p.name == phase);
+        p.unwrap_or_else(|| panic!("no phase {phase:?}"))
+            .time
+            .as_nanos()
+    }
+
+    fn total_ns(&self) -> u64 {
+        total(&self.phases).as_nanos()
+    }
+}
+
+/// What a world ran. `CpuCosts` has no `Eq`; its `Debug` form names
+/// every field, and stands for it.
+type Key = (System, Workload, String);
+
+/// Every world a figure run has built, by what it ran: asking twice
+/// builds once.
+pub struct Memo<'a> {
+    cpu: CpuCosts,
+    window: Option<usize>,
+    trace: &'a TraceOpt,
+    plan: Option<&'a FaultPlan>,
+    runs: RefCell<Vec<(Key, Rc<Run>)>>,
+}
+
+impl<'a> Memo<'a> {
+    /// An empty memo whose testbed CPU is `cpu`; every world traces into
+    /// `trace`, follows `plan` and runs the client at `window`.
+    pub fn new(
+        cpu: CpuCosts,
+        window: Option<usize>,
+        trace: &'a TraceOpt,
+        plan: Option<&'a FaultPlan>,
+    ) -> Memo<'a> {
+        let runs = RefCell::default();
+        Memo {
+            cpu,
+            window,
+            trace,
+            plan,
+            runs,
+        }
+    }
+
+    /// `workload` on `system` at the testbed CPU.
+    pub fn run(&self, system: System, workload: Workload) -> Rc<Run> {
+        self.run_on(system, workload, self.cpu)
+    }
+
+    /// `workload` on `system` with CPU costs `cpu`, from the memo when
+    /// that world already ran.
+    pub fn run_on(&self, system: System, workload: Workload, cpu: CpuCosts) -> Rc<Run> {
+        let key = (system, workload, format!("{cpu:?}"));
+        if let Some((_, run)) = self.runs.borrow().iter().find(|(k, _)| *k == key) {
+            return run.clone();
+        }
+        let scope = format!("{}/{workload:?}@{}", system.label(), cpu.user_crossing_ns);
+        let tel = self.trace.for_system(&scope);
+        let spec = WorldSpec {
+            cpu: Some(cpu),
+            ..WorldSpec::bench().traced(&tel).faulted(self.plan)
+        };
+        let Testbed {
+            fs, clock, prefix, ..
+        } = Testbed::build(system, &spec);
+        if let Some(w) = self.window {
+            fs.set_pipeline_window(w);
+        }
+        let fs = fs.as_ref();
+        let (rate, phases) = match workload {
+            Workload::Latency => (micro_latency(fs, prefix), vec![]),
+            Workload::Throughput => (micro_throughput(fs, prefix), vec![]),
+            Workload::Mab => (0.0, mab(fs, prefix, &MabConfig::default())),
+            Workload::KernelBuild => {
+                let time = kernel_build(fs, prefix, &KernelBuildConfig::default());
+                let name = "time".into();
+                (0.0, vec![Phase { name, time }])
+            }
+            Workload::LfsSmall => (0.0, lfs_small(fs, prefix, 1000)),
+            Workload::LfsLarge => (0.0, lfs_large(fs, prefix)),
+        };
+        let run = Rc::new(Run {
+            rate,
+            phases,
+            rpcs: fs.rpcs(),
+            final_ns: clock.now().as_nanos(),
+        });
+        self.runs.borrow_mut().push((key, run.clone()));
+        run
+    }
+
+    /// The latest virtual clock any world reached.
+    fn final_ns(&self) -> u64 {
+        let runs = self.runs.borrow();
+        runs.iter().map(|(_, run)| run.final_ns).max().unwrap_or(0)
+    }
+}
+
+fn secs(ns: u64) -> f64 {
+    SimTime(ns).as_secs_f64()
+}
+
+/// How much longer `a` took than `b`, in percent.
+fn pct_over(a: u64, b: u64) -> f64 {
+    (secs(a) / secs(b) - 1.0) * 100.0
+}
+
+/// The cells of one figure, as its definition lists them.
+struct Sheet {
+    figure: &'static str,
+    cells: Vec<Cell>,
+}
+
+impl Sheet {
+    fn put(&mut self, row: &'static str, column: &'static str, unit: &'static str, v: f64) {
+        self.cells.push(Cell {
+            figure: self.figure,
+            row,
+            column,
+            unit,
+            measured: v,
+            claim: false,
+        });
+    }
+
+    fn ns(&mut self, row: &'static str, column: &'static str, ns: u64) {
+        self.put(row, column, "ns", ns as f64);
+    }
+
+    fn claim(&mut self, row: &'static str, column: &'static str, unit: &'static str, v: f64) {
+        self.put(row, column, unit, v);
+        self.cells.last_mut().expect("just put").claim = true;
+    }
+
+    /// One cell per phase of `run`, under the figure's column names.
+    fn phases(&mut self, system: System, columns: &[&'static str], run: &Run) {
+        assert!(columns.iter().eq(run.phases.iter().map(|p| &p.name)));
+        for (column, p) in columns.iter().zip(&run.phases) {
+            self.ns(system.label(), column, p.time.as_nanos());
+        }
+    }
+}
+
+fn fig5(memo: &Memo, sheet: &mut Sheet) {
+    for system in [
+        System::NfsUdp,
+        System::NfsTcp,
+        System::Sfs,
+        System::SfsNoEncrypt,
+    ] {
+        let latency = memo.run(system, Workload::Latency).rate;
+        sheet.put(system.label(), "latency", "µs", latency);
+        let throughput = memo.run(system, Workload::Throughput).rate;
+        sheet.put(system.label(), "throughput", "MB/s", throughput);
+    }
+}
+
+fn fig6(memo: &Memo, sheet: &mut Sheet) {
+    const PHASES: [&str; 5] = ["directories", "copy", "attributes", "search", "compile"];
+    for system in System::main_four() {
+        let run = memo.run(system, Workload::Mab);
+        sheet.phases(system, &PHASES, &run);
+        sheet.ns(system.label(), "total", run.total_ns());
+    }
+    let total = |system| memo.run(system, Workload::Mab).total_ns();
+    let gap = pct_over(total(System::Sfs), total(System::NfsUdp));
+    sheet.claim(SFS_VS_UDP, "total", "%", gap);
+}
+
+fn fig7(memo: &Memo, sheet: &mut Sheet) {
+    let time = |system| memo.run(system, Workload::KernelBuild).total_ns();
+    for system in System::main_four() {
+        sheet.ns(system.label(), "time", time(system));
+    }
+    let gap = pct_over(time(System::Sfs), time(System::NfsUdp));
+    sheet.claim(SFS_VS_UDP, "time", "%", gap);
+}
+
+fn fig8(memo: &Memo, sheet: &mut Sheet) {
+    for system in System::main_four() {
+        let run = memo.run(system, Workload::LfsSmall);
+        sheet.phases(system, &["create", "read", "unlink"], &run);
+    }
+    let read = |system| secs(memo.run(system, Workload::LfsSmall).ns("read"));
+    let slowdown = read(System::Sfs) / read(System::NfsUdp);
+    sheet.claim(SFS_VS_UDP, "read", "x", slowdown);
+}
+
+fn fig9(memo: &Memo, sheet: &mut Sheet) {
+    const PHASES: [&str; 5] = [
+        "seq write",
+        "seq read",
+        "rand write",
+        "rand read",
+        "seq read 2",
+    ];
+    for system in [
+        System::Local,
+        System::NfsUdp,
+        System::NfsTcp,
+        System::Sfs,
+        System::SfsNoEncrypt,
+    ] {
+        sheet.phases(system, &PHASES, &memo.run(system, Workload::LfsLarge));
+    }
+    let ns = |system, phase| memo.run(system, Workload::LfsLarge).ns(phase);
+    for (row, system) in [
+        (SFS_VS_UDP, System::Sfs),
+        (NOENC_VS_UDP, System::SfsNoEncrypt),
+    ] {
+        for phase in ["seq write", "seq read"] {
+            let gap = pct_over(ns(system, phase), ns(System::NfsUdp, phase));
+            sheet.claim(row, phase, "%", gap);
+        }
+    }
+}
+
+fn ablations(memo: &Memo, sheet: &mut Sheet) {
+    use System::{NfsUdp, Sfs, SfsNoCache, SfsNoEncrypt};
+    let ns = |system, column| match column {
+        "MAB total" => memo.run(system, Workload::Mab).total_ns(),
+        "LFS create" => memo.run(system, Workload::LfsSmall).ns("create"),
+        _ => memo.run(system, Workload::KernelBuild).total_ns(),
     };
-    cells.sort_by_key(|c| (order(c), c.claim));
-    let rows: Vec<Obj> = cells.iter().map(Cell::obj).collect();
-    crate::report::write_artifact(path, &header(), "cells", &rows);
+    for (column, systems) in [
+        ("MAB total", &[NfsUdp, Sfs, SfsNoCache, SfsNoEncrypt][..]),
+        ("LFS create", &[NfsUdp, Sfs, SfsNoCache]),
+        ("kernel build", &[Sfs, SfsNoEncrypt]),
+    ] {
+        for &system in systems {
+            sheet.ns(system.label(), column, ns(system, column));
+        }
+    }
+    for (row, column, slower, faster) in [
+        (NOCACHE_VS_SFS, "MAB total", SfsNoCache, Sfs),
+        (SFS_VS_NOENC, "MAB total", Sfs, SfsNoEncrypt),
+        (NOCACHE_VS_SFS, "LFS create", SfsNoCache, Sfs),
+        (SFS_VS_NOENC, "kernel build", Sfs, SfsNoEncrypt),
+    ] {
+        let delta = ns(slower, column) - ns(faster, column);
+        sheet.claim(row, column, "ns", delta as f64);
+    }
+}
+
+/// §4.5: the protocol stack's CPU costs scale with the processor
+/// generation while the application's own compile time, the network and
+/// the disk are held constant — what the paper's claim is about.
+fn hardware_trend(memo: &Memo, sheet: &mut Sheet) {
+    let mut penalties = Vec::new();
+    for (generation, cpu) in [
+        ("Pentium Pro 200", CpuCosts::pentium_pro_200()),
+        ("Pentium III 550", memo.cpu),
+        ("hypothetical 2x PIII", memo.cpu.scaled(0.5)),
+    ] {
+        let total = |system| memo.run_on(system, Workload::Mab, cpu).total_ns();
+        let (nfs, sfs) = (total(System::NfsUdp), total(System::Sfs));
+        sheet.ns(generation, UDP, nfs);
+        sheet.ns(generation, SFS, sfs);
+        sheet.put(generation, "penalty", "%", pct_over(sfs, nfs));
+        penalties.push(pct_over(sfs, nfs));
+    }
+    sheet.claim(
+        PPRO_TO_PIII,
+        "penalty ratio",
+        "x",
+        penalties[0] / penalties[1],
+    );
+    sheet.claim(
+        PIII_TO_NEXT,
+        "penalty ratio",
+        "x",
+        penalties[1] / penalties[2],
+    );
+}
+
+/// §4.2: "SFS's enhanced caching improves performance by reducing the
+/// number of RPCs that need to travel over the network."
+fn rpc_counts(memo: &Memo, sheet: &mut Sheet) {
+    for system in [System::NfsUdp, System::Sfs, System::SfsNoCache] {
+        for (column, workload) in [("MAB", Workload::Mab), ("LFS small", Workload::LfsSmall)] {
+            let rpcs = memo.run(system, workload).rpcs;
+            sheet.put(system.label(), column, "rpcs", rpcs as f64);
+        }
+    }
+}
+
+/// How a figure's cells come out of the memo.
+type Define = fn(&Memo, &mut Sheet);
+
+/// Every figure — the id its cells carry and `sfs-bench figures <id>`
+/// selects, its table title, its definition — in the order
+/// `BENCH_figures.json` lists them.
+const FIGURES: [(&str, &str, Define); 8] = [
+    (
+        "fig5",
+        "Figure 5: micro-benchmarks for basic operations",
+        fig5,
+    ),
+    ("fig6", "Figure 6: Modified Andrew Benchmark phases", fig6),
+    (
+        "fig7",
+        "Figure 7: compiling the GENERIC FreeBSD 3.3 kernel",
+        fig7,
+    ),
+    (
+        "fig8",
+        "Figure 8: Sprite LFS small-file benchmark (1,000 × 1 KB)",
+        fig8,
+    ),
+    (
+        "fig9",
+        "Figure 9: Sprite LFS large-file benchmark (40,000 KB, 8 KB chunks)",
+        fig9,
+    ),
+    ("ablations", "Ablations (§4.3, §4.4)", ablations),
+    (
+        "hardware_trend",
+        "§4.5 hardware trend: MAB penalty of SFS vs NFS 3 (UDP)",
+        hardware_trend,
+    ),
+    (
+        "rpc_counts",
+        "§4.2 wire RPC counts (lower is better)",
+        rpc_counts,
+    ),
+];
+
+/// The cells of figure `id` (one of the `figures` experiment's
+/// selections), running what the memo lacks.
+pub fn cells(id: &str, memo: &Memo) -> Vec<Cell> {
+    let (figure, _, define) = FIGURES.iter().find(|f| f.0 == id).expect("a figure id");
+    let mut sheet = Sheet {
+        figure,
+        cells: Vec::new(),
+    };
+    define(memo, &mut sheet);
+    sheet.cells
+}
+
+/// A value and its unit as tables show them: virtual time in seconds.
+fn shown(unit: &'static str, v: f64) -> (f64, &'static str) {
+    match unit {
+        "ns" => (v / 1e9, "s"),
+        _ => (v, unit),
+    }
+}
+
+fn distinct<T: PartialEq>(items: impl Iterator<Item = T>) -> Vec<T> {
+    items.fold(Vec::new(), |mut seen, item| {
+        if !seen.contains(&item) {
+            seen.push(item);
+        }
+        seen
+    })
+}
+
+/// A figure as text: the grid of its table cells, each beside the
+/// paper's value where it publishes one, then one line per claim.
+pub fn render(title: &str, cells: &[Cell]) -> String {
+    let grid: Vec<&Cell> = cells.iter().filter(|c| !c.claim).collect();
+    let units = distinct(grid.iter().map(|c| shown(c.unit, 0.0).1));
+    let columns = distinct(grid.iter().map(|c| (c.column, shown(c.unit, 0.0).1)));
+    let rows = distinct(grid.iter().map(|c| c.row));
+    let label_w = rows.iter().map(|r| r.len()).max().unwrap_or(0).max(6);
+    let mut out = format!(
+        "== {title} (unit: {}) ==\n{:label_w$}",
+        units.join(" / "),
+        ""
+    );
+    for (column, unit) in &columns {
+        // A figure mixing units says each column's in its header.
+        let header = match units.len() {
+            1 => column.to_string(),
+            _ => format!("{column} ({unit})"),
+        };
+        out += &format!(" | {header:>22}");
+    }
+    out += &format!("\n{}\n", "-".repeat(label_w + columns.len() * 25));
+    for row in rows {
+        out += &format!("{row:label_w$}");
+        for (column, _) in &columns {
+            let cell = grid.iter().find(|c| c.row == row && c.column == *column);
+            let show = |v: f64, c: &Cell| format_val(shown(c.unit, v).0);
+            let measured = cell.map_or(String::new(), |c| show(c.measured, c));
+            out += &match cell.and_then(|c| Some((c, c.anchor()?))) {
+                Some((c, a)) => format!(" | {measured:>8} (paper {:>6})", show(a.paper, c)),
+                None => format!(" | {measured:>8} {:>14}", ""),
+            };
+        }
+        out.push('\n');
+    }
+    out.push('\n');
+    for c in cells.iter().filter(|c| c.claim) {
+        let show = |v: f64| match shown(c.unit, v) {
+            (v, "%") => format!("{v:+.1}%"),
+            (v, unit) => format!("{} {unit}", format_val(v)),
+        };
+        out += &format!("{} / {}: {}", c.row, c.column, show(c.measured));
+        if let (Some(a), Some(dev)) = (c.anchor(), c.deviation()) {
+            let dev = dev * 100.0;
+            out += &format!(" (paper: {}, deviation {dev:+.1}%)", show(a.paper));
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// `sfs-bench figures [id]`: the selected figure, or all eight from one
+/// memo. The complete, unperturbed set is the `BENCH_figures.json`
+/// artifact; a selection, a fault plan or a window override prints its
+/// tables only.
+pub fn run(ctx: &Ctx) -> Result<Report, String> {
+    let window = ctx.args.number("window")?;
+    let cpu = CpuCosts::pentium_iii_550();
+    let memo = Memo::new(cpu, window, &ctx.trace, ctx.faults.plan());
+    let mut report = Report {
+        header: header(),
+        rows_key: "cells",
+        ..Report::default()
+    };
+    let mut all = Vec::new();
+    for (id, title, _) in FIGURES {
+        if ctx.select.is_none_or(|s| s == id) {
+            let of_figure = cells(id, &memo);
+            report.text += &format!("{}\n", render(title, &of_figure));
+            all.extend(of_figure);
+        }
+    }
+    report.text += &format!("worlds built: {}\n", Testbed::builds());
+    report.final_ns = memo.final_ns();
+    if ctx.select.is_none() && window.is_none() && !ctx.faults.enabled() {
+        report.rows = all.iter().map(Cell::obj).collect();
+        report.checks = checks(&all);
+    }
+    Ok(report)
 }

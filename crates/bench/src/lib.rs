@@ -12,14 +12,22 @@
 //! - [`workloads`]: the paper's workloads — the §4.2 micro-benchmarks, the
 //!   Modified Andrew Benchmark (§4.3), the FreeBSD kernel build (§4.3),
 //!   and the Sprite LFS small/large-file benchmarks (§4.4);
-//! - [`report`]: table formatting and paper-vs-measured comparison.
+//! - [`figures`]: Figures 5–9, the ablations, the trend and the RPC
+//!   counts as cells over one memo of worlds, beside the paper's values;
+//! - [`experiments`]: the further experiments behind the committed
+//!   `BENCH_*.json` artifacts;
+//! - [`driver`]: the one `sfs-bench <experiment> [flags]` driver over
+//!   them all;
+//! - [`report`]: checks as data, the artifact emitter and rerun check.
 //!
-//! Each `fig*` binary regenerates one figure; `all_figures` runs
-//! everything and prints the deltas recorded in EXPERIMENTS.md.
+//! `sfs-bench figures` regenerates every figure and `BENCH_figures.json`;
+//! `sfs-bench all` regenerates every committed virtual-time artifact.
 
 pub mod alloc_count;
 pub mod args;
 pub mod calib;
+pub mod driver;
+pub mod experiments;
 pub mod figures;
 pub mod kernel;
 pub mod keys;

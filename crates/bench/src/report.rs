@@ -1,98 +1,13 @@
-//! Table formatting, paper-vs-measured reporting, and the one emitter
-//! and rerun check behind every committed `BENCH_*.json` artifact.
+//! Checks as data, the latency tables, and the one emitter and rerun
+//! check behind every committed `BENCH_*.json` artifact.
 
 use std::collections::BTreeMap;
 use std::fmt::{Debug, Display, Write};
 
-use sfs_sim::SimTime;
 use sfs_telemetry::Telemetry;
 
-/// One cell comparing a measurement with the paper's published value.
-#[derive(Debug, Clone)]
-pub struct Compared {
-    /// Measured value.
-    pub measured: f64,
-    /// The paper's value, when published.
-    pub paper: Option<f64>,
-}
-
-impl Compared {
-    /// Builds a comparison.
-    pub fn new(measured: f64, paper: Option<f64>) -> Self {
-        Compared { measured, paper }
-    }
-
-    /// measured / paper, when the paper value exists.
-    pub fn ratio(&self) -> Option<f64> {
-        self.paper.map(|p| self.measured / p)
-    }
-}
-
-/// A complete figure/table reproduction.
-#[derive(Debug, Clone)]
-pub struct Table {
-    /// Title ("Figure 5: micro-benchmarks").
-    pub title: String,
-    /// Unit of the cells ("µs", "MB/s", "s").
-    pub unit: String,
-    /// Column headers.
-    pub columns: Vec<String>,
-    /// Rows: (label, cells).
-    pub rows: Vec<(String, Vec<Compared>)>,
-}
-
-impl Table {
-    /// Creates an empty table.
-    pub fn new(title: &str, unit: &str, columns: &[&str]) -> Self {
-        Table {
-            title: title.to_string(),
-            unit: unit.to_string(),
-            columns: columns.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Appends a row.
-    pub fn push_row(&mut self, label: &str, cells: Vec<Compared>) {
-        assert_eq!(cells.len(), self.columns.len(), "row width mismatch");
-        self.rows.push((label.to_string(), cells));
-    }
-
-    /// Renders the table with measured values and paper values side by
-    /// side.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("== {} (unit: {}) ==\n", self.title, self.unit));
-        let label_w = self
-            .rows
-            .iter()
-            .map(|(l, _)| l.len())
-            .chain(std::iter::once(6))
-            .max()
-            .unwrap_or(8);
-        out.push_str(&format!("{:label_w$}", ""));
-        for c in &self.columns {
-            out.push_str(&format!(" | {c:>22}"));
-        }
-        out.push('\n');
-        out.push_str(&"-".repeat(label_w + self.columns.len() * 25));
-        out.push('\n');
-        for (label, cells) in &self.rows {
-            out.push_str(&format!("{label:label_w$}"));
-            for cell in cells {
-                let m = format_val(cell.measured);
-                match cell.paper {
-                    Some(p) => out.push_str(&format!(" | {m:>8} (paper {:>6})", format_val(p))),
-                    None => out.push_str(&format!(" | {m:>8} {:>14}", "")),
-                }
-            }
-            out.push('\n');
-        }
-        out
-    }
-}
-
-fn format_val(v: f64) -> String {
+/// A table cell's value: three significant digits from 1 up.
+pub fn format_val(v: f64) -> String {
     if v >= 100.0 {
         format!("{v:.0}")
     } else if v >= 10.0 {
@@ -100,11 +15,6 @@ fn format_val(v: f64) -> String {
     } else {
         format!("{v:.2}")
     }
-}
-
-/// Seconds from a [`SimTime`], for table cells.
-pub fn secs(t: SimTime) -> f64 {
-    t.as_secs_f64()
 }
 
 /// The NFS3 procedures the server keeps service-time histograms for, in
@@ -297,6 +207,26 @@ impl Obj {
         self.put(key, "null".into())
     }
 
+    /// The value of field `key` as rendered.
+    pub fn get(&self, key: &str) -> Option<&str> {
+        let (_, v) = self.0.iter().find(|(k, _)| *k == key)?;
+        Some(v)
+    }
+
+    /// The numeric field `key`, as the artifact states it.
+    pub fn number(&self, key: &str) -> f64 {
+        let v = self.get(key).unwrap_or_else(|| panic!("no field {key:?}"));
+        v.parse()
+            .unwrap_or_else(|_| panic!("field {key:?} is not a number: {v}"))
+    }
+
+    /// `key: value`, one field per line — how a header prints.
+    pub fn lines(&self) -> String {
+        self.0
+            .iter()
+            .fold(String::new(), |out, (k, v)| out + &format!("  {k}: {v}\n"))
+    }
+
     /// `{"k": v, …}` on one line.
     fn line(&self) -> String {
         let fields: Vec<String> = self
@@ -324,14 +254,47 @@ pub fn artifact_json(header: &Obj, rows_key: &str, rows: &[Obj]) -> String {
     out
 }
 
-/// Writes [`artifact_json`] to `path` (exit 2 when the path is
-/// unwritable) and says so on stdout.
-pub fn write_artifact(path: &str, header: &Obj, rows_key: &str, rows: &[Obj]) {
-    if let Err(e) = std::fs::write(path, artifact_json(header, rows_key, rows)) {
-        eprintln!("write {path}: {e}");
-        std::process::exit(2);
+/// The rows as an aligned text table, one column per field of the first
+/// row — the stdout view of exactly what the artifact holds.
+pub fn rows_table(rows: &[Obj]) -> String {
+    let Some(first) = rows.first() else {
+        return String::new();
+    };
+    let widths: Vec<usize> = (0..first.0.len())
+        .map(|i| {
+            let cells = rows.iter().filter_map(|r| r.0.get(i)).map(|(_, v)| v.len());
+            cells.chain([first.0[i].0.len()]).max().unwrap_or(0)
+        })
+        .collect();
+    let mut out = String::new();
+    let mut line = |cells: Vec<&str>| {
+        for (cell, w) in cells.iter().zip(&widths) {
+            write!(out, "  {cell:>w$}").unwrap();
+        }
+        out.push('\n');
+    };
+    line(first.0.iter().map(|(k, _)| *k).collect());
+    for row in rows {
+        line(row.0.iter().map(|(_, v)| v.as_str()).collect());
     }
+    out
+}
+
+/// Writes [`artifact_json`] to `path`.
+pub fn write_artifact(
+    path: &str,
+    header: &Obj,
+    rows_key: &str,
+    rows: &[Obj],
+) -> Result<(), String> {
+    write_file(path, &artifact_json(header, rows_key, rows))
+}
+
+/// Writes `contents` to `path` and says so on stdout.
+pub fn write_file(path: &str, contents: &str) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("write {path}: {e}"))?;
     println!("wrote {path}");
+    Ok(())
 }
 
 /// One envelope assertion as data: what must hold, whether it did, and
@@ -370,27 +333,47 @@ impl Check {
     }
 }
 
-/// Runs `run` twice, each from whatever fresh world it builds, and
-/// returns the first outcome. Virtual time leaves the host nothing to
-/// vary, so any difference is a bug: says where the two outcomes'
-/// `{:#?}` renderings first part and exits 1.
-pub fn rerun_identical<T: PartialEq + Debug>(what: &str, mut run: impl FnMut() -> T) -> T {
-    let (first, again) = (run(), run());
-    if first != again {
-        eprintln!("FAIL: {what} is not deterministic across reruns");
-        let (a, b) = (format!("{first:#?}"), format!("{again:#?}"));
-        match a
-            .lines()
-            .zip(b.lines())
-            .enumerate()
-            .find(|(_, (x, y))| x != y)
-        {
-            Some((i, (x, y))) => eprintln!("  line {}: {x:?} vs {y:?}", i + 1),
-            None => eprintln!("  one outcome is a prefix of the other"),
-        }
-        std::process::exit(1);
+/// One performance check per adjacent pair of `rows`: `value` must not
+/// fall as `along` grows, beyond the fraction `slack` of it.
+pub fn monotone(rows: &[&Obj], along: &str, value: &str, slack: f64) -> Vec<Check> {
+    let check = |pair: &[&Obj]| {
+        let (a, b) = (pair[0], pair[1]);
+        Check::perf(
+            format!(
+                "{value} does not fall from {along} {} to {}",
+                a.number(along),
+                b.number(along)
+            ),
+            b.number(value) >= a.number(value) * (1.0 - slack),
+            format!("{} -> {}", a.number(value), b.number(value)),
+        )
+    };
+    rows.windows(2).map(check).collect()
+}
+
+/// Compares the outcomes of two runs of `what`, each from whatever
+/// fresh world it built. Virtual time leaves the host nothing to vary,
+/// so any difference is a bug: the error says where the two outcomes'
+/// `{:#?}` renderings first part.
+pub fn rerun_identical<T: PartialEq + Debug>(
+    what: &str,
+    first: &T,
+    again: &T,
+) -> Result<(), String> {
+    if first == again {
+        return Ok(());
     }
-    first
+    let (a, b) = (format!("{first:#?}"), format!("{again:#?}"));
+    let parted = a
+        .lines()
+        .zip(b.lines())
+        .enumerate()
+        .find(|(_, (x, y))| x != y);
+    let at = match parted {
+        Some((i, (x, y))) => format!("line {}: {x:?} vs {y:?}", i + 1),
+        None => "one outcome is a prefix of the other".into(),
+    };
+    Err(format!("{what} is not deterministic across reruns: {at}"))
 }
 
 #[cfg(test)]
@@ -441,33 +424,13 @@ mod tests {
     }
 
     #[test]
-    fn rerun_identical_returns_the_first_of_two_equal_outcomes() {
-        let mut runs = 0;
-        let out = rerun_identical("demo", || {
-            runs += 1;
-            vec![1u64, 2, 3]
-        });
-        assert_eq!((out, runs), (vec![1, 2, 3], 2));
-    }
-
-    #[test]
-    fn ratio_and_render() {
-        let mut t = Table::new("Figure X", "s", &["total"]);
-        t.push_row("NFS 3 (UDP)", vec![Compared::new(5.2, Some(5.3))]);
-        t.push_row("SFS", vec![Compared::new(6.0, None)]);
-        let c = &t.rows[0].1[0];
-        assert!((c.ratio().unwrap() - 0.981).abs() < 0.01);
-        let s = t.render();
-        assert!(s.contains("Figure X"));
-        assert!(s.contains("paper"));
-        assert!(s.contains("SFS"));
-    }
-
-    #[test]
-    #[should_panic(expected = "row width mismatch")]
-    fn row_width_checked() {
-        let mut t = Table::new("t", "s", &["a", "b"]);
-        t.push_row("x", vec![Compared::new(1.0, None)]);
+    fn rerun_identical_says_where_two_outcomes_part() {
+        assert_eq!(
+            rerun_identical("demo", &vec![1u64, 2, 3], &vec![1, 2, 3]),
+            Ok(())
+        );
+        let err = rerun_identical("demo", &vec![1u64, 2, 3], &vec![1, 9, 3]).unwrap_err();
+        assert!(err.contains("demo") && err.contains("line 3"), "{err}");
     }
 
     #[test]

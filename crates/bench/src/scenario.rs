@@ -21,7 +21,7 @@
 //!    `FsBench` and logs the request stream in a line-oriented text
 //!    format. A recorded trace replayed through a fresh world
 //!    re-records to byte-identical text — the determinism contract the
-//!    `scenarios` binary and tests enforce.
+//!    `scenarios` experiment and tests enforce.
 //!
 //! 3. **Churn storms** (`run_*_storm`): mass mount/unmount waves, agent
 //!    key rollover against the authserver, lease-expiry waves, and §2.5
@@ -31,7 +31,8 @@
 //! Everything here is deterministic: seeded choices, virtual time, no
 //! host randomness. Running a scenario twice must produce identical op
 //! logs, identical latency tables, and identical final clocks — the
-//! `scenarios` binary asserts exactly that before writing its JSON.
+//! `scenarios` experiment runs under the driver's rerun check, which
+//! asserts exactly that.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};

@@ -1,6 +1,6 @@
-//! `--trace <path>` support for the `fig*` binaries.
+//! `--trace <path>` support for the figure experiments.
 //!
-//! Every figure binary accepts `--trace <path>`: when given, the run
+//! `figures` and `latency_table` accept `--trace <path>`: when given, the run
 //! records spans and counters from every layer (wire, disk, NFS3
 //! procedures, secure channel, client caches) into one shared sink and
 //! writes a Chrome `chrome://tracing` / Perfetto-compatible JSON file at
@@ -10,22 +10,14 @@
 
 use sfs_telemetry::{Telemetry, ZeroClock};
 
-use crate::args::Args;
-
-/// Command-line tracing options, parsed from `std::env::args`.
+/// Command-line tracing options.
 pub struct TraceOpt {
     path: Option<String>,
     tel: Telemetry,
 }
 
 impl TraceOpt {
-    /// Parses `--trace <path>` (or `--trace=<path>`) from the process
-    /// arguments via the shared [`Args`] parser.
-    pub fn from_args() -> Self {
-        Self::with_path(Args::from_env().opt("trace"))
-    }
-
-    /// Builds a [`TraceOpt`] directly (for tests).
+    /// Builds from the value of `--trace`, when given.
     pub fn with_path(path: Option<String>) -> Self {
         // The base sink carries a zero clock: each instrumented component
         // re-stamps its handle with its own `SimClock` when attached, so
@@ -57,16 +49,18 @@ impl TraceOpt {
 
     /// Writes the Chrome trace JSON (if `--trace` was given) and prints
     /// the per-layer summary table.
-    pub fn finish(&self) {
-        let Some(path) = &self.path else { return };
+    pub fn finish(&self) -> Result<(), String> {
+        let Some(path) = &self.path else {
+            return Ok(());
+        };
         let json = self.tel.chrome_trace();
-        std::fs::write(path, &json)
-            .unwrap_or_else(|e| panic!("failed to write trace to {path}: {e}"));
+        std::fs::write(path, &json).map_err(|e| format!("write trace {path}: {e}"))?;
         println!("\n{}", self.tel.summary());
         println!(
             "trace written to {path} ({} bytes) — open in chrome://tracing",
             json.len()
         );
+        Ok(())
     }
 }
 

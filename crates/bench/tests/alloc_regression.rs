@@ -1,18 +1,18 @@
-//! Pins allocations-per-RPC on the steady-state sealed relay loop, and
-//! per private-key operation on the Rabin handshake path.
+//! Pins allocations-per-RPC on the steady-state sealed relay loop, per
+//! operation on the stages below it, and per private-key operation on
+//! the Rabin handshake path.
 //!
 //! Wall-clock perf regressions need a benchmark run to notice;
 //! allocation-count regressions are exact and deterministic, so they can
-//! gate in an ordinary test. These ceilings track the measured counts
-//! down each pass over the hot path: 36/38 allocs per GETATTR/4 KiB
-//! READ before the zero-copy work, 11/14 after it, 7/9 after the
-//! direct-encode call path and stack-buffer handle decryption. A small
-//! cushion absorbs platform differences in collection growth; anything
-//! above it means the pooled buffer flow broke somewhere.
+//! gate in an ordinary test. The relay ceilings are `microbench`'s —
+//! the same pair `sfs-bench hotpath` asserts on the same loop; anything
+//! above them means the pooled buffer flow broke somewhere.
 
 use sfs_bench::alloc_count::{count_allocs, CountingAlloc};
 use sfs_bench::keys;
-use sfs_bench::microbench::{relay_rig, RelayRig};
+use sfs_bench::microbench::{
+    micro_stages, relay_rig, RelayRig, RELAY_GETATTR_ALLOC_CEILING, RELAY_READ_ALLOC_CEILING,
+};
 use sfs_bench::world::UID;
 use sfs_bignum::XorShiftSource;
 use sfs_nfs3::proto::{Nfs3Reply, Nfs3Request};
@@ -20,8 +20,6 @@ use sfs_nfs3::proto::{Nfs3Reply, Nfs3Request};
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-const GETATTR_ALLOC_CEILING: f64 = 9.0;
-const READ_ALLOC_CEILING: f64 = 13.0;
 const SHARDED_READ_ALLOC_CEILING: f64 = 19.0;
 const RABIN_768_DECRYPT_ALLOC_CEILING: u64 = 90;
 const RABIN_512_SIGN_ALLOC_CEILING: u64 = 84;
@@ -48,8 +46,8 @@ fn steady_state_relay_allocations_stay_pinned() {
     });
     let per_getattr = getattr_allocs as f64 / ITERS as f64;
     assert!(
-        per_getattr <= GETATTR_ALLOC_CEILING,
-        "GETATTR now costs {per_getattr:.2} allocs/RPC (ceiling {GETATTR_ALLOC_CEILING}); \
+        per_getattr <= RELAY_GETATTR_ALLOC_CEILING,
+        "GETATTR now costs {per_getattr:.2} allocs/RPC (ceiling {RELAY_GETATTR_ALLOC_CEILING}); \
          the pooled hot path has regressed"
     );
 
@@ -71,10 +69,27 @@ fn steady_state_relay_allocations_stay_pinned() {
     });
     let per_read = read_allocs as f64 / ITERS as f64;
     assert!(
-        per_read <= READ_ALLOC_CEILING,
-        "4 KiB READ now costs {per_read:.2} allocs/RPC (ceiling {READ_ALLOC_CEILING}); \
+        per_read <= RELAY_READ_ALLOC_CEILING,
+        "4 KiB READ now costs {per_read:.2} allocs/RPC (ceiling {RELAY_READ_ALLOC_CEILING}); \
          the pooled hot path has regressed"
     );
+}
+
+#[test]
+fn stages_below_the_relay_stay_allocation_free() {
+    // XDR encode, seal and seal+open on both negotiable suites, and the
+    // AEAD kernels: once their buffers are warm, none may allocate.
+    for mut stage in micro_stages() {
+        for _ in 0..8 {
+            (stage.op)();
+        }
+        let ((), allocs) = count_allocs(|| (0..16).for_each(|_| (stage.op)()));
+        assert_eq!(
+            allocs, 0,
+            "{}/{}B allocated {allocs} times in 16 warm operations",
+            stage.name, stage.payload
+        );
+    }
 }
 
 #[test]
