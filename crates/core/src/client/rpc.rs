@@ -1,10 +1,10 @@
 //! The RPC spine (§3.1.3, §4.2): everything between "an NFS3 request
 //! for a uid" and "frames on a wire".
 //!
-//! Two exchange loops put sealed frames on a link and nothing else:
-//! [`SfsClient::sealed_call_once`] (one unsequenced frame on
-//! `Wire::call`, the blocking request/reply protocol) and
-//! [`SfsClient::window_exchange_once`] (n sequenced frames on
+//! Two exchange loops put sealed frames — one sequenced envelope for
+//! both — on a link and nothing else: [`SfsClient::sealed_call_once`]
+//! (one frame on `Wire::call`, the blocking request/reply protocol) and
+//! [`SfsClient::window_exchange_once`] (n frames on
 //! `Wire::exchange_on`, the pipelined window). Everything around them
 //! exists once and serves both: the CPU cost terms, the reconnect
 //! driver ([`SfsClient::with_reconnect`]), the reissue-on-rekey and
@@ -27,9 +27,8 @@ use sfs_xdr::Xdr;
 
 use super::{ClientError, Mount, SfsClient, REORDER_BUF_CAPACITY};
 use crate::wire::{
-    encode_inner_nfs, sealed_env_begin, sealed_env_finish, sealed_envelope_frame, seq_env_begin,
-    seq_env_finish, seq_reply_envelope, InnerCall, InnerReply, ReplyMsg, SEALED_ENV_FRAME_START,
-    SEALED_SEQ_ENV_FRAME_START,
+    encode_inner_nfs, seq_env_begin, seq_env_finish, seq_reply_envelope, InnerCall, InnerReply,
+    ReplyMsg, SEALED_SEQ_ENV_FRAME_START,
 };
 
 impl SfsClient {
@@ -303,12 +302,13 @@ impl SfsClient {
     // ----- The blocking engine -------------------------------------------
 
     /// One sealed RPC over a mount's secure channel, surviving faults:
-    /// request-direction losses are retried by resending the identical
-    /// sealed frame (backoff-paced); anything that kills the session
-    /// goes through [`Self::with_reconnect`]. `fill` marshals the inner
-    /// call once; the plaintext outlives any reconnect (it is re-sealed
-    /// on the fresh channel), so it lives in its own pooled buffer
-    /// rather than the envelope built per link.
+    /// a loss in either direction is retried by resending the identical
+    /// sealed frame (backoff-paced) — the server executes it once and
+    /// answers a repeat from its reply cache; anything that kills the
+    /// session goes through [`Self::with_reconnect`]. `fill` marshals
+    /// the inner call once; the plaintext outlives any reconnect (it is
+    /// re-sealed on the fresh channel), so it lives in its own pooled
+    /// buffer rather than the envelope built per link.
     pub(super) fn sealed_call(
         &self,
         mount: &Mount,
@@ -325,7 +325,8 @@ impl SfsClient {
     /// traffic anyway) and releases it before any reconnect, so the
     /// retry driver can replace the link without deadlocking.
     fn sealed_call_once(&self, mount: &Mount, plaintext: &[u8]) -> Result<InnerReply, ClientError> {
-        let _span = self.tel().span("client", "core.client", "sealed_call");
+        let tel = self.tel();
+        let _span = tel.span("client", "core.client", "sealed_call");
         // Cost model: one user-level crossing into sfscd, a data copy
         // through the daemon, crypto over the outgoing bytes.
         self.clock.advance_ns(self.crossing_ns());
@@ -336,22 +337,28 @@ impl SfsClient {
         self.clock
             .advance_ns(self.crypto_ns(link.channel.suite(), plaintext.len()));
         let pool = link.pool.clone();
-        // Build the sealed wire envelope in place in one pooled buffer:
-        // byte-identical to `CallMsg::Sealed(channel.seal(..)).to_xdr()`
-        // without the intermediate frame and envelope allocations.
+        // Build the sealed wire envelope in place in one pooled buffer,
+        // stamped with the cipher position it is sealed at; the one call
+        // in flight is xid 0.
         let mut env = pool.get_guard();
-        sealed_env_begin(&mut env);
+        seq_env_begin(&mut env, true, link.channel.messages_sent(), 0);
         env.extend_from_slice(plaintext);
-        link.channel.seal_into(&mut env, SEALED_ENV_FRAME_START)?;
-        sealed_env_finish(&mut env);
+        link.channel
+            .seal_into(&mut env, SEALED_SEQ_ENV_FRAME_START)?;
+        seq_env_finish(&mut env);
+        // The only reply this call accepts is the one sealed at the
+        // position the receive cipher stands at.
+        let expected = link.channel.messages_received();
         // Retransmission loop: the frame was sealed once; every resend
         // puts the same bytes on the wire, so a request that was lost
-        // in flight still decrypts at the server's cipher position.
+        // in flight still decrypts at the server's cipher position, and
+        // one whose reply was lost is recognised by its sequence number
+        // and answered from the reply cache without running again.
         // Each attempt copies the envelope into a pooled buffer that the
         // wire consumes and the server-side closure recycles.
         let policy = self.retry_policy();
         let mut attempt = 0;
-        let mut reply_bytes = loop {
+        let (mut reply_bytes, frame) = loop {
             let mut msg = pool.get();
             msg.extend_from_slice(&env);
             let sent = link.wire.call(msg, |b| {
@@ -365,44 +372,56 @@ impl SfsClient {
                 reply
             });
             match sent {
-                Ok(b) => break b,
-                Err(WireError::Timeout) => {
-                    if attempt >= policy.max_retransmits {
-                        return Err(ClientError::Net(WireError::Timeout));
+                Ok(b) => match seq_reply_envelope(&b) {
+                    Some((chanseq, 0, frame)) if chanseq == expected => break (b, frame),
+                    // Sealed, but not the answer to this call: a frame
+                    // of another position replayed onto the wire.
+                    // Feeding it to the stream cipher would burn
+                    // keystream and poison the channel, so discard it on
+                    // the cleartext header alone and wait out the
+                    // timeout the real reply never beats.
+                    Some(_) => {
+                        tel.count("client", "pipeline.stale_frames", 1);
+                        pool.put(b);
+                        link.wire.timeout_wait();
                     }
-                    let tel = self.tel();
-                    tel.count("client", "retry.retransmits", 1);
-                    tel.instant("client", "core.client", "retransmit");
-                    self.backoff(attempt);
-                    attempt += 1;
-                }
+                    // An error reply or corrupted framing. An
+                    // unparseable envelope means the reply was mangled
+                    // in flight before the MAC could vouch for anything;
+                    // classified as a session death so the retry driver
+                    // renegotiates.
+                    None => {
+                        let reply = ReplyMsg::from_xdr(&b).map_err(|e| {
+                            ClientError::Protocol(format!("reply framing corrupted: {e}"))
+                        })?;
+                        return Err(ClientError::Protocol(match reply {
+                            ReplyMsg::Error(e) => e,
+                            other => format!("unexpected reply: {other:?}"),
+                        }));
+                    }
+                },
+                Err(WireError::Timeout) => {}
             }
+            if attempt >= policy.max_retransmits {
+                return Err(ClientError::Net(WireError::Timeout));
+            }
+            tel.count("client", "retry.retransmits", 1);
+            tel.instant("client", "core.client", "retransmit");
+            self.backoff(attempt);
+            attempt += 1;
         };
-        // Well-formed sealed replies — the steady state — open in place
-        // inside the reply buffer, which then goes back to the pool.
-        // Anything else is an error reply or corrupted framing, classified
-        // by the general decoder below.
-        if let Some(frame) = sealed_envelope_frame(&reply_bytes) {
-            self.clock.advance_ns(self.user_copy_ns(frame.len()));
-            self.clock
-                .advance_ns(self.crypto_ns(link.channel.suite(), frame.len()));
-            let plain = link.channel.open_in_place(&mut reply_bytes[frame])?;
-            let inner =
-                InnerReply::from_xdr(plain).map_err(|e| ClientError::Protocol(e.to_string()))?;
-            drop(guard);
-            pool.put(reply_bytes);
-            self.apply_invalidations(mount, &inner);
-            return Ok(inner);
-        }
-        // An unparseable envelope means the reply was mangled in flight
-        // before the MAC could vouch for anything; classified as a
-        // session death so the retry driver renegotiates.
-        let reply = ReplyMsg::from_xdr(&reply_bytes)
-            .map_err(|e| ClientError::Protocol(format!("reply framing corrupted: {e}")))?;
-        Err(ClientError::Protocol(match reply {
-            ReplyMsg::Error(e) => e,
-            other => format!("unexpected reply: {other:?}"),
-        }))
+        // The reply opens in place inside the buffer it arrived in,
+        // which then goes back to the pool.
+        self.clock.advance_ns(self.user_copy_ns(frame.len()));
+        self.clock
+            .advance_ns(self.crypto_ns(link.channel.suite(), frame.len()));
+        let plain = link.channel.open_in_place(&mut reply_bytes[frame])?;
+        let inner =
+            InnerReply::from_xdr(plain).map_err(|e| ClientError::Protocol(e.to_string()))?;
+        drop(guard);
+        pool.put(reply_bytes);
+        self.apply_invalidations(mount, &inner);
+        Ok(inner)
     }
 
     // ----- The windowed engine -------------------------------------------

@@ -55,4 +55,4 @@ pub use client::{ClientError, RecoveryReport, RoutedRo, RoutedRw, Router, SfsCli
 pub use journal::{ClientJournal, JournalRecord, RecoveredState};
 pub use roclient::{RoClientError, RoMount};
 pub use server::{RoConnection, RoReplicaServer, ServerConfig, SfsServer};
-pub use shard::{ShardEngine, ShardedReplyCache};
+pub use shard::ShardEngine;

@@ -7,9 +7,9 @@
 //! Owns [`ServerConn`]'s `state` transitions and the preamble every
 //! message passes ([`ServerConn::enter`]). Sealed frames are recognised
 //! by their envelope in [`ServerConn::handle_bytes`] and handed to
-//! `sealed`; nothing here opens one.
+//! `sealed`'s sequencer; nothing here opens one.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use sfs_bignum::{Nat, RandomSource};
@@ -24,14 +24,10 @@ use sfs_telemetry::sync::MutexGuard;
 use sfs_telemetry::Telemetry;
 use sfs_xdr::{Xdr, XdrEncoder};
 
-use super::{
-    ConnState, Established, ServerConn, SfsServer, REPLY_CACHE_CAPACITY, SEQ_BUF_CAPACITY,
-    TICKET_LIFETIME_NS,
-};
+use super::{ConnState, Established, ServerConn, SfsServer, SEQ_BUF_CAPACITY, TICKET_LIFETIME_NS};
 use crate::bufpool::BufPool;
 use crate::sealbox;
-use crate::shard::ShardedReplyCache;
-use crate::wire::{sealed_envelope_frame, CallMsg, Dialect, ReplyMsg, Service};
+use crate::wire::{seq_call_envelope, CallMsg, Dialect, ReplyMsg, Service};
 
 impl ServerConn {
     /// The server behind this connection.
@@ -54,10 +50,7 @@ impl ServerConn {
             next_authno: 1,
             seqwin: SeqWindow::new(32),
             seq_buf: FrameSequencer::new(SEQ_BUF_CAPACITY),
-            reply_cache: ShardedReplyCache::new(
-                REPLY_CACHE_CAPACITY,
-                self.server.shard_engine().map_or(1, |e| e.cores()),
-            ),
+            reply_cache: BTreeMap::new(),
         })
     }
 
@@ -74,8 +67,8 @@ impl ServerConn {
         // Sealed frames — every steady-state NFS3 RPC — take the pooled,
         // in-place path. Anything else (key negotiation, SRP, read-only,
         // malformed input) is rare and goes through the general decoder.
-        if let Some(frame) = sealed_envelope_frame(bytes) {
-            return self.handle_sealed(&bytes[frame]);
+        if let Some((chanseq, xid, frame)) = seq_call_envelope(bytes) {
+            return self.serve_one(chanseq, xid, &bytes[frame]);
         }
         let reply = match CallMsg::from_xdr(bytes) {
             Ok(msg) => self.handle(msg),
@@ -106,7 +99,6 @@ impl ServerConn {
         let name = match &msg {
             CallMsg::Hello { .. } => "hello",
             CallMsg::ClientKeys(_) => "client_keys",
-            CallMsg::Sealed(_) => "sealed",
             CallMsg::RoGetRoot => "ro_get_root",
             CallMsg::RoGetBlock(_) => "ro_get_block",
             CallMsg::SrpStart { .. } => "srp_start",
@@ -222,8 +214,10 @@ impl ServerConn {
                 self.server.rng.lock().fill(&mut server_nonce);
                 let keys = resume_session(&secret, suite, &nonce, &server_nonce);
                 let confirm = resume_confirm(&keys);
-                // Single-use rotation: the reply carries a fresh ticket
-                // bound to the *new* session's secret.
+                // Rotation: the reply carries a fresh ticket bound to the
+                // *new* session's secret. No record of honoured tickets
+                // is kept; replaying this one yields keys only a holder
+                // of its sealed secret can derive.
                 let new_ticket = self.server.mint_ticket(&resume_secret(&keys), suite, now);
                 let mut channel = SecureChannelEnd::server_with_suite(&keys, suite);
                 channel.set_telemetry(tel.clone());
@@ -305,14 +299,11 @@ impl ServerConn {
                 }
             }
             // Sealed frames are served from their envelopes, never from
-            // a decoded message: `handle_bytes` routes every well-formed
-            // unsequenced one to `sealed` before the general decoder
-            // runs, and sequenced ones only make sense through the
-            // windowed entry point (`handle_frames_on`), which may
-            // release several buffered frames at once.
-            CallMsg::Sealed(_) => ReplyMsg::Error("sealed frame outside its envelope".into()),
+            // a decoded message: both byte entries route every
+            // well-formed one to `sealed`'s sequencer before the general
+            // decoder runs.
             CallMsg::SealedSeq { .. } => {
-                ReplyMsg::Error("pipelined frame outside windowed path".into())
+                ReplyMsg::Error("sealed frame outside its envelope".into())
             }
         }
     }

@@ -34,7 +34,7 @@ mod sealed;
 
 pub use roreplica::{RoConnection, RoReplicaConn, RoReplicaServer};
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -61,7 +61,7 @@ use sfs_xdr::{Xdr, XdrDecoder, XdrEncoder};
 use crate::authserver::AuthServer;
 use crate::bufpool::BufPool;
 use crate::config::DispatchTable;
-use crate::shard::{ShardEngine, ShardedReplyCache};
+use crate::shard::ShardEngine;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -518,7 +518,7 @@ impl std::fmt::Debug for SfsServer {
 /// of a reorder gap before declaring the channel broken.
 const SEQ_BUF_CAPACITY: usize = 64;
 
-/// How many sealed pipelined replies are kept for byte-identical
+/// How many sealed replies are kept for byte-identical
 /// retransmission. A replay older than this cannot be answered (the
 /// ciphers have long moved on) and kills the session.
 const REPLY_CACHE_CAPACITY: usize = 256;
@@ -534,9 +534,9 @@ struct Established {
     seq_buf: FrameSequencer,
     /// Sealed replies keyed by the request's channel sequence number,
     /// resent verbatim on retransmission (the send cipher must not
-    /// advance for a frame the client may already have). Sharded by
-    /// chanseq so each dispatch worker owns its slice.
-    reply_cache: ShardedReplyCache,
+    /// advance for a frame the client may already have). Holds the
+    /// newest [`REPLY_CACHE_CAPACITY`].
+    reply_cache: BTreeMap<u64, Vec<u8>>,
 }
 
 enum ConnState {

@@ -1,16 +1,18 @@
 //! The sealed stage of a connection (§3.1.2–§3.3): serving frames on an
 //! established secure channel.
 //!
-//! Two envelope parsers hand frames in — `conn`'s
-//! [`ServerConn::handle_bytes`] (one unsequenced frame, one reply) and
-//! [`ServerConn::handle_frames_on`] (sequenced frames of a pipelined
-//! window, reordered into channel-sequence order and scheduled across
-//! the server's cores). Behind both sits one service sequence,
-//! [`ServerConn::serve_frame`]: open in place, dispatch — user
-//! authentication, the root handle, or an NFS3 call relayed to the
-//! local NFS server under the session's credentials with its file
-//! handles translated — and seal the reply into the envelope the frame
-//! came in.
+//! Every sealed frame arrives in the one sequenced envelope and passes
+//! [`ServerConn::sequence_frame`], which restores channel-sequence
+//! order, answers retransmissions from the reply cache and hands each
+//! frame that is next in cipher order to [`ServerConn::serve_frame`]:
+//! open in place, dispatch — user authentication, the root handle, or
+//! an NFS3 call relayed to the local NFS server under the session's
+//! credentials with its file handles translated — seal the reply into
+//! the same envelope and cache it. Two entries feed the sequencer:
+//! `conn`'s [`ServerConn::handle_bytes`] (the blocking loop: one frame,
+//! exactly one reply) and [`ServerConn::handle_frames_on`] (a pipelined
+//! window's frames, any number of replies each, scheduled across the
+//! server's cores).
 //!
 //! Calls into `mod` (the server's keys, handle cipher, replicator and
 //! scheduler) and `sfs_nfs3`; nothing here touches the cleartext state
@@ -24,16 +26,15 @@ use sfs_telemetry::Telemetry;
 use sfs_vfs::Credentials;
 use sfs_xdr::{Xdr, XdrEncoder};
 
-use super::{proc_is_mutating, ConnState, Established, ServerConn};
+use super::{proc_is_mutating, ConnState, Established, ServerConn, REPLY_CACHE_CAPACITY};
 use crate::wire::{
-    inner_nfs_call, sealed_env_begin, sealed_env_finish, seq_call_envelope, seq_env_begin,
-    seq_env_finish, InnerCall, InnerReply, ReplyMsg, SEALED_ENV_FRAME_START,
-    SEALED_SEQ_ENV_FRAME_START,
+    inner_nfs_call, seq_call_envelope, seq_env_begin, seq_env_finish, InnerCall, InnerReply,
+    ReplyMsg, SEALED_SEQ_ENV_FRAME_START,
 };
 
 impl ServerConn {
-    /// The preamble every sealed frame passes, whichever envelope it
-    /// came in: [`Self::enter`], then the session the frame claims to
+    /// The preamble every sealed frame passes, whichever entry it came
+    /// in by: [`Self::enter`], then the session the frame claims to
     /// belong to. `serve` runs with that session; a connection that has
     /// none gets the refusal, encoded, back as the error.
     fn with_session<T>(
@@ -50,29 +51,38 @@ impl ServerConn {
         Ok(serve(est, &tel))
     }
 
-    /// Serves one unsequenced sealed frame (the blocking protocol).
-    pub(super) fn handle_sealed(&self, frame: &[u8]) -> Vec<u8> {
-        self.with_session("sealed", |est, tel| {
-            let mut fbuf = self.pool.get();
-            fbuf.extend_from_slice(frame);
-            self.serve_frame(est, tel, fbuf, None)
-        })
-        .unwrap_or_else(|refusal| refusal)
+    /// The blocking entry behind [`Self::handle_bytes`]: one sequenced
+    /// frame in, exactly one reply out. A blocking client seals a frame
+    /// only after the previous one was answered, so a frame the
+    /// sequencer parks ahead of a gap (no reply) or one that releases
+    /// parked successors (several) is a peer out of step with its own
+    /// channel, and is told so.
+    pub(super) fn serve_one(&self, chanseq: u64, xid: u32, frame: &[u8]) -> Vec<u8> {
+        let (mut reply, mut replies) = (None, 0);
+        let served = self.with_session("sealed", |est, tel| {
+            self.sequence_frame(est, tel, chanseq, xid, frame, |bytes| {
+                replies += 1;
+                reply = Some(bytes);
+            })
+        });
+        match (served, reply) {
+            (Err(refusal), _) => refusal,
+            (Ok(()), Some(bytes)) if replies == 1 => bytes,
+            _ => ReplyMsg::Error("channel failure: blocking frame out of sequence".into()).to_xdr(),
+        }
     }
 
     /// The one service sequence for a sealed frame that is next in
     /// cipher order: open it in place in the pooled buffer `fbuf` holds
     /// it in, dispatch, and build the sealed reply in a single pooled
-    /// buffer — in the unsequenced envelope, or for `Some(xid)` in the
-    /// sequenced one, in which case the reply is also cached under the
-    /// request's channel sequence number for byte-identical
-    /// retransmission.
+    /// buffer. The reply is cached under the request's channel sequence
+    /// number for byte-identical retransmission.
     fn serve_frame(
         &self,
         est: &mut Established,
         tel: &Telemetry,
         mut fbuf: Vec<u8>,
-        xid: Option<u32>,
+        xid: u32,
     ) -> Vec<u8> {
         let req_seq = est.channel.messages_received();
         let plaintext = match est.channel.open_in_place(&mut fbuf) {
@@ -83,44 +93,34 @@ impl ServerConn {
             }
         };
         let mut out = self.pool.get();
-        let frame_start = match xid {
-            None => {
-                sealed_env_begin(&mut out);
-                SEALED_ENV_FRAME_START
-            }
-            Some(xid) => {
-                seq_env_begin(&mut out, false, est.channel.messages_sent(), xid);
-                SEALED_SEQ_ENV_FRAME_START
-            }
-        };
+        seq_env_begin(&mut out, false, est.channel.messages_sent(), xid);
         if let Err(e) = self.service_plaintext_into(est, plaintext, &mut out) {
             self.pool.put(fbuf);
             self.pool.put(out);
             return ReplyMsg::Error(e).to_xdr();
         }
         self.pool.put(fbuf);
-        let bytes = match est.channel.seal_into(&mut out, frame_start) {
+        let bytes = match est.channel.seal_into(&mut out, SEALED_SEQ_ENV_FRAME_START) {
             Ok(()) => {
-                match xid {
-                    None => sealed_env_finish(&mut out),
-                    Some(_) => seq_env_finish(&mut out),
-                }
+                seq_env_finish(&mut out);
                 out
             }
             Err(e) => ReplyMsg::Error(format!("channel failure: {e}")).to_xdr(),
         };
-        if xid.is_some() {
-            // Oldest-first eviction (inside the sharded cache): a
-            // retransmission can only ask for a recent sequence number
-            // (the client's window bounds how far back it retries), so
-            // dropping the globally lowest keys preserves exactly-once
-            // for every answerable replay.
-            let evicted = est.reply_cache.insert(req_seq, bytes.clone());
-            if evicted > 0 {
-                tel.count("server", "replycache.evictions", evicted);
-            }
-            tel.gauge_set("server", "replycache.size", est.reply_cache.len() as u64);
+        // Oldest-first eviction: a retransmission can only ask for a
+        // recent sequence number (the client's window bounds how far
+        // back it retries), so dropping the lowest keys preserves
+        // exactly-once for every answerable replay.
+        est.reply_cache.insert(req_seq, bytes.clone());
+        let mut evicted = 0;
+        while est.reply_cache.len() > REPLY_CACHE_CAPACITY {
+            est.reply_cache.pop_first();
+            evicted += 1;
         }
+        if evicted > 0 {
+            tel.count("server", "replycache.evictions", evicted);
+        }
+        tel.gauge_set("server", "replycache.size", est.reply_cache.len() as u64);
         bytes
     }
 
@@ -201,16 +201,20 @@ impl ServerConn {
     /// The windowed entry point used by the pipelined wire: one incoming
     /// frame may produce zero replies (buffered ahead of a reorder gap),
     /// one, or several (a frame that fills a gap releases every buffered
-    /// successor at once). Non-sequenced messages take the blocking path
-    /// and always produce exactly one reply.
+    /// successor at once). Anything that is not a sealed envelope goes
+    /// to the cleartext decoder and produces exactly one reply.
     fn handle_frames(&self, bytes: &[u8]) -> Vec<Vec<u8>> {
         let Some((chanseq, xid, frame)) = seq_call_envelope(bytes) else {
             return vec![self.handle_bytes(bytes)];
         };
-        self.with_session("sealed_seq", |est, tel| {
-            self.sequence_frame(est, tel, chanseq, xid, &bytes[frame])
-        })
-        .unwrap_or_else(|refusal| vec![refusal])
+        let mut replies = Vec::new();
+        let served = self.with_session("sealed_seq", |est, tel| {
+            self.sequence_frame(est, tel, chanseq, xid, &bytes[frame], |r| replies.push(r))
+        });
+        if let Err(refusal) = served {
+            replies.push(refusal);
+        }
+        replies
     }
 
     /// The windowed entry point under multi-core dispatch: what
@@ -256,12 +260,12 @@ impl ServerConn {
         (replies, ServerCost::Scheduled(done))
     }
 
-    /// Services one sequenced pipelined frame. Frames are decrypted
-    /// strictly in channel-sequence order regardless of arrival order:
-    /// early frames buffer, retransmissions of already-consumed frames
-    /// are answered from the reply cache byte-for-byte (neither cipher
-    /// advances), and anything past the reorder window kills the
-    /// session.
+    /// Services one sealed frame, handing each reply it produces to
+    /// `reply`. Frames are decrypted strictly in channel-sequence order
+    /// regardless of arrival order: early frames buffer,
+    /// retransmissions of already-consumed frames are answered from the
+    /// reply cache byte-for-byte (neither cipher advances), and
+    /// anything past the reorder window kills the session.
     fn sequence_frame(
         &self,
         est: &mut Established,
@@ -269,25 +273,22 @@ impl ServerConn {
         chanseq: u64,
         xid: u32,
         frame: &[u8],
-    ) -> Vec<Vec<u8>> {
+        mut reply: impl FnMut(Vec<u8>),
+    ) {
         let expected = est.channel.messages_received();
         match est.seq_buf.admit(chanseq, expected) {
-            SeqPush::Duplicate if chanseq >= expected => {
-                // Double delivery of a still-buffered frame; the copy
-                // already queued answers once the gap fills.
-                Vec::new()
-            }
+            // Double delivery of a still-buffered frame; the copy
+            // already queued answers once the gap fills.
+            SeqPush::Duplicate if chanseq >= expected => {}
             SeqPush::Duplicate => {
                 tel.count("server", "pipeline.retransmits", 1);
-                match est.reply_cache.get(chanseq) {
-                    Some(cached) => vec![cached.clone()],
-                    None => vec![
-                        ReplyMsg::Error("channel failure: replay beyond cache".into()).to_xdr(),
-                    ],
-                }
+                reply(match est.reply_cache.get(&chanseq) {
+                    Some(cached) => cached.clone(),
+                    None => ReplyMsg::Error("channel failure: replay beyond cache".into()).to_xdr(),
+                });
             }
             SeqPush::Overflow => {
-                vec![ReplyMsg::Error("channel failure: pipeline window overflow".into()).to_xdr()]
+                reply(ReplyMsg::Error("channel failure: pipeline window overflow".into()).to_xdr())
             }
             SeqPush::Buffered => {
                 // The one copy: out of the caller's wire bytes into the
@@ -295,17 +296,15 @@ impl ServerConn {
                 // is next in line, else when the gap before it fills.
                 let mut fbuf = self.pool.get();
                 fbuf.extend_from_slice(frame);
-                let mut replies = Vec::new();
                 if chanseq == expected {
-                    replies.push(self.serve_frame(est, tel, fbuf, Some(xid)));
+                    reply(self.serve_frame(est, tel, fbuf, xid));
                 } else {
                     est.seq_buf.push(chanseq, xid, fbuf, expected);
                 }
                 while let Some((xid, fbuf)) = est.seq_buf.take(est.channel.messages_received()) {
-                    replies.push(self.serve_frame(est, tel, fbuf, Some(xid)));
+                    reply(self.serve_frame(est, tel, fbuf, xid));
                 }
                 tel.gauge_set("server", "pipeline.queue_depth", est.seq_buf.len() as u64);
-                replies
             }
         }
     }

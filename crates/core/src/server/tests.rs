@@ -1,6 +1,6 @@
 //! Unit tests for the server side: handle encryption, the cleartext
 //! state machine's refusals, the one preamble behind both sealed
-//! envelopes, and the shared marshaling pieces checked against their
+//! entries, and the shared marshaling pieces checked against their
 //! references for every NFS3 procedure.
 
 use super::*;
@@ -128,18 +128,17 @@ fn revoked_hello_returns_certificate() {
 fn sealed_without_channel_rejected() {
     let s = make_server();
     let conn = s.accept();
-    let sealed = CallMsg::Sealed(vec![0; 64]).to_xdr();
-    let sequenced = CallMsg::SealedSeq {
+    let sealed = CallMsg::SealedSeq {
         chanseq: 0,
         xid: 0,
         frame: vec![0; 64],
-    }
-    .to_xdr();
-    // Both envelopes pass the one preamble, so each refusal reads
-    // the same whichever entry point the frame came in by.
+    };
+    let bytes = sealed.to_xdr();
+    // The same bytes pass the one preamble whichever entry point they
+    // come in by, so the two refusals are identical.
     let refusal = || {
-        let blocking = conn.handle_bytes(&sealed);
-        let (windowed, _) = conn.handle_frames_on(0, 0, &sequenced);
+        let blocking = conn.handle_bytes(&bytes);
+        let (windowed, _) = conn.handle_frames_on(0, 0, &bytes);
         assert_eq!(windowed, vec![blocking.clone()]);
         ReplyMsg::from_xdr(&blocking).unwrap()
     };
@@ -150,10 +149,7 @@ fn sealed_without_channel_rejected() {
         ReplyMsg::Error("connection reset: server restarted".into())
     );
     // A decoded sealed message has no path to the channel at all.
-    assert!(matches!(
-        conn.handle(CallMsg::Sealed(vec![0; 64])),
-        ReplyMsg::Error(_)
-    ));
+    assert!(matches!(conn.handle(sealed), ReplyMsg::Error(_)));
 }
 
 #[test]

@@ -27,7 +27,6 @@
 //! Everything is deterministic: placement is earliest-start,
 //! lowest-index tie-break, and the engine holds no wall-clock state.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use sfs_sim::{CoreSet, DiskQueueStats, DiskTally};
@@ -63,11 +62,6 @@ impl ShardEngine {
                 frames: 0,
             }),
         })
-    }
-
-    /// Number of cores (= worker shards).
-    pub fn cores(&self) -> usize {
-        self.shards
     }
 
     /// The deterministic handle→shard map (FNV-1a over the NFS-form
@@ -149,75 +143,6 @@ impl std::fmt::Debug for ShardEngine {
     }
 }
 
-/// The pipelined reply cache, split into per-shard maps.
-///
-/// Semantically identical to one flat `BTreeMap<u64, Vec<u8>>` with
-/// oldest-first eviction — a retransmission can only ask for a recent
-/// channel sequence number, so dropping the globally lowest keys
-/// preserves exactly-once for every answerable replay — but each entry
-/// lives in the map owned by `chanseq % shards`. That makes each shard's
-/// cache single-owner under multi-core dispatch: a worker answering a
-/// replay for its shard never touches (or invalidates) another shard's
-/// entries.
-pub struct ShardedReplyCache {
-    shards: Vec<BTreeMap<u64, Vec<u8>>>,
-    capacity: usize,
-    len: usize,
-}
-
-impl ShardedReplyCache {
-    /// A cache of `capacity` total entries across `shards` maps.
-    pub fn new(capacity: usize, shards: usize) -> Self {
-        ShardedReplyCache {
-            shards: vec![BTreeMap::new(); shards.max(1)],
-            capacity,
-            len: 0,
-        }
-    }
-
-    fn shard(&self, chanseq: u64) -> usize {
-        (chanseq % self.shards.len() as u64) as usize
-    }
-
-    /// The cached sealed reply for `chanseq`, if still retained.
-    pub fn get(&self, chanseq: u64) -> Option<&Vec<u8>> {
-        self.shards[self.shard(chanseq)].get(&chanseq)
-    }
-
-    /// Inserts a sealed reply; returns how many old entries were evicted
-    /// (globally oldest first) to stay within capacity.
-    pub fn insert(&mut self, chanseq: u64, bytes: Vec<u8>) -> u64 {
-        let s = self.shard(chanseq);
-        if self.shards[s].insert(chanseq, bytes).is_none() {
-            self.len += 1;
-        }
-        let mut evicted = 0;
-        while self.len > self.capacity {
-            let oldest = self
-                .shards
-                .iter()
-                .filter_map(|m| m.keys().next().copied())
-                .min()
-                .expect("cache non-empty");
-            let idx = self.shard(oldest);
-            self.shards[idx].remove(&oldest);
-            self.len -= 1;
-            evicted += 1;
-        }
-        evicted
-    }
-
-    /// Entries currently cached.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,24 +200,5 @@ mod tests {
         assert_eq!(stats[0].joined, 2);
         // The other shard's spindle is untouched.
         assert_eq!(stats[1].commits, 0);
-    }
-
-    #[test]
-    fn sharded_reply_cache_matches_flat_semantics() {
-        let mut flat = BTreeMap::new();
-        let mut sharded = ShardedReplyCache::new(8, 4);
-        for seq in 0u64..32 {
-            let bytes = vec![seq as u8; 3];
-            flat.insert(seq, bytes.clone());
-            while flat.len() > 8 {
-                let oldest = *flat.keys().next().unwrap();
-                flat.remove(&oldest);
-            }
-            sharded.insert(seq, bytes);
-        }
-        assert_eq!(sharded.len(), flat.len());
-        for seq in 0u64..32 {
-            assert_eq!(sharded.get(seq), flat.get(&seq));
-        }
     }
 }

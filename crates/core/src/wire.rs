@@ -20,75 +20,19 @@ use sfs_proto::userauth::AuthMsg;
 use sfs_xdr::enc::MAX_VAR_LEN;
 use sfs_xdr::{Xdr, XdrDecoder, XdrEncoder, XdrError};
 
-/// Offset of the secure-channel frame inside a sealed wire envelope.
-///
-/// `CallMsg::Sealed` and `ReplyMsg::Sealed` both marshal as
-/// `discriminant(4) ‖ opaque-length(4) ‖ frame ‖ zero pad to 4`, so the
-/// frame always starts at byte 8. The zero-copy hot path exploits this
-/// fixed layout to seal and open frames in place inside the envelope
-/// buffer instead of marshaling through intermediate `Vec`s.
-pub const SEALED_ENV_FRAME_START: usize = 8;
-
-/// Sealed-message discriminant, identical for calls and replies.
-const SEALED_DISCRIMINANT: u32 = 2;
-
-/// Starts a sealed envelope in `buf`: discriminant, a length word to be
-/// patched by [`sealed_env_finish`], and the reserved secure-channel
-/// frame header. The caller appends plaintext, calls
-/// `SecureChannelEnd::seal_into(buf, SEALED_ENV_FRAME_START)`, then
-/// [`sealed_env_finish`]. The result is byte-identical to
-/// `CallMsg::Sealed(frame).to_xdr()` (or the `ReplyMsg` equivalent).
-pub fn sealed_env_begin(buf: &mut Vec<u8>) {
-    buf.clear();
-    buf.extend_from_slice(&SEALED_DISCRIMINANT.to_be_bytes());
-    buf.extend_from_slice(&[0u8; 4]);
-    buf.extend_from_slice(&[0u8; FRAME_HEADER_LEN]);
-}
-
-/// Completes a sealed envelope after `seal_into`: patches the opaque
-/// length word and appends the XDR zero pad.
-pub fn sealed_env_finish(buf: &mut Vec<u8>) {
-    let frame_len = buf.len() - SEALED_ENV_FRAME_START;
-    buf[4..SEALED_ENV_FRAME_START].copy_from_slice(&(frame_len as u32).to_be_bytes());
-    let pad = (4 - frame_len % 4) % 4;
-    buf.extend_from_slice(&[0u8; 3][..pad]);
-}
-
-/// If `bytes` is exactly a well-formed sealed envelope — the same
-/// messages `CallMsg::from_xdr`/`ReplyMsg::from_xdr` would parse as
-/// `Sealed` — returns the frame's range within `bytes`. Any deviation
-/// (wrong discriminant, bad length, nonzero pad, trailing bytes)
-/// returns `None` and the caller falls back to the general decoder.
-pub fn sealed_envelope_frame(bytes: &[u8]) -> Option<std::ops::Range<usize>> {
-    if bytes.len() < SEALED_ENV_FRAME_START || bytes[..4] != SEALED_DISCRIMINANT.to_be_bytes() {
-        return None;
-    }
-    let len = u32::from_be_bytes(
-        bytes[4..SEALED_ENV_FRAME_START]
-            .try_into()
-            .expect("4 bytes"),
-    );
-    if len > MAX_VAR_LEN {
-        return None;
-    }
-    let len = len as usize;
-    let end = SEALED_ENV_FRAME_START.checked_add(len)?;
-    let pad = (4 - len % 4) % 4;
-    if bytes.len() != end.checked_add(pad)? || bytes[end..].iter().any(|&b| b != 0) {
-        return None;
-    }
-    Some(SEALED_ENV_FRAME_START..end)
-}
-
-/// Offset of the secure-channel frame inside a *sequenced* sealed
-/// envelope ([`CallMsg::SealedSeq`]/[`ReplyMsg::SealedSeq`]).
+/// Offset of the secure-channel frame inside the sealed wire envelope
+/// ([`CallMsg::SealedSeq`]/[`ReplyMsg::SealedSeq`]), the one format
+/// every sealed frame travels in.
 ///
 /// Those marshal as `discriminant(4) ‖ chanseq(8) ‖ xid(4) ‖
 /// opaque-length(4) ‖ frame ‖ zero pad to 4`, so the frame always starts
-/// at byte 20. The cleartext `chanseq`/`xid` header is what lets the
-/// pipelined path reorder envelopes on the wire while the secure
-/// channel's position-sensitive cipher stream is still applied strictly
-/// in `chanseq` order (see `sfs_proto::channel::FrameSequencer`).
+/// at byte 20 and both ends seal and open it in place inside the
+/// envelope buffer. The cleartext `chanseq`/`xid` header is what lets
+/// the receiver recognise a retransmission or a stray before it touches
+/// the cipher, and lets the pipelined path reorder envelopes on the wire
+/// while the secure channel's position-sensitive cipher stream is still
+/// applied strictly in `chanseq` order (see
+/// `sfs_proto::channel::FrameSequencer`).
 pub const SEALED_SEQ_ENV_FRAME_START: usize = 20;
 
 /// Sequenced sealed-message discriminant for calls.
@@ -202,8 +146,6 @@ pub enum CallMsg {
     },
     /// Stage-3 of key negotiation.
     ClientKeys(KeyNegClientKeys),
-    /// A sealed secure-channel frame containing an [`InnerCall`].
-    Sealed(Vec<u8>),
     /// Read-only dialect: fetch the signed root.
     RoGetRoot,
     /// Read-only dialect: fetch a block by digest.
@@ -220,11 +162,12 @@ pub enum CallMsg {
         /// Evidence message.
         m1: Vec<u8>,
     },
-    /// A sealed secure-channel frame carried by the pipelined (windowed)
-    /// path. `chanseq` is the frame's position in the per-direction
-    /// cipher stream (the channel's messages-sent count at seal time) so
-    /// the receiver can restore stream order before decrypting; `xid`
-    /// matches the reply to its in-flight call.
+    /// A sealed secure-channel frame containing an [`InnerCall`].
+    /// `chanseq` is the frame's position in the per-direction cipher
+    /// stream (the channel's messages-sent count at seal time) so the
+    /// receiver can restore stream order before decrypting; `xid`
+    /// matches the reply to its in-flight call (0 on the blocking loop,
+    /// which has one).
     SealedSeq {
         /// Cipher-stream position of this frame (client→server).
         chanseq: u64,
@@ -251,8 +194,6 @@ pub enum ReplyMsg {
     /// Stage-4: the encrypted server key halves, suite choice, and
     /// resumption ticket.
     ServerKeys(KeyNegServerHalves),
-    /// A sealed secure-channel frame containing an [`InnerReply`].
-    Sealed(Vec<u8>),
     /// Read-only dialect: the signed root.
     RoRoot(SignedRoot),
     /// Read-only dialect: a raw block (client verifies the digest).
@@ -281,7 +222,7 @@ pub enum ReplyMsg {
     /// Protocol-level failure (unknown service, bad state, missing
     /// block).
     Error(String),
-    /// A sealed secure-channel frame on the pipelined path; see
+    /// A sealed secure-channel frame containing an [`InnerReply`]; see
     /// [`CallMsg::SealedSeq`]. `chanseq` is the server→client stream
     /// position, `xid` echoes the call being answered.
     SealedSeq {
@@ -426,7 +367,6 @@ impl CallMsg {
                 k.client_key.len(),
                 k.encrypted_halves.len()
             ),
-            CallMsg::Sealed(frame) => format!("SEALED [{} bytes]", frame.len()),
             CallMsg::RoGetRoot => "RO-GETROOT".into(),
             CallMsg::RoGetBlock(d) => format!(
                 "RO-GETBLOCK {}",
@@ -469,7 +409,6 @@ impl ReplyMsg {
                 h.chosen,
                 h.ticket.len()
             ),
-            ReplyMsg::Sealed(frame) => format!("SEALED [{} bytes]", frame.len()),
             ReplyMsg::RoRoot(root) => format!("RO-ROOT v{}", root.version),
             ReplyMsg::RoBlock(b) => format!("RO-BLOCK [{} bytes]", b.len()),
             ReplyMsg::SrpChallenge { cost, .. } => format!("SRP-CHALLENGE cost={cost}"),
@@ -541,10 +480,6 @@ impl Xdr for CallMsg {
                 enc.put_u32(1);
                 k.encode(enc);
             }
-            CallMsg::Sealed(frame) => {
-                enc.put_u32(2);
-                enc.put_opaque(frame);
-            }
             CallMsg::RoGetRoot => {
                 enc.put_u32(3);
             }
@@ -589,7 +524,6 @@ impl Xdr for CallMsg {
                 extensions: dec.get_string()?,
             }),
             1 => Ok(CallMsg::ClientKeys(KeyNegClientKeys::decode(dec)?)),
-            2 => Ok(CallMsg::Sealed(dec.get_opaque()?)),
             3 => Ok(CallMsg::RoGetRoot),
             4 => Ok(CallMsg::RoGetBlock(
                 dec.get_opaque_fixed(20)?
@@ -630,10 +564,6 @@ impl Xdr for ReplyMsg {
             ReplyMsg::ServerKeys(h) => {
                 enc.put_u32(1);
                 h.encode(enc);
-            }
-            ReplyMsg::Sealed(frame) => {
-                enc.put_u32(2);
-                enc.put_opaque(frame);
             }
             ReplyMsg::RoRoot(root) => {
                 enc.put_u32(3);
@@ -695,7 +625,6 @@ impl Xdr for ReplyMsg {
         match dec.get_u32()? {
             0 => Ok(ReplyMsg::ServerReply(KeyNegServerReply::decode(dec)?)),
             1 => Ok(ReplyMsg::ServerKeys(KeyNegServerHalves::decode(dec)?)),
-            2 => Ok(ReplyMsg::Sealed(dec.get_opaque()?)),
             3 => Ok(ReplyMsg::RoRoot(SignedRoot::decode(dec)?)),
             4 => Ok(ReplyMsg::RoBlock(dec.get_opaque()?)),
             5 => Ok(ReplyMsg::Error(dec.get_string()?)),
@@ -849,7 +778,6 @@ mod tests {
                 client_key: vec![1, 2],
                 encrypted_halves: vec![3, 4, 5],
             }),
-            CallMsg::Sealed(vec![9; 40]),
             CallMsg::RoGetRoot,
             CallMsg::RoGetBlock([5u8; 20]),
             CallMsg::Resume {
@@ -878,7 +806,6 @@ mod tests {
                 ticket: vec![3; 44],
             },
             ReplyMsg::ResumeReject("ticket expired".into()),
-            ReplyMsg::Sealed(vec![6; 30]),
             ReplyMsg::RoRoot(SignedRoot {
                 root_digest: [1u8; 20],
                 version: 9,
@@ -997,7 +924,6 @@ mod tests {
         assert!(d.contains("HELLO h.example"));
         assert!(d.contains("ext=\"newcache\""));
         assert!(CallMsg::RoGetRoot.describe().contains("RO-GETROOT"));
-        assert!(CallMsg::Sealed(vec![0; 9]).describe().contains("9 bytes"));
         assert!(ReplyMsg::Error("nope".into()).describe().contains("nope"));
         assert!(ReplyMsg::SrpChallenge {
             salt: vec![],
@@ -1007,53 +933,6 @@ mod tests {
         }
         .describe()
         .contains("cost=8"));
-    }
-
-    #[test]
-    fn envelope_helpers_match_the_general_encoder() {
-        for n in [0usize, 1, 3, 24, 4096] {
-            let frame: Vec<u8> = (0..n + FRAME_HEADER_LEN)
-                .map(|i| (i * 7 + 3) as u8)
-                .collect();
-            let mut buf = Vec::new();
-            sealed_env_begin(&mut buf);
-            assert_eq!(buf.len(), SEALED_ENV_FRAME_START + FRAME_HEADER_LEN);
-            // Stand in for `seal_into`: place the finished frame bytes.
-            buf.truncate(SEALED_ENV_FRAME_START);
-            buf.extend_from_slice(&frame);
-            sealed_env_finish(&mut buf);
-            assert_eq!(buf, CallMsg::Sealed(frame.clone()).to_xdr());
-            assert_eq!(buf, ReplyMsg::Sealed(frame.clone()).to_xdr());
-            assert_eq!(
-                sealed_envelope_frame(&buf),
-                Some(SEALED_ENV_FRAME_START..SEALED_ENV_FRAME_START + frame.len())
-            );
-        }
-    }
-
-    #[test]
-    fn envelope_parse_rejects_what_from_xdr_would_reject() {
-        let good = CallMsg::Sealed(vec![7u8; 26]).to_xdr();
-        assert!(sealed_envelope_frame(&good).is_some());
-
-        let mut wrong_disc = good.clone();
-        wrong_disc[3] = 1;
-        assert_eq!(sealed_envelope_frame(&wrong_disc), None);
-
-        let mut trailing = good.clone();
-        trailing.push(0);
-        assert_eq!(sealed_envelope_frame(&trailing), None);
-
-        let mut bad_pad = good.clone();
-        *bad_pad.last_mut().unwrap() = 1;
-        assert_eq!(sealed_envelope_frame(&bad_pad), None);
-        assert!(CallMsg::from_xdr(&bad_pad).is_err());
-
-        assert_eq!(sealed_envelope_frame(&good[..6]), None);
-
-        let mut huge = good.clone();
-        huge[4..8].copy_from_slice(&(MAX_VAR_LEN + 1).to_be_bytes());
-        assert_eq!(sealed_envelope_frame(&huge), None);
     }
 
     #[test]
@@ -1152,6 +1031,23 @@ mod tests {
         let mut huge = good.clone();
         huge[16..20].copy_from_slice(&(MAX_VAR_LEN + 1).to_be_bytes());
         assert_eq!(seq_call_envelope(&huge), None);
+    }
+
+    #[test]
+    fn the_unsequenced_sealed_discriminant_is_gone() {
+        // Discriminant 2 was `Sealed(opaque)` in both directions; the
+        // sequenced envelope is the only sealed format, so a peer still
+        // sending the old one is refused by the decoder.
+        let mut enc = XdrEncoder::new();
+        enc.put_u32(2).put_opaque(&[7u8; 26]);
+        assert_eq!(
+            CallMsg::from_xdr(enc.bytes()),
+            Err(XdrError::BadDiscriminant(2))
+        );
+        assert_eq!(
+            ReplyMsg::from_xdr(enc.bytes()),
+            Err(XdrError::BadDiscriminant(2))
+        );
     }
 
     #[test]

@@ -23,10 +23,14 @@
 //! a reconnect-and-reissue, which is chaos.rs territory). Every spec is
 //! run twice and must reproduce byte for byte.
 
-use sfs::client::{RetryPolicy, DEFAULT_PIPELINE_WINDOW};
+use std::sync::Arc;
+
+use sfs::client::{Mount, RetryPolicy, DEFAULT_PIPELINE_WINDOW};
 use sfs_bench::world::{World, WorldSpec, UID as ALICE_UID};
 use sfs_nfs3::{Nfs3Reply, Nfs3Request, Sattr3, Status};
-use sfs_sim::{FaultEvent, FaultPlan};
+use sfs_sim::{Direction, FaultEvent, FaultPlan, Interceptor, Verdict};
+use sfs_telemetry::sync::Mutex;
+use sfs_telemetry::Telemetry;
 
 /// The batch is wider than the window so the engine must run several
 /// exchange rounds and chunk boundaries are exercised.
@@ -279,6 +283,94 @@ fn window_one_matches_blocking_replies() {
 
     let fp = |rs: &[Nfs3Reply]| rs.iter().map(|r| format!("{r:?}")).collect::<Vec<_>>();
     assert_eq!(fp(&windowed), fp(&blocking));
+}
+
+/// An adversary with one shot: once armed, hands the next reply to
+/// `strike` and lets everything else through.
+struct OneReply {
+    armed: bool,
+    strike: fn(&[u8]) -> Verdict,
+}
+
+impl Interceptor for OneReply {
+    fn intercept(&mut self, dir: Direction, bytes: &[u8]) -> Verdict {
+        if dir == Direction::Reply && std::mem::take(&mut self.armed) {
+            (self.strike)(bytes)
+        } else {
+            Verdict::Deliver
+        }
+    }
+}
+
+/// One MKDIR on the blocking loop (window 1) whose first reply meets
+/// `strike`. Returns the call's reply, the mount, and the counters of
+/// both ends, with `nfs3.calls` taken around the MKDIR alone.
+fn blocking_mkdir_whose_first_reply_meets(
+    strike: fn(&[u8]) -> Verdict,
+) -> (Nfs3Reply, Arc<Mount>, Telemetry, u64) {
+    let w = world(&FaultPlan::from_spec("seed=0").unwrap());
+    let tel = Telemetry::counters();
+    w.servers[0].set_telemetry(&tel);
+    w.clients[0].set_telemetry(&tel);
+    w.clients[0].set_pipeline_window(1);
+    let adversary = Arc::new(Mutex::new(OneReply {
+        armed: false,
+        strike,
+    }));
+    w.net.set_interceptor(adversary.clone());
+    let (mount, dir_fh, _) = w.clients[0].resolve(ALICE_UID, &home(&w)).unwrap();
+    let dispatched = tel.counter("server", "nfs3.calls");
+    adversary.lock().armed = true;
+    let reply = w.clients[0]
+        .call_nfs(
+            &mount,
+            ALICE_UID,
+            &Nfs3Request::Mkdir {
+                dir: dir_fh,
+                name: "once".into(),
+                attrs: Sattr3::default(),
+            },
+        )
+        .unwrap();
+    assert!(!adversary.lock().armed, "the adversary never saw a reply");
+    let dispatched = tel.counter("server", "nfs3.calls") - dispatched;
+    (reply, mount, tel, dispatched)
+}
+
+#[test]
+fn blocking_loop_is_exactly_once_when_the_reply_is_lost() {
+    // The server ran the MKDIR and its reply vanished. The client
+    // resends the identical frame; the sequencer recognises a consumed
+    // position and the reply cache answers it byte for byte, so the
+    // call succeeds, ran once, and the session lives. A resend that
+    // reached the cipher instead would kill the session, and the MKDIR
+    // reissued after the rekey would come back `Exist`.
+    let (reply, mount, tel, dispatched) = blocking_mkdir_whose_first_reply_meets(|_| Verdict::Drop);
+    assert!(matches!(reply, Nfs3Reply::Mkdir { .. }), "{reply:?}");
+    assert_eq!(dispatched, 1, "the MKDIR must reach NFS dispatch once");
+    assert_eq!(tel.counter("client", "retry.retransmits"), 1);
+    assert_eq!(tel.counter("server", "pipeline.retransmits"), 1);
+    assert_eq!(mount.reconnects(), 0);
+}
+
+#[test]
+fn blocking_loop_discards_a_stray_reply_on_its_cleartext_header() {
+    // The reply arrives carrying another cipher position (a recorded
+    // frame replayed onto the wire). Opening it would fail the MAC and
+    // poison the channel; the client instead drops it on the header,
+    // waits out the timeout and resends, and the server's cached reply
+    // opens at the position the receive cipher still stands at.
+    let (reply, mount, tel, dispatched) = blocking_mkdir_whose_first_reply_meets(|bytes| {
+        let mut stray = bytes.to_vec();
+        stray[11] ^= 1; // low byte of the big-endian chanseq at [4..12]
+        Verdict::Replace(stray)
+    });
+    assert!(matches!(reply, Nfs3Reply::Mkdir { .. }), "{reply:?}");
+    assert_eq!(dispatched, 1);
+    assert_eq!(tel.counter("client", "pipeline.stale_frames"), 1);
+    assert_eq!(tel.counter("client", "retry.retransmits"), 1);
+    assert_eq!(tel.counter("server", "pipeline.retransmits"), 1);
+    assert_eq!(mount.reconnects(), 0, "the stray must not reach the cipher");
 }
 
 #[test]

@@ -9,15 +9,19 @@
 //! 2. round-trip accounting proves the saving — the resumed reconnect
 //!    costs exactly one RT less than the identical workload with
 //!    resumption disabled;
-//! 3. tickets rotate (single-use) and survive repeated restarts;
+//! 3. tickets rotate and survive repeated restarts; a replayed,
+//!    already-consumed ticket is accepted but buys a session its
+//!    replayer cannot key;
 //! 4. an expired ticket is rejected and the client falls back to the
 //!    full handshake, loudly (counter) but successfully;
 //! 5. resumption composes with the negotiated ChaCha20-Poly1305 suite.
 
+use sfs::wire::{seq_call_envelope, CallMsg, ReplyMsg, SEALED_SEQ_ENV_FRAME_START};
 use sfs_bench::world::{World, WorldSpec, UID as ALICE_UID};
 use sfs_proto::channel::SuiteId;
-use sfs_sim::SimTime;
+use sfs_sim::{Direction, PacketLog, SimTime};
 use sfs_telemetry::Telemetry;
+use sfs_xdr::Xdr;
 
 fn world(entropy: &'static str) -> World {
     World::build(&WorldSpec {
@@ -116,6 +120,63 @@ fn tickets_rotate_across_repeated_restarts() {
     }
     assert_eq!(mount.reconnects(), 3);
     assert_eq!(w.clients[0].read_file(ALICE_UID, &file).unwrap(), b"r3");
+}
+
+#[test]
+fn a_replayed_consumed_ticket_yields_no_usable_session() {
+    // The server keeps no record of tickets it has honoured, so an
+    // eavesdropper who replays a recorded `Resume` is answered with
+    // `ResumeOk`. What it cannot do is use the session: the keys mix
+    // the ticket's sealed secret, which it never saw, with a server
+    // nonce drawn fresh for this connection — so nothing it sends,
+    // recorded or invented, opens, and nothing is dispatched.
+    let tel = Telemetry::counters();
+    let w = world("resume-replay");
+    w.servers[0].set_telemetry(&tel);
+    let log = PacketLog::new();
+    w.net.set_log(log.clone());
+    let file = format!("{}/home/alice/diary", w.path().full_path());
+    w.clients[0].write_file(ALICE_UID, &file, b"d0").unwrap();
+    w.servers[0].crash_restart();
+    w.clients[0].write_file(ALICE_UID, &file, b"d1").unwrap();
+    assert_eq!(w.clients[0].resume_stats(), (1, 0, 0));
+
+    // Everything the client sent from its `Resume` on: the consumed
+    // ticket, then the sealed frames of the session it resumed.
+    let sent: Vec<Vec<u8>> = log
+        .snapshot()
+        .into_iter()
+        .filter(|(dir, _)| *dir == Direction::Request)
+        .map(|(_, bytes)| bytes)
+        .skip_while(|b| !matches!(CallMsg::from_xdr(b), Ok(CallMsg::Resume { .. })))
+        .collect();
+    let (resume, sealed) = sent.split_first().expect("the client resumed");
+    assert!(sealed.iter().all(|b| seq_call_envelope(b).is_some()));
+    assert!(!sealed.is_empty());
+
+    let replayer = w.servers[0].accept();
+    let reply = ReplyMsg::from_xdr(&replayer.handle_bytes(resume)).unwrap();
+    assert!(matches!(reply, ReplyMsg::ResumeOk { .. }), "{reply:?}");
+    assert_eq!(tel.counter("server", "resume.accepted"), 2);
+    let dispatched = tel.counter("server", "nfs3.calls");
+    let mut invented = sealed[0].clone();
+    invented[SEALED_SEQ_ENV_FRAME_START] ^= 1;
+    for frame in sealed.iter().chain([&invented]) {
+        let refusal = ReplyMsg::from_xdr(&replayer.handle_bytes(frame)).unwrap();
+        assert!(
+            matches!(&refusal, ReplyMsg::Error(e) if e.contains("channel failure")),
+            "{refusal:?}"
+        );
+    }
+    assert_eq!(tel.counter("server", "nfs3.calls"), dispatched);
+
+    // The legitimate client's resumed session is untouched, and the
+    // ticket it was rotated to still resumes.
+    assert_eq!(w.clients[0].read_file(ALICE_UID, &file).unwrap(), b"d1");
+    w.servers[0].crash_restart();
+    w.clients[0].write_file(ALICE_UID, &file, b"d2").unwrap();
+    assert_eq!(w.clients[0].resume_stats(), (2, 0, 0));
+    assert_eq!(w.clients[0].read_file(ALICE_UID, &file).unwrap(), b"d2");
 }
 
 #[test]

@@ -237,13 +237,13 @@ pub struct Wire {
     /// Shared contention tracker for the server machine this wire is
     /// attached to; `None` means an uncontended point-to-point link.
     load: Option<ServerLoad>,
-    /// Counter-only telemetry sink backing [`Wire::round_trips`] and
-    /// [`Wire::bytes_sent`] ("SFS's enhanced caching reduces the number
-    /// of RPCs that actually need to go over the network"). Always live,
-    /// never traces.
-    stats: Telemetry,
-    /// Optional shared tracing sink; [`Wire::bump`] keeps it and `stats`
-    /// on one counting path.
+    /// Completed round trips and bytes placed on the wire ("SFS's
+    /// enhanced caching reduces the number of RPCs that actually need to
+    /// go over the network"). Always live; the shared sink below counts
+    /// the same events when attached.
+    round_trips: AtomicU64,
+    bytes_sent: AtomicU64,
+    /// Optional shared tracing sink.
     tel: Telemetry,
 }
 
@@ -257,7 +257,8 @@ impl Wire {
             fault: None,
             log: None,
             load: None,
-            stats: Telemetry::counters(),
+            round_trips: AtomicU64::new(0),
+            bytes_sent: AtomicU64::new(0),
             tel: Telemetry::disabled(),
         }
     }
@@ -301,21 +302,25 @@ impl Wire {
         self.tel = tel.clone().with_clock(self.clock.clone());
     }
 
-    /// The single counting path: every wire statistic increments the
-    /// private counter sink and, when attached, the shared tracing sink.
+    /// Counts a wire statistic on the shared tracing sink.
     fn bump(&self, name: &'static str, delta: u64) {
-        self.stats.count("wire", name, delta);
         self.tel.count("wire", name, delta);
+    }
+
+    /// Counts `n` requests whose reply reached the client.
+    fn answered(&self, n: u64) {
+        self.round_trips.fetch_add(n, Ordering::Relaxed);
+        self.bump("net.round_trips", n);
     }
 
     /// Completed round trips.
     pub fn round_trips(&self) -> u64 {
-        self.stats.counter("wire", "net.round_trips")
+        self.round_trips.load(Ordering::Relaxed)
     }
 
     /// Total bytes placed on the wire (both directions).
     pub fn bytes_sent(&self) -> u64 {
-        self.stats.counter("wire", "net.bytes_sent")
+        self.bytes_sent.load(Ordering::Relaxed)
     }
 
     /// The wire's clock.
@@ -331,9 +336,10 @@ impl Wire {
         WireError::Timeout
     }
 
-    /// Waits out one retransmission timeout. The pipelined client calls
-    /// this when a window exchange comes back with requests unanswered —
-    /// the windowed equivalent of a lost blocking [`Wire::call`].
+    /// Waits out one retransmission timeout. The client calls this for
+    /// a reply it is owed that did not come: a window exchange back with
+    /// requests unanswered, or a blocking [`Wire::call`] that returned a
+    /// stray in the reply's place.
     pub fn timeout_wait(&self) {
         let _ = self.lost();
     }
@@ -345,6 +351,8 @@ impl Wire {
     /// per-frame timeline instead); neither the clock nor timeout
     /// accounting is touched here.
     fn route(&self, dir: Direction, bytes: Vec<u8>) -> Fate {
+        self.bytes_sent
+            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
         self.bump("net.bytes_sent", bytes.len() as u64);
         if let Some(log) = &self.log {
             log.record(dir, &bytes);
@@ -536,7 +544,7 @@ impl Wire {
                 }
             }
         }
-        self.bump("net.round_trips", answered);
+        self.answered(answered);
         // The caller resumes once the last surviving reply is in; a
         // batch that lost everything costs no time here (the caller's
         // retransmission timeout charges it instead).
@@ -568,7 +576,7 @@ impl Wire {
         // A duplicated reply reaches the client twice; the RPC layer
         // discards the second copy, so only the event is observable.
         let (got, _dup_rep) = self.transit(Direction::Reply, reply)?;
-        self.bump("net.round_trips", 1);
+        self.answered(1);
         drop(span);
         Ok(got)
     }

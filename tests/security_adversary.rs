@@ -11,6 +11,7 @@ use sfs_bench::keys;
 use sfs_bench::world::{KeySeeds, World, WorldSpec, UID as ALICE_UID};
 use sfs_sim::{Direction, Interceptor, PacketLog, Verdict};
 use sfs_telemetry::sync::Mutex;
+use sfs_telemetry::Telemetry;
 
 /// Flips one bit in every sealed reply after the first `skip` packets.
 struct BitFlipper {
@@ -90,33 +91,50 @@ impl Interceptor for RequestReplayer {
 
 #[test]
 fn replayed_requests_rejected_by_server_channel() {
-    let w = World::build(&WorldSpec::realm(&["fs.example.org"]));
-    let (server, client) = (&w.servers[0], &w.clients[0]);
-    let path = server.path().clone();
-    let hello = format!("{}/public/motd", path.full_path());
-    let replayer = Arc::new(Mutex::new(RequestReplayer {
-        last: None,
-        armed: false,
-        fired: false,
-    }));
-    w.net.set_interceptor(replayer.clone());
-    assert!(client.read_file(ALICE_UID, &hello).is_ok());
-    // Arm: the next request is replaced by a replay of the previous one.
-    // The server's cipher stream is past the replayed frame, so it can
-    // never be accepted — the session dies instead, and the client
-    // recovers by renegotiating keys and reissuing the original request:
-    // "attackers can do no worse than delay the file system's operation."
-    replayer.lock().armed = true;
-    let result = client.read_file(ALICE_UID, &hello);
+    // Two identical worlds run the same two reads; in the attacked one
+    // the second read's first request is replaced by a replay of the
+    // previous request. The server's cipher stream is past the replayed
+    // frame, so it can never be opened again: the sequencer recognises
+    // a consumed position on the cleartext header and resends the reply
+    // it already gave, dispatching nothing. The client drops that stale
+    // reply on its header and resends its real request: "attackers can
+    // do no worse than delay the file system's operation."
+    let run = |attacked: bool| {
+        let tel = Telemetry::counters();
+        let w = World::build(&WorldSpec::realm(&["fs.example.org"]).traced(&tel));
+        let (server, client) = (&w.servers[0], &w.clients[0]);
+        let path = server.path().clone();
+        let hello = format!("{}/public/motd", path.full_path());
+        let replayer = Arc::new(Mutex::new(RequestReplayer {
+            last: None,
+            armed: false,
+            fired: false,
+        }));
+        w.net.set_interceptor(replayer.clone());
+        assert!(client.read_file(ALICE_UID, &hello).is_ok());
+        replayer.lock().armed = attacked;
+        let started = w.clock.now();
+        assert_eq!(
+            client
+                .read_file(ALICE_UID, &hello)
+                .expect("client recovers"),
+            b"welcome to fs.example.org".to_vec()
+        );
+        assert_eq!(replayer.lock().fired, attacked);
+        let mount = client.mount(ALICE_UID, &path).unwrap();
+        assert_eq!(mount.reconnects(), 0, "no frame may reach a cipher twice");
+        (tel, w.clock.now().since(started))
+    };
+    let (clean, clean_took) = run(false);
+    let (attacked, attacked_took) = run(true);
+    assert_eq!(attacked.counter("server", "pipeline.retransmits"), 1);
+    assert_eq!(attacked.counter("client", "pipeline.stale_frames"), 1);
     assert_eq!(
-        result.expect("client recovers via rekey"),
-        b"welcome to fs.example.org".to_vec()
+        attacked.counter("server", "nfs3.calls"),
+        clean.counter("server", "nfs3.calls"),
+        "the replayed request must not be dispatched"
     );
-    let mount = client.mount(ALICE_UID, &path).unwrap();
-    assert!(
-        mount.reconnects() >= 1,
-        "the replay must have forced a full key renegotiation"
-    );
+    assert!(attacked_took > clean_took, "the attack buys a delay only");
 }
 
 #[test]
