@@ -1,7 +1,8 @@
 //! A per-connection buffer pool for the sealed-RPC hot path.
 //!
 //! Every sealed RPC used to allocate fresh `Vec<u8>`s for the XDR
-//! encode, the sealed frame, the wire envelope, and the opened reply.
+//! encode, the sealed frame, the wire envelope, the opened reply and the
+//! server's reply-cache copy.
 //! The paper's performance argument (§4) is that security overhead is
 //! small enough to leave on by default; gratuitous per-RPC allocation
 //! works against that. A [`BufPool`] is a small freelist of `Vec<u8>`s
@@ -32,10 +33,20 @@ use std::sync::Arc;
 use sfs_telemetry::sync::Mutex;
 use sfs_telemetry::Telemetry;
 
-/// Buffers retained per pool. Connections have at most a few frames in
-/// flight (request, envelope, reply), so a small cap bounds memory
-/// while keeping the steady state allocation-free.
-const MAX_POOLED: usize = 8;
+use crate::client::DEFAULT_PIPELINE_WINDOW;
+
+/// Buffers retained per pool: what one pipelined exchange of `W` frames
+/// (the default window) draws at its peak, beyond the `W` sealed replies
+/// the server's reply cache keeps between batches. When the server
+/// opens the batch's first frame, the client still holds its `W` sealed
+/// frames (kept for retransmission) and their `W` wire copies, and the
+/// previous batch's cached replies are released only once that frame
+/// has opened: `2W + 1` buffers out at once, and the same again at the
+/// last frame (`W` sealed frames, one wire copy, `W` replies and `W`
+/// fresh cache copies, less the `W` released). With fewer, a
+/// steady-state window misses on every exchange; more would only be
+/// idle.
+const MAX_POOLED: usize = 2 * DEFAULT_PIPELINE_WINDOW + 1;
 
 /// Buffers above this capacity are dropped rather than pooled, so one
 /// huge READ/WRITE burst does not pin megabytes forever.

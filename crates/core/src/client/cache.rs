@@ -15,7 +15,6 @@ use sfs_nfs3::proto::{Fattr3, FileHandle, Nfs3Reply, Nfs3Request, PostOpAttr, St
 use sfs_sim::SimTime;
 
 use super::{CachedAttr, ClientError, Mount, SfsClient, StreamState, READ_AHEAD_TRIGGER};
-use crate::wire::InnerReply;
 
 impl SfsClient {
     /// Test hook for the coherence oracle's self-test: drop piggybacked
@@ -28,25 +27,24 @@ impl SfsClient {
 
     /// Applies a reply's piggybacked invalidation callbacks to the
     /// mount's caches.
-    pub(super) fn apply_invalidations(&self, mount: &Mount, inner: &InnerReply) {
-        if let InnerReply::Nfs { invalidations, .. } = inner {
-            if !invalidations.is_empty() && !self.ignore_invalidations.load(Ordering::SeqCst) {
-                self.tel
-                    .lock()
-                    .count("client", "cache.invalidations", invalidations.len() as u64);
-                let mut cache = mount.attr_cache.lock();
-                for fh in invalidations {
-                    cache.remove(&fh.0);
-                }
-                let mut access = mount.access_cache.lock();
-                access.retain(|(fh, _, _), _| !invalidations.iter().any(|i| &i.0 == fh));
-                // Read-ahead data for an invalidated file was speculated
-                // under a lease another client just broke.
-                let mut streams = mount.streams.lock();
-                for fh in invalidations {
-                    streams.remove(&fh.0);
-                }
-            }
+    pub(super) fn apply_invalidations(&self, mount: &Mount, invalidations: &[FileHandle]) {
+        if invalidations.is_empty() || self.ignore_invalidations.load(Ordering::SeqCst) {
+            return;
+        }
+        self.tel
+            .lock()
+            .count("client", "cache.invalidations", invalidations.len() as u64);
+        let mut cache = mount.attr_cache.lock();
+        for fh in invalidations {
+            cache.remove(&fh.0);
+        }
+        let mut access = mount.access_cache.lock();
+        access.retain(|(fh, _, _), _| !invalidations.iter().any(|i| &i.0 == fh));
+        // Read-ahead data for an invalidated file was speculated under a
+        // lease another client just broke.
+        let mut streams = mount.streams.lock();
+        for fh in invalidations {
+            streams.remove(&fh.0);
         }
     }
 

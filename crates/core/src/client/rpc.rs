@@ -7,10 +7,11 @@
 //! [`SfsClient::window_exchange_once`] (n frames on
 //! `Wire::exchange_on`, the pipelined window). Everything around them
 //! exists once and serves both: the CPU cost terms, the reconnect
-//! driver ([`SfsClient::with_reconnect`]), the reissue-on-rekey and
-//! decode driver ([`SfsClient::issue`]), user authentication
-//! ([`SfsClient::ensure_auth`]) and the inner-call marshal
-//! ([`encode_inner_nfs`]).
+//! driver ([`SfsClient::with_reconnect`]), the reissue-on-rekey driver
+//! ([`SfsClient::issue`]), user authentication
+//! ([`SfsClient::ensure_auth`]), the inner-call marshal
+//! ([`encode_inner_nfs`]) and the reply decode each loop runs in the
+//! frame a reply was opened in ([`decode_nfs`], [`decode_inner`]).
 //!
 //! Calls down into `session` (reconnect), `cache` (harvesting
 //! attributes, applying invalidations, the write-behind barrier) and
@@ -19,7 +20,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 
-use sfs_nfs3::proto::{Nfs3Reply, Nfs3Request};
+use sfs_nfs3::proto::{FileHandle, Nfs3Reply, Nfs3Request};
 use sfs_proto::channel::{FrameSequencer, SeqPush, SuiteId, FRAME_HEADER_LEN};
 use sfs_proto::userauth::{AuthInfo, AUTHNO_ANONYMOUS};
 use sfs_sim::{SimTime, WireError};
@@ -27,9 +28,34 @@ use sfs_xdr::Xdr;
 
 use super::{ClientError, Mount, SfsClient, REORDER_BUF_CAPACITY};
 use crate::wire::{
-    encode_inner_nfs, seq_env_begin, seq_env_finish, seq_reply_envelope, InnerCall, InnerReply,
-    ReplyMsg, SEALED_SEQ_ENV_FRAME_START,
+    encode_inner_nfs, inner_nfs_reply, seq_env_begin, seq_env_finish, seq_reply_envelope,
+    InnerCall, InnerReply, ReplyMsg, SEALED_SEQ_ENV_FRAME_START,
 };
+
+/// A reply as decoded out of the frame it was opened in, with the lease
+/// invalidations the server piggybacked on it.
+type Decoded<T> = (T, Vec<FileHandle>);
+
+/// The general decode, for the rare inner replies (Auth, Mount), which
+/// carry no invalidations.
+pub(super) fn decode_inner(plaintext: &[u8]) -> Result<Decoded<InnerReply>, ClientError> {
+    let inner =
+        InnerReply::from_xdr(plaintext).map_err(|e| ClientError::Protocol(e.to_string()))?;
+    Ok((inner, Vec::new()))
+}
+
+/// The steady-state decode: the NFS3 results of the reply to `req`,
+/// parsed in place by [`inner_nfs_reply`], so READ data is copied once —
+/// into the `Vec` the caller receives.
+fn decode_nfs(req: &Nfs3Request, plaintext: &[u8]) -> Result<Decoded<Nfs3Reply>, ClientError> {
+    let Some((results, invalidations)) = inner_nfs_reply(plaintext) else {
+        let (inner, _) = decode_inner(plaintext)?;
+        return Err(ClientError::Protocol(format!("bad NFS reply: {inner:?}")));
+    };
+    let reply = Nfs3Reply::decode_results(req.proc(), results)
+        .map_err(|e| ClientError::Protocol(e.to_string()))?;
+    Ok((reply, invalidations))
+}
 
 impl SfsClient {
     // ----- CPU cost terms ------------------------------------------------
@@ -115,16 +141,16 @@ impl SfsClient {
         }
     }
 
-    /// The reissue-on-rekey and decode driver behind every NFS call.
-    /// Authenticates `uid`, then runs `exchange` — one of the two
-    /// engines, sealing `reqs` under the authentication number it is
-    /// handed. If the session was renegotiated while the frames were in
-    /// flight, that number belonged to the dead session and the server
-    /// executed the calls (if at all) with stale credentials:
-    /// re-authenticate on the new session and reissue them all. Each
-    /// reply is then decoded against its request, fed to the attribute
-    /// cache, and handed to `deliver` in request order.
-    fn issue<I: IntoIterator<Item = InnerReply>>(
+    /// The reissue-on-rekey driver behind every NFS call. Authenticates
+    /// `uid`, then runs `exchange` — one of the two engines, sealing
+    /// `reqs` under the authentication number it is handed and decoding
+    /// each reply against its request. If the session was renegotiated
+    /// while the frames were in flight, that number belonged to the dead
+    /// session and the server executed the calls (if at all) with stale
+    /// credentials: re-authenticate on the new session and reissue them
+    /// all. Each reply is then fed to the attribute cache and handed to
+    /// `deliver` in request order.
+    fn issue<I: IntoIterator<Item = Nfs3Reply>>(
         &self,
         mount: &Mount,
         uid: u32,
@@ -137,17 +163,12 @@ impl SfsClient {
         loop {
             let authno = self.ensure_auth(mount, uid)?;
             let generation = mount.generation();
-            let inners = exchange(authno)?;
+            let replies = exchange(authno)?;
             if mount.generation() != generation && rounds < reissue_cap {
                 rounds += 1;
                 continue;
             }
-            for (req, inner) in reqs.iter().zip(inners) {
-                let InnerReply::Nfs { results, .. } = inner else {
-                    return Err(ClientError::Protocol(format!("bad NFS reply: {inner:?}")));
-                };
-                let reply = Nfs3Reply::decode_results(req.proc(), &results)
-                    .map_err(|e| ClientError::Protocol(e.to_string()))?;
+            for (req, reply) in reqs.iter().zip(replies) {
                 self.harvest_attrs(mount, req, &reply);
                 deliver(reply);
             }
@@ -183,7 +204,7 @@ impl SfsClient {
                 break AUTHNO_ANONYMOUS;
             };
             let call = InnerCall::Auth { seq_no: seq, msg };
-            match self.sealed_call(mount, |buf| call.encode_into(buf))? {
+            match self.sealed_call(mount, |buf| call.encode_into(buf), decode_inner)? {
                 InnerReply::AuthGranted { authno, .. } => break authno,
                 InnerReply::AuthDenied { .. } => {
                     if mount.session_id() == session_id {
@@ -245,8 +266,12 @@ impl SfsClient {
             uid,
             std::slice::from_ref(req),
             |authno| {
-                self.sealed_call(mount, |buf| encode_inner_nfs(buf, authno, req))
-                    .map(Some)
+                self.sealed_call(
+                    mount,
+                    |buf| encode_inner_nfs(buf, authno, req),
+                    |plaintext| decode_nfs(req, plaintext),
+                )
+                .map(Some)
             },
             |r| reply = Some(r),
         )?;
@@ -308,23 +333,30 @@ impl SfsClient {
     /// session goes through [`Self::with_reconnect`]. `fill` marshals
     /// the inner call once; the plaintext outlives any reconnect (it is
     /// re-sealed on the fresh channel), so it lives in its own pooled
-    /// buffer rather than the envelope built per link.
-    pub(super) fn sealed_call(
+    /// buffer rather than the envelope built per link. `decode` reads
+    /// the reply's plaintext where it was opened.
+    pub(super) fn sealed_call<T>(
         &self,
         mount: &Mount,
         fill: impl FnOnce(&mut Vec<u8>),
-    ) -> Result<InnerReply, ClientError> {
+        decode: impl Fn(&[u8]) -> Result<Decoded<T>, ClientError>,
+    ) -> Result<T, ClientError> {
         let pool = mount.link.lock().pool.clone();
         let mut plaintext = pool.get_guard();
         fill(&mut plaintext);
-        self.with_reconnect(mount, || self.sealed_call_once(mount, &plaintext))
+        self.with_reconnect(mount, || self.sealed_call_once(mount, &plaintext, &decode))
     }
 
     /// One sealed round trip on the mount's *current* link. Holds the
     /// link for the whole exchange (the stream ciphers serialize sealed
     /// traffic anyway) and releases it before any reconnect, so the
     /// retry driver can replace the link without deadlocking.
-    fn sealed_call_once(&self, mount: &Mount, plaintext: &[u8]) -> Result<InnerReply, ClientError> {
+    fn sealed_call_once<T>(
+        &self,
+        mount: &Mount,
+        plaintext: &[u8],
+        decode: &impl Fn(&[u8]) -> Result<Decoded<T>, ClientError>,
+    ) -> Result<T, ClientError> {
         let tel = self.tel();
         let _span = tel.span("client", "core.client", "sealed_call");
         // Cost model: one user-level crossing into sfscd, a data copy
@@ -410,25 +442,25 @@ impl SfsClient {
             self.backoff(attempt);
             attempt += 1;
         };
-        // The reply opens in place inside the buffer it arrived in,
-        // which then goes back to the pool.
+        // The reply opens and decodes in place inside the buffer it
+        // arrived in, which then goes back to the pool.
         self.clock.advance_ns(self.user_copy_ns(frame.len()));
         self.clock
             .advance_ns(self.crypto_ns(link.channel.suite(), frame.len()));
         let plain = link.channel.open_in_place(&mut reply_bytes[frame])?;
-        let inner =
-            InnerReply::from_xdr(plain).map_err(|e| ClientError::Protocol(e.to_string()))?;
+        let (reply, invalidations) = decode(plain)?;
         drop(guard);
         pool.put(reply_bytes);
-        self.apply_invalidations(mount, &inner);
-        Ok(inner)
+        self.apply_invalidations(mount, &invalidations);
+        Ok(reply)
     }
 
     // ----- The windowed engine -------------------------------------------
 
     /// One windowed exchange on the mount's current link: seals every
     /// request as a sequenced frame, puts them all in flight, and
-    /// matches replies back by xid. Lost frames are retransmitted
+    /// matches replies back by xid, decoding each against its request
+    /// in the buffer it was opened in. Lost frames are retransmitted
     /// byte-for-byte (the server replays already-serviced ones from its
     /// reply cache), so both cipher streams stay aligned no matter how
     /// the network reorders, duplicates, or drops frames.
@@ -444,7 +476,7 @@ impl SfsClient {
         mount: &Mount,
         authno: u32,
         reqs: &[Nfs3Request],
-    ) -> Result<Vec<InnerReply>, ClientError> {
+    ) -> Result<Vec<Nfs3Reply>, ClientError> {
         let tel = self.tel();
         let _span = tel
             .span("client", "core.client", "window_exchange")
@@ -479,7 +511,7 @@ impl SfsClient {
             sent_at.push(self.clock.now());
         }
         let policy = self.retry_policy();
-        let mut results: Vec<Option<InnerReply>> = reqs.iter().map(|_| None).collect();
+        let mut results: Vec<Option<Decoded<Nfs3Reply>>> = reqs.iter().map(|_| None).collect();
         // Replies can arrive in any order; the stream cipher only opens
         // them in the order the server sealed them, so out-of-order
         // arrivals park here until the gap fills.
@@ -513,10 +545,13 @@ impl SfsClient {
             // served in the classic serial discipline or, when the
             // server has a multi-core `ShardEngine` installed, scheduled
             // across its simulated cores and disk shards to an absolute
-            // completion instant.
+            // completion instant. The frame's wire copy then goes back
+            // to the pool.
             let replies = link.wire.exchange_on(sends, |arrival_ns, b| {
                 let frame_ns = self.crossing_ns() + self.rpc_ns() + self.server_copy_ns(b.len());
-                link.conn.handle_frames_on(arrival_ns, frame_ns, b)
+                let served = link.conn.handle_frames_on(arrival_ns, frame_ns, &b);
+                pool.put(b);
+                served
             });
             for reply in replies {
                 let bytes = reply.bytes;
@@ -586,12 +621,13 @@ impl SfsClient {
                         + self.user_copy_ns(frame.len())
                         + self.crypto_ns(link.channel.suite(), frame.len());
                     let plain = link.channel.open_in_place(&mut env[frame])?;
-                    let inner = InnerReply::from_xdr(plain)
-                        .map_err(|e| ClientError::Protocol(e.to_string()))?;
-                    let slot = results.get_mut(xid as usize).ok_or_else(|| {
-                        ClientError::Protocol(format!("unexpected reply: unknown xid {xid}"))
-                    })?;
-                    *slot = Some(inner);
+                    let (slot, req) = results
+                        .get_mut(xid as usize)
+                        .zip(reqs.get(xid as usize))
+                        .ok_or_else(|| {
+                            ClientError::Protocol(format!("unexpected reply: unknown xid {xid}"))
+                        })?;
+                    *slot = Some(decode_nfs(req, plain)?);
                     pool.put(env);
                 }
             }
@@ -618,13 +654,13 @@ impl SfsClient {
         for env in envs {
             pool.put(env);
         }
-        let inners: Vec<InnerReply> = results
+        Ok(results
             .into_iter()
-            .map(|r| r.expect("loop exits only when every slot is filled"))
-            .collect();
-        for inner in &inners {
-            self.apply_invalidations(mount, inner);
-        }
-        Ok(inners)
+            .map(|r| {
+                let (reply, invalidations) = r.expect("loop exits only when every slot is filled");
+                self.apply_invalidations(mount, &invalidations);
+                reply
+            })
+            .collect())
     }
 }

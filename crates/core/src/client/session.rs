@@ -25,6 +25,7 @@ use sfs_sim::{Wire, WireError};
 use sfs_telemetry::sync::Mutex;
 use sfs_xdr::Xdr;
 
+use super::rpc::decode_inner;
 use super::{
     ClientError, Link, Mount, ResumeState, SfsClient, EPHEMERAL_KEY_BITS, PROTOCOL_VERSION,
 };
@@ -170,7 +171,11 @@ impl SfsClient {
         });
         // Fetch the root handle over the authenticated channel (the
         // sealed-call retry machinery already protects this first RPC).
-        let root = match self.sealed_call(&mount, |buf| InnerCall::Mount.encode_into(buf))? {
+        let root = match self.sealed_call(
+            &mount,
+            |buf| InnerCall::Mount.encode_into(buf),
+            decode_inner,
+        )? {
             InnerReply::MountReply { root } => root,
             other => return Err(ClientError::Protocol(format!("bad mount reply: {other:?}"))),
         };

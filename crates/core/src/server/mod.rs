@@ -518,9 +518,13 @@ impl std::fmt::Debug for SfsServer {
 /// of a reorder gap before declaring the channel broken.
 const SEQ_BUF_CAPACITY: usize = 64;
 
-/// How many sealed replies are kept for byte-identical
-/// retransmission. A replay older than this cannot be answered (the
-/// ciphers have long moved on) and kills the session.
+/// The most sealed replies kept for byte-identical retransmission. A
+/// client's own batches keep the cache far below this — every new batch
+/// retires the previous one's replies (`sealed`'s retransmit horizon) —
+/// so the cap bounds only a peer that never starts a new batch: the
+/// memory an unauthenticated-reachable connection can pin. A replay
+/// older than what the cache holds cannot be answered (the ciphers have
+/// long moved on) and kills the session.
 const REPLY_CACHE_CAPACITY: usize = 256;
 
 struct Established {
@@ -535,7 +539,9 @@ struct Established {
     /// Sealed replies keyed by the request's channel sequence number,
     /// resent verbatim on retransmission (the send cipher must not
     /// advance for a frame the client may already have). Holds the
-    /// newest [`REPLY_CACHE_CAPACITY`].
+    /// current batch's replies, never more than
+    /// [`REPLY_CACHE_CAPACITY`], each in a buffer from the connection's
+    /// pool.
     reply_cache: BTreeMap<u64, Vec<u8>>,
 }
 

@@ -75,8 +75,9 @@ impl ServerConn {
     /// The one service sequence for a sealed frame that is next in
     /// cipher order: open it in place in the pooled buffer `fbuf` holds
     /// it in, dispatch, and build the sealed reply in a single pooled
-    /// buffer. The reply is cached under the request's channel sequence
-    /// number for byte-identical retransmission.
+    /// buffer. A copy of the reply, in another pooled buffer, is cached
+    /// under the request's channel sequence number for byte-identical
+    /// retransmission.
     fn serve_frame(
         &self,
         est: &mut Established,
@@ -92,6 +93,16 @@ impl ServerConn {
                 return ReplyMsg::Error(format!("channel failure: {e}")).to_xdr();
             }
         };
+        // The retransmit horizon. Both client engines number a batch's
+        // frames from xid 0 and open every reply of a batch before
+        // sealing the next, so once a batch's first frame is served no
+        // reply below it can be asked for again: retire them. The cache
+        // then holds one batch — one reply on the blocking loop, a
+        // window's worth on the pipelined one.
+        if xid == 0 {
+            let below = est.reply_cache.range(..req_seq).count();
+            self.evict_oldest(est, tel, below);
+        }
         let mut out = self.pool.get();
         seq_env_begin(&mut out, false, est.channel.messages_sent(), xid);
         if let Err(e) = self.service_plaintext_into(est, plaintext, &mut out) {
@@ -107,21 +118,30 @@ impl ServerConn {
             }
             Err(e) => ReplyMsg::Error(format!("channel failure: {e}")).to_xdr(),
         };
-        // Oldest-first eviction: a retransmission can only ask for a
-        // recent sequence number (the client's window bounds how far
-        // back it retries), so dropping the lowest keys preserves
-        // exactly-once for every answerable replay.
-        est.reply_cache.insert(req_seq, bytes.clone());
-        let mut evicted = 0;
-        while est.reply_cache.len() > REPLY_CACHE_CAPACITY {
-            est.reply_cache.pop_first();
-            evicted += 1;
-        }
-        if evicted > 0 {
-            tel.count("server", "replycache.evictions", evicted);
-        }
+        let mut cached = self.pool.get();
+        cached.extend_from_slice(&bytes);
+        est.reply_cache.insert(req_seq, cached);
+        // The cap, for a peer that never starts a new batch: oldest
+        // first, since a retransmission can only ask for a recent
+        // sequence number.
+        let excess = est.reply_cache.len().saturating_sub(REPLY_CACHE_CAPACITY);
+        self.evict_oldest(est, tel, excess);
         tel.gauge_set("server", "replycache.size", est.reply_cache.len() as u64);
         bytes
+    }
+
+    /// Drops the `n` oldest cached replies, returning their buffers to
+    /// the pool.
+    fn evict_oldest(&self, est: &mut Established, tel: &Telemetry, n: usize) {
+        if n == 0 {
+            return;
+        }
+        for _ in 0..n {
+            if let Some((_, buf)) = est.reply_cache.pop_first() {
+                self.pool.put(buf);
+            }
+        }
+        tel.count("server", "replycache.evictions", n as u64);
     }
 
     /// Dispatches one opened plaintext call, appending the *plaintext*
@@ -280,10 +300,18 @@ impl ServerConn {
             // Double delivery of a still-buffered frame; the copy
             // already queued answers once the gap fills.
             SeqPush::Duplicate if chanseq >= expected => {}
+            // A consumed position: answered byte for byte from the reply
+            // cache. A replay from below the retransmit horizon is
+            // refused exactly as one past the 256-reply cap is — the
+            // reply is gone, and so is the session.
             SeqPush::Duplicate => {
                 tel.count("server", "pipeline.retransmits", 1);
                 reply(match est.reply_cache.get(&chanseq) {
-                    Some(cached) => cached.clone(),
+                    Some(cached) => {
+                        let mut resend = self.pool.get();
+                        resend.extend_from_slice(cached);
+                        resend
+                    }
                     None => ReplyMsg::Error("channel failure: replay beyond cache".into()).to_xdr(),
                 });
             }

@@ -308,6 +308,27 @@ pub fn inner_nfs_call(plaintext: &[u8]) -> Option<(u32, u32, &[u8])> {
     Some(call)
 }
 
+/// Borrowing parse of the steady-state inner reply, the client's twin
+/// of [`inner_nfs_call`]: `Some((results, invalidations))` for exactly
+/// the plaintexts [`InnerReply::from_xdr`] decodes as
+/// [`InnerReply::Nfs`] (same field order, same length caps, same pad and
+/// trailing-byte checks), with the results left in place for
+/// `Nfs3Reply::decode_results`. Both RPC engines decode through this.
+pub fn inner_nfs_reply(plaintext: &[u8]) -> Option<(&[u8], Vec<FileHandle>)> {
+    let mut dec = XdrDecoder::new(plaintext);
+    if dec.get_u32().ok()? != 2 {
+        return None;
+    }
+    let results = dec.get_opaque_ref().ok()?;
+    let n = dec.get_u32().ok()?;
+    let mut invalidations = Vec::new();
+    for _ in 0..n {
+        invalidations.push(FileHandle::decode(&mut dec).ok()?);
+    }
+    dec.finish().ok()?;
+    Some((results, invalidations))
+}
+
 /// The plaintext of a sealed server frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InnerReply {
@@ -902,6 +923,73 @@ mod tests {
                 accepted += 1;
             } else {
                 assert_eq!(inner_nfs_call(&p), None, "{p:?}");
+                declined += 1;
+            }
+        }
+        assert!(accepted > 400 && declined > 400, "{accepted} / {declined}");
+    }
+
+    #[test]
+    fn inner_nfs_reply_parse_accepts_exactly_what_from_xdr_decodes_as_nfs() {
+        // The client decodes NFS results only through `inner_nfs_reply`,
+        // the general decoder only for what it declines; the same seeded
+        // mutations as the call-side pin check the equivalence both ways,
+        // invalidation handles and their length cap included.
+        use sfs_bignum::{RandomSource, XorShiftSource};
+        let mut rng = XorShiftSource::new(0x1EE_1CA11);
+        let mut draw = move |n: usize| {
+            let mut b = [0u8; 8];
+            rng.fill(&mut b);
+            (u64::from_le_bytes(b) % n as u64) as usize
+        };
+        let nfs = |n, handles: usize| InnerReply::Nfs {
+            results: vec![0x5C; n],
+            invalidations: (0..handles)
+                .map(|i| FileHandle(vec![i as u8; 24]))
+                .collect(),
+        };
+        let seeds = [
+            nfs(0, 0),
+            nfs(1, 0),
+            nfs(3, 1),
+            nfs(97, 2),
+            nfs(8, 0),
+            InnerReply::AuthGranted {
+                seq_no: 3,
+                authno: 1,
+            },
+            InnerReply::AuthDenied { seq_no: 4 },
+            InnerReply::MountReply {
+                root: FileHandle(vec![7; 24]),
+            },
+        ]
+        .map(|r| r.to_xdr());
+        let (mut accepted, mut declined) = (0, 0);
+        for _ in 0..4000 {
+            let mut p = seeds[draw(seeds.len())].clone();
+            match draw(5) {
+                0 => {}
+                1 => {
+                    let i = draw(p.len());
+                    p[i] ^= 1 << draw(8);
+                }
+                2 => p.truncate(draw(p.len() + 1)),
+                3 => p.extend((0..1 + draw(4)).map(|_| draw(2) as u8)),
+                _ => {
+                    let word = draw(p.len() / 4) * 4;
+                    let v = [0u32, 1, 2, 3, 24, 64, 65, MAX_VAR_LEN, MAX_VAR_LEN + 1][draw(9)];
+                    p[word..word + 4].copy_from_slice(&v.to_be_bytes());
+                }
+            }
+            if let Ok(InnerReply::Nfs {
+                results,
+                invalidations,
+            }) = InnerReply::from_xdr(&p)
+            {
+                assert_eq!(inner_nfs_reply(&p), Some((&results[..], invalidations)));
+                accepted += 1;
+            } else {
+                assert_eq!(inner_nfs_reply(&p), None, "{p:?}");
                 declined += 1;
             }
         }

@@ -184,21 +184,20 @@ fn windowed_batches_execute_exactly_once_under_wire_faults() {
     }
 }
 
-#[test]
-fn full_reply_cache_evicts_oldest_first_without_breaking_exactly_once() {
-    // The server keeps 256 sealed replies for retransmission. Drive well
-    // over that many sequenced calls through one session on a clean wire
-    // and verify (a) the cache actually evicted (counter + size gauge),
-    // and (b) exactly-once semantics survived: every distinct Mkdir
-    // succeeded once, and a full re-issue comes back all-Exist. Eviction
-    // is oldest-first by channel sequence number, so the recent replies a
-    // client could still legitimately retransmit for stay answerable.
-    const CALLS: usize = 280; // > REPLY_CACHE_CAPACITY (256)
-    let plan = FaultPlan::from_spec("seed=0").unwrap();
-    let w = world(&plan);
-    let tel = sfs_telemetry::Telemetry::counters();
+/// 280 windowed MKDIRs at window 8 — more calls than the reply cache's
+/// 256-reply cap — on a clean wire, then the identical batch again,
+/// with `tamper` on the wire. Checks exactly-once (every first call
+/// succeeds, every re-issue is `Exist`, no reconnect) and returns the
+/// server's counters after each batch.
+fn mkdir_280_twice(tamper: Option<Arc<Mutex<dyn Interceptor>>>) -> [(u64, u64); 2] {
+    const CALLS: usize = 280;
+    let w = world(&FaultPlan::from_spec("seed=0").unwrap());
+    let tel = Telemetry::counters();
     w.servers[0].set_telemetry(&tel);
     w.clients[0].set_pipeline_window(8);
+    if let Some(tamper) = tamper {
+        w.net.set_interceptor(tamper);
+    }
     let (mount, dir_fh, _) = w.clients[0].resolve(ALICE_UID, &home(&w)).unwrap();
     let reqs: Vec<Nfs3Request> = (0..CALLS)
         .map(|i| Nfs3Request::Mkdir {
@@ -207,6 +206,12 @@ fn full_reply_cache_evicts_oldest_first_without_breaking_exactly_once() {
             attrs: Sattr3::default(),
         })
         .collect();
+    let cache = || {
+        (
+            tel.gauge("server", "replycache.size"),
+            tel.counter("server", "replycache.evictions"),
+        )
+    };
     let replies = w.clients[0]
         .call_nfs_window(&mount, ALICE_UID, &reqs)
         .unwrap();
@@ -217,18 +222,10 @@ fn full_reply_cache_evicts_oldest_first_without_breaking_exactly_once() {
             "call {i} did not execute exactly once: {reply:?}"
         );
     }
-    // The first batch alone overflows the cache.
-    let evicted_after_first = tel.counter("server", "replycache.evictions");
-    assert!(
-        evicted_after_first >= (CALLS - 256) as u64,
-        "expected at least {} evictions, saw {evicted_after_first}",
-        CALLS - 256
-    );
-    assert_eq!(tel.gauge("server", "replycache.size"), 256);
-
+    let first = cache();
     // Re-issue the identical batch: all-Exist proves every original call
     // executed, and the session survived the evictions — the cache only
-    // dropped replies too old for any in-window retransmission to want.
+    // dropped replies no retransmission could still ask for.
     let replay = w.clients[0]
         .call_nfs_window(&mount, ALICE_UID, &reqs)
         .unwrap();
@@ -245,8 +242,58 @@ fn full_reply_cache_evicts_oldest_first_without_breaking_exactly_once() {
         );
     }
     assert_eq!(mount.reconnects(), 0, "eviction must not kill the session");
-    assert_eq!(tel.gauge("server", "replycache.size"), 256);
-    assert!(tel.counter("server", "replycache.evictions") > evicted_after_first);
+    [first, cache()]
+}
+
+#[test]
+fn reply_cache_is_bounded_by_the_retransmit_horizon_without_breaking_exactly_once() {
+    // Every window opens with xid 0 only after the previous window's
+    // replies were all opened, so serving it retires every cached reply
+    // below it: the cache holds one window, not 256 cold copies.
+    let [(size, evicted), (size_after, evicted_after)] = mkdir_280_twice(None);
+    assert!(
+        size <= 8,
+        "the cache holds {size} replies, more than a window"
+    );
+    assert!(evicted >= 280 - 8, "only {evicted} replies retired");
+    assert!(size_after <= 8, "{size_after} cached after the re-issue");
+    assert!(evicted_after >= evicted + 280);
+}
+
+/// Sets the top bit of every sealed call's cleartext xid and clears it
+/// on every sealed reply: the server sees a peer that never starts a
+/// new batch (no xid 0), the client its own xids.
+struct HideBatchStarts;
+
+impl Interceptor for HideBatchStarts {
+    fn intercept(&mut self, dir: Direction, bytes: &[u8]) -> Verdict {
+        // Discriminant 7 is a sealed call, 8 a sealed reply; the xid is
+        // bytes 12..16.
+        let (disc, flip): (u8, fn(u8) -> u8) = match dir {
+            Direction::Request => (7, |b| b | 0x80),
+            Direction::Reply => (8, |b| b & 0x7F),
+        };
+        if bytes.len() < 16 || bytes[..4] != [0, 0, 0, disc] {
+            return Verdict::Deliver;
+        }
+        let mut out = bytes.to_vec();
+        out[12] = flip(out[12]);
+        Verdict::Replace(out)
+    }
+}
+
+#[test]
+fn a_peer_that_never_starts_a_new_batch_is_capped_at_reply_cache_capacity() {
+    // Without batch starts no horizon ever passes, so the cap is what
+    // bounds the cache: oldest first, at 256 — the memory any peer that
+    // can reach a sealed session can make the server hold (ROADMAP
+    // aim 3). Exactly-once holds for what stays answerable.
+    let [(size, evicted), (size_after, evicted_after)] =
+        mkdir_280_twice(Some(Arc::new(Mutex::new(HideBatchStarts))));
+    assert_eq!(size, 256);
+    assert!(evicted >= 280 - 256, "only {evicted} replies evicted");
+    assert_eq!(size_after, 256);
+    assert!(evicted_after >= evicted + 280);
 }
 
 #[test]

@@ -22,14 +22,21 @@
 //! block per 128-bit lane, so diagonalization is an in-lane shuffle)
 //! and does the 16- and 8-bit rotations with a single byte shuffle.
 //! `avx512` doubles that to eight blocks per step on 512-bit
-//! registers, where every rotation is a native `vprold`.
+//! registers, where every rotation is a native `vprold`, and adds a
+//! sixteen-block step in the vertical layout (one block per 32-bit
+//! lane, the state in sixteen registers).
 //!
-//! Every tier is bound by the latency of its twenty dependent rounds,
-//! so one step costs about the same whether it yields two blocks or
-//! eight. The stream therefore never drops to a narrower tier: what is
-//! left after the whole steps is XORed out of one more step of the same
-//! width, and an AEAD frame's first step (`FrameHead`) yields the
-//! Poly1305 key block and the first payload blocks together.
+//! The row-layout steps are bound by the latency of their twenty
+//! dependent rounds — one step costs about the same whether it yields
+//! two blocks or eight — while the vertical step runs four independent
+//! quarter rounds per instruction group and is bound by throughput
+//! instead. Which step runs depends only on length: on AVX-512 every
+//! whole 1 KiB run takes the vertical step; short input — an AEAD
+//! frame's first step (`FrameHead`), which yields the Poly1305 key block
+//! and the first payload blocks together, and whatever is left under
+//! 1 KiB — takes the eight-block row step, whose latency a short frame
+//! pays once. What is left after the whole steps is XORed out of one
+//! more row step of the same width, never a narrower tier.
 
 /// Key length in bytes (256-bit keys only; RFC 8439 drops the 128-bit form).
 pub const KEY_LEN: usize = 32;
@@ -38,7 +45,8 @@ pub const NONCE_LEN: usize = 12;
 /// One keystream block.
 pub const BLOCK_LEN: usize = 64;
 
-/// The widest step any tier takes (eight blocks, [`avx512`]).
+/// The widest row-layout step any tier takes (eight blocks, [`avx512`]):
+/// what [`FrameHead`] and a stream's sub-step tail are cut out of.
 const MAX_STEP: usize = 8 * BLOCK_LEN;
 
 /// "expand 32-byte k", the §2.3 constant words.
@@ -178,11 +186,16 @@ impl ChaCha20 {
 
     /// XORs keystream over as many whole steps of this CPU's widest tier
     /// as fit in `buf`, advancing the counter. Returns bytes consumed.
+    /// On AVX-512 every whole 1 KiB run takes the vertical sixteen-block
+    /// step and what is left the eight-block one.
     fn xor_whole_steps(&mut self, buf: &mut [u8]) -> usize {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx512f") {
             // SAFETY: feature presence is checked immediately above.
-            return unsafe { avx512::xor_keystream8(&mut self.words, buf) };
+            return unsafe {
+                let wide = avx512::xor_keystream16(&mut self.words, buf);
+                wide + avx512::xor_keystream8(&mut self.words, &mut buf[wide..])
+            };
         } else if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: feature presence is checked immediately above.
             return unsafe { avx2::xor_keystream4(&mut self.words, buf) };
@@ -434,17 +447,22 @@ mod avx2 {
     }
 }
 
-/// Eight blocks per step on 512-bit registers: two row-layout states,
-/// one block per 128-bit lane (four lanes per register). AVX-512F has a
-/// native 32-bit rotate, so every quarter-round rotation is a single
-/// `vprold`; diagonalization is an in-lane word shuffle, exactly as in
-/// the AVX2 tier.
+/// Two steps on 512-bit registers, both with native `vprold` rotations.
+///
+/// The eight-block step is two row-layout states, one block per 128-bit
+/// lane (four lanes per register); diagonalization is an in-lane word
+/// shuffle, exactly as in the AVX2 tier. The sixteen-block step is the
+/// vertical layout: register `i` holds state word `i` of sixteen blocks,
+/// one per 32-bit lane, so a column or diagonal round is four
+/// independent quarter rounds with no shuffle at all, and a 16×16 dword
+/// transpose lays the keystream out in stream order at the end.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     use super::BLOCK_LEN;
     use std::arch::x86_64::*;
 
     const STEP: usize = 8 * BLOCK_LEN;
+    pub(super) const WIDE_STEP: usize = 16 * BLOCK_LEN;
 
     /// `add, xor, rotate` on one column-round leg of both interleaved
     /// states, with the rotate amount as a constant.
@@ -528,24 +546,11 @@ mod avx512 {
             b1 = _mm512_add_epi32(b1, row1);
             b2 = _mm512_add_epi32(b2, row2);
             b3 = _mm512_add_epi32(b3, i3b);
-            // Transpose the 4×4 grid of 128-bit lanes so each register
-            // holds one whole block's sixteen words in stream order.
-            for (base, (r0, r1, r2, r3)) in [(0, (a0, a1, a2, a3)), (4, (b0, b1, b2, b3))] {
-                let t0 = _mm512_shuffle_i32x4::<0x44>(r0, r1);
-                let t1 = _mm512_shuffle_i32x4::<0x44>(r2, r3);
-                let t2 = _mm512_shuffle_i32x4::<0xEE>(r0, r1);
-                let t3 = _mm512_shuffle_i32x4::<0xEE>(r2, r3);
-                for (j, ks) in [
-                    _mm512_shuffle_i32x4::<0x88>(t0, t1),
-                    _mm512_shuffle_i32x4::<0xDD>(t0, t1),
-                    _mm512_shuffle_i32x4::<0x88>(t2, t3),
-                    _mm512_shuffle_i32x4::<0xDD>(t2, t3),
-                ]
-                .into_iter()
-                .enumerate()
-                {
-                    let q = out.add(base + j);
-                    _mm512_storeu_si512(q, _mm512_xor_si512(_mm512_loadu_si512(q), ks));
+            // Each register holds one word-row of four blocks, one per
+            // 128-bit lane: transposing the lanes yields whole blocks.
+            for (base, rows) in [(0, [a0, a1, a2, a3]), (4, [b0, b1, b2, b3])] {
+                for (j, ks) in transpose_lanes(rows).into_iter().enumerate() {
+                    xor_at(out.add(base + j), ks);
                 }
             }
             out = out.add(8);
@@ -554,6 +559,106 @@ mod avx512 {
         }
         words[12] = words[12].wrapping_add((steps * 8) as u32);
         steps * STEP
+    }
+
+    /// Four independent §2.1 quarter rounds on the vertical state, one
+    /// per `[a b c d]` index quadruple, interleaved leg by leg.
+    macro_rules! quarter_rounds {
+        ($x:ident: $([$a:literal $b:literal $c:literal $d:literal])+) => {
+            $( $x[$a] = _mm512_add_epi32($x[$a], $x[$b]);
+               $x[$d] = _mm512_rol_epi32::<16>(_mm512_xor_si512($x[$d], $x[$a])); )+
+            $( $x[$c] = _mm512_add_epi32($x[$c], $x[$d]);
+               $x[$b] = _mm512_rol_epi32::<12>(_mm512_xor_si512($x[$b], $x[$c])); )+
+            $( $x[$a] = _mm512_add_epi32($x[$a], $x[$b]);
+               $x[$d] = _mm512_rol_epi32::<8>(_mm512_xor_si512($x[$d], $x[$a])); )+
+            $( $x[$c] = _mm512_add_epi32($x[$c], $x[$d]);
+               $x[$b] = _mm512_rol_epi32::<7>(_mm512_xor_si512($x[$b], $x[$c])); )+
+        };
+    }
+
+    /// XORs keystream over as many whole 1 KiB (sixteen-block) chunks as
+    /// fit in `buf`, advancing the counter word. Returns bytes consumed.
+    ///
+    /// Lane `j` is block `counter + j`, the counter added mod 2³² per
+    /// lane exactly as the row tiers' `wrapping_add` does.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F. Every load and store stays inside
+    /// `buf`: the step count is `buf.len() / WIDE_STEP`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn xor_keystream16(words: &mut [u32; 16], buf: &mut [u8]) -> usize {
+        let steps = buf.len() / WIDE_STEP;
+        if steps == 0 {
+            return 0;
+        }
+        let lanes = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+        let mut out = buf.as_mut_ptr() as *mut __m512i;
+        for step in 0..steps {
+            let counter = words[12].wrapping_add((step * 16) as u32);
+            let mut init: [__m512i; 16] =
+                std::array::from_fn(|i| _mm512_set1_epi32(words[i] as i32));
+            init[12] = _mm512_add_epi32(_mm512_set1_epi32(counter as i32), lanes);
+            let mut x = init;
+            for _ in 0..10 {
+                quarter_rounds!(x: [0 4 8 12] [1 5 9 13] [2 6 10 14] [3 7 11 15]);
+                quarter_rounds!(x: [0 5 10 15] [1 6 11 12] [2 7 8 13] [3 4 9 14]);
+            }
+            for (w, i) in x.iter_mut().zip(init) {
+                *w = _mm512_add_epi32(*w, i);
+            }
+            // Transpose 4×4 dword tiles within each 128-bit lane: `r[g][s]`
+            // holds words 4g…4g+3 of block 4L+s in lane L.
+            let r: [[__m512i; 4]; 4] = std::array::from_fn(|g| {
+                let [w0, w1, w2, w3] = [x[4 * g], x[4 * g + 1], x[4 * g + 2], x[4 * g + 3]];
+                let (lo01, hi01) = (_mm512_unpacklo_epi32(w0, w1), _mm512_unpackhi_epi32(w0, w1));
+                let (lo23, hi23) = (_mm512_unpacklo_epi32(w2, w3), _mm512_unpackhi_epi32(w2, w3));
+                [
+                    _mm512_unpacklo_epi64(lo01, lo23),
+                    _mm512_unpackhi_epi64(lo01, lo23),
+                    _mm512_unpacklo_epi64(hi01, hi23),
+                    _mm512_unpackhi_epi64(hi01, hi23),
+                ]
+            });
+            // …then the 128-bit lanes, as in the eight-block step.
+            for s in 0..4 {
+                for (lane, ks) in transpose_lanes(r.map(|g| g[s])).into_iter().enumerate() {
+                    xor_at(out.add(4 * lane + s), ks);
+                }
+            }
+            out = out.add(16);
+        }
+        words[12] = words[12].wrapping_add((steps * 16) as u32);
+        steps * WIDE_STEP
+    }
+
+    /// Transposes a 4×4 grid of 128-bit lanes: result `j` is lane `j` of
+    /// `rows[0]`, …, `rows[3]`, in that order.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn transpose_lanes(rows: [__m512i; 4]) -> [__m512i; 4] {
+        let [r0, r1, r2, r3] = rows;
+        let t0 = _mm512_shuffle_i32x4::<0x44>(r0, r1);
+        let t1 = _mm512_shuffle_i32x4::<0x44>(r2, r3);
+        let t2 = _mm512_shuffle_i32x4::<0xEE>(r0, r1);
+        let t3 = _mm512_shuffle_i32x4::<0xEE>(r2, r3);
+        [
+            _mm512_shuffle_i32x4::<0x88>(t0, t1),
+            _mm512_shuffle_i32x4::<0xDD>(t0, t1),
+            _mm512_shuffle_i32x4::<0x88>(t2, t3),
+            _mm512_shuffle_i32x4::<0xDD>(t2, t3),
+        ]
+    }
+
+    /// `*q ^= ks` on one unaligned 64-byte block.
+    ///
+    /// # Safety
+    ///
+    /// `q` must be valid for reads and writes of 64 bytes.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn xor_at(q: *mut __m512i, ks: __m512i) {
+        _mm512_storeu_si512(q, _mm512_xor_si512(_mm512_loadu_si512(q), ks));
     }
 }
 
@@ -615,10 +720,10 @@ offer you only one tip for the future, sunscreen would be it.";
         assert_eq!(buf, plaintext.to_vec());
     }
 
-    /// The portable tier alone over all of `buf`, counter starting at 1:
+    /// The portable tier alone over all of `buf`, from block `counter`:
     /// the reference the dispatching paths are held to.
-    fn portable_stream(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], buf: &mut [u8]) {
-        let mut c = ChaCha20::new(key, nonce, 1);
+    fn portable_stream(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32, buf: &mut [u8]) {
+        let mut c = ChaCha20::new(key, nonce, counter);
         let done = c.xor_whole_steps_portable(buf);
         xor_into(&mut buf[done..], &permute2_bytes(&c.words));
     }
@@ -633,7 +738,7 @@ offer you only one tip for the future, sunscreen would be it.";
         let mut whole = vec![0xA5u8; 1024 + 64 + 17];
         ChaCha20::new(&key, &nonce, 1).xor_keystream(&mut whole);
         let mut reference = vec![0xA5u8; 1024 + 64 + 17];
-        portable_stream(&key, &nonce, &mut reference);
+        portable_stream(&key, &nonce, 1, &mut reference);
         assert_eq!(whole, reference);
 
         let mut split = vec![0xA5u8; 1024 + 64 + 17];
@@ -659,7 +764,7 @@ offer you only one tip for the future, sunscreen would be it.";
             let mut reference = fast.clone();
             let mut c = ChaCha20::new(&key, &nonce, 1);
             c.xor_keystream(&mut fast);
-            portable_stream(&key, &nonce, &mut reference);
+            portable_stream(&key, &nonce, 1, &mut reference);
             assert_eq!(fast, reference, "len {len}");
             assert_eq!(c.words[12], 1 + len.div_ceil(BLOCK_LEN) as u32, "len {len}");
         }
@@ -700,7 +805,7 @@ offer you only one tip for the future, sunscreen would be it.";
             let done = unsafe { avx2::xor_keystream4(&mut words, &mut fast) };
             assert_eq!(done, len);
             let mut portable = vec![0x3Cu8; len];
-            portable_stream(&key, &nonce, &mut portable);
+            portable_stream(&key, &nonce, 1, &mut portable);
             assert_eq!(fast, portable, "len {len}");
             assert_eq!(words[12], 1 + (len / BLOCK_LEN) as u32);
         }
@@ -722,7 +827,7 @@ offer you only one tip for the future, sunscreen would be it.";
             let done = unsafe { avx512::xor_keystream8(&mut words, &mut fast) };
             assert_eq!(done, len);
             let mut portable = vec![0x5Eu8; len];
-            portable_stream(&key, &nonce, &mut portable);
+            portable_stream(&key, &nonce, 1, &mut portable);
             assert_eq!(fast, portable, "len {len}");
             assert_eq!(words[12], 1 + (len / BLOCK_LEN) as u32);
         }
@@ -733,6 +838,159 @@ offer you only one tip for the future, sunscreen would be it.";
             unsafe { avx512::xor_keystream8(&mut words, &mut [0u8; 511]) },
             0
         );
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn sixteen_block_step_matches_portable_tier() {
+        if !std::arch::is_x86_feature_detected!("avx512f") {
+            println!("skipped: avx512f");
+            return;
+        }
+        use sfs_bignum::{RandomSource, XorShiftSource};
+        let mut rng = XorShiftSource::new(0xC4AC_0016);
+        let lengths = (0..=4200usize).chain([8192, 8196, 32_772]);
+        for len in lengths {
+            let mut random_key = [0u8; KEY_LEN];
+            let mut nonce = [0u8; NONCE_LEN];
+            rng.fill(&mut random_key);
+            rng.fill(&mut nonce);
+            let data: Vec<u8> = (0..len).map(|i| (i * 131 + len) as u8).collect();
+            // From 0xFFFF_FFF8 the lanes of the first step wrap past 2³²
+            // in mid-register, exactly as `wrapping_add` does.
+            for (key, counter) in [
+                (random_key, 1u32),
+                (random_key, 0xFFFF_FFF8),
+                ([0xff; KEY_LEN], 1),
+                ([0xff; KEY_LEN], 0xFFFF_FFF8),
+            ] {
+                let mut reference = data.clone();
+                portable_stream(&key, &nonce, counter, &mut reference);
+                let blocks = len.div_ceil(BLOCK_LEN) as u32;
+
+                // The step alone takes exactly the whole 1 KiB runs.
+                let mut wide = data.clone();
+                let mut words = ChaCha20::new(&key, &nonce, counter).words;
+                // SAFETY: avx512f presence checked above.
+                let done = unsafe { avx512::xor_keystream16(&mut words, &mut wide) };
+                assert_eq!(
+                    done,
+                    len / avx512::WIDE_STEP * avx512::WIDE_STEP,
+                    "len {len}"
+                );
+                assert_eq!(
+                    wide[..done],
+                    reference[..done],
+                    "len {len} ctr {counter:#x}"
+                );
+                assert_eq!(wide[done..], data[done..], "len {len}: tail untouched");
+                assert_eq!(words[12], counter.wrapping_add((done / BLOCK_LEN) as u32));
+
+                // Through the dispatcher: wide runs, eight-block steps
+                // and the tail, one stream.
+                let mut c = ChaCha20::new(&key, &nonce, counter);
+                let mut fast = data.clone();
+                c.xor_keystream(&mut fast);
+                assert_eq!(fast, reference, "len {len} ctr {counter:#x}");
+                assert_eq!(c.words[12], counter.wrapping_add(blocks), "len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn rfc8439_a2_vectors_across_a_wide_step_boundary() {
+        // RFC 8439 A.2 #1–#3, each placed `k` blocks into one
+        // `xor_keystream` call (the stream started `k` blocks earlier,
+        // wrapping below counter 0 for #1) with 1100 bytes after it, so
+        // the vector sits inside, at the end of, across and after the
+        // first sixteen-block run.
+        const IETF: &[u8] = b"Any submission to the IETF intended by the Contributor for \
+publication as all or part of an IETF Internet-Draft or RFC and any statement made within \
+the context of an IETF activity is considered an \"IETF Contribution\". Such statements \
+include oral statements in IETF sessions, as well as written and electronic communications \
+made at any time or place, which are addressed to";
+        const JABBERWOCKY: &[u8] = b"'Twas brillig, and the slithy toves\nDid gyre and gimble \
+in the wabe:\nAll mimsy were the borogoves,\nAnd the mome raths outgrabe.";
+        let mut key2 = [0u8; KEY_LEN];
+        key2[31] = 1;
+        let key3: [u8; KEY_LEN] = hex("1c 92 40 a5 eb 55 d3 8a f3 33 88 86 04 f6 b5 f0
+             47 39 17 c1 40 2b 80 09 9d ca 5c bc 20 70 75 c0")
+        .try_into()
+        .unwrap();
+        let nonce2 = [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2];
+        let vectors = [
+            (
+                "#1",
+                [0; KEY_LEN],
+                [0; NONCE_LEN],
+                0u32,
+                &[0u8; 64][..],
+                hex("76 b8 e0 ad a0 f1 3d 90 40 5d 6a e5 53 86 bd 28
+                     bd d2 19 b8 a0 8d ed 1a a8 36 ef cc 8b 77 0d c7
+                     da 41 59 7c 51 57 48 8d 77 24 e0 3f b8 d8 4a 37
+                     6a 43 b8 f4 15 18 a1 1c c3 87 b6 69 b2 ee 65 86"),
+            ),
+            (
+                "#2",
+                key2,
+                nonce2,
+                1,
+                IETF,
+                hex("a3 fb f0 7d f3 fa 2f de 4f 37 6c a2 3e 82 73 70
+                     41 60 5d 9f 4f 4f 57 bd 8c ff 2c 1d 4b 79 55 ec
+                     2a 97 94 8b d3 72 29 15 c8 f3 d3 37 f7 d3 70 05
+                     0e 9e 96 d6 47 b7 c3 9f 56 e0 31 ca 5e b6 25 0d
+                     40 42 e0 27 85 ec ec fa 4b 4b b5 e8 ea d0 44 0e
+                     20 b6 e8 db 09 d8 81 a7 c6 13 2f 42 0e 52 79 50
+                     42 bd fa 77 73 d8 a9 05 14 47 b3 29 1c e1 41 1c
+                     68 04 65 55 2a a6 c4 05 b7 76 4d 5e 87 be a8 5a
+                     d0 0f 84 49 ed 8f 72 d0 d6 62 ab 05 26 91 ca 66
+                     42 4b c8 6d 2d f8 0e a4 1f 43 ab f9 37 d3 25 9d
+                     c4 b2 d0 df b4 8a 6c 91 39 dd d7 f7 69 66 e9 28
+                     e6 35 55 3b a7 6c 5c 87 9d 7b 35 d4 9e b2 e6 2b
+                     08 71 cd ac 63 89 39 e2 5e 8a 1e 0e f9 d5 28 0f
+                     a8 ca 32 8b 35 1c 3c 76 59 89 cb cf 3d aa 8b 6c
+                     cc 3a af 9f 39 79 c9 2b 37 20 fc 88 dc 95 ed 84
+                     a1 be 05 9c 64 99 b9 fd a2 36 e7 e8 18 b0 4b 0b
+                     c3 9c 1e 87 6b 19 3b fe 55 69 75 3f 88 12 8c c0
+                     8a aa 9b 63 d1 a1 6f 80 ef 25 54 d7 18 9c 41 1f
+                     58 69 ca 52 c5 b8 3f a3 6f f2 16 b9 c1 d3 00 62
+                     be bc fd 2d c5 bc e0 91 19 34 fd a7 9a 86 f6 e6
+                     98 ce d7 59 c3 ff 9b 64 77 33 8f 3d a4 f9 cd 85
+                     14 ea 99 82 cc af b3 41 b2 38 4d d9 02 f3 d1 ab
+                     7a c6 1d d2 9c 6f 21 ba 5b 86 2f 37 30 e3 7c fd
+                     c4 fd 80 6c 22 f2 21"),
+            ),
+            (
+                "#3",
+                key3,
+                nonce2,
+                42,
+                JABBERWOCKY,
+                hex("62 e6 34 7f 95 ed 87 a4 5f fa e7 42 6f 27 a1 df
+                     5f b6 91 10 04 4c 0d 73 11 8e ff a9 5b 01 e5 cf
+                     16 6d 3d f2 d7 21 ca f9 b2 1e 5f b1 4c 61 68 71
+                     fd 84 c5 4f 9d 65 b2 83 19 6c 7f e4 f6 05 53 eb
+                     f3 9c 64 02 c4 22 34 e3 2a 35 6b 3e 76 43 12 a6
+                     1a 55 32 05 57 16 ea d6 96 25 68 f8 7d 3f 3f 77
+                     04 c6 a8 d1 bc d1 bf 4d 50 d6 15 4b 6d a7 31 b1
+                     87 b5 8d fd 72 8a fa 36 75 7a 79 7a c1 88 d1"),
+            ),
+        ];
+        for (name, key, nonce, counter, plaintext, expected) in &vectors {
+            assert_eq!(plaintext.len(), expected.len(), "{name}");
+            for k in 0..=24usize {
+                let at = k * BLOCK_LEN;
+                let mut buf = vec![0x5Au8; at + plaintext.len() + 1100];
+                buf[at..at + plaintext.len()].copy_from_slice(plaintext);
+                ChaCha20::new(key, nonce, counter.wrapping_sub(k as u32)).xor_keystream(&mut buf);
+                assert_eq!(
+                    &buf[at..at + plaintext.len()],
+                    &expected[..],
+                    "{name} at block {k}"
+                );
+            }
+        }
     }
 
     #[test]

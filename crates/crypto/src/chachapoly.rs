@@ -21,7 +21,7 @@ pub const NONCE_LEN: usize = 12;
 pub const TAG_LEN: usize = 16;
 
 /// Chunk granularity for the fused encrypt-then-MAC sweep: a multiple of
-/// both the widest ChaCha step (512) and the Poly1305 vector step (128),
+/// both the widest ChaCha step (1 KiB) and the Poly1305 vector step (128),
 /// long enough that the once-per-`update` lane combine of the vector MAC
 /// is spread over sixteen steps, and small enough that the chunk is
 /// still in L1 when the MAC re-reads it.

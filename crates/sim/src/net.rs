@@ -444,7 +444,9 @@ impl Wire {
     /// push a frame's arrival without holding the link.
     ///
     /// The server closure sees each frame's absolute arrival time and
-    /// decides how its service time is accounted: [`ServerCost::Serial`]
+    /// owns its bytes, as in `call` (a duplicated frame is handed over
+    /// twice, the first time as a copy); it decides how its service time
+    /// is accounted: [`ServerCost::Serial`]
     /// is the classic single-server discipline (one request at a time,
     /// charged the analytic CPU cost it carries plus whatever virtual
     /// time the closure itself consumed, scaled by [`ServerLoad`]
@@ -457,7 +459,7 @@ impl Wire {
     pub fn exchange_on(
         &self,
         frames: Vec<(SimTime, Vec<u8>)>,
-        mut server: impl FnMut(u64, &[u8]) -> (Vec<Vec<u8>>, ServerCost),
+        mut server: impl FnMut(u64, Vec<u8>) -> (Vec<Vec<u8>>, ServerCost),
     ) -> Vec<ExchangeReply> {
         if frames.is_empty() {
             return Vec::new();
@@ -490,8 +492,13 @@ impl Wire {
         let mut answered = 0u64;
         let sharers = self.sharers();
         for (arrival, _idx, bytes, dup) in arrivals {
-            for _ in 0..if dup { 2 } else { 1 } {
-                let ((replies, cost), dt) = self.clock.measure(|| server(arrival, &bytes));
+            let (first, second) = if dup {
+                (bytes.clone(), Some(bytes))
+            } else {
+                (bytes, None)
+            };
+            for bytes in std::iter::once(first).chain(second) {
+                let ((replies, cost), dt) = self.clock.measure(|| server(arrival, bytes));
                 let end = match cost {
                     // One server core: requests queue behind each other,
                     // and `sharers` streams time-share it.
@@ -838,7 +845,7 @@ mod tests {
         let w = wire();
         let sent = w.clock().now();
         let replies = w.exchange_on(vec![(sent, vec![1; 400])], |_, req| {
-            assert_eq!(req, &[1u8; 400][..]);
+            assert_eq!(req, vec![1u8; 400]);
             (vec![vec![2; 200]], Serial(0))
         });
         assert_eq!(replies.len(), 1);
@@ -886,7 +893,7 @@ mod tests {
         let w = wire();
         let sent = w.clock().now();
         let frames = (0..4u8).map(|i| (sent, vec![i; 64])).collect();
-        let replies = w.exchange_on(frames, |_, req| (vec![req.to_vec()], Serial(0)));
+        let replies = w.exchange_on(frames, |_, req| (vec![req], Serial(0)));
         assert_eq!(replies.len(), 4);
         for pair in replies.windows(2) {
             assert!(pair[0].arrival <= pair[1].arrival);
