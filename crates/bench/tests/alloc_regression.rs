@@ -1,6 +1,7 @@
 //! Pins allocations-per-RPC on the steady-state sealed relay loop, per
 //! operation on the stages below it, and per private-key operation on
-//! the Rabin handshake path.
+//! the Rabin handshake path — and, beside them, the pool's hit/miss
+//! behaviour and the totals the CPU cost terms and the pool count.
 //!
 //! Wall-clock perf regressions need a benchmark run to notice;
 //! allocation-count regressions are exact and deterministic, so they can
@@ -210,6 +211,61 @@ fn a_steady_state_window_of_8k_reads_takes_no_pool_misses() {
     assert!(
         count("bufpool.hits") - hits >= 16 * 8 * 5,
         "the window bypassed the pool"
+    );
+}
+
+#[test]
+fn cost_and_pool_counters_keep_their_totals() {
+    // The CPU cost terms and the buffer pool count into whichever
+    // telemetry handle their caller passes down; where that handle comes
+    // from may move, what it counts may not. Totals after a mount, a
+    // 64 KiB write, one blocking GETATTR and one window of eight 8 KiB
+    // READs on the §4.1 cost model.
+    const COUNTERS: [(&str, &str); 7] = [
+        ("client", "cpu.crossings"),
+        ("client", "cpu.rpc_charges"),
+        ("client", "cpu.user_copy_bytes"),
+        ("server", "cpu.server_copy_bytes"),
+        ("client", "cpu.crypto_bytes"),
+        ("server", "bufpool.hits"),
+        ("server", "bufpool.misses"),
+    ];
+    let tel = Telemetry::counters();
+    let world = World::build(
+        &WorldSpec {
+            disk: None,
+            ..WorldSpec::bench()
+        }
+        .traced(&tel),
+    );
+    let client = &world.clients[0];
+    let file = format!("{}/bench/data", world.path().full_path());
+    client
+        .write_file(UID, &file, &vec![0xAB; 8 * 8192])
+        .unwrap();
+    let (mount, fh, _) = client.resolve(UID, &file).unwrap();
+    client.set_caching(false);
+    client.set_pipeline_window(8);
+    let totals = || COUNTERS.map(|(proc, name)| tel.counter(proc, name));
+
+    client.getattr(&mount, UID, &fh).unwrap();
+    let after_getattr = totals();
+    let reqs: Vec<Nfs3Request> = (0..8)
+        .map(|i| Nfs3Request::Read {
+            fh: fh.clone(),
+            offset: i * 8192,
+            count: 8192,
+        })
+        .collect();
+    assert_eq!(client.call_nfs_window(&mount, UID, &reqs).unwrap().len(), 8);
+    let after_window = totals();
+    assert_eq!(
+        (after_getattr, after_window),
+        (
+            [21, 24, 67_820, 66_684, 67_820, 57, 7],
+            [30, 40, 134_860, 67_484, 134_860, 79, 25]
+        ),
+        "{COUNTERS:?}"
     );
 }
 

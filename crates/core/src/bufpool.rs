@@ -57,18 +57,54 @@ static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
 
 /// A freelist of reusable `Vec<u8>`s shared by a connection's two ends.
 pub struct BufPool {
-    free: Mutex<Vec<Vec<u8>>>,
-    tel: Mutex<Telemetry>,
+    /// The freelist and the sink its hit/miss counters go to, under one
+    /// lock: a `get` takes it once.
+    state: Mutex<PoolState>,
     host: &'static str,
     id: u64,
+}
+
+struct PoolState {
+    free: Vec<Vec<u8>>,
+    tel: Telemetry,
+}
+
+impl PoolState {
+    fn get(&mut self, host: &'static str) -> Vec<u8> {
+        match self.free.pop() {
+            Some(mut b) => {
+                self.tel.count(host, "bufpool.hits", 1);
+                b.clear();
+                b
+            }
+            None => {
+                self.tel.count(host, "bufpool.misses", 1);
+                Vec::new()
+            }
+        }
+    }
+
+    fn put(&mut self, buf: Vec<u8>) {
+        if self.free.len() < MAX_POOLED {
+            self.free.push(buf);
+        }
+    }
+}
+
+/// Whether the freelist keeps a buffer of `capacity` at all: an empty
+/// one holds nothing worth reusing, an oversized one would pin memory.
+fn retained(capacity: usize) -> bool {
+    capacity != 0 && capacity <= MAX_RETAINED_CAPACITY
 }
 
 impl BufPool {
     /// Creates an empty pool tagged with a telemetry process dimension.
     pub fn new(host: &'static str) -> Arc<Self> {
         Arc::new(BufPool {
-            free: Mutex::new(Vec::new()),
-            tel: Mutex::new(Telemetry::disabled()),
+            state: Mutex::new(PoolState {
+                free: Vec::new(),
+                tel: Telemetry::disabled(),
+            }),
             host,
             id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
         })
@@ -84,48 +120,44 @@ impl BufPool {
 
     /// Routes hit/miss counters to `tel`.
     pub fn set_telemetry(&self, tel: Telemetry) {
-        *self.tel.lock() = tel;
+        self.state.lock().tel = tel;
     }
 
     /// Takes a cleared buffer from the freelist, or allocates one.
     pub fn get(&self) -> Vec<u8> {
-        let buf = self.free.lock().pop();
-        match buf {
-            Some(mut b) => {
-                b.clear();
-                self.tel.lock().count(self.host, "bufpool.hits", 1);
-                b
-            }
-            None => {
-                self.tel.lock().count(self.host, "bufpool.misses", 1);
-                Vec::new()
-            }
-        }
+        self.state.lock().get(self.host)
     }
 
     /// Returns a buffer to the freelist. Oversized buffers and overflow
     /// beyond the retention cap are dropped.
     pub fn put(&self, buf: Vec<u8>) {
-        if buf.capacity() == 0 || buf.capacity() > MAX_RETAINED_CAPACITY {
-            return;
-        }
-        let mut free = self.free.lock();
-        if free.len() < MAX_POOLED {
-            free.push(buf);
+        if retained(buf.capacity()) {
+            self.state.lock().put(buf);
         }
     }
 
+    /// [`Self::put`] then [`Self::get`], under one lock: a caller done
+    /// with one buffer that needs another gets `buf` back, cleared,
+    /// whenever the freelist would have kept it.
+    pub fn recycle(&self, buf: Vec<u8>) -> Vec<u8> {
+        let mut st = self.state.lock();
+        if retained(buf.capacity()) {
+            st.put(buf);
+        }
+        st.get(self.host)
+    }
+
     /// Takes a buffer wrapped in a guard that returns it on drop.
-    pub fn get_guard(self: &Arc<Self>) -> PooledBuf {
+    pub fn get_guard(&self) -> PooledBuf<'_> {
         PooledBuf {
             buf: Some(self.get()),
-            pool: Arc::clone(self),
+            pool: self,
         }
     }
 
     /// Buffers currently idle in the freelist (for tests).
     pub fn idle(&self) -> usize {
-        self.free.lock().len()
+        self.state.lock().free.len()
     }
 }
 
@@ -140,32 +172,32 @@ impl std::fmt::Debug for BufPool {
 
 /// RAII guard for a pooled buffer: derefs to `Vec<u8>`, returns the
 /// buffer to its pool on drop unless [`PooledBuf::take`]n.
-pub struct PooledBuf {
+pub struct PooledBuf<'a> {
     buf: Option<Vec<u8>>,
-    pool: Arc<BufPool>,
+    pool: &'a BufPool,
 }
 
-impl PooledBuf {
+impl PooledBuf<'_> {
     /// Detaches the buffer from the guard; it will not be pooled.
     pub fn take(mut self) -> Vec<u8> {
         self.buf.take().expect("buffer present until take/drop")
     }
 }
 
-impl std::ops::Deref for PooledBuf {
+impl std::ops::Deref for PooledBuf<'_> {
     type Target = Vec<u8>;
     fn deref(&self) -> &Vec<u8> {
         self.buf.as_ref().expect("buffer present until take/drop")
     }
 }
 
-impl std::ops::DerefMut for PooledBuf {
+impl std::ops::DerefMut for PooledBuf<'_> {
     fn deref_mut(&mut self) -> &mut Vec<u8> {
         self.buf.as_mut().expect("buffer present until take/drop")
     }
 }
 
-impl Drop for PooledBuf {
+impl Drop for PooledBuf<'_> {
     fn drop(&mut self) {
         if let Some(buf) = self.buf.take() {
             self.pool.put(buf);
@@ -194,6 +226,26 @@ mod tests {
         assert_eq!(b.capacity(), cap, "capacity survives the round trip");
         assert_eq!(tel.counter("client", "bufpool.hits"), 1);
         assert_eq!(tel.counter("client", "bufpool.misses"), 1);
+    }
+
+    #[test]
+    fn recycle_is_put_then_get() {
+        let pool = BufPool::new("client");
+        let tel = Telemetry::counters();
+        pool.set_telemetry(tel.clone());
+        let mut a = Vec::with_capacity(64);
+        a.extend_from_slice(b"request");
+        let marker = a.as_ptr();
+        let b = pool.recycle(a);
+        assert_eq!(b.as_ptr(), marker, "a kept buffer comes straight back");
+        assert!(b.is_empty());
+        assert_eq!(tel.counter("client", "bufpool.hits"), 1);
+        // One the freelist would not keep is dropped, and the draw
+        // misses on an empty freelist.
+        let c = pool.recycle(Vec::new());
+        assert_eq!(c.capacity(), 0);
+        assert_eq!(tel.counter("client", "bufpool.misses"), 1);
+        assert_eq!(pool.idle(), 0);
     }
 
     #[test]

@@ -13,6 +13,7 @@ use std::sync::atomic::Ordering;
 
 use sfs_nfs3::proto::{Fattr3, FileHandle, Nfs3Reply, Nfs3Request, PostOpAttr, StableHow};
 use sfs_sim::SimTime;
+use sfs_telemetry::Telemetry;
 
 use super::{CachedAttr, ClientError, Mount, SfsClient, StreamState, READ_AHEAD_TRIGGER};
 
@@ -27,13 +28,16 @@ impl SfsClient {
 
     /// Applies a reply's piggybacked invalidation callbacks to the
     /// mount's caches.
-    pub(super) fn apply_invalidations(&self, mount: &Mount, invalidations: &[FileHandle]) {
+    pub(super) fn apply_invalidations(
+        &self,
+        tel: &Telemetry,
+        mount: &Mount,
+        invalidations: &[FileHandle],
+    ) {
         if invalidations.is_empty() || self.ignore_invalidations.load(Ordering::SeqCst) {
             return;
         }
-        self.tel
-            .lock()
-            .count("client", "cache.invalidations", invalidations.len() as u64);
+        tel.count("client", "cache.invalidations", invalidations.len() as u64);
         let mut cache = mount.attr_cache.lock();
         for fh in invalidations {
             cache.remove(&fh.0);
@@ -62,13 +66,14 @@ impl SfsClient {
         count: u32,
     ) -> Result<(Vec<u8>, bool), ClientError> {
         self.barrier(mount)?;
+        let tel = self.tel();
         // Read-ahead hit: the block is already here, no RPC at all.
         {
             let mut streams = mount.streams.lock();
             if let Some(st) = streams.get_mut(&fh.0) {
                 if let Some((data, eof)) = st.prefetch.remove(&offset) {
                     if data.len() <= count as usize {
-                        self.tel().count("client", "pipeline.readahead_hits", 1);
+                        tel.count("client", "pipeline.readahead_hits", 1);
                         st.next_offset = offset + data.len() as u64;
                         return Ok((data, eof));
                     }
@@ -104,7 +109,7 @@ impl SfsClient {
                 })
                 .collect();
             let mut replies = self
-                .call_nfs_window_unqueued(mount, uid, &reqs)?
+                .call_nfs_window_unqueued(&tel, mount, uid, &reqs)?
                 .into_iter();
             let (data, eof) = match replies.next().expect("one reply per request") {
                 Nfs3Reply::Read { data, eof, .. } => (data, eof),
@@ -143,6 +148,7 @@ impl SfsClient {
             return Ok((data, eof));
         }
         match self.call_nfs_unqueued(
+            &tel,
             mount,
             uid,
             &Nfs3Request::Read {
@@ -184,7 +190,7 @@ impl SfsClient {
             data,
         };
         if self.pipeline_window() <= 1 {
-            return match self.call_nfs_unqueued(mount, uid, &req)? {
+            return match self.call_nfs_unqueued(&self.tel(), mount, uid, &req)? {
                 Nfs3Reply::Write { .. } => Ok(()),
                 other => Err(ClientError::unexpected(other)),
             };
@@ -211,6 +217,7 @@ impl SfsClient {
     }
 
     fn flush_write_behind(&self, mount: &Mount) -> Result<(), ClientError> {
+        let tel = self.tel();
         loop {
             let batch: Vec<(u32, Nfs3Request)> = std::mem::take(&mut *mount.wb_queue.lock());
             if batch.is_empty() {
@@ -227,7 +234,7 @@ impl SfsClient {
                 }
                 let reqs: Vec<Nfs3Request> =
                     batch[i..j].iter().map(|(_, req)| req.clone()).collect();
-                for reply in self.call_nfs_window_unqueued(mount, uid, &reqs)? {
+                for reply in self.call_nfs_window_unqueued(&tel, mount, uid, &reqs)? {
                     match reply {
                         Nfs3Reply::Write { .. } => {}
                         other => return Err(ClientError::unexpected(other)),
@@ -285,16 +292,19 @@ impl SfsClient {
         // A revoked HostID is refused even on a lease-held cache hit:
         // §2.5 revocation blocks *access*, not just wire traffic.
         self.refuse_if_revoked(mount, uid)?;
+        let tel = self.tel();
         if self.caching.load(Ordering::SeqCst) {
             if let Some(c) = mount.attr_cache.lock().get(&fh.0) {
                 if self.clock.now() < c.expires {
-                    self.tel.lock().count("client", "cache.attr_hits", 1);
+                    tel.count("client", "cache.attr_hits", 1);
                     return Ok(c.attr);
                 }
             }
         }
-        self.tel.lock().count("client", "cache.attr_misses", 1);
-        match self.call_nfs(mount, uid, &Nfs3Request::GetAttr { fh: fh.clone() })? {
+        tel.count("client", "cache.attr_misses", 1);
+        self.barrier(mount)?;
+        let req = Nfs3Request::GetAttr { fh: fh.clone() };
+        match self.call_nfs_unqueued(&tel, mount, uid, &req)? {
             Nfs3Reply::GetAttr { attr, .. } => Ok(attr),
             other => Err(ClientError::unexpected(other)),
         }
@@ -309,25 +319,24 @@ impl SfsClient {
         mask: u32,
     ) -> Result<u32, ClientError> {
         self.refuse_if_revoked(mount, uid)?;
+        let tel = self.tel();
         let key = (fh.0.clone(), uid, mask);
         if self.caching.load(Ordering::SeqCst) {
             if let Some(c) = mount.access_cache.lock().get(&key) {
                 if self.clock.now() < c.expires {
-                    self.tel.lock().count("client", "cache.access_hits", 1);
+                    tel.count("client", "cache.access_hits", 1);
                     // The granted mask is stashed in the attr's mode field.
                     return Ok(c.attr.mode);
                 }
             }
         }
-        self.tel.lock().count("client", "cache.access_misses", 1);
-        match self.call_nfs(
-            mount,
-            uid,
-            &Nfs3Request::Access {
-                fh: fh.clone(),
-                mask,
-            },
-        )? {
+        tel.count("client", "cache.access_misses", 1);
+        self.barrier(mount)?;
+        let req = Nfs3Request::Access {
+            fh: fh.clone(),
+            mask,
+        };
+        match self.call_nfs_unqueued(&tel, mount, uid, &req)? {
             Nfs3Reply::Access { granted, attr } => {
                 if self.caching.load(Ordering::SeqCst) && attr.lease_ns > 0 {
                     if let Some(mut a) = attr.attr {

@@ -468,8 +468,8 @@ impl SfsClient {
     }
 
     /// Waits out one exponential-backoff interval with ±25% deterministic
-    /// jitter, charged to the virtual clock.
-    fn backoff(&self, attempt: u32) {
+    /// jitter, charged to the virtual clock and reported into `tel`.
+    fn backoff(&self, tel: &Telemetry, attempt: u32) {
         let policy = self.retry_policy();
         let exp = policy
             .base_backoff_ns
@@ -484,7 +484,6 @@ impl SfsClient {
         self.jitter.store(x, Ordering::SeqCst);
         let r = x.wrapping_mul(0x2545_F491_4F6C_DD1D);
         let ns = exp - spread + r % (2 * spread + 1).max(1);
-        let tel = self.tel();
         tel.count("client", "retry.backoffs", 1);
         tel.instant_kv("client", "core.client", "backoff", "ns", ns);
         self.clock.advance_ns(ns);

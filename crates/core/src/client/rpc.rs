@@ -13,20 +13,28 @@
 //! ([`encode_inner_nfs`]) and the reply decode each loop runs in the
 //! frame a reply was opened in ([`decode_nfs`], [`decode_inner`]).
 //!
+//! A call reads the client's shared state once: its entry point reads
+//! the telemetry handle every helper below counts into, and
+//! [`SfsClient::with_reconnect`] locks the link once per attempt and
+//! hands it to the loop (DESIGN.md §10, "What one RPC locks").
+//!
 //! Calls down into `session` (reconnect), `cache` (harvesting
 //! attributes, applying invalidations, the write-behind barrier) and
 //! `recovery` (journaling the seqno high-water mark).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use sfs_nfs3::proto::{FileHandle, Nfs3Reply, Nfs3Request};
 use sfs_proto::channel::{FrameSequencer, SeqPush, SuiteId, FRAME_HEADER_LEN};
 use sfs_proto::userauth::{AuthInfo, AUTHNO_ANONYMOUS};
 use sfs_sim::{SimTime, WireError};
+use sfs_telemetry::Telemetry;
 use sfs_xdr::Xdr;
 
-use super::{ClientError, Mount, SfsClient, REORDER_BUF_CAPACITY};
+use super::{ClientError, Link, Mount, SfsClient, REORDER_BUF_CAPACITY};
+use crate::bufpool::BufPool;
 use crate::wire::{
     encode_inner_nfs, inner_nfs_reply, seq_env_begin, seq_env_finish, seq_reply_envelope,
     InnerCall, InnerReply, ReplyMsg, SEALED_SEQ_ENV_FRAME_START,
@@ -60,54 +68,49 @@ fn decode_nfs(req: &Nfs3Request, plaintext: &[u8]) -> Result<Decoded<Nfs3Reply>,
 impl SfsClient {
     // ----- CPU cost terms ------------------------------------------------
     //
-    // Each term counts its telemetry and returns the calibrated cost in
-    // ns (0 on a client built without `CpuCosts`). The blocking path
-    // advances the shared clock by a term at the point the work
-    // happens; the windowed path sums terms onto per-frame timelines so
-    // work on different frames overlaps.
+    // Each term counts into `tel` — the handle its exchange read once
+    // where it entered, so a term takes no lock of its own — and returns
+    // the calibrated cost in ns (0 on a client built without
+    // `CpuCosts`). The blocking path advances the shared clock by a term
+    // at the point the work happens; the windowed path sums terms onto
+    // per-frame timelines so work on different frames overlaps.
 
     /// One user-level crossing (kernel → `sfscd`, or into `sfssd`).
-    fn crossing_ns(&self) -> u64 {
+    fn crossing_ns(&self, tel: &Telemetry) -> u64 {
         let Some(cpu) = &self.cpu else { return 0 };
-        self.tel.lock().count("client", "cpu.crossings", 1);
+        tel.count("client", "cpu.crossings", 1);
         cpu.user_crossing_ns
     }
 
     /// Generic RPC processing for one message.
-    pub(super) fn rpc_ns(&self) -> u64 {
+    pub(super) fn rpc_ns(&self, tel: &Telemetry) -> u64 {
         let Some(cpu) = &self.cpu else { return 0 };
-        self.tel.lock().count("client", "cpu.rpc_charges", 1);
+        tel.count("client", "cpu.rpc_charges", 1);
         cpu.rpc_processing_ns
     }
 
     /// The copy of `len` bytes through the client daemon.
-    fn user_copy_ns(&self, len: usize) -> u64 {
+    fn user_copy_ns(&self, tel: &Telemetry, len: usize) -> u64 {
         let Some(cpu) = &self.cpu else { return 0 };
-        self.tel
-            .lock()
-            .count("client", "cpu.user_copy_bytes", len as u64);
+        tel.count("client", "cpu.user_copy_bytes", len as u64);
         cpu.user_copy_ns(len)
     }
 
     /// The server's data path (daemon copy plus the NFS loopback hop)
     /// over `len` bytes.
-    fn server_copy_ns(&self, len: usize) -> u64 {
+    fn server_copy_ns(&self, tel: &Telemetry, len: usize) -> u64 {
         let Some(cpu) = &self.cpu else { return 0 };
-        self.tel
-            .lock()
-            .count("server", "cpu.server_copy_bytes", len as u64);
+        tel.count("server", "cpu.server_copy_bytes", len as u64);
         cpu.server_copy_ns(len)
     }
 
     /// Sealing or opening one `len`-byte message under `suite`.
-    fn crypto_ns(&self, suite: SuiteId, len: usize) -> u64 {
+    fn crypto_ns(&self, tel: &Telemetry, suite: SuiteId, len: usize) -> u64 {
         let Some(cpu) = &self.cpu else { return 0 };
         if !self.charge_crypto.load(Ordering::SeqCst) {
             return 0;
         }
-        self.tel
-            .lock()
-            .count("client", "cpu.crypto_bytes", len as u64);
+        tel.count("client", "cpu.crypto_bytes", len as u64);
         let (num, den) = suite.cost_ratio();
         cpu.crypto_ns(len, num, den)
     }
@@ -115,56 +118,64 @@ impl SfsClient {
     // ----- Drivers shared by both engines --------------------------------
 
     /// The reconnect driver: runs `once` — one exchange on the mount's
-    /// *current* link — and, whenever it reports the session dead (a
-    /// desynchronised cipher stream, a poisoned channel, a restarted
-    /// server, an exhausted retransmission budget), backs off,
-    /// reconnects with key renegotiation and runs it again, so the call
-    /// is re-sealed on the fresh channel (the old frames are useless —
-    /// their cipher positions belong to the dead session).
+    /// *current* link, held for the whole exchange (the stream ciphers
+    /// serialize sealed traffic anyway) — and, whenever it reports the
+    /// session dead (a desynchronised cipher stream, a poisoned channel,
+    /// a restarted server, an exhausted retransmission budget), releases
+    /// the link, backs off, reconnects with key renegotiation and runs it
+    /// again, so the call is re-sealed on the fresh channel (the old
+    /// frames are useless — their cipher positions belong to the dead
+    /// session). Returns `once`'s result and whether it came from a
+    /// different session than the first attempt ran on: a call that
+    /// named credentials by authentication number then named them in a
+    /// session that no longer exists.
     fn with_reconnect<T>(
         &self,
+        tel: &Telemetry,
         mount: &Mount,
-        mut once: impl FnMut() -> Result<T, ClientError>,
-    ) -> Result<T, ClientError> {
-        let max = self.retry_policy().max_reconnects;
+        mut once: impl FnMut(&mut Link) -> Result<T, ClientError>,
+    ) -> Result<(T, bool), ClientError> {
+        let mut first = None;
         let mut round = 0;
         loop {
-            let generation = mount.generation();
-            match once() {
-                Err(e) if Self::session_dead(&e) && round < max => {
-                    self.backoff(round);
+            let mut link = mount.link.lock();
+            let generation = link.generation;
+            let first = *first.get_or_insert(generation);
+            let result = once(&mut link);
+            drop(link);
+            match result {
+                Err(e) if Self::session_dead(&e) && round < self.retry_policy().max_reconnects => {
+                    self.backoff(tel, round);
                     self.reconnect(mount, generation)?;
                     round += 1;
                 }
-                done => return done,
+                done => return done.map(|value| (value, generation != first)),
             }
         }
     }
 
     /// The reissue-on-rekey driver behind every NFS call. Authenticates
-    /// `uid`, then runs `exchange` — one of the two engines, sealing
-    /// `reqs` under the authentication number it is handed and decoding
-    /// each reply against its request. If the session was renegotiated
-    /// while the frames were in flight, that number belonged to the dead
-    /// session and the server executed the calls (if at all) with stale
-    /// credentials: re-authenticate on the new session and reissue them
-    /// all. Each reply is then fed to the attribute cache and handed to
-    /// `deliver` in request order.
+    /// `uid`, then runs `exchange` — one of the two engines under
+    /// [`Self::with_reconnect`], sealing `reqs` under the authentication
+    /// number it is handed and decoding each reply against its request.
+    /// If the session was renegotiated while the frames were in flight,
+    /// that number belonged to the dead session and the server executed
+    /// the calls (if at all) with stale credentials: re-authenticate on
+    /// the new session and reissue them all. Each reply is then fed to
+    /// the attribute cache and handed to `deliver` in request order.
     fn issue<I: IntoIterator<Item = Nfs3Reply>>(
         &self,
         mount: &Mount,
         uid: u32,
         reqs: &[Nfs3Request],
-        exchange: impl Fn(u32) -> Result<I, ClientError>,
+        exchange: impl Fn(u32) -> Result<(I, bool), ClientError>,
         mut deliver: impl FnMut(Nfs3Reply),
     ) -> Result<(), ClientError> {
-        let reissue_cap = self.retry_policy().max_reconnects;
         let mut rounds = 0;
         loop {
             let authno = self.ensure_auth(mount, uid)?;
-            let generation = mount.generation();
-            let replies = exchange(authno)?;
-            if mount.generation() != generation && rounds < reissue_cap {
+            let (replies, renegotiated) = exchange(authno)?;
+            if renegotiated && rounds < self.retry_policy().max_reconnects {
                 rounds += 1;
                 continue;
             }
@@ -204,7 +215,10 @@ impl SfsClient {
                 break AUTHNO_ANONYMOUS;
             };
             let call = InnerCall::Auth { seq_no: seq, msg };
-            match self.sealed_call(mount, |buf| call.encode_into(buf), decode_inner)? {
+            match self
+                .sealed_call(&tel, mount, |buf| call.encode_into(buf), decode_inner)?
+                .0
+            {
                 InnerReply::AuthGranted { authno, .. } => break authno,
                 InnerReply::AuthDenied { .. } => {
                     if mount.session_id() == session_id {
@@ -235,7 +249,7 @@ impl SfsClient {
     ) -> Result<Nfs3Reply, ClientError> {
         self.refuse_if_revoked(mount, uid)?;
         self.barrier(mount)?;
-        self.call_nfs_unqueued(mount, uid, req)
+        self.call_nfs_unqueued(&self.tel(), mount, uid, req)
     }
 
     /// Re-checks agent revocation/blocking policy on an already-mounted
@@ -243,19 +257,26 @@ impl SfsClient {
     /// §2.5 revocation broadcast must also cut off clients holding live
     /// mounts — a cached [`Mount`] is exactly the capability a
     /// revocation exists to invalidate, so every NFS call re-consults
-    /// the agent before touching the wire.
+    /// the agent before touching the wire. A uid with no agent yet has
+    /// nothing to refuse, so the agent is looked up in place rather than
+    /// created.
     pub(super) fn refuse_if_revoked(&self, mount: &Mount, uid: u32) -> Result<(), ClientError> {
-        if self.agent(uid).lock().refuses(mount.path.host_id) {
-            return Err(ClientError::Blocked);
+        let agents = self.agents.lock();
+        if let Some(agent) = agents.get(&uid) {
+            if agent.lock().refuses(mount.path.host_id) {
+                return Err(ClientError::Blocked);
+            }
         }
         Ok(())
     }
 
-    /// [`Self::call_nfs`] without the write-behind barrier (the flush
-    /// path itself must not recurse into the barrier): one request on
-    /// the blocking engine.
+    /// [`Self::call_nfs`] without the revocation check and the
+    /// write-behind barrier (the flush path itself must not recurse into
+    /// the barrier): one request on the blocking engine, reporting into
+    /// `tel`.
     pub(super) fn call_nfs_unqueued(
         &self,
+        tel: &Telemetry,
         mount: &Mount,
         uid: u32,
         req: &Nfs3Request,
@@ -266,12 +287,13 @@ impl SfsClient {
             uid,
             std::slice::from_ref(req),
             |authno| {
-                self.sealed_call(
+                let (reply, renegotiated) = self.sealed_call(
+                    tel,
                     mount,
                     |buf| encode_inner_nfs(buf, authno, req),
                     |plaintext| decode_nfs(req, plaintext),
-                )
-                .map(Some)
+                )?;
+                Ok((Some(reply), renegotiated))
             },
             |r| reply = Some(r),
         )?;
@@ -291,13 +313,15 @@ impl SfsClient {
     ) -> Result<Vec<Nfs3Reply>, ClientError> {
         self.refuse_if_revoked(mount, uid)?;
         self.barrier(mount)?;
-        self.call_nfs_window_unqueued(mount, uid, reqs)
+        self.call_nfs_window_unqueued(&self.tel(), mount, uid, reqs)
     }
 
-    /// [`Self::call_nfs_window`] without the write-behind barrier. Each
-    /// window-sized chunk goes out under a single set of credentials.
+    /// [`Self::call_nfs_window`] without the revocation check and the
+    /// write-behind barrier. Each window-sized chunk goes out under a
+    /// single set of credentials.
     pub(super) fn call_nfs_window_unqueued(
         &self,
+        tel: &Telemetry,
         mount: &Mount,
         uid: u32,
         reqs: &[Nfs3Request],
@@ -306,7 +330,7 @@ impl SfsClient {
         if window <= 1 || reqs.len() <= 1 {
             return reqs
                 .iter()
-                .map(|req| self.call_nfs_unqueued(mount, uid, req))
+                .map(|req| self.call_nfs_unqueued(tel, mount, uid, req))
                 .collect();
         }
         let mut out = Vec::with_capacity(reqs.len());
@@ -316,7 +340,9 @@ impl SfsClient {
                 uid,
                 chunk,
                 |authno| {
-                    self.with_reconnect(mount, || self.window_exchange_once(mount, authno, chunk))
+                    self.with_reconnect(tel, mount, |link| {
+                        self.window_exchange_once(tel, mount, link, authno, chunk)
+                    })
                 },
                 |reply| out.push(reply),
             )?;
@@ -330,45 +356,54 @@ impl SfsClient {
     /// a loss in either direction is retried by resending the identical
     /// sealed frame (backoff-paced) — the server executes it once and
     /// answers a repeat from its reply cache; anything that kills the
-    /// session goes through [`Self::with_reconnect`]. `fill` marshals
-    /// the inner call once; the plaintext outlives any reconnect (it is
-    /// re-sealed on the fresh channel), so it lives in its own pooled
-    /// buffer rather than the envelope built per link. `decode` reads
-    /// the reply's plaintext where it was opened.
+    /// session goes through [`Self::with_reconnect`], whose verdict on
+    /// the session comes back with the reply. `fill` marshals the inner
+    /// call once, on the first attempt; the plaintext outlives any
+    /// reconnect (it is re-sealed on the fresh channel), so it lives in
+    /// its own pooled buffer rather than the envelope built per link,
+    /// and goes back to the pool it came from. `decode` reads the
+    /// reply's plaintext where it was opened.
     pub(super) fn sealed_call<T>(
         &self,
+        tel: &Telemetry,
         mount: &Mount,
-        fill: impl FnOnce(&mut Vec<u8>),
+        fill: impl Fn(&mut Vec<u8>),
         decode: impl Fn(&[u8]) -> Result<Decoded<T>, ClientError>,
-    ) -> Result<T, ClientError> {
-        let pool = mount.link.lock().pool.clone();
-        let mut plaintext = pool.get_guard();
-        fill(&mut plaintext);
-        self.with_reconnect(mount, || self.sealed_call_once(mount, &plaintext, &decode))
+    ) -> Result<(T, bool), ClientError> {
+        let mut plaintext: Option<(Arc<BufPool>, Vec<u8>)> = None;
+        let result = self.with_reconnect(tel, mount, |link| {
+            let (_, buf) = plaintext.get_or_insert_with(|| {
+                let mut buf = link.pool.get();
+                fill(&mut buf);
+                (Arc::clone(&link.pool), buf)
+            });
+            self.sealed_call_once(tel, mount, link, buf, &decode)
+        });
+        if let Some((pool, buf)) = plaintext {
+            pool.put(buf);
+        }
+        result
     }
 
-    /// One sealed round trip on the mount's *current* link. Holds the
-    /// link for the whole exchange (the stream ciphers serialize sealed
-    /// traffic anyway) and releases it before any reconnect, so the
-    /// retry driver can replace the link without deadlocking.
+    /// One sealed round trip on `link`, the mount's current one.
     fn sealed_call_once<T>(
         &self,
+        tel: &Telemetry,
         mount: &Mount,
+        link: &mut Link,
         plaintext: &[u8],
         decode: &impl Fn(&[u8]) -> Result<Decoded<T>, ClientError>,
     ) -> Result<T, ClientError> {
-        let tel = self.tel();
         let _span = tel.span("client", "core.client", "sealed_call");
         // Cost model: one user-level crossing into sfscd, a data copy
         // through the daemon, crypto over the outgoing bytes.
-        self.clock.advance_ns(self.crossing_ns());
-        self.clock.advance_ns(self.rpc_ns());
-        self.clock.advance_ns(self.user_copy_ns(plaintext.len()));
-        let mut guard = mount.link.lock();
-        let link = &mut *guard;
+        self.clock.advance_ns(self.crossing_ns(tel));
+        self.clock.advance_ns(self.rpc_ns(tel));
         self.clock
-            .advance_ns(self.crypto_ns(link.channel.suite(), plaintext.len()));
-        let pool = link.pool.clone();
+            .advance_ns(self.user_copy_ns(tel, plaintext.len()));
+        self.clock
+            .advance_ns(self.crypto_ns(tel, link.channel.suite(), plaintext.len()));
+        let pool = &*link.pool;
         // Build the sealed wire envelope in place in one pooled buffer,
         // stamped with the cipher position it is sealed at; the one call
         // in flight is xid 0.
@@ -388,7 +423,6 @@ impl SfsClient {
         // and answered from the reply cache without running again.
         // Each attempt copies the envelope into a pooled buffer that the
         // wire consumes and the server-side closure recycles.
-        let policy = self.retry_policy();
         let mut attempt = 0;
         let (mut reply_bytes, frame) = loop {
             let mut msg = pool.get();
@@ -396,9 +430,9 @@ impl SfsClient {
             let sent = link.wire.call(msg, |b| {
                 // Server side: one crossing into sfssd, the data copy
                 // through it, plus the NFS loopback hop.
-                self.clock.advance_ns(self.crossing_ns());
-                self.clock.advance_ns(self.rpc_ns());
-                self.clock.advance_ns(self.server_copy_ns(b.len()));
+                self.clock.advance_ns(self.crossing_ns(tel));
+                self.clock.advance_ns(self.rpc_ns(tel));
+                self.clock.advance_ns(self.server_copy_ns(tel, b.len()));
                 let reply = link.conn.handle_bytes(&b);
                 pool.put(b);
                 reply
@@ -434,24 +468,23 @@ impl SfsClient {
                 },
                 Err(WireError::Timeout) => {}
             }
-            if attempt >= policy.max_retransmits {
+            if attempt >= self.retry_policy().max_retransmits {
                 return Err(ClientError::Net(WireError::Timeout));
             }
             tel.count("client", "retry.retransmits", 1);
             tel.instant("client", "core.client", "retransmit");
-            self.backoff(attempt);
+            self.backoff(tel, attempt);
             attempt += 1;
         };
         // The reply opens and decodes in place inside the buffer it
         // arrived in, which then goes back to the pool.
-        self.clock.advance_ns(self.user_copy_ns(frame.len()));
+        self.clock.advance_ns(self.user_copy_ns(tel, frame.len()));
         self.clock
-            .advance_ns(self.crypto_ns(link.channel.suite(), frame.len()));
+            .advance_ns(self.crypto_ns(tel, link.channel.suite(), frame.len()));
         let plain = link.channel.open_in_place(&mut reply_bytes[frame])?;
         let (reply, invalidations) = decode(plain)?;
-        drop(guard);
         pool.put(reply_bytes);
-        self.apply_invalidations(mount, &invalidations);
+        self.apply_invalidations(tel, mount, &invalidations);
         Ok(reply)
     }
 
@@ -473,21 +506,20 @@ impl SfsClient {
     /// reply overlaps later replies still in transit.
     fn window_exchange_once(
         &self,
+        tel: &Telemetry,
         mount: &Mount,
+        link: &mut Link,
         authno: u32,
         reqs: &[Nfs3Request],
     ) -> Result<Vec<Nfs3Reply>, ClientError> {
-        let tel = self.tel();
         let _span = tel
             .span("client", "core.client", "window_exchange")
             .with_attr("frames", reqs.len() as u64);
         // One kernel→daemon crossing hands sfscd the whole queued window
         // (§4.2): the fixed crossing cost is paid once per window, not
         // per request.
-        self.clock.advance_ns(self.crossing_ns());
-        let mut guard = mount.link.lock();
-        let link = &mut *guard;
-        let pool = link.pool.clone();
+        self.clock.advance_ns(self.crossing_ns(tel));
+        let pool = &*link.pool;
         // Seal every frame up front, tagged with its xid and the channel
         // seqno it was sealed at, stamping each frame's virtual send
         // time as sealing completes. The sealed bytes are kept verbatim
@@ -500,17 +532,16 @@ impl SfsClient {
             seq_env_begin(&mut env, true, chanseq, xid as u32);
             encode_inner_nfs(&mut env, authno, req);
             let plain_len = env.len() - SEALED_SEQ_ENV_FRAME_START - FRAME_HEADER_LEN;
-            self.clock.advance_ns(self.rpc_ns());
-            self.clock.advance_ns(self.user_copy_ns(plain_len));
+            self.clock.advance_ns(self.rpc_ns(tel));
+            self.clock.advance_ns(self.user_copy_ns(tel, plain_len));
             self.clock
-                .advance_ns(self.crypto_ns(link.channel.suite(), plain_len));
+                .advance_ns(self.crypto_ns(tel, link.channel.suite(), plain_len));
             link.channel
                 .seal_into(&mut env, SEALED_SEQ_ENV_FRAME_START)?;
             seq_env_finish(&mut env);
             envs.push(env);
             sent_at.push(self.clock.now());
         }
-        let policy = self.retry_policy();
         let mut results: Vec<Option<Decoded<Nfs3Reply>>> = reqs.iter().map(|_| None).collect();
         // Replies can arrive in any order; the stream cipher only opens
         // them in the order the server sealed them, so out-of-order
@@ -548,7 +579,8 @@ impl SfsClient {
             // completion instant. The frame's wire copy then goes back
             // to the pool.
             let replies = link.wire.exchange_on(sends, |arrival_ns, b| {
-                let frame_ns = self.crossing_ns() + self.rpc_ns() + self.server_copy_ns(b.len());
+                let frame_ns =
+                    self.crossing_ns(tel) + self.rpc_ns(tel) + self.server_copy_ns(tel, b.len());
                 let served = link.conn.handle_frames_on(arrival_ns, frame_ns, &b);
                 pool.put(b);
                 served
@@ -618,8 +650,8 @@ impl SfsClient {
                     };
                     // The copy out of the daemon plus decryption.
                     cpu_free = cpu_free.max(arrival)
-                        + self.user_copy_ns(frame.len())
-                        + self.crypto_ns(link.channel.suite(), frame.len());
+                        + self.user_copy_ns(tel, frame.len())
+                        + self.crypto_ns(tel, link.channel.suite(), frame.len());
                     let plain = link.channel.open_in_place(&mut env[frame])?;
                     let (slot, req) = results
                         .get_mut(xid as usize)
@@ -632,7 +664,7 @@ impl SfsClient {
                 }
             }
             if results.iter().any(|r| r.is_none()) {
-                if attempt >= policy.max_retransmits {
+                if attempt >= self.retry_policy().max_retransmits {
                     return Err(ClientError::Net(WireError::Timeout));
                 }
                 // Same pacing as the blocking path: wait out the
@@ -642,7 +674,7 @@ impl SfsClient {
                 link.wire.timeout_wait();
                 tel.count("client", "retry.retransmits", 1);
                 tel.instant("client", "core.client", "retransmit");
-                self.backoff(attempt);
+                self.backoff(tel, attempt);
                 attempt += 1;
                 sent_at.fill(self.clock.now());
             }
@@ -650,7 +682,6 @@ impl SfsClient {
         // Land the clock on the moment the client CPU finished opening
         // the final reply (a no-op if the timeline already passed it).
         self.clock.advance_to(SimTime(cpu_free));
-        drop(guard);
         for env in envs {
             pool.put(env);
         }
@@ -658,7 +689,7 @@ impl SfsClient {
             .into_iter()
             .map(|r| {
                 let (reply, invalidations) = r.expect("loop exits only when every slot is filled");
-                self.apply_invalidations(mount, &invalidations);
+                self.apply_invalidations(tel, mount, &invalidations);
                 reply
             })
             .collect())

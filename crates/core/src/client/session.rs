@@ -23,6 +23,7 @@ use sfs_proto::keyneg::{
 use sfs_proto::pathname::SelfCertifyingPath;
 use sfs_sim::{Wire, WireError};
 use sfs_telemetry::sync::Mutex;
+use sfs_telemetry::Telemetry;
 use sfs_xdr::Xdr;
 
 use super::rpc::decode_inner;
@@ -62,10 +63,6 @@ impl Mount {
     /// never moves backwards.
     pub fn seq_watermark(&self) -> u32 {
         self.next_seq.load(Ordering::SeqCst)
-    }
-
-    pub(super) fn generation(&self) -> u64 {
-        self.link.lock().generation
     }
 
     /// Replaces the live link with `link`, folding the retired wire's
@@ -171,11 +168,15 @@ impl SfsClient {
         });
         // Fetch the root handle over the authenticated channel (the
         // sealed-call retry machinery already protects this first RPC).
-        let root = match self.sealed_call(
-            &mount,
-            |buf| InnerCall::Mount.encode_into(buf),
-            decode_inner,
-        )? {
+        let root = match self
+            .sealed_call(
+                &tel,
+                &mount,
+                |buf| InnerCall::Mount.encode_into(buf),
+                decode_inner,
+            )?
+            .0
+        {
             InnerReply::MountReply { root } => root,
             other => return Err(ClientError::Protocol(format!("bad mount reply: {other:?}"))),
         };
@@ -216,7 +217,7 @@ impl SfsClient {
             extensions: neg.offer_extensions(),
         };
         let phase = tel.span("client", "proto.keyneg", "hello");
-        let reply = self.raw_call(&wire, &conn, hello)?;
+        let reply = self.raw_call(&tel, &wire, &conn, hello)?;
         drop(phase);
         let ReplyMsg::ServerReply(server_reply) = reply else {
             return Err(ClientError::Protocol("expected server key".into()));
@@ -244,7 +245,7 @@ impl SfsClient {
         drop(rng);
         drop(phase);
         let phase = tel.span("client", "proto.keyneg", "client_keys");
-        let reply = self.raw_call(&wire, &conn, CallMsg::ClientKeys(msg3))?;
+        let reply = self.raw_call(&tel, &wire, &conn, CallMsg::ClientKeys(msg3))?;
         drop(phase);
         let ReplyMsg::ServerKeys(msg4) = reply else {
             return Err(ClientError::Protocol("expected server key halves".into()));
@@ -343,6 +344,7 @@ impl SfsClient {
         let mut client_nonce = [0u8; RESUME_NONCE_LEN];
         self.rng.lock().fill(&mut client_nonce);
         let reply = self.raw_call(
+            &tel,
             &wire,
             &conn,
             CallMsg::Resume {
@@ -446,7 +448,7 @@ impl SfsClient {
                     if attempt >= max {
                         return Err(e);
                     }
-                    self.backoff(attempt);
+                    self.backoff(&self.tel(), attempt);
                     attempt += 1;
                 }
             }
@@ -520,11 +522,12 @@ impl SfsClient {
     /// One cleartext wire round trip.
     fn raw_call(
         &self,
+        tel: &Telemetry,
         wire: &Wire,
         conn: &ServerConn,
         msg: CallMsg,
     ) -> Result<ReplyMsg, ClientError> {
-        self.clock.advance_ns(self.rpc_ns());
+        self.clock.advance_ns(self.rpc_ns(tel));
         let bytes = msg.to_xdr();
         let reply_bytes = wire.call(bytes, |b| conn.handle_bytes(&b))?;
         ReplyMsg::from_xdr(&reply_bytes).map_err(|e| ClientError::Protocol(e.to_string()))

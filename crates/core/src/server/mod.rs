@@ -500,7 +500,6 @@ impl SfsServer {
             server: self.clone(),
             state: Mutex::new(ConnState::Idle),
             pool,
-            last_shard: Mutex::new(None),
         }
     }
 }
@@ -576,10 +575,6 @@ pub struct ServerConn {
     /// Freelist shared with the client end of this (loopback) connection
     /// so steady-state sealed RPCs recycle the same few buffers.
     pool: Arc<BufPool>,
-    /// The handle shard touched by the most recent dispatched request,
-    /// recorded by `dispatch_nfs_into` for the multi-core scheduler
-    /// (first file handle of the request wins).
-    last_shard: Mutex<Option<u32>>,
 }
 
 #[cfg(test)]

@@ -27,10 +27,26 @@ use sfs_vfs::Credentials;
 use sfs_xdr::{Xdr, XdrEncoder};
 
 use super::{proc_is_mutating, ConnState, Established, ServerConn, REPLY_CACHE_CAPACITY};
+use crate::shard::ShardEngine;
 use crate::wire::{
     inner_nfs_call, seq_call_envelope, seq_env_begin, seq_env_finish, InnerCall, InnerReply,
     ReplyMsg, SEALED_SEQ_ENV_FRAME_START,
 };
+
+/// What serving the frames of one arrival reads of the server's shared
+/// state — its telemetry sink and its multi-core scheduler, each read
+/// once where the bytes enter and handed to every helper below — and
+/// the scheduling hint their dispatch leaves behind.
+struct Frame<'a> {
+    tel: Telemetry,
+    /// The scheduler the arrival's cost is placed on; `None` on the
+    /// blocking entry, which schedules nothing.
+    engine: Option<&'a ShardEngine>,
+    /// The worker shard owning the first file handle a dispatch
+    /// translated (the first dispatched frame wins): where the scheduler
+    /// routes the arrival's disk work.
+    shard: Option<u32>,
+}
 
 impl ServerConn {
     /// The preamble every sealed frame passes, whichever entry it came
@@ -39,16 +55,16 @@ impl ServerConn {
     /// none gets the refusal, encoded, back as the error.
     fn with_session<T>(
         &self,
+        f: &mut Frame,
         span: &'static str,
-        serve: impl FnOnce(&mut Established, &Telemetry) -> T,
+        serve: impl FnOnce(&mut Established, &mut Frame) -> T,
     ) -> Result<T, Vec<u8>> {
-        let tel = self.server.tel.lock().clone();
-        let _span = tel.span("server", "core.server", span);
-        let mut state = self.enter(&tel).map_err(|refusal| refusal.to_xdr())?;
+        let _span = f.tel.span("server", "core.server", span);
+        let mut state = self.enter(&f.tel).map_err(|refusal| refusal.to_xdr())?;
         let ConnState::Established(est) = &mut *state else {
             return Err(ReplyMsg::Error("no secure channel".into()).to_xdr());
         };
-        Ok(serve(est, &tel))
+        Ok(serve(est, f))
     }
 
     /// The blocking entry behind [`Self::handle_bytes`]: one sequenced
@@ -58,9 +74,14 @@ impl ServerConn {
     /// parked successors (several) is a peer out of step with its own
     /// channel, and is told so.
     pub(super) fn serve_one(&self, chanseq: u64, xid: u32, frame: &[u8]) -> Vec<u8> {
+        let mut f = Frame {
+            tel: self.server.tel.lock().clone(),
+            engine: None,
+            shard: None,
+        };
         let (mut reply, mut replies) = (None, 0);
-        let served = self.with_session("sealed", |est, tel| {
-            self.sequence_frame(est, tel, chanseq, xid, frame, |bytes| {
+        let served = self.with_session(&mut f, "sealed", |est, f| {
+            self.sequence_frame(est, f, chanseq, xid, frame, |bytes| {
                 replies += 1;
                 reply = Some(bytes);
             })
@@ -81,7 +102,7 @@ impl ServerConn {
     fn serve_frame(
         &self,
         est: &mut Established,
-        tel: &Telemetry,
+        f: &mut Frame,
         mut fbuf: Vec<u8>,
         xid: u32,
     ) -> Vec<u8> {
@@ -101,16 +122,15 @@ impl ServerConn {
         // window's worth on the pipelined one.
         if xid == 0 {
             let below = est.reply_cache.range(..req_seq).count();
-            self.evict_oldest(est, tel, below);
+            self.evict_oldest(est, &f.tel, below);
         }
         let mut out = self.pool.get();
         seq_env_begin(&mut out, false, est.channel.messages_sent(), xid);
-        if let Err(e) = self.service_plaintext_into(est, plaintext, &mut out) {
+        if let Err(e) = self.service_plaintext_into(est, f, plaintext, &mut out) {
             self.pool.put(fbuf);
             self.pool.put(out);
             return ReplyMsg::Error(e).to_xdr();
         }
-        self.pool.put(fbuf);
         let bytes = match est.channel.seal_into(&mut out, SEALED_SEQ_ENV_FRAME_START) {
             Ok(()) => {
                 seq_env_finish(&mut out);
@@ -118,15 +138,18 @@ impl ServerConn {
             }
             Err(e) => ReplyMsg::Error(format!("channel failure: {e}")).to_xdr(),
         };
-        let mut cached = self.pool.get();
+        // The request buffer is done with: its return and the cache
+        // copy's draw take the pool's lock once.
+        let mut cached = self.pool.recycle(fbuf);
         cached.extend_from_slice(&bytes);
         est.reply_cache.insert(req_seq, cached);
         // The cap, for a peer that never starts a new batch: oldest
         // first, since a retransmission can only ask for a recent
         // sequence number.
         let excess = est.reply_cache.len().saturating_sub(REPLY_CACHE_CAPACITY);
-        self.evict_oldest(est, tel, excess);
-        tel.gauge_set("server", "replycache.size", est.reply_cache.len() as u64);
+        self.evict_oldest(est, &f.tel, excess);
+        f.tel
+            .gauge_set("server", "replycache.size", est.reply_cache.len() as u64);
         bytes
     }
 
@@ -154,13 +177,14 @@ impl ServerConn {
     fn service_plaintext_into(
         &self,
         est: &mut Established,
+        f: &mut Frame,
         plaintext: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<(), String> {
         let Some((authno, proc, args)) = inner_nfs_call(plaintext) else {
             let reply =
                 match InnerCall::from_xdr(plaintext).map_err(|e| format!("bad inner call: {e}"))? {
-                    InnerCall::Auth { seq_no, msg } => self.handle_auth(est, seq_no, &msg),
+                    InnerCall::Auth { seq_no, msg } => self.handle_auth(est, &f.tel, seq_no, &msg),
                     InnerCall::Mount => InnerReply::MountReply {
                         root: self.server.root_handle(),
                     },
@@ -196,7 +220,7 @@ impl ServerConn {
         out.extend_from_slice(&[0u8; 4]);
         let results_start = out.len();
         let mut enc = XdrEncoder::from_vec(std::mem::take(out));
-        self.dispatch_nfs_into(creds, proc, args, &mut enc);
+        self.dispatch_nfs_into(f, creds, proc, args, &mut enc);
         *out = enc.into_bytes();
         let results_len = out.len() - results_start;
         out[len_pos..len_pos + 4].copy_from_slice(&(results_len as u32).to_be_bytes());
@@ -223,13 +247,13 @@ impl ServerConn {
     /// one, or several (a frame that fills a gap releases every buffered
     /// successor at once). Anything that is not a sealed envelope goes
     /// to the cleartext decoder and produces exactly one reply.
-    fn handle_frames(&self, bytes: &[u8]) -> Vec<Vec<u8>> {
+    fn handle_frames(&self, f: &mut Frame, bytes: &[u8]) -> Vec<Vec<u8>> {
         let Some((chanseq, xid, frame)) = seq_call_envelope(bytes) else {
             return vec![self.handle_bytes(bytes)];
         };
         let mut replies = Vec::new();
-        let served = self.with_session("sealed_seq", |est, tel| {
-            self.sequence_frame(est, tel, chanseq, xid, &bytes[frame], |r| replies.push(r))
+        let served = self.with_session(f, "sealed_seq", |est, f| {
+            self.sequence_frame(est, f, chanseq, xid, &bytes[frame], |r| replies.push(r))
         });
         if let Err(refusal) = served {
             replies.push(refusal);
@@ -240,7 +264,7 @@ impl ServerConn {
     /// The windowed entry point under multi-core dispatch: what
     /// [`sfs_sim::Wire::exchange_on`] calls for every arriving frame.
     ///
-    /// Without a [`ShardEngine`](crate::shard::ShardEngine) installed
+    /// Without a [`ShardEngine`] installed
     /// this is the frame's replies with the classic serial cost —
     /// byte-for-byte the single-server discipline. With one, the
     /// frame's analytic CPU cost (`frame_cost_ns`, the seal/open +
@@ -264,19 +288,25 @@ impl ServerConn {
         frame_cost_ns: u64,
         bytes: &[u8],
     ) -> (Vec<Vec<u8>>, ServerCost) {
-        let Some(engine) = self.server.shard_engine() else {
-            return (self.handle_frames(bytes), ServerCost::Serial(frame_cost_ns));
+        let engine = self.server.shard_engine();
+        let mut f = Frame {
+            tel: self.server.tel.lock().clone(),
+            engine: engine.as_deref(),
+            shard: None,
+        };
+        let Some(engine) = f.engine else {
+            return (
+                self.handle_frames(&mut f, bytes),
+                ServerCost::Serial(frame_cost_ns),
+            );
         };
         let disk = self.server.vfs().disk().cloned();
         if let Some(d) = &disk {
             d.tally_begin();
         }
-        *self.last_shard.lock() = None;
-        let replies = self.handle_frames(bytes);
+        let replies = self.handle_frames(&mut f, bytes);
         let tally = disk.as_ref().map(|d| d.tally_end()).unwrap_or_default();
-        let shard = self.last_shard.lock().take();
-        let tel = self.server.tel.lock().clone();
-        let done = engine.schedule(arrival_ns, frame_cost_ns, tally, shard, &tel);
+        let done = engine.schedule(arrival_ns, frame_cost_ns, tally, f.shard, &f.tel);
         (replies, ServerCost::Scheduled(done))
     }
 
@@ -289,7 +319,7 @@ impl ServerConn {
     fn sequence_frame(
         &self,
         est: &mut Established,
-        tel: &Telemetry,
+        f: &mut Frame,
         chanseq: u64,
         xid: u32,
         frame: &[u8],
@@ -305,7 +335,7 @@ impl ServerConn {
             // refused exactly as one past the 256-reply cap is — the
             // reply is gone, and so is the session.
             SeqPush::Duplicate => {
-                tel.count("server", "pipeline.retransmits", 1);
+                f.tel.count("server", "pipeline.retransmits", 1);
                 reply(match est.reply_cache.get(&chanseq) {
                     Some(cached) => {
                         let mut resend = self.pool.get();
@@ -325,20 +355,27 @@ impl ServerConn {
                 let mut fbuf = self.pool.get();
                 fbuf.extend_from_slice(frame);
                 if chanseq == expected {
-                    reply(self.serve_frame(est, tel, fbuf, xid));
+                    reply(self.serve_frame(est, f, fbuf, xid));
                 } else {
                     est.seq_buf.push(chanseq, xid, fbuf, expected);
                 }
                 while let Some((xid, fbuf)) = est.seq_buf.take(est.channel.messages_received()) {
-                    reply(self.serve_frame(est, tel, fbuf, xid));
+                    reply(self.serve_frame(est, f, fbuf, xid));
                 }
-                tel.gauge_set("server", "pipeline.queue_depth", est.seq_buf.len() as u64);
+                f.tel
+                    .gauge_set("server", "pipeline.queue_depth", est.seq_buf.len() as u64);
             }
         }
     }
 
     /// Figure 4, step 3: one user-authentication attempt on this session.
-    fn handle_auth(&self, est: &mut Established, seq_no: u32, msg: &AuthMsg) -> InnerReply {
+    fn handle_auth(
+        &self,
+        est: &mut Established,
+        tel: &Telemetry,
+        seq_no: u32,
+        msg: &AuthMsg,
+    ) -> InnerReply {
         // The server recomputes the expected AuthID for *this*
         // session; a request signed for another session cannot
         // match.
@@ -347,7 +384,6 @@ impl ServerConn {
             self.server.path.host_id,
             est.session_id,
         );
-        let tel = self.server.tel.lock().clone();
         if !est.seqwin.accept(seq_no) {
             // Replay / out-of-window: the gate fires before any
             // signature check (§3.1.3's freshness guarantee).
@@ -370,7 +406,14 @@ impl ServerConn {
     /// Decodes, relays and answers one NFS3 call, marshaling the results
     /// into a caller-owned encoder (the sealed path appends them straight
     /// into the reply envelope).
-    fn dispatch_nfs_into(&self, creds: &Credentials, proc: u32, args: &[u8], enc: &mut XdrEncoder) {
+    fn dispatch_nfs_into(
+        &self,
+        f: &mut Frame,
+        creds: &Credentials,
+        proc: u32,
+        args: &[u8],
+        enc: &mut XdrEncoder,
+    ) {
         let err = |status: Status, enc: &mut XdrEncoder| {
             Nfs3Reply::Error {
                 status,
@@ -388,25 +431,21 @@ impl ServerConn {
         // which worker shard owns the request's first handle so the
         // multi-core scheduler can route its disk work.
         let mut first_fh: Option<u32> = None;
-        let engine = self.server.shard_engine();
         for fh in req.handles_mut() {
             *fh = match self.server.decrypt_handle(fh) {
                 Ok(nfs) => nfs,
                 Err(status) => return err(status, enc),
             };
             if first_fh.is_none() {
-                if let Some(e) = &engine {
+                if let Some(e) = f.engine {
                     first_fh = Some(e.shard_of(&fh.0));
                 }
             }
         }
-        if let Some(shard) = first_fh {
-            let mut hint = self.last_shard.lock();
-            if hint.is_none() {
-                *hint = Some(shard);
-            }
+        if f.shard.is_none() {
+            f.shard = first_fh;
         }
-        let mut reply = self.nfs_relay(creds, &req);
+        let mut reply = self.nfs_relay(&f.tel, creds, &req);
         // Acknowledged commit: a successful mutation is shipped to the
         // replica group's quorum *before* the reply is encoded, so the
         // client's ack implies quorum durability. Failed ops and replays
@@ -430,7 +469,7 @@ impl ServerConn {
     /// tags them with appropriate credentials. Finally, the server acts as
     /// an NFS client, passing the request to an NFS server on the same
     /// machine."
-    fn nfs_relay(&self, creds: &Credentials, req: &Nfs3Request) -> Nfs3Reply {
-        self.server.nfs.handle(creds, req)
+    fn nfs_relay(&self, tel: &Telemetry, creds: &Credentials, req: &Nfs3Request) -> Nfs3Reply {
+        self.server.nfs.handle_traced(tel, creds, req)
     }
 }

@@ -72,13 +72,19 @@ impl Sha1 {
     /// Finishes and returns the 20-byte digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Padding, written in place: 0x80 after the buffered bytes, zeros
+        // to the end of the block and — when the 64-bit big-endian length
+        // no longer fits behind them — through one more block, then the
+        // length. (`buf_len` < 64: `update` compresses every full block.)
+        let n = self.buf_len;
+        self.buf[n] = 0x80;
+        self.buf[n + 1..].fill(0);
+        if n >= BLOCK_LEN - 8 {
+            let block = self.buf;
+            compress(&mut self.h, &block);
+            self.buf = [0; BLOCK_LEN];
         }
-        // Manually absorb the length to avoid it perturbing `self.len`.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        self.buf[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         compress(&mut self.h, &block);
         let mut out = [0u8; DIGEST_LEN];
@@ -450,6 +456,45 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), sha1(&data), "split={split}");
+        }
+    }
+
+    /// The padding as FIPS 180-1 states it, one byte at a time through
+    /// `update` — the reference for the in-place padding in `finalize`.
+    fn finalize_bytewise(mut h: Sha1) -> [u8; DIGEST_LEN] {
+        let bit_len = h.len.wrapping_mul(8);
+        h.update(&[0x80]);
+        while h.buf_len != 56 {
+            h.update(&[0]);
+        }
+        h.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        let block = h.buf;
+        compress(&mut h.h, &block);
+        let mut out = [0u8; DIGEST_LEN];
+        for (i, word) in h.h.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn in_place_padding_matches_bytewise_padding() {
+        // Every residue of the message length mod 64 (both sides of the
+        // 56-byte boundary where padding spills into a second block),
+        // absorbed whole and in runs of awkward sizes.
+        let data: Vec<u8> = (0..=300u32).map(|i| (i * 131 + 7) as u8).collect();
+        for len in 0..=300 {
+            for run in [len.max(1), 1, 7, 55, 56, 63, 64, 65] {
+                let mut h = Sha1::new();
+                for chunk in data[..len].chunks(run) {
+                    h.update(chunk);
+                }
+                assert_eq!(
+                    h.clone().finalize(),
+                    finalize_bytewise(h),
+                    "len={len} run={run}"
+                );
+            }
         }
     }
 

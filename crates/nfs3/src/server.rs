@@ -153,6 +153,19 @@ impl Nfs3Server {
     /// span, with per-procedure service-time histograms.
     pub fn handle(&self, creds: &Credentials, req: &Nfs3Request) -> Nfs3Reply {
         let tel = self.tel.lock().clone();
+        self.handle_traced(&tel, creds, req)
+    }
+
+    /// [`Self::handle`], reporting into `tel` instead of reading this
+    /// server's own handle: for a relay that already holds a handle onto
+    /// the sink and clock this server was given, so a relayed request
+    /// takes no lock to find them.
+    pub fn handle_traced(
+        &self,
+        tel: &Telemetry,
+        creds: &Credentials,
+        req: &Nfs3Request,
+    ) -> Nfs3Reply {
         let name = proc_name(req);
         let start = tel.now_ns();
         let span = tel.span("server", "nfs3", name);

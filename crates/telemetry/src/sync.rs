@@ -6,6 +6,26 @@
 //! tests that probe panics still want the state afterwards). The API
 //! mirrors `parking_lot`: `lock()`/`read()`/`write()` return guards
 //! directly, with no `Result` to unwrap at every call site.
+//!
+//! **The lock budget.** No program crate starts a thread, so every
+//! acquisition is uncontended — and still costs two atomic
+//! read-modify-writes, which on a small RPC add up to more than its
+//! crypto. Debug builds (`cfg(debug_assertions)`, i.e. `cargo test`)
+//! count [`Mutex::lock`] calls per thread; [`lock_acquisitions`] reads
+//! the count, so a test can pin acquisitions per operation the way
+//! `alloc_count` pins allocations. Release builds compile neither the
+//! counter nor the function, so the benchmark pays nothing for it.
+
+#[cfg(debug_assertions)]
+thread_local! {
+    static ACQUISITIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// [`Mutex::lock`] calls made on this thread so far (debug builds only).
+#[cfg(debug_assertions)]
+pub fn lock_acquisitions() -> u64 {
+    ACQUISITIONS.with(|c| c.get())
+}
 
 /// A mutual exclusion primitive; `lock` never returns a poison error.
 #[derive(Default)]
@@ -30,6 +50,8 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking until it is available. A poisoned
     /// lock (panic while held) is recovered transparently.
     pub fn lock(&self) -> MutexGuard<'_, T> {
+        #[cfg(debug_assertions)]
+        ACQUISITIONS.with(|c| c.set(c.get() + 1));
         self.0.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -142,6 +164,25 @@ mod tests {
         }
         let m: Arc<Mutex<dyn Speak>> = Arc::new(Mutex::new(Dog));
         assert_eq!(m.lock().speak(), "woof");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn lock_acquisitions_count_this_threads_locks() {
+        let m = Mutex::new(0u32);
+        let before = lock_acquisitions();
+        *m.lock() += 1;
+        drop(m.lock());
+        assert!(m.try_lock().is_some());
+        assert_eq!(lock_acquisitions() - before, 2, "try_lock is not counted");
+        std::thread::scope(|s| {
+            s.spawn(|| drop(m.lock()));
+        });
+        assert_eq!(
+            lock_acquisitions() - before,
+            2,
+            "other threads' locks are not"
+        );
     }
 
     #[test]
