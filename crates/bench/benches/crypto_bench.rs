@@ -80,6 +80,10 @@ fn bench_rabin() {
     bench("rabin_768/verify", || {
         assert!(key.public().verify(b"a message to sign", &sig))
     });
+    // Every signature a `connect` pays for is made with the 512-bit user
+    // key.
+    let user_key = sfs_bench::keys::rabin(512, 0xBE4E);
+    bench("rabin_512/sign", || user_key.sign(b"a message to sign"));
 }
 
 fn main() {

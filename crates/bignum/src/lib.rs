@@ -4,8 +4,9 @@
 //! signatures, and the SRP password protocol, both of which need multi-
 //! precision modular arithmetic. This crate is that substrate, written from
 //! scratch: natural numbers ([`Nat`]), signed integers ([`Int`]), modular
-//! exponentiation, extended GCD, Jacobi symbols, modular square roots,
-//! Chinese-remainder recombination, Miller–Rabin primality testing, and
+//! exponentiation, extended GCD, modular square roots with their Legendre
+//! symbols, Chinese-remainder recombination, Miller–Rabin primality
+//! testing, Jacobi symbols (kept as the tests' oracle for the roots), and
 //! prime generation with the congruence constraints Rabin–Williams needs
 //! (`p ≡ 3 (mod 8)`, `q ≡ 7 (mod 8)`).
 //!

@@ -11,11 +11,12 @@ use crate::int::Int;
 use crate::mont::Montgomery;
 use crate::nat::{cmp_limbs, sub_limbs, Nat};
 
-/// Computes `base^exp mod m` by square-and-multiply with a 4-bit window.
+/// Computes `base^exp mod m` by square-and-multiply.
 ///
 /// An odd modulus (every production caller: Rabin primes, SRP groups,
-/// Miller–Rabin candidates) runs on the Montgomery kernel; an even one
-/// reduces by division after every step. Both give the canonical residue.
+/// Miller–Rabin candidates) runs on the Montgomery kernel with a sliding
+/// window; an even one reduces by division after every step of a fixed
+/// 4-bit window. Both give the canonical residue.
 ///
 /// # Panics
 ///
@@ -100,7 +101,9 @@ pub fn invmod(a: &Nat, m: &Nat) -> Option<Nat> {
 ///
 /// Binary algorithm on two fixed limb buffers: strip factors of two,
 /// swap by quadratic reciprocity when `a < n`, subtract. No division and
-/// no allocation after the initial reduction of `a`.
+/// no allocation after the initial reduction of `a`. Signing reads its
+/// Legendre symbols off [`BlumPrime::root`]; this is the independent
+/// oracle the tests hold that against.
 ///
 /// # Panics
 ///
@@ -190,13 +193,33 @@ impl BlumPrime {
         self.mont.modulus()
     }
 
+    /// `r = a^((p+1)/4) mod p` and the Legendre symbol `(a/p)`, which the
+    /// same exponentiation yields: `r² ≡ a^((p+1)/2) = (a/p)·a`. So `r` is
+    /// a square root of `a` or of `−a`, whichever is a residue, and is a
+    /// residue itself (the principal root).
+    pub fn root(&self, a: &Nat) -> (Nat, i32) {
+        let a = a.rem_nat(self.modulus()).expect("p is odd");
+        let r = self.mont.pow(&a, &self.root_exp);
+        let symbol = if a.is_zero() {
+            0
+        } else if self.mont.mul_mod(&r, &r) == a {
+            1
+        } else {
+            -1
+        };
+        (r, symbol)
+    }
+
     /// A square root of `a` modulo `p`, as `a^((p+1)/4) mod p`; `None` if
     /// `a` is not a quadratic residue.
     pub fn sqrt(&self, a: &Nat) -> Option<Nat> {
-        let p = self.modulus();
-        let a = a.rem_nat(p).expect("p is odd");
-        let r = self.mont.pow(&a, &self.root_exp);
-        (r.square().rem_nat(p).expect("p is odd") == a).then_some(r)
+        let (r, symbol) = self.root(a);
+        (symbol != -1).then_some(r)
+    }
+
+    /// `a·b mod p` for `a, b < p`.
+    pub fn mul(&self, a: &Nat, b: &Nat) -> Nat {
+        self.mont.mul_mod(a, b)
     }
 }
 

@@ -5,13 +5,44 @@
 //! multiply-and-reduce pass over limbs: no division and no `Nat`
 //! temporaries. Results leave the domain fully reduced, so they equal what
 //! multiply-then-divide computes, bit for bit.
+//!
+//! The product and the ladder are written once, generic over a width `K`
+//! in limbs. At the widths this program's keys use — 4 and 6 limbs, the
+//! primes of its 512- and 768-bit Rabin moduli — every limb loop has a
+//! constant trip count and every residue lives on the stack; `K = 0` runs
+//! the same source at the modulus's run-time length over one heap buffer.
 
 use std::cmp::Ordering;
 
 use crate::nat::{cmp_limbs, sub_limbs, Nat};
 
-/// Bits of exponent consumed per table lookup.
-const WINDOW_BITS: usize = 4;
+/// Longest run of exponent bits consumed per table lookup.
+const WINDOW_BITS: usize = 5;
+
+/// The odd powers `base¹, base³, …, base^(2^WINDOW_BITS − 1)`: a sliding
+/// window always ends on a set bit.
+const TABLE: usize = 1 << (WINDOW_BITS - 1);
+
+/// Residues a ladder holds: the table, the accumulator and its swap
+/// partner.
+const LADDER_SLOTS: usize = TABLE + 2;
+
+/// Residues a lone product holds: both operands, one in the domain, the
+/// result.
+const MUL_SLOTS: usize = 4;
+
+/// Calls the width-generic method `$method::<K>` with `$slots` zeroed
+/// residues of scratch after its arguments: a stack array at the widths
+/// the program's keys need, one heap vector at any other.
+macro_rules! at_width {
+    ($self:ident.$method:ident($($arg:expr),*), $slots:expr) => {
+        match $self.n.limbs().len() {
+            4 => $self.$method::<4>($($arg,)* [[0; 4]; $slots].as_flattened_mut()),
+            6 => $self.$method::<6>($($arg,)* [[0; 6]; $slots].as_flattened_mut()),
+            k => $self.$method::<0>($($arg,)* &mut vec![0; $slots * k]),
+        }
+    };
+}
 
 /// Precomputed constants for arithmetic modulo an odd `n`.
 #[derive(Clone)]
@@ -42,10 +73,12 @@ impl Montgomery {
             .shl_bits(128 * k)
             .rem_nat(n)
             .expect("an odd modulus is nonzero");
+        let mut rr = rr.limbs().to_vec();
+        rr.resize(k, 0);
         Some(Montgomery {
             n: n.clone(),
             n0_inv: inv.wrapping_neg(),
-            rr: padded(&rr, k),
+            rr,
         })
     }
 
@@ -53,32 +86,44 @@ impl Montgomery {
         &self.n
     }
 
+    /// Limbs per residue: `K`, or for `K = 0` the modulus's own count.
+    fn width<const K: usize>(&self) -> usize {
+        if K == 0 {
+            self.n.limbs().len()
+        } else {
+            K
+        }
+    }
+
     /// `out = a·b·R⁻¹ mod n` for `a, b < n`; `out` must not alias them.
-    fn mul(&self, out: &mut [u64], a: &[u64], b: &[u64]) {
-        let k = self.n.limbs().len();
+    fn mul<const K: usize>(&self, out: &mut [u64], a: &[u64], b: &[u64]) {
+        let k = self.width::<K>();
+        let n = &self.n.limbs()[..k];
         let (out, a, b) = (&mut out[..k], &a[..k], &b[..k]);
         // The first round starts from zero, so `out` needs no clearing.
-        let top = self.rounds::<true>(out, 0, &a[..1], b);
-        let top = self.rounds::<false>(out, top, &a[1..], b);
+        let top = self.rounds::<K, true>(out, 0, &a[..1], b);
+        let top = self.rounds::<K, false>(out, top, &a[1..], b);
         // `top·R + out < 2n`: one subtraction lands in `[0, n)`.
-        if top != 0 || cmp_limbs(out, self.n.limbs()) != Ordering::Less {
-            sub_limbs(out, self.n.limbs());
+        if top != 0 || cmp_limbs(out, n) != Ordering::Less {
+            sub_limbs(out, n);
         }
     }
 
     /// One round of [`Self::mul`] per limb of `a`: `top·R + out` becomes
     /// `(top·R + out + a[i]·b + m·n) / 2⁶⁴` for the `m` that makes the low
     /// limb vanish, on two independent carry chains. Returns the new top
-    /// word; `FRESH` reads the incoming `out` as zero.
-    fn rounds<const FRESH: bool>(
+    /// word; `FRESH` reads the incoming `out` as zero. Generic over the
+    /// width itself, so a compile-time `K` is the limb loop's trip count
+    /// whether or not this is inlined.
+    fn rounds<const K: usize, const FRESH: bool>(
         &self,
         out: &mut [u64],
         mut top: u64,
         a: &[u64],
         b: &[u64],
     ) -> u64 {
-        let n = self.n.limbs();
-        let k = n.len();
+        let k = self.width::<K>();
+        let n = &self.n.limbs()[..k];
         let (out, b) = (&mut out[..k], &b[..k]);
         let prev = |o: u64| if FRESH { 0 } else { o as u128 };
         for &ai in a {
@@ -100,59 +145,102 @@ impl Montgomery {
         top
     }
 
-    /// `base^exp mod n`, left to right with a fixed 4-bit window. The
-    /// window table and scratch are allocated once; the loop itself
-    /// allocates nothing.
+    /// `a·b mod n` for `a, b < n`: into the domain and back out, two
+    /// products and no division.
+    pub(crate) fn mul_mod(&self, a: &Nat, b: &Nat) -> Nat {
+        at_width!(self.mul_mod_in(a, b), MUL_SLOTS)
+    }
+
+    fn mul_mod_in<const K: usize>(&self, a: &Nat, b: &Nat, scratch: &mut [u64]) -> Nat {
+        let k = self.width::<K>();
+        let (a_in, rest) = scratch.split_at_mut(k);
+        let (b_in, rest) = rest.split_at_mut(k);
+        let (a_dom, out) = rest.split_at_mut(k);
+        a_in[..a.limbs().len()].copy_from_slice(a.limbs());
+        b_in[..b.limbs().len()].copy_from_slice(b.limbs());
+        self.mul::<K>(a_dom, a_in, &self.rr);
+        self.mul::<K>(out, a_dom, b_in);
+        Nat::from_limbs(out[..k].to_vec())
+    }
+
+    /// `base^exp mod n`, left to right with a sliding window of up to
+    /// [`WINDOW_BITS`] bits over the odd powers. Allocates only its result
+    /// (and, at a width without its own instantiation, one scratch buffer).
     pub(crate) fn pow(&self, base: &Nat, exp: &Nat) -> Nat {
-        let k = self.n.limbs().len();
+        if exp.is_zero() {
+            return Nat::one().rem_nat(&self.n).expect("modulus is odd");
+        }
+        let reduced;
         let base = if *base < self.n {
-            padded(base, k)
+            base
         } else {
-            padded(&base.rem_nat(&self.n).expect("modulus is odd"), k)
+            reduced = base.rem_nat(&self.n).expect("modulus is odd");
+            &reduced
         };
-        let mut one = vec![0u64; k];
-        one[0] = 1;
+        at_width!(self.ladder(base, exp), LADDER_SLOTS)
+    }
 
-        // table[w] = base^w in the domain.
-        let mut table = vec![0u64; (1 << WINDOW_BITS) * k];
-        self.mul(&mut table[..k], &one, &self.rr);
-        self.mul(&mut table[k..2 * k], &base, &self.rr);
-        for w in 2..1 << WINDOW_BITS {
-            let (lo, hi) = table.split_at_mut(w * k);
-            self.mul(hi, &lo[(w - 1) * k..], &lo[k..2 * k]);
+    /// [`Self::pow`] for `base < n` and `exp > 0`, in `LADDER_SLOTS`
+    /// zeroed residues of `scratch`.
+    fn ladder<const K: usize>(&self, base: &Nat, exp: &Nat, scratch: &mut [u64]) -> Nat {
+        let k = self.width::<K>();
+        let (table, rest) = scratch.split_at_mut(TABLE * k);
+        let (mut acc, mut next) = rest.split_at_mut(k);
+
+        // table[i] = base^(2i + 1) in the domain; `next` holds base².
+        acc[..base.limbs().len()].copy_from_slice(base.limbs());
+        self.mul::<K>(&mut table[..k], acc, &self.rr);
+        self.mul::<K>(next, &table[..k], &table[..k]);
+        for i in 1..TABLE {
+            let (lo, hi) = table.split_at_mut(i * k);
+            self.mul::<K>(&mut hi[..k], &lo[(i - 1) * k..], next);
         }
-        let entry = |w: usize| &table[w * k..(w + 1) * k];
-        let window = |i: usize| {
-            let bit = i * WINDOW_BITS;
-            (exp.limbs()[bit / 64] >> (bit % 64)) as usize & ((1 << WINDOW_BITS) - 1)
-        };
+        let entry = |w: usize| &table[(w >> 1) * k..][..k];
 
-        let windows = exp.bit_len().div_ceil(WINDOW_BITS);
-        let mut acc = vec![0u64; k];
-        let mut next = vec![0u64; k];
+        let e = exp.limbs();
         // The leading window is the starting value: no squarings of one.
-        let lead = if windows == 0 { 0 } else { window(windows - 1) };
-        acc.copy_from_slice(entry(lead));
-        for i in (0..windows.saturating_sub(1)).rev() {
-            for _ in 0..WINDOW_BITS {
-                self.mul(&mut next, &acc, &acc);
+        let (mut top, w) = window(e, exp.bit_len());
+        acc.copy_from_slice(entry(w));
+        while top > 0 {
+            // A zero bit is one squaring; a window is one squaring per bit
+            // and one product by its odd power.
+            let (lo, w) = if bits(e, top - 1, 1) == 0 {
+                (top - 1, 0)
+            } else {
+                window(e, top)
+            };
+            for _ in lo..top {
+                self.mul::<K>(next, acc, acc);
                 std::mem::swap(&mut acc, &mut next);
             }
-            let w = window(i);
             if w != 0 {
-                self.mul(&mut next, &acc, entry(w));
+                self.mul::<K>(next, acc, entry(w));
                 std::mem::swap(&mut acc, &mut next);
             }
+            top = lo;
         }
-        // Multiplying by plain one leaves the domain.
-        self.mul(&mut next, &acc, &one);
-        Nat::from_limbs(next)
+        // Multiplying by plain one leaves the domain; the table is spent.
+        let one = &mut table[..k];
+        one.fill(0);
+        one[0] = 1;
+        self.mul::<K>(next, acc, one);
+        Nat::from_limbs(next.to_vec())
     }
 }
 
-/// The limbs of `v` zero-extended to `k`.
-fn padded(v: &Nat, k: usize) -> Vec<u64> {
-    let mut limbs = v.limbs().to_vec();
-    limbs.resize(k, 0);
-    limbs
+/// Bits `lo .. lo + len` of the limbs `e`, for `len ≤ WINDOW_BITS`; the run
+/// may straddle a limb boundary.
+fn bits(e: &[u64], lo: usize, len: usize) -> usize {
+    let limb = |i: usize| e.get(i).map_or(0, |&l| l as u128);
+    let pair = limb(lo / 64) | limb(lo / 64 + 1) << 64;
+    (pair >> (lo % 64)) as usize & ((1 << len) - 1)
+}
+
+/// The window below `top` when bit `top − 1` is set: the longest run of at
+/// most [`WINDOW_BITS`] bits ending there whose lowest bit is set too, as
+/// `(lowest bit, value)`. The value is odd.
+fn window(e: &[u64], top: usize) -> (usize, usize) {
+    let lo = top.saturating_sub(WINDOW_BITS);
+    let lo = lo + bits(e, lo, top - lo).trailing_zeros() as usize;
+    (lo, bits(e, lo, top - lo))
 }

@@ -246,6 +246,59 @@ fn modpow_matches_reference_on_wide_moduli() {
 }
 
 #[test]
+fn modpow_sliding_window_edges_match_reference() {
+    // The ladder is compiled for 4- and 6-limb moduli and runs every other
+    // width at its run-time length: cover both and the widths beside them.
+    let mut rng = XorShiftSource::new(0x5_11DE);
+    let one = Nat::one();
+    let pow2 = |k: usize| Nat::one().shl_bits(k);
+    let mut exps = vec![Nat::zero(), one.clone(), Nat::from(2u64)];
+    for k in [63usize, 64, 65, 127, 128, 129] {
+        exps.push(pow2(k));
+        exps.push(pow2(k).checked_sub(&one).unwrap());
+    }
+    // Runs of zeros longer than the five-bit window, inside a limb and
+    // across one.
+    exps.push(pow2(7).add_nat(&one));
+    exps.push(&(&pow2(100) | &pow2(37)) | &Nat::from(0b1011u64));
+    exps.push(&pow2(190) | &Nat::from(rand_u64(&mut rng)));
+    // A window of every length up to five whose bits straddle each limb
+    // boundary, at every offset across it, over random low bits.
+    for boundary in [64usize, 128, 192] {
+        for len in 2..=5 {
+            for below in 1..len {
+                let run = pow2(len).checked_sub(&one).unwrap();
+                let low = nat_of_limbs(&mut rng, 1);
+                exps.push(&(&run.shl_bits(boundary - below) | &pow2(boundary + 40)) | &low);
+            }
+        }
+    }
+    for limbs in 3..=7 {
+        let mut saturated = vec![u64::MAX; limbs];
+        saturated[0] = u64::MAX - 2;
+        let moduli = [
+            &nat_of_limbs(&mut rng, limbs) | &one,
+            Nat::from_limbs(saturated),
+        ];
+        for m in &moduli {
+            let bases = [
+                m.checked_sub(&one).unwrap(),
+                nat_of_limbs(&mut rng, limbs).rem_nat(m).unwrap(),
+            ];
+            for base in &bases {
+                for exp in &exps {
+                    assert_eq!(
+                        modpow(base, exp, m),
+                        modpow_reference(base, exp, m),
+                        "limbs={limbs} base={base:?} exp={exp:?} m={m:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn jacobi_matches_euler_criterion_on_primes() {
     // For an odd prime p, (a/p) ≡ a^((p−1)/2) (mod p).
     let mut rng = XorShiftSource::new(0x7AC2);
@@ -277,19 +330,32 @@ fn jacobi_matches_euler_criterion_on_primes() {
 #[test]
 fn blum_prime_roots_square_back() {
     let mut rng = XorShiftSource::new(0xB1C3);
-    for bits in [16usize, 64, 65, 128, 256] {
+    for bits in [16usize, 64, 65, 128, 256, 320, 384] {
         let p = gen_prime_congruent(bits, 3, 4, &mut rng);
         let ctx = BlumPrime::new(&p).unwrap();
         assert_eq!(ctx.modulus(), &p);
-        for _ in 0..8 {
-            let a = nat_of_limbs(&mut rng, 2 * p.limbs().len());
-            match ctx.sqrt(&a) {
+        let mut samples = vec![Nat::zero(), p.clone(), p.checked_sub(&Nat::one()).unwrap()];
+        samples.extend((0..8).map(|_| nat_of_limbs(&mut rng, 2 * p.limbs().len())));
+        for a in &samples {
+            // The root carries the Legendre symbol: r² ≡ (a/p)·a.
+            let (r, symbol) = ctx.root(a);
+            assert_eq!(symbol, jacobi(a, &p), "a={a:?} p={p:?}");
+            let signed_a = match symbol {
+                -1 => p.checked_sub(&a.rem_nat(&p).unwrap()).unwrap(),
+                _ => a.rem_nat(&p).unwrap(),
+            };
+            assert_eq!(r.square().rem_nat(&p).unwrap(), signed_a);
+            assert_eq!(
+                ctx.mul(&r, &signed_a),
+                r.mul_nat(&signed_a).rem_nat(&p).unwrap()
+            );
+            match ctx.sqrt(a) {
                 Some(r) => {
                     assert!(r < p);
                     assert_eq!(r.square().rem_nat(&p).unwrap(), a.rem_nat(&p).unwrap());
-                    assert_ne!(jacobi(&a, &p), -1);
+                    assert_ne!(jacobi(a, &p), -1);
                 }
-                None => assert_eq!(jacobi(&a, &p), -1),
+                None => assert_eq!(jacobi(a, &p), -1),
             }
         }
     }

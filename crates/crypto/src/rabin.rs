@@ -17,7 +17,9 @@
 //! `(e, f)`. Verification is a single modular squaring — cheap, which is
 //! what lets SFS read-only servers serve many clients (§2.4).
 
-use sfs_bignum::{gen_prime_congruent, jacobi, BlumPrime, CrtBasis, Nat, RandomSource};
+use std::sync::LazyLock;
+
+use sfs_bignum::{gen_prime_congruent, BlumPrime, CrtBasis, Nat, RandomSource};
 
 use crate::sha1::{mgf1, sha1, sha1_concat, DIGEST_LEN};
 
@@ -57,12 +59,17 @@ pub struct RabinPublicKey {
 
 /// A Rabin–Williams private key: the factorization of `n`, held with
 /// everything a root needs that depends only on the key — per-prime
-/// Montgomery constants and root exponents, and `p⁻¹ mod q` for CRT — so
-/// no decryption or signature recomputes it.
+/// Montgomery constants and root exponents, the roots of the doubling
+/// tweak, and `p⁻¹ mod q` for CRT — so no decryption or signature
+/// recomputes it.
 #[derive(Clone)]
 pub struct RabinPrivateKey {
     p: BlumPrime,
     q: BlumPrime,
+    /// `(−2)^((p+1)/4) mod p`, the principal `√−2` (`p ≡ 3 mod 8`).
+    sqrt_neg2_p: Nat,
+    /// `2^((q+1)/4) mod q`, the principal `√2` (`q ≡ 7 mod 8`).
+    sqrt2_q: Nat,
     crt: CrtBasis,
     public: RabinPublicKey,
 }
@@ -70,6 +77,10 @@ pub struct RabinPrivateKey {
 /// Bytes of OAEP framing in an encoded message: the leading zero, the
 /// masked seed, the label hash and the `0x01` separator.
 const OAEP_OVERHEAD: usize = 2 * DIGEST_LEN + 2;
+
+/// The OAEP label hash every encoded message carries, for encryption to
+/// write and unpadding to check.
+static OAEP_LABEL_HASH: LazyLock<[u8; DIGEST_LEN]> = LazyLock::new(|| sha1(b"SFS-rabin-oaep"));
 
 /// A Rabin–Williams signature: tweak bits and a square root.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -190,8 +201,7 @@ impl RabinPublicKey {
         // DB = lHash(20) || 0x00.. || 0x01 || msg
         let db_len = self.k - 1 - DIGEST_LEN;
         let mut db = vec![0u8; db_len];
-        let lhash = sha1(b"SFS-rabin-oaep");
-        db[..DIGEST_LEN].copy_from_slice(&lhash);
+        db[..DIGEST_LEN].copy_from_slice(&*OAEP_LABEL_HASH);
         let msg_start = db_len - msg.len();
         db[msg_start - 1] = 0x01;
         db[msg_start..].copy_from_slice(msg);
@@ -280,37 +290,7 @@ impl RabinPrivateKey {
     /// Signs `msg` deterministically.
     pub fn sign(&self, msg: &[u8]) -> RabinSignature {
         let n = &self.public.n;
-        let mut h = fdh(msg, n, self.public.k);
-        let (jp, jq) = loop {
-            let (jp, jq) = (jacobi(&h, self.p.modulus()), jacobi(&h, self.q.modulus()));
-            if jp != 0 && jq != 0 {
-                break (jp, jq);
-            }
-            // A zero symbol means h shares a factor with n, which would
-            // reveal the factorization; perturb deterministically.
-            // Probability ~ 2^-600.
-            h = h.add_nat(&Nat::one()).rem_nat(n).unwrap();
-        };
-        // ×2 flips the symbol mod p (p ≡ 3 mod 8 ⇒ (2/p) = −1) but not mod
-        // q (q ≡ 7 mod 8 ⇒ (2/q) = +1); ×(−1) flips both (p, q ≡ 3 mod 4).
-        let double = jp != jq;
-        let mut target = h;
-        if double {
-            target = target.shl_bits(1).rem_nat(n).unwrap();
-        }
-        // Doubling left the symbol mod q alone, so jq is the tweaked one.
-        let negate = jq == -1;
-        if negate {
-            target = n.checked_sub(&target).unwrap();
-        }
-        let rp = self
-            .p
-            .sqrt(&target)
-            .expect("tweaked hash must be a QR mod p");
-        let rq = self
-            .q
-            .sqrt(&target)
-            .expect("tweaked hash must be a QR mod q");
+        let (negate, double, rp, rq) = self.tweaked_roots(fdh(msg, n, self.public.k));
         let s = self.crt.combine(&rp, &rq);
         // Canonicalize to the smaller of {s, n-s} so signing is a function.
         let s_alt = n.checked_sub(&s).unwrap();
@@ -320,6 +300,50 @@ impl RabinPrivateKey {
             double,
             root,
         }
+    }
+
+    /// The Williams tweaks `(negate, double)` that make `t = e·f·h` a
+    /// square modulo `n`, and `t^((p+1)/4) mod p` and `t^((q+1)/4) mod q`,
+    /// its principal roots.
+    ///
+    /// One exponentiation per prime gives both the root of `h` and, read
+    /// off its square, the Legendre symbol that picks the tweaks. The
+    /// tweaked root is then that root times `(e·f)^((p+1)/4)`: modulo `p`,
+    /// where `(p+1)/4` is odd, `−1` maps to `−1`, `−2` to `√−2` and `2` to
+    /// `−√−2`; modulo `q`, where `(q+1)/4` is even, `±1` map to `1` and
+    /// `±2` to `√2`.
+    fn tweaked_roots(&self, mut h: Nat) -> (bool, bool, Nat, Nat) {
+        let ((rp, jp), (rq, jq)) = loop {
+            let (root_p, root_q) = (self.p.root(&h), self.q.root(&h));
+            if root_p.1 != 0 && root_q.1 != 0 {
+                break (root_p, root_q);
+            }
+            // A zero symbol means h shares a factor with n, which would
+            // reveal the factorization; perturb deterministically.
+            // Probability ~ 2^-600.
+            h = h.add_nat(&Nat::one()).rem_nat(&self.public.n).unwrap();
+        };
+        // ×2 flips the symbol mod p (p ≡ 3 mod 8 ⇒ (2/p) = −1) but not mod
+        // q (q ≡ 7 mod 8 ⇒ (2/q) = +1); ×(−1) flips both (p, q ≡ 3 mod 4).
+        let double = jp != jq;
+        // Doubling left the symbol mod q alone, so jq is the tweaked one.
+        let negate = jq == -1;
+        let (rp, rq) = if double {
+            (
+                self.p.mul(&rp, &self.sqrt_neg2_p),
+                self.q.mul(&rq, &self.sqrt2_q),
+            )
+        } else {
+            (rp, rq)
+        };
+        // Per the table above, the root mod p changes sign exactly when
+        // the tweaks are (−1, 1) or (1, 2): when (h/p) = −1.
+        let rp = if jp == -1 {
+            neg_mod(&rp, self.p.modulus())
+        } else {
+            rp
+        };
+        (negate, double, rp, rq)
     }
 
     /// All four CRT combinations of `(±rp, ±rq)`: two recombinations, and
@@ -350,8 +374,7 @@ impl RabinPrivateKey {
             .collect();
         let db_mask = mgf1(&seed, db.len());
         let db: Vec<u8> = db.iter().zip(db_mask.iter()).map(|(a, b)| a ^ b).collect();
-        let lhash = sha1(b"SFS-rabin-oaep");
-        if db[..DIGEST_LEN] != lhash {
+        if db[..DIGEST_LEN] != *OAEP_LABEL_HASH {
             return None;
         }
         // Skip zero padding, expect 0x01 separator.
@@ -409,10 +432,15 @@ impl RabinPrivateKey {
     /// Builds the key and its precomputed context; `None` unless both
     /// values are `≡ 3 (mod 4)` and coprime.
     fn from_primes(p: &Nat, q: &Nat) -> Option<Self> {
+        let crt = CrtBasis::new(p, q)?;
+        let (p_ctx, q_ctx) = (BlumPrime::new(p)?, BlumPrime::new(q)?);
+        let neg2 = p.checked_sub(&Nat::from(2u64))?;
         Some(RabinPrivateKey {
-            crt: CrtBasis::new(p, q)?,
-            p: BlumPrime::new(p)?,
-            q: BlumPrime::new(q)?,
+            sqrt_neg2_p: p_ctx.root(&neg2).0,
+            sqrt2_q: q_ctx.root(&Nat::from(2u64)).0,
+            p: p_ctx,
+            q: q_ctx,
+            crt,
             public: RabinPublicKey::from_modulus(p.mul_nat(q)),
         })
     }
@@ -446,7 +474,7 @@ fn fdh(msg: &[u8], n: &Nat, k: usize) -> Nat {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sfs_bignum::XorShiftSource;
+    use sfs_bignum::{invmod, jacobi, XorShiftSource};
 
     fn test_key() -> RabinPrivateKey {
         let mut rng = XorShiftSource::new(0xB0B);
@@ -549,6 +577,73 @@ mod tests {
     fn signing_is_deterministic() {
         let key = test_key();
         assert_eq!(key.sign(b"m"), key.sign(b"m"));
+    }
+
+    /// Williams tweaks and roots the textbook way, as the oracle: Jacobi
+    /// symbols pick the tweaks, then each prime's root is taken of the
+    /// tweaked hash.
+    fn jacobi_tweaked_roots(key: &RabinPrivateKey, mut h: Nat) -> (bool, bool, Nat, Nat) {
+        let n = &key.public.n;
+        let (jp, jq) = loop {
+            let (jp, jq) = (jacobi(&h, key.p.modulus()), jacobi(&h, key.q.modulus()));
+            if jp != 0 && jq != 0 {
+                break (jp, jq);
+            }
+            h = h.add_nat(&Nat::one()).rem_nat(n).unwrap();
+        };
+        let (negate, double) = (jq == -1, jp != jq);
+        let mut target = h;
+        if double {
+            target = target.shl_bits(1).rem_nat(n).unwrap();
+        }
+        if negate {
+            target = n.checked_sub(&target).unwrap();
+        }
+        let root = |prime: &BlumPrime| prime.sqrt(&target).expect("the tweaked hash is a square");
+        (negate, double, root(&key.p), root(&key.q))
+    }
+
+    #[test]
+    fn signatures_match_the_jacobi_oracle_byte_for_byte() {
+        for (bits, seed) in [(512, 0x5161), (768, 0x5162), (1024, 0x5163)] {
+            let key = generate_keypair(bits, &mut XorShiftSource::new(seed));
+            let n = key.public().modulus();
+            let mut tweaks = std::collections::BTreeSet::new();
+            for i in 0..1000 {
+                let msg = format!("message {i} at {bits} bits");
+                let sig = key.sign(msg.as_bytes());
+                let (negate, double, rp, rq) =
+                    jacobi_tweaked_roots(&key, fdh(msg.as_bytes(), n, key.public().len()));
+                let s = key.crt.combine(&rp, &rq);
+                let root = s.clone().min(n.checked_sub(&s).unwrap());
+                let want = RabinSignature {
+                    negate,
+                    double,
+                    root,
+                };
+                assert_eq!(sig, want, "{msg}");
+                tweaks.insert((negate, double));
+            }
+            assert_eq!(tweaks.len(), 4, "tweak combinations at {bits} bits");
+        }
+    }
+
+    #[test]
+    fn a_hash_sharing_a_factor_with_n_is_perturbed() {
+        let key = test_key();
+        let (p, q) = (key.p.modulus(), key.q.modulus());
+        // p·x + 1 ≡ 0 (mod q) for this x: two steps before a usable hash.
+        let x = q.checked_sub(&invmod(p, q).unwrap()).unwrap();
+        for (h, steps) in [
+            (Nat::zero(), 1u64),
+            (p.mul_nat(&Nat::from(5u64)), 1),
+            (q.mul_nat(&Nat::from(7u64)), 1),
+            (p.mul_nat(&x), 2),
+        ] {
+            let got = key.tweaked_roots(h.clone());
+            assert_eq!(got, jacobi_tweaked_roots(&key, h.clone()), "{h:?}");
+            assert_eq!(got, key.tweaked_roots(h.add_nat(&Nat::from(steps))));
+        }
     }
 
     #[test]
