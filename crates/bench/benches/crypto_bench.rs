@@ -3,13 +3,14 @@
 //! public-key operations). Unlike `sfs-bench figures` (virtual time),
 //! these measure genuine CPU time on the host machine.
 
-use sfs_bench::microbench::{bench, bench_throughput};
+use sfs_bench::microbench::{bench, bench_throughput, channel_pair};
 use sfs_bignum::XorShiftSource;
 use sfs_crypto::arc4::Arc4;
 use sfs_crypto::blowfish::Blowfish;
 use sfs_crypto::eksblowfish::bcrypt_hash;
 use sfs_crypto::mac::SfsMac;
 use sfs_crypto::sha1::sha1;
+use sfs_proto::channel::{SuiteId, FRAME_HEADER_LEN};
 
 fn bench_sha1() {
     for size in [64usize, 1024, 8192, 65536] {
@@ -46,6 +47,27 @@ fn bench_blowfish() {
     let mut handle = [0u8; 24];
     bench("blowfish/cbc_encrypt_24B_handle", || {
         bf.cbc_encrypt(&mut handle)
+    });
+    // The direction every relayed NFS call pays on a handle the
+    // server's per-session map has not seen yet.
+    bench("blowfish/cbc_decrypt_24B_handle", || {
+        bf.cbc_decrypt(&mut handle)
+    });
+}
+
+fn bench_channel() {
+    // A metadata-sized frame sealed and opened on the negotiated suite,
+    // frame after frame as a channel runs: on AVX-512 every other frame
+    // takes its ChaCha20 head from the step that made the previous one.
+    let (mut tx, mut rx) = channel_pair(SuiteId::ChaCha20Poly1305);
+    let payload = [0x5Au8; 128];
+    let mut buf = Vec::with_capacity(FRAME_HEADER_LEN + payload.len() + 16);
+    bench("channel/chacha_seal_open_128B", || {
+        buf.clear();
+        buf.extend_from_slice(&[0u8; FRAME_HEADER_LEN]);
+        buf.extend_from_slice(&payload);
+        tx.seal_into(&mut buf, 0).expect("seal");
+        rx.open_in_place(&mut buf).expect("open").len()
     });
 }
 
@@ -91,6 +113,7 @@ fn main() {
     bench_arc4();
     bench_sfs_mac();
     bench_blowfish();
+    bench_channel();
     bench_eksblowfish();
     bench_rabin();
 }

@@ -86,7 +86,8 @@ const KERNEL_SIZES: [usize; 3] = [64, 512, 8192];
 /// input the AVX-512 sixteen-block step takes.
 const CHACHA20_SIZES: [usize; 4] = [64, 512, 1024, 8192];
 
-fn channel_pair(suite: SuiteId) -> (SecureChannelEnd, SecureChannelEnd) {
+/// A client end and a server end keyed alike under `suite`.
+pub fn channel_pair(suite: SuiteId) -> (SecureChannelEnd, SecureChannelEnd) {
     let keys = SessionKeys {
         kcs: *b"hotpath-kcs-12345678",
         ksc: *b"hotpath-ksc-87654321",
@@ -107,7 +108,10 @@ fn channel_pair(suite: SuiteId) -> (SecureChannelEnd, SecureChannelEnd) {
 /// PRs; the chacha20-poly1305 fast path lands under a `chacha_` prefix.
 /// The kernel rows go through the public entry points, i.e. whichever
 /// tier this CPU dispatches to, so a `chacha_seal_into` row decomposes
-/// into cipher + MAC (plus the frame bookkeeping).
+/// into cipher + MAC (plus the frame bookkeeping). Each channel stage
+/// seals frame after frame on one channel, so on AVX-512 its 8- and
+/// 64-byte rows run the paired frame-head step and take every other
+/// head from the direction's stash.
 pub fn micro_stages() -> Vec<Stage> {
     let mut stages = Vec::new();
     let mut stage = |name, payload, op: Box<dyn FnMut()>| stages.push(Stage { name, payload, op });

@@ -24,6 +24,7 @@ use sfs_telemetry::sync::MutexGuard;
 use sfs_telemetry::Telemetry;
 use sfs_xdr::{Xdr, XdrEncoder};
 
+use super::handles::HandleMap;
 use super::{ConnState, Established, ServerConn, SfsServer, SEQ_BUF_CAPACITY, TICKET_LIFETIME_NS};
 use crate::bufpool::BufPool;
 use crate::sealbox;
@@ -51,6 +52,7 @@ impl ServerConn {
             seqwin: SeqWindow::new(32),
             seq_buf: FrameSequencer::new(SEQ_BUF_CAPACITY),
             reply_cache: BTreeMap::new(),
+            fh_map: HandleMap::new(),
         })
     }
 

@@ -20,6 +20,8 @@
 //! - `sealed`: serving frames on an established channel — sequencing,
 //!   the scheduling entry, credential tagging and the NFS relay
 //!   (§3.1.3, §3.3);
+//! - `handles`: the session's memo of file-handle translations in front
+//!   of the handle cipher (§3.3);
 //! - `roreplica`: the read-only dialect's connection seam and the
 //!   keyless replica (§2.4).
 //!
@@ -29,6 +31,7 @@
 //! encrypting them in CBC mode with a 20-byte Blowfish key" (§3.3).
 
 mod conn;
+mod handles;
 mod roreplica;
 mod sealed;
 
@@ -542,6 +545,8 @@ struct Established {
     /// [`REPLY_CACHE_CAPACITY`], each in a buffer from the connection's
     /// pool.
     reply_cache: BTreeMap<u64, Vec<u8>>,
+    /// The handle translations this session's cipher has made.
+    fh_map: handles::HandleMap,
 }
 
 enum ConnState {

@@ -26,6 +26,7 @@ use sfs_telemetry::Telemetry;
 use sfs_vfs::Credentials;
 use sfs_xdr::{Xdr, XdrEncoder};
 
+use super::handles::HandleMap;
 use super::{proc_is_mutating, ConnState, Established, ServerConn, REPLY_CACHE_CAPACITY};
 use crate::shard::ShardEngine;
 use crate::wire::{
@@ -197,8 +198,8 @@ impl ServerConn {
             return Ok(());
         };
         // Borrow the session's credentials in place: the dispatch below
-        // never touches `est`, and skipping the clone keeps the per-RPC
-        // allocation count down (gids is a Vec).
+        // touches only the session's handle map, and skipping the clone
+        // keeps the per-RPC allocation count down (gids is a Vec).
         let anon;
         let creds = if authno == AUTHNO_ANONYMOUS {
             anon = Credentials::anonymous();
@@ -220,7 +221,8 @@ impl ServerConn {
         out.extend_from_slice(&[0u8; 4]);
         let results_start = out.len();
         let mut enc = XdrEncoder::from_vec(std::mem::take(out));
-        self.dispatch_nfs_into(f, creds, proc, args, &mut enc);
+        let handles = &mut est.fh_map;
+        self.dispatch_nfs_into(f, handles, creds, proc, args, &mut enc);
         *out = enc.into_bytes();
         let results_len = out.len() - results_start;
         out[len_pos..len_pos + 4].copy_from_slice(&(results_len as u32).to_be_bytes());
@@ -229,8 +231,9 @@ impl ServerConn {
             .pending
             .lock()
             .drain(..)
-            .map(|fh| self.server.encrypt_handle(fh))
+            .map(|fh| handles.encrypt(&self.server, fh))
             .collect();
+        handles.report(&f.tel);
         out.extend_from_slice(&(pending.len() as u32).to_be_bytes());
         if !pending.is_empty() {
             let mut enc = XdrEncoder::from_vec(std::mem::take(out));
@@ -405,10 +408,12 @@ impl ServerConn {
 
     /// Decodes, relays and answers one NFS3 call, marshaling the results
     /// into a caller-owned encoder (the sealed path appends them straight
-    /// into the reply envelope).
+    /// into the reply envelope). Handles are translated through the
+    /// session's `handles` map, which falls back on the cipher.
     fn dispatch_nfs_into(
         &self,
         f: &mut Frame,
+        handles: &mut HandleMap,
         creds: &Credentials,
         proc: u32,
         args: &[u8],
@@ -432,7 +437,7 @@ impl ServerConn {
         // multi-core scheduler can route its disk work.
         let mut first_fh: Option<u32> = None;
         for fh in req.handles_mut() {
-            *fh = match self.server.decrypt_handle(fh) {
+            *fh = match handles.decrypt(&self.server, fh) {
                 Ok(nfs) => nfs,
                 Err(status) => return err(status, enc),
             };
@@ -458,9 +463,7 @@ impl ServerConn {
         }
         // Translate handles in the reply back to SFS form.
         for fh in reply.handles_mut() {
-            *fh = self
-                .server
-                .encrypt_handle(std::mem::replace(fh, FileHandle(Vec::new())));
+            *fh = handles.encrypt(&self.server, std::mem::replace(fh, FileHandle(Vec::new())));
         }
         reply.encode_results_into(enc)
     }

@@ -73,6 +73,99 @@ fn forged_handle_rejected() {
     assert_eq!(s.decrypt_handle(&h).unwrap_err(), Status::BadHandle);
 }
 
+/// Every input the handle cipher refuses that is one edit from `valid`:
+/// each byte flipped to each other value, each truncation, extensions
+/// by one and eight bytes, and `foreign`.
+fn near_misses(valid: &FileHandle, foreign: &FileHandle) -> Vec<FileHandle> {
+    let mut out = Vec::new();
+    for i in 0..valid.0.len() {
+        for delta in 1..=255u8 {
+            let mut fh = valid.clone();
+            fh.0[i] ^= delta;
+            out.push(fh);
+        }
+    }
+    out.extend((0..valid.0.len()).map(|n| FileHandle(valid.0[..n].to_vec())));
+    out.extend([1, 8].map(|n| FileHandle([&valid.0[..], &vec![0; n]].concat())));
+    out.push(foreign.clone());
+    out
+}
+
+#[test]
+fn the_handle_map_refuses_what_the_cipher_refuses_cold_and_warm() {
+    // §3.3 through the per-session map: a handle one edit away from a
+    // cached one, or minted under another server's key, still takes the
+    // cipher path and still gets `BadHandle`, whether or not the valid
+    // handle is in the map — and none of them enters it.
+    let s = make_server();
+    let other = SfsServer::new(
+        ServerConfig::new("other.example.com"),
+        sfs_crypto::rabin::generate_keypair(512, &mut sfs_bignum::XorShiftSource::new(0x07E1)),
+        Vfs::new(42, SimClock::new()),
+        Arc::new(AuthServer::new(srp_group(), 2)),
+        SfsPrg::from_entropy(b"other-server-test"),
+    );
+    let nfs = s.nfs.root_handle();
+    let valid = s.encrypt_handle(nfs.clone());
+    let foreign = other.encrypt_handle(nfs.clone());
+    assert_eq!(other.decrypt_handle(&foreign), Ok(nfs.clone()));
+    let forged = near_misses(&valid, &foreign);
+    for warm in [false, true] {
+        let mut map = handles::HandleMap::new();
+        if warm {
+            assert_eq!(map.decrypt(&s, &valid), Ok(nfs.clone()));
+            assert_eq!(map.encrypt(&s, nfs.clone()), valid);
+            assert_eq!(map.len(), 2);
+        }
+        for fh in &forged {
+            assert_eq!(
+                map.decrypt(&s, fh),
+                Err(Status::BadHandle),
+                "warm {warm}: {fh:?}"
+            );
+        }
+        assert_eq!(
+            map.len(),
+            if warm { 2 } else { 0 },
+            "a refused handle was recorded"
+        );
+        // A hit is exactly the cipher's answer, both ways.
+        for _ in 0..2 {
+            assert_eq!(map.decrypt(&s, &valid), s.decrypt_handle(&valid));
+            assert_eq!(map.encrypt(&s, nfs.clone()), s.encrypt_handle(nfs.clone()));
+        }
+    }
+}
+
+#[test]
+fn the_handle_map_stops_at_its_cap_and_translates_past_it() {
+    let s = make_server();
+    let tel = Telemetry::counters();
+    let mut map = handles::HandleMap::new();
+    let cap = handles::FH_MAP_CAPACITY;
+    let k = 7;
+    let pairs: Vec<(FileHandle, FileHandle)> = (0..cap + k)
+        .map(|i| {
+            let nfs = FileHandle((i as u128).to_be_bytes().to_vec());
+            (s.encrypt_handle(nfs.clone()), nfs)
+        })
+        .collect();
+    for round in 0..2 {
+        for (public, nfs) in &pairs {
+            assert_eq!(map.decrypt(&s, public).as_ref(), Ok(nfs), "round {round}");
+        }
+        assert_eq!(map.len(), cap);
+    }
+    map.report(&tel);
+    // Round one missed every handle; round two hit the first `cap`.
+    assert_eq!(tel.counter("server", "fh_map.hits"), cap as u64);
+    assert_eq!(tel.counter("server", "fh_map.misses"), (cap + 2 * k) as u64);
+    // Full in one direction, the other takes the cipher path.
+    let (public, nfs) = &pairs[0];
+    assert_eq!(&map.encrypt(&s, nfs.clone()), public);
+    assert_eq!(map.len(), cap);
+}
+
 fn hello(s: &SfsServer, dialect: Dialect, version: u32) -> CallMsg {
     CallMsg::Hello {
         req: sfs_proto::keyneg::KeyNegRequest {

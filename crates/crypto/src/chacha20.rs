@@ -37,6 +37,13 @@
 //! 1 KiB — takes the eight-block row step, whose latency a short frame
 //! pays once. What is left after the whole steps is XORed out of one
 //! more row step of the same width, never a narrower tier.
+//!
+//! A frame of a counter-nonce sequence rarely needs all eight blocks of
+//! that step, so on AVX-512 `FrameHead::paired` splits it: one state
+//! runs blocks 0–3 of this frame's nonce, the other blocks 0–3 of the
+//! next frame's, and the second head waits in the caller's stash until
+//! that frame is sealed or opened. The narrower tiers' row step already
+//! has no room for a second head and keeps making one per step.
 
 /// Key length in bytes (256-bit keys only; RFC 8439 drops the 128-bit form).
 pub const KEY_LEN: usize = 32;
@@ -47,7 +54,11 @@ pub const BLOCK_LEN: usize = 64;
 
 /// The widest row-layout step any tier takes (eight blocks, [`avx512`]):
 /// what [`FrameHead`] and a stream's sub-step tail are cut out of.
-const MAX_STEP: usize = 8 * BLOCK_LEN;
+pub(crate) const MAX_STEP: usize = 8 * BLOCK_LEN;
+
+/// One frame head when a step makes two: block 0 (the Poly1305 key)
+/// and payload blocks 1–3, half of [`MAX_STEP`].
+pub(crate) const PAIRED_HEAD_LEN: usize = 4 * BLOCK_LEN;
 
 /// "expand 32-byte k", the §2.3 constant words.
 const SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
@@ -179,7 +190,8 @@ impl ChaCha20 {
         }
         // Less than one step left: take one more step's keystream and
         // apply as much of it as there is data for.
-        let (ks, _) = self.peek_step();
+        let mut ks = [0u8; MAX_STEP];
+        self.peek_step(&mut ks);
         xor_into(tail, &ks);
         self.words[12] = self.words[12].wrapping_add(tail.len().div_ceil(BLOCK_LEN) as u32);
     }
@@ -214,26 +226,24 @@ impl ChaCha20 {
         steps * 2 * BLOCK_LEN
     }
 
-    /// The raw keystream of one step of this CPU's widest tier at the
-    /// current counter, which stays where it is, and the step's length.
-    fn peek_step(&self) -> ([u8; MAX_STEP], usize) {
+    /// Writes the raw keystream of one step of this CPU's widest tier at
+    /// the current counter, which stays where it is, into the front of
+    /// `ks` (all zeros on entry), and returns the step's length.
+    fn peek_step(&self, ks: &mut [u8; MAX_STEP]) -> usize {
         // Keystream XORed over zeros is the keystream.
-        let mut ks = [0u8; MAX_STEP];
         #[cfg(target_arch = "x86_64")]
         {
             let mut words = self.words;
             if std::arch::is_x86_feature_detected!("avx512f") {
                 // SAFETY: feature presence is checked immediately above.
-                let len = unsafe { avx512::xor_keystream8(&mut words, &mut ks) };
-                return (ks, len);
+                return unsafe { avx512::xor_keystream8(&mut words, ks) };
             } else if std::arch::is_x86_feature_detected!("avx2") {
                 // SAFETY: feature presence is checked immediately above.
-                let len = unsafe { avx2::xor_keystream4(&mut words, &mut ks[..avx2::STEP]) };
-                return (ks, len);
+                return unsafe { avx2::xor_keystream4(&mut words, &mut ks[..avx2::STEP]) };
             }
         }
         ks[..2 * BLOCK_LEN].copy_from_slice(&permute2_bytes(&self.words));
-        (ks, 2 * BLOCK_LEN)
+        2 * BLOCK_LEN
     }
 }
 
@@ -261,25 +271,74 @@ fn xor_into(dst: &mut [u8], ks: &[u8]) {
 
 /// The first wide step of an AEAD frame (RFC 8439 §2.6 and the start of
 /// §2.8 in one pass): block 0, whose first half is the Poly1305 one-time
-/// key, and with it the keystream of payload blocks 1… as far as one
-/// step of this CPU's widest tier reaches (one, three or seven blocks).
-pub(crate) struct FrameHead {
-    ks: [u8; MAX_STEP],
-    len: usize,
+/// key, and with it the keystream of payload blocks 1… as far as the
+/// step reached (one, three or seven blocks; three when the step was
+/// shared with the next frame). The keystream is borrowed: from the
+/// caller's scratch buffer, or from the stash a paired step filled.
+pub(crate) struct FrameHead<'a> {
+    ks: &'a [u8],
     cipher: ChaCha20,
 }
 
-impl FrameHead {
-    pub(crate) fn new(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN]) -> FrameHead {
+impl<'a> FrameHead<'a> {
+    /// One step of this CPU's widest tier, into `scratch` (all zeros).
+    pub(crate) fn new(
+        key: &[u8; KEY_LEN],
+        nonce: &[u8; NONCE_LEN],
+        scratch: &'a mut [u8; MAX_STEP],
+    ) -> FrameHead<'a> {
         let cipher = ChaCha20::new(key, nonce, 0);
-        let (ks, len) = cipher.peek_step();
-        FrameHead { ks, len, cipher }
+        let len = cipher.peek_step(scratch);
+        FrameHead {
+            ks: &scratch[..len],
+            cipher,
+        }
+    }
+
+    /// This frame's head and, where the row step holds eight blocks
+    /// (AVX-512), the head of the frame under `next` from the same step:
+    /// blocks 0–3 of each nonce, the second written into `ahead`.
+    /// Returns whether `ahead` was written; on the narrower tiers this
+    /// is [`Self::new`] and `ahead` is left as it was.
+    pub(crate) fn paired(
+        key: &[u8; KEY_LEN],
+        nonce: &[u8; NONCE_LEN],
+        next: &[u8; NONCE_LEN],
+        scratch: &'a mut [u8; MAX_STEP],
+        ahead: &mut [u8; PAIRED_HEAD_LEN],
+    ) -> (FrameHead<'a>, bool) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            let cipher = ChaCha20::new(key, nonce, 0);
+            let following = ChaCha20::new(key, next, 0);
+            let head = scratch.first_chunk_mut().expect("a head fits a step");
+            // SAFETY: feature presence is checked immediately above.
+            unsafe { avx512::keystream_pair(&cipher.words, &following.words, head, ahead) };
+            let ks = &scratch[..PAIRED_HEAD_LEN];
+            return (FrameHead { ks, cipher }, true);
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = (next, ahead);
+        (FrameHead::new(key, nonce, scratch), false)
+    }
+
+    /// The head of a frame whose keystream a paired step already made.
+    pub(crate) fn made_ahead(
+        key: &[u8; KEY_LEN],
+        nonce: &[u8; NONCE_LEN],
+        ks: &'a [u8; PAIRED_HEAD_LEN],
+    ) -> FrameHead<'a> {
+        FrameHead {
+            ks,
+            cipher: ChaCha20::new(key, nonce, 0),
+        }
     }
 
     /// The Poly1305 one-time key for this nonce (§2.6).
     pub(crate) fn one_time_key(&self) -> [u8; 32] {
-        self.ks[..32]
-            .try_into()
+        *self
+            .ks
+            .first_chunk()
             .expect("a step is at least two blocks")
     }
 
@@ -287,7 +346,7 @@ impl FrameHead {
     /// `buf`. Returns how many bytes that covered and the stream
     /// positioned at the block after them, for the rest of `buf`.
     pub(crate) fn xor_front(mut self, buf: &mut [u8]) -> (usize, ChaCha20) {
-        let n = buf.len().min(self.len - BLOCK_LEN);
+        let n = buf.len().min(self.ks.len() - BLOCK_LEN);
         xor_into(&mut buf[..n], &self.ks[BLOCK_LEN..]);
         self.cipher.words[12] = 1 + n.div_ceil(BLOCK_LEN) as u32;
         (n, self.cipher)
@@ -475,6 +534,74 @@ mod avx512 {
         };
     }
 
+    /// The twenty rounds and the feed-forward of two interleaved
+    /// row-layout states, `a` from row 3 `$i3a` and `b` from `$i3b`,
+    /// rows 0–2 shared. Leaves each state's keystream rows in its four
+    /// registers.
+    macro_rules! permute_two_states {
+        ([$a0:ident $a1:ident $a2:ident $a3:ident], [$b0:ident $b1:ident $b2:ident $b3:ident],
+         $row0:ident $row1:ident $row2:ident $i3a:ident $i3b:ident) => {
+            let (mut $a0, mut $a1, mut $a2, mut $a3) = ($row0, $row1, $row2, $i3a);
+            let (mut $b0, mut $b1, mut $b2, mut $b3) = ($row0, $row1, $row2, $i3b);
+            for _ in 0..10 {
+                // Column rounds, both states interleaved.
+                half_qr!($a0 $a1 $a3, $b0 $b1 $b3, 16);
+                $a2 = _mm512_add_epi32($a2, $a3);
+                $b2 = _mm512_add_epi32($b2, $b3);
+                $a1 = _mm512_rol_epi32::<12>(_mm512_xor_si512($a1, $a2));
+                $b1 = _mm512_rol_epi32::<12>(_mm512_xor_si512($b1, $b2));
+                half_qr!($a0 $a1 $a3, $b0 $b1 $b3, 8);
+                $a2 = _mm512_add_epi32($a2, $a3);
+                $b2 = _mm512_add_epi32($b2, $b3);
+                $a1 = _mm512_rol_epi32::<7>(_mm512_xor_si512($a1, $a2));
+                $b1 = _mm512_rol_epi32::<7>(_mm512_xor_si512($b1, $b2));
+                // Diagonalize (within each lane), repeat, undo.
+                $a1 = _mm512_shuffle_epi32::<0x39>($a1);
+                $a2 = _mm512_shuffle_epi32::<0x4E>($a2);
+                $a3 = _mm512_shuffle_epi32::<0x93>($a3);
+                $b1 = _mm512_shuffle_epi32::<0x39>($b1);
+                $b2 = _mm512_shuffle_epi32::<0x4E>($b2);
+                $b3 = _mm512_shuffle_epi32::<0x93>($b3);
+                half_qr!($a0 $a1 $a3, $b0 $b1 $b3, 16);
+                $a2 = _mm512_add_epi32($a2, $a3);
+                $b2 = _mm512_add_epi32($b2, $b3);
+                $a1 = _mm512_rol_epi32::<12>(_mm512_xor_si512($a1, $a2));
+                $b1 = _mm512_rol_epi32::<12>(_mm512_xor_si512($b1, $b2));
+                half_qr!($a0 $a1 $a3, $b0 $b1 $b3, 8);
+                $a2 = _mm512_add_epi32($a2, $a3);
+                $b2 = _mm512_add_epi32($b2, $b3);
+                $a1 = _mm512_rol_epi32::<7>(_mm512_xor_si512($a1, $a2));
+                $b1 = _mm512_rol_epi32::<7>(_mm512_xor_si512($b1, $b2));
+                $a1 = _mm512_shuffle_epi32::<0x93>($a1);
+                $a2 = _mm512_shuffle_epi32::<0x4E>($a2);
+                $a3 = _mm512_shuffle_epi32::<0x39>($a3);
+                $b1 = _mm512_shuffle_epi32::<0x93>($b1);
+                $b2 = _mm512_shuffle_epi32::<0x4E>($b2);
+                $b3 = _mm512_shuffle_epi32::<0x39>($b3);
+            }
+            // Feed-forward.
+            $a0 = _mm512_add_epi32($a0, $row0);
+            $a1 = _mm512_add_epi32($a1, $row1);
+            $a2 = _mm512_add_epi32($a2, $row2);
+            $a3 = _mm512_add_epi32($a3, $i3a);
+            $b0 = _mm512_add_epi32($b0, $row0);
+            $b1 = _mm512_add_epi32($b1, $row1);
+            $b2 = _mm512_add_epi32($b2, $row2);
+            $b3 = _mm512_add_epi32($b3, $i3b);
+        };
+    }
+
+    /// Broadcasts row `i` of a state template to all four 128-bit lanes.
+    ///
+    /// # Safety
+    ///
+    /// `i < 4`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn row(words: &[u32; 16], i: usize) -> __m512i {
+        _mm512_broadcast_i32x4(_mm_loadu_si128((words.as_ptr() as *const __m128i).add(i)))
+    }
+
     /// XORs keystream over as many whole 512-byte (eight-block) chunks
     /// as fit in `buf`, advancing the counter word. Returns bytes
     /// consumed.
@@ -484,68 +611,18 @@ mod avx512 {
         if steps == 0 {
             return 0;
         }
-        let p = words.as_ptr() as *const __m128i;
-        let row0 = _mm512_broadcast_i32x4(_mm_loadu_si128(p));
-        let row1 = _mm512_broadcast_i32x4(_mm_loadu_si128(p.add(1)));
-        let row2 = _mm512_broadcast_i32x4(_mm_loadu_si128(p.add(2)));
-        let row3 = _mm512_broadcast_i32x4(_mm_loadu_si128(p.add(3)));
+        let (row0, row1, row2) = (row(words, 0), row(words, 1), row(words, 2));
         // Counter offsets: lane k of state a is block n+k, of b n+4+k.
         let ctr_a = _mm512_setr_epi32(0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0);
         let ctr_b = _mm512_setr_epi32(4, 0, 0, 0, 5, 0, 0, 0, 6, 0, 0, 0, 7, 0, 0, 0);
         let ctr_step = _mm512_setr_epi32(8, 0, 0, 0, 8, 0, 0, 0, 8, 0, 0, 0, 8, 0, 0, 0);
 
-        let mut i3a = _mm512_add_epi32(row3, ctr_a);
-        let mut i3b = _mm512_add_epi32(row3, ctr_b);
+        let mut i3a = _mm512_add_epi32(row(words, 3), ctr_a);
+        let mut i3b = _mm512_add_epi32(row(words, 3), ctr_b);
         let mut out = buf.as_mut_ptr() as *mut __m512i;
 
         for _ in 0..steps {
-            let (mut a0, mut a1, mut a2, mut a3) = (row0, row1, row2, i3a);
-            let (mut b0, mut b1, mut b2, mut b3) = (row0, row1, row2, i3b);
-            for _ in 0..10 {
-                // Column rounds, both states interleaved.
-                half_qr!(a0 a1 a3, b0 b1 b3, 16);
-                a2 = _mm512_add_epi32(a2, a3);
-                b2 = _mm512_add_epi32(b2, b3);
-                a1 = _mm512_rol_epi32::<12>(_mm512_xor_si512(a1, a2));
-                b1 = _mm512_rol_epi32::<12>(_mm512_xor_si512(b1, b2));
-                half_qr!(a0 a1 a3, b0 b1 b3, 8);
-                a2 = _mm512_add_epi32(a2, a3);
-                b2 = _mm512_add_epi32(b2, b3);
-                a1 = _mm512_rol_epi32::<7>(_mm512_xor_si512(a1, a2));
-                b1 = _mm512_rol_epi32::<7>(_mm512_xor_si512(b1, b2));
-                // Diagonalize (within each lane), repeat, undo.
-                a1 = _mm512_shuffle_epi32::<0x39>(a1);
-                a2 = _mm512_shuffle_epi32::<0x4E>(a2);
-                a3 = _mm512_shuffle_epi32::<0x93>(a3);
-                b1 = _mm512_shuffle_epi32::<0x39>(b1);
-                b2 = _mm512_shuffle_epi32::<0x4E>(b2);
-                b3 = _mm512_shuffle_epi32::<0x93>(b3);
-                half_qr!(a0 a1 a3, b0 b1 b3, 16);
-                a2 = _mm512_add_epi32(a2, a3);
-                b2 = _mm512_add_epi32(b2, b3);
-                a1 = _mm512_rol_epi32::<12>(_mm512_xor_si512(a1, a2));
-                b1 = _mm512_rol_epi32::<12>(_mm512_xor_si512(b1, b2));
-                half_qr!(a0 a1 a3, b0 b1 b3, 8);
-                a2 = _mm512_add_epi32(a2, a3);
-                b2 = _mm512_add_epi32(b2, b3);
-                a1 = _mm512_rol_epi32::<7>(_mm512_xor_si512(a1, a2));
-                b1 = _mm512_rol_epi32::<7>(_mm512_xor_si512(b1, b2));
-                a1 = _mm512_shuffle_epi32::<0x93>(a1);
-                a2 = _mm512_shuffle_epi32::<0x4E>(a2);
-                a3 = _mm512_shuffle_epi32::<0x39>(a3);
-                b1 = _mm512_shuffle_epi32::<0x93>(b1);
-                b2 = _mm512_shuffle_epi32::<0x4E>(b2);
-                b3 = _mm512_shuffle_epi32::<0x39>(b3);
-            }
-            // Feed-forward.
-            a0 = _mm512_add_epi32(a0, row0);
-            a1 = _mm512_add_epi32(a1, row1);
-            a2 = _mm512_add_epi32(a2, row2);
-            a3 = _mm512_add_epi32(a3, i3a);
-            b0 = _mm512_add_epi32(b0, row0);
-            b1 = _mm512_add_epi32(b1, row1);
-            b2 = _mm512_add_epi32(b2, row2);
-            b3 = _mm512_add_epi32(b3, i3b);
+            permute_two_states!([a0 a1 a2 a3], [b0 b1 b2 b3], row0 row1 row2 i3a i3b);
             // Each register holds one word-row of four blocks, one per
             // 128-bit lane: transposing the lanes yields whole blocks.
             for (base, rows) in [(0, [a0, a1, a2, a3]), (4, [b0, b1, b2, b3])] {
@@ -559,6 +636,35 @@ mod avx512 {
         }
         words[12] = words[12].wrapping_add((steps * 8) as u32);
         steps * STEP
+    }
+
+    /// Blocks 0–3 past the counter of two states that share rows 0–2
+    /// (one key, two nonces), in one eight-block step: `words`' into
+    /// `out`, `next`'s into `out_next`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn keystream_pair(
+        words: &[u32; 16],
+        next: &[u32; 16],
+        out: &mut [u8; 4 * BLOCK_LEN],
+        out_next: &mut [u8; 4 * BLOCK_LEN],
+    ) {
+        debug_assert_eq!(words[..12], next[..12], "one key, one counter");
+        let (row0, row1, row2) = (row(words, 0), row(words, 1), row(words, 2));
+        // Lane k of each state is block k.
+        let ctr = _mm512_setr_epi32(0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0);
+        let i3a = _mm512_add_epi32(row(words, 3), ctr);
+        let i3b = _mm512_add_epi32(row(next, 3), ctr);
+        permute_two_states!([a0 a1 a2 a3], [b0 b1 b2 b3], row0 row1 row2 i3a i3b);
+        for (dst, rows) in [(out, [a0, a1, a2, a3]), (out_next, [b0, b1, b2, b3])] {
+            let dst = dst.as_mut_ptr() as *mut __m512i;
+            for (j, ks) in transpose_lanes(rows).into_iter().enumerate() {
+                _mm512_storeu_si512(dst.add(j), ks);
+            }
+        }
     }
 
     /// Four independent §2.1 quarter rounds on the vertical state, one
@@ -775,17 +881,88 @@ offer you only one tip for the future, sunscreen would be it.";
         let key = test_key();
         let nonce = [13u8; NONCE_LEN];
         let block0 = keystream_block(&key, &nonce, 0);
+        let mut next = nonce;
+        next[11] ^= 1;
         for len in [
             0usize, 1, 63, 64, 65, 127, 128, 191, 192, 193, 447, 448, 449, 512, 1000,
         ] {
-            let head = FrameHead::new(&key, &nonce);
-            assert_eq!(head.one_time_key(), block0[..32]);
-            let mut fused = vec![0xC3u8; len];
-            let (n, mut rest) = head.xor_front(&mut fused);
-            rest.xor_keystream(&mut fused[n..]);
             let mut plain = vec![0xC3u8; len];
             ChaCha20::new(&key, &nonce, 1).xor_keystream(&mut plain);
-            assert_eq!(fused, plain, "len {len}");
+            let (mut scratch, mut paired_scratch) = ([0u8; MAX_STEP], [0u8; MAX_STEP]);
+            let mut ahead = [0u8; PAIRED_HEAD_LEN];
+            // A paired step's head for this nonce covers fewer payload
+            // blocks; the stream continues from wherever it stopped.
+            let heads = [
+                FrameHead::new(&key, &nonce, &mut scratch),
+                FrameHead::paired(&key, &nonce, &next, &mut paired_scratch, &mut ahead).0,
+            ];
+            for head in heads {
+                assert_eq!(head.one_time_key(), block0[..32]);
+                let mut fused = vec![0xC3u8; len];
+                let (n, mut rest) = head.xor_front(&mut fused);
+                rest.xor_keystream(&mut fused[n..]);
+                assert_eq!(fused, plain, "len {len}");
+            }
+        }
+    }
+
+    /// Blocks 0–3 of `nonce` from the portable tier.
+    fn portable_head(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN]) -> [u8; PAIRED_HEAD_LEN] {
+        let mut ks = [0u8; PAIRED_HEAD_LEN];
+        portable_stream(key, nonce, 0, &mut ks);
+        ks
+    }
+
+    #[test]
+    fn paired_step_equals_two_single_steps_on_every_tier() {
+        use sfs_bignum::{RandomSource, XorShiftSource};
+        let mut rng = XorShiftSource::new(0x9A1_2ED);
+        for _ in 0..64 {
+            let (mut key, mut nonce, mut next) = ([0u8; KEY_LEN], [0u8; NONCE_LEN], [0u8; 12]);
+            rng.fill(&mut key);
+            rng.fill(&mut nonce);
+            rng.fill(&mut next);
+            let (this_head, next_head) = (portable_head(&key, &nonce), portable_head(&key, &next));
+
+            // Through the dispatcher: two heads on a tier whose row step
+            // holds eight blocks, this one alone on the others.
+            let mut scratch = [0u8; MAX_STEP];
+            let mut ahead = [0x5Au8; PAIRED_HEAD_LEN];
+            let (head, paired) = FrameHead::paired(&key, &nonce, &next, &mut scratch, &mut ahead);
+            #[cfg(target_arch = "x86_64")]
+            let wide_rows = std::arch::is_x86_feature_detected!("avx512f");
+            #[cfg(not(target_arch = "x86_64"))]
+            let wide_rows = false;
+            assert_eq!(paired, wide_rows);
+            assert_eq!(head.ks, &this_head[..head.ks.len()]);
+            if paired {
+                assert_eq!(head.ks.len(), PAIRED_HEAD_LEN);
+                assert_eq!(ahead, next_head);
+                let stashed = FrameHead::made_ahead(&key, &next, &ahead);
+                assert_eq!(stashed.one_time_key(), next_head[..32]);
+            } else {
+                assert_eq!(
+                    ahead, [0x5A; PAIRED_HEAD_LEN],
+                    "a narrow tier leaves the stash"
+                );
+            }
+
+            // The kernel itself.
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                let (a, b) = (
+                    ChaCha20::new(&key, &nonce, 0),
+                    ChaCha20::new(&key, &next, 0),
+                );
+                let (mut out, mut out_next) = ([0u8; PAIRED_HEAD_LEN], [0u8; PAIRED_HEAD_LEN]);
+                // SAFETY: avx512f presence checked above.
+                unsafe { avx512::keystream_pair(&a.words, &b.words, &mut out, &mut out_next) };
+                assert_eq!((out, out_next), (this_head, next_head));
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        if !std::arch::is_x86_feature_detected!("avx512f") {
+            println!("skipped: avx512f");
         }
     }
 

@@ -10,7 +10,7 @@
 //! channel's per-direction ARC4 streams, an AEAD with an explicit nonce
 //! is safe under one long-lived key across many independent tickets.
 
-use crate::chacha20::FrameHead;
+use crate::chacha20::{FrameHead, BLOCK_LEN, MAX_STEP, PAIRED_HEAD_LEN};
 use crate::poly1305::Poly1305;
 
 /// Key length in bytes.
@@ -50,6 +50,74 @@ fn absorb_lengths(poly: &mut Poly1305, aad_len: usize, ct_len: usize) {
     poly.update(&lens);
 }
 
+/// The head of the next frame in a sequence of nonces under one key:
+/// where a ChaCha20 row step holds eight blocks, the step that makes
+/// one frame's head (block 0 and payload blocks 1–3) makes the next
+/// frame's too when this frame fits in those blocks, and the next head
+/// waits here until that frame is sealed or opened.
+///
+/// The keystream is tagged with its nonce and taken at most once: a
+/// frame under that nonce consumes it and clears the tag, a frame under
+/// any other nonce ignores it (and replaces it). Keystream is therefore
+/// never applied twice, and never under a nonce it was not made for.
+pub struct NextHead {
+    nonce: Option<[u8; NONCE_LEN]>,
+    ks: [u8; PAIRED_HEAD_LEN],
+}
+
+impl NextHead {
+    /// An empty stash.
+    pub const fn new() -> NextHead {
+        NextHead {
+            nonce: None,
+            ks: [0; PAIRED_HEAD_LEN],
+        }
+    }
+
+    /// The nonce whose head is waiting, if any.
+    pub fn nonce(&self) -> Option<&[u8; NONCE_LEN]> {
+        self.nonce.as_ref()
+    }
+
+    /// Forgets the waiting head.
+    pub fn clear(&mut self) {
+        self.nonce = None;
+    }
+
+    /// The head of the `len`-byte frame under `nonce`: the waiting one
+    /// if it was made for `nonce`, else a fresh step into `scratch` (all
+    /// zeros). The fresh step also makes `next`'s head where the tier
+    /// can and this frame fits in its half (192 payload bytes); a longer
+    /// frame keeps the whole step, since sharing it would cost the frame
+    /// a second step as dear as the head it saves.
+    fn head<'a>(
+        &'a mut self,
+        key: &[u8; KEY_LEN],
+        nonce: &[u8; NONCE_LEN],
+        next: &[u8; NONCE_LEN],
+        len: usize,
+        scratch: &'a mut [u8; MAX_STEP],
+    ) -> FrameHead<'a> {
+        if self.nonce.take().as_ref() == Some(nonce) {
+            return FrameHead::made_ahead(key, nonce, &self.ks);
+        }
+        if len > PAIRED_HEAD_LEN - BLOCK_LEN {
+            return FrameHead::new(key, nonce, scratch);
+        }
+        let (head, paired) = FrameHead::paired(key, nonce, next, scratch, &mut self.ks);
+        if paired {
+            self.nonce = Some(*next);
+        }
+        head
+    }
+}
+
+impl Default for NextHead {
+    fn default() -> Self {
+        NextHead::new()
+    }
+}
+
 /// Encrypts `buf` in place and returns the tag over `aad` and the
 /// ciphertext. Payload keystream starts at block 1 (§2.8); the first
 /// ChaCha20 step yields it together with the one-time key in block 0.
@@ -59,7 +127,30 @@ pub fn seal_in_place(
     aad: &[u8],
     buf: &mut [u8],
 ) -> [u8; TAG_LEN] {
-    let head = FrameHead::new(key, nonce);
+    let mut scratch = [0u8; MAX_STEP];
+    seal_with(FrameHead::new(key, nonce, &mut scratch), aad, buf)
+}
+
+/// [`seal_in_place`] for one frame of a sequence whose next frame is
+/// under `next`, taking this frame's head from `ahead` when it waits
+/// there and leaving the next one's. Produces the same bytes.
+pub fn seal_in_sequence(
+    key: &[u8; KEY_LEN],
+    nonce: &[u8; NONCE_LEN],
+    next: &[u8; NONCE_LEN],
+    aad: &[u8],
+    buf: &mut [u8],
+    ahead: &mut NextHead,
+) -> [u8; TAG_LEN] {
+    let mut scratch = [0u8; MAX_STEP];
+    seal_with(
+        ahead.head(key, nonce, next, buf.len(), &mut scratch),
+        aad,
+        buf,
+    )
+}
+
+fn seal_with(head: FrameHead, aad: &[u8], buf: &mut [u8]) -> [u8; TAG_LEN] {
     let mut poly = Poly1305::new(&head.one_time_key());
     poly.update_padded(aad);
     let (front, mut cipher) = head.xor_front(buf);
@@ -84,7 +175,32 @@ pub fn open_in_place(
     buf: &mut [u8],
     tag: &[u8],
 ) -> Result<(), AeadError> {
-    let head = FrameHead::new(key, nonce);
+    let mut scratch = [0u8; MAX_STEP];
+    open_with(FrameHead::new(key, nonce, &mut scratch), aad, buf, tag)
+}
+
+/// [`open_in_place`] for one frame of a sequence whose next frame is
+/// under `next`, as [`seal_in_sequence`] seals it. A waiting head for
+/// `nonce` is consumed whether or not the tag verifies.
+pub fn open_in_sequence(
+    key: &[u8; KEY_LEN],
+    nonce: &[u8; NONCE_LEN],
+    next: &[u8; NONCE_LEN],
+    aad: &[u8],
+    buf: &mut [u8],
+    tag: &[u8],
+    ahead: &mut NextHead,
+) -> Result<(), AeadError> {
+    let mut scratch = [0u8; MAX_STEP];
+    open_with(
+        ahead.head(key, nonce, next, buf.len(), &mut scratch),
+        aad,
+        buf,
+        tag,
+    )
+}
+
+fn open_with(head: FrameHead, aad: &[u8], buf: &mut [u8], tag: &[u8]) -> Result<(), AeadError> {
     let mut poly = Poly1305::new(&head.one_time_key());
     poly.update_padded(aad);
     poly.update(buf);
@@ -165,7 +281,7 @@ offer you only one tip for the future, sunscreen would be it.";
         // §2.6.2.
         let key: [u8; 32] = core::array::from_fn(|i| 0x80 + i as u8);
         let nonce = [0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7];
-        let otk = FrameHead::new(&key, &nonce).one_time_key();
+        let otk = FrameHead::new(&key, &nonce, &mut [0; MAX_STEP]).one_time_key();
         let expected = hex("8a d5 a0 8b 90 5f 81 cc 81 50 40 27 4a b2 94 71
              a8 33 b6 37 e3 fd 0d a5 08 db b8 e2 fd d1 a6 46");
         assert_eq!(otk.to_vec(), expected);
@@ -232,6 +348,78 @@ offer you only one tip for the future, sunscreen would be it.";
             assert!(open_in_place(&key, &nonce, &RFC_AAD, &mut wrong_nonce, &tag).is_err());
             assert_eq!(wrong_nonce, sealed);
         }
+    }
+
+    fn counter_nonce(seq: u64) -> [u8; NONCE_LEN] {
+        let mut nonce = [0u8; NONCE_LEN];
+        nonce[4..].copy_from_slice(&seq.to_le_bytes());
+        nonce
+    }
+
+    #[test]
+    fn a_sequence_seals_and_opens_what_single_frames_do() {
+        // Every length around the head's 192 payload bytes and the
+        // eight-block step, each frame sealed and opened as one of a
+        // counter-nonce sequence and checked against the one-shot calls.
+        let key = rfc_key();
+        let (mut tx, mut rx) = (NextHead::new(), NextHead::new());
+        let lengths = (0..=520).chain([1000, 1024, 1300, 8192, 8196]);
+        for (seq, len) in (0u64..).zip(lengths) {
+            let plaintext: Vec<u8> = (0..len).map(|i| (i * 7 + len) as u8).collect();
+            let (nonce, next) = (counter_nonce(seq), counter_nonce(seq + 1));
+            let mut single = plaintext.clone();
+            let single_tag = seal_in_place(&key, &nonce, &RFC_AAD, &mut single);
+            let mut buf = plaintext.clone();
+            let tag = seal_in_sequence(&key, &nonce, &next, &RFC_AAD, &mut buf, &mut tx);
+            assert_eq!((&buf, tag), (&single, single_tag), "len {len}");
+            open_in_sequence(&key, &nonce, &next, &RFC_AAD, &mut buf, &tag, &mut rx)
+                .expect("authentic");
+            assert_eq!(buf, plaintext, "len {len}");
+        }
+    }
+
+    #[test]
+    fn a_waiting_head_is_taken_once_and_only_by_its_nonce() {
+        let key = rfc_key();
+        let (n0, n1, n2) = (counter_nonce(0), counter_nonce(1), counter_nonce(2));
+        let mut ahead = NextHead::new();
+        let mut buf = RFC_PLAINTEXT.to_vec();
+        seal_in_sequence(&key, &n0, &n1, &[], &mut buf, &mut ahead);
+        let paired = ahead.nonce() == Some(&n1);
+        // A frame under another nonce ignores it and leaves its own
+        // successor's head instead.
+        let mut skipped = RFC_PLAINTEXT.to_vec();
+        let tag = seal_in_sequence(&key, &n2, &n0, &[], &mut skipped, &mut ahead);
+        let mut reference = RFC_PLAINTEXT.to_vec();
+        assert_eq!(tag, seal_in_place(&key, &n2, &[], &mut reference));
+        assert_eq!(skipped, reference);
+        assert_eq!(ahead.nonce(), paired.then_some(&n0));
+        // Consumed by its nonce, then gone.
+        let mut again = RFC_PLAINTEXT.to_vec();
+        seal_in_sequence(&key, &n0, &n1, &[], &mut again, &mut ahead);
+        assert_eq!(again, buf);
+        assert_eq!(ahead.nonce(), None);
+
+        // A forged frame under a waiting head's nonce is refused, leaves
+        // the ciphertext as it was and uses the head up.
+        let mut tx = NextHead::new();
+        let mut rx = NextHead::new();
+        let mut first = RFC_PLAINTEXT.to_vec();
+        let t0 = seal_in_sequence(&key, &n0, &n1, &[], &mut first, &mut tx);
+        let mut second = RFC_PLAINTEXT.to_vec();
+        let t1 = seal_in_sequence(&key, &n1, &n2, &[], &mut second, &mut tx);
+        open_in_sequence(&key, &n0, &n1, &[], &mut first, &t0, &mut rx).expect("authentic");
+        assert_eq!(rx.nonce(), paired.then_some(&n1));
+        second[3] ^= 0x20;
+        let forged = second.clone();
+        assert_eq!(
+            open_in_sequence(&key, &n1, &n2, &[], &mut second, &t1, &mut rx),
+            Err(AeadError)
+        );
+        assert_eq!(second, forged);
+        assert_eq!(rx.nonce(), None);
+        rx.clear();
+        assert_eq!(rx.nonce(), None);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! channel with exactly the same semantics.
 
 use sfs_crypto::arc4::Arc4;
-use sfs_crypto::chachapoly;
+use sfs_crypto::chachapoly::{self, NextHead};
 use sfs_crypto::mac::{SfsMac, MAC_KEY_LEN, MAC_LEN};
 use sfs_crypto::sha1::sha1_concat;
 use sfs_telemetry::Telemetry;
@@ -177,10 +177,13 @@ fn chacha_nonce(seq: u64) -> [u8; chachapoly::NONCE_LEN] {
 enum DirectionCipher {
     /// Long-lived ARC4 stream; MAC keys and frame bytes both advance it.
     Arc4Sha1(Arc4),
-    /// AEAD key plus the message counter that forms the nonce.
+    /// AEAD key plus the message counter that forms the nonce, and the
+    /// head of frame `seq` when the step that made frame `seq - 1`'s
+    /// head made it too (AVX-512; see `chachapoly::NextHead`).
     ChaChaPoly {
         key: [u8; chachapoly::KEY_LEN],
         seq: u64,
+        ahead: NextHead,
     },
 }
 
@@ -191,7 +194,16 @@ impl DirectionCipher {
             SuiteId::ChaCha20Poly1305 => DirectionCipher::ChaChaPoly {
                 key: expand_channel_key(dir_key),
                 seq: 0,
+                ahead: NextHead::new(),
             },
+        }
+    }
+
+    /// Drops keystream made ahead for a frame this direction will never
+    /// carry.
+    fn forget_ahead(&mut self) {
+        if let DirectionCipher::ChaChaPoly { ahead, .. } = self {
+            ahead.clear();
         }
     }
 }
@@ -323,12 +335,19 @@ impl SecureChannelEnd {
                 buf.extend_from_slice(&mac);
                 stream.process(&mut buf[frame_start..]);
             }
-            DirectionCipher::ChaChaPoly { key, seq } => {
+            DirectionCipher::ChaChaPoly { key, seq, ahead } => {
                 // Single AEAD pass over len ‖ plaintext; tag appended.
                 buf[frame_start..frame_start + FRAME_HEADER_LEN]
                     .copy_from_slice(&(plen as u32).to_be_bytes());
-                let nonce = chacha_nonce(*seq);
-                let tag = chachapoly::seal_in_place(key, &nonce, &[], &mut buf[frame_start..]);
+                let (nonce, next) = (chacha_nonce(*seq), chacha_nonce(*seq + 1));
+                let tag = chachapoly::seal_in_sequence(
+                    key,
+                    &nonce,
+                    &next,
+                    &[],
+                    &mut buf[frame_start..],
+                    ahead,
+                );
                 buf.extend_from_slice(&tag);
                 *seq += 1;
             }
@@ -366,6 +385,8 @@ impl SecureChannelEnd {
             }
             Err(_) => {
                 self.poisoned = true;
+                self.send.forget_ahead();
+                self.recv.forget_ahead();
                 self.tel.instant(self.host, "proto.channel", "poisoned");
             }
         }
@@ -396,17 +417,17 @@ impl SecureChannelEnd {
                 }
                 plaintext
             }
-            DirectionCipher::ChaChaPoly { key, seq } => {
+            DirectionCipher::ChaChaPoly { key, seq, ahead } => {
                 if frame.len() < FRAME_HEADER_LEN + chachapoly::TAG_LEN {
                     return Err(ChannelError::Truncated);
                 }
                 let split = frame.len() - chachapoly::TAG_LEN;
                 let (body, tag) = frame.split_at_mut(split);
-                let nonce = chacha_nonce(*seq);
+                let (nonce, next) = (chacha_nonce(*seq), chacha_nonce(*seq + 1));
                 // Tag verification happens before any decryption; a
                 // replayed or reordered frame authenticates under the
                 // wrong nonce and fails here.
-                chachapoly::open_in_place(key, &nonce, &[], body, tag)
+                chachapoly::open_in_sequence(key, &nonce, &next, &[], body, tag, ahead)
                     .map_err(|_| ChannelError::MacFailure)?;
                 *seq += 1;
                 let len = u32::from_be_bytes(body[..FRAME_HEADER_LEN].try_into().unwrap()) as usize;
@@ -950,6 +971,104 @@ mod tests {
         let f2 = c.seal(b"hello").unwrap();
         assert_eq!(s.open(&f2[..10]).unwrap_err(), ChannelError::Truncated);
         assert!(s.is_poisoned());
+    }
+
+    /// The nonce whose head waits in `dir`, if any.
+    fn waiting(dir: &DirectionCipher) -> Option<[u8; chachapoly::NONCE_LEN]> {
+        match dir {
+            DirectionCipher::ChaChaPoly { ahead, .. } => ahead.nonce().copied(),
+            DirectionCipher::Arc4Sha1(_) => None,
+        }
+    }
+
+    #[test]
+    fn paired_heads_seal_what_the_aead_seals_frame_for_frame() {
+        // 2 000 frames each way of seeded sizes up to 20 KiB, most of
+        // them around the head's 192 bytes, in windows of eight (all
+        // requests sealed, then opened, then all replies) and singly
+        // (the blocking loop). Every frame must be the one-shot AEAD's
+        // at the same key and nonce and open to its plaintext.
+        use sfs_bignum::{RandomSource, XorShiftSource};
+        let mut rng = XorShiftSource::new(0xC4A_2ED);
+        let mut draw = move |bound: usize| {
+            let mut b = [0u8; 4];
+            rng.fill(&mut b);
+            u32::from_le_bytes(b) as usize % bound
+        };
+        let k = keys();
+        let (mut c, mut s) = chacha_pair();
+        let keys = [expand_channel_key(&k.kcs), expand_channel_key(&k.ksc)];
+        let mut seqs = [0u64; 2];
+        let (mut frames, mut burst_no) = (0, 0);
+        while frames < 2_000 {
+            let burst = if burst_no % 2 == 0 { 8 } else { 1 };
+            burst_no += 1;
+            for dir in 0..2 {
+                let (tx, rx) = if dir == 0 {
+                    (&mut c, &mut s)
+                } else {
+                    (&mut s, &mut c)
+                };
+                let mut sealed = Vec::new();
+                for _ in 0..burst {
+                    let len = if draw(4) == 0 {
+                        draw(20 * 1024 + 1)
+                    } else {
+                        draw(600)
+                    };
+                    let plaintext: Vec<u8> = (0..len).map(|_| draw(256) as u8).collect();
+                    let frame = tx.seal(&plaintext).unwrap();
+                    let mut reference = (plaintext.len() as u32).to_be_bytes().to_vec();
+                    reference.extend_from_slice(&plaintext);
+                    let nonce = chacha_nonce(seqs[dir]);
+                    let tag = chachapoly::seal_in_place(&keys[dir], &nonce, &[], &mut reference);
+                    reference.extend_from_slice(&tag);
+                    assert_eq!(frame, reference, "direction {dir} frame {}", seqs[dir]);
+                    seqs[dir] += 1;
+                    sealed.push((frame, plaintext));
+                }
+                for (mut frame, plaintext) in sealed {
+                    assert_eq!(rx.open_in_place(&mut frame).unwrap(), &plaintext[..]);
+                }
+            }
+            frames += burst;
+        }
+        assert_eq!((c.messages_sent(), s.messages_sent()), (seqs[0], seqs[1]));
+        assert_eq!(
+            (s.messages_received(), c.messages_received()),
+            (seqs[0], seqs[1])
+        );
+    }
+
+    #[test]
+    fn a_tampered_frame_poisons_and_its_waiting_head_goes_with_it() {
+        let (mut c, mut s) = chacha_pair();
+        let f0 = c.seal(b"getattr").unwrap();
+        let mut f1 = c.seal(b"lookup").unwrap();
+        let f2 = c.seal(b"access").unwrap();
+        s.open(&f0).unwrap();
+        // Where the tier pairs, frame 1's head waits in the receive
+        // direction; a forgery under nonce 1 uses it up and poisons.
+        let paired = waiting(&s.recv);
+        assert!(paired.is_none() || paired == Some(chacha_nonce(1)));
+        f1[FRAME_HEADER_LEN + 1] ^= 0x08;
+        assert_eq!(s.open(&f1).unwrap_err(), ChannelError::MacFailure);
+        assert!(s.is_poisoned());
+        assert_eq!((waiting(&s.recv), waiting(&s.send)), (None, None));
+        // Nothing is opened under any sequence number after that.
+        assert_eq!(s.open(&f2).unwrap_err(), ChannelError::Poisoned);
+        assert_eq!(s.seal(b"reply").unwrap_err(), ChannelError::Poisoned);
+        assert_eq!(s.messages_received(), 1);
+
+        // A forgery under a nonce whose head was made fresh leaves the
+        // freshly made successor behind; poisoning drops it too.
+        let (mut c, mut s) = chacha_pair();
+        let mut f0 = c.seal(b"getattr").unwrap();
+        f0[FRAME_HEADER_LEN] ^= 0x01;
+        assert_eq!(s.open(&f0).unwrap_err(), ChannelError::MacFailure);
+        assert_eq!(waiting(&s.recv), None);
+        // The sender's own stash is untouched by the receiver's failure.
+        assert!(waiting(&c.send).is_none() || waiting(&c.send) == Some(chacha_nonce(1)));
     }
 
     #[test]

@@ -212,3 +212,44 @@ fn server_without_private_key_cannot_complete_mount() {
     assert!(matches!(err, ClientError::KeyMismatch), "{err:?}");
     let _ = imposter;
 }
+
+#[test]
+fn a_warm_session_refuses_forged_handles_as_a_cold_one_does() {
+    // §3.3: file handles are public, so the server authenticates every
+    // one it is handed. Its per-session map of translations answers only
+    // handles its own cipher accepted or produced; one that is damaged,
+    // cut short, extended or minted by another server is refused with
+    // `BadHandle` even while the handle it was made from is a map hit.
+    use sfs_nfs3::proto::{FileHandle, Nfs3Request, Status};
+    let tel = Telemetry::counters();
+    let w = World::build(&WorldSpec::realm(&["fs.example.org", "other.example.org"]).traced(&tel));
+    let client = &w.clients[0];
+    let motd = |i: usize| format!("{}/public/motd", w.servers[i].path().full_path());
+    let (mount, fh, _) = client.resolve(ALICE_UID, &motd(0)).unwrap();
+    let (_, foreign, _) = client.resolve(ALICE_UID, &motd(1)).unwrap();
+    client.set_caching(false);
+    let getattr = |fh: &FileHandle| {
+        let req = Nfs3Request::GetAttr { fh: fh.clone() };
+        client.call_nfs(&mount, ALICE_UID, &req).unwrap().status()
+    };
+    let hits = || tel.counter("server", "fh_map.hits");
+    let before = hits();
+    assert_eq!(getattr(&fh), Status::Ok);
+    assert_eq!(getattr(&fh), Status::Ok);
+    assert!(hits() > before, "the session never answered from its map");
+
+    let mut forged: Vec<FileHandle> = (0..fh.0.len())
+        .map(|i| {
+            let mut f = fh.clone();
+            f.0[i] ^= 0x80;
+            f
+        })
+        .collect();
+    forged.push(FileHandle(fh.0[..fh.0.len() - 1].to_vec()));
+    forged.push(FileHandle([&fh.0[..], &[0]].concat()));
+    forged.push(foreign);
+    for f in &forged {
+        assert_eq!(getattr(f), Status::BadHandle, "{f:?}");
+        assert_eq!(getattr(&fh), Status::Ok);
+    }
+}
