@@ -147,14 +147,6 @@ impl BufPool {
         st.get(self.host)
     }
 
-    /// Takes a buffer wrapped in a guard that returns it on drop.
-    pub fn get_guard(&self) -> PooledBuf<'_> {
-        PooledBuf {
-            buf: Some(self.get()),
-            pool: self,
-        }
-    }
-
     /// Buffers currently idle in the freelist (for tests).
     pub fn idle(&self) -> usize {
         self.state.lock().free.len()
@@ -167,41 +159,6 @@ impl std::fmt::Debug for BufPool {
             .field("host", &self.host)
             .field("idle", &self.idle())
             .finish()
-    }
-}
-
-/// RAII guard for a pooled buffer: derefs to `Vec<u8>`, returns the
-/// buffer to its pool on drop unless [`PooledBuf::take`]n.
-pub struct PooledBuf<'a> {
-    buf: Option<Vec<u8>>,
-    pool: &'a BufPool,
-}
-
-impl PooledBuf<'_> {
-    /// Detaches the buffer from the guard; it will not be pooled.
-    pub fn take(mut self) -> Vec<u8> {
-        self.buf.take().expect("buffer present until take/drop")
-    }
-}
-
-impl std::ops::Deref for PooledBuf<'_> {
-    type Target = Vec<u8>;
-    fn deref(&self) -> &Vec<u8> {
-        self.buf.as_ref().expect("buffer present until take/drop")
-    }
-}
-
-impl std::ops::DerefMut for PooledBuf<'_> {
-    fn deref_mut(&mut self) -> &mut Vec<u8> {
-        self.buf.as_mut().expect("buffer present until take/drop")
-    }
-}
-
-impl Drop for PooledBuf<'_> {
-    fn drop(&mut self) {
-        if let Some(buf) = self.buf.take() {
-            self.pool.put(buf);
-        }
     }
 }
 
@@ -281,19 +238,5 @@ mod tests {
         assert_eq!(from_b.capacity(), 0, "B had nothing pooled to reuse");
         let from_a = a.get();
         assert_eq!(from_a.as_ptr(), marker, "A recycles its own buffer");
-    }
-
-    #[test]
-    fn guard_returns_on_drop_and_take_detaches() {
-        let pool = BufPool::new("client");
-        {
-            let mut g = pool.get_guard();
-            g.extend_from_slice(b"xyz");
-        }
-        assert_eq!(pool.idle(), 1);
-        let g = pool.get_guard();
-        let v = g.take();
-        drop(v);
-        assert_eq!(pool.idle(), 0, "taken buffers are not pooled");
     }
 }

@@ -25,7 +25,7 @@
 //! - `session`: mount, key negotiation, ticket resumption, reconnect
 //!   (§3.1);
 //! - `rpc`: the RPC spine — cost terms, the reconnect and reissue
-//!   drivers, user authentication, and the two exchange loops (§3.1.3,
+//!   drivers, user authentication, and the one exchange loop (§3.1.3,
 //!   §4.2);
 //! - `cache`: leases, invalidation callbacks, read-ahead, write-behind
 //!   (§3.3);
@@ -53,7 +53,7 @@ use sfs_crypto::SfsPrg;
 use sfs_nfs3::proto::{Fattr3, FileHandle, Nfs3Reply, Nfs3Request, Status};
 use sfs_proto::channel::{ChannelError, SecureChannelEnd, SuiteId};
 use sfs_proto::pathname::{HostId, PathError, SelfCertifyingPath};
-use sfs_sim::{CpuCosts, SimClock, SimTime, Wire, WireError};
+use sfs_sim::{CpuCosts, Exchange, SimClock, SimTime, Wire, WireError};
 use sfs_telemetry::sync::Mutex;
 use sfs_telemetry::Telemetry;
 
@@ -222,6 +222,11 @@ struct Link {
     /// Buffer freelist shared with `conn` (the loopback server end), so
     /// sealed request/reply buffers circulate between the two sides.
     pool: Arc<BufPool>,
+    /// The buffers its exchanges reuse, from `shelf`.
+    bufs: ExchangeBufs,
+    /// The client's spare exchange buffers: `bufs` goes back there when
+    /// the link drops, for the next link to take.
+    shelf: Arc<Mutex<Vec<ExchangeBufs>>>,
     session_id: [u8; 20],
     /// The server public key that passed self-certification for this
     /// link (journaled with the mount so recovery can cross-check).
@@ -229,6 +234,25 @@ struct Link {
     /// Bumped on every reconnect; lets concurrent callers detect that a
     /// renegotiation already happened.
     generation: u64,
+}
+
+impl Drop for Link {
+    fn drop(&mut self) {
+        let mut bufs = std::mem::take(&mut self.bufs);
+        bufs.sealed.clear();
+        self.shelf.lock().push(bufs);
+    }
+}
+
+/// The buffers one exchange fills and drains: each sealed frame with its
+/// send stamp, kept verbatim for retransmission (empty between
+/// exchanges), and the wire's. Links hand them on through their
+/// client's shelf, so neither a steady exchange nor a new link
+/// allocates them.
+#[derive(Default)]
+struct ExchangeBufs {
+    sealed: Vec<(SimTime, Vec<u8>)>,
+    wire: Exchange,
 }
 
 /// Client-held half of a session-resumption ticket: the server's opaque
@@ -323,7 +347,7 @@ pub struct SfsClient {
     caching: AtomicBool,
     charge_crypto: AtomicBool,
     /// How many sealed calls may be in flight at once on a mount's
-    /// channel. 1 degenerates to the blocking request/reply protocol.
+    /// channel. 1 is the blocking request/reply protocol.
     pipeline_window: AtomicUsize,
     /// Cipher suites offered in every hello, in preference order. The
     /// default offers only the paper's ARC4+SHA-1 baseline, keeping the
@@ -345,6 +369,8 @@ pub struct SfsClient {
     /// floor instead of applied. Exists so the coherence oracle can prove
     /// it detects the stale reads this bug causes.
     ignore_invalidations: AtomicBool,
+    /// Exchange buffers no live link holds.
+    exchange_bufs: Arc<Mutex<Vec<ExchangeBufs>>>,
     tel: Mutex<Telemetry>,
 }
 
@@ -401,6 +427,7 @@ impl SfsClient {
             resume_rejected: AtomicU64::new(0),
             journal: Mutex::new(None),
             ignore_invalidations: AtomicBool::new(false),
+            exchange_bufs: Arc::default(),
             tel: Mutex::new(Telemetry::disabled()),
         })
     }

@@ -1,22 +1,25 @@
 //! The RPC spine (§3.1.3, §4.2): everything between "an NFS3 request
 //! for a uid" and "frames on a wire".
 //!
-//! Two exchange loops put sealed frames — one sequenced envelope for
-//! both — on a link and nothing else: [`SfsClient::sealed_call_once`]
-//! (one frame on `Wire::call`, the blocking request/reply protocol) and
-//! [`SfsClient::window_exchange_once`] (n frames on
-//! `Wire::exchange_on`, the pipelined window). Everything around them
-//! exists once and serves both: the CPU cost terms, the reconnect
-//! driver ([`SfsClient::with_reconnect`]), the reissue-on-rekey driver
-//! ([`SfsClient::issue`]), user authentication
-//! ([`SfsClient::ensure_auth`]), the inner-call marshal
-//! ([`encode_inner_nfs`]) and the reply decode each loop runs in the
-//! frame a reply was opened in ([`decode_nfs`], [`decode_inner`]).
+//! One exchange loop puts sealed frames on a link and nothing else:
+//! [`SfsClient::window_exchange_once`], n frames in the one sequenced
+//! envelope on `Wire::exchange_on`, served by the connection's one
+//! sealed entry. A lone NFS3 call is a window of one frame, and so are
+//! the Auth and Mount inner calls; a window of one charges the cost
+//! terms the blocking request/reply protocol would, at the same
+//! virtual instants. Everything around the loop exists once: the CPU
+//! cost terms, the reconnect driver ([`SfsClient::with_reconnect`]),
+//! the reissue-on-rekey driver ([`SfsClient::issue`]), user
+//! authentication ([`SfsClient::ensure_auth`]), the inner-call marshal
+//! straight into the envelope ([`encode_inner_nfs`], or `InnerCall`'s
+//! encoding for Auth and Mount) and the reply decode the loop runs in
+//! the frame a reply was opened in ([`decode_nfs`], [`decode_inner`]).
 //!
 //! A call reads the client's shared state once: its entry point reads
 //! the telemetry handle every helper below counts into, and
 //! [`SfsClient::with_reconnect`] locks the link once per attempt and
-//! hands it to the loop (DESIGN.md §10, "What one RPC locks").
+//! hands it to the loop, which reuses the link's exchange buffers
+//! (DESIGN.md §10, "What one RPC locks").
 //!
 //! Calls down into `session` (reconnect), `cache` (harvesting
 //! attributes, applying invalidations, the write-behind barrier) and
@@ -24,17 +27,15 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 use sfs_nfs3::proto::{FileHandle, Nfs3Reply, Nfs3Request};
 use sfs_proto::channel::{FrameSequencer, SeqPush, SuiteId, FRAME_HEADER_LEN};
 use sfs_proto::userauth::{AuthInfo, AUTHNO_ANONYMOUS};
 use sfs_sim::{SimTime, WireError};
 use sfs_telemetry::Telemetry;
-use sfs_xdr::Xdr;
+use sfs_xdr::{Xdr, XdrEncoder};
 
-use super::{ClientError, Link, Mount, SfsClient, REORDER_BUF_CAPACITY};
-use crate::bufpool::BufPool;
+use super::{ClientError, ExchangeBufs, Link, Mount, SfsClient, REORDER_BUF_CAPACITY};
 use crate::wire::{
     encode_inner_nfs, inner_nfs_reply, seq_env_begin, seq_env_finish, seq_reply_envelope,
     InnerCall, InnerReply, ReplyMsg, SEALED_SEQ_ENV_FRAME_START,
@@ -46,7 +47,7 @@ type Decoded<T> = (T, Vec<FileHandle>);
 
 /// The general decode, for the rare inner replies (Auth, Mount), which
 /// carry no invalidations.
-pub(super) fn decode_inner(plaintext: &[u8]) -> Result<Decoded<InnerReply>, ClientError> {
+fn decode_inner(plaintext: &[u8]) -> Result<Decoded<InnerReply>, ClientError> {
     let inner =
         InnerReply::from_xdr(plaintext).map_err(|e| ClientError::Protocol(e.to_string()))?;
     Ok((inner, Vec::new()))
@@ -71,9 +72,10 @@ impl SfsClient {
     // Each term counts into `tel` — the handle its exchange read once
     // where it entered, so a term takes no lock of its own — and returns
     // the calibrated cost in ns (0 on a client built without
-    // `CpuCosts`). The blocking path advances the shared clock by a term
-    // at the point the work happens; the windowed path sums terms onto
-    // per-frame timelines so work on different frames overlaps.
+    // `CpuCosts`). The exchange loop advances the shared clock by the
+    // terms of sealing, where that work happens, and sums the server's
+    // and the reply side's onto per-frame timelines, so work on
+    // different frames overlaps.
 
     /// One user-level crossing (kernel → `sfscd`, or into `sfssd`).
     fn crossing_ns(&self, tel: &Telemetry) -> u64 {
@@ -115,7 +117,7 @@ impl SfsClient {
         cpu.crypto_ns(len, num, den)
     }
 
-    // ----- Drivers shared by both engines --------------------------------
+    // ----- Drivers ------------------------------------------------------
 
     /// The reconnect driver: runs `once` — one exchange on the mount's
     /// *current* link, held for the whole exchange (the stream ciphers
@@ -155,36 +157,72 @@ impl SfsClient {
     }
 
     /// The reissue-on-rekey driver behind every NFS call. Authenticates
-    /// `uid`, then runs `exchange` — one of the two engines under
-    /// [`Self::with_reconnect`], sealing `reqs` under the authentication
-    /// number it is handed and decoding each reply against its request.
-    /// If the session was renegotiated while the frames were in flight,
-    /// that number belonged to the dead session and the server executed
-    /// the calls (if at all) with stale credentials: re-authenticate on
-    /// the new session and reissue them all. Each reply is then fed to
-    /// the attribute cache and handed to `deliver` in request order.
-    fn issue<I: IntoIterator<Item = Nfs3Reply>>(
+    /// `uid`, then runs one exchange of `reqs` under
+    /// [`Self::with_reconnect`], sealing them under the authentication
+    /// number and decoding each reply against its request into its slot
+    /// of `replies`. If the session was renegotiated while the frames
+    /// were in flight, that number belonged to the dead session and the
+    /// server executed the calls (if at all) with stale credentials:
+    /// re-authenticate on the new session and reissue them all. Each
+    /// reply is then fed to the attribute cache.
+    fn issue(
         &self,
+        tel: &Telemetry,
         mount: &Mount,
         uid: u32,
         reqs: &[Nfs3Request],
-        exchange: impl Fn(u32) -> Result<(I, bool), ClientError>,
-        mut deliver: impl FnMut(Nfs3Reply),
+        replies: &mut [Option<Nfs3Reply>],
     ) -> Result<(), ClientError> {
         let mut rounds = 0;
         loop {
             let authno = self.ensure_auth(mount, uid)?;
-            let (replies, renegotiated) = exchange(authno)?;
+            let ((), renegotiated) = self.with_reconnect(tel, mount, |link| {
+                self.window_exchange_once(
+                    tel,
+                    mount,
+                    link,
+                    |xid, buf| encode_inner_nfs(buf, authno, &reqs[xid]),
+                    |xid, plaintext| decode_nfs(&reqs[xid], plaintext),
+                    replies,
+                )
+            })?;
             if renegotiated && rounds < self.retry_policy().max_reconnects {
                 rounds += 1;
                 continue;
             }
-            for (req, reply) in reqs.iter().zip(replies) {
-                self.harvest_attrs(mount, req, &reply);
-                deliver(reply);
+            for (req, reply) in reqs.iter().zip(replies.iter()) {
+                self.harvest_attrs(mount, req, reply.as_ref().expect("every slot is filled"));
             }
             return Ok(());
         }
+    }
+
+    /// One inner call (user authentication, the root handle) — a window
+    /// of one frame, its reply read by the general decoder.
+    pub(super) fn inner_call(
+        &self,
+        tel: &Telemetry,
+        mount: &Mount,
+        call: &InnerCall,
+    ) -> Result<InnerReply, ClientError> {
+        let mut reply = [None];
+        // Appended after the envelope header the loop has begun.
+        let fill = |_, buf: &mut Vec<u8>| {
+            let mut enc = XdrEncoder::from_vec(std::mem::take(buf));
+            call.encode(&mut enc);
+            *buf = enc.into_bytes();
+        };
+        self.with_reconnect(tel, mount, |link| {
+            self.window_exchange_once(
+                tel,
+                mount,
+                link,
+                fill,
+                |_, plaintext| decode_inner(plaintext),
+                &mut reply,
+            )
+        })?;
+        Ok(reply[0].take().expect("one reply per call"))
     }
 
     /// Ensures `uid` is authenticated on `mount`; returns the
@@ -215,10 +253,7 @@ impl SfsClient {
                 break AUTHNO_ANONYMOUS;
             };
             let call = InnerCall::Auth { seq_no: seq, msg };
-            match self
-                .sealed_call(&tel, mount, |buf| call.encode_into(buf), decode_inner)?
-                .0
-            {
+            match self.inner_call(&tel, mount, &call)? {
                 InnerReply::AuthGranted { authno, .. } => break authno,
                 InnerReply::AuthDenied { .. } => {
                     if mount.session_id() == session_id {
@@ -272,8 +307,7 @@ impl SfsClient {
 
     /// [`Self::call_nfs`] without the revocation check and the
     /// write-behind barrier (the flush path itself must not recurse into
-    /// the barrier): one request on the blocking engine, reporting into
-    /// `tel`.
+    /// the barrier): a window of one frame, reporting into `tel`.
     pub(super) fn call_nfs_unqueued(
         &self,
         tel: &Telemetry,
@@ -281,29 +315,15 @@ impl SfsClient {
         uid: u32,
         req: &Nfs3Request,
     ) -> Result<Nfs3Reply, ClientError> {
-        let mut reply = None;
-        self.issue(
-            mount,
-            uid,
-            std::slice::from_ref(req),
-            |authno| {
-                let (reply, renegotiated) = self.sealed_call(
-                    tel,
-                    mount,
-                    |buf| encode_inner_nfs(buf, authno, req),
-                    |plaintext| decode_nfs(req, plaintext),
-                )?;
-                Ok((Some(reply), renegotiated))
-            },
-            |r| reply = Some(r),
-        )?;
-        Ok(reply.expect("one reply per request"))
+        let mut reply = [None];
+        self.issue(tel, mount, uid, std::slice::from_ref(req), &mut reply)?;
+        Ok(reply[0].take().expect("one reply per request"))
     }
 
     /// Issues a batch of NFS3 calls for `uid` with up to
     /// [`Self::pipeline_window`] sealed frames in flight at once,
     /// returning the replies in request order. Queued write-behind data
-    /// is flushed first. With window 1 this degenerates to the blocking
+    /// is flushed first. With window 1 this is the blocking
     /// request/reply protocol, call for call.
     pub fn call_nfs_window(
         &self,
@@ -317,8 +337,9 @@ impl SfsClient {
     }
 
     /// [`Self::call_nfs_window`] without the revocation check and the
-    /// write-behind barrier. Each window-sized chunk goes out under a
-    /// single set of credentials.
+    /// write-behind barrier. Each window-sized chunk — a trailing chunk
+    /// of one included — is one exchange under a single set of
+    /// credentials.
     pub(super) fn call_nfs_window_unqueued(
         &self,
         tel: &Telemetry,
@@ -327,222 +348,92 @@ impl SfsClient {
         reqs: &[Nfs3Request],
     ) -> Result<Vec<Nfs3Reply>, ClientError> {
         let window = self.pipeline_window();
-        if window <= 1 || reqs.len() <= 1 {
-            return reqs
-                .iter()
-                .map(|req| self.call_nfs_unqueued(tel, mount, uid, req))
-                .collect();
+        let mut replies: Vec<Option<Nfs3Reply>> = reqs.iter().map(|_| None).collect();
+        for (chunk, slots) in reqs.chunks(window).zip(replies.chunks_mut(window)) {
+            self.issue(tel, mount, uid, chunk, slots)?;
         }
-        let mut out = Vec::with_capacity(reqs.len());
-        for chunk in reqs.chunks(window) {
-            self.issue(
-                mount,
-                uid,
-                chunk,
-                |authno| {
-                    self.with_reconnect(tel, mount, |link| {
-                        self.window_exchange_once(tel, mount, link, authno, chunk)
-                    })
-                },
-                |reply| out.push(reply),
-            )?;
-        }
-        Ok(out)
+        Ok(replies
+            .into_iter()
+            .map(|r| r.expect("every slot is filled"))
+            .collect())
     }
 
-    // ----- The blocking engine -------------------------------------------
+    // ----- The exchange loop ---------------------------------------------
 
-    /// One sealed RPC over a mount's secure channel, surviving faults:
-    /// a loss in either direction is retried by resending the identical
-    /// sealed frame (backoff-paced) — the server executes it once and
-    /// answers a repeat from its reply cache; anything that kills the
-    /// session goes through [`Self::with_reconnect`], whose verdict on
-    /// the session comes back with the reply. `fill` marshals the inner
-    /// call once, on the first attempt; the plaintext outlives any
-    /// reconnect (it is re-sealed on the fresh channel), so it lives in
-    /// its own pooled buffer rather than the envelope built per link,
-    /// and goes back to the pool it came from. `decode` reads the
-    /// reply's plaintext where it was opened.
-    pub(super) fn sealed_call<T>(
-        &self,
-        tel: &Telemetry,
-        mount: &Mount,
-        fill: impl Fn(&mut Vec<u8>),
-        decode: impl Fn(&[u8]) -> Result<Decoded<T>, ClientError>,
-    ) -> Result<(T, bool), ClientError> {
-        let mut plaintext: Option<(Arc<BufPool>, Vec<u8>)> = None;
-        let result = self.with_reconnect(tel, mount, |link| {
-            let (_, buf) = plaintext.get_or_insert_with(|| {
-                let mut buf = link.pool.get();
-                fill(&mut buf);
-                (Arc::clone(&link.pool), buf)
-            });
-            self.sealed_call_once(tel, mount, link, buf, &decode)
-        });
-        if let Some((pool, buf)) = plaintext {
-            pool.put(buf);
-        }
-        result
-    }
-
-    /// One sealed round trip on `link`, the mount's current one.
-    fn sealed_call_once<T>(
-        &self,
-        tel: &Telemetry,
-        mount: &Mount,
-        link: &mut Link,
-        plaintext: &[u8],
-        decode: &impl Fn(&[u8]) -> Result<Decoded<T>, ClientError>,
-    ) -> Result<T, ClientError> {
-        let _span = tel.span("client", "core.client", "sealed_call");
-        // Cost model: one user-level crossing into sfscd, a data copy
-        // through the daemon, crypto over the outgoing bytes.
-        self.clock.advance_ns(self.crossing_ns(tel));
-        self.clock.advance_ns(self.rpc_ns(tel));
-        self.clock
-            .advance_ns(self.user_copy_ns(tel, plaintext.len()));
-        self.clock
-            .advance_ns(self.crypto_ns(tel, link.channel.suite(), plaintext.len()));
-        let pool = &*link.pool;
-        // Build the sealed wire envelope in place in one pooled buffer,
-        // stamped with the cipher position it is sealed at; the one call
-        // in flight is xid 0.
-        let mut env = pool.get_guard();
-        seq_env_begin(&mut env, true, link.channel.messages_sent(), 0);
-        env.extend_from_slice(plaintext);
-        link.channel
-            .seal_into(&mut env, SEALED_SEQ_ENV_FRAME_START)?;
-        seq_env_finish(&mut env);
-        // The only reply this call accepts is the one sealed at the
-        // position the receive cipher stands at.
-        let expected = link.channel.messages_received();
-        // Retransmission loop: the frame was sealed once; every resend
-        // puts the same bytes on the wire, so a request that was lost
-        // in flight still decrypts at the server's cipher position, and
-        // one whose reply was lost is recognised by its sequence number
-        // and answered from the reply cache without running again.
-        // Each attempt copies the envelope into a pooled buffer that the
-        // wire consumes and the server-side closure recycles.
-        let mut attempt = 0;
-        let (mut reply_bytes, frame) = loop {
-            let mut msg = pool.get();
-            msg.extend_from_slice(&env);
-            let sent = link.wire.call(msg, |b| {
-                // Server side: one crossing into sfssd, the data copy
-                // through it, plus the NFS loopback hop.
-                self.clock.advance_ns(self.crossing_ns(tel));
-                self.clock.advance_ns(self.rpc_ns(tel));
-                self.clock.advance_ns(self.server_copy_ns(tel, b.len()));
-                let reply = link.conn.handle_bytes(&b);
-                pool.put(b);
-                reply
-            });
-            match sent {
-                Ok(b) => match seq_reply_envelope(&b) {
-                    Some((chanseq, 0, frame)) if chanseq == expected => break (b, frame),
-                    // Sealed, but not the answer to this call: a frame
-                    // of another position replayed onto the wire.
-                    // Feeding it to the stream cipher would burn
-                    // keystream and poison the channel, so discard it on
-                    // the cleartext header alone and wait out the
-                    // timeout the real reply never beats.
-                    Some(_) => {
-                        tel.count("client", "pipeline.stale_frames", 1);
-                        pool.put(b);
-                        link.wire.timeout_wait();
-                    }
-                    // An error reply or corrupted framing. An
-                    // unparseable envelope means the reply was mangled
-                    // in flight before the MAC could vouch for anything;
-                    // classified as a session death so the retry driver
-                    // renegotiates.
-                    None => {
-                        let reply = ReplyMsg::from_xdr(&b).map_err(|e| {
-                            ClientError::Protocol(format!("reply framing corrupted: {e}"))
-                        })?;
-                        return Err(ClientError::Protocol(match reply {
-                            ReplyMsg::Error(e) => e,
-                            other => format!("unexpected reply: {other:?}"),
-                        }));
-                    }
-                },
-                Err(WireError::Timeout) => {}
-            }
-            if attempt >= self.retry_policy().max_retransmits {
-                return Err(ClientError::Net(WireError::Timeout));
-            }
-            tel.count("client", "retry.retransmits", 1);
-            tel.instant("client", "core.client", "retransmit");
-            self.backoff(tel, attempt);
-            attempt += 1;
-        };
-        // The reply opens and decodes in place inside the buffer it
-        // arrived in, which then goes back to the pool.
-        self.clock.advance_ns(self.user_copy_ns(tel, frame.len()));
-        self.clock
-            .advance_ns(self.crypto_ns(tel, link.channel.suite(), frame.len()));
-        let plain = link.channel.open_in_place(&mut reply_bytes[frame])?;
-        let (reply, invalidations) = decode(plain)?;
-        pool.put(reply_bytes);
-        self.apply_invalidations(tel, mount, &invalidations);
-        Ok(reply)
-    }
-
-    // ----- The windowed engine -------------------------------------------
-
-    /// One windowed exchange on the mount's current link: seals every
-    /// request as a sequenced frame, puts them all in flight, and
-    /// matches replies back by xid, decoding each against its request
-    /// in the buffer it was opened in. Lost frames are retransmitted
-    /// byte-for-byte (the server replays already-serviced ones from its
-    /// reply cache), so both cipher streams stay aligned no matter how
-    /// the network reorders, duplicates, or drops frames.
+    /// One exchange on the mount's current link: seals one frame per
+    /// slot of `replies` — `fill` marshals frame `xid`'s inner call
+    /// straight into its envelope — puts them all in flight, and matches
+    /// replies back by xid, decoding each with `decode` in the buffer it
+    /// was opened in. Lost frames are retransmitted byte-for-byte (the
+    /// server replays already-serviced ones from its reply cache), so
+    /// both cipher streams stay aligned no matter how the network
+    /// reorders, duplicates, or drops frames. The frames live in the
+    /// link's exchange buffers, so a steady exchange allocates nothing.
     ///
-    /// No cost is charged to the shared clock per frame on the reply
-    /// side: the server's work rides each frame's service time on the
-    /// wire's timeline, and opening replies runs on a client CPU
-    /// timeline seeded by each reply's arrival — so sealing later frames
-    /// overlaps the server working earlier ones, and decrypting one
-    /// reply overlaps later replies still in transit.
-    fn window_exchange_once(
+    /// Sealing charges the shared clock where it happens: one
+    /// kernel→daemon crossing for the whole window, then per frame the
+    /// RPC processing, the copy and the crypto. No cost is charged to
+    /// the shared clock per frame on the reply side: the server's work
+    /// rides each frame's service time on the wire's timeline, and
+    /// opening replies runs on a client CPU timeline seeded by each
+    /// reply's arrival — so sealing later frames overlaps the server
+    /// working earlier ones, and decrypting one reply overlaps later
+    /// replies still in transit. With one frame that is the blocking
+    /// protocol's charge, term for term.
+    fn window_exchange_once<T>(
         &self,
         tel: &Telemetry,
         mount: &Mount,
         link: &mut Link,
-        authno: u32,
-        reqs: &[Nfs3Request],
-    ) -> Result<Vec<Nfs3Reply>, ClientError> {
+        fill: impl Fn(usize, &mut Vec<u8>),
+        decode: impl Fn(usize, &[u8]) -> Result<Decoded<T>, ClientError>,
+        replies: &mut [Option<T>],
+    ) -> Result<(), ClientError> {
+        let frames = replies.len();
         let _span = tel
             .span("client", "core.client", "window_exchange")
-            .with_attr("frames", reqs.len() as u64);
+            .with_attr("frames", frames as u64);
+        replies.fill_with(|| None);
+        let Link {
+            wire,
+            conn,
+            channel,
+            pool,
+            bufs:
+                ExchangeBufs {
+                    sealed,
+                    wire: exchange,
+                },
+            ..
+        } = link;
+        let pool = &**pool;
+        // Frames an earlier exchange failed in the middle of.
+        sealed.clear();
         // One kernel→daemon crossing hands sfscd the whole queued window
         // (§4.2): the fixed crossing cost is paid once per window, not
         // per request.
         self.clock.advance_ns(self.crossing_ns(tel));
-        let pool = &*link.pool;
         // Seal every frame up front, tagged with its xid and the channel
         // seqno it was sealed at, stamping each frame's virtual send
         // time as sealing completes. The sealed bytes are kept verbatim
         // for retransmission.
-        let mut envs: Vec<Vec<u8>> = Vec::with_capacity(reqs.len());
-        let mut sent_at: Vec<SimTime> = Vec::with_capacity(reqs.len());
-        for (xid, req) in reqs.iter().enumerate() {
-            let chanseq = link.channel.messages_sent();
+        for xid in 0..frames {
             let mut env = pool.get();
-            seq_env_begin(&mut env, true, chanseq, xid as u32);
-            encode_inner_nfs(&mut env, authno, req);
+            seq_env_begin(&mut env, true, channel.messages_sent(), xid as u32);
+            fill(xid, &mut env);
             let plain_len = env.len() - SEALED_SEQ_ENV_FRAME_START - FRAME_HEADER_LEN;
             self.clock.advance_ns(self.rpc_ns(tel));
             self.clock.advance_ns(self.user_copy_ns(tel, plain_len));
             self.clock
-                .advance_ns(self.crypto_ns(tel, link.channel.suite(), plain_len));
-            link.channel
-                .seal_into(&mut env, SEALED_SEQ_ENV_FRAME_START)?;
+                .advance_ns(self.crypto_ns(tel, channel.suite(), plain_len));
+            channel.seal_into(&mut env, SEALED_SEQ_ENV_FRAME_START)?;
             seq_env_finish(&mut env);
-            envs.push(env);
-            sent_at.push(self.clock.now());
+            sealed.push((self.clock.now(), env));
         }
-        let mut results: Vec<Option<Decoded<Nfs3Reply>>> = reqs.iter().map(|_| None).collect();
+        // The only replies this exchange accepts: one per frame, sealed
+        // at the positions the receive cipher stands at next.
+        let first = channel.messages_received();
+        let ours = first..first + frames as u64;
         // Replies can arrive in any order; the stream cipher only opens
         // them in the order the server sealed them, so out-of-order
         // arrivals park here until the gap fills.
@@ -556,44 +447,48 @@ impl SfsClient {
         // stacking after the last arrival.
         let mut cpu_free: u64 = 0;
         let mut attempt = 0;
+        // The server's shared state, read once for every frame of every
+        // round.
+        let inbound = conn.inbound();
         loop {
-            let outstanding: Vec<usize> =
-                (0..envs.len()).filter(|&i| results[i].is_none()).collect();
-            if outstanding.is_empty() {
+            let outstanding = replies.iter().filter(|r| r.is_none()).count();
+            if outstanding == 0 {
                 break;
             }
-            tel.gauge_set("client", "pipeline.inflight_hwm", outstanding.len() as u64);
-            let sends: Vec<(SimTime, Vec<u8>)> = outstanding
+            tel.gauge_set("client", "pipeline.inflight_hwm", outstanding as u64);
+            // Every unanswered frame goes (back) on the wire as a pooled
+            // copy, which the server side returns to the pool.
+            let resend = sealed
                 .iter()
-                .map(|&i| {
+                .zip(&*replies)
+                .filter(|(_, reply)| reply.is_none())
+                .map(|((sent, env), _)| {
                     let mut msg = pool.get();
-                    msg.extend_from_slice(&envs[i]);
-                    (sent_at[i], msg)
-                })
-                .collect();
+                    msg.extend_from_slice(env);
+                    (*sent, msg)
+                });
             // Each frame's server cost — the crossing into sfssd, RPC
             // processing, and the copy through the daemon — is either
             // served in the classic serial discipline or, when the
             // server has a multi-core `ShardEngine` installed, scheduled
             // across its simulated cores and disk shards to an absolute
-            // completion instant. The frame's wire copy then goes back
-            // to the pool.
-            let replies = link.wire.exchange_on(sends, |arrival_ns, b| {
+            // completion instant.
+            wire.exchange_on(resend, exchange, |arrival_ns, b, served| {
                 let frame_ns =
                     self.crossing_ns(tel) + self.rpc_ns(tel) + self.server_copy_ns(tel, b.len());
-                let served = link.conn.handle_frames_on(arrival_ns, frame_ns, &b);
+                let cost = inbound.handle_frames_on(arrival_ns, frame_ns, &b, served);
                 pool.put(b);
-                served
+                cost
             });
-            for reply in replies {
+            for reply in exchange.replies.drain(..) {
                 let bytes = reply.bytes;
                 let Some((chanseq, xid, frame)) = seq_reply_envelope(&bytes) else {
-                    // An unsequenced reply mid-window: a server Error is
-                    // the session refusing our state — honour it and let
-                    // the caller reconnect. Anything else is a stray the
-                    // wire held over from an earlier phase (or mangled
-                    // noise); it never touches the cipher, so drop it and
-                    // let retransmission cover any real loss.
+                    // An unsequenced reply: a server Error is the session
+                    // refusing our state — honour it and let the caller
+                    // reconnect. Anything else is a stray the wire held
+                    // over from an earlier phase (or mangled noise); it
+                    // never touches the cipher, so drop it and let
+                    // retransmission cover any real loss.
                     if let Ok(ReplyMsg::Error(e)) = ReplyMsg::from_xdr(&bytes) {
                         return Err(ClientError::Protocol(e));
                     }
@@ -601,17 +496,18 @@ impl SfsClient {
                     pool.put(bytes);
                     continue;
                 };
-                if xid as usize >= results.len() {
-                    // Sequenced, but not one of ours: a frame from an
-                    // earlier window or a dead session replayed by the
-                    // wire. Feeding it to the stream cipher would burn
+                if !ours.contains(&chanseq) || xid as usize >= frames {
+                    // Sealed, but not one of ours: a frame of an earlier
+                    // exchange or a dead session replayed by the wire.
+                    // Feeding it to the stream cipher would burn
                     // keystream and poison the channel, so discard it
-                    // here on the cleartext header alone.
+                    // here on the cleartext header alone and wait out
+                    // the timeout the real reply never beats.
                     tel.count("client", "pipeline.stale_frames", 1);
                     pool.put(bytes);
                     continue;
                 }
-                let expected = link.channel.messages_received();
+                let expected = channel.messages_received();
                 // A reply that is next in cipher order — every reply on
                 // a fault-free link — is opened below in the wire buffer
                 // it arrived in; one that is early parks, envelope and
@@ -639,7 +535,7 @@ impl SfsClient {
                     let (xid, mut env, frame, arrival) = match next.take() {
                         Some(ready) => ready,
                         None => {
-                            let pos = link.channel.messages_received();
+                            let pos = channel.messages_received();
                             let Some((xid, env)) = reorder.take(pos) else {
                                 break;
                             };
@@ -651,47 +547,39 @@ impl SfsClient {
                     // The copy out of the daemon plus decryption.
                     cpu_free = cpu_free.max(arrival)
                         + self.user_copy_ns(tel, frame.len())
-                        + self.crypto_ns(tel, link.channel.suite(), frame.len());
-                    let plain = link.channel.open_in_place(&mut env[frame])?;
-                    let (slot, req) = results
-                        .get_mut(xid as usize)
-                        .zip(reqs.get(xid as usize))
-                        .ok_or_else(|| {
-                            ClientError::Protocol(format!("unexpected reply: unknown xid {xid}"))
-                        })?;
-                    *slot = Some(decode_nfs(req, plain)?);
+                        + self.crypto_ns(tel, channel.suite(), frame.len());
+                    let plain = channel.open_in_place(&mut env[frame])?;
+                    let (reply, invalidations) = decode(xid as usize, plain)?;
                     pool.put(env);
+                    self.apply_invalidations(tel, mount, &invalidations);
+                    replies[xid as usize] = Some(reply);
                 }
             }
-            if results.iter().any(|r| r.is_none()) {
+            if replies.iter().any(Option::is_none) {
                 if attempt >= self.retry_policy().max_retransmits {
                     return Err(ClientError::Net(WireError::Timeout));
                 }
-                // Same pacing as the blocking path: wait out the
-                // timeout, then back off before the identical frames go
-                // back on the wire. Retransmission charges no CPU — the
-                // frames were already built and sealed.
-                link.wire.timeout_wait();
+                // Wait out the timeout, then back off before the
+                // identical frames go back on the wire. Retransmission
+                // charges no CPU — the frames were already built and
+                // sealed.
+                wire.timeout_wait();
                 tel.count("client", "retry.retransmits", 1);
                 tel.instant("client", "core.client", "retransmit");
                 self.backoff(tel, attempt);
                 attempt += 1;
-                sent_at.fill(self.clock.now());
+                let now = self.clock.now();
+                for (sent, _) in sealed.iter_mut() {
+                    *sent = now;
+                }
             }
         }
         // Land the clock on the moment the client CPU finished opening
         // the final reply (a no-op if the timeline already passed it).
         self.clock.advance_to(SimTime(cpu_free));
-        for env in envs {
+        for (_, env) in sealed.drain(..) {
             pool.put(env);
         }
-        Ok(results
-            .into_iter()
-            .map(|r| {
-                let (reply, invalidations) = r.expect("loop exits only when every slot is filled");
-                self.apply_invalidations(tel, mount, &invalidations);
-                reply
-            })
-            .collect())
+        Ok(())
     }
 }

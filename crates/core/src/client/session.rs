@@ -26,7 +26,6 @@ use sfs_telemetry::sync::Mutex;
 use sfs_telemetry::Telemetry;
 use sfs_xdr::Xdr;
 
-use super::rpc::decode_inner;
 use super::{
     ClientError, Link, Mount, ResumeState, SfsClient, EPHEMERAL_KEY_BITS, PROTOCOL_VERSION,
 };
@@ -167,16 +166,9 @@ impl SfsClient {
             wb_queue: Mutex::new(Vec::new()),
         });
         // Fetch the root handle over the authenticated channel (the
-        // sealed-call retry machinery already protects this first RPC).
-        let root = match self
-            .sealed_call(
-                &tel,
-                &mount,
-                |buf| InnerCall::Mount.encode_into(buf),
-                decode_inner,
-            )?
-            .0
-        {
+        // exchange loop's retry machinery already protects this first
+        // RPC).
+        let root = match self.inner_call(&tel, &mount, &InnerCall::Mount)? {
             InnerReply::MountReply { root } => root,
             other => return Err(ClientError::Protocol(format!("bad mount reply: {other:?}"))),
         };
@@ -320,6 +312,8 @@ impl SfsClient {
             conn,
             channel,
             pool,
+            bufs: self.exchange_bufs.lock().pop().unwrap_or_default(),
+            shelf: Arc::clone(&self.exchange_bufs),
             session_id: keys.session_id,
             server_key,
             generation,

@@ -50,7 +50,7 @@ pub mod wire;
 
 pub use agent::Agent;
 pub use authserver::{AuthServer, UserRecord};
-pub use bufpool::{BufPool, PooledBuf};
+pub use bufpool::BufPool;
 pub use client::{ClientError, RecoveryReport, RoutedRo, RoutedRw, Router, SfsClient, SfsNetwork};
 pub use journal::{ClientJournal, JournalRecord, RecoveredState};
 pub use roclient::{RoClientError, RoMount};

@@ -5,9 +5,9 @@
 //! each of those to completion.
 //!
 //! Owns [`ServerConn`]'s `state` transitions and the preamble every
-//! message passes ([`ServerConn::enter`]). Sealed frames are recognised
-//! by their envelope in [`ServerConn::handle_bytes`] and handed to
-//! `sealed`'s sequencer; nothing here opens one.
+//! message passes ([`ServerConn::enter`]). [`ServerConn::handle_bytes`]
+//! is the cleartext entry; sealed frames come in by `sealed`'s
+//! [`super::Inbound::handle_frames_on`], and nothing here opens one.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -28,7 +28,7 @@ use super::handles::HandleMap;
 use super::{ConnState, Established, ServerConn, SfsServer, SEQ_BUF_CAPACITY, TICKET_LIFETIME_NS};
 use crate::bufpool::BufPool;
 use crate::sealbox;
-use crate::wire::{seq_call_envelope, CallMsg, Dialect, ReplyMsg, Service};
+use crate::wire::{CallMsg, Dialect, ReplyMsg, Service};
 
 impl ServerConn {
     /// The server behind this connection.
@@ -63,15 +63,11 @@ impl ServerConn {
         &self.pool
     }
 
-    /// Processes one wire message (the raw-bytes entry point used by the
-    /// simulated network).
+    /// Processes one cleartext wire message — key negotiation, ticket
+    /// resumption, SRP, the read-only dialect — through the general
+    /// decoder. A sealed frame has no path to the channel here: it
+    /// decodes as `SealedSeq` and is refused.
     pub fn handle_bytes(&self, bytes: &[u8]) -> Vec<u8> {
-        // Sealed frames — every steady-state NFS3 RPC — take the pooled,
-        // in-place path. Anything else (key negotiation, SRP, read-only,
-        // malformed input) is rare and goes through the general decoder.
-        if let Some((chanseq, xid, frame)) = seq_call_envelope(bytes) {
-            return self.serve_one(chanseq, xid, &bytes[frame]);
-        }
         let reply = match CallMsg::from_xdr(bytes) {
             Ok(msg) => self.handle(msg),
             Err(e) => ReplyMsg::Error(format!("unparseable message: {e}")),
@@ -301,7 +297,7 @@ impl ServerConn {
                 }
             }
             // Sealed frames are served from their envelopes, never from
-            // a decoded message: both byte entries route every
+            // a decoded message: the sealed entry routes every
             // well-formed one to `sealed`'s sequencer before the general
             // decoder runs.
             CallMsg::SealedSeq { .. } => {

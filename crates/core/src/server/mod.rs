@@ -36,6 +36,7 @@ mod roreplica;
 mod sealed;
 
 pub use roreplica::{RoConnection, RoReplicaConn, RoReplicaServer};
+pub use sealed::Inbound;
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -175,6 +176,8 @@ pub struct SfsServer {
     /// Multi-core dispatch scheduler; `None` keeps the classic
     /// single-server discipline byte-for-byte.
     shards: Mutex<Option<Arc<ShardEngine>>>,
+    /// The id the next accepted connection gets.
+    next_conn: AtomicU64,
     tel: Mutex<Telemetry>,
 }
 
@@ -258,6 +261,7 @@ impl SfsServer {
             load: ServerLoad::new(),
             replicator: Mutex::new(None),
             shards: Mutex::new(None),
+            next_conn: AtomicU64::new(0),
             tel: Mutex::new(Telemetry::disabled()),
         })
     }
@@ -498,6 +502,7 @@ impl SfsServer {
         let pool = BufPool::new("server");
         pool.set_telemetry(self.tel.lock().clone());
         ServerConn {
+            id: self.next_conn.fetch_add(1, Ordering::Relaxed),
             epoch: self.current_epoch(),
             pending: self.invalidations.register(),
             server: self.clone(),
@@ -571,6 +576,8 @@ enum ConnState {
 /// One client connection's server-side state machine.
 pub struct ServerConn {
     server: Arc<SfsServer>,
+    /// Names this connection to the server's [`ShardEngine`].
+    id: u64,
     /// The server boot epoch this connection was accepted in; a crash
     /// restart invalidates it and every message afterwards is refused.
     epoch: u64,
@@ -580,6 +587,16 @@ pub struct ServerConn {
     /// Freelist shared with the client end of this (loopback) connection
     /// so steady-state sealed RPCs recycle the same few buffers.
     pool: Arc<BufPool>,
+}
+
+impl Drop for ServerConn {
+    /// A closed connection sends nothing more, so it stops holding back
+    /// the shard engine's horizon.
+    fn drop(&mut self) {
+        if let Some(engine) = self.server.shard_engine() {
+            engine.forget(self.id);
+        }
+    }
 }
 
 #[cfg(test)]

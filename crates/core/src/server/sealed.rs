@@ -8,20 +8,23 @@
 //! open in place, dispatch — user authentication, the root handle, or
 //! an NFS3 call relayed to the local NFS server under the session's
 //! credentials with its file handles translated — seal the reply into
-//! the same envelope and cache it. Two entries feed the sequencer:
-//! `conn`'s [`ServerConn::handle_bytes`] (the blocking loop: one frame,
-//! exactly one reply) and [`ServerConn::handle_frames_on`] (a pipelined
-//! window's frames, any number of replies each, scheduled across the
-//! server's cores).
+//! the same envelope and cache it. One entry feeds the sequencer:
+//! [`Inbound::handle_frames_on`], what every exchange — one frame or a
+//! pipelined window — delivers frame by frame, any number of replies
+//! each, scheduled across the server's cores when it has a
+//! [`ShardEngine`]. Anything that is not a sealed envelope goes on to
+//! `conn`'s cleartext entry, [`ServerConn::handle_bytes`].
 //!
 //! Calls into `mod` (the server's keys, handle cipher, replicator and
 //! scheduler) and `sfs_nfs3`; nothing here touches the cleartext state
 //! machine beyond [`ServerConn::enter`].
 
+use std::sync::Arc;
+
 use sfs_nfs3::proto::{FileHandle, Nfs3Reply, Nfs3Request, Proc, Status};
 use sfs_proto::channel::SeqPush;
 use sfs_proto::userauth::{AuthInfo, AuthMsg, AUTHNO_ANONYMOUS};
-use sfs_sim::ServerCost;
+use sfs_sim::{ServerCost, SimDisk};
 use sfs_telemetry::Telemetry;
 use sfs_vfs::Credentials;
 use sfs_xdr::{Xdr, XdrEncoder};
@@ -34,14 +37,23 @@ use crate::wire::{
     ReplyMsg, SEALED_SEQ_ENV_FRAME_START,
 };
 
-/// What serving the frames of one arrival reads of the server's shared
-/// state — its telemetry sink and its multi-core scheduler, each read
-/// once where the bytes enter and handed to every helper below — and
-/// the scheduling hint their dispatch leaves behind.
-struct Frame<'a> {
+/// One exchange's way into a connection: what serving its frames reads
+/// of the server's shared state — the telemetry sink, the multi-core
+/// scheduler and the disk it tallies — read once when the exchange
+/// opens ([`ServerConn::inbound`]) and handed to every frame.
+pub struct Inbound<'a> {
+    conn: &'a ServerConn,
     tel: Telemetry,
-    /// The scheduler the arrival's cost is placed on; `None` on the
-    /// blocking entry, which schedules nothing.
+    engine: Option<Arc<ShardEngine>>,
+    disk: Option<&'a SimDisk>,
+}
+
+/// What serving one arriving frame hands every helper below — the
+/// exchange's telemetry sink and scheduler — and the scheduling hint
+/// its dispatch leaves behind.
+struct Frame<'a> {
+    tel: &'a Telemetry,
+    /// The scheduler the arrival's cost is placed on, if any.
     engine: Option<&'a ShardEngine>,
     /// The worker shard owning the first file handle a dispatch
     /// translated (the first dispatched frame wins): where the scheduler
@@ -50,48 +62,33 @@ struct Frame<'a> {
 }
 
 impl ServerConn {
-    /// The preamble every sealed frame passes, whichever entry it came
-    /// in by: [`Self::enter`], then the session the frame claims to
-    /// belong to. `serve` runs with that session; a connection that has
-    /// none gets the refusal, encoded, back as the error.
+    /// Opens an exchange on this connection: reads the server's
+    /// telemetry sink, scheduler and disk once, for every frame the
+    /// exchange delivers.
+    pub fn inbound(&self) -> Inbound<'_> {
+        Inbound {
+            conn: self,
+            tel: self.server.tel.lock().clone(),
+            engine: self.server.shard_engine(),
+            disk: self.server.vfs().disk(),
+        }
+    }
+
+    /// The preamble every sealed frame passes: [`Self::enter`], then the
+    /// session the frame claims to belong to. `serve` runs with that
+    /// session; a connection that has none gets the refusal, encoded,
+    /// back as the error.
     fn with_session<T>(
         &self,
         f: &mut Frame,
-        span: &'static str,
         serve: impl FnOnce(&mut Established, &mut Frame) -> T,
     ) -> Result<T, Vec<u8>> {
-        let _span = f.tel.span("server", "core.server", span);
-        let mut state = self.enter(&f.tel).map_err(|refusal| refusal.to_xdr())?;
+        let _span = f.tel.span("server", "core.server", "sealed_seq");
+        let mut state = self.enter(f.tel).map_err(|refusal| refusal.to_xdr())?;
         let ConnState::Established(est) = &mut *state else {
             return Err(ReplyMsg::Error("no secure channel".into()).to_xdr());
         };
         Ok(serve(est, f))
-    }
-
-    /// The blocking entry behind [`Self::handle_bytes`]: one sequenced
-    /// frame in, exactly one reply out. A blocking client seals a frame
-    /// only after the previous one was answered, so a frame the
-    /// sequencer parks ahead of a gap (no reply) or one that releases
-    /// parked successors (several) is a peer out of step with its own
-    /// channel, and is told so.
-    pub(super) fn serve_one(&self, chanseq: u64, xid: u32, frame: &[u8]) -> Vec<u8> {
-        let mut f = Frame {
-            tel: self.server.tel.lock().clone(),
-            engine: None,
-            shard: None,
-        };
-        let (mut reply, mut replies) = (None, 0);
-        let served = self.with_session(&mut f, "sealed", |est, f| {
-            self.sequence_frame(est, f, chanseq, xid, frame, |bytes| {
-                replies += 1;
-                reply = Some(bytes);
-            })
-        });
-        match (served, reply) {
-            (Err(refusal), _) => refusal,
-            (Ok(()), Some(bytes)) if replies == 1 => bytes,
-            _ => ReplyMsg::Error("channel failure: blocking frame out of sequence".into()).to_xdr(),
-        }
     }
 
     /// The one service sequence for a sealed frame that is next in
@@ -115,15 +112,15 @@ impl ServerConn {
                 return ReplyMsg::Error(format!("channel failure: {e}")).to_xdr();
             }
         };
-        // The retransmit horizon. Both client engines number a batch's
-        // frames from xid 0 and open every reply of a batch before
-        // sealing the next, so once a batch's first frame is served no
-        // reply below it can be asked for again: retire them. The cache
-        // then holds one batch — one reply on the blocking loop, a
-        // window's worth on the pipelined one.
+        // The retransmit horizon. The client numbers an exchange's
+        // frames from xid 0 and opens every reply of an exchange before
+        // sealing the next, so once an exchange's first frame is served
+        // no reply below it can be asked for again: retire them. The
+        // cache then holds one exchange — one reply for a lone call, a
+        // window's worth for a window.
         if xid == 0 {
             let below = est.reply_cache.range(..req_seq).count();
-            self.evict_oldest(est, &f.tel, below);
+            self.evict_oldest(est, f.tel, below);
         }
         let mut out = self.pool.get();
         seq_env_begin(&mut out, false, est.channel.messages_sent(), xid);
@@ -148,7 +145,7 @@ impl ServerConn {
         // first, since a retransmission can only ask for a recent
         // sequence number.
         let excess = est.reply_cache.len().saturating_sub(REPLY_CACHE_CAPACITY);
-        self.evict_oldest(est, &f.tel, excess);
+        self.evict_oldest(est, f.tel, excess);
         f.tel
             .gauge_set("server", "replycache.size", est.reply_cache.len() as u64);
         bytes
@@ -185,7 +182,7 @@ impl ServerConn {
         let Some((authno, proc, args)) = inner_nfs_call(plaintext) else {
             let reply =
                 match InnerCall::from_xdr(plaintext).map_err(|e| format!("bad inner call: {e}"))? {
-                    InnerCall::Auth { seq_no, msg } => self.handle_auth(est, &f.tel, seq_no, &msg),
+                    InnerCall::Auth { seq_no, msg } => self.handle_auth(est, f.tel, seq_no, &msg),
                     InnerCall::Mount => InnerReply::MountReply {
                         root: self.server.root_handle(),
                     },
@@ -233,7 +230,7 @@ impl ServerConn {
             .drain(..)
             .map(|fh| handles.encrypt(&self.server, fh))
             .collect();
-        handles.report(&f.tel);
+        handles.report(f.tel);
         out.extend_from_slice(&(pending.len() as u32).to_be_bytes());
         if !pending.is_empty() {
             let mut enc = XdrEncoder::from_vec(std::mem::take(out));
@@ -245,74 +242,80 @@ impl ServerConn {
         Ok(())
     }
 
-    /// The windowed entry point used by the pipelined wire: one incoming
-    /// frame may produce zero replies (buffered ahead of a reorder gap),
+    /// Serves one incoming frame, pushing its replies onto `replies`: a
+    /// sealed one may produce none (buffered ahead of a reorder gap),
     /// one, or several (a frame that fills a gap releases every buffered
-    /// successor at once). Anything that is not a sealed envelope goes
-    /// to the cleartext decoder and produces exactly one reply.
-    fn handle_frames(&self, f: &mut Frame, bytes: &[u8]) -> Vec<Vec<u8>> {
+    /// successor at once); anything else goes to the cleartext decoder
+    /// and produces exactly one.
+    fn handle_frames(&self, f: &mut Frame, bytes: &[u8], replies: &mut Vec<Vec<u8>>) {
         let Some((chanseq, xid, frame)) = seq_call_envelope(bytes) else {
-            return vec![self.handle_bytes(bytes)];
+            replies.push(self.handle_bytes(bytes));
+            return;
         };
-        let mut replies = Vec::new();
-        let served = self.with_session(f, "sealed_seq", |est, f| {
+        let served = self.with_session(f, |est, f| {
             self.sequence_frame(est, f, chanseq, xid, &bytes[frame], |r| replies.push(r))
         });
         if let Err(refusal) = served {
             replies.push(refusal);
         }
-        replies
     }
+}
 
-    /// The windowed entry point under multi-core dispatch: what
-    /// [`sfs_sim::Wire::exchange_on`] calls for every arriving frame.
+impl Inbound<'_> {
+    /// The entry for sealed frames: what [`sfs_sim::Wire::exchange_on`]
+    /// calls for every arriving frame, pushing its replies onto
+    /// `replies`.
     ///
-    /// Without a [`ShardEngine`] installed
-    /// this is the frame's replies with the classic serial cost —
-    /// byte-for-byte the single-server discipline. With one, the
-    /// frame's analytic CPU cost (`frame_cost_ns`, the seal/open +
+    /// Without a [`ShardEngine`] installed the frame costs the classic
+    /// serial `frame_cost_ns` — byte-for-byte the single-server
+    /// discipline. With one, that analytic CPU cost (the seal/open +
     /// dispatch work) is placed on the earliest-free simulated core
-    /// starting at `arrival_ns`, and any
-    /// disk work the dispatch performed is captured via the disk's tally
-    /// mode and placed on the owning handle shard's commit queue (where
-    /// back-to-back commits batch). The returned [`ServerCost`] carries
-    /// the absolute completion instant.
+    /// starting at `arrival_ns`, and any disk work the dispatch
+    /// performed is captured via the disk's tally mode and placed on the
+    /// owning handle shard's commit queue (where back-to-back commits
+    /// batch). The returned [`ServerCost`] carries the absolute
+    /// completion instant.
     ///
     /// Ordering: cipher state still advances strictly in channel-
     /// sequence order — the `FrameSequencer` drain runs before any
     /// scheduling decision, so the engine only chooses *when* the work
     /// completes, never in what order the channel is touched.
-    /// Completion instants may therefore
-    /// be out of order across frames (different cores), which the
-    /// client's own reorder buffer absorbs.
+    /// Completion instants may therefore be out of order across frames
+    /// (different cores), which the client's own reorder buffer absorbs.
     pub fn handle_frames_on(
         &self,
         arrival_ns: u64,
         frame_cost_ns: u64,
         bytes: &[u8],
-    ) -> (Vec<Vec<u8>>, ServerCost) {
-        let engine = self.server.shard_engine();
+        replies: &mut Vec<Vec<u8>>,
+    ) -> ServerCost {
         let mut f = Frame {
-            tel: self.server.tel.lock().clone(),
-            engine: engine.as_deref(),
+            tel: &self.tel,
+            engine: self.engine.as_deref(),
             shard: None,
         };
         let Some(engine) = f.engine else {
-            return (
-                self.handle_frames(&mut f, bytes),
-                ServerCost::Serial(frame_cost_ns),
-            );
+            self.conn.handle_frames(&mut f, bytes, replies);
+            return ServerCost::Serial(frame_cost_ns);
         };
-        let disk = self.server.vfs().disk().cloned();
-        if let Some(d) = &disk {
+        if let Some(d) = self.disk {
             d.tally_begin();
         }
-        let replies = self.handle_frames(&mut f, bytes);
-        let tally = disk.as_ref().map(|d| d.tally_end()).unwrap_or_default();
-        let done = engine.schedule(arrival_ns, frame_cost_ns, tally, f.shard, &f.tel);
-        (replies, ServerCost::Scheduled(done))
+        self.conn.handle_frames(&mut f, bytes, replies);
+        let tally = self.disk.map(SimDisk::tally_end).unwrap_or_default();
+        let done = engine.schedule(
+            self.conn.id,
+            arrival_ns,
+            frame_cost_ns,
+            tally,
+            f.shard,
+            &self.tel,
+        );
+        ServerCost::Scheduled(done)
     }
+}
 
+impl ServerConn {
     /// Services one sealed frame, handing each reply it produces to
     /// `reply`. Frames are decrypted strictly in channel-sequence order
     /// regardless of arrival order: early frames buffer,
@@ -450,7 +453,7 @@ impl ServerConn {
         if f.shard.is_none() {
             f.shard = first_fh;
         }
-        let mut reply = self.nfs_relay(&f.tel, creds, &req);
+        let mut reply = self.nfs_relay(f.tel, creds, &req);
         // Acknowledged commit: a successful mutation is shipped to the
         // replica group's quorum *before* the reply is encoded, so the
         // client's ack implies quorum durability. Failed ops and replays

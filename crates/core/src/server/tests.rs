@@ -227,22 +227,58 @@ fn sealed_without_channel_rejected() {
         frame: vec![0; 64],
     };
     let bytes = sealed.to_xdr();
-    // The same bytes pass the one preamble whichever entry point they
-    // come in by, so the two refusals are identical.
-    let refusal = || {
-        let blocking = conn.handle_bytes(&bytes);
-        let (windowed, _) = conn.handle_frames_on(0, 0, &bytes);
-        assert_eq!(windowed, vec![blocking.clone()]);
-        ReplyMsg::from_xdr(&blocking).unwrap()
+    // The sealed entry refuses a connection without a session, and the
+    // cleartext entry refuses the envelope itself: it has no path to the
+    // channel. Both pass the one preamble first.
+    let refusals = || {
+        let mut replies = Vec::new();
+        conn.inbound().handle_frames_on(0, 0, &bytes, &mut replies);
+        let [sealed] = &replies[..] else {
+            panic!("{} replies to one frame", replies.len());
+        };
+        (
+            ReplyMsg::from_xdr(sealed).unwrap(),
+            ReplyMsg::from_xdr(&conn.handle_bytes(&bytes)).unwrap(),
+        )
     };
-    assert_eq!(refusal(), ReplyMsg::Error("no secure channel".into()));
-    s.crash_restart();
     assert_eq!(
-        refusal(),
-        ReplyMsg::Error("connection reset: server restarted".into())
+        refusals(),
+        (
+            ReplyMsg::Error("no secure channel".into()),
+            ReplyMsg::Error("sealed frame outside its envelope".into())
+        )
     );
+    s.crash_restart();
+    let reset = ReplyMsg::Error("connection reset: server restarted".into());
+    assert_eq!(refusals(), (reset.clone(), reset));
     // A decoded sealed message has no path to the channel at all.
     assert!(matches!(conn.handle(sealed), ReplyMsg::Error(_)));
+}
+
+#[test]
+fn a_dropped_connection_stops_holding_back_the_shard_horizon() {
+    let s = make_server();
+    s.set_cores(2);
+    let engine = s.shard_engine().unwrap();
+    let (early, late) = (s.accept(), s.accept());
+    // Frames on connections without a session are refused, and still
+    // scheduled: the refusal is work the server did at that instant.
+    let frame = CallMsg::SealedSeq {
+        chanseq: 0,
+        xid: 0,
+        frame: vec![0; 64],
+    }
+    .to_xdr();
+    let mut replies = Vec::new();
+    early
+        .inbound()
+        .handle_frames_on(100, 10, &frame, &mut replies);
+    late.inbound()
+        .handle_frames_on(5_000, 10, &frame, &mut replies);
+    assert_eq!(engine.frames_scheduled(), 2);
+    assert_eq!(engine.horizon_ns(), 100);
+    drop(early);
+    assert_eq!(engine.horizon_ns(), 5_000);
 }
 
 #[test]

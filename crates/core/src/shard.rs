@@ -23,20 +23,51 @@
 //!   chosen by a deterministic handle→shard map. Commits that arrive
 //!   while the shard's spindle is busy join the in-progress batch and
 //!   skip their positioning cost — group commit across connections.
+//! - **The past no connection can reach is forgotten.** A connection's
+//!   frames arrive in time order, so nothing it sends can be ready
+//!   before its latest arrival; the *horizon* is the earliest of those
+//!   over the live connections, and every calendar entry that ends by
+//!   then is dropped. This is exact for every connection the engine has
+//!   already seen. A connection whose first frame arrives below the
+//!   horizon finds an idle past instead of back-filling other clients'
+//!   history. A connection leaves the minimum when its `ServerConn`
+//!   drops ([`ShardEngine::forget`]).
 //!
 //! Everything is deterministic: placement is earliest-start,
 //! lowest-index tie-break, and the engine holds no wall-clock state.
 
 use std::sync::Arc;
 
-use sfs_sim::{CoreSet, DiskQueueStats, DiskTally};
+use sfs_sim::{CoreSet, DiskCommitQueue, DiskQueueStats, DiskTally};
 use sfs_telemetry::sync::Mutex;
 use sfs_telemetry::Telemetry;
 
 struct EngineState {
     cores: CoreSet,
-    disks: Vec<sfs_sim::DiskCommitQueue>,
+    disks: Vec<DiskCommitQueue>,
     frames: u64,
+    /// Each live connection's latest arrival, by connection id.
+    latest: Vec<(u64, u64)>,
+    /// Where the calendars were last cut: never moves back.
+    horizon: u64,
+}
+
+impl EngineState {
+    /// Cuts every calendar at the earliest latest arrival of the live
+    /// connections, if that moved past the last cut.
+    fn advance_horizon(&mut self) {
+        let Some(horizon) = self.latest.iter().map(|&(_, at)| at).min() else {
+            return;
+        };
+        if horizon <= self.horizon {
+            return;
+        }
+        self.horizon = horizon;
+        self.cores.forget_until(horizon);
+        for disk in &mut self.disks {
+            disk.forget_until(horizon);
+        }
+    }
 }
 
 /// The multi-core scheduler installed on an [`crate::SfsServer`] by
@@ -58,8 +89,10 @@ impl ShardEngine {
             procs: (0..n).map(|i| format!("shard{i}")).collect(),
             inner: Mutex::new(EngineState {
                 cores: CoreSet::new(n),
-                disks: vec![sfs_sim::DiskCommitQueue::new(); n],
+                disks: vec![DiskCommitQueue::new(); n],
                 frames: 0,
+                latest: Vec::new(),
+                horizon: 0,
             }),
         })
     }
@@ -77,13 +110,15 @@ impl ShardEngine {
         (h % self.shards as u64) as u32
     }
 
-    /// Schedules one request: `cpu_ns` of crypto/dispatch work on the
-    /// earliest-free core starting no earlier than `arrival_ns`, then
-    /// the tallied disk work (if any) on `shard`'s commit queue (the
-    /// scheduling core's queue when the request touched no file
-    /// handle). Returns the absolute completion instant.
+    /// Schedules one request of connection `conn`: `cpu_ns` of
+    /// crypto/dispatch work on the earliest-free core starting no
+    /// earlier than `arrival_ns`, then the tallied disk work (if any) on
+    /// `shard`'s commit queue (the scheduling core's queue when the
+    /// request touched no file handle). Returns the absolute completion
+    /// instant.
     pub fn schedule(
         &self,
+        conn: u64,
         arrival_ns: u64,
         cpu_ns: u64,
         disk: DiskTally,
@@ -92,6 +127,11 @@ impl ShardEngine {
     ) -> u64 {
         let mut st = self.inner.lock();
         st.frames += 1;
+        match st.latest.iter_mut().find(|(id, _)| *id == conn) {
+            Some((_, at)) => *at = (*at).max(arrival_ns),
+            None => st.latest.push((conn, arrival_ns)),
+        }
+        st.advance_horizon();
         let res = st.cores.reserve(arrival_ns, cpu_ns);
         tel.count(&self.procs[res.core], "server.shard.busy_ticks", cpu_ns);
         if disk.total_ns == 0 {
@@ -121,6 +161,21 @@ impl ShardEngine {
                 tel.record(&self.procs[i], "server.disk.batch_size", open);
             }
         }
+    }
+
+    /// Drops connection `conn` from the horizon: a connection that will
+    /// send nothing more must not hold back the cut.
+    pub fn forget(&self, conn: u64) {
+        let mut st = self.inner.lock();
+        st.latest.retain(|&(id, _)| id != conn);
+        st.advance_horizon();
+    }
+
+    /// Where the calendars were last cut: the earliest latest arrival
+    /// over the live connections, as of the last frame or departure.
+    #[cfg(test)]
+    pub(crate) fn horizon_ns(&self) -> u64 {
+        self.inner.lock().horizon
     }
 
     /// Frames scheduled through the engine so far. Non-zero even for
@@ -167,11 +222,11 @@ mod tests {
         let zero = DiskTally::default();
         // Eight frames all arriving at t=0, 100 µs of crypto each.
         let serial: u64 = (0..8)
-            .map(|_| one.schedule(0, 100_000, zero, None, &tel))
+            .map(|_| one.schedule(7, 0, 100_000, zero, None, &tel))
             .max()
             .unwrap();
         let parallel: u64 = (0..8)
-            .map(|_| four.schedule(0, 100_000, zero, None, &tel))
+            .map(|_| four.schedule(7, 0, 100_000, zero, None, &tel))
             .max()
             .unwrap();
         assert_eq!(serial, 800_000);
@@ -189,9 +244,9 @@ mod tests {
         };
         // Same shard, arriving together: first pays positioning, the
         // rest ride the batch.
-        let d1 = e.schedule(0, 10, tally, Some(0), &tel);
-        let d2 = e.schedule(0, 10, tally, Some(0), &tel);
-        let d3 = e.schedule(0, 10, tally, Some(0), &tel);
+        let d1 = e.schedule(7, 0, 10, tally, Some(0), &tel);
+        let d2 = e.schedule(7, 0, 10, tally, Some(0), &tel);
+        let d3 = e.schedule(7, 0, 10, tally, Some(0), &tel);
         assert_eq!(d1, 10 + 1_100);
         assert_eq!(d2, d1 + 100);
         assert_eq!(d3, d2 + 100);
@@ -200,5 +255,22 @@ mod tests {
         assert_eq!(stats[0].joined, 2);
         // The other shard's spindle is untouched.
         assert_eq!(stats[1].commits, 0);
+    }
+
+    #[test]
+    fn the_horizon_passes_a_connection_once_it_drops() {
+        let tel = Telemetry::disabled();
+        let e = ShardEngine::new(2);
+        let zero = DiskTally::default();
+        e.schedule(1, 100, 10, zero, None, &tel);
+        e.schedule(2, 1_000, 10, zero, None, &tel);
+        e.schedule(2, 2_000, 10, zero, None, &tel);
+        // Connection 1 could still send a frame at 100.
+        assert_eq!(e.horizon_ns(), 100);
+        e.forget(1);
+        assert_eq!(e.horizon_ns(), 2_000);
+        // A connection the engine never saw leaves it where it is.
+        e.forget(3);
+        assert_eq!(e.horizon_ns(), 2_000);
     }
 }

@@ -166,8 +166,8 @@ pub enum CallMsg {
     /// `chanseq` is the frame's position in the per-direction cipher
     /// stream (the channel's messages-sent count at seal time) so the
     /// receiver can restore stream order before decrypting; `xid`
-    /// matches the reply to its in-flight call (0 on the blocking loop,
-    /// which has one).
+    /// matches the reply to its in-flight call (0 for a lone call, which
+    /// is a window of one).
     SealedSeq {
         /// Cipher-stream position of this frame (client→server).
         chanseq: u64,

@@ -71,12 +71,13 @@ fn coherence_oracle_passes_over_all_seeded_fault_plans() {
 #[test]
 fn multicore_dispatch_causes_no_semantic_drift_in_the_oracle_battery() {
     // The full 21-plan battery reruns with the shard engine installed at
-    // cores ∈ {1, 4}. The blocking oracle workload must be *byte-for-byte*
-    // identical to the pre-shard baseline — same virtual-time total, same
-    // fault log, same sizes, journals, and crash count — because the
-    // engine only reschedules windowed traffic and the sharded reply
-    // cache is semantically identical to the flat map it replaced (the
-    // dup/drop plans replay retransmissions through it at 4 shards).
+    // cores ∈ {1, 4}. Every sealed frame goes through the engine, but the
+    // oracle's worlds charge no CPU and have no disk, so the engine only
+    // ever places zero work: the run must be *byte-for-byte* identical to
+    // the pre-shard baseline — same virtual-time total, same fault log,
+    // same sizes, journals, and crash count — and the sharded reply cache
+    // semantically identical to the flat map it replaced (the dup/drop
+    // plans replay retransmissions through it at 4 shards).
     for (spec, n) in BATTERY {
         let baseline = run_spec(spec, 0x5EED, *n);
         assert!(baseline.violations.is_empty(), "{spec:?}");
@@ -116,8 +117,8 @@ fn negotiated_chacha_suite_passes_the_oracle_battery_at_both_core_counts() {
             );
             per_core.push(out);
         }
-        // The shard engine must not perturb the blocking oracle workload
-        // under the negotiated suite either.
+        // The shard engine must not perturb the oracle workload under the
+        // negotiated suite either.
         assert_eq!(
             per_core[0], per_core[1],
             "chacha oracle run drifted between core counts under {spec:?}"

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use sfs::client::{Mount, RetryPolicy, DEFAULT_PIPELINE_WINDOW};
 use sfs_bench::world::{World, WorldSpec, UID as ALICE_UID};
 use sfs_nfs3::{Nfs3Reply, Nfs3Request, Sattr3, Status};
-use sfs_sim::{Direction, FaultEvent, FaultPlan, Interceptor, Verdict};
+use sfs_sim::{Direction, FaultEvent, FaultPlan, Interceptor, PacketLog, Verdict};
 use sfs_telemetry::sync::Mutex;
 use sfs_telemetry::Telemetry;
 
@@ -308,11 +308,14 @@ fn every_window_depth_preserves_exactly_once() {
 
 #[test]
 fn window_one_matches_blocking_replies() {
-    // Window 1 through the windowed entry point and the plain blocking
-    // path must produce identical reply streams on a clean wire.
+    // A batch at window 1 and the same calls issued one by one must put
+    // the same bytes on the wire, get the same replies and end at the
+    // same virtual instant on a clean wire.
     let plan = FaultPlan::from_spec("seed=0").unwrap();
 
     let w = world(&plan);
+    let log = PacketLog::new();
+    w.net.set_log(log.clone());
     w.clients[0].set_pipeline_window(1);
     let (mount, dir_fh, _) = w.clients[0].resolve(ALICE_UID, &home(&w)).unwrap();
     let reqs = mkdir_batch(&dir_fh, "parity");
@@ -321,6 +324,8 @@ fn window_one_matches_blocking_replies() {
         .unwrap();
 
     let w2 = world(&plan);
+    let log2 = PacketLog::new();
+    w2.net.set_log(log2.clone());
     let (mount2, dir_fh2, _) = w2.clients[0].resolve(ALICE_UID, &home(&w2)).unwrap();
     let reqs2 = mkdir_batch(&dir_fh2, "parity");
     let blocking: Vec<Nfs3Reply> = reqs2
@@ -330,6 +335,9 @@ fn window_one_matches_blocking_replies() {
 
     let fp = |rs: &[Nfs3Reply]| rs.iter().map(|r| format!("{r:?}")).collect::<Vec<_>>();
     assert_eq!(fp(&windowed), fp(&blocking));
+    assert!(!log.is_empty());
+    assert!(log.snapshot() == log2.snapshot(), "the wire bytes differ");
+    assert_eq!(w.clock.now(), w2.clock.now());
 }
 
 /// An adversary with one shot: once armed, hands the next reply to
@@ -417,6 +425,69 @@ fn blocking_loop_discards_a_stray_reply_on_its_cleartext_header() {
     assert_eq!(tel.counter("client", "pipeline.stale_frames"), 1);
     assert_eq!(tel.counter("client", "retry.retransmits"), 1);
     assert_eq!(tel.counter("server", "pipeline.retransmits"), 1);
+    assert_eq!(mount.reconnects(), 0, "the stray must not reach the cipher");
+}
+
+/// Records every reply; once armed, puts the last one it recorded in
+/// place of the next.
+struct ReplayPreviousReply {
+    last: Option<Vec<u8>>,
+    armed: bool,
+}
+
+impl Interceptor for ReplayPreviousReply {
+    fn intercept(&mut self, dir: Direction, bytes: &[u8]) -> Verdict {
+        if dir != Direction::Reply {
+            return Verdict::Deliver;
+        }
+        if std::mem::take(&mut self.armed) {
+            let replay = self.last.take().expect("a reply to replay");
+            return Verdict::Replace(replay);
+        }
+        self.last = Some(bytes.to_vec());
+        Verdict::Deliver
+    }
+}
+
+#[test]
+fn a_reply_replayed_from_the_previous_window_is_dropped_as_stale() {
+    // A window of eight MKDIRs, then a second one whose first reply the
+    // wire replaces with the last reply of the first window. That reply
+    // carries an xid the second window uses, but a cipher position below
+    // every reply it is owed: it is dropped on its cleartext header, the
+    // missing reply is answered from the server's reply cache after one
+    // retransmission, every call runs once and the session lives.
+    let w = world(&FaultPlan::from_spec("seed=0").unwrap());
+    let tel = Telemetry::counters();
+    w.servers[0].set_telemetry(&tel);
+    w.clients[0].set_telemetry(&tel);
+    w.clients[0].set_pipeline_window(8);
+    let adversary = Arc::new(Mutex::new(ReplayPreviousReply {
+        last: None,
+        armed: false,
+    }));
+    w.net.set_interceptor(adversary.clone());
+    let (mount, dir_fh, _) = w.clients[0].resolve(ALICE_UID, &home(&w)).unwrap();
+    let windows: Vec<Vec<Nfs3Request>> = ["first", "second"]
+        .iter()
+        .map(|tag| mkdir_batch(&dir_fh, tag)[..8].to_vec())
+        .collect();
+    let run = |reqs: &[Nfs3Request]| {
+        for reply in w.clients[0]
+            .call_nfs_window(&mount, ALICE_UID, reqs)
+            .unwrap()
+        {
+            assert!(matches!(reply, Nfs3Reply::Mkdir { .. }), "{reply:?}");
+        }
+    };
+    run(&windows[0]);
+    let dispatched = tel.counter("server", "nfs3.calls");
+    adversary.lock().armed = true;
+    run(&windows[1]);
+    assert!(!adversary.lock().armed, "the adversary never saw a reply");
+    assert_eq!(tel.counter("server", "nfs3.calls") - dispatched, 8);
+    assert_eq!(tel.counter("client", "pipeline.stale_frames"), 1);
+    assert_eq!(tel.counter("client", "retry.retransmits"), 1);
     assert_eq!(mount.reconnects(), 0, "the stray must not reach the cipher");
 }
 

@@ -16,7 +16,9 @@
 //!    full handshake, loudly (counter) but successfully;
 //! 5. resumption composes with the negotiated ChaCha20-Poly1305 suite.
 
-use sfs::wire::{seq_call_envelope, CallMsg, ReplyMsg, SEALED_SEQ_ENV_FRAME_START};
+use sfs::wire::{
+    seq_call_envelope, seq_reply_envelope, CallMsg, ReplyMsg, SEALED_SEQ_ENV_FRAME_START,
+};
 use sfs_bench::world::{World, WorldSpec, UID as ALICE_UID};
 use sfs_proto::channel::SuiteId;
 use sfs_sim::{Direction, PacketLog, SimTime};
@@ -159,14 +161,31 @@ fn a_replayed_consumed_ticket_yields_no_usable_session() {
     assert!(matches!(reply, ReplyMsg::ResumeOk { .. }), "{reply:?}");
     assert_eq!(tel.counter("server", "resume.accepted"), 2);
     let dispatched = tel.counter("server", "nfs3.calls");
+    // Through the sealed entry: the first frame reaches the cipher and
+    // fails its MAC; nothing after it, recorded or invented, yields a
+    // sealed reply.
+    let inbound = replayer.inbound();
+    let mut replies = Vec::new();
+    inbound.handle_frames_on(0, 0, &sealed[0], &mut replies);
+    let [refusal] = &replies[..] else {
+        panic!("{} replies to the first replayed frame", replies.len());
+    };
+    let refusal = ReplyMsg::from_xdr(refusal).unwrap();
+    assert!(
+        matches!(&refusal, ReplyMsg::Error(e) if e.contains("channel failure")),
+        "{refusal:?}"
+    );
     let mut invented = sealed[0].clone();
     invented[SEALED_SEQ_ENV_FRAME_START] ^= 1;
-    for frame in sealed.iter().chain([&invented]) {
-        let refusal = ReplyMsg::from_xdr(&replayer.handle_bytes(frame)).unwrap();
-        assert!(
-            matches!(&refusal, ReplyMsg::Error(e) if e.contains("channel failure")),
-            "{refusal:?}"
-        );
+    for frame in sealed[1..].iter().chain([&invented]) {
+        replies.clear();
+        inbound.handle_frames_on(0, 0, frame, &mut replies);
+        for reply in &replies {
+            assert!(
+                seq_reply_envelope(reply).is_none(),
+                "a replayed frame was answered under the session's key"
+            );
+        }
     }
     assert_eq!(tel.counter("server", "nfs3.calls"), dispatched);
 

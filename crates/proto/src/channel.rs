@@ -986,7 +986,7 @@ mod tests {
         // 2 000 frames each way of seeded sizes up to 20 KiB, most of
         // them around the head's 192 bytes, in windows of eight (all
         // requests sealed, then opened, then all replies) and singly
-        // (the blocking loop). Every frame must be the one-shot AEAD's
+        // (a lone call). Every frame must be the one-shot AEAD's
         // at the same key and nonce and open to its plaintext.
         use sfs_bignum::{RandomSource, XorShiftSource};
         let mut rng = XorShiftSource::new(0xC4A_2ED);

@@ -7,8 +7,8 @@
 //! costs) from asynchronous writes absorbed by the write-behind cache and
 //! flushed in batches.
 
-use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 use sfs_telemetry::sync::Mutex;
@@ -81,10 +81,17 @@ struct DiskState {
     fault: Option<FaultPlan>,
     /// Transient sync-write failures absorbed by the retry path.
     sync_failures: u64,
-    /// When set, device costs accumulate here instead of advancing the
-    /// clock, so a scheduler can place them on a per-shard timeline.
-    tally: Option<DiskTally>,
+    /// Device costs accumulated in tally mode, so a scheduler can place
+    /// them on a per-shard timeline instead of the clock.
+    tally: DiskTally,
 }
+
+/// [`SimDisk::tallying`] states.
+const TALLY_OFF: u8 = 0;
+/// Tallying, nothing accumulated yet.
+const TALLY_CLEAN: u8 = 1;
+/// Tallying, with operations accumulated in `DiskState::tally`.
+const TALLY_DIRTY: u8 = 2;
 
 /// A simulated disk charging a [`SimClock`].
 #[derive(Debug, Clone)]
@@ -92,6 +99,12 @@ pub struct SimDisk {
     clock: SimClock,
     params: DiskParams,
     state: Arc<Mutex<DiskState>>,
+    /// Whether device costs go to the tally rather than the clock, and
+    /// whether any did: outside the state lock, so entering and leaving
+    /// tally mode around a request that never touches the disk takes no
+    /// lock. Relaxed: the flag publishes nothing, the tally it marks is
+    /// read and written under the state lock.
+    tallying: Arc<AtomicU8>,
 }
 
 impl SimDisk {
@@ -101,6 +114,7 @@ impl SimDisk {
             clock,
             params,
             state: Arc::new(Mutex::new(DiskState::default())),
+            tallying: Arc::new(AtomicU8::new(TALLY_OFF)),
         }
     }
 
@@ -130,19 +144,31 @@ impl SimDisk {
     /// single shared clock serially. Stats and telemetry counters are
     /// recorded as usual.
     pub fn tally_begin(&self) {
-        self.state.lock().tally = Some(DiskTally::default());
+        self.tallying.store(TALLY_CLEAN, Ordering::Relaxed);
     }
 
     /// Leaves tally mode, returning the accumulated device time.
     /// Returns a zero tally if tally mode was never entered.
     pub fn tally_end(&self) -> DiskTally {
-        self.state.lock().tally.take().unwrap_or_default()
+        match self.tallying.swap(TALLY_OFF, Ordering::Relaxed) {
+            TALLY_DIRTY => std::mem::take(&mut self.state.lock().tally),
+            _ => DiskTally::default(),
+        }
+    }
+
+    /// The tally, when device costs go to it rather than the clock.
+    fn tally<'a>(&self, st: &'a mut DiskState) -> Option<&'a mut DiskTally> {
+        if self.tallying.load(Ordering::Relaxed) == TALLY_OFF {
+            return None;
+        }
+        self.tallying.store(TALLY_DIRTY, Ordering::Relaxed);
+        Some(&mut st.tally)
     }
 
     /// Charges `ns` of device time: accumulated when tallying, otherwise
     /// advanced on the shared clock.
     fn charge(&self, st: &mut DiskState, ns: u64, positioning: bool) {
-        if let Some(t) = st.tally.as_mut() {
+        if let Some(t) = self.tally(st) {
             t.total_ns += ns;
             if positioning {
                 t.positioning_ns += ns;
@@ -152,8 +178,8 @@ impl SimDisk {
         }
     }
 
-    fn note_op(st: &mut DiskState) {
-        if let Some(t) = st.tally.as_mut() {
+    fn note_op(&self, st: &mut DiskState) {
+        if let Some(t) = self.tally(st) {
             t.ops += 1;
         }
     }
@@ -167,7 +193,7 @@ impl SimDisk {
             .span("server", "sim.disk", "read")
             .with_attr("bytes", len);
         st.reads += 1;
-        Self::note_op(&mut st);
+        self.note_op(&mut st);
         st.tel.count("server", "disk.reads", 1);
         st.tel.count("server", "disk.bytes_read", len as u64);
         if st.head != block {
@@ -186,7 +212,7 @@ impl SimDisk {
     pub fn write_async(&self, len: usize) {
         let mut st = self.state.lock();
         st.writes += 1;
-        Self::note_op(&mut st);
+        self.note_op(&mut st);
         st.dirty_bytes += len as u64;
         st.tel.count("server", "disk.writes", 1);
         st.tel.count("server", "disk.bytes_written", len as u64);
@@ -207,7 +233,7 @@ impl SimDisk {
             .with_attr("bytes", len);
         st.writes += 1;
         st.syncs += 1;
-        Self::note_op(&mut st);
+        self.note_op(&mut st);
         st.tel.count("server", "disk.writes", 1);
         st.tel.count("server", "disk.syncs", 1);
         st.tel.count("server", "disk.bytes_written", len as u64);
@@ -246,7 +272,7 @@ impl SimDisk {
             .span("server", "sim.disk", "flush")
             .with_attr("bytes", st.dirty_bytes);
         st.seeks += 1;
-        Self::note_op(&mut st);
+        self.note_op(&mut st);
         st.tel.count("server", "disk.seeks", 1);
         self.charge(&mut st, self.params.seek_ns, true);
         let transfer = self.params.transfer_ns(st.dirty_bytes as usize);
@@ -315,8 +341,9 @@ pub struct DiskCommitQueue {
     batch_end: u64,
     /// Commits in the current (still-open) batch.
     batch_size: u64,
-    /// Completion times of scheduled commits, for queue-depth gauges.
-    ends: BTreeMap<u64, u32>,
+    /// Completion times of scheduled commits with how many end then, in
+    /// time order, for queue-depth gauges.
+    ends: VecDeque<(u64, u32)>,
     commits: u64,
     batches: u64,
     joined: u64,
@@ -329,16 +356,35 @@ impl DiskCommitQueue {
     }
 
     /// Commits still outstanding (scheduled but not finished) at `at`.
-    pub fn pending_at(&self, at: u64) -> u64 {
-        self.ends
-            .range((Bound::Excluded(at), Bound::Unbounded))
-            .map(|(_, &c)| c as u64)
-            .sum()
+    fn pending_at(&self, at: u64) -> u64 {
+        let first = self.ends.partition_point(|&(done, _)| done <= at);
+        self.ends.range(first..).map(|&(_, c)| c as u64).sum()
     }
 
     /// Size of the batch currently being appended to.
     pub fn current_batch(&self) -> u64 {
         self.batch_size
+    }
+
+    /// Drops the spindle's busy intervals and the completion times that
+    /// end at or before `horizon_ns` ([`Timeline::forget_until`]): exact
+    /// for every later commit ready at or after the horizon, which
+    /// neither queues behind nor counts a commit that has finished.
+    pub fn forget_until(&mut self, horizon_ns: u64) {
+        self.lane.forget_until(horizon_ns);
+        while self
+            .ends
+            .front()
+            .is_some_and(|&(done, _)| done <= horizon_ns)
+        {
+            self.ends.pop_front();
+        }
+    }
+
+    /// Busy intervals plus completion times the queue holds.
+    #[cfg(test)]
+    fn entries(&self) -> usize {
+        self.lane.intervals() + self.ends.len()
     }
 
     /// Aggregate statistics.
@@ -391,7 +437,11 @@ impl DiskCommitQueue {
         if done > self.batch_end {
             self.batch_end = done;
         }
-        *self.ends.entry(done).or_insert(0) += 1;
+        let at = self.ends.partition_point(|&(end, _)| end < done);
+        match self.ends.get_mut(at) {
+            Some((end, count)) if *end == done => *count += 1,
+            _ => self.ends.insert(at, (done, 1)),
+        }
         DiskCommit {
             done_ns: done,
             joined,
@@ -405,6 +455,7 @@ impl DiskCommitQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::CoreSet;
 
     fn disk() -> SimDisk {
         SimDisk::new(SimClock::new(), DiskParams::ibm_18es())
@@ -553,6 +604,86 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
+    }
+
+    /// One connection's frame: its arrival, CPU work, tallied disk work
+    /// (total, positioning) and disk shard.
+    type Frame = (u64, u64, (u64, u64), usize);
+
+    /// What a multi-core scheduler does with `frame` on these calendars
+    /// (the shard engine's discipline): CPU on the earliest-free core,
+    /// then the disk work on the frame's shard. Returns the completion.
+    fn place(cores: &mut CoreSet, disks: &mut [DiskCommitQueue], frame: Frame) -> u64 {
+        let (arrival, cpu, (total, positioning), shard) = frame;
+        let end = cores.reserve(arrival, cpu).end_ns;
+        if total == 0 {
+            return end;
+        }
+        disks[shard].commit(end, total, positioning).done_ns
+    }
+
+    #[test]
+    fn property_forgetting_at_the_horizon_keeps_every_completion() {
+        // k connections send frames at non-decreasing instants — often
+        // the same instant twice — on calendars that forget everything
+        // ending at or before the horizon (the earliest latest arrival
+        // over the connections), beside calendars that never forget.
+        // Every completion instant must agree, and the forgetting
+        // calendars must stay small while the others grow with the run.
+        const FRAMES: usize = 3_000;
+        const BOUND: usize = 64;
+        let mut state = 0x5EED_u64;
+        let mut next = move |n: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        };
+        for k in [1u64, 4, 8] {
+            let (mut cores, mut disks) = (CoreSet::new(2), vec![DiskCommitQueue::new(); 2]);
+            let (mut ref_cores, mut ref_disks) = (cores.clone(), disks.clone());
+            let mut latest = vec![0u64; k as usize];
+            let mut largest = 0;
+            for i in 0..FRAMES {
+                // A random connection, unless it ran too far ahead of the
+                // slowest: the slowest then sends, so the connections
+                // stay within a bounded distance of each other.
+                let horizon = *latest.iter().min().unwrap();
+                let mut conn = next(k) as usize;
+                if latest[conn] > horizon + 8 * k {
+                    conn = latest.iter().position(|&at| at == horizon).unwrap();
+                }
+                if next(4) != 0 {
+                    latest[conn] += 1 + next(4 * k);
+                }
+                let total = if next(4) == 0 { 2 + next(5) } else { 0 };
+                let frame = (
+                    latest[conn],
+                    1 + next(3),
+                    (total, next(total + 1)),
+                    next(2) as usize,
+                );
+                let horizon = *latest.iter().min().unwrap();
+                cores.forget_until(horizon);
+                disks.iter_mut().for_each(|d| d.forget_until(horizon));
+                assert_eq!(
+                    place(&mut cores, &mut disks, frame),
+                    place(&mut ref_cores, &mut ref_disks, frame),
+                    "frame {i} of {k} connections, {frame:?}, horizon {horizon}"
+                );
+                largest = largest.max(
+                    cores.intervals() + disks.iter().map(DiskCommitQueue::entries).sum::<usize>(),
+                );
+            }
+            assert!(largest <= BOUND, "{k} connections: {largest} entries");
+            let kept = ref_cores.intervals()
+                + ref_disks
+                    .iter()
+                    .map(DiskCommitQueue::entries)
+                    .sum::<usize>();
+            assert!(kept > 10 * BOUND, "{k} connections: the run left {kept}");
+        }
     }
 
     #[test]

@@ -224,6 +224,20 @@ pub struct ExchangeReply {
     pub arrival: SimTime,
 }
 
+/// The buffers of [`Wire::exchange_on`]: whoever runs exchanges back to
+/// back keeps one and hands it to each, so a steady exchange allocates
+/// nothing.
+#[derive(Debug, Default)]
+pub struct Exchange {
+    /// Every reply of the last exchange the adversary let through, in
+    /// arrival order.
+    pub replies: Vec<ExchangeReply>,
+    /// Delivered requests: arrival, send index, bytes, duplicated.
+    arrivals: Vec<(u64, usize, Vec<u8>, bool)>,
+    /// What the server answered the request being serviced.
+    served: Vec<Vec<u8>>,
+}
+
 /// A synchronous request/response wire between a client and a server.
 ///
 /// The server side is a closure; layering (secure channel, RPC dispatch,
@@ -337,9 +351,9 @@ impl Wire {
     }
 
     /// Waits out one retransmission timeout. The client calls this for
-    /// a reply it is owed that did not come: a window exchange back with
-    /// requests unanswered, or a blocking [`Wire::call`] that returned a
-    /// stray in the reply's place.
+    /// a reply it is owed that did not come: an exchange back with
+    /// requests unanswered, whether they were lost or a stray came in
+    /// their place.
     pub fn timeout_wait(&self) {
         let _ = self.lost();
     }
@@ -422,11 +436,12 @@ impl Wire {
             + len as u64 * self.params.per_byte_extra_ns
     }
 
-    /// Sends a whole window of frames and collects every reply the
-    /// adversary lets through — the pipelined counterpart of
-    /// [`Wire::call`].
+    /// Sends `frames` — one request or a whole window, each with its
+    /// send stamp, in send order — and collects in `x.replies` every
+    /// reply the adversary lets through.
     ///
-    /// Unlike `call`, nothing here blocks the shared clock per frame.
+    /// Unlike [`Wire::call`], nothing here blocks the shared clock per
+    /// frame.
     /// The exchange is computed on a logical timeline instead: each
     /// request frame departs at its `sent` stamp (or when the
     /// client→server link frees up, if later), occupies that link for
@@ -445,8 +460,9 @@ impl Wire {
     ///
     /// The server closure sees each frame's absolute arrival time and
     /// owns its bytes, as in `call` (a duplicated frame is handed over
-    /// twice, the first time as a copy); it decides how its service time
-    /// is accounted: [`ServerCost::Serial`]
+    /// twice, the first time as a copy), and pushes its replies — none,
+    /// one or several — onto the buffer it is handed. It decides how its
+    /// service time is accounted: [`ServerCost::Serial`]
     /// is the classic single-server discipline (one request at a time,
     /// charged the analytic CPU cost it carries plus whatever virtual
     /// time the closure itself consumed, scaled by [`ServerLoad`]
@@ -458,47 +474,51 @@ impl Wire {
     /// is one NIC regardless of how many cores fed it.
     pub fn exchange_on(
         &self,
-        frames: Vec<(SimTime, Vec<u8>)>,
-        mut server: impl FnMut(u64, Vec<u8>) -> (Vec<Vec<u8>>, ServerCost),
-    ) -> Vec<ExchangeReply> {
-        if frames.is_empty() {
-            return Vec::new();
+        frames: impl IntoIterator<Item = (SimTime, Vec<u8>)>,
+        x: &mut Exchange,
+        mut server: impl FnMut(u64, Vec<u8>, &mut Vec<Vec<u8>>) -> ServerCost,
+    ) {
+        x.replies.clear();
+        // Client→server: serialize in send order onto the shared link.
+        let mut req_link_free = 0u64;
+        let mut sent = 0u64;
+        for (idx, (stamp, bytes)) in frames.into_iter().enumerate() {
+            sent += 1;
+            let ser = self.ser_ns(bytes.len());
+            let depart = stamp.as_nanos().max(req_link_free);
+            req_link_free = depart + ser;
+            let arrival = depart + ser + self.params.latency_ns;
+            match self.route(Direction::Request, bytes) {
+                Fate::Deliver(b) => x.arrivals.push((arrival, idx, b, false)),
+                Fate::Duplicate(b) => x.arrivals.push((arrival, idx, b, true)),
+                Fate::Delay(ns, b) => x.arrivals.push((arrival + ns, idx, b, false)),
+                Fate::Drop => {}
+            }
+        }
+        if sent == 0 {
+            return;
         }
         let _span = self
             .tel
             .span("wire", "sim.net", "exchange")
-            .with_attr("frames", frames.len() as u64);
-        // Client→server: serialize in send order onto the shared link.
-        let mut req_link_free = 0u64;
-        let mut arrivals: Vec<(u64, usize, Vec<u8>, bool)> = Vec::new();
-        for (idx, (sent, bytes)) in frames.into_iter().enumerate() {
-            let ser = self.ser_ns(bytes.len());
-            let depart = sent.as_nanos().max(req_link_free);
-            req_link_free = depart + ser;
-            let arrival = depart + ser + self.params.latency_ns;
-            match self.route(Direction::Request, bytes) {
-                Fate::Deliver(b) => arrivals.push((arrival, idx, b, false)),
-                Fate::Duplicate(b) => arrivals.push((arrival, idx, b, true)),
-                Fate::Delay(ns, b) => arrivals.push((arrival + ns, idx, b, false)),
-                Fate::Drop => {}
-            }
-        }
+            .with_attr("frames", sent);
         // Service strictly in arrival order (ties break on send order,
         // keeping the timeline deterministic).
-        arrivals.sort_by_key(|&(arrival, idx, ..)| (arrival, idx));
+        x.arrivals
+            .sort_unstable_by_key(|&(arrival, idx, ..)| (arrival, idx));
         let mut server_free = 0u64;
         let mut reply_link_free = 0u64;
-        let mut out: Vec<ExchangeReply> = Vec::new();
+        let out = &mut x.replies;
         let mut answered = 0u64;
         let sharers = self.sharers();
-        for (arrival, _idx, bytes, dup) in arrivals {
+        for (arrival, _idx, bytes, dup) in x.arrivals.drain(..) {
             let (first, second) = if dup {
                 (bytes.clone(), Some(bytes))
             } else {
                 (bytes, None)
             };
             for bytes in std::iter::once(first).chain(second) {
-                let ((replies, cost), dt) = self.clock.measure(|| server(arrival, bytes));
+                let (cost, dt) = self.clock.measure(|| server(arrival, bytes, &mut x.served));
                 let end = match cost {
                     // One server core: requests queue behind each other,
                     // and `sharers` streams time-share it.
@@ -515,7 +535,7 @@ impl Wire {
                     // scheduler, so `dt` is not re-charged).
                     ServerCost::Scheduled(done_ns) => done_ns.max(arrival),
                 };
-                for rbytes in replies {
+                for rbytes in x.served.drain(..) {
                     let ser = sharers * self.ser_ns(rbytes.len());
                     let depart = end.max(reply_link_free);
                     reply_link_free = depart + ser;
@@ -559,7 +579,6 @@ impl Wire {
             self.clock.advance_to(finish);
         }
         out.sort_by_key(|r| r.arrival);
-        out
     }
 
     /// Sends `request` to `server` and returns its reply, charging transit
@@ -619,6 +638,21 @@ mod tests {
     /// A server that answers `len` zero bytes for `cpu` ns of serial CPU.
     fn zeros(len: usize, cpu: u64) -> (Vec<Vec<u8>>, ServerCost) {
         (vec![vec![0; len]], Serial(cpu))
+    }
+
+    /// One exchange of `frames` on `w` through fresh buffers.
+    fn exchange(
+        w: &Wire,
+        frames: Vec<(SimTime, Vec<u8>)>,
+        mut server: impl FnMut(u64, Vec<u8>) -> (Vec<Vec<u8>>, ServerCost),
+    ) -> Vec<ExchangeReply> {
+        let mut x = Exchange::default();
+        w.exchange_on(frames, &mut x, |arrival, bytes, out| {
+            let (replies, cost) = server(arrival, bytes);
+            out.extend(replies);
+            cost
+        });
+        x.replies
     }
 
     #[test]
@@ -795,11 +829,11 @@ mod tests {
 
         let free = wire();
         let sent = free.clock().now();
-        free.exchange_on(vec![(sent, vec![0; 512])], |_, _| zeros(4096, 1000));
+        exchange(&free, vec![(sent, vec![0; 512])], |_, _| zeros(4096, 1000));
         let mut w = wire();
         w.set_server_load(ServerLoad::new());
         let sent = w.clock().now();
-        w.exchange_on(vec![(sent, vec![0; 512])], |_, _| zeros(4096, 1000));
+        exchange(&w, vec![(sent, vec![0; 512])], |_, _| zeros(4096, 1000));
         assert_eq!(w.clock().now(), free.clock().now());
     }
 
@@ -808,7 +842,7 @@ mod tests {
         const CPU: u64 = 1_000_000;
         let free = wire();
         let sent = free.clock().now();
-        free.exchange_on(vec![(sent, vec![0; 64])], |_, _| zeros(64, CPU));
+        exchange(&free, vec![(sent, vec![0; 64])], |_, _| zeros(64, CPU));
 
         let load = ServerLoad::new();
         let mut w = wire();
@@ -816,7 +850,7 @@ mod tests {
         let mut _other = wire();
         _other.set_server_load(load.clone());
         let sent = w.clock().now();
-        w.exchange_on(vec![(sent, vec![0; 64])], |_, _| zeros(64, CPU));
+        exchange(&w, vec![(sent, vec![0; 64])], |_, _| zeros(64, CPU));
         assert!(
             w.clock().now().as_nanos() >= free.clock().now().as_nanos() + CPU,
             "two sharers double the 1ms service time"
@@ -844,7 +878,7 @@ mod tests {
 
         let w = wire();
         let sent = w.clock().now();
-        let replies = w.exchange_on(vec![(sent, vec![1; 400])], |_, req| {
+        let replies = exchange(&w, vec![(sent, vec![1; 400])], |_, req| {
             assert_eq!(req, vec![1u8; 400]);
             (vec![vec![2; 200]], Serial(0))
         });
@@ -875,7 +909,7 @@ mod tests {
         let w = wire();
         let sent = w.clock().now();
         let frames = (0..N).map(|_| (sent, vec![0; 8192])).collect();
-        let replies = w.exchange_on(frames, |_, _| zeros(256, CPU));
+        let replies = exchange(&w, frames, |_, _| zeros(256, CPU));
         assert_eq!(replies.len(), N as usize);
         assert_eq!(w.round_trips(), N);
         let pipelined = w.clock().now().as_nanos();
@@ -893,7 +927,7 @@ mod tests {
         let w = wire();
         let sent = w.clock().now();
         let frames = (0..4u8).map(|i| (sent, vec![i; 64])).collect();
-        let replies = w.exchange_on(frames, |_, req| (vec![req], Serial(0)));
+        let replies = exchange(&w, frames, |_, req| (vec![req], Serial(0)));
         assert_eq!(replies.len(), 4);
         for pair in replies.windows(2) {
             assert!(pair[0].arrival <= pair[1].arrival);
@@ -914,7 +948,7 @@ mod tests {
             },
         ));
         let before = w.clock().now();
-        let replies = w.exchange_on(vec![(before, vec![0; 64])], |_, _| {
+        let replies = exchange(&w, vec![(before, vec![0; 64])], |_, _| {
             panic!("dropped request must not reach the server")
         });
         assert!(replies.is_empty());
@@ -938,7 +972,7 @@ mod tests {
         ));
         let mut calls = 0u8;
         let sent = w.clock().now();
-        let replies = w.exchange_on(vec![(sent, vec![9; 32])], |_, _| {
+        let replies = exchange(&w, vec![(sent, vec![9; 32])], |_, _| {
             calls += 1;
             (vec![vec![calls]], Serial(0))
         });
@@ -953,7 +987,7 @@ mod tests {
         use crate::fault::{FaultPlan, FaultSpec};
         let clean = wire();
         let sent = clean.clock().now();
-        clean.exchange_on(vec![(sent, vec![0; 64])], |_, _| zeros(64, 0));
+        exchange(&clean, vec![(sent, vec![0; 64])], |_, _| zeros(64, 0));
 
         let mut w = wire();
         w.set_fault_plan(FaultPlan::new(
@@ -965,7 +999,7 @@ mod tests {
             },
         ));
         let sent = w.clock().now();
-        w.exchange_on(vec![(sent, vec![0; 64])], |_, _| zeros(64, 0));
+        exchange(&w, vec![(sent, vec![0; 64])], |_, _| zeros(64, 0));
         assert!(
             w.clock().now().as_nanos() >= clean.clock().now().as_nanos() + 10_000_000,
             "both directions should be delayed 5ms"

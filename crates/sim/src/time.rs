@@ -5,8 +5,7 @@
 //! Virtual time makes benchmark output deterministic across machines while
 //! preserving the *relative* costs the paper's evaluation measures.
 
-use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -130,13 +129,15 @@ impl sfs_telemetry::Clock for SimClock {
 /// earliest gap that fits, so independently-clocked request streams that
 /// overlap in absolute virtual time genuinely contend, while idle gaps
 /// left by one stream can be back-filled by another. Adjacent and merged
-/// intervals are coalesced, so the calendar stays small (one entry per
-/// *gap*, not per reservation).
+/// intervals are coalesced (one entry per *gap*, not per reservation),
+/// and [`Self::forget_until`] drops the past no future request can
+/// reach, so the calendar stays small.
 #[derive(Debug, Clone, Default)]
 pub struct Timeline {
-    /// Non-overlapping busy intervals, keyed by start, coalesced when
-    /// they touch.
-    busy: BTreeMap<u64, u64>,
+    /// Non-overlapping busy intervals `(start, end)` in time order,
+    /// coalesced when they touch. A deque: reservations land at or near
+    /// the back, [`Self::forget_until`] drops from the front.
+    busy: VecDeque<(u64, u64)>,
     /// Total work ever reserved.
     busy_ns: u64,
 }
@@ -151,17 +152,13 @@ impl Timeline {
     /// `ready_ns` would be placed, without placing it.
     pub fn probe(&self, ready_ns: u64, work_ns: u64) -> u64 {
         let mut t = ready_ns;
-        let before = self
+        // From the last interval starting at or before `ready_ns` (it may
+        // still run past it) on.
+        let first = self
             .busy
-            .range(..=t)
-            .next_back()
-            .map(|(&s, &e)| (s, e))
-            .into_iter();
-        let after = self
-            .busy
-            .range((Bound::Excluded(t), Bound::Unbounded))
-            .map(|(&s, &e)| (s, e));
-        for (s, e) in before.chain(after) {
+            .partition_point(|&(s, _)| s <= ready_ns)
+            .saturating_sub(1);
+        for &(s, e) in self.busy.range(first..) {
             if s >= t.saturating_add(work_ns.max(1)) {
                 break; // the gap [t, s) fits
             }
@@ -180,30 +177,27 @@ impl Timeline {
         if work_ns == 0 {
             return (ready_ns, ready_ns);
         }
-        let start = self.probe(ready_ns, work_ns);
-        let end = start + work_ns;
-        self.insert(start, end);
-        self.busy_ns += work_ns;
-        (start, end)
+        self.occupy(self.probe(ready_ns, work_ns), work_ns)
     }
 
-    fn insert(&mut self, start: u64, end: u64) {
-        let mut s = start;
-        let mut e = end;
-        if let Some((&ps, &pe)) = self.busy.range(..=s).next_back() {
-            if pe == s {
-                s = ps;
-                self.busy.remove(&ps);
-                e = e.max(pe);
+    /// Marks `[start_ns, start_ns + work_ns)` busy: a gap [`Self::probe`]
+    /// found for `work_ns > 0`.
+    fn occupy(&mut self, start_ns: u64, work_ns: u64) -> (u64, u64) {
+        let end_ns = start_ns + work_ns;
+        let i = self.busy.partition_point(|&(s, _)| s < start_ns);
+        let joins_prev = i > 0 && self.busy[i - 1].1 == start_ns;
+        let joins_next = self.busy.get(i).is_some_and(|&(s, _)| s == end_ns);
+        match (joins_prev, joins_next) {
+            (true, true) => {
+                self.busy[i - 1].1 = self.busy[i].1;
+                self.busy.remove(i);
             }
+            (true, false) => self.busy[i - 1].1 = end_ns,
+            (false, true) => self.busy[i].0 = start_ns,
+            (false, false) => self.busy.insert(i, (start_ns, end_ns)),
         }
-        if let Some((&ns_, &ne)) = self.busy.range(e..).next() {
-            if ns_ == e {
-                e = ne;
-                self.busy.remove(&ns_);
-            }
-        }
-        self.busy.insert(s, e);
+        self.busy_ns += work_ns;
+        (start_ns, end_ns)
     }
 
     /// Total work reserved so far.
@@ -211,9 +205,20 @@ impl Timeline {
         self.busy_ns
     }
 
-    /// The end of the latest reservation (0 when idle forever).
-    pub fn horizon_ns(&self) -> u64 {
-        self.busy.iter().next_back().map(|(_, &e)| e).unwrap_or(0)
+    /// Drops every busy interval that ends at or before `horizon_ns`.
+    /// Exact for every later reservation ready at or after the horizon:
+    /// [`Self::probe`] never looks further back than the interval just
+    /// before its ready time, and one that ended by then cannot delay it.
+    pub fn forget_until(&mut self, horizon_ns: u64) {
+        while self.busy.front().is_some_and(|&(_, e)| e <= horizon_ns) {
+            self.busy.pop_front();
+        }
+    }
+
+    /// Busy intervals the calendar holds.
+    #[cfg(test)]
+    pub(crate) fn intervals(&self) -> usize {
+        self.busy.len()
     }
 }
 
@@ -272,7 +277,10 @@ impl CoreSet {
                 break; // can't do better than starting immediately
             }
         }
-        let (start_ns, end_ns) = self.cores[best].reserve(ready_ns, work_ns);
+        let (start_ns, end_ns) = match work_ns {
+            0 => (ready_ns, ready_ns),
+            _ => self.cores[best].occupy(best_start, work_ns),
+        };
         CoreReservation {
             core: best,
             start_ns,
@@ -285,13 +293,17 @@ impl CoreSet {
         self.cores.get(i).map(Timeline::busy_ns).unwrap_or(0)
     }
 
-    /// The end of the latest reservation across all cores.
-    pub fn horizon_ns(&self) -> u64 {
-        self.cores
-            .iter()
-            .map(Timeline::horizon_ns)
-            .max()
-            .unwrap_or(0)
+    /// [`Timeline::forget_until`] on every core.
+    pub fn forget_until(&mut self, horizon_ns: u64) {
+        for core in &mut self.cores {
+            core.forget_until(horizon_ns);
+        }
+    }
+
+    /// Busy intervals held across all cores.
+    #[cfg(test)]
+    pub(crate) fn intervals(&self) -> usize {
+        self.cores.iter().map(Timeline::intervals).sum()
     }
 }
 
@@ -362,7 +374,10 @@ mod tests {
         // Arrives after the tail: starts on time.
         assert_eq!(t.reserve(500, 10), (500, 510));
         assert_eq!(t.busy_ns(), 90);
-        assert_eq!(t.horizon_ns(), 510);
+        // Everything ending by 180 is past; the interval at 500 stays.
+        t.forget_until(180);
+        assert_eq!(t.intervals(), 1);
+        assert_eq!(t.reserve(180, 10), (180, 190));
     }
 
     #[test]
