@@ -4,7 +4,7 @@
 //! these measure genuine CPU time on the host machine.
 
 use sfs_bench::microbench::{bench, bench_throughput, channel_pair};
-use sfs_bignum::XorShiftSource;
+use sfs_bignum::{BlumPrime, Nat, XorShiftSource};
 use sfs_crypto::arc4::Arc4;
 use sfs_crypto::blowfish::Blowfish;
 use sfs_crypto::eksblowfish::bcrypt_hash;
@@ -90,6 +90,7 @@ fn bench_rabin() {
         .encrypt(msg, &mut XorShiftSource::new(0xBE4D))
         .unwrap();
     let sig = key.sign(b"a message to sign");
+    let c = Nat::from_bytes_be(&cipher);
     // "Like low-exponent RSA, encryption and signature verification are
     // particularly fast in Rabin because they do not require modular
     // exponentiation" — these four rows show the asymmetry.
@@ -97,7 +98,12 @@ fn bench_rabin() {
     bench("rabin_768/encrypt", || {
         key.public().encrypt(msg, &mut enc_rng).unwrap()
     });
+    // A decryption's two roots run on two CPUs when the host has them;
+    // one root alone is what a one-core machine (the modeled PIII among
+    // them) pays twice.
     bench("rabin_768/decrypt", || key.decrypt(&cipher).unwrap());
+    let p = first_prime(&key.to_bytes());
+    bench("rabin_768/root_one_prime", || p.root(&c));
     bench("rabin_768/sign", || key.sign(b"a message to sign"));
     bench("rabin_768/verify", || {
         assert!(key.public().verify(b"a message to sign", &sig))
@@ -108,6 +114,18 @@ fn bench_rabin() {
     bench("rabin_512/sign", || user_key.sign(b"a message to sign"));
 }
 
+/// The prime `p` of a private-key blob (`len || p || len || q`).
+fn first_prime(blob: &[u8]) -> BlumPrime {
+    let len = u32::from_be_bytes(blob[..4].try_into().unwrap()) as usize;
+    BlumPrime::new(&Nat::from_bytes_be(&blob[4..4 + len])).expect("p ≡ 3 (mod 8)")
+}
+
+fn bench_twin() {
+    // What a root pair pays to hand its second root to the helper thread
+    // and take the result back (inline on a one-CPU host).
+    bench("twin/join_round_trip", sfs_bignum::join_round_trip);
+}
+
 fn main() {
     bench_sha1();
     bench_arc4();
@@ -116,4 +134,5 @@ fn main() {
     bench_channel();
     bench_eksblowfish();
     bench_rabin();
+    bench_twin();
 }

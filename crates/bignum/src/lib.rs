@@ -13,6 +13,12 @@
 //! Randomness is abstracted behind [`RandomSource`] so that all protocol
 //! randomness can flow through the paper's DSS-style SHA-1 generator
 //! (implemented in `sfs-crypto`), keeping this crate dependency-free.
+//!
+//! A square-root pair modulo the two primes of a Rabin key
+//! ([`BlumPrime::root_pair`]) takes its second root on a helper thread
+//! while the caller takes the first, when the host has a second CPU.
+
+#![deny(unsafe_code)]
 
 mod int;
 mod modular;
@@ -20,9 +26,11 @@ mod mont;
 mod nat;
 mod prime;
 mod rand_source;
+mod twin;
 
 pub use int::{Int, Sign};
 pub use modular::{crt_pair, invmod, jacobi, modpow, BlumPrime, CrtBasis};
 pub use nat::{DivideByZero, Nat};
 pub use prime::{gen_prime, gen_prime_congruent, is_probable_prime, MR_ROUNDS};
 pub use rand_source::{CountingSource, RandomSource, XorShiftSource};
+pub use twin::join_round_trip;

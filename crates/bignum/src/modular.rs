@@ -10,6 +10,7 @@ use std::cmp::Ordering;
 use crate::int::Int;
 use crate::mont::Montgomery;
 use crate::nat::{cmp_limbs, sub_limbs, Nat};
+use crate::twin::join;
 
 /// Computes `base^exp mod m` by square-and-multiply.
 ///
@@ -198,28 +199,70 @@ impl BlumPrime {
     /// a square root of `a` or of `−a`, whichever is a residue, and is a
     /// residue itself (the principal root).
     pub fn root(&self, a: &Nat) -> (Nat, i32) {
-        let a = a.rem_nat(self.modulus()).expect("p is odd");
-        let r = self.mont.pow(&a, &self.root_exp);
-        let symbol = if a.is_zero() {
-            0
-        } else if self.mont.mul_mod(&r, &r) == a {
-            1
-        } else {
-            -1
-        };
-        (r, symbol)
+        let mut job = RootJob::new(self, a);
+        job.run();
+        job.finish()
     }
 
-    /// A square root of `a` modulo `p`, as `a^((p+1)/4) mod p`; `None` if
-    /// `a` is not a quadratic residue.
-    pub fn sqrt(&self, a: &Nat) -> Option<Nat> {
-        let (r, symbol) = self.root(a);
-        (symbol != -1).then_some(r)
+    /// [`Self::root`] modulo `p` and modulo `q` at once: the root mod `q`
+    /// runs on a helper thread while this one computes the root mod `p`,
+    /// or after it, inline, when no helper is free (one CPU, or another
+    /// pair in flight). The results are the same either way.
+    pub fn root_pair(p: &BlumPrime, q: &BlumPrime, a: &Nat) -> ((Nat, i32), (Nat, i32)) {
+        let (mut at_p, mut at_q) = (RootJob::new(p, a), RootJob::new(q, a));
+        join(|| at_p.run(), || at_q.run());
+        (at_p.finish(), at_q.finish())
     }
 
     /// `a·b mod p` for `a, b < p`.
     pub fn mul(&self, a: &Nat, b: &Nat) -> Nat {
         self.mont.mul_mod(a, b)
+    }
+}
+
+/// One [`BlumPrime::root`] split where [`BlumPrime::root_pair`] hands
+/// it to another thread: every allocation is in [`RootJob::new`] and
+/// [`RootJob::finish`], on the caller; [`RootJob::run`], the
+/// exponentiation, allocates nothing.
+struct RootJob<'p> {
+    prime: &'p BlumPrime,
+    /// The argument reduced modulo the prime.
+    a: Nat,
+    /// The root's limbs, written by `run`.
+    root: Vec<u64>,
+    /// The ladder's scratch at a width it does not keep on the stack.
+    heap: Vec<u64>,
+}
+
+impl<'p> RootJob<'p> {
+    fn new(prime: &'p BlumPrime, a: &Nat) -> RootJob<'p> {
+        let mont = &prime.mont;
+        RootJob {
+            prime,
+            a: a.rem_nat(mont.modulus()).expect("p is odd"),
+            root: vec![0; mont.modulus().limbs().len()],
+            heap: mont.ladder_heap(),
+        }
+    }
+
+    fn run(&mut self) {
+        let prime = self.prime;
+        prime
+            .mont
+            .pow_into(&self.a, &prime.root_exp, &mut self.root, &mut self.heap);
+    }
+
+    /// The root and the Legendre symbol read off its square.
+    fn finish(self) -> (Nat, i32) {
+        let r = Nat::from_limbs(self.root);
+        let symbol = if self.a.is_zero() {
+            0
+        } else if self.prime.mont.mul_mod(&r, &r) == self.a {
+            1
+        } else {
+            -1
+        };
+        (r, symbol)
     }
 }
 
@@ -379,13 +422,14 @@ mod tests {
         let p = BlumPrime::new(&n(23)).unwrap(); // 23 ≡ 3 (mod 4)
         for a in 0u64..23 {
             let sq = (a * a) % 23;
-            let r = p.sqrt(&n(sq)).expect("square must have root");
+            let (r, symbol) = p.root(&n(sq));
+            assert_eq!(symbol, (sq != 0) as i32);
             assert_eq!(r.square().rem_nat(p.modulus()).unwrap(), n(sq));
         }
         // 5 is a non-residue mod 23; the argument is reduced first.
-        assert_eq!(p.sqrt(&n(5)), None);
-        assert_eq!(p.sqrt(&n(5 + 23)), None);
-        assert!(p.sqrt(&n(4 + 23)).is_some());
+        assert_eq!(p.root(&n(5)).1, -1);
+        assert_eq!(p.root(&n(5 + 23)).1, -1);
+        assert_eq!(p.root(&n(4 + 23)).1, 1);
         // 13 ≡ 1 (mod 4), and even or zero moduli, are refused.
         for bad in [0u64, 1, 2, 13, 24] {
             assert!(BlumPrime::new(&n(bad)).is_none(), "{bad}");

@@ -31,15 +31,15 @@ const LADDER_SLOTS: usize = TABLE + 2;
 /// result.
 const MUL_SLOTS: usize = 4;
 
-/// Calls the width-generic method `$method::<K>` with `$slots` zeroed
-/// residues of scratch after its arguments: a stack array at the widths
-/// the program's keys need, one heap vector at any other.
+/// Calls the width-generic method `$method::<K>` with `$slots` residues
+/// of scratch after its arguments: a stack array at the widths the
+/// program's keys need, `$heap` (evaluated only there) at any other.
 macro_rules! at_width {
-    ($self:ident.$method:ident($($arg:expr),*), $slots:expr) => {
+    ($self:ident.$method:ident($($arg:expr),*), $slots:expr, $heap:expr) => {
         match $self.n.limbs().len() {
             4 => $self.$method::<4>($($arg,)* [[0; 4]; $slots].as_flattened_mut()),
             6 => $self.$method::<6>($($arg,)* [[0; 6]; $slots].as_flattened_mut()),
-            k => $self.$method::<0>($($arg,)* &mut vec![0; $slots * k]),
+            _ => $self.$method::<0>($($arg,)* $heap),
         }
     };
 }
@@ -148,7 +148,12 @@ impl Montgomery {
     /// `a·b mod n` for `a, b < n`: into the domain and back out, two
     /// products and no division.
     pub(crate) fn mul_mod(&self, a: &Nat, b: &Nat) -> Nat {
-        at_width!(self.mul_mod_in(a, b), MUL_SLOTS)
+        let k = self.n.limbs().len();
+        at_width!(
+            self.mul_mod_in(a, b),
+            MUL_SLOTS,
+            &mut vec![0; MUL_SLOTS * k]
+        )
     }
 
     fn mul_mod_in<const K: usize>(&self, a: &Nat, b: &Nat, scratch: &mut [u64]) -> Nat {
@@ -177,17 +182,37 @@ impl Montgomery {
             reduced = base.rem_nat(&self.n).expect("modulus is odd");
             &reduced
         };
-        at_width!(self.ladder(base, exp), LADDER_SLOTS)
+        let mut out = vec![0; self.n.limbs().len()];
+        self.pow_into(base, exp, &mut out, &mut self.ladder_heap());
+        Nat::from_limbs(out)
     }
 
-    /// [`Self::pow`] for `base < n` and `exp > 0`, in `LADDER_SLOTS`
-    /// zeroed residues of `scratch`.
-    fn ladder<const K: usize>(&self, base: &Nat, exp: &Nat, scratch: &mut [u64]) -> Nat {
+    /// The scratch [`Self::pow_into`] needs from the heap: nothing at the
+    /// widths [`at_width!`] keeps on the stack, `LADDER_SLOTS` residues at
+    /// any other.
+    pub(crate) fn ladder_heap(&self) -> Vec<u64> {
+        match self.n.limbs().len() {
+            4 | 6 => Vec::new(),
+            k => vec![0; LADDER_SLOTS * k],
+        }
+    }
+
+    /// [`Self::pow`] for `base < n` and `exp > 0`, written to the `k` limbs
+    /// of `out`; `heap` is [`Self::ladder_heap`]'s buffer. Allocates
+    /// nothing.
+    pub(crate) fn pow_into(&self, base: &Nat, exp: &Nat, out: &mut [u64], heap: &mut [u64]) {
+        at_width!(self.ladder(base, exp, out), LADDER_SLOTS, heap)
+    }
+
+    /// [`Self::pow_into`] at width `K`, in `LADDER_SLOTS` residues of
+    /// `scratch` (any contents).
+    fn ladder<const K: usize>(&self, base: &Nat, exp: &Nat, out: &mut [u64], scratch: &mut [u64]) {
         let k = self.width::<K>();
         let (table, rest) = scratch.split_at_mut(TABLE * k);
         let (mut acc, mut next) = rest.split_at_mut(k);
 
         // table[i] = base^(2i + 1) in the domain; `next` holds base².
+        acc.fill(0);
         acc[..base.limbs().len()].copy_from_slice(base.limbs());
         self.mul::<K>(&mut table[..k], acc, &self.rr);
         self.mul::<K>(next, &table[..k], &table[..k]);
@@ -223,8 +248,7 @@ impl Montgomery {
         let one = &mut table[..k];
         one.fill(0);
         one[0] = 1;
-        self.mul::<K>(next, acc, one);
-        Nat::from_limbs(next.to_vec())
+        self.mul::<K>(out, acc, one);
     }
 }
 

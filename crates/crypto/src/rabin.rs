@@ -279,8 +279,10 @@ impl RabinPrivateKey {
         if c >= self.public.n {
             return Err(RabinError::BadCiphertextLength);
         }
-        let rp = self.p.sqrt(&c).ok_or(RabinError::DecryptionFailed)?;
-        let rq = self.q.sqrt(&c).ok_or(RabinError::DecryptionFailed)?;
+        let ((rp, jp), (rq, jq)) = self.roots(&c);
+        if jp == -1 || jq == -1 {
+            return Err(RabinError::DecryptionFailed);
+        }
         self.all_roots(&rp, &rq)
             .iter()
             .find_map(|r| self.try_unpad(r))
@@ -314,7 +316,7 @@ impl RabinPrivateKey {
     /// `±2` to `√2`.
     fn tweaked_roots(&self, mut h: Nat) -> (bool, bool, Nat, Nat) {
         let ((rp, jp), (rq, jq)) = loop {
-            let (root_p, root_q) = (self.p.root(&h), self.q.root(&h));
+            let (root_p, root_q) = self.roots(&h);
             if root_p.1 != 0 && root_q.1 != 0 {
                 break (root_p, root_q);
             }
@@ -344,6 +346,17 @@ impl RabinPrivateKey {
             rp
         };
         (negate, double, rp, rq)
+    }
+
+    /// The principal roots of `a` modulo `p` and `q` with their Legendre
+    /// symbols ([`BlumPrime::root`]): the two exponentiations a private-key
+    /// operation costs, run on two cores when the host has them.
+    fn roots(&self, a: &Nat) -> ((Nat, i32), (Nat, i32)) {
+        #[cfg(test)]
+        if tests::INLINE.get() {
+            return (self.p.root(a), self.q.root(a));
+        }
+        BlumPrime::root_pair(&self.p, &self.q, a)
     }
 
     /// All four CRT combinations of `(±rp, ±rq)`: two recombinations, and
@@ -476,6 +489,20 @@ mod tests {
     use super::*;
     use sfs_bignum::{invmod, jacobi, XorShiftSource};
 
+    thread_local! {
+        /// Set, this thread's private-key operations take their two roots
+        /// one after the other with [`BlumPrime::root`], never the helper.
+        pub(super) static INLINE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+
+    /// `f` with this thread's roots forced inline.
+    fn inline<T>(f: impl FnOnce() -> T) -> T {
+        INLINE.set(true);
+        let out = f();
+        INLINE.set(false);
+        out
+    }
+
     fn test_key() -> RabinPrivateKey {
         let mut rng = XorShiftSource::new(0xB0B);
         generate_keypair(512, &mut rng)
@@ -599,7 +626,11 @@ mod tests {
         if negate {
             target = n.checked_sub(&target).unwrap();
         }
-        let root = |prime: &BlumPrime| prime.sqrt(&target).expect("the tweaked hash is a square");
+        let root = |prime: &BlumPrime| {
+            let (r, symbol) = prime.root(&target);
+            assert_eq!(symbol, 1, "the tweaked hash is a square");
+            r
+        };
         (negate, double, root(&key.p), root(&key.q))
     }
 
@@ -745,5 +776,61 @@ mod tests {
         let mut sig = key.sign(b"m");
         sig.root = key.public().modulus().add_nat(&sig.root);
         assert!(!key.public().verify(b"m", &sig));
+    }
+
+    #[test]
+    fn two_core_roots_match_the_inline_path_byte_for_byte() {
+        // 1025 bits gives primes of unequal width (512 and 513 bits); 1280
+        // is the server key size, 10-limb primes the ladder runs on the
+        // heap.
+        for (bits, seed) in [
+            (512, 0x2C01),
+            (768, 0x2C02),
+            (1024, 0x2C03),
+            (1025, 0x2C04),
+            (1280, 0x2C05),
+        ] {
+            let key = generate_keypair(bits, &mut XorShiftSource::new(seed));
+            let mut rng = XorShiftSource::new(seed + 1);
+            for i in 0..200 {
+                let msg = format!("message {i} at {bits} bits");
+                let sig = key.sign(msg.as_bytes());
+                assert_eq!(sig, inline(|| key.sign(msg.as_bytes())), "{msg}");
+                let secret = format!("key half {i}");
+                let cipher = key.public().encrypt(secret.as_bytes(), &mut rng).unwrap();
+                let plain = key.decrypt(&cipher);
+                assert_eq!(plain, inline(|| key.decrypt(&cipher)), "{msg}");
+                assert_eq!(plain.unwrap(), secret.as_bytes());
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_private_key_operations_match_one_thread() {
+        let key = test_key();
+        let messages: Vec<String> = (0..200).map(|i| format!("message {i}")).collect();
+        let ciphers: Vec<Vec<u8>> = messages
+            .iter()
+            .map(|m| {
+                let mut rng = XorShiftSource::new(m.len() as u64);
+                key.public().encrypt(m.as_bytes(), &mut rng).unwrap()
+            })
+            .collect();
+        let run = || -> Vec<(RabinSignature, Vec<u8>)> {
+            messages
+                .iter()
+                .zip(&ciphers)
+                .map(|(m, c)| (key.sign(m.as_bytes()), key.decrypt(c).unwrap()))
+                .collect()
+        };
+        let reference = inline(run);
+        // Eight threads contend for the one helper: whichever claims it
+        // splits its pair, the others run theirs inline.
+        std::thread::scope(|s| {
+            let threads: Vec<_> = (0..8).map(|_| s.spawn(run)).collect();
+            for t in threads {
+                assert!(t.join().unwrap() == reference);
+            }
+        });
     }
 }
