@@ -4,12 +4,15 @@
 //! these measure genuine CPU time on the host machine.
 
 use sfs_bench::microbench::{bench, bench_throughput, channel_pair};
-use sfs_bignum::{BlumPrime, Nat, XorShiftSource};
+use sfs_bignum::{baillie_psw, BlumPrime, Nat, XorShiftSource};
 use sfs_crypto::arc4::Arc4;
 use sfs_crypto::blowfish::Blowfish;
 use sfs_crypto::eksblowfish::bcrypt_hash;
 use sfs_crypto::mac::SfsMac;
+use sfs_crypto::rabin::generate_keypair;
 use sfs_crypto::sha1::sha1;
+use sfs_crypto::srp::SrpGroup;
+use sfs_crypto::SfsPrg;
 use sfs_proto::channel::{SuiteId, FRAME_HEADER_LEN};
 
 fn bench_sha1() {
@@ -114,6 +117,29 @@ fn bench_rabin() {
     bench("rabin_512/sign", || user_key.sign(b"a message to sign"));
 }
 
+fn bench_keygen() {
+    // The four things an `sfs-benchmark` world generates, from its seeds:
+    // the user key, the server key, the first client's K_C (drawn as
+    // `SfsClient::new` draws it) and the SRP group. Each prime found is
+    // one random Miller–Rabin round plus Baillie–PSW.
+    bench("keygen/rabin_512", || {
+        generate_keypair(512, &mut XorShiftSource::new(0xB0B))
+    });
+    bench("keygen/rabin_768", || {
+        generate_keypair(768, &mut XorShiftSource::new(0x5E4))
+    });
+    bench("keygen/kc_768", || {
+        generate_keypair(768, &mut SfsPrg::from_entropy(b"sfs-benchmark-client-0"))
+    });
+    bench("keygen/srp_128", || {
+        SrpGroup::generate(128, &mut XorShiftSource::new(0x5A9))
+    });
+    // What settling one prime costs beyond its random round.
+    let server_key = generate_keypair(768, &mut XorShiftSource::new(0x5E4));
+    let p = first_prime(&server_key.to_bytes()).modulus().clone();
+    bench("prime/bpsw_384", || assert!(baillie_psw(&p)));
+}
+
 /// The prime `p` of a private-key blob (`len || p || len || q`).
 fn first_prime(blob: &[u8]) -> BlumPrime {
     let len = u32::from_be_bytes(blob[..4].try_into().unwrap()) as usize;
@@ -134,5 +160,6 @@ fn main() {
     bench_channel();
     bench_eksblowfish();
     bench_rabin();
+    bench_keygen();
     bench_twin();
 }

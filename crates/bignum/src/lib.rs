@@ -5,10 +5,11 @@
 //! precision modular arithmetic. This crate is that substrate, written from
 //! scratch: natural numbers ([`Nat`]), signed integers ([`Int`]), modular
 //! exponentiation, extended GCD, modular square roots with their Legendre
-//! symbols, Chinese-remainder recombination, Miller–Rabin primality
-//! testing, Jacobi symbols (kept as the tests' oracle for the roots), and
-//! prime generation with the congruence constraints Rabin–Williams needs
-//! (`p ≡ 3 (mod 8)`, `q ≡ 7 (mod 8)`).
+//! symbols, Chinese-remainder recombination, primality testing (one
+//! random Miller–Rabin round plus Baillie–PSW), Jacobi symbols (kept as
+//! the tests' oracle for the roots), and prime generation with the
+//! congruence constraints Rabin–Williams needs (`p ≡ 3 (mod 8)`,
+//! `q ≡ 7 (mod 8)`).
 //!
 //! Randomness is abstracted behind [`RandomSource`] so that all protocol
 //! randomness can flow through the paper's DSS-style SHA-1 generator
@@ -31,6 +32,6 @@ mod twin;
 pub use int::{Int, Sign};
 pub use modular::{crt_pair, invmod, jacobi, modpow, BlumPrime, CrtBasis};
 pub use nat::{DivideByZero, Nat};
-pub use prime::{gen_prime, gen_prime_congruent, is_probable_prime, MR_ROUNDS};
+pub use prime::{baillie_psw, gen_prime, gen_prime_congruent, is_probable_prime, MR_ROUNDS};
 pub use rand_source::{CountingSource, RandomSource, XorShiftSource};
 pub use twin::join_round_trip;

@@ -14,7 +14,7 @@
 
 use std::cmp::Ordering;
 
-use crate::nat::{cmp_limbs, sub_limbs, Nat};
+use crate::nat::{add_limbs, cmp_limbs, sub_limbs, Nat};
 
 /// Longest run of exponent bits consumed per table lookup.
 const WINDOW_BITS: usize = 5;
@@ -30,6 +30,10 @@ const LADDER_SLOTS: usize = TABLE + 2;
 /// Residues a lone product holds: both operands, one in the domain, the
 /// result.
 const MUL_SLOTS: usize = 4;
+
+/// Residues the strong Lucas chain holds: `U`, `V`, `Q^k`, the
+/// constants `D` and `Q`, and one product's destination.
+const LUCAS_SLOTS: usize = 6;
 
 /// Calls the width-generic method `$method::<K>` with `$slots` residues
 /// of scratch after its arguments: a stack array at the widths the
@@ -202,6 +206,138 @@ impl Montgomery {
     /// nothing.
     pub(crate) fn pow_into(&self, base: &Nat, exp: &Nat, out: &mut [u64], heap: &mut [u64]) {
         at_width!(self.ladder(base, exp, out), LADDER_SLOTS, heap)
+    }
+
+    /// Whether `n` passes the strong Lucas test with `P = 1` and
+    /// `Q = (1 − d)/4`, where `d` is Selfridge's `D` (its Jacobi symbol
+    /// modulo `n` is −1) and `n + 1 = exp·2^s` with `exp` odd: `U_exp ≡ 0`,
+    /// or `V_(exp·2^r) ≡ 0` for some `r < s`. Every prime `n` prime to
+    /// `2QD` passes. Allocates nothing at the widths [`at_width!`] keeps
+    /// on the stack.
+    pub(crate) fn strong_lucas(&self, d: i64, exp: &Nat, s: usize) -> bool {
+        let k = self.n.limbs().len();
+        at_width!(
+            self.lucas(d, exp, s),
+            LUCAS_SLOTS,
+            &mut vec![0; LUCAS_SLOTS * k]
+        )
+    }
+
+    /// [`Self::strong_lucas`] at width `K`, in `LUCAS_SLOTS` residues of
+    /// `scratch` (any contents). All values stay in the domain: the sums
+    /// and halvings the chain takes are linear, so they commute with the
+    /// factor `R`, and zero is zero in either.
+    fn lucas<const K: usize>(&self, d: i64, exp: &Nat, s: usize, scratch: &mut [u64]) -> bool {
+        let k = self.width::<K>();
+        let (mut u, rest) = scratch.split_at_mut(k);
+        let (mut v, rest) = rest.split_at_mut(k);
+        let (mut qk, rest) = rest.split_at_mut(k);
+        let (dd, rest) = rest.split_at_mut(k);
+        let (qq, rest) = rest.split_at_mut(k);
+        let mut next = &mut rest[..k];
+
+        self.enter_small::<K>(dd, d, next);
+        self.enter_small::<K>(qq, (1 - d) / 4, next);
+        // U_1 = 1, V_1 = P = 1, Q^1 = Q.
+        self.enter_small::<K>(u, 1, next);
+        v.copy_from_slice(u);
+        qk.copy_from_slice(qq);
+
+        let e = exp.limbs();
+        for i in (0..exp.bit_len() - 1).rev() {
+            // U_2k = U_k·V_k, V_2k = V_k² − 2Q^k, Q^2k = (Q^k)².
+            self.mul::<K>(next, u, v);
+            std::mem::swap(&mut u, &mut next);
+            self.double_v::<K>(&mut v, &mut qk, &mut next);
+            if bits(e, i, 1) == 1 {
+                // U_2k+1 = (P·U + V)/2, V_2k+1 = (D·U + P·V)/2.
+                self.mul::<K>(next, dd, u);
+                self.add_mod::<K>(u, v);
+                self.half_mod::<K>(u);
+                self.add_mod::<K>(next, v);
+                self.half_mod::<K>(next);
+                std::mem::swap(&mut v, &mut next);
+                self.mul::<K>(next, qk, qq);
+                std::mem::swap(&mut qk, &mut next);
+            }
+        }
+        let zero = |x: &[u64]| x.iter().all(|&l| l == 0);
+        if zero(u) || zero(v) {
+            return true;
+        }
+        for _ in 1..s {
+            self.double_v::<K>(&mut v, &mut qk, &mut next);
+            if zero(v) {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// The chain's doubling of `V` and `Q^k`: `V ← V² − 2Q^k`,
+    /// `Q^k ← (Q^k)²`, through `next`.
+    fn double_v<'s, const K: usize>(
+        &self,
+        v: &mut &'s mut [u64],
+        qk: &mut &'s mut [u64],
+        next: &mut &'s mut [u64],
+    ) {
+        self.mul::<K>(next, v, v);
+        self.sub_mod::<K>(next, qk);
+        self.sub_mod::<K>(next, qk);
+        std::mem::swap(v, next);
+        self.mul::<K>(next, qk, qk);
+        std::mem::swap(qk, next);
+    }
+
+    /// `out = v·R mod n` for a small signed `v`; `tmp` is one residue of
+    /// scratch.
+    fn enter_small<const K: usize>(&self, out: &mut [u64], v: i64, tmp: &mut [u64]) {
+        let k = self.width::<K>();
+        let (out, tmp) = (&mut out[..k], &mut tmp[..k]);
+        tmp.fill(0);
+        // Below n already unless n is a single limb.
+        tmp[0] = match k {
+            1 => v.unsigned_abs() % self.n.limbs()[0],
+            _ => v.unsigned_abs(),
+        };
+        self.mul::<K>(out, tmp, &self.rr);
+        if v < 0 {
+            tmp.copy_from_slice(out);
+            out.fill(0);
+            self.sub_mod::<K>(out, tmp);
+        }
+    }
+
+    /// `a = a + b mod n` for `a, b < n`.
+    fn add_mod<const K: usize>(&self, a: &mut [u64], b: &[u64]) {
+        let k = self.width::<K>();
+        let (a, n) = (&mut a[..k], &self.n.limbs()[..k]);
+        if add_limbs(a, &b[..k]) || cmp_limbs(a, n) != Ordering::Less {
+            sub_limbs(a, n);
+        }
+    }
+
+    /// `a = a − b mod n` for `a, b < n`.
+    fn sub_mod<const K: usize>(&self, a: &mut [u64], b: &[u64]) {
+        let k = self.width::<K>();
+        let a = &mut a[..k];
+        if sub_limbs(a, &b[..k]) {
+            add_limbs(a, &self.n.limbs()[..k]);
+        }
+    }
+
+    /// `a = a/2 mod n` for `a < n`: `(a + n·[a odd]) / 2`, the carry out
+    /// of the sum shifted back in at the top.
+    fn half_mod<const K: usize>(&self, a: &mut [u64]) {
+        let k = self.width::<K>();
+        let a = &mut a[..k];
+        let mut carry = a[0] & 1 == 1 && add_limbs(a, &self.n.limbs()[..k]);
+        for l in a.iter_mut().rev() {
+            let low = *l & 1 == 1;
+            *l = (*l >> 1) | (carry as u64) << 63;
+            carry = low;
+        }
     }
 
     /// [`Self::pow_into`] at width `K`, in `LADDER_SLOTS` residues of

@@ -340,6 +340,23 @@ impl Nat {
         (Nat::from_limbs(out), rem as u64)
     }
 
+    /// `self % m` for a single-limb divisor: [`Nat::div_rem_u64`]'s
+    /// remainder without its quotient, allocating nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` is zero.
+    pub fn rem_u64(&self, m: u64) -> u64 {
+        assert!(m != 0, "division by zero");
+        let m = m as u128;
+        let rem = self
+            .limbs
+            .iter()
+            .rev()
+            .fold(0u128, |rem, &l| ((rem << 64) | l as u128) % m);
+        rem as u64
+    }
+
     /// `self % other`.
     pub fn rem_nat(&self, other: &Nat) -> Result<Nat, DivideByZero> {
         Ok(self.div_rem(other)?.1)
@@ -386,6 +403,23 @@ impl Nat {
             }
         }
         Nat::from_limbs(out)
+    }
+
+    /// `⌊√self⌋`, by Newton's iteration from a power of two above the
+    /// root: the iterates fall until the first that does not.
+    pub(crate) fn isqrt(&self) -> Nat {
+        if self.is_zero() {
+            return Nat::zero();
+        }
+        let mut x = Nat::one().shl_bits(self.bit_len().div_ceil(2));
+        loop {
+            let (q, _) = self.div_rem(&x).expect("x > 0");
+            let y = x.add_nat(&q).shr_bits(1);
+            if y >= x {
+                return x;
+            }
+            x = y;
+        }
     }
 
     /// Greatest common divisor (binary GCD).
@@ -486,6 +520,19 @@ pub(crate) fn sub_limbs(a: &mut [u64], b: &[u64]) -> bool {
         borrow = o1 | o2;
     }
     borrow
+}
+
+/// `a += b` over equal-length limb slices, returning the final carry.
+pub(crate) fn add_limbs(a: &mut [u64], b: &[u64]) -> bool {
+    debug_assert_eq!(a.len(), b.len());
+    let mut carry = false;
+    for (x, &y) in a.iter_mut().zip(b) {
+        let (s, o1) = x.overflowing_add(y);
+        let (s, o2) = s.overflowing_add(carry as u64);
+        *x = s;
+        carry = o1 | o2;
+    }
+    carry
 }
 
 /// Karatsuba multiplication for large operands.
@@ -771,6 +818,34 @@ mod tests {
         let (q, r) = n(100).div_rem(&n(7)).unwrap();
         assert_eq!(q, n(14));
         assert_eq!(r, n(2));
+    }
+
+    #[test]
+    fn rem_u64_matches_div_rem_u64() {
+        let a = Nat::from_hex("123456789abcdef0123456789abcdef0123456789abcdef0").unwrap();
+        for m in [1u64, 2, 7, 251, 614_889_782_588_491_410, u64::MAX] {
+            assert_eq!(a.rem_u64(m), a.div_rem_u64(m).1, "m={m}");
+        }
+        assert_eq!(Nat::zero().rem_u64(5), 0);
+    }
+
+    #[test]
+    fn isqrt_floors_the_root() {
+        for v in [0u64, 1, 2, 3, 4, 15, 16, 17, 66_049, 66_050, u64::MAX] {
+            let r = n(v).isqrt().to_u64().unwrap_or(0);
+            assert!(
+                r * r <= v && (r + 1).checked_mul(r + 1).is_none_or(|s| s > v),
+                "v={v}"
+            );
+        }
+        let m61 = n((1 << 61) - 1);
+        let sq = m61.square();
+        assert_eq!(sq.isqrt(), m61);
+        assert_eq!(
+            sq.checked_sub(&Nat::one()).unwrap().isqrt(),
+            n((1 << 61) - 2)
+        );
+        assert_eq!(sq.add_nat(&Nat::one()).isqrt(), m61);
     }
 
     #[test]

@@ -306,7 +306,7 @@ impl Drop for Posted<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{gen_prime_congruent, BlumPrime, Nat, XorShiftSource};
     use std::alloc::{GlobalAlloc, Layout, System};
@@ -319,15 +319,28 @@ mod tests {
 
     static ON_HELPER_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+    thread_local! {
+        /// Allocations made on this thread.
+        static HERE: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// `f`'s result and the number of allocations it made on this thread.
+    pub(crate) fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let before = HERE.get();
+        let out = f();
+        (out, HERE.get() - before)
+    }
+
     fn tally() {
+        HERE.set(HERE.get() + 1);
         if ON_HELPER.get() {
             ON_HELPER_ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     // SAFETY: every method forwards its arguments unchanged to `System`;
-    // the tally is an atomic add behind a const thread-local, which
-    // cannot allocate or unwind.
+    // the tally is a const thread-local's add and an atomic add behind
+    // another, which cannot allocate or unwind.
     unsafe impl GlobalAlloc for HelperAllocs {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
             tally();

@@ -436,7 +436,7 @@ impl RabinPrivateKey {
         if used + used2 != bytes.len() {
             return Err(RabinError::BadKeyEncoding);
         }
-        if p.div_rem_u64(8).1 != 3 || q.div_rem_u64(8).1 != 7 {
+        if p.rem_u64(8) != 3 || q.rem_u64(8) != 7 {
             return Err(RabinError::BadKeyEncoding);
         }
         RabinPrivateKey::from_primes(&p, &q).ok_or(RabinError::BadKeyEncoding)
@@ -512,8 +512,8 @@ mod tests {
     fn keygen_congruences() {
         let key = test_key();
         let (p, q) = (key.p.modulus(), key.q.modulus());
-        assert_eq!(p.div_rem_u64(8).1, 3);
-        assert_eq!(q.div_rem_u64(8).1, 7);
+        assert_eq!(p.rem_u64(8), 3);
+        assert_eq!(q.rem_u64(8), 7);
         assert_eq!(p.mul_nat(q), *key.public().modulus());
     }
 

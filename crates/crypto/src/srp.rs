@@ -84,12 +84,13 @@ impl SrpGroup {
     /// (slow; meant for tests wanting small groups).
     pub fn generate<R: RandomSource>(bits: usize, rng: &mut R) -> SrpGroup {
         loop {
-            // Safe prime: n = 2q + 1 with q prime. Choose q ≡ 1 (mod 2)
-            // and check; for g = 2 to generate the large subgroup, n ≡ 7
-            // (mod 8) makes 2 a quadratic residue of order q.
+            // Safe prime: n = 2q + 1 with q prime. Choose q ≡ 3 (mod 4),
+            // which makes n ≡ 7 (mod 8): then 2 is a quadratic residue of
+            // order q, so g = 2 generates the large subgroup.
             let q = gen_prime_congruent(bits - 1, 3, 4, rng);
             let n = q.shl_bits(1).add_nat(&Nat::one());
-            if n.div_rem_u64(8).1 == 7 && is_probable_prime(&n, 32, rng) {
+            debug_assert_eq!(n.rem_u64(8), 7);
+            if is_probable_prime(&n, 32, rng) {
                 return SrpGroup {
                     n,
                     g: Nat::from(2u64),

@@ -274,3 +274,44 @@ fn aead_frames_are_pinned() {
         assert_eq!(ct, plaintext, "opened, len {}", v.len);
     }
 }
+
+/// The keys one `sfs-benchmark` world generates, pinned with the draw
+/// that follows each: the prime search must leave the generator exactly
+/// where 64 full Miller–Rabin rounds per prime left it, on the
+/// xorshift source and on the SHA-1 generator a client's K_C comes from.
+#[test]
+fn benchmark_world_keys_and_the_draws_after_them_are_pinned() {
+    use sfs_bignum::RandomSource;
+    use sfs_crypto::SfsPrg;
+
+    fn check<R: RandomSource>(what: &str, bits: usize, mut rng: R, key_sha1: &str, next: &str) {
+        let key = generate_keypair(bits, &mut rng);
+        assert_eq!(hex(&sha1(&key.to_bytes())), key_sha1, "{what}: key");
+        let mut draw = [0u8; 16];
+        rng.fill(&mut draw);
+        assert_eq!(hex(&draw), next, "{what}: the draw after the key");
+    }
+
+    check(
+        "server key",
+        768,
+        XorShiftSource::new(0x5E4),
+        "55e69601ec7b3f1534466752182557fa5a9b5e9b",
+        "cfe59a7b986f910bec73c92f435858c1",
+    );
+    check(
+        "user key",
+        512,
+        XorShiftSource::new(0xB0B),
+        "7cdecd7dbb50d6b5c053fa57bf0dbd955c264ca6",
+        "778571611e4a1ac63be1bd4bd33f9e1e",
+    );
+    // `SfsClient::new` draws its 768-bit K_C first from this generator.
+    check(
+        "client K_C",
+        768,
+        SfsPrg::from_entropy(b"sfs-benchmark-client-0"),
+        "9c7ed20e6b3c287900406404e72e745ab8eed4ac",
+        "dd1b989f4ac5728e293beadb51829b1e",
+    );
+}
