@@ -12,9 +12,11 @@
 //! its own virtual clock (the fleet is concurrent in wall-clock terms),
 //! while per-machine contention is modelled by `sfs_sim::ServerLoad`:
 //! a replica serving 8 streams serializes replies 8× slower than one
-//! serving a single stream. Aggregate throughput is total bytes
-//! delivered divided by the *slowest* client's virtual time — the
-//! makespan of the fleet.
+//! serving a single stream. Reply serialization on the replica's one
+//! downlink is all the multiplier scales: it is the only resource of a
+//! replica's that the sweep's makespans were measured to depend on.
+//! Aggregate throughput is total bytes delivered divided by the
+//! *slowest* client's virtual time — the makespan of the fleet.
 //!
 //! Envelope: aggregate MB/s is monotone non-decreasing in replica
 //! count, 4 replicas beat 1 by at least 2×, and a healthy fleet never

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use sfs::client::{ClientError, SfsClient};
 use sfs_nfs3::proto::{FileHandle, Nfs3Reply, Nfs3Request, Sattr3, StableHow, Status};
 use sfs_nfs3::Nfs3Server;
-use sfs_sim::{CpuCosts, SimClock, SimTime, Wire, WireError};
+use sfs_sim::{CpuCosts, Exchange, SimClock, SimTime, Wire, WireError};
 use sfs_telemetry::sync::Mutex;
 use sfs_vfs::{Credentials, FsError, Vfs};
 
@@ -289,6 +289,8 @@ pub struct KernelNfs {
     label: String,
     clock: SimClock,
     wire: Wire,
+    /// The buffers every RPC crosses `wire` through.
+    exchange: Mutex<Exchange>,
     server: Nfs3Server,
     creds: Credentials,
     cpu: CpuCosts,
@@ -317,6 +319,7 @@ impl KernelNfs {
             label: label.to_string(),
             clock,
             wire,
+            exchange: Mutex::new(Exchange::default()),
             server,
             creds: Credentials::root(),
             cpu,
@@ -345,8 +348,9 @@ impl KernelNfs {
     ) -> Result<Vec<u8>> {
         const MAX_RETRANSMITS: u32 = 8;
         let mut attempt = 0;
+        let mut x = self.exchange.lock();
         loop {
-            match self.wire.call(vec![0u8; wire_len], &mut server) {
+            match self.wire.call(vec![0u8; wire_len], &mut x, &mut server) {
                 Ok(r) => return Ok(r),
                 Err(WireError::Timeout) if attempt < MAX_RETRANSMITS => attempt += 1,
                 Err(_) => return Err(BenchFsError::Nfs(Status::Io)),

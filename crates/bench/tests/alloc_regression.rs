@@ -12,7 +12,7 @@
 use sfs_bench::alloc_count::{count_allocs, CountingAlloc};
 use sfs_bench::keys;
 use sfs_bench::microbench::{
-    micro_stages, relay_rig, RelayRig, RELAY_GETATTR_ALLOC_CEILING, RELAY_READ_ALLOC_CEILING,
+    micro_stages, relay_rig, RelayRig, Stage, RELAY_GETATTR_ALLOC_CEILING, RELAY_READ_ALLOC_CEILING,
 };
 use sfs_bench::world::{World, WorldSpec, UID};
 use sfs_bignum::XorShiftSource;
@@ -80,8 +80,20 @@ fn steady_state_relay_allocations_stay_pinned() {
 #[test]
 fn stages_below_the_relay_stay_allocation_free() {
     // XDR encode, seal and seal+open on both negotiable suites, and the
-    // AEAD kernels: once their buffers are warm, none may allocate.
-    for mut stage in micro_stages() {
+    // AEAD kernels: once their buffers are warm, none may allocate. Nor
+    // may an attributed instant on a sink that does not trace: the
+    // shard engine, client backoff and fault injection emit one per
+    // event whether or not anyone records it.
+    let instants = [
+        ("instant_kv_disabled", Telemetry::disabled()),
+        ("instant_kv_counters", Telemetry::counters()),
+    ]
+    .map(|(name, tel)| Stage {
+        name,
+        payload: 0,
+        op: Box::new(move || tel.instant_kv("client", "core.client", "backoff", "attempt", 3)),
+    });
+    for mut stage in micro_stages().into_iter().chain(instants) {
         for _ in 0..8 {
             (stage.op)();
         }

@@ -117,17 +117,6 @@ impl Agent {
         }
     }
 
-    /// Drops the key at `index` (e.g. after rollover, once no server
-    /// session still depends on it). Returns false if out of range.
-    pub fn remove_key(&mut self, index: usize) -> bool {
-        if index < self.keys.len() {
-            self.keys.remove(index);
-            true
-        } else {
-            false
-        }
-    }
-
     /// Number of keys held.
     pub fn key_count(&self) -> usize {
         self.keys.len()
@@ -225,11 +214,6 @@ impl Agent {
     /// Creates a dynamic symlink in this agent's view of `/sfs`.
     pub fn create_link(&mut self, name: &str, target: &str) {
         self.links.insert(name.to_string(), target.to_string());
-    }
-
-    /// Removes a dynamic symlink.
-    pub fn remove_link(&mut self, name: &str) -> bool {
-        self.links.remove(name).is_some()
     }
 
     /// Current dynamic links (for `/sfs` directory listings).

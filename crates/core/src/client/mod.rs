@@ -222,11 +222,8 @@ struct Link {
     /// Buffer freelist shared with `conn` (the loopback server end), so
     /// sealed request/reply buffers circulate between the two sides.
     pool: Arc<BufPool>,
-    /// The buffers its exchanges reuse, from `shelf`.
-    bufs: ExchangeBufs,
-    /// The client's spare exchange buffers: `bufs` goes back there when
-    /// the link drops, for the next link to take.
-    shelf: Arc<Mutex<Vec<ExchangeBufs>>>,
+    /// The buffers its exchanges reuse, the handshake's included.
+    bufs: LentBufs,
     session_id: [u8; 20],
     /// The server public key that passed self-certification for this
     /// link (journaled with the mount so recovery can cross-check).
@@ -234,14 +231,6 @@ struct Link {
     /// Bumped on every reconnect; lets concurrent callers detect that a
     /// renegotiation already happened.
     generation: u64,
-}
-
-impl Drop for Link {
-    fn drop(&mut self) {
-        let mut bufs = std::mem::take(&mut self.bufs);
-        bufs.sealed.clear();
-        self.shelf.lock().push(bufs);
-    }
 }
 
 /// The buffers one exchange fills and drains: each sealed frame with its
@@ -253,6 +242,22 @@ impl Drop for Link {
 struct ExchangeBufs {
     sealed: Vec<(SimTime, Vec<u8>)>,
     wire: Exchange,
+}
+
+/// Exchange buffers lent from the client's shelf when a connection is
+/// dialed; they go back there when dropped — with the link, or with a
+/// handshake that failed — for the next dial to take.
+struct LentBufs {
+    bufs: ExchangeBufs,
+    shelf: Arc<Mutex<Vec<ExchangeBufs>>>,
+}
+
+impl Drop for LentBufs {
+    fn drop(&mut self) {
+        let mut bufs = std::mem::take(&mut self.bufs);
+        bufs.sealed.clear();
+        self.shelf.lock().push(bufs);
+    }
 }
 
 /// Client-held half of a session-resumption ticket: the server's opaque

@@ -124,15 +124,6 @@ impl SfsNetwork {
             .insert(location.to_string(), Endpoint::Relay(router));
     }
 
-    /// Looks up the server at `location` (single-machine endpoints only;
-    /// a relayed Location has no one server to return).
-    pub fn server_at(&self, location: &str) -> Option<Arc<SfsServer>> {
-        match self.servers.lock().get(location) {
-            Some(Endpoint::Server(s)) => Some(s.clone()),
-            _ => None,
-        }
-    }
-
     /// Attaches an adversary to all future connections.
     pub fn set_interceptor(&self, i: Arc<Mutex<dyn Interceptor>>) {
         *self.interceptor.lock() = Some(i);

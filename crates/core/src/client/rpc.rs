@@ -35,7 +35,7 @@ use sfs_sim::{SimTime, WireError};
 use sfs_telemetry::Telemetry;
 use sfs_xdr::{Xdr, XdrEncoder};
 
-use super::{ClientError, ExchangeBufs, Link, Mount, SfsClient, REORDER_BUF_CAPACITY};
+use super::{ClientError, ExchangeBufs, LentBufs, Link, Mount, SfsClient, REORDER_BUF_CAPACITY};
 use crate::wire::{
     encode_inner_nfs, inner_nfs_reply, seq_env_begin, seq_env_finish, seq_reply_envelope,
     InnerCall, InnerReply, ReplyMsg, SEALED_SEQ_ENV_FRAME_START,
@@ -400,9 +400,13 @@ impl SfsClient {
             channel,
             pool,
             bufs:
-                ExchangeBufs {
-                    sealed,
-                    wire: exchange,
+                LentBufs {
+                    bufs:
+                        ExchangeBufs {
+                            sealed,
+                            wire: exchange,
+                        },
+                    ..
                 },
             ..
         } = link;

@@ -27,7 +27,8 @@ use sfs_telemetry::Telemetry;
 use sfs_xdr::Xdr;
 
 use super::{
-    ClientError, Link, Mount, ResumeState, SfsClient, EPHEMERAL_KEY_BITS, PROTOCOL_VERSION,
+    ClientError, LentBufs, Link, Mount, ResumeState, SfsClient, EPHEMERAL_KEY_BITS,
+    PROTOCOL_VERSION,
 };
 use crate::agent::Agent;
 use crate::journal::JournalRecord;
@@ -195,6 +196,7 @@ impl SfsClient {
     ) -> Result<Link, ClientError> {
         let tel = self.tel();
         let (wire, conn) = self.net.dial_checked(&path.location)?;
+        let mut bufs = self.lend_bufs();
 
         // Key negotiation (Figure 3), one span per phase.
         let keyneg_span = tel.span("client", "proto.keyneg", "negotiate");
@@ -209,7 +211,7 @@ impl SfsClient {
             extensions: neg.offer_extensions(),
         };
         let phase = tel.span("client", "proto.keyneg", "hello");
-        let reply = self.raw_call(&tel, &wire, &conn, hello)?;
+        let reply = self.raw_call(&tel, &wire, &conn, &mut bufs, hello)?;
         drop(phase);
         let ReplyMsg::ServerReply(server_reply) = reply else {
             return Err(ClientError::Protocol("expected server key".into()));
@@ -237,7 +239,7 @@ impl SfsClient {
         drop(rng);
         drop(phase);
         let phase = tel.span("client", "proto.keyneg", "client_keys");
-        let reply = self.raw_call(&tel, &wire, &conn, CallMsg::ClientKeys(msg3))?;
+        let reply = self.raw_call(&tel, &wire, &conn, &mut bufs, CallMsg::ClientKeys(msg3))?;
         drop(phase);
         let ReplyMsg::ServerKeys(msg4) = reply else {
             return Err(ClientError::Protocol("expected server key halves".into()));
@@ -260,7 +262,7 @@ impl SfsClient {
                 },
             );
         }
-        Ok(self.link(wire, conn, &keys, suite, server_key, generation))
+        Ok(self.link(wire, conn, bufs, &keys, suite, server_key, generation))
     }
 
     /// The agents told of a revocation met while negotiating `path`: the
@@ -289,14 +291,24 @@ impl SfsClient {
         uids.into_iter().map(|uid| self.agent(uid)).collect()
     }
 
-    /// A ready link around a dialed connection and the session keys just
-    /// derived for it (by either handshake): the client end of the
-    /// secure channel, plus the connection's buffer freelist adopted as
-    /// the link's own.
+    /// Exchange buffers for a connection being dialed, from the shelf.
+    fn lend_bufs(&self) -> LentBufs {
+        LentBufs {
+            bufs: self.exchange_bufs.lock().pop().unwrap_or_default(),
+            shelf: Arc::clone(&self.exchange_bufs),
+        }
+    }
+
+    /// A ready link around a dialed connection, the exchange buffers its
+    /// handshake used and the session keys just derived for it (by
+    /// either handshake): the client end of the secure channel, plus the
+    /// connection's buffer freelist adopted as the link's own.
+    #[allow(clippy::too_many_arguments)]
     fn link(
         &self,
         wire: Wire,
         conn: ServerConn,
+        bufs: LentBufs,
         keys: &SessionKeys,
         suite: SuiteId,
         server_key: Vec<u8>,
@@ -312,8 +324,7 @@ impl SfsClient {
             conn,
             channel,
             pool,
-            bufs: self.exchange_bufs.lock().pop().unwrap_or_default(),
-            shelf: Arc::clone(&self.exchange_bufs),
+            bufs,
             session_id: keys.session_id,
             server_key,
             generation,
@@ -335,12 +346,14 @@ impl SfsClient {
         let tel = self.tel();
         let _span = tel.span("client", "proto.keyneg", "resume");
         let (wire, conn) = self.net.dial_checked(&path.location)?;
+        let mut bufs = self.lend_bufs();
         let mut client_nonce = [0u8; RESUME_NONCE_LEN];
         self.rng.lock().fill(&mut client_nonce);
         let reply = self.raw_call(
             &tel,
             &wire,
             &conn,
+            &mut bufs,
             CallMsg::Resume {
                 ticket: rs.ticket.clone(),
                 nonce: client_nonce,
@@ -377,7 +390,7 @@ impl SfsClient {
                 },
             );
         }
-        Ok(self.link(wire, conn, &keys, rs.suite, server_key, generation))
+        Ok(self.link(wire, conn, bufs, &keys, rs.suite, server_key, generation))
     }
 
     /// Builds a reconnect link: ticket resumption when enabled and a
@@ -513,17 +526,18 @@ impl SfsClient {
         Ok(())
     }
 
-    /// One cleartext wire round trip.
+    /// One cleartext wire round trip, through the dialed link's buffers.
     fn raw_call(
         &self,
         tel: &Telemetry,
         wire: &Wire,
         conn: &ServerConn,
+        bufs: &mut LentBufs,
         msg: CallMsg,
     ) -> Result<ReplyMsg, ClientError> {
         self.clock.advance_ns(self.rpc_ns(tel));
         let bytes = msg.to_xdr();
-        let reply_bytes = wire.call(bytes, |b| conn.handle_bytes(&b))?;
+        let reply_bytes = wire.call(bytes, &mut bufs.bufs.wire, |b| conn.handle_bytes(&b))?;
         ReplyMsg::from_xdr(&reply_bytes).map_err(|e| ClientError::Protocol(e.to_string()))
     }
 }

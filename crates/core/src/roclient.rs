@@ -24,7 +24,7 @@ use sfs_crypto::sha1::sha1;
 use sfs_proto::keyneg::{KeyNegRequest, KeyNegServerReply};
 use sfs_proto::pathname::SelfCertifyingPath;
 use sfs_proto::readonly::{Digest, RoNode, SignedRoot};
-use sfs_sim::{Wire, WireError};
+use sfs_sim::{Exchange, Wire, WireError};
 use sfs_telemetry::sync::Mutex;
 use sfs_xdr::Xdr;
 
@@ -131,6 +131,9 @@ pub struct RoMount {
     /// names exactly one value — and keeps it valid across failovers.
     cache: Mutex<HashMap<Digest, RoNode>>,
     redial: Mutex<Option<RoRedial>>,
+    /// The buffers every call and failover handshake crosses the wire
+    /// through.
+    exchange: Mutex<Exchange>,
     /// Round trips accumulated on links already torn down by failover.
     prior_round_trips: AtomicU64,
     failovers: AtomicU64,
@@ -142,6 +145,7 @@ fn handshake(
     path: &SelfCertifyingPath,
     wire: &Wire,
     conn: &dyn RoConnection,
+    x: &mut Exchange,
 ) -> Result<(RabinPublicKey, SignedRoot), RoClientError> {
     let hello = CallMsg::Hello {
         req: KeyNegRequest {
@@ -153,7 +157,7 @@ fn handshake(
         version: 1,
         extensions: String::new(),
     };
-    let key = match call(wire, conn, hello)? {
+    let key = match call(wire, conn, x, hello)? {
         ReplyMsg::ServerReply(KeyNegServerReply::ServerKey(k)) => {
             RabinPublicKey::from_bytes(&k).map_err(|_| RoClientError::HostIdMismatch)?
         }
@@ -162,7 +166,7 @@ fn handshake(
     if !path.certifies(&key) {
         return Err(RoClientError::HostIdMismatch);
     }
-    let root = match call(wire, conn, CallMsg::RoGetRoot)? {
+    let root = match call(wire, conn, x, CallMsg::RoGetRoot)? {
         ReplyMsg::RoRoot(root) => root,
         other => return Err(RoClientError::Protocol(format!("{other:?}"))),
     };
@@ -181,7 +185,8 @@ impl RoMount {
         wire: Wire,
         conn: Box<dyn RoConnection>,
     ) -> Result<RoMount, RoClientError> {
-        let (key, root) = handshake(&path, &wire, conn.as_ref())?;
+        let mut exchange = Exchange::default();
+        let (key, root) = handshake(&path, &wire, conn.as_ref(), &mut exchange)?;
         Ok(RoMount {
             path,
             key,
@@ -189,6 +194,7 @@ impl RoMount {
             root: Mutex::new(root),
             cache: Mutex::new(HashMap::new()),
             redial: Mutex::new(None),
+            exchange: Mutex::new(exchange),
             prior_round_trips: AtomicU64::new(0),
             failovers: AtomicU64::new(0),
         })
@@ -229,7 +235,7 @@ impl RoMount {
                 "no replica to fail over to".into(),
             ));
         };
-        let (key, root) = handshake(&self.path, &wire, conn.as_ref())?;
+        let (key, root) = handshake(&self.path, &wire, conn.as_ref(), &mut self.exchange.lock())?;
         // Both keys certify the same HostID, which is collision-resistant,
         // so they must be the same key; keep the original regardless.
         debug_assert_eq!(key.to_bytes(), self.key.to_bytes());
@@ -250,7 +256,12 @@ impl RoMount {
     /// Issues one call on the current link.
     fn call_current(&self, msg: CallMsg) -> Result<ReplyMsg, RoClientError> {
         let link = self.link.lock();
-        call(&link.wire, link.conn.as_ref(), msg)
+        call(
+            &link.wire,
+            link.conn.as_ref(),
+            &mut self.exchange.lock(),
+            msg,
+        )
     }
 
     /// Fetches and verifies the block named by `digest`, failing over to
@@ -381,7 +392,12 @@ impl std::fmt::Debug for RoMount {
     }
 }
 
-fn call(wire: &Wire, conn: &dyn RoConnection, msg: CallMsg) -> Result<ReplyMsg, RoClientError> {
-    let bytes = wire.call(msg.to_xdr(), |b| conn.handle_ro_bytes(&b))?;
+fn call(
+    wire: &Wire,
+    conn: &dyn RoConnection,
+    x: &mut Exchange,
+    msg: CallMsg,
+) -> Result<ReplyMsg, RoClientError> {
+    let bytes = wire.call(msg.to_xdr(), x, |b| conn.handle_ro_bytes(&b))?;
     ReplyMsg::from_xdr(&bytes).map_err(|e| RoClientError::Protocol(e.to_string()))
 }

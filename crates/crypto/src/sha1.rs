@@ -398,18 +398,13 @@ pub fn mgf1(seed: &[u8], out_len: usize) -> Vec<u8> {
     out
 }
 
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
-
-/// Renders a digest as lowercase hex (test and debugging helper).
-pub fn digest_hex(d: &[u8; DIGEST_LEN]) -> String {
-    hex(d)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
 
     #[test]
     fn fips_vector_empty() {

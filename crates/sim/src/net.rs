@@ -6,11 +6,12 @@
 //! exactly those powers; [`PacketLog`] records ciphertext for
 //! forward-secrecy experiments.
 //!
-//! A [`Wire`] is a synchronous request/response channel that charges the
-//! virtual clock for transit: per-message transport overhead (UDP vs TCP
-//! differ, which is how the NFS-over-TCP baseline ends up slower in
-//! Figure 5), propagation latency, and serialization time at the link
-//! bandwidth.
+//! A [`Wire`] is a request/response channel that charges the virtual
+//! clock for transit: per-message transport overhead (UDP vs TCP differ,
+//! which is how the NFS-over-TCP baseline ends up slower in Figure 5),
+//! propagation latency, and serialization time at the link bandwidth.
+//! Every packet crosses it through [`Wire::exchange_on`]; a blocking
+//! [`Wire::call`] is an exchange of one frame.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -126,14 +127,6 @@ impl NetParams {
             },
         }
     }
-
-    /// Transit time for a message of `len` bytes.
-    pub fn transit_ns(&self, len: usize) -> u64 {
-        self.latency_ns
-            + self.per_message_ns
-            + (len as u64 * 1_000_000_000) / self.bandwidth_bps
-            + len as u64 * self.per_byte_extra_ns
-    }
 }
 
 /// Concurrent-stream tracker for one server endpoint in a multi-server
@@ -143,11 +136,11 @@ impl NetParams {
 /// [`Wire`] attached to that machine (via [`Wire::set_server_load`])
 /// counts as one concurrent stream. Because per-client clocks advance
 /// independently, contention cannot be simulated by interleaving — the
-/// wire instead *scales* the resources one machine time-shares across
-/// streams (reply-link serialization and server service time) by the
-/// number of attached streams, a processor-sharing approximation. A
-/// wire with no attached load (the single-server default) behaves
-/// exactly as before, so existing timings are unchanged.
+/// wire instead *scales* the one resource all streams share, the
+/// machine's reply downlink, by the number of attached streams: each
+/// reply serializes that many times slower, a processor-sharing
+/// approximation. A wire with no attached load, or the only one
+/// attached, serializes replies at the full link rate.
 #[derive(Debug, Clone, Default)]
 pub struct ServerLoad {
     streams: Arc<AtomicU64>,
@@ -205,8 +198,8 @@ enum Fate {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServerCost {
     /// Analytic CPU nanoseconds for this request; the wire serializes it
-    /// on the single logical server (plus any clock time the closure
-    /// consumed, e.g. disk I/O), scaled by [`ServerLoad`] sharers.
+    /// on the single logical server, plus any clock time the closure
+    /// consumed (e.g. disk I/O).
     Serial(u64),
     /// An absolute completion instant already placed on per-core/per-
     /// shard timelines by an external scheduler; the wire imposes no
@@ -295,8 +288,8 @@ impl Wire {
 
     /// Attaches this wire to a server machine's [`ServerLoad`], counting
     /// it as one concurrent stream until the wire is dropped (or the
-    /// load replaced). Server-side resources — reply serialization and
-    /// service time — are scaled by the stream count.
+    /// load replaced). Reply serialization on the machine's downlink is
+    /// scaled by the stream count.
     pub fn set_server_load(&mut self, load: ServerLoad) {
         if let Some(old) = self.load.take() {
             old.detach();
@@ -360,10 +353,9 @@ impl Wire {
 
     /// Runs one packet through the observation/adversary pipeline —
     /// accounting, packet log, interceptor, fault plan — and reports its
-    /// fate. Shared by the blocking path (which charges the clock around
-    /// it) and the pipelined path (which applies fates to its logical
-    /// per-frame timeline instead); neither the clock nor timeout
-    /// accounting is touched here.
+    /// fate, which [`Wire::exchange_on`] applies to its logical per-frame
+    /// timeline; neither the clock nor timeout accounting is touched
+    /// here.
     fn route(&self, dir: Direction, bytes: Vec<u8>) -> Fate {
         self.bytes_sent
             .fetch_add(bytes.len() as u64, Ordering::Relaxed);
@@ -396,40 +388,9 @@ impl Wire {
         }
     }
 
-    /// Moves one packet across the link. On success returns the delivered
-    /// bytes plus whether the fault plan duplicated the packet (the
-    /// receiver must then process it twice).
-    fn transit(&self, dir: Direction, bytes: Vec<u8>) -> Result<(Vec<u8>, bool), WireError> {
-        let name = match dir {
-            Direction::Request => "send",
-            Direction::Reply => "recv",
-        };
-        let _span = self
-            .tel
-            .span("wire", "sim.net", name)
-            .with_attr("bytes", bytes.len() as u64);
-        // Requests ride the client's private uplink; replies serialize
-        // onto the server's shared downlink, which `sharers()` streams
-        // time-share.
-        let transit_ns = match dir {
-            Direction::Request => self.params.transit_ns(bytes.len()),
-            Direction::Reply => self.params.latency_ns + self.sharers() * self.ser_ns(bytes.len()),
-        };
-        self.clock.advance_ns(transit_ns);
-        match self.route(dir, bytes) {
-            Fate::Deliver(b) => Ok((b, false)),
-            Fate::Duplicate(b) => Ok((b, true)),
-            Fate::Delay(ns, b) => {
-                self.clock.advance_ns(ns);
-                Ok((b, false))
-            }
-            Fate::Drop => Err(self.lost()),
-        }
-    }
-
-    /// Serialization time for a message of `len` bytes: the portion of
-    /// [`NetParams::transit_ns`] that occupies the sender's link (the
-    /// remaining `latency_ns` is propagation, which pipelines).
+    /// Serialization time for a message of `len` bytes: the part of its
+    /// transit that occupies the sender's link (the remaining
+    /// `latency_ns` is propagation, which pipelines).
     fn ser_ns(&self, len: usize) -> u64 {
         self.params.per_message_ns
             + (len as u64 * 1_000_000_000) / self.params.bandwidth_bps
@@ -438,10 +399,10 @@ impl Wire {
 
     /// Sends `frames` — one request or a whole window, each with its
     /// send stamp, in send order — and collects in `x.replies` every
-    /// reply the adversary lets through.
+    /// reply the adversary lets through. This is the only way a packet
+    /// crosses the wire; [`Wire::call`] is one frame of it.
     ///
-    /// Unlike [`Wire::call`], nothing here blocks the shared clock per
-    /// frame.
+    /// Nothing here blocks the shared clock per frame.
     /// The exchange is computed on a logical timeline instead: each
     /// request frame departs at its `sent` stamp (or when the
     /// client→server link frees up, if later), occupies that link for
@@ -459,19 +420,19 @@ impl Wire {
     /// push a frame's arrival without holding the link.
     ///
     /// The server closure sees each frame's absolute arrival time and
-    /// owns its bytes, as in `call` (a duplicated frame is handed over
-    /// twice, the first time as a copy), and pushes its replies — none,
-    /// one or several — onto the buffer it is handed. It decides how its
+    /// owns its bytes (a duplicated frame is handed over twice, the
+    /// first time as a copy), and pushes its replies — none, one or
+    /// several — onto the buffer it is handed. It decides how its
     /// service time is accounted: [`ServerCost::Serial`]
     /// is the classic single-server discipline (one request at a time,
     /// charged the analytic CPU cost it carries plus whatever virtual
-    /// time the closure itself consumed, scaled by [`ServerLoad`]
-    /// sharers), while [`ServerCost::Scheduled`] hands back an absolute
-    /// completion instant computed by an external scheduler (a multi-core
-    /// [`crate::CoreSet`] + per-shard disk queues) — the wire then treats
-    /// the server as parallel and does not serialize requests against
-    /// each other. Reply-link serialization is unaffected: the downlink
-    /// is one NIC regardless of how many cores fed it.
+    /// time the closure itself consumed), while [`ServerCost::Scheduled`]
+    /// hands back an absolute completion instant computed by an external
+    /// scheduler (a multi-core [`crate::CoreSet`] + per-shard disk
+    /// queues) — the wire then treats the server as parallel and does
+    /// not serialize requests against each other. Either way the replies
+    /// share one downlink, the machine's one NIC, whose serialization
+    /// [`ServerLoad`] scales.
     pub fn exchange_on(
         &self,
         frames: impl IntoIterator<Item = (SimTime, Vec<u8>)>,
@@ -520,11 +481,10 @@ impl Wire {
             for bytes in std::iter::once(first).chain(second) {
                 let (cost, dt) = self.clock.measure(|| server(arrival, bytes, &mut x.served));
                 let end = match cost {
-                    // One server core: requests queue behind each other,
-                    // and `sharers` streams time-share it.
+                    // One server core: requests queue behind each other.
                     ServerCost::Serial(extra_ns) => {
                         let start = arrival.max(server_free);
-                        let end = start + sharers * (extra_ns + dt.as_nanos());
+                        let end = start + extra_ns + dt.as_nanos();
                         server_free = end;
                         end
                     }
@@ -581,30 +541,25 @@ impl Wire {
         out.sort_by_key(|r| r.arrival);
     }
 
-    /// Sends `request` to `server` and returns its reply, charging transit
-    /// costs both ways. When the fault plan duplicates the request, the
-    /// server processes both copies (and the client sees the first reply,
-    /// as a real retransmission-duplicate would play out).
+    /// Sends `request` to `server` and returns its reply: an exchange of
+    /// one frame through the caller's buffers `x`, so every fault means
+    /// what it means there. A duplicated request is served twice and
+    /// the first reply to arrive is returned; a lost packet in either
+    /// direction waits out one retransmission timeout.
     pub fn call(
         &self,
         request: Vec<u8>,
+        x: &mut Exchange,
         mut server: impl FnMut(Vec<u8>) -> Vec<u8>,
     ) -> Result<Vec<u8>, WireError> {
-        let span = self.tel.span("wire", "sim.net", "rpc");
-        let (delivered, dup_req) = self.transit(Direction::Request, request)?;
-        let reply = if dup_req {
-            let first = server(delivered.clone());
-            let _second = server(delivered);
-            first
-        } else {
-            server(delivered)
-        };
-        // A duplicated reply reaches the client twice; the RPC layer
-        // discards the second copy, so only the event is observable.
-        let (got, _dup_rep) = self.transit(Direction::Reply, reply)?;
-        self.answered(1);
-        drop(span);
-        Ok(got)
+        self.exchange_on([(self.clock.now(), request)], x, |_, bytes, out| {
+            out.push(server(bytes));
+            ServerCost::Serial(0)
+        });
+        if x.replies.is_empty() {
+            return Err(self.lost());
+        }
+        Ok(x.replies.swap_remove(0).bytes)
     }
 }
 
@@ -659,7 +614,7 @@ mod tests {
     fn call_roundtrip_charges_time() {
         let w = wire();
         let reply = w
-            .call(b"ping".to_vec(), |req| {
+            .call(b"ping".to_vec(), &mut Exchange::default(), |req| {
                 assert_eq!(req, b"ping");
                 b"pong".to_vec()
             })
@@ -673,17 +628,23 @@ mod tests {
     #[test]
     fn larger_messages_take_longer() {
         let w1 = wire();
-        w1.call(vec![0; 100], |_| vec![]).unwrap();
+        w1.call(vec![0; 100], &mut Exchange::default(), |_| vec![])
+            .unwrap();
         let w2 = wire();
-        w2.call(vec![0; 100_000], |_| vec![]).unwrap();
+        w2.call(vec![0; 100_000], &mut Exchange::default(), |_| vec![])
+            .unwrap();
         assert!(w2.clock().now() > w1.clock().now());
     }
 
     #[test]
     fn tcp_costs_more_per_message() {
-        let udp = NetParams::switched_100mbit(Transport::Udp);
-        let tcp = NetParams::switched_100mbit(Transport::Tcp);
-        assert!(tcp.transit_ns(100) > udp.transit_ns(100));
+        let [udp, tcp] = [Transport::Udp, Transport::Tcp].map(|t| {
+            let w = Wire::new(SimClock::new(), NetParams::switched_100mbit(t));
+            w.call(vec![0; 100], &mut Exchange::default(), |_| vec![0; 100])
+                .unwrap();
+            w.clock().now()
+        });
+        assert!(tcp > udp);
     }
 
     struct Tamperer;
@@ -703,7 +664,11 @@ mod tests {
     fn interceptor_can_tamper() {
         let mut w = wire();
         w.set_interceptor(Arc::new(Mutex::new(Tamperer)));
-        let reply = w.call(b"hi".to_vec(), |_| vec![0x00, 0x01]).unwrap();
+        let reply = w
+            .call(b"hi".to_vec(), &mut Exchange::default(), |_| {
+                vec![0x00, 0x01]
+            })
+            .unwrap();
         assert_eq!(reply, vec![0xff, 0x01]);
     }
 
@@ -719,7 +684,9 @@ mod tests {
         let mut w = wire();
         w.set_interceptor(Arc::new(Mutex::new(Dropper)));
         let before = w.clock().now();
-        let err = w.call(b"hi".to_vec(), |_| vec![]).unwrap_err();
+        let err = w
+            .call(b"hi".to_vec(), &mut Exchange::default(), |_| vec![])
+            .unwrap_err();
         assert_eq!(err, WireError::Timeout);
         // A retransmission timeout elapsed.
         assert!(w.clock().now().since(before).as_nanos() >= 1_000_000_000);
@@ -738,7 +705,8 @@ mod tests {
         ));
         let before = w.clock().now();
         assert_eq!(
-            w.call(b"hi".to_vec(), |_| vec![]).unwrap_err(),
+            w.call(b"hi".to_vec(), &mut Exchange::default(), |_| vec![])
+                .unwrap_err(),
             WireError::Timeout
         );
         assert!(w.clock().now().since(before).as_nanos() >= 1_000_000_000);
@@ -759,7 +727,7 @@ mod tests {
         // The reply transit also rolls a duplicate; that is fine — the
         // client just discards the second copy.
         let reply = w
-            .call(b"q".to_vec(), |_| {
+            .call(b"q".to_vec(), &mut Exchange::default(), |_| {
                 calls += 1;
                 vec![calls]
             })
@@ -772,7 +740,9 @@ mod tests {
     fn fault_plan_delay_charges_extra_time() {
         use crate::fault::{FaultPlan, FaultSpec};
         let clean = wire();
-        clean.call(vec![0; 64], |_| vec![0; 64]).unwrap();
+        clean
+            .call(vec![0; 64], &mut Exchange::default(), |_| vec![0; 64])
+            .unwrap();
         let mut w = wire();
         w.set_fault_plan(FaultPlan::new(
             1,
@@ -782,11 +752,61 @@ mod tests {
                 ..FaultSpec::none()
             },
         ));
-        w.call(vec![0; 64], |_| vec![0; 64]).unwrap();
+        w.call(vec![0; 64], &mut Exchange::default(), |_| vec![0; 64])
+            .unwrap();
         assert!(
             w.clock().now().as_nanos() >= clean.clock().now().as_nanos() + 10_000_000,
             "both directions should be delayed 5ms"
         );
+    }
+
+    #[test]
+    fn call_and_one_frame_exchange_share_one_fate_path() {
+        // Twin wires under twin fault plans: a lost, duplicated or
+        // delayed packet costs a blocking call exactly what it costs a
+        // one-frame exchange whose caller waits out the timeout.
+        use crate::fault::{FaultPlan, FaultSpec};
+        let twin = || {
+            let mut w = wire();
+            w.set_fault_plan(FaultPlan::new(
+                7,
+                FaultSpec {
+                    drop_pm: 150,
+                    duplicate_pm: 150,
+                    delay_pm: 150,
+                    delay_ns: 1_000_000,
+                    ..FaultSpec::none()
+                },
+            ));
+            let log = PacketLog::new();
+            w.set_log(log.clone());
+            let tel = Telemetry::counters();
+            w.set_telemetry(&tel);
+            (w, log, tel)
+        };
+        let (blocking, blocking_log, blocking_tel) = twin();
+        let (framed, framed_log, framed_tel) = twin();
+        let serve = |req: Vec<u8>| vec![req[0]; 200];
+        let mut x = Exchange::default();
+        for i in 0..64u8 {
+            let _ = blocking.call(vec![i; 100], &mut x, serve);
+            let sent = framed.clock().now();
+            framed.exchange_on([(sent, vec![i; 100])], &mut x, |_, req, out| {
+                out.push(serve(req));
+                Serial(0)
+            });
+            if x.replies.is_empty() {
+                framed.timeout_wait();
+            }
+        }
+        for fault in ["net.timeouts", "net.duplicates", "net.delays"] {
+            let n = blocking_tel.counter("wire", fault);
+            assert!(n > 0, "the plan never produced {fault}");
+            assert_eq!(n, framed_tel.counter("wire", fault), "{fault}");
+        }
+        assert_eq!(blocking.clock().now(), framed.clock().now());
+        assert_eq!(blocking_log.snapshot(), framed_log.snapshot());
+        assert_eq!(blocking.round_trips(), framed.round_trips());
     }
 
     #[test]
@@ -796,7 +816,8 @@ mod tests {
         // than the uncontended one but cheaper than two full transits
         // (propagation latency is not shared).
         let free = wire();
-        free.call(vec![0; 64], |_| vec![0; 60_000]).unwrap();
+        free.call(vec![0; 64], &mut Exchange::default(), |_| vec![0; 60_000])
+            .unwrap();
 
         let load = ServerLoad::new();
         let mut w = wire();
@@ -804,7 +825,8 @@ mod tests {
         let mut other = wire();
         other.set_server_load(load.clone());
         assert_eq!(load.streams(), 2);
-        w.call(vec![0; 64], |_| vec![0; 60_000]).unwrap();
+        w.call(vec![0; 64], &mut Exchange::default(), |_| vec![0; 60_000])
+            .unwrap();
         let contended = w.clock().now().as_nanos();
         let uncontended = free.clock().now().as_nanos();
         assert!(
@@ -819,14 +841,7 @@ mod tests {
     #[test]
     fn server_load_single_stream_is_time_neutral() {
         // One attached stream must cost exactly what an unattached wire
-        // does, in both the blocking and pipelined paths.
-        let free = wire();
-        free.call(vec![0; 512], |_| vec![0; 4096]).unwrap();
-        let mut w = wire();
-        w.set_server_load(ServerLoad::new());
-        w.call(vec![0; 512], |_| vec![0; 4096]).unwrap();
-        assert_eq!(w.clock().now(), free.clock().now());
-
+        // does.
         let free = wire();
         let sent = free.clock().now();
         exchange(&free, vec![(sent, vec![0; 512])], |_, _| zeros(4096, 1000));
@@ -838,31 +853,14 @@ mod tests {
     }
 
     #[test]
-    fn server_load_scales_exchange_service_time() {
-        const CPU: u64 = 1_000_000;
-        let free = wire();
-        let sent = free.clock().now();
-        exchange(&free, vec![(sent, vec![0; 64])], |_, _| zeros(64, CPU));
-
-        let load = ServerLoad::new();
-        let mut w = wire();
-        w.set_server_load(load.clone());
-        let mut _other = wire();
-        _other.set_server_load(load.clone());
-        let sent = w.clock().now();
-        exchange(&w, vec![(sent, vec![0; 64])], |_, _| zeros(64, CPU));
-        assert!(
-            w.clock().now().as_nanos() >= free.clock().now().as_nanos() + CPU,
-            "two sharers double the 1ms service time"
-        );
-    }
-
-    #[test]
     fn packet_log_records_both_directions() {
         let mut w = wire();
         let log = PacketLog::new();
         w.set_log(log.clone());
-        w.call(b"req".to_vec(), |_| b"rep".to_vec()).unwrap();
+        w.call(b"req".to_vec(), &mut Exchange::default(), |_| {
+            b"rep".to_vec()
+        })
+        .unwrap();
         let snap = log.snapshot();
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[0], (Direction::Request, b"req".to_vec()));
@@ -874,7 +872,9 @@ mod tests {
         // A one-frame exchange must cost exactly what a blocking call
         // does, so window=1 pipelining is time-neutral.
         let blocking = wire();
-        blocking.call(vec![1; 400], |_| vec![2; 200]).unwrap();
+        blocking
+            .call(vec![1; 400], &mut Exchange::default(), |_| vec![2; 200])
+            .unwrap();
 
         let w = wire();
         let sent = w.clock().now();
@@ -899,7 +899,7 @@ mod tests {
         let blocking = wire();
         for _ in 0..N {
             blocking
-                .call(vec![0; 8192], |_| {
+                .call(vec![0; 8192], &mut Exchange::default(), |_| {
                     blocking.clock().advance_ns(CPU);
                     vec![0; 256]
                 })

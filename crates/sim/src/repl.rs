@@ -30,14 +30,6 @@ impl ReplLink {
         }
     }
 
-    /// Cross-site replica: 2 ms propagation + ack, same serialization.
-    pub fn wan() -> Self {
-        ReplLink {
-            latency_ns: 2_000_000,
-            byte_ns: 80,
-        }
-    }
-
     /// Round-trip for one shipped frame of `bytes` payload on this link:
     /// out-serialization + propagation out and back.
     pub fn ack_delay_ns(&self, bytes: usize) -> u64 {
@@ -65,10 +57,6 @@ impl ReplTransport {
     pub fn add_link(&mut self, link: ReplLink) -> usize {
         self.links.push(link);
         self.links.len() - 1
-    }
-
-    pub fn link_count(&self) -> usize {
-        self.links.len()
     }
 
     /// Ack delay for the k-th fastest of the given backups (1-based

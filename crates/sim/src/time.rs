@@ -32,11 +32,6 @@ impl SimTime {
         self.0
     }
 
-    /// Microseconds (truncated).
-    pub fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Seconds as a float, for report formatting.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9

@@ -276,7 +276,8 @@ impl Telemetry {
         self.instant_args(proc, cat, name, Vec::new());
     }
 
-    /// An instant event with one attribute.
+    /// An instant event with one attribute. No-op (and allocation-free)
+    /// unless tracing.
     pub fn instant_kv(
         &self,
         proc: &str,
@@ -285,7 +286,9 @@ impl Telemetry {
         key: &'static str,
         value: impl std::fmt::Display,
     ) {
-        self.instant_args(proc, cat, name, vec![(key, value.to_string())]);
+        if self.is_tracing() {
+            self.instant_args(proc, cat, name, vec![(key, value.to_string())]);
+        }
     }
 
     fn instant_args(

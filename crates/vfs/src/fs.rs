@@ -6,7 +6,7 @@
 //! and is flushed on `commit` (NFS3 COMMIT / close). All operations take
 //! [`Credentials`] and enforce Unix permissions.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use sfs_sim::{SimClock, SimDisk};
@@ -62,10 +62,6 @@ struct VfsInner {
     inodes: BTreeMap<Ino, Inode>,
     next_ino: Ino,
     root: Ino,
-    /// Inodes whose data is *not* in the server's buffer cache; the first
-    /// read of a cold inode pays disk costs, after which it is warm.
-    /// Freshly written data is always warm (write-behind buffers it).
-    cold: BTreeSet<Ino>,
 }
 
 /// An in-memory Unix file system.
@@ -105,7 +101,6 @@ impl Vfs {
                 inodes,
                 next_ino: 2,
                 root: 1,
-                cold: BTreeSet::new(),
             })),
             clock,
             disk: None,
@@ -133,11 +128,6 @@ impl Vfs {
         self.read_only = ro;
     }
 
-    /// Whether the file system is read-only.
-    pub fn is_read_only(&self) -> bool {
-        self.read_only
-    }
-
     /// The root inode number.
     pub fn root(&self) -> Ino {
         self.inner.lock().root
@@ -163,12 +153,6 @@ impl Vfs {
         }
     }
 
-    fn charge_data_read(&self, ino: Ino, off: u64, len: usize) {
-        if let Some(d) = &self.disk {
-            d.read(ino * 16 + off / 8192, len);
-        }
-    }
-
     fn charge_data_write(&self, ino: Ino, off: u64, len: usize, sync: bool) {
         if let Some(d) = &self.disk {
             if sync {
@@ -184,19 +168,6 @@ impl Vfs {
         if let Some(d) = &self.disk {
             d.flush();
         }
-    }
-
-    /// Evicts an inode from the (modeled) buffer cache so its next read
-    /// pays disk costs. Benchmarks use this to start phases cold.
-    pub fn mark_cold(&self, ino: Ino) {
-        self.inner.lock().cold.insert(ino);
-    }
-
-    /// Marks every current inode cold.
-    pub fn mark_all_cold(&self) {
-        let mut inner = self.inner.lock();
-        let all: Vec<Ino> = inner.inodes.keys().copied().collect();
-        inner.cold.extend(all);
     }
 
     fn check_name(name: &str) -> FsResult<()> {
@@ -693,11 +664,6 @@ impl Vfs {
         let out = data[start..end].to_vec();
         let eof = end == data.len();
         inode.atime = now;
-        let was_cold = inner.cold.remove(&ino);
-        drop(inner);
-        if was_cold {
-            self.charge_data_read(ino, offset, len.max(1));
-        }
         Ok((out, eof))
     }
 
