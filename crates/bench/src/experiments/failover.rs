@@ -113,7 +113,7 @@ fn run_recovery(writes: usize, plan: Option<&FaultPlan>) -> Obj {
                 &mount,
                 UID,
                 &Nfs3Request::Write {
-                    fh: fh.clone(),
+                    fh,
                     offset: expected.len() as u64,
                     stable: StableHow::FileSync,
                     data: vec![byte],

@@ -98,7 +98,7 @@ pub fn run(ctx: &Ctx) -> Result<Report, String> {
         let world = rig.clone();
         let read = move || {
             let read = Nfs3Request::Read {
-                fh: world.data_fh.clone(),
+                fh: world.data_fh,
                 offset: 0,
                 count: n as u32,
             };
@@ -146,7 +146,10 @@ pub fn run(ctx: &Ctx) -> Result<Report, String> {
                 _ => return None,
             };
             Some(Check::invariant(
-                format!("{}/{}B stays under {ceiling} allocs/op", m.name, m.payload),
+                format!(
+                    "{}/{}B allocates at most {ceiling} times per op",
+                    m.name, m.payload
+                ),
                 m.allocs_per_op <= ceiling,
                 format!("{:.2} allocs/op", m.allocs_per_op),
             ))

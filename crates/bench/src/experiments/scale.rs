@@ -137,7 +137,7 @@ fn run_point(
                     let (mount, fh) = &resolved[c];
                     let reqs: Vec<Nfs3Request> = (0..WINDOW)
                         .map(|i| Nfs3Request::Read {
-                            fh: fh.clone(),
+                            fh: *fh,
                             offset: (i * READ_CHUNK) as u64,
                             count: READ_CHUNK as u32,
                         })

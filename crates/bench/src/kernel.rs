@@ -377,7 +377,7 @@ impl KernelNfs {
 
     fn lookup(&self, path: &str) -> Result<FileHandle> {
         if let Some(fh) = self.names.lock().get(path) {
-            return Ok(fh.clone());
+            return Ok(*fh);
         }
         // Walk from the root, consulting the dnlc per component.
         let mut cur = self.server.root_handle();
@@ -386,11 +386,11 @@ impl KernelNfs {
             sofar.push('/');
             sofar.push_str(comp);
             if let Some(fh) = self.names.lock().get(sofar.trim_start_matches('/')) {
-                cur = fh.clone();
+                cur = *fh;
                 continue;
             }
             match self.rpc(&Nfs3Request::Lookup {
-                dir: cur.clone(),
+                dir: cur,
                 name: comp.to_string(),
             })? {
                 Nfs3Reply::Lookup { fh, attr, .. } => {
@@ -402,7 +402,7 @@ impl KernelNfs {
                     }
                     self.names
                         .lock()
-                        .insert(sofar.trim_start_matches('/').to_string(), fh.clone());
+                        .insert(sofar.trim_start_matches('/').to_string(), fh);
                     cur = fh;
                 }
                 Nfs3Reply::Error { status, .. } => return Err(BenchFsError::Nfs(status)),
@@ -540,7 +540,7 @@ impl FsBench for KernelNfs {
             let mut off = 0u64;
             loop {
                 match self.rpc(&Nfs3Request::Read {
-                    fh: fh.clone(),
+                    fh,
                     offset: off,
                     count: 8192,
                 })? {
@@ -722,9 +722,7 @@ impl SfsBench {
                 .client
                 .resolve(self.uid, &self.prefix)
                 .map_err(sfs_err)?;
-            self.names
-                .lock()
-                .insert(String::new(), (mount.clone(), fh.clone()));
+            self.names.lock().insert(String::new(), (mount.clone(), fh));
             return Ok((mount, fh));
         }
         let (dir, leaf) = split(path);
@@ -739,7 +737,7 @@ impl SfsBench {
             Nfs3Reply::Lookup { fh, .. } => {
                 self.names
                     .lock()
-                    .insert(path.to_string(), (mount.clone(), fh.clone()));
+                    .insert(path.to_string(), (mount.clone(), fh));
                 Ok((mount, fh))
             }
             Nfs3Reply::Error { status, .. } => Err(BenchFsError::Nfs(status)),
@@ -857,7 +855,7 @@ impl FsBench for SfsBench {
                 match self.nfs(
                     &mount,
                     &Nfs3Request::Read {
-                        fh: fh.clone(),
+                        fh,
                         offset: off,
                         count: 8192,
                     },

@@ -115,10 +115,10 @@ pub fn channel_pair(suite: SuiteId) -> (SecureChannelEnd, SecureChannelEnd) {
 pub fn micro_stages() -> Vec<Stage> {
     let mut stages = Vec::new();
     let mut stage = |name, payload, op: Box<dyn FnMut()>| stages.push(Stage { name, payload, op });
-    let fh = FileHandle(vec![0x42; 32]);
+    let fh = FileHandle::from([0x42; 32]);
     for n in PAYLOAD_SIZES {
         let req = Nfs3Request::Write {
-            fh: fh.clone(),
+            fh,
             offset: 0,
             stable: StableHow::FileSync,
             data: vec![0x5A; n],
@@ -180,22 +180,21 @@ pub fn micro_stages() -> Vec<Stage> {
 }
 
 /// Steady-state allocations per RPC on the [`relay_rig`] loop, pinned by
-/// both `sfs-bench hotpath` and `tests/alloc_regression.rs`. The full
-/// relay crosses the VFS and the NFS server, so it keeps a small budget:
-/// 3 allocations per GETATTR and 5 per READ measured (debug and release
-/// profiles alike; 36/38 before pooling, 11/14 before the direct-encode
-/// call path and stack-buffer handle decryption, 7/9 while every wire
-/// kept a private string-keyed counter registry, 5.2/7.2 while every
-/// sealed reply left a fresh copy in a 256-deep reply cache and the
-/// client decoded through an `InnerReply` with its own results `Vec`),
-/// rounded up. Raising these is a perf regression — justify it in the
+/// both `sfs-bench hotpath` and `tests/alloc_regression.rs`. A warm
+/// GETATTR crosses client, channel, wire, server, NFS server and VFS
+/// without allocating (debug and release profiles alike; 36/38 per
+/// GETATTR/READ before pooling, 11/14 before the direct-encode call path
+/// and stack-buffer handle decryption, 7/9 while every wire kept a
+/// private string-keyed counter registry, 5.2/7.2 while every sealed
+/// reply left a fresh copy in a 256-deep reply cache and the client
+/// decoded through an `InnerReply` with its own results `Vec`, 3/5
+/// while every file handle was a heap `Vec` re-allocated at each layer
+/// it crossed). Raising these is a perf regression — justify it in the
 /// PR that does.
-pub const RELAY_GETATTR_ALLOC_CEILING: f64 = 3.0;
-/// READ replies materialise the payload, and `hotpath`'s loop builds
-/// its request (a file-handle clone) inside the measured operation, so
-/// reads carry two more per-RPC allocations than GETATTR there and one
-/// more in `alloc_regression`.
-pub const RELAY_READ_ALLOC_CEILING: f64 = 5.0;
+pub const RELAY_GETATTR_ALLOC_CEILING: f64 = 0.0;
+/// A READ's payload is materialised twice: the VFS reads it into the
+/// server's reply, and the client hands the caller its own copy.
+pub const RELAY_READ_ALLOC_CEILING: f64 = 2.0;
 
 /// The steady-state sealed relay loop the wall-clock and allocation
 /// numbers are taken on: a memory-backed world with no CPU model, one

@@ -300,7 +300,7 @@ impl Oracle {
         let offset = self.history[f].last().unwrap().size;
         let byte = version_byte(f, offset);
         let write = Nfs3Request::Write {
-            fh: self.fhs[f].clone(),
+            fh: self.fhs[f],
             offset,
             stable: StableHow::FileSync,
             data: vec![byte],
@@ -383,7 +383,7 @@ impl Oracle {
     pub fn wire_read_and_check(&mut self, i: usize, f: usize) {
         let t_read = self.world.clock.now().as_nanos();
         let read = Nfs3Request::Read {
-            fh: self.fhs[f].clone(),
+            fh: self.fhs[f],
             offset: 0,
             count: 8192,
         };

@@ -77,7 +77,7 @@ fn sharded_windowed_read_locks_stay_pinned() {
     const BATCH: usize = 8;
     let reqs: Vec<Nfs3Request> = (0..BATCH)
         .map(|i| Nfs3Request::Read {
-            fh: fh.clone(),
+            fh,
             offset: (i * 4096) as u64,
             count: 4096,
         })

@@ -40,15 +40,15 @@ impl SfsClient {
         tel.count("client", "cache.invalidations", invalidations.len() as u64);
         let mut cache = mount.attr_cache.lock();
         for fh in invalidations {
-            cache.remove(&fh.0);
+            cache.remove(fh);
         }
         let mut access = mount.access_cache.lock();
-        access.retain(|(fh, _, _), _| !invalidations.iter().any(|i| &i.0 == fh));
+        access.retain(|(fh, _, _), _| !invalidations.iter().any(|i| i == fh));
         // Read-ahead data for an invalidated file was speculated under a
         // lease another client just broke.
         let mut streams = mount.streams.lock();
         for fh in invalidations {
-            streams.remove(&fh.0);
+            streams.remove(fh);
         }
     }
 
@@ -70,7 +70,7 @@ impl SfsClient {
         // Read-ahead hit: the block is already here, no RPC at all.
         {
             let mut streams = mount.streams.lock();
-            if let Some(st) = streams.get_mut(&fh.0) {
+            if let Some(st) = streams.get_mut(fh) {
                 if let Some((data, eof)) = st.prefetch.remove(&offset) {
                     if data.len() <= count as usize {
                         tel.count("client", "pipeline.readahead_hits", 1);
@@ -86,7 +86,7 @@ impl SfsClient {
         let window = self.pipeline_window();
         let run = {
             let mut streams = mount.streams.lock();
-            let st = streams.entry(fh.0.clone()).or_insert_with(|| StreamState {
+            let st = streams.entry(*fh).or_insert_with(|| StreamState {
                 next_offset: offset,
                 run: 0,
                 prefetch: BTreeMap::new(),
@@ -103,7 +103,7 @@ impl SfsClient {
             // Sequential stream: issue a whole window of READs at once.
             let reqs: Vec<Nfs3Request> = (0..window as u64)
                 .map(|i| Nfs3Request::Read {
-                    fh: fh.clone(),
+                    fh: *fh,
                     offset: offset + i * u64::from(count),
                     count,
                 })
@@ -116,7 +116,7 @@ impl SfsClient {
                 other => return Err(ClientError::unexpected(other)),
             };
             let mut streams = mount.streams.lock();
-            let st = streams.entry(fh.0.clone()).or_insert_with(|| StreamState {
+            let st = streams.entry(*fh).or_insert_with(|| StreamState {
                 next_offset: offset,
                 run: READ_AHEAD_TRIGGER,
                 prefetch: BTreeMap::new(),
@@ -152,13 +152,13 @@ impl SfsClient {
             mount,
             uid,
             &Nfs3Request::Read {
-                fh: fh.clone(),
+                fh: *fh,
                 offset,
                 count,
             },
         )? {
             Nfs3Reply::Read { data, eof, .. } => {
-                if let Some(st) = mount.streams.lock().get_mut(&fh.0) {
+                if let Some(st) = mount.streams.lock().get_mut(fh) {
                     st.next_offset = offset + data.len() as u64;
                 }
                 Ok((data, eof))
@@ -182,9 +182,9 @@ impl SfsClient {
         data: Vec<u8>,
     ) -> Result<(), ClientError> {
         // A write invalidates read-ahead speculation on the same file.
-        mount.streams.lock().remove(&fh.0);
+        mount.streams.lock().remove(fh);
         let req = Nfs3Request::Write {
-            fh: fh.clone(),
+            fh: *fh,
             offset,
             stable: StableHow::Unstable,
             data,
@@ -255,7 +255,7 @@ impl SfsClient {
             if let Some(attr) = post.attr {
                 if post.lease_ns > 0 {
                     mount.attr_cache.lock().insert(
-                        fh.0.clone(),
+                        *fh,
                         CachedAttr {
                             attr,
                             expires: SimTime(now.0 + post.lease_ns),
@@ -294,7 +294,7 @@ impl SfsClient {
         self.refuse_if_revoked(mount, uid)?;
         let tel = self.tel();
         if self.caching.load(Ordering::SeqCst) {
-            if let Some(c) = mount.attr_cache.lock().get(&fh.0) {
+            if let Some(c) = mount.attr_cache.lock().get(fh) {
                 if self.clock.now() < c.expires {
                     tel.count("client", "cache.attr_hits", 1);
                     return Ok(c.attr);
@@ -303,7 +303,7 @@ impl SfsClient {
         }
         tel.count("client", "cache.attr_misses", 1);
         self.barrier(mount)?;
-        let req = Nfs3Request::GetAttr { fh: fh.clone() };
+        let req = Nfs3Request::GetAttr { fh: *fh };
         match self.call_nfs_unqueued(&tel, mount, uid, &req)? {
             Nfs3Reply::GetAttr { attr, .. } => Ok(attr),
             other => Err(ClientError::unexpected(other)),
@@ -320,7 +320,7 @@ impl SfsClient {
     ) -> Result<u32, ClientError> {
         self.refuse_if_revoked(mount, uid)?;
         let tel = self.tel();
-        let key = (fh.0.clone(), uid, mask);
+        let key = (*fh, uid, mask);
         if self.caching.load(Ordering::SeqCst) {
             if let Some(c) = mount.access_cache.lock().get(&key) {
                 if self.clock.now() < c.expires {
@@ -332,10 +332,7 @@ impl SfsClient {
         }
         tel.count("client", "cache.access_misses", 1);
         self.barrier(mount)?;
-        let req = Nfs3Request::Access {
-            fh: fh.clone(),
-            mask,
-        };
+        let req = Nfs3Request::Access { fh: *fh, mask };
         match self.call_nfs_unqueued(&tel, mount, uid, &req)? {
             Nfs3Reply::Access { granted, attr } => {
                 if self.caching.load(Ordering::SeqCst) && attr.lease_ns > 0 {

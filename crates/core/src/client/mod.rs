@@ -43,7 +43,7 @@ mod session;
 pub use net::{RoutedRo, RoutedRw, Router, RwRoute, SfsNetwork};
 pub use recovery::RecoveryReport;
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -287,20 +287,20 @@ pub struct Mount {
     /// durable [`crate::journal::JournalRecord::SeqHwm`], so a restarted
     /// client resuming at the mark can never reuse one.
     seq_hwm: AtomicU32,
-    attr_cache: Mutex<HashMap<Vec<u8>, CachedAttr>>,
+    attr_cache: Mutex<HashMap<FileHandle, CachedAttr>>,
     access_cache: Mutex<HashMap<AccessKey, CachedAttr>>,
     /// Round trips accumulated on wires discarded by reconnects.
     prior_round_trips: AtomicU64,
     reconnects: AtomicU64,
-    /// Read-ahead state per file handle (bytes).
-    streams: Mutex<HashMap<Vec<u8>, StreamState>>,
+    /// Read-ahead state per file handle.
+    streams: Mutex<HashMap<FileHandle, StreamState>>,
     /// Write-behind queue: writes accepted locally but not yet issued,
     /// flushed as one pipelined window at the next barrier.
     wb_queue: Mutex<Vec<(u32, Nfs3Request)>>,
 }
 
-/// Access-cache key: (file handle bytes, uid, requested mask).
-type AccessKey = (Vec<u8>, u32, u32);
+/// Access-cache key: (file handle, uid, requested mask).
+type AccessKey = (FileHandle, u32, u32);
 
 /// How the client paces retransmissions and reconnects (all in virtual
 /// time). Retransmission resends the *identical* sealed frame — the
@@ -345,10 +345,12 @@ pub struct SfsClient {
     /// retry timing never perturbs key material).
     jitter: AtomicU64,
     agents: Mutex<HashMap<u32, Arc<Mutex<Agent>>>>,
-    mounts: Mutex<HashMap<String, Arc<Mount>>>,
+    /// Established mounts, by the whole pathname they serve: a path whose
+    /// location does not match its HostID misses, and fails to mount.
+    mounts: Mutex<HashMap<SelfCertifyingPath, Arc<Mount>>>,
     /// Which self-certifying names each agent (uid) has referenced — the
     /// `/sfs` listing filter of §2.3.
-    referenced: Mutex<HashMap<u32, BTreeSet<String>>>,
+    referenced: Mutex<HashMap<u32, HashSet<SelfCertifyingPath>>>,
     caching: AtomicBool,
     charge_crypto: AtomicBool,
     /// How many sealed calls may be in flight at once on a mount's

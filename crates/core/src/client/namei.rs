@@ -93,7 +93,7 @@ impl SfsClient {
                 &mount,
                 uid,
                 &Nfs3Request::Lookup {
-                    dir: cur_fh.clone(),
+                    dir: cur_fh,
                     name: comp.to_string(),
                 },
             )?;
@@ -136,7 +136,7 @@ impl SfsClient {
     }
 
     fn readlink_fh(&self, mount: &Mount, uid: u32, fh: &FileHandle) -> Result<String, ClientError> {
-        match self.call_nfs(mount, uid, &Nfs3Request::ReadLink { fh: fh.clone() })? {
+        match self.call_nfs(mount, uid, &Nfs3Request::ReadLink { fh: *fh })? {
             Nfs3Reply::ReadLink { target, .. } => Ok(target),
             other => Err(ClientError::unexpected(other)),
         }
@@ -202,8 +202,10 @@ impl SfsClient {
             .referenced
             .lock()
             .get(&uid)
-            .cloned()
-            .unwrap_or_default();
+            .into_iter()
+            .flatten()
+            .map(SelfCertifyingPath::dir_name)
+            .collect();
         let agent = self.agent(uid);
         for (name, _) in agent.lock().links() {
             names.insert(name.to_string());
@@ -233,13 +235,13 @@ impl SfsClient {
         leaf: &str,
     ) -> Result<Option<FileHandle>, ClientError> {
         let lookup = Nfs3Request::Lookup {
-            dir: dir.clone(),
+            dir: *dir,
             name: leaf.to_string(),
         };
         match self.call_nfs(mount, uid, &lookup)? {
             Nfs3Reply::Lookup { fh, .. } => {
                 let truncate = Nfs3Request::SetAttr {
-                    fh: fh.clone(),
+                    fh,
                     attrs: Sattr3 {
                         size: Some(0),
                         ..Default::default()
@@ -264,7 +266,7 @@ impl SfsClient {
             Some(fh) => fh,
             None => {
                 let create = Nfs3Request::Create {
-                    dir: dir_fh.clone(),
+                    dir: dir_fh,
                     name: leaf.to_string(),
                     attrs: Sattr3 {
                         mode: Some(0o644),
@@ -381,7 +383,7 @@ impl SfsClient {
                 &mount,
                 uid,
                 &Nfs3Request::ReadDir {
-                    dir: fh.clone(),
+                    dir: fh,
                     cookie,
                     count: 64,
                     plus: false,

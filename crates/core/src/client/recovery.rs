@@ -160,10 +160,12 @@ impl SfsClient {
         }
         {
             let mounts = self.mounts.lock();
-            let mut names: Vec<String> = mounts.keys().cloned().collect();
-            names.sort();
-            for name in names {
-                let m = &mounts[&name];
+            let mut named: Vec<(String, &Arc<Mount>)> = mounts
+                .iter()
+                .map(|(path, m)| (path.dir_name(), m))
+                .collect();
+            named.sort_by(|a, b| a.0.cmp(&b.0));
+            for (name, m) in named {
                 journal.append(&JournalRecord::Mount {
                     location: m.path.location.clone(),
                     host_id: m.path.host_id,

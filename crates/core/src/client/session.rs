@@ -38,7 +38,7 @@ use crate::wire::{CallMsg, Dialect, InnerCall, InnerReply, ReplyMsg, Service};
 impl Mount {
     /// The root file handle.
     pub fn root(&self) -> FileHandle {
-        self.root_fh.lock().clone()
+        *self.root_fh.lock()
     }
 
     /// Network round trips taken through this mount (across all
@@ -128,7 +128,7 @@ impl SfsClient {
     /// recovery path after a poisoned channel: tampering aborts a session,
     /// and a new key negotiation starts over).
     pub fn remount(&self, uid: u32, path: &SelfCertifyingPath) -> Result<Arc<Mount>, ClientError> {
-        self.mounts.lock().remove(&path.dir_name());
+        self.mounts.lock().remove(path);
         self.mount(uid, path)
     }
 
@@ -140,12 +140,16 @@ impl SfsClient {
         if agent.lock().refuses(path.host_id) {
             return Err(ClientError::Blocked);
         }
-        self.referenced
-            .lock()
-            .entry(uid)
-            .or_default()
-            .insert(path.dir_name());
-        if let Some(m) = self.mounts.lock().get(&path.dir_name()) {
+        // A mounted path costs no allocation: both lookups go by the
+        // caller's `path`, which is cloned only the first time.
+        {
+            let mut referenced = self.referenced.lock();
+            let names = referenced.entry(uid).or_default();
+            if !names.contains(path) {
+                names.insert(path.clone());
+            }
+        }
+        if let Some(m) = self.mounts.lock().get(path) {
             return Ok(m.clone());
         }
 
@@ -155,7 +159,7 @@ impl SfsClient {
         let mount = Arc::new(Mount {
             path: path.clone(),
             link: Mutex::new(link),
-            root_fh: Mutex::new(FileHandle(Vec::new())),
+            root_fh: Mutex::new(FileHandle::EMPTY),
             authnos: Mutex::new(HashMap::new()),
             next_seq: AtomicU32::new(1),
             seq_hwm: AtomicU32::new(0),
@@ -174,7 +178,7 @@ impl SfsClient {
             other => return Err(ClientError::Protocol(format!("bad mount reply: {other:?}"))),
         };
         *mount.root_fh.lock() = root;
-        self.mounts.lock().insert(path.dir_name(), mount.clone());
+        self.mounts.lock().insert(path.clone(), mount.clone());
         self.journal_record(&JournalRecord::Mount {
             location: path.location.clone(),
             host_id: path.host_id,
@@ -277,11 +281,10 @@ impl SfsClient {
         let uids = match user {
             Some(uid) => vec![uid],
             None => {
-                let dir_name = path.dir_name();
                 let referenced = self.referenced.lock();
                 let mut uids: Vec<u32> = referenced
                     .iter()
-                    .filter(|(_, names)| names.contains(&dir_name))
+                    .filter(|(_, names)| names.contains(path))
                     .map(|(&uid, _)| uid)
                     .collect();
                 uids.sort_unstable();

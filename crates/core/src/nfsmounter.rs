@@ -151,7 +151,7 @@ impl NfsMounter {
 
 /// A stub file handle the mounter hands out while serving defunct mounts.
 pub fn stub_root_handle() -> FileHandle {
-    FileHandle(vec![0u8; 16])
+    FileHandle::from([0u8; 16])
 }
 
 #[cfg(test)]
@@ -180,23 +180,17 @@ mod tests {
         // The unmount sequence: GETATTR, ACCESS, READDIR all answer.
         let fh = stub_root_handle();
         assert!(matches!(
-            m.serve_stub("host:aaaa", &Nfs3Request::GetAttr { fh: fh.clone() }),
+            m.serve_stub("host:aaaa", &Nfs3Request::GetAttr { fh }),
             Nfs3Reply::GetAttr { .. }
         ));
         assert!(matches!(
-            m.serve_stub(
-                "host:aaaa",
-                &Nfs3Request::Access {
-                    fh: fh.clone(),
-                    mask: 0x3f
-                }
-            ),
+            m.serve_stub("host:aaaa", &Nfs3Request::Access { fh, mask: 0x3f }),
             Nfs3Reply::Access { .. }
         ));
         match m.serve_stub(
             "host:aaaa",
             &Nfs3Request::ReadDir {
-                dir: fh.clone(),
+                dir: fh,
                 cookie: 0,
                 count: 100,
                 plus: false,

@@ -42,9 +42,11 @@ pub(super) const FH_MAP_CAPACITY: usize = 4096;
 pub(super) const FH_MAP_INITIAL: usize = 64;
 
 /// Bytes of an NFS handle (`fsid ‖ ino`).
-const NFS_LEN: usize = 16;
+pub(super) const NFS_LEN: usize = 16;
+/// Bytes of SHA-1 redundancy sealed in with it, one Blowfish block.
+pub(super) const FH_REDUNDANCY: usize = 8;
 /// Bytes of its public form: three Blowfish blocks.
-const PUBLIC_LEN: usize = 24;
+pub(super) const PUBLIC_LEN: usize = NFS_LEN + FH_REDUNDANCY;
 
 /// One form of a handle; the map takes each form to the other.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -78,37 +80,37 @@ impl HandleMap {
         server: &SfsServer,
         fh: &FileHandle,
     ) -> Result<FileHandle, Status> {
-        let public = fh.0.as_slice().try_into().ok().map(Form::Public);
+        let public = fh.as_bytes().try_into().ok().map(Form::Public);
         if let Some(Form::Nfs(nfs)) = public.as_ref().and_then(|p| self.map.get(p)) {
             self.hits += 1;
-            return Ok(FileHandle(nfs.to_vec()));
+            return Ok(FileHandle::from(*nfs));
         }
         self.misses += 1;
         let nfs = server.decrypt_handle(fh)?;
-        if let (Some(public), Ok(inner)) = (public, nfs.0.as_slice().try_into()) {
+        if let (Some(public), Ok(inner)) = (public, nfs.as_bytes().try_into()) {
             self.record(public, Form::Nfs(inner));
         }
         Ok(nfs)
     }
 
     /// [`SfsServer::encrypt_handle`], answered from the map when this
-    /// session's cipher has already produced `fh`'s public form. Reuses
-    /// `fh`'s buffer either way, as the cipher path does.
-    pub(super) fn encrypt(&mut self, server: &SfsServer, fh: FileHandle) -> FileHandle {
-        let nfs = fh.0.as_slice().try_into().ok().map(Form::Nfs);
+    /// session's cipher has already produced `fh`'s public form.
+    pub(super) fn encrypt(
+        &mut self,
+        server: &SfsServer,
+        fh: FileHandle,
+    ) -> Result<FileHandle, Status> {
+        let nfs = fh.as_bytes().try_into().ok().map(Form::Nfs);
         if let Some(Form::Public(public)) = nfs.as_ref().and_then(|n| self.map.get(n)) {
             self.hits += 1;
-            let mut buf = fh.0;
-            buf.clear();
-            buf.extend_from_slice(public);
-            return FileHandle(buf);
+            return Ok(FileHandle::from(*public));
         }
         self.misses += 1;
-        let public = server.encrypt_handle(fh);
-        if let (Some(nfs), Ok(outer)) = (nfs, public.0.as_slice().try_into()) {
+        let public = server.encrypt_handle(fh)?;
+        if let (Some(nfs), Ok(outer)) = (nfs, public.as_bytes().try_into()) {
             self.record(nfs, Form::Public(outer));
         }
-        public
+        Ok(public)
     }
 
     /// Remembers one translation the cipher made, while there is room.

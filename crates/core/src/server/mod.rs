@@ -35,6 +35,8 @@ mod handles;
 mod roreplica;
 mod sealed;
 
+use handles::{FH_REDUNDANCY, NFS_LEN, PUBLIC_LEN};
+
 pub use roreplica::{RoConnection, RoReplicaConn, RoReplicaServer};
 pub use sealed::Inbound;
 
@@ -49,7 +51,7 @@ use sfs_crypto::rabin::RabinPrivateKey;
 use sfs_crypto::sha1::{sha1_concat, DIGEST_LEN};
 use sfs_crypto::srp::SrpServer;
 use sfs_crypto::SfsPrg;
-use sfs_nfs3::proto::{FileHandle, Nfs3Reply, Nfs3Request, Proc, Status};
+use sfs_nfs3::proto::{FileHandle, Nfs3Reply, Nfs3Request, Proc, Status, FHSIZE};
 use sfs_nfs3::Nfs3Server;
 use sfs_proto::channel::{FrameSequencer, SecureChannelEnd, SuiteId};
 use sfs_proto::pathname::SelfCertifyingPath;
@@ -119,7 +121,7 @@ impl InvalidationHub {
     fn broadcast(&self, fh: FileHandle) {
         self.queues.lock().retain(|w| match w.upgrade() {
             Some(q) => {
-                q.lock().push(fh.clone());
+                q.lock().push(fh);
                 true
             }
             None => false,
@@ -319,6 +321,7 @@ impl SfsServer {
     /// The root file handle in SFS (encrypted) form.
     pub fn root_handle(&self) -> FileHandle {
         self.encrypt_handle(self.nfs.root_handle())
+            .expect("the NFS server's 16-byte handles encrypt")
     }
 
     /// Revokes this server's pathname: subsequent hellos for the old
@@ -352,32 +355,41 @@ impl SfsServer {
         db
     }
 
-    /// Encrypts an NFS handle into its public SFS form.
-    pub fn encrypt_handle(&self, fh: FileHandle) -> FileHandle {
-        let mut buf = fh.0;
-        let red = sha1_concat(&[b"SFS-fh-redundancy", &buf]);
-        buf.extend_from_slice(&red[..8]);
-        // 16 + 8 = 24 bytes = 3 Blowfish blocks.
-        self.fh_cipher.cbc_encrypt(&mut buf);
-        FileHandle(buf)
+    /// Encrypts an NFS handle into its public SFS form: Blowfish-CBC
+    /// over the handle and eight bytes of SHA-1 redundancy (the server's
+    /// 16-byte handles become three cipher blocks). A handle that cannot
+    /// fill whole blocks with its redundancy inside [`FHSIZE`] bytes is
+    /// refused with `BadHandle`, never truncated into a handle that
+    /// names something else.
+    pub fn encrypt_handle(&self, fh: FileHandle) -> Result<FileHandle, Status> {
+        let mut buf = [0u8; FHSIZE];
+        let Some(sealed) = buf
+            .get_mut(..fh.len() + FH_REDUNDANCY)
+            .filter(|b| b.len().is_multiple_of(FH_REDUNDANCY))
+        else {
+            return Err(Status::BadHandle);
+        };
+        let (inner, red) = sealed.split_at_mut(fh.len());
+        inner.copy_from_slice(fh.as_bytes());
+        red.copy_from_slice(&sha1_concat(&[b"SFS-fh-redundancy", inner])[..FH_REDUNDANCY]);
+        self.fh_cipher.cbc_encrypt(sealed);
+        FileHandle::new(sealed).ok_or(Status::BadHandle)
     }
 
-    /// Decrypts and validates an SFS handle back to NFS form. Works in a
-    /// stack buffer (wire handles are exactly 24 bytes) so the hot relay
-    /// path pays one allocation — the returned handle — not three.
+    /// Decrypts and validates an SFS handle back to NFS form, on the
+    /// stack: wire handles are exactly 24 bytes, anything else is
+    /// `BadHandle`.
     pub fn decrypt_handle(&self, fh: &FileHandle) -> Result<FileHandle, Status> {
-        if fh.0.len() != 24 {
+        let Ok(mut buf) = <[u8; PUBLIC_LEN]>::try_from(fh.as_bytes()) else {
             return Err(Status::BadHandle);
-        }
-        let mut buf = [0u8; 24];
-        buf.copy_from_slice(&fh.0);
+        };
         self.fh_cipher.cbc_decrypt(&mut buf);
-        let (inner, red) = buf.split_at(16);
+        let (inner, red) = buf.split_at(NFS_LEN);
         let expect = sha1_concat(&[b"SFS-fh-redundancy", inner]);
-        if red != &expect[..8] {
+        if red != &expect[..FH_REDUNDANCY] {
             return Err(Status::BadHandle);
         }
-        Ok(FileHandle(inner.to_vec()))
+        FileHandle::new(inner).ok_or(Status::BadHandle)
     }
 
     /// Seals a session-resumption ticket: an opaque blob only this

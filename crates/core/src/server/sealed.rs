@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use sfs_nfs3::proto::{FileHandle, Nfs3Reply, Nfs3Request, Proc, Status};
+use sfs_nfs3::proto::{Nfs3Reply, Nfs3Request, Proc, Status};
 use sfs_proto::channel::SeqPush;
 use sfs_proto::userauth::{AuthInfo, AuthMsg, AUTHNO_ANONYMOUS};
 use sfs_sim::{ServerCost, SimDisk};
@@ -224,21 +224,21 @@ impl ServerConn {
         let results_len = out.len() - results_start;
         out[len_pos..len_pos + 4].copy_from_slice(&(results_len as u32).to_be_bytes());
         out.extend_from_slice(&[0u8; 3][..(4 - results_len % 4) % 4]);
-        let pending: Vec<FileHandle> = self
-            .pending
-            .lock()
-            .drain(..)
-            .map(|fh| handles.encrypt(&self.server, fh))
-            .collect();
-        handles.report(f.tel);
-        out.extend_from_slice(&(pending.len() as u32).to_be_bytes());
-        if !pending.is_empty() {
-            let mut enc = XdrEncoder::from_vec(std::mem::take(out));
-            for fh in &pending {
-                fh.encode(&mut enc);
+        // The piggybacked invalidations: a count word patched after the
+        // handles are encrypted straight into the envelope.
+        let count_pos = out.len();
+        out.extend_from_slice(&[0u8; 4]);
+        let mut enc = XdrEncoder::from_vec(std::mem::take(out));
+        let mut count = 0u32;
+        for fh in self.pending.lock().drain(..) {
+            if let Ok(public) = handles.encrypt(&self.server, fh) {
+                public.encode(&mut enc);
+                count += 1;
             }
-            *out = enc.into_bytes();
         }
+        *out = enc.into_bytes();
+        out[count_pos..count_pos + 4].copy_from_slice(&count.to_be_bytes());
+        handles.report(f.tel);
         Ok(())
     }
 
@@ -446,7 +446,7 @@ impl ServerConn {
             };
             if first_fh.is_none() {
                 if let Some(e) = f.engine {
-                    first_fh = Some(e.shard_of(&fh.0));
+                    first_fh = Some(e.shard_of(fh.as_bytes()));
                 }
             }
         }
@@ -466,7 +466,10 @@ impl ServerConn {
         }
         // Translate handles in the reply back to SFS form.
         for fh in reply.handles_mut() {
-            *fh = handles.encrypt(&self.server, std::mem::replace(fh, FileHandle(Vec::new())));
+            *fh = match handles.encrypt(&self.server, *fh) {
+                Ok(public) => public,
+                Err(status) => return err(status, enc),
+            };
         }
         reply.encode_results_into(enc)
     }

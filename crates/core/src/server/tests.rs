@@ -11,6 +11,7 @@ use sfs_crypto::srp::SrpGroup;
 use sfs_nfs3::proto::{DirEntry, PostOpAttr, Sattr3, StableHow};
 use sfs_proto::keyneg::KeyNegServerReply;
 use sfs_sim::SimClock;
+use sfs_xdr::XdrError;
 use std::sync::OnceLock;
 
 fn test_key() -> RabinPrivateKey {
@@ -47,10 +48,10 @@ fn make_server() -> Arc<SfsServer> {
 #[test]
 fn handle_encryption_roundtrip() {
     let s = make_server();
-    let nfs_handle = FileHandle(vec![7u8; 16]);
-    let sfs_handle = s.encrypt_handle(nfs_handle.clone());
-    assert_ne!(sfs_handle.0[..16], nfs_handle.0[..]);
-    assert_eq!(sfs_handle.0.len(), 24);
+    let nfs_handle = FileHandle::from([7u8; 16]);
+    let sfs_handle = s.encrypt_handle(nfs_handle).unwrap();
+    assert_ne!(sfs_handle.as_bytes()[..16], nfs_handle.as_bytes()[..]);
+    assert_eq!(sfs_handle.len(), 24);
     assert_eq!(s.decrypt_handle(&sfs_handle).unwrap(), nfs_handle);
 }
 
@@ -59,18 +60,124 @@ fn forged_handle_rejected() {
     let s = make_server();
     // Guessing a handle fails the redundancy check.
     assert_eq!(
-        s.decrypt_handle(&FileHandle(vec![1u8; 24])).unwrap_err(),
+        s.decrypt_handle(&FileHandle::from([1u8; 24])).unwrap_err(),
         Status::BadHandle
     );
     // Truncated handles are rejected outright.
     assert_eq!(
-        s.decrypt_handle(&FileHandle(vec![1u8; 16])).unwrap_err(),
+        s.decrypt_handle(&FileHandle::from([1u8; 16])).unwrap_err(),
         Status::BadHandle
     );
     // Flipping one bit of a valid handle breaks it.
-    let mut h = s.encrypt_handle(FileHandle(vec![7u8; 16]));
-    h.0[3] ^= 1;
+    let mut h = s.encrypt_handle(FileHandle::from([7u8; 16])).unwrap();
+    h.as_bytes_mut()[3] ^= 1;
     assert_eq!(s.decrypt_handle(&h).unwrap_err(), Status::BadHandle);
+}
+
+/// Allocations on the calling thread, so a test can show that refusing
+/// a hostile handle costs none.
+mod allocs {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        static HERE: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// `f`'s result and the number of allocations it made on this thread.
+    pub(super) fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let before = HERE.get();
+        let out = f();
+        (out, HERE.get() - before)
+    }
+
+    struct Counting;
+
+    // SAFETY: every method forwards its arguments unchanged to `System`;
+    // the tally is a const thread-local's add, which cannot allocate or
+    // unwind.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            HERE.set(HERE.get() + 1);
+            // SAFETY: the caller's layout, unchanged.
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` came from `System` with this layout.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            HERE.set(HERE.get() + 1);
+            // SAFETY: forwarded unchanged.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOC: Counting = Counting;
+}
+
+#[test]
+fn oversized_handle_opaques_are_refused_without_allocating() {
+    // A handle opaque one byte past NFS3_FHSIZE, and one claiming
+    // 2^32 - 1 bytes, as a bare handle and as a GETATTR's argument.
+    let mut over = XdrEncoder::new();
+    over.put_opaque(&[0xAB; FHSIZE + 1]);
+    let huge = u32::MAX.to_be_bytes();
+    for (claimed, bytes) in [(FHSIZE as u32 + 1, over.bytes()), (u32::MAX, &huge[..])] {
+        let refused = XdrError::LengthTooLong {
+            claimed,
+            max: FHSIZE as u32,
+        };
+        let (bare, n) = allocs::allocations_in(|| FileHandle::decode(&mut XdrDecoder::new(bytes)));
+        assert_eq!((bare.unwrap_err(), n), (refused.clone(), 0));
+        let (args, n) = allocs::allocations_in(|| Nfs3Request::decode_args(Proc::GetAttr, bytes));
+        assert_eq!((args.unwrap_err(), n), (refused, 0));
+    }
+}
+
+#[test]
+fn public_handles_of_any_length_but_24_are_refused_without_allocating() {
+    let s = make_server();
+    let valid = s.root_handle();
+    let mut map = handles::HandleMap::new();
+    assert_eq!(map.decrypt(&s, &valid), Ok(s.nfs.root_handle()));
+    let bytes = [valid.as_bytes(), &[0x5A; FHSIZE]].concat();
+    for len in (0..=FHSIZE).filter(|&len| len != PUBLIC_LEN) {
+        let fh = FileHandle::new(&bytes[..len]).unwrap();
+        let (cipher, n) = allocs::allocations_in(|| s.decrypt_handle(&fh));
+        assert_eq!((cipher, n), (Err(Status::BadHandle), 0), "{len} bytes");
+        let (mapped, n) = allocs::allocations_in(|| map.decrypt(&s, &fh));
+        assert_eq!((mapped, n), (Err(Status::BadHandle), 0), "{len} bytes, map");
+    }
+    assert_eq!(map.len(), 1, "a refused handle was recorded");
+}
+
+#[test]
+fn nfs_handles_that_cannot_be_sealed_whole_are_refused_not_truncated() {
+    // Sealed, a handle grows by its eight redundancy bytes and must fill
+    // whole Blowfish blocks inside FHSIZE: 0, 8, …, 56 bytes are, and
+    // every other length — 57..=64 above all — is refused.
+    let s = make_server();
+    let mut map = handles::HandleMap::new();
+    for len in 0..=FHSIZE {
+        let fh = FileHandle::new(&[0x3C; FHSIZE][..len]).unwrap();
+        let (sealed, n) = allocs::allocations_in(|| s.encrypt_handle(fh));
+        assert_eq!(n, 0, "{len} bytes");
+        if len + FH_REDUNDANCY <= FHSIZE && len % 8 == 0 {
+            assert_eq!(
+                sealed.map(|h| h.len()),
+                Ok(len + FH_REDUNDANCY),
+                "{len} bytes"
+            );
+        } else {
+            assert_eq!(sealed, Err(Status::BadHandle), "{len} bytes");
+            let (mapped, n) = allocs::allocations_in(|| map.encrypt(&s, fh));
+            assert_eq!((mapped, n), (Err(Status::BadHandle), 0), "{len} bytes, map");
+        }
+    }
 }
 
 /// Every input the handle cipher refuses that is one edit from `valid`:
@@ -78,16 +185,17 @@ fn forged_handle_rejected() {
 /// by one and eight bytes, and `foreign`.
 fn near_misses(valid: &FileHandle, foreign: &FileHandle) -> Vec<FileHandle> {
     let mut out = Vec::new();
-    for i in 0..valid.0.len() {
+    for i in 0..valid.len() {
         for delta in 1..=255u8 {
-            let mut fh = valid.clone();
-            fh.0[i] ^= delta;
+            let mut fh = *valid;
+            fh.as_bytes_mut()[i] ^= delta;
             out.push(fh);
         }
     }
-    out.extend((0..valid.0.len()).map(|n| FileHandle(valid.0[..n].to_vec())));
-    out.extend([1, 8].map(|n| FileHandle([&valid.0[..], &vec![0; n]].concat())));
-    out.push(foreign.clone());
+    let bytes = valid.as_bytes();
+    out.extend((0..bytes.len()).map(|n| FileHandle::new(&bytes[..n]).unwrap()));
+    out.extend([1, 8].map(|n| FileHandle::new(&[bytes, &vec![0; n]].concat()).unwrap()));
+    out.push(*foreign);
     out
 }
 
@@ -106,15 +214,15 @@ fn the_handle_map_refuses_what_the_cipher_refuses_cold_and_warm() {
         SfsPrg::from_entropy(b"other-server-test"),
     );
     let nfs = s.nfs.root_handle();
-    let valid = s.encrypt_handle(nfs.clone());
-    let foreign = other.encrypt_handle(nfs.clone());
-    assert_eq!(other.decrypt_handle(&foreign), Ok(nfs.clone()));
+    let valid = s.encrypt_handle(nfs).unwrap();
+    let foreign = other.encrypt_handle(nfs).unwrap();
+    assert_eq!(other.decrypt_handle(&foreign), Ok(nfs));
     let forged = near_misses(&valid, &foreign);
     for warm in [false, true] {
         let mut map = handles::HandleMap::new();
         if warm {
-            assert_eq!(map.decrypt(&s, &valid), Ok(nfs.clone()));
-            assert_eq!(map.encrypt(&s, nfs.clone()), valid);
+            assert_eq!(map.decrypt(&s, &valid), Ok(nfs));
+            assert_eq!(map.encrypt(&s, nfs), Ok(valid));
             assert_eq!(map.len(), 2);
         }
         for fh in &forged {
@@ -132,7 +240,7 @@ fn the_handle_map_refuses_what_the_cipher_refuses_cold_and_warm() {
         // A hit is exactly the cipher's answer, both ways.
         for _ in 0..2 {
             assert_eq!(map.decrypt(&s, &valid), s.decrypt_handle(&valid));
-            assert_eq!(map.encrypt(&s, nfs.clone()), s.encrypt_handle(nfs.clone()));
+            assert_eq!(map.encrypt(&s, nfs), s.encrypt_handle(nfs));
         }
     }
 }
@@ -146,8 +254,8 @@ fn the_handle_map_stops_at_its_cap_and_translates_past_it() {
     let k = 7;
     let pairs: Vec<(FileHandle, FileHandle)> = (0..cap + k)
         .map(|i| {
-            let nfs = FileHandle((i as u128).to_be_bytes().to_vec());
-            (s.encrypt_handle(nfs.clone()), nfs)
+            let nfs = FileHandle::from((i as u128).to_be_bytes());
+            (s.encrypt_handle(nfs).unwrap(), nfs)
         })
         .collect();
     for round in 0..2 {
@@ -162,7 +270,7 @@ fn the_handle_map_stops_at_its_cap_and_translates_past_it() {
     assert_eq!(tel.counter("server", "fh_map.misses"), (cap + 2 * k) as u64);
     // Full in one direction, the other takes the cipher path.
     let (public, nfs) = &pairs[0];
-    assert_eq!(&map.encrypt(&s, nfs.clone()), public);
+    assert_eq!(map.encrypt(&s, *nfs).as_ref(), Ok(public));
     assert_eq!(map.len(), cap);
 }
 
@@ -495,7 +603,7 @@ fn inner_nfs_marshal_equals_the_enum_form_for_every_proc() {
         for _ in 0..32 {
             let (n, authno) = (draw() >> 40, draw() as u32);
             let req = sample_request(proc, n, || {
-                FileHandle(draw().to_le_bytes().repeat(1 + n as usize % 8))
+                FileHandle::new(&draw().to_le_bytes().repeat(1 + n as usize % 8)).unwrap()
             });
             let args = req.encode_args();
             let mut plaintext = Vec::new();
@@ -648,7 +756,7 @@ fn marked() -> impl FnMut() -> FileHandle {
     let mut mark = 0xE0u8;
     move || {
         mark += 1;
-        FileHandle(vec![mark; 24])
+        FileHandle::from([mark; 24])
     }
 }
 
@@ -663,7 +771,9 @@ fn marks_in(bytes: &[u8]) -> Vec<u8> {
 }
 
 fn flipped(fh: &FileHandle) -> FileHandle {
-    FileHandle(fh.0.iter().map(|b| !b).collect())
+    let mut out = *fh;
+    out.as_bytes_mut().iter_mut().for_each(|b| *b = !*b);
+    out
 }
 
 #[test]
@@ -675,7 +785,7 @@ fn handle_visitors_match_the_rebuild_and_the_wire_order() {
         let req = sample_request(proc, 6, marked());
         let (mut visited, mut order) = (req.clone(), Vec::new());
         for fh in visited.handles_mut() {
-            order.push(fh.0[0]);
+            order.push(fh.as_bytes()[0]);
             *fh = flipped(fh);
         }
         let rebuilt = map_request_handles(req.clone(), &mut |fh| Ok(flipped(&fh)));
@@ -685,7 +795,7 @@ fn handle_visitors_match_the_rebuild_and_the_wire_order() {
         let reply = sample_reply(proc, marked());
         let (mut visited, mut order) = (reply.clone(), Vec::new());
         for fh in visited.handles_mut() {
-            order.push(fh.0[0]);
+            order.push(fh.as_bytes()[0]);
             *fh = flipped(fh);
         }
         let rebuilt = map_reply_handles(reply.clone(), &mut |fh| flipped(&fh));

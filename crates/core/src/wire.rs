@@ -867,7 +867,7 @@ mod tests {
             InnerReply::AuthDenied { seq_no: 4 },
             InnerReply::Nfs {
                 results: vec![1, 2],
-                invalidations: vec![FileHandle(vec![9; 16])],
+                invalidations: vec![FileHandle::from([9; 16])],
             },
         ];
         for r in replies {
@@ -945,7 +945,7 @@ mod tests {
         let nfs = |n, handles: usize| InnerReply::Nfs {
             results: vec![0x5C; n],
             invalidations: (0..handles)
-                .map(|i| FileHandle(vec![i as u8; 24]))
+                .map(|i| FileHandle::from([i as u8; 24]))
                 .collect(),
         };
         let seeds = [
@@ -960,7 +960,7 @@ mod tests {
             },
             InnerReply::AuthDenied { seq_no: 4 },
             InnerReply::MountReply {
-                root: FileHandle(vec![7; 24]),
+                root: FileHandle::from([7; 24]),
             },
         ]
         .map(|r| r.to_xdr());

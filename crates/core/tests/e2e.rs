@@ -118,7 +118,7 @@ fn lease_invalidation_on_write() {
             &mount,
             ALICE_UID,
             &sfs_nfs3::proto::Nfs3Request::Write {
-                fh: fh.clone(),
+                fh,
                 offset: 7,
                 stable: sfs_nfs3::proto::StableHow::FileSync,
                 data: b", day two".to_vec(),
@@ -204,7 +204,9 @@ fn mitm_server_with_different_key_rejected() {
     // with a different key fails certification.
     w.add_server("rogue.example.org", 0xBAD);
     // Build a path claiming the rogue location but the real server's
-    // HostID — e.g. a phishing link.
+    // HostID — e.g. a phishing link. The real server being mounted
+    // already must not let the forgery ride its cached mount.
+    w.clients[0].mount(ALICE_UID, w.path()).unwrap();
     let forged = SelfCertifyingPath {
         location: "rogue.example.org".into(),
         host_id: w.path().host_id,

@@ -62,7 +62,7 @@ fn home(w: &World) -> String {
 fn mkdir_batch(dir_fh: &sfs_nfs3::FileHandle, tag: &str) -> Vec<Nfs3Request> {
     (0..BATCH)
         .map(|i| Nfs3Request::Mkdir {
-            dir: dir_fh.clone(),
+            dir: *dir_fh,
             name: format!("{tag}-{i:02}"),
             attrs: Sattr3::default(),
         })
@@ -201,7 +201,7 @@ fn mkdir_280_twice(tamper: Option<Arc<Mutex<dyn Interceptor>>>) -> [(u64, u64); 
     let (mount, dir_fh, _) = w.clients[0].resolve(ALICE_UID, &home(&w)).unwrap();
     let reqs: Vec<Nfs3Request> = (0..CALLS)
         .map(|i| Nfs3Request::Mkdir {
-            dir: dir_fh.clone(),
+            dir: dir_fh,
             name: format!("evict-{i:03}"),
             attrs: Sattr3::default(),
         })

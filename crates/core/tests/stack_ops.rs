@@ -31,7 +31,7 @@ fn rename_through_the_stack() {
             &mount,
             UID,
             &Nfs3Request::Rename {
-                from_dir: dir_fh.clone(),
+                from_dir: dir_fh,
                 from_name: "draft".into(),
                 to_dir: dir_fh,
                 to_name: "final".into(),
@@ -109,7 +109,7 @@ fn readdirplus_returns_handles_and_attrs() {
             assert_eq!(entries.len(), 5);
             for e in entries {
                 let (fh, attr) = e.plus.expect("plus data");
-                assert_eq!(fh.0.len(), 24, "SFS (encrypted) handle length");
+                assert_eq!(fh.len(), 24, "SFS (encrypted) handle length");
                 assert!(attr.attr.is_some());
                 assert!(attr.lease_ns > 0, "plus attrs carry leases");
             }
@@ -134,7 +134,7 @@ fn multi_megabyte_file_roundtrip() {
                 &mount,
                 UID,
                 &Nfs3Request::Write {
-                    fh: fh.clone(),
+                    fh,
                     offset: i * 65536,
                     stable: StableHow::Unstable,
                     data: chunk.clone(),
@@ -148,7 +148,7 @@ fn multi_megabyte_file_roundtrip() {
             &mount,
             UID,
             &Nfs3Request::Commit {
-                fh: fh.clone(),
+                fh,
                 offset: 0,
                 count: 0,
             },

@@ -27,21 +27,115 @@ pub const NFS_VERSION: u32 = 3;
 /// Maximum file-handle size (RFC 1813 NFS3_FHSIZE).
 pub const FHSIZE: usize = 64;
 
-/// An opaque NFS file handle.
+/// An opaque NFS file handle: at most [`FHSIZE`] bytes, held inline.
 ///
 /// "NFS identifies files by server-chosen, opaque file handles … these
 /// file handles must remain secret" for a traditional NFS server; SFS
 /// instead encrypts them (§3.3), so SFS handles are safe to publish.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct FileHandle(pub Vec<u8>);
+///
+/// A handle rides every relayed call through every layer — XDR, the
+/// server's handle cipher, the NFS dispatch, the client's caches — so it
+/// is a `Copy` value that never touches the allocator. Equality,
+/// ordering, hashing and `Debug` see only the bytes it holds, exactly
+/// as they would a `Vec<u8>` of them: a prefix sorts first, and a
+/// handle prints as `FileHandle([1, 2, 3])`.
+#[derive(Clone, Copy)]
+pub struct FileHandle {
+    len: u8,
+    bytes: [u8; FHSIZE],
+}
+
+impl FileHandle {
+    /// The zero-length handle.
+    pub const EMPTY: FileHandle = FileHandle {
+        len: 0,
+        bytes: [0; FHSIZE],
+    };
+
+    /// A handle holding `bytes`, or `None` when they exceed [`FHSIZE`].
+    pub fn new(bytes: &[u8]) -> Option<FileHandle> {
+        let mut fh = FileHandle::EMPTY;
+        fh.bytes.get_mut(..bytes.len())?.copy_from_slice(bytes);
+        fh.len = bytes.len() as u8;
+        Some(fh)
+    }
+
+    /// The bytes the handle holds.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..usize::from(self.len)]
+    }
+
+    /// The bytes the handle holds, for editing in place.
+    pub fn as_bytes_mut(&mut self) -> &mut [u8] {
+        &mut self.bytes[..usize::from(self.len)]
+    }
+
+    /// How many bytes the handle holds.
+    pub fn len(&self) -> usize {
+        usize::from(self.len)
+    }
+
+    /// Whether the handle holds no bytes.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+/// A handle from a fixed-size array; an array longer than [`FHSIZE`]
+/// does not compile.
+impl<const N: usize> From<[u8; N]> for FileHandle {
+    fn from(bytes: [u8; N]) -> FileHandle {
+        const { assert!(N <= FHSIZE, "a file handle holds at most FHSIZE bytes") };
+        let mut fh = FileHandle::EMPTY;
+        fh.bytes[..N].copy_from_slice(&bytes);
+        fh.len = N as u8;
+        fh
+    }
+}
+
+impl PartialEq for FileHandle {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for FileHandle {}
+
+impl PartialOrd for FileHandle {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for FileHandle {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+impl std::hash::Hash for FileHandle {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_bytes().hash(state);
+    }
+}
+
+impl std::fmt::Debug for FileHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("FileHandle").field(&self.as_bytes()).finish()
+    }
+}
 
 impl Xdr for FileHandle {
     fn encode(&self, enc: &mut XdrEncoder) {
-        enc.put_opaque(&self.0);
+        enc.put_opaque(self.as_bytes());
     }
     fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        let data = dec.get_opaque_max(FHSIZE as u32)?;
-        Ok(FileHandle(data))
+        let max = FHSIZE as u32;
+        let data = dec.get_opaque_max_ref(max)?;
+        FileHandle::new(data).ok_or(XdrError::LengthTooLong {
+            claimed: data.len() as u32,
+            max,
+        })
     }
 }
 
@@ -1155,7 +1249,7 @@ mod tests {
     use super::*;
 
     fn fh(b: &[u8]) -> FileHandle {
-        FileHandle(b.to_vec())
+        FileHandle::new(b).unwrap()
     }
 
     fn attr() -> Fattr3 {
@@ -1385,6 +1479,55 @@ mod tests {
             let mut dec = XdrDecoder::new(enc.bytes());
             assert_eq!(Status::decode(&mut dec).unwrap(), s);
         }
+    }
+
+    /// The `Vec<u8>` handle this type replaced, with its derived traits:
+    /// the reference the inline handle must behave exactly like.
+    mod before {
+        #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+        pub struct FileHandle(pub Vec<u8>);
+    }
+
+    #[test]
+    fn inline_handles_order_hash_compare_and_print_as_the_vec_did() {
+        use std::hash::{BuildHasher, RandomState};
+        // xorshift64: random handles of 0..=64 bytes, plus a prefix and an
+        // extension of each, so prefixes meet their extensions.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut vecs: Vec<Vec<u8>> = Vec::new();
+        for _ in 0..200 {
+            let len = (next() % (FHSIZE as u64 + 1)) as usize;
+            // A narrow byte range makes equal and prefix-sharing handles
+            // common.
+            let v: Vec<u8> = (0..len).map(|_| (next() % 3) as u8).collect();
+            vecs.push(v[..len / 2].to_vec());
+            if len < FHSIZE {
+                vecs.push([&v[..], &[0]].concat());
+            }
+            vecs.push(v);
+        }
+        let new: Vec<FileHandle> = vecs.iter().map(|v| FileHandle::new(v).unwrap()).collect();
+        let old: Vec<before::FileHandle> = vecs.iter().cloned().map(before::FileHandle).collect();
+        let hasher = RandomState::new();
+        for (a, oa) in new.iter().zip(&old) {
+            assert_eq!(a.as_bytes(), &oa.0[..]);
+            assert_eq!(hasher.hash_one(a), hasher.hash_one(oa), "{a:?}");
+            assert_eq!(format!("{a:?}"), format!("{oa:?}"));
+            assert_eq!(format!("{a:#?}"), format!("{oa:#?}"));
+            for (b, ob) in new.iter().zip(&old) {
+                assert_eq!(a.cmp(b), oa.cmp(ob), "{a:?} vs {b:?}");
+                assert_eq!(a == b, oa == ob, "{a:?} vs {b:?}");
+            }
+        }
+        assert_eq!(format!("{:?}", fh(&[1, 2, 3])), "FileHandle([1, 2, 3])");
+        assert!(fh(&[1, 2]) < fh(&[1, 2, 0]), "a prefix sorts first");
+        assert_eq!(FileHandle::new(&[0; FHSIZE + 1]), None);
     }
 
     #[test]

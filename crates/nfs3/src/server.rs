@@ -96,22 +96,25 @@ impl Nfs3Server {
 
     /// Encodes an inode as a file handle: fsid ‖ ino (16 bytes).
     pub fn encode_handle(&self, ino: Ino) -> FileHandle {
-        let mut bytes = Vec::with_capacity(16);
-        bytes.extend_from_slice(&self.vfs.fsid().to_be_bytes());
-        bytes.extend_from_slice(&ino.to_be_bytes());
-        FileHandle(bytes)
+        let mut bytes = [0u8; 16];
+        bytes[..8].copy_from_slice(&self.vfs.fsid().to_be_bytes());
+        bytes[8..].copy_from_slice(&ino.to_be_bytes());
+        FileHandle::from(bytes)
     }
 
     /// Decodes and validates a file handle.
     pub fn decode_handle(&self, fh: &FileHandle) -> Result<Ino, Status> {
-        if fh.0.len() != 16 {
+        let bytes = fh.as_bytes();
+        if bytes.len() != 16 {
             return Err(Status::BadHandle);
         }
-        let fsid = u64::from_be_bytes(fh.0[..8].try_into().unwrap());
+        let fsid = u64::from_be_bytes(bytes[..8].try_into().expect("8 of 16 bytes"));
         if fsid != self.vfs.fsid() {
             return Err(Status::BadHandle);
         }
-        Ok(u64::from_be_bytes(fh.0[8..16].try_into().unwrap()))
+        Ok(u64::from_be_bytes(
+            bytes[8..].try_into().expect("8 of 16 bytes"),
+        ))
     }
 
     fn post_op(&self, ino: Ino) -> PostOpAttr {
@@ -499,7 +502,7 @@ mod tests {
         let reply = s.handle(
             &creds,
             &Nfs3Request::Create {
-                dir: rh.clone(),
+                dir: rh,
                 name: "f".into(),
                 attrs: Default::default(),
             },
@@ -511,7 +514,7 @@ mod tests {
         let reply = s.handle(
             &creds,
             &Nfs3Request::Write {
-                fh: fh.clone(),
+                fh,
                 offset: 0,
                 stable: StableHow::FileSync,
                 data: b"hello nfs".to_vec(),
@@ -554,13 +557,13 @@ mod tests {
         let reply = s.handle(
             &root(),
             &Nfs3Request::GetAttr {
-                fh: FileHandle(vec![1, 2, 3]),
+                fh: FileHandle::from([1, 2, 3]),
             },
         );
         assert_eq!(reply.status(), Status::BadHandle);
         // Wrong fsid.
         let mut fh = s.root_handle();
-        fh.0[0] ^= 1;
+        fh.as_bytes_mut()[0] ^= 1;
         let reply = s.handle(&root(), &Nfs3Request::GetAttr { fh });
         assert_eq!(reply.status(), Status::BadHandle);
     }
@@ -654,7 +657,7 @@ mod tests {
             other => panic!("{other:?}"),
         };
         // GetAttr grants a lease.
-        match s.handle(&creds, &Nfs3Request::GetAttr { fh: fh.clone() }) {
+        match s.handle(&creds, &Nfs3Request::GetAttr { fh }) {
             Nfs3Reply::GetAttr { lease_ns, .. } => assert_eq!(lease_ns, 1_000_000),
             other => panic!("{other:?}"),
         }
@@ -662,7 +665,7 @@ mod tests {
         s.handle(
             &creds,
             &Nfs3Request::Write {
-                fh: fh.clone(),
+                fh,
                 offset: 0,
                 stable: StableHow::Unstable,
                 data: vec![1],

@@ -229,7 +229,7 @@ fn a_warm_session_refuses_forged_handles_as_a_cold_one_does() {
     let (_, foreign, _) = client.resolve(ALICE_UID, &motd(1)).unwrap();
     client.set_caching(false);
     let getattr = |fh: &FileHandle| {
-        let req = Nfs3Request::GetAttr { fh: fh.clone() };
+        let req = Nfs3Request::GetAttr { fh: *fh };
         client.call_nfs(&mount, ALICE_UID, &req).unwrap().status()
     };
     let hits = || tel.counter("server", "fh_map.hits");
@@ -238,15 +238,16 @@ fn a_warm_session_refuses_forged_handles_as_a_cold_one_does() {
     assert_eq!(getattr(&fh), Status::Ok);
     assert!(hits() > before, "the session never answered from its map");
 
-    let mut forged: Vec<FileHandle> = (0..fh.0.len())
+    let bytes = fh.as_bytes();
+    let mut forged: Vec<FileHandle> = (0..fh.len())
         .map(|i| {
-            let mut f = fh.clone();
-            f.0[i] ^= 0x80;
+            let mut f = fh;
+            f.as_bytes_mut()[i] ^= 0x80;
             f
         })
         .collect();
-    forged.push(FileHandle(fh.0[..fh.0.len() - 1].to_vec()));
-    forged.push(FileHandle([&fh.0[..], &[0]].concat()));
+    forged.push(FileHandle::new(&bytes[..bytes.len() - 1]).unwrap());
+    forged.push(FileHandle::new(&[bytes, &[0]].concat()).unwrap());
     forged.push(foreign);
     for f in &forged {
         assert_eq!(getattr(f), Status::BadHandle, "{f:?}");
