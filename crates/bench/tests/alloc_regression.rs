@@ -1,7 +1,8 @@
 //! Pins allocations-per-RPC on the steady-state sealed relay loop, per
-//! operation on the stages below it, and per private-key operation on
-//! the Rabin handshake path — and, beside them, the pool's hit/miss
-//! behaviour and the totals the CPU cost terms and the pool count.
+//! operation on the stages below it, per Rabin operation and generator
+//! draw on the handshake path, and per whole connect cycle — and, beside
+//! them, the pool's hit/miss behaviour and the totals the CPU cost terms
+//! and the pool count.
 //!
 //! Wall-clock perf regressions need a benchmark run to notice;
 //! allocation-count regressions are exact and deterministic, so they can
@@ -15,9 +16,10 @@ use sfs_bench::microbench::{
     micro_stages, relay_rig, RelayRig, Stage, RELAY_GETATTR_ALLOC_CEILING, RELAY_READ_ALLOC_CEILING,
 };
 use sfs_bench::world::{World, WorldSpec, UID};
-use sfs_bignum::XorShiftSource;
+use sfs_bignum::{RandomSource, XorShiftSource};
+use sfs_crypto::SfsPrg;
 use sfs_nfs3::proto::{Nfs3Reply, Nfs3Request};
-use sfs_telemetry::Telemetry;
+use sfs_telemetry::{Telemetry, ZeroClock};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -27,8 +29,17 @@ const RELAY_ACCESS_ALLOC_CEILING: f64 = 0.0;
 /// LOOKUP allocates the name the server decodes into its request.
 const RELAY_LOOKUP_ALLOC_CEILING: f64 = 1.0;
 const SHARDED_READ_ALLOC_CEILING: f64 = 2.125;
-const RABIN_768_DECRYPT_ALLOC_CEILING: u64 = 55;
-const RABIN_512_SIGN_ALLOC_CEILING: u64 = 35;
+/// The ciphertext's number, the two roots, the plaintext.
+const RABIN_768_DECRYPT_ALLOC_CEILING: u64 = 4;
+/// The hash's number, the two roots, the signature's root.
+const RABIN_512_SIGN_ALLOC_CEILING: u64 = 4;
+/// The ciphertext.
+const RABIN_768_ENCRYPT_ALLOC_CEILING: u64 = 1;
+/// One `sfs-benchmark connect` op on the library world: a full Figure-3
+/// mount with user authentication, then a ticket-resumed reconnect
+/// after a server restart, each reading a small file. The count is exact,
+/// so the ceiling is the measurement.
+const CONNECT_CYCLE_ALLOC_CEILING: f64 = 193.125;
 
 #[test]
 fn steady_state_relay_allocations_stay_pinned() {
@@ -99,7 +110,14 @@ fn stages_below_the_relay_stay_allocation_free() {
         payload: 0,
         op: Box::new(move || tel.instant_kv("client", "core.client", "backoff", "attempt", 3)),
     });
-    for mut stage in micro_stages().into_iter().chain(instants) {
+    // Every dial makes disabled handles for its wire and pools and gives
+    // them a clock; none of that may allocate.
+    let handle = Stage {
+        name: "telemetry_disabled_handle",
+        payload: 0,
+        op: Box::new(|| drop(Telemetry::disabled().with_clock(ZeroClock))),
+    };
+    for mut stage in micro_stages().into_iter().chain(instants).chain([handle]) {
         for _ in 0..8 {
             (stage.op)();
         }
@@ -295,12 +313,11 @@ fn rabin_private_operations_stay_allocation_lean() {
     // The two private-key operations a `connect` pays for. When every
     // modular product and every extended-Euclid step was a fresh `Nat`
     // they cost 17 320 allocations per 768-bit decrypt and 8 536 per
-    // 512-bit sign. At these widths the Montgomery ladder keeps its window
-    // table and accumulators on the stack and allocates only its result,
-    // and a signature reads its tweaks off the roots instead of computing
-    // Jacobi symbols; what remains is reducing the input, the CRT
-    // recombinations and OAEP unpadding of the candidate roots: 54 and 34
-    // measured, pinned rounded up to the next multiple of five.
+    // 512-bit sign; with the Montgomery ladder on the stack, 54 and 34,
+    // for reducing the input by division, the CRT recombinations and OAEP
+    // unpadding. Now the input enters the domain by REDC, the roots are
+    // recombined and unpadded in stack buffers, and only the values
+    // handed across the API are allocated.
     let mut rng = XorShiftSource::new(0x51F0);
     let server_key = keys::rabin(768, 0x51F0);
     let user_key = keys::rabin(512, 0x51F1);
@@ -318,11 +335,101 @@ fn rabin_private_operations_stay_allocation_lean() {
          (ceiling {RABIN_768_DECRYPT_ALLOC_CEILING})"
     );
 
-    let (sig, sign_allocs) = count_allocs(|| user_key.sign(b"AuthMsg to sign"));
-    assert!(user_key.public().verify(b"AuthMsg to sign", &sig));
+    // Both tweak cases: a signature whose root mod p is multiplied by
+    // the root of −2 takes no more than one that is not.
+    let mut doubled = [false, false];
+    for i in 0..16 {
+        let msg = format!("AuthMsg {i} to sign");
+        let (sig, sign_allocs) = count_allocs(|| user_key.sign(msg.as_bytes()));
+        assert!(user_key.public().verify(msg.as_bytes(), &sig));
+        doubled[usize::from(sig.double)] = true;
+        assert!(
+            sign_allocs <= RABIN_512_SIGN_ALLOC_CEILING,
+            "rabin_512 sign now costs {sign_allocs} allocations \
+             (ceiling {RABIN_512_SIGN_ALLOC_CEILING})"
+        );
+    }
+    assert_eq!(doubled, [true, true], "both tweak cases signed");
+}
+
+#[test]
+fn rabin_public_operations_and_the_generator_allocate_only_what_they_return() {
+    // OAEP padding, the squaring and the check all run in stack buffers:
+    // an encryption allocates its ciphertext and a verification nothing.
+    // The FIPS 186 generator's state is a fixed 512-bit array.
+    let mut rng = SfsPrg::from_entropy(b"alloc_regression");
+    let server_key = keys::rabin(768, 0x51F0);
+    let user_key = keys::rabin(512, 0x51F1);
+    let sig = user_key.sign(b"AuthMsg to verify");
+    let mut buf = [0u8; 97];
+    rng.fill(&mut buf);
+
+    let (cipher, encrypt_allocs) =
+        count_allocs(|| server_key.public().encrypt(b"sixteen-byte-key", &mut rng));
+    assert_eq!(
+        server_key.decrypt(&cipher.unwrap()).unwrap(),
+        b"sixteen-byte-key"
+    );
     assert!(
-        sign_allocs <= RABIN_512_SIGN_ALLOC_CEILING,
-        "rabin_512 sign now costs {sign_allocs} allocations \
-         (ceiling {RABIN_512_SIGN_ALLOC_CEILING})"
+        encrypt_allocs <= RABIN_768_ENCRYPT_ALLOC_CEILING,
+        "rabin_768 encrypt now costs {encrypt_allocs} allocations \
+         (ceiling {RABIN_768_ENCRYPT_ALLOC_CEILING})"
+    );
+
+    let (ok, verify_allocs) = count_allocs(|| user_key.public().verify(b"AuthMsg to verify", &sig));
+    assert!(ok);
+    assert_eq!(
+        verify_allocs, 0,
+        "rabin_512 verify now costs {verify_allocs} allocations"
+    );
+
+    // Draws of every length up to and past a SHA-1 block, so refills
+    // land at every offset.
+    let ((), fill_allocs) = count_allocs(|| {
+        for len in 0..buf.len() {
+            rng.fill(&mut buf[..len]);
+        }
+    });
+    assert_eq!(
+        fill_allocs, 0,
+        "SfsPrg::fill now costs {fill_allocs} allocations"
+    );
+}
+
+#[test]
+fn a_connect_cycle_stays_allocation_lean() {
+    // The cycle `sfs-benchmark connect` times: forget the mount and read
+    // through a full negotiation and user authentication, then restart
+    // the server and read through a ticket-resumed reconnect.
+    let world = World::build(&WorldSpec {
+        disk: None,
+        cpu: None,
+        ..WorldSpec::bench()
+    });
+    let client = &world.clients[0];
+    let file = format!("{}/bench/hello", world.path().full_path());
+    client.write_file(UID, &file, b"hello").unwrap();
+    let cycle = || {
+        client.unmount_all();
+        assert_eq!(client.read_file(UID, &file).unwrap(), b"hello");
+        world.servers[0].crash_restart();
+        assert_eq!(client.read_file(UID, &file).unwrap(), b"hello");
+    };
+    for _ in 0..4 {
+        cycle();
+    }
+    const CYCLES: u64 = 16;
+    let hits = client.resume_stats().0;
+    let ((), allocs) = count_allocs(|| (0..CYCLES).for_each(|_| cycle()));
+    assert_eq!(
+        client.resume_stats().0 - hits,
+        CYCLES,
+        "every reconnect resumed"
+    );
+    let per_cycle = allocs as f64 / CYCLES as f64;
+    assert!(
+        per_cycle <= CONNECT_CYCLE_ALLOC_CEILING,
+        "a connect cycle now costs {per_cycle:.2} allocations \
+         (ceiling {CONNECT_CYCLE_ALLOC_CEILING})"
     );
 }

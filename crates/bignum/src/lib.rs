@@ -31,6 +31,7 @@ mod twin;
 
 pub use int::{Int, Sign};
 pub use modular::{crt_pair, invmod, jacobi, modpow, BlumPrime, CrtBasis};
+pub use mont::Montgomery;
 pub use nat::{DivideByZero, Nat};
 pub use prime::{baillie_psw, gen_prime, gen_prime_congruent, is_probable_prime, MR_ROUNDS};
 pub use rand_source::{CountingSource, RandomSource, XorShiftSource};

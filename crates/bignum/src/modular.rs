@@ -8,8 +8,8 @@
 use std::cmp::Ordering;
 
 use crate::int::Int;
-use crate::mont::Montgomery;
-use crate::nat::{cmp_limbs, sub_limbs, Nat};
+use crate::mont::{at_width, Montgomery, LADDER_SLOTS};
+use crate::nat::{add_limbs, cmp_limbs, limbs_to_be, mul_limbs, neg_mod_limbs, sub_limbs, Nat};
 use crate::twin::join;
 
 /// Computes `base^exp mod m` by square-and-multiply.
@@ -176,6 +176,12 @@ pub struct BlumPrime {
     root_exp: Nat,
 }
 
+/// Residues one root's job holds at a stack width: the reduced argument,
+/// the root, and two of scratch for the reduction before the ladder and
+/// the squaring after it. The ladder keeps its own scratch on the stack
+/// of whichever thread runs it.
+const ROOT_SLOTS: usize = 4;
+
 impl BlumPrime {
     /// Prepares `p`; `None` unless `p ≡ 3 (mod 4)`. Primality is the
     /// caller's claim and is not checked.
@@ -199,106 +205,268 @@ impl BlumPrime {
     /// a square root of `a` or of `−a`, whichever is a residue, and is a
     /// residue itself (the principal root).
     pub fn root(&self, a: &Nat) -> (Nat, i32) {
-        let mut job = RootJob::new(self, a);
-        job.run();
-        job.finish()
+        at_width!(
+            self.width_for(a),
+            Self::root_in(self, a),
+            ROOT_SLOTS,
+            &mut vec![0; self.job_limbs(a)]
+        )
+    }
+
+    fn root_in<const K: usize>(&self, a: &Nat, job: &mut [u64]) -> (Nat, i32) {
+        self.enter::<K>(a.limbs(), job);
+        self.run::<K>(job);
+        self.finish::<K>(job)
     }
 
     /// [`Self::root`] modulo `p` and modulo `q` at once: the root mod `q`
     /// runs on a helper thread while this one computes the root mod `p`,
     /// or after it, inline, when no helper is free (one CPU, or another
     /// pair in flight). The results are the same either way.
+    ///
+    /// When both primes have a stack width (4, 6, 8 or 12 limbs) and `a`
+    /// is at most twice that, every step — entering the domain from
+    /// `a`, the two ladders, the symbols — runs in stack limbs, and only
+    /// the two roots returned are allocated.
     pub fn root_pair(p: &BlumPrime, q: &BlumPrime, a: &Nat) -> ((Nat, i32), (Nat, i32)) {
-        let (mut at_p, mut at_q) = (RootJob::new(p, a), RootJob::new(q, a));
-        join(|| at_p.run(), || at_q.run());
-        (at_p.finish(), at_q.finish())
+        let width = p.width_for(a);
+        at_width!(
+            if q.width_for(a) == width { width } else { 0 },
+            Self::pair_in(p, q, a),
+            2 * ROOT_SLOTS,
+            &mut vec![0; 2 * p.job_limbs(a).max(q.job_limbs(a))]
+        )
     }
 
-    /// `a·b mod p` for `a, b < p`.
-    pub fn mul(&self, a: &Nat, b: &Nat) -> Nat {
-        self.mont.mul_mod(a, b)
+    /// [`Self::root_pair`] at width `K`, each root in its own half of
+    /// `scratch`.
+    fn pair_in<const K: usize>(
+        p: &BlumPrime,
+        q: &BlumPrime,
+        a: &Nat,
+        scratch: &mut [u64],
+    ) -> ((Nat, i32), (Nat, i32)) {
+        let (at_p, at_q) = scratch.split_at_mut(scratch.len() / 2);
+        p.enter::<K>(a.limbs(), at_p);
+        q.enter::<K>(a.limbs(), at_q);
+        join(|| p.run::<K>(at_p), || q.run::<K>(at_q));
+        (p.finish::<K>(at_p), q.finish::<K>(at_q))
     }
-}
 
-/// One [`BlumPrime::root`] split where [`BlumPrime::root_pair`] hands
-/// it to another thread: every allocation is in [`RootJob::new`] and
-/// [`RootJob::finish`], on the caller; [`RootJob::run`], the
-/// exponentiation, allocates nothing.
-struct RootJob<'p> {
-    prime: &'p BlumPrime,
-    /// The argument reduced modulo the prime.
-    a: Nat,
-    /// The root's limbs, written by `run`.
-    root: Vec<u64>,
-    /// The ladder's scratch at a width it does not keep on the stack.
-    heap: Vec<u64>,
-}
-
-impl<'p> RootJob<'p> {
-    fn new(prime: &'p BlumPrime, a: &Nat) -> RootJob<'p> {
-        let mont = &prime.mont;
-        RootJob {
-            prime,
-            a: a.rem_nat(mont.modulus()).expect("p is odd"),
-            root: vec![0; mont.modulus().limbs().len()],
-            heap: mont.ladder_heap(),
+    /// The width a root of `a` runs at: the prime's, unless `a` is wider
+    /// than twice that.
+    fn width_for(&self, a: &Nat) -> usize {
+        let k = self.modulus().limbs().len();
+        if a.limbs().len() <= 2 * k {
+            k
+        } else {
+            0
         }
     }
 
-    fn run(&mut self) {
-        let prime = self.prime;
-        prime
-            .mont
-            .pow_into(&self.a, &prime.root_exp, &mut self.root, &mut self.heap);
+    /// Scratch limbs one root of `a` takes off the stack widths, where the
+    /// job lends the ladder its scratch too.
+    fn job_limbs(&self, a: &Nat) -> usize {
+        let k = self.modulus().limbs().len();
+        2 * k + (LADDER_SLOTS * k).max(self.mont.reduce_limbs(a.limbs().len()))
     }
 
-    /// The root and the Legendre symbol read off its square.
-    fn finish(self) -> (Nat, i32) {
-        let r = Nat::from_limbs(self.root);
-        let symbol = if self.a.is_zero() {
+    /// Writes `a mod p` to the argument slot of `job`.
+    fn enter<const K: usize>(&self, a: &[u64], job: &mut [u64]) {
+        let k = self.mont.width::<K>();
+        let (arg, rest) = job.split_at_mut(k);
+        self.mont.reduce::<K>(a, arg, &mut rest[k..]);
+    }
+
+    /// The exponentiation: the root from the argument. Allocates nothing.
+    fn run<const K: usize>(&self, job: &mut [u64]) {
+        let k = self.mont.width::<K>();
+        let (arg, rest) = job.split_at_mut(k);
+        let (root, lent) = rest.split_at_mut(k);
+        let mut own = [[0; K]; LADDER_SLOTS];
+        let ladder = if K == 0 { lent } else { own.as_flattened_mut() };
+        self.mont.ladder::<K>(arg, &self.root_exp, root, ladder);
+    }
+
+    /// The root, and the Legendre symbol read off its square.
+    fn finish<const K: usize>(&self, job: &mut [u64]) -> (Nat, i32) {
+        let k = self.mont.width::<K>();
+        let (arg, rest) = job.split_at_mut(k);
+        let (root, rest) = rest.split_at_mut(k);
+        let (square, tmp) = rest.split_at_mut(k);
+        self.mont.square::<K>(square, root, tmp);
+        let symbol = if arg.iter().all(|&l| l == 0) {
             0
-        } else if self.prime.mont.mul_mod(&r, &r) == self.a {
+        } else if square[..k] == *arg {
             1
         } else {
             -1
         };
-        (r, symbol)
+        (Nat::from_limbs(root.to_vec()), symbol)
+    }
+
+    /// `a·b mod p` for `a, b < p`, in `a`'s storage: a root of this prime
+    /// is multiplied without an allocation.
+    pub fn mul(&self, mut a: Nat, b: &Nat) -> Nat {
+        self.mont.mul_assign(&mut a, b);
+        a
+    }
+
+    /// `−a mod p` for `a < p`, in `a`'s storage.
+    pub fn neg(&self, mut a: Nat) -> Nat {
+        let p = self.modulus().limbs();
+        a.map_limbs(p.len(), |a| neg_mod_limbs(a, p));
+        a
     }
 }
 
 /// Two coprime moduli with `p⁻¹ mod q` computed once, for repeated
-/// Chinese-remainder recombination.
+/// Chinese-remainder recombination without division.
 #[derive(Clone)]
 pub struct CrtBasis {
     p: Nat,
-    q: Nat,
-    p_inv: Nat,
+    /// Arithmetic modulo `q`, where `(xq − xp)·p⁻¹` is formed.
+    q: Montgomery,
+    /// `p⁻¹·R mod q`: a product by it divides by `p` modulo `q`.
+    p_inv: Vec<u64>,
+    /// `p·q`, as many limbs as `p` and `q` together.
+    n: Vec<u64>,
 }
 
 impl CrtBasis {
-    /// `None` if `p` and `q` are not coprime (or `q ≤ 1`).
+    /// `None` unless `q` is odd and above one, and coprime to `p`.
     pub fn new(p: &Nat, q: &Nat) -> Option<CrtBasis> {
+        let p_inv = invmod(p, q)?;
+        let q = Montgomery::new(q)?;
+        let k = q.modulus().limbs().len();
+        let mut p_inv = p_inv
+            .shl_bits(64 * k)
+            .rem_nat(q.modulus())
+            .expect("q > 1")
+            .limbs()
+            .to_vec();
+        p_inv.resize(k, 0);
+        let mut n = p.mul_nat(q.modulus()).limbs().to_vec();
+        n.resize(p.limbs().len() + k, 0);
         Some(CrtBasis {
-            p_inv: invmod(p, q)?,
             p: p.clone(),
-            q: q.clone(),
+            q,
+            p_inv,
+            n,
         })
     }
 
     /// The unique `x mod p·q` with `x ≡ xp (mod p)` and `x ≡ xq (mod q)`,
-    /// for `xp < p`: `x = xp + p·((xq − xp)·p⁻¹ mod q)`.
+    /// for `xp < p` and `xq < q`: `x = xp + p·((xq − xp)·p⁻¹ mod q)`.
+    /// Allocates only the result.
     pub fn combine(&self, xp: &Nat, xq: &Nat) -> Nat {
+        let mut x = vec![0; self.n.len()];
+        at_width!(
+            self.width(),
+            Self::combine_in(self, xp.limbs(), xq.limbs(), &mut x),
+            CRT_SLOTS,
+            &mut vec![0; self.heap_limbs()]
+        );
+        Nat::from_limbs(x)
+    }
+
+    /// The four `x mod p·q` with `x ≡ ±xp (mod p)` and `x ≡ ±xq (mod q)`,
+    /// for `xp < p` and `xq < q` — every square root modulo `p·q` of a
+    /// square whose roots modulo `p` and `q` are `xp` and `xq` — written
+    /// big-endian to four equal chunks of `out`, in the order `(xp, xq)`,
+    /// `(xp, −xq)`, `(−xp, xq)`, `(−xp, −xq)`. Allocates nothing at the
+    /// stack widths (4, 6, 8 and 12 limbs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a chunk cannot hold `p·q − 1`.
+    pub fn combine_signs_be(&self, xp: &Nat, xq: &Nat, out: &mut [u8]) {
+        at_width!(
+            self.width(),
+            Self::signs_in(self, xp.limbs(), xq.limbs(), out),
+            CRT_SLOTS + 5,
+            &mut vec![0; 2 * self.n.len() + self.q.modulus().limbs().len() + self.heap_limbs()]
+        )
+    }
+
+    /// The width [`at_width!`] runs at: `q`'s, when `p` has it too.
+    fn width(&self) -> usize {
+        let k = self.q.modulus().limbs().len();
+        if self.p.limbs().len() == k {
+            k
+        } else {
+            0
+        }
+    }
+
+    /// [`Self::combine_in`]'s scratch off the stack widths.
+    fn heap_limbs(&self) -> usize {
+        let k = self.q.modulus().limbs().len();
+        3 * k + self.q.reduce_limbs(self.p.limbs().len())
+    }
+
+    fn signs_in<const K: usize>(
+        &self,
+        xp: &[u64],
+        xq: &[u64],
+        out: &mut [u8],
+        scratch: &mut [u64],
+    ) {
+        let k = self.q.width::<K>();
+        let len = out.len() / 4;
+        let n = &self.n;
+        let (same, rest) = scratch.split_at_mut(n.len());
+        let (mixed, rest) = rest.split_at_mut(n.len());
+        self.combine_in::<K>(xp, xq, same, rest);
+        let (neg_xq, rest) = rest.split_at_mut(k);
+        neg_xq.fill(0);
+        neg_xq[..xq.len()].copy_from_slice(xq);
+        neg_mod_limbs(neg_xq, &self.q.modulus().limbs()[..k]);
+        self.combine_in::<K>(xp, neg_xq, mixed, rest);
+        let mut chunks = out.chunks_exact_mut(len);
+        for x in [&mut *same, &mut *mixed] {
+            limbs_to_be(x, chunks.next().expect("four chunks"));
+        }
+        for x in [mixed, same] {
+            neg_mod_limbs(x, n);
+            limbs_to_be(x, chunks.next().expect("four chunks"));
+        }
+    }
+
+    /// [`Self::combine`] into `x` (`p·q`'s limbs) at width `K`.
+    fn combine_in<const K: usize>(
+        &self,
+        xp: &[u64],
+        xq: &[u64],
+        x: &mut [u64],
+        scratch: &mut [u64],
+    ) {
         let q = &self.q;
-        let reduce = |v: &Nat| v.rem_nat(q).expect("q > 1");
-        let (xp_q, xq) = (reduce(xp), reduce(xq));
-        let diff = match xq.checked_sub(&xp_q) {
-            Some(d) => d,
-            None => xq.add_nat(q).checked_sub(&xp_q).expect("xp_q < q"),
-        };
-        let h = reduce(&diff.mul_nat(&self.p_inv));
-        xp.add_nat(&self.p.mul_nat(&h))
+        let k = q.width::<K>();
+        let (u, rest) = scratch.split_at_mut(k);
+        let (v, rest) = rest.split_at_mut(k);
+        let (w, rest) = rest.split_at_mut(k);
+        // xq·p⁻¹ and xp·p⁻¹ modulo q; xp enters reduced, as p may be the
+        // wider prime.
+        w.fill(0);
+        w[..xq.len()].copy_from_slice(xq);
+        q.mul::<K>(u, w, &self.p_inv);
+        q.reduce::<K>(xp, w, rest);
+        q.mul::<K>(v, w, &self.p_inv);
+        q.sub_mod::<K>(u, v);
+        let x = &mut x[..self.n.len()];
+        mul_limbs(self.p.limbs(), u, &mut x[..self.p.limbs().len() + k]);
+        let mut carry = add_limbs(&mut x[..xp.len()], xp);
+        for l in &mut x[xp.len()..] {
+            (*l, carry) = l.overflowing_add(carry as u64);
+        }
     }
 }
+
+/// Residues [`CrtBasis::combine`] holds at a stack width: two products,
+/// an operand and the reduction's two. [`CrtBasis::combine_signs_be`]
+/// adds two recombinations (two residues each) and `−xq`.
+const CRT_SLOTS: usize = 5;
 
 /// Chinese-remainder recombination for two coprime moduli: finds the unique
 /// `x mod p*q` with `x ≡ xp (mod p)` and `x ≡ xq (mod q)`.
@@ -433,6 +601,101 @@ mod tests {
         // 13 ≡ 1 (mod 4), and even or zero moduli, are refused.
         for bad in [0u64, 1, 2, 13, 24] {
             assert!(BlumPrime::new(&n(bad)).is_none(), "{bad}");
+        }
+    }
+
+    /// A random odd value of exactly `limbs` limbs, `≡ 3 (mod 4)`.
+    fn random_odd(rng: &mut crate::XorShiftSource, limbs: usize) -> Nat {
+        use crate::RandomSource;
+        let mut bytes = vec![0u8; 8 * limbs];
+        rng.fill(&mut bytes);
+        bytes[0] |= 0x80;
+        bytes[8 * limbs - 1] |= 3;
+        Nat::from_bytes_be(&bytes)
+    }
+
+    #[test]
+    fn fixed_width_crt_and_roots_match_division_at_every_width() {
+        let mut rng = crate::XorShiftSource::new(0xC7C7);
+        // Equal widths 4, 6, 8 and 12 run on the stack; the others, and
+        // unequal widths either way round, on the heap.
+        let widths = [
+            (4, 4),
+            (6, 6),
+            (8, 8),
+            (12, 12),
+            (3, 3),
+            (5, 5),
+            (5, 4),
+            (4, 5),
+        ];
+        for (kp, kq) in widths {
+            let (p, q, basis) = loop {
+                let (p, q) = (random_odd(&mut rng, kp), random_odd(&mut rng, kq));
+                if let Some(basis) = CrtBasis::new(&p, &q) {
+                    break (p, q, basis);
+                }
+            };
+            let n = p.mul_nat(&q);
+            let one = Nat::one();
+            let neg = |x: &Nat, m: &Nat| {
+                if x.is_zero() {
+                    Nat::zero()
+                } else {
+                    m.checked_sub(x).unwrap()
+                }
+            };
+            let mut xs = vec![
+                Nat::zero(),
+                p.checked_sub(&one).unwrap(),
+                p.clone(),
+                p.mul_u64(7),
+                q.clone(),
+                n.checked_sub(&one).unwrap(),
+            ];
+            xs.extend((0..8).map(|i| random_odd(&mut rng, 1 + i % (kp + kq - 1))));
+            let len = 8 * (kp + kq);
+            for x in &xs {
+                let (xp, xq) = (x.div_rem(&p).unwrap().1, x.div_rem(&q).unwrap().1);
+                let x = x.div_rem(&n).unwrap().1;
+                assert_eq!(basis.combine(&xp, &xq), x, "({kp}, {kq}) limbs");
+                assert_eq!(crt_pair(&xp, &p, &xq, &q), x);
+                let mut out = vec![0u8; 4 * len];
+                basis.combine_signs_be(&xp, &xq, &mut out);
+                let want = [
+                    x.clone(),
+                    crt_pair(&xp, &p, &neg(&xq, &q), &q),
+                    crt_pair(&neg(&xp, &p), &p, &xq, &q),
+                    neg(&x, &n),
+                ];
+                for (chunk, want) in out.chunks(len).zip(&want) {
+                    assert_eq!(&Nat::from_bytes_be(chunk), want, "({kp}, {kq}) limbs");
+                }
+            }
+            // Roots enter the domain from inputs up to p·q, or past it on
+            // the heap; the result is the exponentiation of the remainder.
+            let (bp, bq) = (BlumPrime::new(&p).unwrap(), BlumPrime::new(&q).unwrap());
+            let wide = n.mul_nat(&n).add_nat(&p);
+            for a in xs.iter().chain([&wide]) {
+                let (rp, rq) = BlumPrime::root_pair(&bp, &bq, a);
+                for ((r, symbol), (prime, m)) in [rp, rq].into_iter().zip([(&bp, &p), (&bq, &q)]) {
+                    let a_m = a.div_rem(m).unwrap().1;
+                    let exp = m.add_nat(&one).shr_bits(2);
+                    assert_eq!(r, modpow(&a_m, &exp, m), "({kp}, {kq}) limbs");
+                    let want = match () {
+                        _ if a_m.is_zero() => 0,
+                        _ if r.square().rem_nat(m).unwrap() == a_m => 1,
+                        _ => -1,
+                    };
+                    assert_eq!(symbol, want);
+                    assert_eq!(prime.root(a), (r.clone(), symbol));
+                    assert_eq!(prime.neg(r.clone()), neg(&r, m));
+                    assert_eq!(
+                        prime.mul(r.clone(), &a_m),
+                        r.mul_nat(&a_m).rem_nat(m).unwrap()
+                    );
+                }
+            }
         }
     }
 

@@ -117,6 +117,14 @@ impl Nat {
         None
     }
 
+    /// Runs `f` on this number's limbs zero-extended to `k`, in its own
+    /// storage, then normalizes: no allocation once it has room for `k`.
+    pub(crate) fn map_limbs(&mut self, k: usize, f: impl FnOnce(&mut [u64])) {
+        self.limbs.resize(k, 0);
+        f(&mut self.limbs);
+        self.normalize();
+    }
+
     fn normalize(&mut self) {
         while self.limbs.last() == Some(&0) {
             self.limbs.pop();
@@ -166,11 +174,19 @@ impl Nat {
     ///
     /// Panics if the value does not fit in `len` bytes.
     pub fn to_bytes_be_padded(&self, len: usize) -> Vec<u8> {
-        let raw = self.to_bytes_be();
-        assert!(raw.len() <= len, "value does not fit in {len} bytes");
-        let mut out = vec![0u8; len - raw.len()];
-        out.extend_from_slice(&raw);
+        let mut out = vec![0u8; len];
+        self.write_bytes_be(&mut out);
         out
+    }
+
+    /// Writes the value as exactly `out.len()` big-endian bytes,
+    /// left-padding with zeros. Allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the value does not fit in `out`.
+    pub fn write_bytes_be(&self, out: &mut [u8]) {
+        limbs_to_be(&self.limbs, out);
     }
 
     /// Parses a hexadecimal string (no prefix, case-insensitive).
@@ -450,25 +466,25 @@ impl Nat {
 /// Schoolbook multiplication of raw limb slices.
 fn schoolbook(a: &[u64], b: &[u64]) -> Vec<u64> {
     let mut out = vec![0u64; a.len() + b.len()];
-    for (i, &ai) in a.iter().enumerate() {
-        if ai == 0 {
-            continue;
-        }
-        let mut carry = 0u128;
-        for (j, &bj) in b.iter().enumerate() {
-            let t = ai as u128 * bj as u128 + out[i + j] as u128 + carry;
-            out[i + j] = t as u64;
-            carry = t >> 64;
-        }
-        let mut k = i + b.len();
-        while carry != 0 {
-            let t = out[k] as u128 + carry;
-            out[k] = t as u64;
-            carry = t >> 64;
-            k += 1;
-        }
-    }
+    mul_limbs(a, b, &mut out);
     out
+}
+
+/// `out = a·b` over raw limbs (`out.len() == a.len() + b.len()`), one row
+/// per limb of `a` with a fixed trip count.
+pub(crate) fn mul_limbs(a: &[u64], b: &[u64], out: &mut [u64]) {
+    assert_eq!(out.len(), a.len() + b.len());
+    out.fill(0);
+    for (i, &ai) in a.iter().enumerate() {
+        let mut carry = 0u128;
+        for (o, &bj) in out[i..i + b.len()].iter_mut().zip(b) {
+            let t = ai as u128 * bj as u128 + *o as u128 + carry;
+            *o = t as u64;
+            carry = t >> 64;
+        }
+        // Row i is the first to reach limb i + b.len().
+        out[i + b.len()] = carry as u64;
+    }
 }
 
 /// Squares raw limbs into `out` (`out.len() == 2 * a.len()`): the
@@ -520,6 +536,61 @@ pub(crate) fn sub_limbs(a: &mut [u64], b: &[u64]) -> bool {
         borrow = o1 | o2;
     }
     borrow
+}
+
+/// `x = −x mod m` for `x < m` over equal-length limb slices: `m − x`, and
+/// zero stays zero.
+pub(crate) fn neg_mod_limbs(x: &mut [u64], m: &[u64]) {
+    debug_assert_eq!(x.len(), m.len());
+    if x.iter().all(|&l| l == 0) {
+        return;
+    }
+    let mut borrow = false;
+    for (xi, &mi) in x.iter_mut().zip(m) {
+        let (d, o1) = mi.overflowing_sub(*xi);
+        let (d, o2) = d.overflowing_sub(borrow as u64);
+        *xi = d;
+        borrow = o1 | o2;
+    }
+}
+
+/// Fills `out` with the big-endian bytes `bytes`, zero-extended.
+///
+/// # Panics
+///
+/// Panics if a nonzero byte lies beyond `out`'s limbs.
+pub(crate) fn limbs_from_be(bytes: &[u8], out: &mut [u64]) {
+    out.fill(0);
+    for (i, chunk) in bytes.rchunks(8).enumerate() {
+        let mut word = [0u8; 8];
+        word[8 - chunk.len()..].copy_from_slice(chunk);
+        let word = u64::from_be_bytes(word);
+        match out.get_mut(i) {
+            Some(limb) => *limb = word,
+            None => assert_eq!(word, 0, "value does not fit in {} limbs", out.len()),
+        }
+    }
+}
+
+/// Writes `limbs` as exactly `out.len()` big-endian bytes, zero-padded on
+/// the left.
+///
+/// # Panics
+///
+/// Panics if a nonzero limb byte does not fit in `out`.
+pub(crate) fn limbs_to_be(limbs: &[u64], out: &mut [u8]) {
+    let len = out.len();
+    let mut limbs = limbs.iter();
+    for chunk in out.rchunks_mut(8) {
+        let word = limbs.next().map_or([0; 8], |l| l.to_be_bytes());
+        let (spill, fits) = word.split_at(8 - chunk.len());
+        assert!(
+            spill.iter().all(|&b| b == 0),
+            "value does not fit in {len} bytes"
+        );
+        chunk.copy_from_slice(fits);
+    }
+    assert!(limbs.all(|&l| l == 0), "value does not fit in {len} bytes");
 }
 
 /// `a += b` over equal-length limb slices, returning the final carry.

@@ -346,7 +346,7 @@ fn blum_prime_roots_square_back() {
             };
             assert_eq!(r.square().rem_nat(&p).unwrap(), signed_a);
             assert_eq!(
-                ctx.mul(&r, &signed_a),
+                ctx.mul(r.clone(), &signed_a),
                 r.mul_nat(&signed_a).rem_nat(&p).unwrap()
             );
             assert!(r < p);

@@ -52,6 +52,7 @@ use sfs_crypto::sha1::DIGEST_LEN;
 use sfs_crypto::SfsPrg;
 use sfs_nfs3::proto::{Fattr3, FileHandle, Nfs3Reply, Nfs3Request, Status};
 use sfs_proto::channel::{ChannelError, SecureChannelEnd, SuiteId};
+use sfs_proto::keyneg::SuiteOffer;
 use sfs_proto::pathname::{HostId, PathError, SelfCertifyingPath};
 use sfs_sim::{CpuCosts, Exchange, SimClock, SimTime, Wire, WireError};
 use sfs_telemetry::sync::Mutex;
@@ -337,7 +338,8 @@ pub struct SfsClient {
     clock: SimClock,
     net: Arc<SfsNetwork>,
     cpu: Option<CpuCosts>,
-    ephemeral: Mutex<RabinPrivateKey>,
+    /// The ephemeral key K_C, shared with every negotiation that uses it.
+    ephemeral: Mutex<Arc<RabinPrivateKey>>,
     rng: Mutex<SfsPrg>,
     retry: Mutex<RetryPolicy>,
     /// xorshift64* state for deterministic backoff jitter (seeded from
@@ -356,10 +358,11 @@ pub struct SfsClient {
     /// How many sealed calls may be in flight at once on a mount's
     /// channel. 1 is the blocking request/reply protocol.
     pipeline_window: AtomicUsize,
-    /// Cipher suites offered in every hello, in preference order. The
-    /// default offers only the paper's ARC4+SHA-1 baseline, keeping the
-    /// handshake byte-identical to the original protocol.
-    suite_offer: Mutex<Vec<SuiteId>>,
+    /// Cipher suites offered in every hello, in preference order, with
+    /// the hello's token rendered once. The default offers only the
+    /// paper's ARC4+SHA-1 baseline, keeping the handshake byte-identical
+    /// to the original protocol.
+    suite_offer: Mutex<Arc<SuiteOffer>>,
     /// Whether reconnects may shortcut the handshake with a resumption
     /// ticket. Off forces the full Figure-3 negotiation every time (the
     /// benchmark control arm).
@@ -416,7 +419,7 @@ impl SfsClient {
             clock: net.clock().clone(),
             net,
             cpu: None,
-            ephemeral: Mutex::new(ephemeral),
+            ephemeral: Mutex::new(Arc::new(ephemeral)),
             rng: Mutex::new(rng),
             retry: Mutex::new(RetryPolicy::default()),
             jitter: AtomicU64::new(seed),
@@ -426,7 +429,7 @@ impl SfsClient {
             caching: AtomicBool::new(true),
             charge_crypto: AtomicBool::new(true),
             pipeline_window: AtomicUsize::new(DEFAULT_PIPELINE_WINDOW),
-            suite_offer: Mutex::new(vec![SuiteId::Arc4Sha1]),
+            suite_offer: Mutex::new(Arc::new(SuiteOffer::new(&[SuiteId::Arc4Sha1]))),
             resumption: AtomicBool::new(true),
             tickets: Mutex::new(HashMap::new()),
             resume_hits: AtomicU64::new(0),
@@ -471,11 +474,7 @@ impl SfsClient {
     /// The paper-parity baseline (ARC4+SHA-1) is always offered last
     /// even if absent from `suites`, so negotiation cannot dead-end.
     pub fn set_suite_offer(&self, suites: &[SuiteId]) {
-        let mut offer = suites.to_vec();
-        if !offer.contains(&SuiteId::Arc4Sha1) {
-            offer.push(SuiteId::Arc4Sha1);
-        }
-        *self.suite_offer.lock() = offer;
+        *self.suite_offer.lock() = Arc::new(SuiteOffer::new(suites));
     }
 
     /// Enables or disables ticket resumption on reconnect. Disabled,

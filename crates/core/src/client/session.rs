@@ -89,7 +89,7 @@ impl SfsClient {
     pub fn rotate_ephemeral(&self) {
         let mut rng = self.rng.lock();
         let fresh = generate_keypair(EPHEMERAL_KEY_BITS, &mut *rng);
-        *self.ephemeral.lock() = fresh;
+        *self.ephemeral.lock() = Arc::new(fresh);
     }
 
     /// Drops all mounts (used by tests simulating reconnects).
@@ -206,7 +206,7 @@ impl SfsClient {
         let keyneg_span = tel.span("client", "proto.keyneg", "negotiate");
         let ephemeral = self.ephemeral.lock().clone();
         let offer = self.suite_offer.lock().clone();
-        let neg = KeyNegClient::with_suites(path.clone(), ephemeral, &offer);
+        let neg = KeyNegClient::with_offer(path.clone(), ephemeral, offer);
         let hello = CallMsg::Hello {
             req: neg.hello(),
             service: Service::File,

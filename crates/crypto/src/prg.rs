@@ -19,8 +19,8 @@
 //! Forward secrecy of the state follows because recovering `XKEY_j` from
 //! `XKEY_{j+1}` and `x_j` requires inverting G.
 
-use crate::sha1::{self, Sha1};
-use sfs_bignum::{Nat, RandomSource};
+use crate::sha1::{self, Sha1, DIGEST_LEN};
+use sfs_bignum::RandomSource;
 
 /// Seed size in bytes (the paper's 512-bit seed).
 pub const SEED_LEN: usize = 64;
@@ -109,24 +109,25 @@ pub fn save_seed(prg: &mut SfsPrg) -> [u8; SEED_LEN] {
     saved
 }
 
-/// The FIPS 186 (DSS) pseudo-random generator with b = 512.
+/// The FIPS 186 (DSS) pseudo-random generator with b = 512. Its whole
+/// state is fixed-size, so drawing from it never allocates.
 #[derive(Clone)]
 pub struct SfsPrg {
-    /// XKEY, a 512-bit value.
-    xkey: Nat,
-    /// Buffered output bytes not yet handed out.
-    buffer: Vec<u8>,
-    /// 2^512, the modulus.
-    modulus: Nat,
+    /// XKEY, a 512-bit value, big-endian.
+    xkey: [u8; SEED_LEN],
+    /// The last output block `x_j`.
+    block: [u8; DIGEST_LEN],
+    /// Bytes of `block` already handed out.
+    used: usize,
 }
 
 impl SfsPrg {
     /// Creates a generator from a 512-bit seed.
     pub fn from_seed(seed: &[u8; SEED_LEN]) -> Self {
         SfsPrg {
-            xkey: Nat::from_bytes_be(seed),
-            buffer: Vec::new(),
-            modulus: Nat::one().shl_bits(SEED_LEN * 8),
+            xkey: *seed,
+            block: [0; DIGEST_LEN],
+            used: DIGEST_LEN,
         }
     }
 
@@ -138,26 +139,25 @@ impl SfsPrg {
         pool.into_prg()
     }
 
-    /// One FIPS 186 step: returns x_j and advances XKEY.
-    fn step(&mut self) -> [u8; 20] {
-        let block_bytes = self.xkey.to_bytes_be_padded(SEED_LEN);
+    /// One FIPS 186 step: sets `block` to x_j and advances XKEY.
+    fn step(&mut self) {
         // G(t, c): SHA-1 compression of the 512-bit block with the standard
         // IV, no padding.
         let mut h = sha1::IV;
-        sha1::compress(&mut h, block_bytes.as_slice().try_into().unwrap());
-        let mut x = [0u8; 20];
-        for (i, w) in h.iter().enumerate() {
-            x[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
+        sha1::compress(&mut h, &self.xkey);
+        for (out, w) in self.block.chunks_exact_mut(4).zip(h) {
+            out.copy_from_slice(&w.to_be_bytes());
         }
-        // XKEY = (1 + XKEY + x) mod 2^b.
-        let xn = Nat::from_bytes_be(&x);
-        self.xkey = self
-            .xkey
-            .add_nat(&xn)
-            .add_nat(&Nat::one())
-            .rem_nat(&self.modulus)
-            .unwrap();
-        x
+        // XKEY = (1 + XKEY + x) mod 2^b: a wrapping big-endian add, x
+        // aligned to the low end.
+        let mut carry = 1u16;
+        let x = self.block.iter().rev().chain(std::iter::repeat(&0));
+        for (k, &x) in self.xkey.iter_mut().rev().zip(x) {
+            let sum = *k as u16 + x as u16 + carry;
+            *k = sum as u8;
+            carry = sum >> 8;
+        }
+        self.used = 0;
     }
 }
 
@@ -165,12 +165,12 @@ impl RandomSource for SfsPrg {
     fn fill(&mut self, buf: &mut [u8]) {
         let mut filled = 0;
         while filled < buf.len() {
-            if self.buffer.is_empty() {
-                self.buffer = self.step().to_vec();
+            if self.used == DIGEST_LEN {
+                self.step();
             }
-            let take = (buf.len() - filled).min(self.buffer.len());
-            buf[filled..filled + take].copy_from_slice(&self.buffer[..take]);
-            self.buffer.drain(..take);
+            let take = (buf.len() - filled).min(DIGEST_LEN - self.used);
+            buf[filled..filled + take].copy_from_slice(&self.block[self.used..][..take]);
+            self.used += take;
             filled += take;
         }
     }
@@ -279,10 +279,55 @@ mod tests {
         assert_ne!(saved, raw);
     }
 
+    /// The FIPS 186 step on `Nat`s, as it was computed before the state
+    /// became a fixed 512-bit array: the oracle for the wrapping add.
+    struct NatPrg {
+        xkey: sfs_bignum::Nat,
+        pending: Vec<u8>,
+    }
+
+    impl NatPrg {
+        fn take(&mut self, n: usize) -> Vec<u8> {
+            use sfs_bignum::Nat;
+            while self.pending.len() < n {
+                let mut h = sha1::IV;
+                let block = self.xkey.to_bytes_be_padded(SEED_LEN);
+                sha1::compress(&mut h, block.as_slice().try_into().unwrap());
+                let x: Vec<u8> = h.iter().flat_map(|w| w.to_be_bytes()).collect();
+                self.xkey = self
+                    .xkey
+                    .add_nat(&Nat::from_bytes_be(&x))
+                    .add_nat(&Nat::one())
+                    .rem_nat(&Nat::one().shl_bits(8 * SEED_LEN))
+                    .unwrap();
+                self.pending.extend_from_slice(&x);
+            }
+            self.pending.drain(..n).collect()
+        }
+    }
+
+    #[test]
+    fn the_fixed_width_state_matches_the_nat_reference() {
+        // An all-ones seed carries through every byte of XKEY on the first
+        // step; the others are ordinary.
+        for seed in [[0xff; SEED_LEN], [0; SEED_LEN], EntropyPool::new().seed()] {
+            let mut prg = SfsPrg::from_seed(&seed);
+            let mut reference = NatPrg {
+                xkey: sfs_bignum::Nat::from_bytes_be(&seed),
+                pending: Vec::new(),
+            };
+            for len in (0..400).map(|i| i * 7 % 45) {
+                let mut out = vec![0u8; len];
+                prg.fill(&mut out);
+                assert_eq!(out, reference.take(len), "draw of {len}");
+            }
+        }
+    }
+
     #[test]
     fn random_below_usable_for_protocols() {
         let mut prg = SfsPrg::from_entropy(b"proto");
-        let bound = Nat::from(1_000_000u64);
+        let bound = sfs_bignum::Nat::from(1_000_000u64);
         for _ in 0..50 {
             assert!(prg.random_below(&bound) < bound);
         }

@@ -17,11 +17,12 @@
 //! `(e, f)`. Verification is a single modular squaring — cheap, which is
 //! what lets SFS read-only servers serve many clients (§2.4).
 
+use std::hash::{Hash, Hasher};
 use std::sync::LazyLock;
 
-use sfs_bignum::{gen_prime_congruent, BlumPrime, CrtBasis, Nat, RandomSource};
+use sfs_bignum::{gen_prime_congruent, BlumPrime, CrtBasis, Montgomery, Nat, RandomSource};
 
-use crate::sha1::{mgf1, sha1, sha1_concat, DIGEST_LEN};
+use crate::sha1::{mgf1_xor, sha1, sha1_concat, DIGEST_LEN};
 
 /// Errors from Rabin operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,11 +51,28 @@ impl std::fmt::Display for RabinError {
 impl std::error::Error for RabinError {}
 
 /// A Rabin–Williams public key (the modulus `n`).
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(Clone)]
 pub struct RabinPublicKey {
     n: Nat,
     /// Modulus length in bytes, cached.
     k: usize,
+    /// Arithmetic modulo `n`, prepared once; `None` for an even modulus,
+    /// which no Rabin key has and which neither encrypts nor verifies.
+    mont: Option<Montgomery>,
+}
+
+impl PartialEq for RabinPublicKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n
+    }
+}
+
+impl Eq for RabinPublicKey {}
+
+impl Hash for RabinPublicKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.n.hash(state);
+    }
 }
 
 /// A Rabin–Williams private key: the factorization of `n`, held with
@@ -78,6 +96,19 @@ pub struct RabinPrivateKey {
 /// masked seed, the label hash and the `0x01` separator.
 const OAEP_OVERHEAD: usize = 2 * DIGEST_LEN + 2;
 
+/// Byte scratch up to this size lives on the stack: the four candidate
+/// roots of a decryption under a 2048-bit modulus.
+const STACK_BYTES: usize = 1024;
+
+/// Runs `f` on `len` zeroed bytes of scratch, on the stack when they fit.
+fn with_scratch<T>(len: usize, f: impl FnOnce(&mut [u8]) -> T) -> T {
+    if len <= STACK_BYTES {
+        f(&mut [0; STACK_BYTES][..len])
+    } else {
+        f(&mut vec![0; len])
+    }
+}
+
 /// The OAEP label hash every encoded message carries, for encryption to
 /// write and unpadding to check.
 static OAEP_LABEL_HASH: LazyLock<[u8; DIGEST_LEN]> = LazyLock::new(|| sha1(b"SFS-rabin-oaep"));
@@ -96,9 +127,9 @@ pub struct RabinSignature {
 impl RabinSignature {
     /// Serializes as `tweaks(1 byte) || root (n-sized big-endian)`.
     pub fn to_bytes(&self, key_len: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(key_len + 1);
-        out.push((self.negate as u8) | (self.double as u8) << 1);
-        out.extend_from_slice(&self.root.to_bytes_be_padded(key_len));
+        let mut out = vec![0; key_len + 1];
+        out[0] = (self.negate as u8) | (self.double as u8) << 1;
+        self.root.write_bytes_be(&mut out[1..]);
         out
     }
 
@@ -144,8 +175,11 @@ pub fn generate_keypair<R: RandomSource>(bits: usize, rng: &mut R) -> RabinPriva
 impl RabinPublicKey {
     /// Constructs a public key from a modulus.
     pub fn from_modulus(n: Nat) -> Self {
-        let k = n.to_bytes_be().len();
-        RabinPublicKey { n, k }
+        RabinPublicKey {
+            k: n.bit_len().div_ceil(8),
+            mont: Montgomery::new(&n),
+            n,
+        }
     }
 
     /// The modulus.
@@ -190,62 +224,63 @@ impl RabinPublicKey {
     }
 
     /// OAEP-pads and encrypts `msg` (one modular squaring — "particularly
-    /// fast").
+    /// fast"). The padding is built in stack scratch and squared in stack
+    /// limbs: the ciphertext is the one allocation.
+    ///
+    /// An even modulus ([`Self::from_modulus`] does not refuse one) is no
+    /// Rabin key, and is refused here as [`RabinError::BadKeyEncoding`].
     pub fn encrypt<R: RandomSource>(&self, msg: &[u8], rng: &mut R) -> Result<Vec<u8>, RabinError> {
         // A modulus below the OAEP overhead holds no message, not even an
         // empty one ([`Self::from_modulus`] does not check the size).
         if self.k < OAEP_OVERHEAD || msg.len() > self.max_plaintext_len() {
             return Err(RabinError::MessageTooLong);
         }
-        // EM = 0x00 || maskedSeed(20) || maskedDB(k-21)
-        // DB = lHash(20) || 0x00.. || 0x01 || msg
-        let db_len = self.k - 1 - DIGEST_LEN;
-        let mut db = vec![0u8; db_len];
-        db[..DIGEST_LEN].copy_from_slice(&*OAEP_LABEL_HASH);
-        let msg_start = db_len - msg.len();
-        db[msg_start - 1] = 0x01;
-        db[msg_start..].copy_from_slice(msg);
-
-        let mut seed = [0u8; DIGEST_LEN];
-        rng.fill(&mut seed);
-        let db_mask = mgf1(&seed, db_len);
-        for (b, m) in db.iter_mut().zip(db_mask.iter()) {
-            *b ^= m;
-        }
-        let seed_mask = mgf1(&db, DIGEST_LEN);
-        let mut masked_seed = seed;
-        for (b, m) in masked_seed.iter_mut().zip(seed_mask.iter()) {
-            *b ^= m;
-        }
-        let mut em = Vec::with_capacity(self.k);
-        em.push(0);
-        em.extend_from_slice(&masked_seed);
-        em.extend_from_slice(&db);
-        // EM < 2^(8(k-1)) <= n because n has exactly k bytes.
-        let m = Nat::from_bytes_be(&em);
-        let c = m.square().rem_nat(&self.n).unwrap();
-        Ok(c.to_bytes_be_padded(self.k))
+        let mont = self.mont.as_ref().ok_or(RabinError::BadKeyEncoding)?;
+        let mut c = vec![0; self.k];
+        with_scratch(self.k, |em| {
+            // EM = 0x00 || maskedSeed(20) || maskedDB(k-21)
+            // DB = lHash(20) || 0x00.. || 0x01 || msg
+            let (seed, db) = em[1..].split_at_mut(DIGEST_LEN);
+            db[..DIGEST_LEN].copy_from_slice(&*OAEP_LABEL_HASH);
+            let msg_start = db.len() - msg.len();
+            db[msg_start - 1] = 0x01;
+            db[msg_start..].copy_from_slice(msg);
+            rng.fill(seed);
+            mgf1_xor(seed, db);
+            mgf1_xor(db, seed);
+            // EM < 2^(8(k-1)) <= n because n has exactly k bytes.
+            mont.square_be(em, &mut c);
+        });
+        Ok(c)
     }
 
     /// Verifies a signature over `msg`: checks `s² ≡ e·f·H(msg) (mod n)`.
-    /// One squaring, no exponentiation.
+    /// One squaring, no exponentiation, and no allocation.
     pub fn verify(&self, msg: &[u8], sig: &RabinSignature) -> bool {
+        let Some(mont) = &self.mont else {
+            return false;
+        };
         if sig.root >= self.n {
             return false;
         }
-        let h = fdh(msg, &self.n, self.k);
-        let mut target = h;
-        if sig.double {
-            target = target.shl_bits(1).rem_nat(&self.n).unwrap();
-        }
-        if sig.negate {
-            target = if target.is_zero() {
-                target
-            } else {
-                self.n.checked_sub(&target).unwrap()
-            };
-        }
-        sig.root.square().rem_nat(&self.n).unwrap() == target
+        let k = self.k;
+        let tweak = match (sig.negate, sig.double) {
+            (false, false) => 1,
+            (false, true) => 2,
+            (true, false) => -1,
+            (true, true) => -2,
+        };
+        with_scratch(3 * k, |buf| {
+            let (s, rest) = buf.split_at_mut(k);
+            let (square, target) = rest.split_at_mut(k);
+            sig.root.write_bytes_be(s);
+            mont.square_be(s, square);
+            // s is spent: it holds H(msg) below the top byte now.
+            s[0] = 0;
+            fdh(msg, &mut s[1..]);
+            mont.mul_small_be(s, tweak, target);
+            square == target
+        })
     }
 }
 
@@ -283,20 +318,28 @@ impl RabinPrivateKey {
         if jp == -1 || jq == -1 {
             return Err(RabinError::DecryptionFailed);
         }
-        self.all_roots(&rp, &rq)
-            .iter()
-            .find_map(|r| self.try_unpad(r))
-            .ok_or(RabinError::DecryptionFailed)
+        let k = self.public.k;
+        with_scratch(4 * k, |roots| {
+            self.crt.combine_signs_be(&rp, &rq, roots);
+            roots.chunks_exact_mut(k).find_map(try_unpad)
+        })
+        .ok_or(RabinError::DecryptionFailed)
     }
 
     /// Signs `msg` deterministically.
     pub fn sign(&self, msg: &[u8]) -> RabinSignature {
-        let n = &self.public.n;
-        let (negate, double, rp, rq) = self.tweaked_roots(fdh(msg, n, self.public.k));
-        let s = self.crt.combine(&rp, &rq);
-        // Canonicalize to the smaller of {s, n-s} so signing is a function.
-        let s_alt = n.checked_sub(&s).unwrap();
-        let root = if s_alt < s { s_alt } else { s };
+        let k = self.public.k;
+        let h = with_scratch(k - 1, |h| {
+            fdh(msg, h);
+            Nat::from_bytes_be(h)
+        });
+        let (negate, double, rp, rq) = self.tweaked_roots(h);
+        let root = with_scratch(4 * k, |roots| {
+            self.crt.combine_signs_be(&rp, &rq, roots);
+            // The first root is s, the last n − s; the smaller of the two
+            // makes signing a function.
+            Nat::from_bytes_be((&roots[..k]).min(&roots[3 * k..]))
+        });
         RabinSignature {
             negate,
             double,
@@ -332,19 +375,15 @@ impl RabinPrivateKey {
         let negate = jq == -1;
         let (rp, rq) = if double {
             (
-                self.p.mul(&rp, &self.sqrt_neg2_p),
-                self.q.mul(&rq, &self.sqrt2_q),
+                self.p.mul(rp, &self.sqrt_neg2_p),
+                self.q.mul(rq, &self.sqrt2_q),
             )
         } else {
             (rp, rq)
         };
         // Per the table above, the root mod p changes sign exactly when
         // the tweaks are (−1, 1) or (1, 2): when (h/p) = −1.
-        let rp = if jp == -1 {
-            neg_mod(&rp, self.p.modulus())
-        } else {
-            rp
-        };
+        let rp = if jp == -1 { self.p.neg(rp) } else { rp };
         (negate, double, rp, rq)
     }
 
@@ -358,48 +397,24 @@ impl RabinPrivateKey {
         }
         BlumPrime::root_pair(&self.p, &self.q, a)
     }
+}
 
-    /// All four CRT combinations of `(±rp, ±rq)`: two recombinations, and
-    /// their negations modulo `n`.
-    fn all_roots(&self, rp: &Nat, rq: &Nat) -> [Nat; 4] {
-        let n = &self.public.n;
-        let same = self.crt.combine(rp, rq);
-        let mixed = self.crt.combine(rp, &neg_mod(rq, self.q.modulus()));
-        let (neg_mixed, neg_same) = (neg_mod(&mixed, n), neg_mod(&same, n));
-        [same, mixed, neg_mixed, neg_same]
+/// OAEP-unpads a candidate root, `k` big-endian bytes, in place: only the
+/// message it returns is allocated.
+fn try_unpad(em: &mut [u8]) -> Option<Vec<u8>> {
+    let (lead, padded) = em.split_first_mut()?;
+    if *lead != 0 {
+        return None;
     }
-
-    /// Attempts OAEP unpadding of a candidate root.
-    fn try_unpad(&self, m: &Nat) -> Option<Vec<u8>> {
-        let k = self.public.k;
-        let em = m.to_bytes_be();
-        if em.len() > k - 1 {
-            return None;
-        }
-        let mut padded = vec![0u8; k - 1 - em.len()];
-        padded.extend_from_slice(&em);
-        let (masked_seed, db) = padded.split_at(DIGEST_LEN);
-        let seed_mask = mgf1(db, DIGEST_LEN);
-        let seed: Vec<u8> = masked_seed
-            .iter()
-            .zip(seed_mask.iter())
-            .map(|(a, b)| a ^ b)
-            .collect();
-        let db_mask = mgf1(&seed, db.len());
-        let db: Vec<u8> = db.iter().zip(db_mask.iter()).map(|(a, b)| a ^ b).collect();
-        if db[..DIGEST_LEN] != *OAEP_LABEL_HASH {
-            return None;
-        }
-        // Skip zero padding, expect 0x01 separator.
-        let mut i = DIGEST_LEN;
-        while i < db.len() && db[i] == 0 {
-            i += 1;
-        }
-        if i >= db.len() || db[i] != 0x01 {
-            return None;
-        }
-        Some(db[i + 1..].to_vec())
+    let (seed, db) = padded.split_at_mut(DIGEST_LEN);
+    mgf1_xor(db, seed);
+    mgf1_xor(seed, db);
+    if db[..DIGEST_LEN] != *OAEP_LABEL_HASH {
+        return None;
     }
+    // Skip zero padding, expect 0x01 separator.
+    let i = DIGEST_LEN + db[DIGEST_LEN..].iter().position(|&b| b != 0)?;
+    (db[i] == 0x01).then(|| db[i + 1..].to_vec())
 }
 
 impl RabinPrivateKey {
@@ -466,22 +481,13 @@ impl std::fmt::Debug for RabinPrivateKey {
     }
 }
 
-/// `−x mod m` for `x < m`.
-fn neg_mod(x: &Nat, m: &Nat) -> Nat {
-    if x.is_zero() {
-        Nat::zero()
-    } else {
-        m.checked_sub(x).expect("x < m")
-    }
-}
-
-/// Full-domain hash of a message into `[0, n)`, via MGF1 over SHA-1.
-fn fdh(msg: &[u8], n: &Nat, k: usize) -> Nat {
+/// Full-domain hash of a message, via MGF1 over SHA-1, as `out.len()`
+/// big-endian bytes: `k − 1` of them for a `k`-byte modulus, so the value
+/// is below it.
+fn fdh(msg: &[u8], out: &mut [u8]) {
     let digest = sha1_concat(&[b"SFS-rw-fdh", msg]);
-    // k-1 bytes guarantees the value is below n (n has k bytes).
-    Nat::from_bytes_be(&mgf1(&digest, k - 1))
-        .rem_nat(n)
-        .unwrap()
+    out.fill(0);
+    mgf1_xor(&digest, out);
 }
 
 #[cfg(test)]
@@ -501,6 +507,13 @@ mod tests {
         let out = f();
         INLINE.set(false);
         out
+    }
+
+    /// [`fdh`] for a `k`-byte modulus, as a number.
+    fn fdh_nat(msg: &[u8], k: usize) -> Nat {
+        let mut h = vec![0; k - 1];
+        fdh(msg, &mut h);
+        Nat::from_bytes_be(&h)
     }
 
     fn test_key() -> RabinPrivateKey {
@@ -644,7 +657,7 @@ mod tests {
                 let msg = format!("message {i} at {bits} bits");
                 let sig = key.sign(msg.as_bytes());
                 let (negate, double, rp, rq) =
-                    jacobi_tweaked_roots(&key, fdh(msg.as_bytes(), n, key.public().len()));
+                    jacobi_tweaked_roots(&key, fdh_nat(msg.as_bytes(), key.public().len()));
                 let s = key.crt.combine(&rp, &rq);
                 let root = s.clone().min(n.checked_sub(&s).unwrap());
                 let want = RabinSignature {

@@ -383,19 +383,18 @@ mod shani {
     }
 }
 
-/// MGF1 mask generation with SHA-1 (used by the Rabin OAEP padding).
-pub fn mgf1(seed: &[u8], out_len: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(out_len + DIGEST_LEN);
-    let mut counter: u32 = 0;
-    while out.len() < out_len {
+/// MGF1 mask generation with SHA-1 (used by the Rabin OAEP padding and
+/// full-domain hash): XORs the first `out.len()` bytes of the mask for
+/// `seed` into `out`, in place. Allocates nothing.
+pub fn mgf1_xor(seed: &[u8], out: &mut [u8]) {
+    for (counter, chunk) in (0u32..).zip(out.chunks_mut(DIGEST_LEN)) {
         let mut h = Sha1::new();
         h.update(seed);
         h.update(&counter.to_be_bytes());
-        out.extend_from_slice(&h.finalize());
-        counter += 1;
+        for (o, m) in chunk.iter_mut().zip(h.finalize()) {
+            *o ^= m;
+        }
     }
-    out.truncate(out_len);
-    out
 }
 
 #[cfg(test)]
@@ -501,6 +500,11 @@ mod tests {
 
     #[test]
     fn mgf1_deterministic_and_sized() {
+        let mgf1 = |seed: &[u8], len: usize| {
+            let mut out = vec![0u8; len];
+            mgf1_xor(seed, &mut out);
+            out
+        };
         let a = mgf1(b"seed", 100);
         let b = mgf1(b"seed", 100);
         assert_eq!(a, b);
@@ -509,6 +513,21 @@ mod tests {
         assert_eq!(&mgf1(b"seed", 40)[..], &a[..40]);
         // Different seeds diverge.
         assert_ne!(mgf1(b"seed2", 100), a);
+        // The block-by-block definition: SHA-1(seed || counter).
+        assert_eq!(&a[20..40], &sha1_concat(&[b"seed", &1u32.to_be_bytes()]));
+        // XOR is in place: masking twice restores the input.
+        let mut data = *b"plaintext bytes";
+        mgf1_xor(b"seed", &mut data);
+        assert_eq!(
+            &data[..],
+            &a[..15]
+                .iter()
+                .zip(b"plaintext bytes")
+                .map(|(m, p)| m ^ p)
+                .collect::<Vec<_>>()[..]
+        );
+        mgf1_xor(b"seed", &mut data);
+        assert_eq!(&data, b"plaintext bytes");
     }
 
     #[cfg(target_arch = "x86_64")]

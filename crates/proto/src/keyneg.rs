@@ -44,6 +44,8 @@
 //! nonces, skipping the Rabin decryptions entirely. Forward secrecy is
 //! preserved at ticket-lifetime granularity rather than per-session.
 
+use std::sync::Arc;
+
 use sfs_bignum::RandomSource;
 use sfs_crypto::rabin::{RabinError, RabinPrivateKey, RabinPublicKey};
 use sfs_crypto::sha1::{sha1_concat, DIGEST_LEN};
@@ -71,6 +73,40 @@ pub fn offer_extensions(suites: &[SuiteId]) -> String {
     }
     let labels: Vec<&str> = suites.iter().map(|s| s.label()).collect();
     format!("{SUITES_EXT_PREFIX}{}", labels.join(","))
+}
+
+/// A client's suite offer in preference order, the paper-parity baseline
+/// (ARC4+SHA-1) always among it, with its extensions token rendered once
+/// for every hello that carries it.
+#[derive(Debug)]
+pub struct SuiteOffer {
+    suites: Vec<SuiteId>,
+    extensions: String,
+}
+
+impl SuiteOffer {
+    /// Offers `suites` in preference order, with the baseline appended
+    /// when absent so negotiation cannot dead-end.
+    pub fn new(suites: &[SuiteId]) -> Self {
+        let mut suites = suites.to_vec();
+        if !suites.contains(&SuiteId::Arc4Sha1) {
+            suites.push(SuiteId::Arc4Sha1);
+        }
+        SuiteOffer {
+            extensions: offer_extensions(&suites),
+            suites,
+        }
+    }
+
+    /// The offered suites, in preference order.
+    pub fn suites(&self) -> &[SuiteId] {
+        &self.suites
+    }
+
+    /// The hello's extensions token ([`offer_extensions`]).
+    pub fn extensions(&self) -> &str {
+        &self.extensions
+    }
 }
 
 /// Parses the offered suite list out of a hello extensions string. No
@@ -193,19 +229,20 @@ impl SessionKeys {
     ) -> SessionKeys {
         // The suite transcript is always appended — a legacy empty offer
         // hashes to a fixed digest, so both sides still agree.
+        let (server_key, client_key) = (server_key.to_bytes(), client_key.to_bytes());
         let kcs = sha1_concat(&[
             b"KCS",
-            &server_key.to_bytes(),
+            &server_key,
             &ks.half1,
-            &client_key.to_bytes(),
+            &client_key,
             &kc.half1,
             transcript,
         ]);
         let ksc = sha1_concat(&[
             b"KSC",
-            &server_key.to_bytes(),
+            &server_key,
             &ks.half2,
-            &client_key.to_bytes(),
+            &client_key,
             &kc.half2,
             transcript,
         ]);
@@ -244,22 +281,17 @@ impl KeyHalves {
         rng.fill(&mut half2);
         KeyHalves { half1, half2 }
     }
+}
 
-    fn to_xdr_bytes(&self) -> Vec<u8> {
-        let mut enc = XdrEncoder::new();
-        enc.put_opaque_fixed(&self.half1);
-        enc.put_opaque_fixed(&self.half2);
-        enc.into_bytes()
+impl Xdr for KeyHalves {
+    fn encode(&self, enc: &mut XdrEncoder) {
+        self.half1.encode(enc);
+        self.half2.encode(enc);
     }
-
-    fn from_xdr_bytes(data: &[u8]) -> Result<Self, XdrError> {
-        let mut dec = XdrDecoder::new(data);
-        let h1 = dec.get_opaque_fixed(KEY_HALF_LEN)?;
-        let h2 = dec.get_opaque_fixed(KEY_HALF_LEN)?;
-        dec.finish()?;
+    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
         Ok(KeyHalves {
-            half1: h1.try_into().expect("length checked"),
-            half2: h2.try_into().expect("length checked"),
+            half1: Xdr::decode(dec)?,
+            half2: Xdr::decode(dec)?,
         })
     }
 }
@@ -381,8 +413,8 @@ impl Xdr for KeyNegServerHalves {
 /// The client's half of the key negotiation.
 pub struct KeyNegClient {
     path: SelfCertifyingPath,
-    ephemeral: RabinPrivateKey,
-    suites: Vec<SuiteId>,
+    ephemeral: Arc<RabinPrivateKey>,
+    offer: Arc<SuiteOffer>,
 }
 
 /// Client state between receiving the server key and the server halves.
@@ -390,34 +422,39 @@ pub struct KeyNegClient {
 /// Debug intentionally omits the key material.
 pub struct KeyNegClientAwaitingHalves {
     server_key: RabinPublicKey,
-    ephemeral: RabinPrivateKey,
+    ephemeral: Arc<RabinPrivateKey>,
     kc: KeyHalves,
-    suites: Vec<SuiteId>,
-    offer_ext: String,
+    offer: Arc<SuiteOffer>,
 }
 
 impl KeyNegClient {
     /// Starts a negotiation for `path` using the client's current
     /// `ephemeral` key (regenerated hourly in the client master),
     /// offering only the paper-baseline suite.
-    pub fn new(path: SelfCertifyingPath, ephemeral: RabinPrivateKey) -> Self {
+    pub fn new(path: SelfCertifyingPath, ephemeral: impl Into<Arc<RabinPrivateKey>>) -> Self {
         Self::with_suites(path, ephemeral, &[SuiteId::Arc4Sha1])
     }
 
     /// Starts a negotiation offering `suites` in preference order.
     pub fn with_suites(
         path: SelfCertifyingPath,
-        ephemeral: RabinPrivateKey,
+        ephemeral: impl Into<Arc<RabinPrivateKey>>,
         suites: &[SuiteId],
     ) -> Self {
-        let mut suites = suites.to_vec();
-        if !suites.contains(&SuiteId::Arc4Sha1) {
-            suites.push(SuiteId::Arc4Sha1);
-        }
+        Self::with_offer(path, ephemeral, Arc::new(SuiteOffer::new(suites)))
+    }
+
+    /// Starts a negotiation making a prepared `offer`: the client shares
+    /// one key and one offer across every negotiation it runs.
+    pub fn with_offer(
+        path: SelfCertifyingPath,
+        ephemeral: impl Into<Arc<RabinPrivateKey>>,
+        offer: Arc<SuiteOffer>,
+    ) -> Self {
         KeyNegClient {
             path,
-            ephemeral,
-            suites,
+            ephemeral: ephemeral.into(),
+            offer,
         }
     }
 
@@ -433,7 +470,7 @@ impl KeyNegClient {
     /// (empty for a baseline-only offer). Must be sent verbatim in the
     /// hello: it is what both sides bind into key derivation.
     pub fn offer_extensions(&self) -> String {
-        offer_extensions(&self.suites)
+        self.offer.extensions().to_owned()
     }
 
     /// Step 2→3: verify the server key against the HostID (the
@@ -458,7 +495,7 @@ impl KeyNegClient {
             return Err(KeyNegError::HostIdMismatch);
         }
         let kc = KeyHalves::random(rng);
-        let encrypted = server_key.encrypt(&kc.to_xdr_bytes(), rng)?;
+        let encrypted = server_key.encrypt(&kc.to_xdr(), rng)?;
         let msg = KeyNegClientKeys {
             client_key: self.ephemeral.public().to_bytes(),
             encrypted_halves: encrypted,
@@ -468,8 +505,7 @@ impl KeyNegClient {
                 server_key,
                 ephemeral: self.ephemeral,
                 kc,
-                offer_ext: offer_extensions(&self.suites),
-                suites: self.suites,
+                offer: self.offer,
             },
             msg,
         ))
@@ -494,13 +530,13 @@ impl KeyNegClientAwaitingHalves {
     ) -> Result<(SessionKeys, SuiteId), KeyNegError> {
         let chosen = SuiteId::from_wire(msg.chosen)
             .ok_or_else(|| KeyNegError::Downgrade(format!("unknown suite id {}", msg.chosen)))?;
-        if !self.suites.contains(&chosen) {
+        if !self.offer.suites().contains(&chosen) {
             return Err(KeyNegError::Downgrade(format!(
                 "server chose {chosen}, which we never offered"
             )));
         }
-        let ks = KeyHalves::from_xdr_bytes(&self.ephemeral.decrypt(&msg.encrypted_halves)?)?;
-        let transcript = suite_transcript(&self.offer_ext, chosen);
+        let ks = KeyHalves::from_xdr(&self.ephemeral.decrypt(&msg.encrypted_halves)?)?;
+        let transcript = suite_transcript(self.offer.extensions(), chosen);
         let keys = SessionKeys::derive(
             &self.server_key,
             self.ephemeral.public(),
@@ -530,9 +566,9 @@ pub fn server_process_client_keys<R: RandomSource>(
     rng: &mut R,
 ) -> Result<(SessionKeys, SuiteId, KeyNegServerHalves), KeyNegError> {
     let client_key = RabinPublicKey::from_bytes(&msg.client_key)?;
-    let kc = KeyHalves::from_xdr_bytes(&server_key.decrypt(&msg.encrypted_halves)?)?;
+    let kc = KeyHalves::from_xdr(&server_key.decrypt(&msg.encrypted_halves)?)?;
     let ks = KeyHalves::random(rng);
-    let encrypted = client_key.encrypt(&ks.to_xdr_bytes(), rng)?;
+    let encrypted = client_key.encrypt(&ks.to_xdr(), rng)?;
     let chosen = choose_suite(&offered_suites(offer_ext));
     let transcript = suite_transcript(offer_ext, chosen);
     let keys = SessionKeys::derive(server_key.public(), &client_key, &kc, &ks, &transcript);

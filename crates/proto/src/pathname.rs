@@ -15,7 +15,7 @@
 
 use sfs_crypto::rabin::RabinPublicKey;
 use sfs_crypto::sha1::{Sha1, DIGEST_LEN};
-use sfs_xdr::{Xdr, XdrDecoder, XdrEncoder, XdrError};
+use sfs_xdr::{with_encoder, Xdr, XdrDecoder, XdrEncoder, XdrError};
 
 /// The mount directory for all remote SFS file systems.
 pub const SFS_ROOT: &str = "/sfs";
@@ -105,17 +105,19 @@ impl HostId {
     /// input SHA-1 is also a collision of SHA-1," so the duplication cannot
     /// weaken, and might strengthen, the construction.
     pub fn compute(location: &str, public_key: &RabinPublicKey) -> Self {
-        let mut enc = XdrEncoder::new();
+        let key = public_key.to_bytes();
         // The hash is computed over marshaled XDR (§3.2: "Any data that SFS
         // hashes … is defined as an XDR data structure").
-        for _ in 0..2 {
-            enc.put_string("HostInfo");
-            enc.put_string(location);
-            enc.put_opaque(&public_key.to_bytes());
-        }
-        let mut h = Sha1::new();
-        h.update(enc.bytes());
-        HostId(h.finalize())
+        with_encoder(|enc| {
+            for _ in 0..2 {
+                enc.put_string("HostInfo");
+                enc.put_string(location);
+                enc.put_opaque(&key);
+            }
+            let mut h = Sha1::new();
+            h.update(enc.bytes());
+            HostId(h.finalize())
+        })
     }
 
     /// Renders in base 32.

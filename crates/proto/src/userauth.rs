@@ -18,7 +18,7 @@
 
 use sfs_crypto::rabin::{RabinPrivateKey, RabinPublicKey, RabinSignature};
 use sfs_crypto::sha1::{sha1, DIGEST_LEN};
-use sfs_xdr::{Xdr, XdrDecoder, XdrEncoder, XdrError};
+use sfs_xdr::{with_encoder, Xdr, XdrDecoder, XdrEncoder, XdrError};
 
 use crate::pathname::HostId;
 
@@ -51,13 +51,14 @@ impl AuthInfo {
 
     /// AuthID = SHA-1 of the marshaled AuthInfo.
     pub fn auth_id(&self) -> [u8; DIGEST_LEN] {
-        let mut enc = XdrEncoder::new();
-        enc.put_string("AuthInfo");
-        enc.put_string(&self.service);
-        enc.put_string(&self.location);
-        self.host_id.encode(&mut enc);
-        enc.put_opaque_fixed(&self.session_id);
-        sha1(enc.bytes())
+        with_encoder(|enc| {
+            enc.put_string("AuthInfo");
+            enc.put_string(&self.service);
+            enc.put_string(&self.location);
+            self.host_id.encode(enc);
+            enc.put_opaque_fixed(&self.session_id);
+            sha1(enc.bytes())
+        })
     }
 }
 
@@ -83,11 +84,12 @@ impl Xdr for AuthInfo {
 
 /// The marshaled bytes an agent signs.
 fn signed_auth_req_bytes(auth_id: &[u8; DIGEST_LEN], seq_no: u32) -> Vec<u8> {
-    let mut enc = XdrEncoder::new();
-    enc.put_string("SignedAuthReq");
-    enc.put_opaque_fixed(auth_id);
-    enc.put_u32(seq_no);
-    enc.into_bytes()
+    with_encoder(|enc| {
+        enc.put_string("SignedAuthReq");
+        enc.put_opaque_fixed(auth_id);
+        enc.put_u32(seq_no);
+        enc.bytes().to_vec()
+    })
 }
 
 /// The opaque authentication message an agent produces.

@@ -34,7 +34,7 @@ pub mod metrics;
 pub mod sync;
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 pub use metrics::Histogram;
 
@@ -54,6 +54,13 @@ impl Clock for ZeroClock {
     fn now_ns(&self) -> u64 {
         0
     }
+}
+
+/// The one [`ZeroClock`] every clock-less handle shares, so making one
+/// allocates nothing.
+fn zero_clock() -> Arc<dyn Clock> {
+    static ZERO: LazyLock<Arc<dyn Clock>> = LazyLock::new(|| Arc::new(ZeroClock));
+    ZERO.clone()
 }
 
 impl<C: Clock + ?Sized> Clock for Arc<C> {
@@ -166,7 +173,7 @@ impl Telemetry {
     pub fn disabled() -> Self {
         Telemetry {
             inner: None,
-            clock: Arc::new(ZeroClock),
+            clock: zero_clock(),
             scope: None,
         }
     }
@@ -179,7 +186,7 @@ impl Telemetry {
                 full: false,
                 state: sync::Mutex::new(State::default()),
             })),
-            clock: Arc::new(ZeroClock),
+            clock: zero_clock(),
             scope: None,
         }
     }
@@ -196,9 +203,12 @@ impl Telemetry {
         }
     }
 
-    /// This handle with a different clock (same sink).
+    /// This handle with a different clock (same sink). A disabled handle
+    /// never reads its clock, so it keeps the shared one.
     pub fn with_clock(mut self, clock: impl Clock + 'static) -> Self {
-        self.clock = Arc::new(clock);
+        if self.inner.is_some() {
+            self.clock = Arc::new(clock);
+        }
         self
     }
 

@@ -4,6 +4,7 @@
 //! length data carries a 4-byte length prefix. Optional data is a 1-bit
 //! (4-byte) discriminant followed by the value.
 
+use std::cell::Cell;
 use std::fmt;
 
 /// Errors arising while decoding XDR data.
@@ -148,6 +149,30 @@ impl XdrEncoder {
     }
 }
 
+thread_local! {
+    /// The buffer [`with_encoder`] lends, kept between calls so a warm
+    /// encode does not grow a fresh `Vec` from empty.
+    static SCRATCH: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
+/// A scratch buffer that grew past this is dropped after use, not kept.
+const SCRATCH_KEEP: usize = 64 * 1024;
+
+/// Runs `f` on an empty encoder over this thread's reusable buffer. Once
+/// the buffer is warm, an encoding that is only read in place — hashed,
+/// say — allocates nothing, and one copied out allocates once, at its
+/// exact size. A call made inside `f` encodes into a buffer of its own.
+pub fn with_encoder<T>(f: impl FnOnce(&mut XdrEncoder) -> T) -> T {
+    let mut enc = XdrEncoder::from_vec(SCRATCH.take());
+    enc.reset();
+    let out = f(&mut enc);
+    let buf = enc.into_bytes();
+    if buf.capacity() <= SCRATCH_KEEP {
+        SCRATCH.set(buf);
+    }
+    out
+}
+
 /// A cursor-based XDR decoder.
 #[derive(Debug, Clone)]
 pub struct XdrDecoder<'a> {
@@ -269,11 +294,14 @@ pub trait Xdr: Sized {
     /// Decodes a value.
     fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError>;
 
-    /// Convenience: marshal to a standalone byte vector.
+    /// Convenience: marshal to a standalone byte vector. Encodes in the
+    /// thread's [`with_encoder`] buffer and copies out: one allocation at
+    /// the exact size, none for an empty encoding.
     fn to_xdr(&self) -> Vec<u8> {
-        let mut enc = XdrEncoder::new();
-        self.encode(&mut enc);
-        enc.into_bytes()
+        with_encoder(|enc| {
+            self.encode(enc);
+            enc.bytes().to_vec()
+        })
     }
 
     /// Marshals into a caller-owned buffer, replacing its contents but
