@@ -72,6 +72,18 @@ fn bench_channel() {
         tx.seal_into(&mut buf, 0).expect("seal");
         rx.open_in_place(&mut buf).expect("open").len()
     });
+    // An 8 KiB frame on the paper's suite, which `fleet_mix` runs: where
+    // the CPU has SHA-NI, each direction hashes and ciphers in one pass.
+    let (mut tx, mut rx) = channel_pair(SuiteId::Arc4Sha1);
+    let payload = vec![0x5Au8; 8192];
+    let mut buf = Vec::with_capacity(FRAME_HEADER_LEN + payload.len() + 20);
+    bench("channel/arc4_seal_open_8K", || {
+        buf.clear();
+        buf.extend_from_slice(&[0u8; FRAME_HEADER_LEN]);
+        buf.extend_from_slice(&payload);
+        tx.seal_into(&mut buf, 0).expect("seal");
+        rx.open_in_place(&mut buf).expect("open").len()
+    });
 }
 
 fn bench_eksblowfish() {

@@ -39,7 +39,7 @@ const RABIN_768_ENCRYPT_ALLOC_CEILING: u64 = 1;
 /// mount with user authentication, then a ticket-resumed reconnect
 /// after a server restart, each reading a small file. The count is exact,
 /// so the ceiling is the measurement.
-const CONNECT_CYCLE_ALLOC_CEILING: f64 = 193.125;
+const CONNECT_CYCLE_ALLOC_CEILING: f64 = 149.125;
 
 #[test]
 fn steady_state_relay_allocations_stay_pinned() {

@@ -174,7 +174,7 @@ impl Agent {
         let key = &self.keys[attempt];
         let msg = AuthMsg::sign(key, info, seq_no);
         self.audit.push(AuditEntry {
-            location: info.location.clone(),
+            location: info.location.to_string(),
             host_id: info.host_id,
             seq_no,
             key_index: attempt,
@@ -365,7 +365,7 @@ mod tests {
         .clone()
     }
 
-    fn info() -> AuthInfo {
+    fn info() -> AuthInfo<'static> {
         AuthInfo::for_fs("host.example.com", HostId([5u8; 20]), [6u8; 20])
     }
 

@@ -18,6 +18,7 @@ use std::collections::BTreeMap;
 
 use sfs_bignum::{Nat, RandomSource};
 use sfs_crypto::eksblowfish::{password_kdf, SALT_LEN};
+use sfs_crypto::rabin::RabinPublicKey;
 use sfs_crypto::sha1::DIGEST_LEN;
 use sfs_crypto::srp::{self, SrpGroup, SrpServer};
 use sfs_proto::pathname::SelfCertifyingPath;
@@ -56,15 +57,38 @@ struct PrivateRecord {
 /// copy).
 #[derive(Debug, Default, Clone)]
 struct PublicDb {
-    by_key: BTreeMap<Vec<u8>, UserRecord>,
+    by_key: BTreeMap<Vec<u8>, Registered>,
+}
+
+/// A user record beside its public key, parsed once when the record is
+/// stored rather than on every authentication; `None` when the stored
+/// bytes are no Rabin key (nothing verifies under them).
+#[derive(Debug, Clone)]
+struct Registered {
+    rec: UserRecord,
+    key: Option<RabinPublicKey>,
+}
+
+impl Registered {
+    fn credentials(&self) -> (String, Credentials) {
+        (
+            self.rec.user.clone(),
+            Credentials {
+                uid: self.rec.uid,
+                gids: self.rec.gids.clone(),
+            },
+        )
+    }
 }
 
 impl PublicDb {
     fn insert(&mut self, rec: UserRecord) {
-        self.by_key.insert(rec.public_key.clone(), rec);
+        let key = RabinPublicKey::from_bytes(&rec.public_key).ok();
+        self.by_key
+            .insert(rec.public_key.clone(), Registered { rec, key });
     }
 
-    fn lookup(&self, key: &[u8]) -> Option<&UserRecord> {
+    fn lookup(&self, key: &[u8]) -> Option<&Registered> {
         self.by_key.get(key)
     }
 }
@@ -84,6 +108,16 @@ struct Inner {
     unix_passwords: BTreeMap<String, Vec<u8>>,
     /// Registration-by-Unix-password enabled?
     allow_unix_bootstrap: bool,
+}
+
+impl Inner {
+    /// The record registered under exactly these key bytes, writable
+    /// database first.
+    fn lookup(&self, key: &[u8]) -> Option<&Registered> {
+        self.writable
+            .lookup(key)
+            .or_else(|| self.imported.iter().find_map(|db| db.lookup(key)))
+    }
 }
 
 /// The authserver.
@@ -156,39 +190,38 @@ impl AuthServer {
             .writable
             .by_key
             .values()
-            .cloned()
+            .map(|reg| reg.rec.clone())
             .collect()
     }
 
     /// Looks up credentials for a public key across all databases,
     /// writable first.
     pub fn credentials_for_key(&self, key: &[u8]) -> Option<(String, Credentials)> {
-        let inner = self.inner.lock();
-        let rec = inner
-            .writable
-            .lookup(key)
-            .or_else(|| inner.imported.iter().find_map(|db| db.lookup(key)))?;
-        Some((
-            rec.user.clone(),
-            Credentials {
-                uid: rec.uid,
-                gids: rec.gids.clone(),
-            },
-        ))
+        self.inner.lock().lookup(key).map(Registered::credentials)
     }
 
     /// Validates a signed authentication request (Figure 4, steps 4–5):
     /// verifies the signature over (AuthID, SeqNo) and maps the public key
     /// to credentials.
+    ///
+    /// The presented key bytes must be a registered key's exactly; the
+    /// signature is then checked under the key parsed at registration.
+    /// An unregistered key is still parsed and its signature checked, so
+    /// a malformed key or a bad signature is reported as such before
+    /// [`AuthError::UnknownUser`].
     pub fn validate(
         &self,
         msg: &AuthMsg,
         auth_id: &[u8; DIGEST_LEN],
         seq_no: u32,
     ) -> Result<(String, Credentials), AuthError> {
-        let key = msg.verify(auth_id, seq_no)?;
-        self.credentials_for_key(&key.to_bytes())
-            .ok_or(AuthError::UnknownUser)
+        if let Some(reg) = self.inner.lock().lookup(&msg.user_key) {
+            let key = reg.key.as_ref().ok_or(AuthError::BadKey)?;
+            msg.verify_with(key, auth_id, seq_no)?;
+            return Ok(reg.credentials());
+        }
+        msg.verify(auth_id, seq_no)?;
+        Err(AuthError::UnknownUser)
     }
 
     /// Hardens a password for SRP use: eksblowfish first (the expensive
@@ -289,12 +322,12 @@ impl AuthServer {
                 .writable
                 .by_key
                 .values()
+                .map(|reg| &reg.rec)
                 .find(|r| r.user == user)
                 .ok_or(AuthError::UnknownUser)?;
             (rec.public_key.clone(), rec.uid, rec.gids.clone())
         };
-        let old_key = sfs_crypto::rabin::RabinPublicKey::from_bytes(&old_key_bytes)
-            .map_err(|_| AuthError::BadKey)?;
+        let old_key = RabinPublicKey::from_bytes(&old_key_bytes).map_err(|_| AuthError::BadKey)?;
         let sig = sfs_crypto::rabin::RabinSignature::from_bytes(signature)
             .map_err(|_| AuthError::BadSignature)?;
         if !old_key.verify(&key_update_body(user, new_key), &sig) {
@@ -459,6 +492,59 @@ mod tests {
         assert_eq!(
             s.validate(&msg, &info.auth_id(), 1).unwrap_err(),
             AuthError::UnknownUser
+        );
+    }
+
+    #[test]
+    fn presented_key_bytes_must_be_the_registered_ones() {
+        // Verification runs under the key parsed at registration, so the
+        // bytes a message presents must be exactly a registered key's:
+        // alice's signature presented with another registered user's key
+        // is verified under that key and fails; with her key's bytes
+        // altered it matches no record at all.
+        let s = server_with_alice();
+        let mut rng = XorShiftSource::new(0xB0B);
+        let bob = generate_keypair(512, &mut rng);
+        s.register_user(UserRecord {
+            user: "bob".into(),
+            uid: 1001,
+            gids: vec![],
+            public_key: bob.public().to_bytes(),
+        });
+        let info = AuthInfo::for_fs("host", HostId([1u8; 20]), [2u8; 20]);
+        let auth_id = info.auth_id();
+        let msg = AuthMsg::sign(user_key(), &info, 1);
+        assert_eq!(s.validate(&msg, &auth_id, 1).unwrap().0, "alice");
+
+        let mut as_bob = msg.clone();
+        as_bob.user_key = bob.public().to_bytes();
+        assert_eq!(
+            s.validate(&as_bob, &auth_id, 1).unwrap_err(),
+            AuthError::BadSignature
+        );
+        let mut padded = msg.clone();
+        padded.user_key.insert(0, 0);
+        assert_eq!(
+            s.validate(&padded, &auth_id, 1).unwrap_err(),
+            AuthError::BadKey
+        );
+        let mut flipped = msg.clone();
+        let last = flipped.user_key.len() - 1;
+        flipped.user_key[last] ^= 0x02;
+        assert!(s.validate(&flipped, &auth_id, 1).is_err());
+        // A registered record whose key bytes are no key verifies
+        // nothing.
+        s.register_user(UserRecord {
+            user: "mallory".into(),
+            uid: 1002,
+            gids: vec![],
+            public_key: vec![0x02; 64],
+        });
+        let mut malformed = msg.clone();
+        malformed.user_key = vec![0x02; 64];
+        assert_eq!(
+            s.validate(&malformed, &auth_id, 1).unwrap_err(),
+            AuthError::BadKey
         );
     }
 

@@ -10,7 +10,8 @@
 //! the same handful of buffers instead of hitting the allocator.
 //!
 //! Pool discipline: buffers are handed out empty (`len == 0`) with
-//! whatever capacity they accumulated, and returned with contents
+//! whatever capacity they accumulated (a fresh one with room for one
+//! small frame), and returned with contents
 //! intact (the pool clears them on reuse, not on return, so a caller
 //! may keep reading a buffer up to the moment it re-enters circulation).
 //! Hits and misses are telemetry-counted (`bufpool.hits` /
@@ -52,6 +53,14 @@ const MAX_POOLED: usize = 2 * DEFAULT_PIPELINE_WINDOW + 1;
 /// huge READ/WRITE burst does not pin megabytes forever.
 const MAX_RETAINED_CAPACITY: usize = 1 << 20;
 
+/// Capacity of a buffer the pool allocates on a miss: one small sealed
+/// frame — the 20-byte envelope and 4-byte frame header, a metadata call
+/// or reply or a user-authentication request (about 200 bytes with a
+/// 512-bit user key), and the 20-byte MAC. Such a frame is then written
+/// without growing the buffer; grown from empty by `extend_from_slice`,
+/// every fresh connection's buffers paid several reallocations each.
+const FRESH_CAPACITY: usize = 256;
+
 /// Process-unique pool identities, so ownership can be asserted.
 static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -79,7 +88,7 @@ impl PoolState {
             }
             None => {
                 self.tel.count(host, "bufpool.misses", 1);
-                Vec::new()
+                Vec::with_capacity(FRESH_CAPACITY)
             }
         }
     }
@@ -198,9 +207,9 @@ mod tests {
         assert!(b.is_empty());
         assert_eq!(tel.counter("client", "bufpool.hits"), 1);
         // One the freelist would not keep is dropped, and the draw
-        // misses on an empty freelist.
+        // misses on an empty freelist: a fresh buffer, sized for a frame.
         let c = pool.recycle(Vec::new());
-        assert_eq!(c.capacity(), 0);
+        assert_eq!(c.capacity(), FRESH_CAPACITY);
         assert_eq!(tel.counter("client", "bufpool.misses"), 1);
         assert_eq!(pool.idle(), 0);
     }
@@ -235,7 +244,12 @@ mod tests {
         // Drain B: everything it hands out is freshly allocated, so no
         // pointer from A's freelist can alias it.
         let from_b = b.get();
-        assert_eq!(from_b.capacity(), 0, "B had nothing pooled to reuse");
+        assert_ne!(from_b.as_ptr(), marker);
+        assert_eq!(
+            from_b.capacity(),
+            FRESH_CAPACITY,
+            "B had nothing pooled to reuse"
+        );
         let from_a = a.get();
         assert_eq!(from_a.as_ptr(), marker, "A recycles its own buffer");
     }

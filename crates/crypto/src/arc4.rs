@@ -70,40 +70,36 @@ impl Arc4 {
     /// Produces the next key-stream byte.
     #[inline]
     pub fn next_byte(&mut self) -> u8 {
-        self.position += 1;
-        let (mut i, mut j) = (self.i as usize, self.j as usize);
-        let out = Self::step(&mut self.s, &mut i, &mut j);
-        self.i = i as u8;
-        self.j = j as u8;
-        out
+        self.with_prga(|s, prga| prga.next(s))
     }
 
-    /// One PRGA step on hoisted state. Keeping `i`/`j` in caller-held
-    /// full-width locals (masked with `& 0xff`, never stored as `u8`) lets
-    /// the bulk loops run register-to-register — no partial-register byte
-    /// merges, no round trip through `self` per byte — and the explicit
-    /// two-store swap avoids re-reading the permutation.
+    /// Runs `f` on the PRGA with `i` and `j` hoisted out of `self`, then
+    /// stores them back and advances [`Self::position`] by the steps `f`
+    /// took. Every key-stream loop runs through here, the fused
+    /// ARC4+SHA-1 kernel ([`crate::arc4sha1`]) included.
     #[inline(always)]
-    fn step(s: &mut [u32; 256], i: &mut usize, j: &mut usize) -> u8 {
-        *i = (*i + 1) & 0xff;
-        let si = s[*i];
-        *j = (*j + si as usize) & 0xff;
-        let sj = s[*j];
-        s[*i] = sj;
-        s[*j] = si;
-        s[((si + sj) & 0xff) as usize] as u8
+    pub(crate) fn with_prga<R>(&mut self, f: impl FnOnce(&mut [u32; 256], &mut Prga) -> R) -> R {
+        let mut prga = Prga {
+            i: self.i as usize,
+            j: self.j as usize,
+            steps: 0,
+        };
+        let out = f(&mut self.s, &mut prga);
+        self.i = prga.i as u8;
+        self.j = prga.j as u8;
+        self.position += prga.steps;
+        out
     }
 
     /// Fills `out` with key-stream bytes.
     pub fn keystream(&mut self, out: &mut [u8]) {
-        let s = &mut self.s;
-        let (mut i, mut j) = (self.i as usize, self.j as usize);
-        for b in out.iter_mut() {
-            *b = Self::step(s, &mut i, &mut j);
-        }
-        self.i = i as u8;
-        self.j = j as u8;
-        self.position += out.len() as u64;
+        self.with_prga(|s, prga| {
+            let mut p = *prga;
+            for b in out.iter_mut() {
+                *b = p.next(s);
+            }
+            *prga = p;
+        });
     }
 
     /// XORs the key stream into `data` in place (encryption == decryption).
@@ -113,23 +109,22 @@ impl Arc4 {
     /// (each step permutes `s`), so the win is in the data side and in the
     /// per-byte bookkeeping, not the key stream.
     pub fn process(&mut self, data: &mut [u8]) {
-        let s = &mut self.s;
-        let (mut i, mut j) = (self.i as usize, self.j as usize);
-        let mut chunks = data.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            let mut ks = 0u64;
-            for n in 0..8 {
-                ks |= (Self::step(s, &mut i, &mut j) as u64) << (8 * n);
+        self.with_prga(|s, prga| {
+            let mut p = *prga;
+            let mut chunks = data.chunks_exact_mut(8);
+            for chunk in &mut chunks {
+                let mut ks = 0u64;
+                for n in 0..8 {
+                    ks |= (p.next(s) as u64) << (8 * n);
+                }
+                let word = u64::from_le_bytes(chunk[..8].try_into().unwrap()) ^ ks;
+                chunk.copy_from_slice(&word.to_le_bytes());
             }
-            let word = u64::from_le_bytes(chunk[..8].try_into().unwrap()) ^ ks;
-            chunk.copy_from_slice(&word.to_le_bytes());
-        }
-        for b in chunks.into_remainder() {
-            *b ^= Self::step(s, &mut i, &mut j);
-        }
-        self.i = i as u8;
-        self.j = j as u8;
-        self.position += data.len() as u64;
+            for b in chunks.into_remainder() {
+                *b ^= p.next(s);
+            }
+            *prga = p;
+        });
     }
 
     /// Total key-stream bytes consumed so far. The secure channel uses this
@@ -144,6 +139,56 @@ impl std::fmt::Debug for Arc4 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // Never leak cipher state.
         write!(f, "Arc4 {{ position: {} }}", self.position)
+    }
+}
+
+/// The PRGA's indices hoisted out of an [`Arc4`] (see
+/// [`Arc4::with_prga`]). It is `Copy` so a loop can take it into locals:
+/// `i` and `j` then live in full-width registers (masked with `& 0xff`,
+/// never stored as `u8`), with no partial-register byte merges and no
+/// round trip through memory per byte.
+#[derive(Clone, Copy)]
+pub(crate) struct Prga {
+    i: usize,
+    j: usize,
+    steps: u64,
+}
+
+impl Prga {
+    /// One PRGA step over the permutation `s`. The explicit two-store
+    /// swap avoids re-reading the permutation.
+    #[inline(always)]
+    pub(crate) fn next(&mut self, s: &mut [u32; 256]) -> u8 {
+        self.steps += 1;
+        self.i = (self.i + 1) & 0xff;
+        let si = s[self.i];
+        self.j = (self.j + si as usize) & 0xff;
+        let sj = s[self.j];
+        s[self.i] = sj;
+        s[self.j] = si;
+        s[((si + sj) & 0xff) as usize] as u8
+    }
+
+    /// Orders the code around this point for the compiler, at no cost on
+    /// the CPU: an empty `asm!` (no instruction) that takes and gives back
+    /// `j` and `v`, so steps before it are placed before any step after
+    /// it, and so is whatever made `v` before whatever reads it next.
+    /// The fused ARC4+SHA-1 kernel passes its SHA-1 state, keeping each
+    /// round group between the ARC4 steps it is meant to overlap; left to
+    /// itself, the compiler gathers all of a block's steps in one run and
+    /// the core cannot see far enough ahead to overlap the two.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    pub(crate) fn pin(&mut self, v: &mut std::arch::x86_64::__m128i) {
+        // SAFETY: the template is empty: nothing is read, written or run.
+        unsafe {
+            std::arch::asm!(
+                "/* {0} {1} */",
+                inout(reg) self.j,
+                inout(xmm_reg) *v,
+                options(nomem, nostack, preserves_flags)
+            );
+        }
     }
 }
 

@@ -9,6 +9,9 @@
 //!   spinning (one spin per 128 bits of key data).
 //! - [`mac`]: the SHA-1-based per-message MAC, re-keyed for each RPC with 32
 //!   bytes pulled from the ARC4 stream.
+//! - [`arc4sha1`]: the channel frame the two make, sealed and opened in
+//!   one pass where the CPU has SHA-NI (ARC4 steps between the SHA-1
+//!   round groups), in two elsewhere.
 //! - [`blowfish`]: Blowfish (for CBC-encrypting NFS file handles, §3.3),
 //!   with its P/S constant tables derived from hex digits of π computed
 //!   in-tree ([`pi`]).
@@ -37,6 +40,7 @@
 //!   detached frame form for sealing session-resumption tickets.
 
 pub mod arc4;
+pub mod arc4sha1;
 pub mod blowfish;
 pub mod chacha20;
 pub mod chachapoly;

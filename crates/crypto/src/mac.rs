@@ -42,22 +42,31 @@ impl SfsMac {
             h.update(message);
             h.finalize()
         };
-        sha1_concat(&[&key[16..], &inner])
+        Self::outer(key, &inner)
+    }
+
+    /// The outer hash over the inner digest: `SHA-1(key[16..32] ‖ inner)`.
+    pub(crate) fn outer(key: &[u8; MAC_KEY_LEN], inner: &[u8; DIGEST_LEN]) -> [u8; MAC_LEN] {
+        sha1_concat(&[&key[16..], inner])
     }
 
     /// Verifies a MAC in constant time with respect to the tag contents.
     pub fn verify(key: &[u8; MAC_KEY_LEN], message: &[u8], tag: &[u8]) -> bool {
-        if tag.len() != MAC_LEN {
-            return false;
-        }
-        let expect = Self::compute(key, message);
-        // Constant-time comparison: accumulate differences.
-        let mut diff = 0u8;
-        for (a, b) in expect.iter().zip(tag.iter()) {
-            diff |= a ^ b;
-        }
-        diff == 0
+        ct_eq(&Self::compute(key, message), tag)
     }
+}
+
+/// Whether `tag` is `expect`, in time independent of where they differ:
+/// every byte difference is folded in before the one test.
+pub(crate) fn ct_eq(expect: &[u8; MAC_LEN], tag: &[u8]) -> bool {
+    if tag.len() != MAC_LEN {
+        return false;
+    }
+    let diff = expect
+        .iter()
+        .zip(tag)
+        .fold(0u8, |acc, (a, b)| acc | (a ^ b));
+    diff == 0
 }
 
 #[cfg(test)]
@@ -106,6 +115,23 @@ mod tests {
         let a = SfsMac::compute(&KEY, b"ab");
         let b = SfsMac::compute(&KEY, b"ab\0");
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn compare_sees_every_bit_of_every_byte() {
+        // The fold reads all twenty bytes: a difference in any bit of any
+        // byte, first or last, fails the compare.
+        let tag = SfsMac::compute(&KEY, b"data");
+        assert!(ct_eq(&tag, &tag));
+        for byte in 0..MAC_LEN {
+            for bit in 0..8 {
+                let mut bad = tag;
+                bad[byte] ^= 1 << bit;
+                assert!(!ct_eq(&tag, &bad), "byte {byte} bit {bit}");
+            }
+        }
+        assert!(!ct_eq(&tag, &tag[..MAC_LEN - 1]));
+        assert!(!ct_eq(&tag, &[tag.as_slice(), &[0]].concat()));
     }
 
     #[test]

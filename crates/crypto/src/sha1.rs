@@ -69,6 +69,15 @@ impl Sha1 {
         self
     }
 
+    /// The chaining state, for a kernel that compresses the next `len`
+    /// bytes itself — whole blocks, with nothing buffered — as the fused
+    /// ARC4+SHA-1 pass does while it encrypts; they count as absorbed.
+    pub(crate) fn chain_for(&mut self, len: usize) -> &mut [u32; 5] {
+        debug_assert!(self.buf_len == 0 && len.is_multiple_of(BLOCK_LEN));
+        self.len = self.len.wrapping_add(len as u64);
+        &mut self.h
+    }
+
     /// Finishes and returns the 20-byte digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.len.wrapping_mul(8);
@@ -119,6 +128,21 @@ pub fn sha1_concat(parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
 /// pseudo-random generator's G function.
 pub(crate) const IV: [u32; 5] = H0;
 
+/// Whether this CPU runs the SHA-NI compression (and with it the fused
+/// ARC4+SHA-1 pass in [`crate::arc4sha1`]). `std` caches the answer.
+pub(crate) fn shani_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("sha")
+            && std::arch::is_x86_feature_detected!("ssse3")
+            && std::arch::is_x86_feature_detected!("sse4.1")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
 /// The raw SHA-1 compression function over one 64-byte block (no padding).
 /// The FIPS 186 generator is defined directly in terms of this G function.
 ///
@@ -127,10 +151,7 @@ pub(crate) const IV: [u32; 5] = H0;
 /// both paths compute the identical FIPS 180-1 state update.
 pub(crate) fn compress(h: &mut [u32; 5], block: &[u8; BLOCK_LEN]) {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("sha")
-        && std::arch::is_x86_feature_detected!("ssse3")
-        && std::arch::is_x86_feature_detected!("sse4.1")
-    {
+    if shani_available() {
         // SAFETY: feature presence is checked immediately above.
         unsafe { shani::compress(h, block) };
         return;
@@ -197,43 +218,43 @@ fn compress_scalar(h: &mut [u32; 5], block: &[u8; BLOCK_LEN]) {
     h[4] = h[4].wrapping_add(e);
 }
 
-/// SHA-1 compression via the x86 SHA extensions (`sha1rnds4`/`sha1nexte`/
-/// `sha1msg1`/`sha1msg2`), following Intel's published schedule: four
-/// rounds per `sha1rnds4`, with the message expansion kept in four XMM
-/// registers and folded forward as the rounds consume it.
+/// The 80 SHA-1 rounds of one block on the x86 SHA extensions
+/// (`sha1rnds4`/`sha1nexte`/`sha1msg1`/`sha1msg2`), following Intel's
+/// published schedule: four rounds per `sha1rnds4`, with the message
+/// expansion kept in four XMM registers and folded forward as the rounds
+/// consume it. This is the one copy of the schedule; [`shani::compress`]
+/// and the fused ARC4+SHA-1 kernel in [`crate::arc4sha1`] both expand it.
+///
+/// `$abcd` holds a,b,c,d with a in the high lane and `$e` holds e in its
+/// high lane, as `sha1nexte` expects; both are updated in place, the
+/// chaining addition included. `$msg` is the block as four byte-swapped
+/// (big-endian) word vectors. `$hook` runs after each of the 20
+/// `sha1rnds4` groups with `$g` bound to the group's number, `0..20`, and
+/// `$state` to `&mut` the a,b,c,d register that group just wrote: work
+/// placed there overlaps the rounds' latency chain. Callers need the
+/// three target features enabled.
 #[cfg(target_arch = "x86_64")]
-mod shani {
-    use super::BLOCK_LEN;
-    use std::arch::x86_64::*;
-
-    #[target_feature(enable = "sha,ssse3,sse4.1")]
-    pub(super) unsafe fn compress(h: &mut [u32; 5], block: &[u8; BLOCK_LEN]) {
-        // Lane order: `abcd` holds a,b,c,d with a in the high lane
-        // (hence the 0x1B shuffles on load/store); `e` rides in the high
-        // lane of its own register as `sha1nexte` expects.
-        let mask = _mm_set_epi64x(0x0001020304050607u64 as i64, 0x08090a0b0c0d0e0fu64 as i64);
-        let mut abcd = _mm_loadu_si128(h.as_ptr() as *const __m128i);
-        abcd = _mm_shuffle_epi32::<0x1B>(abcd);
-        let mut e0 = _mm_set_epi32(h[4] as i32, 0, 0, 0);
-        let abcd_save = abcd;
-        let e0_save = e0;
-
-        let p = block.as_ptr() as *const __m128i;
-        let mut msg0 = _mm_shuffle_epi8(_mm_loadu_si128(p), mask);
-        let mut msg1 = _mm_shuffle_epi8(_mm_loadu_si128(p.add(1)), mask);
-        let mut msg2 = _mm_shuffle_epi8(_mm_loadu_si128(p.add(2)), mask);
-        let mut msg3 = _mm_shuffle_epi8(_mm_loadu_si128(p.add(3)), mask);
+macro_rules! shani_rounds {
+    ($abcd:ident, $e:ident, $msg:expr, |$g:ident, $state:ident| $hook:block) => {{
+        use std::arch::x86_64::*;
+        let [mut msg0, mut msg1, mut msg2, mut msg3]: [__m128i; 4] = $msg;
+        let (abcd_save, e_save) = ($abcd, $e);
+        let mut abcd = $abcd;
+        let mut e0 = $e;
+        let mut e1;
 
         // Rounds 0-3.
         e0 = _mm_add_epi32(e0, msg0);
-        let mut e1 = abcd;
+        e1 = abcd;
         abcd = _mm_sha1rnds4_epu32::<0>(abcd, e0);
+        { let $g: usize = 0; let $state = &mut abcd; $hook }
 
         // Rounds 4-7.
         e1 = _mm_sha1nexte_epu32(e1, msg1);
         e0 = abcd;
         abcd = _mm_sha1rnds4_epu32::<0>(abcd, e1);
         msg0 = _mm_sha1msg1_epu32(msg0, msg1);
+        { let $g: usize = 1; let $state = &mut abcd; $hook }
 
         // Rounds 8-11.
         e0 = _mm_sha1nexte_epu32(e0, msg2);
@@ -241,6 +262,7 @@ mod shani {
         abcd = _mm_sha1rnds4_epu32::<0>(abcd, e0);
         msg1 = _mm_sha1msg1_epu32(msg1, msg2);
         msg0 = _mm_xor_si128(msg0, msg2);
+        { let $g: usize = 2; let $state = &mut abcd; $hook }
 
         // Rounds 12-15.
         e1 = _mm_sha1nexte_epu32(e1, msg3);
@@ -249,6 +271,7 @@ mod shani {
         abcd = _mm_sha1rnds4_epu32::<0>(abcd, e1);
         msg2 = _mm_sha1msg1_epu32(msg2, msg3);
         msg1 = _mm_xor_si128(msg1, msg3);
+        { let $g: usize = 3; let $state = &mut abcd; $hook }
 
         // Rounds 16-19.
         e0 = _mm_sha1nexte_epu32(e0, msg0);
@@ -257,6 +280,7 @@ mod shani {
         abcd = _mm_sha1rnds4_epu32::<0>(abcd, e0);
         msg3 = _mm_sha1msg1_epu32(msg3, msg0);
         msg2 = _mm_xor_si128(msg2, msg0);
+        { let $g: usize = 4; let $state = &mut abcd; $hook }
 
         // Rounds 20-23.
         e1 = _mm_sha1nexte_epu32(e1, msg1);
@@ -265,6 +289,7 @@ mod shani {
         abcd = _mm_sha1rnds4_epu32::<1>(abcd, e1);
         msg0 = _mm_sha1msg1_epu32(msg0, msg1);
         msg3 = _mm_xor_si128(msg3, msg1);
+        { let $g: usize = 5; let $state = &mut abcd; $hook }
 
         // Rounds 24-27.
         e0 = _mm_sha1nexte_epu32(e0, msg2);
@@ -273,6 +298,7 @@ mod shani {
         abcd = _mm_sha1rnds4_epu32::<1>(abcd, e0);
         msg1 = _mm_sha1msg1_epu32(msg1, msg2);
         msg0 = _mm_xor_si128(msg0, msg2);
+        { let $g: usize = 6; let $state = &mut abcd; $hook }
 
         // Rounds 28-31.
         e1 = _mm_sha1nexte_epu32(e1, msg3);
@@ -281,6 +307,7 @@ mod shani {
         abcd = _mm_sha1rnds4_epu32::<1>(abcd, e1);
         msg2 = _mm_sha1msg1_epu32(msg2, msg3);
         msg1 = _mm_xor_si128(msg1, msg3);
+        { let $g: usize = 7; let $state = &mut abcd; $hook }
 
         // Rounds 32-35.
         e0 = _mm_sha1nexte_epu32(e0, msg0);
@@ -289,6 +316,7 @@ mod shani {
         abcd = _mm_sha1rnds4_epu32::<1>(abcd, e0);
         msg3 = _mm_sha1msg1_epu32(msg3, msg0);
         msg2 = _mm_xor_si128(msg2, msg0);
+        { let $g: usize = 8; let $state = &mut abcd; $hook }
 
         // Rounds 36-39.
         e1 = _mm_sha1nexte_epu32(e1, msg1);
@@ -297,6 +325,7 @@ mod shani {
         abcd = _mm_sha1rnds4_epu32::<1>(abcd, e1);
         msg0 = _mm_sha1msg1_epu32(msg0, msg1);
         msg3 = _mm_xor_si128(msg3, msg1);
+        { let $g: usize = 9; let $state = &mut abcd; $hook }
 
         // Rounds 40-43.
         e0 = _mm_sha1nexte_epu32(e0, msg2);
@@ -305,6 +334,7 @@ mod shani {
         abcd = _mm_sha1rnds4_epu32::<2>(abcd, e0);
         msg1 = _mm_sha1msg1_epu32(msg1, msg2);
         msg0 = _mm_xor_si128(msg0, msg2);
+        { let $g: usize = 10; let $state = &mut abcd; $hook }
 
         // Rounds 44-47.
         e1 = _mm_sha1nexte_epu32(e1, msg3);
@@ -313,6 +343,7 @@ mod shani {
         abcd = _mm_sha1rnds4_epu32::<2>(abcd, e1);
         msg2 = _mm_sha1msg1_epu32(msg2, msg3);
         msg1 = _mm_xor_si128(msg1, msg3);
+        { let $g: usize = 11; let $state = &mut abcd; $hook }
 
         // Rounds 48-51.
         e0 = _mm_sha1nexte_epu32(e0, msg0);
@@ -321,6 +352,7 @@ mod shani {
         abcd = _mm_sha1rnds4_epu32::<2>(abcd, e0);
         msg3 = _mm_sha1msg1_epu32(msg3, msg0);
         msg2 = _mm_xor_si128(msg2, msg0);
+        { let $g: usize = 12; let $state = &mut abcd; $hook }
 
         // Rounds 52-55.
         e1 = _mm_sha1nexte_epu32(e1, msg1);
@@ -329,6 +361,7 @@ mod shani {
         abcd = _mm_sha1rnds4_epu32::<2>(abcd, e1);
         msg0 = _mm_sha1msg1_epu32(msg0, msg1);
         msg3 = _mm_xor_si128(msg3, msg1);
+        { let $g: usize = 13; let $state = &mut abcd; $hook }
 
         // Rounds 56-59.
         e0 = _mm_sha1nexte_epu32(e0, msg2);
@@ -337,6 +370,7 @@ mod shani {
         abcd = _mm_sha1rnds4_epu32::<2>(abcd, e0);
         msg1 = _mm_sha1msg1_epu32(msg1, msg2);
         msg0 = _mm_xor_si128(msg0, msg2);
+        { let $g: usize = 14; let $state = &mut abcd; $hook }
 
         // Rounds 60-63.
         e1 = _mm_sha1nexte_epu32(e1, msg3);
@@ -345,6 +379,7 @@ mod shani {
         abcd = _mm_sha1rnds4_epu32::<3>(abcd, e1);
         msg2 = _mm_sha1msg1_epu32(msg2, msg3);
         msg1 = _mm_xor_si128(msg1, msg3);
+        { let $g: usize = 15; let $state = &mut abcd; $hook }
 
         // Rounds 64-67.
         e0 = _mm_sha1nexte_epu32(e0, msg0);
@@ -353,6 +388,7 @@ mod shani {
         abcd = _mm_sha1rnds4_epu32::<3>(abcd, e0);
         msg3 = _mm_sha1msg1_epu32(msg3, msg0);
         msg2 = _mm_xor_si128(msg2, msg0);
+        { let $g: usize = 16; let $state = &mut abcd; $hook }
 
         // Rounds 68-71.
         e1 = _mm_sha1nexte_epu32(e1, msg1);
@@ -360,26 +396,69 @@ mod shani {
         msg2 = _mm_sha1msg2_epu32(msg2, msg1);
         abcd = _mm_sha1rnds4_epu32::<3>(abcd, e1);
         msg3 = _mm_xor_si128(msg3, msg1);
+        { let $g: usize = 17; let $state = &mut abcd; $hook }
 
         // Rounds 72-75.
         e0 = _mm_sha1nexte_epu32(e0, msg2);
         e1 = abcd;
         msg3 = _mm_sha1msg2_epu32(msg3, msg2);
         abcd = _mm_sha1rnds4_epu32::<3>(abcd, e0);
+        { let $g: usize = 18; let $state = &mut abcd; $hook }
 
         // Rounds 76-79.
         e1 = _mm_sha1nexte_epu32(e1, msg3);
         e0 = abcd;
         abcd = _mm_sha1rnds4_epu32::<3>(abcd, e1);
+        { let $g: usize = 19; let $state = &mut abcd; $hook }
 
         // Fold back into the running state. `sha1nexte` rotates the
         // working e (in e0's high lane) and adds the saved value.
-        e0 = _mm_sha1nexte_epu32(e0, e0_save);
-        abcd = _mm_add_epi32(abcd, abcd_save);
+        $e = _mm_sha1nexte_epu32(e0, e_save);
+        $abcd = _mm_add_epi32(abcd, abcd_save);
+    }};
+}
+#[cfg(target_arch = "x86_64")]
+pub(crate) use shani_rounds;
 
-        abcd = _mm_shuffle_epi32::<0x1B>(abcd);
-        _mm_storeu_si128(h.as_mut_ptr() as *mut __m128i, abcd);
-        h[4] = _mm_extract_epi32::<3>(e0) as u32;
+/// SHA-1 compression via the x86 SHA extensions: one block through
+/// [`shani_rounds!`].
+#[cfg(target_arch = "x86_64")]
+pub(crate) mod shani {
+    use super::BLOCK_LEN;
+    use std::arch::x86_64::*;
+
+    /// The `pshufb` mask that turns each little-endian 32-bit word of a
+    /// loaded block into the big-endian word the SHA instructions read.
+    #[inline(always)]
+    pub(crate) fn bswap_mask() -> __m128i {
+        // SAFETY: SSE2 is part of the x86-64 baseline.
+        unsafe { _mm_set_epi64x(0x0001020304050607u64 as i64, 0x08090a0b0c0d0e0fu64 as i64) }
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must have SHA-NI, SSSE3 and SSE4.1.
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    pub(crate) unsafe fn compress(h: &mut [u32; 5], block: &[u8; BLOCK_LEN]) {
+        // Lane order: `abcd` holds a,b,c,d with a in the high lane
+        // (hence the 0x1B shuffles on load/store); `e` rides in the high
+        // lane of its own register as `sha1nexte` expects.
+        let mask = bswap_mask();
+        let mut abcd = _mm_shuffle_epi32::<0x1B>(_mm_loadu_si128(h.as_ptr() as *const __m128i));
+        let mut e = _mm_set_epi32(h[4] as i32, 0, 0, 0);
+        let p = block.as_ptr() as *const __m128i;
+        let msg = [
+            _mm_shuffle_epi8(_mm_loadu_si128(p), mask),
+            _mm_shuffle_epi8(_mm_loadu_si128(p.add(1)), mask),
+            _mm_shuffle_epi8(_mm_loadu_si128(p.add(2)), mask),
+            _mm_shuffle_epi8(_mm_loadu_si128(p.add(3)), mask),
+        ];
+        super::shani_rounds!(abcd, e, msg, |_g, _abcd| {});
+        _mm_storeu_si128(
+            h.as_mut_ptr() as *mut __m128i,
+            _mm_shuffle_epi32::<0x1B>(abcd),
+        );
+        h[4] = _mm_extract_epi32::<3>(e) as u32;
     }
 }
 

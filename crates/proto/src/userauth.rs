@@ -16,6 +16,8 @@
 //! the same client", and the AuthID binds the request to the secure
 //! channel's session.
 
+use std::borrow::Cow;
+
 use sfs_crypto::rabin::{RabinPrivateKey, RabinPublicKey, RabinSignature};
 use sfs_crypto::sha1::{sha1, DIGEST_LEN};
 use sfs_xdr::{with_encoder, Xdr, XdrDecoder, XdrEncoder, XdrError};
@@ -26,24 +28,28 @@ use crate::pathname::HostId;
 pub const AUTHNO_ANONYMOUS: u32 = 0;
 
 /// The session/path description the client hands to the agent for signing.
+///
+/// The strings are borrowed where the caller has them (the server's own
+/// location, the mount's path), so building one to compute an AuthID
+/// copies nothing; a decoded one owns its strings.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AuthInfo {
+pub struct AuthInfo<'a> {
     /// Service tag; always "FS" for file-system authentication.
-    pub service: String,
+    pub service: Cow<'a, str>,
     /// Location of the server being accessed.
-    pub location: String,
+    pub location: Cow<'a, str>,
     /// HostID of the server being accessed.
     pub host_id: HostId,
     /// SessionID of the secure channel the request will travel over.
     pub session_id: [u8; DIGEST_LEN],
 }
 
-impl AuthInfo {
+impl<'a> AuthInfo<'a> {
     /// Builds an AuthInfo for the file-system service.
-    pub fn for_fs(location: &str, host_id: HostId, session_id: [u8; DIGEST_LEN]) -> Self {
+    pub fn for_fs(location: &'a str, host_id: HostId, session_id: [u8; DIGEST_LEN]) -> Self {
         AuthInfo {
-            service: "FS".to_string(),
-            location: location.to_string(),
+            service: Cow::Borrowed("FS"),
+            location: Cow::Borrowed(location),
             host_id,
             session_id,
         }
@@ -62,7 +68,7 @@ impl AuthInfo {
     }
 }
 
-impl Xdr for AuthInfo {
+impl Xdr for AuthInfo<'static> {
     fn encode(&self, enc: &mut XdrEncoder) {
         enc.put_string(&self.service);
         enc.put_string(&self.location);
@@ -71,8 +77,8 @@ impl Xdr for AuthInfo {
     }
     fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
         Ok(AuthInfo {
-            service: dec.get_string()?,
-            location: dec.get_string()?,
+            service: Cow::Owned(dec.get_string()?),
+            location: Cow::Owned(dec.get_string()?),
             host_id: HostId::decode(dec)?,
             session_id: dec
                 .get_opaque_fixed(DIGEST_LEN)?
@@ -129,11 +135,23 @@ impl AuthMsg {
         seq_no: u32,
     ) -> Result<RabinPublicKey, AuthError> {
         let key = RabinPublicKey::from_bytes(&self.user_key).map_err(|_| AuthError::BadKey)?;
+        self.verify_with(&key, auth_id, seq_no)?;
+        Ok(key)
+    }
+
+    /// [`Self::verify`] under `key`, a parsed copy of the key this
+    /// message presents (an authserver parses each registered key once).
+    /// The caller vouches that `key` is what `user_key` encodes.
+    pub fn verify_with(
+        &self,
+        key: &RabinPublicKey,
+        auth_id: &[u8; DIGEST_LEN],
+        seq_no: u32,
+    ) -> Result<(), AuthError> {
         let sig =
             RabinSignature::from_bytes(&self.signature).map_err(|_| AuthError::BadSignature)?;
-        let body = signed_auth_req_bytes(auth_id, seq_no);
-        if key.verify(&body, &sig) {
-            Ok(key)
+        if key.verify(&signed_auth_req_bytes(auth_id, seq_no), &sig) {
+            Ok(())
         } else {
             Err(AuthError::BadSignature)
         }
@@ -251,7 +269,7 @@ mod tests {
         })
     }
 
-    fn auth_info() -> AuthInfo {
+    fn auth_info() -> AuthInfo<'static> {
         AuthInfo::for_fs("sfs.lcs.mit.edu", HostId([3u8; 20]), [7u8; 20])
     }
 
