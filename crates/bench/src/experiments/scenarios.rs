@@ -31,6 +31,7 @@
 
 use std::sync::Arc;
 
+use sfs_proto::channel::SuiteId;
 use sfs_telemetry::sync::Mutex;
 use sfs_telemetry::{Telemetry, ZeroClock};
 
@@ -41,8 +42,8 @@ use crate::driver::{Ctx, Report};
 use crate::kernel::{FsBench, SfsBench};
 use crate::report::{Check, Obj};
 use crate::scenario::{
-    builtin_mixes, encode_trace, parse_trace, replay_trace, run_mix, run_storm, scenario_suite,
-    scenario_world, set_scenario_suite, RecordingFs, TraceSink, STORM_NAMES,
+    builtin_mixes, encode_trace, parse_trace, replay_trace, run_mix, run_storm, scenario_world,
+    RecordingFs, TraceSink, STORM_NAMES,
 };
 
 /// FNV-1a 64-bit, used to commit the op log compactly into the JSON.
@@ -63,11 +64,11 @@ fn fnv64(lines: &[String]) -> u64 {
 /// re-recording it, and checks the re-recording is byte-identical to
 /// the input — the trace format's round-trip guarantee through the real
 /// stack, not just the parser.
-fn replay_file(path: &str) -> Result<Report, String> {
+fn replay_file(path: &str, suite: SuiteId) -> Result<Report, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     let ops = parse_trace(&text).map_err(|e| format!("{path}: {e}"))?;
     let tel = Telemetry::recording(ZeroClock);
-    let world = scenario_world(1, 1, None, &tel, None);
+    let world = scenario_world(1, 1, None, suite, &tel, None);
     let prefix = format!("{}/bench", world.path().full_path());
     let bench: Box<dyn FsBench> = Box::new(SfsBench::new(
         "SFS",
@@ -91,7 +92,7 @@ fn replay_file(path: &str) -> Result<Report, String> {
 }
 
 pub fn run(ctx: &Ctx) -> Result<Report, String> {
-    set_scenario_suite(suite(ctx)?);
+    let suite = suite(ctx)?;
     if ctx.args.flag("list") {
         let mixes = builtin_mixes().into_iter();
         let mixes = mixes.map(|(name, spec)| format!("{name:<18} mix    {}\n", spec.encode()));
@@ -102,7 +103,7 @@ pub fn run(ctx: &Ctx) -> Result<Report, String> {
         });
     }
     if let Some(path) = ctx.args.opt("replay") {
-        return replay_file(&path);
+        return replay_file(&path, suite);
     }
 
     // Resolve the scenario set: everything by default, or one chosen by
@@ -153,8 +154,8 @@ pub fn run(ctx: &Ctx) -> Result<Report, String> {
         let tel = Telemetry::recording(ZeroClock);
         let sink: Option<TraceSink> = record.as_ref().map(|_| Arc::new(Mutex::new(Vec::new())));
         let outcome = match spec {
-            Some(spec) => run_mix(name, spec, &tel, plan, sink.as_ref()),
-            None => run_storm(name, &tel, plan, ctx.smoke).expect("built-in storm"),
+            Some(spec) => run_mix(name, spec, suite, &tel, plan, sink.as_ref()),
+            None => run_storm(name, suite, &tel, plan, ctx.smoke).expect("built-in storm"),
         };
         if let (Some(path), Some(sink)) = (&record, &sink) {
             report
@@ -189,7 +190,7 @@ pub fn run(ctx: &Ctx) -> Result<Report, String> {
     let header = Obj::new()
         .str("schema", "sfs-bench/scenarios/v1")
         .str("mode", ctx.mode())
-        .str("suite", scenario_suite().label());
+        .str("suite", suite.label());
     let header = match ctx.args.opt("faults") {
         Some(s) => header.str("faults", &s),
         None => header.null("faults"),

@@ -4,15 +4,19 @@
 //! system calls, the kernel page/name/attribute caches, and then one of
 //! three transports — the local FFS, the in-kernel NFS3 client, or the
 //! kernel NFS3 client talking to the user-level SFS daemons. This module
-//! reproduces that stack. The page cache and name cache are shared
-//! implementations so that all three systems benefit identically; what
-//! differs is exactly what the paper says differs: where attribute caching
-//! happens, how many RPCs reach the wire, and what each RPC costs.
+//! reproduces that stack. The caches are one implementation, so that all
+//! three systems benefit identically: every stack reads through one
+//! page-cache read (`PageCache::read`, with one whole-file fetch for the
+//! two remote stacks), the remote stacks resolve names through one
+//! name-cache walk (`PathMap::resolve`), and every cache files a path
+//! under one key. What differs is exactly what the paper says differs:
+//! where attribute caching happens, how many RPCs reach the wire, and
+//! what each RPC costs.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use sfs::client::{ClientError, SfsClient};
+use sfs::client::{ClientError, Mount, SfsClient};
 use sfs_nfs3::proto::{FileHandle, Nfs3Reply, Nfs3Request, Sattr3, StableHow, Status};
 use sfs_nfs3::Nfs3Server;
 use sfs_sim::{CpuCosts, Exchange, SimClock, SimTime, Wire, WireError};
@@ -44,28 +48,142 @@ impl std::error::Error for BenchFsError {}
 
 type Result<T> = std::result::Result<T, BenchFsError>;
 
+/// A kernel cache keyed by path, under one key per path: `/bench/f` and
+/// `bench/f` are the same entry.
+struct PathMap<V>(Mutex<HashMap<String, V>>);
+
+impl<V> Default for PathMap<V> {
+    fn default() -> Self {
+        PathMap(Mutex::new(HashMap::new()))
+    }
+}
+
+impl<V: Clone> PathMap<V> {
+    fn key(path: &str) -> &str {
+        path.trim_matches('/')
+    }
+
+    fn get(&self, path: &str) -> Option<V> {
+        self.0.lock().get(Self::key(path)).cloned()
+    }
+
+    fn insert(&self, path: &str, value: V) {
+        self.0.lock().insert(Self::key(path).to_string(), value);
+    }
+
+    fn remove(&self, path: &str) {
+        self.0.lock().remove(Self::key(path));
+    }
+
+    fn clear(&self) {
+        self.0.lock().clear();
+    }
+
+    /// The name cache's walk (the kernel's dnlc, in front of both remote
+    /// stacks): `path`'s cached entry, or the entry `lookup(dir, path,
+    /// leaf)` finds below its parent's, resolved the same way down to the
+    /// `root()` entry. Every entry found is cached.
+    fn resolve(
+        &self,
+        path: &str,
+        root: &mut dyn FnMut() -> Result<V>,
+        lookup: &mut dyn FnMut(&V, &str, &str) -> Result<V>,
+    ) -> Result<V> {
+        let path = Self::key(path);
+        if let Some(entry) = self.get(path) {
+            return Ok(entry);
+        }
+        let entry = if path.is_empty() {
+            root()?
+        } else {
+            let (dir, leaf) = split(path);
+            let dir = self.resolve(dir, root, lookup)?;
+            lookup(&dir, path, leaf)?
+        };
+        self.insert(path, entry.clone());
+        Ok(entry)
+    }
+}
+
 /// The whole-file page cache shared by every stack (the kernel's buffer
-/// cache). Entries are validated against the file's modification time.
-#[derive(Default)]
-struct PageCache {
-    files: HashMap<String, (u64, Arc<Vec<u8>>)>,
+/// cache): path → (mtime, contents).
+type PageCache = PathMap<(u64, Arc<Vec<u8>>)>;
+
+/// What a stack fetched on a page-cache miss.
+enum Fetched {
+    /// The whole file, which the cache keeps.
+    Whole(Vec<u8>),
+    /// Only the requested range, streamed past the cache.
+    Range(Vec<u8>),
 }
 
 impl PageCache {
-    fn get(&self, path: &str, mtime: u64) -> Option<Arc<Vec<u8>>> {
-        match self.files.get(path) {
-            Some((m, data)) if *m == mtime => Some(data.clone()),
-            _ => None,
+    /// read(2) through the page cache: bytes `offset..offset + len` of
+    /// `path`, sliced from the cached copy when it is the version at
+    /// `mtime`, else from what `miss` fetches.
+    fn read(
+        &self,
+        path: &str,
+        mtime: u64,
+        offset: u64,
+        len: usize,
+        miss: impl FnOnce() -> Result<Fetched>,
+    ) -> Result<Vec<u8>> {
+        let whole = match self.get(path) {
+            Some((m, data)) if m == mtime => data,
+            _ => match miss()? {
+                Fetched::Range(data) => return Ok(data),
+                Fetched::Whole(data) => {
+                    let data = Arc::new(data);
+                    self.insert(path, (mtime, data.clone()));
+                    data
+                }
+            },
+        };
+        let start = (offset as usize).min(whole.len());
+        let end = (start + len).min(whole.len());
+        Ok(whole[start..end].to_vec())
+    }
+}
+
+/// A remote stack's page-cache miss on `fh`, `size` bytes long: a file
+/// of at most 64 KiB is read whole, 8 KiB READs through `rpc` until EOF;
+/// a larger one streams through `stream`.
+fn fetch(
+    fh: FileHandle,
+    size: u64,
+    rpc: impl Fn(&Nfs3Request) -> Result<Nfs3Reply>,
+    stream: impl FnOnce() -> Result<Vec<u8>>,
+) -> Result<Fetched> {
+    if size > 65536 {
+        return stream().map(Fetched::Range);
+    }
+    let mut whole = Vec::with_capacity(size as usize);
+    loop {
+        let offset = whole.len() as u64;
+        match rpc(&Nfs3Request::Read {
+            fh,
+            offset,
+            count: 8192,
+        })? {
+            Nfs3Reply::Read { data, eof, .. } => {
+                whole.extend_from_slice(&data);
+                if eof || data.is_empty() {
+                    return Ok(Fetched::Whole(whole));
+                }
+            }
+            other => return Err(status(other)),
         }
     }
+}
 
-    fn put(&mut self, path: &str, mtime: u64, data: Arc<Vec<u8>>) {
-        self.files.insert(path.to_string(), (mtime, data));
-    }
-
-    fn invalidate(&mut self, path: &str) {
-        self.files.remove(path);
-    }
+/// What an RPC that did not get the reply it asked for surfaces: the
+/// server's status, or `Io` for a reply of another kind.
+fn status(reply: Nfs3Reply) -> BenchFsError {
+    BenchFsError::Nfs(match reply {
+        Nfs3Reply::Error { status, .. } => status,
+        _ => Status::Io,
+    })
 }
 
 /// The interface workloads drive (what applications would do through
@@ -140,7 +258,7 @@ pub struct LocalFs {
     vfs: Vfs,
     clock: SimClock,
     creds: Credentials,
-    cache: Mutex<PageCache>,
+    cache: PageCache,
 }
 
 impl LocalFs {
@@ -150,13 +268,8 @@ impl LocalFs {
             vfs,
             clock,
             creds: Credentials::user(1000, 100),
-            cache: Mutex::new(PageCache::default()),
+            cache: PageCache::default(),
         }
-    }
-
-    /// The underlying file system (for seeding).
-    pub fn vfs(&self) -> &Vfs {
-        &self.vfs
     }
 
     fn resolve(&self, path: &str) -> Result<u64> {
@@ -204,7 +317,7 @@ impl FsBench for LocalFs {
             .write(&Credentials::root(), ino, offset, data, false)
             .map(|_| ())
             .map_err(BenchFsError::Local)?;
-        self.cache.lock().invalidate(path);
+        self.cache.remove(path);
         Ok(())
     }
 
@@ -212,20 +325,10 @@ impl FsBench for LocalFs {
         self.clock.advance_ns(SYSCALL_NS);
         let ino = self.resolve(path)?;
         let attr = self.vfs.getattr(ino).map_err(BenchFsError::Local)?;
-        if let Some(data) = self.cache.lock().get(path, attr.mtime) {
-            let start = (offset as usize).min(data.len());
-            let end = (start + len).min(data.len());
-            return Ok(data[start..end].to_vec());
-        }
-        let whole = self
-            .vfs
-            .read_file(&Credentials::root(), ino)
-            .map_err(BenchFsError::Local)?;
-        let whole = Arc::new(whole);
-        self.cache.lock().put(path, attr.mtime, whole.clone());
-        let start = (offset as usize).min(whole.len());
-        let end = (start + len).min(whole.len());
-        Ok(whole[start..end].to_vec())
+        self.cache.read(path, attr.mtime, offset, len, || {
+            let whole = self.vfs.read_file(&Credentials::root(), ino);
+            whole.map(Fetched::Whole).map_err(BenchFsError::Local)
+        })
     }
 
     fn stat(&self, path: &str) -> Result<u64> {
@@ -246,7 +349,7 @@ impl FsBench for LocalFs {
         self.clock.advance_ns(SYSCALL_NS);
         let (dir, leaf) = split(path);
         let dino = self.resolve(dir)?;
-        self.cache.lock().invalidate(path);
+        self.cache.remove(path);
         self.vfs
             .remove(&Credentials::root(), dino, leaf)
             .map_err(BenchFsError::Local)
@@ -277,7 +380,7 @@ impl FsBench for LocalFs {
     }
 
     fn drop_caches(&self) {
-        *self.cache.lock() = PageCache::default();
+        self.cache.clear();
     }
 }
 
@@ -295,15 +398,15 @@ pub struct KernelNfs {
     creds: Credentials,
     cpu: CpuCosts,
     /// dnlc: path → file handle.
-    names: Mutex<HashMap<String, FileHandle>>,
+    names: PathMap<FileHandle>,
     /// Attribute cache: path → (size, mtime, fetched-at).
-    attrs: Mutex<HashMap<String, (u64, u64, SimTime)>>,
+    attrs: PathMap<(u64, u64, SimTime)>,
     /// Attribute cache timeout (classic NFS heuristic, ~3 s).
     attr_timeout_ns: u64,
-    cache: Mutex<PageCache>,
+    cache: PageCache,
     /// Paths whose ACCESS rights have been checked (cleared when caches
-    /// drop or attributes change).
-    access_checked: Mutex<std::collections::HashSet<String>>,
+    /// drop or the file is removed).
+    access_checked: PathMap<()>,
 }
 
 impl KernelNfs {
@@ -323,17 +426,12 @@ impl KernelNfs {
             server,
             creds: Credentials::root(),
             cpu,
-            names: Mutex::new(HashMap::new()),
-            attrs: Mutex::new(HashMap::new()),
+            names: PathMap::default(),
+            attrs: PathMap::default(),
             attr_timeout_ns: 3_000_000_000,
-            cache: Mutex::new(PageCache::default()),
-            access_checked: Mutex::new(std::collections::HashSet::new()),
+            cache: PageCache::default(),
+            access_checked: PathMap::default(),
         }
-    }
-
-    /// The exported file system (for seeding).
-    pub fn vfs(&self) -> &Vfs {
-        self.server.vfs()
     }
 
     /// One wire call with bounded retransmission: like the in-kernel
@@ -375,48 +473,31 @@ impl KernelNfs {
         Nfs3Reply::decode_results(proc, &results).map_err(|_| BenchFsError::Nfs(Status::Io))
     }
 
+    /// Resolves a path through the dnlc; each LOOKUP's attributes fill
+    /// the attribute cache too.
     fn lookup(&self, path: &str) -> Result<FileHandle> {
-        if let Some(fh) = self.names.lock().get(path) {
-            return Ok(*fh);
-        }
-        // Walk from the root, consulting the dnlc per component.
-        let mut cur = self.server.root_handle();
-        let mut sofar = String::new();
-        for comp in path.split('/').filter(|c| !c.is_empty()) {
-            sofar.push('/');
-            sofar.push_str(comp);
-            if let Some(fh) = self.names.lock().get(sofar.trim_start_matches('/')) {
-                cur = *fh;
-                continue;
-            }
-            match self.rpc(&Nfs3Request::Lookup {
-                dir: cur,
-                name: comp.to_string(),
+        self.names.resolve(
+            path,
+            &mut || Ok(self.server.root_handle()),
+            &mut |dir, path, leaf| match self.rpc(&Nfs3Request::Lookup {
+                dir: *dir,
+                name: leaf.to_string(),
             })? {
                 Nfs3Reply::Lookup { fh, attr, .. } => {
                     if let Some(a) = attr.attr {
-                        self.attrs.lock().insert(
-                            sofar.trim_start_matches('/').to_string(),
-                            (a.size, a.mtime, self.clock.now()),
-                        );
+                        self.attrs.insert(path, (a.size, a.mtime, self.clock.now()));
                     }
-                    self.names
-                        .lock()
-                        .insert(sofar.trim_start_matches('/').to_string(), fh);
-                    cur = fh;
+                    Ok(fh)
                 }
-                Nfs3Reply::Error { status, .. } => return Err(BenchFsError::Nfs(status)),
-                other => return Err(BenchFsError::Nfs(unexpected(&other))),
-            }
-        }
-        Ok(cur)
+                other => Err(status(other)),
+            },
+        )
     }
 
     fn fresh_attr(&self, path: &str) -> Option<(u64, u64)> {
-        let attrs = self.attrs.lock();
-        let (size, mtime, at) = attrs.get(path)?;
+        let (size, mtime, at) = self.attrs.get(path)?;
         if self.clock.now().as_nanos() - at.as_nanos() < self.attr_timeout_ns {
-            Some((*size, *mtime))
+            Some((size, mtime))
         } else {
             None
         }
@@ -426,19 +507,13 @@ impl KernelNfs {
         let fh = self.lookup(path)?;
         match self.rpc(&Nfs3Request::GetAttr { fh })? {
             Nfs3Reply::GetAttr { attr, .. } => {
-                self.attrs
-                    .lock()
-                    .insert(path.to_string(), (attr.size, attr.mtime, self.clock.now()));
+                let fetched = (attr.size, attr.mtime, self.clock.now());
+                self.attrs.insert(path, fetched);
                 Ok((attr.size, attr.mtime))
             }
-            Nfs3Reply::Error { status, .. } => Err(BenchFsError::Nfs(status)),
-            other => Err(BenchFsError::Nfs(unexpected(&other))),
+            other => Err(status(other)),
         }
     }
-}
-
-fn unexpected(_r: &Nfs3Reply) -> Status {
-    Status::Io
 }
 
 impl FsBench for KernelNfs {
@@ -463,11 +538,10 @@ impl FsBench for KernelNfs {
             },
         })? {
             Nfs3Reply::Mkdir { fh, .. } => {
-                self.names.lock().insert(path.to_string(), fh);
+                self.names.insert(path, fh);
                 Ok(())
             }
-            Nfs3Reply::Error { status, .. } => Err(BenchFsError::Nfs(status)),
-            other => Err(BenchFsError::Nfs(unexpected(&other))),
+            other => Err(status(other)),
         }
     }
 
@@ -484,16 +558,15 @@ impl FsBench for KernelNfs {
             },
         })? {
             Nfs3Reply::Create { fh, .. } => {
-                self.names.lock().insert(path.to_string(), fh);
-                self.cache.lock().invalidate(path);
+                self.names.insert(path, fh);
+                self.cache.remove(path);
                 Ok(())
             }
             Nfs3Reply::Error {
                 status: Status::Exist,
                 ..
             } => Ok(()),
-            Nfs3Reply::Error { status, .. } => Err(BenchFsError::Nfs(status)),
-            other => Err(BenchFsError::Nfs(unexpected(&other))),
+            other => Err(status(other)),
         }
     }
 
@@ -508,15 +581,12 @@ impl FsBench for KernelNfs {
         })? {
             Nfs3Reply::Write { attr, .. } => {
                 if let Some(a) = attr.attr {
-                    self.attrs
-                        .lock()
-                        .insert(path.to_string(), (a.size, a.mtime, self.clock.now()));
+                    self.attrs.insert(path, (a.size, a.mtime, self.clock.now()));
                 }
-                self.cache.lock().invalidate(path);
+                self.cache.remove(path);
                 Ok(())
             }
-            Nfs3Reply::Error { status, .. } => Err(BenchFsError::Nfs(status)),
-            other => Err(BenchFsError::Nfs(unexpected(&other))),
+            other => Err(status(other)),
         }
     }
 
@@ -527,50 +597,19 @@ impl FsBench for KernelNfs {
             Some(v) => v,
             None => self.getattr_rpc(path)?,
         };
-        if let Some(data) = self.cache.lock().get(path, mtime) {
-            let start = (offset as usize).min(data.len());
-            let end = (start + len).min(data.len());
-            return Ok(data[start..end].to_vec());
-        }
-        // Page-cache miss: read the requested range over the wire. Whole
-        // small files get cached; large sequential reads stream through.
-        let fh = self.lookup(path)?;
-        if size <= 65536 {
-            let mut whole = Vec::with_capacity(size as usize);
-            let mut off = 0u64;
-            loop {
-                match self.rpc(&Nfs3Request::Read {
-                    fh,
-                    offset: off,
-                    count: 8192,
-                })? {
-                    Nfs3Reply::Read { data, eof, .. } => {
-                        off += data.len() as u64;
-                        whole.extend_from_slice(&data);
-                        if eof || data.is_empty() {
-                            break;
-                        }
-                    }
-                    Nfs3Reply::Error { status, .. } => return Err(BenchFsError::Nfs(status)),
-                    other => return Err(BenchFsError::Nfs(unexpected(&other))),
-                }
-            }
-            let whole = Arc::new(whole);
-            self.cache.lock().put(path, mtime, whole.clone());
-            let start = (offset as usize).min(whole.len());
-            let end = (start + len).min(whole.len());
-            Ok(whole[start..end].to_vec())
-        } else {
-            match self.rpc(&Nfs3Request::Read {
+        self.cache.read(path, mtime, offset, len, || {
+            let fh = self.lookup(path)?;
+            // A large file streams one READ of the requested range.
+            let stream = || match self.rpc(&Nfs3Request::Read {
                 fh,
                 offset,
                 count: len as u32,
             })? {
                 Nfs3Reply::Read { data, .. } => Ok(data),
-                Nfs3Reply::Error { status, .. } => Err(BenchFsError::Nfs(status)),
-                other => Err(BenchFsError::Nfs(unexpected(&other))),
-            }
-        }
+                other => Err(status(other)),
+            };
+            fetch(fh, size, |req| self.rpc(req), stream)
+        })
     }
 
     fn stat(&self, path: &str) -> Result<u64> {
@@ -587,14 +626,11 @@ impl FsBench for KernelNfs {
         // the attribute cache.
         let (size, _) = self.getattr_rpc(path)?;
         // ACCESS once per file while attributes stay fresh.
-        if !self.access_checked.lock().contains(path) {
+        if self.access_checked.get(path).is_none() {
             let fh = self.lookup(path)?;
             match self.rpc(&Nfs3Request::Access { fh, mask: 0x3f })? {
-                Nfs3Reply::Access { .. } => {
-                    self.access_checked.lock().insert(path.to_string());
-                }
-                Nfs3Reply::Error { status, .. } => return Err(BenchFsError::Nfs(status)),
-                other => return Err(BenchFsError::Nfs(unexpected(&other))),
+                Nfs3Reply::Access { .. } => self.access_checked.insert(path, ()),
+                other => return Err(status(other)),
             }
         }
         Ok(size)
@@ -604,17 +640,16 @@ impl FsBench for KernelNfs {
         self.clock.advance_ns(SYSCALL_NS);
         let (dir, leaf) = split(path);
         let dfh = self.lookup(dir)?;
-        self.names.lock().remove(path);
-        self.attrs.lock().remove(path);
-        self.cache.lock().invalidate(path);
-        self.access_checked.lock().remove(path);
+        self.names.remove(path);
+        self.attrs.remove(path);
+        self.cache.remove(path);
+        self.access_checked.remove(path);
         match self.rpc(&Nfs3Request::Remove {
             dir: dfh,
             name: leaf.to_string(),
         })? {
             Nfs3Reply::Remove { .. } => Ok(()),
-            Nfs3Reply::Error { status, .. } => Err(BenchFsError::Nfs(status)),
-            other => Err(BenchFsError::Nfs(unexpected(&other))),
+            other => Err(status(other)),
         }
     }
 
@@ -627,8 +662,7 @@ impl FsBench for KernelNfs {
             count: 0,
         })? {
             Nfs3Reply::Commit { .. } => Ok(()),
-            Nfs3Reply::Error { status, .. } => Err(BenchFsError::Nfs(status)),
-            other => Err(BenchFsError::Nfs(unexpected(&other))),
+            other => Err(status(other)),
         }
     }
 
@@ -657,7 +691,7 @@ impl FsBench for KernelNfs {
                 status: Status::Perm,
                 ..
             } => Ok(()),
-            other => Err(BenchFsError::Nfs(unexpected(&other))),
+            other => Err(status(other)),
         }
     }
 
@@ -666,10 +700,10 @@ impl FsBench for KernelNfs {
     }
 
     fn drop_caches(&self) {
-        *self.cache.lock() = PageCache::default();
-        self.attrs.lock().clear();
-        self.names.lock().clear();
-        self.access_checked.lock().clear();
+        self.cache.clear();
+        self.attrs.clear();
+        self.names.clear();
+        self.access_checked.clear();
     }
 }
 
@@ -686,8 +720,8 @@ pub struct SfsBench {
     uid: u32,
     /// Absolute prefix: `/sfs/Location:HostID`.
     prefix: String,
-    names: Mutex<HashMap<String, (Arc<sfs::client::Mount>, FileHandle)>>,
-    cache: Mutex<PageCache>,
+    names: PathMap<(Arc<Mount>, FileHandle)>,
+    cache: PageCache,
 }
 
 impl SfsBench {
@@ -700,52 +734,35 @@ impl SfsBench {
             client,
             uid,
             prefix: prefix.trim_end_matches('/').to_string(),
-            names: Mutex::new(HashMap::new()),
-            cache: Mutex::new(PageCache::default()),
+            names: PathMap::default(),
+            cache: PageCache::default(),
         }
     }
 
-    /// The wrapped client.
-    pub fn client(&self) -> &Arc<SfsClient> {
-        &self.client
-    }
-
-    /// Resolves a path to a handle with per-component caching (the
-    /// kernel's dnlc sits in front of sfscd exactly as it does for NFS).
-    fn handle_of(&self, path: &str) -> Result<(Arc<sfs::client::Mount>, FileHandle)> {
-        let path = path.trim_matches('/');
-        if let Some(entry) = self.names.lock().get(path) {
-            return Ok(entry.clone());
-        }
-        if path.is_empty() {
-            let (mount, fh, _) = self
-                .client
-                .resolve(self.uid, &self.prefix)
-                .map_err(sfs_err)?;
-            self.names.lock().insert(String::new(), (mount.clone(), fh));
-            return Ok((mount, fh));
-        }
-        let (dir, leaf) = split(path);
-        let (mount, dir_fh) = self.handle_of(dir)?;
-        match self.nfs(
-            &mount,
-            &Nfs3Request::Lookup {
-                dir: dir_fh,
-                name: leaf.to_string(),
+    /// Resolves a path to a handle through the dnlc, which sits in front
+    /// of sfscd exactly as it does for NFS; the root is the mounted
+    /// self-certifying path.
+    fn handle_of(&self, path: &str) -> Result<(Arc<Mount>, FileHandle)> {
+        self.names.resolve(
+            path,
+            &mut || {
+                let resolved = self.client.resolve(self.uid, &self.prefix);
+                resolved.map(|(mount, fh, _)| (mount, fh)).map_err(sfs_err)
             },
-        )? {
-            Nfs3Reply::Lookup { fh, .. } => {
-                self.names
-                    .lock()
-                    .insert(path.to_string(), (mount.clone(), fh));
-                Ok((mount, fh))
-            }
-            Nfs3Reply::Error { status, .. } => Err(BenchFsError::Nfs(status)),
-            other => Err(BenchFsError::Nfs(unexpected(&other))),
-        }
+            &mut |(mount, dir), _, leaf| match self.nfs(
+                mount,
+                &Nfs3Request::Lookup {
+                    dir: *dir,
+                    name: leaf.to_string(),
+                },
+            )? {
+                Nfs3Reply::Lookup { fh, .. } => Ok((mount.clone(), fh)),
+                other => Err(status(other)),
+            },
+        )
     }
 
-    fn nfs(&self, mount: &sfs::client::Mount, req: &Nfs3Request) -> Result<Nfs3Reply> {
+    fn nfs(&self, mount: &Mount, req: &Nfs3Request) -> Result<Nfs3Reply> {
         self.client.call_nfs(mount, self.uid, req).map_err(sfs_err)
     }
 }
@@ -782,13 +799,10 @@ impl FsBench for SfsBench {
             },
         )? {
             Nfs3Reply::Mkdir { fh, .. } => {
-                self.names
-                    .lock()
-                    .insert(path.trim_matches('/').to_string(), (mount, fh));
+                self.names.insert(path, (mount, fh));
                 Ok(())
             }
-            Nfs3Reply::Error { status, .. } => Err(BenchFsError::Nfs(status)),
-            other => Err(BenchFsError::Nfs(unexpected(&other))),
+            other => Err(status(other)),
         }
     }
 
@@ -808,18 +822,15 @@ impl FsBench for SfsBench {
             },
         )? {
             Nfs3Reply::Create { fh, .. } => {
-                self.names
-                    .lock()
-                    .insert(path.trim_matches('/').to_string(), (mount, fh));
-                self.cache.lock().invalidate(path);
+                self.names.insert(path, (mount, fh));
+                self.cache.remove(path);
                 Ok(())
             }
             Nfs3Reply::Error {
                 status: Status::Exist,
                 ..
             } => Ok(()),
-            Nfs3Reply::Error { status, .. } => Err(BenchFsError::Nfs(status)),
-            other => Err(BenchFsError::Nfs(unexpected(&other))),
+            other => Err(status(other)),
         }
     }
 
@@ -832,7 +843,7 @@ impl FsBench for SfsBench {
         self.client
             .write_behind(&mount, self.uid, &fh, offset, data.to_vec())
             .map_err(sfs_err)?;
-        self.cache.lock().invalidate(path);
+        self.cache.remove(path);
         Ok(())
     }
 
@@ -843,49 +854,16 @@ impl FsBench for SfsBench {
             .client
             .getattr(&mount, self.uid, &fh)
             .map_err(sfs_err)?;
-        if let Some(data) = self.cache.lock().get(path, attr.mtime) {
-            let start = (offset as usize).min(data.len());
-            let end = (start + len).min(data.len());
-            return Ok(data[start..end].to_vec());
-        }
-        if attr.size <= 65536 {
-            let mut whole = Vec::with_capacity(attr.size as usize);
-            let mut off = 0u64;
-            loop {
-                match self.nfs(
-                    &mount,
-                    &Nfs3Request::Read {
-                        fh,
-                        offset: off,
-                        count: 8192,
-                    },
-                )? {
-                    Nfs3Reply::Read { data, eof, .. } => {
-                        off += data.len() as u64;
-                        whole.extend_from_slice(&data);
-                        if eof || data.is_empty() {
-                            break;
-                        }
-                    }
-                    Nfs3Reply::Error { status, .. } => return Err(BenchFsError::Nfs(status)),
-                    other => return Err(BenchFsError::Nfs(unexpected(&other))),
-                }
-            }
-            let whole = Arc::new(whole);
-            self.cache.lock().put(path, attr.mtime, whole.clone());
-            let start = (offset as usize).min(whole.len());
-            let end = (start + len).min(whole.len());
-            Ok(whole[start..end].to_vec())
-        } else {
+        self.cache.read(path, attr.mtime, offset, len, || {
             // Large files stream through the client's read-ahead path:
             // sequential access keeps a whole pipeline window of READs
             // in flight.
-            let (data, _eof) = self
-                .client
-                .read(&mount, self.uid, &fh, offset, len as u32)
-                .map_err(sfs_err)?;
-            Ok(data)
-        }
+            let stream = || {
+                let read = self.client.read(&mount, self.uid, &fh, offset, len as u32);
+                read.map(|(data, _eof)| data).map_err(sfs_err)
+            };
+            fetch(fh, attr.size, |req| self.nfs(&mount, req), stream)
+        })
     }
 
     fn stat(&self, path: &str) -> Result<u64> {
@@ -916,8 +894,8 @@ impl FsBench for SfsBench {
         self.clock.advance_ns(SYSCALL_NS);
         let (dir, leaf) = split(path);
         let (mount, dfh) = self.handle_of(dir)?;
-        self.names.lock().remove(path.trim_matches('/'));
-        self.cache.lock().invalidate(path);
+        self.names.remove(path);
+        self.cache.remove(path);
         match self.nfs(
             &mount,
             &Nfs3Request::Remove {
@@ -926,8 +904,7 @@ impl FsBench for SfsBench {
             },
         )? {
             Nfs3Reply::Remove { .. } => Ok(()),
-            Nfs3Reply::Error { status, .. } => Err(BenchFsError::Nfs(status)),
-            other => Err(BenchFsError::Nfs(unexpected(&other))),
+            other => Err(status(other)),
         }
     }
 
@@ -945,8 +922,7 @@ impl FsBench for SfsBench {
             },
         )? {
             Nfs3Reply::Commit { .. } => Ok(()),
-            Nfs3Reply::Error { status, .. } => Err(BenchFsError::Nfs(status)),
-            other => Err(BenchFsError::Nfs(unexpected(&other))),
+            other => Err(status(other)),
         }
     }
 
@@ -971,7 +947,7 @@ impl FsBench for SfsBench {
                 status: Status::Acces,
                 ..
             } => Ok(()),
-            other => Err(BenchFsError::Nfs(unexpected(&other))),
+            other => Err(status(other)),
         }
     }
 
@@ -984,8 +960,8 @@ impl FsBench for SfsBench {
     }
 
     fn drop_caches(&self) {
-        *self.cache.lock() = PageCache::default();
-        self.names.lock().clear();
+        self.cache.clear();
+        self.names.clear();
     }
 }
 
@@ -993,5 +969,33 @@ fn split(path: &str) -> (&str, &str) {
     match path.rfind('/') {
         Some(i) => (&path[..i], &path[i + 1..]),
         None => ("", path),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::calib::{System, Testbed};
+    use crate::world::WorldSpec;
+
+    #[test]
+    fn a_path_with_and_without_its_leading_slash_is_one_cache_entry() {
+        for system in [System::NfsUdp, System::Sfs] {
+            let bed = Testbed::build(system, &WorldSpec::bench());
+            let (fs, bare) = (&bed.fs, format!("{}/f", bed.prefix));
+            let (bare, slashed) = (bare.trim_start_matches('/'), format!("/{bare}"));
+            fs.create(&slashed).unwrap();
+            fs.write(&slashed, 0, b"first").unwrap();
+            assert!(fs.stat(bare).is_ok(), "{system:?}");
+            // A new file under the same name: no cache may keep the old
+            // one's handle under either spelling.
+            fs.unlink(&slashed).unwrap();
+            fs.create(&slashed).unwrap();
+            fs.write(&slashed, 0, b"second").unwrap();
+            fs.flush(&slashed).unwrap();
+            // Past the NFS attribute timeout, so the stat goes to the
+            // server with whatever handle the name cache holds.
+            bed.clock.advance_ns(4_000_000_000);
+            assert_eq!(fs.stat(bare), Ok(6), "{system:?}");
+        }
     }
 }

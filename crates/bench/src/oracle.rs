@@ -13,13 +13,18 @@
 //! 2. **monotonicity** — one client never observes a file shrink;
 //! 3. **lease bound** — a stale value may be served only while the lease
 //!    granted before the overwriting commit could still be live: a stale
-//!    read later than `t_commit(next) + lease_ns` is a failure;
+//!    read at or after `t_commit(next) + lease_ns`, where `next` is the
+//!    first commit above the observed size, is a failure;
 //! 4. **invalidation bound** (only where delivery is guaranteed: a
 //!    fault-free plan, both clients on one server) — once a client
 //!    completes any round trip after a commit, the piggybacked
 //!    invalidation has arrived, so a subsequent stale read from cache is
 //!    a failure. Under faults a reply carrying the invalidation can be
 //!    legitimately lost and the lease is the backstop.
+//!
+//! Rules 1–3 are `CommitLog`, which the scenario engine's op mixes
+//! ([`crate::scenario::run_mix`]) score through too; rule 4 and the hash
+//! check below are this harness's own.
 //!
 //! Versions are file *sizes*, verified by *content hash*: every write
 //! appends exactly one byte (a deterministic function of file and
@@ -40,7 +45,7 @@
 use std::sync::Arc;
 
 use sfs::client::{Mount, SfsClient, DEFAULT_PIPELINE_WINDOW};
-use sfs_bignum::{RandomSource, XorShiftSource};
+use sfs_bignum::XorShiftSource;
 use sfs_crypto::sha1::sha1;
 use sfs_nfs3::proto::{FileHandle, Nfs3Reply, Nfs3Request, StableHow};
 use sfs_proto::channel::SuiteId;
@@ -101,27 +106,123 @@ fn version_byte(f: usize, offset: u64) -> u8 {
     b'a' + ((f as u64 + offset) % 26) as u8
 }
 
-/// One committed version of a file: the size it reached, the SHA-1 of
-/// its full expected contents, when it committed, and each client's
+/// Rules 1–3 over every file's commit history: the `(t_ns, size)` of
+/// each commit in commit order, sizes growing by appends of any length,
+/// and the size each client last observed of each file. One
+/// implementation for both callers: [`Oracle`], whose appends are one
+/// byte, and [`crate::scenario::run_mix`], whose appends are `io_bytes`.
+pub(crate) struct CommitLog {
+    lease_ns: u64,
+    /// Per file, every commit's `(t_ns, size)`.
+    files: Vec<Vec<(u64, u64)>>,
+    /// Per client, per file: the size it last observed (0 before any).
+    last_seen: Vec<Vec<u64>>,
+}
+
+impl CommitLog {
+    /// `files` files without commits, observed by `clients` clients,
+    /// under leases of `lease_ns`.
+    pub fn new(clients: usize, files: usize, lease_ns: u64) -> Self {
+        CommitLog {
+            lease_ns,
+            files: vec![Vec::new(); files],
+            last_seen: vec![vec![0; files]; clients],
+        }
+    }
+
+    /// Records that `f` reached `size` at `t_ns`.
+    pub fn commit(&mut self, f: usize, t_ns: u64, size: u64) {
+        self.files[f].push((t_ns, size));
+    }
+
+    /// Forgets `f`'s history and every client's observation of it: the
+    /// next commit starts a new file.
+    pub fn unlink(&mut self, f: usize) {
+        self.files[f].clear();
+        for seen in &mut self.last_seen {
+            seen[f] = 0;
+        }
+    }
+
+    /// Whether `f` has a commit since it was last unlinked.
+    pub fn linked(&self, f: usize) -> bool {
+        !self.files[f].is_empty()
+    }
+
+    /// `f`'s latest committed size.
+    pub fn latest(&self, f: usize) -> u64 {
+        self.files[f].last().map_or(0, |&(_, size)| size)
+    }
+
+    /// The size client `i` last observed of `f`.
+    pub fn last_seen(&self, i: usize, f: usize) -> u64 {
+        self.last_seen[i][f]
+    }
+
+    /// Client `i` knows `f` reached `size` without observing it (its own
+    /// commit).
+    pub fn saw(&mut self, i: usize, f: usize, size: u64) {
+        self.last_seen[i][f] = size;
+    }
+
+    /// The largest size of `f` committed at least one lease before
+    /// `t_ns` (0 if none): every lease on a smaller size was granted
+    /// before the commit that outgrew it, so none is live at `t_ns`.
+    /// Rule 3 is "an observation at `t_ns` is not below this".
+    pub fn lease_floor(&self, f: usize, t_ns: u64) -> u64 {
+        let old = self.files[f]
+            .iter()
+            .filter(|(t, _)| t + self.lease_ns <= t_ns);
+        old.map(|&(_, size)| size).max().unwrap_or(0)
+    }
+
+    /// Rules 1–3 for client `i` observing size `s` of `f` at `t_ns`
+    /// through `what`, pushing each violation onto `violations`. When a
+    /// committed observation is stale, returns the index of the commit
+    /// that made it so: the first commit above `s`.
+    pub fn observe(
+        &mut self,
+        i: usize,
+        f: usize,
+        s: u64,
+        t_ns: u64,
+        what: &str,
+        violations: &mut Vec<String>,
+    ) -> Option<usize> {
+        if self.files[f].iter().all(|&(_, size)| size != s) {
+            violations.push(format!(
+                "client {i} file {f}: {what} {s} was never committed (latest {})",
+                self.latest(f)
+            ));
+            return None;
+        }
+        let last = std::mem::replace(&mut self.last_seen[i][f], s);
+        if s < last {
+            violations.push(format!(
+                "client {i} file {f}: {what} went backwards {last} -> {s}"
+            ));
+        }
+        let next = self.files[f].iter().position(|&(_, size)| size > s)?;
+        if s < self.lease_floor(f, t_ns) {
+            let (t_next, size_next) = self.files[f][next];
+            violations.push(format!(
+                "client {i} file {f}: stale {what} {s} observed {}ns after {size_next} \
+                 committed, not within the {}ns lease",
+                t_ns - t_next,
+                self.lease_ns
+            ));
+        }
+        Some(next)
+    }
+}
+
+/// What the hash check and rule 4 keep of one [`CommitLog`] entry: the
+/// SHA-1 of the file's full expected contents and each client's
 /// completed-round-trip count at commit (rule 4's reference point — any
 /// later completed round trip carried the invalidation).
 struct Commit {
-    size: u64,
     hash: [u8; 20],
-    t_ns: u64,
     rt_at_commit: Vec<u64>,
-}
-
-impl Commit {
-    /// The commit of `contents`, now.
-    fn stamp(world: &World, mounts: &[Arc<Mount>], size: u64, contents: &[u8]) -> Commit {
-        Commit {
-            size,
-            hash: sha1(contents),
-            t_ns: world.clock.now().as_nanos(),
-            rt_at_commit: mounts.iter().map(|m| m.round_trips()).collect(),
-        }
-    }
 }
 
 /// What an oracle harness is built from.
@@ -171,8 +272,9 @@ pub struct Oracle {
     /// Every rule violation scored so far.
     pub violations: Vec<String>,
     plan: FaultPlan,
-    history: Vec<Vec<Commit>>,
-    last_seen: Vec<Vec<u64>>,
+    log: CommitLog,
+    /// Per file, index-aligned with `log`'s history.
+    commits: Vec<Vec<Commit>>,
     crashes_done: usize,
     /// Entropy prefix of client incarnations (`<tag>-client-<i>-epoch-<n>`).
     tag: &'static str,
@@ -239,29 +341,41 @@ impl Oracle {
             }
             mounts.push(client.mount(UID, &path).unwrap());
         }
-        let (mut fhs, mut history) = (Vec::new(), Vec::new());
-        for f in 0..FILES {
-            let p = format!("{}/public/coh-{f}", path.full_path());
-            world.clients[0].write_file(UID, &p, b"").unwrap();
-            let (_, fh, _) = world.clients[0].resolve(UID, &p).unwrap();
-            fhs.push(fh);
-            history.push(vec![Commit::stamp(&world, &mounts, 0, b"")]);
-        }
-        Oracle {
+        let mut oracle = Oracle {
             world,
             mounts,
-            fhs,
+            fhs: Vec::new(),
             contents: vec![Vec::new(); FILES],
             violations: Vec::new(),
             plan,
-            history,
-            last_seen: vec![vec![0; FILES]; spec.clients],
+            log: CommitLog::new(spec.clients, FILES, LEASE_NS),
+            commits: (0..FILES).map(|_| Vec::new()).collect(),
             crashes_done: 0,
             tag,
             guaranteed_delivery: spec.guaranteed_delivery,
             window: spec.window,
             suite: spec.suite,
+        };
+        for f in 0..FILES {
+            let p = format!("{}/public/coh-{f}", path.full_path());
+            let client = &oracle.world.clients[0];
+            client.write_file(UID, &p, b"").unwrap();
+            let (_, fh, _) = client.resolve(UID, &p).unwrap();
+            oracle.fhs.push(fh);
+            oracle.record(f);
         }
+        oracle
+    }
+
+    /// Records `f`'s expected contents as committed now.
+    fn record(&mut self, f: usize) {
+        let contents = &self.contents[f];
+        let t_ns = self.world.clock.now().as_nanos();
+        self.log.commit(f, t_ns, contents.len() as u64);
+        self.commits[f].push(Commit {
+            hash: sha1(contents),
+            rt_at_commit: self.mounts.iter().map(|m| m.round_trips()).collect(),
+        });
     }
 
     /// Honours any scheduled client-crash instants the clock has crossed:
@@ -297,7 +411,7 @@ impl Oracle {
 
     /// Appends one byte to `f` through client `i` and records the commit.
     pub fn write(&mut self, i: usize, f: usize) {
-        let offset = self.history[f].last().unwrap().size;
+        let offset = self.log.latest(f);
         let byte = version_byte(f, offset);
         let write = Nfs3Request::Write {
             fh: self.fhs[f],
@@ -314,34 +428,7 @@ impl Oracle {
             "append must write exactly one byte: {reply:?}"
         );
         self.contents[f].push(byte);
-        let commit = Commit::stamp(&self.world, &self.mounts, offset + 1, &self.contents[f]);
-        self.history[f].push(commit);
-    }
-
-    /// Rules 2 and 3 for client `i` observing size `s` of `f` at
-    /// `t_read` through `what` ("size" from getattr, "wire read" from
-    /// READ). When the observation is stale, returns the client's
-    /// round-trip count at the commit that obsoleted it.
-    fn score(&mut self, i: usize, f: usize, s: u64, t_read: u64, what: &str) -> Option<u64> {
-        // Rule 2: no client ever sees a file shrink.
-        if s < self.last_seen[i][f] {
-            self.violations.push(format!(
-                "client {i} file {f}: {what} went backwards {} -> {s}",
-                self.last_seen[i][f]
-            ));
-        }
-        self.last_seen[i][f] = s;
-        // The commit that obsoleted `s`, if the observation is stale.
-        let next = self.history[f].get((s + 1) as usize)?;
-        // Rule 3: every lease covering `s` was granted before `next`
-        // committed, so none survives past `next.t_ns + lease`.
-        if t_read > next.t_ns + LEASE_NS {
-            self.violations.push(format!(
-                "client {i} file {f}: stale {what} {s} served {}ns past lease expiry",
-                t_read - (next.t_ns + LEASE_NS)
-            ));
-        }
-        Some(next.rt_at_commit[i])
+        self.record(f);
     }
 
     /// Reads `f`'s size through client `i` (cache-aware getattr) and
@@ -353,24 +440,17 @@ impl Oracle {
             .client(i)
             .getattr(&self.mounts[i], UID, &self.fhs[f])
             .unwrap();
-        let s = attr.size;
-        // Rule 1: the size must be one the history produced.
-        if self.history[f].iter().all(|c| c.size != s) {
-            let latest = self.history[f].last().unwrap().size;
-            self.violations.push(format!(
-                "client {i} file {f}: observed size {s} never committed (latest {latest})"
-            ));
-            return;
-        }
-        let Some(rt_at_commit) = self.score(i, f, s, t_read, "size") else {
+        let v = &mut self.violations;
+        let Some(next) = self.log.observe(i, f, attr.size, t_read, "size", v) else {
             return;
         };
         // Rule 4: with guaranteed delivery, a completed round trip after
         // the commit carried the invalidation.
-        if self.guaranteed_delivery && rt_before > rt_at_commit {
+        if self.guaranteed_delivery && rt_before > self.commits[f][next].rt_at_commit[i] {
             self.violations.push(format!(
-                "client {i} file {f}: stale size {s} served after a post-commit \
-                 round trip delivered the invalidation"
+                "client {i} file {f}: stale size {} served after a post-commit \
+                 round trip delivered the invalidation",
+                attr.size
             ));
         }
     }
@@ -397,22 +477,17 @@ impl Oracle {
         };
         let s = data.len() as u64;
         // Rule 1 (strengthened): the length must be a committed version
-        // AND the bytes must be that version's bytes.
-        match self.history[f].iter().find(|c| c.size == s) {
-            None => {
-                let latest = self.history[f].last().unwrap().size;
-                self.violations.push(format!(
-                    "client {i} file {f}: wire read returned {s} bytes, a length \
-                     never committed (latest {latest})"
-                ));
-            }
+        // AND the bytes must be that version's bytes. One-byte appends
+        // make commit `s` the version of size `s`.
+        match self.commits[f].get(data.len()) {
             Some(c) if c.hash != sha1(&data) => self.violations.push(format!(
                 "client {i} file {f}: wire read of {s} bytes does not hash-match \
                  committed version {s} — torn or mixed-version content"
             )),
-            // The wire observation takes part in rules 2 and 3 too.
-            Some(_) => {
-                self.score(i, f, s, t_read, "wire read");
+            // The wire observation takes part in rules 1–3 too.
+            _ => {
+                let v = &mut self.violations;
+                self.log.observe(i, f, s, t_read, "wire read", v);
             }
         }
     }
@@ -422,17 +497,12 @@ impl Oracle {
     /// `health` reads the topology's own counters off the finished world.
     pub fn run<H>(mut self, seed: u64, health: impl FnOnce(&World) -> H) -> RunOutcome<H> {
         let mut rng = XorShiftSource::new(seed | 1);
-        let mut draw = move || {
-            let mut b = [0u8; 8];
-            rng.fill(&mut b);
-            u64::from_le_bytes(b)
-        };
         for _ in 0..OPS {
             self.world.clock.advance_ns(OP_GAP_NS);
             self.honour_client_crashes();
-            let i = (draw() as usize) % self.world.clients.len();
-            let f = (draw() as usize) % FILES;
-            if draw() % 10 < 3 {
+            let i = rng.below(self.world.clients.len() as u64) as usize;
+            let f = rng.below(FILES as u64) as usize;
+            if rng.below(10) < 3 {
                 self.write(i, f);
             } else {
                 self.read_and_check(i, f);
@@ -444,11 +514,7 @@ impl Oracle {
             violations: self.violations,
             total_ns: self.world.clock.now().as_nanos(),
             events: self.plan.events(),
-            sizes: self
-                .history
-                .iter()
-                .map(|h| h.last().unwrap().size)
-                .collect(),
+            sizes: (0..FILES).map(|f| self.log.latest(f)).collect(),
             journal_records: self.world.journals.iter().map(|j| j.len()).collect(),
             crashes: self.crashes_done,
             reconnects: self.mounts.iter().map(|m| m.reconnects()).sum(),
@@ -520,7 +586,7 @@ pub fn detects_injected_stale_read(behind: Behind) {
         );
         // B re-reads file 0; rule 4 scores the observation.
         h.read_and_check(b, 0);
-        (h.last_seen[b][0], h.violations)
+        (h.log.last_seen(b, 0), h.violations)
     };
     let (stale_size, violations) = script(true);
     assert_eq!(
@@ -536,4 +602,65 @@ pub fn detects_injected_stale_read(behind: Behind) {
     let (fresh_size, violations) = script(false);
     assert_eq!(fresh_size, 1, "with callbacks applied the read is fresh");
     assert!(violations.is_empty(), "{violations:#?}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One file grown by multi-byte appends: commits of 100, 200 and 300
+    /// bytes at 0, 1 000 and 2 000 ns, under a 500 ns lease.
+    fn log() -> CommitLog {
+        let mut log = CommitLog::new(2, 1, 500);
+        for (t, size) in [(0, 100), (1_000, 200), (2_000, 300)] {
+            log.commit(0, t, size);
+        }
+        log
+    }
+
+    #[test]
+    fn lease_floor_tracks_history() {
+        let log = log();
+        // Everything committed at least 500 ns ago counts.
+        assert_eq!(log.lease_floor(0, 2_400), 200);
+        assert_eq!(log.lease_floor(0, 2_600), 300);
+        assert_eq!(log.lease_floor(0, 100), 0);
+    }
+
+    #[test]
+    fn the_lease_bound_is_the_first_commit_above_the_observation_plus_the_lease() {
+        // 200 went stale when 300 committed at 2 000 ns: legal before
+        // 2 500 ns, a violation from 2 500 on. Indexing the history by
+        // size + 1, as one-byte appends allow, finds no commit at all.
+        for (t, flagged) in [(2_499, false), (2_500, true)] {
+            let (mut log, mut v) = (log(), Vec::new());
+            assert_eq!(log.observe(0, 0, 200, t, "size", &mut v), Some(2));
+            assert_eq!(v.len(), flagged as usize, "at {t}: {v:?}");
+            assert_eq!(log.lease_floor(0, t) > 200, flagged);
+        }
+        let (mut log, mut v) = (log(), Vec::new());
+        assert_eq!(log.observe(0, 0, 100, 1_499, "size", &mut v), Some(1));
+        assert_eq!(log.observe(1, 0, 300, 9_999, "size", &mut v), None);
+        assert!(v.is_empty(), "{v:?}");
+        assert_eq!(log.observe(0, 0, 100, 1_500, "size", &mut v), Some(1));
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("not within the 500ns lease"), "{v:?}");
+    }
+
+    #[test]
+    fn rules_one_and_two_name_what_broke() {
+        let (mut log, mut v) = (log(), Vec::new());
+        assert_eq!(log.observe(0, 0, 250, 0, "size", &mut v), None);
+        assert!(v[0].contains("size 250 was never committed (latest 300)"));
+        log.observe(0, 0, 300, 2_000, "size", &mut v);
+        log.observe(0, 0, 200, 2_000, "size", &mut v);
+        assert!(v[1].contains("client 0 file 0: size went backwards 300 -> 200"));
+        assert_eq!(v.len(), 2, "{v:?}");
+        // A client's own commit counts as seen; an unlink forgets it.
+        log.saw(1, 0, 300);
+        assert_eq!(log.last_seen(1, 0), 300);
+        log.unlink(0);
+        assert_eq!((log.last_seen(1, 0), log.latest(0)), (0, 0));
+        assert!(!log.linked(0));
+    }
 }

@@ -10,12 +10,12 @@
 //! 1. **Mix engine** ([`run_mix`]): takes a [`ScenarioSpec`] (op-mix
 //!    percentages, file-set shape, client count, op count), builds a
 //!    multi-client SFS world on one virtual clock, and replays the mix
-//!    through the [`FsBench`] kernel. Every `stat`/`open`/`read` result
-//!    is checked against a coherence oracle: observed sizes must be
-//!    states the file actually passed through, per-client observations
-//!    must be monotone, stale reads older than the server lease are
-//!    illegal, and every read byte is checked against the file's
-//!    generator function.
+//!    through the [`FsBench`] kernel. Every `stat`/`open` result is
+//!    scored by the coherence oracle's rules 1–3 (`oracle::CommitLog`):
+//!    observed sizes must be states the file actually passed through,
+//!    per-client observations must be monotone, stale reads older than
+//!    the server lease are illegal. Every read byte is checked against
+//!    the file's generator function.
 //!
 //! 2. **Trace recorder** ([`RecordingFs`], [`TraceOp`]): wraps any
 //!    `FsBench` and logs the request stream in a line-oriented text
@@ -34,12 +34,10 @@
 //! `scenarios` experiment runs under the driver's rerun check, which
 //! asserts exactly that.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use sfs::authserver::sign_key_update;
-use sfs_bignum::{RandomSource, XorShiftSource};
+use sfs_bignum::XorShiftSource;
 use sfs_crypto::rabin::RabinPrivateKey;
 use sfs_proto::channel::SuiteId;
 use sfs_proto::revoke::RevocationCert;
@@ -52,31 +50,13 @@ use crate::args::{ScenarioOp, ScenarioSpec};
 use crate::calib::BENCH_UID;
 use crate::kernel::{BenchFsError, FsBench, SfsBench};
 use crate::keys;
+use crate::oracle::CommitLog;
 use crate::world::{KeySeeds, World, WorldSpec, USER};
 
 /// Lease duration the mix engine's oracle assumes (the
 /// [`sfs::server::ServerConfig::new`] default; [`scenario_world`] only overrides it for
 /// the lease storm).
 pub const DEFAULT_LEASE_NS: u64 = 30_000_000_000;
-
-/// Cipher suite every scenario client offers (stored as the suite's
-/// wire id). Defaults to the negotiated AEAD fast path so scenarios
-/// exercise the suite real deployments land on; `scenarios --suite
-/// arc4-sha1` flips the whole world back to the paper baseline.
-static SCENARIO_SUITE: AtomicU32 = AtomicU32::new(SuiteId::ChaCha20Poly1305.wire_id());
-
-/// Sets the cipher suite [`scenario_world`] clients offer. Process-global
-/// by design: a scenario world's suite is part of its determinism
-/// contract, so it is fixed once by the driver, not threaded per run.
-pub fn set_scenario_suite(suite: SuiteId) {
-    SCENARIO_SUITE.store(suite.wire_id(), Ordering::Relaxed);
-}
-
-/// The suite [`scenario_world`] clients currently offer.
-pub fn scenario_suite() -> SuiteId {
-    SuiteId::from_wire(SCENARIO_SUITE.load(Ordering::Relaxed))
-        .expect("scenario suite is always stored from a valid SuiteId")
-}
 
 // --------------------------------------------------------------- world
 
@@ -99,8 +79,9 @@ fn prefix(world: &World, s: usize) -> String {
 
 /// Builds the substrate every scenario runs on: `clients` clients and
 /// `servers` servers (≤ 2, at `s{k}.scenario`) on one virtual clock,
-/// every agent holding the user's key, every client offering
-/// [`scenario_suite`]. Each server exports a world-writable `/bench`
+/// every agent holding the user's key, every client offering `suite`
+/// (part of a run's determinism contract: it sets the per-byte crypto
+/// charge). Each server exports a world-writable `/bench`
 /// with a world-readable `probe` file and a 0600 `secret` readable only
 /// by the user. `lease_ns` overrides the attribute-lease duration (the
 /// lease storm shrinks it); the fault plan, when given, is threaded
@@ -109,6 +90,7 @@ pub fn scenario_world(
     clients: usize,
     servers: usize,
     lease_ns: Option<u64>,
+    suite: SuiteId,
     tel: &Telemetry,
     plan: Option<&FaultPlan>,
 ) -> World {
@@ -141,7 +123,7 @@ pub fn scenario_world(
         }
     }
     for client in &world.clients {
-        client.set_suite_offer(&[scenario_suite()]);
+        client.set_suite_offer(&[suite]);
     }
     world
 }
@@ -436,42 +418,16 @@ pub struct ScenarioOutcome {
     pub oracle_checks: u64,
 }
 
-struct Rng(XorShiftSource);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(XorShiftSource::new(seed))
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut b = [0u8; 8];
-        self.0.fill(&mut b);
-        u64::from_le_bytes(b)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
 /// The file-content generator: byte `off` of instance `inst` is a pure
 /// function, so any read can be verified without tracking written data.
 fn content_byte(instance: u64, off: u64) -> u8 {
     ((instance.wrapping_mul(131)).wrapping_add(off.wrapping_mul(7)) % 251) as u8
 }
 
-/// One file slot. A slot holds at most one live file *instance*; the
-/// instance number is part of the file name, so a recreated slot never
-/// aliases any cache entry of its predecessor.
-struct Slot {
-    instance: u64,
-    len: u64,
-    linked: bool,
-    /// `(commit t_ns, len)` for every committed state of the current
-    /// instance, in commit order.
-    history: Vec<(u64, u64)>,
-}
-
+/// The path of file slot `slot`'s `instance`. A slot holds at most one
+/// live file instance (its file in the mix's [`CommitLog`]); the instance
+/// number is part of the file name, so a recreated slot never aliases
+/// any cache entry of its predecessor.
 fn slot_path(spec: &ScenarioSpec, slot: usize, instance: u64) -> String {
     format!("d{}/f{slot}-{instance}", slot % spec.dirs)
 }
@@ -481,94 +437,114 @@ fn scenario_fail(name: &str, msg: String) -> ! {
     panic!("scenario {name}: {msg}")
 }
 
-/// The sizes the oracle accepts from a cached attribute: any committed
-/// state no older than the lease. Returns the lease floor — the largest
-/// len whose commit is at least `lease_ns` old (a server that granted a
-/// lease after that commit must have shown at least this size).
-fn lease_floor(history: &[(u64, u64)], now_ns: u64, lease_ns: u64) -> u64 {
-    history
-        .iter()
-        .filter(|(t, _)| t.saturating_add(lease_ns) <= now_ns)
-        .map(|(_, l)| *l)
-        .max()
-        .unwrap_or(0)
+/// One op-mix run: a single-server world, each client's kernel stack,
+/// each slot's current instance, and the [`CommitLog`] every
+/// observation is scored against (a slot is linked while it holds a
+/// commit).
+struct Mix<'a> {
+    name: &'a str,
+    spec: &'a ScenarioSpec,
+    tel: &'a Telemetry,
+    world: World,
+    fs: Vec<Box<dyn FsBench>>,
+    instances: Vec<u64>,
+    log: CommitLog,
+    rng: XorShiftSource,
+    op_log: Vec<String>,
+    oracle_checks: u64,
 }
 
-/// Replays `spec` against a fresh single-server world, checking every
-/// observation against the coherence oracle. `plan` threads seeded
-/// faults through the testbed; `trace` records the request stream of
-/// every client (setup included) for later replay.
-///
-/// Panics (with a scenario-labelled message) on any oracle violation or
-/// unexpected op failure — scenarios are self-asserting.
-pub fn run_mix(
-    name: &str,
-    spec: &ScenarioSpec,
-    tel: &Telemetry,
-    plan: Option<&FaultPlan>,
-    trace: Option<&TraceSink>,
-) -> ScenarioOutcome {
-    let world = scenario_world(spec.clients, 1, None, tel, plan);
-    let prefix = prefix(&world, 0);
-    let fs: Vec<Box<dyn FsBench>> = world
-        .clients
-        .iter()
-        .map(|c| {
-            let bench: Box<dyn FsBench> =
-                Box::new(SfsBench::new("SFS", c.clone(), BENCH_UID, &prefix));
-            match trace {
-                Some(sink) => Box::new(RecordingFs::new(bench, sink.clone())),
-                None => bench,
-            }
-        })
-        .collect();
-    let clock = &world.clock;
-    let mut log: Vec<String> = Vec::new();
-    let mut oracle_checks = 0u64;
-
-    // Setup through client 0: directories, then one instance per slot
-    // with `file_bytes` of generated content, each committed.
-    let mut slots: Vec<Slot> = Vec::with_capacity(spec.files);
-    for d in 0..spec.dirs {
-        let p = format!("d{d}");
-        fs[0]
-            .mkdir(&p)
-            .unwrap_or_else(|e| scenario_fail(name, format!("setup mkdir {p}: {e}")));
-        log.push(format!("{} c0 mkdir {p}", clock.now().as_nanos()));
-    }
-    for s in 0..spec.files {
-        let path = slot_path(spec, s, 0);
-        let data: Vec<u8> = (0..spec.file_bytes as u64)
-            .map(|o| content_byte(0, o))
+impl<'a> Mix<'a> {
+    /// Builds the world and, through client 0, the directories and one
+    /// committed instance per slot with `file_bytes` of generated
+    /// content.
+    fn new(
+        name: &'a str,
+        spec: &'a ScenarioSpec,
+        suite: SuiteId,
+        tel: &'a Telemetry,
+        plan: Option<&FaultPlan>,
+        trace: Option<&TraceSink>,
+    ) -> Self {
+        let world = scenario_world(spec.clients, 1, None, suite, tel, plan);
+        let prefix = prefix(&world, 0);
+        let fs = world
+            .clients
+            .iter()
+            .map(|c| {
+                let bench: Box<dyn FsBench> =
+                    Box::new(SfsBench::new("SFS", c.clone(), BENCH_UID, &prefix));
+                match trace {
+                    Some(sink) => Box::new(RecordingFs::new(bench, sink.clone())),
+                    None => bench,
+                }
+            })
             .collect();
-        fs[0]
-            .create(&path)
-            .unwrap_or_else(|e| scenario_fail(name, format!("setup create {path}: {e}")));
-        fs[0]
-            .write(&path, 0, &data)
-            .unwrap_or_else(|e| scenario_fail(name, format!("setup write {path}: {e}")));
-        fs[0]
-            .flush(&path)
-            .unwrap_or_else(|e| scenario_fail(name, format!("setup flush {path}: {e}")));
-        let t = clock.now().as_nanos();
-        slots.push(Slot {
-            instance: 0,
-            len: spec.file_bytes as u64,
-            linked: true,
-            history: vec![(t, spec.file_bytes as u64)],
-        });
-        log.push(format!("{t} c0 setup {path} len={}", spec.file_bytes));
+        let mut mix = Mix {
+            name,
+            spec,
+            tel,
+            world,
+            fs,
+            instances: vec![0; spec.files],
+            log: CommitLog::new(spec.clients, spec.files, DEFAULT_LEASE_NS),
+            rng: XorShiftSource::new(spec.seed),
+            op_log: Vec::new(),
+            oracle_checks: 0,
+        };
+        for d in 0..spec.dirs {
+            let p = format!("d{d}");
+            mix.fs[0]
+                .mkdir(&p)
+                .unwrap_or_else(|e| scenario_fail(name, format!("setup mkdir {p}: {e}")));
+            mix.op_log.push(format!("{} c0 mkdir {p}", mix.now()));
+        }
+        for s in 0..spec.files {
+            let path = slot_path(spec, s, 0);
+            let data: Vec<u8> = (0..spec.file_bytes as u64)
+                .map(|o| content_byte(0, o))
+                .collect();
+            let fs = &mix.fs[0];
+            fs.create(&path)
+                .unwrap_or_else(|e| scenario_fail(name, format!("setup create {path}: {e}")));
+            fs.write(&path, 0, &data)
+                .unwrap_or_else(|e| scenario_fail(name, format!("setup write {path}: {e}")));
+            fs.flush(&path)
+                .unwrap_or_else(|e| scenario_fail(name, format!("setup flush {path}: {e}")));
+            let t = mix.now();
+            mix.log.commit(s, t, spec.file_bytes as u64);
+            mix.op_log
+                .push(format!("{t} c0 setup {path} len={}", spec.file_bytes));
+        }
+        mix
     }
 
-    // Per-client last observation per (slot, instance): sizes a client
-    // reports must never go backwards within one instance.
-    let mut observed: Vec<HashMap<(usize, u64), u64>> = vec![HashMap::new(); spec.clients];
+    fn now(&self) -> u64 {
+        self.world.clock.now().as_nanos()
+    }
 
-    let mut rng = Rng::new(spec.seed);
-    let total_weight: u64 = spec.mix.iter().map(|(_, w)| *w as u64).sum();
-    for _ in 0..spec.ops {
-        let c = rng.below(spec.clients as u64) as usize;
-        let mut pick = rng.below(total_weight);
+    /// A seeded pick among `slots`.
+    fn pick(&mut self, slots: &[usize]) -> usize {
+        slots[self.rng.below(slots.len() as u64) as usize]
+    }
+
+    /// Scores client `c`'s observation of slot `s` at `size`, now,
+    /// through rules 1–3; panics on a violation.
+    fn observe(&mut self, c: usize, s: usize, size: u64, what: &str, path: &str) {
+        let mut violations = Vec::new();
+        let now = self.now();
+        self.log.observe(c, s, size, now, what, &mut violations);
+        if let Some(v) = violations.first() {
+            scenario_fail(self.name, format!("{path}: {v}"));
+        }
+    }
+
+    /// One seeded weighted op by one seeded client.
+    fn step(&mut self) {
+        let (name, spec) = (self.name, self.spec);
+        let c = self.rng.below(spec.clients as u64) as usize;
+        let total_weight: u64 = spec.mix.iter().map(|(_, w)| *w as u64).sum();
+        let mut pick = self.rng.below(total_weight);
         let mut op = spec.mix[0].0;
         for (o, w) in &spec.mix {
             if pick < *w as u64 {
@@ -577,8 +553,8 @@ pub fn run_mix(
             }
             pick -= *w as u64;
         }
-        let linked: Vec<usize> = (0..spec.files).filter(|&s| slots[s].linked).collect();
-        let unlinked: Vec<usize> = (0..spec.files).filter(|&s| !slots[s].linked).collect();
+        let (linked, unlinked): (Vec<usize>, Vec<usize>) =
+            (0..spec.files).partition(|&s| self.log.linked(s));
 
         // Feasibility redirects keep the op stream total: an op with no
         // legal target degrades to a stat of some live file.
@@ -588,90 +564,49 @@ pub fn run_mix(
             _ => op,
         };
 
-        let t0 = clock.now();
+        let t0 = self.now();
         match op {
             ScenarioOp::Stat | ScenarioOp::Open => {
-                let s = linked[rng.below(linked.len() as u64) as usize];
-                let path = slot_path(spec, s, slots[s].instance);
+                let s = self.pick(&linked);
+                let path = slot_path(spec, s, self.instances[s]);
                 let size = if op == ScenarioOp::Stat {
-                    fs[c].stat(&path)
+                    self.fs[c].stat(&path)
                 } else {
-                    fs[c].open(&path)
+                    self.fs[c].open(&path)
                 }
                 .unwrap_or_else(|e| scenario_fail(name, format!("{} {path}: {e}", op.label())));
-                // Oracle 1: the size is a state this instance passed
-                // through.
-                if !slots[s].history.iter().any(|(_, l)| *l == size) {
-                    scenario_fail(
-                        name,
-                        format!(
-                            "{} {path} returned size {size}, never a committed state ({:?})",
-                            op.label(),
-                            slots[s].history
-                        ),
-                    );
-                }
-                // Oracle 2: per-client monotonicity within the instance.
-                let key = (s, slots[s].instance);
-                let last = observed[c].get(&key).copied().unwrap_or(0);
-                if size < last {
-                    scenario_fail(
-                        name,
-                        format!(
-                            "{} {path}: client {c} saw size {size} after already seeing {last}",
-                            op.label()
-                        ),
-                    );
-                }
-                observed[c].insert(key, size);
-                // Oracle 3: staleness bounded by the lease.
-                let floor =
-                    lease_floor(&slots[s].history, clock.now().as_nanos(), DEFAULT_LEASE_NS);
-                if size < floor {
-                    scenario_fail(
-                        name,
-                        format!(
-                            "{} {path}: size {size} older than the lease allows (floor {floor})",
-                            op.label()
-                        ),
-                    );
-                }
-                oracle_checks += 3;
-                log.push(format!(
-                    "{} c{c} {} {path} -> {size}",
-                    t0.as_nanos(),
-                    op.label()
-                ));
+                self.observe(c, s, size, op.label(), &path);
+                self.oracle_checks += 3;
+                self.op_log
+                    .push(format!("{t0} c{c} {} {path} -> {size}", op.label()));
             }
             ScenarioOp::Read => {
-                let s = linked[rng.below(linked.len() as u64) as usize];
-                let slot = &slots[s];
-                let path = slot_path(spec, s, slot.instance);
-                // Read only below the lease floor: those bytes are
-                // guaranteed present whatever attribute state the
-                // client has cached. No floor yet → degrade to stat's
-                // bookkeeping via a zero-length log entry.
-                let floor = lease_floor(&slot.history, clock.now().as_nanos(), DEFAULT_LEASE_NS);
-                // With the 30 s default lease nothing expires inside a
-                // short run, so the floor is whatever the *reader's
-                // own* knowledge guarantees too; the writer commits
-                // synchronously before any other op runs, making every
-                // committed byte safe for the *committing* client but
-                // only floor bytes safe for everyone. Use the floor
-                // when it covers a read, else fall back to this
-                // client's own last observation.
-                let safe = floor.max(observed[c].get(&(s, slot.instance)).copied().unwrap_or(0));
-                if safe < spec.io_bytes as u64 {
+                let s = self.pick(&linked);
+                let instance = self.instances[s];
+                let path = slot_path(spec, s, instance);
+                // Read only below what is safe for this client: the lease
+                // floor (every client's cache is at least that fresh) or
+                // its own last observation, whichever is larger. With the
+                // 30 s default lease nothing expires inside a short run,
+                // so the client's own knowledge (what it read or wrote)
+                // is what usually covers a read.
+                let floor = self.log.lease_floor(s, t0);
+                let safe = floor.max(self.log.last_seen(c, s));
+                let io = spec.io_bytes as u64;
+                if safe < io {
                     // Nothing safely readable yet; observe instead.
-                    let size = fs[c]
+                    let size = self.fs[c]
                         .stat(&path)
                         .unwrap_or_else(|e| scenario_fail(name, format!("read→stat {path}: {e}")));
-                    observed[c].insert((s, slot.instance), size);
-                    oracle_checks += 1;
-                    log.push(format!("{} c{c} read0 {path} -> {size}", t0.as_nanos()));
+                    // Scored like a stat; counted as one check, the count
+                    // `BENCH_scenarios.json` commits.
+                    self.observe(c, s, size, "read0", &path);
+                    self.oracle_checks += 1;
+                    self.op_log
+                        .push(format!("{t0} c{c} read0 {path} -> {size}"));
                 } else {
-                    let off = rng.below(safe - spec.io_bytes as u64 + 1);
-                    let data = fs[c]
+                    let off = self.rng.below(safe - io + 1);
+                    let data = self.fs[c]
                         .read(&path, off, spec.io_bytes)
                         .unwrap_or_else(|e| scenario_fail(name, format!("read {path}@{off}: {e}")));
                     if data.len() != spec.io_bytes {
@@ -685,83 +620,92 @@ pub fn run_mix(
                         );
                     }
                     for (k, b) in data.iter().enumerate() {
-                        let want = content_byte(slot.instance, off + k as u64);
+                        let want = content_byte(instance, off + k as u64);
                         if *b != want {
                             scenario_fail(name, format!(
                                 "read {path}@{off}: byte {k} is {b:#04x}, generator says {want:#04x}"
                             ));
                         }
                     }
-                    oracle_checks += 1;
-                    log.push(format!(
-                        "{} c{c} read {path}@{off}+{}",
-                        t0.as_nanos(),
-                        spec.io_bytes
-                    ));
+                    self.oracle_checks += 1;
+                    self.op_log
+                        .push(format!("{t0} c{c} read {path}@{off}+{}", spec.io_bytes));
                 }
             }
             ScenarioOp::Write => {
-                let s = linked[rng.below(linked.len() as u64) as usize];
-                let path = slot_path(spec, s, slots[s].instance);
-                let off = slots[s].len;
+                let s = self.pick(&linked);
+                let instance = self.instances[s];
+                let path = slot_path(spec, s, instance);
+                let off = self.log.latest(s);
                 let data: Vec<u8> = (off..off + spec.io_bytes as u64)
-                    .map(|o| content_byte(slots[s].instance, o))
+                    .map(|o| content_byte(instance, o))
                     .collect();
-                fs[c]
+                self.fs[c]
                     .write(&path, off, &data)
                     .unwrap_or_else(|e| scenario_fail(name, format!("write {path}@{off}: {e}")));
-                fs[c]
+                self.fs[c]
                     .flush(&path)
                     .unwrap_or_else(|e| scenario_fail(name, format!("flush {path}: {e}")));
                 if spec.cpu_ns > 0 {
-                    fs[c].cpu_burn(spec.cpu_ns);
+                    self.fs[c].cpu_burn(spec.cpu_ns);
                 }
-                let t = clock.now().as_nanos();
                 let new_len = off + spec.io_bytes as u64;
-                slots[s].len = new_len;
-                slots[s].history.push((t, new_len));
-                let key = (s, slots[s].instance);
-                observed[c].insert(key, new_len);
-                log.push(format!(
-                    "{} c{c} write {path}@{off}+{}",
-                    t0.as_nanos(),
-                    spec.io_bytes
-                ));
+                let t = self.now();
+                self.log.commit(s, t, new_len);
+                self.log.saw(c, s, new_len);
+                self.op_log
+                    .push(format!("{t0} c{c} write {path}@{off}+{}", spec.io_bytes));
             }
             ScenarioOp::Create => {
-                let s = unlinked[rng.below(unlinked.len() as u64) as usize];
-                let instance = slots[s].instance + 1;
+                let s = self.pick(&unlinked);
+                let instance = self.instances[s] + 1;
                 let path = slot_path(spec, s, instance);
-                fs[c]
+                self.fs[c]
                     .create(&path)
                     .unwrap_or_else(|e| scenario_fail(name, format!("create {path}: {e}")));
-                let t = clock.now().as_nanos();
-                slots[s] = Slot {
-                    instance,
-                    len: 0,
-                    linked: true,
-                    history: vec![(t, 0)],
-                };
-                log.push(format!("{} c{c} create {path}", t0.as_nanos()));
+                let t = self.now();
+                self.instances[s] = instance;
+                self.log.commit(s, t, 0);
+                self.op_log.push(format!("{t0} c{c} create {path}"));
             }
             ScenarioOp::Unlink => {
-                let s = linked[rng.below(linked.len() as u64) as usize];
-                let path = slot_path(spec, s, slots[s].instance);
-                fs[c]
+                let s = self.pick(&linked);
+                let path = slot_path(spec, s, self.instances[s]);
+                self.fs[c]
                     .unlink(&path)
                     .unwrap_or_else(|e| scenario_fail(name, format!("unlink {path}: {e}")));
-                slots[s].linked = false;
-                log.push(format!("{} c{c} unlink {path}", t0.as_nanos()));
+                self.log.unlink(s);
+                self.op_log.push(format!("{t0} c{c} unlink {path}"));
             }
         }
-        let dur = clock.now().since(t0).as_nanos();
-        tel.record("ops", op.label(), dur);
+        self.tel.record("ops", op.label(), self.now() - t0);
     }
+}
 
+/// Replays `spec` against a fresh single-server world whose clients
+/// offer `suite`, checking every observation against the coherence
+/// oracle. `plan` threads seeded faults through the testbed; `trace`
+/// records the request stream of every client (setup included) for
+/// later replay.
+///
+/// Panics (with a scenario-labelled message) on any oracle violation or
+/// unexpected op failure — scenarios are self-asserting.
+pub fn run_mix(
+    name: &str,
+    spec: &ScenarioSpec,
+    suite: SuiteId,
+    tel: &Telemetry,
+    plan: Option<&FaultPlan>,
+    trace: Option<&TraceSink>,
+) -> ScenarioOutcome {
+    let mut mix = Mix::new(name, spec, suite, tel, plan, trace);
+    for _ in 0..spec.ops {
+        mix.step();
+    }
     ScenarioOutcome {
-        op_log: log,
-        final_ns: clock.now().as_nanos(),
-        oracle_checks,
+        final_ns: mix.now(),
+        op_log: mix.op_log,
+        oracle_checks: mix.oracle_checks,
     }
 }
 
@@ -776,10 +720,11 @@ pub fn run_mount_storm(
     seed: u64,
     clients: usize,
     waves: usize,
+    suite: SuiteId,
     tel: &Telemetry,
     plan: Option<&FaultPlan>,
 ) -> ScenarioOutcome {
-    let world = scenario_world(clients, 1, None, tel, plan);
+    let world = scenario_world(clients, 1, None, suite, tel, plan);
     let path = world.servers[0].path().clone();
     let probe = format!("{}/probe", prefix(&world, 0));
     let want = b"probe@s0.scenario".to_vec();
@@ -837,11 +782,12 @@ pub fn run_rollover_storm(
     seed: u64,
     clients: usize,
     waves: usize,
+    suite: SuiteId,
     tel: &Telemetry,
     plan: Option<&FaultPlan>,
 ) -> ScenarioOutcome {
     assert!(clients >= 2, "rollover storm needs a laggard plus rollers");
-    let world = scenario_world(clients, 1, None, tel, plan);
+    let world = scenario_world(clients, 1, None, suite, tel, plan);
     let secret = format!("{}/secret", prefix(&world, 0));
     let probe = format!("{}/probe", prefix(&world, 0));
     let laggard = clients - 1;
@@ -946,13 +892,14 @@ pub fn run_lease_storm(
     clients: usize,
     files: usize,
     waves: usize,
+    suite: SuiteId,
     tel: &Telemetry,
     plan: Option<&FaultPlan>,
 ) -> ScenarioOutcome {
     assert!(clients >= 2, "lease storm needs a writer plus readers");
     const LEASE_NS: u64 = 250_000_000;
     const IO: u64 = 512;
-    let world = scenario_world(clients, 1, Some(LEASE_NS), tel, plan);
+    let world = scenario_world(clients, 1, Some(LEASE_NS), suite, tel, plan);
     let prefix = prefix(&world, 0);
     let fs: Vec<SfsBench> = world
         .clients
@@ -1045,10 +992,11 @@ pub fn run_lease_storm(
 /// while server 1 traffic is entirely unaffected.
 pub fn run_revocation_storm(
     clients: usize,
+    suite: SuiteId,
     tel: &Telemetry,
     plan: Option<&FaultPlan>,
 ) -> ScenarioOutcome {
-    let world = scenario_world(clients, 2, None, tel, plan);
+    let world = scenario_world(clients, 2, None, suite, tel, plan);
     let bench0: Vec<SfsBench> = world
         .clients
         .iter()
@@ -1180,28 +1128,30 @@ pub const STORM_NAMES: [&str; 4] = [
     "revocation-storm",
 ];
 
-/// Runs a built-in storm at the given scale. `scale` shrinks wave and
-/// client counts for smoke/test runs (1 = full). Returns `None` for an
-/// unknown name.
+/// Runs a built-in storm with every client offering `suite`. `smoke`
+/// shrinks wave and client counts for smoke/test runs. Returns `None`
+/// for an unknown name.
 pub fn run_storm(
     name: &str,
+    suite: SuiteId,
     tel: &Telemetry,
     plan: Option<&FaultPlan>,
     smoke: bool,
 ) -> Option<ScenarioOutcome> {
     let (clients, waves) = if smoke { (3, 2) } else { (6, 4) };
     Some(match name {
-        "mount-storm" => run_mount_storm(0xA11_0001, clients, waves, tel, plan),
-        "rollover-storm" => run_rollover_storm(0xA11_0002, clients, waves, tel, plan),
+        "mount-storm" => run_mount_storm(0xA11_0001, clients, waves, suite, tel, plan),
+        "rollover-storm" => run_rollover_storm(0xA11_0002, clients, waves, suite, tel, plan),
         "lease-storm" => run_lease_storm(
             0xA11_0003,
             clients,
             if smoke { 4 } else { 8 },
             waves,
+            suite,
             tel,
             plan,
         ),
-        "revocation-storm" => run_revocation_storm(clients, tel, plan),
+        "revocation-storm" => run_revocation_storm(clients, suite, tel, plan),
         _ => return None,
     })
 }
@@ -1251,11 +1201,26 @@ mod tests {
     }
 
     #[test]
-    fn lease_floor_tracks_history() {
-        let hist = vec![(0, 100), (1_000, 200), (2_000, 300)];
-        // Lease 500: everything committed ≥500ns ago counts.
-        assert_eq!(lease_floor(&hist, 2_400, 500), 200);
-        assert_eq!(lease_floor(&hist, 2_600, 500), 300);
-        assert_eq!(lease_floor(&hist, 100, 500), 0);
+    #[should_panic(expected = "stat 517 was never committed (latest 512)")]
+    fn a_file_grown_behind_the_protocols_back_breaks_rule_one() {
+        let spec = ScenarioSpec::parse(
+            "seed=5,clients=2,dirs=1,files=2,file_bytes=512,io_bytes=256,ops=8,cpu_ns=0,\
+             mix=stat:1",
+        )
+        .unwrap();
+        let tel = Telemetry::recording(sfs_telemetry::ZeroClock);
+        let mut mix = Mix::new("grown", &spec, SuiteId::ChaCha20Poly1305, &tel, None, None);
+        // Append to every file straight on the server's disk: no commit
+        // the log knows of, and no callback to any client.
+        let vfs = mix.world.servers[0].vfs();
+        let root = Credentials::root();
+        for s in 0..spec.files {
+            let path = format!("/bench/{}", slot_path(&spec, s, 0));
+            let (ino, _) = vfs.lookup_path(&root, &path).unwrap();
+            vfs.write(&root, ino, 512, b"grown", true).unwrap();
+        }
+        for _ in 0..spec.ops {
+            mix.step();
+        }
     }
 }

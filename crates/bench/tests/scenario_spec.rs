@@ -5,13 +5,7 @@
 
 use sfs_bench::args::{ScenarioOp, ScenarioSpec, MAX_SCENARIO_CLIENTS};
 use sfs_bench::scenario::builtin_mixes;
-use sfs_bignum::{RandomSource, XorShiftSource};
-
-fn next_u64(src: &mut XorShiftSource) -> u64 {
-    let mut b = [0u8; 8];
-    src.fill(&mut b);
-    u64::from_le_bytes(b)
-}
+use sfs_bignum::XorShiftSource;
 
 /// A random *valid* spec: every field within the validated ranges, a
 /// non-empty duplicate-free mix with positive weights.
@@ -19,23 +13,23 @@ fn random_spec(src: &mut XorShiftSource) -> ScenarioSpec {
     let mut ops: Vec<ScenarioOp> = ScenarioOp::ALL.to_vec();
     // Seeded shuffle, then take a non-empty prefix as the mix.
     for i in (1..ops.len()).rev() {
-        ops.swap(i, (next_u64(src) % (i as u64 + 1)) as usize);
+        ops.swap(i, src.below(i as u64 + 1) as usize);
     }
-    let take = 1 + (next_u64(src) % ops.len() as u64) as usize;
+    let take = 1 + src.below(ops.len() as u64) as usize;
     let mix = ops
         .into_iter()
         .take(take)
-        .map(|op| (op, 1 + (next_u64(src) % 99) as u32))
+        .map(|op| (op, 1 + src.below(99) as u32))
         .collect();
     ScenarioSpec {
-        seed: next_u64(src),
-        clients: 1 + (next_u64(src) % MAX_SCENARIO_CLIENTS as u64) as usize,
-        dirs: 1 + (next_u64(src) % 32) as usize,
-        files: 2 + (next_u64(src) % 100) as usize,
-        file_bytes: 1 + (next_u64(src) % 100_000) as usize,
-        io_bytes: 1 + (next_u64(src) % 50_000) as usize,
-        ops: 1 + (next_u64(src) % 10_000) as usize,
-        cpu_ns: next_u64(src) % 10_000_000_000,
+        seed: src.next_u64(),
+        clients: 1 + src.below(MAX_SCENARIO_CLIENTS as u64) as usize,
+        dirs: 1 + src.below(32) as usize,
+        files: 2 + src.below(100) as usize,
+        file_bytes: 1 + src.below(100_000) as usize,
+        io_bytes: 1 + src.below(50_000) as usize,
+        ops: 1 + src.below(10_000) as usize,
+        cpu_ns: src.below(10_000_000_000),
         mix,
     }
 }

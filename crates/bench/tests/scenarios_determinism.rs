@@ -10,9 +10,13 @@ use sfs_bench::args::{FaultOpt, ScenarioSpec};
 use sfs_bench::scenario::{
     builtin_mixes, encode_trace, run_mix, run_storm, TraceSink, STORM_NAMES,
 };
+use sfs_proto::channel::SuiteId;
 use sfs_telemetry::sync::Mutex;
 use sfs_telemetry::{Telemetry, ZeroClock};
 use std::sync::Arc;
+
+/// The `scenarios` experiment's default suite.
+const SUITE: SuiteId = SuiteId::ChaCha20Poly1305;
 
 /// Shrinks a built-in mix to debug-test scale without changing its
 /// character (seed, dir shape, and op mix stay).
@@ -35,7 +39,7 @@ fn observe_mix(
 ) -> (Vec<String>, u64, String) {
     let faults = FaultOpt::with_spec(fault_spec.map(String::from)).unwrap();
     let tel = Telemetry::recording(ZeroClock);
-    let out = run_mix(name, spec, &tel, faults.plan(), None);
+    let out = run_mix(name, spec, SUITE, &tel, faults.plan(), None);
     (out.op_log, out.final_ns, tel.histograms_json())
 }
 
@@ -69,7 +73,7 @@ fn storms_are_rerun_deterministic() {
     for name in STORM_NAMES {
         let run = || {
             let tel = Telemetry::recording(ZeroClock);
-            let out = run_storm(name, &tel, None, true).expect("built-in storm");
+            let out = run_storm(name, SUITE, &tel, None, true).expect("built-in storm");
             (
                 out.op_log,
                 out.final_ns,
@@ -93,7 +97,7 @@ fn recorded_traces_are_byte_identical_across_runs() {
     let record = || {
         let tel = Telemetry::recording(ZeroClock);
         let sink: TraceSink = Arc::new(Mutex::new(Vec::new()));
-        run_mix(name, &spec, &tel, None, Some(&sink));
+        run_mix(name, &spec, SUITE, &tel, None, Some(&sink));
         let ops = sink.lock();
         encode_trace(&ops)
     };

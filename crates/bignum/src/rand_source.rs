@@ -59,7 +59,9 @@ impl XorShiftSource {
         XorShiftSource { state: z | 1 }
     }
 
-    fn next_u64(&mut self) -> u64 {
+    /// The next 64-bit draw: what [`RandomSource::fill`] writes, little
+    /// endian, into each 8-byte chunk.
+    pub fn next_u64(&mut self) -> u64 {
         // xorshift64* (Vigna).
         let mut x = self.state;
         x ^= x >> 12;
@@ -67,6 +69,12 @@ impl XorShiftSource {
         x ^= x >> 27;
         self.state = x;
         x.wrapping_mul(0x2545F4914F6CDD1D)
+    }
+
+    /// `next_u64() % n`: a draw below `n` (modulo-biased, which no caller
+    /// of a test or workload generator minds). Panics if `n` is zero.
+    pub fn below(&mut self, n: u64) -> u64 {
+        self.next_u64() % n
     }
 }
 
@@ -160,5 +168,19 @@ mod tests {
         a.fill(&mut ba);
         b.fill(&mut bb);
         assert_eq!(ba, bb);
+    }
+
+    #[test]
+    fn next_u64_is_an_eight_byte_fill() {
+        // Callers that drew `u64::from_le_bytes` of an 8-byte `fill` keep
+        // their streams when they call `next_u64` or `below` instead.
+        let (mut a, mut b) = (XorShiftSource::new(5), XorShiftSource::new(5));
+        for n in [1u64, 7, 1 << 40, u64::MAX] {
+            let mut buf = [0u8; 8];
+            a.fill(&mut buf);
+            assert_eq!(u64::from_le_bytes(buf) % n, b.below(n));
+            a.fill(&mut buf);
+            assert_eq!(buf, b.next_u64().to_le_bytes());
+        }
     }
 }

@@ -594,11 +594,7 @@ fn inner_nfs_marshal_equals_the_enum_form_for_every_proc() {
     // the parse must hand back what went in.
     use sfs_bignum::XorShiftSource;
     let mut rng = XorShiftSource::new(0x1CA11);
-    let mut draw = move || {
-        let mut b = [0u8; 8];
-        rng.fill(&mut b);
-        u64::from_le_bytes(b)
-    };
+    let mut draw = move || rng.next_u64();
     for proc in procs() {
         for _ in 0..32 {
             let (n, authno) = (draw() >> 40, draw() as u32);

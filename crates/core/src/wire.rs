@@ -881,13 +881,9 @@ mod tests {
         // and hands what it declines to the general decoder, which must
         // then never produce an `Nfs`. Seeded mutations of every variant
         // check both directions of that equivalence.
-        use sfs_bignum::{RandomSource, XorShiftSource};
+        use sfs_bignum::XorShiftSource;
         let mut rng = XorShiftSource::new(0x1CA11);
-        let mut draw = move |n: usize| {
-            let mut b = [0u8; 8];
-            rng.fill(&mut b);
-            (u64::from_le_bytes(b) % n as u64) as usize
-        };
+        let mut draw = move |n: usize| rng.below(n as u64) as usize;
         let nfs = |n| InnerCall::Nfs {
             authno: 7,
             proc: 6,
@@ -935,13 +931,9 @@ mod tests {
         // the general decoder only for what it declines; the same seeded
         // mutations as the call-side pin check the equivalence both ways,
         // invalidation handles and their length cap included.
-        use sfs_bignum::{RandomSource, XorShiftSource};
+        use sfs_bignum::XorShiftSource;
         let mut rng = XorShiftSource::new(0x1EE_1CA11);
-        let mut draw = move |n: usize| {
-            let mut b = [0u8; 8];
-            rng.fill(&mut b);
-            (u64::from_le_bytes(b) % n as u64) as usize
-        };
+        let mut draw = move |n: usize| rng.below(n as u64) as usize;
         let nfs = |n, handles: usize| InnerReply::Nfs {
             results: vec![0x5C; n],
             invalidations: (0..handles)

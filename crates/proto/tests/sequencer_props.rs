@@ -13,16 +13,6 @@
 use sfs_bignum::{RandomSource, XorShiftSource};
 use sfs_proto::channel::{FrameSequencer, SeqPush};
 
-fn next_u64(rng: &mut XorShiftSource) -> u64 {
-    let mut b = [0u8; 8];
-    rng.fill(&mut b);
-    u64::from_le_bytes(b)
-}
-
-fn next_below(rng: &mut XorShiftSource, bound: u64) -> u64 {
-    next_u64(rng) % bound.max(1)
-}
-
 /// One adversarial delivery schedule: `window` frames sealed in channel
 /// order 0..window, delivered in a seeded permutation with seeded
 /// duplicate injections (both of not-yet-consumed and already-consumed
@@ -30,11 +20,11 @@ fn next_below(rng: &mut XorShiftSource, bound: u64) -> u64 {
 /// after every `Buffered` push).
 fn run_schedule(seed: u64) -> (usize, usize) {
     let mut rng = XorShiftSource::new(seed);
-    let window = 1 + next_below(&mut rng, 32) as usize;
-    let capacity = window.max(1 + next_below(&mut rng, 64) as usize);
+    let window = 1 + rng.below(32) as usize;
+    let capacity = window.max(1 + rng.below(64) as usize);
     let frames: Vec<(u64, u32, Vec<u8>)> = (0..window)
         .map(|i| {
-            let mut body = vec![0u8; 1 + next_below(&mut rng, 24) as usize];
+            let mut body = vec![0u8; 1 + rng.below(24) as usize];
             rng.fill(&mut body);
             (i as u64, i as u32, body)
         })
@@ -44,13 +34,13 @@ fn run_schedule(seed: u64) -> (usize, usize) {
     // duplicates, in a seeded shuffle. Workers finishing out of order
     // are exactly a permutation of delivery.
     let mut schedule: Vec<usize> = (0..window).collect();
-    let dups = next_below(&mut rng, 1 + window as u64 / 2) as usize;
+    let dups = rng.below(1 + window as u64 / 2) as usize;
     for _ in 0..dups {
-        let pick = next_below(&mut rng, window as u64) as usize;
+        let pick = rng.below(window as u64) as usize;
         schedule.push(pick);
     }
     for i in (1..schedule.len()).rev() {
-        let j = next_below(&mut rng, (i + 1) as u64) as usize;
+        let j = rng.below((i + 1) as u64) as usize;
         schedule.swap(i, j);
     }
 
@@ -124,17 +114,17 @@ fn order_preserved_under_adversarial_completion_schedules() {
 fn overflow_is_detected_and_leaves_state_intact() {
     for seed in 0..64u64 {
         let mut rng = XorShiftSource::new(0xBAD_0000 + seed);
-        let capacity = 1 + next_below(&mut rng, 16) as usize;
+        let capacity = 1 + rng.below(16) as usize;
         let mut seq = FrameSequencer::new(capacity);
         // Fill some slots ahead of the expected position.
-        let buffered = next_below(&mut rng, capacity as u64);
+        let buffered = rng.below(capacity as u64);
         for i in 0..buffered {
             assert_eq!(seq.push(1 + i, i as u32, vec![0xAA], 0), SeqPush::Buffered);
         }
         let len_before = seq.len();
         // A frame at or past expected + capacity must overflow without
         // disturbing what's buffered.
-        let beyond = capacity as u64 + next_below(&mut rng, 8);
+        let beyond = capacity as u64 + rng.below(8);
         assert_eq!(seq.push(beyond, 99, vec![0xBB], 0), SeqPush::Overflow);
         assert_eq!(seq.len(), len_before);
     }
