@@ -26,18 +26,44 @@ use crate::report::{Check, Obj};
 const ALLOC_ITERS: u64 = 64;
 const ALLOC_ITERS_SMOKE: u64 = 16;
 
-/// The negotiated AEAD fast path must beat the paper-baseline
-/// ARC4+SHA-1 channel by at least this factor on the 8 KiB seal+open
-/// round trip. The floor follows the Poly1305 tier the CPU dispatches
-/// to: with the AVX-512 IFMA vector MAC the round trip measures 7.7x
-/// the baseline (floor = that less 20 %); a host without it runs the
-/// scalar MAC, which measured 4.2x.
-fn chacha_min_speedup() -> f64 {
+/// The committed artifact: full mode gates the negotiated AEAD's 8 KiB
+/// seal+open round trip against its own row here.
+const COMMITTED: &str = include_str!("../../../../BENCH_hotpath.json");
+
+/// The share of a committed rate a full-mode run must reach: 20 % of
+/// margin, the margin the AEAD's old floor of 6x the ARC4+SHA-1 round
+/// trip was derived with (7.7x measured). That ratio judged the AEAD by
+/// the baseline's speed, and failed once the baseline sealed in one pass
+/// (4.92x, the ChaCha rows unchanged).
+const COMMITTED_RATE_SHARE: f64 = 0.8;
+
+/// On a host without the AVX-512 IFMA Poly1305 tier the committed rows
+/// were measured on, the scalar MAC is judged by its ratio to the
+/// ARC4+SHA-1 round trip instead: 4.2x measured, less the same margin.
+const SCALAR_MAC_MIN_SPEEDUP: f64 = 3.0;
+
+/// `ns_per_op` of the committed 8 KiB `chacha_seal_open_roundtrip` row.
+fn committed_chacha_8k_ns() -> f64 {
+    let row = COMMITTED
+        .lines()
+        .find(|l| l.contains(r#""chacha_seal_open_roundtrip", "payload_bytes": 8192,"#))
+        .expect("BENCH_hotpath.json has the 8 KiB ChaCha round trip");
+    let ns = row
+        .split(r#""ns_per_op": "#)
+        .nth(1)
+        .and_then(|r| r.split(',').next());
+    ns.and_then(|n| n.parse().ok())
+        .expect("a committed ns_per_op")
+}
+
+/// Whether this host runs the Poly1305 tier the committed rows were
+/// measured on.
+fn runs_the_committed_tier() -> bool {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx512ifma") {
-        return 6.0;
+        return true;
     }
-    3.0
+    false
 }
 
 struct Micro {
@@ -160,14 +186,28 @@ pub fn run(ctx: &Ctx) -> Result<Report, String> {
             let m = micros.iter().find(|m| m.name == name && m.payload == 8192);
             m.expect("8 KiB roundtrip measured").ns_per_op as f64
         };
-        let speedup =
-            roundtrip_ns("seal_open_roundtrip") / roundtrip_ns("chacha_seal_open_roundtrip");
-        let floor = chacha_min_speedup();
-        checks.push(Check::invariant(
-            format!("chacha20-poly1305 8 KiB seal+open is at least {floor}x arc4-sha1"),
-            speedup >= floor,
-            format!("{speedup:.2}x"),
-        ));
+        let chacha = roundtrip_ns("chacha_seal_open_roundtrip");
+        checks.push(if runs_the_committed_tier() {
+            let committed = committed_chacha_8k_ns();
+            Check::invariant(
+                format!(
+                    "chacha20-poly1305 8 KiB seal+open runs at least {COMMITTED_RATE_SHARE}x \
+                     its committed rate ({committed} ns)"
+                ),
+                chacha * COMMITTED_RATE_SHARE <= committed,
+                format!("{chacha} ns, {:.2}x", committed / chacha),
+            )
+        } else {
+            let speedup = roundtrip_ns("seal_open_roundtrip") / chacha;
+            Check::invariant(
+                format!(
+                    "chacha20-poly1305 8 KiB seal+open is at least \
+                     {SCALAR_MAC_MIN_SPEEDUP}x arc4-sha1"
+                ),
+                speedup >= SCALAR_MAC_MIN_SPEEDUP,
+                format!("{speedup:.2}x"),
+            )
+        });
     }
     Ok(Report {
         header,

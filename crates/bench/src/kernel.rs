@@ -998,4 +998,23 @@ mod tests {
             assert_eq!(fs.stat(bare), Ok(6), "{system:?}");
         }
     }
+
+    #[test]
+    fn a_stat_after_an_unflushed_write_sees_its_size() {
+        // Sprite LFS's close-stat: the write is still queued write-behind
+        // on SFS when the stat is served from the CREATE's lease.
+        for system in [System::NfsUdp, System::NfsTcp, System::Sfs] {
+            let bed = Testbed::build(system, &WorldSpec::bench());
+            let path = format!("{}/f", bed.prefix);
+            bed.fs.create(&path).unwrap();
+            bed.fs.write(&path, 0, b"hello").unwrap();
+            assert_eq!(bed.fs.stat(&path), Ok(5), "{system:?}");
+            bed.fs.write(&path, 3, b"p!").unwrap();
+            assert_eq!(bed.fs.stat(&path), Ok(5), "{system:?}: an overwrite");
+            bed.fs.write(&path, 5, b", world").unwrap();
+            assert_eq!(bed.fs.stat(&path), Ok(12), "{system:?}");
+            bed.fs.flush(&path).unwrap();
+            assert_eq!(bed.fs.stat(&path), Ok(12), "{system:?}: once flushed");
+        }
+    }
 }

@@ -117,7 +117,7 @@ pub fn micro_stages() -> Vec<Stage> {
     let mut stage = |name, payload, op: Box<dyn FnMut()>| stages.push(Stage { name, payload, op });
     let fh = FileHandle::from([0x42; 32]);
     for n in PAYLOAD_SIZES {
-        let req = Nfs3Request::Write {
+        let req: Nfs3Request = Nfs3Request::Write {
             fh,
             offset: 0,
             stable: StableHow::FileSync,
@@ -192,9 +192,11 @@ pub fn micro_stages() -> Vec<Stage> {
 /// it crossed). Raising these is a perf regression — justify it in the
 /// PR that does.
 pub const RELAY_GETATTR_ALLOC_CEILING: f64 = 0.0;
-/// A READ's payload is materialised twice: the VFS reads it into the
-/// server's reply, and the client hands the caller its own copy.
-pub const RELAY_READ_ALLOC_CEILING: f64 = 2.0;
+/// A READ's payload is materialised once, in the copy the client hands
+/// the caller: the server encodes the file's bytes straight into its
+/// reply frame (2 while the VFS copied them into a `Vec` of the reply's
+/// own first).
+pub const RELAY_READ_ALLOC_CEILING: f64 = 1.0;
 
 /// The steady-state sealed relay loop the wall-clock and allocation
 /// numbers are taken on: a memory-backed world with no CPU model, one

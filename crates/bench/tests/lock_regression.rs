@@ -18,20 +18,24 @@ use sfs_bench::world::UID;
 use sfs_nfs3::proto::{Nfs3Reply, Nfs3Request};
 use sfs_telemetry::sync::lock_acquisitions;
 
-/// Measured 22 per blocking GETATTR (a window of one frame): per end
+/// Measured 20 per blocking GETATTR (a window of one frame): per end
 /// one telemetry handle, the link, the authentication number, the
 /// revocation check (agent map and agent) and the write-behind barrier
 /// on the client; the shard-engine slot, the session state, the boot
 /// epoch and the invalidation queue on the server; the file system and
-/// its lease table in the NFS server; and nine for the buffer pool,
-/// whose ten operations take one lock each except the server's return
+/// its lease table in the NFS server; and seven for the buffer pool,
+/// whose eight operations take one lock each except the server's return
 /// of the request buffer and draw of the cache copy, which share one
-/// (42 when every helper read its own copy of the shared state and the
-/// pool kept its counters behind a second mutex).
-const GETATTR_LOCK_CEILING: f64 = 23.0;
-/// Measured 17 per windowed READ with the shard engine installed (31.5
-/// when every helper read its own copy of the shared state).
-const SHARDED_READ_LOCK_CEILING: f64 = 19.0;
+/// (22 while the server copied each request frame into a buffer of its
+/// own, 42 when every helper read its own copy of the shared state and
+/// the pool kept its counters behind a second mutex).
+const GETATTR_LOCK_CEILING: f64 = 21.0;
+/// Measured 14 per windowed READ with the shard engine installed: a
+/// READ also locks the file system once, not twice (17 while the
+/// server copied each frame and read the file's attributes apart from
+/// its bytes, 31.5 when every helper read its own copy of the shared
+/// state).
+const SHARDED_READ_LOCK_CEILING: f64 = 16.0;
 
 /// Lock acquisitions `f` takes on this thread.
 fn count_locks(f: impl FnOnce()) -> u64 {

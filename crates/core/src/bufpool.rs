@@ -36,18 +36,18 @@ use sfs_telemetry::Telemetry;
 
 use crate::client::DEFAULT_PIPELINE_WINDOW;
 
-/// Buffers retained per pool: what one pipelined exchange of `W` frames
-/// (the default window) draws at its peak, beyond the `W` sealed replies
-/// the server's reply cache keeps between batches. When the server
-/// opens the batch's first frame, the client still holds its `W` sealed
-/// frames (kept for retransmission) and their `W` wire copies, and the
-/// previous batch's cached replies are released only once that frame
-/// has opened: `2W + 1` buffers out at once, and the same again at the
-/// last frame (`W` sealed frames, one wire copy, `W` replies and `W`
-/// fresh cache copies, less the `W` released). With fewer, a
-/// steady-state window misses on every exchange; more would only be
-/// idle.
-const MAX_POOLED: usize = 2 * DEFAULT_PIPELINE_WINDOW + 1;
+/// Buffers retained per pool: every buffer one pipelined exchange of
+/// `W` frames (the default window) holds at its peak, its last frame:
+/// the client's `W` sealed frames (kept for retransmission), the `W`
+/// sealed replies, and the `W` reply-cache copies the server made of
+/// them in its request buffers. The reply cache releases the previous
+/// exchange's copies only once the new one's first frame is served, and
+/// between exchanges it may hold a single buffer — a lone call retires
+/// the window before it — so the freelist must be able to keep all
+/// `3W` itself: capped at `2W + 1`, every lone call dropped `W - 1`
+/// buffers, and the next window missed on each of them (and grew the
+/// fresh ones while encoding its replies). More would only be idle.
+const MAX_POOLED: usize = 3 * DEFAULT_PIPELINE_WINDOW;
 
 /// Buffers above this capacity are dropped rather than pooled, so one
 /// huge READ/WRITE burst does not pin megabytes forever.

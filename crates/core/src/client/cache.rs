@@ -11,11 +11,14 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 
-use sfs_nfs3::proto::{Fattr3, FileHandle, Nfs3Reply, Nfs3Request, PostOpAttr, StableHow};
+use sfs_nfs3::proto::{
+    Fattr3, FileHandle, Nfs3Reply, Nfs3Request, Nfs3RequestRef, PostOpAttr, StableHow,
+};
 use sfs_sim::SimTime;
 use sfs_telemetry::Telemetry;
 
 use super::{CachedAttr, ClientError, Mount, SfsClient, StreamState, READ_AHEAD_TRIGGER};
+use crate::wire::Invalidations;
 
 impl SfsClient {
     /// Test hook for the coherence oracle's self-test: drop piggybacked
@@ -32,23 +35,23 @@ impl SfsClient {
         &self,
         tel: &Telemetry,
         mount: &Mount,
-        invalidations: &[FileHandle],
+        invalidations: Invalidations<'_>,
     ) {
         if invalidations.is_empty() || self.ignore_invalidations.load(Ordering::SeqCst) {
             return;
         }
         tel.count("client", "cache.invalidations", invalidations.len() as u64);
         let mut cache = mount.attr_cache.lock();
-        for fh in invalidations {
-            cache.remove(fh);
+        for fh in invalidations.iter() {
+            cache.remove(&fh);
         }
         let mut access = mount.access_cache.lock();
-        access.retain(|(fh, _, _), _| !invalidations.iter().any(|i| i == fh));
+        access.retain(|(fh, _, _), _| !invalidations.iter().any(|i| i == *fh));
         // Read-ahead data for an invalidated file was speculated under a
         // lease another client just broke.
         let mut streams = mount.streams.lock();
-        for fh in invalidations {
-            streams.remove(fh);
+        for fh in invalidations.iter() {
+            streams.remove(&fh);
         }
     }
 
@@ -101,57 +104,59 @@ impl SfsClient {
         };
         if window > 1 && run >= READ_AHEAD_TRIGGER {
             // Sequential stream: issue a whole window of READs at once.
-            let reqs: Vec<Nfs3Request> = (0..window as u64)
-                .map(|i| Nfs3Request::Read {
-                    fh: *fh,
-                    offset: offset + i * u64::from(count),
-                    count,
-                })
-                .collect();
-            let mut replies = self
-                .call_nfs_window_unqueued(&tel, mount, uid, &reqs)?
-                .into_iter();
-            let (data, eof) = match replies.next().expect("one reply per request") {
-                Nfs3Reply::Read { data, eof, .. } => (data, eof),
-                other => return Err(ClientError::unexpected(other)),
+            let read_at = |i: usize| Nfs3Request::Read {
+                fh: *fh,
+                offset: offset + i as u64 * u64::from(count),
+                count,
             };
-            let mut streams = mount.streams.lock();
-            let st = streams.entry(*fh).or_insert_with(|| StreamState {
-                next_offset: offset,
-                run: READ_AHEAD_TRIGGER,
-                prefetch: BTreeMap::new(),
-            });
-            if !eof {
-                let mut o = offset + u64::from(count);
-                for reply in replies {
-                    match reply {
-                        Nfs3Reply::Read {
-                            data: ahead,
-                            eof: ahead_eof,
-                            ..
-                        } => {
-                            let done = ahead_eof || (ahead.len() as u32) < count;
-                            st.prefetch.insert(o, (ahead, ahead_eof));
-                            o += u64::from(count);
-                            if done {
-                                break;
+            let mut first = None;
+            self.call_window(&tel, mount, uid, window, read_at, |_, replies| {
+                let mut replies = replies.iter_mut().map(|r| r.take().expect("filled"));
+                let (data, eof) = match replies.next().expect("one reply per request") {
+                    Nfs3Reply::Read { data, eof, .. } => (data, eof),
+                    other => return Err(ClientError::unexpected(other)),
+                };
+                let mut streams = mount.streams.lock();
+                let st = streams.entry(*fh).or_insert_with(|| StreamState {
+                    next_offset: offset,
+                    run: READ_AHEAD_TRIGGER,
+                    prefetch: BTreeMap::new(),
+                });
+                if !eof {
+                    let mut o = offset + u64::from(count);
+                    for reply in replies {
+                        match reply {
+                            Nfs3Reply::Read {
+                                data: ahead,
+                                eof: ahead_eof,
+                                ..
+                            } => {
+                                let done = ahead_eof || (ahead.len() as u32) < count;
+                                st.prefetch.insert(o, (ahead, ahead_eof));
+                                o += u64::from(count);
+                                if done {
+                                    break;
+                                }
                             }
+                            // Errors on speculative reads are not the
+                            // caller's problem; the access that reaches
+                            // this offset will reissue and see them for
+                            // real.
+                            _ => break,
                         }
-                        // Errors on speculative reads are not the
-                        // caller's problem; the access that reaches this
-                        // offset will reissue and see them for real.
-                        _ => break,
                     }
                 }
-            }
-            st.next_offset = offset + data.len() as u64;
-            return Ok((data, eof));
+                st.next_offset = offset + data.len() as u64;
+                first = Some((data, eof));
+                Ok(())
+            })?;
+            return Ok(first.expect("a window answers its first READ"));
         }
         match self.call_nfs_unqueued(
             &tel,
             mount,
             uid,
-            &Nfs3Request::Read {
+            Nfs3Request::Read {
                 fh: *fh,
                 offset,
                 count,
@@ -183,6 +188,7 @@ impl SfsClient {
     ) -> Result<(), ClientError> {
         // A write invalidates read-ahead speculation on the same file.
         mount.streams.lock().remove(fh);
+        let data_len = data.len() as u64;
         let req = Nfs3Request::Write {
             fh: *fh,
             offset,
@@ -190,10 +196,17 @@ impl SfsClient {
             data,
         };
         if self.pipeline_window() <= 1 {
-            return match self.call_nfs_unqueued(&self.tel(), mount, uid, &req)? {
+            return match self.call_nfs_unqueued(&self.tel(), mount, uid, req.borrowed())? {
                 Nfs3Reply::Write { .. } => Ok(()),
                 other => Err(ClientError::unexpected(other)),
             };
+        }
+        // The file's cached attributes grow with the write at once, as a
+        // kernel's do: a `stat` served from the lease before the queue
+        // drains sees the size this client has written, not the size
+        // the server last reported.
+        if let Some(c) = mount.attr_cache.lock().get_mut(fh) {
+            c.attr.size = c.attr.size.max(offset + data_len);
         }
         let full = {
             let mut queue = mount.wb_queue.lock();
@@ -225,28 +238,48 @@ impl SfsClient {
             }
             // Issue runs of same-uid writes as windowed batches, so each
             // window goes out under a single set of credentials.
-            let mut i = 0;
-            while i < batch.len() {
-                let uid = batch[i].0;
-                let mut j = i + 1;
-                while j < batch.len() && batch[j].0 == uid {
-                    j += 1;
-                }
-                let reqs: Vec<Nfs3Request> =
-                    batch[i..j].iter().map(|(_, req)| req.clone()).collect();
-                for reply in self.call_nfs_window_unqueued(&tel, mount, uid, &reqs)? {
-                    match reply {
-                        Nfs3Reply::Write { .. } => {}
-                        other => return Err(ClientError::unexpected(other)),
-                    }
-                }
-                i = j;
+            for run in batch.chunk_by(|a, b| a.0 == b.0) {
+                let uid = run[0].0;
+                self.call_window(
+                    &tel,
+                    mount,
+                    uid,
+                    run.len(),
+                    |i| run[i].1.borrowed(),
+                    written,
+                )?;
             }
         }
     }
 
+    /// Streams `data` into `fh` from offset 0 as WRITEs of
+    /// [`STREAM_CHUNK`](super::STREAM_CHUNK) bytes, a pipeline window of
+    /// them in flight at once, each borrowing its chunk of `data`: the
+    /// windows write-behind would issue for the same chunks, without
+    /// queueing a copy of them. Returns once every WRITE is answered.
+    pub(super) fn write_chunks(
+        &self,
+        mount: &Mount,
+        uid: u32,
+        fh: &FileHandle,
+        data: &[u8],
+        chunk: usize,
+    ) -> Result<(), ClientError> {
+        // A write invalidates read-ahead speculation on the same file.
+        mount.streams.lock().remove(fh);
+        self.barrier(mount)?;
+        let write = |i: usize| Nfs3Request::Write {
+            fh: *fh,
+            offset: (i * chunk) as u64,
+            stable: StableHow::Unstable,
+            data: &data[i * chunk..data.len().min((i + 1) * chunk)],
+        };
+        let n = data.len().div_ceil(chunk);
+        self.call_window(&self.tel(), mount, uid, n, write, written)
+    }
+
     /// Feeds leased attributes from a reply into the cache.
-    pub(super) fn harvest_attrs(&self, mount: &Mount, req: &Nfs3Request, reply: &Nfs3Reply) {
+    pub(super) fn harvest_attrs(&self, mount: &Mount, req: &Nfs3RequestRef<'_>, reply: &Nfs3Reply) {
         if !self.caching.load(Ordering::SeqCst) {
             return;
         }
@@ -304,7 +337,7 @@ impl SfsClient {
         tel.count("client", "cache.attr_misses", 1);
         self.barrier(mount)?;
         let req = Nfs3Request::GetAttr { fh: *fh };
-        match self.call_nfs_unqueued(&tel, mount, uid, &req)? {
+        match self.call_nfs_unqueued(&tel, mount, uid, req)? {
             Nfs3Reply::GetAttr { attr, .. } => Ok(attr),
             other => Err(ClientError::unexpected(other)),
         }
@@ -333,7 +366,7 @@ impl SfsClient {
         tel.count("client", "cache.access_misses", 1);
         self.barrier(mount)?;
         let req = Nfs3Request::Access { fh: *fh, mask };
-        match self.call_nfs_unqueued(&tel, mount, uid, &req)? {
+        match self.call_nfs_unqueued(&tel, mount, uid, req)? {
             Nfs3Reply::Access { granted, attr } => {
                 if self.caching.load(Ordering::SeqCst) && attr.lease_ns > 0 {
                     if let Some(mut a) = attr.attr {
@@ -352,4 +385,16 @@ impl SfsClient {
             other => Err(ClientError::unexpected(other)),
         }
     }
+}
+
+/// The check every window of write-behind WRITEs passes: each reply is
+/// a WRITE's.
+fn written(_: usize, replies: &mut [Option<Nfs3Reply>]) -> Result<(), ClientError> {
+    for reply in replies.iter_mut() {
+        match reply.take().expect("every slot is filled") {
+            Nfs3Reply::Write { .. } => {}
+            other => return Err(ClientError::unexpected(other)),
+        }
+    }
+    Ok(())
 }

@@ -5,7 +5,8 @@
 //!
 //! Owns no state of its own beyond the per-agent `referenced` view.
 //! Mounts through `session`, reads attributes and data through `cache`,
-//! and sends every other call through `rpc`'s [`SfsClient::call_nfs`].
+//! and sends every other call through `rpc`'s `call_ref`, the borrowing
+//! form of [`SfsClient::call_nfs`].
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -27,13 +28,13 @@ impl SfsClient {
         uid: u32,
         path: &str,
     ) -> Result<(Arc<Mount>, FileHandle, Fattr3), ClientError> {
-        self.resolve_depth(uid, path.to_string(), 0)
+        self.resolve_depth(uid, path, 0)
     }
 
     fn resolve_depth(
         &self,
         uid: u32,
-        path: String,
+        path: &str,
         depth: usize,
     ) -> Result<(Arc<Mount>, FileHandle, Fattr3), ClientError> {
         if depth > MAX_SYMLINK_DEPTH {
@@ -47,7 +48,7 @@ impl SfsClient {
             None => (rest, ""),
         };
         // Self-certifying component, or a name the agent must map?
-        let sc_path = match SelfCertifyingPath::parse_dir_name(first) {
+        let sc_path = match SelfCertifyingPath::split_dir_name(first) {
             Ok(p) => p,
             Err(_) => {
                 // Consult the agent (§2.3). The agent lock must not be
@@ -81,20 +82,28 @@ impl SfsClient {
                 let Some(target) = target else {
                     return Err(ClientError::Nfs(Status::NoEnt));
                 };
-                return self.resolve_depth(uid, format!("{target}{remainder}"), depth + 1);
+                return self.resolve_depth(uid, &format!("{target}{remainder}"), depth + 1);
             }
         };
-        let mount = self.mount(uid, &sc_path)?;
+        let mount = self.mount_key(uid, &sc_path)?;
         let mut cur_fh = mount.root();
         let mut cur_attr = self.getattr(&mount, uid, &cur_fh)?;
-        let components: Vec<&str> = remainder.split('/').filter(|c| !c.is_empty()).collect();
-        for (i, comp) in components.iter().enumerate() {
-            let reply = self.call_nfs(
+        // Each component is looked up by a borrow of `remainder`; `rest`
+        // is what the walk has yet to look up.
+        let mut rest = remainder;
+        loop {
+            let at = rest.trim_start_matches('/');
+            if at.is_empty() {
+                break;
+            }
+            let (comp, tail) = at.split_at(at.find('/').unwrap_or(at.len()));
+            rest = tail;
+            let reply = self.call_ref(
                 &mount,
                 uid,
-                &Nfs3Request::Lookup {
+                Nfs3Request::Lookup {
                     dir: cur_fh,
-                    name: comp.to_string(),
+                    name: comp,
                 },
             )?;
             let (fh, attr) = match reply {
@@ -109,7 +118,7 @@ impl SfsClient {
             };
             if attr.ftype == FileType::Symlink {
                 let target = self.readlink_fh(&mount, uid, &fh)?;
-                let tail = components[i + 1..].join("/");
+                let tail = components(rest);
                 let next = if target.starts_with('/') {
                     if tail.is_empty() {
                         target
@@ -119,15 +128,15 @@ impl SfsClient {
                 } else {
                     // Relative symlink: resolve against the current
                     // directory by rebuilding the remaining path.
-                    let prefix: String = components[..i].join("/");
-                    let base = format!("/sfs/{}/{}", sc_path.dir_name(), prefix);
+                    let prefix = components(&remainder[..remainder.len() - at.len()]);
+                    let base = format!("/sfs/{}/{}", mount.path.dir_name(), prefix);
                     if tail.is_empty() {
                         format!("{base}/{target}")
                     } else {
                         format!("{base}/{target}/{tail}")
                     }
                 };
-                return self.resolve_depth(uid, next, depth + 1);
+                return self.resolve_depth(uid, &next, depth + 1);
             }
             cur_fh = fh;
             cur_attr = attr;
@@ -149,13 +158,13 @@ impl SfsClient {
             Some(i) => (&path[..i], &path[i + 1..]),
             None => return Err(ClientError::Path(PathError::BadFormat)),
         };
-        let (mount, dir_fh, _) = self.resolve_depth(uid, dir.to_string(), depth)?;
-        match self.call_nfs(
+        let (mount, dir_fh, _) = self.resolve_depth(uid, dir, depth)?;
+        match self.call_ref(
             &mount,
             uid,
-            &Nfs3Request::Lookup {
+            Nfs3Request::Lookup {
                 dir: dir_fh,
-                name: leaf.to_string(),
+                name: leaf,
             },
         )? {
             Nfs3Reply::Lookup { fh, .. } => self.readlink_fh(&mount, uid, &fh),
@@ -236,9 +245,9 @@ impl SfsClient {
     ) -> Result<Option<FileHandle>, ClientError> {
         let lookup = Nfs3Request::Lookup {
             dir: *dir,
-            name: leaf.to_string(),
+            name: leaf,
         };
-        match self.call_nfs(mount, uid, &lookup)? {
+        match self.call_ref(mount, uid, lookup)? {
             Nfs3Reply::Lookup { fh, .. } => {
                 let truncate = Nfs3Request::SetAttr {
                     fh,
@@ -247,7 +256,7 @@ impl SfsClient {
                         ..Default::default()
                     },
                 };
-                self.call_nfs(mount, uid, &truncate)?;
+                self.call_ref(mount, uid, truncate)?;
                 Ok(Some(fh))
             }
             Nfs3Reply::Error {
@@ -267,13 +276,13 @@ impl SfsClient {
             None => {
                 let create = Nfs3Request::Create {
                     dir: dir_fh,
-                    name: leaf.to_string(),
+                    name: leaf,
                     attrs: Sattr3 {
                         mode: Some(0o644),
                         ..Default::default()
                     },
                 };
-                match self.call_nfs(&mount, uid, &create)? {
+                match self.call_ref(&mount, uid, create)? {
                     Nfs3Reply::Create { fh, .. } => fh,
                     // NFS retry semantics: LOOKUP just said NoEnt, so
                     // Exist can only mean an earlier transmission of this
@@ -291,14 +300,10 @@ impl SfsClient {
             }
         };
         // Stream the data out in write-behind chunks — up to a pipeline
-        // window of WRITEs rides the wire at once — then barrier: this
-        // is the close(), nothing is outstanding when it returns.
-        let mut offset = 0u64;
-        for chunk in data.chunks(STREAM_CHUNK) {
-            self.write_behind(&mount, uid, &fh, offset, chunk.to_vec())?;
-            offset += chunk.len() as u64;
-        }
-        self.barrier(&mount)
+        // window of WRITEs rides the wire at once — and wait for every
+        // reply: this is the close(), nothing is outstanding when it
+        // returns.
+        self.write_chunks(&mount, uid, &fh, data, STREAM_CHUNK)
     }
 
     /// Reads a whole file.
@@ -321,12 +326,12 @@ impl SfsClient {
     pub fn mkdir(&self, uid: u32, path: &str) -> Result<(), ClientError> {
         let (dir, leaf) = split_parent(path)?;
         let (mount, dir_fh, _) = self.resolve(uid, dir)?;
-        match self.call_nfs(
+        match self.call_ref(
             &mount,
             uid,
-            &Nfs3Request::Mkdir {
+            Nfs3Request::Mkdir {
                 dir: dir_fh,
-                name: leaf.to_string(),
+                name: leaf,
                 attrs: Sattr3 {
                     mode: Some(0o755),
                     ..Default::default()
@@ -342,13 +347,13 @@ impl SfsClient {
     pub fn symlink(&self, uid: u32, path: &str, target: &str) -> Result<(), ClientError> {
         let (dir, leaf) = split_parent(path)?;
         let (mount, dir_fh, _) = self.resolve(uid, dir)?;
-        match self.call_nfs(
+        match self.call_ref(
             &mount,
             uid,
-            &Nfs3Request::Symlink {
+            Nfs3Request::Symlink {
                 dir: dir_fh,
-                name: leaf.to_string(),
-                target: target.to_string(),
+                name: leaf,
+                target,
             },
         )? {
             Nfs3Reply::Symlink { .. } => Ok(()),
@@ -360,12 +365,12 @@ impl SfsClient {
     pub fn remove(&self, uid: u32, path: &str) -> Result<(), ClientError> {
         let (dir, leaf) = split_parent(path)?;
         let (mount, dir_fh, _) = self.resolve(uid, dir)?;
-        match self.call_nfs(
+        match self.call_ref(
             &mount,
             uid,
-            &Nfs3Request::Remove {
+            Nfs3Request::Remove {
                 dir: dir_fh,
-                name: leaf.to_string(),
+                name: leaf,
             },
         )? {
             Nfs3Reply::Remove { .. } => Ok(()),
@@ -402,6 +407,12 @@ impl SfsClient {
             }
         }
     }
+}
+
+/// The non-empty components of `path`, joined by single slashes.
+fn components(path: &str) -> String {
+    let parts: Vec<&str> = path.split('/').filter(|c| !c.is_empty()).collect();
+    parts.join("/")
 }
 
 fn split_parent(path: &str) -> Result<(&str, &str), ClientError> {

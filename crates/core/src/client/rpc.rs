@@ -28,42 +28,56 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 
-use sfs_nfs3::proto::{FileHandle, Nfs3Reply, Nfs3Request};
+use sfs_nfs3::proto::{Nfs3Reply, Nfs3Request, Nfs3RequestRef, Proc};
 use sfs_proto::channel::{FrameSequencer, SeqPush, SuiteId, FRAME_HEADER_LEN};
 use sfs_proto::userauth::{AuthInfo, AUTHNO_ANONYMOUS};
 use sfs_sim::{SimTime, WireError};
 use sfs_telemetry::Telemetry;
 use sfs_xdr::{Xdr, XdrEncoder};
 
-use super::{ClientError, ExchangeBufs, LentBufs, Link, Mount, SfsClient, REORDER_BUF_CAPACITY};
+use super::{
+    ClientError, ExchangeBufs, LentBufs, Link, Mount, SfsClient, DEFAULT_PIPELINE_WINDOW,
+    REORDER_BUF_CAPACITY,
+};
 use crate::wire::{
     encode_inner_nfs, inner_nfs_reply, seq_env_begin, seq_env_finish, seq_reply_envelope,
-    InnerCall, InnerReply, ReplyMsg, SEALED_SEQ_ENV_FRAME_START,
+    InnerCall, InnerReply, Invalidations, ReplyMsg, SEALED_SEQ_ENV_FRAME_START,
 };
 
 /// A reply as decoded out of the frame it was opened in, with the lease
-/// invalidations the server piggybacked on it.
-type Decoded<T> = (T, Vec<FileHandle>);
+/// invalidations the server piggybacked on it, still in that frame.
+type Decoded<'p, T> = (T, Invalidations<'p>);
 
 /// The general decode, for the rare inner replies (Auth, Mount), which
 /// carry no invalidations.
-fn decode_inner(plaintext: &[u8]) -> Result<Decoded<InnerReply>, ClientError> {
+fn decode_inner(plaintext: &[u8]) -> Result<Decoded<'_, InnerReply>, ClientError> {
     let inner =
         InnerReply::from_xdr(plaintext).map_err(|e| ClientError::Protocol(e.to_string()))?;
-    Ok((inner, Vec::new()))
+    Ok((inner, Invalidations::default()))
 }
 
-/// The steady-state decode: the NFS3 results of the reply to `req`,
-/// parsed in place by [`inner_nfs_reply`], so READ data is copied once —
-/// into the `Vec` the caller receives.
-fn decode_nfs(req: &Nfs3Request, plaintext: &[u8]) -> Result<Decoded<Nfs3Reply>, ClientError> {
+/// The steady-state decode: the NFS3 results of the reply to a `proc`
+/// call, parsed in place by [`inner_nfs_reply`], so READ data is copied
+/// once — into the `Vec` the caller receives.
+fn decode_nfs(proc: Proc, plaintext: &[u8]) -> Result<Decoded<'_, Nfs3Reply>, ClientError> {
     let Some((results, invalidations)) = inner_nfs_reply(plaintext) else {
         let (inner, _) = decode_inner(plaintext)?;
         return Err(ClientError::Protocol(format!("bad NFS reply: {inner:?}")));
     };
-    let reply = Nfs3Reply::decode_results(req.proc(), results)
+    let reply = Nfs3Reply::decode_results(proc, results)
         .map_err(|e| ClientError::Protocol(e.to_string()))?;
     Ok((reply, invalidations))
+}
+
+/// Runs `f` on `n` empty reply slots, held on the stack for a window up
+/// to the default, so a steady exchange of one leaves the allocator be.
+fn with_slots<R>(n: usize, f: impl FnOnce(&mut [Option<Nfs3Reply>]) -> R) -> R {
+    if n <= DEFAULT_PIPELINE_WINDOW {
+        let mut slots: [Option<Nfs3Reply>; DEFAULT_PIPELINE_WINDOW] = Default::default();
+        f(&mut slots[..n])
+    } else {
+        f(&mut (0..n).map(|_| None).collect::<Vec<_>>())
+    }
 }
 
 impl SfsClient {
@@ -157,20 +171,20 @@ impl SfsClient {
     }
 
     /// The reissue-on-rekey driver behind every NFS call. Authenticates
-    /// `uid`, then runs one exchange of `reqs` under
-    /// [`Self::with_reconnect`], sealing them under the authentication
-    /// number and decoding each reply against its request into its slot
-    /// of `replies`. If the session was renegotiated while the frames
-    /// were in flight, that number belonged to the dead session and the
+    /// `uid`, then runs one exchange of one frame per slot of `replies`
+    /// under [`Self::with_reconnect`], sealing request `req(xid)` under
+    /// the authentication number and decoding each reply against it into
+    /// its slot. If the session was renegotiated while the frames were
+    /// in flight, that number belonged to the dead session and the
     /// server executed the calls (if at all) with stale credentials:
     /// re-authenticate on the new session and reissue them all. Each
     /// reply is then fed to the attribute cache.
-    fn issue(
+    fn issue<'a>(
         &self,
         tel: &Telemetry,
         mount: &Mount,
         uid: u32,
-        reqs: &[Nfs3Request],
+        req: impl Fn(usize) -> Nfs3RequestRef<'a>,
         replies: &mut [Option<Nfs3Reply>],
     ) -> Result<(), ClientError> {
         let mut rounds = 0;
@@ -181,8 +195,8 @@ impl SfsClient {
                     tel,
                     mount,
                     link,
-                    |xid, buf| encode_inner_nfs(buf, authno, &reqs[xid]),
-                    |xid, plaintext| decode_nfs(&reqs[xid], plaintext),
+                    |xid, buf| encode_inner_nfs(buf, authno, &req(xid)),
+                    |xid, plaintext| decode_nfs(req(xid).proc(), plaintext),
                     replies,
                 )
             })?;
@@ -190,8 +204,9 @@ impl SfsClient {
                 rounds += 1;
                 continue;
             }
-            for (req, reply) in reqs.iter().zip(replies.iter()) {
-                self.harvest_attrs(mount, req, reply.as_ref().expect("every slot is filled"));
+            for (xid, reply) in replies.iter().enumerate() {
+                let reply = reply.as_ref().expect("every slot is filled");
+                self.harvest_attrs(mount, &req(xid), reply);
             }
             return Ok(());
         }
@@ -282,6 +297,17 @@ impl SfsClient {
         uid: u32,
         req: &Nfs3Request,
     ) -> Result<Nfs3Reply, ClientError> {
+        self.call_ref(mount, uid, req.borrowed())
+    }
+
+    /// [`Self::call_nfs`] for a request whose names and data the caller
+    /// lends: what the client's own path walks and file operations send.
+    pub(super) fn call_ref(
+        &self,
+        mount: &Mount,
+        uid: u32,
+        req: Nfs3RequestRef<'_>,
+    ) -> Result<Nfs3Reply, ClientError> {
         self.refuse_if_revoked(mount, uid)?;
         self.barrier(mount)?;
         self.call_nfs_unqueued(&self.tel(), mount, uid, req)
@@ -313,10 +339,10 @@ impl SfsClient {
         tel: &Telemetry,
         mount: &Mount,
         uid: u32,
-        req: &Nfs3Request,
+        req: Nfs3RequestRef<'_>,
     ) -> Result<Nfs3Reply, ClientError> {
         let mut reply = [None];
-        self.issue(tel, mount, uid, std::slice::from_ref(req), &mut reply)?;
+        self.issue(tel, mount, uid, |_| req, &mut reply)?;
         Ok(reply[0].take().expect("one reply per request"))
     }
 
@@ -333,29 +359,50 @@ impl SfsClient {
     ) -> Result<Vec<Nfs3Reply>, ClientError> {
         self.refuse_if_revoked(mount, uid)?;
         self.barrier(mount)?;
-        self.call_nfs_window_unqueued(&self.tel(), mount, uid, reqs)
+        let mut replies = Vec::with_capacity(reqs.len());
+        self.call_window(
+            &self.tel(),
+            mount,
+            uid,
+            reqs.len(),
+            |i| reqs[i].borrowed(),
+            |_, window| {
+                replies.extend(
+                    window
+                        .iter_mut()
+                        .map(|r| r.take().expect("every slot is filled")),
+                );
+                Ok(())
+            },
+        )?;
+        Ok(replies)
     }
 
     /// [`Self::call_nfs_window`] without the revocation check and the
-    /// write-behind barrier. Each window-sized chunk — a trailing chunk
-    /// of one included — is one exchange under a single set of
-    /// credentials.
-    pub(super) fn call_nfs_window_unqueued(
+    /// write-behind barrier, over `n` requests `req(0..n)` that may
+    /// borrow what they send. Each window-sized run — a trailing run of
+    /// one included — is one exchange under a single set of credentials,
+    /// whose filled reply slots go to `take` with the index of the run's
+    /// first request before the next run is sent; an error from `take`
+    /// stops there.
+    pub(super) fn call_window<'a>(
         &self,
         tel: &Telemetry,
         mount: &Mount,
         uid: u32,
-        reqs: &[Nfs3Request],
-    ) -> Result<Vec<Nfs3Reply>, ClientError> {
+        n: usize,
+        req: impl Fn(usize) -> Nfs3RequestRef<'a>,
+        mut take: impl FnMut(usize, &mut [Option<Nfs3Reply>]) -> Result<(), ClientError>,
+    ) -> Result<(), ClientError> {
         let window = self.pipeline_window();
-        let mut replies: Vec<Option<Nfs3Reply>> = reqs.iter().map(|_| None).collect();
-        for (chunk, slots) in reqs.chunks(window).zip(replies.chunks_mut(window)) {
-            self.issue(tel, mount, uid, chunk, slots)?;
-        }
-        Ok(replies
-            .into_iter()
-            .map(|r| r.expect("every slot is filled"))
-            .collect())
+        with_slots(n.min(window), |slots| {
+            for start in (0..n).step_by(window) {
+                let run = &mut slots[..window.min(n - start)];
+                self.issue(tel, mount, uid, |xid| req(start + xid), run)?;
+                take(start, run)?;
+            }
+            Ok(())
+        })
     }
 
     // ----- The exchange loop ---------------------------------------------
@@ -386,7 +433,7 @@ impl SfsClient {
         mount: &Mount,
         link: &mut Link,
         fill: impl Fn(usize, &mut Vec<u8>),
-        decode: impl Fn(usize, &[u8]) -> Result<Decoded<T>, ClientError>,
+        decode: impl Fn(usize, &[u8]) -> Result<Decoded<'_, T>, ClientError>,
         replies: &mut [Option<T>],
     ) -> Result<(), ClientError> {
         let frames = replies.len();
@@ -480,9 +527,7 @@ impl SfsClient {
             wire.exchange_on(resend, exchange, |arrival_ns, b, served| {
                 let frame_ns =
                     self.crossing_ns(tel) + self.rpc_ns(tel) + self.server_copy_ns(tel, b.len());
-                let cost = inbound.handle_frames_on(arrival_ns, frame_ns, &b, served);
-                pool.put(b);
-                cost
+                inbound.handle_frames_on(arrival_ns, frame_ns, b, served)
             });
             for reply in exchange.replies.drain(..) {
                 let bytes = reply.bytes;
@@ -554,8 +599,8 @@ impl SfsClient {
                         + self.crypto_ns(tel, channel.suite(), frame.len());
                     let plain = channel.open_in_place(&mut env[frame])?;
                     let (reply, invalidations) = decode(xid as usize, plain)?;
+                    self.apply_invalidations(tel, mount, invalidations);
                     pool.put(env);
-                    self.apply_invalidations(tel, mount, &invalidations);
                     replies[xid as usize] = Some(reply);
                 }
             }

@@ -20,7 +20,7 @@ use sfs_proto::keyneg::{
     resume_confirm, resume_secret, resume_session, KeyNegClient, KeyNegError, KeyNegServerReply,
     SessionKeys, RESUME_NONCE_LEN,
 };
-use sfs_proto::pathname::SelfCertifyingPath;
+use sfs_proto::pathname::{PathKey, SelfCertifyingPath};
 use sfs_sim::{Wire, WireError};
 use sfs_telemetry::sync::Mutex;
 use sfs_telemetry::Telemetry;
@@ -135,24 +135,32 @@ impl SfsClient {
     /// Mounts (or returns the cached mount of) a self-certifying
     /// pathname, running the full key negotiation on first access.
     pub fn mount(&self, uid: u32, path: &SelfCertifyingPath) -> Result<Arc<Mount>, ClientError> {
+        self.mount_key(uid, path)
+    }
+
+    /// [`Self::mount`] by the pathname's two parts, however the caller
+    /// holds them.
+    pub(super) fn mount_key(&self, uid: u32, key: &dyn PathKey) -> Result<Arc<Mount>, ClientError> {
         // Per-agent policy first: revoked or blocked HostIDs never mount.
         let agent = self.agent(uid);
-        if agent.lock().refuses(path.host_id) {
+        if agent.lock().refuses(key.host_id()) {
             return Err(ClientError::Blocked);
         }
         // A mounted path costs no allocation: both lookups go by the
-        // caller's `path`, which is cloned only the first time.
+        // caller's `key`, which becomes an owned pathname only the first
+        // time.
         {
             let mut referenced = self.referenced.lock();
             let names = referenced.entry(uid).or_default();
-            if !names.contains(path) {
-                names.insert(path.clone());
+            if !names.contains(key) {
+                names.insert(key.to_path());
             }
         }
-        if let Some(m) = self.mounts.lock().get(path) {
+        if let Some(m) = self.mounts.lock().get(key) {
             return Ok(m.clone());
         }
 
+        let path = &key.to_path();
         let tel = self.tel();
         let _mount_span = tel.span("client", "core.client", "mount");
         let link = self.negotiate_with_retry(path, Some(uid), 0)?;

@@ -51,7 +51,7 @@ use sfs_crypto::rabin::RabinPrivateKey;
 use sfs_crypto::sha1::{sha1_concat, DIGEST_LEN};
 use sfs_crypto::srp::SrpServer;
 use sfs_crypto::SfsPrg;
-use sfs_nfs3::proto::{FileHandle, Nfs3Reply, Nfs3Request, Proc, Status, FHSIZE};
+use sfs_nfs3::proto::{FileHandle, Nfs3Reply, Nfs3Request, Nfs3RequestRef, Proc, Status, FHSIZE};
 use sfs_nfs3::Nfs3Server;
 use sfs_proto::channel::{FrameSequencer, SecureChannelEnd, SuiteId};
 use sfs_proto::pathname::SelfCertifyingPath;
@@ -193,7 +193,7 @@ pub struct SfsServer {
 /// credentials; backups holding the same group key re-derive identical
 /// wire handles.
 pub trait Replicator: Send + Sync {
-    fn replicate(&self, creds: &Credentials, req: &Nfs3Request);
+    fn replicate(&self, creds: &Credentials, req: &Nfs3RequestRef<'_>);
 }
 
 /// Whether an NFSv3 procedure mutates the file system (and therefore

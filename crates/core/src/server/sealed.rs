@@ -92,11 +92,11 @@ impl ServerConn {
     }
 
     /// The one service sequence for a sealed frame that is next in
-    /// cipher order: open it in place in the pooled buffer `fbuf` holds
-    /// it in, dispatch, and build the sealed reply in a single pooled
-    /// buffer. A copy of the reply, in another pooled buffer, is cached
-    /// under the request's channel sequence number for byte-identical
-    /// retransmission.
+    /// cipher order: open it in place in the pooled buffer its envelope
+    /// `fbuf` arrived in, dispatch, and build the sealed reply in a
+    /// single pooled buffer. A copy of the reply, in the request's
+    /// buffer once it is done with, is cached under the request's
+    /// channel sequence number for byte-identical retransmission.
     fn serve_frame(
         &self,
         est: &mut Established,
@@ -105,7 +105,8 @@ impl ServerConn {
         xid: u32,
     ) -> Vec<u8> {
         let req_seq = est.channel.messages_received();
-        let plaintext = match est.channel.open_in_place(&mut fbuf) {
+        let (_, _, frame) = seq_call_envelope(&fbuf).expect("sequenced before it was served");
+        let plaintext = match est.channel.open_in_place(&mut fbuf[frame]) {
             Ok(p) => p,
             Err(e) => {
                 self.pool.put(fbuf);
@@ -246,14 +247,16 @@ impl ServerConn {
     /// sealed one may produce none (buffered ahead of a reorder gap),
     /// one, or several (a frame that fills a gap releases every buffered
     /// successor at once); anything else goes to the cleartext decoder
-    /// and produces exactly one.
-    fn handle_frames(&self, f: &mut Frame, bytes: &[u8], replies: &mut Vec<Vec<u8>>) {
-        let Some((chanseq, xid, frame)) = seq_call_envelope(bytes) else {
-            replies.push(self.handle_bytes(bytes));
+    /// and produces exactly one. The frame's buffer goes back to the
+    /// connection's pool once nothing needs it (a refused one is freed).
+    fn handle_frames(&self, f: &mut Frame, bytes: Vec<u8>, replies: &mut Vec<Vec<u8>>) {
+        let Some((chanseq, xid, _)) = seq_call_envelope(&bytes) else {
+            replies.push(self.handle_bytes(&bytes));
+            self.pool.put(bytes);
             return;
         };
         let served = self.with_session(f, |est, f| {
-            self.sequence_frame(est, f, chanseq, xid, &bytes[frame], |r| replies.push(r))
+            self.sequence_frame(est, f, chanseq, xid, bytes, |r| replies.push(r))
         });
         if let Err(refusal) = served {
             replies.push(refusal);
@@ -286,7 +289,7 @@ impl Inbound<'_> {
         &self,
         arrival_ns: u64,
         frame_cost_ns: u64,
-        bytes: &[u8],
+        bytes: Vec<u8>,
         replies: &mut Vec<Vec<u8>>,
     ) -> ServerCost {
         let mut f = Frame {
@@ -321,21 +324,24 @@ impl ServerConn {
     /// regardless of arrival order: early frames buffer,
     /// retransmissions of already-consumed frames are answered from the
     /// reply cache byte-for-byte (neither cipher advances), and
-    /// anything past the reorder window kills the session.
+    /// anything past the reorder window kills the session. `envelope`
+    /// is the frame's whole sequenced envelope, in the pooled buffer it
+    /// arrived in, where it is opened — at once when it is next in line,
+    /// else when the gap before it fills.
     fn sequence_frame(
         &self,
         est: &mut Established,
         f: &mut Frame,
         chanseq: u64,
         xid: u32,
-        frame: &[u8],
+        envelope: Vec<u8>,
         mut reply: impl FnMut(Vec<u8>),
     ) {
         let expected = est.channel.messages_received();
         match est.seq_buf.admit(chanseq, expected) {
             // Double delivery of a still-buffered frame; the copy
             // already queued answers once the gap fills.
-            SeqPush::Duplicate if chanseq >= expected => {}
+            SeqPush::Duplicate if chanseq >= expected => self.pool.put(envelope),
             // A consumed position: answered byte for byte from the reply
             // cache. A replay from below the retransmit horizon is
             // refused exactly as one past the 256-reply cap is — the
@@ -344,26 +350,25 @@ impl ServerConn {
                 f.tel.count("server", "pipeline.retransmits", 1);
                 reply(match est.reply_cache.get(&chanseq) {
                     Some(cached) => {
-                        let mut resend = self.pool.get();
+                        let mut resend = self.pool.recycle(envelope);
                         resend.extend_from_slice(cached);
                         resend
                     }
-                    None => ReplyMsg::Error("channel failure: replay beyond cache".into()).to_xdr(),
+                    None => {
+                        self.pool.put(envelope);
+                        ReplyMsg::Error("channel failure: replay beyond cache".into()).to_xdr()
+                    }
                 });
             }
             SeqPush::Overflow => {
+                self.pool.put(envelope);
                 reply(ReplyMsg::Error("channel failure: pipeline window overflow".into()).to_xdr())
             }
             SeqPush::Buffered => {
-                // The one copy: out of the caller's wire bytes into the
-                // pooled buffer the frame is opened in — at once when it
-                // is next in line, else when the gap before it fills.
-                let mut fbuf = self.pool.get();
-                fbuf.extend_from_slice(frame);
                 if chanseq == expected {
-                    reply(self.serve_frame(est, f, fbuf, xid));
+                    reply(self.serve_frame(est, f, envelope, xid));
                 } else {
-                    est.seq_buf.push(chanseq, xid, fbuf, expected);
+                    est.seq_buf.push(chanseq, xid, envelope, expected);
                 }
                 while let Some((xid, fbuf)) = est.seq_buf.take(est.channel.messages_received()) {
                     reply(self.serve_frame(est, f, fbuf, xid));
@@ -423,7 +428,7 @@ impl ServerConn {
         enc: &mut XdrEncoder,
     ) {
         let err = |status: Status, enc: &mut XdrEncoder| {
-            Nfs3Reply::Error {
+            Nfs3Reply::<&[u8]>::Error {
                 status,
                 dir_attr: Default::default(),
             }
@@ -432,7 +437,7 @@ impl ServerConn {
         let Some(proc) = Proc::from_u32(proc) else {
             return err(Status::NotSupp, enc);
         };
-        let Ok(mut req) = Nfs3Request::decode_args(proc, args) else {
+        let Ok(mut req) = Nfs3Request::decode_args_ref(proc, args) else {
             return err(Status::Inval, enc);
         };
         // Translate public SFS handles to private NFS handles, noting
@@ -453,32 +458,31 @@ impl ServerConn {
         if f.shard.is_none() {
             f.shard = first_fh;
         }
-        let mut reply = self.nfs_relay(f.tel, creds, &req);
-        // Acknowledged commit: a successful mutation is shipped to the
-        // replica group's quorum *before* the reply is encoded, so the
-        // client's ack implies quorum durability. Failed ops and replays
-        // answered from the reply cache never reach this point twice.
-        if proc_is_mutating(req.proc()) && !matches!(reply, Nfs3Reply::Error { .. }) {
-            let repl = self.server.replicator.lock().clone();
-            if let Some(repl) = repl {
-                repl.replicate(creds, &req);
+        // The NFS loopback hop: "the server modifies requests slightly
+        // and tags them with appropriate credentials. Finally, the server
+        // acts as an NFS client, passing the request to an NFS server on
+        // the same machine." A READ's data goes from the file straight
+        // into the reply envelope.
+        self.server.nfs.serve(f.tel, creds, &req, |mut reply| {
+            // Acknowledged commit: a successful mutation is shipped to
+            // the replica group's quorum *before* the reply is encoded,
+            // so the client's ack implies quorum durability. Failed ops
+            // and replays answered from the reply cache never reach this
+            // point twice.
+            if proc_is_mutating(proc) && !matches!(reply, Nfs3Reply::Error { .. }) {
+                let repl = self.server.replicator.lock().clone();
+                if let Some(repl) = repl {
+                    repl.replicate(creds, &req);
+                }
             }
-        }
-        // Translate handles in the reply back to SFS form.
-        for fh in reply.handles_mut() {
-            *fh = match handles.encrypt(&self.server, *fh) {
-                Ok(public) => public,
-                Err(status) => return err(status, enc),
-            };
-        }
-        reply.encode_results_into(enc)
-    }
-
-    /// The NFS loopback hop: "the server modifies requests slightly and
-    /// tags them with appropriate credentials. Finally, the server acts as
-    /// an NFS client, passing the request to an NFS server on the same
-    /// machine."
-    fn nfs_relay(&self, tel: &Telemetry, creds: &Credentials, req: &Nfs3Request) -> Nfs3Reply {
-        self.server.nfs.handle_traced(tel, creds, req)
+            // Translate handles in the reply back to SFS form.
+            for fh in reply.handles_mut() {
+                *fh = match handles.encrypt(&self.server, *fh) {
+                    Ok(public) => public,
+                    Err(status) => return err(status, enc),
+                };
+            }
+            reply.encode_results_into(enc)
+        })
     }
 }

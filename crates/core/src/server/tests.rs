@@ -340,7 +340,8 @@ fn sealed_without_channel_rejected() {
     // channel. Both pass the one preamble first.
     let refusals = || {
         let mut replies = Vec::new();
-        conn.inbound().handle_frames_on(0, 0, &bytes, &mut replies);
+        conn.inbound()
+            .handle_frames_on(0, 0, bytes.clone(), &mut replies);
         let [sealed] = &replies[..] else {
             panic!("{} replies to one frame", replies.len());
         };
@@ -380,9 +381,9 @@ fn a_dropped_connection_stops_holding_back_the_shard_horizon() {
     let mut replies = Vec::new();
     early
         .inbound()
-        .handle_frames_on(100, 10, &frame, &mut replies);
+        .handle_frames_on(100, 10, frame.clone(), &mut replies);
     late.inbound()
-        .handle_frames_on(5_000, 10, &frame, &mut replies);
+        .handle_frames_on(5_000, 10, frame, &mut replies);
     assert_eq!(engine.frames_scheduled(), 2);
     assert_eq!(engine.horizon_ns(), 100);
     drop(early);
@@ -603,7 +604,7 @@ fn inner_nfs_marshal_equals_the_enum_form_for_every_proc() {
             });
             let args = req.encode_args();
             let mut plaintext = Vec::new();
-            encode_inner_nfs(&mut plaintext, authno, &req);
+            encode_inner_nfs(&mut plaintext, authno, &req.borrowed());
             let general = InnerCall::Nfs {
                 authno,
                 proc: proc as u32,
@@ -798,7 +799,7 @@ fn handle_visitors_match_the_rebuild_and_the_wire_order() {
         assert_eq!(visited, rebuilt, "{proc:?}");
         assert_eq!(order, marks_in(&reply.encode_results()), "{proc:?}");
     }
-    let mut error = Nfs3Reply::Error {
+    let mut error: Nfs3Reply = Nfs3Reply::Error {
         status: Status::Stale,
         dir_attr: PostOpAttr::default(),
     };

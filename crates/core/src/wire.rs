@@ -10,7 +10,7 @@
 //! self-certifying (signed root, content-addressed blocks), so its calls
 //! stay cleartext.
 
-use sfs_nfs3::proto::{FileHandle, Nfs3Request};
+use sfs_nfs3::proto::{FileHandle, Nfs3RequestRef};
 use sfs_proto::channel::FRAME_HEADER_LEN;
 use sfs_proto::keyneg::{
     KeyNegClientKeys, KeyNegRequest, KeyNegServerHalves, KeyNegServerReply, RESUME_NONCE_LEN,
@@ -280,7 +280,7 @@ pub enum InnerCall {
 /// field needs no padding. Both RPC engines send through this; the
 /// server's parse twin is [`inner_nfs_call`] (`server::tests` pins the
 /// pair against the general encoder for every procedure).
-pub fn encode_inner_nfs(buf: &mut Vec<u8>, authno: u32, req: &Nfs3Request) {
+pub fn encode_inner_nfs(buf: &mut Vec<u8>, authno: u32, req: &Nfs3RequestRef<'_>) {
     let mut enc = XdrEncoder::from_vec(std::mem::take(buf));
     enc.put_u32(1).put_u32(authno).put_u32(req.proc() as u32);
     let args_start = enc.put_u32(0).len();
@@ -313,20 +313,47 @@ pub fn inner_nfs_call(plaintext: &[u8]) -> Option<(u32, u32, &[u8])> {
 /// the plaintexts [`InnerReply::from_xdr`] decodes as
 /// [`InnerReply::Nfs`] (same field order, same length caps, same pad and
 /// trailing-byte checks), with the results left in place for
-/// `Nfs3Reply::decode_results`. Both RPC engines decode through this.
-pub fn inner_nfs_reply(plaintext: &[u8]) -> Option<(&[u8], Vec<FileHandle>)> {
+/// `Nfs3Reply::decode_results` and the invalidations checked and left in
+/// place too. Both RPC engines decode through this.
+pub fn inner_nfs_reply(plaintext: &[u8]) -> Option<(&[u8], Invalidations<'_>)> {
     let mut dec = XdrDecoder::new(plaintext);
     if dec.get_u32().ok()? != 2 {
         return None;
     }
     let results = dec.get_opaque_ref().ok()?;
-    let n = dec.get_u32().ok()?;
-    let mut invalidations = Vec::new();
-    for _ in 0..n {
-        invalidations.push(FileHandle::decode(&mut dec).ok()?);
+    let count = dec.get_u32().ok()?;
+    let handles = &plaintext[plaintext.len() - dec.remaining()..];
+    for _ in 0..count {
+        FileHandle::decode(&mut dec).ok()?;
     }
     dec.finish().ok()?;
-    Some((results, invalidations))
+    Some((results, Invalidations { count, handles }))
+}
+
+/// The lease invalidations a reply piggybacks, as [`inner_nfs_reply`]
+/// checked them: still encoded, in the frame they arrived in.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Invalidations<'a> {
+    count: u32,
+    handles: &'a [u8],
+}
+
+impl<'a> Invalidations<'a> {
+    /// How many handles the reply carries.
+    pub fn len(&self) -> usize {
+        self.count as usize
+    }
+
+    /// Whether it carries none.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// The handles, decoded one by one as they are read.
+    pub fn iter(&self) -> impl Iterator<Item = FileHandle> + 'a {
+        let mut dec = XdrDecoder::new(self.handles);
+        (0..self.count).map(move |_| FileHandle::decode(&mut dec).expect("checked when parsed"))
+    }
 }
 
 /// The plaintext of a sealed server frame.
@@ -978,10 +1005,11 @@ mod tests {
                 invalidations,
             }) = InnerReply::from_xdr(&p)
             {
-                assert_eq!(inner_nfs_reply(&p), Some((&results[..], invalidations)));
+                let parsed = inner_nfs_reply(&p).map(|(r, inv)| (r, inv.iter().collect()));
+                assert_eq!(parsed, Some((&results[..], invalidations)));
                 accepted += 1;
             } else {
-                assert_eq!(inner_nfs_reply(&p), None, "{p:?}");
+                assert!(inner_nfs_reply(&p).is_none(), "{p:?}");
                 declined += 1;
             }
         }

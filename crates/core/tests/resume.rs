@@ -166,7 +166,7 @@ fn a_replayed_consumed_ticket_yields_no_usable_session() {
     // sealed reply.
     let inbound = replayer.inbound();
     let mut replies = Vec::new();
-    inbound.handle_frames_on(0, 0, &sealed[0], &mut replies);
+    inbound.handle_frames_on(0, 0, sealed[0].clone(), &mut replies);
     let [refusal] = &replies[..] else {
         panic!("{} replies to the first replayed frame", replies.len());
     };
@@ -179,7 +179,7 @@ fn a_replayed_consumed_ticket_yields_no_usable_session() {
     invented[SEALED_SEQ_ENV_FRAME_START] ^= 1;
     for frame in sealed[1..].iter().chain([&invented]) {
         replies.clear();
-        inbound.handle_frames_on(0, 0, frame, &mut replies);
+        inbound.handle_frames_on(0, 0, frame.clone(), &mut replies);
         for reply in &replies {
             assert!(
                 seq_reply_envelope(reply).is_none(),

@@ -16,7 +16,7 @@
 //! invalidates on lease/callback rather than reconstructing from wcc.
 
 use sfs_vfs::{Attr, FileType, FsError, SetAttr};
-use sfs_xdr::{Xdr, XdrDecoder, XdrEncoder, XdrError};
+use sfs_xdr::{VarField, Xdr, XdrDecoder, XdrEncoder, XdrError};
 
 /// NFS program number.
 pub const NFS_PROGRAM: u32 = 100003;
@@ -572,9 +572,19 @@ impl Proc {
 }
 
 /// An NFS3 request.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The one request type every layer speaks, generic over how it holds
+/// its variable-length fields: `N` for names (and a SYMLINK's target),
+/// `D` for WRITE data. The defaults, `String` and `Vec<u8>`, make a
+/// request that owns them — what a caller builds and keeps. A request
+/// over `&str` and `&[u8]` borrows them instead: from the caller's
+/// buffers when the client marshals it, from the opened frame when the
+/// server decodes it ([`Nfs3Request::decode_args_ref`]). One codec and
+/// one server handler serve both; [`Self::borrowed`] views an owned
+/// request as a borrowed one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)]
-pub enum Nfs3Request {
+pub enum Nfs3Request<N = String, D = Vec<u8>> {
     Null,
     GetAttr {
         fh: FileHandle,
@@ -585,7 +595,7 @@ pub enum Nfs3Request {
     },
     Lookup {
         dir: FileHandle,
-        name: String,
+        name: N,
     },
     Access {
         fh: FileHandle,
@@ -603,41 +613,41 @@ pub enum Nfs3Request {
         fh: FileHandle,
         offset: u64,
         stable: StableHow,
-        data: Vec<u8>,
+        data: D,
     },
     Create {
         dir: FileHandle,
-        name: String,
+        name: N,
         attrs: Sattr3,
     },
     Mkdir {
         dir: FileHandle,
-        name: String,
+        name: N,
         attrs: Sattr3,
     },
     Symlink {
         dir: FileHandle,
-        name: String,
-        target: String,
+        name: N,
+        target: N,
     },
     Remove {
         dir: FileHandle,
-        name: String,
+        name: N,
     },
     Rmdir {
         dir: FileHandle,
-        name: String,
+        name: N,
     },
     Rename {
         from_dir: FileHandle,
-        from_name: String,
+        from_name: N,
         to_dir: FileHandle,
-        to_name: String,
+        to_name: N,
     },
     Link {
         fh: FileHandle,
         dir: FileHandle,
-        name: String,
+        name: N,
     },
     ReadDir {
         dir: FileHandle,
@@ -661,7 +671,11 @@ pub enum Nfs3Request {
     },
 }
 
-impl Nfs3Request {
+/// A request whose names and data borrow from a buffer someone else
+/// owns: the caller's, or the frame the server opened.
+pub type Nfs3RequestRef<'a> = Nfs3Request<&'a str, &'a [u8]>;
+
+impl<N, D> Nfs3Request<N, D> {
     /// The procedure number carried in the RPC call.
     pub fn proc(&self) -> Proc {
         match self {
@@ -719,6 +733,105 @@ impl Nfs3Request {
         };
         first.into_iter().chain(second)
     }
+}
+
+impl<N: AsRef<str>, D: AsRef<[u8]>> Nfs3Request<N, D> {
+    /// The request with its names and data borrowed from `self`: what
+    /// the one encoder and the one server handler take, whatever the
+    /// caller holds.
+    pub fn borrowed(&self) -> Nfs3RequestRef<'_> {
+        match self {
+            Nfs3Request::Null => Nfs3Request::Null,
+            Nfs3Request::GetAttr { fh } => Nfs3Request::GetAttr { fh: *fh },
+            Nfs3Request::SetAttr { fh, attrs } => Nfs3Request::SetAttr {
+                fh: *fh,
+                attrs: *attrs,
+            },
+            Nfs3Request::Lookup { dir, name } => Nfs3Request::Lookup {
+                dir: *dir,
+                name: name.as_ref(),
+            },
+            Nfs3Request::Access { fh, mask } => Nfs3Request::Access {
+                fh: *fh,
+                mask: *mask,
+            },
+            Nfs3Request::ReadLink { fh } => Nfs3Request::ReadLink { fh: *fh },
+            Nfs3Request::Read { fh, offset, count } => Nfs3Request::Read {
+                fh: *fh,
+                offset: *offset,
+                count: *count,
+            },
+            Nfs3Request::Write {
+                fh,
+                offset,
+                stable,
+                data,
+            } => Nfs3Request::Write {
+                fh: *fh,
+                offset: *offset,
+                stable: *stable,
+                data: data.as_ref(),
+            },
+            Nfs3Request::Create { dir, name, attrs } => Nfs3Request::Create {
+                dir: *dir,
+                name: name.as_ref(),
+                attrs: *attrs,
+            },
+            Nfs3Request::Mkdir { dir, name, attrs } => Nfs3Request::Mkdir {
+                dir: *dir,
+                name: name.as_ref(),
+                attrs: *attrs,
+            },
+            Nfs3Request::Symlink { dir, name, target } => Nfs3Request::Symlink {
+                dir: *dir,
+                name: name.as_ref(),
+                target: target.as_ref(),
+            },
+            Nfs3Request::Remove { dir, name } => Nfs3Request::Remove {
+                dir: *dir,
+                name: name.as_ref(),
+            },
+            Nfs3Request::Rmdir { dir, name } => Nfs3Request::Rmdir {
+                dir: *dir,
+                name: name.as_ref(),
+            },
+            Nfs3Request::Rename {
+                from_dir,
+                from_name,
+                to_dir,
+                to_name,
+            } => Nfs3Request::Rename {
+                from_dir: *from_dir,
+                from_name: from_name.as_ref(),
+                to_dir: *to_dir,
+                to_name: to_name.as_ref(),
+            },
+            Nfs3Request::Link { fh, dir, name } => Nfs3Request::Link {
+                fh: *fh,
+                dir: *dir,
+                name: name.as_ref(),
+            },
+            Nfs3Request::ReadDir {
+                dir,
+                cookie,
+                count,
+                plus,
+            } => Nfs3Request::ReadDir {
+                dir: *dir,
+                cookie: *cookie,
+                count: *count,
+                plus: *plus,
+            },
+            Nfs3Request::FsStat { root } => Nfs3Request::FsStat { root: *root },
+            Nfs3Request::FsInfo { root } => Nfs3Request::FsInfo { root: *root },
+            Nfs3Request::PathConf { fh } => Nfs3Request::PathConf { fh: *fh },
+            Nfs3Request::Commit { fh, offset, count } => Nfs3Request::Commit {
+                fh: *fh,
+                offset: *offset,
+                count: *count,
+            },
+        }
+    }
 
     /// Marshals the procedure arguments (the RPC args body).
     pub fn encode_args(&self) -> Vec<u8> {
@@ -744,7 +857,7 @@ impl Nfs3Request {
             | Nfs3Request::Remove { dir, name }
             | Nfs3Request::Rmdir { dir, name } => {
                 dir.encode(enc);
-                enc.put_string(name);
+                enc.put_string(name.as_ref());
             }
             Nfs3Request::Access { fh, mask } => {
                 fh.encode(enc);
@@ -761,6 +874,7 @@ impl Nfs3Request {
                 stable,
                 data,
             } => {
+                let data = data.as_ref();
                 fh.encode(enc);
                 enc.put_u64(*offset);
                 enc.put_u32(data.len() as u32);
@@ -769,13 +883,13 @@ impl Nfs3Request {
             }
             Nfs3Request::Create { dir, name, attrs } | Nfs3Request::Mkdir { dir, name, attrs } => {
                 dir.encode(enc);
-                enc.put_string(name);
+                enc.put_string(name.as_ref());
                 attrs.encode(enc);
             }
             Nfs3Request::Symlink { dir, name, target } => {
                 dir.encode(enc);
-                enc.put_string(name);
-                enc.put_string(target);
+                enc.put_string(name.as_ref());
+                enc.put_string(target.as_ref());
             }
             Nfs3Request::Rename {
                 from_dir,
@@ -784,14 +898,14 @@ impl Nfs3Request {
                 to_name,
             } => {
                 from_dir.encode(enc);
-                enc.put_string(from_name);
+                enc.put_string(from_name.as_ref());
                 to_dir.encode(enc);
-                enc.put_string(to_name);
+                enc.put_string(to_name.as_ref());
             }
             Nfs3Request::Link { fh, dir, name } => {
                 fh.encode(enc);
                 dir.encode(enc);
-                enc.put_string(name);
+                enc.put_string(name.as_ref());
             }
             Nfs3Request::ReadDir {
                 dir, cookie, count, ..
@@ -807,41 +921,46 @@ impl Nfs3Request {
             }
         }
     }
+}
 
-    /// Unmarshals arguments for procedure `proc`.
-    pub fn decode_args(proc: Proc, args: &[u8]) -> Result<Self, XdrError> {
+impl<'a, N: VarField<'a>, D: VarField<'a>> Nfs3Request<N, D> {
+    /// Unmarshals arguments for procedure `proc` from `args`, with names
+    /// and data as `N` and `D`: the one decoder behind
+    /// [`Nfs3Request::decode_args`] and [`Nfs3Request::decode_args_ref`].
+    fn decode_args_as(proc: Proc, args: &'a [u8]) -> Result<Self, XdrError> {
         let mut dec = XdrDecoder::new(args);
+        let dec = &mut dec;
         let req = match proc {
             Proc::Null => Nfs3Request::Null,
             Proc::GetAttr => Nfs3Request::GetAttr {
-                fh: FileHandle::decode(&mut dec)?,
+                fh: FileHandle::decode(dec)?,
             },
             Proc::SetAttr => Nfs3Request::SetAttr {
-                fh: FileHandle::decode(&mut dec)?,
-                attrs: Sattr3::decode(&mut dec)?,
+                fh: FileHandle::decode(dec)?,
+                attrs: Sattr3::decode(dec)?,
             },
             Proc::Lookup => Nfs3Request::Lookup {
-                dir: FileHandle::decode(&mut dec)?,
-                name: dec.get_string()?,
+                dir: FileHandle::decode(dec)?,
+                name: N::decode_var(dec)?,
             },
             Proc::Access => Nfs3Request::Access {
-                fh: FileHandle::decode(&mut dec)?,
+                fh: FileHandle::decode(dec)?,
                 mask: dec.get_u32()?,
             },
             Proc::ReadLink => Nfs3Request::ReadLink {
-                fh: FileHandle::decode(&mut dec)?,
+                fh: FileHandle::decode(dec)?,
             },
             Proc::Read => Nfs3Request::Read {
-                fh: FileHandle::decode(&mut dec)?,
+                fh: FileHandle::decode(dec)?,
                 offset: dec.get_u64()?,
                 count: dec.get_u32()?,
             },
             Proc::Write => {
-                let fh = FileHandle::decode(&mut dec)?;
+                let fh = FileHandle::decode(dec)?;
                 let offset = dec.get_u64()?;
                 let _count = dec.get_u32()?;
-                let stable = StableHow::decode(&mut dec)?;
-                let data = dec.get_opaque()?;
+                let stable = StableHow::decode(dec)?;
+                let data = D::decode_var(dec)?;
                 Nfs3Request::Write {
                     fh,
                     offset,
@@ -850,56 +969,56 @@ impl Nfs3Request {
                 }
             }
             Proc::Create => Nfs3Request::Create {
-                dir: FileHandle::decode(&mut dec)?,
-                name: dec.get_string()?,
-                attrs: Sattr3::decode(&mut dec)?,
+                dir: FileHandle::decode(dec)?,
+                name: N::decode_var(dec)?,
+                attrs: Sattr3::decode(dec)?,
             },
             Proc::Mkdir => Nfs3Request::Mkdir {
-                dir: FileHandle::decode(&mut dec)?,
-                name: dec.get_string()?,
-                attrs: Sattr3::decode(&mut dec)?,
+                dir: FileHandle::decode(dec)?,
+                name: N::decode_var(dec)?,
+                attrs: Sattr3::decode(dec)?,
             },
             Proc::Symlink => Nfs3Request::Symlink {
-                dir: FileHandle::decode(&mut dec)?,
-                name: dec.get_string()?,
-                target: dec.get_string()?,
+                dir: FileHandle::decode(dec)?,
+                name: N::decode_var(dec)?,
+                target: N::decode_var(dec)?,
             },
             Proc::Remove => Nfs3Request::Remove {
-                dir: FileHandle::decode(&mut dec)?,
-                name: dec.get_string()?,
+                dir: FileHandle::decode(dec)?,
+                name: N::decode_var(dec)?,
             },
             Proc::Rmdir => Nfs3Request::Rmdir {
-                dir: FileHandle::decode(&mut dec)?,
-                name: dec.get_string()?,
+                dir: FileHandle::decode(dec)?,
+                name: N::decode_var(dec)?,
             },
             Proc::Rename => Nfs3Request::Rename {
-                from_dir: FileHandle::decode(&mut dec)?,
-                from_name: dec.get_string()?,
-                to_dir: FileHandle::decode(&mut dec)?,
-                to_name: dec.get_string()?,
+                from_dir: FileHandle::decode(dec)?,
+                from_name: N::decode_var(dec)?,
+                to_dir: FileHandle::decode(dec)?,
+                to_name: N::decode_var(dec)?,
             },
             Proc::Link => Nfs3Request::Link {
-                fh: FileHandle::decode(&mut dec)?,
-                dir: FileHandle::decode(&mut dec)?,
-                name: dec.get_string()?,
+                fh: FileHandle::decode(dec)?,
+                dir: FileHandle::decode(dec)?,
+                name: N::decode_var(dec)?,
             },
             Proc::ReadDir | Proc::ReadDirPlus => Nfs3Request::ReadDir {
-                dir: FileHandle::decode(&mut dec)?,
+                dir: FileHandle::decode(dec)?,
                 cookie: dec.get_u64()?,
                 count: dec.get_u32()?,
                 plus: proc == Proc::ReadDirPlus,
             },
             Proc::FsStat => Nfs3Request::FsStat {
-                root: FileHandle::decode(&mut dec)?,
+                root: FileHandle::decode(dec)?,
             },
             Proc::FsInfo => Nfs3Request::FsInfo {
-                root: FileHandle::decode(&mut dec)?,
+                root: FileHandle::decode(dec)?,
             },
             Proc::PathConf => Nfs3Request::PathConf {
-                fh: FileHandle::decode(&mut dec)?,
+                fh: FileHandle::decode(dec)?,
             },
             Proc::Commit => Nfs3Request::Commit {
-                fh: FileHandle::decode(&mut dec)?,
+                fh: FileHandle::decode(dec)?,
                 offset: dec.get_u64()?,
                 count: dec.get_u32()?,
             },
@@ -909,10 +1028,31 @@ impl Nfs3Request {
     }
 }
 
+impl Nfs3Request {
+    /// Unmarshals arguments for procedure `proc` into a request that owns
+    /// its names and data.
+    pub fn decode_args(proc: Proc, args: &[u8]) -> Result<Self, XdrError> {
+        Self::decode_args_as(proc, args)
+    }
+}
+
+impl<'a> Nfs3RequestRef<'a> {
+    /// Unmarshals arguments for procedure `proc` with names and data
+    /// borrowed from `args`: the frames [`Nfs3Request::decode_args`]
+    /// accepts, and no others, without copying their payload.
+    pub fn decode_args_ref(proc: Proc, args: &'a [u8]) -> Result<Self, XdrError> {
+        Self::decode_args_as(proc, args)
+    }
+}
+
 /// An NFS3 reply.
+///
+/// Generic, like the request, over how it holds its one payload, a
+/// READ's data: `Vec<u8>` by default, `&[u8]` when the server encodes
+/// the bytes straight out of the file they live in.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[allow(missing_docs)]
-pub enum Nfs3Reply {
+pub enum Nfs3Reply<D = Vec<u8>> {
     Null,
     /// Error reply for any procedure.
     Error {
@@ -940,7 +1080,7 @@ pub enum Nfs3Reply {
         attr: PostOpAttr,
     },
     Read {
-        data: Vec<u8>,
+        data: D,
         eof: bool,
         attr: PostOpAttr,
     },
@@ -1002,7 +1142,7 @@ pub enum Nfs3Reply {
     },
 }
 
-impl Nfs3Reply {
+impl<D> Nfs3Reply<D> {
     /// Status of this reply.
     pub fn status(&self) -> Status {
         match self {
@@ -1043,6 +1183,79 @@ impl Nfs3Reply {
             .chain(listed.filter_map(|e| e.plus.as_mut().map(|(fh, _)| fh)))
     }
 
+    /// The reply with its READ data passed through `f`; every other
+    /// reply, and every other field, moves across as it is.
+    pub fn map_data<E>(self, f: impl FnOnce(D) -> E) -> Nfs3Reply<E> {
+        use Nfs3Reply::*;
+        match self {
+            Null => Null,
+            Error { status, dir_attr } => Error { status, dir_attr },
+            GetAttr { attr, lease_ns } => GetAttr { attr, lease_ns },
+            SetAttr { attr } => SetAttr { attr },
+            Lookup { fh, attr, dir_attr } => Lookup { fh, attr, dir_attr },
+            Access { granted, attr } => Access { granted, attr },
+            ReadLink { target, attr } => ReadLink { target, attr },
+            Read { data, eof, attr } => Read {
+                data: f(data),
+                eof,
+                attr,
+            },
+            Write {
+                count,
+                committed,
+                attr,
+            } => Write {
+                count,
+                committed,
+                attr,
+            },
+            Create { fh, attr, dir_attr } => Create { fh, attr, dir_attr },
+            Mkdir { fh, attr, dir_attr } => Mkdir { fh, attr, dir_attr },
+            Symlink { fh, attr, dir_attr } => Symlink { fh, attr, dir_attr },
+            Remove { dir_attr } => Remove { dir_attr },
+            Rmdir { dir_attr } => Rmdir { dir_attr },
+            Rename {
+                from_dir_attr,
+                to_dir_attr,
+            } => Rename {
+                from_dir_attr,
+                to_dir_attr,
+            },
+            Link { attr, dir_attr } => Link { attr, dir_attr },
+            ReadDir {
+                entries,
+                eof,
+                dir_attr,
+            } => ReadDir {
+                entries,
+                eof,
+                dir_attr,
+            },
+            FsStat {
+                total_bytes,
+                free_bytes,
+                total_files,
+            } => FsStat {
+                total_bytes,
+                free_bytes,
+                total_files,
+            },
+            FsInfo {
+                rtmax,
+                wtmax,
+                dtpref,
+            } => FsInfo {
+                rtmax,
+                wtmax,
+                dtpref,
+            },
+            PathConf { name_max, linkmax } => PathConf { name_max, linkmax },
+            Commit { attr } => Commit { attr },
+        }
+    }
+}
+
+impl<D: AsRef<[u8]>> Nfs3Reply<D> {
     /// Marshals the reply (the RPC results body). The leading status word
     /// discriminates success from error.
     pub fn encode_results(&self) -> Vec<u8> {
@@ -1084,6 +1297,7 @@ impl Nfs3Reply {
                 attr.encode(enc);
             }
             Nfs3Reply::Read { data, eof, attr } => {
+                let data = data.as_ref();
                 enc.put_u32(data.len() as u32);
                 enc.put_bool(*eof);
                 enc.put_opaque(data);
@@ -1143,7 +1357,9 @@ impl Nfs3Reply {
             }
         }
     }
+}
 
+impl Nfs3Reply {
     /// Unmarshals a reply to procedure `proc`.
     pub fn decode_results(proc: Proc, results: &[u8]) -> Result<Self, XdrError> {
         let mut dec = XdrDecoder::new(results);

@@ -12,12 +12,12 @@ use std::sync::Arc;
 
 use sfs_telemetry::sync::Mutex;
 use sfs_telemetry::Telemetry;
-use sfs_vfs::{AccessMode, Credentials, FsError, Ino, Vfs};
+use sfs_vfs::{AccessMode, Attr, Credentials, FsError, Ino, Vfs};
 use sfs_xdr::rpc::{AcceptStat, RpcCall, RpcReply};
 
 use crate::proto::{
-    DirEntry, FileHandle, Nfs3Reply, Nfs3Request, PostOpAttr, Proc, StableHow, Status, NFS_PROGRAM,
-    NFS_VERSION,
+    DirEntry, FileHandle, Nfs3Reply, Nfs3Request, Nfs3RequestRef, PostOpAttr, Proc, StableHow,
+    Status, NFS_PROGRAM, NFS_VERSION,
 };
 
 /// ACCESS mask bits (RFC 1813).
@@ -119,15 +119,19 @@ impl Nfs3Server {
 
     fn post_op(&self, ino: Ino) -> PostOpAttr {
         match self.vfs.getattr(ino) {
-            Ok(a) => {
-                if self.lease_ns > 0 {
-                    self.leased.lock().insert(ino);
-                    PostOpAttr::leased(a.into(), self.lease_ns)
-                } else {
-                    PostOpAttr::plain(a.into())
-                }
-            }
+            Ok(a) => self.lease(ino, a),
             Err(_) => PostOpAttr::none(),
+        }
+    }
+
+    /// `attr` as post-operation attributes, put out on lease when the
+    /// SFS extension is on.
+    fn lease(&self, ino: Ino, attr: Attr) -> PostOpAttr {
+        if self.lease_ns > 0 {
+            self.leased.lock().insert(ino);
+            PostOpAttr::leased(attr.into(), self.lease_ns)
+        } else {
+            PostOpAttr::plain(attr.into())
         }
     }
 
@@ -145,7 +149,7 @@ impl Nfs3Server {
         }
     }
 
-    fn err(&self, status: Status) -> Nfs3Reply {
+    fn err<D>(&self, status: Status) -> Nfs3Reply<D> {
         Nfs3Reply::Error {
             status,
             dir_attr: PostOpAttr::none(),
@@ -153,36 +157,61 @@ impl Nfs3Server {
     }
 
     /// Handles one NFS3 request under `creds`, under a per-procedure
-    /// span, with per-procedure service-time histograms.
+    /// span, with per-procedure service-time histograms: [`Self::serve`]
+    /// with the reply's READ data copied out.
     pub fn handle(&self, creds: &Credentials, req: &Nfs3Request) -> Nfs3Reply {
         let tel = self.tel.lock().clone();
-        self.handle_traced(&tel, creds, req)
+        self.serve(&tel, creds, &req.borrowed(), |reply| {
+            reply.map_data(<[u8]>::to_vec)
+        })
     }
 
-    /// [`Self::handle`], reporting into `tel` instead of reading this
-    /// server's own handle: for a relay that already holds a handle onto
-    /// the sink and clock this server was given, so a relayed request
-    /// takes no lock to find them.
-    pub fn handle_traced(
+    /// The one handler: serves `req` under `creds`, reporting into `tel`
+    /// (a relay already holds a handle onto the sink and clock this
+    /// server was given, so a relayed request takes no lock to find
+    /// them), and hands the reply to `reply` once the call's span and
+    /// service time are recorded. A READ's data is the file's own bytes,
+    /// lent for the length of `reply` — which therefore runs under the
+    /// file system's lock and must not call back into it — so a caller
+    /// that only encodes the reply copies them once, into its frame.
+    pub fn serve<R>(
         &self,
         tel: &Telemetry,
         creds: &Credentials,
-        req: &Nfs3Request,
-    ) -> Nfs3Reply {
+        req: &Nfs3RequestRef<'_>,
+        reply: impl FnOnce(Nfs3Reply<&[u8]>) -> R,
+    ) -> R {
         let name = proc_name(req);
         let start = tel.now_ns();
         let span = tel.span("server", "nfs3", name);
-        let reply = match self.try_handle(creds, req) {
-            Ok(reply) => reply,
-            Err(status) => self.err(status),
+        let done = |answer: Nfs3Reply<&[u8]>| {
+            drop(span);
+            tel.count("server", "nfs3.calls", 1);
+            tel.record("server", name, tel.now_ns().saturating_sub(start));
+            reply(answer)
         };
-        drop(span);
-        tel.count("server", "nfs3.calls", 1);
-        tel.record("server", name, tel.now_ns().saturating_sub(start));
-        reply
+        let &Nfs3Request::Read { fh, offset, count } = req else {
+            return done(self.try_handle(creds, req).unwrap_or_else(|s| self.err(s)));
+        };
+        let mut done = Some(done);
+        let read = self.decode_handle(&fh).and_then(|ino| {
+            self.vfs
+                .read_with(creds, ino, offset, count as usize, |data, eof, attr| {
+                    let attr = self.lease(ino, attr);
+                    done.take().expect("one reply")(Nfs3Reply::Read { data, eof, attr })
+                })
+                .map_err(Status::from)
+        });
+        read.unwrap_or_else(|status| done.take().expect("one reply")(self.err(status)))
     }
 
-    fn try_handle(&self, creds: &Credentials, req: &Nfs3Request) -> Result<Nfs3Reply, Status> {
+    /// Every procedure but READ, which [`Self::serve`] answers inside
+    /// the file system's lock.
+    fn try_handle(
+        &self,
+        creds: &Credentials,
+        req: &Nfs3RequestRef<'_>,
+    ) -> Result<Nfs3Reply<&'static [u8]>, Status> {
         let map = |e: FsError| -> Status { e.into() };
         Ok(match req {
             Nfs3Request::Null => Nfs3Reply::Null,
@@ -240,18 +269,7 @@ impl Nfs3Server {
                     attr: self.post_op(ino),
                 }
             }
-            Nfs3Request::Read { fh, offset, count } => {
-                let ino = self.decode_handle(fh)?;
-                let (data, eof) = self
-                    .vfs
-                    .read(creds, ino, *offset, *count as usize)
-                    .map_err(map)?;
-                Nfs3Reply::Read {
-                    data,
-                    eof,
-                    attr: self.post_op(ino),
-                }
-            }
+            Nfs3Request::Read { .. } => unreachable!("READ is served in the file system's lock"),
             Nfs3Request::Write {
                 fh,
                 offset,
@@ -435,17 +453,18 @@ impl Nfs3Server {
         let Some(proc) = Proc::from_u32(call.proc) else {
             return RpcReply::error(call, AcceptStat::ProcUnavail);
         };
-        let Ok(req) = Nfs3Request::decode_args(proc, &call.args) else {
+        let Ok(req) = Nfs3Request::decode_args_ref(proc, &call.args) else {
             return RpcReply::error(call, AcceptStat::GarbageArgs);
         };
-        let reply = self.handle(creds, &req);
-        RpcReply::success(call, reply.encode_results())
+        let tel = self.tel.lock().clone();
+        let results = self.serve(&tel, creds, &req, |reply| reply.encode_results());
+        RpcReply::success(call, results)
     }
 }
 
 /// RFC 1813 procedure name for a request, used as the span name and the
 /// service-time histogram key.
-fn proc_name(req: &Nfs3Request) -> &'static str {
+fn proc_name<N, D>(req: &Nfs3Request<N, D>) -> &'static str {
     match req {
         Nfs3Request::Null => "NULL",
         Nfs3Request::GetAttr { .. } => "GETATTR",
@@ -692,7 +711,7 @@ mod tests {
     #[test]
     fn rpc_dispatch_full_path() {
         let s = server();
-        let req = Nfs3Request::GetAttr {
+        let req: Nfs3Request = Nfs3Request::GetAttr {
             fh: s.root_handle(),
         };
         let call = RpcCall {

@@ -154,7 +154,7 @@ impl Xdr for HostId {
 
 /// A parsed self-certifying pathname: `Location:HostID` plus an optional
 /// path remainder on the remote server.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SelfCertifyingPath {
     /// DNS name or IP address telling the client where to find the server.
     pub location: String,
@@ -190,6 +190,12 @@ impl SelfCertifyingPath {
 
     /// Parses a `Location:HostID` component (no `/sfs/` prefix).
     pub fn parse_dir_name(name: &str) -> Result<Self, PathError> {
+        Ok(Self::split_dir_name(name)?.to_path())
+    }
+
+    /// [`Self::parse_dir_name`] with the location borrowed from `name`:
+    /// a [`PathKey`] that finds a table entry without an owned pathname.
+    pub fn split_dir_name(name: &str) -> Result<(&str, HostId), PathError> {
         let colon = name.rfind(':').ok_or(PathError::BadFormat)?;
         let (location, host) = name.split_at(colon);
         let host = &host[1..];
@@ -200,10 +206,7 @@ impl SelfCertifyingPath {
         {
             return Err(PathError::BadLocation);
         }
-        Ok(SelfCertifyingPath {
-            location: location.to_string(),
-            host_id: HostId::parse(host)?,
-        })
+        Ok((location, HostId::parse(host)?))
     }
 
     /// Parses a full absolute path, returning the self-certifying prefix
@@ -215,6 +218,70 @@ impl SelfCertifyingPath {
             None => (rest, String::new()),
         };
         Ok((Self::parse_dir_name(dir)?, remainder))
+    }
+}
+
+/// The two parts of a self-certifying pathname, however they are held:
+/// what tables of pathnames are keyed by, so a `Location` borrowed from a
+/// path being resolved ([`SelfCertifyingPath::split_dir_name`]) looks up
+/// its entry without an owned [`SelfCertifyingPath`] being built for it.
+pub trait PathKey {
+    /// The `Location` part.
+    fn location(&self) -> &str;
+    /// The `HostID` part.
+    fn host_id(&self) -> HostId;
+    /// The parts as an owned pathname.
+    fn to_path(&self) -> SelfCertifyingPath {
+        SelfCertifyingPath {
+            location: self.location().to_string(),
+            host_id: self.host_id(),
+        }
+    }
+}
+
+impl PathKey for SelfCertifyingPath {
+    fn location(&self) -> &str {
+        &self.location
+    }
+    fn host_id(&self) -> HostId {
+        self.host_id
+    }
+}
+
+impl PathKey for (&str, HostId) {
+    fn location(&self) -> &str {
+        self.0
+    }
+    fn host_id(&self) -> HostId {
+        self.1
+    }
+}
+
+impl<'a> std::borrow::Borrow<dyn PathKey + 'a> for SelfCertifyingPath {
+    fn borrow(&self) -> &(dyn PathKey + 'a) {
+        self
+    }
+}
+
+impl std::hash::Hash for dyn PathKey + '_ {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.location().hash(state);
+        self.host_id().hash(state);
+    }
+}
+
+impl PartialEq for dyn PathKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.location() == other.location() && self.host_id() == other.host_id()
+    }
+}
+
+impl Eq for dyn PathKey + '_ {}
+
+/// Hashes as its [`PathKey`] does, so either finds the other's entry.
+impl std::hash::Hash for SelfCertifyingPath {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        (self as &dyn PathKey).hash(state);
     }
 }
 
@@ -351,6 +418,20 @@ mod tests {
         let name = format!("18.26.4.9:{}", "2".repeat(32));
         let p = SelfCertifyingPath::parse_dir_name(&name).unwrap();
         assert_eq!(p.location, "18.26.4.9");
+    }
+
+    #[test]
+    fn a_borrowed_path_key_finds_exactly_its_owned_entry() {
+        use std::collections::HashMap;
+        let path = SelfCertifyingPath::for_server("sfs.lcs.mit.edu", &key());
+        let table = HashMap::from([(path.clone(), 1)]);
+        let name = path.dir_name();
+        let parts = SelfCertifyingPath::split_dir_name(&name).unwrap();
+        assert_eq!(parts.to_path(), path);
+        assert_eq!(table.get(&parts as &dyn PathKey), Some(&1));
+        // The same HostID under another location is another pathname.
+        let moved = ("sfs.example.org", path.host_id);
+        assert_eq!(table.get(&moved as &dyn PathKey), None);
     }
 }
 

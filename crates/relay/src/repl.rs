@@ -44,7 +44,7 @@ use std::sync::Arc;
 
 use sfs::client::{RoutedRo, RoutedRw, Router, RwRoute};
 use sfs::server::{Replicator, SfsServer};
-use sfs_nfs3::{Nfs3Request, Proc};
+use sfs_nfs3::{Nfs3Request, Nfs3RequestRef, Proc};
 use sfs_proto::pathname::SelfCertifyingPath;
 use sfs_proto::repl::{ReplOp, ReplRecord};
 use sfs_sim::{JournalDisk, ReplLink, ReplTransport, SimClock, SimTime};
@@ -553,7 +553,7 @@ impl Replicator for ReplGroup {
     /// The acknowledged-commit barrier: append to the primary's log,
     /// ship the identical frame to every live backup, and advance the
     /// clock to the quorum ack before the caller may encode its reply.
-    fn replicate(&self, creds: &Credentials, req: &Nfs3Request) {
+    fn replicate(&self, creds: &Credentials, req: &Nfs3RequestRef<'_>) {
         let tel = self.tel.lock().clone();
         let members = self.members.lock();
         let p = self.primary.load(Ordering::SeqCst);

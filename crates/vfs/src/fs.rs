@@ -643,6 +643,21 @@ impl Vfs {
         offset: u64,
         len: usize,
     ) -> FsResult<(Vec<u8>, bool)> {
+        self.read_with(creds, ino, offset, len, |data, eof, _| (data.to_vec(), eof))
+    }
+
+    /// [`Self::read`] without the copy: hands `f` the bytes where they
+    /// lie, whether they reach the end of the file, and the file's
+    /// attributes after the read. `f` runs under the file system's lock,
+    /// so it must not call back into this `Vfs`.
+    pub fn read_with<R>(
+        &self,
+        creds: &Credentials,
+        ino: Ino,
+        offset: u64,
+        len: usize,
+        f: impl FnOnce(&[u8], bool, Attr) -> R,
+    ) -> FsResult<R> {
         let now = self.now();
         let mut inner = self.inner.lock();
         let inode = inner.inodes.get_mut(&ino).ok_or(FsError::Stale)?;
@@ -655,16 +670,15 @@ impl Vfs {
         if !attr.permits(creds, AccessMode::Read) {
             return Err(FsError::Access);
         }
+        inode.atime = now;
+        let attr = self.attr_of(ino, inode);
         let data = match &inode.content {
             Content::Regular(d) => d,
             _ => unreachable!(),
         };
         let start = (offset as usize).min(data.len());
         let end = (start + len).min(data.len());
-        let out = data[start..end].to_vec();
-        let eof = end == data.len();
-        inode.atime = now;
-        Ok((out, eof))
+        Ok(f(&data[start..end], end == data.len(), attr))
     }
 
     /// Writes `data` at `offset`, extending the file as needed. `stable`
@@ -694,11 +708,15 @@ impl Vfs {
             Content::Regular(d) => d,
             _ => unreachable!(),
         };
-        let end = offset as usize + data.len();
-        if content.len() < end {
-            content.resize(end, 0);
+        // Overwrite what the write overlaps and append the rest; only a
+        // hole between the old end and `offset` is zero-filled.
+        let at = offset as usize;
+        if content.len() < at {
+            content.resize(at, 0);
         }
-        content[offset as usize..end].copy_from_slice(data);
+        let overlap = (content.len() - at).min(data.len());
+        content[at..at + overlap].copy_from_slice(&data[..overlap]);
+        content.extend_from_slice(&data[overlap..]);
         inode.mtime = now;
         inode.ctime = now;
         let attr = self.attr_of(ino, inode);

@@ -282,7 +282,46 @@ impl<'a> XdrDecoder<'a> {
 
     /// Decodes a UTF-8 string.
     pub fn get_string(&mut self) -> Result<String, XdrError> {
-        String::from_utf8(self.get_opaque()?).map_err(|_| XdrError::BadUtf8)
+        self.get_str_ref().map(str::to_owned)
+    }
+
+    /// Borrowing variant of [`Self::get_string`].
+    pub fn get_str_ref(&mut self) -> Result<&'a str, XdrError> {
+        std::str::from_utf8(self.get_opaque_ref()?).map_err(|_| XdrError::BadUtf8)
+    }
+}
+
+/// A variable-length field — XDR `string<>` or `opaque<>` — decoded
+/// either into a value of its own or as a borrow of the input it sits
+/// in. A message generic over its name and payload types decodes
+/// through this, with one decoder for both: owned for a caller that
+/// keeps the message, borrowed for one that serves it in place.
+pub trait VarField<'a>: Sized {
+    /// Decodes the length word, the bytes and their padding.
+    fn decode_var(dec: &mut XdrDecoder<'a>) -> Result<Self, XdrError>;
+}
+
+impl<'a> VarField<'a> for String {
+    fn decode_var(dec: &mut XdrDecoder<'a>) -> Result<Self, XdrError> {
+        dec.get_string()
+    }
+}
+
+impl<'a> VarField<'a> for &'a str {
+    fn decode_var(dec: &mut XdrDecoder<'a>) -> Result<Self, XdrError> {
+        dec.get_str_ref()
+    }
+}
+
+impl<'a> VarField<'a> for Vec<u8> {
+    fn decode_var(dec: &mut XdrDecoder<'a>) -> Result<Self, XdrError> {
+        dec.get_opaque()
+    }
+}
+
+impl<'a> VarField<'a> for &'a [u8] {
+    fn decode_var(dec: &mut XdrDecoder<'a>) -> Result<Self, XdrError> {
+        dec.get_opaque_ref()
     }
 }
 

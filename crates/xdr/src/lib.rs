@@ -18,5 +18,5 @@ pub mod enc;
 pub mod pretty;
 pub mod rpc;
 
-pub use enc::{with_encoder, Xdr, XdrDecoder, XdrEncoder, XdrError};
+pub use enc::{with_encoder, VarField, Xdr, XdrDecoder, XdrEncoder, XdrError};
 pub use rpc::{AcceptStat, AuthFlavor, OpaqueAuth, RejectStat, RpcCall, RpcMessage, RpcReply};
