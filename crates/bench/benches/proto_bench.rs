@@ -1,6 +1,6 @@
-//! Micro-benchmarks of the SFS protocol layers: XDR marshaling, the
-//! secure channel (seal/open), HostID computation, the full key
-//! negotiation, and user-authentication signing/validation.
+//! Micro-benchmarks of the SFS protocol layers: the secure channel
+//! (seal/open), HostID computation, the full key negotiation, and
+//! user-authentication signing/validation.
 
 use sfs_bench::keys;
 use sfs_bench::microbench::{bench, bench_throughput};
@@ -10,28 +10,9 @@ use sfs_proto::channel::SecureChannelEnd;
 use sfs_proto::keyneg::{server_process_client_keys, KeyNegClient, KeyNegServerReply, SessionKeys};
 use sfs_proto::pathname::{HostId, SelfCertifyingPath};
 use sfs_proto::userauth::{AuthInfo, AuthMsg};
-use sfs_xdr::rpc::{OpaqueAuth, RpcCall, RpcMessage};
-use sfs_xdr::Xdr;
 
 fn keypair(seed: u64, bits: usize) -> RabinPrivateKey {
     keys::rabin(bits, seed)
-}
-
-fn bench_xdr() {
-    let call = RpcMessage::Call(RpcCall {
-        xid: 7,
-        prog: 100003,
-        vers: 3,
-        proc: 6,
-        cred: OpaqueAuth::sfs_authno(3),
-        verf: OpaqueAuth::none(),
-        args: vec![0u8; 128],
-    });
-    bench("xdr/rpc_call_encode", || call.to_xdr());
-    let bytes = call.to_xdr();
-    bench("xdr/rpc_call_decode", || {
-        RpcMessage::from_xdr(&bytes).unwrap()
-    });
 }
 
 fn bench_channel() {
@@ -99,7 +80,6 @@ fn bench_user_auth() {
 }
 
 fn main() {
-    bench_xdr();
     bench_channel();
     bench_hostid();
     bench_key_negotiation();

@@ -5,7 +5,7 @@
 
 use super::*;
 use crate::wire::{
-    encode_inner_nfs, inner_nfs_call, CallMsg, Dialect, InnerCall, ReplyMsg, Service,
+    encode_inner_nfs, inner_nfs_call, CallMsg, Dialect, InnerCall, InnerReply, ReplyMsg, Service,
 };
 use sfs_crypto::srp::SrpGroup;
 use sfs_nfs3::proto::{DirEntry, PostOpAttr, Sattr3, StableHow};
@@ -415,6 +415,87 @@ fn read_only_requires_dialect() {
     let _ = conn.handle(hello(&s, Dialect::ReadOnly, 1));
     match conn.handle(CallMsg::RoGetRoot) {
         ReplyMsg::RoRoot(root) => assert!(root.verify(test_key().public())),
+        other => panic!("{other:?}"),
+    }
+}
+
+/// A session negotiated by hand (Figure 3) on a fresh connection: the
+/// connection and the client end of its secure channel. The server's
+/// own key stands in for the client's ephemeral one.
+fn established(s: &Arc<SfsServer>) -> (ServerConn, SecureChannelEnd) {
+    let conn = s.accept();
+    let neg = sfs_proto::keyneg::KeyNegClient::new(s.path().clone(), test_key());
+    let ReplyMsg::ServerReply(key) = conn.handle(hello(s, Dialect::ReadWrite, 1)) else {
+        panic!("no server key");
+    };
+    let mut rng = sfs_bignum::XorShiftSource::new(0xC11E);
+    let (awaiting, client_keys) = neg.on_server_reply(&key, &mut rng).unwrap();
+    let ReplyMsg::ServerKeys(halves) = conn.handle(CallMsg::ClientKeys(client_keys)) else {
+        panic!("no server key halves");
+    };
+    let (keys, suite) = awaiting.on_server_halves(&halves).unwrap();
+    (conn, SecureChannelEnd::client_with_suite(&keys, suite))
+}
+
+/// One inner call sealed into its envelope, through the sealed entry,
+/// and its one reply opened.
+fn sealed_call(conn: &ServerConn, channel: &mut SecureChannelEnd, call: &InnerCall) -> InnerReply {
+    let chanseq = channel.messages_sent();
+    let frame = channel.seal(&call.to_xdr()).unwrap();
+    let bytes = CallMsg::SealedSeq {
+        chanseq,
+        xid: chanseq as u32,
+        frame,
+    }
+    .to_xdr();
+    let mut replies = Vec::new();
+    conn.inbound().handle_frames_on(0, 0, bytes, &mut replies);
+    let [reply] = &replies[..] else {
+        panic!("{} replies to one frame", replies.len());
+    };
+    let Ok(ReplyMsg::SealedSeq { frame, .. }) = ReplyMsg::from_xdr(reply) else {
+        panic!("not a sealed reply: {:?}", ReplyMsg::from_xdr(reply));
+    };
+    InnerReply::from_xdr(&channel.open(&frame).unwrap()).unwrap()
+}
+
+#[test]
+fn a_session_refuses_unknown_procedures_and_garbage_arguments_then_serves_on() {
+    let s = make_server();
+    let (conn, mut channel) = established(&s);
+    let InnerReply::MountReply { root } = sealed_call(&conn, &mut channel, &InnerCall::Mount)
+    else {
+        panic!("no root handle");
+    };
+    let getattr = Nfs3Request::<String>::GetAttr { fh: root }.encode_args();
+    let mut nfs = |proc: u32, args: &[u8]| {
+        let call = InnerCall::Nfs {
+            authno: 0,
+            proc,
+            args: args.to_vec(),
+        };
+        match sealed_call(&conn, &mut channel, &call) {
+            InnerReply::Nfs { results, .. } => results,
+            other => panic!("{other:?}"),
+        }
+    };
+    let status = |results: Vec<u8>| Status::decode(&mut XdrDecoder::new(&results)).unwrap();
+    // Procedure numbers past COMMIT (21) name nothing the server relays.
+    assert_eq!(status(nfs(22, &getattr)), Status::NotSupp);
+    assert_eq!(status(nfs(u32::MAX, &getattr)), Status::NotSupp);
+    // Arguments that do not decode for the procedure: truncated, and
+    // with a byte past the end.
+    let garbage = [
+        &getattr[..getattr.len() - 1],
+        &[getattr.as_slice(), &[0; 4]].concat(),
+    ];
+    for args in garbage {
+        assert_eq!(status(nfs(Proc::GetAttr as u32, args)), Status::Inval);
+    }
+    // The session is still whole: the same channel serves a GETATTR.
+    let results = nfs(Proc::GetAttr as u32, &getattr);
+    match Nfs3Reply::decode_results(Proc::GetAttr, &results).unwrap() {
+        Nfs3Reply::GetAttr { attr, .. } => assert_eq!(attr.fileid, 1),
         other => panic!("{other:?}"),
     }
 }

@@ -18,12 +18,6 @@
 use sfs_vfs::{Attr, FileType, FsError, SetAttr};
 use sfs_xdr::{VarField, Xdr, XdrDecoder, XdrEncoder, XdrError};
 
-/// NFS program number.
-pub const NFS_PROGRAM: u32 = 100003;
-
-/// NFS version.
-pub const NFS_VERSION: u32 = 3;
-
 /// Maximum file-handle size (RFC 1813 NFS3_FHSIZE).
 pub const FHSIZE: usize = 64;
 

@@ -13,11 +13,9 @@ use std::sync::Arc;
 use sfs_telemetry::sync::Mutex;
 use sfs_telemetry::Telemetry;
 use sfs_vfs::{AccessMode, Attr, Credentials, FsError, Ino, Vfs};
-use sfs_xdr::rpc::{AcceptStat, RpcCall, RpcReply};
 
 use crate::proto::{
-    DirEntry, FileHandle, Nfs3Reply, Nfs3Request, Nfs3RequestRef, PostOpAttr, Proc, StableHow,
-    Status, NFS_PROGRAM, NFS_VERSION,
+    DirEntry, FileHandle, Nfs3Reply, Nfs3Request, Nfs3RequestRef, PostOpAttr, StableHow, Status,
 };
 
 /// ACCESS mask bits (RFC 1813).
@@ -440,26 +438,6 @@ impl Nfs3Server {
             }
         })
     }
-
-    /// Full RPC-layer dispatch: unmarshals the call, handles it, and
-    /// marshals the reply — the path a wire-connected client exercises.
-    pub fn dispatch_rpc(&self, creds: &Credentials, call: &RpcCall) -> RpcReply {
-        if call.prog != NFS_PROGRAM {
-            return RpcReply::error(call, AcceptStat::ProgUnavail);
-        }
-        if call.vers != NFS_VERSION {
-            return RpcReply::error(call, AcceptStat::ProgMismatch);
-        }
-        let Some(proc) = Proc::from_u32(call.proc) else {
-            return RpcReply::error(call, AcceptStat::ProcUnavail);
-        };
-        let Ok(req) = Nfs3Request::decode_args_ref(proc, &call.args) else {
-            return RpcReply::error(call, AcceptStat::GarbageArgs);
-        };
-        let tel = self.tel.lock().clone();
-        let results = self.serve(&tel, creds, &req, |reply| reply.encode_results());
-        RpcReply::success(call, results)
-    }
 }
 
 /// RFC 1813 procedure name for a request, used as the span name and the
@@ -503,7 +481,6 @@ impl std::fmt::Debug for Nfs3Server {
 mod tests {
     use super::*;
     use sfs_sim::SimClock;
-    use sfs_xdr::rpc::OpaqueAuth;
 
     fn server() -> Nfs3Server {
         Nfs3Server::new(Vfs::new(7, SimClock::new()))
@@ -706,63 +683,6 @@ mod tests {
             Nfs3Reply::GetAttr { lease_ns, .. } => assert_eq!(lease_ns, 0),
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn rpc_dispatch_full_path() {
-        let s = server();
-        let req: Nfs3Request = Nfs3Request::GetAttr {
-            fh: s.root_handle(),
-        };
-        let call = RpcCall {
-            xid: 1,
-            prog: NFS_PROGRAM,
-            vers: NFS_VERSION,
-            proc: req.proc() as u32,
-            cred: OpaqueAuth::none(),
-            verf: OpaqueAuth::none(),
-            args: req.encode_args(),
-        };
-        let reply = s.dispatch_rpc(&root(), &call);
-        assert_eq!(reply.status, Ok(AcceptStat::Success));
-        let nfs_reply = Nfs3Reply::decode_results(Proc::GetAttr, &reply.results).unwrap();
-        assert!(matches!(nfs_reply, Nfs3Reply::GetAttr { .. }));
-    }
-
-    #[test]
-    fn rpc_dispatch_rejects_wrong_program() {
-        let s = server();
-        let call = RpcCall {
-            xid: 1,
-            prog: 99,
-            vers: 3,
-            proc: 0,
-            cred: OpaqueAuth::none(),
-            verf: OpaqueAuth::none(),
-            args: vec![],
-        };
-        assert_eq!(
-            s.dispatch_rpc(&root(), &call).status,
-            Ok(AcceptStat::ProgUnavail)
-        );
-        let call = RpcCall {
-            prog: NFS_PROGRAM,
-            vers: 2,
-            ..call
-        };
-        assert_eq!(
-            s.dispatch_rpc(&root(), &call).status,
-            Ok(AcceptStat::ProgMismatch)
-        );
-        let call = RpcCall {
-            vers: NFS_VERSION,
-            proc: 11,
-            ..call
-        };
-        assert_eq!(
-            s.dispatch_rpc(&root(), &call).status,
-            Ok(AcceptStat::ProcUnavail)
-        );
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //! to attacker-controlled bytes. Inputs come from a seeded SplitMix64
 //! generator, so every run fuzzes the same sample deterministically.
 
-use sfs_nfs3::proto::{Nfs3Reply, Nfs3Request, Proc};
+use sfs_nfs3::proto::{FileHandle, Nfs3Reply, Nfs3Request, Proc, Sattr3, StableHow};
 use sfs_nfs3::Nfs3Server;
 use sfs_sim::SimClock;
+use sfs_telemetry::Telemetry;
 use sfs_vfs::{Credentials, Vfs};
-use sfs_xdr::rpc::{OpaqueAuth, RpcCall};
 
 struct Rng(u64);
 
@@ -30,6 +30,127 @@ impl Rng {
 
     fn bytes(&mut self, len: usize) -> Vec<u8> {
         (0..len).map(|_| self.next() as u8).collect()
+    }
+
+    /// The root's handle, or now and then a forged one.
+    fn fh(&mut self, root: FileHandle) -> FileHandle {
+        match self.below(4) {
+            0 => {
+                let len = self.below(65) as usize;
+                FileHandle::new(&self.bytes(len)).expect("at most FHSIZE bytes")
+            }
+            _ => root,
+        }
+    }
+
+    fn name(&mut self) -> String {
+        match self.below(5) {
+            0 => String::new(),
+            1 => "..".into(),
+            2 => "x".repeat(300),
+            _ => format!("f{}", self.below(4)),
+        }
+    }
+
+    fn word(&mut self) -> u32 {
+        [0, 1, 4096, u32::MAX, self.next() as u32][self.below(5) as usize]
+    }
+
+    fn wide(&mut self) -> u64 {
+        [0, 1, 1 << 40, u64::MAX, self.next()][self.below(5) as usize]
+    }
+
+    fn attrs(&mut self) -> Sattr3 {
+        Sattr3 {
+            mode: (self.below(2) == 0).then(|| self.word()),
+            size: (self.below(2) == 0).then(|| self.wide()),
+            mtime: (self.below(2) == 0).then(|| self.wide()),
+            ..Sattr3::default()
+        }
+    }
+
+    /// A well-formed call to `proc` whose fields are boundary values.
+    fn request(&mut self, proc: Proc, root: FileHandle) -> Nfs3Request {
+        match proc {
+            Proc::Null => Nfs3Request::Null,
+            Proc::GetAttr => Nfs3Request::GetAttr { fh: self.fh(root) },
+            Proc::SetAttr => Nfs3Request::SetAttr {
+                fh: self.fh(root),
+                attrs: self.attrs(),
+            },
+            Proc::Lookup => Nfs3Request::Lookup {
+                dir: self.fh(root),
+                name: self.name(),
+            },
+            Proc::Access => Nfs3Request::Access {
+                fh: self.fh(root),
+                mask: self.word(),
+            },
+            Proc::ReadLink => Nfs3Request::ReadLink { fh: self.fh(root) },
+            Proc::Read => Nfs3Request::Read {
+                fh: self.fh(root),
+                offset: self.wide(),
+                count: self.word(),
+            },
+            Proc::Write => Nfs3Request::Write {
+                fh: self.fh(root),
+                offset: self.wide(),
+                stable: StableHow::Unstable,
+                data: {
+                    let len = self.below(64) as usize;
+                    self.bytes(len)
+                },
+            },
+            Proc::Create | Proc::Mkdir => {
+                let (dir, name, attrs) = (self.fh(root), self.name(), self.attrs());
+                match proc {
+                    Proc::Create => Nfs3Request::Create { dir, name, attrs },
+                    _ => Nfs3Request::Mkdir { dir, name, attrs },
+                }
+            }
+            Proc::Symlink => Nfs3Request::Symlink {
+                dir: self.fh(root),
+                name: self.name(),
+                target: self.name(),
+            },
+            Proc::Remove => Nfs3Request::Remove {
+                dir: self.fh(root),
+                name: self.name(),
+            },
+            Proc::Rmdir => Nfs3Request::Rmdir {
+                dir: self.fh(root),
+                name: self.name(),
+            },
+            Proc::Rename => Nfs3Request::Rename {
+                from_dir: self.fh(root),
+                from_name: self.name(),
+                to_dir: self.fh(root),
+                to_name: self.name(),
+            },
+            Proc::Link => Nfs3Request::Link {
+                fh: self.fh(root),
+                dir: self.fh(root),
+                name: self.name(),
+            },
+            Proc::ReadDir | Proc::ReadDirPlus => Nfs3Request::ReadDir {
+                dir: self.fh(root),
+                cookie: self.wide(),
+                count: self.word(),
+                plus: proc == Proc::ReadDirPlus,
+            },
+            Proc::FsStat => Nfs3Request::FsStat {
+                root: self.fh(root),
+            },
+            Proc::FsInfo => Nfs3Request::FsInfo {
+                root: self.fh(root),
+            },
+            Proc::PathConf => Nfs3Request::PathConf { fh: self.fh(root) },
+            Proc::Commit => Nfs3Request::Commit {
+                fh: self.fh(root),
+                offset: self.wide(),
+                count: self.word(),
+            },
+        }
     }
 }
 
@@ -61,26 +182,60 @@ fn decode_results_never_panics() {
     }
 }
 
+/// Hostile inner NFS calls through the three steps the SFS server's
+/// sealed path takes for each one (`dispatch_nfs_into` in
+/// `sfs::server`): an unknown procedure number is refused (`NotSupp`),
+/// arguments that do not decode are refused (`Inval`), and whatever
+/// decodes reaches the handler, which must answer without panicking.
+/// One server takes every call, so later calls meet what earlier ones
+/// created. Most calls are well-formed ones with boundary-value fields, a quarter
+/// of them then damaged, so the handlers see hostile arguments.
 #[test]
 fn server_survives_arbitrary_rpc_bytes() {
     let mut rng = Rng(0x5E4F);
+    let tel = Telemetry::disabled();
+    let server = Nfs3Server::new(Vfs::new(1, SimClock::new()));
+    let (mut unknown, mut garbage, mut served) = (0, 0, 0);
     for _ in 0..256 {
-        let server = Nfs3Server::new(Vfs::new(1, SimClock::new()));
-        let call = RpcCall {
-            xid: 1,
-            prog: 100003,
-            vers: rng.next() as u32,
-            proc: rng.next() as u32,
-            cred: OpaqueAuth::none(),
-            verf: OpaqueAuth::none(),
-            args: {
+        let proc = match rng.below(8) {
+            0 => rng.next() as u32,
+            _ => rng.below(24) as u32,
+        };
+        let mut args = match Proc::from_u32(proc) {
+            Some(proc) => rng.request(proc, server.root_handle()).encode_args(),
+            None => {
                 let len = rng.below(200) as usize;
                 rng.bytes(len)
-            },
+            }
         };
-        // Must return an RPC-level or NFS-level error, never panic.
-        let _ = server.dispatch_rpc(&Credentials::anonymous(), &call);
+        match rng.below(8) {
+            0 if !args.is_empty() => {
+                let i = rng.below(args.len() as u64) as usize;
+                args[i] ^= 1 << rng.below(8);
+            }
+            1 => args.truncate(rng.below(args.len() as u64 + 1) as usize),
+            _ => {}
+        }
+        let creds = match rng.below(2) {
+            0 => Credentials::root(),
+            _ => Credentials::anonymous(),
+        };
+        let Some(proc) = Proc::from_u32(proc) else {
+            unknown += 1;
+            continue;
+        };
+        let Ok(req) = Nfs3Request::decode_args_ref(proc, &args) else {
+            garbage += 1;
+            continue;
+        };
+        served += 1;
+        let results = server.serve(&tel, &creds, &req, |reply| reply.encode_results());
+        assert!(Nfs3Reply::decode_results(proc, &results).is_ok(), "{req:?}");
     }
+    assert!(
+        unknown > 0 && garbage > 0 && served > 128,
+        "{unknown} / {garbage} / {served}"
+    );
 }
 
 #[test]

@@ -11,8 +11,7 @@ use sfs_proto::channel::SecureChannelEnd;
 use sfs_proto::keyneg::SessionKeys;
 use sfs_proto::pathname::{base32_decode, base32_encode, HostId, SelfCertifyingPath};
 use sfs_proto::userauth::SeqWindow;
-use sfs_xdr::rpc::{record_mark, record_unmark, OpaqueAuth, RpcCall, RpcMessage, RpcReply};
-use sfs_xdr::{Xdr, XdrDecoder, XdrEncoder};
+use sfs_xdr::{XdrDecoder, XdrEncoder};
 
 /// Deterministic SplitMix64 input generator.
 struct Rng(u64);
@@ -115,82 +114,6 @@ fn xdr_opaque_roundtrips() {
         let mut dec = XdrDecoder::new(enc.bytes());
         assert_eq!(dec.get_opaque().unwrap(), data);
         dec.finish().unwrap();
-    }
-}
-
-#[test]
-fn rpc_call_roundtrips() {
-    let mut rng = Rng::new(0xCA11);
-    for _ in 0..256 {
-        let (xid, prog, vers, pr, authno) = (
-            rng.next() as u32,
-            rng.next() as u32,
-            rng.next() as u32,
-            rng.next() as u32,
-            rng.next() as u32,
-        );
-        let args_len = rng.below(200) as usize;
-        let args = rng.bytes(args_len);
-        let msg = RpcMessage::Call(RpcCall {
-            xid,
-            prog,
-            vers,
-            proc: pr,
-            cred: OpaqueAuth::sfs_authno(authno),
-            verf: OpaqueAuth::none(),
-            args: args.clone(),
-        });
-        match RpcMessage::from_xdr(&msg.to_xdr()).unwrap() {
-            RpcMessage::Call(c) => {
-                assert_eq!(c.xid, xid);
-                assert_eq!(c.prog, prog);
-                assert_eq!(c.cred.as_sfs_authno(), Some(authno));
-                // Args round up to 4-byte alignment with zero padding.
-                assert_eq!(&c.args[..args.len()], &args[..]);
-                assert!(c.args[args.len()..].iter().all(|&b| b == 0));
-            }
-            other => panic!("bad decode {other:?}"),
-        }
-    }
-}
-
-#[test]
-fn rpc_reply_roundtrips() {
-    let mut rng = Rng::new(0x2E91);
-    for _ in 0..256 {
-        let xid = rng.next() as u32;
-        let results_len = rng.below(200) as usize;
-        let results = rng.bytes(results_len);
-        let call = RpcCall {
-            xid,
-            prog: 1,
-            vers: 1,
-            proc: 1,
-            cred: OpaqueAuth::none(),
-            verf: OpaqueAuth::none(),
-            args: vec![],
-        };
-        let msg = RpcMessage::Reply(RpcReply::success(&call, results.clone()));
-        match RpcMessage::from_xdr(&msg.to_xdr()).unwrap() {
-            RpcMessage::Reply(r) => {
-                assert_eq!(r.xid, xid);
-                assert_eq!(&r.results[..results.len()], &results[..]);
-            }
-            other => panic!("bad decode {other:?}"),
-        }
-    }
-}
-
-#[test]
-fn record_marking_roundtrips() {
-    let mut rng = Rng::new(0x4EC);
-    for _ in 0..256 {
-        let len = rng.below(500) as usize;
-        let payload = rng.bytes(len);
-        let framed = record_mark(&payload);
-        let (got, consumed) = record_unmark(&framed).unwrap();
-        assert_eq!(got, payload);
-        assert_eq!(consumed, framed.len());
     }
 }
 
