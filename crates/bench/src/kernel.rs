@@ -434,42 +434,33 @@ impl KernelNfs {
         }
     }
 
-    /// One wire call with bounded retransmission: like the in-kernel
-    /// clients, a lost request or reply is simply retransmitted (NFS3
-    /// procedures are idempotent or protected by the server's reply
-    /// semantics), bounded so a dead server eventually surfaces as an
-    /// I/O error.
-    fn wire_call(
-        &self,
-        wire_len: usize,
-        mut server: impl FnMut(Vec<u8>) -> Vec<u8>,
-    ) -> Result<Vec<u8>> {
+    /// One NFS RPC over the wire as `creds`, with kernel-side processing
+    /// charges at both ends. Like the in-kernel clients, a lost request
+    /// or reply is simply retransmitted (NFS3 procedures are idempotent
+    /// or protected by the server's reply semantics), bounded so a dead
+    /// server eventually surfaces as an I/O error.
+    fn rpc(&self, creds: &Credentials, req: &Nfs3Request) -> Result<Nfs3Reply> {
         const MAX_RETRANSMITS: u32 = 8;
-        let mut attempt = 0;
-        let mut x = self.exchange.lock();
-        loop {
-            match self.wire.call(vec![0u8; wire_len], &mut x, &mut server) {
-                Ok(r) => return Ok(r),
-                Err(WireError::Timeout) if attempt < MAX_RETRANSMITS => attempt += 1,
-                Err(_) => return Err(BenchFsError::Nfs(Status::Io)),
-            }
-        }
-    }
-
-    /// One NFS RPC over the wire, with kernel-side processing charges at
-    /// both ends.
-    fn rpc(&self, req: &Nfs3Request) -> Result<Nfs3Reply> {
         self.cpu.charge_rpc(&self.clock);
         let args = req.encode_args();
         let proc = req.proc();
         let wire_len = args.len() + 40; // RPC header overhead
-        let results = self.wire_call(wire_len, |_| {
+        let mut server = |_| {
             self.cpu.charge_rpc(&self.clock);
-            let reply = self.server.handle(&self.creds, req);
+            let reply = self.server.handle(creds, req);
             let bytes = reply.encode_results();
             self.cpu.charge_server_copy(&self.clock, bytes.len());
             bytes
-        })?;
+        };
+        let mut attempt = 0;
+        let mut x = self.exchange.lock();
+        let results = loop {
+            match self.wire.call(vec![0u8; wire_len], &mut x, &mut server) {
+                Ok(r) => break r,
+                Err(WireError::Timeout) if attempt < MAX_RETRANSMITS => attempt += 1,
+                Err(_) => return Err(BenchFsError::Nfs(Status::Io)),
+            }
+        };
         Nfs3Reply::decode_results(proc, &results).map_err(|_| BenchFsError::Nfs(Status::Io))
     }
 
@@ -479,10 +470,13 @@ impl KernelNfs {
         self.names.resolve(
             path,
             &mut || Ok(self.server.root_handle()),
-            &mut |dir, path, leaf| match self.rpc(&Nfs3Request::Lookup {
-                dir: *dir,
-                name: leaf.to_string(),
-            })? {
+            &mut |dir, path, leaf| match self.rpc(
+                &self.creds,
+                &Nfs3Request::Lookup {
+                    dir: *dir,
+                    name: leaf.to_string(),
+                },
+            )? {
                 Nfs3Reply::Lookup { fh, attr, .. } => {
                     if let Some(a) = attr.attr {
                         self.attrs.insert(path, (a.size, a.mtime, self.clock.now()));
@@ -505,7 +499,7 @@ impl KernelNfs {
 
     fn getattr_rpc(&self, path: &str) -> Result<(u64, u64)> {
         let fh = self.lookup(path)?;
-        match self.rpc(&Nfs3Request::GetAttr { fh })? {
+        match self.rpc(&self.creds, &Nfs3Request::GetAttr { fh })? {
             Nfs3Reply::GetAttr { attr, .. } => {
                 let fetched = (attr.size, attr.mtime, self.clock.now());
                 self.attrs.insert(path, fetched);
@@ -529,14 +523,17 @@ impl FsBench for KernelNfs {
         self.clock.advance_ns(SYSCALL_NS);
         let (dir, leaf) = split(path);
         let dfh = self.lookup(dir)?;
-        match self.rpc(&Nfs3Request::Mkdir {
-            dir: dfh,
-            name: leaf.to_string(),
-            attrs: Sattr3 {
-                mode: Some(0o755),
-                ..Default::default()
+        match self.rpc(
+            &self.creds,
+            &Nfs3Request::Mkdir {
+                dir: dfh,
+                name: leaf.to_string(),
+                attrs: Sattr3 {
+                    mode: Some(0o755),
+                    ..Default::default()
+                },
             },
-        })? {
+        )? {
             Nfs3Reply::Mkdir { fh, .. } => {
                 self.names.insert(path, fh);
                 Ok(())
@@ -549,14 +546,17 @@ impl FsBench for KernelNfs {
         self.clock.advance_ns(SYSCALL_NS);
         let (dir, leaf) = split(path);
         let dfh = self.lookup(dir)?;
-        match self.rpc(&Nfs3Request::Create {
-            dir: dfh,
-            name: leaf.to_string(),
-            attrs: Sattr3 {
-                mode: Some(0o644),
-                ..Default::default()
+        match self.rpc(
+            &self.creds,
+            &Nfs3Request::Create {
+                dir: dfh,
+                name: leaf.to_string(),
+                attrs: Sattr3 {
+                    mode: Some(0o644),
+                    ..Default::default()
+                },
             },
-        })? {
+        )? {
             Nfs3Reply::Create { fh, .. } => {
                 self.names.insert(path, fh);
                 self.cache.remove(path);
@@ -573,12 +573,15 @@ impl FsBench for KernelNfs {
     fn write(&self, path: &str, offset: u64, data: &[u8]) -> Result<()> {
         self.clock.advance_ns(SYSCALL_NS);
         let fh = self.lookup(path)?;
-        match self.rpc(&Nfs3Request::Write {
-            fh,
-            offset,
-            stable: StableHow::Unstable,
-            data: data.to_vec(),
-        })? {
+        match self.rpc(
+            &self.creds,
+            &Nfs3Request::Write {
+                fh,
+                offset,
+                stable: StableHow::Unstable,
+                data: data.to_vec(),
+            },
+        )? {
             Nfs3Reply::Write { attr, .. } => {
                 if let Some(a) = attr.attr {
                     self.attrs.insert(path, (a.size, a.mtime, self.clock.now()));
@@ -600,15 +603,18 @@ impl FsBench for KernelNfs {
         self.cache.read(path, mtime, offset, len, || {
             let fh = self.lookup(path)?;
             // A large file streams one READ of the requested range.
-            let stream = || match self.rpc(&Nfs3Request::Read {
-                fh,
-                offset,
-                count: len as u32,
-            })? {
+            let stream = || match self.rpc(
+                &self.creds,
+                &Nfs3Request::Read {
+                    fh,
+                    offset,
+                    count: len as u32,
+                },
+            )? {
                 Nfs3Reply::Read { data, .. } => Ok(data),
                 other => Err(status(other)),
             };
-            fetch(fh, size, |req| self.rpc(req), stream)
+            fetch(fh, size, |req| self.rpc(&self.creds, req), stream)
         })
     }
 
@@ -628,7 +634,7 @@ impl FsBench for KernelNfs {
         // ACCESS once per file while attributes stay fresh.
         if self.access_checked.get(path).is_none() {
             let fh = self.lookup(path)?;
-            match self.rpc(&Nfs3Request::Access { fh, mask: 0x3f })? {
+            match self.rpc(&self.creds, &Nfs3Request::Access { fh, mask: 0x3f })? {
                 Nfs3Reply::Access { .. } => self.access_checked.insert(path, ()),
                 other => return Err(status(other)),
             }
@@ -644,10 +650,13 @@ impl FsBench for KernelNfs {
         self.attrs.remove(path);
         self.cache.remove(path);
         self.access_checked.remove(path);
-        match self.rpc(&Nfs3Request::Remove {
-            dir: dfh,
-            name: leaf.to_string(),
-        })? {
+        match self.rpc(
+            &self.creds,
+            &Nfs3Request::Remove {
+                dir: dfh,
+                name: leaf.to_string(),
+            },
+        )? {
             Nfs3Reply::Remove { .. } => Ok(()),
             other => Err(status(other)),
         }
@@ -656,11 +665,14 @@ impl FsBench for KernelNfs {
     fn flush(&self, path: &str) -> Result<()> {
         self.clock.advance_ns(SYSCALL_NS);
         let fh = self.lookup(path)?;
-        match self.rpc(&Nfs3Request::Commit {
-            fh,
-            offset: 0,
-            count: 0,
-        })? {
+        match self.rpc(
+            &self.creds,
+            &Nfs3Request::Commit {
+                fh,
+                offset: 0,
+                count: 0,
+            },
+        )? {
             Nfs3Reply::Commit { .. } => Ok(()),
             other => Err(status(other)),
         }
@@ -671,7 +683,6 @@ impl FsBench for KernelNfs {
         let fh = self.lookup(path)?;
         // Issue as a non-owner user (failures are never cached).
         let user = Credentials::user(4321, 4321);
-        self.cpu.charge_rpc(&self.clock);
         let req = Nfs3Request::SetAttr {
             fh,
             attrs: Sattr3 {
@@ -679,14 +690,7 @@ impl FsBench for KernelNfs {
                 ..Default::default()
             },
         };
-        let results = self.wire_call(130, |_| {
-            self.cpu.charge_rpc(&self.clock);
-            let reply = self.server.handle(&user, &req);
-            reply.encode_results()
-        })?;
-        match Nfs3Reply::decode_results(req.proc(), &results)
-            .map_err(|_| BenchFsError::Nfs(Status::Io))?
-        {
+        match self.rpc(&user, &req)? {
             Nfs3Reply::Error {
                 status: Status::Perm,
                 ..
