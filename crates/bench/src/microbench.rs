@@ -54,6 +54,47 @@ pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> u128 {
     }
 }
 
+/// [`bench()`] for several loops measured side by side: each is
+/// calibrated to `window / rounds`, then the loops run round-robin
+/// `rounds` times and each keeps its fastest pass. Rows a ratio compares
+/// are then measured in the same stretches of the run, and a stretch the
+/// host spends elsewhere slows one pass, not the row. Prints one line
+/// per loop and returns the best ns per iteration, in order.
+pub fn bench_rounds(names: &[String], ops: &mut [Box<dyn FnMut()>], rounds: u32) -> Vec<u128> {
+    let pass = WINDOW / rounds;
+    let iters: Vec<u64> = ops
+        .iter_mut()
+        .map(|f| {
+            let mut iters: u64 = 1;
+            loop {
+                let t0 = Instant::now();
+                (0..iters).for_each(|_| f());
+                let dt = t0.elapsed();
+                if dt >= pass || iters >= 1 << 28 {
+                    return iters;
+                }
+                let scale = (pass.as_nanos() / dt.as_nanos().max(1)).clamp(2, 1024) as u64;
+                iters = iters.saturating_mul(scale);
+            }
+        })
+        .collect();
+    let mut best = vec![u128::MAX; ops.len()];
+    for _ in 0..rounds {
+        for ((f, &n), best) in ops.iter_mut().zip(&iters).zip(&mut best) {
+            let t0 = Instant::now();
+            (0..n).for_each(|_| f());
+            *best = (*best).min(t0.elapsed().as_nanos() / n as u128);
+        }
+    }
+    for ((name, n), per) in names.iter().zip(&iters).zip(&best) {
+        println!(
+            "{name:<44} {n:>9} iters x{rounds}  {:>9}/iter",
+            fmt_ns(*per)
+        );
+    }
+    best
+}
+
 /// Like [`bench()`], also reporting throughput for `bytes` processed per
 /// iteration.
 pub fn bench_throughput<T>(name: &str, bytes: u64, f: impl FnMut() -> T) {
