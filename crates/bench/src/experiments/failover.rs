@@ -262,7 +262,7 @@ fn run_storm(m: usize, schedule: &ChurnSchedule, admission: Option<&AdmissionCon
         .num("total_ns", now)
 }
 
-pub fn run(ctx: &Ctx) -> Result<Report, String> {
+pub(crate) fn run(ctx: &Ctx) -> Result<Report, String> {
     let (writes, storm_clients, storm_waves, capacity) =
         if ctx.smoke { SIZES_SMOKE } else { SIZES_FULL };
     let recovery = run_recovery(writes, ctx.faults.plan());

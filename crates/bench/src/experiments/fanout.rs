@@ -170,7 +170,7 @@ fn run_replicas(
         .num("failovers", failovers)
 }
 
-pub fn run(ctx: &Ctx) -> Result<Report, String> {
+pub(crate) fn run(ctx: &Ctx) -> Result<Report, String> {
     let (files, file_bytes) = if ctx.smoke { TREE_SMOKE } else { TREE_FULL };
     // The publisher's one offline signing pass; replicas get the bundle
     // and never see the key.

@@ -105,7 +105,7 @@ fn measure(stages: Vec<Stage>, smoke: bool) -> Vec<Micro> {
     micros
 }
 
-pub fn run(ctx: &Ctx) -> Result<Report, String> {
+pub(crate) fn run(ctx: &Ctx) -> Result<Report, String> {
     let mut stages = micro_stages();
     let rig = std::rc::Rc::new(relay_rig(None, *PAYLOAD_SIZES.last().unwrap()));
     let world = rig.clone();

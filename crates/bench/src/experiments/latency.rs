@@ -22,7 +22,7 @@ use crate::report::latency_table;
 use crate::workloads::{mab, MabConfig};
 use crate::world::WorldSpec;
 
-pub fn run(ctx: &Ctx) -> Result<Report, String> {
+pub(crate) fn run(ctx: &Ctx) -> Result<Report, String> {
     let window = ctx.args.number("window")?;
     let cores = ctx.args.number("cores")?;
     // The table needs histograms whether or not `--trace` asked for the

@@ -72,7 +72,7 @@ fn run_window(window: usize, total: usize, ctx: &Ctx) -> (Obj, u64) {
     (row, clock.now().as_nanos())
 }
 
-pub fn run(ctx: &Ctx) -> Result<Report, String> {
+pub(crate) fn run(ctx: &Ctx) -> Result<Report, String> {
     let total = if ctx.smoke { TOTAL_SMOKE } else { TOTAL };
     let (rows, clocks): (Vec<Obj>, Vec<u64>) =
         WINDOWS.iter().map(|&w| run_window(w, total, ctx)).unzip();

@@ -115,7 +115,7 @@ fn run_arm(arm: &'static str, clients: usize, suite: SuiteId, resumption: bool) 
         )
 }
 
-pub fn run(ctx: &Ctx) -> Result<Report, String> {
+pub(crate) fn run(ctx: &Ctx) -> Result<Report, String> {
     let suite = suite(ctx)?;
     let default_clients = if ctx.smoke { 8 } else { 64 };
     let clients = ctx.args.number("clients")?.unwrap_or(default_clients);

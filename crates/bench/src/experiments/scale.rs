@@ -210,7 +210,7 @@ fn run_point(
         .num("disk_joined", disk.iter().map(|s| s.joined).sum::<u64>())
 }
 
-pub fn run(ctx: &Ctx) -> Result<Report, String> {
+pub(crate) fn run(ctx: &Ctx) -> Result<Report, String> {
     // The sweep runs the negotiated fast suite end-to-end by default;
     // `--suite arc4-sha1` keeps the paper-parity baseline reachable.
     let suite = suite(ctx)?;

@@ -91,7 +91,7 @@ fn replay_file(path: &str, suite: SuiteId) -> Result<Report, String> {
     })
 }
 
-pub fn run(ctx: &Ctx) -> Result<Report, String> {
+pub(crate) fn run(ctx: &Ctx) -> Result<Report, String> {
     let suite = suite(ctx)?;
     if ctx.args.flag("list") {
         let mixes = builtin_mixes().into_iter();

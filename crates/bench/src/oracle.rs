@@ -122,7 +122,7 @@ pub(crate) struct CommitLog {
 impl CommitLog {
     /// `files` files without commits, observed by `clients` clients,
     /// under leases of `lease_ns`.
-    pub fn new(clients: usize, files: usize, lease_ns: u64) -> Self {
+    pub(crate) fn new(clients: usize, files: usize, lease_ns: u64) -> Self {
         CommitLog {
             lease_ns,
             files: vec![Vec::new(); files],
@@ -131,13 +131,13 @@ impl CommitLog {
     }
 
     /// Records that `f` reached `size` at `t_ns`.
-    pub fn commit(&mut self, f: usize, t_ns: u64, size: u64) {
+    pub(crate) fn commit(&mut self, f: usize, t_ns: u64, size: u64) {
         self.files[f].push((t_ns, size));
     }
 
     /// Forgets `f`'s history and every client's observation of it: the
     /// next commit starts a new file.
-    pub fn unlink(&mut self, f: usize) {
+    pub(crate) fn unlink(&mut self, f: usize) {
         self.files[f].clear();
         for seen in &mut self.last_seen {
             seen[f] = 0;
@@ -145,23 +145,23 @@ impl CommitLog {
     }
 
     /// Whether `f` has a commit since it was last unlinked.
-    pub fn linked(&self, f: usize) -> bool {
+    pub(crate) fn linked(&self, f: usize) -> bool {
         !self.files[f].is_empty()
     }
 
     /// `f`'s latest committed size.
-    pub fn latest(&self, f: usize) -> u64 {
+    pub(crate) fn latest(&self, f: usize) -> u64 {
         self.files[f].last().map_or(0, |&(_, size)| size)
     }
 
     /// The size client `i` last observed of `f`.
-    pub fn last_seen(&self, i: usize, f: usize) -> u64 {
+    pub(crate) fn last_seen(&self, i: usize, f: usize) -> u64 {
         self.last_seen[i][f]
     }
 
     /// Client `i` knows `f` reached `size` without observing it (its own
     /// commit).
-    pub fn saw(&mut self, i: usize, f: usize, size: u64) {
+    pub(crate) fn saw(&mut self, i: usize, f: usize, size: u64) {
         self.last_seen[i][f] = size;
     }
 
@@ -169,7 +169,7 @@ impl CommitLog {
     /// `t_ns` (0 if none): every lease on a smaller size was granted
     /// before the commit that outgrew it, so none is live at `t_ns`.
     /// Rule 3 is "an observation at `t_ns` is not below this".
-    pub fn lease_floor(&self, f: usize, t_ns: u64) -> u64 {
+    pub(crate) fn lease_floor(&self, f: usize, t_ns: u64) -> u64 {
         let old = self.files[f]
             .iter()
             .filter(|(t, _)| t + self.lease_ns <= t_ns);
@@ -180,7 +180,7 @@ impl CommitLog {
     /// through `what`, pushing each violation onto `violations`. When a
     /// committed observation is stale, returns the index of the commit
     /// that made it so: the first commit above `s`.
-    pub fn observe(
+    pub(crate) fn observe(
         &mut self,
         i: usize,
         f: usize,

@@ -1695,7 +1695,7 @@ mod tests {
     /// the reference the inline handle must behave exactly like.
     mod before {
         #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-        pub struct FileHandle(pub Vec<u8>);
+        pub(super) struct FileHandle(pub(super) Vec<u8>);
     }
 
     #[test]
