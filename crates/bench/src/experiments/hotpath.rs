@@ -59,31 +59,22 @@ fn measure(stages: Vec<Stage>, smoke: bool) -> Vec<Micro> {
     } else {
         ALLOC_ITERS
     };
-    let (mut micros, mut ops): (Vec<Micro>, Vec<_>) = stages
-        .into_iter()
-        .map(
-            |Stage {
-                 name,
-                 payload,
-                 mut op,
-             }| {
-                for _ in 0..8 {
-                    op(); // warm buffers, caches, and freelists out of the measurement
-                }
-                let ((), allocs) = count_allocs(|| (0..iters).for_each(|_| op()));
-                let allocs_per_op = allocs as f64 / iters as f64;
-                (
-                    Micro {
-                        name,
-                        payload,
-                        ns_per_op: 0,
-                        allocs_per_op,
-                    },
-                    op,
-                )
-            },
-        )
-        .unzip();
+    let (mut micros, mut ops) = (Vec::new(), Vec::new());
+    for stage in stages {
+        let (name, payload, mut op) = (stage.name, stage.payload, stage.op);
+        for _ in 0..8 {
+            op(); // warm buffers, caches, and freelists out of the measurement
+        }
+        let ((), allocs) = count_allocs(|| (0..iters).for_each(|_| op()));
+        let allocs_per_op = allocs as f64 / iters as f64;
+        micros.push(Micro {
+            name,
+            payload,
+            ns_per_op: 0,
+            allocs_per_op,
+        });
+        ops.push(op);
+    }
     let ns = if smoke {
         // No timing claim in smoke mode: one pass fills the column.
         let pass = |f: &mut Box<dyn FnMut()>| {

@@ -35,7 +35,14 @@ fn fmt_ns(ns: u128) -> String {
 /// Runs `f` repeatedly until the measurement window fills, then prints
 /// mean time per iteration. Returns the mean in ns.
 pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> u128 {
-    // Warm up and calibrate the iteration count.
+    let (iters, per) = calibrate(&mut f, WINDOW);
+    println!("{name:<44} {iters:>9} iters   {:>12}/iter", fmt_ns(per));
+    per
+}
+
+/// Warms `f` up and grows its iteration count until one pass fills
+/// `window`; returns that count and the pass's mean ns per iteration.
+fn calibrate<T>(f: &mut impl FnMut() -> T, window: Duration) -> (u64, u128) {
     let mut iters: u64 = 1;
     loop {
         let t0 = Instant::now();
@@ -43,13 +50,11 @@ pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> u128 {
             std::hint::black_box(f());
         }
         let dt = t0.elapsed();
-        if dt >= WINDOW || iters >= 1 << 28 {
-            let per = dt.as_nanos() / iters as u128;
-            println!("{name:<44} {iters:>9} iters   {:>12}/iter", fmt_ns(per));
-            return per;
+        if dt >= window || iters >= 1 << 28 {
+            return (iters, dt.as_nanos() / iters as u128);
         }
         // Scale the count toward the window (at least double).
-        let scale = (WINDOW.as_nanos() / dt.as_nanos().max(1)).clamp(2, 1024) as u64;
+        let scale = (window.as_nanos() / dt.as_nanos().max(1)).clamp(2, 1024) as u64;
         iters = iters.saturating_mul(scale);
     }
 }
@@ -61,22 +66,9 @@ pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> u128 {
 /// host spends elsewhere slows one pass, not the row. Prints one line
 /// per loop and returns the best ns per iteration, in order.
 pub fn bench_rounds(names: &[String], ops: &mut [Box<dyn FnMut()>], rounds: u32) -> Vec<u128> {
-    let pass = WINDOW / rounds;
     let iters: Vec<u64> = ops
         .iter_mut()
-        .map(|f| {
-            let mut iters: u64 = 1;
-            loop {
-                let t0 = Instant::now();
-                (0..iters).for_each(|_| f());
-                let dt = t0.elapsed();
-                if dt >= pass || iters >= 1 << 28 {
-                    return iters;
-                }
-                let scale = (pass.as_nanos() / dt.as_nanos().max(1)).clamp(2, 1024) as u64;
-                iters = iters.saturating_mul(scale);
-            }
-        })
+        .map(|f| calibrate(f, WINDOW / rounds).0)
         .collect();
     let mut best = vec![u128::MAX; ops.len()];
     for _ in 0..rounds {
@@ -87,10 +79,8 @@ pub fn bench_rounds(names: &[String], ops: &mut [Box<dyn FnMut()>], rounds: u32)
         }
     }
     for ((name, n), per) in names.iter().zip(&iters).zip(&best) {
-        println!(
-            "{name:<44} {n:>9} iters x{rounds}  {:>9}/iter",
-            fmt_ns(*per)
-        );
+        let per = fmt_ns(*per);
+        println!("{name:<44} {n:>9} iters x{rounds}  {per:>9}/iter");
     }
     best
 }

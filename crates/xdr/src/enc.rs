@@ -261,7 +261,7 @@ impl<'a> XdrDecoder<'a> {
         self.get_opaque_max_ref(MAX_VAR_LEN)
     }
 
-    /// Borrowing variant of [`Self::get_opaque_max`].
+    /// [`Self::get_opaque_ref`] with an explicit cap.
     pub fn get_opaque_max_ref(&mut self, max: u32) -> Result<&'a [u8], XdrError> {
         let len = self.get_u32()?;
         if len > max {
@@ -272,12 +272,7 @@ impl<'a> XdrDecoder<'a> {
 
     /// Decodes variable-length opaque data with a cap of [`MAX_VAR_LEN`].
     pub fn get_opaque(&mut self) -> Result<Vec<u8>, XdrError> {
-        self.get_opaque_max(MAX_VAR_LEN)
-    }
-
-    /// Decodes variable-length opaque data with an explicit cap.
-    pub fn get_opaque_max(&mut self, max: u32) -> Result<Vec<u8>, XdrError> {
-        Ok(self.get_opaque_max_ref(max)?.to_vec())
+        Ok(self.get_opaque_ref()?.to_vec())
     }
 
     /// Decodes a UTF-8 string.
