@@ -8,16 +8,18 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sfs::client::{Mount, SfsClient};
+use sfs::wire::{encode_inner_nfs, InnerReply};
 use sfs_crypto::poly1305::poly1305;
 use sfs_crypto::ChaCha20;
-use sfs_nfs3::proto::{FileHandle, Nfs3Request, StableHow};
+use sfs_nfs3::proto::{Fattr3, FileHandle, Nfs3Reply, Nfs3Request, PostOpAttr, StableHow};
 use sfs_proto::channel::{SecureChannelEnd, SuiteId, FRAME_HEADER_LEN};
 use sfs_proto::keyneg::SessionKeys;
-use sfs_xdr::XdrEncoder;
+use sfs_vfs::FileType;
+use sfs_xdr::{Xdr, XdrEncoder};
 
 use crate::world::{World, WorldSpec, UID};
 
-/// Target measurement window per benchmark.
+/// Target measurement window per loop (split across its passes).
 const WINDOW: Duration = Duration::from_millis(100);
 
 fn fmt_ns(ns: u128) -> String {
@@ -32,26 +34,16 @@ fn fmt_ns(ns: u128) -> String {
     }
 }
 
-/// Runs `f` repeatedly until the measurement window fills, then prints
-/// mean time per iteration. Returns the mean in ns.
-pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> u128 {
-    let (iters, per) = calibrate(&mut f, WINDOW);
-    println!("{name:<44} {iters:>9} iters   {:>12}/iter", fmt_ns(per));
-    per
-}
-
 /// Warms `f` up and grows its iteration count until one pass fills
-/// `window`; returns that count and the pass's mean ns per iteration.
-fn calibrate<T>(f: &mut impl FnMut() -> T, window: Duration) -> (u64, u128) {
+/// `window`; returns that count.
+fn calibrate(f: &mut impl FnMut(), window: Duration) -> u64 {
     let mut iters: u64 = 1;
     loop {
         let t0 = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(f());
-        }
+        (0..iters).for_each(|_| f());
         let dt = t0.elapsed();
         if dt >= window || iters >= 1 << 28 {
-            return (iters, dt.as_nanos() / iters as u128);
+            return iters;
         }
         // Scale the count toward the window (at least double).
         let scale = (window.as_nanos() / dt.as_nanos().max(1)).clamp(2, 1024) as u64;
@@ -59,16 +51,16 @@ fn calibrate<T>(f: &mut impl FnMut() -> T, window: Duration) -> (u64, u128) {
     }
 }
 
-/// [`bench()`] for several loops measured side by side: each is
-/// calibrated to `window / rounds`, then the loops run round-robin
-/// `rounds` times and each keeps its fastest pass. Rows a ratio compares
-/// are then measured in the same stretches of the run, and a stretch the
-/// host spends elsewhere slows one pass, not the row. Prints one line
-/// per loop and returns the best ns per iteration, in order.
-pub fn bench_rounds(names: &[String], ops: &mut [Box<dyn FnMut()>], rounds: u32) -> Vec<u128> {
+/// Several loops measured side by side: each is calibrated to
+/// `window / rounds`, then the loops run round-robin `rounds` times and
+/// each keeps its fastest pass. Rows a ratio compares are then measured
+/// in the same stretches of the run, and a stretch the host spends
+/// elsewhere slows one pass, not the row. Prints one line per loop and
+/// returns the best ns per iteration, in order.
+pub fn bench_rounds(names: &[String], ops: &mut [Box<dyn FnMut() + '_>], rounds: u32) -> Vec<u128> {
     let iters: Vec<u64> = ops
         .iter_mut()
-        .map(|f| calibrate(f, WINDOW / rounds).0)
+        .map(|f| calibrate(f, WINDOW / rounds))
         .collect();
     let mut best = vec![u128::MAX; ops.len()];
     for _ in 0..rounds {
@@ -85,13 +77,67 @@ pub fn bench_rounds(names: &[String], ops: &mut [Box<dyn FnMut()>], rounds: u32)
     best
 }
 
-/// Like [`bench()`], also reporting throughput for `bytes` processed per
-/// iteration.
-pub fn bench_throughput<T>(name: &str, bytes: u64, f: impl FnMut() -> T) {
-    let per = bench(name, f);
-    if per > 0 {
-        let mbps = bytes as f64 * 1e9 / per as f64 / (1024.0 * 1024.0);
-        println!("{:>44}   {mbps:>10.1} MiB/s", "");
+/// Passes per loop of a [`Rows`] run.
+pub const ROUNDS: u32 = 5;
+
+/// Loops for one [`bench_rounds`] run, added one at a time: what the
+/// `benches/` targets report through, so each group's rows are measured
+/// side by side and a rerun of one binary repeats them.
+#[derive(Default)]
+pub struct Rows<'a> {
+    names: Vec<String>,
+    /// Bytes one iteration processes, for a throughput line.
+    bytes: Vec<Option<u64>>,
+    ops: Vec<Box<dyn FnMut() + 'a>>,
+}
+
+impl<'a> Rows<'a> {
+    /// No rows yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// A loop of `f`.
+    pub fn add<T>(&mut self, name: impl Into<String>, f: impl FnMut() -> T + 'a) -> &mut Self {
+        self.push(name.into(), None, f)
+    }
+
+    /// A loop of `f` over `bytes` a pass, whose line also reports
+    /// throughput.
+    pub fn add_throughput<T>(
+        &mut self,
+        name: impl Into<String>,
+        bytes: u64,
+        f: impl FnMut() -> T + 'a,
+    ) -> &mut Self {
+        self.push(name.into(), Some(bytes), f)
+    }
+
+    fn push<T>(
+        &mut self,
+        name: String,
+        bytes: Option<u64>,
+        mut f: impl FnMut() -> T + 'a,
+    ) -> &mut Self {
+        self.names.push(name);
+        self.bytes.push(bytes);
+        self.ops.push(Box::new(move || {
+            std::hint::black_box(f());
+        }));
+        self
+    }
+
+    /// Times every loop, [`ROUNDS`] passes each, side by side; returns
+    /// each one's best ns per iteration, in order.
+    pub fn run(mut self) -> Vec<u128> {
+        let best = bench_rounds(&self.names, &mut self.ops, ROUNDS);
+        for (name, (bytes, per)) in self.names.iter().zip(self.bytes.iter().zip(&best)) {
+            if let (Some(bytes), true) = (bytes, *per > 0) {
+                let mbps = *bytes as f64 * 1e9 / *per as f64 / (1024.0 * 1024.0);
+                println!("{name:>44}   {mbps:>10.1} MiB/s");
+            }
+        }
+        best
     }
 }
 
@@ -110,12 +156,53 @@ pub struct Stage {
 pub const PAYLOAD_SIZES: [usize; 5] = [8, 64, 512, 4096, 8192];
 
 /// Message sizes for the bare Poly1305 and ChaCha20 kernel rows: below
-/// one wide step, a few steps, and the bulk NFS transfer size.
+/// one wide step, a few steps, and the bulk NFS transfer size (Poly1305
+/// also runs at [`bulk_frames`]).
 const KERNEL_SIZES: [usize; 3] = [64, 512, 8192];
 
 /// ChaCha20 adds a row at its tier boundary: 1 KiB is the shortest
 /// input the AVX-512 sixteen-block step takes.
 const CHACHA20_SIZES: [usize; 4] = [64, 512, 1024, 8192];
+
+/// The channel plaintext of the bulk path's two frames, as the sealed
+/// path encodes them: one 8 KiB READ reply (the data, its header and
+/// attributes, no invalidations) and one 32 KiB WRITE call.
+pub fn bulk_frames() -> [usize; 2] {
+    let fattr = Fattr3 {
+        ftype: FileType::Regular,
+        mode: 0o644,
+        nlink: 1,
+        uid: 0,
+        gid: 0,
+        size: 1 << 24,
+        fsid: 1,
+        fileid: 2,
+        atime: 3,
+        mtime: 4,
+        ctime: 5,
+    };
+    let read = Nfs3Reply::Read {
+        data: vec![0u8; 8192],
+        eof: false,
+        attr: PostOpAttr {
+            attr: Some(fattr),
+            lease_ns: 1,
+        },
+    };
+    let reply = InnerReply::Nfs {
+        results: read.encode_results(),
+        invalidations: Vec::new(),
+    };
+    let write: Nfs3Request = Nfs3Request::Write {
+        fh: FileHandle::new(&[0x42; 24]).expect("a public handle"),
+        offset: 0,
+        stable: StableHow::Unstable,
+        data: vec![0u8; 32 * 1024],
+    };
+    let mut call = Vec::new();
+    encode_inner_nfs(&mut call, 1, &write.borrowed());
+    [reply.to_xdr().len(), call.len()]
+}
 
 /// A client end and a server end keyed alike under `suite`.
 pub fn channel_pair(suite: SuiteId) -> (SecureChannelEnd, SecureChannelEnd) {
@@ -172,7 +259,11 @@ pub fn micro_stages() -> Vec<Stage> {
         ),
     ] {
         for (name, open, fill) in [(seal_name, false, 0x33u8), (roundtrip_name, true, 0x44)] {
-            for n in PAYLOAD_SIZES {
+            // The negotiated suite's round trip also at the bulk frames.
+            let bulk = bulk_frames()
+                .into_iter()
+                .filter(|_| open && suite != SuiteId::Arc4Sha1);
+            for n in PAYLOAD_SIZES.into_iter().chain(bulk) {
                 let (mut tx, mut rx) = channel_pair(suite);
                 let payload = vec![fill; n];
                 let mut buf: Vec<u8> = Vec::new();
@@ -192,7 +283,7 @@ pub fn micro_stages() -> Vec<Stage> {
         }
     }
     let kernel_key = [0x42u8; 32];
-    for n in KERNEL_SIZES {
+    for n in KERNEL_SIZES.into_iter().chain(bulk_frames()) {
         let msg = vec![0x55u8; n];
         let op = move || {
             std::hint::black_box(poly1305(&kernel_key, std::hint::black_box(&msg)));

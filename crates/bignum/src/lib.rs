@@ -17,7 +17,8 @@
 //!
 //! A square-root pair modulo the two primes of a Rabin key
 //! ([`BlumPrime::root_pair`]) takes its second root on a helper thread
-//! while the caller takes the first, when the host has a second CPU.
+//! while the caller takes the first, when the host has a second CPU;
+//! [`join`] lends that helper to other callers.
 
 #![deny(unsafe_code)]
 
@@ -35,4 +36,4 @@ pub use mont::Montgomery;
 pub use nat::{DivideByZero, Nat};
 pub use prime::{baillie_psw, gen_prime, gen_prime_congruent, is_probable_prime, MR_ROUNDS};
 pub use rand_source::{CountingSource, RandomSource, XorShiftSource};
-pub use twin::join_round_trip;
+pub use twin::{join, join_round_trip};

@@ -3,8 +3,10 @@
 //!
 //! A Rabin–Williams decryption or signature is two independent
 //! exponentiations, one per prime, and nothing else of its cost;
-//! [`crate::BlumPrime::root_pair`] is this module's one caller. It is not
-//! a pool: there is one helper per process and one job at a time.
+//! [`crate::BlumPrime::root_pair`] runs its second root here. The
+//! secure-channel client is the other caller: it opens a window of
+//! replies here while it serves the window. It is not a pool: there is
+//! one helper per process and one job at a time.
 //!
 //! - **Spawn.** The helper is spawned on the first `join`, at most once,
 //!   and only when [`std::thread::available_parallelism`] is at least 2.
@@ -119,7 +121,10 @@ thread_local! {
 /// helper is free, and returns both results. The caller returns only
 /// after `b` has finished or been taken back; a panic in either half
 /// reaches the caller after the other half is settled.
-pub(crate) fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+///
+/// `b` may run after `a` on this thread (no second CPU, the helper busy,
+/// or not started before `a` finished), so it must not wait for `a`.
+pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA,
     B: FnOnce() -> RB + Send,

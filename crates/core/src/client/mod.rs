@@ -27,12 +27,15 @@
 //! - `rpc`: the RPC spine — cost terms, the reconnect and reissue
 //!   drivers, user authentication, and the one exchange loop (§3.1.3,
 //!   §4.2);
+//! - `ahead`: a window's replies opened on the helper thread while the
+//!   window is served;
 //! - `cache`: leases, invalidation callbacks, read-ahead, write-behind
 //!   (§3.3);
 //! - `namei`: pathname resolution, agent interposition, whole-file
 //!   operations (§2.3, §2.4);
 //! - `recovery`: the state journal and the agent socket (§3.2).
 
+mod ahead;
 mod cache;
 mod namei;
 mod net;
@@ -40,6 +43,7 @@ mod recovery;
 mod rpc;
 mod session;
 
+pub use ahead::{set_open_ahead, OpenAhead};
 pub use net::{RoutedRo, RoutedRw, Router, RwRoute, SfsNetwork};
 pub use recovery::RecoveryReport;
 
@@ -289,7 +293,9 @@ pub struct Mount {
     /// client resuming at the mark can never reuse one.
     seq_hwm: AtomicU32,
     attr_cache: Mutex<HashMap<FileHandle, CachedAttr>>,
-    access_cache: Mutex<HashMap<AccessKey, CachedAttr>>,
+    /// ACCESS answers by file handle, so that a lease callback for a
+    /// handle touches that handle's answers alone.
+    access_cache: Mutex<HashMap<FileHandle, AccessGrants>>,
     /// Round trips accumulated on wires discarded by reconnects.
     prior_round_trips: AtomicU64,
     reconnects: AtomicU64,
@@ -300,8 +306,48 @@ pub struct Mount {
     wb_queue: Mutex<Vec<(u32, Nfs3Request)>>,
 }
 
-/// Access-cache key: (file handle, uid, requested mask).
-type AccessKey = (FileHandle, u32, u32);
+/// One handle's access-cache key: (uid, requested mask).
+type AccessKey = (u32, u32);
+
+/// One handle's cached ACCESS answers: the first inline (one uid asking
+/// one mask is the common case, and takes no allocation), any others
+/// after it. Emptied, not dropped, when the handle's lease breaks, so
+/// the answers that follow reuse its room.
+#[derive(Default)]
+struct AccessGrants {
+    first: Option<(AccessKey, CachedAttr)>,
+    rest: Vec<(AccessKey, CachedAttr)>,
+}
+
+impl AccessGrants {
+    fn get(&self, key: AccessKey) -> Option<&CachedAttr> {
+        self.first
+            .iter()
+            .chain(&self.rest)
+            .find(|(k, _)| *k == key)
+            .map(|(_, c)| c)
+    }
+
+    fn insert(&mut self, key: AccessKey, grant: CachedAttr) {
+        if let Some((_, c)) = self
+            .first
+            .iter_mut()
+            .chain(&mut self.rest)
+            .find(|(k, _)| *k == key)
+        {
+            *c = grant;
+        } else if self.first.is_none() {
+            self.first = Some((key, grant));
+        } else {
+            self.rest.push((key, grant));
+        }
+    }
+
+    fn clear(&mut self) {
+        self.first = None;
+        self.rest.clear();
+    }
+}
 
 /// How the client paces retransmissions and reconnects (all in virtual
 /// time). Retransmission resends the *identical* sealed frame — the

@@ -28,17 +28,20 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 
+use sfs_bignum::join;
 use sfs_nfs3::proto::{Nfs3Reply, Nfs3Request, Nfs3RequestRef, Proc};
 use sfs_proto::channel::{FrameSequencer, SeqPush, SuiteId, FRAME_HEADER_LEN};
 use sfs_proto::userauth::{AuthInfo, AUTHNO_ANONYMOUS};
-use sfs_sim::{SimTime, WireError};
+use sfs_sim::{ExchangeReply, SimTime, WireError};
 use sfs_telemetry::Telemetry;
 use sfs_xdr::{Xdr, XdrEncoder};
 
+use super::ahead::{self, Handoff};
 use super::{
     ClientError, ExchangeBufs, LentBufs, Link, Mount, SfsClient, DEFAULT_PIPELINE_WINDOW,
     REORDER_BUF_CAPACITY,
 };
+use crate::bufpool::BufPool;
 use crate::wire::{
     encode_inner_nfs, inner_nfs_reply, seq_env_begin, seq_env_finish, seq_reply_envelope,
     InnerCall, InnerReply, Invalidations, ReplyMsg, SEALED_SEQ_ENV_FRAME_START,
@@ -67,6 +70,24 @@ fn decode_nfs(proc: Proc, plaintext: &[u8]) -> Result<Decoded<'_, Nfs3Reply>, Cl
     let reply = Nfs3Reply::decode_results(proc, results)
         .map_err(|e| ClientError::Protocol(e.to_string()))?;
     Ok((reply, invalidations))
+}
+
+/// Every unanswered frame of `sealed` as a pooled copy to go (back) on
+/// the wire, which the server side returns to the pool.
+fn unanswered<'a, T>(
+    sealed: &'a [(SimTime, Vec<u8>)],
+    replies: &'a [Option<T>],
+    pool: &'a BufPool,
+) -> impl Iterator<Item = (SimTime, Vec<u8>)> + 'a {
+    sealed
+        .iter()
+        .zip(replies)
+        .filter(|(_, reply)| reply.is_none())
+        .map(|((sent, env), _)| {
+            let mut msg = pool.get();
+            msg.extend_from_slice(env);
+            (*sent, msg)
+        })
 }
 
 /// Runs `f` on `n` empty reply slots, held on the stack for a window up
@@ -190,6 +211,11 @@ impl SfsClient {
         let mut rounds = 0;
         loop {
             let authno = self.ensure_auth(mount, uid)?;
+            // Read-ahead, a property of the request, is what qualifies a
+            // window for opening its replies on the helper thread.
+            let open_ahead = ahead::wanted(replies.len(), || {
+                (0..replies.len()).any(|i| req(i).proc() == Proc::Read)
+            });
             let ((), renegotiated) = self.with_reconnect(tel, mount, |link| {
                 self.window_exchange_once(
                     tel,
@@ -198,6 +224,7 @@ impl SfsClient {
                     |xid, buf| encode_inner_nfs(buf, authno, &req(xid)),
                     |xid, plaintext| decode_nfs(req(xid).proc(), plaintext),
                     replies,
+                    open_ahead,
                 )
             })?;
             if renegotiated && rounds < self.retry_policy().max_reconnects {
@@ -227,6 +254,7 @@ impl SfsClient {
             call.encode(&mut enc);
             *buf = enc.into_bytes();
         };
+        let open_ahead = ahead::wanted(1, || false);
         self.with_reconnect(tel, mount, |link| {
             self.window_exchange_once(
                 tel,
@@ -235,6 +263,7 @@ impl SfsClient {
                 fill,
                 |_, plaintext| decode_inner(plaintext),
                 &mut reply,
+                open_ahead,
             )
         })?;
         Ok(reply[0].take().expect("one reply per call"))
@@ -427,6 +456,13 @@ impl SfsClient {
     /// working earlier ones, and decrypting one reply overlaps later
     /// replies still in transit. With one frame that is the blocking
     /// protocol's charge, term for term.
+    ///
+    /// With `open_ahead`, on a channel that allows it, a round whose
+    /// reorder buffer is empty hands its replies as they are served to
+    /// the helper thread, which opens what it can ahead of the loop
+    /// (`ahead`); the loop takes those in without opening them. Nothing
+    /// else changes.
+    #[allow(clippy::too_many_arguments)]
     fn window_exchange_once<T>(
         &self,
         tel: &Telemetry,
@@ -435,6 +471,7 @@ impl SfsClient {
         fill: impl Fn(usize, &mut Vec<u8>),
         decode: impl Fn(usize, &[u8]) -> Result<Decoded<'_, T>, ClientError>,
         replies: &mut [Option<T>],
+        open_ahead: bool,
     ) -> Result<(), ClientError> {
         let frames = replies.len();
         let _span = tel
@@ -507,29 +544,34 @@ impl SfsClient {
                 break;
             }
             tel.gauge_set("client", "pipeline.inflight_hwm", outstanding as u64);
-            // Every unanswered frame goes (back) on the wire as a pooled
-            // copy, which the server side returns to the pool.
-            let resend = sealed
-                .iter()
-                .zip(&*replies)
-                .filter(|(_, reply)| reply.is_none())
-                .map(|((sent, env), _)| {
-                    let mut msg = pool.get();
-                    msg.extend_from_slice(env);
-                    (*sent, msg)
-                });
             // Each frame's server cost — the crossing into sfssd, RPC
             // processing, and the copy through the daemon — is either
             // served in the classic serial discipline or, when the
             // server has a multi-core `ShardEngine` installed, scheduled
             // across its simulated cores and disk shards to an absolute
             // completion instant.
-            wire.exchange_on(resend, exchange, |arrival_ns, b, served| {
+            let serve = |arrival_ns, b: Vec<u8>, served: &mut Vec<Vec<u8>>| {
                 let frame_ns =
                     self.crossing_ns(tel) + self.rpc_ns(tel) + self.server_copy_ns(tel, b.len());
                 inbound.handle_frames_on(arrival_ns, frame_ns, b, served)
-            });
-            for reply in exchange.replies.drain(..) {
+            };
+            // The helper opens the round's replies as they are served
+            // when the window qualifies and nothing is parked from an
+            // earlier round (`ahead`).
+            let helper = channel
+                .opener()
+                .filter(|_| open_ahead && reorder.is_empty())
+                .map(|opener| {
+                    let next = channel.messages_received();
+                    let storage = std::mem::take(&mut exchange.replies);
+                    Handoff::new(storage, opener, next, ours.end, frames)
+                });
+            // Takes in one reply, in arrival order; `ahead` when the
+            // helper opened it.
+            let mut take_in = |replies: &mut [Option<T>],
+                               reply: ExchangeReply,
+                               ahead: bool|
+             -> Result<(), ClientError> {
                 let bytes = reply.bytes;
                 let Some((chanseq, xid, frame)) = seq_reply_envelope(&bytes) else {
                     // An unsequenced reply: a server Error is the session
@@ -543,7 +585,7 @@ impl SfsClient {
                     }
                     tel.count("client", "pipeline.stale_frames", 1);
                     pool.put(bytes);
-                    continue;
+                    return Ok(());
                 };
                 if !ours.contains(&chanseq) || xid as usize >= frames {
                     // Sealed, but not one of ours: a frame of an earlier
@@ -554,7 +596,7 @@ impl SfsClient {
                     // the timeout the real reply never beats.
                     tel.count("client", "pipeline.stale_frames", 1);
                     pool.put(bytes);
-                    continue;
+                    return Ok(());
                 }
                 let expected = channel.messages_received();
                 // A reply that is next in cipher order — every reply on
@@ -572,16 +614,17 @@ impl SfsClient {
                         ))
                     }
                     SeqPush::Buffered if chanseq == expected => {
-                        next = Some((xid, bytes, frame, reply.arrival.as_nanos()));
+                        next = Some((xid, bytes, frame, reply.arrival.as_nanos(), ahead));
                     }
                     SeqPush::Buffered => {
+                        debug_assert!(!ahead, "a reply opened ahead was next in order");
                         arrivals.insert(chanseq, reply.arrival.as_nanos());
                         reorder.push(chanseq, xid, bytes, expected);
                     }
                 }
                 // Open every frame that is now in cipher order.
                 loop {
-                    let (xid, mut env, frame, arrival) = match next.take() {
+                    let (xid, mut env, frame, arrival, ahead) = match next.take() {
                         Some(ready) => ready,
                         None => {
                             let pos = channel.messages_received();
@@ -590,18 +633,61 @@ impl SfsClient {
                             };
                             let (_, _, frame) =
                                 seq_reply_envelope(&env).expect("parsed before it was parked");
-                            (xid, env, frame, arrivals.remove(&pos).unwrap_or(0))
+                            (xid, env, frame, arrivals.remove(&pos).unwrap_or(0), false)
                         }
                     };
                     // The copy out of the daemon plus decryption.
                     cpu_free = cpu_free.max(arrival)
                         + self.user_copy_ns(tel, frame.len())
                         + self.crypto_ns(tel, channel.suite(), frame.len());
-                    let plain = channel.open_in_place(&mut env[frame])?;
+                    let plain = if ahead {
+                        channel.accept_opened(&env[frame])?
+                    } else {
+                        channel.open_in_place(&mut env[frame])?
+                    };
                     let (reply, invalidations) = decode(xid as usize, plain)?;
                     self.apply_invalidations(tel, mount, invalidations);
                     pool.put(env);
                     replies[xid as usize] = Some(reply);
+                }
+                Ok(())
+            };
+            match helper {
+                None => {
+                    wire.exchange_on(unanswered(sealed, replies, pool), exchange, serve);
+                    for reply in exchange.replies.drain(..) {
+                        take_in(replies, reply, false)?;
+                    }
+                }
+                Some(handoff) => {
+                    let (taken, ()) = join(
+                        || {
+                            let resend = unanswered(sealed, replies, pool);
+                            wire.exchange_streamed(resend, exchange, serve, |r| handoff.push(r));
+                            handoff.stop();
+                            // While the helper finishes the reply it is
+                            // on, take in the ones it has opened.
+                            let mut taken = 0;
+                            while let Some(reply) = handoff.take_opened(taken) {
+                                take_in(replies, reply, true)?;
+                                taken += 1;
+                            }
+                            Ok::<_, ClientError>(taken)
+                        },
+                        || handoff.open_ahead(),
+                    );
+                    let taken = taken?;
+                    // The rest of the streamed replies, then any the wire
+                    // kept back (a delayed or duplicated one and those
+                    // after it) in arrival order.
+                    let (mut streamed, opened) = handoff.into_parts();
+                    for (i, reply) in streamed.drain(..).enumerate().skip(taken) {
+                        take_in(replies, reply, i < opened)?;
+                    }
+                    for reply in exchange.replies.drain(..) {
+                        take_in(replies, reply, false)?;
+                    }
+                    exchange.replies = streamed;
                 }
             }
             if replies.iter().any(Option::is_none) {

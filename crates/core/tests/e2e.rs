@@ -131,6 +131,47 @@ fn lease_invalidation_on_write() {
 }
 
 #[test]
+fn a_lease_callback_drops_one_handles_access_answers_and_keeps_the_rest() {
+    let w = world();
+    let c = &w.clients[0];
+    let home = format!("{}/home/alice", w.path().full_path());
+    for name in ["a", "b"] {
+        c.write_file(ALICE_UID, &format!("{home}/{name}"), b"x")
+            .unwrap();
+    }
+    let (mount, a, _) = c.resolve(ALICE_UID, &format!("{home}/a")).unwrap();
+    let (_, b, _) = c.resolve(ALICE_UID, &format!("{home}/b")).unwrap();
+    // RPCs a round of ACCESS calls takes: a miss is one, a hit none.
+    let round = |asks: &[(&sfs_nfs3::proto::FileHandle, u32)]| {
+        let before = c.network_rpcs();
+        for (fh, mask) in asks {
+            c.access(&mount, ALICE_UID, fh, *mask).unwrap();
+        }
+        c.network_rpcs() - before
+    };
+    let asks = [(&a, 0x01), (&a, 0x3f), (&b, 0x01), (&b, 0x3f)];
+    assert_eq!(round(&asks), 4, "cold: every answer is a miss");
+    assert_eq!(round(&asks), 0, "warm: every answer is a hit");
+    // A write to `a` comes back with `a`'s lease callback.
+    let reply = c
+        .call_nfs(
+            &mount,
+            ALICE_UID,
+            &sfs_nfs3::proto::Nfs3Request::Write {
+                fh: a,
+                offset: 1,
+                stable: sfs_nfs3::proto::StableHow::FileSync,
+                data: b"y".to_vec(),
+            },
+        )
+        .unwrap();
+    assert_eq!(reply.status(), Status::Ok, "{reply:?}");
+    assert_eq!(round(&asks[2..]), 0, "b's answers survive a's callback");
+    assert_eq!(round(&asks[..2]), 2, "a's answers are gone");
+    assert_eq!(round(&asks), 0, "and cached again");
+}
+
+#[test]
 fn symlinks_traversed_server_side_content() {
     let w = world();
     // Server root gets a symlink: /latest -> /public/motd.

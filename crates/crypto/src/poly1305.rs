@@ -16,11 +16,14 @@
 //!
 //! That scalar code is the portable tier and the reference the tests
 //! compare against. Where the CPU has AVX-512 IFMA, `update` hands runs
-//! of whole blocks to the `ifma` kernel instead: eight blocks per step,
-//! one per 64-bit lane, on the same 44/44/42 limbs (`vpmadd52luq/huq`
-//! multiply 52-bit lanes, so the radix carries over unchanged), over
-//! `r¹…r⁸` computed once per message. Selection is by runtime feature
-//! detection and input size only, like the ChaCha20 and SHA-1 tiers.
+//! of whole blocks to the `ifma` kernel instead: eight blocks per lane
+//! group, one per 64-bit lane, on the same 44/44/42 limbs
+//! (`vpmadd52luq/huq` multiply 52-bit lanes, so the radix carries over
+//! unchanged), over `r¹…r⁸` and `r¹⁶` computed once per message. Runs
+//! of two groups or more advance two independent accumulators, sixteen
+//! blocks per step, so the multiply latency of one chain hides behind
+//! the other. Selection is by runtime feature detection and input size
+//! only, like the ChaCha20 and SHA-1 tiers.
 
 /// Authenticator tag length in bytes.
 pub const TAG_LEN: usize = 16;
@@ -301,6 +304,14 @@ impl Poly1305 {
 /// the lanes up. A last group of `k < 8` blocks is the same multiply
 /// with exponents `k − b(l)` (and zero for the unused lanes).
 ///
+/// That chain is bound by the latency of its multiply, so runs of two
+/// groups or more keep two: `A` takes groups 0, 2, 4, … and `B` groups
+/// 1, 3, 5, …, each stepping `X ← X·r¹⁶ + M`. Over `2n` groups
+/// `A = Σ G₂ₖ·r^(16(n−1−k))` and `B = Σ G₂ₖ₊₁·r^(16(n−1−k))`, and the
+/// one chain's `Σ Gⱼ·r^(8(2n−1−j))` is `A·r⁸ + B`: one more step folds
+/// them before the lane combine, and an odd last group takes one
+/// eight-block step after the fold.
+///
 /// Nothing here branches on or indexes by message or key data: the
 /// only table lookup is the lane→power permute, whose indices depend
 /// on the block count alone.
@@ -318,14 +329,16 @@ mod ifma {
 
     /// `table[limb][e]` is that limb of `rᵉ` for `e` in 1..=8; entry 0
     /// is zero (the multiplier of an unused lane) and so is the padding
-    /// to the sixteen entries a two-register permute indexes.
+    /// to the sixteen entries a two-register permute indexes. `r16` is
+    /// the two-chain step's multiplier.
     #[derive(Clone)]
     pub(super) struct Powers {
         table: [[u64; 16]; 3],
+        r16: [u64; 3],
     }
 
     impl Powers {
-        /// Seven scalar multiplies, three deep: `r²` comes from the caller.
+        /// Eight scalar multiplies, four deep: `r²` comes from the caller.
         pub(super) fn new(r: [u64; 3], r2: [u64; 3]) -> Powers {
             let mul = |a: [u64; 3], b: [u64; 3]| carry3(mul3(a, b, [b[1] * 20, b[2] * 20]));
             let r3 = mul(r2, r);
@@ -346,8 +359,16 @@ mod ifma {
                     row[e + 1] = p[limb];
                 }
             }
-            Powers { table }
+            let r16 = mul(powers[7], powers[7]);
+            Powers { table, r16 }
         }
+    }
+
+    /// One power broadcast to every lane, with its folds.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn splat(p: [u64; 3]) -> Multiplier {
+        with_folds(p.map(|limb| _mm512_set1_epi64(limb as i64)))
     }
 
     /// A multiplier in the form the products want it: the three limbs
@@ -476,16 +497,30 @@ mod ifma {
     #[target_feature(enable = "avx512f,avx512ifma")]
     pub(super) unsafe fn blocks(mut h: [u64; 3], pw: &Powers, data: &[u8]) -> [u64; 3] {
         debug_assert!(!data.is_empty() && data.len().is_multiple_of(BLOCK_LEN));
-        let mut groups = data.chunks_exact(STEP);
-        if let Some(first) = groups.next() {
-            let r8 = with_folds([0, 1, 2].map(|i| _mm512_set1_epi64(pw.table[i][8] as i64)));
-            let mut acc = add_h(load8(first.as_ptr()), h);
-            for group in &mut groups {
-                acc = mul_add(acc, r8, load8(group.as_ptr()));
+        let (whole, rest) = data.split_at(data.len() - data.len() % STEP);
+        let groups = whole.len() / STEP;
+        if groups > 0 {
+            let m = whole.as_ptr();
+            let r8 = splat([0, 1, 2].map(|i| pw.table[i][8]));
+            let mut acc = add_h(load8(m), h);
+            let mut g = 1;
+            if groups >= 2 {
+                // Two chains: `acc` takes the even groups, `odd` the odd.
+                let r16 = splat(pw.r16);
+                let mut odd = load8(m.add(STEP));
+                g = 2;
+                while g + 2 <= groups {
+                    acc = mul_add(acc, r16, load8(m.add(g * STEP)));
+                    odd = mul_add(odd, r16, load8(m.add((g + 1) * STEP)));
+                    g += 2;
+                }
+                acc = mul_add(acc, r8, odd);
+            }
+            if g < groups {
+                acc = mul_add(acc, r8, load8(m.add(g * STEP)));
             }
             h = combine(acc, lane_powers(pw, 8));
         }
-        let rest = groups.remainder();
         if !rest.is_empty() {
             // The unused lanes read zeros (plus the 2¹²⁸ bit) and are
             // multiplied by zero.
@@ -696,7 +731,12 @@ in the wabe:\nAll mimsy were the borogoves,\nAnd the mome raths outgrabe.";
     fn vector_tier_matches_scalar_tier_at_every_length_and_fragmentation() {
         let mut rng = XorShiftSource::new(0x1305_0044);
         let mut random_key = [0u8; KEY_LEN];
-        let lengths = (0..=1500usize).chain([4096, 8192, 8320, 8333]);
+        // Every length to 4 KiB: one and two chains, an odd last group
+        // after the fold, a partial group after either; then 8 KiB reads
+        // and 32 KiB writes, give or take a block.
+        let lengths = (0..=4096usize)
+            .chain([8192, 8320, 8333])
+            .chain(32_768 - 16..=32_768 + 16);
         for len in lengths {
             rng.fill(&mut random_key);
             let mut random_msg = vec![0u8; len];

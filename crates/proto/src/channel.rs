@@ -317,18 +317,41 @@ impl SecureChannelEnd {
     /// letting a caller build a cleartext envelope and the frame in one
     /// buffer. Produces exactly the bytes [`Self::seal`] would.
     pub fn seal_into(&mut self, buf: &mut Vec<u8>, frame_start: usize) -> Result<(), ChannelError> {
+        self.seal_into_spliced(buf, frame_start, buf.len(), &[])
+    }
+
+    /// [`Self::seal_into`] for a plaintext with a run the caller lends
+    /// instead of copying in: `buf[frame_start..]` holds the reserved
+    /// header and the plaintext with `lent` left out at `at`. Produces
+    /// exactly the bytes `seal_into` would after `buf.splice(at..at,
+    /// lent)`. Under ChaCha20-Poly1305 the lent bytes are read once,
+    /// encrypted from where they live straight into the frame; ARC4+SHA-1
+    /// copies them in and seals.
+    pub fn seal_into_spliced(
+        &mut self,
+        buf: &mut Vec<u8>,
+        frame_start: usize,
+        at: usize,
+        lent: &[u8],
+    ) -> Result<(), ChannelError> {
         if self.poisoned {
             return Err(ChannelError::Poisoned);
         }
-        if buf.len() < frame_start + FRAME_HEADER_LEN {
+        if buf.len() < frame_start + FRAME_HEADER_LEN
+            || at < frame_start + FRAME_HEADER_LEN
+            || at > buf.len()
+        {
             return Err(ChannelError::Truncated);
         }
-        let plen = buf.len() - frame_start - FRAME_HEADER_LEN;
+        let plen = buf.len() - frame_start - FRAME_HEADER_LEN + lent.len();
         if plen > MAX_MESSAGE {
             return Err(ChannelError::TooLong);
         }
         match &mut self.send {
             DirectionCipher::Arc4Sha1(stream) => {
+                if !lent.is_empty() {
+                    buf.splice(at..at, lent.iter().copied());
+                }
                 // MAC key pulled first, then len ‖ plaintext ‖ MAC
                 // encrypted; one pass where the CPU allows.
                 arc4sha1::seal_into(stream, buf, frame_start);
@@ -338,12 +361,15 @@ impl SecureChannelEnd {
                 buf[frame_start..frame_start + FRAME_HEADER_LEN]
                     .copy_from_slice(&(plen as u32).to_be_bytes());
                 let (nonce, next) = (chacha_nonce(*seq), chacha_nonce(*seq + 1));
-                let tag = chachapoly::seal_in_sequence(
+                let tag = chachapoly::seal_spliced_in_sequence(
                     key,
                     &nonce,
                     &next,
                     &[],
-                    &mut buf[frame_start..],
+                    buf,
+                    frame_start,
+                    at,
+                    lent,
                     ahead,
                 );
                 buf.extend_from_slice(&tag);
@@ -375,8 +401,55 @@ impl SecureChannelEnd {
             return Err(ChannelError::Poisoned);
         }
         let result = self.open_in_place_inner(frame);
+        self.opened(result)
+    }
+
+    /// An opener for the frames this end receives next, for another
+    /// thread to decrypt them while this one is busy: `Some` when the
+    /// end runs ChaCha20-Poly1305 and is not poisoned. See
+    /// [`FrameOpener`].
+    pub fn opener(&self) -> Option<FrameOpener> {
+        match &self.recv {
+            DirectionCipher::ChaChaPoly { key, seq, .. } if !self.poisoned => Some(FrameOpener {
+                key: *key,
+                seq: *seq,
+            }),
+            _ => None,
+        }
+    }
+
+    /// Takes in the next frame where [`FrameOpener::open`] already
+    /// decrypted it: everything [`Self::open_in_place`] does to this end
+    /// — the counter, the length checks, the tallies, the poisoning on a
+    /// bad length — but the decryption. Returns the same plaintext.
+    ///
+    /// # Panics
+    ///
+    /// On an end that hands out no opener.
+    pub fn accept_opened<'a>(&mut self, frame: &'a [u8]) -> Result<&'a [u8], ChannelError> {
+        if self.poisoned {
+            return Err(ChannelError::Poisoned);
+        }
+        let DirectionCipher::ChaChaPoly { seq, ahead, .. } = &mut self.recv else {
+            panic!("only a ChaCha20-Poly1305 end hands out an opener");
+        };
+        // As the open would have: the waiting head taken, the counter
+        // past this frame.
+        ahead.clear();
+        *seq += 1;
+        let body = &frame[..frame.len() - chachapoly::TAG_LEN];
+        let result = chacha_plaintext(body);
+        self.opened(result)
+    }
+
+    /// Counts an open, or poisons the channel on a failed one.
+    fn opened<'a>(
+        &mut self,
+        result: Result<&'a [u8], ChannelError>,
+    ) -> Result<&'a [u8], ChannelError> {
         match &result {
             Ok(plaintext) => {
+                self.received += 1;
                 self.tel.count(self.host, "channel.msgs_opened", 1);
                 self.tel
                     .count(self.host, "channel.bytes_opened", plaintext.len() as u64);
@@ -415,18 +488,58 @@ impl SecureChannelEnd {
                 chachapoly::open_in_sequence(key, &nonce, &next, &[], body, tag, ahead)
                     .map_err(|_| ChannelError::MacFailure)?;
                 *seq += 1;
-                let len = u32::from_be_bytes(body[..FRAME_HEADER_LEN].try_into().unwrap()) as usize;
-                if len > MAX_MESSAGE {
-                    return Err(ChannelError::TooLong);
-                }
-                if body.len() != FRAME_HEADER_LEN + len {
-                    return Err(ChannelError::Truncated);
-                }
-                &body[FRAME_HEADER_LEN..]
+                chacha_plaintext(body)?
             }
         };
-        self.received += 1;
         Ok(plaintext)
+    }
+}
+
+/// The message in an opened ChaCha20-Poly1305 frame body (`len ‖
+/// message`), once its length word checks out.
+fn chacha_plaintext(body: &[u8]) -> Result<&[u8], ChannelError> {
+    let len = u32::from_be_bytes(body[..FRAME_HEADER_LEN].try_into().unwrap()) as usize;
+    if len > MAX_MESSAGE {
+        return Err(ChannelError::TooLong);
+    }
+    if body.len() != FRAME_HEADER_LEN + len {
+        return Err(ChannelError::Truncated);
+    }
+    Ok(&body[FRAME_HEADER_LEN..])
+}
+
+/// The receive key and position of a ChaCha20-Poly1305 channel end, as
+/// they stood when [`SecureChannelEnd::opener`] was called: enough to
+/// verify and decrypt the frames that follow on another thread, leaving
+/// the end itself alone. The end then takes each one in, in order, with
+/// [`SecureChannelEnd::accept_opened`], or — if it was never opened —
+/// opens it itself as usual. Nothing an opener does is seen by the
+/// peer or by the end until then: a frame that fails its tag is left as
+/// it was (the AEAD verifies before it decrypts), and one the end never
+/// takes in is simply dropped.
+#[derive(Clone, Copy)]
+pub struct FrameOpener {
+    key: [u8; chachapoly::KEY_LEN],
+    seq: u64,
+}
+
+impl FrameOpener {
+    /// Verifies and decrypts in place the wire frame `k` frames after
+    /// the one the end receives next. Returns whether it did.
+    pub fn open(&self, k: u64, frame: &mut [u8]) -> bool {
+        if frame.len() < FRAME_HEADER_LEN + chachapoly::TAG_LEN {
+            return false;
+        }
+        let (body, tag) = frame.split_at_mut(frame.len() - chachapoly::TAG_LEN);
+        chachapoly::open_in_place(&self.key, &chacha_nonce(self.seq + k), &[], body, tag).is_ok()
+    }
+}
+
+impl std::fmt::Debug for FrameOpener {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FrameOpener")
+            .field("seq", &self.seq)
+            .finish()
     }
 }
 
@@ -1009,6 +1122,100 @@ mod tests {
         let f2 = c.seal(b"hello").unwrap();
         assert_eq!(s.open(&f2[..10]).unwrap_err(), ChannelError::Truncated);
         assert!(s.is_poisoned());
+    }
+
+    #[test]
+    fn a_spliced_seal_is_the_seal_of_the_run_copied_in_under_both_suites() {
+        let k = keys();
+        for suite in [SuiteId::Arc4Sha1, SuiteId::ChaCha20Poly1305] {
+            let mut copying = SecureChannelEnd::server_with_suite(&k, suite);
+            let mut lending = SecureChannelEnd::server_with_suite(&k, suite);
+            let mut peer = SecureChannelEnd::client_with_suite(&k, suite);
+            for (front, lent_len, back) in [(0, 0, 0), (24, 8192, 96), (3, 1, 5), (100, 700, 0)] {
+                let prefix = [0xAAu8; 7];
+                let plain: Vec<u8> = (0..front + lent_len + back).map(|i| i as u8).collect();
+                let mut copied = prefix.to_vec();
+                copied.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+                copied.extend_from_slice(&plain);
+                copying.seal_into(&mut copied, prefix.len()).unwrap();
+                let at = prefix.len() + FRAME_HEADER_LEN + front;
+                let mut lent = prefix.to_vec();
+                lent.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+                lent.extend_from_slice(&plain[..front]);
+                lent.extend_from_slice(&plain[front + lent_len..]);
+                let run = &plain[front..front + lent_len];
+                lending
+                    .seal_into_spliced(&mut lent, prefix.len(), at, run)
+                    .unwrap();
+                assert_eq!(lent, copied, "{suite} {front}+{lent_len}+{back}");
+                assert_eq!(peer.open(&copied[prefix.len()..]).unwrap(), plain);
+            }
+            assert_eq!(lending.messages_sent(), copying.messages_sent());
+            // The lent run goes after the reserved header.
+            let mut short = vec![0u8; FRAME_HEADER_LEN + 4];
+            assert_eq!(
+                lending.seal_into_spliced(&mut short, 0, 2, b"x"),
+                Err(ChannelError::Truncated)
+            );
+        }
+    }
+
+    #[test]
+    fn frames_opened_ahead_are_taken_in_as_the_end_would_open_them() {
+        // Three frames opened on the side and taken in, the fourth
+        // tampered with (left as it was, then refused by the end as it
+        // always is), against a twin end opening each in place.
+        let (mut c, _) = chacha_pair();
+        let (_, mut inline) = chacha_pair();
+        let (_, mut ahead) = chacha_pair();
+        let frames: Vec<Vec<u8>> = (0..4usize)
+            .map(|i| c.seal(&vec![i as u8; 100 + i * 3000]).unwrap())
+            .collect();
+        let opener = ahead.opener().expect("a ChaCha20-Poly1305 end");
+        for (i, frame) in frames.iter().enumerate() {
+            let mut mine = frame.clone();
+            let mut theirs = frame.clone();
+            if i == 3 {
+                mine[9] ^= 1;
+                theirs[9] ^= 1;
+                let before = mine.clone();
+                assert!(!opener.open(i as u64, &mut mine));
+                assert_eq!(mine, before, "a refused frame is left as it was");
+                assert_eq!(
+                    ahead.open_in_place(&mut mine),
+                    Err(ChannelError::MacFailure)
+                );
+                assert_eq!(
+                    inline.open_in_place(&mut theirs),
+                    Err(ChannelError::MacFailure)
+                );
+                assert!(ahead.is_poisoned() && ahead.opener().is_none());
+                break;
+            }
+            assert!(opener.open(i as u64, &mut mine));
+            assert_eq!(
+                ahead.accept_opened(&mine).map(<[u8]>::to_vec),
+                inline.open_in_place(&mut theirs).map(<[u8]>::to_vec)
+            );
+            assert_eq!(ahead.messages_received(), inline.messages_received());
+        }
+        // A frame whose tag holds but whose length word lies is taken in
+        // and refused, poisoning the end as an open would.
+        let mut k2 = chacha_pair();
+        let mut frame = k2.0.seal(b"hello").unwrap();
+        let opener = k2.1.opener().unwrap();
+        let body_len = frame.len() - chachapoly::TAG_LEN;
+        let (body, tag) = frame.split_at_mut(body_len);
+        let key = expand_channel_key(&keys().kcs);
+        chachapoly::open_in_place(&key, &chacha_nonce(0), &[], body, tag).unwrap();
+        body[..FRAME_HEADER_LEN].copy_from_slice(&9u32.to_be_bytes());
+        let new_tag = chachapoly::seal_in_place(&key, &chacha_nonce(0), &[], body);
+        tag.copy_from_slice(&new_tag);
+        assert!(opener.open(0, &mut frame));
+        assert_eq!(k2.1.accept_opened(&frame), Err(ChannelError::Truncated));
+        assert!(k2.1.is_poisoned());
+        // An ARC4+SHA-1 end hands out none.
+        assert!(SecureChannelEnd::server(&keys()).opener().is_none());
     }
 
     /// The nonce whose head waits in `dir`, if any.

@@ -44,8 +44,8 @@ pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultSpec, NetAction};
 pub use ipc::{LocalEndpoint, LocalIdentity};
 pub use journal::{crc32, JournalDisk, JournalError, ReplayOutcome};
 pub use net::{
-    Direction, Exchange, Interceptor, NetParams, PacketLog, ServerCost, ServerLoad, Transport,
-    Verdict, Wire, WireError,
+    Direction, Exchange, ExchangeReply, Interceptor, NetParams, PacketLog, ServerCost, ServerLoad,
+    Transport, Verdict, Wire, WireError,
 };
 pub use repl::{ReplLink, ReplTransport};
 pub use time::{CoreReservation, CoreSet, SimClock, SimTime, Timeline};

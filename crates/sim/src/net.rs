@@ -437,7 +437,40 @@ impl Wire {
         &self,
         frames: impl IntoIterator<Item = (SimTime, Vec<u8>)>,
         x: &mut Exchange,
+        server: impl FnMut(u64, Vec<u8>, &mut Vec<Vec<u8>>) -> ServerCost,
+    ) {
+        self.exchange(frames, x, server, None);
+    }
+
+    /// [`Self::exchange_on`], handing replies to `sink` as they are
+    /// served instead of collecting them all, for a caller that starts on
+    /// them while the server still works.
+    ///
+    /// Replies leave the server on its one downlink in the order they are
+    /// served, each departing no earlier than the one before it finished
+    /// serializing, so they arrive in service order — whatever the
+    /// requests' fates and however the server accounts its time — until
+    /// the adversary delays one. Up to the first reply delayed or
+    /// duplicated, each goes to `sink` as it is served; from it on they
+    /// are collected in `x.replies` and sorted at the end. `sink`'s replies, in the order
+    /// it got them, followed by `x.replies` are exactly the replies, in
+    /// the order, that `exchange_on` would have left in `x.replies`.
+    pub fn exchange_streamed(
+        &self,
+        frames: impl IntoIterator<Item = (SimTime, Vec<u8>)>,
+        x: &mut Exchange,
+        server: impl FnMut(u64, Vec<u8>, &mut Vec<Vec<u8>>) -> ServerCost,
+        mut sink: impl FnMut(ExchangeReply),
+    ) {
+        self.exchange(frames, x, server, Some(&mut sink));
+    }
+
+    fn exchange(
+        &self,
+        frames: impl IntoIterator<Item = (SimTime, Vec<u8>)>,
+        x: &mut Exchange,
         mut server: impl FnMut(u64, Vec<u8>, &mut Vec<Vec<u8>>) -> ServerCost,
+        mut sink: Option<&mut dyn FnMut(ExchangeReply)>,
     ) {
         x.replies.clear();
         // Client→server: serialize in send order onto the shared link.
@@ -471,6 +504,8 @@ impl Wire {
         let mut reply_link_free = 0u64;
         let out = &mut x.replies;
         let mut answered = 0u64;
+        // The last reply `sink` got, if any.
+        let mut streamed_finish: Option<SimTime> = None;
         let sharers = self.sharers();
         for (arrival, _idx, bytes, dup) in x.arrivals.drain(..) {
             let (first, second) = if dup {
@@ -502,13 +537,21 @@ impl Wire {
                     let r_arrival = depart + ser + self.params.latency_ns;
                     match self.route(Direction::Reply, rbytes) {
                         Fate::Deliver(b) => {
-                            out.push(ExchangeReply {
+                            let reply = ExchangeReply {
                                 bytes: b,
                                 arrival: SimTime(r_arrival),
-                            });
+                            };
+                            match sink.as_mut() {
+                                Some(sink) => {
+                                    streamed_finish = Some(reply.arrival);
+                                    sink(reply);
+                                }
+                                None => out.push(reply),
+                            }
                             answered += 1;
                         }
                         Fate::Duplicate(b) => {
+                            sink = None;
                             out.push(ExchangeReply {
                                 bytes: b.clone(),
                                 arrival: SimTime(r_arrival),
@@ -520,6 +563,7 @@ impl Wire {
                             answered += 1;
                         }
                         Fate::Delay(ns, b) => {
+                            sink = None;
                             out.push(ExchangeReply {
                                 bytes: b,
                                 arrival: SimTime(r_arrival + ns),
@@ -535,7 +579,7 @@ impl Wire {
         // The caller resumes once the last surviving reply is in; a
         // batch that lost everything costs no time here (the caller's
         // retransmission timeout charges it instead).
-        if let Some(finish) = out.iter().map(|r| r.arrival).max() {
+        if let Some(finish) = out.iter().map(|r| r.arrival).chain(streamed_finish).max() {
             self.clock.advance_to(finish);
         }
         out.sort_by_key(|r| r.arrival);
@@ -934,6 +978,67 @@ mod tests {
         }
         // The clock lands exactly on the last arrival.
         assert_eq!(w.clock().now(), replies[3].arrival);
+    }
+
+    #[test]
+    fn a_streamed_exchange_hands_over_what_exchange_on_collects_in_its_order() {
+        // Seeded fault mixes, a serial and a scheduled server, windows of
+        // eight frames of spread lengths, back to back on twin wires: the
+        // sink's replies, then the ones kept back, are exchange_on's
+        // replies in exchange_on's order, at the same instants, and the
+        // sink never gets one out of arrival order.
+        use crate::fault::FaultPlan;
+        for spec in [
+            "seed=5",
+            "seed=6,drop=200",
+            "seed=7,dup=150,drop=100",
+            "seed=8,delay=150,delay_ns=1ms",
+            "seed=9,drop=100,dup=100,reorder=100,delay=100,delay_ns=300us",
+        ] {
+            for scheduled in [false, true] {
+                let (mut a, mut b) = (wire(), wire());
+                a.set_fault_plan(FaultPlan::from_spec(spec).unwrap());
+                b.set_fault_plan(FaultPlan::from_spec(spec).unwrap());
+                let (mut xa, mut xb) = (Exchange::default(), Exchange::default());
+                for round in 0..40u64 {
+                    let frames = |w: &Wire| {
+                        let sent = w.clock().now();
+                        (0..8u8)
+                            .map(|i| (sent, vec![i; 64 + 300 * i as usize]))
+                            .collect::<Vec<_>>()
+                    };
+                    let server = |arrival: u64, req: Vec<u8>, out: &mut Vec<Vec<u8>>| {
+                        let len = 8192 - 1000 * (req[0] as usize % 3);
+                        out.push(vec![req[0]; len]);
+                        match scheduled {
+                            false => Serial(20_000),
+                            // Later frames finish first.
+                            true => {
+                                ServerCost::Scheduled(arrival + 400_000 - 40_000 * req[0] as u64)
+                            }
+                        }
+                    };
+                    a.exchange_on(frames(&a), &mut xa, server);
+                    let mut streamed = Vec::new();
+                    b.exchange_streamed(frames(&b), &mut xb, server, |r| streamed.push(r));
+                    for pair in streamed.windows(2) {
+                        assert!(pair[0].arrival <= pair[1].arrival, "{spec} round {round}");
+                    }
+                    let got: Vec<_> = streamed
+                        .iter()
+                        .chain(&xb.replies)
+                        .map(|r| (r.arrival, r.bytes.clone()))
+                        .collect();
+                    let want: Vec<_> = xa
+                        .replies
+                        .iter()
+                        .map(|r| (r.arrival, r.bytes.clone()))
+                        .collect();
+                    assert_eq!(got, want, "{spec} scheduled {scheduled} round {round}");
+                    assert_eq!(a.clock().now(), b.clock().now());
+                }
+            }
+        }
     }
 
     #[test]
