@@ -439,7 +439,7 @@ impl Wire {
         x: &mut Exchange,
         server: impl FnMut(u64, Vec<u8>, &mut Vec<Vec<u8>>) -> ServerCost,
     ) {
-        self.exchange(frames, x, server, None);
+        self.exchange(frames, x, server, None::<fn(ExchangeReply)>);
     }
 
     /// [`Self::exchange_on`], handing replies to `sink` as they are
@@ -460,17 +460,19 @@ impl Wire {
         frames: impl IntoIterator<Item = (SimTime, Vec<u8>)>,
         x: &mut Exchange,
         server: impl FnMut(u64, Vec<u8>, &mut Vec<Vec<u8>>) -> ServerCost,
-        mut sink: impl FnMut(ExchangeReply),
+        sink: impl FnMut(ExchangeReply),
     ) {
-        self.exchange(frames, x, server, Some(&mut sink));
+        self.exchange(frames, x, server, Some(sink));
     }
 
+    /// Both of the above: one instance each, so `exchange_on`'s has no
+    /// sink to look at.
     fn exchange(
         &self,
         frames: impl IntoIterator<Item = (SimTime, Vec<u8>)>,
         x: &mut Exchange,
         mut server: impl FnMut(u64, Vec<u8>, &mut Vec<Vec<u8>>) -> ServerCost,
-        mut sink: Option<&mut dyn FnMut(ExchangeReply)>,
+        mut sink: Option<impl FnMut(ExchangeReply)>,
     ) {
         x.replies.clear();
         // Client→server: serialize in send order onto the shared link.
