@@ -52,6 +52,8 @@
 //! that frame is sealed or opened. The narrower tiers' row step already
 //! has no room for a second head and keeps making one per step.
 
+use std::mem::MaybeUninit;
+
 /// Key length in bytes (256-bit keys only; RFC 8439 drops the 128-bit form).
 pub const KEY_LEN: usize = 32;
 /// Nonce length in bytes (96-bit IETF nonce; the block counter is 32-bit).
@@ -71,8 +73,6 @@ pub(crate) const PAIRED_HEAD_LEN: usize = 4 * BLOCK_LEN;
 /// what a stream's last run is cut out of when it is longer than
 /// [`MAX_STEP`].
 const WIDE_STEP: usize = 16 * BLOCK_LEN;
-
-use std::mem::MaybeUninit;
 
 /// "expand 32-byte k", the §2.3 constant words.
 const SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
