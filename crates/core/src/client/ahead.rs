@@ -1,10 +1,11 @@
 //! Opening a window's replies on the idle core (DESIGN.md §11).
 //!
-//! In a window of READs the client's opens of the replies cost about as
-//! much as the server's work on the window, and reply i can be opened as
-//! soon as it is sealed. So while the caller serves the window, the
-//! process's one helper thread ([`sfs_bignum::join`]) opens the replies
-//! the wire hands over as they are served
+//! Reply i of a window can be opened as soon as it is sealed, and in a
+//! window of READs the client's opens cost about as much as the
+//! server's work on the window. So while the caller serves a window of
+//! READs on a ChaCha20-Poly1305 channel, the process's one helper
+//! thread ([`sfs_bignum::join`]) opens the replies the wire hands over
+//! as they are served
 //! ([`sfs_sim::Wire::exchange_streamed`]), in channel order, and the
 //! caller's exchange loop then takes each one in
 //! ([`SecureChannelEnd::accept_opened`]) instead of opening it.
@@ -25,7 +26,8 @@
 //! - It counts nothing and charges nothing: the loop still does both, in
 //!   its own order, on its own thread.
 //!
-//! Once the window is served the caller raises `stop` and takes in the
+//! Once the window is served the caller raises `stop` — by dropping a
+//! guard, so that a panic while serving raises it too — and takes in the
 //! replies already opened while the helper finishes at most the one it
 //! is on; the loop then takes in or opens the rest.
 //!
@@ -40,46 +42,42 @@ use sfs_telemetry::sync::Mutex;
 
 use crate::wire::seq_reply_envelope;
 
-/// When a window's replies are opened on the helper thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpenAhead {
-    /// Windows of more than one frame that carry a READ, on a
-    /// ChaCha20-Poly1305 channel: the default.
-    Auto,
-    /// Never: every reply is opened by the exchange loop.
-    Off,
-    /// Every window on a ChaCha20-Poly1305 channel, and the helper opens
-    /// every reply it can even after the window is served — so that a
-    /// host with one CPU, where the helper's half runs after the
-    /// caller's, still takes the path. For tests that hold the outcomes
-    /// of both paths equal.
-    Always,
+/// The test switch: 0 leaves the choice to [`wanted`], 1 forces the
+/// helper off, 2 on.
+static FORCED: AtomicU8 = AtomicU8::new(0);
+
+/// Forces, for the whole process, whether windows' replies are opened
+/// on the helper thread: `Some(false)` never; `Some(true)` every window
+/// on a ChaCha20-Poly1305 channel, the helper opening every reply it
+/// can even after the window is served, so that a host with one CPU,
+/// where the helper's half runs after the caller's, still takes the
+/// path; `None` the default. Outcomes do not depend on it, wall time
+/// does: it is for tests that hold both paths' outcomes equal.
+#[doc(hidden)]
+pub fn force_open_ahead(force: Option<bool>) {
+    let code = match force {
+        None => 0,
+        Some(false) => 1,
+        Some(true) => 2,
+    };
+    FORCED.store(code, Ordering::Relaxed);
 }
 
-/// The process's [`OpenAhead`] setting, as its index in `MODES`.
-static MODE: AtomicU8 = AtomicU8::new(0);
-
-const MODES: [OpenAhead; 3] = [OpenAhead::Auto, OpenAhead::Off, OpenAhead::Always];
-
-/// Sets when windows' replies are opened on the helper thread, for the
-/// whole process. Outcomes do not depend on it; wall time does.
-pub fn set_open_ahead(mode: OpenAhead) {
-    let index = MODES.iter().position(|&m| m == mode).expect("listed");
-    MODE.store(index as u8, Ordering::Relaxed);
-}
-
-fn mode() -> OpenAhead {
-    MODES[MODE.load(Ordering::Relaxed) as usize]
-}
-
-/// Whether a window of `frames` frames qualifies; `reads` says whether
-/// it carries a READ.
-pub(super) fn wanted(frames: usize, reads: impl FnOnce() -> bool) -> bool {
-    match mode() {
-        OpenAhead::Auto => frames > 1 && reads(),
-        OpenAhead::Off => false,
-        OpenAhead::Always => true,
+fn forced() -> Option<bool> {
+    match FORCED.load(Ordering::Relaxed) {
+        1 => Some(false),
+        2 => Some(true),
+        _ => None,
     }
+}
+
+/// Whether a window of `frames` frames has its replies opened on the
+/// helper thread (on a channel that allows it); `reads` says whether it
+/// carries a READ. A window of one has nothing to overlap its open
+/// with, and one without a READ has short replies: opening them ahead
+/// lost slightly on `seq_write` (EXPERIMENTS "Both ends at once").
+pub(super) fn wanted(frames: usize, reads: impl FnOnce() -> bool) -> bool {
+    forced().unwrap_or_else(|| frames > 1 && reads())
 }
 
 /// The replies of one round of an exchange, handed from the caller,
@@ -98,7 +96,7 @@ pub(super) struct Handoff {
     ours_end: u64,
     /// The exchange's frame count (its xids are below it).
     frames: usize,
-    /// Whether the helper keeps opening after `stop` ([`OpenAhead::Always`]).
+    /// Whether the helper keeps opening after `stop` (forced on).
     drain: bool,
 }
 
@@ -128,7 +126,7 @@ impl Handoff {
             next,
             ours_end,
             frames,
-            drain: mode() == OpenAhead::Always,
+            drain: forced() == Some(true),
         }
     }
 
@@ -139,9 +137,13 @@ impl Handoff {
         self.published.store(slots.replies.len(), Ordering::Release);
     }
 
-    /// The window is served: no more replies come.
-    pub(super) fn stop(&self) {
-        self.stop.store(true, Ordering::Release);
+    /// A guard that raises `stop` when dropped: the caller makes it
+    /// before it serves the window and drops it once the window is
+    /// served, so that a panic while serving it also lets the helper
+    /// return — and `join` hand the panic on — instead of waiting for
+    /// replies that never come.
+    pub(super) fn stop_on_drop(&self) -> StopOnDrop<'_> {
+        StopOnDrop(&self.stop)
     }
 
     /// The helper's half: opens replies in the order they come until one
@@ -199,5 +201,14 @@ impl Handoff {
     pub(super) fn into_parts(self) -> (Vec<ExchangeReply>, usize) {
         let slots = self.slots.into_inner();
         (slots.replies, slots.opened)
+    }
+}
+
+/// Raises a [`Handoff`]'s `stop` when dropped: no more replies come.
+pub(super) struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
     }
 }

@@ -46,11 +46,7 @@ impl SfsClient {
             cache.remove(&fh);
         }
         let mut access = mount.access_cache.lock();
-        for fh in invalidations.iter() {
-            if let Some(grants) = access.get_mut(&fh) {
-                grants.clear();
-            }
-        }
+        access.retain(|(fh, _, _), _| !invalidations.iter().any(|i| i == *fh));
         // Read-ahead data for an invalidated file was speculated under a
         // lease another client just broke.
         let mut streams = mount.streams.lock();
@@ -357,9 +353,9 @@ impl SfsClient {
     ) -> Result<u32, ClientError> {
         self.refuse_if_revoked(mount, uid)?;
         let tel = self.tel();
-        let key = (uid, mask);
+        let key = (*fh, uid, mask);
         if self.caching.load(Ordering::SeqCst) {
-            if let Some(c) = mount.access_cache.lock().get(fh).and_then(|g| g.get(key)) {
+            if let Some(c) = mount.access_cache.lock().get(&key) {
                 if self.clock.now() < c.expires {
                     tel.count("client", "cache.access_hits", 1);
                     // The granted mask is stashed in the attr's mode field.
@@ -375,7 +371,7 @@ impl SfsClient {
                 if self.caching.load(Ordering::SeqCst) && attr.lease_ns > 0 {
                     if let Some(mut a) = attr.attr {
                         a.mode = granted;
-                        mount.access_cache.lock().entry(*fh).or_default().insert(
+                        mount.access_cache.lock().insert(
                             key,
                             CachedAttr {
                                 attr: a,

@@ -43,7 +43,8 @@ mod recovery;
 mod rpc;
 mod session;
 
-pub use ahead::{set_open_ahead, OpenAhead};
+#[doc(hidden)]
+pub use ahead::force_open_ahead;
 pub use net::{RoutedRo, RoutedRw, Router, RwRoute, SfsNetwork};
 pub use recovery::RecoveryReport;
 
@@ -293,9 +294,7 @@ pub struct Mount {
     /// client resuming at the mark can never reuse one.
     seq_hwm: AtomicU32,
     attr_cache: Mutex<HashMap<FileHandle, CachedAttr>>,
-    /// ACCESS answers by file handle, so that a lease callback for a
-    /// handle touches that handle's answers alone.
-    access_cache: Mutex<HashMap<FileHandle, AccessGrants>>,
+    access_cache: Mutex<HashMap<AccessKey, CachedAttr>>,
     /// Round trips accumulated on wires discarded by reconnects.
     prior_round_trips: AtomicU64,
     reconnects: AtomicU64,
@@ -306,48 +305,8 @@ pub struct Mount {
     wb_queue: Mutex<Vec<(u32, Nfs3Request)>>,
 }
 
-/// One handle's access-cache key: (uid, requested mask).
-type AccessKey = (u32, u32);
-
-/// One handle's cached ACCESS answers: the first inline (one uid asking
-/// one mask is the common case, and takes no allocation), any others
-/// after it. Emptied, not dropped, when the handle's lease breaks, so
-/// the answers that follow reuse its room.
-#[derive(Default)]
-struct AccessGrants {
-    first: Option<(AccessKey, CachedAttr)>,
-    rest: Vec<(AccessKey, CachedAttr)>,
-}
-
-impl AccessGrants {
-    fn get(&self, key: AccessKey) -> Option<&CachedAttr> {
-        self.first
-            .iter()
-            .chain(&self.rest)
-            .find(|(k, _)| *k == key)
-            .map(|(_, c)| c)
-    }
-
-    fn insert(&mut self, key: AccessKey, grant: CachedAttr) {
-        if let Some((_, c)) = self
-            .first
-            .iter_mut()
-            .chain(&mut self.rest)
-            .find(|(k, _)| *k == key)
-        {
-            *c = grant;
-        } else if self.first.is_none() {
-            self.first = Some((key, grant));
-        } else {
-            self.rest.push((key, grant));
-        }
-    }
-
-    fn clear(&mut self) {
-        self.first = None;
-        self.rest.clear();
-    }
-}
+/// Access-cache key: (file handle, uid, requested mask).
+type AccessKey = (FileHandle, u32, u32);
 
 /// How the client paces retransmissions and reconnects (all in virtual
 /// time). Retransmission resends the *identical* sealed frame — the

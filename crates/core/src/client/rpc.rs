@@ -662,9 +662,10 @@ impl SfsClient {
                 Some(handoff) => {
                     let (taken, ()) = join(
                         || {
+                            let stop = handoff.stop_on_drop();
                             let resend = unanswered(sealed, replies, pool);
                             wire.exchange_streamed(resend, exchange, serve, |r| handoff.push(r));
-                            handoff.stop();
+                            drop(stop);
                             // While the helper finishes the reply it is
                             // on, take in the ones it has opened.
                             let mut taken = 0;

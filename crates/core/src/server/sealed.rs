@@ -22,7 +22,7 @@
 use std::sync::Arc;
 
 use sfs_nfs3::proto::{Nfs3Reply, Nfs3Request, Proc, Status};
-use sfs_proto::channel::{ChannelError, SecureChannelEnd, SeqPush, SuiteId};
+use sfs_proto::channel::SeqPush;
 use sfs_proto::userauth::{AuthInfo, AuthMsg, AUTHNO_ANONYMOUS};
 use sfs_sim::{ServerCost, SimDisk};
 use sfs_telemetry::Telemetry;
@@ -125,17 +125,17 @@ impl ServerConn {
         }
         let mut out = self.pool.get();
         seq_env_begin(&mut out, false, est.channel.messages_sent(), xid);
-        let bytes = match self.serve_plaintext_into(est, f, plaintext, &mut out) {
+        if let Err(e) = self.service_plaintext_into(est, f, plaintext, &mut out) {
+            self.pool.put(fbuf);
+            self.pool.put(out);
+            return ReplyMsg::Error(e).to_xdr();
+        }
+        let bytes = match est.channel.seal_into(&mut out, SEALED_SEQ_ENV_FRAME_START) {
             Ok(()) => {
                 seq_env_finish(&mut out);
                 out
             }
-            Err(Unserved::Call(e)) => {
-                self.pool.put(fbuf);
-                self.pool.put(out);
-                return ReplyMsg::Error(e).to_xdr();
-            }
-            Err(Unserved::Channel(e)) => ReplyMsg::Error(format!("channel failure: {e}")).to_xdr(),
+            Err(e) => ReplyMsg::Error(format!("channel failure: {e}")).to_xdr(),
         };
         // The request buffer is done with: its return and the cache
         // copy's draw take the pool's lock once.
@@ -166,46 +166,35 @@ impl ServerConn {
         tel.count("server", "replycache.evictions", n as u64);
     }
 
-    /// Dispatches one opened plaintext call and seals its reply into
-    /// `out`, which already holds the caller's envelope prefix. The hot
-    /// NFS3 path encodes its results straight into `out` without copying
-    /// the argument bytes, and seals inside the NFS server's reply, so a
-    /// READ's data goes from the file into the frame in one pass; rare
-    /// inner calls (Auth, Mount) go through the general decoder. The
-    /// channel was already advanced by the open, so nothing here may
-    /// re-open the frame.
-    fn serve_plaintext_into(
+    /// Dispatches one opened plaintext call, appending the *plaintext*
+    /// inner-reply encoding to `out` (which already holds the caller's
+    /// envelope prefix; the caller seals afterwards). The hot NFS3 path
+    /// encodes its results straight into `out` without copying the
+    /// argument bytes; rare inner calls (Auth, Mount) go through the
+    /// general decoder. The channel was already advanced by the open, so
+    /// nothing here may re-open the frame.
+    fn service_plaintext_into(
         &self,
         est: &mut Established,
         f: &mut Frame,
         plaintext: &[u8],
         out: &mut Vec<u8>,
-    ) -> Result<(), Unserved> {
+    ) -> Result<(), String> {
         let Some((authno, proc, args)) = inner_nfs_call(plaintext) else {
-            let reply = match InnerCall::from_xdr(plaintext)
-                .map_err(|e| Unserved::Call(format!("bad inner call: {e}")))?
-            {
-                InnerCall::Auth { seq_no, msg } => self.handle_auth(est, f.tel, seq_no, &msg),
-                InnerCall::Mount => InnerReply::MountReply {
-                    root: self.server.root_handle(),
-                },
-                // `inner_nfs_call` accepts every plaintext that decodes
-                // as `Nfs` (wire.rs pins the equivalence), so none gets
-                // here.
-                InnerCall::Nfs { .. } => return Err(Unserved::Call("bad inner call: nfs".into())),
-            };
+            let reply =
+                match InnerCall::from_xdr(plaintext).map_err(|e| format!("bad inner call: {e}"))? {
+                    InnerCall::Auth { seq_no, msg } => self.handle_auth(est, f.tel, seq_no, &msg),
+                    InnerCall::Mount => InnerReply::MountReply {
+                        root: self.server.root_handle(),
+                    },
+                    // `inner_nfs_call` accepts every plaintext that decodes
+                    // as `Nfs` (wire.rs pins the equivalence), so none gets
+                    // here.
+                    InnerCall::Nfs { .. } => return Err("bad inner call: nfs".into()),
+                };
             out.extend_from_slice(&reply.to_xdr());
-            return est
-                .channel
-                .seal_into(out, SEALED_SEQ_ENV_FRAME_START)
-                .map_err(Unserved::Channel);
+            return Ok(());
         };
-        let Established {
-            channel,
-            authnos,
-            fh_map: handles,
-            ..
-        } = est;
         // Borrow the session's credentials in place: the dispatch below
         // touches only the session's handle map, and skipping the clone
         // keeps the per-RPC allocation count down (gids is a Vec).
@@ -214,7 +203,7 @@ impl ServerConn {
             anon = Credentials::anonymous();
             &anon
         } else {
-            match authnos.get(&authno) {
+            match est.authnos.get(&authno) {
                 Some((_, creds)) => creds,
                 None => {
                     anon = Credentials::anonymous();
@@ -222,48 +211,18 @@ impl ServerConn {
                 }
             }
         };
-        self.dispatch_nfs(f, handles, creds, proc, args, |handles, reply| {
-            self.seal_nfs_reply(f.tel, channel, handles, reply, out)
-        })
-        .map_err(Unserved::Channel)
-    }
-
-    /// Appends the `InnerReply::Nfs` plaintext of `reply` to `out` — tag,
-    /// an opaque results field (length word patched after encoding in
-    /// place), then the piggybacked invalidations — and seals it. Under
-    /// ChaCha20-Poly1305 a READ's data is not copied in: the channel
-    /// reads it where the file system lends it and seals it into place
-    /// ([`SecureChannelEnd::seal_into_spliced`]).
-    fn seal_nfs_reply(
-        &self,
-        tel: &Telemetry,
-        channel: &mut SecureChannelEnd,
-        handles: &mut HandleMap,
-        reply: Nfs3Reply<&[u8]>,
-        out: &mut Vec<u8>,
-    ) -> Result<(), ChannelError> {
+        // Encode the `InnerReply::Nfs` plaintext directly into the reply
+        // envelope: tag, an opaque results field (length word patched
+        // after encoding in place), then the piggybacked invalidations.
         out.extend_from_slice(&2u32.to_be_bytes());
         let len_pos = out.len();
         out.extend_from_slice(&[0u8; 4]);
         let results_start = out.len();
         let mut enc = XdrEncoder::from_vec(std::mem::take(out));
-        // ARC4+SHA-1 runs its stream over the frame in place, so it keeps
-        // copy-then-seal.
-        let lent = match channel.suite() {
-            SuiteId::ChaCha20Poly1305 => reply.encode_results_around_data(&mut enc),
-            SuiteId::Arc4Sha1 => {
-                reply.encode_results_into(&mut enc);
-                None
-            }
-        };
+        let handles = &mut est.fh_map;
+        self.dispatch_nfs_into(f, handles, creds, proc, args, &mut enc);
         *out = enc.into_bytes();
-        // The data's stand-ins count as encoded; the rest of it is not.
-        let data = match (&lent, &reply) {
-            (Some(_), Nfs3Reply::Read { data, .. }) => *data,
-            _ => &[],
-        };
-        let unencoded = data.len() - data.len() % 4;
-        let results_len = out.len() - results_start + unencoded;
+        let results_len = out.len() - results_start;
         out[len_pos..len_pos + 4].copy_from_slice(&(results_len as u32).to_be_bytes());
         out.extend_from_slice(&[0u8; 3][..(4 - results_len % 4) % 4]);
         // The piggybacked invalidations: a count word patched after the
@@ -280,13 +239,8 @@ impl ServerConn {
         }
         *out = enc.into_bytes();
         out[count_pos..count_pos + 4].copy_from_slice(&count.to_be_bytes());
-        handles.report(tel);
-        let Some(stand_ins) = lent else {
-            return channel.seal_into(out, SEALED_SEQ_ENV_FRAME_START);
-        };
-        let at = stand_ins.start;
-        out.drain(stand_ins);
-        channel.seal_into_spliced(out, SEALED_SEQ_ENV_FRAME_START, at, data)
+        handles.report(f.tel);
+        Ok(())
     }
 
     /// Serves one incoming frame, pushing its replies onto `replies`: a
@@ -460,29 +414,31 @@ impl ServerConn {
         }
     }
 
-    /// Decodes, relays and answers one NFS3 call, handing the reply —
-    /// its handles translated back to SFS form — to `finish` while the
-    /// NFS server still lends a READ's data. Handles are translated
-    /// through the session's `handles` map, which falls back on the
-    /// cipher.
-    fn dispatch_nfs<R>(
+    /// Decodes, relays and answers one NFS3 call, marshaling the results
+    /// into a caller-owned encoder (the sealed path appends them straight
+    /// into the reply envelope). Handles are translated through the
+    /// session's `handles` map, which falls back on the cipher.
+    fn dispatch_nfs_into(
         &self,
         f: &mut Frame,
         handles: &mut HandleMap,
         creds: &Credentials,
         proc: u32,
         args: &[u8],
-        finish: impl FnOnce(&mut HandleMap, Nfs3Reply<&[u8]>) -> R,
-    ) -> R {
-        let err = |status: Status| Nfs3Reply::<&[u8]>::Error {
-            status,
-            dir_attr: Default::default(),
+        enc: &mut XdrEncoder,
+    ) {
+        let err = |status: Status, enc: &mut XdrEncoder| {
+            Nfs3Reply::<&[u8]>::Error {
+                status,
+                dir_attr: Default::default(),
+            }
+            .encode_results_into(enc)
         };
         let Some(proc) = Proc::from_u32(proc) else {
-            return finish(handles, err(Status::NotSupp));
+            return err(Status::NotSupp, enc);
         };
         let Ok(mut req) = Nfs3Request::decode_args_ref(proc, args) else {
-            return finish(handles, err(Status::Inval));
+            return err(Status::Inval, enc);
         };
         // Translate public SFS handles to private NFS handles, noting
         // which worker shard owns the request's first handle so the
@@ -491,7 +447,7 @@ impl ServerConn {
         for fh in req.handles_mut() {
             *fh = match handles.decrypt(&self.server, fh) {
                 Ok(nfs) => nfs,
-                Err(status) => return finish(handles, err(status)),
+                Err(status) => return err(status, enc),
             };
             if first_fh.is_none() {
                 if let Some(e) = f.engine {
@@ -506,7 +462,7 @@ impl ServerConn {
         // and tags them with appropriate credentials. Finally, the server
         // acts as an NFS client, passing the request to an NFS server on
         // the same machine." A READ's data goes from the file straight
-        // into the sealed reply.
+        // into the reply envelope.
         self.server.nfs.serve(f.tel, creds, &req, |mut reply| {
             // Acknowledged commit: a successful mutation is shipped to
             // the replica group's quorum *before* the reply is encoded,
@@ -523,18 +479,10 @@ impl ServerConn {
             for fh in reply.handles_mut() {
                 *fh = match handles.encrypt(&self.server, *fh) {
                     Ok(public) => public,
-                    Err(status) => return finish(handles, err(status)),
+                    Err(status) => return err(status, enc),
                 };
             }
-            finish(handles, reply)
+            reply.encode_results_into(enc)
         })
     }
-}
-
-/// Why a frame that opened got no sealed reply.
-enum Unserved {
-    /// The inner call would not decode: refused in the clear.
-    Call(String),
-    /// The reply would not seal.
-    Channel(ChannelError),
 }

@@ -9,7 +9,6 @@ use crate::wire::{
 };
 use sfs_crypto::srp::SrpGroup;
 use sfs_nfs3::proto::{DirEntry, PostOpAttr, Sattr3, StableHow};
-use sfs_proto::channel::SuiteId;
 use sfs_proto::keyneg::KeyNegServerReply;
 use sfs_sim::SimClock;
 use sfs_xdr::XdrError;
@@ -436,137 +435,6 @@ fn established(s: &Arc<SfsServer>) -> (ServerConn, SecureChannelEnd) {
     };
     let (keys, suite) = awaiting.on_server_halves(&halves).unwrap();
     (conn, SecureChannelEnd::client_with_suite(&keys, suite))
-}
-
-/// [`established`] offering `suites`; also returns the session keys.
-fn established_with(
-    s: &Arc<SfsServer>,
-    suites: &[SuiteId],
-) -> (ServerConn, SecureChannelEnd, sfs_proto::keyneg::SessionKeys) {
-    let conn = s.accept();
-    let neg = sfs_proto::keyneg::KeyNegClient::with_suites(s.path().clone(), test_key(), suites);
-    let mut call = hello(s, Dialect::ReadWrite, 1);
-    if let CallMsg::Hello { extensions, .. } = &mut call {
-        *extensions = neg.offer_extensions();
-    }
-    let ReplyMsg::ServerReply(key) = conn.handle(call) else {
-        panic!("no server key");
-    };
-    let mut rng = sfs_bignum::XorShiftSource::new(0xC11E);
-    let (awaiting, client_keys) = neg.on_server_reply(&key, &mut rng).unwrap();
-    let ReplyMsg::ServerKeys(halves) = conn.handle(CallMsg::ClientKeys(client_keys)) else {
-        panic!("no server key halves");
-    };
-    let (keys, suite) = awaiting.on_server_halves(&halves).unwrap();
-    assert_eq!(suite, suites[0]);
-    (
-        conn,
-        SecureChannelEnd::client_with_suite(&keys, suite),
-        keys,
-    )
-}
-
-/// One inner call through the sealed entry: the reply's sealed frame
-/// and its plaintext.
-fn sealed_frame(
-    conn: &ServerConn,
-    channel: &mut SecureChannelEnd,
-    call: &InnerCall,
-) -> (Vec<u8>, Vec<u8>) {
-    let chanseq = channel.messages_sent();
-    let frame = channel.seal(&call.to_xdr()).unwrap();
-    let bytes = CallMsg::SealedSeq {
-        chanseq,
-        xid: chanseq as u32,
-        frame,
-    }
-    .to_xdr();
-    let mut replies = Vec::new();
-    conn.inbound().handle_frames_on(0, 0, bytes, &mut replies);
-    let [reply] = &replies[..] else {
-        panic!("{} replies to one frame", replies.len());
-    };
-    let Ok(ReplyMsg::SealedSeq { frame, .. }) = ReplyMsg::from_xdr(reply) else {
-        panic!("not a sealed reply: {:?}", ReplyMsg::from_xdr(reply));
-    };
-    let plaintext = channel.open(&frame).unwrap();
-    (frame, plaintext)
-}
-
-#[test]
-fn read_replies_sealed_from_the_file_are_the_copy_then_seal_bytes() {
-    // Every READ count from 0 to 8 KiB (every XDR padding), at offsets
-    // 0–3, under both suites: each reply frame is byte for byte what a
-    // twin of the server's channel end seals over the plaintext the
-    // copying encoder makes — `encode_results` with the data in it.
-    for suite in [SuiteId::ChaCha20Poly1305, SuiteId::Arc4Sha1] {
-        let s = make_server();
-        let (conn, mut channel, keys) = established_with(&s, &[suite]);
-        let mut twin = SecureChannelEnd::server_with_suite(&keys, suite);
-        let mut call = |call: &InnerCall| {
-            let (frame, plaintext) = sealed_frame(&conn, &mut channel, call);
-            assert_eq!(twin.seal(&plaintext).unwrap(), frame, "{suite}");
-            InnerReply::from_xdr(&plaintext).unwrap()
-        };
-        let InnerReply::MountReply { root } = call(&InnerCall::Mount) else {
-            panic!("no root handle");
-        };
-        let mut nfs = |req: Nfs3Request| {
-            let proc = req.proc();
-            let InnerReply::Nfs {
-                results,
-                invalidations,
-            } = call(&InnerCall::Nfs {
-                authno: 0,
-                proc: proc as u32,
-                args: req.encode_args(),
-            })
-            else {
-                panic!("not an NFS reply");
-            };
-            assert!(invalidations.is_empty());
-            let reply = Nfs3Reply::decode_results(proc, &results).unwrap();
-            assert_eq!(reply.encode_results(), results, "{suite} {proc:?}");
-            reply
-        };
-        let content: Vec<u8> = (0..8192 + 3).map(|i| (i * 7 + 1) as u8).collect();
-        let vfs = s.vfs();
-        let ino = vfs
-            .write_file(&Credentials::root(), vfs.root(), "f", &content)
-            .unwrap();
-        vfs.setattr(
-            &Credentials::root(),
-            ino,
-            sfs_vfs::SetAttr {
-                mode: Some(0o644),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let Nfs3Reply::Lookup { fh, .. } = nfs(Nfs3Request::Lookup {
-            dir: root,
-            name: "f".into(),
-        }) else {
-            panic!("no file");
-        };
-        let counts = (0..=8192u32).map(|c| (c as u64 % 4, c));
-        let steps = if suite == SuiteId::ChaCha20Poly1305 {
-            1
-        } else {
-            61
-        };
-        for (offset, count) in counts.step_by(steps) {
-            let Nfs3Reply::Read { data, .. } = nfs(Nfs3Request::Read { fh, offset, count }) else {
-                panic!("not a READ reply");
-            };
-            let at = offset as usize;
-            assert_eq!(
-                data,
-                content[at..at + count as usize],
-                "{suite} READ {offset}+{count}"
-            );
-        }
-    }
 }
 
 /// One inner call sealed into its envelope, through the sealed entry,

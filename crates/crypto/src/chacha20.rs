@@ -40,19 +40,12 @@
 //! for the rest would cost more. What is left after the whole steps is
 //! always cut out of one more step, never a narrower tier.
 //!
-//! Every step reads its plaintext from one place and writes the result
-//! to another, which is the same place for a buffer encrypted in place.
-//! An AEAD frame whose plaintext is partly lent (`Spliced`) reads the
-//! lent run straight from where it lives, once.
-//!
 //! A frame of a counter-nonce sequence rarely needs all eight blocks of
 //! that step, so on AVX-512 `FrameHead::paired` splits it: one state
 //! runs blocks 0–3 of this frame's nonce, the other blocks 0–3 of the
 //! next frame's, and the second head waits in the caller's stash until
 //! that frame is sealed or opened. The narrower tiers' row step already
 //! has no room for a second head and keeps making one per step.
-
-use std::mem::MaybeUninit;
 
 /// Key length in bytes (256-bit keys only; RFC 8439 drops the 128-bit form).
 pub const KEY_LEN: usize = 32;
@@ -197,88 +190,41 @@ impl ChaCha20 {
     /// continues at the next 64-byte block boundary, which is the contract
     /// the AEAD layer relies on (each frame is processed in one call).
     pub fn xor_keystream(&mut self, buf: &mut [u8]) {
-        let len = buf.len();
-        self.xor_spliced(&Spliced::in_place(buf), 0, len);
+        let done = self.xor_whole_steps(buf);
+        let tail = &mut buf[done..];
+        if tail.is_empty() {
+            return;
+        }
+        // Less than one step left: take one more step's keystream and
+        // apply as much of it as there is data for.
+        let mut ks = [0u8; WIDE_STEP];
+        self.peek_tail(&mut ks, tail.len());
+        xor_into(tail, &ks);
+        self.words[12] = self.words[12].wrapping_add(tail.len().div_ceil(BLOCK_LEN) as u32);
     }
 
-    /// [`Self::xor_keystream`] over bytes `from..to` of `s`, the stream
-    /// standing at the block of `from`: whole steps of this CPU's widest
-    /// tier straight from each byte's source to its place, a step that
-    /// crosses an edge of the lent run through a stack buffer, and what
-    /// is left cut out of one more step.
-    pub(crate) fn xor_spliced(&mut self, s: &Spliced, mut from: usize, to: usize) {
-        let width = whole_step_len();
-        while to - from >= width {
-            let (src, edge) = s.source(from);
-            let run = (edge.min(to) - from) / width * width;
-            if run > 0 {
-                // SAFETY: `src` and the destination hold `run` bytes from
-                // `from` on, in one piece of `s` (see `Spliced::source`).
-                let done = unsafe { self.xor_whole_steps(src, s.dst.add(from), run) };
-                debug_assert_eq!(done, run);
-                from += run;
-            } else {
-                let mut ks = [0u8; WIDE_STEP];
-                self.peek_tail(&mut ks, width);
-                s.xor_pieces(from, &ks[..width]);
-                self.words[12] = self.words[12].wrapping_add((width / BLOCK_LEN) as u32);
-                from += width;
-            }
-        }
-        if from < to {
-            // Less than one step left: take one more step's keystream and
-            // apply as much of it as there is data for.
-            let mut ks = [0u8; WIDE_STEP];
-            self.peek_tail(&mut ks, to - from);
-            s.xor_pieces(from, &ks[..to - from]);
-            self.words[12] = self.words[12].wrapping_add((to - from).div_ceil(BLOCK_LEN) as u32);
-        }
-    }
-
-    /// XORs keystream over `len` bytes, a whole number of this CPU's
-    /// widest steps, from `src` into `dst`, advancing the counter.
-    /// Returns bytes consumed.
-    ///
-    /// # Safety
-    ///
-    /// `src` must be valid for reads and `dst` for writes of `len` bytes,
-    /// and the two are either the same place or do not overlap.
-    unsafe fn xor_whole_steps(&mut self, src: *const u8, dst: *mut u8, len: usize) -> usize {
+    /// XORs keystream over as many whole steps of this CPU's widest tier
+    /// as fit in `buf`, advancing the counter. Returns bytes consumed.
+    /// On AVX-512 that is every whole 1 KiB run, each one vertical
+    /// sixteen-block step.
+    fn xor_whole_steps(&mut self, buf: &mut [u8]) -> usize {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: feature presence is checked immediately above; the
-            // pointers are the caller's.
-            return unsafe { avx512::xor_keystream16(&mut self.words, src, dst, len) };
+            // SAFETY: feature presence is checked immediately above.
+            return unsafe { avx512::xor_keystream16(&mut self.words, buf) };
         } else if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: as above.
-            return unsafe { avx2::xor_keystream4(&mut self.words, src, dst, len) };
+            // SAFETY: feature presence is checked immediately above.
+            return unsafe { avx2::xor_keystream4(&mut self.words, buf) };
         }
-        // SAFETY: the caller's pointers.
-        unsafe { self.xor_whole_steps_portable(src, dst, len) }
+        self.xor_whole_steps_portable(buf)
     }
 
     /// The auto-vectorized two-block tier.
-    ///
-    /// # Safety
-    ///
-    /// As [`Self::xor_whole_steps`].
-    unsafe fn xor_whole_steps_portable(
-        &mut self,
-        src: *const u8,
-        dst: *mut u8,
-        len: usize,
-    ) -> usize {
-        let steps = len / (2 * BLOCK_LEN);
-        for step in 0..steps {
-            let at = step * 2 * BLOCK_LEN;
-            let mut chunk = [0u8; 2 * BLOCK_LEN];
-            // SAFETY: `at + 128 <= len`; through a copy, so `src` and
-            // `dst` may be the same place.
-            unsafe {
-                std::ptr::copy_nonoverlapping(src.add(at), chunk.as_mut_ptr(), chunk.len());
-                xor_into(&mut chunk, &permute2_bytes(&self.words));
-                std::ptr::copy_nonoverlapping(chunk.as_ptr(), dst.add(at), chunk.len());
-            }
+    fn xor_whole_steps_portable(&mut self, buf: &mut [u8]) -> usize {
+        let mut chunks = buf.chunks_exact_mut(2 * BLOCK_LEN);
+        let steps = chunks.len();
+        for chunk in &mut chunks {
+            xor_into(chunk, &permute2_bytes(&self.words));
             self.words[12] = self.words[12].wrapping_add(2);
         }
         steps * 2 * BLOCK_LEN
@@ -292,14 +238,12 @@ impl ChaCha20 {
         #[cfg(target_arch = "x86_64")]
         {
             let mut words = self.words;
-            let p = ks.as_mut_ptr();
             if std::arch::is_x86_feature_detected!("avx512f") {
-                // SAFETY: feature presence is checked immediately above;
-                // `ks` is one step long, read and written in place.
-                return unsafe { avx512::xor_keystream8(&mut words, p, p, MAX_STEP) };
+                // SAFETY: feature presence is checked immediately above.
+                return unsafe { avx512::xor_keystream8(&mut words, ks) };
             } else if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: as above; `ks` holds two AVX2 steps.
-                return unsafe { avx2::xor_keystream4(&mut words, p, p, avx2::STEP) };
+                // SAFETY: feature presence is checked immediately above.
+                return unsafe { avx2::xor_keystream4(&mut words, &mut ks[..avx2::STEP]) };
             }
         }
         ks[..2 * BLOCK_LEN].copy_from_slice(&permute2_bytes(&self.words));
@@ -314,127 +258,12 @@ impl ChaCha20 {
         #[cfg(target_arch = "x86_64")]
         if need > MAX_STEP && std::arch::is_x86_feature_detected!("avx512f") {
             let mut words = self.words;
-            let p = ks.as_mut_ptr();
-            // SAFETY: feature presence is checked immediately above; `ks`
-            // is one vertical step long, read and written in place.
-            unsafe { avx512::xor_keystream16(&mut words, p, p, WIDE_STEP) };
+            // SAFETY: feature presence is checked immediately above.
+            unsafe { avx512::xor_keystream16(&mut words, ks) };
             return;
         }
         let row = ks.first_chunk_mut().expect("a row step fits a wide one");
         self.peek_step(row);
-    }
-}
-
-/// The length of one whole step of this CPU's widest tier.
-fn whole_step_len() -> usize {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx512f") {
-        return WIDE_STEP;
-    } else if std::arch::is_x86_feature_detected!("avx2") {
-        return avx2::STEP;
-    }
-    2 * BLOCK_LEN
-}
-
-/// The bytes of one stream run and where each one's plaintext comes
-/// from: the run is rewritten in place at `dst`, except the `lent` bytes
-/// from offset `lent_at` on, which are read from `lent` and written to
-/// their place in the run. An AEAD frame whose plaintext has a lent run
-/// in its middle is encrypted this way without copying the run in first.
-pub(crate) struct Spliced<'a> {
-    dst: *mut u8,
-    len: usize,
-    lent_at: usize,
-    lent: &'a [u8],
-}
-
-impl<'a> Spliced<'a> {
-    /// All of `buf`, in place.
-    pub(crate) fn in_place(buf: &'a mut [u8]) -> Spliced<'a> {
-        Spliced {
-            dst: buf.as_mut_ptr(),
-            len: buf.len(),
-            lent_at: buf.len(),
-            lent: &[],
-        }
-    }
-
-    /// `len` bytes at `dst`, with `lent` in place of `dst[lent_at..]`'s
-    /// first `lent.len()`.
-    ///
-    /// # Safety
-    ///
-    /// For as long as the result lives, `dst` must be valid for reads and
-    /// writes of `len` bytes and used through nothing else; every byte of
-    /// it outside the lent run must be initialized; `lent_at +
-    /// lent.len() <= len`; and `lent` must not overlap `dst`.
-    pub(crate) unsafe fn new(dst: *mut u8, len: usize, lent_at: usize, lent: &'a [u8]) -> Self {
-        debug_assert!(lent_at + lent.len() <= len);
-        Spliced {
-            dst,
-            len,
-            lent_at,
-            lent,
-        }
-    }
-
-    /// The run's length.
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Where the plaintext at `at` is read from, and the end of the
-    /// piece — before, inside or after the lent run — that holds it.
-    fn source(&self, at: usize) -> (*const u8, usize) {
-        let lent_end = self.lent_at + self.lent.len();
-        if at < self.lent_at {
-            (self.dst.wrapping_add(at), self.lent_at)
-        } else if at < lent_end {
-            (self.lent[at - self.lent_at..].as_ptr(), lent_end)
-        } else {
-            (self.dst.wrapping_add(at), self.len)
-        }
-    }
-
-    /// XORs `ks` over the bytes from `at` on, piece by piece.
-    pub(crate) fn xor_pieces(&self, mut at: usize, mut ks: &[u8]) {
-        assert!(at + ks.len() <= self.len, "keystream past the run");
-        while !ks.is_empty() {
-            let (src, edge) = self.source(at);
-            let n = (edge - at).min(ks.len());
-            let (here, rest) = ks.split_at(n);
-            // SAFETY: `at..at + n` is inside the run and inside the piece
-            // `src` reads (see `source`), and nothing else uses the run
-            // while `self` lives (see `Spliced::new`).
-            unsafe {
-                let dst = self.dst.add(at);
-                if std::ptr::eq(src, dst) {
-                    xor_into(std::slice::from_raw_parts_mut(dst, n), here);
-                } else {
-                    // The lent run: its place may not be initialized yet,
-                    // and is only written.
-                    let out = std::slice::from_raw_parts_mut(dst.cast::<MaybeUninit<u8>>(), n);
-                    let from = std::slice::from_raw_parts(src, n);
-                    for ((o, p), k) in out.iter_mut().zip(from).zip(here) {
-                        o.write(p ^ k);
-                    }
-                }
-            }
-            at += n;
-            ks = rest;
-        }
-    }
-
-    /// The bytes `from..to` of the run.
-    ///
-    /// # Safety
-    ///
-    /// Every byte of the lent run among them has been written.
-    pub(crate) unsafe fn written(&self, from: usize, to: usize) -> &[u8] {
-        assert!(from <= to && to <= self.len);
-        // SAFETY: inside the run; the lent run's bytes are written (the
-        // caller's word) and the rest were initialized to begin with.
-        unsafe { std::slice::from_raw_parts(self.dst.add(from), to - from) }
     }
 }
 
@@ -536,15 +365,9 @@ impl<'a> FrameHead<'a> {
     /// XORs the payload keystream this step produced over the front of
     /// `buf`. Returns how many bytes that covered and the stream
     /// positioned at the block after them, for the rest of `buf`.
-    pub(crate) fn xor_front(self, buf: &mut [u8]) -> (usize, ChaCha20) {
-        self.xor_front_spliced(&Spliced::in_place(buf))
-    }
-
-    /// [`Self::xor_front`] over the front of a run that may be partly
-    /// lent.
-    pub(crate) fn xor_front_spliced(mut self, s: &Spliced) -> (usize, ChaCha20) {
-        let n = s.len().min(self.ks.len() - BLOCK_LEN);
-        s.xor_pieces(0, &self.ks[BLOCK_LEN..BLOCK_LEN + n]);
+    pub(crate) fn xor_front(mut self, buf: &mut [u8]) -> (usize, ChaCha20) {
+        let n = buf.len().min(self.ks.len() - BLOCK_LEN);
+        xor_into(&mut buf[..n], &self.ks[BLOCK_LEN..]);
         self.cipher.words[12] = 1 + n.div_ceil(BLOCK_LEN) as u32;
         (n, self.cipher)
     }
@@ -577,21 +400,10 @@ mod avx2 {
     pub(super) const STEP: usize = 4 * BLOCK_LEN;
 
     /// XORs keystream over as many whole 256-byte (four-block) chunks as
-    /// fit in `len`, read from `src` and written to `dst`, advancing the
-    /// counter word. Returns bytes consumed.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2; `src` must be valid for reads and `dst`
-    /// for writes of `len` bytes, the same place or not overlapping.
+    /// fit in `buf`, advancing the counter word. Returns bytes consumed.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn xor_keystream4(
-        words: &mut [u32; 16],
-        src: *const u8,
-        dst: *mut u8,
-        len: usize,
-    ) -> usize {
-        let steps = len / STEP;
+    pub(super) unsafe fn xor_keystream4(words: &mut [u32; 16], buf: &mut [u8]) -> usize {
+        let steps = buf.len() / STEP;
         if steps == 0 {
             return 0;
         }
@@ -618,8 +430,7 @@ mod avx2 {
 
         let mut i3a = _mm256_add_epi32(row3, ctr_a);
         let mut i3b = _mm256_add_epi32(row3, ctr_b);
-        let mut inp = src as *const __m256i;
-        let mut out = dst as *mut __m256i;
+        let mut out = buf.as_mut_ptr() as *mut __m256i;
 
         for _ in 0..steps {
             let (mut a0, mut a1, mut a2, mut a3) = (row0, row1, row2, i3a);
@@ -703,10 +514,9 @@ mod avx2 {
             .into_iter()
             .enumerate()
             {
-                let m = _mm256_loadu_si256(inp.add(j));
-                _mm256_storeu_si256(out.add(j), _mm256_xor_si256(m, ks));
+                let q = out.add(j);
+                _mm256_storeu_si256(q, _mm256_xor_si256(_mm256_loadu_si256(q), ks));
             }
-            inp = inp.add(8);
             out = out.add(8);
             i3a = _mm256_add_epi32(i3a, ctr_step);
             i3b = _mm256_add_epi32(i3b, ctr_step);
@@ -727,10 +537,8 @@ mod avx2 {
 /// transpose lays the keystream out in stream order at the end.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::BLOCK_LEN;
+    use super::{BLOCK_LEN, WIDE_STEP};
     use std::arch::x86_64::*;
-
-    use super::WIDE_STEP;
 
     const STEP: usize = 8 * BLOCK_LEN;
 
@@ -814,22 +622,11 @@ mod avx512 {
     }
 
     /// XORs keystream over as many whole 512-byte (eight-block) chunks
-    /// as fit in `len`, read from `src` and written to `dst`, advancing
-    /// the counter word. Returns bytes consumed.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX-512F; `src` must be valid for reads and
-    /// `dst` for writes of `len` bytes, the same place or not
-    /// overlapping.
+    /// as fit in `buf`, advancing the counter word. Returns bytes
+    /// consumed.
     #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn xor_keystream8(
-        words: &mut [u32; 16],
-        src: *const u8,
-        dst: *mut u8,
-        len: usize,
-    ) -> usize {
-        let steps = len / STEP;
+    pub(super) unsafe fn xor_keystream8(words: &mut [u32; 16], buf: &mut [u8]) -> usize {
+        let steps = buf.len() / STEP;
         if steps == 0 {
             return 0;
         }
@@ -841,8 +638,7 @@ mod avx512 {
 
         let mut i3a = _mm512_add_epi32(row(words, 3), ctr_a);
         let mut i3b = _mm512_add_epi32(row(words, 3), ctr_b);
-        let mut inp = src as *const __m512i;
-        let mut out = dst as *mut __m512i;
+        let mut out = buf.as_mut_ptr() as *mut __m512i;
 
         for _ in 0..steps {
             permute_two_states!([a0 a1 a2 a3], [b0 b1 b2 b3], row0 row1 row2 i3a i3b);
@@ -850,10 +646,9 @@ mod avx512 {
             // 128-bit lane: transposing the lanes yields whole blocks.
             for (base, rows) in [(0, [a0, a1, a2, a3]), (4, [b0, b1, b2, b3])] {
                 for (j, ks) in transpose_lanes(rows).into_iter().enumerate() {
-                    xor_to(inp.add(base + j), out.add(base + j), ks);
+                    xor_at(out.add(base + j), ks);
                 }
             }
-            inp = inp.add(8);
             out = out.add(8);
             i3a = _mm512_add_epi32(i3a, ctr_step);
             i3b = _mm512_add_epi32(i3b, ctr_step);
@@ -907,32 +702,23 @@ mod avx512 {
     }
 
     /// XORs keystream over as many whole 1 KiB (sixteen-block) chunks as
-    /// fit in `len`, read from `src` and written to `dst`, advancing the
-    /// counter word. Returns bytes consumed.
+    /// fit in `buf`, advancing the counter word. Returns bytes consumed.
     ///
     /// Lane `j` is block `counter + j`, the counter added mod 2³² per
     /// lane exactly as the row tiers' `wrapping_add` does.
     ///
     /// # Safety
     ///
-    /// The CPU must support AVX-512F; `src` must be valid for reads and
-    /// `dst` for writes of `len` bytes, the same place or not
-    /// overlapping. Every load and store stays inside them: the step
-    /// count is `len / WIDE_STEP`.
+    /// The CPU must support AVX-512F. Every load and store stays inside
+    /// `buf`: the step count is `buf.len() / WIDE_STEP`.
     #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn xor_keystream16(
-        words: &mut [u32; 16],
-        src: *const u8,
-        dst: *mut u8,
-        len: usize,
-    ) -> usize {
-        let steps = len / WIDE_STEP;
+    pub(super) unsafe fn xor_keystream16(words: &mut [u32; 16], buf: &mut [u8]) -> usize {
+        let steps = buf.len() / WIDE_STEP;
         if steps == 0 {
             return 0;
         }
         let lanes = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-        let mut inp = src as *const __m512i;
-        let mut out = dst as *mut __m512i;
+        let mut out = buf.as_mut_ptr() as *mut __m512i;
         for step in 0..steps {
             let counter = words[12].wrapping_add((step * 16) as u32);
             let mut init: [__m512i; 16] =
@@ -962,10 +748,9 @@ mod avx512 {
             // …then the 128-bit lanes, as in the eight-block step.
             for s in 0..4 {
                 for (lane, ks) in transpose_lanes(r.map(|g| g[s])).into_iter().enumerate() {
-                    xor_to(inp.add(4 * lane + s), out.add(4 * lane + s), ks);
+                    xor_at(out.add(4 * lane + s), ks);
                 }
             }
-            inp = inp.add(16);
             out = out.add(16);
         }
         words[12] = words[12].wrapping_add((steps * 16) as u32);
@@ -990,15 +775,15 @@ mod avx512 {
         ]
     }
 
-    /// `*dst = *src ^ ks` on one unaligned 64-byte block.
+    /// `*q ^= ks` on one unaligned 64-byte block.
     ///
     /// # Safety
     ///
-    /// `src` must be valid for reads and `dst` for writes of 64 bytes.
+    /// `q` must be valid for reads and writes of 64 bytes.
     #[inline]
     #[target_feature(enable = "avx512f")]
-    unsafe fn xor_to(src: *const __m512i, dst: *mut __m512i, ks: __m512i) {
-        _mm512_storeu_si512(dst, _mm512_xor_si512(_mm512_loadu_si512(src), ks));
+    unsafe fn xor_at(q: *mut __m512i, ks: __m512i) {
+        _mm512_storeu_si512(q, _mm512_xor_si512(_mm512_loadu_si512(q), ks));
     }
 }
 
@@ -1064,9 +849,7 @@ offer you only one tip for the future, sunscreen would be it.";
     /// the reference the dispatching paths are held to.
     fn portable_stream(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32, buf: &mut [u8]) {
         let mut c = ChaCha20::new(key, nonce, counter);
-        let p = buf.as_mut_ptr();
-        // SAFETY: `buf`, in place.
-        let done = unsafe { c.xor_whole_steps_portable(p, p, buf.len()) };
+        let done = c.xor_whole_steps_portable(buf);
         xor_into(&mut buf[done..], &permute2_bytes(&c.words));
     }
 
@@ -1112,37 +895,6 @@ offer you only one tip for the future, sunscreen would be it.";
             portable_stream(&key, &nonce, 1, &mut reference);
             assert_eq!(fast, reference, "len {len}");
             assert_eq!(c.words[12], 1 + len.div_ceil(BLOCK_LEN) as u32, "len {len}");
-        }
-    }
-
-    #[test]
-    fn a_lent_run_is_read_where_it_lives_and_encrypted_into_place() {
-        // Every placement of a lent run around the head, the whole steps
-        // and the tail: the result is the in-place stream over the run
-        // copied in, and the lent bytes are left as they were.
-        let key = test_key();
-        let nonce = [21u8; NONCE_LEN];
-        for (len, lent_len) in [
-            (40, 0),
-            (300, 100),
-            (1100, 1000),
-            (2100, 1700),
-            (8312, 8192),
-        ] {
-            let plain: Vec<u8> = (0..len).map(|i| (i * 13 + len) as u8).collect();
-            let mut expected = plain.clone();
-            ChaCha20::new(&key, &nonce, 1).xor_keystream(&mut expected);
-            for lent_at in (0..=len - lent_len).step_by(7).chain([len - lent_len]) {
-                let lent = plain[lent_at..lent_at + lent_len].to_vec();
-                let mut run = plain.clone();
-                run[lent_at..lent_at + lent_len].fill(0xEE);
-                // SAFETY: `run` is initialized, outlives `s` and is used
-                // through nothing else meanwhile; `lent` is its own Vec.
-                let s = unsafe { Spliced::new(run.as_mut_ptr(), len, lent_at, &lent) };
-                ChaCha20::new(&key, &nonce, 1).xor_spliced(&s, 0, len);
-                assert_eq!(run, expected, "len {len} lent {lent_at}+{lent_len}");
-                assert_eq!(lent, plain[lent_at..lent_at + lent_len]);
-            }
         }
     }
 
@@ -1249,8 +1001,7 @@ offer you only one tip for the future, sunscreen would be it.";
             let mut fast = vec![0x3Cu8; len];
             // SAFETY: avx2 presence checked above.
             let mut words = ChaCha20::new(&key, &nonce, 1).words;
-            let p = fast.as_mut_ptr();
-            let done = unsafe { avx2::xor_keystream4(&mut words, p, p, len) };
+            let done = unsafe { avx2::xor_keystream4(&mut words, &mut fast) };
             assert_eq!(done, len);
             let mut portable = vec![0x3Cu8; len];
             portable_stream(&key, &nonce, 1, &mut portable);
@@ -1272,8 +1023,7 @@ offer you only one tip for the future, sunscreen would be it.";
             let mut fast = vec![0x5Eu8; len];
             // SAFETY: avx512f presence checked above.
             let mut words = ChaCha20::new(&key, &nonce, 1).words;
-            let p = fast.as_mut_ptr();
-            let done = unsafe { avx512::xor_keystream8(&mut words, p, p, len) };
+            let done = unsafe { avx512::xor_keystream8(&mut words, &mut fast) };
             assert_eq!(done, len);
             let mut portable = vec![0x5Eu8; len];
             portable_stream(&key, &nonce, 1, &mut portable);
@@ -1283,9 +1033,10 @@ offer you only one tip for the future, sunscreen would be it.";
         // The kernel takes whole steps only; `xor_keystream` cuts the
         // rest out of one more step.
         let mut words = ChaCha20::new(&key, &nonce, 1).words;
-        let mut short = [0u8; 511];
-        let p = short.as_mut_ptr();
-        assert_eq!(unsafe { avx512::xor_keystream8(&mut words, p, p, 511) }, 0);
+        assert_eq!(
+            unsafe { avx512::xor_keystream8(&mut words, &mut [0u8; 511]) },
+            0
+        );
     }
 
     #[test]
@@ -1320,8 +1071,7 @@ offer you only one tip for the future, sunscreen would be it.";
                 let mut wide = data.clone();
                 let mut words = ChaCha20::new(&key, &nonce, counter).words;
                 // SAFETY: avx512f presence checked above.
-                let p = wide.as_mut_ptr();
-                let done = unsafe { avx512::xor_keystream16(&mut words, p, p, len) };
+                let done = unsafe { avx512::xor_keystream16(&mut words, &mut wide) };
                 assert_eq!(done, len / WIDE_STEP * WIDE_STEP, "len {len}");
                 assert_eq!(
                     wide[..done],
@@ -1331,8 +1081,8 @@ offer you only one tip for the future, sunscreen would be it.";
                 assert_eq!(wide[done..], data[done..], "len {len}: tail untouched");
                 assert_eq!(words[12], counter.wrapping_add((done / BLOCK_LEN) as u32));
 
-                // Through the dispatcher: wide runs, eight-block steps
-                // and the tail, one stream.
+                // Through the dispatcher: wide runs and the tail, one
+                // stream.
                 let mut c = ChaCha20::new(&key, &nonce, counter);
                 let mut fast = data.clone();
                 c.xor_keystream(&mut fast);

@@ -10,7 +10,7 @@
 //! channel's per-direction ARC4 streams, an AEAD with an explicit nonce
 //! is safe under one long-lived key across many independent tickets.
 
-use crate::chacha20::{FrameHead, Spliced, BLOCK_LEN, MAX_STEP, PAIRED_HEAD_LEN};
+use crate::chacha20::{FrameHead, BLOCK_LEN, MAX_STEP, PAIRED_HEAD_LEN};
 use crate::poly1305::Poly1305;
 
 /// Key length in bytes.
@@ -128,9 +128,7 @@ pub fn seal_in_place(
     buf: &mut [u8],
 ) -> [u8; TAG_LEN] {
     let mut scratch = [0u8; MAX_STEP];
-    let head = FrameHead::new(key, nonce, &mut scratch);
-    // SAFETY: a run in place has no lent bytes to write.
-    unsafe { seal_with(head, aad, &Spliced::in_place(buf)) }
+    seal_with(FrameHead::new(key, nonce, &mut scratch), aad, buf)
 }
 
 /// [`seal_in_place`] for one frame of a sequence whose next frame is
@@ -145,83 +143,24 @@ pub fn seal_in_sequence(
     ahead: &mut NextHead,
 ) -> [u8; TAG_LEN] {
     let mut scratch = [0u8; MAX_STEP];
-    let head = ahead.head(key, nonce, next, buf.len(), &mut scratch);
-    // SAFETY: a run in place has no lent bytes to write.
-    unsafe { seal_with(head, aad, &Spliced::in_place(buf)) }
+    seal_with(
+        ahead.head(key, nonce, next, buf.len(), &mut scratch),
+        aad,
+        buf,
+    )
 }
 
-/// [`seal_in_sequence`] for a plaintext with a run missing, which the
-/// caller lends instead of copying in: `buf[start..]` holds the
-/// plaintext with `lent` left out at `at`. Afterwards `buf[start..]`
-/// holds the ciphertext of the whole plaintext, `lent`'s included: its
-/// bytes are read once, their keystream XORed from where they live
-/// straight into place, and MACed there. Produces the bytes
-/// [`seal_in_sequence`] would after `buf.splice(at..at, lent)`.
-#[allow(clippy::too_many_arguments)] // `seal_in_sequence`'s, plus the splice
-pub fn seal_spliced_in_sequence(
-    key: &[u8; KEY_LEN],
-    nonce: &[u8; NONCE_LEN],
-    next: &[u8; NONCE_LEN],
-    aad: &[u8],
-    buf: &mut Vec<u8>,
-    start: usize,
-    at: usize,
-    lent: &[u8],
-    ahead: &mut NextHead,
-) -> [u8; TAG_LEN] {
-    assert!(
-        start <= at && at <= buf.len(),
-        "the lent run goes inside the frame"
-    );
-    let (old, n) = (buf.len(), lent.len());
-    // The bytes after `at` move up by `n`, out of the way of `lent`'s
-    // ciphertext, into capacity that is written before it is read.
-    buf.reserve(n);
-    let base = buf.as_mut_ptr();
-    // SAFETY: `reserve` made room for `old + n` bytes, and `copy`
-    // allows the overlap.
-    unsafe { std::ptr::copy(base.add(at), base.add(at + n), old - at) };
-    let len = old + n - start;
-    let mut scratch = [0u8; MAX_STEP];
-    let head = ahead.head(key, nonce, next, len, &mut scratch);
-    // SAFETY: `len` bytes from `start` are inside the allocation, which
-    // this function borrows mutably (so `lent`, a shared borrow made
-    // before it, lies elsewhere); outside the lent run they are the
-    // plaintext, initialized. `seal_with` writes every byte of the run.
-    let tag = unsafe {
-        seal_with(
-            head,
-            aad,
-            &Spliced::new(base.add(start), len, at - start, lent),
-        )
-    };
-    // SAFETY: every byte up to `old + n` is now written.
-    unsafe { buf.set_len(old + n) };
-    tag
-}
-
-/// Encrypts the run `s` and returns the tag over `aad` and the
-/// ciphertext.
-///
-/// # Safety
-///
-/// `s` is the caller's: this writes every byte of it, its lent run's
-/// before it reads them.
-unsafe fn seal_with(head: FrameHead, aad: &[u8], s: &Spliced) -> [u8; TAG_LEN] {
+fn seal_with(head: FrameHead, aad: &[u8], buf: &mut [u8]) -> [u8; TAG_LEN] {
     let mut poly = Poly1305::new(&head.one_time_key());
     poly.update_padded(aad);
-    let (front, mut cipher) = head.xor_front_spliced(s);
-    // SAFETY (each `written`): those bytes were just written.
-    poly.update(unsafe { s.written(0, front) });
+    let (front, mut cipher) = head.xor_front(buf);
+    poly.update(&buf[..front]);
     // Fused sweep: each chunk is encrypted and MACed while hot in cache.
-    let mut at = front;
-    while at < s.len() {
-        let end = (at + SWEEP_LEN).min(s.len());
-        cipher.xor_spliced(s, at, end);
-        poly.update(unsafe { s.written(at, end) });
-        at = end;
+    for chunk in buf[front..].chunks_mut(SWEEP_LEN) {
+        cipher.xor_keystream(chunk);
+        poly.update(chunk);
     }
-    absorb_lengths(&mut poly, aad.len(), s.len());
+    absorb_lengths(&mut poly, aad.len(), buf.len());
     poly.finish()
 }
 
@@ -436,60 +375,6 @@ offer you only one tip for the future, sunscreen would be it.";
             open_in_sequence(&key, &nonce, &next, &RFC_AAD, &mut buf, &tag, &mut rx)
                 .expect("authentic");
             assert_eq!(buf, plaintext, "len {len}");
-        }
-    }
-
-    #[test]
-    fn a_spliced_seal_is_the_seal_of_the_plaintext_spliced_in() {
-        // A frame `start` bytes into its buffer with a run lent at every
-        // offset — inside the head, across its edge, across the edge of
-        // a whole step, at the end — and of every length to 1 100 bytes
-        // and at a READ reply's: byte for byte the in-place seal of the
-        // same plaintext, tag included, and the sequence's waiting heads
-        // taken the same way.
-        let key = rfc_key();
-        let (mut spliced_ahead, mut copied_ahead) = (NextHead::new(), NextHead::new());
-        let frames = (0..=1100usize).map(|n| (n, n / 3, 40 + n % 64)).chain([
-            (8192, 28, 96),
-            (8192, 28, 3),
-            (4096, 30, 0),
-            (1, 0, 0),
-        ]);
-        for (seq, (lent_len, front, back)) in (0u64..).zip(frames) {
-            let start = 20;
-            let len = front + lent_len + back;
-            let plain: Vec<u8> = (0..start + len).map(|i| (i * 31 + len) as u8).collect();
-            let at = start + front;
-            let lent = plain[at..at + lent_len].to_vec();
-            let (nonce, next) = (counter_nonce(seq), counter_nonce(seq + 1));
-            let mut copied = plain.clone();
-            let tag = seal_in_sequence(
-                &key,
-                &nonce,
-                &next,
-                b"",
-                &mut copied[start..],
-                &mut copied_ahead,
-            );
-            let mut spliced = plain[..at].to_vec();
-            spliced.extend_from_slice(&plain[at + lent_len..]);
-            let spliced_tag = seal_spliced_in_sequence(
-                &key,
-                &nonce,
-                &next,
-                b"",
-                &mut spliced,
-                start,
-                at,
-                &lent,
-                &mut spliced_ahead,
-            );
-            assert_eq!(
-                (&spliced, spliced_tag),
-                (&copied, tag),
-                "{front}+{lent_len}+{back}"
-            );
-            assert_eq!(spliced_ahead.nonce(), copied_ahead.nonce());
         }
     }
 

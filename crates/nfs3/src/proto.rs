@@ -16,8 +16,6 @@
 //! invalidates on lease/callback rather than reconstructing from wcc.
 
 use sfs_vfs::{Attr, FileType, FsError, SetAttr};
-use std::ops::Range;
-
 use sfs_xdr::{VarField, Xdr, XdrDecoder, XdrEncoder, XdrError};
 
 /// Maximum file-handle size (RFC 1813 NFS3_FHSIZE).
@@ -1258,31 +1256,6 @@ impl<D: AsRef<[u8]>> Nfs3Reply<D> {
         let mut enc = XdrEncoder::new();
         self.encode_results_into(&mut enc);
         enc.into_bytes()
-    }
-
-    /// [`Self::encode_results_into`] with a READ's data left out, for a
-    /// caller that puts it in later (the sealed path encrypts it from
-    /// the file straight into place). In its place go stand-ins for its
-    /// last `len % 4` bytes, which keep the padding after it — and
-    /// whatever the caller encodes after that — where it falls on the
-    /// wire. Returns the stand-ins' range, which the data replaces once
-    /// the caller has encoded the rest. Any other reply is marshaled
-    /// whole and returns `None`.
-    pub fn encode_results_around_data(&self, enc: &mut XdrEncoder) -> Option<Range<usize>> {
-        let Nfs3Reply::Read { data, eof, attr } = self else {
-            self.encode_results_into(enc);
-            return None;
-        };
-        let data = data.as_ref();
-        Status::Ok.encode(enc);
-        enc.put_u32(data.len() as u32);
-        enc.put_bool(*eof);
-        enc.put_u32(data.len() as u32);
-        let at = enc.len();
-        let stand_ins = data.len() % 4;
-        enc.put_opaque_fixed(&[0; 3][..stand_ins]);
-        attr.encode(enc);
-        Some(at..at + stand_ins)
     }
 
     /// Appends the marshaled reply to `enc` — [`Self::encode_results`]

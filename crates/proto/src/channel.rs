@@ -317,41 +317,18 @@ impl SecureChannelEnd {
     /// letting a caller build a cleartext envelope and the frame in one
     /// buffer. Produces exactly the bytes [`Self::seal`] would.
     pub fn seal_into(&mut self, buf: &mut Vec<u8>, frame_start: usize) -> Result<(), ChannelError> {
-        self.seal_into_spliced(buf, frame_start, buf.len(), &[])
-    }
-
-    /// [`Self::seal_into`] for a plaintext with a run the caller lends
-    /// instead of copying in: `buf[frame_start..]` holds the reserved
-    /// header and the plaintext with `lent` left out at `at`. Produces
-    /// exactly the bytes `seal_into` would after `buf.splice(at..at,
-    /// lent)`. Under ChaCha20-Poly1305 the lent bytes are read once,
-    /// encrypted from where they live straight into the frame; ARC4+SHA-1
-    /// copies them in and seals.
-    pub fn seal_into_spliced(
-        &mut self,
-        buf: &mut Vec<u8>,
-        frame_start: usize,
-        at: usize,
-        lent: &[u8],
-    ) -> Result<(), ChannelError> {
         if self.poisoned {
             return Err(ChannelError::Poisoned);
         }
-        if buf.len() < frame_start + FRAME_HEADER_LEN
-            || at < frame_start + FRAME_HEADER_LEN
-            || at > buf.len()
-        {
+        if buf.len() < frame_start + FRAME_HEADER_LEN {
             return Err(ChannelError::Truncated);
         }
-        let plen = buf.len() - frame_start - FRAME_HEADER_LEN + lent.len();
+        let plen = buf.len() - frame_start - FRAME_HEADER_LEN;
         if plen > MAX_MESSAGE {
             return Err(ChannelError::TooLong);
         }
         match &mut self.send {
             DirectionCipher::Arc4Sha1(stream) => {
-                if !lent.is_empty() {
-                    buf.splice(at..at, lent.iter().copied());
-                }
                 // MAC key pulled first, then len ‖ plaintext ‖ MAC
                 // encrypted; one pass where the CPU allows.
                 arc4sha1::seal_into(stream, buf, frame_start);
@@ -361,15 +338,12 @@ impl SecureChannelEnd {
                 buf[frame_start..frame_start + FRAME_HEADER_LEN]
                     .copy_from_slice(&(plen as u32).to_be_bytes());
                 let (nonce, next) = (chacha_nonce(*seq), chacha_nonce(*seq + 1));
-                let tag = chachapoly::seal_spliced_in_sequence(
+                let tag = chachapoly::seal_in_sequence(
                     key,
                     &nonce,
                     &next,
                     &[],
-                    buf,
-                    frame_start,
-                    at,
-                    lent,
+                    &mut buf[frame_start..],
                     ahead,
                 );
                 buf.extend_from_slice(&tag);
@@ -1122,42 +1096,6 @@ mod tests {
         let f2 = c.seal(b"hello").unwrap();
         assert_eq!(s.open(&f2[..10]).unwrap_err(), ChannelError::Truncated);
         assert!(s.is_poisoned());
-    }
-
-    #[test]
-    fn a_spliced_seal_is_the_seal_of_the_run_copied_in_under_both_suites() {
-        let k = keys();
-        for suite in [SuiteId::Arc4Sha1, SuiteId::ChaCha20Poly1305] {
-            let mut copying = SecureChannelEnd::server_with_suite(&k, suite);
-            let mut lending = SecureChannelEnd::server_with_suite(&k, suite);
-            let mut peer = SecureChannelEnd::client_with_suite(&k, suite);
-            for (front, lent_len, back) in [(0, 0, 0), (24, 8192, 96), (3, 1, 5), (100, 700, 0)] {
-                let prefix = [0xAAu8; 7];
-                let plain: Vec<u8> = (0..front + lent_len + back).map(|i| i as u8).collect();
-                let mut copied = prefix.to_vec();
-                copied.extend_from_slice(&[0; FRAME_HEADER_LEN]);
-                copied.extend_from_slice(&plain);
-                copying.seal_into(&mut copied, prefix.len()).unwrap();
-                let at = prefix.len() + FRAME_HEADER_LEN + front;
-                let mut lent = prefix.to_vec();
-                lent.extend_from_slice(&[0; FRAME_HEADER_LEN]);
-                lent.extend_from_slice(&plain[..front]);
-                lent.extend_from_slice(&plain[front + lent_len..]);
-                let run = &plain[front..front + lent_len];
-                lending
-                    .seal_into_spliced(&mut lent, prefix.len(), at, run)
-                    .unwrap();
-                assert_eq!(lent, copied, "{suite} {front}+{lent_len}+{back}");
-                assert_eq!(peer.open(&copied[prefix.len()..]).unwrap(), plain);
-            }
-            assert_eq!(lending.messages_sent(), copying.messages_sent());
-            // The lent run goes after the reserved header.
-            let mut short = vec![0u8; FRAME_HEADER_LEN + 4];
-            assert_eq!(
-                lending.seal_into_spliced(&mut short, 0, 2, b"x"),
-                Err(ChannelError::Truncated)
-            );
-        }
     }
 
     #[test]
