@@ -48,7 +48,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// Total allocations on this thread since it started (monotonic; only
 /// meaningful when [`CountingAlloc`] is installed as the global
 /// allocator).
-pub fn allocations() -> u64 {
+pub(crate) fn allocations() -> u64 {
     ALLOCS.with(|c| c.get())
 }
 

@@ -1,39 +1,39 @@
 //! The command-line parser behind `sfs-bench <experiment> [flags]`.
 //!
-//! [`Args`] handles `--flag value` / `--flag=value`; the option types
+//! `Args` handles `--flag value` / `--flag=value`; the option types
 //! ([`crate::trace::TraceOpt`], [`FaultOpt`]) are thin wrappers over it.
 //! An experiment declares the options it understands and the driver
-//! checks them with [`Args::reject_unknown`], which turns a typo
+//! checks them with `Args::reject_unknown`, which turns a typo
 //! (`--fauls=drop=20`) into a clear error instead of a silently
 //! fault-free figure; the fault-spec *keys* themselves are validated by
-//! [`sfs_sim::FaultSpec::parse`], whose errors [`FaultOpt`] surfaces
+//! `sfs_sim::FaultSpec::parse`, whose errors [`FaultOpt`] surfaces
 //! verbatim.
 
 use std::collections::BTreeMap;
 
-use sfs_sim::{FaultKind, FaultPlan};
+use sfs_sim::{parse_duration_ns, FaultKind, FaultPlan};
 
 /// Parsed process arguments supporting `--flag value` and `--flag=value`.
-pub struct Args {
+pub(crate) struct Args {
     argv: Vec<String>,
 }
 
 impl Args {
     /// Builds from an explicit vector.
-    pub fn from_vec(argv: Vec<&str>) -> Self {
+    pub(crate) fn from_vec(argv: Vec<&str>) -> Self {
         Args {
             argv: argv.into_iter().map(String::from).collect(),
         }
     }
 
     /// Whether the boolean option `--<name>` was given.
-    pub fn flag(&self, name: &str) -> bool {
+    pub(crate) fn flag(&self, name: &str) -> bool {
         self.argv.iter().any(|a| a.strip_prefix("--") == Some(name))
     }
 
     /// The value of `--<name>` parsed as a number; anything else is a
     /// usage error naming the option.
-    pub fn number(&self, name: &str) -> Result<Option<usize>, String> {
+    pub(crate) fn number(&self, name: &str) -> Result<Option<usize>, String> {
         self.opt(name)
             .map(|v| {
                 v.parse()
@@ -44,7 +44,7 @@ impl Args {
 
     /// The value of `--<name> <value>` or `--<name>=<value>`; the last
     /// occurrence wins, matching conventional CLI override behaviour.
-    pub fn opt(&self, name: &str) -> Option<String> {
+    pub(crate) fn opt(&self, name: &str) -> Option<String> {
         let flag = format!("--{name}");
         let prefix = format!("--{name}=");
         let mut found = None;
@@ -64,7 +64,7 @@ impl Args {
     /// none. Anything else — a misspelled flag, a stray positional, a
     /// missing value — is a clear error naming the offender, so a typo'd
     /// `--fauls=...` can never silently produce a fault-free figure.
-    pub fn reject_unknown(&self, valued: &[&str], boolean: &[&str]) -> Result<(), String> {
+    pub(crate) fn reject_unknown(&self, valued: &[&str], boolean: &[&str]) -> Result<(), String> {
         let known = || {
             let mut k: Vec<String> = valued
                 .iter()
@@ -106,7 +106,7 @@ impl Args {
 /// `--faults <spec>` support: a seeded deterministic [`FaultPlan`]
 /// threaded through every layer of the testbed (wire, server, disk), so
 /// any figure can be regenerated under a degraded network. The spec
-/// grammar is [`sfs_sim::FaultSpec::parse`]'s
+/// grammar is `sfs_sim::FaultSpec::parse`'s
 /// (`seed=7,drop=20,delay=50,delay_ns=2ms,partition=1s+200ms,crash=3s,ccrash=4s,syncfail=10`).
 pub struct FaultOpt {
     plan: Option<FaultPlan>,
@@ -125,7 +125,7 @@ impl FaultOpt {
     }
 
     /// Whether `--faults` was given.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.plan.is_some()
     }
 
@@ -136,7 +136,7 @@ impl FaultOpt {
 
     /// The injected-fault tally after a run (`None` without `--faults`),
     /// so chaos figures are self-describing.
-    pub fn tally(&self) -> Option<String> {
+    pub(crate) fn tally(&self) -> Option<String> {
         let (plan, spec) = (self.plan.as_ref()?, self.spec.as_ref()?);
         let mut by_kind: BTreeMap<&'static str, u64> = BTreeMap::new();
         for ev in plan.events() {
@@ -157,7 +157,7 @@ impl FaultOpt {
     /// injected faults its spec never enabled. `final_ns` is the latest
     /// virtual clock any testbed in the run reached; scheduled crashes
     /// due well before it must have fired. `Ok` without `--faults`.
-    pub fn check_envelope(&self, final_ns: u64) -> Result<(), String> {
+    pub(crate) fn check_envelope(&self, final_ns: u64) -> Result<(), String> {
         let Some(plan) = &self.plan else {
             return Ok(());
         };
@@ -250,7 +250,7 @@ impl ScenarioOp {
     ];
 
     /// The spec-grammar name of this op.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             ScenarioOp::Stat => "stat",
             ScenarioOp::Read => "read",
@@ -262,7 +262,7 @@ impl ScenarioOp {
     }
 
     /// Parses a spec-grammar op name.
-    pub fn parse(s: &str) -> Option<ScenarioOp> {
+    pub(crate) fn parse(s: &str) -> Option<ScenarioOp> {
         Self::ALL.iter().copied().find(|op| op.label() == s)
     }
 }
@@ -338,7 +338,7 @@ impl ScenarioSpec {
                 "file_bytes" => spec.file_bytes = int("file_bytes")? as usize,
                 "io_bytes" => spec.io_bytes = int("io_bytes")? as usize,
                 "ops" => spec.ops = int("ops")? as usize,
-                "cpu_ns" => spec.cpu_ns = parse_ns(value)?,
+                "cpu_ns" => spec.cpu_ns = parse_duration_ns(value)?,
                 "mix" => spec.mix = parse_mix(value)?,
                 other => {
                     return Err(format!(
@@ -435,26 +435,6 @@ fn parse_mix(value: &str) -> Result<Vec<(ScenarioOp, u32)>, String> {
     Ok(mix)
 }
 
-/// Parses a duration as plain nanoseconds or with an `ns`/`us`/`ms`/`s`
-/// suffix (`cpu_ns=2ms`).
-fn parse_ns(value: &str) -> Result<u64, String> {
-    let (digits, mult) = if let Some(v) = value.strip_suffix("ns") {
-        (v, 1)
-    } else if let Some(v) = value.strip_suffix("us") {
-        (v, 1_000)
-    } else if let Some(v) = value.strip_suffix("ms") {
-        (v, 1_000_000)
-    } else if let Some(v) = value.strip_suffix('s') {
-        (v, 1_000_000_000)
-    } else {
-        (value, 1)
-    };
-    digits
-        .parse::<u64>()
-        .map(|n| n * mult)
-        .map_err(|_| format!("duration {value:?} is not an integer with optional ns/us/ms/s"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,6 +462,18 @@ mod tests {
     fn fault_opt_rejects_bad_specs() {
         assert!(FaultOpt::with_spec(Some("drop=2000".into())).is_err());
         assert!(FaultOpt::with_spec(Some("nonsense".into())).is_err());
+    }
+
+    #[test]
+    fn durations_that_overflow_are_rejected_not_wrapped() {
+        let err = FaultOpt::with_spec(Some("delay_ns=99999999999s".into()))
+            .map(|_| ())
+            .unwrap_err();
+        assert!(err.contains("overflows"), "{err}");
+        let err = ScenarioSpec::parse("mix=stat:1,cpu_ns=99999999999s").unwrap_err();
+        assert!(err.contains("overflows"), "{err}");
+        let spec = ScenarioSpec::parse("mix=stat:1,cpu_ns=2ms").unwrap();
+        assert_eq!(spec.cpu_ns, 2_000_000);
     }
 
     #[test]

@@ -16,13 +16,12 @@ use std::sync::Arc;
 use sfs::ShardEngine;
 use sfs_nfs3::Nfs3Server;
 use sfs_sim::{NetParams, SimClock, Transport, Wire};
-use sfs_vfs::Vfs;
 
 use crate::kernel::{FsBench, KernelNfs, LocalFs, SfsBench};
 use crate::world::{World, WorldSpec};
 
 /// The benchmark user.
-pub const BENCH_UID: u32 = crate::world::UID;
+pub(crate) const BENCH_UID: u32 = crate::world::UID;
 
 /// The systems compared throughout §4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,7 +54,7 @@ impl System {
     }
 
     /// The four systems of Figures 6–9.
-    pub fn main_four() -> [System; 4] {
+    pub(crate) fn main_four() -> [System; 4] {
         [System::Local, System::NfsUdp, System::NfsTcp, System::Sfs]
     }
 }
@@ -70,12 +69,10 @@ pub struct Testbed {
     /// bench directory itself; the local and NFS stacks address the
     /// bench directory explicitly).
     pub prefix: &'static str,
-    /// The server-side file system (for cache-state control).
-    pub server_vfs: Vfs,
     /// The multi-core scheduler, when built with `cores` on an SFS
     /// system — so reporters can flush its final open commit batches
     /// into the `server.disk.batch_size` histogram after the workload.
-    pub shard_engine: Option<Arc<ShardEngine>>,
+    pub(crate) shard_engine: Option<Arc<ShardEngine>>,
 }
 
 /// Testbeds built by this process — what a figure run is charged for.
@@ -107,10 +104,10 @@ impl Testbed {
         let clock = spec.clock();
         let vfs = spec.export(&clock, 0, spec.locations[0]);
         let fs: Box<dyn FsBench> = match transport {
-            None => Box::new(LocalFs::new(vfs.clone(), clock.clone())),
+            None => Box::new(LocalFs::new(vfs, clock.clone())),
             Some(transport) => {
                 let mut wire = Wire::new(clock.clone(), NetParams::switched_100mbit(transport));
-                let server = Nfs3Server::new(vfs.clone());
+                let server = Nfs3Server::new(vfs);
                 if let Some(tel) = &spec.tel {
                     wire.set_telemetry(tel);
                     server.set_telemetry(tel);
@@ -132,7 +129,6 @@ impl Testbed {
             clock,
             fs,
             prefix: "bench",
-            server_vfs: vfs,
             shard_engine: None,
         }
     }
@@ -152,7 +148,6 @@ impl Testbed {
         Testbed {
             fs: Box::new(SfsBench::new(system.label(), client, BENCH_UID, &prefix)),
             prefix: "",
-            server_vfs: server.vfs().clone(),
             shard_engine: server.shard_engine(),
             clock: world.clock,
         }

@@ -38,20 +38,20 @@ pub struct Experiment {
 /// for every run, so a rerun starts from a fresh fault plan and sink.
 pub struct Ctx<'a> {
     /// The validated flags, for the experiment's own options.
-    pub args: &'a Args,
+    pub(crate) args: &'a Args,
     /// The positional selection, when given.
-    pub select: Option<&'a str>,
+    pub(crate) select: Option<&'a str>,
     /// `--smoke`: CI-sized run.
-    pub smoke: bool,
+    pub(crate) smoke: bool,
     /// `--faults`: the plan to thread through every world.
-    pub faults: FaultOpt,
+    pub(crate) faults: FaultOpt,
     /// `--trace`: the sink to thread through every world.
-    pub trace: TraceOpt,
+    pub(crate) trace: TraceOpt,
 }
 
 impl Ctx<'_> {
     /// `"smoke"` or `"full"`, as artifact headers record it.
-    pub fn mode(&self) -> &'static str {
+    pub(crate) fn mode(&self) -> &'static str {
         if self.smoke {
             "smoke"
         } else {

@@ -46,13 +46,13 @@ pub struct Cell {
 
 impl Cell {
     /// The paper's value for this cell, when it publishes one.
-    pub fn anchor(&self) -> Option<&'static Anchor> {
+    pub(crate) fn anchor(&self) -> Option<&'static Anchor> {
         let at = (self.figure, self.row, self.column);
         PAPER.iter().find(|a| (a.figure, a.row, a.column) == at)
     }
 
     /// `measured / paper − 1`, when the paper publishes a value.
-    pub fn deviation(&self) -> Option<f64> {
+    pub(crate) fn deviation(&self) -> Option<f64> {
         self.anchor().map(|a| self.measured / a.paper - 1.0)
     }
 
@@ -83,7 +83,7 @@ impl Cell {
 }
 
 /// The `BENCH_figures.json` header.
-pub fn header() -> Obj {
+pub(crate) fn header() -> Obj {
     Obj::new()
         .str("schema", "sfs-bench/figures/v1")
         .str(
@@ -133,7 +133,7 @@ pub struct Anchor {
     /// Column label.
     pub column: &'static str,
     /// The paper's value, in the cell's unit.
-    pub paper: f64,
+    pub(crate) paper: f64,
     /// Largest `|measured / paper − 1|` the gate accepts.
     pub tolerance: f64,
     /// Why the tolerance is wider than [`TOLERANCE`] (empty otherwise).
@@ -166,15 +166,15 @@ const NOCACHE: &str = "SFS w/o enhanced caching";
 /// Row label of the claims comparing SFS with NFS 3 over UDP.
 pub const SFS_VS_UDP: &str = "SFS vs NFS 3 (UDP)";
 /// Row label of the claims comparing unencrypted SFS with NFS 3 over UDP.
-pub const NOENC_VS_UDP: &str = "SFS w/o encryption vs NFS 3 (UDP)";
+pub(crate) const NOENC_VS_UDP: &str = "SFS w/o encryption vs NFS 3 (UDP)";
 /// Row label of the ablation deltas of encryption.
-pub const SFS_VS_NOENC: &str = "SFS vs SFS w/o encryption";
+pub(crate) const SFS_VS_NOENC: &str = "SFS vs SFS w/o encryption";
 /// Row label of the ablation deltas of the enhanced caching.
-pub const NOCACHE_VS_SFS: &str = "SFS w/o enhanced caching vs SFS";
+pub(crate) const NOCACHE_VS_SFS: &str = "SFS w/o enhanced caching vs SFS";
 /// Row label of the §4.5 claim.
-pub const PPRO_TO_PIII: &str = "Pentium Pro 200 → Pentium III 550";
+pub(crate) const PPRO_TO_PIII: &str = "Pentium Pro 200 → Pentium III 550";
 /// Row label of §4.5's "we expect this trend to continue".
-pub const PIII_TO_NEXT: &str = "Pentium III 550 → hypothetical 2x PIII";
+pub(crate) const PIII_TO_NEXT: &str = "Pentium III 550 → hypothetical 2x PIII";
 
 const WINDOW_8: &str = "the figures run the client's default window of 8 READs in flight \
     (DESIGN §11), which overlaps the per-byte ARC4+SHA-1 cost with the wire; the paper's client \
@@ -307,11 +307,11 @@ pub struct Run {
     /// The micro-benchmarks' µs per operation / MB/s (0 otherwise).
     pub rate: f64,
     /// The timed phases of the other workloads.
-    pub phases: Vec<Phase>,
+    pub(crate) phases: Vec<Phase>,
     /// Wire RPCs the whole run issued.
     pub rpcs: u64,
     /// The world's virtual clock when the run ended.
-    pub final_ns: u64,
+    pub(crate) final_ns: u64,
 }
 
 impl Run {
@@ -727,7 +727,7 @@ pub fn render(title: &str, cells: &[Cell]) -> String {
 /// memo. The complete, unperturbed set is the `BENCH_figures.json`
 /// artifact; a selection, a fault plan or a window override prints its
 /// tables only.
-pub fn run(ctx: &Ctx) -> Result<Report, String> {
+pub(crate) fn run(ctx: &Ctx) -> Result<Report, String> {
     let window = ctx.args.number("window")?;
     let cpu = CpuCosts::pentium_iii_550();
     let memo = Memo::new(cpu, window, &ctx.trace, ctx.faults.plan());

@@ -254,7 +254,7 @@ const SYSCALL_NS: u64 = 3_000;
 // ---------------------------------------------------------------- Local
 
 /// The local-FFS baseline: direct file-system access plus the page cache.
-pub struct LocalFs {
+pub(crate) struct LocalFs {
     vfs: Vfs,
     clock: SimClock,
     creds: Credentials,
@@ -263,7 +263,7 @@ pub struct LocalFs {
 
 impl LocalFs {
     /// Wraps a (disk-attached) file system.
-    pub fn new(vfs: Vfs, clock: SimClock) -> Self {
+    pub(crate) fn new(vfs: Vfs, clock: SimClock) -> Self {
         LocalFs {
             vfs,
             clock,
@@ -388,7 +388,7 @@ impl FsBench for LocalFs {
 
 /// The in-kernel NFS3 client baseline with the classic heuristic
 /// attribute cache (a fixed timeout, no leases, no callbacks).
-pub struct KernelNfs {
+pub(crate) struct KernelNfs {
     label: String,
     clock: SimClock,
     wire: Wire,
@@ -411,7 +411,7 @@ pub struct KernelNfs {
 
 impl KernelNfs {
     /// Builds an NFS client over `wire` against `server`.
-    pub fn new(
+    pub(crate) fn new(
         label: &str,
         clock: SimClock,
         wire: Wire,
@@ -717,7 +717,7 @@ impl FsBench for KernelNfs {
 /// as for NFS, but attribute caching is the SFS client's lease-based one
 /// and every RPC goes through the user-level daemons and the secure
 /// channel.
-pub struct SfsBench {
+pub(crate) struct SfsBench {
     label: String,
     clock: SimClock,
     client: Arc<SfsClient>,
@@ -731,7 +731,7 @@ pub struct SfsBench {
 impl SfsBench {
     /// Wraps an SFS client pointed at `prefix` (a mounted self-certifying
     /// path).
-    pub fn new(label: &str, client: Arc<SfsClient>, uid: u32, prefix: &str) -> Self {
+    pub(crate) fn new(label: &str, client: Arc<SfsClient>, uid: u32, prefix: &str) -> Self {
         SfsBench {
             label: label.to_string(),
             clock: client.clock().clone(),

@@ -1,7 +1,7 @@
 //! Benchmark harness reproducing every table and figure in §4 of the SFS
 //! paper.
 //!
-//! - [`kernel`]: the simulated kernel file-system layers — page cache,
+//! - `kernel`: the simulated kernel file-system layers — page cache,
 //!   name cache, and attribute caching — over three stacks: the local FFS
 //!   baseline, kernel NFS3 (UDP or TCP), and SFS;
 //! - [`keys`], [`world`]: the memoised deterministic keys and the one
@@ -29,7 +29,7 @@ pub mod calib;
 pub mod driver;
 pub mod experiments;
 pub mod figures;
-pub mod kernel;
+mod kernel;
 pub mod keys;
 pub mod microbench;
 pub mod oracle;
@@ -38,6 +38,3 @@ pub mod scenario;
 pub mod trace;
 pub mod workloads;
 pub mod world;
-
-pub use calib::{System, Testbed};
-pub use kernel::FsBench;

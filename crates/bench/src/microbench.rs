@@ -57,7 +57,11 @@ fn calibrate(f: &mut impl FnMut(), window: Duration) -> u64 {
 /// in the same stretches of the run, and a stretch the host spends
 /// elsewhere slows one pass, not the row. Prints one line per loop and
 /// returns the best ns per iteration, in order.
-pub fn bench_rounds(names: &[String], ops: &mut [Box<dyn FnMut() + '_>], rounds: u32) -> Vec<u128> {
+pub(crate) fn bench_rounds(
+    names: &[String],
+    ops: &mut [Box<dyn FnMut() + '_>],
+    rounds: u32,
+) -> Vec<u128> {
     let iters: Vec<u64> = ops
         .iter_mut()
         .map(|f| calibrate(f, WINDOW / rounds))
@@ -78,9 +82,9 @@ pub fn bench_rounds(names: &[String], ops: &mut [Box<dyn FnMut() + '_>], rounds:
 }
 
 /// Passes per loop of a [`Rows`] run.
-pub const ROUNDS: u32 = 5;
+pub(crate) const ROUNDS: u32 = 5;
 
-/// Loops for one [`bench_rounds`] run, added one at a time: what the
+/// Loops for one `bench_rounds` run, added one at a time: what the
 /// `benches/` targets report through, so each group's rows are measured
 /// side by side and a rerun of one binary repeats them.
 #[derive(Default)]
@@ -127,7 +131,7 @@ impl<'a> Rows<'a> {
         self
     }
 
-    /// Times every loop, [`ROUNDS`] passes each, side by side; returns
+    /// Times every loop, `ROUNDS` passes each, side by side; returns
     /// each one's best ns per iteration, in order.
     pub fn run(mut self) -> Vec<u128> {
         let best = bench_rounds(&self.names, &mut self.ops, ROUNDS);
@@ -153,7 +157,7 @@ pub struct Stage {
 }
 
 /// Payload sizes exercised at every stage (8 B … 8 KiB).
-pub const PAYLOAD_SIZES: [usize; 5] = [8, 64, 512, 4096, 8192];
+pub(crate) const PAYLOAD_SIZES: [usize; 5] = [8, 64, 512, 4096, 8192];
 
 /// Message sizes for the bare Poly1305 and ChaCha20 kernel rows: below
 /// one wide step, a few steps, and the bulk NFS transfer size (Poly1305
@@ -167,7 +171,7 @@ const CHACHA20_SIZES: [usize; 4] = [64, 512, 1024, 8192];
 /// The channel plaintext of the bulk path's two frames, as the sealed
 /// path encodes them: one 8 KiB READ reply (the data, its header and
 /// attributes, no invalidations) and one 32 KiB WRITE call.
-pub fn bulk_frames() -> [usize; 2] {
+pub(crate) fn bulk_frames() -> [usize; 2] {
     let fattr = Fattr3 {
         ftype: FileType::Regular,
         mode: 0o644,

@@ -56,7 +56,7 @@ use crate::world::{Behind, World, WorldSpec, UID};
 
 /// Short lease so expiry is actually exercised inside a few-second run
 /// (the 30s default would make every stale read trivially legal).
-pub const LEASE_NS: u64 = 250_000_000;
+pub(crate) const LEASE_NS: u64 = 250_000_000;
 /// Virtual time between workload operations.
 pub const OP_GAP_NS: u64 = 60_000_000;
 /// Version-counter files every harness creates.
@@ -266,7 +266,7 @@ pub struct Oracle {
     /// Each client's current mount.
     pub mounts: Vec<Arc<Mount>>,
     /// The version-counter files' handles.
-    pub fhs: Vec<FileHandle>,
+    pub(crate) fhs: Vec<FileHandle>,
     /// Expected full contents per file, maintained alongside the history.
     pub contents: Vec<Vec<u8>>,
     /// Every rule violation scored so far.
@@ -290,17 +290,17 @@ pub struct RunOutcome<H> {
     /// Rule violations (empty on a coherent run).
     pub violations: Vec<String>,
     /// Final virtual clock.
-    pub total_ns: u64,
+    pub(crate) total_ns: u64,
     /// The fault plan's injection log.
     pub events: Vec<FaultEvent>,
     /// Final size of every file.
-    pub sizes: Vec<u64>,
+    pub(crate) sizes: Vec<u64>,
     /// Records in each client journal.
-    pub journal_records: Vec<usize>,
+    pub(crate) journal_records: Vec<usize>,
     /// Client crash-restarts honoured.
     pub crashes: usize,
     /// Transparent reconnects, summed over the final mounts.
-    pub reconnects: u64,
+    pub(crate) reconnects: u64,
     /// Topology-specific health.
     pub health: H,
 }

@@ -7,7 +7,7 @@ use std::fmt::{Debug, Display, Write};
 use sfs_telemetry::Telemetry;
 
 /// A table cell's value: three significant digits from 1 up.
-pub fn format_val(v: f64) -> String {
+pub(crate) fn format_val(v: f64) -> String {
     if v >= 100.0 {
         format!("{v:.0}")
     } else if v >= 10.0 {
@@ -19,7 +19,7 @@ pub fn format_val(v: f64) -> String {
 
 /// The NFS3 procedures the server keeps service-time histograms for, in
 /// RFC 1813 procedure-number order (how the table lists them).
-pub const NFS3_PROCS: &[&str] = &[
+pub(crate) const NFS3_PROCS: &[&str] = &[
     "NULL",
     "GETATTR",
     "SETATTR",
@@ -48,7 +48,7 @@ pub const NFS3_PROCS: &[&str] = &[
 /// per procedure in wire order, quantiles in microseconds. Integer-only
 /// formatting, so two identical virtual-time runs render byte-identical
 /// tables.
-pub fn latency_table(tel: &Telemetry) -> String {
+pub(crate) fn latency_table(tel: &Telemetry) -> String {
     let hists = tel.histograms();
     let mut by_proc: BTreeMap<String, Vec<(usize, &sfs_telemetry::Histogram)>> = BTreeMap::new();
     for (process, name, h) in &hists {
@@ -163,7 +163,7 @@ pub struct Obj(Vec<(&'static str, String)>);
 
 impl Obj {
     /// The empty object.
-    pub fn new() -> Obj {
+    pub(crate) fn new() -> Obj {
         Obj::default()
     }
 
@@ -173,7 +173,7 @@ impl Obj {
     }
 
     /// A string field (escaped).
-    pub fn str(self, key: &'static str, v: &str) -> Obj {
+    pub(crate) fn str(self, key: &'static str, v: &str) -> Obj {
         let mut out = String::from('"');
         for c in v.chars() {
             match c {
@@ -188,22 +188,22 @@ impl Obj {
     }
 
     /// An integer or boolean field, rendered as `Display` prints it.
-    pub fn num(self, key: &'static str, v: impl Display) -> Obj {
+    pub(crate) fn num(self, key: &'static str, v: impl Display) -> Obj {
         self.put(key, v.to_string())
     }
 
     /// A float field with exactly `decimals` fractional digits.
-    pub fn float(self, key: &'static str, v: f64, decimals: usize) -> Obj {
+    pub(crate) fn float(self, key: &'static str, v: f64, decimals: usize) -> Obj {
         self.put(key, format!("{v:.decimals$}"))
     }
 
     /// A nested object field (rendered on one line).
-    pub fn obj(self, key: &'static str, v: Obj) -> Obj {
+    pub(crate) fn obj(self, key: &'static str, v: Obj) -> Obj {
         self.put(key, v.line())
     }
 
     /// A `null` field.
-    pub fn null(self, key: &'static str) -> Obj {
+    pub(crate) fn null(self, key: &'static str) -> Obj {
         self.put(key, "null".into())
     }
 
@@ -214,14 +214,14 @@ impl Obj {
     }
 
     /// The numeric field `key`, as the artifact states it.
-    pub fn number(&self, key: &str) -> f64 {
+    pub(crate) fn number(&self, key: &str) -> f64 {
         let v = self.get(key).unwrap_or_else(|| panic!("no field {key:?}"));
         v.parse()
             .unwrap_or_else(|_| panic!("field {key:?} is not a number: {v}"))
     }
 
     /// `key: value`, one field per line — how a header prints.
-    pub fn lines(&self) -> String {
+    pub(crate) fn lines(&self) -> String {
         self.0
             .iter()
             .fold(String::new(), |out, (k, v)| out + &format!("  {k}: {v}\n"))
@@ -240,7 +240,7 @@ impl Obj {
 
 /// Renders a bench artifact: the `header` fields one per line, then the
 /// array `rows_key` with one row per line.
-pub fn artifact_json(header: &Obj, rows_key: &str, rows: &[Obj]) -> String {
+pub(crate) fn artifact_json(header: &Obj, rows_key: &str, rows: &[Obj]) -> String {
     let mut out = String::from("{\n");
     for (k, v) in &header.0 {
         writeln!(out, "  \"{k}\": {v},").unwrap();
@@ -256,7 +256,7 @@ pub fn artifact_json(header: &Obj, rows_key: &str, rows: &[Obj]) -> String {
 
 /// The rows as an aligned text table, one column per field of the first
 /// row — the stdout view of exactly what the artifact holds.
-pub fn rows_table(rows: &[Obj]) -> String {
+pub(crate) fn rows_table(rows: &[Obj]) -> String {
     let Some(first) = rows.first() else {
         return String::new();
     };
@@ -281,7 +281,7 @@ pub fn rows_table(rows: &[Obj]) -> String {
 }
 
 /// Writes [`artifact_json`] to `path`.
-pub fn write_artifact(
+pub(crate) fn write_artifact(
     path: &str,
     header: &Obj,
     rows_key: &str,
@@ -291,7 +291,7 @@ pub fn write_artifact(
 }
 
 /// Writes `contents` to `path` and says so on stdout.
-pub fn write_file(path: &str, contents: &str) -> Result<(), String> {
+pub(crate) fn write_file(path: &str, contents: &str) -> Result<(), String> {
     std::fs::write(path, contents).map_err(|e| format!("write {path}: {e}"))?;
     println!("wrote {path}");
     Ok(())
@@ -310,7 +310,7 @@ pub struct Check {
     pub detail: String,
     /// A performance envelope, which a faulted run legitimately leaves
     /// (skipped under `--faults`); invariants hold under any fault plan.
-    pub perf: bool,
+    pub(crate) perf: bool,
 }
 
 impl Check {
@@ -335,7 +335,7 @@ impl Check {
 
 /// One performance check per adjacent pair of `rows`: `value` must not
 /// fall as `along` grows, beyond the fraction `slack` of it.
-pub fn monotone(rows: &[&Obj], along: &str, value: &str, slack: f64) -> Vec<Check> {
+pub(crate) fn monotone(rows: &[&Obj], along: &str, value: &str, slack: f64) -> Vec<Check> {
     let check = |pair: &[&Obj]| {
         let (a, b) = (pair[0], pair[1]);
         Check::perf(
@@ -355,7 +355,7 @@ pub fn monotone(rows: &[&Obj], along: &str, value: &str, slack: f64) -> Vec<Chec
 /// fresh world it built. Virtual time leaves the host nothing to vary,
 /// so any difference is a bug: the error says where the two outcomes'
 /// `{:#?}` renderings first part.
-pub fn rerun_identical<T: PartialEq + Debug>(
+pub(crate) fn rerun_identical<T: PartialEq + Debug>(
     what: &str,
     first: &T,
     again: &T,
@@ -458,8 +458,8 @@ mod tests {
         // render the breakdown from the histograms the server recorded.
         let tel = Telemetry::recording(sfs_telemetry::ZeroClock);
         let scoped = tel.scoped("NFS 3 (UDP)");
-        let crate::Testbed { fs, prefix, .. } = crate::Testbed::build(
-            crate::System::NfsUdp,
+        let crate::calib::Testbed { fs, prefix, .. } = crate::calib::Testbed::build(
+            crate::calib::System::NfsUdp,
             &crate::world::WorldSpec::bench().traced(&scoped),
         );
         let p = format!("{prefix}/smoke");

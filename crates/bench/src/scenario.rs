@@ -10,14 +10,14 @@
 //! 1. **Mix engine** ([`run_mix`]): takes a [`ScenarioSpec`] (op-mix
 //!    percentages, file-set shape, client count, op count), builds a
 //!    multi-client SFS world on one virtual clock, and replays the mix
-//!    through the [`FsBench`] kernel. Every `stat`/`open` result is
+//!    through the `FsBench` kernel. Every `stat`/`open` result is
 //!    scored by the coherence oracle's rules 1–3 (`oracle::CommitLog`):
 //!    observed sizes must be states the file actually passed through,
 //!    per-client observations must be monotone, stale reads older than
 //!    the server lease are illegal. Every read byte is checked against
 //!    the file's generator function.
 //!
-//! 2. **Trace recorder** ([`RecordingFs`], [`TraceOp`]): wraps any
+//! 2. **Trace recorder** (`RecordingFs`, [`TraceOp`]): wraps any
 //!    `FsBench` and logs the request stream in a line-oriented text
 //!    format. A recorded trace replayed through a fresh world
 //!    re-records to byte-identical text — the determinism contract the
@@ -56,7 +56,7 @@ use crate::world::{KeySeeds, World, WorldSpec, USER};
 /// Lease duration the mix engine's oracle assumes (the
 /// [`sfs::server::ServerConfig::new`] default; [`scenario_world`] only overrides it for
 /// the lease storm).
-pub const DEFAULT_LEASE_NS: u64 = 30_000_000_000;
+pub(crate) const DEFAULT_LEASE_NS: u64 = 30_000_000_000;
 
 // --------------------------------------------------------------- world
 
@@ -86,7 +86,7 @@ fn prefix(world: &World, s: usize) -> String {
 /// by the user. `lease_ns` overrides the attribute-lease duration (the
 /// lease storm shrinks it); the fault plan, when given, is threaded
 /// through the wire, every server, and every disk.
-pub fn scenario_world(
+pub(crate) fn scenario_world(
     clients: usize,
     servers: usize,
     lease_ns: Option<u64>,
@@ -190,7 +190,7 @@ fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
 impl TraceOp {
     /// One-line text form. Paths must not contain whitespace (the
     /// scenario engine's generated paths never do).
-    pub fn encode(&self) -> String {
+    pub(crate) fn encode(&self) -> String {
         match self {
             TraceOp::Mkdir(p) => format!("mkdir {p}"),
             TraceOp::Create(p) => format!("create {p}"),
@@ -206,7 +206,7 @@ impl TraceOp {
     }
 
     /// Parses one line of [`TraceOp::encode`] output.
-    pub fn parse(line: &str) -> Result<TraceOp, String> {
+    pub(crate) fn parse(line: &str) -> Result<TraceOp, String> {
         let mut it = line.split_whitespace();
         let verb = it.next().ok_or("empty trace line")?;
         let fields: Vec<&str> = it.collect();
@@ -272,7 +272,7 @@ pub fn encode_trace(ops: &[TraceOp]) -> String {
 }
 
 /// Parses [`encode_trace`] output; errors carry the 1-based line number.
-pub fn parse_trace(text: &str) -> Result<Vec<TraceOp>, String> {
+pub(crate) fn parse_trace(text: &str) -> Result<Vec<TraceOp>, String> {
     text.lines()
         .enumerate()
         .filter(|(_, l)| !l.trim().is_empty())
@@ -280,21 +280,21 @@ pub fn parse_trace(text: &str) -> Result<Vec<TraceOp>, String> {
         .collect()
 }
 
-/// Shared request-stream sink for a [`RecordingFs`] (one sink may be
+/// Shared request-stream sink for a `RecordingFs` (one sink may be
 /// shared by many wrappers; requests land in execution order).
 pub type TraceSink = Arc<Mutex<Vec<TraceOp>>>;
 
 /// Wraps any [`FsBench`] and records every request into a [`TraceSink`].
 /// `chown_fail` (a microbenchmark probe, not a workload op) is delegated
 /// without recording.
-pub struct RecordingFs {
+pub(crate) struct RecordingFs {
     inner: Box<dyn FsBench>,
     sink: TraceSink,
 }
 
 impl RecordingFs {
     /// Wraps `inner`, appending every request to `sink`.
-    pub fn new(inner: Box<dyn FsBench>, sink: TraceSink) -> Self {
+    pub(crate) fn new(inner: Box<dyn FsBench>, sink: TraceSink) -> Self {
         RecordingFs { inner, sink }
     }
 
@@ -383,7 +383,7 @@ impl FsBench for RecordingFs {
 
 /// Replays a trace against `fs`, failing on the first op the target
 /// refuses.
-pub fn replay_trace(fs: &dyn FsBench, ops: &[TraceOp]) -> Result<(), BenchFsError> {
+pub(crate) fn replay_trace(fs: &dyn FsBench, ops: &[TraceOp]) -> Result<(), BenchFsError> {
     for op in ops {
         match op {
             TraceOp::Mkdir(p) => fs.mkdir(p)?,
@@ -716,7 +716,7 @@ pub fn run_mix(
 /// the morning-login stampede. Every remount's latency lands in the
 /// `storm/mount_ns` histogram; every remount must succeed and serve a
 /// correct probe read.
-pub fn run_mount_storm(
+pub(crate) fn run_mount_storm(
     seed: u64,
     clients: usize,
     waves: usize,
@@ -778,7 +778,7 @@ pub fn run_mount_storm(
 /// designated laggard keeps the stale key — falling back to anonymous
 /// credentials, it must lose access to the 0600 `secret` while
 /// world-readable files stay reachable.
-pub fn run_rollover_storm(
+pub(crate) fn run_rollover_storm(
     seed: u64,
     clients: usize,
     waves: usize,
@@ -887,7 +887,7 @@ pub fn run_rollover_storm(
 /// observe the *exact* new size (a stale cached attribute would be a
 /// protocol violation, not a tuning artifact) and must have spent RPCs
 /// revalidating.
-pub fn run_lease_storm(
+pub(crate) fn run_lease_storm(
     seed: u64,
     clients: usize,
     files: usize,
@@ -990,7 +990,7 @@ pub fn run_lease_storm(
 /// every agent; from that instant every access to server 0 — including
 /// through cached mounts and cached file handles — must be refused,
 /// while server 1 traffic is entirely unaffected.
-pub fn run_revocation_storm(
+pub(crate) fn run_revocation_storm(
     clients: usize,
     suite: SuiteId,
     tel: &Telemetry,

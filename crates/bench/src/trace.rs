@@ -31,25 +31,25 @@ impl TraceOpt {
     }
 
     /// Whether tracing was requested.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.path.is_some()
     }
 
     /// The shared sink (disabled when `--trace` was not given).
-    pub fn telemetry(&self) -> &Telemetry {
+    pub(crate) fn telemetry(&self) -> &Telemetry {
         &self.tel
     }
 
     /// A handle scoped to one benchmarked system: its process names are
     /// prefixed `label/…` so traces of several systems stay separable in
     /// the viewer.
-    pub fn for_system(&self, label: &str) -> Telemetry {
+    pub(crate) fn for_system(&self, label: &str) -> Telemetry {
         self.tel.scoped(label)
     }
 
     /// Writes the Chrome trace JSON (if `--trace` was given) and prints
     /// the per-layer summary table.
-    pub fn finish(&self) -> Result<(), String> {
+    pub(crate) fn finish(&self) -> Result<(), String> {
         let Some(path) = &self.path else {
             return Ok(());
         };

@@ -9,9 +9,9 @@ use crate::kernel::FsBench;
 #[derive(Debug, Clone)]
 pub struct Phase {
     /// Phase name as it appears in the figure.
-    pub name: String,
+    pub(crate) name: String,
     /// Elapsed virtual time.
-    pub time: SimTime,
+    pub(crate) time: SimTime,
 }
 
 /// Joins a prefix and a relative path.
@@ -33,7 +33,7 @@ fn timed<T>(fs: &dyn FsBench, f: impl FnOnce() -> T) -> (T, SimTime) {
 
 /// Micro-benchmark: mean latency of an operation that always requires a
 /// server round trip (unauthorized `fchown`), in microseconds.
-pub fn micro_latency(fs: &dyn FsBench, prefix: &str) -> f64 {
+pub(crate) fn micro_latency(fs: &dyn FsBench, prefix: &str) -> f64 {
     let path = join(prefix, "latency-probe");
     fs.create(&path).expect("create probe");
     fs.write(&path, 0, b"x").expect("seed probe");
@@ -54,7 +54,7 @@ pub fn micro_latency(fs: &dyn FsBench, prefix: &str) -> f64 {
 /// that lives in the server's buffer cache (the paper reads a *sparse*
 /// 1,000 MB file so the disk is never touched; we use a smaller warm file
 /// — throughput is steady-state either way).
-pub fn micro_throughput(fs: &dyn FsBench, prefix: &str) -> f64 {
+pub(crate) fn micro_throughput(fs: &dyn FsBench, prefix: &str) -> f64 {
     const CHUNK: usize = 8192;
     const TOTAL: usize = 48 * 1024 * 1024;
     let path = join(prefix, "bigfile");
@@ -220,21 +220,21 @@ pub fn total(phases: &[Phase]) -> SimTime {
 // ------------------------------------------------------------- Figure 7
 
 /// Parameters for the GENERIC FreeBSD kernel build.
-pub struct KernelBuildConfig {
+pub(crate) struct KernelBuildConfig {
     /// Compilation units.
-    pub units: usize,
+    pub(crate) units: usize,
     /// Shared headers.
-    pub headers: usize,
+    pub(crate) headers: usize,
     /// Header-open attempts per unit (close-to-open revalidations in
     /// NFS; lease hits in SFS).
-    pub header_opens: usize,
+    pub(crate) header_opens: usize,
     /// Failed include-path probes per unit (negative lookups; RPCs
     /// everywhere).
-    pub probe_misses: usize,
+    pub(crate) probe_misses: usize,
     /// Headers actually read per unit.
-    pub header_reads: usize,
+    pub(crate) header_reads: usize,
     /// CPU per unit, ns.
-    pub compile_cpu_ns: u64,
+    pub(crate) compile_cpu_ns: u64,
 }
 
 impl Default for KernelBuildConfig {
@@ -252,7 +252,7 @@ impl Default for KernelBuildConfig {
 
 /// Compiling the GENERIC FreeBSD 3.3 kernel (§4.3, Figure 7). Returns the
 /// elapsed virtual time.
-pub fn kernel_build(fs: &dyn FsBench, prefix: &str, cfg: &KernelBuildConfig) -> SimTime {
+pub(crate) fn kernel_build(fs: &dyn FsBench, prefix: &str, cfg: &KernelBuildConfig) -> SimTime {
     // Set up the tree: sources and headers.
     fs.mkdir(&join(prefix, "src")).expect("mkdir src");
     fs.mkdir(&join(prefix, "sys")).expect("mkdir sys");
@@ -306,7 +306,7 @@ pub fn kernel_build(fs: &dyn FsBench, prefix: &str, cfg: &KernelBuildConfig) -> 
 
 /// The Sprite LFS small-file benchmark (§4.4): create, read, and unlink
 /// 1,000 1 KB files.
-pub fn lfs_small(fs: &dyn FsBench, prefix: &str, n: usize) -> Vec<Phase> {
+pub(crate) fn lfs_small(fs: &dyn FsBench, prefix: &str, n: usize) -> Vec<Phase> {
     let mut phases = Vec::new();
     let data = vec![b's'; 1024];
     fs.mkdir(&join(prefix, "small")).expect("mkdir");
@@ -357,7 +357,7 @@ pub fn lfs_small(fs: &dyn FsBench, prefix: &str, n: usize) -> Vec<Phase> {
 /// The Sprite LFS large-file benchmark (§4.4): write/read a 40,000 KB
 /// file sequentially and randomly in 8 KB chunks, flushing at the end of
 /// each write phase.
-pub fn lfs_large(fs: &dyn FsBench, prefix: &str) -> Vec<Phase> {
+pub(crate) fn lfs_large(fs: &dyn FsBench, prefix: &str) -> Vec<Phase> {
     const CHUNK: usize = 8192;
     const TOTAL: usize = 40_000 * 1024;
     let n_chunks = TOTAL / CHUNK;

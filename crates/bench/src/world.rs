@@ -29,8 +29,8 @@ use crate::keys;
 
 /// The one user with an account on every world's servers, whose key the
 /// world's clients hold.
-pub const USER: &str = "alice";
-/// [`USER`]'s uid.
+pub(crate) const USER: &str = "alice";
+/// `USER`'s uid.
 pub const UID: u32 = 1000;
 const GID: u32 = 100;
 
@@ -38,7 +38,7 @@ const GID: u32 = 100;
 /// cylinder-group clustering of metadata (an effective ~4.5 ms positioning
 /// cost for the small synchronous metadata writes that dominate the LFS
 /// small-file benchmark).
-pub fn bench_disk_params() -> DiskParams {
+pub(crate) fn bench_disk_params() -> DiskParams {
     DiskParams {
         seek_ns: 4_500_000,
         bandwidth_bps: 13_000_000,
@@ -58,7 +58,7 @@ pub struct KeySeeds {
     pub srp: u64,
     /// A precomputed 768-bit client ephemeral key; `None` lets each
     /// client generate its own from its entropy, as `sfscd` does.
-    pub ephemeral: Option<u64>,
+    pub(crate) ephemeral: Option<u64>,
 }
 
 impl KeySeeds {
@@ -215,7 +215,7 @@ impl WorldSpec {
     }
 
     /// A fresh server clock; the fault plan's own events are stamped by it.
-    pub fn clock(&self) -> SimClock {
+    pub(crate) fn clock(&self) -> SimClock {
         let clock = SimClock::new();
         if let (Some(plan), Some(tel)) = (&self.plan, &self.tel) {
             plan.set_telemetry(&tel.clone().with_clock(clock.clone()));
@@ -234,7 +234,7 @@ impl WorldSpec {
 
     /// Disk → [`Vfs`] tree for the server at `location` (slot `s`) on
     /// `clock`.
-    pub fn export(&self, clock: &SimClock, s: usize, location: &str) -> Vfs {
+    pub(crate) fn export(&self, clock: &SimClock, s: usize, location: &str) -> Vfs {
         let mut vfs = Vfs::new(7 + s as u64, clock.clone());
         if let Some(params) = &self.disk {
             let disk = SimDisk::new(clock.clone(), *params);
@@ -289,7 +289,7 @@ pub struct World {
     /// The spec's clients; each agent holds the user's key.
     pub clients: Vec<Arc<SfsClient>>,
     /// Client journals, when the spec asked for them.
-    pub journals: Vec<ClientJournal>,
+    pub(crate) journals: Vec<ClientJournal>,
     spec: WorldSpec,
 }
 
@@ -341,6 +341,9 @@ impl World {
                     w.servers.push(server);
                 }
                 let group = ReplGroup::new(w.path().clone(), w.clock.clone(), quorum);
+                if let Some(tel) = &spec.tel {
+                    group.set_telemetry(tel);
+                }
                 for (r, server) in w.servers.iter().enumerate() {
                     let disk = SimDisk::new(w.clock.clone(), DiskParams::ibm_18es());
                     group.add_member(

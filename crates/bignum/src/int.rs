@@ -11,7 +11,7 @@ use crate::nat::Nat;
 /// Sign of an [`Int`]. Zero is canonically [`Sign::Plus`] with zero
 /// magnitude.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Sign {
+pub(crate) enum Sign {
     /// Non-negative.
     Plus,
     /// Strictly negative.
@@ -27,7 +27,7 @@ pub struct Int {
 
 impl Int {
     /// Returns zero.
-    pub fn zero() -> Self {
+    pub(crate) fn zero() -> Self {
         Int {
             sign: Sign::Plus,
             mag: Nat::zero(),
@@ -35,7 +35,7 @@ impl Int {
     }
 
     /// Returns one.
-    pub fn one() -> Self {
+    pub(crate) fn one() -> Self {
         Int::from_nat(Nat::one())
     }
 
@@ -49,7 +49,7 @@ impl Int {
 
     /// Constructs from an explicit sign and magnitude (zero is normalized to
     /// `Plus`).
-    pub fn new(sign: Sign, mag: Nat) -> Self {
+    pub(crate) fn new(sign: Sign, mag: Nat) -> Self {
         if mag.is_zero() {
             Int::zero()
         } else {
@@ -57,28 +57,18 @@ impl Int {
         }
     }
 
-    /// The integer's sign.
-    pub fn sign(&self) -> Sign {
-        self.sign
-    }
-
-    /// The integer's magnitude.
-    pub fn magnitude(&self) -> &Nat {
-        &self.mag
-    }
-
     /// Returns `true` if zero.
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.mag.is_zero()
     }
 
     /// Returns `true` if strictly negative.
-    pub fn is_negative(&self) -> bool {
+    pub(crate) fn is_negative(&self) -> bool {
         self.sign == Sign::Minus
     }
 
     /// Negation.
-    pub fn neg(&self) -> Int {
+    pub(crate) fn neg(&self) -> Int {
         match self.sign {
             _ if self.is_zero() => Int::zero(),
             Sign::Plus => Int {
@@ -93,7 +83,7 @@ impl Int {
     }
 
     /// `self + other`.
-    pub fn add(&self, other: &Int) -> Int {
+    pub(crate) fn add(&self, other: &Int) -> Int {
         if self.sign == other.sign {
             return Int::new(self.sign, self.mag.add_nat(&other.mag));
         }
@@ -110,7 +100,7 @@ impl Int {
     }
 
     /// `self * other`.
-    pub fn mul(&self, other: &Int) -> Int {
+    pub(crate) fn mul(&self, other: &Int) -> Int {
         let sign = if self.sign == other.sign {
             Sign::Plus
         } else {

@@ -30,10 +30,10 @@ mod prime;
 mod rand_source;
 mod twin;
 
-pub use int::{Int, Sign};
+pub use int::Int;
 pub use modular::{crt_pair, invmod, jacobi, modpow, BlumPrime, CrtBasis};
 pub use mont::Montgomery;
-pub use nat::{DivideByZero, Nat};
-pub use prime::{baillie_psw, gen_prime, gen_prime_congruent, is_probable_prime, MR_ROUNDS};
-pub use rand_source::{CountingSource, RandomSource, XorShiftSource};
+pub use nat::Nat;
+pub use prime::{baillie_psw, gen_prime_congruent, is_probable_prime};
+pub use rand_source::{RandomSource, XorShiftSource};
 pub use twin::{join, join_round_trip};

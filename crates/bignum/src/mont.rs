@@ -91,7 +91,7 @@ impl Montgomery {
     }
 
     /// The modulus.
-    pub fn modulus(&self) -> &Nat {
+    pub(crate) fn modulus(&self) -> &Nat {
         &self.n
     }
 

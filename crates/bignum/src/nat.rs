@@ -54,12 +54,12 @@ impl Nat {
     }
 
     /// Returns `true` if the number is even (zero counts as even).
-    pub fn is_even(&self) -> bool {
+    pub(crate) fn is_even(&self) -> bool {
         self.limbs.first().is_none_or(|l| l & 1 == 0)
     }
 
     /// Returns `true` if the number is odd.
-    pub fn is_odd(&self) -> bool {
+    pub(crate) fn is_odd(&self) -> bool {
         !self.is_even()
     }
 
@@ -108,7 +108,7 @@ impl Nat {
     }
 
     /// Number of trailing zero bits; `None` for zero.
-    pub fn trailing_zeros(&self) -> Option<usize> {
+    pub(crate) fn trailing_zeros(&self) -> Option<usize> {
         for (i, &l) in self.limbs.iter().enumerate() {
             if l != 0 {
                 return Some(i * 64 + l.trailing_zeros() as usize);
@@ -235,7 +235,7 @@ impl Nat {
     }
 
     /// Compares against a small value without allocating.
-    pub fn cmp_u64(&self, v: u64) -> Ordering {
+    pub(crate) fn cmp_u64(&self, v: u64) -> Ordering {
         match self.limbs.len() {
             0 => 0u64.cmp(&v),
             1 => self.limbs[0].cmp(&v),
@@ -294,8 +294,10 @@ impl Nat {
         Nat::from_limbs(schoolbook(&self.limbs, &other.limbs))
     }
 
-    /// `self * m`, for a single-limb multiplier.
-    pub fn mul_u64(&self, m: u64) -> Nat {
+    /// `self * m`, for a single-limb multiplier: the tests' reference for
+    /// small multiples.
+    #[cfg(test)]
+    pub(crate) fn mul_u64(&self, m: u64) -> Nat {
         if m == 0 || self.is_zero() {
             return Nat::zero();
         }

@@ -19,7 +19,7 @@ use crate::rand_source::RandomSource;
 /// has already proved composite, so the verdict matches 64 rounds
 /// (error ≤ 4^-64) unless a composite fools one random round and
 /// Baillie–PSW at once.
-pub const MR_ROUNDS: usize = 64;
+pub(crate) const MR_ROUNDS: usize = 64;
 
 /// Small primes used for cheap trial division before Miller–Rabin.
 const SMALL_PRIMES: [u64; 54] = [
@@ -232,15 +232,6 @@ fn jacobi_u64(mut a: u64, mut m: u64) -> i32 {
     }
 }
 
-/// Generates a random probable prime of exactly `bits` bits.
-///
-/// # Panics
-///
-/// Panics if `bits < 2`.
-pub fn gen_prime<R: RandomSource>(bits: usize, rng: &mut R) -> Nat {
-    gen_prime_congruent(bits, 1, 2, rng)
-}
-
 /// Generates a probable prime of exactly `bits` bits that is congruent to
 /// `residue` modulo `modulus`.
 ///
@@ -341,7 +332,7 @@ mod tests {
     fn gen_prime_has_exact_bits() {
         let mut rng = XorShiftSource::new(5);
         for bits in [32usize, 48, 128] {
-            let p = gen_prime(bits, &mut rng);
+            let p = gen_prime_congruent(bits, 1, 2, &mut rng);
             assert_eq!(p.bit_len(), bits);
             assert!(is_probable_prime(&p, 16, &mut rng));
         }

@@ -89,28 +89,31 @@ impl RandomSource for XorShiftSource {
 
 /// Wraps another source and counts bytes drawn; used by tests asserting that
 /// protocols consume entropy where the paper says they do.
-pub struct CountingSource<S> {
+#[cfg(test)]
+pub(crate) struct CountingSource<S> {
     inner: S,
     bytes: u64,
 }
 
+#[cfg(test)]
 impl<S: RandomSource> CountingSource<S> {
     /// Wraps `inner`.
-    pub fn new(inner: S) -> Self {
+    pub(crate) fn new(inner: S) -> Self {
         CountingSource { inner, bytes: 0 }
     }
 
     /// Total bytes drawn so far.
-    pub fn bytes_drawn(&self) -> u64 {
+    pub(crate) fn bytes_drawn(&self) -> u64 {
         self.bytes
     }
 
     /// Unwraps the inner source.
-    pub fn into_inner(self) -> S {
+    pub(crate) fn into_inner(self) -> S {
         self.inner
     }
 }
 
+#[cfg(test)]
 impl<S: RandomSource> RandomSource for CountingSource<S> {
     fn fill(&mut self, buf: &mut [u8]) {
         self.bytes += buf.len() as u64;

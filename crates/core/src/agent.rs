@@ -17,6 +17,7 @@ use sfs_crypto::rabin::RabinPrivateKey;
 use sfs_proto::pathname::{HostId, SelfCertifyingPath};
 use sfs_proto::revoke::RevocationCert;
 use sfs_proto::userauth::{AuthInfo, AuthMsg};
+use sfs_telemetry::sync::Mutex;
 
 /// One private-key operation recorded in the audit trail.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,9 +27,9 @@ pub struct AuditEntry {
     /// HostID of that server.
     pub host_id: HostId,
     /// Sequence number signed.
-    pub seq_no: u32,
+    pub(crate) seq_no: u32,
     /// Which of the agent's keys signed (index).
-    pub key_index: usize,
+    pub(crate) key_index: usize,
     /// "The path of processes and machines through which the request
     /// arrived at the agent" (§2.5.1) — empty for local requests, one
     /// entry per proxy hop otherwise.
@@ -63,7 +64,7 @@ pub struct Agent {
     /// authentication requests to other SFS agents" — the remote-login
     /// scenario). When set and this agent holds no keys of its own,
     /// authentication requests are forwarded there.
-    upstream: Option<(std::sync::Arc<sfs_telemetry::sync::Mutex<Agent>>, String)>,
+    upstream: Option<(std::sync::Arc<Mutex<Agent>>, String)>,
     /// External key-management hook (§2.4 "Existing public key
     /// infrastructures"): given a non-self-certifying name, may produce a
     /// self-certifying pathname (e.g. from an SSL certificate store).
@@ -72,7 +73,7 @@ pub struct Agent {
 }
 
 /// Maps a non-self-certifying name to a self-certifying pathname.
-pub type NameHook = Box<dyn Fn(&str) -> Option<String> + Send>;
+pub(crate) type NameHook = Box<dyn Fn(&str) -> Option<String> + Send>;
 
 impl Default for Agent {
     fn default() -> Self {
@@ -125,12 +126,12 @@ impl Agent {
     /// Serialized snapshot of every private key, in install order — the
     /// form the client journal persists so a restarted client can
     /// restore agent state without re-running SRP retrieval.
-    pub fn export_keys(&self) -> Vec<Vec<u8>> {
+    pub(crate) fn export_keys(&self) -> Vec<Vec<u8>> {
         self.keys.iter().map(RabinPrivateKey::to_bytes).collect()
     }
 
     /// Maximum authentication attempts before falling back to anonymous.
-    pub fn max_attempts(&self) -> usize {
+    pub(crate) fn max_attempts(&self) -> usize {
         self.max_attempts.min(self.keys.len())
     }
 
@@ -139,7 +140,7 @@ impl Agent {
     /// `None` once attempts are exhausted — the caller then proceeds
     /// anonymously. With an upstream configured and no local keys, the
     /// request is proxied.
-    pub fn authenticate(
+    pub(crate) fn authenticate(
         &mut self,
         info: &AuthInfo,
         seq_no: u32,
@@ -149,7 +150,7 @@ impl Agent {
     }
 
     /// [`Self::authenticate`] carrying the proxy hop path.
-    pub fn authenticate_via(
+    pub(crate) fn authenticate_via(
         &mut self,
         info: &AuthInfo,
         seq_no: u32,
@@ -185,11 +186,7 @@ impl Agent {
 
     /// Configures this agent as a proxy forwarding to `upstream`, tagging
     /// forwarded requests with `hop` (e.g. "lab-machine.example.org").
-    pub fn set_upstream(
-        &mut self,
-        upstream: std::sync::Arc<sfs_telemetry::sync::Mutex<Agent>>,
-        hop: &str,
-    ) {
+    pub fn set_upstream(&mut self, upstream: std::sync::Arc<Mutex<Agent>>, hop: &str) {
         self.upstream = Some((upstream, hop.to_string()));
     }
 
@@ -202,7 +199,7 @@ impl Agent {
     }
 
     /// Runs the external name hook, if any.
-    pub fn run_name_hook(&self, name: &str) -> Option<String> {
+    pub(crate) fn run_name_hook(&self, name: &str) -> Option<String> {
         self.name_hook.as_ref()?(name)
     }
 
@@ -217,24 +214,13 @@ impl Agent {
     }
 
     /// Current dynamic links (for `/sfs` directory listings).
-    pub fn links(&self) -> impl Iterator<Item = (&str, &str)> {
+    pub(crate) fn links(&self) -> impl Iterator<Item = (&str, &str)> {
         self.links.iter().map(|(k, v)| (k.as_str(), v.as_str()))
     }
 
     /// Appends a directory to the certification path.
     pub fn add_cert_path(&mut self, dir: &str) {
         self.cert_paths.push(dir.to_string());
-    }
-
-    /// The certification-path directories, in search order.
-    pub fn cert_paths(&self) -> &[String] {
-        &self.cert_paths
-    }
-
-    /// Resolves a dynamic link without consulting the certification path
-    /// (no I/O).
-    pub fn resolve_link(&self, name: &str) -> Option<String> {
-        self.links.get(name).cloned()
     }
 
     /// Appends a revocation-checking directory.
@@ -244,32 +230,33 @@ impl Agent {
 
     /// Resolves a non-self-certifying name in `/sfs` (§2.3: "the client
     /// software notifies the appropriate agent of the event. The agent can
-    /// then create a symbolic link on-the-fly").
+    /// then create a symbolic link on-the-fly"): a dynamic link, else the
+    /// first certification-path directory holding a link of that name,
+    /// else the external name hook. A name found in a directory or by the
+    /// hook is cached as an on-the-fly link.
     ///
     /// `lookup(dir, name)` reads a symlink target from the (SFS-mounted)
     /// file system; the agent supplies the policy, the client supplies the
-    /// I/O.
-    pub fn map_name(
-        &mut self,
+    /// I/O. The agent lock is taken for each step and never held across
+    /// `lookup`: reading a certification-path directory may mount, which
+    /// consults this agent again.
+    pub(crate) fn map_name(
+        agent: &Mutex<Agent>,
         name: &str,
-        lookup: &mut dyn FnMut(&str, &str) -> Option<String>,
+        mut lookup: impl FnMut(&str, &str) -> Option<String>,
     ) -> Option<String> {
-        if let Some(target) = self.links.get(name) {
-            return Some(target.clone());
+        let link = agent.lock().links.get(name).cloned();
+        if link.is_some() {
+            return link;
         }
-        let dirs = self.cert_paths.clone();
-        for dir in &dirs {
-            if let Some(target) = lookup(dir, name) {
-                // Cache as an on-the-fly link for subsequent accesses.
-                self.create_link(name, &target);
-                return Some(target.clone());
-            }
-        }
-        if let Some(target) = self.run_name_hook(name) {
-            self.create_link(name, &target);
-            return Some(target);
-        }
-        None
+        let dirs = agent.lock().cert_paths.clone();
+        let found = dirs.iter().find_map(|dir| lookup(dir, name));
+        let target = match found {
+            Some(t) => t,
+            None => agent.lock().run_name_hook(name)?,
+        };
+        agent.lock().create_link(name, &target);
+        Some(target)
     }
 
     /// Checks whether `path` is revoked, consulting the local cache and
@@ -405,9 +392,9 @@ mod tests {
     fn dynamic_links_and_map_name() {
         let mut agent = Agent::new();
         agent.create_link("mit", "/sfs/sfs.lcs.mit.edu:abc");
-        let mut lookup = |_d: &str, _n: &str| -> Option<String> { panic!("must not hit disk") };
+        let lookup = |_d: &str, _n: &str| -> Option<String> { panic!("must not hit disk") };
         assert_eq!(
-            agent.map_name("mit", &mut lookup).unwrap(),
+            Agent::map_name(&Mutex::new(agent), "mit", lookup).unwrap(),
             "/sfs/sfs.lcs.mit.edu:abc"
         );
     }
@@ -417,8 +404,9 @@ mod tests {
         let mut agent = Agent::new();
         agent.add_cert_path("/home/user/.sfs/known_hosts");
         agent.add_cert_path("/verisign");
+        let agent = Mutex::new(agent);
         let mut calls = Vec::new();
-        let mut lookup = |dir: &str, name: &str| -> Option<String> {
+        let lookup = |dir: &str, name: &str| -> Option<String> {
             calls.push(dir.to_string());
             if dir == "/verisign" && name == "mit" {
                 Some("/sfs/mit:xyz".into())
@@ -426,19 +414,25 @@ mod tests {
                 None
             }
         };
-        assert_eq!(agent.map_name("mit", &mut lookup).unwrap(), "/sfs/mit:xyz");
+        assert_eq!(
+            Agent::map_name(&agent, "mit", lookup).unwrap(),
+            "/sfs/mit:xyz"
+        );
         assert_eq!(calls, vec!["/home/user/.sfs/known_hosts", "/verisign"]);
         // Second access is served from the cached on-the-fly link.
-        let mut lookup2 = |_d: &str, _n: &str| -> Option<String> { panic!("cached") };
-        assert_eq!(agent.map_name("mit", &mut lookup2).unwrap(), "/sfs/mit:xyz");
+        let lookup2 = |_d: &str, _n: &str| -> Option<String> { panic!("cached") };
+        assert_eq!(
+            Agent::map_name(&agent, "mit", lookup2).unwrap(),
+            "/sfs/mit:xyz"
+        );
     }
 
     #[test]
     fn unresolvable_name_returns_none() {
         let mut agent = Agent::new();
         agent.add_cert_path("/verisign");
-        let mut lookup = |_d: &str, _n: &str| -> Option<String> { None };
-        assert!(agent.map_name("nowhere", &mut lookup).is_none());
+        let lookup = |_d: &str, _n: &str| -> Option<String> { None };
+        assert!(Agent::map_name(&Mutex::new(agent), "nowhere", lookup).is_none());
     }
 
     #[test]
@@ -509,9 +503,9 @@ mod tests {
         let path = SelfCertifyingPath::for_server("sfs.lcs.mit.edu", k.public());
         let mut agent = Agent::new();
         agent.add_bookmark(&path);
-        let mut lookup = |_d: &str, _n: &str| -> Option<String> { None };
+        let lookup = |_d: &str, _n: &str| -> Option<String> { None };
         assert_eq!(
-            agent.map_name("sfs.lcs.mit.edu", &mut lookup).unwrap(),
+            Agent::map_name(&Mutex::new(agent), "sfs.lcs.mit.edu", lookup).unwrap(),
             path.full_path()
         );
     }

@@ -152,12 +152,12 @@ impl AuthServer {
 
     /// Records the file server's self-certifying pathname for SRP
     /// bootstrap.
-    pub fn set_server_path(&self, path: SelfCertifyingPath) {
+    pub(crate) fn set_server_path(&self, path: SelfCertifyingPath) {
         *self.server_path.lock() = Some(path);
     }
 
     /// The SRP group used by this server.
-    pub fn group(&self) -> &SrpGroup {
+    pub(crate) fn group(&self) -> &SrpGroup {
         &self.group
     }
 
@@ -209,7 +209,7 @@ impl AuthServer {
     /// An unregistered key is still parsed and its signature checked, so
     /// a malformed key or a bad signature is reported as such before
     /// [`AuthError::UnknownUser`].
-    pub fn validate(
+    pub(crate) fn validate(
         &self,
         msg: &AuthMsg,
         auth_id: &[u8; DIGEST_LEN],
@@ -227,14 +227,14 @@ impl AuthServer {
     /// Hardens a password for SRP use: eksblowfish first (the expensive
     /// step both sides pay), yielding bytes that feed SRP's private
     /// exponent.
-    pub fn harden_password(cost: u32, salt: &[u8; SALT_LEN], password: &[u8]) -> Vec<u8> {
+    pub(crate) fn harden_password(cost: u32, salt: &[u8; SALT_LEN], password: &[u8]) -> Vec<u8> {
         password_kdf(cost, salt, password, 32)
     }
 
     /// Registers SRP data for a user. Called by `sfskey` at setup time
     /// with data computed client-side; the password itself never appears
     /// here.
-    pub fn srp_register(
+    pub(crate) fn srp_register(
         &self,
         user: &str,
         srp_salt: Vec<u8>,
@@ -255,7 +255,7 @@ impl AuthServer {
 
     /// The eksblowfish salt/cost a client needs before it can harden its
     /// password for `user` (public by necessity, like any salt).
-    pub fn password_params(&self, user: &str) -> Option<([u8; SALT_LEN], u32)> {
+    pub(crate) fn password_params(&self, user: &str) -> Option<([u8; SALT_LEN], u32)> {
         let inner = self.inner.lock();
         let rec = inner.private.get(user)?;
         Some((rec.ekb_salt, rec.ekb_cost))
@@ -265,7 +265,7 @@ impl AuthServer {
     /// ("a user can additionally register an encrypted copy of his private
     /// key and retrieve that copy along with the server's self-certifying
     /// pathname").
-    pub fn register_encrypted_private_key(&self, user: &str, blob: Vec<u8>) -> bool {
+    pub(crate) fn register_encrypted_private_key(&self, user: &str, blob: Vec<u8>) -> bool {
         let mut inner = self.inner.lock();
         match inner.private.get_mut(user) {
             Some(rec) => {
@@ -278,7 +278,7 @@ impl AuthServer {
 
     /// Starts the server side of an SRP handshake for `user`; returns the
     /// SRP state, the salt, and `B`.
-    pub fn srp_start<R: RandomSource>(
+    pub(crate) fn srp_start<R: RandomSource>(
         &self,
         user: &str,
         rng: &mut R,
@@ -295,7 +295,7 @@ impl AuthServer {
     /// The payload returned to a successfully SRP-authenticated client:
     /// the server's self-certifying pathname and the user's encrypted
     /// private key, if registered.
-    pub fn srp_payload(&self, user: &str) -> (Option<SelfCertifyingPath>, Option<Vec<u8>>) {
+    pub(crate) fn srp_payload(&self, user: &str) -> (Option<SelfCertifyingPath>, Option<Vec<u8>>) {
         let path = self.server_path.lock().clone();
         let blob = self
             .inner
@@ -396,7 +396,7 @@ impl std::fmt::Debug for AuthServer {
 }
 
 /// The bytes signed by the old key to authorize a key change.
-pub fn key_update_body(user: &str, new_key: &[u8]) -> Vec<u8> {
+pub(crate) fn key_update_body(user: &str, new_key: &[u8]) -> Vec<u8> {
     use sfs_xdr::XdrEncoder;
     let mut enc = XdrEncoder::new();
     enc.put_string("KeyUpdate");
@@ -419,7 +419,7 @@ pub fn sign_key_update(
 /// Client-side helper mirroring the registration computation `sfskey`
 /// performs: harden the password, derive SRP salt/verifier, and return
 /// everything the server stores.
-pub fn client_srp_registration<R: RandomSource>(
+pub(crate) fn client_srp_registration<R: RandomSource>(
     group: &SrpGroup,
     cost: u32,
     user: &str,

@@ -18,7 +18,7 @@
 //! `bufpool.misses`) so benchmarks and tests can pin reuse rates.
 //!
 //! **Ownership under multi-core dispatch.** Each pool is created by
-//! [`crate::SfsServer::accept`] (or the client link setup) for exactly
+//! `crate::SfsServer::accept` (or the client link setup) for exactly
 //! one connection, and both ends of that simulated loopback share it;
 //! no pool is ever reachable from two connections. The multi-core
 //! `ShardEngine` schedules *time*, not buffers — worker shards never
@@ -26,9 +26,8 @@
 //! an in-flight frame on another: the only path back into circulation
 //! is `put` on the same connection's pool, and a buffer only re-enters
 //! a *different* pool by deep copy. Every pool carries a process-unique
-//! [`BufPool::id`] so tests can pin this single-owner discipline.
+//! `BufPool::id` so tests can pin this single-owner discipline.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use sfs_telemetry::sync::Mutex;
@@ -62,15 +61,12 @@ const MAX_RETAINED_CAPACITY: usize = 1 << 20;
 const FRESH_CAPACITY: usize = 256;
 
 /// Process-unique pool identities, so ownership can be asserted.
-static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
-
 /// A freelist of reusable `Vec<u8>`s shared by a connection's two ends.
 pub struct BufPool {
     /// The freelist and the sink its hit/miss counters go to, under one
     /// lock: a `get` takes it once.
     state: Mutex<PoolState>,
     host: &'static str,
-    id: u64,
 }
 
 struct PoolState {
@@ -115,20 +111,11 @@ impl BufPool {
                 tel: Telemetry::disabled(),
             }),
             host,
-            id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
         })
     }
 
-    /// This pool's process-unique identity. Two connections must never
-    /// report the same id — that would mean a shared freelist, and with
-    /// it the possibility of one shard recycling a buffer that aliases
-    /// another connection's in-flight frame.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// Routes hit/miss counters to `tel`.
-    pub fn set_telemetry(&self, tel: Telemetry) {
+    pub(crate) fn set_telemetry(&self, tel: Telemetry) {
         self.state.lock().tel = tel;
     }
 
@@ -148,7 +135,7 @@ impl BufPool {
     /// [`Self::put`] then [`Self::get`], under one lock: a caller done
     /// with one buffer that needs another gets `buf` back, cleared,
     /// whenever the freelist would have kept it.
-    pub fn recycle(&self, buf: Vec<u8>) -> Vec<u8> {
+    pub(crate) fn recycle(&self, buf: Vec<u8>) -> Vec<u8> {
         let mut st = self.state.lock();
         if retained(buf.capacity()) {
             st.put(buf);
@@ -157,7 +144,7 @@ impl BufPool {
     }
 
     /// Buffers currently idle in the freelist (for tests).
-    pub fn idle(&self) -> usize {
+    pub(crate) fn idle(&self) -> usize {
         self.state.lock().free.len()
     }
 }
@@ -234,7 +221,6 @@ mod tests {
         // connection's pool must never surface from another's freelist.
         let a = BufPool::new("server");
         let b = BufPool::new("server");
-        assert_ne!(a.id(), b.id(), "pool identities must be unique");
         let mut buf = Vec::with_capacity(128);
         buf.extend_from_slice(b"frame-in-flight");
         let marker = buf.as_ptr();

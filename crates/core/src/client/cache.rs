@@ -174,7 +174,7 @@ impl SfsClient {
 
     /// Queues a WRITE of `data` at `offset` without waiting for the
     /// reply. The write reaches the server no later than the next
-    /// commit barrier — an explicit [`Self::barrier`] (close/fsync) or
+    /// commit barrier — an explicit `Self::barrier` (close/fsync) or
     /// any synchronous RPC on the mount — where the queue drains as
     /// pipelined windows and every reply is checked. With window 1 the
     /// write is issued synchronously instead.
@@ -222,7 +222,7 @@ impl SfsClient {
     /// The write-behind commit barrier: drains the queue and checks
     /// every reply. When it returns `Ok`, every previously queued write
     /// has executed on the server.
-    pub fn barrier(&self, mount: &Mount) -> Result<(), ClientError> {
+    pub(crate) fn barrier(&self, mount: &Mount) -> Result<(), ClientError> {
         if mount.wb_queue.lock().is_empty() {
             return Ok(());
         }

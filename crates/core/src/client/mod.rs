@@ -46,7 +46,6 @@ mod session;
 #[doc(hidden)]
 pub use ahead::force_open_ahead;
 pub use net::{RoutedRo, RoutedRw, Router, RwRoute, SfsNetwork};
-pub use recovery::RecoveryReport;
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -71,14 +70,14 @@ use crate::server::ServerConn;
 /// Default ephemeral-key size. The paper's servers used 1280-bit keys;
 /// 768 keeps deterministic test runs fast while exercising identical code
 /// paths.
-pub const EPHEMERAL_KEY_BITS: usize = 768;
+pub(crate) const EPHEMERAL_KEY_BITS: usize = 768;
 
 /// Maximum symlink traversals during path resolution.
 const MAX_SYMLINK_DEPTH: usize = 16;
 
 /// The read-write protocol version this client speaks (dispatched on by
 /// `sfssd`, §3.2).
-pub const PROTOCOL_VERSION: u32 = 1;
+pub(crate) const PROTOCOL_VERSION: u32 = 1;
 
 /// Seqno head-room journaled above the last used value. A restarted
 /// client resumes at the journaled high-water mark; the slack means one
@@ -551,7 +550,7 @@ impl SfsClient {
     }
 
     /// The current pipeline window.
-    pub fn pipeline_window(&self) -> usize {
+    pub(crate) fn pipeline_window(&self) -> usize {
         self.pipeline_window.load(Ordering::SeqCst).max(1)
     }
 

@@ -17,6 +17,7 @@ use sfs_vfs::FileType;
 use sfs_xdr::Xdr;
 
 use super::{ClientError, Mount, SfsClient, MAX_SYMLINK_DEPTH, STREAM_CHUNK};
+use crate::agent::Agent;
 
 impl SfsClient {
     /// Resolves an absolute `/sfs/...` path for `uid`, automounting and
@@ -51,34 +52,11 @@ impl SfsClient {
         let sc_path = match SelfCertifyingPath::split_dir_name(first) {
             Ok(p) => p,
             Err(_) => {
-                // Consult the agent (§2.3). The agent lock must not be
-                // held while we do file I/O on its behalf — resolving a
-                // certification-path directory may recursively mount.
-                let agent = self.agent(uid);
-                let mut target = agent.lock().resolve_link(first);
-                if target.is_none() {
-                    let dirs = agent.lock().cert_paths().to_vec();
-                    for dir in dirs {
-                        let full = format!("{}/{}", dir.trim_end_matches('/'), first);
-                        if let Ok(t) = self.readlink_abs(uid, &full, depth + 1) {
-                            // Cache as an on-the-fly link (§2.3).
-                            agent.lock().create_link(first, &t);
-                            target = Some(t);
-                            break;
-                        }
-                    }
-                }
-                if target.is_none() {
-                    // Last resort: the external-PKI name hook (§2.4).
-                    // (Bind the result first: an `if let` scrutinee's
-                    // lock guard would otherwise live through the body
-                    // and deadlock on the re-lock.)
-                    let hook_target = agent.lock().run_name_hook(first);
-                    if let Some(t) = hook_target {
-                        agent.lock().create_link(first, &t);
-                        target = Some(t);
-                    }
-                }
+                // Consult the agent (§2.3): its policy, our file I/O.
+                let target = Agent::map_name(&self.agent(uid), first, |dir, name| {
+                    let full = format!("{}/{}", dir.trim_end_matches('/'), name);
+                    self.readlink_abs(uid, &full, depth + 1).ok()
+                });
                 let Some(target) = target else {
                     return Err(ClientError::Nfs(Status::NoEnt));
                 };
@@ -322,45 +300,6 @@ impl SfsClient {
         }
     }
 
-    /// Creates a directory.
-    pub fn mkdir(&self, uid: u32, path: &str) -> Result<(), ClientError> {
-        let (dir, leaf) = split_parent(path)?;
-        let (mount, dir_fh, _) = self.resolve(uid, dir)?;
-        match self.call_ref(
-            &mount,
-            uid,
-            Nfs3Request::Mkdir {
-                dir: dir_fh,
-                name: leaf,
-                attrs: Sattr3 {
-                    mode: Some(0o755),
-                    ..Default::default()
-                },
-            },
-        )? {
-            Nfs3Reply::Mkdir { .. } => Ok(()),
-            other => Err(ClientError::unexpected(other)),
-        }
-    }
-
-    /// Creates a symlink (the key-management primitive of §2.4).
-    pub fn symlink(&self, uid: u32, path: &str, target: &str) -> Result<(), ClientError> {
-        let (dir, leaf) = split_parent(path)?;
-        let (mount, dir_fh, _) = self.resolve(uid, dir)?;
-        match self.call_ref(
-            &mount,
-            uid,
-            Nfs3Request::Symlink {
-                dir: dir_fh,
-                name: leaf,
-                target,
-            },
-        )? {
-            Nfs3Reply::Symlink { .. } => Ok(()),
-            other => Err(ClientError::unexpected(other)),
-        }
-    }
-
     /// Removes a file.
     pub fn remove(&self, uid: u32, path: &str) -> Result<(), ClientError> {
         let (dir, leaf) = split_parent(path)?;
@@ -375,36 +314,6 @@ impl SfsClient {
         )? {
             Nfs3Reply::Remove { .. } => Ok(()),
             other => Err(ClientError::unexpected(other)),
-        }
-    }
-
-    /// Lists a directory (names only).
-    pub fn readdir(&self, uid: u32, path: &str) -> Result<Vec<String>, ClientError> {
-        let (mount, fh, _) = self.resolve(uid, path)?;
-        let mut names = Vec::new();
-        let mut cookie = 0;
-        loop {
-            match self.call_nfs(
-                &mount,
-                uid,
-                &Nfs3Request::ReadDir {
-                    dir: fh,
-                    cookie,
-                    count: 64,
-                    plus: false,
-                },
-            )? {
-                Nfs3Reply::ReadDir { entries, eof, .. } => {
-                    for e in entries {
-                        cookie = e.cookie;
-                        names.push(e.name);
-                    }
-                    if eof {
-                        return Ok(names);
-                    }
-                }
-                other => return Err(ClientError::unexpected(other)),
-            }
         }
     }
 }

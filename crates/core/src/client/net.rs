@@ -105,7 +105,7 @@ impl SfsNetwork {
 
     /// Attaches a tracing sink to all future connections (the wire layer
     /// of every subsequently dialed mount reports into it).
-    pub fn set_telemetry(&self, tel: &Telemetry) {
+    pub(crate) fn set_telemetry(&self, tel: &Telemetry) {
         *self.tel.lock() = tel.clone();
     }
 
@@ -166,7 +166,7 @@ impl SfsNetwork {
     /// [`ClientError::NoSuchHost`] (fatal to the caller's retry loop),
     /// while a router metering a reconnect storm is [`ClientError::Busy`]
     /// (retried with backoff).
-    pub fn dial_checked(&self, location: &str) -> Result<(Wire, ServerConn), ClientError> {
+    pub(crate) fn dial_checked(&self, location: &str) -> Result<(Wire, ServerConn), ClientError> {
         let endpoint = self
             .servers
             .lock()
@@ -200,7 +200,7 @@ impl SfsNetwork {
     }
 
     /// The shared clock.
-    pub fn clock(&self) -> &SimClock {
+    pub(crate) fn clock(&self) -> &SimClock {
         &self.clock
     }
 }

@@ -271,7 +271,7 @@ impl SfsClient {
 
     /// Ensures `uid` is authenticated on `mount`; returns the
     /// authentication number (0 = anonymous).
-    pub fn ensure_auth(&self, mount: &Mount, uid: u32) -> Result<u32, ClientError> {
+    pub(crate) fn ensure_auth(&self, mount: &Mount, uid: u32) -> Result<u32, ClientError> {
         if let Some(&authno) = mount.authnos.lock().get(&uid) {
             return Ok(authno);
         }
@@ -376,7 +376,7 @@ impl SfsClient {
     }
 
     /// Issues a batch of NFS3 calls for `uid` with up to
-    /// [`Self::pipeline_window`] sealed frames in flight at once,
+    /// `Self::pipeline_window` sealed frames in flight at once,
     /// returning the replies in request order. Queued write-behind data
     /// is flushed first. With window 1 this is the blocking
     /// request/reply protocol, call for call.

@@ -37,7 +37,7 @@ use crate::wire::{CallMsg, Dialect, InnerCall, InnerReply, ReplyMsg, Service};
 
 impl Mount {
     /// The root file handle.
-    pub fn root(&self) -> FileHandle {
+    pub(crate) fn root(&self) -> FileHandle {
         *self.root_fh.lock()
     }
 

@@ -16,17 +16,17 @@ use crate::wire::{Dialect, Service};
 
 /// One dispatch rule.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DispatchRule {
+pub(crate) struct DispatchRule {
     /// Service the rule matches.
-    pub service: Service,
+    pub(crate) service: Service,
     /// Dialect the rule matches.
-    pub dialect: Dialect,
+    pub(crate) dialect: Dialect,
     /// Inclusive protocol version range.
-    pub versions: (u32, u32),
+    pub(crate) versions: (u32, u32),
     /// Extension string this rule requires (empty = no extension).
-    pub extension: String,
+    pub(crate) extension: String,
     /// Name of the subsidiary daemon to hand the connection to.
-    pub daemon: String,
+    pub(crate) daemon: String,
 }
 
 impl DispatchRule {
@@ -38,65 +38,42 @@ impl DispatchRule {
     }
 }
 
+/// The configuration file `sfssd` starts from (format: [`DispatchTable::parse`]).
+const STANDARD: &str = "\
+# service dialect versions daemon [extension]
+file  rw  1  sfsrwsd
+file  ro  1  sfsrosd
+auth  rw  1  sfsauthd
+";
+
 /// The dispatch table (the parsed "configuration file").
 #[derive(Debug, Clone, Default)]
-pub struct DispatchTable {
+pub(crate) struct DispatchTable {
     rules: Vec<DispatchRule>,
 }
 
 impl DispatchTable {
     /// An empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    /// The stock configuration shipped with this reproduction: the
-    /// read-write file server, the read-only server, and the authserver.
-    pub fn standard() -> Self {
-        let mut t = Self::new();
-        t.add(DispatchRule {
-            service: Service::File,
-            dialect: Dialect::ReadWrite,
-            versions: (1, 1),
-            extension: String::new(),
-            daemon: "sfsrwsd".into(),
-        });
-        t.add(DispatchRule {
-            service: Service::File,
-            dialect: Dialect::ReadOnly,
-            versions: (1, 1),
-            extension: String::new(),
-            daemon: "sfsrosd".into(),
-        });
-        t.add(DispatchRule {
-            service: Service::Auth,
-            dialect: Dialect::ReadWrite,
-            versions: (1, 1),
-            extension: String::new(),
-            daemon: "sfsauthd".into(),
-        });
-        t
+    /// The stock configuration shipped with this reproduction
+    /// ([`STANDARD`]): the read-write file server, the read-only server,
+    /// and the authserver.
+    pub(crate) fn standard() -> Self {
+        Self::parse(STANDARD).expect("the stock configuration parses")
     }
 
     /// Appends a rule (later rules do not shadow earlier ones; first
     /// match wins, so site configuration can prepend overrides).
-    pub fn add(&mut self, rule: DispatchRule) -> &mut Self {
+    pub(crate) fn add(&mut self, rule: DispatchRule) -> &mut Self {
         self.rules.push(rule);
         self
     }
 
-    /// Number of rules.
-    pub fn len(&self) -> usize {
-        self.rules.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
-    }
-
     /// Resolves a connection announcement to a daemon name.
-    pub fn dispatch(
+    pub(crate) fn dispatch(
         &self,
         service: Service,
         dialect: Dialect,
@@ -118,7 +95,7 @@ impl DispatchTable {
     /// auth  rw  1-1  sfsauthd
     /// file  rw  3-3  sfsrwsd-v3  newcache
     /// ```
-    pub fn parse(text: &str) -> Result<Self, String> {
+    pub(crate) fn parse(text: &str) -> Result<Self, String> {
         let mut table = Self::new();
         for (lineno, line) in text.lines().enumerate() {
             let line = line.trim();
@@ -268,7 +245,7 @@ auth  rw  1-1  sfsauthd
 file  rw  3-3  sfsrwsd-v3  newcache
 ";
         let t = DispatchTable::parse(text).unwrap();
-        assert_eq!(t.len(), 4);
+        assert_eq!(t.rules.len(), 4);
         assert_eq!(
             t.dispatch(Service::File, Dialect::ReadWrite, 2, ""),
             Some("sfsrwsd")

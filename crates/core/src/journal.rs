@@ -26,7 +26,7 @@ use sfs_xdr::{XdrDecoder, XdrEncoder};
 
 /// One durable record in the client journal.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JournalRecord {
+pub(crate) enum JournalRecord {
     /// A mount was established: the self-certifying pathname pieces plus
     /// the server key that verified against the HostID at mount time.
     Mount {
@@ -72,7 +72,7 @@ pub enum JournalRecord {
 
 impl JournalRecord {
     /// Encodes the record as XDR.
-    pub fn to_xdr(&self) -> Vec<u8> {
+    pub(crate) fn to_xdr(&self) -> Vec<u8> {
         let mut enc = XdrEncoder::new();
         match self {
             JournalRecord::Mount {
@@ -129,7 +129,7 @@ impl JournalRecord {
     }
 
     /// Decodes one record.
-    pub fn from_xdr(bytes: &[u8]) -> Result<Self, String> {
+    pub(crate) fn from_xdr(bytes: &[u8]) -> Result<Self, String> {
         let mut dec = XdrDecoder::new(bytes);
         let tag = dec.get_u32().map_err(|e| e.to_string())?;
         let rec = match tag {
@@ -207,11 +207,11 @@ impl JournalRecord {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveredMount {
     /// Server location.
-    pub location: String,
+    pub(crate) location: String,
     /// HostID recorded at mount time.
-    pub host_id: HostId,
+    pub(crate) host_id: HostId,
     /// Server key recorded at mount time (advisory).
-    pub server_key: Vec<u8>,
+    pub(crate) server_key: Vec<u8>,
 }
 
 /// The folded view of a replayed journal: later records override
@@ -227,16 +227,16 @@ pub struct RecoveredState {
     /// Agent dynamic links per uid.
     pub agent_links: BTreeMap<u32, BTreeMap<String, String>>,
     /// Total records replayed (before folding).
-    pub records: u64,
+    pub(crate) records: u64,
 }
 
 /// Records at which [`ClientJournal::append`] folds the log into a
 /// checkpoint. Large enough that compaction cost (a full replay plus one
 /// sync write) amortises over hundreds of appends; small enough that a
 /// journal never holds more than a few KiB of dead records.
-pub const AUTO_COMPACT_THRESHOLD: usize = 256;
+pub(crate) const AUTO_COMPACT_THRESHOLD: usize = 256;
 
-/// The client journal: [`JournalRecord`]s on a crash-surviving
+/// The client journal: `JournalRecord`s on a crash-surviving
 /// [`JournalDisk`]. Clones share state, mirroring a journal file that
 /// outlives its writer.
 #[derive(Clone, Debug)]
@@ -256,7 +256,7 @@ impl ClientJournal {
     /// journal without bound. Compaction is best-effort: an undecodable
     /// log (possible only under corruption faults) leaves the raw records
     /// in place for recovery to report.
-    pub fn append(&self, rec: &JournalRecord) {
+    pub(crate) fn append(&self, rec: &JournalRecord) {
         self.disk.append(&rec.to_xdr());
         if self.disk.len() >= AUTO_COMPACT_THRESHOLD {
             let _ = self.compact();
@@ -319,7 +319,7 @@ impl ClientJournal {
         Ok(out)
     }
 
-    /// Rewrites the journal as a single [`JournalRecord::Checkpoint`]
+    /// Rewrites the journal as a single `JournalRecord::Checkpoint`
     /// holding its folded state. Replay after compaction yields the same
     /// [`RecoveredState`] (modulo the cumulative `records` counter, which
     /// restarts at the checkpoint). Charges the replay reads plus one

@@ -37,22 +37,16 @@ pub mod agent;
 pub mod authserver;
 pub mod bufpool;
 pub mod client;
-pub mod config;
+mod config;
 pub mod journal;
 pub mod libsfs;
 pub mod nfsmounter;
 pub mod roclient;
-pub mod sealbox;
+mod sealbox;
 pub mod server;
 pub mod sfskey;
-pub mod shard;
+mod shard;
 pub mod wire;
 
 pub use agent::Agent;
-pub use authserver::{AuthServer, UserRecord};
-pub use bufpool::BufPool;
-pub use client::{ClientError, RecoveryReport, RoutedRo, RoutedRw, Router, SfsClient, SfsNetwork};
-pub use journal::{ClientJournal, JournalRecord, RecoveredState};
-pub use roclient::{RoClientError, RoMount};
-pub use server::{RoConnection, RoReplicaServer, ServerConfig, SfsServer};
 pub use shard::ShardEngine;

@@ -11,7 +11,7 @@
 //! Because every block is verified against the digest that named it, the
 //! mount can fail over between replicas freely: when a call fails (dead
 //! replica) or a block fails verification (lying replica), the mount
-//! redials through an optional [`RoMount::set_redial`] hook, re-certifies
+//! redials through an optional `RoMount::set_redial` hook, re-certifies
 //! the new server against the same HostID, and retries. The signed root's
 //! version is monotone across failovers, so a malicious replica cannot
 //! roll the mount back to an older snapshot.
@@ -115,7 +115,7 @@ struct RoLink {
 
 /// Produces a fresh link to some replica of the mounted HostID; a routing
 /// tier supplies this so the mount can survive replica deaths.
-pub type RoRedial = Box<dyn Fn() -> Option<(Wire, Box<dyn RoConnection>)> + Send + Sync>;
+pub(crate) type RoRedial = Box<dyn Fn() -> Option<(Wire, Box<dyn RoConnection>)> + Send + Sync>;
 
 /// A mounted read-only file system.
 pub struct RoMount {
@@ -202,13 +202,8 @@ impl RoMount {
 
     /// Installs the failover hook. Without one, the first replica is the
     /// only replica and errors surface directly.
-    pub fn set_redial(&self, redial: RoRedial) {
+    pub(crate) fn set_redial(&self, redial: RoRedial) {
         *self.redial.lock() = Some(redial);
-    }
-
-    /// The mounted pathname.
-    pub fn path(&self) -> &SelfCertifyingPath {
-        &self.path
     }
 
     /// The verified snapshot version (monotone across failovers).
@@ -328,7 +323,7 @@ impl RoMount {
     /// When that happens, the fetch-level failover has already pulled a
     /// newer (version-monotone) signed root, so the walk restarts from
     /// it instead of surfacing the transient hole.
-    pub fn resolve(&self, path: &str) -> Result<RoNode, RoClientError> {
+    pub(crate) fn resolve(&self, path: &str) -> Result<RoNode, RoClientError> {
         for _ in 0..3 {
             let start_version = self.root.lock().version;
             match self.resolve_walk(path) {
@@ -359,15 +354,6 @@ impl RoMount {
     pub fn read_file(&self, path: &str) -> Result<Vec<u8>, RoClientError> {
         match self.resolve(path)? {
             RoNode::File(data) => Ok(data),
-            _ => Err(RoClientError::NotFound),
-        }
-    }
-
-    /// Reads a symlink target (the certification-authority primitive:
-    /// CAs are "ordinary file systems serving symbolic links").
-    pub fn readlink(&self, path: &str) -> Result<String, RoClientError> {
-        match self.resolve(path)? {
-            RoNode::Symlink(target) => Ok(target),
             _ => Err(RoClientError::NotFound),
         }
     }

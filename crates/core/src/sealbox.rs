@@ -20,14 +20,14 @@ fn keys(key: &[u8; 20]) -> SessionKeys {
 }
 
 /// Seals `plaintext` under `key`.
-pub fn seal(key: &[u8; 20], plaintext: &[u8]) -> Vec<u8> {
+pub(crate) fn seal(key: &[u8; 20], plaintext: &[u8]) -> Vec<u8> {
     SecureChannelEnd::client(&keys(key))
         .seal(plaintext)
         .expect("fresh channel cannot be poisoned")
 }
 
 /// Opens a box sealed by [`seal`] under the same key.
-pub fn open(key: &[u8; 20], frame: &[u8]) -> Result<Vec<u8>, ChannelError> {
+pub(crate) fn open(key: &[u8; 20], frame: &[u8]) -> Result<Vec<u8>, ChannelError> {
     SecureChannelEnd::server(&keys(key)).open(frame)
 }
 

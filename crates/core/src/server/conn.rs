@@ -25,17 +25,12 @@ use sfs_telemetry::Telemetry;
 use sfs_xdr::{Xdr, XdrEncoder};
 
 use super::handles::HandleMap;
-use super::{ConnState, Established, ServerConn, SfsServer, SEQ_BUF_CAPACITY, TICKET_LIFETIME_NS};
+use super::{ConnState, Established, ServerConn, SEQ_BUF_CAPACITY, TICKET_LIFETIME_NS};
 use crate::bufpool::BufPool;
 use crate::sealbox;
 use crate::wire::{CallMsg, Dialect, ReplyMsg, Service};
 
 impl ServerConn {
-    /// The server behind this connection.
-    pub fn server(&self) -> &Arc<SfsServer> {
-        &self.server
-    }
-
     /// Fresh per-session state around a newly keyed channel — shared by
     /// full key negotiation and ticket resumption (a resumed session is
     /// a *new* session: empty authnos, fresh seqno window, empty caches).
@@ -59,7 +54,7 @@ impl ServerConn {
     /// This connection's buffer freelist. The client side of the
     /// simulated loopback adopts it so request and reply buffers
     /// circulate instead of being reallocated per RPC.
-    pub fn buf_pool(&self) -> &Arc<BufPool> {
+    pub(crate) fn buf_pool(&self) -> &Arc<BufPool> {
         &self.pool
     }
 

@@ -37,8 +37,7 @@ mod sealed;
 
 use handles::{FH_REDUNDANCY, NFS_LEN, PUBLIC_LEN};
 
-pub use roreplica::{RoConnection, RoReplicaConn, RoReplicaServer};
-pub use sealed::Inbound;
+pub use roreplica::{RoConnection, RoReplicaServer};
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,11 +72,11 @@ use crate::shard::ShardEngine;
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// DNS name or IP address of this server.
-    pub location: String,
+    pub(crate) location: String,
     /// Lease duration for the enhanced caching extension, ns.
     pub lease_ns: u64,
     /// `sfssd`'s connection-dispatch table (§3.2).
-    pub dispatch: DispatchTable,
+    pub(crate) dispatch: DispatchTable,
 }
 
 impl ServerConfig {
@@ -198,7 +197,7 @@ pub trait Replicator: Send + Sync {
 
 /// Whether an NFSv3 procedure mutates the file system (and therefore
 /// must be shipped to backups before its reply is released).
-pub fn proc_is_mutating(proc: Proc) -> bool {
+pub(crate) fn proc_is_mutating(proc: Proc) -> bool {
     matches!(
         proc,
         Proc::SetAttr
@@ -319,7 +318,7 @@ impl SfsServer {
     }
 
     /// The root file handle in SFS (encrypted) form.
-    pub fn root_handle(&self) -> FileHandle {
+    pub(crate) fn root_handle(&self) -> FileHandle {
         self.encrypt_handle(self.nfs.root_handle())
             .expect("the NFS server's 16-byte handles encrypt")
     }

@@ -14,7 +14,6 @@ use sfs_proto::pathname::SelfCertifyingPath;
 use sfs_proto::readonly::{RoDatabase, RoError};
 use sfs_sim::ServerLoad;
 use sfs_telemetry::sync::Mutex;
-use sfs_telemetry::Telemetry;
 use sfs_xdr::Xdr;
 
 use super::ServerConn;
@@ -24,7 +23,7 @@ use crate::wire::{CallMsg, Dialect, ReplyMsg, Service};
 ///
 /// Both connection kinds serving one `Location:HostID` implement it: the
 /// full [`ServerConn`] (a read-write server also exporting the dialect)
-/// and the keyless [`RoReplicaConn`]. Clients and routing tiers hold
+/// and the keyless `RoReplicaConn`. Clients and routing tiers hold
 /// `Box<dyn RoConnection>` so a mount can be handed from one replica to
 /// another without caring which kind is behind it.
 pub trait RoConnection: Send + Sync {
@@ -56,20 +55,22 @@ pub struct RoReplicaServer {
     /// Operator switch standing in for a dead machine; a down replica
     /// answers every message with an unavailability error.
     down: AtomicBool,
-    tel: Mutex<Telemetry>,
 }
 
 impl RoReplicaServer {
     /// Stands up a replica at `location` serving `db`, announcing the
     /// publisher's public key.
-    pub fn new(location: &str, public_key: &RabinPublicKey, db: Arc<RoDatabase>) -> Arc<Self> {
+    pub(crate) fn new(
+        location: &str,
+        public_key: &RabinPublicKey,
+        db: Arc<RoDatabase>,
+    ) -> Arc<Self> {
         Arc::new(RoReplicaServer {
             path: SelfCertifyingPath::for_server(location, public_key),
             public_key_bytes: public_key.to_bytes(),
             db: Mutex::new(db),
             load: ServerLoad::new(),
             down: AtomicBool::new(false),
-            tel: Mutex::new(Telemetry::disabled()),
         })
     }
 
@@ -110,11 +111,6 @@ impl RoReplicaServer {
         self.down.load(Ordering::SeqCst)
     }
 
-    /// Attaches a tracing sink.
-    pub fn set_telemetry(&self, tel: &Telemetry) {
-        *self.tel.lock() = tel.clone();
-    }
-
     /// Opens a new connection.
     pub fn accept(self: &Arc<Self>) -> RoReplicaConn {
         RoReplicaConn {
@@ -141,17 +137,8 @@ pub struct RoReplicaConn {
     hello_done: AtomicBool,
 }
 
-impl RoReplicaConn {
-    /// The replica behind this connection.
-    pub fn replica(&self) -> &Arc<RoReplicaServer> {
-        &self.replica
-    }
-}
-
 impl RoConnection for RoReplicaConn {
     fn handle_ro_bytes(&self, bytes: &[u8]) -> Vec<u8> {
-        let tel = self.replica.tel.lock().clone();
-        tel.count("ro-replica", "dispatch.calls", 1);
         if self.replica.is_down() {
             return ReplyMsg::Error("replica unavailable".into()).to_xdr();
         }
@@ -184,7 +171,6 @@ impl RoConnection for RoReplicaConn {
                 if !self.hello_done.load(Ordering::SeqCst) {
                     ReplyMsg::Error("not a read-only connection".into())
                 } else {
-                    tel.count("ro-replica", "ro.blocks_served", 1);
                     let db = self.replica.db.lock().clone();
                     match db.fetch_raw(&digest) {
                         Ok(block) => ReplyMsg::RoBlock(block.to_vec()),

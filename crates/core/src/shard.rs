@@ -70,8 +70,8 @@ impl EngineState {
     }
 }
 
-/// The multi-core scheduler installed on an [`crate::SfsServer`] by
-/// [`crate::SfsServer::set_cores`].
+/// The multi-core scheduler installed on an [`crate::server::SfsServer`] by
+/// [`crate::server::SfsServer::set_cores`].
 pub struct ShardEngine {
     shards: usize,
     /// Pre-built telemetry process names ("shard0", "shard1", …) so the
@@ -82,7 +82,7 @@ pub struct ShardEngine {
 
 impl ShardEngine {
     /// An engine with `n` cores, each owning one disk-commit shard.
-    pub fn new(n: usize) -> Arc<Self> {
+    pub(crate) fn new(n: usize) -> Arc<Self> {
         let n = n.max(1);
         Arc::new(ShardEngine {
             shards: n,
@@ -101,7 +101,7 @@ impl ShardEngine {
     /// handle bytes). NFS-form handles are stable across reconnects and
     /// across the per-session handle encryption, so a file's disk work
     /// always lands on the same shard.
-    pub fn shard_of(&self, handle: &[u8]) -> u32 {
+    pub(crate) fn shard_of(&self, handle: &[u8]) -> u32 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for &b in handle {
             h ^= u64::from(b);
@@ -116,7 +116,7 @@ impl ShardEngine {
     /// `shard`'s commit queue (the scheduling core's queue when the
     /// request touched no file handle). Returns the absolute completion
     /// instant.
-    pub fn schedule(
+    pub(crate) fn schedule(
         &self,
         conn: u64,
         arrival_ns: u64,
@@ -165,7 +165,7 @@ impl ShardEngine {
 
     /// Drops connection `conn` from the horizon: a connection that will
     /// send nothing more must not hold back the cut.
-    pub fn forget(&self, conn: u64) {
+    pub(crate) fn forget(&self, conn: u64) {
         let mut st = self.inner.lock();
         st.latest.retain(|&(id, _)| id != conn);
         st.advance_horizon();

@@ -48,7 +48,7 @@ const SEALED_SEQ_REPLY_DISCRIMINANT: u32 = 8;
 /// `SecureChannelEnd::seal_into(buf, SEALED_SEQ_ENV_FRAME_START)`, then
 /// [`seq_env_finish`]. The result is byte-identical to
 /// `CallMsg::SealedSeq{..}.to_xdr()` (or the `ReplyMsg` equivalent).
-pub fn seq_env_begin(buf: &mut Vec<u8>, call: bool, chanseq: u64, xid: u32) {
+pub(crate) fn seq_env_begin(buf: &mut Vec<u8>, call: bool, chanseq: u64, xid: u32) {
     buf.clear();
     let disc = if call {
         SEALED_SEQ_CALL_DISCRIMINANT
@@ -64,7 +64,7 @@ pub fn seq_env_begin(buf: &mut Vec<u8>, call: bool, chanseq: u64, xid: u32) {
 
 /// Completes a sequenced sealed envelope after `seal_into`: patches the
 /// opaque length word and appends the XDR zero pad.
-pub fn seq_env_finish(buf: &mut Vec<u8>) {
+pub(crate) fn seq_env_finish(buf: &mut Vec<u8>) {
     let frame_len = buf.len() - SEALED_SEQ_ENV_FRAME_START;
     buf[16..SEALED_SEQ_ENV_FRAME_START].copy_from_slice(&(frame_len as u32).to_be_bytes());
     let pad = (4 - frame_len % 4) % 4;
@@ -315,7 +315,7 @@ pub fn inner_nfs_call(plaintext: &[u8]) -> Option<(u32, u32, &[u8])> {
 /// trailing-byte checks), with the results left in place for
 /// `Nfs3Reply::decode_results` and the invalidations checked and left in
 /// place too. Both RPC engines decode through this.
-pub fn inner_nfs_reply(plaintext: &[u8]) -> Option<(&[u8], Invalidations<'_>)> {
+pub(crate) fn inner_nfs_reply(plaintext: &[u8]) -> Option<(&[u8], Invalidations<'_>)> {
     let mut dec = XdrDecoder::new(plaintext);
     if dec.get_u32().ok()? != 2 {
         return None;
@@ -333,24 +333,24 @@ pub fn inner_nfs_reply(plaintext: &[u8]) -> Option<(&[u8], Invalidations<'_>)> {
 /// The lease invalidations a reply piggybacks, as [`inner_nfs_reply`]
 /// checked them: still encoded, in the frame they arrived in.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Invalidations<'a> {
+pub(crate) struct Invalidations<'a> {
     count: u32,
     handles: &'a [u8],
 }
 
 impl<'a> Invalidations<'a> {
     /// How many handles the reply carries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.count as usize
     }
 
     /// Whether it carries none.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.count == 0
     }
 
     /// The handles, decoded one by one as they are read.
-    pub fn iter(&self) -> impl Iterator<Item = FileHandle> + 'a {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = FileHandle> + 'a {
         let mut dec = XdrDecoder::new(self.handles);
         (0..self.count).map(move |_| FileHandle::decode(&mut dec).expect("checked when parsed"))
     }
@@ -388,62 +388,11 @@ pub enum InnerReply {
     },
 }
 
-impl CallMsg {
+impl ReplyMsg {
     /// One-line human-readable rendering (the §3.2 pretty-printing story:
     /// "making it easy to understand any problems by tracing exactly how
     /// processes interact").
-    pub fn describe(&self) -> String {
-        match self {
-            CallMsg::Hello {
-                req,
-                service,
-                dialect,
-                version,
-                extensions,
-            } => format!(
-                "HELLO {}:{} service={service:?} dialect={dialect:?} v{version}{}",
-                req.location,
-                req.host_id,
-                if extensions.is_empty() {
-                    String::new()
-                } else {
-                    format!(" ext={extensions:?}")
-                }
-            ),
-            CallMsg::ClientKeys(k) => format!(
-                "CLIENT-KEYS ephemeral={}B encrypted-halves={}B",
-                k.client_key.len(),
-                k.encrypted_halves.len()
-            ),
-            CallMsg::RoGetRoot => "RO-GETROOT".into(),
-            CallMsg::RoGetBlock(d) => format!(
-                "RO-GETBLOCK {}",
-                d.iter()
-                    .take(6)
-                    .map(|b| format!("{b:02x}"))
-                    .collect::<String>()
-            ),
-            CallMsg::SrpStart { user, a_pub } => {
-                format!("SRP-START user={user} A={}B", a_pub.len())
-            }
-            CallMsg::SrpFinish { .. } => "SRP-FINISH".into(),
-            CallMsg::SealedSeq {
-                chanseq,
-                xid,
-                frame,
-            } => {
-                format!("SEALED-SEQ seq={chanseq} xid={xid} [{} bytes]", frame.len())
-            }
-            CallMsg::Resume { ticket, .. } => {
-                format!("RESUME ticket={}B", ticket.len())
-            }
-        }
-    }
-}
-
-impl ReplyMsg {
-    /// One-line human-readable rendering.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match self {
             ReplyMsg::ServerReply(KeyNegServerReply::ServerKey(k)) => {
                 format!("SERVER-KEY [{} bytes]", k.len())
@@ -1018,20 +967,6 @@ mod tests {
 
     #[test]
     fn describe_renders_all_variants() {
-        let hello = CallMsg::Hello {
-            req: KeyNegRequest {
-                location: "h.example".into(),
-                host_id: HostId([2u8; 20]),
-            },
-            service: Service::File,
-            dialect: Dialect::ReadWrite,
-            version: 1,
-            extensions: "newcache".into(),
-        };
-        let d = hello.describe();
-        assert!(d.contains("HELLO h.example"));
-        assert!(d.contains("ext=\"newcache\""));
-        assert!(CallMsg::RoGetRoot.describe().contains("RO-GETROOT"));
         assert!(ReplyMsg::Error("nope".into()).describe().contains("nope"));
         assert!(ReplyMsg::SrpChallenge {
             salt: vec![],
@@ -1057,7 +992,6 @@ mod tests {
             frame: vec![5; 8],
         };
         assert_eq!(ReplyMsg::from_xdr(&r.to_xdr()).unwrap(), r);
-        assert!(c.describe().contains("xid=42"));
         assert!(r.describe().contains("seq=3"));
     }
 

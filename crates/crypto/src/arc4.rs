@@ -68,13 +68,13 @@ impl Arc4 {
     }
 
     /// Produces the next key-stream byte.
-    #[inline]
-    pub fn next_byte(&mut self) -> u8 {
+    #[cfg(test)]
+    fn next_byte(&mut self) -> u8 {
         self.with_prga(|s, prga| prga.next(s))
     }
 
     /// Runs `f` on the PRGA with `i` and `j` hoisted out of `self`, then
-    /// stores them back and advances [`Self::position`] by the steps `f`
+    /// stores them back and advances the stream position by the steps `f`
     /// took. Every key-stream loop runs through here, the fused
     /// ARC4+SHA-1 kernel ([`crate::arc4sha1`]) included.
     #[inline(always)]
@@ -92,7 +92,7 @@ impl Arc4 {
     }
 
     /// Fills `out` with key-stream bytes.
-    pub fn keystream(&mut self, out: &mut [u8]) {
+    pub(crate) fn keystream(&mut self, out: &mut [u8]) {
         self.with_prga(|s, prga| {
             let mut p = *prga;
             for b in out.iter_mut() {
@@ -127,10 +127,11 @@ impl Arc4 {
         });
     }
 
-    /// Total key-stream bytes consumed so far. The secure channel uses this
-    /// as its implicit per-direction stream position: any dropped, replayed,
-    /// or reordered ciphertext desynchronizes the stream and fails the MAC.
-    pub fn position(&self) -> u64 {
+    /// Total key-stream bytes consumed so far: the stream's implicit
+    /// per-direction position, which any dropped, replayed, or reordered
+    /// ciphertext desynchronizes, failing the MAC.
+    #[cfg(test)]
+    pub(crate) fn position(&self) -> u64 {
         self.position
     }
 }

@@ -3,12 +3,12 @@
 //! SFS servers "generate file handles by adding redundancy to NFS handles
 //! and encrypting them in CBC mode with a 20-byte Blowfish key" (§3.3).
 //! Blowfish accepts keys of 4–56 bytes, so the 20-byte key is used directly.
-//! The P/S constant tables come from π via [`crate::pi`].
+//! The P/S constant tables come from π via `crate::pi`.
 
 use crate::pi::blowfish_words;
 
 /// Blowfish block size in bytes.
-pub const BLOCK_LEN: usize = 8;
+pub(crate) const BLOCK_LEN: usize = 8;
 
 /// Number of rounds (fixed by the algorithm).
 const ROUNDS: usize = 16;
@@ -111,7 +111,7 @@ impl Blowfish {
     }
 
     /// Encrypts one 64-bit block given as two 32-bit halves.
-    pub fn encrypt_words(&self, mut l: u32, mut r: u32) -> (u32, u32) {
+    pub(crate) fn encrypt_words(&self, mut l: u32, mut r: u32) -> (u32, u32) {
         for i in 0..ROUNDS {
             l ^= self.p[i];
             r ^= self.f(l);
@@ -124,7 +124,7 @@ impl Blowfish {
     }
 
     /// Decrypts one 64-bit block given as two 32-bit halves.
-    pub fn decrypt_words(&self, mut l: u32, mut r: u32) -> (u32, u32) {
+    pub(crate) fn decrypt_words(&self, mut l: u32, mut r: u32) -> (u32, u32) {
         for i in (2..ROUNDS + 2).rev() {
             l ^= self.p[i];
             r ^= self.f(l);

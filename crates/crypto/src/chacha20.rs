@@ -48,11 +48,11 @@
 //! has no room for a second head and keeps making one per step.
 
 /// Key length in bytes (256-bit keys only; RFC 8439 drops the 128-bit form).
-pub const KEY_LEN: usize = 32;
+pub(crate) const KEY_LEN: usize = 32;
 /// Nonce length in bytes (96-bit IETF nonce; the block counter is 32-bit).
-pub const NONCE_LEN: usize = 12;
+pub(crate) const NONCE_LEN: usize = 12;
 /// One keystream block.
-pub const BLOCK_LEN: usize = 64;
+pub(crate) const BLOCK_LEN: usize = 64;
 
 /// The widest row-layout step any tier takes (eight blocks, [`avx512`]):
 /// what [`FrameHead`] and a stream's sub-step tail are cut out of.
@@ -374,11 +374,8 @@ impl<'a> FrameHead<'a> {
 }
 
 /// Computes one raw keystream block (§2.3).
-pub fn keystream_block(
-    key: &[u8; KEY_LEN],
-    nonce: &[u8; NONCE_LEN],
-    counter: u32,
-) -> [u8; BLOCK_LEN] {
+#[cfg(test)]
+fn keystream_block(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32) -> [u8; BLOCK_LEN] {
     let stream = ChaCha20::new(key, nonce, counter);
     let words = permute2(&stream.words)[0];
     let mut out = [0u8; BLOCK_LEN];

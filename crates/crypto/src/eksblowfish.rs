@@ -14,7 +14,7 @@ use crate::blowfish::Blowfish;
 pub const SALT_LEN: usize = 16;
 
 /// Output length of [`bcrypt_hash`]: three Blowfish blocks.
-pub const HASH_LEN: usize = 24;
+pub(crate) const HASH_LEN: usize = 24;
 
 /// The magic plaintext bcrypt encrypts 64 times ("OrpheanBeholderScryDoubt").
 const MAGIC: &[u8; 24] = b"OrpheanBeholderScryDoubt";
@@ -27,7 +27,7 @@ const MAGIC: &[u8; 24] = b"OrpheanBeholderScryDoubt";
 ///
 /// Panics if `key` is empty or longer than 72 bytes (bcrypt's limit), or if
 /// `cost > 31`.
-pub fn eks_setup(cost: u32, salt: &[u8; SALT_LEN], key: &[u8]) -> Blowfish {
+pub(crate) fn eks_setup(cost: u32, salt: &[u8; SALT_LEN], key: &[u8]) -> Blowfish {
     assert!(
         !key.is_empty() && key.len() <= 72,
         "eksblowfish key must be 1-72 bytes"

@@ -14,13 +14,13 @@
 //!   round groups), in two elsewhere.
 //! - [`blowfish`]: Blowfish (for CBC-encrypting NFS file handles, §3.3),
 //!   with its P/S constant tables derived from hex digits of π computed
-//!   in-tree ([`pi`]).
+//!   in-tree (`pi`).
 //! - [`eksblowfish`]: the future-adaptable password scheme (bcrypt) SFS uses
 //!   to make password-guessing attacks expensive (§2.5.2).
 //! - [`rabin`]: the Rabin–Williams public-key cryptosystem — encryption with
 //!   plaintext-aware OAEP-style padding, and signatures with cheap
 //!   verification (§3.1.3).
-//! - [`prg`]: the DSS-style SHA-1 pseudo-random generator seeded from an
+//! - `prg`: the DSS-style SHA-1 pseudo-random generator seeded from an
 //!   entropy pool of external sources (§3.1.3).
 //! - [`srp`]: the Secure Remote Password protocol used for password
 //!   authentication of servers (§2.4).
@@ -29,7 +29,7 @@
 //! suite — the paper's separation of key management from the transport
 //! cipher (§3) is exactly what makes the cipher swappable:
 //!
-//! - [`chacha20`]: the ChaCha20 stream cipher (RFC 8439): a portable
+//! - `chacha20`: the ChaCha20 stream cipher (RFC 8439): a portable
 //!   two-block tier in an auto-vectorizable lane layout, four- and
 //!   eight-block AVX2 / AVX-512 tiers picked at run time.
 //! - [`poly1305`]: the Poly1305 one-time authenticator, 44-bit limbs on
@@ -42,22 +42,16 @@
 pub mod arc4;
 pub mod arc4sha1;
 pub mod blowfish;
-pub mod chacha20;
+mod chacha20;
 pub mod chachapoly;
 pub mod eksblowfish;
 pub mod mac;
-pub mod pi;
+mod pi;
 pub mod poly1305;
-pub mod prg;
+mod prg;
 pub mod rabin;
 pub mod sha1;
 pub mod srp;
 
-pub use arc4::Arc4;
-pub use blowfish::Blowfish;
 pub use chacha20::ChaCha20;
-pub use mac::SfsMac;
-pub use poly1305::Poly1305;
-pub use prg::{EntropyPool, SfsPrg};
-pub use rabin::{RabinPrivateKey, RabinPublicKey};
-pub use sha1::{sha1, Sha1};
+pub use prg::SfsPrg;

@@ -22,7 +22,7 @@
 use crate::sha1::{sha1_concat, Sha1, DIGEST_LEN};
 
 /// MAC key length: 32 bytes pulled from the ARC4 stream per message.
-pub const MAC_KEY_LEN: usize = 32;
+pub(crate) const MAC_KEY_LEN: usize = 32;
 
 /// MAC output length (one SHA-1 digest).
 pub const MAC_LEN: usize = DIGEST_LEN;

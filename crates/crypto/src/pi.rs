@@ -14,7 +14,7 @@ use std::sync::OnceLock;
 use sfs_bignum::Nat;
 
 /// Number of 32-bit words of π Blowfish needs (18 P-words + 4×256 S-words).
-pub const BLOWFISH_WORDS: usize = 18 + 4 * 256;
+pub(crate) const BLOWFISH_WORDS: usize = 18 + 4 * 256;
 
 /// Guard bits beyond the requested precision to absorb truncation error.
 const GUARD_BITS: usize = 128;
@@ -61,7 +61,7 @@ fn pi_fixed(prec: usize) -> Nat {
 
 /// Returns the first `n` 32-bit words of the *fractional* hexadecimal
 /// expansion of π (i.e. starting `243F6A88, 85A308D3, …`).
-pub fn pi_fraction_words(n: usize) -> Vec<u32> {
+pub(crate) fn pi_fraction_words(n: usize) -> Vec<u32> {
     let prec = n * 32;
     let pi = pi_fixed(prec);
     // Remove the integer part (3) to keep only the fraction.
@@ -75,7 +75,7 @@ pub fn pi_fraction_words(n: usize) -> Vec<u32> {
 }
 
 /// The Blowfish constant words, computed once and cached.
-pub fn blowfish_words() -> &'static [u32; BLOWFISH_WORDS] {
+pub(crate) fn blowfish_words() -> &'static [u32; BLOWFISH_WORDS] {
     static WORDS: OnceLock<Box<[u32; BLOWFISH_WORDS]>> = OnceLock::new();
     WORDS.get_or_init(|| {
         let v = pi_fraction_words(BLOWFISH_WORDS);

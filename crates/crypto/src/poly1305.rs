@@ -26,11 +26,11 @@
 //! only, like the ChaCha20 and SHA-1 tiers.
 
 /// Authenticator tag length in bytes.
-pub const TAG_LEN: usize = 16;
+pub(crate) const TAG_LEN: usize = 16;
 /// One-time key length in bytes (`r` ‖ `s`).
-pub const KEY_LEN: usize = 32;
+pub(crate) const KEY_LEN: usize = 32;
 /// Internal block size in bytes.
-pub const BLOCK_LEN: usize = 16;
+pub(crate) const BLOCK_LEN: usize = 16;
 
 const MASK44: u64 = (1 << 44) - 1;
 const MASK42: u64 = (1 << 42) - 1;
@@ -90,7 +90,7 @@ fn limbs(m: &[u8], hibit: u64) -> [u64; 3] {
 /// buffer re-aligns them to blocks, so bulk callers that feed multiples
 /// of 16 never touch it.
 #[derive(Clone)]
-pub struct Poly1305 {
+pub(crate) struct Poly1305 {
     /// Clamped `r`, split 44/44/42, with its folded `[20·r1, 20·r2]`.
     r: [u64; 3],
     s: [u64; 2],
@@ -118,7 +118,7 @@ const VECTOR_MIN: usize = 256;
 
 impl Poly1305 {
     /// Initializes from a 32-byte one-time key, clamping `r` per §2.5.
-    pub fn new(key: &[u8; KEY_LEN]) -> Self {
+    pub(crate) fn new(key: &[u8; KEY_LEN]) -> Self {
         let t0 = u64::from_le_bytes(key[0..8].try_into().unwrap());
         let t1 = u64::from_le_bytes(key[8..16].try_into().unwrap());
         let r0 = t0 & 0x0000_0ffc_0fff_ffff;
@@ -168,7 +168,7 @@ impl Poly1305 {
     }
 
     /// Absorbs message bytes.
-    pub fn update(&mut self, mut data: &[u8]) {
+    pub(crate) fn update(&mut self, mut data: &[u8]) {
         if self.buffered > 0 {
             let take = (BLOCK_LEN - self.buffered).min(data.len());
             self.buf[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
@@ -219,7 +219,7 @@ impl Poly1305 {
 
     /// Absorbs `data` then zero-pads to a 16-byte boundary (the AEAD
     /// `pad16` step, §2.8). Must only be called on a block-aligned state.
-    pub fn update_padded(&mut self, data: &[u8]) {
+    pub(crate) fn update_padded(&mut self, data: &[u8]) {
         debug_assert_eq!(self.buffered, 0, "update_padded on unaligned state");
         self.update(data);
         if self.buffered > 0 {
@@ -230,7 +230,7 @@ impl Poly1305 {
     }
 
     /// Finishes the polynomial, adds the pad, and returns the tag.
-    pub fn finish(mut self) -> [u8; TAG_LEN] {
+    pub(crate) fn finish(mut self) -> [u8; TAG_LEN] {
         if self.buffered > 0 {
             // Final fragment: append 0x01 then zero-fill; no 2^128 bit.
             let mut last = [0u8; BLOCK_LEN];

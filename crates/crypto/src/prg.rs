@@ -23,7 +23,7 @@ use crate::sha1::{self, Sha1, DIGEST_LEN};
 use sfs_bignum::RandomSource;
 
 /// Seed size in bytes (the paper's 512-bit seed).
-pub const SEED_LEN: usize = 64;
+pub(crate) const SEED_LEN: usize = 64;
 
 /// Accumulates entropy from external sources into a 512-bit seed.
 ///
@@ -31,7 +31,7 @@ pub const SEED_LEN: usize = 64;
 /// boundaries cannot be confused; the pool produces four chained SHA-1
 /// digests (4 × 160 = 640 bits, truncated to 512).
 #[derive(Clone)]
-pub struct EntropyPool {
+pub(crate) struct EntropyPool {
     hasher: Sha1,
     sources: u32,
 }
@@ -44,7 +44,7 @@ impl Default for EntropyPool {
 
 impl EntropyPool {
     /// Creates an empty pool.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EntropyPool {
             hasher: Sha1::new(),
             sources: 0,
@@ -53,7 +53,7 @@ impl EntropyPool {
 
     /// Mixes one entropy source (command output, saved seed file,
     /// keystrokes with timings, nanosecond timers, …).
-    pub fn add_source(&mut self, data: &[u8]) -> &mut Self {
+    pub(crate) fn add_source(&mut self, data: &[u8]) -> &mut Self {
         self.hasher.update(&self.sources.to_be_bytes());
         self.hasher.update(&(data.len() as u64).to_be_bytes());
         self.hasher.update(data);
@@ -61,14 +61,9 @@ impl EntropyPool {
         self
     }
 
-    /// Number of sources mixed so far.
-    pub fn sources(&self) -> u32 {
-        self.sources
-    }
-
     /// Produces the 512-bit seed by counter-mode chaining of the pool
     /// digest.
-    pub fn seed(&self) -> [u8; SEED_LEN] {
+    pub(crate) fn seed(&self) -> [u8; SEED_LEN] {
         let base = self.hasher.clone().finalize();
         let mut out = [0u8; SEED_LEN];
         let mut filled = 0;
@@ -84,29 +79,9 @@ impl EntropyPool {
     }
 
     /// Finalizes the pool into a generator.
-    pub fn into_prg(self) -> SfsPrg {
+    pub(crate) fn into_prg(self) -> SfsPrg {
         SfsPrg::from_seed(&self.seed())
     }
-}
-
-/// State a generator saves for the next execution (§3.1.3: SFS seeds
-/// itself in part "from a file saved by the previous execution").
-///
-/// The saved blob is a hash of the current state — not the state itself —
-/// so a disclosed seed file does not reveal past output (the generator
-/// "cannot be run backwards").
-pub fn save_seed(prg: &mut SfsPrg) -> [u8; SEED_LEN] {
-    let mut out = [0u8; SEED_LEN];
-    prg.fill(&mut out);
-    // One-way transform so the file is useless for reconstructing the
-    // generator that wrote it.
-    let d = sha1::sha1_concat(&[b"SFS-saved-seed", &out]);
-    let mut saved = [0u8; SEED_LEN];
-    for (i, chunk) in saved.chunks_mut(20).enumerate() {
-        let more = sha1::sha1_concat(&[&d, &[i as u8]]);
-        chunk.copy_from_slice(&more[..chunk.len()]);
-    }
-    saved
 }
 
 /// The FIPS 186 (DSS) pseudo-random generator with b = 512. Its whole
@@ -123,7 +98,7 @@ pub struct SfsPrg {
 
 impl SfsPrg {
     /// Creates a generator from a 512-bit seed.
-    pub fn from_seed(seed: &[u8; SEED_LEN]) -> Self {
+    pub(crate) fn from_seed(seed: &[u8; SEED_LEN]) -> Self {
         SfsPrg {
             xkey: *seed,
             block: [0; DIGEST_LEN],
@@ -249,34 +224,6 @@ mod tests {
         b.fill(&mut out_b[..13]);
         b.fill(&mut out_b[13..]);
         assert_eq!(out_a, out_b);
-    }
-
-    #[test]
-    fn saved_seed_reseeds_next_execution() {
-        let mut prg = SfsPrg::from_entropy(b"boot-1");
-        let saved = save_seed(&mut prg);
-        // Next boot mixes the saved file with fresh sources.
-        let mut pool = EntropyPool::new();
-        pool.add_source(&saved).add_source(b"nanosecond-timer");
-        let mut next = pool.into_prg();
-        let mut a = [0u8; 32];
-        next.fill(&mut a);
-        // Different saved seeds give different streams.
-        let mut prg2 = SfsPrg::from_entropy(b"boot-other");
-        let saved2 = save_seed(&mut prg2);
-        assert_ne!(saved, saved2);
-    }
-
-    #[test]
-    fn saved_seed_does_not_reveal_generator_state() {
-        // The saved blob must differ from the raw output the generator
-        // would produce next (it is a one-way transform of drawn output).
-        let mut prg = SfsPrg::from_entropy(b"boot");
-        let mut preview = prg.clone();
-        let mut raw = [0u8; SEED_LEN];
-        preview.fill(&mut raw);
-        let saved = save_seed(&mut prg);
-        assert_ne!(saved, raw);
     }
 
     /// The FIPS 186 step on `Nat`s, as it was computed before the state

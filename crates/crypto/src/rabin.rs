@@ -117,11 +117,11 @@ static OAEP_LABEL_HASH: LazyLock<[u8; DIGEST_LEN]> = LazyLock::new(|| sha1(b"SFS
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RabinSignature {
     /// `true` when the −1 tweak was applied.
-    pub negate: bool,
+    pub(crate) negate: bool,
     /// `true` when the ×2 tweak was applied.
     pub double: bool,
     /// The square root of the tweaked hash.
-    pub root: Nat,
+    pub(crate) root: Nat,
 }
 
 impl RabinSignature {
@@ -219,7 +219,7 @@ impl RabinPublicKey {
     }
 
     /// Maximum plaintext length for [`Self::encrypt`].
-    pub fn max_plaintext_len(&self) -> usize {
+    pub(crate) fn max_plaintext_len(&self) -> usize {
         self.k.saturating_sub(OAEP_OVERHEAD)
     }
 

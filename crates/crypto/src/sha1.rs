@@ -10,7 +10,7 @@
 pub const DIGEST_LEN: usize = 20;
 
 /// Block size in bytes.
-pub const BLOCK_LEN: usize = 64;
+pub(crate) const BLOCK_LEN: usize = 64;
 
 const H0: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
 
@@ -465,7 +465,7 @@ pub(crate) mod shani {
 /// MGF1 mask generation with SHA-1 (used by the Rabin OAEP padding and
 /// full-domain hash): XORs the first `out.len()` bytes of the mask for
 /// `seed` into `out`, in place. Allocates nothing.
-pub fn mgf1_xor(seed: &[u8], out: &mut [u8]) {
+pub(crate) fn mgf1_xor(seed: &[u8], out: &mut [u8]) {
     for (counter, chunk) in (0u32..).zip(out.chunks_mut(DIGEST_LEN)) {
         let mut h = Sha1::new();
         h.update(seed);

@@ -58,7 +58,7 @@ pub struct SrpGroup {
     /// The safe prime modulus.
     pub n: Nat,
     /// The generator.
-    pub g: Nat,
+    pub(crate) g: Nat,
 }
 
 impl SrpGroup {
@@ -101,7 +101,7 @@ impl SrpGroup {
 }
 
 /// Computes the private exponent `x = SHA1(salt || SHA1(user ":" pass))`.
-pub fn private_exponent(user: &str, password: &[u8], salt: &[u8]) -> Nat {
+pub(crate) fn private_exponent(user: &str, password: &[u8], salt: &[u8]) -> Nat {
     let inner = sha1_concat(&[user.as_bytes(), b":", password]);
     Nat::from_bytes_be(&sha1_concat(&[salt, &inner]))
 }

@@ -1,7 +1,7 @@
 //! NFS version 3 protocol engine (module list; implementation follows).
 
 pub mod proto;
-pub mod server;
+mod server;
 
 pub use proto::*;
 pub use server::Nfs3Server;

@@ -229,7 +229,6 @@ impl From<FsError> for Status {
             FsError::NameTooLong => Status::NameTooLong,
             FsError::Invalid => Status::Inval,
             FsError::Stale => Status::Stale,
-            FsError::ReadOnly => Status::RoFs,
             FsError::TooManyLinks => Status::MLink,
             FsError::NotSymlink => Status::Inval,
         }
@@ -1179,7 +1178,7 @@ impl<D> Nfs3Reply<D> {
 
     /// The reply with its READ data passed through `f`; every other
     /// reply, and every other field, moves across as it is.
-    pub fn map_data<E>(self, f: impl FnOnce(D) -> E) -> Nfs3Reply<E> {
+    pub(crate) fn map_data<E>(self, f: impl FnOnce(D) -> E) -> Nfs3Reply<E> {
         use Nfs3Reply::*;
         match self {
             Null => Null,
@@ -1679,7 +1678,6 @@ mod tests {
             FsError::NameTooLong,
             FsError::Invalid,
             FsError::Stale,
-            FsError::ReadOnly,
             FsError::TooManyLinks,
             FsError::NotSymlink,
         ] {

@@ -19,23 +19,23 @@ use crate::proto::{
 };
 
 /// ACCESS mask bits (RFC 1813).
-pub mod access {
+mod access {
     /// Read file data / readdir.
-    pub const READ: u32 = 0x01;
+    pub(crate) const READ: u32 = 0x01;
     /// Look up names in a directory.
-    pub const LOOKUP: u32 = 0x02;
+    pub(crate) const LOOKUP: u32 = 0x02;
     /// Modify existing data.
-    pub const MODIFY: u32 = 0x04;
+    pub(crate) const MODIFY: u32 = 0x04;
     /// Append/extend.
-    pub const EXTEND: u32 = 0x08;
+    pub(crate) const EXTEND: u32 = 0x08;
     /// Delete entries.
-    pub const DELETE: u32 = 0x10;
+    pub(crate) const DELETE: u32 = 0x10;
     /// Execute.
-    pub const EXECUTE: u32 = 0x20;
+    pub(crate) const EXECUTE: u32 = 0x20;
 }
 
 /// A sink receiving invalidation callbacks for leased file handles.
-pub type InvalidationSink = Arc<dyn Fn(FileHandle) + Send + Sync>;
+pub(crate) type InvalidationSink = Arc<dyn Fn(FileHandle) + Send + Sync>;
 
 /// The NFS3 server.
 #[derive(Clone)]
@@ -93,7 +93,7 @@ impl Nfs3Server {
     }
 
     /// Encodes an inode as a file handle: fsid ‖ ino (16 bytes).
-    pub fn encode_handle(&self, ino: Ino) -> FileHandle {
+    pub(crate) fn encode_handle(&self, ino: Ino) -> FileHandle {
         let mut bytes = [0u8; 16];
         bytes[..8].copy_from_slice(&self.vfs.fsid().to_be_bytes());
         bytes[8..].copy_from_slice(&ino.to_be_bytes());

@@ -63,16 +63,12 @@ impl std::fmt::Display for ChannelError {
 impl std::error::Error for ChannelError {}
 
 /// Cap on a single message (16 MiB), bounding hostile length fields.
-pub const MAX_MESSAGE: usize = 1 << 24;
+pub(crate) const MAX_MESSAGE: usize = 1 << 24;
 
 /// Bytes reserved at the start of a frame for the (encrypted) length
 /// word. [`SecureChannelEnd::seal_into`] requires this many reserved
 /// bytes between `frame_start` and the plaintext.
 pub const FRAME_HEADER_LEN: usize = arc4sha1::HEADER_LEN;
-
-/// Bytes appended to every frame (the encrypted MAC) under the baseline
-/// suite. Suite-aware callers should use [`SuiteId::trailer_len`].
-pub const FRAME_TRAILER_LEN: usize = MAC_LEN;
 
 /// A negotiable cipher suite for the secure channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -136,7 +132,7 @@ impl SuiteId {
     }
 
     /// Bytes this suite appends to every frame.
-    pub const fn trailer_len(self) -> usize {
+    pub(crate) const fn trailer_len(self) -> usize {
         match self {
             SuiteId::Arc4Sha1 => MAC_LEN,
             SuiteId::ChaCha20Poly1305 => chachapoly::TAG_LEN,

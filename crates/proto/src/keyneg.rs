@@ -56,18 +56,18 @@ use crate::pathname::{HostId, SelfCertifyingPath};
 use crate::revoke::RevocationCert;
 
 /// Length of each random key half.
-pub const KEY_HALF_LEN: usize = 16;
+pub(crate) const KEY_HALF_LEN: usize = 16;
 
 /// Length of the client/server nonces in a ticket resume.
 pub const RESUME_NONCE_LEN: usize = 16;
 
 /// The extensions-string token prefix carrying the suite offer.
-pub const SUITES_EXT_PREFIX: &str = "suites=";
+pub(crate) const SUITES_EXT_PREFIX: &str = "suites=";
 
 /// Renders a suite offer as an extensions-string token. The
 /// baseline-only offer renders as the empty string, keeping legacy
 /// clients and the paper's wire format byte-identical.
-pub fn offer_extensions(suites: &[SuiteId]) -> String {
+pub(crate) fn offer_extensions(suites: &[SuiteId]) -> String {
     if suites == [SuiteId::Arc4Sha1] {
         return String::new();
     }
@@ -99,12 +99,12 @@ impl SuiteOffer {
     }
 
     /// The offered suites, in preference order.
-    pub fn suites(&self) -> &[SuiteId] {
+    pub(crate) fn suites(&self) -> &[SuiteId] {
         &self.suites
     }
 
     /// The hello's extensions token ([`offer_extensions`]).
-    pub fn extensions(&self) -> &str {
+    pub(crate) fn extensions(&self) -> &str {
         &self.extensions
     }
 }
@@ -112,7 +112,7 @@ impl SuiteOffer {
 /// Parses the offered suite list out of a hello extensions string. No
 /// `suites=` token means a legacy client: baseline only. Unknown labels
 /// are ignored (a newer client may offer suites we do not know).
-pub fn offered_suites(extensions: &str) -> Vec<SuiteId> {
+pub(crate) fn offered_suites(extensions: &str) -> Vec<SuiteId> {
     for token in extensions.split_whitespace() {
         if let Some(list) = token.strip_prefix(SUITES_EXT_PREFIX) {
             let mut suites: Vec<SuiteId> = list.split(',').filter_map(SuiteId::parse).collect();
@@ -138,7 +138,7 @@ pub fn strip_suites_ext(extensions: &str) -> String {
 
 /// The server's pick: the first offered suite, in the client's
 /// preference order. The offer always contains at least the baseline.
-pub fn choose_suite(offered: &[SuiteId]) -> SuiteId {
+pub(crate) fn choose_suite(offered: &[SuiteId]) -> SuiteId {
     offered.first().copied().unwrap_or(SuiteId::Arc4Sha1)
 }
 
@@ -436,7 +436,7 @@ impl KeyNegClient {
     }
 
     /// Starts a negotiation offering `suites` in preference order.
-    pub fn with_suites(
+    pub(crate) fn with_suites(
         path: SelfCertifyingPath,
         ephemeral: impl Into<Arc<RabinPrivateKey>>,
         suites: &[SuiteId],

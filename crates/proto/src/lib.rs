@@ -24,11 +24,3 @@ pub mod readonly;
 pub mod repl;
 pub mod revoke;
 pub mod userauth;
-
-pub use channel::{ChannelError, SecureChannelEnd, SuiteId};
-pub use keyneg::{KeyNegClient, KeyNegServerHalves, KeyNegServerReply, SessionKeys};
-pub use pathname::{HostId, PathError, SelfCertifyingPath, SFS_ROOT};
-pub use readonly::{RoDatabase, RoNode, SignedRoot};
-pub use repl::{ReplOp, ReplRecord};
-pub use revoke::{ForwardingPointer, RevocationCert};
-pub use userauth::{AuthInfo, AuthMsg, SeqWindow, AUTHNO_ANONYMOUS};

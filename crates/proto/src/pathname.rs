@@ -18,14 +18,14 @@ use sfs_crypto::sha1::{Sha1, DIGEST_LEN};
 use sfs_xdr::{with_encoder, Xdr, XdrDecoder, XdrEncoder, XdrError};
 
 /// The mount directory for all remote SFS file systems.
-pub const SFS_ROOT: &str = "/sfs";
+pub(crate) const SFS_ROOT: &str = "/sfs";
 
 /// The base-32 alphabet: digits and lowercase letters minus `l`, `1`, `0`,
 /// `o`.
-pub const BASE32_ALPHABET: &[u8; 32] = b"23456789abcdefghijkmnpqrstuvwxyz";
+pub(crate) const BASE32_ALPHABET: &[u8; 32] = b"23456789abcdefghijkmnpqrstuvwxyz";
 
 /// Length of an encoded HostID: 20 bytes = 160 bits = 32 base-32 digits.
-pub const HOSTID_ENCODED_LEN: usize = 32;
+pub(crate) const HOSTID_ENCODED_LEN: usize = 32;
 
 /// A 20-byte HostID.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -126,7 +126,7 @@ impl HostId {
     }
 
     /// Parses from base 32.
-    pub fn parse(s: &str) -> Result<Self, PathError> {
+    pub(crate) fn parse(s: &str) -> Result<Self, PathError> {
         Ok(HostId(base32_decode(s)?))
     }
 }
@@ -189,11 +189,11 @@ impl SelfCertifyingPath {
     }
 
     /// Parses a `Location:HostID` component (no `/sfs/` prefix).
-    pub fn parse_dir_name(name: &str) -> Result<Self, PathError> {
+    pub(crate) fn parse_dir_name(name: &str) -> Result<Self, PathError> {
         Ok(Self::split_dir_name(name)?.to_path())
     }
 
-    /// [`Self::parse_dir_name`] with the location borrowed from `name`:
+    /// `Self::parse_dir_name` with the location borrowed from `name`:
     /// a [`PathKey`] that finds a table entry without an owned pathname.
     pub fn split_dir_name(name: &str) -> Result<(&str, HostId), PathError> {
         let colon = name.rfind(':').ok_or(PathError::BadFormat)?;

@@ -104,13 +104,6 @@ impl Xdr for RoNode {
     }
 }
 
-impl RoNode {
-    /// The digest addressing this node.
-    pub fn digest(&self) -> Digest {
-        sha1(&self.to_xdr())
-    }
-}
-
 /// The offline-signed root of a read-only file system.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SignedRoot {
@@ -135,7 +128,7 @@ fn root_body(root_digest: &Digest, version: u64) -> Vec<u8> {
 impl SignedRoot {
     /// Signs a root digest. This is the only private-key operation in the
     /// dialect, performed offline by the publisher.
-    pub fn sign(key: &RabinPrivateKey, root_digest: Digest, version: u64) -> Self {
+    pub(crate) fn sign(key: &RabinPrivateKey, root_digest: Digest, version: u64) -> Self {
         let sig = key.sign(&root_body(&root_digest, version));
         SignedRoot {
             root_digest,

@@ -107,16 +107,6 @@ impl ReplRecord {
         };
         Ok(rec)
     }
-
-    /// The LSN this record pins, if any (`Op` → its lsn, `Checkpoint` →
-    /// the truncation point, `Promote` → none).
-    pub fn lsn(&self) -> Option<u64> {
-        match self {
-            ReplRecord::Op(op) => Some(op.lsn),
-            ReplRecord::Checkpoint { lsn } => Some(*lsn),
-            ReplRecord::Promote { .. } => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -158,29 +148,5 @@ mod tests {
         assert!(ReplRecord::from_xdr(&enc.into_bytes()).is_err());
         let good = ReplRecord::Checkpoint { lsn: 5 }.to_xdr();
         assert!(ReplRecord::from_xdr(&good[..good.len() - 2]).is_err());
-    }
-
-    #[test]
-    fn lsn_accessor_matches_variant() {
-        assert_eq!(
-            ReplRecord::Op(ReplOp {
-                lsn: 7,
-                uid: 1,
-                gids: vec![],
-                proc: 4,
-                args: vec![]
-            })
-            .lsn(),
-            Some(7)
-        );
-        assert_eq!(ReplRecord::Checkpoint { lsn: 3 }.lsn(), Some(3));
-        assert_eq!(
-            ReplRecord::Promote {
-                epoch: 1,
-                next_lsn: 2
-            }
-            .lsn(),
-            None
-        );
     }
 }

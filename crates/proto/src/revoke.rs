@@ -52,7 +52,7 @@ pub struct RevocationCert {
     /// The revoked public key.
     pub public_key: Vec<u8>,
     /// Signature by that key over the PathRevoke body.
-    pub signature: Vec<u8>,
+    pub(crate) signature: Vec<u8>,
 }
 
 impl RevocationCert {
@@ -115,13 +115,13 @@ impl Xdr for RevocationCert {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ForwardingPointer {
     /// Location of the old pathname.
-    pub location: String,
+    pub(crate) location: String,
     /// The old public key.
-    pub public_key: Vec<u8>,
+    pub(crate) public_key: Vec<u8>,
     /// Where the file system now lives.
     pub new_path: SelfCertifyingPath,
     /// Signature by the old key.
-    pub signature: Vec<u8>,
+    pub(crate) signature: Vec<u8>,
 }
 
 impl ForwardingPointer {
@@ -140,13 +140,13 @@ impl ForwardingPointer {
     }
 
     /// The HostID being forwarded.
-    pub fn host_id(&self) -> Option<HostId> {
+    pub(crate) fn host_id(&self) -> Option<HostId> {
         let key = RabinPublicKey::from_bytes(&self.public_key).ok()?;
         Some(HostId::compute(&self.location, &key))
     }
 
     /// Verifies the signature.
-    pub fn verify(&self) -> bool {
+    pub(crate) fn verify(&self) -> bool {
         let Ok(key) = RabinPublicKey::from_bytes(&self.public_key) else {
             return false;
         };

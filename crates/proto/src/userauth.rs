@@ -35,13 +35,13 @@ pub const AUTHNO_ANONYMOUS: u32 = 0;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuthInfo<'a> {
     /// Service tag; always "FS" for file-system authentication.
-    pub service: Cow<'a, str>,
+    pub(crate) service: Cow<'a, str>,
     /// Location of the server being accessed.
     pub location: Cow<'a, str>,
     /// HostID of the server being accessed.
     pub host_id: HostId,
     /// SessionID of the secure channel the request will travel over.
-    pub session_id: [u8; DIGEST_LEN],
+    pub(crate) session_id: [u8; DIGEST_LEN],
 }
 
 impl<'a> AuthInfo<'a> {

@@ -33,9 +33,9 @@ use sfs_proto::pathname::SelfCertifyingPath;
 use sfs_telemetry::sync::Mutex;
 use sfs_telemetry::Telemetry;
 
-pub mod repl;
+mod repl;
 
-pub use repl::{AdmissionControl, MemberStats, ReplGroup, ReplHealth};
+pub use repl::{AdmissionControl, ReplGroup};
 
 /// One read-write replica and what the relay knows about it.
 struct RwSlot {
@@ -99,11 +99,6 @@ impl ReplicaGroup {
         })
     }
 
-    /// The group's pathname.
-    pub fn path(&self) -> &SelfCertifyingPath {
-        &self.path
-    }
-
     /// Attaches a tracing sink for routing counters and health gauges.
     pub fn set_telemetry(&self, tel: &Telemetry) {
         *self.tel.lock() = tel.clone();
@@ -137,12 +132,12 @@ impl ReplicaGroup {
     }
 
     /// Read-write replicas registered (live or not).
-    pub fn rw_count(&self) -> usize {
+    pub(crate) fn rw_count(&self) -> usize {
         self.rw.lock().len()
     }
 
     /// Read-only replicas registered (live or not).
-    pub fn ro_count(&self) -> usize {
+    pub(crate) fn ro_count(&self) -> usize {
         self.ro.lock().len()
     }
 
@@ -155,11 +150,6 @@ impl ReplicaGroup {
     /// Takes read-write replica `idx` out of rotation.
     pub fn mark_down(&self, idx: usize) {
         self.rw.lock()[idx].down.store(true, Ordering::SeqCst);
-    }
-
-    /// Returns read-write replica `idx` to rotation.
-    pub fn mark_up(&self, idx: usize) {
-        self.rw.lock()[idx].down.store(false, Ordering::SeqCst);
     }
 
     /// Probes every replica and updates the relay's view: each read-write

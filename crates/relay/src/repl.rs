@@ -143,7 +143,7 @@ struct ReplMember {
 pub struct MemberStats {
     pub durable_lsn: u64,
     pub applied_lsn: u64,
-    pub down: bool,
+    pub(crate) down: bool,
     pub needs_full_sync: bool,
 }
 
@@ -155,7 +155,7 @@ pub struct ReplHealth {
     pub eligible_backups: usize,
     pub needs_full_sync: usize,
     pub promotions: u64,
-    pub reboots_observed: u64,
+    pub(crate) reboots_observed: u64,
 }
 
 /// A primary/backup replicated write path for one `Location:HostID`.
@@ -210,11 +210,6 @@ impl ReplGroup {
         })
     }
 
-    /// The group's pathname.
-    pub fn path(&self) -> &SelfCertifyingPath {
-        &self.path
-    }
-
     /// Attaches a tracing sink (`server.repl.*` gauges/counters,
     /// `relay.admission.*` and `relay.route.*` counters).
     pub fn set_telemetry(&self, tel: &Telemetry) {
@@ -229,7 +224,7 @@ impl ReplGroup {
     }
 
     /// [`Self::add_member`] with an explicit primary→backup link.
-    pub fn add_member_linked(
+    pub(crate) fn add_member_linked(
         self: &Arc<Self>,
         server: Arc<SfsServer>,
         log: JournalDisk,
@@ -271,7 +266,7 @@ impl ReplGroup {
         *self.admission.lock() = None;
     }
 
-    pub fn member_count(&self) -> usize {
+    pub(crate) fn member_count(&self) -> usize {
         self.members.lock().len()
     }
 

@@ -22,7 +22,7 @@ pub struct ChurnWave {
     /// Virtual instant of the wave.
     pub at: SimTime,
     /// Selection probability in per-mille (0–1000).
-    pub fraction_pm: u32,
+    pub(crate) fraction_pm: u32,
 }
 
 /// A seeded, deterministic sequence of churn waves.

@@ -22,18 +22,18 @@ pub struct CpuCosts {
     pub user_crossing_ns: u64,
     /// Per-byte cost of copying data through a user-level daemon
     /// (kernel↔user buffer crossings).
-    pub user_copy_per_byte_ns: u64,
+    pub(crate) user_copy_per_byte_ns: u64,
     /// Software encryption + MAC cost per byte (ARC4 XOR + SHA-1 over the
     /// message).
-    pub crypto_per_byte_ns: u64,
+    pub(crate) crypto_per_byte_ns: u64,
     /// Fixed per-message crypto cost (MAC re-key from the ARC4 stream,
     /// finalization).
-    pub crypto_per_message_ns: u64,
+    pub(crate) crypto_per_message_ns: u64,
     /// Generic per-RPC protocol processing (marshaling, dispatch),
     /// charged at each endpoint.
     pub rpc_processing_ns: u64,
     /// Per-byte cost of the server's NFS data path (buffer copies).
-    pub server_copy_per_byte_ns: u64,
+    pub(crate) server_copy_per_byte_ns: u64,
 }
 
 impl CpuCosts {
@@ -85,7 +85,7 @@ impl CpuCosts {
     }
 
     /// Crypto cost of one `len`-byte message with the per-byte rate
-    /// scaled by `num/den`. The calibrated [`Self::crypto_per_byte_ns`]
+    /// scaled by `num/den`. The calibrated `Self::crypto_per_byte_ns`
     /// models the baseline ARC4+SHA-1 channel; a negotiated suite passes
     /// its relative cost (e.g. 1/4 for the single-pass AEAD, matching
     /// the measured hotpath ratio) so suite choice shows up in virtual

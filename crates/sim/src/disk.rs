@@ -69,18 +69,11 @@ struct DiskState {
     head: u64,
     /// Dirty bytes awaiting write-behind.
     dirty_bytes: u64,
-    /// Statistics.
-    reads: u64,
-    writes: u64,
-    syncs: u64,
-    seeks: u64,
     /// Tracing sink (shared across clones, so it can be attached after
     /// the disk is threaded through the VFS).
     tel: Telemetry,
     /// Optional fault plan; synchronous writes may fail transiently.
     fault: Option<FaultPlan>,
-    /// Transient sync-write failures absorbed by the retry path.
-    sync_failures: u64,
     /// Device costs accumulated in tally mode, so a scheduler can place
     /// them on a per-shard timeline instead of the clock.
     tally: DiskTally,
@@ -129,11 +122,6 @@ impl SimDisk {
     /// the write still lands — the failure costs time and is counted).
     pub fn set_fault_plan(&self, plan: FaultPlan) {
         self.state.lock().fault = Some(plan);
-    }
-
-    /// Transient sync-write failures injected so far.
-    pub fn sync_failures(&self) -> u64 {
-        self.state.lock().sync_failures
     }
 
     /// Enters tally mode: until [`Self::tally_end`], device costs
@@ -186,18 +174,16 @@ impl SimDisk {
 
     /// Reads `len` bytes at block `block`, charging positioning when the
     /// access is not sequential with the previous one.
-    pub fn read(&self, block: u64, len: usize) {
+    pub(crate) fn read(&self, block: u64, len: usize) {
         let mut st = self.state.lock();
         let span = st
             .tel
             .span("server", "sim.disk", "read")
             .with_attr("bytes", len);
-        st.reads += 1;
         self.note_op(&mut st);
         st.tel.count("server", "disk.reads", 1);
         st.tel.count("server", "disk.bytes_read", len as u64);
         if st.head != block {
-            st.seeks += 1;
             st.tel.count("server", "disk.seeks", 1);
             self.charge(&mut st, self.params.seek_ns, true);
         }
@@ -211,7 +197,6 @@ impl SimDisk {
     /// allocation, buffer management) is charged immediately.
     pub fn write_async(&self, len: usize) {
         let mut st = self.state.lock();
-        st.writes += 1;
         self.note_op(&mut st);
         st.dirty_bytes += len as u64;
         st.tel.count("server", "disk.writes", 1);
@@ -231,8 +216,6 @@ impl SimDisk {
             .tel
             .span("server", "sim.disk", "write_sync")
             .with_attr("bytes", len);
-        st.writes += 1;
-        st.syncs += 1;
         self.note_op(&mut st);
         st.tel.count("server", "disk.writes", 1);
         st.tel.count("server", "disk.syncs", 1);
@@ -245,13 +228,11 @@ impl SimDisk {
             .as_ref()
             .is_some_and(|p| p.sync_write_fails(self.clock.now()))
         {
-            st.sync_failures += 1;
             st.tel.count("server", "disk.sync_failures", 1);
             st.tel.instant("server", "sim.disk", "sync_write_retry");
             self.charge(&mut st, self.params.seek_ns, true);
         }
         if st.head != block {
-            st.seeks += 1;
             st.tel.count("server", "disk.seeks", 1);
             self.charge(&mut st, self.params.seek_ns, true);
         }
@@ -271,7 +252,6 @@ impl SimDisk {
             .tel
             .span("server", "sim.disk", "flush")
             .with_attr("bytes", st.dirty_bytes);
-        st.seeks += 1;
         self.note_op(&mut st);
         st.tel.count("server", "disk.seeks", 1);
         self.charge(&mut st, self.params.seek_ns, true);
@@ -281,14 +261,9 @@ impl SimDisk {
         drop(span);
     }
 
-    /// (reads, writes, sync writes, seeks) so far.
-    pub fn stats(&self) -> (u64, u64, u64, u64) {
-        let st = self.state.lock();
-        (st.reads, st.writes, st.syncs, st.seeks)
-    }
-
     /// The disk's clock.
-    pub fn clock(&self) -> &SimClock {
+    #[cfg(test)]
+    fn clock(&self) -> &SimClock {
         &self.clock
     }
 }
@@ -300,9 +275,9 @@ pub struct DiskCommit {
     pub done_ns: u64,
     /// Whether the commit arrived while the queue was busy and joined an
     /// in-progress batch (skipping its positioning cost).
-    pub joined: bool,
+    pub(crate) joined: bool,
     /// Size of the batch this commit belongs to, so far.
-    pub batch_size: u64,
+    pub(crate) batch_size: u64,
     /// When this commit opened a new batch, the size of the batch it
     /// closed (for batch-size histograms).
     pub closed_batch: Option<u64>,
@@ -320,14 +295,14 @@ pub struct DiskQueueStats {
     /// Commits that joined a batch (and skipped positioning).
     pub joined: u64,
     /// Total device time reserved.
-    pub busy_ns: u64,
+    pub(crate) busy_ns: u64,
 }
 
 /// A per-shard disk commit queue with group commit.
 ///
 /// Commits carry the device cost a [`SimDisk`] tallied for them, split
 /// into positioning and transfer. The queue lays them out on one
-/// [`Timeline`] (the shard's spindle): a commit that arrives while the
+/// `Timeline` (the shard's spindle): a commit that arrives while the
 /// spindle is busy queues behind it back-to-back and *joins the batch* —
 /// the head is already positioned from the previous write, so only the
 /// transfer cost is paid, which is exactly the group-commit win of
@@ -367,7 +342,7 @@ impl DiskCommitQueue {
     }
 
     /// Drops the spindle's busy intervals and the completion times that
-    /// end at or before `horizon_ns` ([`Timeline::forget_until`]): exact
+    /// end at or before `horizon_ns` (`Timeline::forget_until`): exact
     /// for every later commit ready at or after the horizon, which
     /// neither queues behind nor counts a commit that has finished.
     pub fn forget_until(&mut self, horizon_ns: u64) {
@@ -461,6 +436,20 @@ mod tests {
         SimDisk::new(SimClock::new(), DiskParams::ibm_18es())
     }
 
+    /// A disk whose counters land on the returned sink.
+    fn counted_disk() -> (SimDisk, Telemetry) {
+        let d = disk();
+        let tel = Telemetry::counters();
+        d.set_telemetry(&tel);
+        (d, tel)
+    }
+
+    /// (reads, writes, sync writes) counted on `tel`.
+    fn counts(tel: &Telemetry) -> (u64, u64, u64) {
+        let n = |name| tel.counter("server", name);
+        (n("disk.reads"), n("disk.writes"), n("disk.syncs"))
+    }
+
     #[test]
     fn random_reads_pay_seeks() {
         let d = disk();
@@ -502,10 +491,10 @@ mod tests {
 
     #[test]
     fn sync_writes_charged_immediately() {
-        let d = disk();
+        let (d, tel) = counted_disk();
         d.write_sync(50, 4096);
         assert!(d.clock().now().as_nanos() >= DiskParams::ibm_18es().seek_ns);
-        let (_, w, s, _) = d.stats();
+        let (_, w, s) = counts(&tel);
         assert_eq!((w, s), (1, 1));
     }
 
@@ -514,7 +503,7 @@ mod tests {
         use crate::fault::{FaultPlan, FaultSpec};
         let clean = disk();
         clean.write_sync(10, 4096);
-        let d = disk();
+        let (d, tel) = counted_disk();
         d.set_fault_plan(FaultPlan::new(
             99,
             FaultSpec {
@@ -522,19 +511,18 @@ mod tests {
                 ..FaultSpec::none()
             },
         ));
-        let mut failures = 0;
         for i in 0..40 {
             d.write_sync(10 + i * 7, 4096);
         }
-        failures += d.sync_failures();
+        let failures = tel.counter("server", "disk.sync_failures");
         assert!(failures > 0, "seed 99 at 500‰ must inject failures");
-        let (_, w, s, _) = d.stats();
+        let (_, w, s) = counts(&tel);
         assert_eq!((w, s), (40, 40), "every write still completes");
     }
 
     #[test]
     fn tally_mode_accumulates_instead_of_advancing() {
-        let d = disk();
+        let (d, tel) = counted_disk();
         d.read(0, 8192); // position the head, charging the clock
         let before = d.clock().now();
         d.tally_begin();
@@ -551,8 +539,7 @@ mod tests {
         assert!(tally.positioning_ns < tally.total_ns);
         assert_eq!(tally.ops, 2);
         // Stats still recorded under tally.
-        let (r, w, s, _) = d.stats();
-        assert_eq!((r, w, s), (2, 1, 1));
+        assert_eq!(counts(&tel), (2, 1, 1));
         // Back to normal charging afterwards.
         d.write_sync(9_000, 4096);
         assert!(d.clock().now() > before);

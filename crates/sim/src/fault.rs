@@ -83,7 +83,7 @@ pub struct FaultSpec {
     /// Probability a packet is delayed by [`Self::delay_ns`], ‰.
     pub delay_pm: u32,
     /// Extra transit time for delayed packets, ns.
-    pub delay_ns: u64,
+    pub(crate) delay_ns: u64,
     /// Probability a synchronous disk write fails transiently, ‰.
     pub disk_sync_fail_pm: u32,
     /// Network partition windows `[start, end)` in virtual time; every
@@ -97,7 +97,7 @@ pub struct FaultSpec {
 
 impl FaultSpec {
     /// A spec that injects nothing (useful as a builder base).
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         Self::default()
     }
 
@@ -108,7 +108,7 @@ impl FaultSpec {
     /// `ms`, and `s` suffixes (bare numbers are nanoseconds). `partition`
     /// is `start+length` and `partition`/`crash`/`ccrash` may repeat. A
     /// `seed=N` pair is returned separately (default 0).
-    pub fn parse(spec: &str) -> Result<(u64, FaultSpec), String> {
+    pub(crate) fn parse(spec: &str) -> Result<(u64, FaultSpec), String> {
         let mut seed = 0u64;
         let mut out = FaultSpec::none();
         for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
@@ -141,8 +141,10 @@ impl FaultSpec {
                         .split_once('+')
                         .ok_or_else(|| format!("partition {value:?} must be start+length"))?;
                     let start = parse_duration_ns(start)?;
-                    let len = parse_duration_ns(len)?;
-                    out.partitions.push((SimTime(start), SimTime(start + len)));
+                    let end = start.checked_add(parse_duration_ns(len)?).ok_or_else(|| {
+                        format!("partition {value:?} ends past 64-bit nanoseconds")
+                    })?;
+                    out.partitions.push((SimTime(start), SimTime(end)));
                 }
                 "crash" => out.server_crashes.push(SimTime(parse_duration_ns(value)?)),
                 "ccrash" => out.client_crashes.push(SimTime(parse_duration_ns(value)?)),
@@ -156,24 +158,27 @@ impl FaultSpec {
     }
 }
 
-/// Parses `35us` / `2ms` / `3s` / `1500` (bare = ns) into nanoseconds.
-fn parse_duration_ns(v: &str) -> Result<u64, String> {
-    let (digits, mult) = if let Some(d) = v.strip_suffix("ns") {
+/// Parses a duration as plain nanoseconds or with an `ns`/`us`/`ms`/`s`
+/// suffix (`1500`, `35us`, `2ms`, `3s`). A duration past `u64::MAX`
+/// nanoseconds (about 584 years) is an error, not a wrapped value.
+pub fn parse_duration_ns(value: &str) -> Result<u64, String> {
+    let (digits, mult) = if let Some(d) = value.strip_suffix("ns") {
         (d, 1)
-    } else if let Some(d) = v.strip_suffix("us") {
+    } else if let Some(d) = value.strip_suffix("us") {
         (d, 1_000)
-    } else if let Some(d) = v.strip_suffix("ms") {
+    } else if let Some(d) = value.strip_suffix("ms") {
         (d, 1_000_000)
-    } else if let Some(d) = v.strip_suffix('s') {
+    } else if let Some(d) = value.strip_suffix('s') {
         (d, 1_000_000_000)
     } else {
-        (v, 1)
+        (value, 1)
     };
-    digits
+    let n: u64 = digits
         .trim()
-        .parse::<u64>()
-        .map(|n| n * mult)
-        .map_err(|_| format!("bad duration {v:?}"))
+        .parse()
+        .map_err(|_| format!("duration {value:?} is not an integer with optional ns/us/ms/s"))?;
+    n.checked_mul(mult)
+        .ok_or_else(|| format!("duration {value:?} overflows 64-bit nanoseconds"))
 }
 
 /// One injected fault, for reproducibility assertions and debugging.
@@ -184,12 +189,13 @@ pub struct FaultEvent {
     /// What was injected.
     pub kind: FaultKind,
     /// Where: `"req"`, `"rep"`, `"disk"`, `"server"`, or `"client"`.
-    pub site: &'static str,
+    pub(crate) site: &'static str,
 }
 
-/// What the plan decided to do with one packet.
+/// What becomes of one packet: the plan's decision, and the wire's
+/// once its interceptor has had the packet too.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NetAction {
+pub(crate) enum NetAction {
     /// Deliver the given bytes (possibly corrupted or swapped with a
     /// held neighbour).
     Deliver(Vec<u8>),
@@ -222,7 +228,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// Creates a plan from a seed and a spec.
-    pub fn new(seed: u64, spec: FaultSpec) -> Self {
+    pub(crate) fn new(seed: u64, spec: FaultSpec) -> Self {
         FaultPlan {
             seed,
             spec: Arc::new(spec),
@@ -281,7 +287,7 @@ impl FaultPlan {
 
     /// Decides the fate of one packet. Consumes generator state, so call
     /// exactly once per packet.
-    pub fn net_action(&self, dir: Direction, now: SimTime, bytes: Vec<u8>) -> NetAction {
+    pub(crate) fn net_action(&self, dir: Direction, now: SimTime, bytes: Vec<u8>) -> NetAction {
         let site = match dir {
             Direction::Request => "req",
             Direction::Reply => "rep",
@@ -335,7 +341,7 @@ impl FaultPlan {
     }
 
     /// Whether a synchronous disk write at `now` fails transiently.
-    pub fn sync_write_fails(&self, now: SimTime) -> bool {
+    pub(crate) fn sync_write_fails(&self, now: SimTime) -> bool {
         if self.spec.disk_sync_fail_pm == 0 {
             return false;
         }
@@ -558,6 +564,25 @@ mod tests {
         );
         assert_eq!(spec.server_crashes, vec![SimTime(3_000_000_000)]);
         assert_eq!(spec.client_crashes, vec![SimTime(4_000_000_000)]);
+    }
+
+    #[test]
+    fn durations_parse_with_units_and_reject_overflow() {
+        assert_eq!(parse_duration_ns("1500"), Ok(1_500));
+        assert_eq!(parse_duration_ns("35us"), Ok(35_000));
+        assert_eq!(parse_duration_ns("2ms"), Ok(2_000_000));
+        assert_eq!(parse_duration_ns("3s"), Ok(3_000_000_000));
+        assert_eq!(parse_duration_ns("18446744073709551615ns"), Ok(u64::MAX));
+        assert_eq!(
+            parse_duration_ns("18446744073s"),
+            Ok(18_446_744_073_000_000_000)
+        );
+        let err = parse_duration_ns("18446744074s").unwrap_err();
+        assert!(err.contains("overflows"), "{err}");
+        assert!(parse_duration_ns("2 hours").is_err());
+        assert!(FaultSpec::parse("delay_ns=99999999999s").is_err());
+        assert!(FaultSpec::parse("crash=99999999999s").is_err());
+        assert!(FaultSpec::parse("partition=18446744073s+1s").is_err());
     }
 
     #[test]

@@ -26,7 +26,6 @@
 use std::sync::Arc;
 
 use sfs_telemetry::sync::Mutex;
-use sfs_telemetry::Telemetry;
 
 use crate::disk::SimDisk;
 
@@ -35,7 +34,7 @@ use crate::disk::SimDisk;
 const RECORD_HEADER_BYTES: usize = 8;
 
 /// CRC32 (IEEE, reflected, poly 0xEDB88320) over `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
         crc ^= b as u32;
@@ -101,7 +100,6 @@ struct JournalState {
     next_block: u64,
     /// Block of each record, for replay read charging.
     blocks: Vec<u64>,
-    tel: Telemetry,
 }
 
 /// An append-only, crash-surviving record log on a [`SimDisk`].
@@ -124,16 +122,8 @@ impl JournalDisk {
                 records: Vec::new(),
                 next_block: base_block,
                 blocks: Vec::new(),
-                tel: Telemetry::disabled(),
             })),
         }
-    }
-
-    /// Attaches a telemetry sink for replay-verification counters
-    /// (`journal` / `replay.torn_tail`, `replay.corrupt`). Shared by
-    /// clones.
-    pub fn set_telemetry(&self, tel: &Telemetry) {
-        self.state.lock().tel = tel.clone();
     }
 
     /// Appends one record, charging a synchronous write. The record is
@@ -154,27 +144,14 @@ impl JournalDisk {
     }
 
     /// Reads every record back in append order, charging one disk read
-    /// per record. Frames are **not** CRC-verified — recovery paths must
-    /// use [`replay_checked`](Self::replay_checked); this raw form exists
-    /// for assertions and for logs known intact.
-    pub fn replay(&self) -> Vec<Vec<u8>> {
-        let (records, reads) = self.snapshot_for_replay();
-        for (block, len) in reads {
-            self.disk.read(block, len);
-        }
-        records
-    }
-
-    /// Reads every record back in append order, charging one disk read
     /// per frame scanned, and verifies each CRC32.
     ///
     /// Bad frames that extend to the end of the log are a torn tail —
     /// the shape a crash mid-append leaves — and are truncated from the
-    /// journal (counted in [`ReplayOutcome::torn_truncated`] and the
-    /// `journal`/`replay.torn_tail` telemetry counter); replay returns
-    /// the valid prefix. A bad frame *followed by* an intact one means
-    /// interior corruption of a once-durable record: fatal
-    /// ([`JournalError::Corrupt`], counter `replay.corrupt`).
+    /// journal (counted in `ReplayOutcome::torn_truncated`); replay
+    /// returns the valid prefix. A bad frame *followed by* an intact one
+    /// means interior corruption of a once-durable record: fatal
+    /// (`JournalError::Corrupt`).
     pub fn replay_checked(&self) -> Result<ReplayOutcome, JournalError> {
         let (reads, verdicts) = {
             let st = self.state.lock();
@@ -203,16 +180,12 @@ impl JournalDisk {
                 let torn = st.records.len() - i;
                 st.records.truncate(i);
                 st.blocks.truncate(i);
-                st.tel.count("journal", "replay.torn_tail", torn as u64);
                 Ok(ReplayOutcome {
                     records: st.records.iter().map(|r| r.payload.clone()).collect(),
                     torn_truncated: torn,
                 })
             }
-            Some(i) => {
-                st.tel.count("journal", "replay.corrupt", 1);
-                Err(JournalError::Corrupt { index: i })
-            }
+            Some(i) => Err(JournalError::Corrupt { index: i }),
         }
     }
 
@@ -244,7 +217,8 @@ impl JournalDisk {
     /// Fault-injection hook: flips one payload byte of record `index`
     /// without updating its stored CRC, modelling medium corruption of
     /// a once-durable frame. No-op timing-wise.
-    pub fn corrupt_record(&self, index: usize) {
+    #[cfg(test)]
+    fn corrupt_record(&self, index: usize) {
         let mut st = self.state.lock();
         let rec = &mut st.records[index];
         if rec.payload.is_empty() {
@@ -259,7 +233,8 @@ impl JournalDisk {
     /// the data write and its completion would — the stored frame loses
     /// the tail half of its payload while keeping the original CRC.
     /// No-op on an empty journal.
-    pub fn tear_tail(&self) {
+    #[cfg(test)]
+    fn tear_tail(&self) {
         let mut st = self.state.lock();
         if let Some(rec) = st.records.last_mut() {
             let keep = rec.payload.len() / 2;
@@ -283,7 +258,7 @@ impl JournalDisk {
     }
 
     /// Total record payload bytes (excluding framing).
-    pub fn byte_len(&self) -> usize {
+    pub(crate) fn byte_len(&self) -> usize {
         self.state
             .lock()
             .records
@@ -302,23 +277,6 @@ impl JournalDisk {
             .map(|r| r.payload.clone())
             .collect()
     }
-
-    /// The underlying disk's clock.
-    pub fn disk(&self) -> &SimDisk {
-        &self.disk
-    }
-
-    fn snapshot_for_replay(&self) -> (Vec<Vec<u8>>, Vec<(u64, usize)>) {
-        let st = self.state.lock();
-        (
-            st.records.iter().map(|r| r.payload.clone()).collect(),
-            st.records
-                .iter()
-                .zip(&st.blocks)
-                .map(|(r, b)| (*b, RECORD_HEADER_BYTES + r.payload.len()))
-                .collect(),
-        )
-    }
 }
 
 impl std::fmt::Debug for JournalDisk {
@@ -335,11 +293,25 @@ mod tests {
     use super::*;
     use crate::disk::DiskParams;
     use crate::time::SimClock;
+    use sfs_telemetry::Telemetry;
 
     fn journal() -> (SimClock, JournalDisk) {
+        let (clock, j, _) = counted_journal();
+        (clock, j)
+    }
+
+    /// A journal whose disk counts onto the returned sink.
+    fn counted_journal() -> (SimClock, JournalDisk, Telemetry) {
         let clock = SimClock::new();
         let disk = SimDisk::new(clock.clone(), DiskParams::ibm_18es());
-        (clock, JournalDisk::new(disk, 1_000))
+        let tel = Telemetry::counters();
+        disk.set_telemetry(&tel);
+        (clock, JournalDisk::new(disk, 1_000), tel)
+    }
+
+    /// Every record, CRC-checked.
+    fn replay(j: &JournalDisk) -> Vec<Vec<u8>> {
+        j.replay_checked().expect("intact log").records
     }
 
     #[test]
@@ -350,46 +322,44 @@ mod tests {
         writer.append(b"seq hwm 64");
         drop(writer); // the "process" dies
         assert_eq!(
-            j.replay(),
+            replay(&j),
             vec![b"mount /sfs/a".to_vec(), b"seq hwm 64".to_vec()]
         );
     }
 
     #[test]
     fn appends_charge_sync_writes_and_replay_charges_reads() {
-        let (clock, j) = journal();
+        let (clock, j, tel) = counted_journal();
         let t0 = clock.now();
         j.append(b"rec");
         let t1 = clock.now();
         assert!(t1 > t0, "sync append must cost virtual time");
-        let (reads0, _, syncs, _) = j.disk().stats();
-        assert_eq!(syncs, 1);
-        assert_eq!(reads0, 0);
-        j.replay();
-        let (reads1, _, _, _) = j.disk().stats();
-        assert_eq!(reads1, 1);
+        assert_eq!(tel.counter("server", "disk.syncs"), 1);
+        assert_eq!(tel.counter("server", "disk.reads"), 0);
+        replay(&j);
+        assert_eq!(tel.counter("server", "disk.reads"), 1);
         assert!(clock.now() > t1, "replay must cost virtual time");
     }
 
     #[test]
     fn replace_compacts_visibly_across_clones_and_charges_writes() {
-        let (clock, j) = journal();
+        let (clock, j, tel) = counted_journal();
         let writer = j.clone();
         for i in 0..10u8 {
             writer.append(&[i; 5]);
         }
-        let (_, writes_before, _, _) = j.disk().stats();
+        let writes_before = tel.counter("server", "disk.writes");
         let t0 = clock.now();
         writer.replace(&[b"checkpoint".to_vec()]);
         assert!(clock.now() > t0, "rewriting the log costs virtual time");
-        let (_, writes_after, _, _) = j.disk().stats();
+        let writes_after = tel.counter("server", "disk.writes");
         assert_eq!(writes_after - writes_before, 1);
         // The clone that did not call replace sees the compacted log.
-        assert_eq!(j.replay(), vec![b"checkpoint".to_vec()]);
+        assert_eq!(replay(&j), vec![b"checkpoint".to_vec()]);
         assert_eq!(j.len(), 1);
         // Appends continue after the compacted tail.
         j.append(b"later");
-        assert_eq!(j.replay().len(), 2);
+        assert_eq!(replay(&j).len(), 2);
     }
 
     #[test]
@@ -399,7 +369,7 @@ mod tests {
             for i in 0..20u8 {
                 j.append(&[i; 9]);
             }
-            let replayed = j.replay();
+            let replayed = replay(&j);
             (replayed, clock.now())
         };
         assert_eq!(run(), run());
@@ -425,8 +395,6 @@ mod tests {
     #[test]
     fn torn_tail_is_truncated_counted_and_tolerated() {
         let (clock, j) = journal();
-        let tel = Telemetry::counters();
-        j.set_telemetry(&tel);
         j.append(b"alpha record");
         j.append(b"beta record");
         j.append(b"gamma record torn mid-append");
@@ -437,13 +405,11 @@ mod tests {
             vec![b"alpha record".to_vec(), b"beta record".to_vec()]
         );
         assert_eq!(out.torn_truncated, 1);
-        assert_eq!(tel.counter("journal", "replay.torn_tail"), 1);
         // The truncation is durable state: a second checked replay sees a
         // clean two-record log and counts nothing further.
         let again = j.replay_checked().expect("already truncated");
         assert_eq!(again.records.len(), 2);
         assert_eq!(again.torn_truncated, 0);
-        assert_eq!(tel.counter("journal", "replay.torn_tail"), 1);
         // Appends continue after the truncated tail.
         j.append(b"delta");
         assert_eq!(j.replay_checked().unwrap().records.len(), 3);
@@ -453,8 +419,6 @@ mod tests {
     #[test]
     fn mid_log_corruption_is_fatal_and_counted() {
         let (_clock, j) = journal();
-        let tel = Telemetry::counters();
-        j.set_telemetry(&tel);
         j.append(b"first");
         j.append(b"second");
         j.append(b"third");
@@ -464,8 +428,6 @@ mod tests {
             Err(JournalError::Corrupt { index: 1 }),
             "a bad frame before an intact one is not a torn tail"
         );
-        assert_eq!(tel.counter("journal", "replay.corrupt"), 1);
-        assert_eq!(tel.counter("journal", "replay.torn_tail"), 0);
         // Fatal corruption does not mutate the log; the damage stays
         // visible to whoever inspects it next.
         assert_eq!(j.len(), 3);

@@ -65,7 +65,7 @@ impl PacketLog {
     }
 
     /// Appends a packet.
-    pub fn record(&self, dir: Direction, bytes: &[u8]) {
+    pub(crate) fn record(&self, dir: Direction, bytes: &[u8]) {
         self.packets.lock().push((dir, bytes.to_vec()));
     }
 
@@ -100,14 +100,14 @@ pub struct NetParams {
     /// One-way propagation + switching latency, ns.
     pub latency_ns: u64,
     /// Link bandwidth, bytes per second.
-    pub bandwidth_bps: u64,
+    pub(crate) bandwidth_bps: u64,
     /// Fixed per-message transport cost (protocol processing, ACK costs
     /// amortized), ns.
-    pub per_message_ns: u64,
+    pub(crate) per_message_ns: u64,
     /// Additional per-byte protocol cost (checksumming and buffering in
     /// the transport; nonzero for TCP, whose FreeBSD NFS path the paper
     /// found "suboptimal").
-    pub per_byte_extra_ns: u64,
+    pub(crate) per_byte_extra_ns: u64,
 }
 
 impl NetParams {
@@ -180,18 +180,6 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
-
-/// What the observation/adversary pipeline decided about one packet.
-enum Fate {
-    /// Deliver these (possibly tampered) bytes.
-    Deliver(Vec<u8>),
-    /// Deliver the bytes, and a second copy of them.
-    Duplicate(Vec<u8>),
-    /// Deliver the bytes after an extra delay.
-    Delay(u64, Vec<u8>),
-    /// The packet never arrives.
-    Drop,
-}
 
 /// How one request's service time is accounted in
 /// [`Wire::exchange_on`].
@@ -326,12 +314,13 @@ impl Wire {
     }
 
     /// Total bytes placed on the wire (both directions).
-    pub fn bytes_sent(&self) -> u64 {
+    pub(crate) fn bytes_sent(&self) -> u64 {
         self.bytes_sent.load(Ordering::Relaxed)
     }
 
     /// The wire's clock.
-    pub fn clock(&self) -> &SimClock {
+    #[cfg(test)]
+    fn clock(&self) -> &SimClock {
         &self.clock
     }
 
@@ -352,11 +341,11 @@ impl Wire {
     }
 
     /// Runs one packet through the observation/adversary pipeline —
-    /// accounting, packet log, interceptor, fault plan — and reports its
-    /// fate, which [`Wire::exchange_on`] applies to its logical per-frame
-    /// timeline; neither the clock nor timeout accounting is touched
-    /// here.
-    fn route(&self, dir: Direction, bytes: Vec<u8>) -> Fate {
+    /// accounting, packet log, interceptor, fault plan — and reports what
+    /// becomes of it, which [`Wire::exchange_on`] applies to its logical
+    /// per-frame timeline; neither the clock nor timeout accounting is
+    /// touched here.
+    fn route(&self, dir: Direction, bytes: Vec<u8>) -> NetAction {
         self.bytes_sent
             .fetch_add(bytes.len() as u64, Ordering::Relaxed);
         self.bump("net.bytes_sent", bytes.len() as u64);
@@ -368,24 +357,19 @@ impl Wire {
             Some(i) => match i.lock().intercept(dir, &bytes) {
                 Verdict::Deliver => bytes,
                 Verdict::Replace(other) => other,
-                Verdict::Drop => return Fate::Drop,
+                Verdict::Drop => return NetAction::Drop,
             },
         };
-        match &self.fault {
-            None => Fate::Deliver(bytes),
-            Some(plan) => match plan.net_action(dir, self.clock.now(), bytes) {
-                NetAction::Deliver(b) => Fate::Deliver(b),
-                NetAction::Duplicate(b) => {
-                    self.bump("net.duplicates", 1);
-                    Fate::Duplicate(b)
-                }
-                NetAction::Delay(ns, b) => {
-                    self.bump("net.delays", 1);
-                    Fate::Delay(ns, b)
-                }
-                NetAction::Drop => Fate::Drop,
-            },
+        let Some(plan) = &self.fault else {
+            return NetAction::Deliver(bytes);
+        };
+        let action = plan.net_action(dir, self.clock.now(), bytes);
+        match action {
+            NetAction::Duplicate(_) => self.bump("net.duplicates", 1),
+            NetAction::Delay(..) => self.bump("net.delays", 1),
+            NetAction::Deliver(_) | NetAction::Drop => {}
         }
+        action
     }
 
     /// Serialization time for a message of `len` bytes: the part of its
@@ -485,10 +469,10 @@ impl Wire {
             req_link_free = depart + ser;
             let arrival = depart + ser + self.params.latency_ns;
             match self.route(Direction::Request, bytes) {
-                Fate::Deliver(b) => x.arrivals.push((arrival, idx, b, false)),
-                Fate::Duplicate(b) => x.arrivals.push((arrival, idx, b, true)),
-                Fate::Delay(ns, b) => x.arrivals.push((arrival + ns, idx, b, false)),
-                Fate::Drop => {}
+                NetAction::Deliver(b) => x.arrivals.push((arrival, idx, b, false)),
+                NetAction::Duplicate(b) => x.arrivals.push((arrival, idx, b, true)),
+                NetAction::Delay(ns, b) => x.arrivals.push((arrival + ns, idx, b, false)),
+                NetAction::Drop => {}
             }
         }
         if sent == 0 {
@@ -538,7 +522,7 @@ impl Wire {
                     reply_link_free = depart + ser;
                     let r_arrival = depart + ser + self.params.latency_ns;
                     match self.route(Direction::Reply, rbytes) {
-                        Fate::Deliver(b) => {
+                        NetAction::Deliver(b) => {
                             let reply = ExchangeReply {
                                 bytes: b,
                                 arrival: SimTime(r_arrival),
@@ -552,7 +536,7 @@ impl Wire {
                             }
                             answered += 1;
                         }
-                        Fate::Duplicate(b) => {
+                        NetAction::Duplicate(b) => {
                             sink = None;
                             out.push(ExchangeReply {
                                 bytes: b.clone(),
@@ -564,7 +548,7 @@ impl Wire {
                             });
                             answered += 1;
                         }
-                        Fate::Delay(ns, b) => {
+                        NetAction::Delay(ns, b) => {
                             sink = None;
                             out.push(ExchangeReply {
                                 bytes: b,
@@ -572,7 +556,7 @@ impl Wire {
                             });
                             answered += 1;
                         }
-                        Fate::Drop => {}
+                        NetAction::Drop => {}
                     }
                 }
             }

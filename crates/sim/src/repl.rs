@@ -16,8 +16,8 @@ use crate::time::SimClock;
 /// cost is folded into `latency_ns`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplLink {
-    pub latency_ns: u64,
-    pub byte_ns: u64,
+    pub(crate) latency_ns: u64,
+    pub(crate) byte_ns: u64,
 }
 
 impl ReplLink {
@@ -32,7 +32,7 @@ impl ReplLink {
 
     /// Round-trip for one shipped frame of `bytes` payload on this link:
     /// out-serialization + propagation out and back.
-    pub fn ack_delay_ns(&self, bytes: usize) -> u64 {
+    pub(crate) fn ack_delay_ns(&self, bytes: usize) -> u64 {
         2 * self.latency_ns + self.byte_ns * bytes as u64
     }
 }
@@ -63,7 +63,12 @@ impl ReplTransport {
     /// `need`) shipping `bytes`, without advancing time. Returns `None`
     /// when fewer than `need` backups are available — the quorum cannot
     /// be met.
-    pub fn quorum_delay_ns(&self, bytes: usize, backups: &[usize], need: usize) -> Option<u64> {
+    pub(crate) fn quorum_delay_ns(
+        &self,
+        bytes: usize,
+        backups: &[usize],
+        need: usize,
+    ) -> Option<u64> {
         if need == 0 {
             return Some(0);
         }
@@ -86,11 +91,6 @@ impl ReplTransport {
         let d = self.quorum_delay_ns(bytes, backups, need)?;
         self.clock.advance_ns(d);
         Some(d)
-    }
-
-    /// The transport's clock (the group's shared virtual clock).
-    pub fn clock(&self) -> &SimClock {
-        &self.clock
     }
 }
 
@@ -125,18 +125,18 @@ mod tests {
     #[test]
     fn ship_advances_clock_by_quorum_delay_and_charges_bytes() {
         let t = transport(&[50, 50]);
-        let t0 = t.clock().now();
+        let t0 = t.clock.now();
         let d = t.ship(1_000, &[0, 1], 2).expect("quorum reachable");
         assert_eq!(d, 2 * 50_000 + 10 * 1_000);
-        assert_eq!(t.clock().now().as_nanos() - t0.as_nanos(), d);
+        assert_eq!(t.clock.now().as_nanos() - t0.as_nanos(), d);
     }
 
     #[test]
     fn unreachable_quorum_ships_nothing_and_charges_nothing() {
         let t = transport(&[50, 50]);
-        let t0 = t.clock().now();
+        let t0 = t.clock.now();
         assert_eq!(t.ship(100, &[0], 2), None);
-        assert_eq!(t.clock().now(), t0, "no quorum, no time charged");
+        assert_eq!(t.clock.now(), t0, "no quorum, no time charged");
         // A quorum of zero is trivially met instantly (single-member group).
         assert_eq!(t.ship(100, &[], 0), Some(0));
     }
@@ -151,7 +151,7 @@ mod tests {
                     out.push(t.ship(bytes, &[0, 1, 2, 3], need));
                 }
             }
-            (out, t.clock().now())
+            (out, t.clock.now())
         };
         assert_eq!(run(), run());
     }

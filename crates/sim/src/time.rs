@@ -14,9 +14,6 @@ use std::sync::Arc;
 pub struct SimTime(pub u64);
 
 impl SimTime {
-    /// Zero.
-    pub const ZERO: SimTime = SimTime(0);
-
     /// Builds from whole microseconds.
     pub fn from_micros(us: u64) -> Self {
         SimTime(us * 1_000)
@@ -93,7 +90,7 @@ impl SimClock {
     }
 
     /// Measures the virtual time a closure consumes.
-    pub fn measure<T>(&self, f: impl FnOnce() -> T) -> (T, SimTime) {
+    pub(crate) fn measure<T>(&self, f: impl FnOnce() -> T) -> (T, SimTime) {
         let start = self.now();
         let out = f();
         (out, self.now().since(start))
@@ -128,7 +125,7 @@ impl sfs_telemetry::Clock for SimClock {
 /// and [`Self::forget_until`] drops the past no future request can
 /// reach, so the calendar stays small.
 #[derive(Debug, Clone, Default)]
-pub struct Timeline {
+pub(crate) struct Timeline {
     /// Non-overlapping busy intervals `(start, end)` in time order,
     /// coalesced when they touch. A deque: reservations land at or near
     /// the back, [`Self::forget_until`] drops from the front.
@@ -139,13 +136,13 @@ pub struct Timeline {
 
 impl Timeline {
     /// An empty (fully idle) timeline.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Where a reservation of `work_ns` starting no earlier than
     /// `ready_ns` would be placed, without placing it.
-    pub fn probe(&self, ready_ns: u64, work_ns: u64) -> u64 {
+    pub(crate) fn probe(&self, ready_ns: u64, work_ns: u64) -> u64 {
         let mut t = ready_ns;
         // From the last interval starting at or before `ready_ns` (it may
         // still run past it) on.
@@ -168,7 +165,7 @@ impl Timeline {
     /// `ready_ns`, in the earliest gap that fits. Returns
     /// `(start_ns, end_ns)`. A zero-length reservation returns
     /// `(ready_ns, ready_ns)` without touching the calendar.
-    pub fn reserve(&mut self, ready_ns: u64, work_ns: u64) -> (u64, u64) {
+    pub(crate) fn reserve(&mut self, ready_ns: u64, work_ns: u64) -> (u64, u64) {
         if work_ns == 0 {
             return (ready_ns, ready_ns);
         }
@@ -196,7 +193,7 @@ impl Timeline {
     }
 
     /// Total work reserved so far.
-    pub fn busy_ns(&self) -> u64 {
+    pub(crate) fn busy_ns(&self) -> u64 {
         self.busy_ns
     }
 
@@ -204,7 +201,7 @@ impl Timeline {
     /// Exact for every later reservation ready at or after the horizon:
     /// [`Self::probe`] never looks further back than the interval just
     /// before its ready time, and one that ended by then cannot delay it.
-    pub fn forget_until(&mut self, horizon_ns: u64) {
+    pub(crate) fn forget_until(&mut self, horizon_ns: u64) {
         while self.busy.front().is_some_and(|&(_, e)| e <= horizon_ns) {
             self.busy.pop_front();
         }
@@ -223,7 +220,7 @@ pub struct CoreReservation {
     /// Which core ran the work.
     pub core: usize,
     /// When the work started (≥ the requested ready time).
-    pub start_ns: u64,
+    pub(crate) start_ns: u64,
     /// When the work completed.
     pub end_ns: u64,
 }
@@ -250,11 +247,6 @@ impl CoreSet {
         CoreSet {
             cores: vec![Timeline::new(); n.max(1)],
         }
-    }
-
-    /// Number of cores.
-    pub fn cores(&self) -> usize {
-        self.cores.len()
     }
 
     /// Reserves `work_ns` on whichever core can start it earliest at or
@@ -284,11 +276,12 @@ impl CoreSet {
     }
 
     /// Total work reserved on core `i`.
-    pub fn busy_ns(&self, i: usize) -> u64 {
+    #[cfg(test)]
+    fn busy_ns(&self, i: usize) -> u64 {
         self.cores.get(i).map(Timeline::busy_ns).unwrap_or(0)
     }
 
-    /// [`Timeline::forget_until`] on every core.
+    /// `Timeline::forget_until` on every core.
     pub fn forget_until(&mut self, horizon_ns: u64) {
         for core in &mut self.cores {
             core.forget_until(horizon_ns);
@@ -309,7 +302,7 @@ mod tests {
     #[test]
     fn clock_starts_at_zero_and_advances() {
         let c = SimClock::new();
-        assert_eq!(c.now(), SimTime::ZERO);
+        assert_eq!(c.now(), SimTime(0));
         c.advance_ns(500);
         assert_eq!(c.now().as_nanos(), 500);
         c.advance(SimTime::from_micros(2));
@@ -356,7 +349,7 @@ mod tests {
     fn since_saturates() {
         let a = SimTime(5);
         let b = SimTime(10);
-        assert_eq!(a.since(b), SimTime::ZERO);
+        assert_eq!(a.since(b), SimTime(0));
         assert_eq!(b.since(a).as_nanos(), 5);
     }
 

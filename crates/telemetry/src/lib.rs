@@ -30,7 +30,7 @@
 //! "proto.channel", "core.client", "bench", …) becomes the thread row,
 //! i.e. the layer within the host.
 
-pub mod metrics;
+mod metrics;
 pub mod sync;
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -165,7 +165,7 @@ pub struct SpanInfo {
     /// Duration in ns.
     pub dur_ns: u64,
     /// Nesting depth within the process at start time (1 = top level).
-    pub depth: u32,
+    pub(crate) depth: u32,
 }
 
 impl Telemetry {
@@ -363,7 +363,8 @@ impl Telemetry {
     }
 
     /// High-water mark of gauge `(proc, name)` (0 if never written).
-    pub fn gauge_hwm(&self, proc: &str, name: &'static str) -> u64 {
+    #[cfg(test)]
+    fn gauge_hwm(&self, proc: &str, name: &'static str) -> u64 {
         let Some(inner) = &self.inner else { return 0 };
         let proc = self.qualify(proc);
         inner
@@ -480,19 +481,6 @@ impl Telemetry {
         }
         out.push(']');
         out
-    }
-
-    /// Quantile of histogram `(proc, name)`, if it exists and is
-    /// non-empty.
-    pub fn quantile(&self, proc: &str, name: &'static str, q: f64) -> Option<u64> {
-        let inner = self.inner.as_ref()?;
-        let proc = self.qualify(proc);
-        inner
-            .state
-            .lock()
-            .hists
-            .get(&(proc, name))
-            .and_then(|h| h.quantile(q))
     }
 
     /// Every completed span in completion order (tests/inspection).
@@ -803,13 +791,13 @@ struct ActiveSpan {
 
 impl Span {
     /// Attaches a key/value attribute to the span.
-    pub fn attr(&mut self, key: &'static str, value: impl std::fmt::Display) {
+    pub(crate) fn attr(&mut self, key: &'static str, value: impl std::fmt::Display) {
         if let Some(a) = &mut self.0 {
             a.args.push((key, value.to_string()));
         }
     }
 
-    /// Builder-style [`Self::attr`].
+    /// Builder-style `Self::attr`.
     pub fn with_attr(mut self, key: &'static str, value: impl std::fmt::Display) -> Self {
         self.attr(key, value);
         self

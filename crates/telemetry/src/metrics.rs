@@ -11,7 +11,7 @@ const SUB: u64 = 1 << SUB_BITS;
 
 /// Maps a value to its bucket index. Continuous: bucket lower bounds
 /// are 0,1,..,15,16,17,..,31,32,34,.. (step doubles each magnitude).
-pub fn bucket_index(value: u64) -> usize {
+pub(crate) fn bucket_index(value: u64) -> usize {
     if value < SUB {
         return value as usize;
     }
@@ -22,7 +22,7 @@ pub fn bucket_index(value: u64) -> usize {
 }
 
 /// The smallest value mapping to `index` (the bucket's lower bound).
-pub fn bucket_lower_bound(index: usize) -> u64 {
+pub(crate) fn bucket_lower_bound(index: usize) -> u64 {
     if index < SUB as usize {
         return index as u64;
     }
@@ -43,7 +43,7 @@ pub struct Histogram {
 
 impl Histogram {
     /// An empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Histogram {
             buckets: Vec::new(),
             count: 0,
@@ -54,7 +54,7 @@ impl Histogram {
     }
 
     /// Records one observation.
-    pub fn record(&mut self, value: u64) {
+    pub(crate) fn record(&mut self, value: u64) {
         let idx = bucket_index(value);
         if idx >= self.buckets.len() {
             self.buckets.resize(idx + 1, 0);
@@ -79,15 +79,6 @@ impl Histogram {
     /// Largest observation (exact), or 0 when empty.
     pub fn max(&self) -> u64 {
         self.max
-    }
-
-    /// Smallest observation (exact), or 0 when empty.
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
     }
 
     /// Mean observation, rounded down, or 0 when empty.

@@ -4,8 +4,8 @@
 //! directly: a panic while holding a lock does not poison it for the
 //! next caller (the simulator is single-threaded per virtual host, and
 //! tests that probe panics still want the state afterwards). The API
-//! mirrors `parking_lot`: `lock()`/`read()`/`write()` return guards
-//! directly, with no `Result` to unwrap at every call site.
+//! mirrors `parking_lot`: `lock()` returns the guard directly, with no
+//! `Result` to unwrap at every call site.
 //!
 //! **The lock budget.** No program crate starts a thread, so every
 //! acquisition is uncontended — and still costs two atomic
@@ -56,17 +56,12 @@ impl<T: ?Sized> Mutex<T> {
     }
 
     /// Attempts to acquire the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+    pub(crate) fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         match self.0.try_lock() {
             Ok(g) => Some(g),
             Err(std::sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
             Err(std::sync::TryLockError::WouldBlock) => None,
         }
-    }
-
-    /// Mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -82,45 +77,6 @@ impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for Mutex<T> {
             Some(g) => f.debug_tuple("Mutex").field(&&*g).finish(),
             None => f.write_str("Mutex(<locked>)"),
         }
-    }
-}
-
-/// A reader-writer lock; `read`/`write` never return poison errors.
-#[derive(Default)]
-pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
-
-/// Guard type returned by [`RwLock::read`].
-pub type RwLockReadGuard<'a, T> = std::sync::RwLockReadGuard<'a, T>;
-/// Guard type returned by [`RwLock::write`].
-pub type RwLockWriteGuard<'a, T> = std::sync::RwLockWriteGuard<'a, T>;
-
-impl<T> RwLock<T> {
-    /// Creates a new lock holding `value`.
-    pub const fn new(value: T) -> Self {
-        RwLock(std::sync::RwLock::new(value))
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires a shared read guard.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Acquires an exclusive write guard.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("RwLock(..)")
     }
 }
 
@@ -183,13 +139,5 @@ mod tests {
             2,
             "other threads' locks are not"
         );
-    }
-
-    #[test]
-    fn rwlock_basics() {
-        let l = RwLock::new(vec![1, 2]);
-        assert_eq!(l.read().len(), 2);
-        l.write().push(3);
-        assert_eq!(l.read().len(), 3);
     }
 }

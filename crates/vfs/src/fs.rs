@@ -76,7 +76,6 @@ pub struct Vfs {
     /// Exported as the `fsid` in attributes; SFS gives every mount point
     /// its own device number (§3.3).
     fsid: u64,
-    read_only: bool,
 }
 
 impl Vfs {
@@ -105,7 +104,6 @@ impl Vfs {
             clock,
             disk: None,
             fsid,
-            read_only: false,
         }
     }
 
@@ -120,12 +118,6 @@ impl Vfs {
     /// around dispatch.
     pub fn disk(&self) -> Option<&SimDisk> {
         self.disk.as_ref()
-    }
-
-    /// Marks the file system read-only (used for replicated read-only
-    /// exports, §2.4).
-    pub fn set_read_only(&mut self, ro: bool) {
-        self.read_only = ro;
     }
 
     /// The root inode number.
@@ -205,7 +197,6 @@ impl Vfs {
 
     /// Applies a selective attribute update.
     pub fn setattr(&self, creds: &Credentials, ino: Ino, set: SetAttr) -> FsResult<Attr> {
-        self.write_guard()?;
         let now = self.now();
         let mut inner = self.inner.lock();
         let inode = inner.inodes.get_mut(&ino).ok_or(FsError::Stale)?;
@@ -298,14 +289,6 @@ impl Vfs {
         Ok((cur, attr))
     }
 
-    fn write_guard(&self) -> FsResult<()> {
-        if self.read_only {
-            Err(FsError::ReadOnly)
-        } else {
-            Ok(())
-        }
-    }
-
     fn alloc_inode(
         inner: &mut VfsInner,
         creds: &Credentials,
@@ -344,7 +327,6 @@ impl Vfs {
         mode: u32,
         content: Content,
     ) -> FsResult<(Ino, Attr)> {
-        self.write_guard()?;
         Self::check_name(name)?;
         let now = self.now();
         let mut inner = self.inner.lock();
@@ -435,7 +417,6 @@ impl Vfs {
 
     /// Creates a hard link to a regular file.
     pub fn link(&self, creds: &Credentials, file: Ino, dir: Ino, name: &str) -> FsResult<Attr> {
-        self.write_guard()?;
         Self::check_name(name)?;
         let now = self.now();
         let mut inner = self.inner.lock();
@@ -492,7 +473,6 @@ impl Vfs {
         name: &str,
         want_dir: bool,
     ) -> FsResult<()> {
-        self.write_guard()?;
         Self::check_name(name)?;
         let now = self.now();
         let mut inner = self.inner.lock();
@@ -556,7 +536,6 @@ impl Vfs {
         to_dir: Ino,
         to_name: &str,
     ) -> FsResult<()> {
-        self.write_guard()?;
         Self::check_name(from_name)?;
         Self::check_name(to_name)?;
         let now = self.now();
@@ -691,7 +670,6 @@ impl Vfs {
         data: &[u8],
         stable: bool,
     ) -> FsResult<Attr> {
-        self.write_guard()?;
         let now = self.now();
         let mut inner = self.inner.lock();
         let inode = inner.inodes.get_mut(&ino).ok_or(FsError::Stale)?;
@@ -1053,25 +1031,6 @@ mod tests {
             .unwrap();
         assert_eq!(page3.len(), 2);
         assert!(eof3);
-    }
-
-    #[test]
-    fn read_only_fs_rejects_mutation() {
-        let mut fs = fs();
-        let creds = root_creds();
-        fs.create(&creds, fs.root(), "pre", 0o644).unwrap();
-        fs.set_read_only(true);
-        assert_eq!(
-            fs.create(&creds, fs.root(), "f", 0o644).unwrap_err(),
-            FsError::ReadOnly
-        );
-        assert_eq!(
-            fs.remove(&creds, fs.root(), "pre").unwrap_err(),
-            FsError::ReadOnly
-        );
-        // Reads still work.
-        let (ino, _) = fs.lookup(&creds, fs.root(), "pre").unwrap();
-        fs.read(&creds, ino, 0, 10).unwrap();
     }
 
     #[test]

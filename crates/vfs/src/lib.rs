@@ -15,7 +15,7 @@
 //! - the namespace in which symlink-based key management (§2.4) lives.
 
 pub mod fs;
-pub mod types;
+mod types;
 
 pub use fs::Vfs;
-pub use types::{AccessMode, Attr, Credentials, FileType, FsError, FsResult, Ino, SetAttr};
+pub use types::{AccessMode, Attr, Credentials, FileType, FsError, Ino, SetAttr};

@@ -4,7 +4,7 @@
 pub type Ino = u64;
 
 /// Result alias for file-system operations.
-pub type FsResult<T> = Result<T, FsError>;
+pub(crate) type FsResult<T> = Result<T, FsError>;
 
 /// File-system errors, aligned with the NFS3 status codes they map to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,8 +29,6 @@ pub enum FsError {
     Invalid,
     /// Stale file handle — the file was deleted (NFS3ERR_STALE).
     Stale,
-    /// The file system is read-only (NFS3ERR_ROFS).
-    ReadOnly,
     /// Too many hard links (NFS3ERR_MLINK).
     TooManyLinks,
     /// Operation only valid on a symlink / value is not a symlink.
@@ -50,7 +48,6 @@ impl std::fmt::Display for FsError {
             FsError::NameTooLong => "file name too long",
             FsError::Invalid => "invalid argument",
             FsError::Stale => "stale file handle",
-            FsError::ReadOnly => "read-only file system",
             FsError::TooManyLinks => "too many links",
             FsError::NotSymlink => "not a symbolic link",
         };
@@ -158,12 +155,12 @@ impl Credentials {
     }
 
     /// Whether these credentials carry `gid`.
-    pub fn in_group(&self, gid: u32) -> bool {
+    pub(crate) fn in_group(&self, gid: u32) -> bool {
         self.gids.contains(&gid)
     }
 
     /// Whether this is the superuser.
-    pub fn is_root(&self) -> bool {
+    pub(crate) fn is_root(&self) -> bool {
         self.uid == 0
     }
 }

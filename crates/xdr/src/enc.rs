@@ -241,7 +241,7 @@ impl<'a> XdrDecoder<'a> {
     /// Decodes `n` bytes of fixed-length opaque data plus padding,
     /// borrowing straight from the input — the zero-copy accessor for
     /// payloads that only need to be inspected or relayed.
-    pub fn get_opaque_fixed_ref(&mut self, n: usize) -> Result<&'a [u8], XdrError> {
+    pub(crate) fn get_opaque_fixed_ref(&mut self, n: usize) -> Result<&'a [u8], XdrError> {
         let data = self.take(n)?;
         let pad = (4 - n % 4) % 4;
         let padding = self.take(pad)?;
@@ -281,7 +281,7 @@ impl<'a> XdrDecoder<'a> {
     }
 
     /// Borrowing variant of [`Self::get_string`].
-    pub fn get_str_ref(&mut self) -> Result<&'a str, XdrError> {
+    pub(crate) fn get_str_ref(&mut self) -> Result<&'a str, XdrError> {
         std::str::from_utf8(self.get_opaque_ref()?).map_err(|_| XdrError::BadUtf8)
     }
 }
