@@ -16,6 +16,7 @@ use std::sync::Arc;
 use sfs::ShardEngine;
 use sfs_nfs3::Nfs3Server;
 use sfs_sim::{NetParams, SimClock, Transport, Wire};
+use sfs_telemetry::sync::Mutex;
 
 use crate::kernel::{FsBench, KernelNfs, LocalFs, SfsBench};
 use crate::world::{World, WorldSpec};
@@ -113,7 +114,7 @@ impl Testbed {
                     server.set_telemetry(tel);
                 }
                 if let Some(plan) = &spec.plan {
-                    wire.set_fault_plan(plan.clone());
+                    wire.set_interceptor(Arc::new(Mutex::new(plan.clone())));
                 }
                 let cpu = spec.cpu.expect("the kernel NFS stack charges CPU");
                 Box::new(KernelNfs::new(

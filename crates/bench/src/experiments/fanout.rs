@@ -25,6 +25,8 @@
 //! the envelope is a performance one; what must never happen, faults or
 //! not, is an unverified byte getting through.
 
+use std::sync::Arc;
+
 use sfs::client::Router;
 use sfs::roclient::RoMount;
 use sfs::server::RoReplicaServer;
@@ -33,6 +35,7 @@ use sfs_proto::pathname::SelfCertifyingPath;
 use sfs_proto::readonly::RoDatabase;
 use sfs_relay::ReplicaGroup;
 use sfs_sim::{FaultPlan, NetParams, SimClock, Transport, Wire};
+use sfs_telemetry::sync::Mutex;
 use sfs_vfs::{Credentials, Vfs};
 
 use crate::driver::{Ctx, Report};
@@ -99,7 +102,7 @@ fn run_replicas(
             let clock = SimClock::new();
             let mut wire = Wire::new(clock.clone(), NetParams::switched_100mbit(Transport::Tcp));
             if let Some(p) = plan {
-                wire.set_fault_plan(p.clone());
+                wire.set_interceptor(Arc::new(Mutex::new(p.clone())));
             }
             let routed = group.route_ro().expect("group has live replicas");
             if let Some(load) = routed.load {

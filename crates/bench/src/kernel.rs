@@ -438,28 +438,36 @@ impl KernelNfs {
     /// charges at both ends. Like the in-kernel clients, a lost request
     /// or reply is simply retransmitted (NFS3 procedures are idempotent
     /// or protected by the server's reply semantics), bounded so a dead
-    /// server eventually surfaces as an I/O error.
+    /// server eventually surfaces as an I/O error. A reply the server
+    /// did not send for this call — corrupted in flight, or another
+    /// call's — counts as lost: the transport's checksum and the RPC
+    /// xid discard it, and the client waits out the timeout.
     fn rpc(&self, creds: &Credentials, req: &Nfs3Request) -> Result<Nfs3Reply> {
         const MAX_RETRANSMITS: u32 = 8;
         self.cpu.charge_rpc(&self.clock);
         let args = req.encode_args();
         let proc = req.proc();
         let wire_len = args.len() + 40; // RPC header overhead
-        let mut server = |_| {
-            self.cpu.charge_rpc(&self.clock);
-            let reply = self.server.handle(creds, req);
-            let bytes = reply.encode_results();
-            self.cpu.charge_server_copy(&self.clock, bytes.len());
-            bytes
-        };
+        let mut served = Vec::new();
         let mut attempt = 0;
         let mut x = self.exchange.lock();
         let results = loop {
-            match self.wire.call(vec![0u8; wire_len], &mut x, &mut server) {
-                Ok(r) => break r,
-                Err(WireError::Timeout) if attempt < MAX_RETRANSMITS => attempt += 1,
-                Err(_) => return Err(BenchFsError::Nfs(Status::Io)),
+            served.clear();
+            let reply = self.wire.call(vec![0u8; wire_len], &mut x, |_| {
+                self.cpu.charge_rpc(&self.clock);
+                let reply = self.server.handle(creds, req);
+                let bytes = reply.encode_results();
+                self.cpu.charge_server_copy(&self.clock, bytes.len());
+                served.push(bytes.clone());
+                bytes
+            });
+            match reply {
+                Ok(r) if served.contains(&r) => break r,
+                _ if attempt == MAX_RETRANSMITS => return Err(BenchFsError::Nfs(Status::Io)),
+                Ok(_) => self.wire.timeout_wait(),
+                Err(WireError::Timeout) => {}
             }
+            attempt += 1;
         };
         Nfs3Reply::decode_results(proc, &results).map_err(|_| BenchFsError::Nfs(Status::Io))
     }
@@ -978,8 +986,30 @@ fn split(path: &str) -> (&str, &str) {
 
 #[cfg(test)]
 mod tests {
+    use sfs_sim::{FaultKind, FaultPlan};
+
     use crate::calib::{System, Testbed};
     use crate::world::WorldSpec;
+
+    #[test]
+    fn the_kernel_nfs_client_takes_only_the_reply_its_call_was_sent() {
+        // A reply corrupted in flight fails the transport's checksum,
+        // another call's reply the RPC xid: both count as lost, and the
+        // client retransmits instead of decoding garbage or another
+        // call's results.
+        let plan = FaultPlan::from_spec("seed=11,corrupt=100,reorder=100").unwrap();
+        for system in [System::NfsUdp, System::NfsTcp] {
+            let bed = Testbed::build(system, &WorldSpec::bench().faulted(Some(&plan)));
+            let path = format!("{}/f", bed.prefix);
+            bed.fs.create(&path).unwrap();
+            for i in 0..100 {
+                assert_eq!(bed.fs.chown_fail(&path), Ok(()), "{system:?} call {i}");
+            }
+        }
+        for kind in [FaultKind::Corrupt, FaultKind::Reorder] {
+            assert!(plan.events().iter().any(|e| e.kind == kind), "{kind:?}");
+        }
+    }
 
     #[test]
     fn a_path_with_and_without_its_leading_slash_is_one_cache_entry() {

@@ -22,6 +22,7 @@ use sfs_relay::{ReplGroup, ReplicaGroup};
 use sfs_sim::{
     CpuCosts, DiskParams, FaultPlan, JournalDisk, NetParams, SimClock, SimDisk, Transport,
 };
+use sfs_telemetry::sync::Mutex;
 use sfs_telemetry::Telemetry;
 use sfs_vfs::{Credentials, SetAttr, Vfs};
 
@@ -223,11 +224,11 @@ impl WorldSpec {
         clock
     }
 
-    /// The switched 100 Mbit network on `clock`, following the plan.
+    /// The switched 100 Mbit network on `clock`, the plan its adversary.
     fn network(&self, clock: &SimClock) -> Arc<SfsNetwork> {
         let net = SfsNetwork::new(clock.clone(), NetParams::switched_100mbit(Transport::Tcp));
         if let Some(plan) = &self.plan {
-            net.set_fault_plan(plan.clone());
+            net.set_interceptor(Arc::new(Mutex::new(plan.clone())));
         }
         net
     }
@@ -325,6 +326,9 @@ impl World {
                     w.servers.push(server);
                 }
                 let group = ReplicaGroup::new(w.path().clone());
+                if let Some(tel) = &spec.tel {
+                    group.set_telemetry(tel);
+                }
                 w.servers.iter().for_each(|s| group.add_rw(s.clone()));
                 w.net.register_relay(location, group.clone());
                 w.relay = Some(group);

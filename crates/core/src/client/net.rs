@@ -1,6 +1,6 @@
 //! The simulated internet and the routing seam (§3.2 connection
-//! hand-off): Location → endpoint, with per-link parameters and
-//! optional adversary hooks applied to newly dialed connections.
+//! hand-off): Location → endpoint, with per-link parameters, an optional
+//! adversary and a packet recorder applied to newly dialed connections.
 //!
 //! Owns [`SfsNetwork`] and the [`Router`] trait a replica group's
 //! routing tier implements. Calls only into `server` (`accept`) and
@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use sfs_sim::{FaultPlan, Interceptor, NetParams, PacketLog, ServerLoad, SimClock, Wire};
+use sfs_sim::{Interceptor, NetParams, PacketLog, ServerLoad, SimClock, Wire};
 use sfs_telemetry::sync::Mutex;
 use sfs_telemetry::Telemetry;
 
@@ -78,13 +78,13 @@ enum Endpoint {
 }
 
 /// The simulated internet: Location → endpoint, with per-link parameters
-/// and optional adversary hooks (applied to newly dialed connections).
+/// and an optional adversary and recorder (applied to newly dialed
+/// connections).
 pub struct SfsNetwork {
     clock: SimClock,
     params: NetParams,
     servers: Mutex<HashMap<String, Endpoint>>,
-    interceptor: Mutex<Option<Arc<Mutex<dyn Interceptor>>>>,
-    fault: Mutex<Option<FaultPlan>>,
+    adversary: Mutex<Option<Arc<Mutex<dyn Interceptor>>>>,
     log: Mutex<Option<PacketLog>>,
     tel: Mutex<Telemetry>,
 }
@@ -96,8 +96,7 @@ impl SfsNetwork {
             clock,
             params,
             servers: Mutex::new(HashMap::new()),
-            interceptor: Mutex::new(None),
-            fault: Mutex::new(None),
+            adversary: Mutex::new(None),
             log: Mutex::new(None),
             tel: Mutex::new(Telemetry::disabled()),
         })
@@ -124,14 +123,12 @@ impl SfsNetwork {
             .insert(location.to_string(), Endpoint::Relay(router));
     }
 
-    /// Attaches an adversary to all future connections.
+    /// Attaches the adversary — a scripted attacker or a seeded
+    /// [`sfs_sim::FaultPlan`] — to all future connections, replacing any
+    /// attached before. Every wire shares it, so its decisions stay in
+    /// one order across reconnects.
     pub fn set_interceptor(&self, i: Arc<Mutex<dyn Interceptor>>) {
-        *self.interceptor.lock() = Some(i);
-    }
-
-    /// Attaches a seeded fault plan to all future connections.
-    pub fn set_fault_plan(&self, plan: FaultPlan) {
-        *self.fault.lock() = Some(plan);
+        *self.adversary.lock() = Some(i);
     }
 
     /// Attaches a packet recorder to all future connections.
@@ -139,18 +136,15 @@ impl SfsNetwork {
         *self.log.lock() = Some(log);
     }
 
-    /// A fresh wire carrying this network's adversary hooks and sink,
+    /// A fresh wire carrying this network's adversary, recorder and sink,
     /// attached to the routed machine's contention tracker if it has one.
     fn fresh_wire(&self, load: Option<ServerLoad>) -> Wire {
         let mut wire = Wire::new(self.clock.clone(), self.params);
         if let Some(load) = load {
             wire.set_server_load(load);
         }
-        if let Some(i) = &*self.interceptor.lock() {
+        if let Some(i) = &*self.adversary.lock() {
             wire.set_interceptor(i.clone());
-        }
-        if let Some(f) = &*self.fault.lock() {
-            wire.set_fault_plan(f.clone());
         }
         if let Some(l) = &*self.log.lock() {
             wire.set_log(l.clone());

@@ -15,7 +15,7 @@ use sfs::client::force_open_ahead;
 use sfs_bench::oracle::{Oracle, OracleSpec, RunOutcome, BATTERY};
 use sfs_bench::world::{Behind, World, WorldSpec, UID};
 use sfs_proto::channel::SuiteId;
-use sfs_sim::{Direction, Interceptor, Verdict};
+use sfs_sim::{Direction, Interceptor, SimTime, Verdict};
 
 /// The switch, held for one test.
 fn switch() -> MutexGuard<'static, ()> {
@@ -110,12 +110,12 @@ struct PanicOnThirdReply {
 }
 
 impl Interceptor for PanicOnThirdReply {
-    fn intercept(&mut self, dir: Direction, _: &[u8]) -> Verdict {
+    fn intercept(&mut self, dir: Direction, _: SimTime, bytes: Vec<u8>) -> Verdict {
         if dir == Direction::Reply && self.armed.load(Ordering::Relaxed) {
             self.seen += 1;
             assert!(self.seen < 3, "the wire fails mid-window");
         }
-        Verdict::Deliver
+        Verdict::Deliver(bytes)
     }
 }
 

@@ -26,11 +26,13 @@
 use std::sync::Arc;
 
 use sfs::client::{Mount, RetryPolicy, DEFAULT_PIPELINE_WINDOW};
+use sfs::wire::ReplyMsg;
 use sfs_bench::world::{World, WorldSpec, UID as ALICE_UID};
 use sfs_nfs3::{Nfs3Reply, Nfs3Request, Sattr3, Status};
-use sfs_sim::{Direction, FaultEvent, FaultPlan, Interceptor, PacketLog, Verdict};
+use sfs_sim::{Direction, FaultEvent, FaultPlan, Interceptor, PacketLog, SimTime, Verdict};
 use sfs_telemetry::sync::Mutex;
 use sfs_telemetry::Telemetry;
+use sfs_xdr::Xdr;
 
 /// The batch is wider than the window so the engine must run several
 /// exchange rounds and chunk boundaries are exercised.
@@ -266,19 +268,17 @@ fn reply_cache_is_bounded_by_the_retransmit_horizon_without_breaking_exactly_onc
 struct HideBatchStarts;
 
 impl Interceptor for HideBatchStarts {
-    fn intercept(&mut self, dir: Direction, bytes: &[u8]) -> Verdict {
+    fn intercept(&mut self, dir: Direction, _: SimTime, mut bytes: Vec<u8>) -> Verdict {
         // Discriminant 7 is a sealed call, 8 a sealed reply; the xid is
         // bytes 12..16.
         let (disc, flip): (u8, fn(u8) -> u8) = match dir {
             Direction::Request => (7, |b| b | 0x80),
             Direction::Reply => (8, |b| b & 0x7F),
         };
-        if bytes.len() < 16 || bytes[..4] != [0, 0, 0, disc] {
-            return Verdict::Deliver;
+        if bytes.len() >= 16 && bytes[..4] == [0, 0, 0, disc] {
+            bytes[12] = flip(bytes[12]);
         }
-        let mut out = bytes.to_vec();
-        out[12] = flip(out[12]);
-        Verdict::Replace(out)
+        Verdict::Deliver(bytes)
     }
 }
 
@@ -344,15 +344,15 @@ fn window_one_matches_blocking_replies() {
 /// `strike` and lets everything else through.
 struct OneReply {
     armed: bool,
-    strike: fn(&[u8]) -> Verdict,
+    strike: fn(Vec<u8>) -> Verdict,
 }
 
 impl Interceptor for OneReply {
-    fn intercept(&mut self, dir: Direction, bytes: &[u8]) -> Verdict {
+    fn intercept(&mut self, dir: Direction, _: SimTime, bytes: Vec<u8>) -> Verdict {
         if dir == Direction::Reply && std::mem::take(&mut self.armed) {
             (self.strike)(bytes)
         } else {
-            Verdict::Deliver
+            Verdict::Deliver(bytes)
         }
     }
 }
@@ -361,7 +361,7 @@ impl Interceptor for OneReply {
 /// `strike`. Returns the call's reply, the mount, and the counters of
 /// both ends, with `nfs3.calls` taken around the MKDIR alone.
 fn blocking_mkdir_whose_first_reply_meets(
-    strike: fn(&[u8]) -> Verdict,
+    strike: fn(Vec<u8>) -> Verdict,
 ) -> (Nfs3Reply, Arc<Mount>, Telemetry, u64) {
     let w = world(&FaultPlan::from_spec("seed=0").unwrap());
     let tel = Telemetry::counters();
@@ -415,10 +415,9 @@ fn blocking_loop_discards_a_stray_reply_on_its_cleartext_header() {
     // poison the channel; the client instead drops it on the header,
     // waits out the timeout and resends, and the server's cached reply
     // opens at the position the receive cipher still stands at.
-    let (reply, mount, tel, dispatched) = blocking_mkdir_whose_first_reply_meets(|bytes| {
-        let mut stray = bytes.to_vec();
+    let (reply, mount, tel, dispatched) = blocking_mkdir_whose_first_reply_meets(|mut stray| {
         stray[11] ^= 1; // low byte of the big-endian chanseq at [4..12]
-        Verdict::Replace(stray)
+        Verdict::Deliver(stray)
     });
     assert!(matches!(reply, Nfs3Reply::Mkdir { .. }), "{reply:?}");
     assert_eq!(dispatched, 1);
@@ -426,6 +425,30 @@ fn blocking_loop_discards_a_stray_reply_on_its_cleartext_header() {
     assert_eq!(tel.counter("client", "retry.retransmits"), 1);
     assert_eq!(tel.counter("server", "pipeline.retransmits"), 1);
     assert_eq!(mount.reconnects(), 0, "the stray must not reach the cipher");
+}
+
+#[test]
+fn blocking_loop_reconnects_on_a_server_refusal_whatever_its_words() {
+    // The reply is replaced by a server Error whose words the wire
+    // mangled: no words the client knows, but unsequenced and an Error,
+    // so the session is given up and rekeyed. The MKDIR the server did
+    // run comes back `Exist` on the new session, as NFS retry semantics
+    // have it.
+    let (reply, mount, tel, _) = blocking_mkdir_whose_first_reply_meets(|_| {
+        Verdict::Deliver(ReplyMsg::Error("chanmel failuse: garbled".into()).to_xdr())
+    });
+    assert_eq!(tel.counter("client", "reconnect.completed"), 1);
+    assert!(
+        matches!(
+            reply,
+            Nfs3Reply::Error {
+                status: Status::Exist,
+                ..
+            }
+        ),
+        "{reply:?}"
+    );
+    assert_eq!(mount.reconnects(), 1);
 }
 
 /// Records every reply; once armed, puts the last one it recorded in
@@ -436,16 +459,16 @@ struct ReplayPreviousReply {
 }
 
 impl Interceptor for ReplayPreviousReply {
-    fn intercept(&mut self, dir: Direction, bytes: &[u8]) -> Verdict {
+    fn intercept(&mut self, dir: Direction, _: SimTime, bytes: Vec<u8>) -> Verdict {
         if dir != Direction::Reply {
-            return Verdict::Deliver;
+            return Verdict::Deliver(bytes);
         }
         if std::mem::take(&mut self.armed) {
             let replay = self.last.take().expect("a reply to replay");
-            return Verdict::Replace(replay);
+            return Verdict::Deliver(replay);
         }
-        self.last = Some(bytes.to_vec());
-        Verdict::Deliver
+        self.last = Some(bytes.clone());
+        Verdict::Deliver(bytes)
     }
 }
 

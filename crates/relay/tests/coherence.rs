@@ -17,8 +17,9 @@
 //! observing anything but a retried call.
 
 use sfs_bench::oracle::{self, Oracle, OracleSpec, RunOutcome, BATTERY, FILES, OP_GAP_NS};
-use sfs_bench::world::{Behind, UID};
+use sfs_bench::world::{Behind, World, WorldSpec, UID};
 use sfs_sim::FaultPlan;
+use sfs_telemetry::Telemetry;
 
 /// Read-write replicas behind the relay in every harness. Every replica
 /// shares the VFS, the key and the fault plan, so a `crash=` instant
@@ -36,6 +37,21 @@ fn run(h: Oracle, seed: u64) -> RunOutcome<u64> {
     h.run(seed, |w| {
         w.relay.as_ref().unwrap().health_check().reboots_observed
     })
+}
+
+#[test]
+fn a_traced_relay_world_counts_its_routing() {
+    // A traced spec's sink reaches the relay as it does every other
+    // layer, so a `--trace` run of a relay world shows where its dials
+    // went.
+    let tel = Telemetry::counters();
+    let spec = WorldSpec {
+        behind: BEHIND,
+        ..WorldSpec::test()
+    };
+    let w = World::build(&spec.traced(&tel));
+    w.clients[0].mount(UID, w.path()).unwrap();
+    assert!(tel.counter("relay", "route.rw") >= 1);
 }
 
 #[test]

@@ -500,24 +500,23 @@ mod tests {
 
     #[test]
     fn sync_write_failures_cost_time_but_still_land() {
-        use crate::fault::{FaultPlan, FaultSpec};
+        use crate::fault::FaultPlan;
         let clean = disk();
-        clean.write_sync(10, 4096);
         let (d, tel) = counted_disk();
-        d.set_fault_plan(FaultPlan::new(
-            99,
-            FaultSpec {
-                disk_sync_fail_pm: 500,
-                ..FaultSpec::none()
-            },
-        ));
-        for i in 0..40 {
-            d.write_sync(10 + i * 7, 4096);
+        d.set_fault_plan(FaultPlan::from_spec("seed=99,syncfail=500").unwrap());
+        for disk in [&clean, &d] {
+            for i in 0..40 {
+                disk.write_sync(10 + i * 7, 4096);
+            }
         }
         let failures = tel.counter("server", "disk.sync_failures");
         assert!(failures > 0, "seed 99 at 500‰ must inject failures");
         let (_, w, s) = counts(&tel);
         assert_eq!((w, s), (40, 40), "every write still completes");
+        assert!(
+            d.clock().now() > clean.clock().now(),
+            "the failed attempts cost time"
+        );
     }
 
     #[test]

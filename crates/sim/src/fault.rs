@@ -2,12 +2,12 @@
 //!
 //! Paper §2.1: the threat model assumes an attacker who can "delay,
 //! duplicate, modify, or drop" packets, and a credible reproduction must
-//! stay live over an actively hostile substrate. A [`FaultPlan`]
-//! generalises the one-off [`crate::Interceptor`] hook into a first-class
-//! subsystem: one plan, seeded from a single integer, decides the fate of
-//! every packet on every attached [`crate::Wire`], every synchronous write
-//! on every attached [`crate::SimDisk`], and the crash schedule of any
-//! server that consults it. Because every decision is drawn from the
+//! stay live over an actively hostile substrate. A [`FaultPlan`] is that
+//! attacker drawn from a seed: on the wire it is the one adversary hook,
+//! an [`Interceptor`] like any scripted one, deciding the fate of every
+//! packet on every wire it is attached to; beside the wire it decides
+//! every synchronous write on every attached [`crate::SimDisk`], and the
+//! crash schedule of any server that consults it. Because every decision is drawn from the
 //! plan's own generator in call order and the whole simulation runs on
 //! the deterministic virtual clock, a chaos run is byte-for-byte
 //! reproducible from its seed: same seed ⇒ same fault schedule ⇒ same
@@ -24,7 +24,7 @@ use std::sync::Arc;
 use sfs_telemetry::sync::Mutex;
 use sfs_telemetry::Telemetry;
 
-use crate::net::Direction;
+use crate::net::{Direction, Interceptor, Verdict};
 use crate::time::SimTime;
 
 /// Every kind of fault the plan can inject.
@@ -96,11 +96,6 @@ pub struct FaultSpec {
 }
 
 impl FaultSpec {
-    /// A spec that injects nothing (useful as a builder base).
-    pub(crate) fn none() -> Self {
-        Self::default()
-    }
-
     /// Parses the `--faults` spec syntax:
     /// `drop=20,dup=5,reorder=3,corrupt=3,delay=10,delay_ns=2ms,partition=2s+500ms,crash=3s,ccrash=4s,syncfail=10`.
     ///
@@ -110,7 +105,7 @@ impl FaultSpec {
     /// `seed=N` pair is returned separately (default 0).
     pub(crate) fn parse(spec: &str) -> Result<(u64, FaultSpec), String> {
         let mut seed = 0u64;
-        let mut out = FaultSpec::none();
+        let mut out = FaultSpec::default();
         for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
             let (key, value) = part
                 .split_once('=')
@@ -192,21 +187,6 @@ pub struct FaultEvent {
     pub(crate) site: &'static str,
 }
 
-/// What becomes of one packet: the plan's decision, and the wire's
-/// once its interceptor has had the packet too.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum NetAction {
-    /// Deliver the given bytes (possibly corrupted or swapped with a
-    /// held neighbour).
-    Deliver(Vec<u8>),
-    /// Deliver the bytes twice (the receiver processes both copies).
-    Duplicate(Vec<u8>),
-    /// Deliver after an extra delay of the given ns.
-    Delay(u64, Vec<u8>),
-    /// The packet never arrives.
-    Drop,
-}
-
 struct PlanState {
     /// xorshift64* state; never zero.
     rng: u64,
@@ -285,61 +265,6 @@ impl FaultPlan {
             .instant_kv("fault", "sim.fault", kind.label(), "site", site);
     }
 
-    /// Decides the fate of one packet. Consumes generator state, so call
-    /// exactly once per packet.
-    pub(crate) fn net_action(&self, dir: Direction, now: SimTime, bytes: Vec<u8>) -> NetAction {
-        let site = match dir {
-            Direction::Request => "req",
-            Direction::Reply => "rep",
-        };
-        let mut st = self.state.lock();
-        if self
-            .spec
-            .partitions
-            .iter()
-            .any(|(start, end)| now >= *start && now < *end)
-        {
-            self.record(&mut st, now, FaultKind::Partition, site);
-            return NetAction::Drop;
-        }
-        if roll(&mut st.rng, self.spec.drop_pm) {
-            self.record(&mut st, now, FaultKind::Drop, site);
-            return NetAction::Drop;
-        }
-        if roll(&mut st.rng, self.spec.duplicate_pm) {
-            self.record(&mut st, now, FaultKind::Duplicate, site);
-            return NetAction::Duplicate(bytes);
-        }
-        if roll(&mut st.rng, self.spec.reorder_pm) {
-            self.record(&mut st, now, FaultKind::Reorder, site);
-            let slot = match dir {
-                Direction::Request => 0,
-                Direction::Reply => 1,
-            };
-            return match st.held[slot].replace(bytes) {
-                // A neighbour was already held: it now arrives in this
-                // packet's place — the two swapped positions.
-                Some(stale) => NetAction::Deliver(stale),
-                // First of the pair: held back; the caller times out.
-                None => NetAction::Drop,
-            };
-        }
-        if roll(&mut st.rng, self.spec.corrupt_pm) {
-            self.record(&mut st, now, FaultKind::Corrupt, site);
-            let mut bytes = bytes;
-            if !bytes.is_empty() {
-                let bit = next_u64(&mut st.rng) as usize % (bytes.len() * 8);
-                bytes[bit / 8] ^= 1 << (bit % 8);
-            }
-            return NetAction::Deliver(bytes);
-        }
-        if roll(&mut st.rng, self.spec.delay_pm) {
-            self.record(&mut st, now, FaultKind::Delay, site);
-            return NetAction::Delay(self.spec.delay_ns.max(1), bytes);
-        }
-        NetAction::Deliver(bytes)
-    }
-
     /// Whether a synchronous disk write at `now` fails transiently.
     pub(crate) fn sync_write_fails(&self, now: SimTime) -> bool {
         if self.spec.disk_sync_fail_pm == 0 {
@@ -393,6 +318,65 @@ impl FaultPlan {
     }
 }
 
+impl Interceptor for FaultPlan {
+    /// Decides the fate of one packet: the draws in a fixed order —
+    /// partition, drop, duplicate, reorder, corrupt, delay — the first
+    /// that hits deciding. Consumes generator state, so the wire calls
+    /// it exactly once per packet.
+    fn intercept(&mut self, dir: Direction, now: SimTime, bytes: Vec<u8>) -> Verdict {
+        let site = match dir {
+            Direction::Request => "req",
+            Direction::Reply => "rep",
+        };
+        let mut st = self.state.lock();
+        if self
+            .spec
+            .partitions
+            .iter()
+            .any(|(start, end)| now >= *start && now < *end)
+        {
+            self.record(&mut st, now, FaultKind::Partition, site);
+            return Verdict::Drop;
+        }
+        if roll(&mut st.rng, self.spec.drop_pm) {
+            self.record(&mut st, now, FaultKind::Drop, site);
+            return Verdict::Drop;
+        }
+        if roll(&mut st.rng, self.spec.duplicate_pm) {
+            self.record(&mut st, now, FaultKind::Duplicate, site);
+            return Verdict::Duplicate(bytes);
+        }
+        if roll(&mut st.rng, self.spec.reorder_pm) {
+            self.record(&mut st, now, FaultKind::Reorder, site);
+            let slot = match dir {
+                Direction::Request => 0,
+                Direction::Reply => 1,
+            };
+            return match st.held[slot].replace(bytes) {
+                // A neighbour was already held: it now arrives in this
+                // packet's place — the two swapped positions.
+                Some(stale) => Verdict::Deliver(stale),
+                // First of the pair: held back; the caller times out.
+                None => Verdict::Drop,
+            };
+        }
+        if roll(&mut st.rng, self.spec.corrupt_pm) {
+            self.record(&mut st, now, FaultKind::Corrupt, site);
+            let mut bytes = bytes;
+            if !bytes.is_empty() {
+                let bit = next_u64(&mut st.rng) as usize % (bytes.len() * 8);
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+            return Verdict::Deliver(bytes);
+        }
+        if roll(&mut st.rng, self.spec.delay_pm) {
+            self.record(&mut st, now, FaultKind::Delay, site);
+            return Verdict::Delay(self.spec.delay_ns.max(1), bytes);
+        }
+        Verdict::Deliver(bytes)
+    }
+}
+
 impl std::fmt::Debug for FaultPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FaultPlan")
@@ -440,14 +424,10 @@ mod tests {
     #[test]
     fn same_seed_same_schedule() {
         let run = |seed| {
-            let plan = FaultPlan::new(seed, busy_spec());
+            let mut plan = FaultPlan::new(seed, busy_spec());
             let mut actions = Vec::new();
             for i in 0..200u64 {
-                actions.push(plan.net_action(
-                    Direction::Request,
-                    SimTime(i * 3),
-                    vec![i as u8; 16],
-                ));
+                actions.push(plan.intercept(Direction::Request, SimTime(i * 3), vec![i as u8; 16]));
                 let _ = plan.sync_write_fails(SimTime(i * 3 + 1));
             }
             (actions, plan.events())
@@ -458,21 +438,15 @@ mod tests {
 
     #[test]
     fn partition_window_drops_everything() {
-        let plan = FaultPlan::new(
-            1,
-            FaultSpec {
-                partitions: vec![(SimTime(100), SimTime(200))],
-                ..FaultSpec::none()
-            },
-        );
+        let mut plan = FaultPlan::from_spec("seed=1,partition=100+100").unwrap();
         assert_eq!(
-            plan.net_action(Direction::Request, SimTime(150), b"x".to_vec()),
-            NetAction::Drop
+            plan.intercept(Direction::Request, SimTime(150), b"x".to_vec()),
+            Verdict::Drop
         );
         // Outside the window nothing is injected.
         assert_eq!(
-            plan.net_action(Direction::Request, SimTime(200), b"x".to_vec()),
-            NetAction::Deliver(b"x".to_vec())
+            plan.intercept(Direction::Request, SimTime(200), b"x".to_vec()),
+            Verdict::Deliver(b"x".to_vec())
         );
         assert_eq!(plan.events().len(), 1);
         assert_eq!(plan.events()[0].kind, FaultKind::Partition);
@@ -480,36 +454,24 @@ mod tests {
 
     #[test]
     fn reorder_swaps_adjacent_packets() {
-        let plan = FaultPlan::new(
-            7,
-            FaultSpec {
-                reorder_pm: 1000,
-                ..FaultSpec::none()
-            },
-        );
+        let mut plan = FaultPlan::from_spec("seed=7,reorder=1000").unwrap();
         // First reordered packet is held (observed as a drop)…
         assert_eq!(
-            plan.net_action(Direction::Request, SimTime(0), b"a".to_vec()),
-            NetAction::Drop
+            plan.intercept(Direction::Request, SimTime(0), b"a".to_vec()),
+            Verdict::Drop
         );
         // …the second arrives in its place.
         assert_eq!(
-            plan.net_action(Direction::Request, SimTime(1), b"b".to_vec()),
-            NetAction::Deliver(b"a".to_vec())
+            plan.intercept(Direction::Request, SimTime(1), b"b".to_vec()),
+            Verdict::Deliver(b"a".to_vec())
         );
     }
 
     #[test]
     fn corrupt_flips_exactly_one_bit() {
-        let plan = FaultPlan::new(
-            3,
-            FaultSpec {
-                corrupt_pm: 1000,
-                ..FaultSpec::none()
-            },
-        );
+        let mut plan = FaultPlan::from_spec("seed=3,corrupt=1000").unwrap();
         let orig = vec![0u8; 32];
-        let NetAction::Deliver(out) = plan.net_action(Direction::Reply, SimTime(0), orig.clone())
+        let Verdict::Deliver(out) = plan.intercept(Direction::Reply, SimTime(0), orig.clone())
         else {
             panic!("expected delivery");
         };
@@ -594,35 +556,24 @@ mod tests {
         assert!(FaultSpec::parse("crash=xyz").is_err());
     }
 
-    /// Independent xorshift64* used to *generate* call sequences for the
-    /// property tests, so the driver's randomness never shares state
-    /// with the plan under test.
-    fn prop_rng(state: &mut u64) -> u64 {
-        let mut x = *state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        *state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
     /// Drives a plan through a deterministic pseudo-random interleaving
-    /// of packet decisions and disk probes derived from `drive_seed`.
-    fn drive(plan: &FaultPlan, drive_seed: u64) -> (Vec<NetAction>, Vec<FaultEvent>) {
+    /// of packet decisions and disk probes derived from `drive_seed`,
+    /// drawn from a generator state of its own, never the plan's.
+    fn drive(mut plan: FaultPlan, drive_seed: u64) -> (Vec<Verdict>, Vec<FaultEvent>) {
         let mut st = drive_seed | 1;
         let mut actions = Vec::new();
         for i in 0..400u64 {
-            let now = SimTime(i * 1_000 + prop_rng(&mut st) % 1_000);
-            match prop_rng(&mut st) % 3 {
-                0 => actions.push(plan.net_action(
+            let now = SimTime(i * 1_000 + next_u64(&mut st) % 1_000);
+            match next_u64(&mut st) % 3 {
+                0 => actions.push(plan.intercept(
                     Direction::Request,
                     now,
-                    vec![(prop_rng(&mut st) % 256) as u8; 1 + (i as usize % 64)],
+                    vec![(next_u64(&mut st) % 256) as u8; 1 + (i as usize % 64)],
                 )),
-                1 => actions.push(plan.net_action(
+                1 => actions.push(plan.intercept(
                     Direction::Reply,
                     now,
-                    vec![(prop_rng(&mut st) % 256) as u8; 1 + (i as usize % 64)],
+                    vec![(next_u64(&mut st) % 256) as u8; 1 + (i as usize % 64)],
                 )),
                 _ => {
                     let _ = plan.sync_write_fails(now);
@@ -641,8 +592,8 @@ mod tests {
         // of reproducible chaos runs.
         for plan_seed in [0u64, 1, 7, 42, 0xDEAD_BEEF, u64::MAX] {
             for drive_seed in 1..=8u64 {
-                let a = drive(&FaultPlan::new(plan_seed, busy_spec()), drive_seed);
-                let b = drive(&FaultPlan::new(plan_seed, busy_spec()), drive_seed);
+                let a = drive(FaultPlan::new(plan_seed, busy_spec()), drive_seed);
+                let b = drive(FaultPlan::new(plan_seed, busy_spec()), drive_seed);
                 assert_eq!(a, b, "plan seed {plan_seed}, drive seed {drive_seed}");
             }
         }
@@ -653,9 +604,9 @@ mod tests {
         // Not a correctness requirement in the strict sense, but if many
         // seeds collapsed onto one schedule the chaos suite would be
         // testing far less than it claims.
-        let base = drive(&FaultPlan::new(1, busy_spec()), 5).0;
+        let base = drive(FaultPlan::new(1, busy_spec()), 5).0;
         let diverged = (2..=20u64)
-            .filter(|s| drive(&FaultPlan::new(*s, busy_spec()), 5).0 != base)
+            .filter(|s| drive(FaultPlan::new(*s, busy_spec()), 5).0 != base)
             .count();
         assert!(diverged >= 18, "only {diverged}/19 seeds diverged");
     }

@@ -8,16 +8,17 @@
 //! - `time`: a shared virtual clock ([`SimClock`]) that components charge
 //!   costs to;
 //! - `net`: request/response wires with latency, bandwidth, and
-//!   per-message transport overhead (UDP vs TCP), plus an [`Interceptor`]
-//!   hook giving tests the paper's §2.1.2 adversary — "attackers can
-//!   intercept packets, tamper with them, and inject new packets onto the
-//!   network";
+//!   per-message transport overhead (UDP vs TCP), plus one
+//!   [`Interceptor`] hook for the paper's §2.1.2 adversary — "attackers
+//!   can intercept packets, tamper with them, and inject new packets onto
+//!   the network" — whether a test scripts it or a [`FaultPlan`] draws it;
 //! - `disk`: a seek/rotate/transfer disk model with a write-behind cache
 //!   and explicit synchronous-write accounting (the Sprite LFS benchmarks
 //!   are dominated by sync writes);
-//! - `fault`: a seeded, deterministic [`FaultPlan`] that drops,
-//!   duplicates, reorders, corrupts, and delays packets, cuts scheduled
-//!   partitions, crash-restarts servers, and fails sync disk writes —
+//! - `fault`: a seeded, deterministic [`FaultPlan`]: on a wire, the
+//!   interceptor that drops, duplicates, reorders, corrupts, and delays
+//!   packets and cuts scheduled partitions; beside it, the schedule that
+//!   crash-restarts servers and fails sync disk writes —
 //!   every chaos run reproducible byte-for-byte from its seed;
 //! - `cpu`: per-byte and per-operation CPU cost accounting (user-level
 //!   crossings, software crypto);

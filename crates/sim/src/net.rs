@@ -1,9 +1,13 @@
-//! Simulated network wires with an adversary hook.
+//! Simulated network wires with one adversary hook.
 //!
 //! Paper §2.1.2: "SFS assumes that malicious parties entirely control the
 //! network. Attackers can intercept packets, tamper with them, and inject
-//! new packets onto the network." The [`Interceptor`] trait gives tests
-//! exactly those powers; [`PacketLog`] records ciphertext for
+//! new packets onto the network." The [`Interceptor`] trait is that one
+//! attacker: it sees every packet and returns its [`Verdict`] — deliver
+//! (as sent or tampered with), duplicate, delay or drop. A scripted test
+//! adversary and the seeded [`crate::FaultPlan`] are both interceptors,
+//! and a wire carries at most one. [`PacketLog`] is a passive recorder
+//! beside it: it keeps ciphertext as the sender sent it, for
 //! forward-secrecy experiments.
 //!
 //! A [`Wire`] is a request/response channel that charges the virtual
@@ -19,7 +23,6 @@ use std::sync::Arc;
 use sfs_telemetry::sync::Mutex;
 use sfs_telemetry::Telemetry;
 
-use crate::fault::{FaultPlan, NetAction};
 use crate::time::{SimClock, SimTime};
 
 /// Packet direction relative to the client.
@@ -31,21 +34,27 @@ pub enum Direction {
     Reply,
 }
 
-/// What an interceptor decided to do with a packet.
+/// What becomes of one packet on the wire: the adversary's decision.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Verdict {
-    /// Deliver the (possibly inspected) packet unchanged.
-    Deliver,
-    /// Deliver modified bytes instead.
-    Replace(Vec<u8>),
-    /// Drop the packet (the caller observes a timeout).
+    /// Deliver these bytes: the packet as sent, tampered with, or one
+    /// the adversary held back earlier.
+    Deliver(Vec<u8>),
+    /// Deliver the bytes twice (the receiver processes both copies).
+    Duplicate(Vec<u8>),
+    /// Deliver the bytes after an extra delay of the given ns.
+    Delay(u64, Vec<u8>),
+    /// The packet never arrives (the caller observes a timeout).
     Drop,
 }
 
-/// An active network adversary (or passive observer).
+/// The network adversary: an active attacker, a seeded fault schedule,
+/// or a passive observer that delivers everything it sees.
 pub trait Interceptor: Send {
-    /// Called for every packet on the wire.
-    fn intercept(&mut self, dir: Direction, bytes: &[u8]) -> Verdict;
+    /// Decides the fate of one packet, sent in direction `dir` when the
+    /// wire's clock reads `now`. Called exactly once per packet, in send
+    /// order.
+    fn intercept(&mut self, dir: Direction, now: SimTime, bytes: Vec<u8>) -> Verdict;
 }
 
 /// Records all traffic, for later cryptanalysis attempts (forward-secrecy
@@ -226,8 +235,7 @@ pub struct Exchange {
 pub struct Wire {
     clock: SimClock,
     params: NetParams,
-    interceptor: Option<Arc<Mutex<dyn Interceptor>>>,
-    fault: Option<FaultPlan>,
+    adversary: Option<Arc<Mutex<dyn Interceptor>>>,
     log: Option<PacketLog>,
     /// Shared contention tracker for the server machine this wire is
     /// attached to; `None` means an uncontended point-to-point link.
@@ -248,8 +256,7 @@ impl Wire {
         Wire {
             clock,
             params,
-            interceptor: None,
-            fault: None,
+            adversary: None,
             log: None,
             load: None,
             round_trips: AtomicU64::new(0),
@@ -258,15 +265,10 @@ impl Wire {
         }
     }
 
-    /// Attaches an adversary.
+    /// Attaches the adversary that decides every packet's fate,
+    /// replacing any attached before.
     pub fn set_interceptor(&mut self, i: Arc<Mutex<dyn Interceptor>>) {
-        self.interceptor = Some(i);
-    }
-
-    /// Attaches a seeded fault plan; every packet's fate is decided by
-    /// the plan after the interceptor (if any) has had its turn.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault = Some(plan);
+        self.adversary = Some(i);
     }
 
     /// Attaches a packet recorder.
@@ -340,36 +342,34 @@ impl Wire {
         let _ = self.lost();
     }
 
-    /// Runs one packet through the observation/adversary pipeline —
-    /// accounting, packet log, interceptor, fault plan — and reports what
-    /// becomes of it, which [`Wire::exchange_on`] applies to its logical
-    /// per-frame timeline; neither the clock nor timeout accounting is
-    /// touched here.
-    fn route(&self, dir: Direction, bytes: Vec<u8>) -> NetAction {
+    /// Runs one packet past the observers and the adversary —
+    /// accounting, packet log, interceptor — and reports what arrives:
+    /// the bytes, the extra delay they arrive after and whether they
+    /// arrive twice, or `None` for a lost packet. [`Wire::exchange_on`]
+    /// applies that to its logical per-frame timeline; neither the clock
+    /// nor timeout accounting is touched here.
+    fn route(&self, dir: Direction, bytes: Vec<u8>) -> Option<(Vec<u8>, u64, bool)> {
         self.bytes_sent
             .fetch_add(bytes.len() as u64, Ordering::Relaxed);
         self.bump("net.bytes_sent", bytes.len() as u64);
         if let Some(log) = &self.log {
             log.record(dir, &bytes);
         }
-        let bytes = match &self.interceptor {
-            None => bytes,
-            Some(i) => match i.lock().intercept(dir, &bytes) {
-                Verdict::Deliver => bytes,
-                Verdict::Replace(other) => other,
-                Verdict::Drop => return NetAction::Drop,
-            },
+        let Some(adversary) = &self.adversary else {
+            return Some((bytes, 0, false));
         };
-        let Some(plan) = &self.fault else {
-            return NetAction::Deliver(bytes);
-        };
-        let action = plan.net_action(dir, self.clock.now(), bytes);
-        match action {
-            NetAction::Duplicate(_) => self.bump("net.duplicates", 1),
-            NetAction::Delay(..) => self.bump("net.delays", 1),
-            NetAction::Deliver(_) | NetAction::Drop => {}
+        match adversary.lock().intercept(dir, self.clock.now(), bytes) {
+            Verdict::Deliver(b) => Some((b, 0, false)),
+            Verdict::Duplicate(b) => {
+                self.bump("net.duplicates", 1);
+                Some((b, 0, true))
+            }
+            Verdict::Delay(ns, b) => {
+                self.bump("net.delays", 1);
+                Some((b, ns, false))
+            }
+            Verdict::Drop => None,
         }
-        action
     }
 
     /// Serialization time for a message of `len` bytes: the part of its
@@ -468,11 +468,8 @@ impl Wire {
             let depart = stamp.as_nanos().max(req_link_free);
             req_link_free = depart + ser;
             let arrival = depart + ser + self.params.latency_ns;
-            match self.route(Direction::Request, bytes) {
-                NetAction::Deliver(b) => x.arrivals.push((arrival, idx, b, false)),
-                NetAction::Duplicate(b) => x.arrivals.push((arrival, idx, b, true)),
-                NetAction::Delay(ns, b) => x.arrivals.push((arrival + ns, idx, b, false)),
-                NetAction::Drop => {}
+            if let Some((b, delay, dup)) = self.route(Direction::Request, bytes) {
+                x.arrivals.push((arrival + delay, idx, b, dup));
             }
         }
         if sent == 0 {
@@ -521,42 +518,28 @@ impl Wire {
                     let depart = end.max(reply_link_free);
                     reply_link_free = depart + ser;
                     let r_arrival = depart + ser + self.params.latency_ns;
-                    match self.route(Direction::Reply, rbytes) {
-                        NetAction::Deliver(b) => {
-                            let reply = ExchangeReply {
-                                bytes: b,
-                                arrival: SimTime(r_arrival),
-                            };
-                            match sink.as_mut() {
-                                Some(sink) => {
-                                    streamed_finish = Some(reply.arrival);
-                                    sink(reply);
-                                }
-                                None => out.push(reply),
+                    let Some((bytes, delay, dup)) = self.route(Direction::Reply, rbytes) else {
+                        continue;
+                    };
+                    answered += 1;
+                    let reply = ExchangeReply {
+                        bytes,
+                        arrival: SimTime(r_arrival + delay),
+                    };
+                    match sink.as_mut() {
+                        Some(sink) if delay == 0 && !dup => {
+                            streamed_finish = Some(reply.arrival);
+                            sink(reply);
+                        }
+                        // From the first reply delayed or duplicated on,
+                        // replies are collected.
+                        _ => {
+                            sink = None;
+                            if dup {
+                                out.push(reply.clone());
                             }
-                            answered += 1;
+                            out.push(reply);
                         }
-                        NetAction::Duplicate(b) => {
-                            sink = None;
-                            out.push(ExchangeReply {
-                                bytes: b.clone(),
-                                arrival: SimTime(r_arrival),
-                            });
-                            out.push(ExchangeReply {
-                                bytes: b,
-                                arrival: SimTime(r_arrival),
-                            });
-                            answered += 1;
-                        }
-                        NetAction::Delay(ns, b) => {
-                            sink = None;
-                            out.push(ExchangeReply {
-                                bytes: b,
-                                arrival: SimTime(r_arrival + ns),
-                            });
-                            answered += 1;
-                        }
-                        NetAction::Drop => {}
                     }
                 }
             }
@@ -613,11 +596,21 @@ impl std::fmt::Debug for Wire {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
     use super::ServerCost::Serial;
     use super::*;
+    use crate::fault::FaultPlan;
 
     fn wire() -> Wire {
         Wire::new(SimClock::new(), NetParams::switched_100mbit(Transport::Udp))
+    }
+
+    /// A wire whose adversary is `adversary`.
+    fn attacked(adversary: impl Interceptor + 'static) -> Wire {
+        let mut w = wire();
+        w.set_interceptor(Arc::new(Mutex::new(adversary)));
+        w
     }
 
     /// A server that answers `len` zero bytes for `cpu` ns of serial CPU.
@@ -679,21 +672,17 @@ mod tests {
 
     struct Tamperer;
     impl Interceptor for Tamperer {
-        fn intercept(&mut self, dir: Direction, bytes: &[u8]) -> Verdict {
+        fn intercept(&mut self, dir: Direction, _: SimTime, mut bytes: Vec<u8>) -> Verdict {
             if dir == Direction::Reply {
-                let mut b = bytes.to_vec();
-                b[0] ^= 0xff;
-                Verdict::Replace(b)
-            } else {
-                Verdict::Deliver
+                bytes[0] ^= 0xff;
             }
+            Verdict::Deliver(bytes)
         }
     }
 
     #[test]
     fn interceptor_can_tamper() {
-        let mut w = wire();
-        w.set_interceptor(Arc::new(Mutex::new(Tamperer)));
+        let w = attacked(Tamperer);
         let reply = w
             .call(b"hi".to_vec(), &mut Exchange::default(), |_| {
                 vec![0x00, 0x01]
@@ -704,15 +693,14 @@ mod tests {
 
     struct Dropper;
     impl Interceptor for Dropper {
-        fn intercept(&mut self, _d: Direction, _b: &[u8]) -> Verdict {
+        fn intercept(&mut self, _: Direction, _: SimTime, _: Vec<u8>) -> Verdict {
             Verdict::Drop
         }
     }
 
     #[test]
     fn interceptor_can_drop() {
-        let mut w = wire();
-        w.set_interceptor(Arc::new(Mutex::new(Dropper)));
+        let w = attacked(Dropper);
         let before = w.clock().now();
         let err = w
             .call(b"hi".to_vec(), &mut Exchange::default(), |_| vec![])
@@ -724,15 +712,7 @@ mod tests {
 
     #[test]
     fn fault_plan_drop_behaves_like_timeout() {
-        use crate::fault::{FaultPlan, FaultSpec};
-        let mut w = wire();
-        w.set_fault_plan(FaultPlan::new(
-            1,
-            FaultSpec {
-                drop_pm: 1000,
-                ..FaultSpec::none()
-            },
-        ));
+        let w = attacked(FaultPlan::from_spec("seed=1,drop=1000").unwrap());
         let before = w.clock().now();
         assert_eq!(
             w.call(b"hi".to_vec(), &mut Exchange::default(), |_| vec![])
@@ -744,15 +724,7 @@ mod tests {
 
     #[test]
     fn fault_plan_duplicate_invokes_server_twice() {
-        use crate::fault::{FaultPlan, FaultSpec};
-        let mut w = wire();
-        w.set_fault_plan(FaultPlan::new(
-            1,
-            FaultSpec {
-                duplicate_pm: 1000,
-                ..FaultSpec::none()
-            },
-        ));
+        let w = attacked(FaultPlan::from_spec("seed=1,dup=1000").unwrap());
         let mut calls = 0;
         // The reply transit also rolls a duplicate; that is fine — the
         // client just discards the second copy.
@@ -768,20 +740,11 @@ mod tests {
 
     #[test]
     fn fault_plan_delay_charges_extra_time() {
-        use crate::fault::{FaultPlan, FaultSpec};
         let clean = wire();
         clean
             .call(vec![0; 64], &mut Exchange::default(), |_| vec![0; 64])
             .unwrap();
-        let mut w = wire();
-        w.set_fault_plan(FaultPlan::new(
-            1,
-            FaultSpec {
-                delay_pm: 1000,
-                delay_ns: 5_000_000,
-                ..FaultSpec::none()
-            },
-        ));
+        let w = attacked(FaultPlan::from_spec("seed=1,delay=1000,delay_ns=5ms").unwrap());
         w.call(vec![0; 64], &mut Exchange::default(), |_| vec![0; 64])
             .unwrap();
         assert!(
@@ -792,51 +755,100 @@ mod tests {
 
     #[test]
     fn call_and_one_frame_exchange_share_one_fate_path() {
-        // Twin wires under twin fault plans: a lost, duplicated or
-        // delayed packet costs a blocking call exactly what it costs a
-        // one-frame exchange whose caller waits out the timeout.
-        use crate::fault::{FaultPlan, FaultSpec};
-        let twin = || {
+        // Three wires: a blocking call and a one-frame exchange whose
+        // caller waits out the timeout, each under its own twin of one
+        // fault plan, and a one-frame exchange under a scripted adversary
+        // that replays, packet by packet, the verdicts the plan gave the
+        // blocking wire. A lost, duplicated or delayed packet costs all
+        // three exactly the same, whoever chose its fate.
+        let plan =
+            || FaultPlan::from_spec("seed=7,drop=150,dup=150,delay=150,delay_ns=1ms").unwrap();
+        let script = Arc::new(Mutex::new(VecDeque::new()));
+        let adversaries: [Arc<Mutex<dyn Interceptor>>; 3] = [
+            Arc::new(Mutex::new(Scribe {
+                plan: plan(),
+                script: script.clone(),
+            })),
+            Arc::new(Mutex::new(plan())),
+            Arc::new(Mutex::new(Scripted(script.clone()))),
+        ];
+        let wires = adversaries.map(|adversary| {
             let mut w = wire();
-            w.set_fault_plan(FaultPlan::new(
-                7,
-                FaultSpec {
-                    drop_pm: 150,
-                    duplicate_pm: 150,
-                    delay_pm: 150,
-                    delay_ns: 1_000_000,
-                    ..FaultSpec::none()
-                },
-            ));
+            w.set_interceptor(adversary);
             let log = PacketLog::new();
             w.set_log(log.clone());
             let tel = Telemetry::counters();
             w.set_telemetry(&tel);
             (w, log, tel)
-        };
-        let (blocking, blocking_log, blocking_tel) = twin();
-        let (framed, framed_log, framed_tel) = twin();
+        });
         let serve = |req: Vec<u8>| vec![req[0]; 200];
         let mut x = Exchange::default();
+        let mut replies = [Vec::new(), Vec::new(), Vec::new()];
         for i in 0..64u8 {
-            let _ = blocking.call(vec![i; 100], &mut x, serve);
-            let sent = framed.clock().now();
-            framed.exchange_on([(sent, vec![i; 100])], &mut x, |_, req, out| {
-                out.push(serve(req));
-                Serial(0)
-            });
-            if x.replies.is_empty() {
-                framed.timeout_wait();
+            for (k, (w, ..)) in wires.iter().enumerate() {
+                replies[k].push(if k == 0 {
+                    w.call(vec![i; 100], &mut x, serve).ok()
+                } else {
+                    let sent = w.clock().now();
+                    w.exchange_on([(sent, vec![i; 100])], &mut x, |_, req, out| {
+                        out.push(serve(req));
+                        Serial(0)
+                    });
+                    if x.replies.is_empty() {
+                        w.timeout_wait();
+                    }
+                    x.replies.first().map(|r| r.bytes.clone())
+                });
             }
         }
-        for fault in ["net.timeouts", "net.duplicates", "net.delays"] {
-            let n = blocking_tel.counter("wire", fault);
-            assert!(n > 0, "the plan never produced {fault}");
-            assert_eq!(n, framed_tel.counter("wire", fault), "{fault}");
+        assert!(script.lock().is_empty(), "a verdict no packet met");
+        let faults = ["net.timeouts", "net.duplicates", "net.delays"];
+        let (blocking, log, tel) = &wires[0];
+        for fault in faults {
+            assert!(
+                tel.counter("wire", fault) > 0,
+                "the plan never produced {fault}"
+            );
         }
-        assert_eq!(blocking.clock().now(), framed.clock().now());
-        assert_eq!(blocking_log.snapshot(), framed_log.snapshot());
-        assert_eq!(blocking.round_trips(), framed.round_trips());
+        for (k, (w, l, t)) in wires.iter().enumerate().skip(1) {
+            for fault in faults {
+                assert_eq!(
+                    t.counter("wire", fault),
+                    tel.counter("wire", fault),
+                    "{k} {fault}"
+                );
+            }
+            assert_eq!(w.clock().now(), blocking.clock().now(), "wire {k}");
+            assert_eq!(l.snapshot(), log.snapshot(), "wire {k}");
+            assert_eq!(w.round_trips(), blocking.round_trips(), "wire {k}");
+            assert_eq!(replies[k], replies[0], "wire {k}");
+        }
+    }
+
+    /// Passes every packet to `plan` and appends its verdict to `script`.
+    struct Scribe {
+        plan: FaultPlan,
+        script: Arc<Mutex<VecDeque<Verdict>>>,
+    }
+
+    impl Interceptor for Scribe {
+        fn intercept(&mut self, dir: Direction, now: SimTime, bytes: Vec<u8>) -> Verdict {
+            let verdict = self.plan.intercept(dir, now, bytes);
+            self.script.lock().push_back(verdict.clone());
+            verdict
+        }
+    }
+
+    /// Gives each packet the next verdict of a script, whatever it is.
+    struct Scripted(Arc<Mutex<VecDeque<Verdict>>>);
+
+    impl Interceptor for Scripted {
+        fn intercept(&mut self, _: Direction, _: SimTime, _: Vec<u8>) -> Verdict {
+            self.0
+                .lock()
+                .pop_front()
+                .expect("a verdict for every packet")
+        }
     }
 
     #[test]
@@ -973,7 +985,6 @@ mod tests {
         // sink's replies, then the ones kept back, are exchange_on's
         // replies in exchange_on's order, at the same instants, and the
         // sink never gets one out of arrival order.
-        use crate::fault::FaultPlan;
         for spec in [
             "seed=5",
             "seed=6,drop=200",
@@ -982,9 +993,8 @@ mod tests {
             "seed=9,drop=100,dup=100,reorder=100,delay=100,delay_ns=300us",
         ] {
             for scheduled in [false, true] {
-                let (mut a, mut b) = (wire(), wire());
-                a.set_fault_plan(FaultPlan::from_spec(spec).unwrap());
-                b.set_fault_plan(FaultPlan::from_spec(spec).unwrap());
+                let plan = || FaultPlan::from_spec(spec).unwrap();
+                let (a, b) = (attacked(plan()), attacked(plan()));
                 let (mut xa, mut xb) = (Exchange::default(), Exchange::default());
                 for round in 0..40u64 {
                     let frames = |w: &Wire| {
@@ -1029,15 +1039,7 @@ mod tests {
 
     #[test]
     fn exchange_drop_loses_frames_without_charging_timeout() {
-        use crate::fault::{FaultPlan, FaultSpec};
-        let mut w = wire();
-        w.set_fault_plan(FaultPlan::new(
-            1,
-            FaultSpec {
-                drop_pm: 1000,
-                ..FaultSpec::none()
-            },
-        ));
+        let w = attacked(FaultPlan::from_spec("seed=1,drop=1000").unwrap());
         let before = w.clock().now();
         let replies = exchange(&w, vec![(before, vec![0; 64])], |_, _| {
             panic!("dropped request must not reach the server")
@@ -1052,15 +1054,7 @@ mod tests {
 
     #[test]
     fn exchange_duplicate_request_services_twice() {
-        use crate::fault::{FaultPlan, FaultSpec};
-        let mut w = wire();
-        w.set_fault_plan(FaultPlan::new(
-            1,
-            FaultSpec {
-                duplicate_pm: 1000,
-                ..FaultSpec::none()
-            },
-        ));
+        let w = attacked(FaultPlan::from_spec("seed=1,dup=1000").unwrap());
         let mut calls = 0u8;
         let sent = w.clock().now();
         let replies = exchange(&w, vec![(sent, vec![9; 32])], |_, _| {
@@ -1075,20 +1069,11 @@ mod tests {
 
     #[test]
     fn exchange_delay_defers_reply_arrival() {
-        use crate::fault::{FaultPlan, FaultSpec};
         let clean = wire();
         let sent = clean.clock().now();
         exchange(&clean, vec![(sent, vec![0; 64])], |_, _| zeros(64, 0));
 
-        let mut w = wire();
-        w.set_fault_plan(FaultPlan::new(
-            1,
-            FaultSpec {
-                delay_pm: 1000,
-                delay_ns: 5_000_000,
-                ..FaultSpec::none()
-            },
-        ));
+        let w = attacked(FaultPlan::from_spec("seed=1,delay=1000,delay_ns=5ms").unwrap());
         let sent = w.clock().now();
         exchange(&w, vec![(sent, vec![0; 64])], |_, _| zeros(64, 0));
         assert!(

@@ -15,7 +15,7 @@ use sfs_crypto::rabin::generate_keypair;
 use sfs_crypto::srp::SrpGroup;
 use sfs_crypto::SfsPrg;
 use sfs_proto::pathname::SelfCertifyingPath;
-use sfs_sim::{Direction, Interceptor, NetParams, SimClock, Transport, Verdict};
+use sfs_sim::{Direction, Interceptor, NetParams, SimClock, SimTime, Transport, Verdict};
 use sfs_telemetry::sync::Mutex;
 use sfs_vfs::{Credentials, SetAttr, Vfs};
 
@@ -26,15 +26,13 @@ struct Eve {
 }
 
 impl Interceptor for Eve {
-    fn intercept(&mut self, dir: Direction, bytes: &[u8]) -> Verdict {
+    fn intercept(&mut self, dir: Direction, _: SimTime, mut bytes: Vec<u8>) -> Verdict {
         self.packets_seen += 1;
         if self.tampering && dir == Direction::Reply && bytes.len() > 32 {
-            let mut b = bytes.to_vec();
-            let n = b.len();
-            b[n / 2] ^= 0x01; // A single flipped bit.
-            return Verdict::Replace(b);
+            let n = bytes.len();
+            bytes[n / 2] ^= 0x01; // A single flipped bit.
         }
-        Verdict::Deliver
+        Verdict::Deliver(bytes)
     }
 }
 

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use sfs::client::ClientError;
 use sfs_bench::keys;
 use sfs_bench::world::{KeySeeds, World, WorldSpec, UID as ALICE_UID};
-use sfs_sim::{Direction, Interceptor, PacketLog, Verdict};
+use sfs_sim::{Direction, Interceptor, PacketLog, SimTime, Verdict};
 use sfs_telemetry::sync::Mutex;
 use sfs_telemetry::Telemetry;
 
@@ -20,18 +20,15 @@ struct BitFlipper {
 }
 
 impl Interceptor for BitFlipper {
-    fn intercept(&mut self, dir: Direction, bytes: &[u8]) -> Verdict {
-        if dir != Direction::Reply {
-            return Verdict::Deliver;
+    fn intercept(&mut self, dir: Direction, _: SimTime, mut bytes: Vec<u8>) -> Verdict {
+        if dir == Direction::Reply {
+            self.seen += 1;
+            if self.seen > self.skip {
+                let n = bytes.len();
+                bytes[n / 2] ^= 0x40;
+            }
         }
-        self.seen += 1;
-        if self.seen <= self.skip {
-            return Verdict::Deliver;
-        }
-        let mut b = bytes.to_vec();
-        let n = b.len();
-        b[n / 2] ^= 0x40;
-        Verdict::Replace(b)
+        Verdict::Deliver(bytes)
     }
 }
 
@@ -74,18 +71,18 @@ struct RequestReplayer {
 }
 
 impl Interceptor for RequestReplayer {
-    fn intercept(&mut self, dir: Direction, bytes: &[u8]) -> Verdict {
+    fn intercept(&mut self, dir: Direction, _: SimTime, bytes: Vec<u8>) -> Verdict {
         if dir != Direction::Request {
-            return Verdict::Deliver;
+            return Verdict::Deliver(bytes);
         }
         if self.armed && !self.fired {
             if let Some(prev) = self.last.clone() {
                 self.fired = true;
-                return Verdict::Replace(prev);
+                return Verdict::Deliver(prev);
             }
         }
-        self.last = Some(bytes.to_vec());
-        Verdict::Deliver
+        self.last = Some(bytes.clone());
+        Verdict::Deliver(bytes)
     }
 }
 
@@ -174,7 +171,7 @@ fn denial_only_delays_not_corrupts() {
     // do no worse than delay the file system's operation".
     struct DropAll;
     impl Interceptor for DropAll {
-        fn intercept(&mut self, _d: Direction, _b: &[u8]) -> Verdict {
+        fn intercept(&mut self, _: Direction, _: SimTime, _: Vec<u8>) -> Verdict {
             Verdict::Drop
         }
     }
