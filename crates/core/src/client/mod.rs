@@ -142,6 +142,10 @@ pub enum ClientError {
     SymlinkLoop,
     /// Unexpected protocol reply.
     Protocol(String),
+    /// The server refused the session: it answered a sealed exchange
+    /// with an unsequenced error. The words are unauthenticated and only
+    /// shown; whatever they say, a reconnect is the one way on.
+    Refused(String),
 }
 
 impl std::fmt::Display for ClientError {
@@ -161,6 +165,7 @@ impl std::fmt::Display for ClientError {
             ClientError::Nfs(s) => write!(f, "file system error: {s:?}"),
             ClientError::SymlinkLoop => write!(f, "too many symbolic links"),
             ClientError::Protocol(e) => write!(f, "protocol: {e}"),
+            ClientError::Refused(e) => write!(f, "session refused: {e}"),
         }
     }
 }

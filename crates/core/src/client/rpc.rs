@@ -576,17 +576,13 @@ impl SfsClient {
                 let Some((chanseq, xid, frame)) = seq_reply_envelope(&bytes) else {
                     // An unsequenced reply: a server Error is the session
                     // refusing our state — honour it and let the caller
-                    // reconnect (`session_dead` reads the `channel
-                    // failure` prefix), whatever its unauthenticated
-                    // words say: the wire may have mangled them. Anything
-                    // else is a stray the wire held over from an earlier
-                    // phase (or mangled noise); it never touches the
-                    // cipher, so drop it and let retransmission cover any
-                    // real loss.
+                    // reconnect, whatever its unauthenticated words say
+                    // (the wire may have mangled them). Anything else is
+                    // a stray the wire held over from an earlier phase
+                    // (or mangled noise); it never touches the cipher, so
+                    // drop it and let retransmission cover any real loss.
                     if let Ok(ReplyMsg::Error(e)) = ReplyMsg::from_xdr(&bytes) {
-                        return Err(ClientError::Protocol(format!(
-                            "channel failure: session refused: {e}"
-                        )));
+                        return Err(ClientError::Refused(e));
                     }
                     tel.count("client", "pipeline.stale_frames", 1);
                     pool.put(bytes);

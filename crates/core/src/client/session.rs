@@ -483,18 +483,10 @@ impl SfsClient {
             // Retransmissions exhausted (e.g. a partition): escalate.
             ClientError::Net(WireError::Timeout) => true,
             // The server lost or refused our session state.
-            ClientError::Protocol(msg) => {
-                msg.contains("channel failure")
-                    || msg.contains("no secure channel")
-                    || msg.contains("restarted")
-                    || msg.contains("key negotiation out of order")
-                    // A mangled wire envelope (either side failed to even
-                    // parse the frame): the cipher streams may have
-                    // desynchronised, so only a rekey is safe.
-                    || msg.contains("reply framing corrupted")
-                    || msg.contains("unexpected reply")
-                    || msg.contains("unparseable message")
-            }
+            ClientError::Refused(_) => true,
+            // More replies parked than the reorder buffer holds: the
+            // cipher streams may have desynchronised.
+            ClientError::Protocol(msg) => msg.contains("channel failure"),
             _ => false,
         }
     }
