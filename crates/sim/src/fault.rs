@@ -7,11 +7,11 @@
 //! an [`Interceptor`] like any scripted one, deciding the fate of every
 //! packet on every wire it is attached to; beside the wire it decides
 //! every synchronous write on every attached [`crate::SimDisk`], and the
-//! crash schedule of any server that consults it. Because every decision is drawn from the
-//! plan's own generator in call order and the whole simulation runs on
-//! the deterministic virtual clock, a chaos run is byte-for-byte
-//! reproducible from its seed: same seed ⇒ same fault schedule ⇒ same
-//! virtual-time totals.
+//! crash schedule of any server that consults it. Because every decision
+//! is drawn from the plan's own generator in call order and the whole
+//! simulation runs on the deterministic virtual clock, a chaos run is
+//! byte-for-byte reproducible from its seed: same seed ⇒ same fault
+//! schedule ⇒ same virtual-time totals.
 //!
 //! Probabilities are expressed per mille (‰) so specs stay integral.
 //! Scheduled windows (partitions, server crashes) are cut against the
@@ -323,7 +323,7 @@ impl Interceptor for FaultPlan {
     /// partition, drop, duplicate, reorder, corrupt, delay — the first
     /// that hits deciding. Consumes generator state, so the wire calls
     /// it exactly once per packet.
-    fn intercept(&mut self, dir: Direction, now: SimTime, bytes: Vec<u8>) -> Verdict {
+    fn intercept(&mut self, dir: Direction, now: SimTime, mut bytes: Vec<u8>) -> Verdict {
         let site = match dir {
             Direction::Request => "req",
             Direction::Reply => "rep",
@@ -362,7 +362,6 @@ impl Interceptor for FaultPlan {
         }
         if roll(&mut st.rng, self.spec.corrupt_pm) {
             self.record(&mut st, now, FaultKind::Corrupt, site);
-            let mut bytes = bytes;
             if !bytes.is_empty() {
                 let bit = next_u64(&mut st.rng) as usize % (bytes.len() * 8);
                 bytes[bit / 8] ^= 1 << (bit % 8);
